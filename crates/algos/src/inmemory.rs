@@ -57,8 +57,8 @@ impl InMemoryResult {
     }
 }
 
-/// Run `prog` over `g` entirely in memory, one [`crate::ops::advance_all`]
-/// composition per iteration, with the multi-phase handshake when the
+/// Run `prog` over `g` entirely in memory, one
+/// [`crate::ops::advance_all_into`] composition per iteration, with the multi-phase handshake when the
 /// frontier drains.
 pub fn run_in_memory<P: VertexProgram>(g: &Csr, prog: &P) -> InMemoryResult {
     if prog.capabilities().weights {
@@ -83,6 +83,8 @@ pub fn run_in_memory_from<P: VertexProgram>(
     let mut total_edges = 0u64;
     let mut iter = 0u32;
     let mut phase = 0u32;
+    let mut next = crate::ops::NextFrontier::new(g.num_vertices());
+    let mut nodes = Vec::new();
 
     while iter < prog.max_iterations() {
         if active.is_all_zero() {
@@ -95,14 +97,14 @@ pub fn run_in_memory_from<P: VertexProgram>(
             }
         }
         let active_vertices = active.count_ones() as u64;
-        let (next, active_edges) = crate::ops::advance_all(prog, g, iter, &active, state);
+        let active_edges =
+            crate::ops::advance_all_into(prog, g, iter, &mut active, state, &mut next, &mut nodes);
         log.push(IterationLog {
             iteration: iter,
             active_vertices,
             active_edges,
         });
         total_edges += active_edges;
-        active = next;
         iter += 1;
     }
 

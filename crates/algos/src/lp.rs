@@ -97,7 +97,7 @@ impl VertexProgram for LabelPropagation {
 
     fn capabilities(&self) -> Capabilities {
         // payload: vertex id + community label
-        Capabilities::new().with_payload_bytes(8)
+        Capabilities::new().with_payload_bytes(8).with_filter()
     }
 
     fn new_state(&self, g: &Csr) -> LpState {

@@ -14,8 +14,11 @@
 //!   multi-lane (lanes live inside the program's state, as in MS-BFS);
 //! * [`filter`] — frontier compaction through the program's retain
 //!   predicate;
-//! * [`advance_all`] — whole-frontier push advance over a host CSR, the
-//!   composition the in-memory oracle uses;
+//! * [`NextFrontier`] — the recycled next-frontier buffers a driver loop
+//!   carries across iterations (concurrent write side, one snapshot per
+//!   iteration, filter, swap);
+//! * [`advance_all`] / [`advance_all_into`] — whole-frontier push advance
+//!   over a host CSR, the composition the in-memory oracle uses;
 //! * [`phase_transition`] — the multi-phase handshake, consulted when a
 //!   frontier drains.
 //!
@@ -25,7 +28,7 @@
 //! their own batching/cost accounting around these calls.
 
 use ascetic_graph::{Csr, VertexId};
-use ascetic_par::{parallel_for, AtomicBitmap, Bitmap};
+use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 
 use crate::traits::{EdgeSlice, VertexProgram};
 
@@ -80,27 +83,91 @@ pub fn advance_pull<P: VertexProgram>(
     prog.advance_pull(v, in_edges, active, state, next)
 }
 
-/// Run the *filter* operator: compact a freshly snapshotted next frontier
-/// through the program's retain predicate. The default predicate keeps
-/// everything, in which case the frontier passes through bit-for-bit
-/// unchanged (exact-frontier programs pay one scan of their set bits).
-pub fn filter<P: VertexProgram>(prog: &P, frontier: Bitmap, state: &P::State) -> Bitmap {
-    let mut out = frontier;
-    let dropped: Vec<usize> = out
-        .iter_ones()
-        .filter(|&v| !prog.retain(v as VertexId, state))
-        .collect();
-    for v in dropped {
-        out.clear(v);
+/// Run the *filter* operator: compact a freshly snapshotted next frontier,
+/// in place, through the program's retain predicate. Programs that do not
+/// declare [`crate::Capabilities::filters`] keep everything, and their
+/// frontier passes through untouched and unscanned.
+pub fn filter<P: VertexProgram>(prog: &P, frontier: &mut Bitmap, state: &P::State) {
+    if prog.capabilities().filters {
+        frontier.retain(|v| prog.retain(v as VertexId, state));
     }
-    out
+}
+
+/// The next-frontier half of a driver's frontier loop, recycled across
+/// iterations: the concurrent bitmap the advance operators write, plus the
+/// plain buffer its per-iteration snapshot lands in. A run allocates one
+/// of these; an iteration then costs only what its frontier populates
+/// (every bulk operation underneath is summary-indexed), never a fresh
+/// |V|-bit allocation or scan.
+///
+/// Per iteration a driver hands [`NextFrontier::writer`] to the advance
+/// operators, may look at the unfiltered result through
+/// [`NextFrontier::snapshot`] (prefetch planning, direction choice), and
+/// closes with [`NextFrontier::finish`]. However those are mixed, the
+/// bitmap is copied out **once** per hand-out of the writer.
+pub struct NextFrontier {
+    bits: AtomicBitmap,
+    snap: Bitmap,
+    /// `snap` holds `bits` as of the last `writer` hand-out's writes.
+    snapped: bool,
+    snapshots: u64,
+}
+
+impl NextFrontier {
+    /// Buffers for frontiers over `n` vertices, all clear.
+    pub fn new(n: usize) -> NextFrontier {
+        NextFrontier {
+            bits: AtomicBitmap::new(n),
+            snap: Bitmap::new(n),
+            snapped: false,
+            snapshots: 0,
+        }
+    }
+
+    /// The bitmap the advance operators activate vertices in. Handing it
+    /// out invalidates any snapshot taken so far — a fleet's shards write
+    /// the shared frontier one after another, and each must see its
+    /// predecessors' bits.
+    pub fn writer(&mut self) -> &AtomicBitmap {
+        self.snapped = false;
+        &self.bits
+    }
+
+    /// The next frontier as written so far, unfiltered. Copies the bits
+    /// out on the first call after a [`NextFrontier::writer`] hand-out and
+    /// returns the same copy until the next one.
+    pub fn snapshot(&mut self) -> &Bitmap {
+        if !self.snapped {
+            self.bits.snapshot_into(&mut self.snap);
+            self.snapped = true;
+            self.snapshots += 1;
+        }
+        &self.snap
+    }
+
+    /// Close the iteration: the (filtered) next frontier becomes `active`,
+    /// whose old buffer is kept for the next snapshot, and the write side
+    /// is cleared for the next iteration.
+    pub fn finish<P: VertexProgram>(&mut self, prog: &P, state: &P::State, active: &mut Bitmap) {
+        self.snapshot();
+        self.bits.clear_all();
+        self.snapped = false;
+        filter(prog, &mut self.snap, state);
+        std::mem::swap(active, &mut self.snap);
+    }
+
+    /// Snapshots copied out so far — one per iteration when the loop is
+    /// wired right, whatever mix of planners looked at the frontier.
+    pub fn snapshots_taken(&self) -> u64 {
+        self.snapshots
+    }
 }
 
 /// Run one whole-frontier push advance over a host CSR: compute, then a
 /// parallel advance of every active row, then filter. Returns the
-/// compacted next frontier plus the active-edge count — the in-memory
-/// oracle's entire iteration, and the reference composition the
-/// out-of-core engines mirror around their data movement.
+/// compacted next frontier plus the active-edge count — the reference
+/// composition the out-of-core engines mirror around their data movement.
+/// One-shot form of [`advance_all_into`], with fresh buffers.
 pub fn advance_all<P: VertexProgram>(
     prog: &P,
     g: &Csr,
@@ -108,19 +175,48 @@ pub fn advance_all<P: VertexProgram>(
     active: &Bitmap,
     state: &P::State,
 ) -> (Bitmap, u64) {
+    let mut frontier = active.clone();
+    let mut next = NextFrontier::new(g.num_vertices());
+    let mut nodes = Vec::new();
+    let active_edges = advance_all_into(
+        prog,
+        g,
+        iteration,
+        &mut frontier,
+        state,
+        &mut next,
+        &mut nodes,
+    );
+    (frontier, active_edges)
+}
+
+/// [`advance_all`] on a loop's recycled buffers — the in-memory oracle's
+/// entire iteration: `active` is advanced in place to the compacted next
+/// frontier, `nodes` is scratch for the active-vertex list. Returns the
+/// active-edge count.
+pub fn advance_all_into<P: VertexProgram>(
+    prog: &P,
+    g: &Csr,
+    iteration: u32,
+    active: &mut Bitmap,
+    state: &P::State,
+    next: &mut NextFrontier,
+    nodes: &mut Vec<VertexId>,
+) -> u64 {
     compute(prog, iteration, active, state);
-    let nodes = active.to_indices();
+    active.collect_indices(nodes);
     let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
-    let next = AtomicBitmap::new(g.num_vertices());
     let weights_all = g.weights();
-    parallel_for(nodes.len(), |i| {
+    let bits = next.writer();
+    parallel_for_work(nodes.len(), active_edges, |i| {
         let v = nodes[i];
         let r = g.edge_range(v);
         let (s, e) = (r.start as usize, r.end as usize);
         let slice = EdgeSlice::split(&g.targets()[s..e], weights_all.map(|w| &w[s..e]));
-        advance(prog, v, slice, state, &next);
+        advance(prog, v, slice, state, bits);
     });
-    (filter(prog, next.snapshot(), state), active_edges)
+    next.finish(prog, state, active);
+    active_edges
 }
 
 /// Consult the multi-phase handshake after a frontier drains: `finished`
@@ -176,6 +272,9 @@ mod tests {
                 next.set(t as usize);
             }
         }
+        fn capabilities(&self) -> crate::Capabilities {
+            crate::Capabilities::new().with_filter()
+        }
         fn retain(&self, v: VertexId, _state: &Self::State) -> bool {
             v.is_multiple_of(2)
         }
@@ -208,8 +307,51 @@ mod tests {
             b.set(v);
         }
         let before: Vec<usize> = b.iter_ones().collect();
-        let after = filter(&prog, b, &state);
-        assert_eq!(after.iter_ones().collect::<Vec<_>>(), before);
+        filter(&prog, &mut b, &state);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn next_frontier_snapshots_once_per_writer_hand_out() {
+        let g = uniform_graph(5_000, 20_000, false, 9);
+        let prog = crate::Bfs::new(0);
+        let state = prog.new_state(&g);
+        let mut active = prog.initial_frontier(&g);
+        let mut next = NextFrontier::new(g.num_vertices());
+        next.writer().set(7);
+        next.writer().set(4_999);
+        assert_eq!(next.snapshot().to_indices(), vec![7, 4_999]);
+        assert_eq!(next.snapshot().to_indices(), vec![7, 4_999]);
+        assert_eq!(next.snapshots_taken(), 1, "a second look reuses the copy");
+        // a later writer (the next fleet shard) invalidates the copy
+        next.writer().set(64);
+        assert_eq!(next.snapshot().to_indices(), vec![7, 64, 4_999]);
+        next.finish(&prog, &state, &mut active);
+        assert_eq!(next.snapshots_taken(), 2, "finish reuses the last copy");
+        assert_eq!(active.to_indices(), vec![7, 64, 4_999]);
+        // the write side and the recycled buffer start the next round clean
+        next.writer().set(1);
+        next.finish(&prog, &state, &mut active);
+        assert_eq!(active.to_indices(), vec![1]);
+        assert_eq!(next.snapshots_taken(), 3);
+    }
+
+    #[test]
+    fn recycled_advance_matches_the_one_shot_form() {
+        let g = uniform_graph(600, 4_000, false, 11);
+        let prog = crate::Bfs::new(3);
+        let (s1, s2) = (prog.new_state(&g), prog.new_state(&g));
+        let mut one_shot = prog.initial_frontier(&g);
+        let mut recycled = one_shot.clone();
+        let mut next = NextFrontier::new(g.num_vertices());
+        let mut nodes = Vec::new();
+        for iter in 0..6 {
+            let (f, e1) = advance_all(&prog, &g, iter, &one_shot, &s1);
+            let e2 = advance_all_into(&prog, &g, iter, &mut recycled, &s2, &mut next, &mut nodes);
+            one_shot = f;
+            assert_eq!((e1, &one_shot), (e2, &recycled), "iteration {iter}");
+        }
+        assert_eq!(prog.output(&s1), prog.output(&s2));
     }
 
     #[test]

@@ -354,6 +354,10 @@ pub struct Capabilities {
     /// scratch. Programs without the bit get the engine's full-recompute
     /// fallback (fresh state inside the warm session).
     pub incremental: bool,
+    /// The program overrides [`VertexProgram::retain`]. Exact-frontier
+    /// programs (the default) leave it off and the filter operator hands
+    /// their next frontier through untouched, without scanning it.
+    pub filters: bool,
 }
 
 impl Default for Capabilities {
@@ -364,6 +368,7 @@ impl Default for Capabilities {
             batchable: false,
             payload_bytes: 4, // vertex id only (pure frontier-membership programs)
             incremental: false,
+            filters: false,
         }
     }
 }
@@ -402,6 +407,12 @@ impl Capabilities {
     /// Declare an incremental repair implementation.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
+        self
+    }
+
+    /// Declare a [`VertexProgram::retain`] predicate.
+    pub fn with_filter(mut self) -> Self {
+        self.filters = true;
         self
     }
 }
@@ -529,7 +540,7 @@ pub trait VertexProgram: Sync {
     /// next frontier. A pure predicate over `state`, applied by the filter
     /// operator after every advance; the default keeps everything (exact
     /// frontier programs). Label propagation drops vertices whose label
-    /// cannot change.
+    /// cannot change. Only called when [`Capabilities::filters`] is on.
     fn retain(&self, v: VertexId, state: &Self::State) -> bool {
         let _ = (v, state);
         true
@@ -658,15 +669,16 @@ mod tests {
     #[test]
     fn capabilities_builder_and_defaults() {
         let d = Capabilities::default();
-        assert!(!d.weights && !d.pull && !d.batchable && !d.incremental);
+        assert!(!d.weights && !d.pull && !d.batchable && !d.incremental && !d.filters);
         assert_eq!(d.payload_bytes, 4);
         let c = Capabilities::new()
             .with_weights()
             .with_pull()
             .with_batchable()
             .with_payload_bytes(12)
-            .with_incremental();
-        assert!(c.weights && c.pull && c.batchable && c.incremental);
+            .with_incremental()
+            .with_filter();
+        assert!(c.weights && c.pull && c.batchable && c.incremental && c.filters);
         assert_eq!(c.payload_bytes, 12);
     }
 

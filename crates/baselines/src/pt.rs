@@ -9,11 +9,12 @@
 //! is deliberately absent, matching the paper's PT results where data
 //! transfer dominates by 10–200×).
 
-use ascetic_algos::{ops, EdgeSlice, VertexProgram};
+use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::partition::partition_by_bytes;
 use ascetic_graph::Csr;
 use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::{parallel_for, AtomicBitmap};
+use ascetic_par::parallel_for_work;
 use ascetic_sim::{DeviceConfig, Gpu};
 
 use ascetic_core::engine::finish_report;
@@ -86,6 +87,7 @@ impl OutOfCoreSystem for PtSystem {
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
+        let mut next = NextFrontier::new(n);
         let mut breakdown = Breakdown::default();
         let mut per_iter = Vec::new();
         let mut iter_windows = Vec::new();
@@ -106,7 +108,7 @@ impl OutOfCoreSystem for PtSystem {
             let iter_start = gpu.sync();
             gpu.obs.record(iter_start.0, Event::IterStart { iter });
             ops::compute(prog, iter, &active, &state);
-            let next = AtomicBitmap::new(n);
+            let next_bits = next.writer();
             let mut payload = 0u64;
             let mut active_vertices = 0u64;
             let mut active_edges = 0u64;
@@ -162,7 +164,11 @@ impl OutOfCoreSystem for PtSystem {
                     if !slice_nodes.is_empty() {
                         let mem = &gpu.mem;
                         let weighted = g.is_weighted();
-                        parallel_for(slice_nodes.len(), |i| {
+                        let slice_active_edges: u64 = slice_nodes
+                            .iter()
+                            .map(|&v| overlap_len(g.edge_range(v), edge_lo..edge_hi))
+                            .sum();
+                        parallel_for_work(slice_nodes.len(), slice_active_edges, |i| {
                             let v = slice_nodes[i];
                             let er = g.edge_range(v);
                             let lo = er.start.max(edge_lo);
@@ -170,7 +176,13 @@ impl OutOfCoreSystem for PtSystem {
                             let off = (lo - edge_lo) as usize * wpe;
                             let len_w = (hi - lo) as usize * wpe;
                             let words = &mem.words(dst)[off..off + len_w];
-                            ops::advance(prog, v, EdgeSlice::new(words, weighted), &state, &next);
+                            ops::advance(
+                                prog,
+                                v,
+                                EdgeSlice::new(words, weighted),
+                                &state,
+                                next_bits,
+                            );
                         });
                     }
                     shipped += staging.len() as u64;
@@ -191,7 +203,7 @@ impl OutOfCoreSystem for PtSystem {
                 pull: false,
             });
             iter_windows.push((iter_start.0, iter_end.0));
-            active = ops::filter(prog, next.snapshot(), &state);
+            next.finish(prog, &state, &mut active);
             iter += 1;
         }
 

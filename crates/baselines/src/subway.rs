@@ -15,16 +15,17 @@
 //! (`ascetic_core::ondemand`), mirroring the paper: "We also exploit such
 //! an approach to manage the On-demand Region in Ascetic."
 
-use ascetic_algos::{ops, EdgeSlice, VertexProgram};
+use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::Csr;
 use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::{parallel_for, AtomicBitmap};
+use ascetic_par::parallel_for_work;
 use ascetic_sim::{DeviceConfig, Gpu};
 
 use ascetic_core::codec::compress_wins;
 use ascetic_core::engine::finish_report;
-use ascetic_core::ondemand::{gather, plan_batches};
+use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
 use ascetic_core::system::{
     edge_budget_bytes, reserve_vertex_arrays, OutOfCoreSystem, PrepareError, Prepared,
@@ -109,6 +110,9 @@ impl OutOfCoreSystem for SubwaySystem {
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
+        let mut next = NextFrontier::new(n);
+        let mut nodes = Vec::new();
+        let mut plan = BatchPlan::default();
         let mut breakdown = Breakdown::default();
         let mut per_iter = Vec::new();
         let mut iter_windows = Vec::new();
@@ -128,9 +132,9 @@ impl OutOfCoreSystem for SubwaySystem {
             let iter_start = gpu.sync();
             gpu.obs.record(iter_start.0, Event::IterStart { iter });
             ops::compute(prog, iter, &active, &state);
-            let nodes = active.to_indices();
+            active.collect_indices(&mut nodes);
             let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
-            let next = AtomicBitmap::new(n);
+            let next_bits = next.writer();
 
             // (a) subgraph identification on the GPU: a scan + prefix sum
             // over all vertex metadata.
@@ -140,13 +144,14 @@ impl OutOfCoreSystem for SubwaySystem {
             // (b)-(d) per batch, strictly chained.
             let mut payload = 0u64;
             let mut phase_end = ident.end;
-            for entries in plan_batches(g, &nodes, buffer_words) {
-                let batch = gather(g, entries);
+            plan.plan(g, &nodes, buffer_words);
+            for batch in plan.batches() {
                 let g_span =
                     gpu.gather_at(batch.payload_bytes(), batch.entries.len() as u64, phase_end);
                 breakdown.gather_ns += g_span.duration();
 
-                let dst = buffer.slice(0, batch.words.len());
+                let dst = buffer.slice(0, batch.words());
+                let gather_rows = |window: &mut [u32]| batch.gather_into(g, window);
                 // Subway rebuilds the subgraph every iteration, so the
                 // crossover decides on the actual encoded size: the phases
                 // are strictly sequential, which makes the pure link rule
@@ -162,7 +167,7 @@ impl OutOfCoreSystem for SubwaySystem {
                         || compress_wins(&gpu.config.pcie, &gpu.config.decompress, raw, wire);
                     if ship {
                         let (copy, dec) =
-                            gpu.h2d_compressed_at(dst, &batch.words, &enc_buf, g_span.end);
+                            gpu.h2d_compressed_at(dst, &enc_buf, g_span.end, gather_rows);
                         gpu.obs.registry.counter_add("compress.transfers", 1);
                         gpu.obs.registry.counter_add("compress.raw_bytes", raw);
                         gpu.obs.registry.counter_add("compress.wire_bytes", wire);
@@ -172,7 +177,7 @@ impl OutOfCoreSystem for SubwaySystem {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = gpu.h2d_at(dst, &batch.words, g_span.end);
+                    let t_span = gpu.h2d_fill_at(dst, g_span.end, gather_rows);
                     (t_span.duration(), t_span.end)
                 });
                 gpu.xfer.h2d_bytes += batch.index_bytes();
@@ -180,21 +185,20 @@ impl OutOfCoreSystem for SubwaySystem {
                 breakdown.transfer_ns += t_ns;
                 payload += batch.payload_bytes() + batch.index_bytes();
 
-                let k_span = gpu.kernel_at(batch.edges, batch.entries.len() as u64, payload_at);
+                let k_span = gpu.kernel_at(batch.edges(), batch.entries.len() as u64, payload_at);
                 breakdown.ondemand_compute_ns += k_span.duration();
                 phase_end = k_span.end; // CPU waits for the GPU before the next gather
 
-                let mem = &gpu.mem;
-                let batch_ref = &batch;
-                parallel_for(batch_ref.entries.len(), |i| {
-                    let e = &batch_ref.entries[i];
-                    let words = &mem.words(dst)[batch_ref.entry_words(i)];
+                let payload_words = gpu.mem.words(dst);
+                parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                    let e = &batch.entries[i];
+                    let words = &payload_words[batch.entry_words(i)];
                     ops::advance(
                         prog,
                         e.vertex,
                         EdgeSlice::new(words, weighted),
                         &state,
-                        &next,
+                        next_bits,
                     );
                 });
             }
@@ -210,7 +214,7 @@ impl OutOfCoreSystem for SubwaySystem {
                 pull: false,
             });
             iter_windows.push((iter_start.0, iter_end.0));
-            active = ops::filter(prog, next.snapshot(), &state);
+            next.finish(prog, &state, &mut active);
             iter += 1;
         }
 

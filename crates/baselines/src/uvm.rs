@@ -14,10 +14,11 @@
 //! uses) migrates each iteration's page set at bulk bandwidth instead of
 //! fault-by-fault.
 
-use ascetic_algos::{ops, EdgeSlice, VertexProgram};
+use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::{parallel_for, AtomicBitmap};
+use ascetic_par::parallel_for_work;
 use ascetic_sim::{AccessTracer, DeviceConfig, Engine, Gpu, SimTime, Uvm};
 
 use ascetic_core::engine::finish_report;
@@ -104,6 +105,8 @@ impl UvmSystem {
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
+        let mut next = NextFrontier::new(n);
+        let mut nodes = Vec::new();
         let mut breakdown = Breakdown::default();
         let mut per_iter = Vec::new();
         let mut iter_windows = Vec::new();
@@ -123,9 +126,8 @@ impl UvmSystem {
             let iter_start = gpu.sync();
             gpu.obs.record(iter_start.0, Event::IterStart { iter });
             ops::compute(prog, iter, &active, &state);
-            let nodes = active.to_indices();
+            active.collect_indices(&mut nodes);
             let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
-            let next = AtomicBitmap::new(n);
             let migrated_before = uvm.stats.migrated_bytes;
             let faults_before = uvm.stats.faults;
             let evictions_before = uvm.stats.evictions;
@@ -198,12 +200,13 @@ impl UvmSystem {
 
             // Execute on host data (the UVM mapping *is* host memory).
             let weights = g.weights();
-            parallel_for(nodes.len(), |i| {
+            let next_bits = next.writer();
+            parallel_for_work(nodes.len(), active_edges, |i| {
                 let v = nodes[i];
                 let er = g.edge_range(v);
                 let (s, e) = (er.start as usize, er.end as usize);
                 let slice = EdgeSlice::split(&g.targets()[s..e], weights.map(|w| &w[s..e]));
-                ops::advance(prog, v, slice, &state, &next);
+                ops::advance(prog, v, slice, &state, next_bits);
             });
 
             let iter_end = gpu.sync();
@@ -217,7 +220,7 @@ impl UvmSystem {
                 pull: false,
             });
             iter_windows.push((iter_start.0, iter_end.0));
-            active = ops::filter(prog, next.snapshot(), &state);
+            next.finish(prog, &state, &mut active);
             iter += 1;
         }
 

@@ -1,11 +1,17 @@
 //! Benchmarks of `Bitmap::iter_ones` across the density regimes the
 //! session walks every iteration: near-empty frontiers (a few set bits
-//! among millions — the zero-word skip's home turf), clustered frontiers
+//! among millions — the summary level's home turf), clustered frontiers
 //! (set bits packed into a few words), and dense frontiers where every
-//! word carries payload.
+//! word carries payload. `frontier_split` times the two per-iteration
+//! consumers of a frontier — `to_indices` and the static/on-demand
+//! data-map split — at 0.1 %, 1 % and 50 % density, scattered (every block
+//! marked: the summary must cost nothing) and clustered (most blocks
+//! skipped unread).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use ascetic_core::maps::DataMaps;
+use ascetic_graph::generators::uniform_graph;
 use ascetic_par::Bitmap;
 
 const N: usize = 1 << 20;
@@ -59,5 +65,30 @@ fn iter_ones_benches(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(benches, iter_ones_benches);
+fn frontier_split_benches(c: &mut Criterion) {
+    let g = uniform_graph(N, 4 * N as u64, false, 1);
+    // residency of a half-full static region: alternating 4096-vertex runs
+    let resident = clustered(4096, 8192);
+    let mut grp = c.benchmark_group("frontier_split");
+    grp.throughput(Throughput::Elements(N as u64));
+    for (density, stride) in [("0.1pct", 1000), ("1pct", 100), ("50pct", 2)] {
+        // the same population packed into one contiguous vertex range
+        let packed = clustered(N / stride, N);
+        for (shape, frontier) in [("scattered", sparse_scattered(stride)), ("packed", packed)] {
+            grp.bench_function(format!("to_indices_{density}_{shape}"), |bench| {
+                bench.iter(|| black_box(frontier.to_indices()))
+            });
+            let mut maps = DataMaps::default();
+            grp.bench_function(format!("data_maps_{density}_{shape}"), |bench| {
+                bench.iter(|| {
+                    maps.regenerate(&g, &frontier, &resident);
+                    black_box(maps.active_edges())
+                })
+            });
+        }
+    }
+    grp.finish();
+}
+
+criterion_group!(benches, iter_ones_benches, frontier_split_benches);
 criterion_main!(benches);

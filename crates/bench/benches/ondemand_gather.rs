@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use ascetic_core::ondemand::{gather, plan_batches};
+use ascetic_core::ondemand::{gather, plan_batches, BatchPlan};
 use ascetic_graph::generators::{social_graph, SocialConfig};
 
 fn gather_benches(c: &mut Criterion) {
@@ -26,6 +26,20 @@ fn gather_benches(c: &mut Criterion) {
             for entries in &batches {
                 black_box(gather(&g, entries.clone()));
             }
+        })
+    });
+
+    // the session's form: one recycled plan, rows copied straight into a
+    // reused destination window (no per-batch allocation, no zero-fill)
+    let mut plan = BatchPlan::default();
+    let mut window = vec![0u32; 1 << 18];
+    grp.bench_function("plan_and_gather_recycled", |b| {
+        b.iter(|| {
+            plan.plan(&g, &every_3rd, window.len());
+            for batch in plan.batches() {
+                batch.gather_into(&g, &mut window[..batch.words()]);
+            }
+            black_box(window[0])
         })
     });
 

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use ascetic_par::{atomic_add_f64, atomic_min_u32, parallel_exclusive_scan, AtomicBitmap, Bitmap};
+use ascetic_par::{atomic_add_f64, atomic_min_u32, exclusive_scan_in_place, AtomicBitmap, Bitmap};
 use ascetic_sim::DeviceMemory;
 use std::sync::atomic::{AtomicU32, AtomicU64};
 
@@ -71,8 +71,11 @@ fn scans(c: &mut Criterion) {
     let xs: Vec<u64> = (0..1_000_000u64).map(|i| i % 37).collect();
     let mut g = c.benchmark_group("scan");
     g.throughput(Throughput::Elements(xs.len() as u64));
-    g.bench_function("parallel_exclusive_1M", |bench| {
-        bench.iter(|| black_box(parallel_exclusive_scan(&xs)))
+    g.bench_function("exclusive_in_place_1M", |bench| {
+        bench.iter(|| {
+            let mut out = xs.clone();
+            black_box(exclusive_scan_in_place(&mut out))
+        })
     });
     g.finish();
 }

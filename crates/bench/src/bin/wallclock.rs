@@ -11,12 +11,17 @@
 //!    job, A/B between `DispatchMode::Spawn` and `DispatchMode::Persistent`
 //!    in the same process. Acceptance: persistent is ≥ 2× cheaper.
 //! 2. *End-to-end wall-clock*: PR / BFS / SSSP on scaled FK at several
-//!    host thread counts, recording wall milliseconds alongside the
-//!    (thread-count-independent) simulated time as a sanity anchor.
+//!    host thread counts, recording wall milliseconds (best of
+//!    [`WALL_REPS`] cold runs) alongside the (thread-count-independent)
+//!    simulated time as a sanity anchor.
 //!
 //! Output: a markdown table on stdout plus `BENCH_wallclock.json` written
 //! to `$ASCETIC_RESULTS` (or the current directory), embedding the pool's
-//! telemetry snapshot. Pass `--smoke` for the fast CI variant.
+//! telemetry snapshot. Pass `--smoke` for the fast CI variant, and
+//! `--before FILE` to carry the `runs` rows of an earlier
+//! `BENCH_wallclock.json` (this harness on the previous commit) into the
+//! new file as `runs_before`, so a host-side change lands with its
+//! before/after rows side by side.
 
 use ascetic_bench::fmt::Table;
 use ascetic_bench::setup::{run_algo, Algo, Env};
@@ -31,6 +36,10 @@ use std::time::Instant;
 /// serial-fallback threshold so every rep exercises the dispatcher, small
 /// enough that dispatch overhead dominates the body.
 const DISPATCH_LEN: usize = 1024;
+
+/// Cold runs per (algorithm, thread count) cell; the cell reports the
+/// fastest, so one descheduled run does not decide a 1-vs-2-thread row.
+const WALL_REPS: usize = 3;
 
 struct DispatchAb {
     threads: usize,
@@ -106,9 +115,15 @@ fn algo_sweep(smoke: bool) -> Vec<AlgoRun> {
         let g = env.graph_for(&ds, algo);
         for &t in thread_counts {
             set_num_threads(t);
-            let t0 = Instant::now();
-            let r = run_algo(&env.ascetic(), &g, algo);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let mut wall_ms = f64::INFINITY;
+            let mut last = None;
+            for _ in 0..WALL_REPS {
+                let t0 = Instant::now();
+                let r = run_algo(&env.ascetic(), &g, algo);
+                wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+                last = Some(r);
+            }
+            let r = last.expect("WALL_REPS > 0");
             runs.push(AlgoRun {
                 algo,
                 threads: t,
@@ -122,7 +137,21 @@ fn algo_sweep(smoke: bool) -> Vec<AlgoRun> {
     runs
 }
 
-fn json_report(smoke: bool, ab: &DispatchAb, runs: &[AlgoRun]) -> String {
+/// The `runs` rows of an earlier `BENCH_wallclock.json`, verbatim (one
+/// object per line, as this binary writes them).
+fn rows_of(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--before {path}: {e}"));
+    let rows: Vec<String> = text
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"system\""))
+        .map(str::to_owned)
+        .collect();
+    assert!(!rows.is_empty(), "--before {path}: no run rows found");
+    rows
+}
+
+fn json_report(smoke: bool, ab: &DispatchAb, runs: &[AlgoRun], before: &[String]) -> String {
     let mut j = ascetic_bench::output::json_header("wallclock", smoke);
     let _ = writeln!(j, "  \"dispatch\": {{");
     let _ = writeln!(j, "    \"threads\": {},", ab.threads);
@@ -152,6 +181,14 @@ fn json_report(smoke: bool, ab: &DispatchAb, runs: &[AlgoRun]) -> String {
         );
     }
     let _ = writeln!(j, "  ],");
+    if !before.is_empty() {
+        let _ = writeln!(j, "  \"runs_before\": [");
+        for (i, row) in before.iter().enumerate() {
+            let comma = if i + 1 < before.len() { "," } else { "" };
+            let _ = writeln!(j, "    {row}{comma}");
+        }
+        let _ = writeln!(j, "  ],");
+    }
     let _ = writeln!(j, "  \"pool\": {}", pool_metrics_snapshot().to_json());
     j.push('}');
     j.push('\n');
@@ -169,7 +206,12 @@ fn output_path() -> PathBuf {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let before = match args.iter().position(|a| a == "--before") {
+        Some(i) => rows_of(args.get(i + 1).expect("--before takes a file")),
+        None => Vec::new(),
+    };
     eprintln!(
         "Host wall-clock bench ({} mode)",
         if smoke { "smoke" } else { "full" }
@@ -210,7 +252,7 @@ fn main() {
     }
     println!("Ascetic on FK, host wall-clock:\n\n{}", rt.to_markdown());
 
-    let json = json_report(smoke, &ab, &runs);
+    let json = json_report(smoke, &ab, &runs, &before);
     let path = output_path();
     std::fs::write(&path, &json).expect("write BENCH_wallclock.json");
     println!("wrote {}", path.display());

@@ -27,11 +27,12 @@
 //! compression crossover, cross-iteration prefetch — runs per-device,
 //! unchanged, over that device's shard.
 
-use ascetic_algos::{ops, AlgoOutput, VertexProgram};
+use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::{AlgoOutput, VertexProgram};
 use ascetic_graph::partition::{partition_even_edges, shard_csr};
 use ascetic_graph::Csr;
 use ascetic_obs::Trace;
-use ascetic_par::{AtomicBitmap, Bitmap};
+use ascetic_par::Bitmap;
 use ascetic_sim::{Interconnect, InterconnectConfig, InterconnectStats};
 
 use crate::config::AsceticConfig;
@@ -154,6 +155,7 @@ pub fn run_fleet<P: VertexProgram>(
     // device.
     let state = prog.new_state(g);
     let mut active = prog.initial_frontier(g);
+    let mut next = NextFrontier::new(n);
     let mut exchange_bytes = 0u64;
     let mut round = 0u32;
     let mut phase = 0u32;
@@ -171,15 +173,14 @@ pub fn run_fleet<P: VertexProgram>(
             }
         }
         ops::compute(prog, round, &active, &state);
-        let next = AtomicBitmap::new(n);
         // Owner-computes: every shard steps every round (a device with an
         // empty local frontier still opens/closes its iteration span) so
         // per-device iteration counts and the BSP barrier stay aligned.
         for (s, session) in sessions.iter_mut().enumerate() {
             let local = active.and(&owned[s]);
-            session.step_iteration(prog, &mut ctxs[s], &local, &state, &next);
+            session.step_iteration(prog, &mut ctxs[s], &local, &state, &mut next);
         }
-        let frontier = ops::filter(prog, next.snapshot(), &state);
+        next.finish(prog, &state, &mut active);
 
         // Frontier exchange: device i broadcasts its owned slice of the
         // next frontier to every peer. Sends issue in (src, dst) order on
@@ -187,7 +188,7 @@ pub fn run_fleet<P: VertexProgram>(
         let ready: Vec<u64> = sessions.iter_mut().map(|s| s.clock_ns()).collect();
         let bytes: Vec<u64> = owned
             .iter()
-            .map(|o| frontier.and(o).count_ones() as u64 * payload)
+            .map(|o| active.and(o).count_ones() as u64 * payload)
             .collect();
         let mut windows: Vec<Option<(u64, u64)>> = vec![None; sessions.len()];
         let mut barrier = ready.iter().copied().max().unwrap_or(0);
@@ -210,7 +211,6 @@ pub fn run_fleet<P: VertexProgram>(
             exchange_bytes += sent;
         }
 
-        active = frontier;
         round += 1;
     }
 

@@ -83,7 +83,13 @@ impl HotnessTable {
         self.last_access[chunk as usize] = iteration + 1;
     }
 
-    /// Record accesses for every chunk covering the edges of `nodes`.
+    /// Record accesses for every chunk covering the edges of `nodes` — one
+    /// [`HotnessTable::record`] per (vertex, chunk) pair.
+    ///
+    /// Frontier node lists ascend, so consecutive vertices mostly fall in
+    /// the chunk the previous one ended in: those hits are counted against
+    /// that chunk's edge window and booked in one go, without re-deriving
+    /// the chunk (two divisions) per vertex.
     pub fn record_vertices(
         &mut self,
         g: &Csr,
@@ -91,12 +97,31 @@ impl HotnessTable {
         nodes: &[VertexId],
         iteration: u32,
     ) {
+        let mut run = (0 as ChunkId, 0..0u64, 0u32); // chunk, its edges, hits
         for &v in nodes {
-            if let Some(chunks) = geo.chunks_of_vertex(g, v) {
-                for c in chunks {
-                    self.record(c, iteration);
-                }
+            let r = g.edge_range(v);
+            if r.start >= run.1.start && r.end <= run.1.end && !r.is_empty() {
+                run.2 += 1;
+                continue;
             }
+            let Some(chunks) = geo.chunks_of_vertex(g, v) else {
+                continue;
+            };
+            self.record_hits(run.0, run.2, iteration);
+            let last = *chunks.end();
+            for c in *chunks.start()..last {
+                self.record(c, iteration);
+            }
+            run = (last, geo.edge_range(last), 1);
+        }
+        self.record_hits(run.0, run.2, iteration);
+    }
+
+    /// `hits` back-to-back [`HotnessTable::record`]s of one chunk.
+    fn record_hits(&mut self, chunk: ChunkId, hits: u32, iteration: u32) {
+        if hits > 0 {
+            self.counts[chunk as usize] = self.counts[chunk as usize].saturating_add(hits);
+            self.last_access[chunk as usize] = iteration + 1;
         }
     }
 
@@ -244,6 +269,35 @@ mod tests {
         assert!(!t.is_hot(1, 0));
         // zero-degree tail vertex touches nothing
         t.record_vertices(&g, &geo, &[32], 0);
+    }
+
+    #[test]
+    fn run_length_recording_equals_one_record_per_vertex_chunk_pair() {
+        // hubs spanning several chunks, leaves sharing one, empty rows
+        let g = ascetic_graph::generators::web_graph(&ascetic_graph::generators::WebConfig::new(
+            2_000, 30_000, 5,
+        ));
+        let geo = ChunkGeometry::with_chunk_bytes(&g, 256);
+        let n = g.num_vertices() as VertexId;
+        for nodes in [
+            (0..n).collect::<Vec<_>>(),
+            (0..n).step_by(7).collect(),
+            (0..n).rev().step_by(3).collect(), // order must not matter
+            vec![],
+        ] {
+            let mut fast = HotnessTable::new(geo.num_chunks(), ReplacementPolicy::LastIteration);
+            let mut slow = HotnessTable::new(geo.num_chunks(), ReplacementPolicy::LastIteration);
+            for iter in [0, 3] {
+                fast.record_vertices(&g, &geo, &nodes, iter);
+                for &v in &nodes {
+                    for c in geo.chunks_of_vertex(&g, v).into_iter().flatten() {
+                        slow.record(c, iter);
+                    }
+                }
+            }
+            assert_eq!(fast.counts, slow.counts);
+            assert_eq!(fast.last_access, slow.last_access);
+        }
     }
 
     #[test]

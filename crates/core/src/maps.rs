@@ -10,13 +10,16 @@
 //!
 //! from which the `StaticNodes` and `OndemandNodes` arrays are produced,
 //! along with the edge/byte volumes the partition-ratio check (Eq (3)) and
-//! the cost models need.
+//! the cost models need. The two maps are never materialized: one pass
+//! over the active set's non-zero words splits each word against the
+//! static bitmap and emits both node lists (ascending, as the bitmap
+//! algebra would) and both edge sums.
 
 use ascetic_graph::{Csr, VertexId};
 use ascetic_par::Bitmap;
 
 /// The per-iteration data maps and their measured volumes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DataMaps {
     /// Active vertices served by the static region.
     pub static_nodes: Vec<VertexId>,
@@ -35,17 +38,40 @@ impl DataMaps {
     /// (`static_bitmap` true ⇔ all of the vertex's edges are resident in
     /// the static region).
     pub fn generate(g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) -> DataMaps {
-        let static_map = active.and(static_bitmap);
-        let ondemand_map = active.and_not(static_bitmap);
-        let static_nodes = static_map.to_indices();
-        let ondemand_nodes = ondemand_map.to_indices();
-        let static_edges = static_nodes.iter().map(|&v| g.degree(v)).sum();
-        let ondemand_edges = ondemand_nodes.iter().map(|&v| g.degree(v)).sum();
-        DataMaps {
-            static_nodes,
-            ondemand_nodes,
-            static_edges,
-            ondemand_edges,
+        let mut maps = DataMaps::default();
+        maps.regenerate(g, active, static_bitmap);
+        maps
+    }
+
+    /// [`DataMaps::generate`] into this value's recycled vectors (a run
+    /// keeps one `DataMaps` and refills it every iteration).
+    pub fn regenerate(&mut self, g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) {
+        assert_eq!(active.len(), static_bitmap.len(), "bitmap length mismatch");
+        self.static_nodes.clear();
+        self.ondemand_nodes.clear();
+        self.static_edges = 0;
+        self.ondemand_edges = 0;
+        let resident = static_bitmap.words();
+        for (wi, word) in active.nonzero_words() {
+            let base = (wi * 64) as VertexId;
+            let split = |mut bits: u64, nodes: &mut Vec<VertexId>, edges: &mut u64| {
+                while bits != 0 {
+                    let v = base + bits.trailing_zeros();
+                    nodes.push(v);
+                    *edges += g.degree(v);
+                    bits &= bits - 1;
+                }
+            };
+            split(
+                word & resident[wi],
+                &mut self.static_nodes,
+                &mut self.static_edges,
+            );
+            split(
+                word & !resident[wi],
+                &mut self.ondemand_nodes,
+                &mut self.ondemand_edges,
+            );
         }
     }
 
@@ -106,6 +132,49 @@ mod tests {
         assert_eq!(m.active_edges(), 5);
         assert_eq!(m.ondemand_bytes(4), 12);
         assert_eq!(m.static_bytes(8), 16);
+    }
+
+    #[test]
+    fn single_pass_equals_the_bitmap_algebra() {
+        // the Figure-4 composition, spelled out with the combinators
+        let by_algebra = |g: &Csr, active: &Bitmap, stat: &Bitmap| {
+            let static_nodes = active.and(stat).to_indices();
+            let ondemand_nodes = active.and_not(stat).to_indices();
+            DataMaps {
+                static_edges: static_nodes.iter().map(|&v| g.degree(v)).sum(),
+                ondemand_edges: ondemand_nodes.iter().map(|&v| g.degree(v)).sum(),
+                static_nodes,
+                ondemand_nodes,
+            }
+        };
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x9e37_79b9);
+        let mut recycled = DataMaps::default();
+        for (n, p_active, p_static) in [
+            (2usize, 1.0, 0.5),
+            (63, 0.5, 0.5),
+            (64, 0.3, 1.0),
+            (4_097, 0.001, 0.5),
+            (9_000, 0.5, 0.3),
+            (9_000, 1.0, 1.0),
+            (20_000, 0.002, 0.0),
+        ] {
+            let g = ascetic_graph::generators::uniform_graph(n, 4 * n as u64, false, n as u64);
+            let (mut active, mut stat) = (Bitmap::new(n), Bitmap::new(n));
+            for v in 0..n {
+                if rng.gen_bool(p_active) {
+                    active.set(v);
+                }
+                if rng.gen_bool(p_static) {
+                    stat.set(v);
+                }
+            }
+            let expect = by_algebra(&g, &active, &stat);
+            assert_eq!(DataMaps::generate(&g, &active, &stat), expect, "n={n}");
+            // refilling a dirty value leaves nothing of the previous maps
+            recycled.regenerate(&g, &active, &stat);
+            assert_eq!(recycled, expect, "recycled, n={n}");
+        }
     }
 
     #[test]

@@ -4,23 +4,27 @@
 //! the Subway-style scheme the paper adopts ("Such requests are sent to
 //! On-demand Engine, which is similar to the scheme used in Subway"):
 //!
-//! 1. **plan** — split the node list into batches whose edge payload fits
-//!    the on-demand region (the paper's "divide the on-demand data into
-//!    many smaller fragments ... and then transfer and process them in
-//!    turn"); a vertex whose adjacency list alone exceeds the region is
-//!    split across batches (partial delivery is part of the
-//!    `VertexProgram` contract);
-//! 2. **gather** — multi-threaded copy of the requested edge ranges from
-//!    the host CSR into a staging buffer, in device word format, with a
-//!    per-entry index (`OndemandNodes` + offsets) for the kernel.
+//! 1. **plan** ([`BatchPlan`]) — split the node list into batches whose
+//!    edge payload fits the on-demand region (the paper's "divide the
+//!    on-demand data into many smaller fragments ... and then transfer and
+//!    process them in turn"); a vertex whose adjacency list alone exceeds
+//!    the region is split across batches (partial delivery is part of the
+//!    `VertexProgram` contract). Planning is one sequential walk, so it
+//!    also lays out the payload: every entry learns its word offset within
+//!    its batch (`OndemandNodes` + offsets, the kernel's index);
+//! 2. **gather** ([`Batch::gather_into`]) — multi-threaded copy of the
+//!    requested edge ranges from the host CSR, in device word format,
+//!    **straight into the destination window** — the session passes the
+//!    on-demand buffer's slice of device memory, so each row is written
+//!    once, not staged and re-copied.
 //!
 //! The engine is pure data-plane; the [`crate::engine`] Manager charges the
-//! gather/transfer costs and moves staging into device memory.
+//! gather/transfer costs. A run keeps one [`BatchPlan`] and re-plans into
+//! it every iteration; [`plan_batches`] / [`gather`] are the one-shot forms
+//! (fresh buffers) for callers outside an iteration loop.
 
 use ascetic_graph::{Csr, VertexId};
-use ascetic_par::{
-    exclusive_scan_in_place, parallel_exclusive_scan, parallel_parts, parallel_ranges, with_scratch,
-};
+use ascetic_par::{parallel_parts, threads_for_work};
 
 /// One gather request: a vertex and the sub-range of its edges to deliver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,24 +42,137 @@ impl GatherEntry {
     }
 }
 
-/// A gathered batch: staging payload plus the per-entry index.
-#[derive(Clone, Debug)]
-pub struct GatherBatch {
-    /// Requests in this batch.
-    pub entries: Vec<GatherEntry>,
-    /// Word offset of each entry's payload within `words`
-    /// (length `entries.len() + 1`).
-    pub offsets: Vec<u64>,
-    /// Staged edge payload (device word format).
-    pub words: Vec<u32>,
-    /// Total edges in the batch.
-    pub edges: u64,
+/// A reusable batch plan: the requests of every batch, back to back, with
+/// each entry's word offset inside its batch's payload.
+#[derive(Clone, Debug, Default)]
+pub struct BatchPlan {
+    entries: Vec<GatherEntry>,
+    /// Word offset of entry `i`'s payload within its batch.
+    offsets: Vec<u64>,
+    /// One past the last entry of each batch.
+    ends: Vec<usize>,
+    words_per_edge: u64,
 }
 
-impl GatherBatch {
+/// One planned batch: its requests and the layout of its payload.
+#[derive(Clone, Copy, Debug)]
+pub struct Batch<'a> {
+    /// Requests in this batch.
+    pub entries: &'a [GatherEntry],
+    offsets: &'a [u64],
+    words_per_edge: u64,
+}
+
+impl BatchPlan {
+    /// Re-plan: split `nodes` into batches whose payload fits
+    /// `capacity_words`, replacing the previous plan (its buffers are
+    /// reused).
+    ///
+    /// # Panics
+    /// Panics if `capacity_words` cannot hold a single edge entry.
+    pub fn plan(&mut self, g: &Csr, nodes: &[VertexId], capacity_words: usize) {
+        let wpe = g.words_per_edge() as u64;
+        assert!(
+            capacity_words as u64 >= wpe,
+            "on-demand region below one edge"
+        );
+        let cap_edges = capacity_words as u64 / wpe;
+        self.entries.clear();
+        self.offsets.clear();
+        self.ends.clear();
+        self.words_per_edge = wpe;
+        // one entry per vertex unless a row is split or empty
+        self.entries.reserve(nodes.len());
+        self.offsets.reserve(nodes.len());
+
+        let mut cur_edges = 0u64;
+        for &v in nodes {
+            let mut r = g.edge_range(v);
+            while !r.is_empty() {
+                let room = cap_edges - cur_edges;
+                if room == 0 {
+                    self.ends.push(self.entries.len());
+                    cur_edges = 0;
+                    continue;
+                }
+                let take = (r.end - r.start).min(room);
+                self.entries.push(GatherEntry {
+                    vertex: v,
+                    edges: r.start..r.start + take,
+                });
+                self.offsets.push(cur_edges * wpe);
+                cur_edges += take;
+                r.start += take;
+            }
+        }
+        if self.ends.last().copied().unwrap_or(0) < self.entries.len() {
+            self.ends.push(self.entries.len());
+        }
+    }
+
+    /// The plan that delivers exactly `entries` as one batch.
+    fn single(g: &Csr, entries: Vec<GatherEntry>) -> BatchPlan {
+        let wpe = g.words_per_edge() as u64;
+        let mut at = 0u64;
+        let offsets = entries
+            .iter()
+            .map(|e| {
+                let start = at;
+                at += e.num_edges() * wpe;
+                start
+            })
+            .collect();
+        BatchPlan {
+            ends: vec![entries.len()],
+            entries,
+            offsets,
+            words_per_edge: wpe,
+        }
+    }
+
+    /// Number of batches.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when nothing needs gathering.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Batch `b` (`0..len()`).
+    pub fn batch(&self, b: usize) -> Batch<'_> {
+        let r = if b == 0 { 0 } else { self.ends[b - 1] }..self.ends[b];
+        Batch {
+            entries: &self.entries[r.clone()],
+            offsets: &self.offsets[r],
+            words_per_edge: self.words_per_edge,
+        }
+    }
+
+    /// The batches, in delivery order.
+    pub fn batches(&self) -> impl Iterator<Item = Batch<'_>> {
+        (0..self.len()).map(|b| self.batch(b))
+    }
+}
+
+impl Batch<'_> {
+    /// Payload words of the batch.
+    pub fn words(&self) -> usize {
+        match (self.entries.last(), self.offsets.last()) {
+            (Some(e), Some(&at)) => (at + e.num_edges() * self.words_per_edge) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Total edges in the batch.
+    pub fn edges(&self) -> u64 {
+        self.words() as u64 / self.words_per_edge
+    }
+
     /// Payload bytes of the batch.
     pub fn payload_bytes(&self) -> u64 {
-        (self.words.len() * 4) as u64
+        (self.words() * 4) as u64
     }
 
     /// Bytes of the subgraph index shipped alongside the payload
@@ -64,105 +181,112 @@ impl GatherBatch {
         (self.entries.len() * 8) as u64
     }
 
-    /// The word range of entry `i` within the staged payload.
+    /// The word range of entry `i` within the batch's payload.
     pub fn entry_words(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
+        let start = self.offsets[i] as usize;
+        start..start + (self.entries[i].num_edges() * self.words_per_edge) as usize
+    }
+
+    /// Gather the batch's payload from the host CSR into `dst` — exactly
+    /// [`Batch::words`] words, typically the destination buffer's window
+    /// of device memory. Each row is one [`Csr::copy_edge_words`].
+    ///
+    /// Whether the copy is split across workers follows the payload size,
+    /// not the entry count (two hub rows are worth splitting, a hundred
+    /// leaf rows are not), and a split balances *words*: workers fill
+    /// disjoint, contiguous windows of `dst` cut at entry boundaries.
+    pub fn gather_into(&self, g: &Csr, dst: &mut [u32]) {
+        let total = self.words();
+        assert_eq!(dst.len(), total, "window must fit the payload");
+        // a 32-byte copy is about one unit of `ascetic_par::INLINE_WORK`
+        let workers = threads_for_work(total as u64 / 8).min(self.entries.len());
+        if workers <= 1 {
+            return self.copy_rows(g, 0..self.entries.len(), dst);
+        }
+        let mut parts = Vec::with_capacity(workers);
+        let mut rest = dst;
+        let mut first = 0usize;
+        for k in 1..=workers {
+            // entries whose payload starts before this worker's share ends
+            let end = if k == workers {
+                self.entries.len()
+            } else {
+                let cut = (total * k / workers) as u64;
+                self.offsets.partition_point(|&at| at < cut).max(first)
+            };
+            if end == first {
+                continue;
+            }
+            let words = self.entry_words(end - 1).end - self.offsets[first] as usize;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(words);
+            rest = tail;
+            parts.push((first..end, mine));
+            first = end;
+        }
+        parallel_parts(parts, |_, (rows, window)| self.copy_rows(g, rows, window));
+    }
+
+    /// Copy entries `rows` back to back into `window`.
+    fn copy_rows(&self, g: &Csr, rows: std::ops::Range<usize>, window: &mut [u32]) {
+        let mut at = 0usize;
+        for e in &self.entries[rows] {
+            let n = (e.num_edges() * self.words_per_edge) as usize;
+            g.copy_edge_words(e.edges.clone(), &mut window[at..at + n]);
+            at += n;
+        }
     }
 }
 
-/// Split `nodes` into batches whose payload fits `capacity_words`.
+/// Split `nodes` into batches whose payload fits `capacity_words` — the
+/// one-shot form of [`BatchPlan::plan`], each batch's requests in a vector
+/// of their own.
 ///
 /// # Panics
 /// Panics if `capacity_words` cannot hold a single edge entry.
 pub fn plan_batches(g: &Csr, nodes: &[VertexId], capacity_words: usize) -> Vec<Vec<GatherEntry>> {
-    let wpe = g.words_per_edge() as u64;
-    assert!(
-        capacity_words as u64 >= wpe,
-        "on-demand region below one edge"
-    );
-    let cap_edges = capacity_words as u64 / wpe;
-
-    let mut batches = Vec::new();
-    let mut cur: Vec<GatherEntry> = Vec::new();
-    let mut cur_edges = 0u64;
-    for &v in nodes {
-        let mut r = g.edge_range(v);
-        while !r.is_empty() {
-            let room = cap_edges - cur_edges;
-            if room == 0 {
-                batches.push(std::mem::take(&mut cur));
-                cur_edges = 0;
-                continue;
-            }
-            let take = (r.end - r.start).min(room);
-            cur.push(GatherEntry {
-                vertex: v,
-                edges: r.start..r.start + take,
-            });
-            cur_edges += take;
-            r.start += take;
-        }
+    let mut plan = BatchPlan::default();
+    plan.plan(g, nodes, capacity_words);
+    // peel the batches off the back: the first (usually only) one keeps
+    // the plan's own vector
+    let mut batches: Vec<_> = plan.ends[..plan.ends.len().saturating_sub(1)]
+        .iter()
+        .rev()
+        .map(|&start| plan.entries.split_off(start))
+        .collect();
+    if !plan.ends.is_empty() {
+        batches.push(plan.entries);
     }
-    if !cur.is_empty() {
-        batches.push(cur);
-    }
+    batches.reverse();
     batches
 }
 
-/// Gather one batch's payload from the host CSR (multi-threaded).
-pub fn gather(g: &Csr, entries: Vec<GatherEntry>) -> GatherBatch {
-    let wpe = g.words_per_edge() as u64;
-    let mut lens: Vec<u64> = entries.iter().map(|e| e.num_edges() * wpe).collect();
-    lens.push(0);
-    // large frontiers get the two-pass parallel scan; small ones stay serial
-    let (offsets, total_words) = if lens.len() > 8_192 {
-        parallel_exclusive_scan(&lens)
-    } else {
-        let total = exclusive_scan_in_place(&mut lens);
-        (lens, total)
-    };
-    let edges = total_words / wpe;
+/// A batch gathered into a host buffer of its own.
+#[derive(Clone, Debug)]
+pub struct GatherBatch {
+    plan: BatchPlan,
+    /// The gathered edge payload (device word format).
+    pub words: Vec<u32>,
+}
 
-    let mut words = vec![0u32; total_words as usize];
-    // Static split of entries over workers; each worker fills a disjoint,
-    // contiguous window of `words` (entry payloads are contiguous). The
-    // windows are dispatched on the persistent pool, and each worker's
-    // per-entry serialization buffer comes from its thread-local scratch
-    // arena — reused across batches and iterations instead of re-allocated.
-    let ranges = parallel_ranges(entries.len(), |_, r| r);
-    {
-        let mut parts: Vec<(&mut [u32], &[GatherEntry])> = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u32] = &mut words;
-        let mut consumed = 0usize;
-        for er in &ranges {
-            let start_w = offsets[er.start] as usize;
-            let end_w = offsets[er.end] as usize;
-            debug_assert_eq!(start_w, consumed);
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end_w - start_w);
-            rest = tail;
-            consumed = end_w;
-            parts.push((mine, &entries[er.clone()]));
-        }
-        parallel_parts(parts, |_, (mine, entries)| {
-            with_scratch(|scratch| {
-                let mut buf = scratch.take_u32();
-                let mut w = 0usize;
-                for e in entries {
-                    buf.clear();
-                    g.write_edge_words(e.edges.clone(), &mut buf);
-                    mine[w..w + buf.len()].copy_from_slice(&buf);
-                    w += buf.len();
-                }
-                scratch.put_u32(buf);
-            });
-        });
+impl GatherBatch {
+    /// The batch's requests and payload layout.
+    pub fn batch(&self) -> Batch<'_> {
+        self.plan.batch(0)
     }
-    GatherBatch {
-        entries,
-        offsets,
-        words,
-        edges,
+
+    /// Payload bytes of the batch.
+    pub fn payload_bytes(&self) -> u64 {
+        (self.words.len() * 4) as u64
     }
+}
+
+/// Gather one batch's payload from the host CSR into a fresh host buffer —
+/// the one-shot form of [`Batch::gather_into`].
+pub fn gather(g: &Csr, entries: Vec<GatherEntry>) -> GatherBatch {
+    let plan = BatchPlan::single(g, entries);
+    let mut words = vec![0u32; plan.batch(0).words()];
+    plan.batch(0).gather_into(g, &mut words);
+    GatherBatch { plan, words }
 }
 
 #[cfg(test)]
@@ -227,12 +351,14 @@ mod tests {
     #[test]
     fn gather_stages_correct_words_unweighted() {
         let g = graph();
-        let batch = gather(&g, plan_batches(&g, &[0, 2], 100).remove(0));
-        assert_eq!(batch.edges, 5);
-        assert_eq!(batch.words, vec![1, 2, 3, 0, 1]);
+        let gathered = gather(&g, plan_batches(&g, &[0, 2], 100).remove(0));
+        let batch = gathered.batch();
+        assert_eq!(batch.edges(), 5);
+        assert_eq!(gathered.words, vec![1, 2, 3, 0, 1]);
         assert_eq!(batch.entry_words(0), 0..3);
         assert_eq!(batch.entry_words(1), 3..5);
         assert_eq!(batch.payload_bytes(), 20);
+        assert_eq!(gathered.payload_bytes(), 20);
         assert_eq!(batch.index_bytes(), 16);
     }
 
@@ -240,35 +366,106 @@ mod tests {
     fn gather_stages_correct_words_weighted() {
         let g = weighted_variant(&graph());
         let batch = gather(&g, plan_batches(&g, &[1], 100).remove(0));
-        assert_eq!(batch.edges, 1);
+        assert_eq!(batch.batch().edges(), 1);
         assert_eq!(batch.words.len(), 2);
         assert_eq!(batch.words[0], 3); // target
         assert_eq!(batch.words[1], g.edge_weights(1)[0]); // weight
     }
 
-    #[test]
-    fn gather_matches_direct_serialization_on_random_graph() {
-        let g = uniform_graph(500, 4_000, false, 3);
-        let nodes: Vec<u32> = (0..500).step_by(3).collect();
-        for entries in plan_batches(&g, &nodes, 512) {
-            let batch = gather(&g, entries.clone());
-            for (i, e) in entries.iter().enumerate() {
+    /// Every planned entry's window of a gathered batch holds exactly
+    /// `write_edge_words` of that entry, the windows tile the payload, and
+    /// a dirty destination is fully overwritten.
+    fn assert_single_copy_gather_is_exact(g: &Csr, nodes: &[u32], capacity_words: usize) {
+        let mut plan = BatchPlan::default();
+        plan.plan(g, nodes, capacity_words);
+        let mut planned_edges = 0u64;
+        for batch in plan.batches() {
+            assert!(batch.words() <= capacity_words);
+            let mut dst = vec![u32::MAX; batch.words()];
+            batch.gather_into(g, &mut dst);
+            let mut at = 0usize;
+            for (i, e) in batch.entries.iter().enumerate() {
                 let mut expect = Vec::new();
                 g.write_edge_words(e.edges.clone(), &mut expect);
-                assert_eq!(&batch.words[batch.entry_words(i)], &expect[..]);
+                assert_eq!(batch.entry_words(i).start, at, "windows tile the payload");
+                assert_eq!(&dst[batch.entry_words(i)], &expect[..]);
+                at += expect.len();
+            }
+            assert_eq!(at, batch.words());
+            planned_edges += batch.edges();
+        }
+        let demanded: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
+        assert_eq!(
+            planned_edges, demanded,
+            "every demanded edge is delivered once"
+        );
+    }
+
+    #[test]
+    fn single_copy_gather_matches_write_edge_words() {
+        let g = uniform_graph(500, 4_000, false, 3);
+        let wg = weighted_variant(&g);
+        let nodes: Vec<u32> = (0..500).step_by(3).collect();
+        for g in [&g, &wg] {
+            // roomy, tight (rows split across batches) and one-edge buffers
+            for cap in [1 << 20, 512, 14, 2] {
+                assert_single_copy_gather_is_exact(g, &nodes, cap);
             }
         }
     }
 
     #[test]
-    fn offsets_cover_payload_exactly() {
-        let g = uniform_graph(200, 2_000, false, 7);
-        let nodes: Vec<u32> = (0..200).collect();
-        for entries in plan_batches(&g, &nodes, 1024) {
-            let batch = gather(&g, entries);
-            assert_eq!(*batch.offsets.last().unwrap() as usize, batch.words.len());
-            assert!(batch.offsets.windows(2).all(|w| w[0] <= w[1]));
+    fn a_row_split_across_two_batches_is_delivered_in_order() {
+        let g = graph();
+        for g in [g.clone(), weighted_variant(&g)] {
+            let wpe = g.words_per_edge();
+            let mut plan = BatchPlan::default();
+            plan.plan(&g, &[0], 2 * wpe); // v0 has 3 edges, room for 2
+            assert_eq!(plan.len(), 2);
+            let (a, b) = (plan.batch(0), plan.batch(1));
+            assert_eq!(
+                (a.entries[0].edges.clone(), b.entries[0].edges.clone()),
+                (0..2, 2..3)
+            );
+            let mut got = vec![0u32; a.words() + b.words()];
+            let (wa, wb) = got.split_at_mut(a.words());
+            a.gather_into(&g, wa);
+            b.gather_into(&g, wb);
+            let mut expect = Vec::new();
+            g.write_edge_words(g.edge_range(0), &mut expect);
+            assert_eq!(got, expect);
         }
+    }
+
+    #[test]
+    fn parallel_gather_splits_by_words_at_entry_boundaries() {
+        // one hub row and many leaves: big enough to be split, skewed
+        // enough that an entry-count split would starve a worker
+        let mut b = GraphBuilder::new(40_000);
+        for t in 1..30_000u32 {
+            b.add_edge(0, t);
+        }
+        for v in 1..10_000u32 {
+            b.add_edge(v, v + 1);
+        }
+        let g = b.build();
+        let nodes: Vec<u32> = (0..10_000).collect();
+        assert_single_copy_gather_is_exact(&g, &nodes, 1 << 20);
+        assert_single_copy_gather_is_exact(&weighted_variant(&g), &nodes, 1 << 20);
+    }
+
+    #[test]
+    fn replanning_reuses_the_plan() {
+        let g = uniform_graph(200, 2_000, false, 7);
+        let mut plan = BatchPlan::default();
+        plan.plan(&g, &(0..200).collect::<Vec<u32>>(), 1024);
+        assert!(plan.len() > 1);
+        plan.plan(&g, &[5], 1024);
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.batch(0).entries.len(), 1);
+        assert_eq!(plan.batch(0).edges(), g.degree(5));
+        plan.plan(&g, &[], 1024);
+        assert!(plan.is_empty());
     }
 
     #[test]

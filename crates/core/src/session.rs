@@ -21,20 +21,21 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ascetic_algos::{ops, EdgeSlice, TraversalDirection, VertexProgram};
+use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::{EdgeSlice, TraversalDirection, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
 use ascetic_obs::{Event, MetricsSnapshot, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::{parallel_for, AtomicBitmap, Bitmap};
-use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, XferStats};
+use ascetic_par::{parallel_for_work, Bitmap};
+use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, Span, XferStats};
 
 use crate::codec::{chunk_wire_bytes, compress_wins, estimate_batch_wire};
 use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, ReplacementPolicy};
 use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
-use crate::ondemand::{gather, plan_batches};
+use crate::ondemand::BatchPlan;
 use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchMode, PrefetchOp};
 use crate::ratio::{repartition_check, static_share, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
@@ -98,7 +99,9 @@ pub struct AsceticSession<'g> {
 /// Per-run bookkeeping threaded through the stepping API: the delta
 /// baselines captured by `AsceticSession::begin_run` plus every piece
 /// of loop state one iteration hands the next (breakdown, per-iteration
-/// reports, prefetch pipeline state, buffer fences). Opaque outside the
+/// reports, prefetch pipeline state, buffer fences) and the host buffers
+/// an iteration refills instead of allocating (data maps, batch plan,
+/// gather spans, pull targets, encoder scratch). Opaque outside the
 /// core crate: drivers create it, pass it to each step, and surrender it
 /// to `AsceticSession::finish_run`.
 pub struct RunCtx {
@@ -118,6 +121,12 @@ pub struct RunCtx {
     // allocation once they reach their high-water capacity)
     enc_buf: Vec<u8>,
     enc_entries: Vec<EncodeEntry>,
+    // likewise refilled every iteration: the data maps, the on-demand
+    // batch plan with its gather spans, and the pull path's target list
+    maps: DataMaps,
+    plan: BatchPlan,
+    gather_spans: Vec<Span>,
+    pull_targets: Vec<VertexId>,
     iter: u32,
     // per-buffer "compute that last read this buffer" fences
     buffer_free_at: Vec<SimTime>,
@@ -622,6 +631,10 @@ impl<'g> AsceticSession<'g> {
             repartitions: 0,
             enc_buf: Vec::new(),
             enc_entries: Vec::new(),
+            maps: DataMaps::default(),
+            plan: BatchPlan::default(),
+            gather_spans: Vec::new(),
+            pull_targets: Vec::new(),
             iter: 0,
             buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
             prefetch_pending: Vec::new(),
@@ -643,16 +656,18 @@ impl<'g> AsceticSession<'g> {
     /// the on-demand pipeline, replacement-server window and the
     /// cross-iteration prefetch commit/plan. The driver owns the frontier
     /// dance: it runs the compute operator first, passes the (already
-    /// ownership-masked, in the fleet case) `active` bitmap, and snapshots
+    /// ownership-masked, in the fleet case) `active` bitmap, and closes
     /// `next` after the step (after *all* shards' steps, in the fleet
-    /// case) to build the next round's frontier.
+    /// case) to build the next round's frontier. The step itself looks at
+    /// the next frontier only when a planner needs it (prefetch, direction
+    /// choice), through `next`'s shared snapshot.
     pub(crate) fn step_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
         ctx: &mut RunCtx,
         active: &Bitmap,
         state: &P::State,
-        next: &AtomicBitmap,
+        next: &mut NextFrontier,
     ) {
         let g = self.g;
         let cfg = self.cfg;
@@ -691,7 +706,9 @@ impl<'g> AsceticSession<'g> {
         }
 
         // ➊ GenDataMap (cheap bitmap kernel over |V| bits).
-        let mut maps = DataMaps::generate(g, active, self.region.vertex_bitmap());
+        let next_bits = next.writer();
+        let maps = &mut ctx.maps;
+        maps.regenerate(g, active, self.region.vertex_bitmap());
         let genmap = self.gpu.kernel_at(0, (n as u64).div_ceil(64), iter_start);
         ctx.breakdown.gen_map_ns += genmap.duration();
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
@@ -729,7 +746,7 @@ impl<'g> AsceticSession<'g> {
                         },
                     );
                     // bitmap changed: regenerate the data maps
-                    maps = DataMaps::generate(g, active, self.region.vertex_bitmap());
+                    maps.regenerate(g, active, self.region.vertex_bitmap());
                 }
             }
         }
@@ -767,10 +784,11 @@ impl<'g> AsceticSession<'g> {
         if !maps.static_nodes.is_empty() {
             let mem = &self.gpu.mem;
             let region_ref = &self.region;
-            parallel_for(maps.static_nodes.len(), |i| {
-                let v = maps.static_nodes[i];
+            let nodes = &maps.static_nodes;
+            parallel_for_work(nodes.len(), maps.static_edges, |i| {
+                let v = nodes[i];
                 region_ref.for_each_vertex_slice(mem, g, v, |words| {
-                    ops::advance(prog, v, EdgeSlice::new(words, weighted), state, next);
+                    ops::advance(prog, v, EdgeSlice::new(words, weighted), state, next_bits);
                 });
             });
         }
@@ -795,31 +813,31 @@ impl<'g> AsceticSession<'g> {
             } else {
                 static_span.map_or(genmap.end, |s| s.end)
             };
-            let batches = plan_batches(g, &maps.ondemand_nodes, min_buffer_words);
+            let plan = &mut ctx.plan;
+            plan.plan(g, &maps.ondemand_nodes, min_buffer_words);
             // Issue every batch's CPU gather up front. The spans are
             // identical to in-loop issue (gathers serialize on the CPU
             // engine and depend on nothing downstream of themselves),
             // but knowing when batch k's gather completes tells the
             // prefetch stream exactly how long the link stays idle
             // before batch k's transfer can possibly start.
-            let batch_bpe = g.bytes_per_edge() as u64;
             let mut gather_ready = pipeline_ready;
-            let gather_spans: Vec<_> = batches
-                .iter()
-                .map(|entries| {
-                    let edges: u64 = entries.iter().map(|e| e.num_edges()).sum();
-                    let span =
-                        self.gpu
-                            .gather_at(edges * batch_bpe, entries.len() as u64, gather_ready);
-                    ctx.breakdown.gather_ns += span.duration();
-                    gather_ready = span.end; // CPU engine serializes anyway
-                    span
-                })
-                .collect();
-            let gather_first = gather_spans.first().map(|s| s.start);
+            ctx.gather_spans.clear();
+            for batch in plan.batches() {
+                let span = self.gpu.gather_at(
+                    batch.payload_bytes(),
+                    batch.entries.len() as u64,
+                    gather_ready,
+                );
+                ctx.breakdown.gather_ns += span.duration();
+                gather_ready = span.end; // CPU engine serializes anyway
+                ctx.gather_spans.push(span);
+            }
+            let gather_first = ctx.gather_spans.first().map(|s| s.start);
             let gather_last = gather_ready;
             let mut od_window_end = gather_last;
-            for (bi, (entries, g_span)) in batches.into_iter().zip(gather_spans).enumerate() {
+            for (bi, batch) in plan.batches().enumerate() {
+                let g_span = ctx.gather_spans[bi];
                 let buf_idx = bi % self.od_buffers.len();
                 let buffer = self.od_buffers[buf_idx];
 
@@ -846,10 +864,11 @@ impl<'g> AsceticSession<'g> {
                     ctx.prefetch_inflight.push((op, bytes));
                 }
 
-                let batch = gather(g, entries);
-
-                // H2D transfer of payload + index, into this batch's buffer
-                let dst = buffer.slice(0, batch.words.len());
+                // H2D transfer of payload + index, into this batch's
+                // buffer: the rows are gathered from the host CSR straight
+                // into the buffer's window of device memory
+                let dst = buffer.slice(0, batch.words());
+                let gather_rows = |window: &mut [u32]| batch.gather_into(g, window);
                 let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
                 let raw_bytes = batch.payload_bytes();
                 // Compression crossover: estimate from the per-chunk
@@ -862,7 +881,7 @@ impl<'g> AsceticSession<'g> {
                         CompressionMode::Always => true,
                         CompressionMode::Adaptive => {
                             let est =
-                                estimate_batch_wire(g, &geo, &mut self.hotness, &batch.entries);
+                                estimate_batch_wire(g, &geo, &mut self.hotness, batch.entries);
                             chain_wins(&self.gpu, ready, raw_bytes, est)
                         }
                         CompressionMode::Off => unreachable!(),
@@ -880,7 +899,7 @@ impl<'g> AsceticSession<'g> {
                         if ship {
                             let (copy, dec) =
                                 self.gpu
-                                    .h2d_compressed_at(dst, &batch.words, &ctx.enc_buf, ready);
+                                    .h2d_compressed_at(dst, &ctx.enc_buf, ready, gather_rows);
                             let reg = &mut self.gpu.obs.registry;
                             reg.counter_add("compress.transfers", 1);
                             reg.counter_add("compress.raw_bytes", raw_bytes);
@@ -894,7 +913,7 @@ impl<'g> AsceticSession<'g> {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_at(dst, &batch.words, ready);
+                    let t_span = self.gpu.h2d_fill_at(dst, ready, gather_rows);
                     (t_span.duration(), t_span.end)
                 });
                 // account the subgraph index bytes on the same DMA op
@@ -908,7 +927,7 @@ impl<'g> AsceticSession<'g> {
                 // static kernel automatically)
                 let c_span =
                     self.gpu
-                        .kernel_at(batch.edges, batch.entries.len() as u64, payload_at);
+                        .kernel_at(batch.edges(), batch.entries.len() as u64, payload_at);
                 ctx.breakdown.ondemand_compute_ns += c_span.duration();
                 od_compute_window += c_span.duration();
                 first_od_compute_start.get_or_insert(c_span.start);
@@ -916,12 +935,17 @@ impl<'g> AsceticSession<'g> {
                 od_window_end = od_window_end.max(c_span.end);
 
                 // host execution of the batch
-                let mem = &self.gpu.mem;
-                let batch_ref = &batch;
-                parallel_for(batch_ref.entries.len(), |i| {
-                    let e = &batch_ref.entries[i];
-                    let words = &mem.words(dst)[batch_ref.entry_words(i)];
-                    ops::advance(prog, e.vertex, EdgeSlice::new(words, weighted), state, next);
+                let payload = self.gpu.mem.words(dst);
+                parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                    let e = &batch.entries[i];
+                    let words = &payload[batch.entry_words(i)];
+                    ops::advance(
+                        prog,
+                        e.vertex,
+                        EdgeSlice::new(words, weighted),
+                        state,
+                        next_bits,
+                    );
                 });
             }
             if let Some(first) = gather_first {
@@ -1033,12 +1057,12 @@ impl<'g> AsceticSession<'g> {
         // transfers hide entirely under work already on the clock, so
         // the iteration's makespan is untouched whether they pay off
         // or not.
-        let next_frontier = next.snapshot();
         ctx.prefetch_ready = SimTime::ZERO;
         // whatever of last iteration's plan never found a gap dies
         // here, un-issued and free of charge
         ctx.prefetch_deferred.clear();
         if prefetch_on {
+            let next_frontier = next.snapshot();
             let more = iter + 1 < prog.max_iterations() && !next_frontier.is_all_zero();
             // Commit the gap-issued transfers now that every kernel of
             // this iteration is done reading the region. The plan was
@@ -1047,7 +1071,7 @@ impl<'g> AsceticSession<'g> {
             // stale op is dropped — its link time was idle slack, its
             // bytes become waste — rather than applied.
             if more {
-                let demand = chunk_demand_bytes(g, &geo, &next_frontier);
+                let demand = chunk_demand_bytes(g, &geo, next_frontier);
                 for (op, bytes) in ctx.prefetch_inflight.drain(..) {
                     let apply = match op {
                         PrefetchOp::Load(c) => {
@@ -1104,7 +1128,7 @@ impl<'g> AsceticSession<'g> {
                     &geo,
                     &self.region,
                     &mut self.hotness,
-                    &next_frontier,
+                    next_frontier,
                     iter,
                     compressible,
                     budget + GAP_PLAN_OPS,
@@ -1138,12 +1162,12 @@ impl<'g> AsceticSession<'g> {
         // Pre-commit the next iteration's direction *after* the prefetch
         // commits above, so the push-vs-pull transfer estimate sees the
         // exact static-region residency the next data maps will see.
-        if cfg.direction != DirectionMode::Push
-            && prog.capabilities().pull
-            && !next_frontier.is_all_zero()
-        {
-            ctx.next_pull =
-                Some(self.direction_for(prog, &next_frontier, state, TraversalDirection::Push));
+        if cfg.direction != DirectionMode::Push && prog.capabilities().pull {
+            let next_frontier = next.snapshot();
+            if !next_frontier.is_all_zero() {
+                ctx.next_pull =
+                    Some(self.direction_for(prog, next_frontier, state, TraversalDirection::Push));
+            }
         }
 
         if let Some((start, end)) = pf_window.take() {
@@ -1162,11 +1186,11 @@ impl<'g> AsceticSession<'g> {
         }
         ctx.iter_windows.push((iter_start.0, iter_end.0));
         ctx.per_iter.push(IterReport {
-            active_vertices: maps.active_vertices(),
-            active_edges: maps.active_edges(),
+            active_vertices: ctx.maps.active_vertices(),
+            active_edges: ctx.maps.active_edges(),
             payload_bytes: od_payload,
             time_ns: iter_end.since(iter_start),
-            static_edges: maps.static_edges,
+            static_edges: ctx.maps.static_edges,
             pull: false,
         });
         ctx.iter += 1;
@@ -1185,7 +1209,7 @@ impl<'g> AsceticSession<'g> {
         ctx: &mut RunCtx,
         active: &Bitmap,
         state: &P::State,
-        next: &AtomicBitmap,
+        next: &mut NextFrontier,
     ) {
         let g = self.g;
         let cfg = self.cfg;
@@ -1193,6 +1217,7 @@ impl<'g> AsceticSession<'g> {
         let weighted = g.is_weighted();
         let compressible = compression_eligible(&cfg, g);
         let iter = ctx.iter;
+        let next_bits = next.writer();
 
         let iter_start = self.gpu.sync();
         self.gpu.obs.record(iter_start.0, Event::IterStart { iter });
@@ -1236,11 +1261,14 @@ impl<'g> AsceticSession<'g> {
             .as_ref()
             .expect("pull iteration without a CSC mirror");
         let csc = &mirror.csc;
-        let target_nodes: Vec<VertexId> = targets
-            .iter_ones()
-            .map(|v| v as VertexId)
-            .filter(|&v| csc.degree(v) > 0)
-            .collect();
+        let target_nodes = &mut ctx.pull_targets;
+        target_nodes.clear();
+        target_nodes.extend(
+            targets
+                .iter_ones()
+                .map(|v| v as VertexId)
+                .filter(|&v| csc.degree(v) > 0),
+        );
 
         let mut od_payload = 0u64;
         let mut scanned_edges = 0u64;
@@ -1250,31 +1278,31 @@ impl<'g> AsceticSession<'g> {
                 min_buffer_words > 0,
                 "no on-demand buffer but pull targets exist"
             );
-            let batches = plan_batches(csc, &target_nodes, min_buffer_words);
-            let batch_bpe = csc.bytes_per_edge() as u64;
+            let plan = &mut ctx.plan;
+            plan.plan(csc, target_nodes, min_buffer_words);
             // CPU gather spans up front, same as push: gathers serialize
             // on the CPU engine and overlap downstream wire + kernels.
             let mut gather_ready = genmap.end;
-            let gather_spans: Vec<_> = batches
-                .iter()
-                .map(|entries| {
-                    let edges: u64 = entries.iter().map(|e| e.num_edges()).sum();
-                    let span =
-                        self.gpu
-                            .gather_at(edges * batch_bpe, entries.len() as u64, gather_ready);
-                    ctx.breakdown.gather_ns += span.duration();
-                    gather_ready = span.end;
-                    span
-                })
-                .collect();
-            let gather_first = gather_spans.first().map(|s| s.start);
+            ctx.gather_spans.clear();
+            for batch in plan.batches() {
+                let span = self.gpu.gather_at(
+                    batch.payload_bytes(),
+                    batch.entries.len() as u64,
+                    gather_ready,
+                );
+                ctx.breakdown.gather_ns += span.duration();
+                gather_ready = span.end;
+                ctx.gather_spans.push(span);
+            }
+            let gather_first = ctx.gather_spans.first().map(|s| s.start);
             let gather_last = gather_ready;
             let mut od_window_end = gather_last;
-            for (bi, (entries, g_span)) in batches.into_iter().zip(gather_spans).enumerate() {
+            for (bi, batch) in plan.batches().enumerate() {
+                let g_span = ctx.gather_spans[bi];
                 let buf_idx = bi % self.od_buffers.len();
                 let buffer = self.od_buffers[buf_idx];
-                let batch = gather(csc, entries);
-                let dst = buffer.slice(0, batch.words.len());
+                let dst = buffer.slice(0, batch.words());
+                let gather_rows = |window: &mut [u32]| batch.gather_into(csc, window);
                 let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
                 let raw_bytes = batch.payload_bytes();
                 // Compression crossover. The hotness wire cache is keyed
@@ -1292,7 +1320,7 @@ impl<'g> AsceticSession<'g> {
                     if ship {
                         let (copy, dec) =
                             self.gpu
-                                .h2d_compressed_at(dst, &batch.words, &ctx.enc_buf, ready);
+                                .h2d_compressed_at(dst, &ctx.enc_buf, ready, gather_rows);
                         let reg = &mut self.gpu.obs.registry;
                         reg.counter_add("compress.transfers", 1);
                         reg.counter_add("compress.raw_bytes", raw_bytes);
@@ -1304,7 +1332,7 @@ impl<'g> AsceticSession<'g> {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_at(dst, &batch.words, ready);
+                    let t_span = self.gpu.h2d_fill_at(dst, ready, gather_rows);
                     (t_span.duration(), t_span.end)
                 });
                 self.gpu.xfer.h2d_bytes += batch.index_bytes();
@@ -1319,19 +1347,18 @@ impl<'g> AsceticSession<'g> {
                 // needed first. The virtual clock makes the ordering
                 // unobservable.
                 let batch_scanned = {
-                    let mem = &self.gpu.mem;
-                    let batch_ref = &batch;
+                    let payload = self.gpu.mem.words(dst);
                     let scanned = AtomicU64::new(0);
-                    parallel_for(batch_ref.entries.len(), |i| {
-                        let e = &batch_ref.entries[i];
-                        let words = &mem.words(dst)[batch_ref.entry_words(i)];
+                    parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                        let e = &batch.entries[i];
+                        let words = &payload[batch.entry_words(i)];
                         let s = ops::advance_pull(
                             prog,
                             e.vertex,
                             EdgeSlice::new(words, weighted),
                             active,
                             state,
-                            next,
+                            next_bits,
                         );
                         scanned.fetch_add(s, Ordering::Relaxed);
                     });
@@ -1371,7 +1398,7 @@ impl<'g> AsceticSession<'g> {
         let next_frontier = next.snapshot();
         if !next_frontier.is_all_zero() {
             ctx.next_pull =
-                Some(self.direction_for(prog, &next_frontier, state, TraversalDirection::Pull));
+                Some(self.direction_for(prog, next_frontier, state, TraversalDirection::Pull));
         }
 
         let iter_end = self.gpu.sync();
@@ -1501,6 +1528,20 @@ impl<'g> AsceticSession<'g> {
         state: &P::State,
         mut active: Bitmap,
     ) -> RunReport {
+        let mut next = NextFrontier::new(self.g.num_vertices());
+        self.run_frontier(prog, state, &mut active, &mut next)
+    }
+
+    /// The run loop behind [`AsceticSession::run_with_state`], on
+    /// caller-owned frontier buffers (so tests can count the snapshots the
+    /// loop took).
+    fn run_frontier<P: VertexProgram>(
+        &mut self,
+        prog: &P,
+        state: &P::State,
+        active: &mut Bitmap,
+        next: &mut NextFrontier,
+    ) -> RunReport {
         assert_eq!(
             self.g.is_weighted(),
             prog.capabilities().weights,
@@ -1512,16 +1553,15 @@ impl<'g> AsceticSession<'g> {
             if active.is_all_zero() {
                 match ops::phase_transition(prog, phase, self.g, state) {
                     Some(f) => {
-                        active = f;
+                        *active = f;
                         phase += 1;
                     }
                     None => break,
                 }
             }
-            ops::compute(prog, ctx.iter, &active, state);
-            let next = AtomicBitmap::new(self.g.num_vertices());
-            self.step_iteration(prog, &mut ctx, &active, state, &next);
-            active = ops::filter(prog, next.snapshot(), state);
+            ops::compute(prog, ctx.iter, active, state);
+            self.step_iteration(prog, &mut ctx, active, state, next);
+            next.finish(prog, state, active);
         }
         self.finish_run(prog, state, ctx)
     }
@@ -2078,5 +2118,45 @@ mod tests {
             .with_direction(DirectionMode::Adaptive);
         let adaptive = AsceticSession::new(cfg, &g).run(&Bfs::new(0));
         assert_eq!(adaptive.output, push.output);
+    }
+
+    #[test]
+    fn every_path_snapshots_the_next_frontier_once_per_iteration() {
+        // The default path has no planner that looks at the next frontier
+        // (it used to snapshot it anyway, twice); prefetch, direction
+        // choice and pull each look at it mid-step. However they combine,
+        // the run loop must copy the bitmap out exactly once an iteration.
+        let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
+        let prefetch = PrefetchMode::NextFrontier;
+        for (what, cfg) in [
+            ("default", cfg_for(&g)),
+            ("prefetch", cfg_for(&g).with_prefetch(prefetch)),
+            (
+                "adaptive",
+                cfg_for(&g).with_direction(DirectionMode::Adaptive),
+            ),
+            ("pull", cfg_for(&g).with_direction(DirectionMode::Pull)),
+            (
+                "prefetch + adaptive",
+                cfg_for(&g)
+                    .with_prefetch(prefetch)
+                    .with_direction(DirectionMode::Adaptive),
+            ),
+        ] {
+            let mut session = AsceticSession::new(cfg, &g);
+            for prog in [Bfs::new(0), Bfs::new(17)] {
+                let state = prog.new_state(&g);
+                let mut active = prog.initial_frontier(&g);
+                let mut next = NextFrontier::new(g.num_vertices());
+                let r = session.run_frontier(&prog, &state, &mut active, &mut next);
+                assert!(r.iterations > 3, "{what}: a multi-level BFS");
+                assert_eq!(
+                    next.snapshots_taken(),
+                    u64::from(r.iterations),
+                    "{what}: snapshots per iteration"
+                );
+                assert_eq!(r.output, run_in_memory(&g, &prog).output, "{what}");
+            }
+        }
     }
 }

@@ -226,6 +226,30 @@ impl Csr {
         }
     }
 
+    /// [`Csr::write_edge_words`] into a caller-owned window: fill `dst`
+    /// (exactly `r.len() × words_per_edge` words) with the edge entries of
+    /// `r`. Unweighted rows are one `memcpy` of the target array — the
+    /// single copy the on-demand gather makes straight into device memory.
+    ///
+    /// # Panics
+    /// Panics if `dst` does not have exactly the payload's length.
+    pub fn copy_edge_words(&self, r: std::ops::Range<u64>, dst: &mut [u32]) {
+        let (s, e) = (r.start as usize, r.end as usize);
+        match &self.weights {
+            None => dst.copy_from_slice(&self.targets[s..e]),
+            Some(w) => {
+                assert_eq!(dst.len(), (e - s) * 2, "window must fit the payload");
+                for (pair, (&t, &wt)) in dst
+                    .chunks_exact_mut(2)
+                    .zip(self.targets[s..e].iter().zip(&w[s..e]))
+                {
+                    pair[0] = t;
+                    pair[1] = wt;
+                }
+            }
+        }
+    }
+
     /// Words per edge entry in the [`Csr::write_edge_words`] format (1 or 2).
     #[inline]
     pub fn words_per_edge(&self) -> usize {
@@ -414,6 +438,17 @@ mod tests {
         g.write_edge_words(0..2, &mut buf);
         assert_eq!(buf, vec![1, 50, 2, 51]);
         assert_eq!(g.words_per_edge(), 2);
+    }
+
+    #[test]
+    fn copy_edge_words_matches_write_edge_words() {
+        for g in [tiny(), tiny().with_weights_from(|_, e| e as Weight + 50)] {
+            let mut expect = Vec::new();
+            g.write_edge_words(1..4, &mut expect);
+            let mut got = vec![u32::MAX; expect.len()];
+            g.copy_edge_words(1..4, &mut got);
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! Small, dependency-light building blocks used by every other crate in the
 //! Ascetic workspace:
 //!
-//! * [`parallel_for`] / [`parallel_for_with`] — a chunked, work-stealing
-//!   parallel loop over an index range, used to run the "GPU kernels" of
-//!   the simulated device on host cores. Jobs execute on a
+//! * [`parallel_for`] / [`parallel_for_with`] / [`parallel_for_work`] — a
+//!   chunked, work-stealing parallel loop over an index range, used to run
+//!   the "GPU kernels" of the simulated device on host cores. Whether a
+//!   job is dispatched or runs inline follows its estimated *work*
+//!   ([`INLINE_WORK`]), not its item count. Jobs execute on a
 //!   lazily-initialized **persistent worker pool** ([`workers`]): workers
 //!   are spawned once, park on a condvar between jobs, and are woken per
 //!   job — eliminating the per-call thread spawn/join that used to sit on
@@ -22,11 +24,14 @@
 //! * [`AtomicBitmap`] / [`Bitmap`] — the bitmap machinery behind the paper's
 //!   `ActiveBitmap` / `StaticBitmap` / `StaticMap` / `OndemandMap` dataflow
 //!   (Figure 4 of the paper): concurrent set/test plus bulk word-level
-//!   AND / XOR / AND-NOT combinators.
-//! * [`atomics`] — CAS-loop atomic min / max / float-add reductions used by
-//!   the push-based vertex programs (SSSP relaxations, PageRank scatter).
-//! * [`scan`] — exclusive prefix sums (serial and parallel) used to build
-//!   compact on-demand subgraphs (`OndemandNodes` → edge offsets).
+//!   AND / XOR / AND-NOT combinators, all indexed by a summary level so
+//!   their cost follows the frontier's population rather than |V|.
+//! * [`atomics`] — the reductions the push-based vertex programs scatter
+//!   with: test-before-RMW atomic min / max (SSSP/BFS/CC relaxations, a
+//!   plain load when the proposal cannot win) and compare-exchange float
+//!   adds (PageRank scatter).
+//! * [`scan`] — the exclusive prefix sum that lays out compacted payloads
+//!   (per-entry lengths → offsets).
 //!
 //! Concurrency uses `std::sync::atomic`, condvars and the "Rust Atomics and
 //! Locks" idioms. The crate contains exactly one audited `unsafe` block —
@@ -47,10 +52,11 @@ pub use atomics::{
 };
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use pool::{
-    current_num_threads, parallel_for, parallel_for_with, parallel_map_fixed_blocks,
-    parallel_parts, parallel_ranges, set_num_threads,
+    current_num_threads, parallel_for, parallel_for_with, parallel_for_work,
+    parallel_map_fixed_blocks, parallel_parts, parallel_ranges, set_num_threads, threads_for_work,
+    INLINE_WORK,
 };
-pub use scan::{exclusive_scan_in_place, parallel_exclusive_scan};
+pub use scan::exclusive_scan_in_place;
 pub use scratch::{with_scratch, Scratch};
 pub use workers::{
     dispatch_mode, pool_stats, reset_pool_stats, set_dispatch_mode, DispatchMode, PoolStats,

@@ -35,9 +35,19 @@ use crate::workers::{note_inline_job, run_on_workers, CHUNKS_SERVED};
 /// Global override for the worker thread count. `0` means "not set".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Minimum number of items each chunk grab should cover. Small enough to
-/// balance skewed work, big enough that cursor contention is negligible.
-const MIN_CHUNK: usize = 64;
+/// Work below which a job runs inline on the caller, in units of roughly
+/// one edge relaxation (a few ns) — some tens of microseconds of serial
+/// work, an order of magnitude above one dispatch round-trip of the
+/// persistent pool, because a job dispatched into a mostly-inline phase
+/// usually finds the workers parked, not spinning. (Sweeping 4 Ki / 16 Ki /
+/// 64 Ki over the benchmark's sparse-frontier workloads put the knee here.)
+/// Also the work each chunk grab should cover — small enough to balance
+/// skewed work, big enough that cursor contention is negligible.
+pub const INLINE_WORK: u64 = 16_384;
+
+/// Work an item is assumed to carry when the caller gives no estimate
+/// ([`parallel_for`]): a 64-item job is the largest that stays inline.
+const DEFAULT_ITEM_WORK: u64 = INLINE_WORK / 64;
 
 /// Set the number of worker threads used by [`parallel_for`].
 ///
@@ -59,13 +69,30 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Pick a chunk size for a loop of `len` items on `threads` workers.
+/// How many workers a job of `work` units (see [`INLINE_WORK`]) is worth:
+/// `1` — run it inline — when it is small or one thread is configured,
+/// else the configured thread count. Callers that build their own static
+/// decomposition (the on-demand gather) size it with this; the
+/// `parallel_for*` family applies it internally.
+pub fn threads_for_work(work: u64) -> usize {
+    if work <= INLINE_WORK {
+        1
+    } else {
+        current_num_threads()
+    }
+}
+
+/// Pick a chunk size for a loop of `len` items carrying `work` units in
+/// total, on `threads` workers.
 ///
 /// Aims for ~8 chunks per thread so stealing can smooth out skew, with a
-/// floor of [`MIN_CHUNK`] to keep the shared cursor cold.
-fn chunk_size(len: usize, threads: usize) -> usize {
+/// floor of [`INLINE_WORK`] units per chunk (at the job's mean item cost)
+/// to keep the shared cursor cold: trivial items come in big chunks, hub
+/// rows one at a time.
+fn chunk_size(len: usize, work: u64, threads: usize) -> usize {
     let target = len / (threads * 8).max(1);
-    target.max(MIN_CHUNK).min(len.max(1))
+    let floor = (INLINE_WORK as u128 * len as u128).div_ceil(work.max(1) as u128) as usize;
+    target.max(floor).clamp(1, len.max(1))
 }
 
 /// Run `body(i)` for every `i in 0..len`, in parallel.
@@ -75,7 +102,9 @@ fn chunk_size(len: usize, threads: usize) -> usize {
 /// indexed writes through interior mutability).
 ///
 /// Degenerates to a plain serial loop when `len` is small or only one thread
-/// is configured, so it is safe to use in cold paths too.
+/// is configured, so it is safe to use in cold paths too. Item count is
+/// the only size it knows; when the caller can estimate the job's work
+/// (edges, words), [`parallel_for_work`] makes the better call.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,18 +127,38 @@ pub fn parallel_for_with<F>(len: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
+    dispatch(len, len as u64 * DEFAULT_ITEM_WORK, body);
+}
+
+/// [`parallel_for`] for a job whose total `work` the caller can estimate
+/// (in [`INLINE_WORK`] units — for the engines, the edges the items will
+/// relax). The inline-or-dispatch decision and the chunk size follow the
+/// work, not the item count: two hub rows are split across workers, a
+/// thousand leaf rows are not worth a wake-up.
+pub fn parallel_for_work<F>(len: usize, work: u64, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    dispatch(len, work, |_, i| body(i));
+}
+
+/// The one loop behind the `parallel_for*` family.
+fn dispatch<F>(len: usize, work: u64, body: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
     if len == 0 {
         return;
     }
-    let threads = current_num_threads().min(len).max(1);
-    if threads == 1 || len <= MIN_CHUNK {
+    let threads = threads_for_work(work).min(len);
+    if threads == 1 {
         note_inline_job();
         for i in 0..len {
             body(0, i);
         }
         return;
     }
-    let chunk = chunk_size(len, threads);
+    let chunk = chunk_size(len, work, threads);
     let cursor = AtomicUsize::new(0);
     run_on_workers(threads, |worker| loop {
         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -168,9 +217,9 @@ where
 /// part, consuming the parts.
 ///
 /// This is the primitive behind "each worker fills a disjoint `&mut`
-/// window" patterns (the on-demand gather, the parallel scan's second
-/// pass): split a buffer with `split_at_mut`, push the windows into a
-/// `Vec`, and let each worker take exactly one. Parts run concurrently on
+/// window" patterns (the on-demand gather, the codec's encode pass):
+/// split a buffer with `split_at_mut`, push the windows into a `Vec`, and
+/// let each worker take exactly one. Parts run concurrently on
 /// the persistent pool; a single part runs inline on the caller.
 pub fn parallel_parts<T, F>(parts: Vec<T>, body: F)
 where
@@ -437,8 +486,55 @@ mod tests {
 
     #[test]
     fn chunk_size_has_floor() {
-        assert_eq!(chunk_size(10, 4), 10);
-        assert!(chunk_size(1_000_000, 8) >= MIN_CHUNK);
-        assert_eq!(chunk_size(0, 4), 1);
+        let plain = |len: usize| len as u64 * DEFAULT_ITEM_WORK;
+        assert_eq!(chunk_size(10, plain(10), 4), 10);
+        assert!(chunk_size(1_000_000, plain(1_000_000), 8) >= 64);
+        assert_eq!(chunk_size(0, 0, 4), 1);
+        // hub rows are handed out one at a time, leaf rows in bulk
+        assert_eq!(chunk_size(2, 1_000_000, 2), 1);
+        assert_eq!(chunk_size(1_000_000, 1_000_000, 2), 1_000_000 / 16);
+        assert_eq!(chunk_size(100_000, 100_000, 2), INLINE_WORK as usize);
+    }
+
+    #[test]
+    fn inline_decision_follows_work_not_item_count() {
+        let _g = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        set_num_threads(2);
+        // Pool counters are process-global and other tests dispatch
+        // concurrently, so the deltas are lower bounds on their own; what
+        // pins the decision is which worker ids the body observes.
+        let workers_seen = |len: usize, work: u64| {
+            let seen = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let before = crate::pool_stats();
+            dispatch(len, work, |w, _| {
+                seen[w].fetch_add(1, Ordering::Relaxed);
+                // keep worker 0 from draining both chunks before worker 1
+                // wakes: each item waits until the other worker showed up
+                if work > INLINE_WORK {
+                    while seen[1 - w].load(Ordering::Relaxed) == 0 {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            let after = crate::pool_stats();
+            (
+                [
+                    seen[0].load(Ordering::Relaxed),
+                    seen[1].load(Ordering::Relaxed),
+                ],
+                after.jobs_inline - before.jobs_inline,
+                (after.jobs_persistent + after.jobs_spawn)
+                    - (before.jobs_persistent + before.jobs_spawn),
+            )
+        };
+        // 2 hub rows: dispatched, one row per worker
+        let (seen, _, dispatched) = workers_seen(2, 1_000_000);
+        assert_eq!(seen, [1, 1], "two heavy items must be split");
+        assert!(dispatched >= 1, "a heavy 2-item job must reach the pool");
+        // 65 leaf rows: inline on the caller, whatever the item count
+        let (seen, inline, _) = workers_seen(65, 65);
+        assert_eq!(seen, [65, 0], "trivial items must stay on the caller");
+        assert!(inline >= 1, "a trivial 65-item job must be counted inline");
+        set_num_threads(0);
     }
 }

@@ -1,11 +1,9 @@
 //! Exclusive prefix sums.
 //!
-//! Building the on-demand subgraph (paper Figure 4, "CPU gather edges")
-//! requires turning per-active-vertex degrees into CSR offsets — an exclusive
-//! scan. Subway does this with a GPU scan; we provide a serial version for
-//! small frontiers and a two-pass parallel version for large ones.
-
-use crate::pool::{current_num_threads, parallel_parts, parallel_ranges};
+//! Laying out a compacted payload (the codec's per-entry encoded lengths →
+//! byte offsets) is an exclusive scan. (The on-demand gather needs none:
+//! its batch planner walks the rows sequentially and records each entry's
+//! offset as it goes.)
 
 /// In-place exclusive prefix sum; returns the total.
 ///
@@ -18,60 +16,6 @@ pub fn exclusive_scan_in_place(xs: &mut [u64]) -> u64 {
         acc += v;
     }
     acc
-}
-
-/// Parallel exclusive prefix sum of `xs` into a fresh vector; also returns
-/// the total. Two passes: per-range partial sums, then per-range rewrite with
-/// the carried base.
-pub fn parallel_exclusive_scan(xs: &[u64]) -> (Vec<u64>, u64) {
-    let n = xs.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let threads = current_num_threads();
-    if threads == 1 || n < 4096 {
-        let mut out = xs.to_vec();
-        let total = exclusive_scan_in_place(&mut out);
-        return (out, total);
-    }
-    // Pass 1: partial sum of each contiguous range.
-    let ranges = parallel_ranges(n, |_, r| {
-        let sum: u64 = xs[r.clone()].iter().sum();
-        (r, sum)
-    });
-    // Carry bases across ranges (serial; #ranges == #threads).
-    let mut bases = Vec::with_capacity(ranges.len());
-    let mut acc = 0u64;
-    for (_, sum) in &ranges {
-        bases.push(acc);
-        acc += sum;
-    }
-    let total = acc;
-    // Pass 2: write each range with its base. The ranges from
-    // `parallel_ranges` are contiguous and in order, so slicing `out` with
-    // `split_at_mut` hands each worker a disjoint `&mut` window; the
-    // windows are dispatched back onto the persistent pool.
-    let mut out = vec![0u64; n];
-    {
-        let mut parts: Vec<(&mut [u64], &[u64], u64)> = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u64] = &mut out;
-        let mut consumed = 0usize;
-        for ((r, _), base) in ranges.iter().zip(bases.iter()) {
-            debug_assert_eq!(r.start, consumed);
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            rest = tail;
-            consumed += r.len();
-            parts.push((mine, &xs[r.clone()], *base));
-        }
-        parallel_parts(parts, |_, (mine, src, base)| {
-            let mut acc = base;
-            for (o, &x) in mine.iter_mut().zip(src) {
-                *o = acc;
-                acc += x;
-            }
-        });
-    }
-    (out, total)
 }
 
 #[cfg(test)]
@@ -90,31 +34,5 @@ mod tests {
     fn serial_scan_empty() {
         let mut xs: Vec<u64> = vec![];
         assert_eq!(exclusive_scan_in_place(&mut xs), 0);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let n = 100_003;
-        let xs: Vec<u64> = (0..n as u64).map(|i| (i * 37 + 11) % 101).collect();
-        let mut serial = xs.clone();
-        let stotal = exclusive_scan_in_place(&mut serial);
-        let (par, ptotal) = parallel_exclusive_scan(&xs);
-        assert_eq!(stotal, ptotal);
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_scan_small_input() {
-        let xs = vec![5u64, 0, 2];
-        let (out, total) = parallel_exclusive_scan(&xs);
-        assert_eq!(out, vec![0, 5, 5]);
-        assert_eq!(total, 7);
-    }
-
-    #[test]
-    fn parallel_scan_empty() {
-        let (out, total) = parallel_exclusive_scan(&[]);
-        assert!(out.is_empty());
-        assert_eq!(total, 0);
     }
 }

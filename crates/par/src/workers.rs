@@ -8,11 +8,15 @@
 //!
 //! * workers are spawned **lazily, once**, the first time a job needs them,
 //!   and grow on demand when a later job asks for more;
-//! * idle workers **spin briefly, then park on a condvar**. The bounded
-//!   spin catches back-to-back dispatches (the common case inside an
-//!   iteration) without a futex round-trip; only a genuinely idle pool
-//!   pays the park/wake cost. The submitter waits for completion the same
-//!   way: spin first, sleep after;
+//! * idle workers **spin briefly, then park**. The bounded spin catches
+//!   back-to-back dispatches (the common case inside an iteration) without
+//!   a futex round-trip; only a genuinely idle pool pays the park/wake
+//!   cost. The submitter waits for completion the same way: spin first,
+//!   sleep after;
+//! * a job **wakes only its participants** (each worker parks on its own
+//!   thread token): a 2-way job in a process whose pool once grew to 8
+//!   leaves the other six workers asleep instead of waking them to find
+//!   out they have nothing to do;
 //! * the **submitting thread is worker 0** — it runs its share of the job
 //!   in place instead of parking, so a `threads`-way job wakes only
 //!   `threads - 1` pool workers;
@@ -227,8 +231,6 @@ struct Shared {
     /// with release ordering after the closure returns, so the submitter's
     /// acquire spin on `0` sees every side effect of the job.
     remaining: AtomicUsize,
-    /// Workers park here (after the spin budget) waiting for `seq` to move.
-    work: Condvar,
     /// The submitter parks here (after its spin budget) waiting for
     /// `remaining == 0`.
     done: Condvar,
@@ -281,9 +283,10 @@ fn wait_briefly(ready: impl Fn() -> bool) -> bool {
 
 struct Pool {
     shared: Arc<Shared>,
-    /// Held for the duration of a persistent job; the value is the number
-    /// of workers spawned so far (only the lock holder may spawn more).
-    submit: Mutex<usize>,
+    /// Held for the duration of a persistent job; the value is the handle
+    /// of every worker spawned so far, by id − 1 (only the lock holder may
+    /// spawn more). A dispatch unparks exactly its participants.
+    submit: Mutex<Vec<std::thread::Thread>>,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -315,13 +318,17 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
     };
     loop {
         // Lock-free bounded wait: back-to-back dispatches are caught here
-        // without ever touching the condvar.
-        wait_briefly(|| shared.seq.load(Ordering::Acquire) != seen);
-        let job = {
-            let mut st = shared.state.lock().unwrap();
+        // without a futex round-trip. After it, park until a submitter
+        // that wants this worker unparks it; the unpark token makes the
+        // check-then-park race benign (an unpark that lands first turns
+        // the park into a no-op), and spurious wake-ups just re-check.
+        if !wait_briefly(|| shared.seq.load(Ordering::Acquire) != seen) {
             while shared.seq.load(Ordering::Acquire) == seen {
-                st = shared.work.wait(st).unwrap();
+                std::thread::park();
             }
+        }
+        let job = {
+            let st = shared.state.lock().unwrap();
             seen = shared.seq.load(Ordering::Acquire);
             if id <= st.participants {
                 st.job
@@ -352,10 +359,9 @@ impl Pool {
                 state: Mutex::new(State::default()),
                 seq: AtomicU64::new(0),
                 remaining: AtomicUsize::new(0),
-                work: Condvar::new(),
                 done: Condvar::new(),
             }),
-            submit: Mutex::new(0),
+            submit: Mutex::new(Vec::new()),
         }
     }
 }
@@ -366,19 +372,19 @@ impl Pool {
 /// (the caller then falls back to scoped spawning).
 fn run_persistent<F: Fn(usize) + Sync>(threads: usize, f: &F) -> bool {
     let pool = POOL.get_or_init(Pool::new);
-    let Ok(mut spawned) = pool.submit.try_lock() else {
+    let Ok(mut workers) = pool.submit.try_lock() else {
         return false;
     };
     // Grow the pool to cover this job (workers are never torn down; the
     // gauge only rises).
-    while *spawned < threads - 1 {
-        *spawned += 1;
+    while workers.len() < threads - 1 {
         let shared = Arc::clone(&pool.shared);
-        let id = *spawned;
-        std::thread::Builder::new()
+        let id = workers.len() + 1;
+        let handle = std::thread::Builder::new()
             .name(format!("ascetic-par-{id}"))
             .spawn(move || worker_loop(shared, id))
             .expect("failed to spawn pool worker");
+        workers.push(handle.thread().clone());
         WORKERS_SPAWNED.fetch_add(1, Ordering::Relaxed);
     }
     {
@@ -390,9 +396,11 @@ fn run_persistent<F: Fn(usize) + Sync>(threads: usize, f: &F) -> bool {
         st.participants = threads - 1;
         pool.shared.remaining.store(threads - 1, Ordering::Release);
         // seq moves last (still under the lock): a worker that observes the
-        // new seq — via spin or condvar — sees the whole job.
+        // new seq — spinning or unparked — sees the whole job.
         pool.shared.seq.fetch_add(1, Ordering::Release);
-        pool.shared.work.notify_all();
+    }
+    for worker in &workers[..threads - 1] {
+        worker.unpark();
     }
     // The submitter is worker 0. Its own panic must not unwind past the
     // wait below — pool workers may still hold the erased pointer.
@@ -408,7 +416,7 @@ fn run_persistent<F: Fn(usize) + Sync>(threads: usize, f: &F) -> bool {
         st.job = None;
         st.panic.take()
     };
-    drop(spawned);
+    drop(workers);
     if let Err(p) = mine {
         resume_unwind(p);
     }

@@ -141,8 +141,23 @@ impl Gpu {
     /// H2D copy of `src` into `dst`, ready at `ready`. Copies the payload
     /// and charges `pcie.transfer_ns` on the COPY engine.
     pub fn h2d_at(&mut self, dst: DevPtr, src: &[u32], ready: SimTime) -> Span {
-        self.mem.write(dst, src);
-        let bytes = (src.len() * 4) as u64;
+        self.h2d_fill_at(dst, ready, |window| window.copy_from_slice(src))
+    }
+
+    /// [`Gpu::h2d_at`] for a payload produced in place: `fill` writes the
+    /// whole of `dst`'s device window (the on-demand gather copies rows
+    /// from the host CSR straight into it, with no staging buffer), and
+    /// the transfer is charged exactly as if those words had been copied
+    /// from a host slice — same bytes, op count, span and event. The data
+    /// plane may take the shortcut; the charge never does.
+    pub fn h2d_fill_at(
+        &mut self,
+        dst: DevPtr,
+        ready: SimTime,
+        fill: impl FnOnce(&mut [u32]),
+    ) -> Span {
+        fill(self.mem.words_mut(dst));
+        let bytes = dst.len_bytes();
         self.xfer.h2d_bytes += bytes;
         self.xfer.h2d_wire_bytes += bytes;
         self.xfer.h2d_ops += 1;
@@ -170,9 +185,10 @@ impl Gpu {
         self.h2d_at(dst, src, now)
     }
 
-    /// Compressed H2D copy: ship `encoded` over the link, decode into
-    /// `decoded` on the compute engine. Returns `(copy, decompress)` spans;
-    /// the payload is usable at `decompress.end`.
+    /// Compressed H2D copy: ship `encoded` over the link, then decode on
+    /// the compute engine — `decode` writes the decoded words over the
+    /// whole of `dst`'s window. Returns `(copy, decompress)` spans; the
+    /// payload is usable at `decompress.end`.
     ///
     /// The encoded bytes really land in `dst`'s word window first (a true
     /// byte copy of the wire payload), then the decoded words overwrite
@@ -182,23 +198,21 @@ impl Gpu {
     pub fn h2d_compressed_at(
         &mut self,
         dst: DevPtr,
-        decoded: &[u32],
         encoded: &[u8],
         ready: SimTime,
+        decode: impl FnOnce(&mut [u32]),
     ) -> (Span, Span) {
         let wire = encoded.len() as u64;
-        let raw = (decoded.len() * 4) as u64;
+        let raw = dst.len_bytes();
         // Land the encoded stream in the destination window. `Always` mode
         // may inflate a payload past its raw size; the landing copy is then
         // clipped to the window (the link still pays for every wire byte).
-        debug_assert_eq!(decoded.len(), dst.len, "payload must fill the window");
-        let mut landing = vec![0u32; encoded.len().div_ceil(4).min(decoded.len())];
-        for (w, chunk) in landing.iter_mut().zip(encoded.chunks(4)) {
+        let window = self.mem.words_mut(dst);
+        for (w, chunk) in window.iter_mut().zip(encoded.chunks(4)) {
             let mut b = [0u8; 4];
             b[..chunk.len()].copy_from_slice(chunk);
             *w = u32::from_le_bytes(b);
         }
-        self.mem.write(dst.slice(0, landing.len()), &landing);
         let copy = self.timeline.schedule_labeled(
             Engine::Copy,
             ready,
@@ -211,7 +225,7 @@ impl Gpu {
             self.config.decompress.decompress_ns(raw),
             || format!("decompress {raw}B"),
         );
-        self.mem.write(dst, decoded);
+        decode(self.mem.words_mut(dst));
         self.xfer.h2d_bytes += raw;
         self.xfer.h2d_wire_bytes += wire;
         self.xfer.h2d_ops += 1;
@@ -364,6 +378,21 @@ mod tests {
     }
 
     #[test]
+    fn h2d_fill_charges_exactly_like_a_slice_copy() {
+        let (mut a, mut b) = (small_gpu(), small_gpu());
+        a.obs.enable_events(8);
+        b.obs.enable_events(8);
+        let (pa, pb) = (a.alloc(4).unwrap(), b.alloc(4).unwrap());
+        let sa = a.h2d_at(pa, &[7, 8, 9, 10], SimTime(5));
+        let sb = b.h2d_fill_at(pb, SimTime(5), |w| w.copy_from_slice(&[7, 8, 9, 10]));
+        assert_eq!(sa, sb);
+        assert_eq!(a.mem.words(pa), b.mem.words(pb));
+        assert_eq!(a.xfer, b.xfer);
+        assert_eq!(a.obs.registry.snapshot(), b.obs.registry.snapshot());
+        assert_eq!(a.obs.events().unwrap().len(), b.obs.events().unwrap().len());
+    }
+
+    #[test]
     fn d2h_roundtrip() {
         let mut g = small_gpu();
         let p = g.alloc(3).unwrap();
@@ -444,7 +473,11 @@ mod tests {
         let p = g.alloc(8).unwrap();
         let decoded = [1u32, 2, 3, 4, 5, 6, 7, 8]; // 32 raw bytes
         let encoded = [9u8; 10]; // 10 wire bytes
-        let (copy, dec) = g.h2d_compressed_at(p, &decoded, &encoded, SimTime::ZERO);
+        let (copy, dec) = g.h2d_compressed_at(p, &encoded, SimTime::ZERO, |window| {
+            // the wire bytes landed first, then the decoder overwrites them
+            assert_eq!(window[0], u32::from_le_bytes([9; 4]));
+            window.copy_from_slice(&decoded);
+        });
         // payload accounting: logical bytes stay raw, wire bytes shrink
         assert_eq!(g.xfer.h2d_bytes, 32);
         assert_eq!(g.xfer.h2d_wire_bytes, 10);
@@ -464,7 +497,7 @@ mod tests {
         let p = g.alloc(8).unwrap();
         g.h2d(p, &[0; 8]); // raw: 32 payload == 32 wire
         let t = g.elapsed();
-        g.h2d_compressed_at(p, &[0; 8], &[0; 12], t);
+        g.h2d_compressed_at(p, &[0; 12], t, |window| window.fill(0));
         assert_eq!(g.xfer.h2d_bytes, 64);
         assert_eq!(g.xfer.h2d_wire_bytes, 44);
         assert_eq!(g.xfer.total_bytes(), 64);
@@ -481,7 +514,9 @@ mod tests {
         let mut g = small_gpu();
         g.obs.enable_events(64);
         let p = g.alloc(4).unwrap();
-        g.h2d_compressed_at(p, &[1, 2, 3, 4], &[7, 7, 7], SimTime::ZERO);
+        g.h2d_compressed_at(p, &[7, 7, 7], SimTime::ZERO, |window| {
+            window.copy_from_slice(&[1, 2, 3, 4])
+        });
         let events = g.obs.events().unwrap();
         assert!(events.iter().any(|e| e.event.kind() == "compressed_dma"));
     }

@@ -185,7 +185,7 @@ proptest! {
         for entries in batches {
             let total: u64 = entries.iter().map(|e| e.num_edges()).sum();
             let batch = gather(&g, entries);
-            prop_assert_eq!(batch.edges, total);
+            prop_assert_eq!(batch.batch().edges(), total);
             prop_assert_eq!(batch.words.len() as u64, total * g.words_per_edge() as u64);
         }
     }
