@@ -113,6 +113,7 @@ impl VertexProgram for MsBfsDistances {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &MsBfsDistancesState,
@@ -229,6 +230,7 @@ impl VertexProgram for MsSsspDistances {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &MsSsspDistancesState,

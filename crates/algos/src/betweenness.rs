@@ -95,6 +95,7 @@ impl VertexProgram for Betweenness {
 
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &BcState,

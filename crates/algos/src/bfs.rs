@@ -80,6 +80,7 @@ impl VertexProgram for Bfs {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &BfsState,
@@ -109,14 +110,12 @@ impl VertexProgram for Bfs {
     /// only ever improve `INF` vertices (level-synchronous proposals are
     /// `level + 1`, and every reached vertex already sits at or below
     /// that), so restricting the gather to them is exact.
-    fn pull_targets(&self, g: &Csr, _active: &Bitmap, state: &BfsState) -> Bitmap {
-        let mut b = Bitmap::new(g.num_vertices());
+    fn pull_targets_into(&self, _g: &Csr, _active: &Bitmap, state: &BfsState, out: &mut Bitmap) {
         for (v, d) in state.dist.iter().enumerate() {
             if d.load(Ordering::Relaxed) == INF_DIST {
-                b.set(v);
+                out.set(v);
             }
         }
-        b
     }
 
     /// Gather `min(frozen[parent] + 1)` over *all* active in-neighbors.

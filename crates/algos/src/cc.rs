@@ -73,6 +73,7 @@ impl VertexProgram for Cc {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &CcState,
@@ -98,14 +99,12 @@ impl VertexProgram for Cc {
 
     /// Pull candidates: every vertex whose label can still shrink. Label 0
     /// is the global floor, so vertices already there are exact to skip.
-    fn pull_targets(&self, g: &Csr, _active: &Bitmap, state: &CcState) -> Bitmap {
-        let mut b = Bitmap::new(g.num_vertices());
+    fn pull_targets_into(&self, _g: &Csr, _active: &Bitmap, state: &CcState, out: &mut Bitmap) {
         for (v, l) in state.label.iter().enumerate() {
             if l.load(Ordering::Relaxed) > 0 {
-                b.set(v);
+                out.set(v);
             }
         }
-        b
     }
 
     /// Gather the min frozen label over active in-neighbors. Early exit

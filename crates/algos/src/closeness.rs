@@ -128,6 +128,7 @@ impl VertexProgram for Closeness {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &ClosenessState,

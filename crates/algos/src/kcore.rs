@@ -82,6 +82,7 @@ impl VertexProgram for KCore {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         _src: VertexId,
         edges: EdgeSlice<'_>,
         state: &KCoreState,

@@ -141,6 +141,7 @@ impl VertexProgram for LabelPropagation {
     /// (their edges may still be delivered; the delta is empty).
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &LpState,

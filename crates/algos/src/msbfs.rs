@@ -81,6 +81,7 @@ impl VertexProgram for MsBfs {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &MsBfsState,

@@ -9,14 +9,15 @@
 //!
 //! * [`compute`] — per-vertex map over the frozen active set, run once per
 //!   iteration on the orchestration thread;
-//! * [`advance`] / [`advance_pull`] + [`pull_frontier`] — edge expansion of
+//! * [`advance`] / [`advance_pull`] + [`pull_frontier_into`] — edge expansion of
 //!   one vertex's row (or a piece of it), push or pull, single- or
 //!   multi-lane (lanes live inside the program's state, as in MS-BFS);
 //! * [`filter`] — frontier compaction through the program's retain
 //!   predicate;
 //! * [`NextFrontier`] — the recycled next-frontier buffers a driver loop
 //!   carries across iterations (concurrent write side, one snapshot per
-//!   iteration, filter, swap);
+//!   iteration, filter, swap) — and the one place the program's `settle`
+//!   hook runs, so no driver can read a frontier ahead of it;
 //! * [`advance_all`] / [`advance_all_into`] — whole-frontier push advance
 //!   over a host CSR, the composition the in-memory oracle uses;
 //! * [`phase_transition`] — the multi-phase handshake, consulted when a
@@ -43,29 +44,38 @@ pub fn compute<P: VertexProgram>(prog: &P, iteration: u32, active: &Bitmap, stat
 
 /// Run the push *advance* operator over (a piece of) one active vertex's
 /// out-edges. Engines may deliver a row in several pieces, but each edge
-/// exactly once per iteration.
+/// exactly once per iteration. `lane` is the worker index
+/// [`parallel_for_work`] handed the calling body — pass it through as is
+/// (`0` from a serial loop).
 #[inline]
 pub fn advance<P: VertexProgram>(
     prog: &P,
+    lane: usize,
     src: VertexId,
     edges: EdgeSlice<'_>,
     state: &P::State,
     next: &AtomicBitmap,
 ) {
-    prog.advance_push(src, edges, state, next);
+    prog.advance_push(lane, src, edges, state, next);
 }
 
 /// The candidate set a pull iteration must gather into, given the frozen
-/// `active` frontier. Only meaningful when the program's
+/// `active` frontier, written into the caller's recycled `out` (whatever
+/// it held or however long it was). Only meaningful when the program's
 /// [`crate::Capabilities::pull`] is on.
-#[inline]
-pub fn pull_frontier<P: VertexProgram>(
+pub fn pull_frontier_into<P: VertexProgram>(
     prog: &P,
     g: &Csr,
     active: &Bitmap,
     state: &P::State,
-) -> Bitmap {
-    prog.pull_targets(g, active, state)
+    out: &mut Bitmap,
+) {
+    if out.len() == g.num_vertices() {
+        out.clear_all();
+    } else {
+        *out = Bitmap::new(g.num_vertices());
+    }
+    prog.pull_targets_into(g, active, state, out);
 }
 
 /// Run the pull *advance* operator over (a piece of) one candidate
@@ -105,6 +115,11 @@ pub fn filter<P: VertexProgram>(prog: &P, frontier: &mut Bitmap, state: &P::Stat
 /// [`NextFrontier::snapshot`] (prefetch planning, direction choice), and
 /// closes with [`NextFrontier::finish`]. However those are mixed, the
 /// bitmap is copied out **once** per hand-out of the writer.
+///
+/// This is also the one seam every driver reads the frontier through, so
+/// it is where the program's [`VertexProgram::settle`] hook runs: before
+/// each copy-out, never anywhere else. A driver cannot observe a frontier
+/// that is missing activations still parked in a lane.
 pub struct NextFrontier {
     bits: AtomicBitmap,
     snap: Bitmap,
@@ -133,11 +148,13 @@ impl NextFrontier {
         &self.bits
     }
 
-    /// The next frontier as written so far, unfiltered. Copies the bits
-    /// out on the first call after a [`NextFrontier::writer`] hand-out and
-    /// returns the same copy until the next one.
-    pub fn snapshot(&mut self) -> &Bitmap {
+    /// The next frontier as written so far, unfiltered. Settles the
+    /// program's deferred updates and copies the bits out on the first
+    /// call after a [`NextFrontier::writer`] hand-out, and returns the same
+    /// copy until the next one.
+    pub fn snapshot<P: VertexProgram>(&mut self, prog: &P, state: &P::State) -> &Bitmap {
         if !self.snapped {
+            prog.settle(state, &self.bits);
             self.bits.snapshot_into(&mut self.snap);
             self.snapped = true;
             self.snapshots += 1;
@@ -149,7 +166,7 @@ impl NextFrontier {
     /// whose old buffer is kept for the next snapshot, and the write side
     /// is cleared for the next iteration.
     pub fn finish<P: VertexProgram>(&mut self, prog: &P, state: &P::State, active: &mut Bitmap) {
-        self.snapshot();
+        self.snapshot(prog, state);
         self.bits.clear_all();
         self.snapped = false;
         filter(prog, &mut self.snap, state);
@@ -208,12 +225,12 @@ pub fn advance_all_into<P: VertexProgram>(
     let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
     let weights_all = g.weights();
     let bits = next.writer();
-    parallel_for_work(nodes.len(), active_edges, |i| {
+    parallel_for_work(nodes.len(), active_edges, |lane, i| {
         let v = nodes[i];
         let r = g.edge_range(v);
         let (s, e) = (r.start as usize, r.end as usize);
         let slice = EdgeSlice::split(&g.targets()[s..e], weights_all.map(|w| &w[s..e]));
-        advance(prog, v, slice, state, bits);
+        advance(prog, lane, v, slice, state, bits);
     });
     next.finish(prog, state, active);
     active_edges
@@ -262,6 +279,7 @@ mod tests {
         }
         fn advance_push(
             &self,
+            _lane: usize,
             _src: VertexId,
             edges: EdgeSlice<'_>,
             state: &Self::State,
@@ -320,12 +338,15 @@ mod tests {
         let mut next = NextFrontier::new(g.num_vertices());
         next.writer().set(7);
         next.writer().set(4_999);
-        assert_eq!(next.snapshot().to_indices(), vec![7, 4_999]);
-        assert_eq!(next.snapshot().to_indices(), vec![7, 4_999]);
+        assert_eq!(next.snapshot(&prog, &state).to_indices(), vec![7, 4_999]);
+        assert_eq!(next.snapshot(&prog, &state).to_indices(), vec![7, 4_999]);
         assert_eq!(next.snapshots_taken(), 1, "a second look reuses the copy");
         // a later writer (the next fleet shard) invalidates the copy
         next.writer().set(64);
-        assert_eq!(next.snapshot().to_indices(), vec![7, 64, 4_999]);
+        assert_eq!(
+            next.snapshot(&prog, &state).to_indices(),
+            vec![7, 64, 4_999]
+        );
         next.finish(&prog, &state, &mut active);
         assert_eq!(next.snapshots_taken(), 2, "finish reuses the last copy");
         assert_eq!(active.to_indices(), vec![7, 64, 4_999]);
@@ -352,6 +373,32 @@ mod tests {
             assert_eq!((e1, &one_shot), (e2, &recycled), "iteration {iter}");
         }
         assert_eq!(prog.output(&s1), prog.output(&s2));
+    }
+
+    #[test]
+    fn pull_frontier_into_overwrites_whatever_the_buffer_held() {
+        let g = uniform_graph(5_000, 20_000, false, 4);
+        let bfs = crate::Bfs::new(0);
+        let state = bfs.new_state(&g);
+        let mut active = bfs.initial_frontier(&g);
+        for iter in 0..3 {
+            active = advance_all(&bfs, &g, iter, &active, &state).0;
+        }
+        let mut fresh = Bitmap::new(g.num_vertices());
+        bfs.pull_targets_into(&g, &active, &state, &mut fresh);
+        assert!(!fresh.is_all_zero() && fresh.count_ones() < g.num_vertices());
+        // first use (wrong length), then reuse over stale all-ones content
+        let mut recycled = Bitmap::new(0);
+        pull_frontier_into(&bfs, &g, &active, &state, &mut recycled);
+        assert_eq!(recycled, fresh);
+        recycled.set_all();
+        pull_frontier_into(&bfs, &g, &active, &state, &mut recycled);
+        assert_eq!(recycled, fresh);
+        assert_eq!(recycled.to_indices(), fresh.to_indices(), "summary intact");
+        // PR gathers into every vertex
+        let pr = crate::PageRank::new();
+        pull_frontier_into(&pr, &g, &active, &pr.new_state(&g), &mut recycled);
+        assert_eq!(recycled, Bitmap::ones(g.num_vertices()));
     }
 
     #[test]

@@ -17,14 +17,28 @@
 //! without redistribution, the convention Subway-style push systems use.
 //!
 //! **Determinism**: residual/rank arithmetic is 2⁻⁴⁰ fixed-point in
-//! `AtomicU64`. Integer atomic adds commute exactly, so results and
-//! activation sets are bit-identical regardless of thread interleaving —
-//! floats would make frontier sizes (and thus simulated times) racy.
+//! `AtomicU64`. Integer adds commute and associate exactly, so a vertex's
+//! residual after an iteration is the same number wherever its
+//! contributions were summed on the way — and that is what lets the push
+//! scatter skip the shared array altogether: each worker accumulates into
+//! a private *lane* of per-vertex deltas (a plain load and store per edge,
+//! no locked read-modify-write, no cache line shared between cores), and
+//! [`VertexProgram::settle`] folds the lanes into `residual` once, at the
+//! frontier seam. Activation is decided there, on the settled sum: a
+//! vertex joins the next frontier iff its residual went from below `ε` to
+//! at or above it over the iteration. Residuals only grow between two
+//! claims, so exactly one increment — a settle, or a direct add on one of
+//! the paths that bypass the lanes — observes the crossing, whichever
+//! order the increments land in. Results and activation sets are therefore
+//! bit-identical regardless of thread count, interleaving, or how the
+//! contributions were split over lanes; floats would make frontier sizes
+//! (and thus simulated times) racy.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use ascetic_graph::{Csr, GraphPatch, VertexId};
-use ascetic_par::{AtomicBitmap, Bitmap};
+use ascetic_par::{current_num_threads, parallel_for_work, AtomicBitmap, Bitmap};
 
 use crate::incremental::RepairPlan;
 use crate::traits::{AlgoOutput, Capabilities, EdgeSlice, VertexProgram};
@@ -86,6 +100,157 @@ pub struct PrState {
     damping_fx: u64,
     /// Activation threshold in 2^-40 units.
     eps_fx: u64,
+    /// One residual-delta lane per worker the run was sized for, each
+    /// allocated the first time its worker scatters (a 1-thread or
+    /// all-inline run pays for one). A worker index past the end — the
+    /// thread count was raised mid-run — scatters straight into `residual`.
+    lanes: Vec<OnceLock<Lane>>,
+}
+
+/// Vertices per dirty flag: 64 deltas, eight cache lines.
+const BLOCK: usize = 64;
+/// Vertices per [`DirtyLine`] — the unit `settle` is split by.
+const GROUP: usize = BLOCK * 64;
+
+/// One cache line of dirty flags, aligned so that no line is ever shared
+/// with another lane's flags (or anything else another core writes): the
+/// scatter stores a flag per edge, and a shared line would bounce on
+/// every one of them.
+#[repr(align(64))]
+struct DirtyLine([AtomicBool; GROUP / BLOCK]);
+
+/// One worker's pending residual mass. Between two settles only the worker
+/// holding the lane touches it ([`parallel_for_work`]'s lane contract), so
+/// every access is a plain load or store; the atomics are there for
+/// `Sync`, not for ordering.
+struct Lane {
+    /// Un-settled contributions per vertex, 2^-40 units.
+    delta: Vec<AtomicU64>,
+    /// One flag per [`BLOCK`] of `delta` that may hold a non-zero entry, so
+    /// a settle folds what the iteration scattered to, not |V|.
+    dirty: Vec<DirtyLine>,
+}
+
+impl Lane {
+    fn new(n: usize) -> Lane {
+        Lane {
+            delta: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            dirty: (0..n.div_ceil(GROUP))
+                .map(|_| DirtyLine(std::array::from_fn(|_| AtomicBool::new(false))))
+                .collect(),
+        }
+    }
+
+    /// The flag covering `delta[block * BLOCK..][..BLOCK]`.
+    #[inline]
+    fn dirty_flag(&self, block: usize) -> &AtomicBool {
+        const LINE: usize = GROUP / BLOCK;
+        &self.dirty[block / LINE].0[block % LINE]
+    }
+
+    /// Park `contrib` for every target of `edges`.
+    #[inline]
+    fn scatter(&self, edges: EdgeSlice<'_>, contrib: u64) {
+        edges.for_each_target(|t| {
+            let t = t as usize;
+            let d = &self.delta[t];
+            d.store(d.load(Ordering::Relaxed) + contrib, Ordering::Relaxed);
+            self.dirty_flag(t / BLOCK).store(true, Ordering::Relaxed);
+        });
+    }
+}
+
+impl PrState {
+    fn live_lanes(&self) -> impl Iterator<Item = &Lane> {
+        self.lanes.iter().filter_map(OnceLock::get)
+    }
+
+    /// Blocks of deltas, over all lanes, waiting for a settle.
+    fn parked_blocks(&self) -> usize {
+        self.live_lanes()
+            .flat_map(|l| &l.dirty)
+            .flat_map(|line| &line.0)
+            .filter(|flag| flag.load(Ordering::Relaxed))
+            .count()
+    }
+
+    /// Add `amount` to `v`'s residual while other threads may be adding to
+    /// it too (one locked RMW), activating `v` iff this increment is the
+    /// one that crosses `ε`.
+    #[inline]
+    fn deposit(&self, v: usize, amount: u64, next: &AtomicBitmap) {
+        let old = self.residual[v].fetch_add(amount, Ordering::Relaxed);
+        self.activate_on_crossing(v, old, amount, next);
+    }
+
+    /// Exactly-once activation: residuals only grow between claims, so of
+    /// all the increments a vertex receives one at most sees `old` below
+    /// the threshold and `old + amount` at or above it.
+    #[inline]
+    fn activate_on_crossing(&self, v: usize, old: u64, amount: u64, next: &AtomicBitmap) {
+        if old < self.eps_fx && old + amount >= self.eps_fx {
+            next.set(v);
+        }
+    }
+
+    /// Fold every lane's deltas for the vertices of dirty line `group`
+    /// into `residual`, leaving those deltas and flags clear.
+    fn settle_group(&self, group: usize, next: &AtomicBitmap) {
+        let n = self.residual.len();
+        for base in (group * GROUP..n.min((group + 1) * GROUP)).step_by(BLOCK) {
+            let block = base / BLOCK;
+            if !self
+                .live_lanes()
+                .any(|l| l.dirty_flag(block).load(Ordering::Relaxed))
+            {
+                continue;
+            }
+            let len = BLOCK.min(n - base);
+            let mut sums = [0u64; BLOCK];
+            for lane in self.live_lanes() {
+                if !lane.dirty_flag(block).load(Ordering::Relaxed) {
+                    continue;
+                }
+                lane.dirty_flag(block).store(false, Ordering::Relaxed);
+                for (sum, d) in sums.iter_mut().zip(&lane.delta[base..base + len]) {
+                    let parked = d.load(Ordering::Relaxed);
+                    if parked != 0 {
+                        d.store(0, Ordering::Relaxed);
+                        *sum += parked;
+                    }
+                }
+            }
+            // this work item owns the group's vertices and no advance is
+            // in flight: the add is a plain load and store
+            for (j, &sum) in sums[..len].iter().enumerate() {
+                if sum != 0 {
+                    let (v, r) = (base + j, &self.residual[base + j]);
+                    let old = r.load(Ordering::Relaxed);
+                    r.store(old + sum, Ordering::Relaxed);
+                    self.activate_on_crossing(v, old, sum, next);
+                }
+            }
+        }
+    }
+}
+
+impl PageRank {
+    /// [`VertexProgram::new_state`] with an explicit lane count (`0` sends
+    /// every scatter down the shared `fetch_add` path).
+    fn new_state_with_lanes(&self, g: &Csr, lanes: usize) -> PrState {
+        let n = g.num_vertices().max(1);
+        let init_residual = ((1.0 - self.damping) / n as f64 * SCALE as f64) as u64;
+        let eps_fx = ((init_residual as f64 * self.eps_frac) as u64).max(1);
+        PrState {
+            rank: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            residual: (0..n).map(|_| AtomicU64::new(init_residual)).collect(),
+            claimed: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            degree: (0..n as VertexId).map(|v| g.degree(v) as u32).collect(),
+            damping_fx: (self.damping * SCALE as f64) as u64,
+            eps_fx,
+            lanes: (0..lanes).map(|_| OnceLock::new()).collect(),
+        }
+    }
 }
 
 impl VertexProgram for PageRank {
@@ -104,17 +269,7 @@ impl VertexProgram for PageRank {
     }
 
     fn new_state(&self, g: &Csr) -> PrState {
-        let n = g.num_vertices().max(1);
-        let init_residual = ((1.0 - self.damping) / n as f64 * SCALE as f64) as u64;
-        let eps_fx = ((init_residual as f64 * self.eps_frac) as u64).max(1);
-        PrState {
-            rank: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            residual: (0..n).map(|_| AtomicU64::new(init_residual)).collect(),
-            claimed: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            degree: (0..n as VertexId).map(|v| g.degree(v) as u32).collect(),
-            damping_fx: (self.damping * SCALE as f64) as u64,
-            eps_fx,
-        }
+        self.new_state_with_lanes(g, current_num_threads())
     }
 
     fn initial_frontier(&self, g: &Csr) -> Bitmap {
@@ -122,6 +277,12 @@ impl VertexProgram for PageRank {
     }
 
     fn compute(&self, _iteration: u32, active: &Bitmap, state: &PrState) {
+        // settle-before-read: a claim that ran ahead of a settle would miss
+        // the mass still parked, and the activation it carries
+        debug_assert!(
+            state.parked_blocks() == 0,
+            "PR residuals claimed with un-settled lanes"
+        );
         for v in active.iter_ones() {
             let r = state.residual[v].swap(0, Ordering::Relaxed);
             state.rank[v].fetch_add(r, Ordering::Relaxed);
@@ -132,6 +293,7 @@ impl VertexProgram for PageRank {
     #[inline]
     fn advance_push(
         &self,
+        lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &PrState,
@@ -147,24 +309,40 @@ impl VertexProgram for PageRank {
         if contrib == 0 {
             return;
         }
-        let eps = state.eps_fx;
-        for (t, _w) in edges.iter() {
-            let old = state.residual[t as usize].fetch_add(contrib, Ordering::Relaxed);
-            // exactly-once activation on crossing the threshold
-            if old < eps && old + contrib >= eps {
-                next.set(t as usize);
-            }
+        match state.lanes.get(lane) {
+            Some(slot) => slot
+                .get_or_init(|| Lane::new(state.residual.len()))
+                .scatter(edges, contrib),
+            // no lane for this worker: add in place, one locked RMW per edge
+            None => edges.for_each_target(|t| state.deposit(t as usize, contrib, next)),
         }
     }
 
+    /// Fold the lanes into `residual`, one line of dirty flags (4096
+    /// vertices) per work item, so no two workers ever own the same vertex.
+    fn settle(&self, state: &PrState, next: &AtomicBitmap) {
+        let parked = state.parked_blocks();
+        if parked == 0 {
+            return;
+        }
+        let groups = state.residual.len().div_ceil(GROUP);
+        parallel_for_work(groups, (parked * BLOCK) as u64, |_, group| {
+            state.settle_group(group, next)
+        });
+    }
+
     fn output(&self, state: &PrState) -> AlgoOutput {
-        // rank plus any unconsumed residual, back to f64
-        let ranks = state
-            .rank
-            .iter()
-            .zip(&state.residual)
-            .map(|(r, q)| {
-                (r.load(Ordering::Relaxed) + q.load(Ordering::Relaxed)) as f64 / SCALE as f64
+        // rank plus any unconsumed residual (settled or, should a driver
+        // have stopped short of a settle, still parked), back to f64
+        let ranks = (0..state.rank.len())
+            .map(|v| {
+                let parked: u64 = state
+                    .live_lanes()
+                    .map(|l| l.delta[v].load(Ordering::Relaxed))
+                    .sum();
+                let settled = state.rank[v].load(Ordering::Relaxed)
+                    + state.residual[v].load(Ordering::Relaxed);
+                (settled + parked) as f64 / SCALE as f64
             })
             .collect();
         AlgoOutput::Ranks(ranks)
@@ -179,8 +357,8 @@ impl VertexProgram for PageRank {
     /// of `V`. (That makes pull demand ≈ |E| — the session's density
     /// heuristic only picks it when the push frontier is at least that
     /// expensive.)
-    fn pull_targets(&self, g: &Csr, _active: &Bitmap, _state: &PrState) -> Bitmap {
-        Bitmap::ones(g.num_vertices())
+    fn pull_targets_into(&self, _g: &Csr, _active: &Bitmap, _state: &PrState, out: &mut Bitmap) {
+        out.set_all();
     }
 
     /// Sum the fixed-point contributions of active in-neighbors and apply
@@ -208,10 +386,7 @@ impl VertexProgram for PageRank {
             }
         }
         if total > 0 {
-            let old = state.residual[v as usize].fetch_add(total, Ordering::Relaxed);
-            if old < state.eps_fx && old + total >= state.eps_fx {
-                next.set(v as usize);
-            }
+            state.deposit(v as usize, total, next);
         }
         in_edges.len() as u64
     }
@@ -346,5 +521,225 @@ mod tests {
     #[should_panic(expected = "eps_frac")]
     fn rejects_bad_eps() {
         PageRank::new().with_eps_frac(0.0);
+    }
+
+    // ---- lane-private scatter -------------------------------------------
+
+    use crate::ops::{self, NextFrontier};
+    use ascetic_par::set_num_threads;
+    use std::sync::Mutex;
+
+    /// `set_num_threads` is process-global; the lane tests need the count
+    /// they asked for while they run.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    /// Run `f` at `threads` host threads, restoring the default after.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let _g = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(threads);
+        let out = f();
+        set_num_threads(0);
+        out
+    }
+
+    /// Every leaf points at vertex 0: all edges hit one target.
+    fn star(leaves: u32) -> Csr {
+        let mut b = GraphBuilder::new(leaves as usize + 1);
+        for v in 1..=leaves {
+            b.add_edge(v, 0);
+            b.add_edge(0, v);
+        }
+        b.build()
+    }
+
+    fn rmat() -> Csr {
+        rmat_graph(&RmatConfig::new(12, 60_000, 17).undirected(true))
+    }
+
+    fn words(v: &[AtomicU64]) -> Vec<u64> {
+        v.iter().map(|x| x.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The push advance of `nodes`' rows as one dispatched job — what every
+    /// engine runs between `writer()` and the next look at the frontier.
+    fn push_rows(g: &Csr, nodes: &[VertexId], state: &PrState, next: &AtomicBitmap) {
+        let edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
+        parallel_for_work(nodes.len(), edges, |lane, i| {
+            let r = g.edge_range(nodes[i]);
+            let row = &g.targets()[r.start as usize..r.end as usize];
+            ops::advance(
+                &PageRank::new(),
+                lane,
+                nodes[i],
+                EdgeSlice::split(row, None),
+                state,
+                next,
+            );
+        });
+    }
+
+    /// Step `laned` and the all-`fetch_add` oracle (a state with no lanes)
+    /// side by side to convergence; every iteration must leave the same
+    /// frontier, residuals and ranks behind, bit for bit.
+    fn assert_lockstep_with_fetch_add_oracle(g: &Csr, laned: PrState) {
+        let pr = PageRank::new();
+        let oracle = pr.new_state_with_lanes(g, 0);
+        let (mut fa, mut fb) = (pr.initial_frontier(g), pr.initial_frontier(g));
+        let (mut na, mut nb) = (
+            NextFrontier::new(g.num_vertices()),
+            NextFrontier::new(g.num_vertices()),
+        );
+        let mut nodes = Vec::new();
+        let mut iters = 0;
+        while !fa.is_all_zero() {
+            let ea = ops::advance_all_into(&pr, g, iters, &mut fa, &laned, &mut na, &mut nodes);
+            let eb = ops::advance_all_into(&pr, g, iters, &mut fb, &oracle, &mut nb, &mut nodes);
+            assert_eq!((ea, &fa), (eb, &fb), "activation set, iteration {iters}");
+            assert_eq!(
+                words(&laned.residual),
+                words(&oracle.residual),
+                "residuals, iteration {iters}"
+            );
+            assert_eq!(
+                words(&laned.rank),
+                words(&oracle.rank),
+                "ranks, iteration {iters}"
+            );
+            iters += 1;
+        }
+        assert!(iters > 3, "ran {iters} iterations");
+        assert!(
+            oracle.live_lanes().next().is_none(),
+            "the oracle must not grow lanes"
+        );
+        assert_eq!(pr.output(&laned), pr.output(&oracle));
+    }
+
+    #[test]
+    fn eight_lanes_match_the_fetch_add_oracle_bit_for_bit() {
+        for g in [star(40_000), rmat()] {
+            at_threads(8, || {
+                let laned = PageRank::new().new_state(&g);
+                assert_eq!(laned.lanes.len(), 8);
+                assert_lockstep_with_fetch_add_oracle(&g, laned);
+            });
+        }
+    }
+
+    #[test]
+    fn workers_past_the_allocated_lanes_fall_back_to_fetch_add() {
+        let g = rmat();
+        // sized for one worker, advanced by eight: workers 1..8 have no lane
+        let narrow = at_threads(1, || PageRank::new().new_state(&g));
+        assert_eq!(narrow.lanes.len(), 1);
+        at_threads(8, || assert_lockstep_with_fetch_add_oracle(&g, narrow));
+    }
+
+    #[test]
+    fn a_one_thread_run_allocates_one_lane() {
+        let g = rmat();
+        at_threads(1, || {
+            let pr = PageRank::new();
+            let state = pr.new_state(&g);
+            let active = pr.initial_frontier(&g);
+            crate::run_in_memory_from(&g, &pr, &state, active);
+            assert_eq!(state.live_lanes().count(), 1);
+        });
+    }
+
+    #[test]
+    fn settling_twice_is_settling_once() {
+        let g = rmat();
+        at_threads(8, || {
+            let pr = PageRank::new();
+            let state = pr.new_state(&g);
+            let active = pr.initial_frontier(&g);
+            ops::compute(&pr, 0, &active, &state);
+            let next = AtomicBitmap::new(g.num_vertices());
+            push_rows(&g, &active.to_indices(), &state, &next);
+            assert!(
+                state.parked_blocks() > 0,
+                "the scatter must have parked mass"
+            );
+            pr.settle(&state, &next);
+            assert_eq!(state.parked_blocks(), 0);
+            let once = (words(&state.residual), next.snapshot());
+            pr.settle(&state, &next);
+            assert_eq!((words(&state.residual), next.snapshot()), once);
+        });
+    }
+
+    #[test]
+    fn each_shard_round_sees_its_predecessors_activations() {
+        // a fleet's shards advance their slice of the frontier one after
+        // another through one NextFrontier, each looking at it in between
+        let g = rmat();
+        at_threads(8, || {
+            let pr = PageRank::new();
+            let (laned, oracle) = (pr.new_state(&g), pr.new_state_with_lanes(&g, 0));
+            let mut active = pr.initial_frontier(&g);
+            let (mut na, mut nb) = (
+                NextFrontier::new(g.num_vertices()),
+                NextFrontier::new(g.num_vertices()),
+            );
+            for iter in 0..4 {
+                ops::compute(&pr, iter, &active, &laned);
+                ops::compute(&pr, iter, &active, &oracle);
+                let nodes = active.to_indices();
+                let mut seen = 0;
+                for shard in nodes.chunks(nodes.len().div_ceil(3).max(1)) {
+                    push_rows(&g, shard, &laned, na.writer());
+                    push_rows(&g, shard, &oracle, nb.writer());
+                    let (a, b) = (na.snapshot(&pr, &laned), nb.snapshot(&pr, &oracle));
+                    assert_eq!(a, b, "iteration {iter}: shard round diverged");
+                    assert!(a.count_ones() >= seen, "activations are never lost");
+                    seen = a.count_ones();
+                }
+                let mut fb = active.clone();
+                na.finish(&pr, &laned, &mut active);
+                nb.finish(&pr, &oracle, &mut fb);
+                assert_eq!(active, fb);
+                assert_eq!(words(&laned.residual), words(&oracle.residual));
+            }
+        });
+    }
+
+    #[test]
+    fn output_counts_mass_still_parked_in_a_lane() {
+        let g = rmat();
+        at_threads(2, || {
+            let pr = PageRank::new();
+            let state = pr.new_state(&g);
+            let active = pr.initial_frontier(&g);
+            ops::compute(&pr, 0, &active, &state);
+            let next = AtomicBitmap::new(g.num_vertices());
+            push_rows(&g, &active.to_indices(), &state, &next);
+            let parked = pr.output(&state);
+            assert!(state.parked_blocks() > 0);
+            pr.settle(&state, &next);
+            assert_eq!(
+                parked,
+                pr.output(&state),
+                "settling moves mass, never changes it"
+            );
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "un-settled lanes")]
+    fn claiming_ahead_of_a_settle_is_caught_in_debug_builds() {
+        let g = star(64);
+        let pr = PageRank::new();
+        let state = pr.new_state_with_lanes(&g, 1);
+        let active = pr.initial_frontier(&g);
+        ops::compute(&pr, 0, &active, &state);
+        let next = AtomicBitmap::new(g.num_vertices());
+        for v in active.iter_ones() {
+            let r = g.edge_range(v as VertexId);
+            let row = &g.targets()[r.start as usize..r.end as usize];
+            pr.advance_push(0, v as VertexId, EdgeSlice::split(row, None), &state, &next);
+        }
+        ops::compute(&pr, 1, &active, &state); // no settle in between
     }
 }

@@ -233,6 +233,12 @@ impl ProgramOpts {
 
 /// A runtime-chosen program: closed enum over every registered algorithm,
 /// delegating [`VertexProgram`] to the wrapped concrete program.
+///
+/// The delegation is by hand, and a default-bodied trait hook that is not
+/// forwarded here still compiles — the wrapped program's override is then
+/// silently dropped. Every hook added to [`VertexProgram`] must be forwarded
+/// below; `any_program_matches_concrete_program` runs every registered
+/// algorithm both ways to catch one that is not.
 #[allow(missing_docs)] // variants mirror `Algo` one-to-one
 pub enum AnyProgram {
     Bfs(Bfs),
@@ -332,16 +338,21 @@ impl VertexProgram for AnyProgram {
 
     fn advance_push(
         &self,
+        lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &AnyState,
         next: &AtomicBitmap,
     ) {
-        each_with_state!(self, state, p, s => p.advance_push(src, edges, s, next))
+        each_with_state!(self, state, p, s => p.advance_push(lane, src, edges, s, next))
     }
 
-    fn pull_targets(&self, g: &Csr, active: &Bitmap, state: &AnyState) -> Bitmap {
-        each_with_state!(self, state, p, s => p.pull_targets(g, active, s))
+    fn settle(&self, state: &AnyState, next: &AtomicBitmap) {
+        each_with_state!(self, state, p, s => p.settle(s, next))
+    }
+
+    fn pull_targets_into(&self, g: &Csr, active: &Bitmap, state: &AnyState, out: &mut Bitmap) {
+        each_with_state!(self, state, p, s => p.pull_targets_into(g, active, s, out))
     }
 
     fn advance_pull(
@@ -387,6 +398,8 @@ impl VertexProgram for AnyProgram {
 mod tests {
     use super::*;
     use crate::inmemory::run_in_memory;
+    use crate::reference::pagerank_reference;
+    use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::uniform_graph;
 
     #[test]
@@ -418,17 +431,55 @@ mod tests {
         }
     }
 
+    /// Every registered algorithm, erased and concrete, must run the same
+    /// run: same answer, same iteration count, same edges per iteration. A
+    /// trait hook that [`AnyProgram`] fails to forward shows up here (PR
+    /// without its `settle` stops after one iteration).
     #[test]
     fn any_program_matches_concrete_program() {
-        let g = uniform_graph(300, 2_400, false, 5);
-        let erased = run_in_memory(&g, &Algo::Bfs.program(&ProgramOpts::from_source(1)));
-        let concrete = run_in_memory(&g, &crate::bfs::Bfs::new(1));
-        assert_eq!(erased.output, concrete.output);
-        assert_eq!(erased.iterations, concrete.iterations);
+        use crate::inmemory::InMemoryResult;
+        let g = uniform_graph(300, 2_400, true, 5);
+        let wg = weighted_variant(&g);
+        let opts = ProgramOpts {
+            source: 1,
+            sources: vec![0, 7, 150],
+            k: 14, // mean degree is 16: peels over several rounds
+        };
+        let concrete = |a: Algo| -> InMemoryResult {
+            let sources = opts.sources.clone();
+            match a {
+                Algo::Bfs => run_in_memory(&g, &Bfs::new(opts.source)),
+                Algo::Sssp => run_in_memory(&wg, &Sssp::new(opts.source)),
+                Algo::Cc => run_in_memory(&g, &Cc::new()),
+                Algo::Pr => run_in_memory(&g, &PageRank::new()),
+                Algo::KCore => run_in_memory(&g, &KCore::new(opts.k)),
+                Algo::MsBfs => run_in_memory(&g, &MsBfs::new(sources)),
+                Algo::Closeness => run_in_memory(&g, &Closeness::new(sources)),
+                Algo::Lp => run_in_memory(&g, &LabelPropagation::new()),
+                Algo::Bc => run_in_memory(&g, &Betweenness::new(opts.source)),
+            }
+        };
+        for a in Algo::ALL {
+            let erased = run_in_memory(if a.weighted() { &wg } else { &g }, &a.program(&opts));
+            let concrete = concrete(a);
+            assert_eq!(erased.output, concrete.output, "{a}: output");
+            assert_eq!(erased.iterations, concrete.iterations, "{a}: iterations");
+            assert_eq!(erased.log, concrete.log, "{a}: per-iteration activity");
+            assert!(
+                erased.iterations > 1,
+                "{a}: a one-iteration run proves nothing"
+            );
+        }
+    }
 
-        let erased = run_in_memory(&g, &Algo::Bc.program(&ProgramOpts::from_source(1)));
-        let concrete = run_in_memory(&g, &Betweenness::new(1));
-        assert_eq!(erased.output, concrete.output);
+    /// The erased PR against an oracle that shares no code with it.
+    #[test]
+    fn erased_pagerank_matches_the_power_iteration_reference() {
+        let g = uniform_graph(300, 2_400, false, 5);
+        let pr = AnyProgram::Pr(PageRank::new().with_eps_frac(1e-6));
+        let expect = AlgoOutput::Ranks(pagerank_reference(&g, 0.85, 1e-12, 10_000));
+        let got = run_in_memory(&g, &pr).output;
+        assert_eq!(got.first_mismatch(&expect, 1e-6), None);
     }
 
     #[test]

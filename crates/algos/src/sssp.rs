@@ -77,6 +77,7 @@ impl VertexProgram for Sssp {
     #[inline]
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &SsspState,

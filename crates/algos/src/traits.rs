@@ -3,7 +3,7 @@
 //! Every out-of-core system in this workspace (PT, UVM, Subway, Ascetic)
 //! executes the same programs through this trait. A program declares
 //! *functors* — a push [`VertexProgram::advance_push`], an optional pull
-//! gather ([`VertexProgram::pull_targets`] /
+//! gather ([`VertexProgram::pull_targets_into`] /
 //! [`VertexProgram::advance_pull`]), a per-iteration
 //! [`VertexProgram::compute`] map, a [`VertexProgram::retain`] filter
 //! predicate and an optional [`VertexProgram::next_phase`] transition —
@@ -120,6 +120,24 @@ impl<'a> EdgeSlice<'a> {
         match self {
             EdgeSlice::Packed { weighted, .. } => *weighted,
             EdgeSlice::Split { weights, .. } => weights.is_some(),
+        }
+    }
+
+    /// Call `f` with every edge's target, weights ignored. The layout is
+    /// matched once, outside the loop — [`EdgeSlice::iter`] matches per
+    /// item, which the optimizer does not always hoist out of a hot scatter.
+    #[inline]
+    pub fn for_each_target(&self, mut f: impl FnMut(VertexId)) {
+        match *self {
+            EdgeSlice::Packed {
+                words: targets,
+                weighted: false,
+            }
+            | EdgeSlice::Split { targets, .. } => targets.iter().for_each(|&t| f(t)),
+            EdgeSlice::Packed {
+                words,
+                weighted: true,
+            } => words.chunks_exact(2).for_each(|e| f(e[0])),
         }
     }
 
@@ -335,7 +353,7 @@ pub struct Capabilities {
     /// SSSP). Engines assert the graph variant matches.
     pub weights: bool,
     /// The program has an exact pull-mode gather
-    /// ([`VertexProgram::pull_targets`] / [`VertexProgram::advance_pull`])
+    /// ([`VertexProgram::pull_targets_into`] / [`VertexProgram::advance_pull`])
     /// and may be scheduled pull or adaptive.
     pub pull: bool,
     /// Same-kind single-source queries can be fused into one multi-lane
@@ -496,23 +514,30 @@ pub trait VertexProgram: Sync {
 
     /// Push *advance* functor: process (a piece of) the out-edges of
     /// active vertex `src`, pushing updates into `state` and activating
-    /// vertices in `next`.
+    /// vertices in `next`. `lane` is the index of the worker running this
+    /// call, unique among the calls in flight at any moment
+    /// ([`ascetic_par::parallel_for_work`]'s lane contract): a program may
+    /// accumulate into per-lane state without synchronization, provided it
+    /// folds the lanes back in [`VertexProgram::settle`]. Most programs
+    /// ignore it.
     fn advance_push(
         &self,
+        lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &Self::State,
         next: &AtomicBitmap,
     );
 
-    /// The set of vertices whose in-edge rows a pull iteration must scan,
-    /// given the frozen `active` frontier. BFS/CC pull over the still
-    /// unconverged vertices; PR's gather touches every vertex. Never
-    /// called when [`Capabilities::pull`] is off (the default returns an
-    /// empty set, making an erroneous call benign rather than a panic).
-    fn pull_targets(&self, g: &Csr, active: &Bitmap, state: &Self::State) -> Bitmap {
-        let _ = (active, state);
-        Bitmap::new(g.num_vertices())
+    /// Mark in `out` — handed over all-clear, one bit per vertex of `g`,
+    /// and recycled by the caller across iterations — the vertices whose
+    /// in-edge rows a pull iteration must scan, given the frozen `active`
+    /// frontier. BFS/CC pull over the still unconverged vertices; PR's
+    /// gather touches every vertex. Never called when
+    /// [`Capabilities::pull`] is off (the default marks nothing, making an
+    /// erroneous call benign rather than a panic).
+    fn pull_targets_into(&self, g: &Csr, active: &Bitmap, state: &Self::State, out: &mut Bitmap) {
+        let _ = (g, active, state, out);
     }
 
     /// Pull *advance* functor: process target vertex `v`'s in-edges
@@ -534,6 +559,18 @@ pub trait VertexProgram: Sync {
     ) -> u64 {
         let _ = (v, in_edges, active, state, next);
         0
+    }
+
+    /// *Settle* hook: fold whatever the advance functors deferred into
+    /// per-lane state back into `state`, activating vertices in `next`
+    /// exactly as the undeferred updates would have. Called by
+    /// [`crate::ops::NextFrontier`] on the orchestration thread, with no
+    /// advance in flight, before every copy-out of the next frontier — so
+    /// nothing ever reads a frontier (or, an iteration later, a state) with
+    /// updates still parked in a lane. Must be idempotent. The default —
+    /// programs whose advance writes `state` directly — does nothing.
+    fn settle(&self, state: &Self::State, next: &AtomicBitmap) {
+        let _ = (state, next);
     }
 
     /// *Filter* functor: whether an activated vertex should stay in the
@@ -616,6 +653,23 @@ mod tests {
         assert_eq!(s.len(), 2);
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![(5, 10), (6, 20)]);
+    }
+
+    #[test]
+    fn for_each_target_agrees_with_iter_in_every_layout() {
+        let (targets, weights) = ([3u32, 4, 9], [30u32, 40, 90]);
+        let slices = [
+            EdgeSlice::new(&targets, false),
+            EdgeSlice::new(&[3, 30, 4, 40, 9, 90], true),
+            EdgeSlice::split(&targets, None),
+            EdgeSlice::split(&targets, Some(&weights)),
+            EdgeSlice::new(&[], true),
+        ];
+        for s in slices {
+            let mut seen = Vec::new();
+            s.for_each_target(|t| seen.push(t));
+            assert_eq!(seen, s.iter().map(|(t, _)| t).collect::<Vec<_>>());
+        }
     }
 
     #[test]

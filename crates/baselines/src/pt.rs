@@ -168,7 +168,7 @@ impl OutOfCoreSystem for PtSystem {
                             .iter()
                             .map(|&v| overlap_len(g.edge_range(v), edge_lo..edge_hi))
                             .sum();
-                        parallel_for_work(slice_nodes.len(), slice_active_edges, |i| {
+                        parallel_for_work(slice_nodes.len(), slice_active_edges, |lane, i| {
                             let v = slice_nodes[i];
                             let er = g.edge_range(v);
                             let lo = er.start.max(edge_lo);
@@ -178,6 +178,7 @@ impl OutOfCoreSystem for PtSystem {
                             let words = &mem.words(dst)[off..off + len_w];
                             ops::advance(
                                 prog,
+                                lane,
                                 v,
                                 EdgeSlice::new(words, weighted),
                                 &state,

@@ -190,11 +190,12 @@ impl OutOfCoreSystem for SubwaySystem {
                 phase_end = k_span.end; // CPU waits for the GPU before the next gather
 
                 let payload_words = gpu.mem.words(dst);
-                parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                parallel_for_work(batch.entries.len(), batch.edges(), |lane, i| {
                     let e = &batch.entries[i];
                     let words = &payload_words[batch.entry_words(i)];
                     ops::advance(
                         prog,
+                        lane,
                         e.vertex,
                         EdgeSlice::new(words, weighted),
                         &state,

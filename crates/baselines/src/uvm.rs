@@ -201,12 +201,12 @@ impl UvmSystem {
             // Execute on host data (the UVM mapping *is* host memory).
             let weights = g.weights();
             let next_bits = next.writer();
-            parallel_for_work(nodes.len(), active_edges, |i| {
+            parallel_for_work(nodes.len(), active_edges, |lane, i| {
                 let v = nodes[i];
                 let er = g.edge_range(v);
                 let (s, e) = (er.start as usize, er.end as usize);
                 let slice = EdgeSlice::split(&g.targets()[s..e], weights.map(|w| &w[s..e]));
-                ops::advance(prog, v, slice, &state, next_bits);
+                ops::advance(prog, lane, v, slice, &state, next_bits);
             });
 
             let iter_end = gpu.sync();

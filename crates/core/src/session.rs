@@ -122,10 +122,12 @@ pub struct RunCtx {
     enc_buf: Vec<u8>,
     enc_entries: Vec<EncodeEntry>,
     // likewise refilled every iteration: the data maps, the on-demand
-    // batch plan with its gather spans, and the pull path's target list
+    // batch plan with its gather spans, and the pull path's target set
+    // (which the direction choice consults too) and target list
     maps: DataMaps,
     plan: BatchPlan,
     gather_spans: Vec<Span>,
+    pull_bits: Bitmap,
     pull_targets: Vec<VertexId>,
     iter: u32,
     // per-buffer "compute that last read this buffer" fences
@@ -542,12 +544,14 @@ impl<'g> AsceticSession<'g> {
     /// entirely, so it ships every candidate target's full in-edge row.
     /// Switching *into* pull demands a 25 % margin; staying only a tie —
     /// the hysteresis that keeps near-equal iterations from flapping.
+    /// `targets` is the run's recycled pull-target bitmap.
     fn pull_wins<P: VertexProgram>(
         &self,
         prog: &P,
         frontier: &Bitmap,
         state: &P::State,
         prev_pull: bool,
+        targets: &mut Bitmap,
     ) -> bool {
         let g = self.g;
         let bpe = g.bytes_per_edge() as u64;
@@ -566,7 +570,7 @@ impl<'g> AsceticSession<'g> {
             .as_ref()
             .expect("adaptive direction without a CSC mirror")
             .csc;
-        let targets = ops::pull_frontier(prog, g, frontier, state);
+        ops::pull_frontier_into(prog, g, frontier, state, targets);
         let mut pull_edges = 0u64;
         let mut pull_nodes = 0u64;
         for v in targets.iter_ones() {
@@ -595,6 +599,7 @@ impl<'g> AsceticSession<'g> {
         frontier: &Bitmap,
         state: &P::State,
         prev: TraversalDirection,
+        pull_targets: &mut Bitmap,
     ) -> TraversalDirection {
         if !prog.capabilities().pull {
             return TraversalDirection::Push;
@@ -603,7 +608,8 @@ impl<'g> AsceticSession<'g> {
             DirectionMode::Push => TraversalDirection::Push,
             DirectionMode::Pull => TraversalDirection::Pull,
             DirectionMode::Adaptive => {
-                if self.pull_wins(prog, frontier, state, prev == TraversalDirection::Pull) {
+                let prev_pull = prev == TraversalDirection::Pull;
+                if self.pull_wins(prog, frontier, state, prev_pull, pull_targets) {
                     TraversalDirection::Pull
                 } else {
                     TraversalDirection::Push
@@ -634,6 +640,7 @@ impl<'g> AsceticSession<'g> {
             maps: DataMaps::default(),
             plan: BatchPlan::default(),
             gather_spans: Vec::new(),
+            pull_bits: Bitmap::new(0),
             pull_targets: Vec::new(),
             iter: 0,
             buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
@@ -689,7 +696,7 @@ impl<'g> AsceticSession<'g> {
         if cfg.direction != DirectionMode::Push {
             let dir = match ctx.next_pull.take() {
                 Some(d) => d,
-                None => self.direction_for(prog, active, state, ctx.last_dir),
+                None => self.direction_for(prog, active, state, ctx.last_dir, &mut ctx.pull_bits),
             };
             ctx.last_dir = dir;
             if dir == TraversalDirection::Pull {
@@ -785,10 +792,11 @@ impl<'g> AsceticSession<'g> {
             let mem = &self.gpu.mem;
             let region_ref = &self.region;
             let nodes = &maps.static_nodes;
-            parallel_for_work(nodes.len(), maps.static_edges, |i| {
+            parallel_for_work(nodes.len(), maps.static_edges, |lane, i| {
                 let v = nodes[i];
                 region_ref.for_each_vertex_slice(mem, g, v, |words| {
-                    ops::advance(prog, v, EdgeSlice::new(words, weighted), state, next_bits);
+                    let edges = EdgeSlice::new(words, weighted);
+                    ops::advance(prog, lane, v, edges, state, next_bits);
                 });
             });
         }
@@ -936,11 +944,12 @@ impl<'g> AsceticSession<'g> {
 
                 // host execution of the batch
                 let payload = self.gpu.mem.words(dst);
-                parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                parallel_for_work(batch.entries.len(), batch.edges(), |lane, i| {
                     let e = &batch.entries[i];
                     let words = &payload[batch.entry_words(i)];
                     ops::advance(
                         prog,
+                        lane,
                         e.vertex,
                         EdgeSlice::new(words, weighted),
                         state,
@@ -1062,7 +1071,7 @@ impl<'g> AsceticSession<'g> {
         // here, un-issued and free of charge
         ctx.prefetch_deferred.clear();
         if prefetch_on {
-            let next_frontier = next.snapshot();
+            let next_frontier = next.snapshot(prog, state);
             let more = iter + 1 < prog.max_iterations() && !next_frontier.is_all_zero();
             // Commit the gap-issued transfers now that every kernel of
             // this iteration is done reading the region. The plan was
@@ -1163,10 +1172,15 @@ impl<'g> AsceticSession<'g> {
         // commits above, so the push-vs-pull transfer estimate sees the
         // exact static-region residency the next data maps will see.
         if cfg.direction != DirectionMode::Push && prog.capabilities().pull {
-            let next_frontier = next.snapshot();
+            let next_frontier = next.snapshot(prog, state);
             if !next_frontier.is_all_zero() {
-                ctx.next_pull =
-                    Some(self.direction_for(prog, next_frontier, state, TraversalDirection::Push));
+                ctx.next_pull = Some(self.direction_for(
+                    prog,
+                    next_frontier,
+                    state,
+                    TraversalDirection::Push,
+                    &mut ctx.pull_bits,
+                ));
             }
         }
 
@@ -1234,7 +1248,7 @@ impl<'g> AsceticSession<'g> {
 
         // ➊ GenDataMap over the *target* set (unvisited candidates), same
         // bitmap-kernel charge as the push direction.
-        let targets = ops::pull_frontier(prog, g, active, state);
+        ops::pull_frontier_into(prog, g, active, state, &mut ctx.pull_bits);
         let genmap = self.gpu.kernel_at(0, (n as u64).div_ceil(64), iter_start);
         ctx.breakdown.gen_map_ns += genmap.duration();
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
@@ -1264,7 +1278,7 @@ impl<'g> AsceticSession<'g> {
         let target_nodes = &mut ctx.pull_targets;
         target_nodes.clear();
         target_nodes.extend(
-            targets
+            ctx.pull_bits
                 .iter_ones()
                 .map(|v| v as VertexId)
                 .filter(|&v| csc.degree(v) > 0),
@@ -1349,7 +1363,7 @@ impl<'g> AsceticSession<'g> {
                 let batch_scanned = {
                     let payload = self.gpu.mem.words(dst);
                     let scanned = AtomicU64::new(0);
-                    parallel_for_work(batch.entries.len(), batch.edges(), |i| {
+                    parallel_for_work(batch.entries.len(), batch.edges(), |_, i| {
                         let e = &batch.entries[i];
                         let words = &payload[batch.entry_words(i)];
                         let s = ops::advance_pull(
@@ -1395,10 +1409,15 @@ impl<'g> AsceticSession<'g> {
         // Pre-commit the next iteration's direction. Pull never mutates
         // static residency, so deciding here sees exactly what the next
         // iteration's estimate would.
-        let next_frontier = next.snapshot();
+        let next_frontier = next.snapshot(prog, state);
         if !next_frontier.is_all_zero() {
-            ctx.next_pull =
-                Some(self.direction_for(prog, next_frontier, state, TraversalDirection::Pull));
+            ctx.next_pull = Some(self.direction_for(
+                prog,
+                next_frontier,
+                state,
+                TraversalDirection::Pull,
+                &mut ctx.pull_bits,
+            ));
         }
 
         let iter_end = self.gpu.sync();

@@ -129,15 +129,20 @@ impl Bitmap {
     /// An all-one bitmap of `len` bits.
     pub fn ones(len: usize) -> Self {
         let mut b = Bitmap::new(len);
-        b.words.fill(u64::MAX);
-        if let Some(last) = b.words.last_mut() {
-            *last &= tail_mask(len);
-        }
-        b.summary.fill(u64::MAX);
-        if let Some(last) = b.summary.last_mut() {
-            *last &= tail_mask(b.words.len().div_ceil(BLOCK_WORDS));
-        }
+        b.set_all();
         b
+    }
+
+    /// Set every bit to one.
+    pub fn set_all(&mut self) {
+        self.words.fill(u64::MAX);
+        if let Some(last) = self.words.last_mut() {
+            *last &= tail_mask(self.len);
+        }
+        self.summary.fill(u64::MAX);
+        if let Some(last) = self.summary.last_mut() {
+            *last &= tail_mask(self.words.len().div_ceil(BLOCK_WORDS));
+        }
     }
 
     /// Number of bits.
@@ -540,6 +545,22 @@ mod tests {
             let b = Bitmap::ones(len);
             assert_eq!(b.count_ones(), len, "len={len}");
             assert!(b.get(len - 1));
+        }
+    }
+
+    #[test]
+    fn set_all_on_a_used_bitmap_equals_ones() {
+        for len in [0, 1, 64, 65, 4096, 4097, 300_000] {
+            let mut b = Bitmap::new(len);
+            if len > 0 {
+                b.set(len / 2);
+            }
+            b.set_all();
+            assert_eq!(b, Bitmap::ones(len), "len={len}");
+            // the summary covers every block: iteration reaches the tail
+            assert_eq!(b.iter_ones().count(), len, "len={len}");
+            b.clear_all();
+            assert!(b.is_all_zero(), "len={len}");
         }
     }
 

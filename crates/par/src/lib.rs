@@ -10,7 +10,9 @@
 //!   chunked, work-stealing parallel loop over an index range, used to run
 //!   the "GPU kernels" of the simulated device on host cores. Whether a
 //!   job is dispatched or runs inline follows its estimated *work*
-//!   ([`INLINE_WORK`]), not its item count. Jobs execute on a
+//!   ([`INLINE_WORK`]), not its item count; the body is told which worker
+//!   *lane* it runs in, unique among a job's concurrent bodies, so per-lane
+//!   state needs no synchronization. Jobs execute on a
 //!   lazily-initialized **persistent worker pool** ([`workers`]): workers
 //!   are spawned once, park on a condvar between jobs, and are woken per
 //!   job — eliminating the per-call thread spawn/join that used to sit on

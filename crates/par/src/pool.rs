@@ -130,16 +130,30 @@ where
     dispatch(len, len as u64 * DEFAULT_ITEM_WORK, body);
 }
 
-/// [`parallel_for`] for a job whose total `work` the caller can estimate
-/// (in [`INLINE_WORK`] units — for the engines, the edges the items will
-/// relax). The inline-or-dispatch decision and the chunk size follow the
-/// work, not the item count: two hub rows are split across workers, a
+/// [`parallel_for_with`] for a job whose total `work` the caller can
+/// estimate (in [`INLINE_WORK`] units — for the engines, the edges the items
+/// will relax). The inline-or-dispatch decision and the chunk size follow
+/// the work, not the item count: two hub rows are split across workers, a
 /// thousand leaf rows are not worth a wake-up.
+///
+/// # The lane contract
+///
+/// `body(lane, i)` receives the index of the worker running it, and within
+/// one job **no two bodies running at the same time are handed the same
+/// lane**: a job is one closure invocation per worker index (`0` = the
+/// submitting thread; an inline job is lane 0 throughout; a nested job
+/// inside a pool worker runs its lanes one after another), and a worker
+/// runs its items sequentially. State indexed by the lane is therefore
+/// private to the running body for the duration of the job without any
+/// synchronization — what lane-private reductions (PageRank's scatter)
+/// build on. Lanes are `< current_num_threads()` as latched at dispatch;
+/// the count may differ between jobs, so per-lane state sized earlier must
+/// tolerate a lane past its end.
 pub fn parallel_for_work<F>(len: usize, work: u64, body: F)
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, usize) + Sync,
 {
-    dispatch(len, work, |_, i| body(i));
+    dispatch(len, work, body);
 }
 
 /// The one loop behind the `parallel_for*` family.
@@ -380,6 +394,49 @@ mod tests {
             stop.store(1, Ordering::Relaxed);
         });
         set_num_threads(0);
+    }
+
+    /// The lane contract, hammered: 8 workers on however few cores, every
+    /// body holding its lane's flag while it runs. A second body entering
+    /// an occupied lane would find the flag already up.
+    #[test]
+    fn no_two_concurrent_bodies_share_a_lane() {
+        let _g = THREAD_OVERRIDE_LOCK.lock().unwrap();
+        set_num_threads(8);
+        let occupied: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let used: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let collisions = AtomicUsize::new(0);
+        let hold = |lane: usize| {
+            if occupied[lane].swap(1, Ordering::AcqRel) != 0 {
+                collisions.fetch_add(1, Ordering::Relaxed);
+            }
+            used[lane].fetch_add(1, Ordering::Relaxed);
+            for _ in 0..50 {
+                std::hint::spin_loop();
+            }
+            occupied[lane].store(0, Ordering::Release);
+        };
+        for _ in 0..20 {
+            parallel_for_work(4_000, 4_000_000, |lane, _| hold(lane));
+        }
+        // an inline job is lane 0 throughout
+        parallel_for_work(10, 10, |lane, _| assert_eq!(lane, 0));
+        // a job nested in a pool worker runs its lanes one after another
+        // on that worker — still never two bodies in one lane at a time
+        parallel_for_work(8, 8_000_000, |_, _| {
+            let inner: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+            parallel_for_work(64, 64_000_000, |lane, _| {
+                assert_eq!(inner[lane].swap(1, Ordering::AcqRel), 0);
+                inner[lane].store(0, Ordering::Release);
+            });
+        });
+        set_num_threads(0);
+        assert_eq!(collisions.into_inner(), 0, "two bodies ran in one lane");
+        let lanes_used = used
+            .iter()
+            .filter(|u| u.load(Ordering::Relaxed) > 0)
+            .count();
+        assert!(lanes_used > 1, "the hammer never left lane 0");
     }
 
     #[test]

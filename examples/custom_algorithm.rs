@@ -67,6 +67,7 @@ impl VertexProgram for WidestPath {
 
     fn advance_push(
         &self,
+        _lane: usize,
         src: VertexId,
         edges: EdgeSlice<'_>,
         state: &WpState,

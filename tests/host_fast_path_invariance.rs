@@ -10,20 +10,27 @@
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test host_fast_path_invariance -- --nocapture`
 //! prints a fresh table.)
 
-use ascetic::algos::{Bfs, Cc, Sssp, VertexProgram};
-use ascetic::core::{AsceticConfig, AsceticSession, RunReport};
+use ascetic::algos::reference::pagerank_reference;
+use ascetic::algos::{AlgoOutput, Bfs, Cc, PageRank, Sssp, VertexProgram};
+use ascetic::core::{
+    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FleetConfig,
+    PrefetchMode, RunReport,
+};
 use ascetic::graph::datasets::weighted_variant;
 use ascetic::graph::generators::{web_graph, WebConfig};
 use ascetic::graph::Csr;
 use ascetic::par::set_num_threads;
 use ascetic::sim::DeviceConfig;
+use std::sync::Mutex;
 
 /// `(sim_time_ns, h2d_wire_bytes, h2d_ops, iterations, kernel launches,
 /// output fingerprint)` of one run.
 type Virt = (u64, u64, u64, u32, u64, u64);
 
-/// Captured on the parent commit (PR 11), identical at every thread count.
-const GOLDEN: [(&str, Virt); 6] = [
+/// Captured on the parent commit (PR 11; the PR rows on PR 12, the commit
+/// before PageRank's scatter went lane-private), identical at every thread
+/// count.
+const GOLDEN: [(&str, Virt); 10] = [
     ("BFS(0)", (2008146, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe)),
     (
         "BFS(1777)",
@@ -41,6 +48,22 @@ const GOLDEN: [(&str, Virt); 6] = [
     (
         "SSSP(0)",
         (9638509, 6329488, 251, 101, 438, 0x478264cf27d5749d),
+    ),
+    (
+        "PR push",
+        (10155726, 7777592, 319, 74, 467, 0xd33b43eeeabd4a45),
+    ),
+    (
+        "PR adaptive modes",
+        (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45),
+    ),
+    (
+        "PR forced pull",
+        (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45),
+    ),
+    (
+        "PR 2-device NVLink + prefetch",
+        (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45),
     ),
 ];
 
@@ -78,13 +101,43 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     // weighted programs need the 8 B/edge variant, hence their own session
     let mut weighted = AsceticSession::new(cfg_for(wg), wg);
     out.push(go(&mut weighted, &Sssp::new(0)));
+    // PageRank, cold, through every path that reads the next frontier
+    // differently: the default push loop; both planners (prefetch, adaptive
+    // direction) plus the compressed link; the pull gather; and a fleet,
+    // whose shards write one shared frontier in turn.
+    let pr = PageRank::new();
+    let cold = |cfg: AsceticConfig| virt(&AsceticSession::new(cfg, g).run(&pr));
+    out.push(cold(cfg_for(g)));
+    out.push(cold(
+        cfg_for(g)
+            .with_compression(CompressionMode::Adaptive)
+            .with_prefetch(PrefetchMode::NextFrontier)
+            .with_direction(DirectionMode::Adaptive),
+    ));
+    out.push(cold(cfg_for(g).with_direction(DirectionMode::Pull)));
+    // (prefetch on, so each shard snapshots the frontier its predecessor
+    // wrote — the mid-iteration settle)
+    let fleet_cfg = cfg_for(g).with_prefetch(PrefetchMode::NextFrontier);
+    let fleet = run_fleet(fleet_cfg, FleetConfig::nvlink(2), g, &pr);
+    let per_device = |f: fn(&RunReport) -> u64| fleet.per_device.iter().map(f).sum::<u64>();
+    out.push((
+        fleet.makespan_ns,
+        per_device(|r| r.xfer.h2d_wire_bytes),
+        per_device(|r| r.xfer.h2d_ops),
+        fleet.iterations,
+        per_device(|r| r.kernels.launches),
+        fleet.output.fingerprint(),
+    ));
     out
 }
 
-/// One test fn: `set_num_threads` is process-global, so thread counts are
-/// swept sequentially.
+/// `set_num_threads` is process-global: thread counts are swept
+/// sequentially, and the tests that sweep them take this lock.
+static THREADS: Mutex<()> = Mutex::new(());
+
 #[test]
 fn virtual_numbers_match_the_pre_fast_path_commit_at_every_thread_count() {
+    let _sweep = THREADS.lock().unwrap();
     let g = web_graph(&WebConfig::new(6_000, 90_000, 21));
     let wg = weighted_variant(&g);
     if std::env::var_os("ASCETIC_PRINT_GOLDENS").is_some() {
@@ -103,6 +156,27 @@ fn virtual_numbers_match_the_pre_fast_path_commit_at_every_thread_count() {
                  (sim ns, wire bytes, h2d ops, iterations, launches, output fp)"
             );
         }
+    }
+    set_num_threads(0);
+}
+
+/// PageRank through a session against the independent power-iteration
+/// reference — an oracle that shares no code with the push-residual
+/// program (the in-memory runner executes the same operators).
+#[test]
+fn session_pagerank_matches_the_power_iteration_reference() {
+    let _sweep = THREADS.lock().unwrap();
+    let g = web_graph(&WebConfig::new(2_000, 24_000, 5));
+    let expect = AlgoOutput::Ranks(pagerank_reference(&g, 0.85, 1e-12, 10_000));
+    let pr = PageRank::new().with_eps_frac(1e-6);
+    for threads in [1usize, 2, 8] {
+        set_num_threads(threads);
+        let report = AsceticSession::new(cfg_for(&g), &g).run(&pr);
+        assert_eq!(
+            report.output.first_mismatch(&expect, 1e-6),
+            None,
+            "first mismatching vertex @ {threads} threads"
+        );
     }
     set_num_threads(0);
 }
