@@ -6,74 +6,95 @@
 //! the virtual side of a warm multi-run session — simulated time, wire
 //! bytes, DMA ops, iterations, kernel launches and the output fingerprint
 //! of every run — to constants captured on the commit *before* the fast
-//! path landed, at {1, 2, 8} host threads.
+//! path landed, at {1, 2, 8} host threads. Two hashes widen each row from
+//! six scalars to the whole observable run: the span-trace JSONL export
+//! (every span's label, track, order and times) and `report.metrics`
+//! (every counter, gauge and histogram bucket).
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test host_fast_path_invariance -- --nocapture`
 //! prints a fresh table.)
 
 use ascetic::algos::reference::pagerank_reference;
 use ascetic::algos::{AlgoOutput, Bfs, Cc, PageRank, Sssp, VertexProgram};
+use ascetic::baselines::SubwaySystem;
 use ascetic::core::{
-    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FleetConfig,
-    PrefetchMode, RunReport,
+    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FillPolicy,
+    FleetConfig, OutOfCoreSystem, PrefetchMode, RunReport,
 };
 use ascetic::graph::datasets::weighted_variant;
 use ascetic::graph::generators::{web_graph, WebConfig};
 use ascetic::graph::Csr;
+use ascetic::obs::{MetricsSnapshot, Trace};
 use ascetic::par::set_num_threads;
-use ascetic::sim::DeviceConfig;
+use ascetic::sim::{DecompressModel, DeviceConfig};
 use std::sync::Mutex;
 
 /// `(sim_time_ns, h2d_wire_bytes, h2d_ops, iterations, kernel launches,
-/// output fingerprint)` of one run.
-type Virt = (u64, u64, u64, u32, u64, u64);
+/// output fingerprint, span-trace fingerprint, metrics fingerprint)` of
+/// one run.
+type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 
 /// Captured on the parent commit (PR 11; the PR rows on PR 12, the commit
-/// before PageRank's scatter went lane-private), identical at every thread
-/// count.
-const GOLDEN: [(&str, Virt); 10] = [
-    ("BFS(0)", (2008146, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe)),
-    (
-        "BFS(1777)",
-        (1962549, 279428, 38, 52, 142, 0x16fd92c0332e67f7),
-    ),
-    (
-        "BFS(4242)",
-        (2130180, 281768, 43, 53, 146, 0x6ef9d11362d6a739),
-    ),
-    (
-        "BFS(0) again",
-        (2068313, 284868, 42, 51, 143, 0x1f2c1ab87e045bfe),
-    ),
-    ("CC", (6165388, 2404988, 221, 51, 323, 0xff29483f185f2a2c)),
-    (
-        "SSSP(0)",
-        (9638509, 6329488, 251, 101, 438, 0x478264cf27d5749d),
-    ),
-    (
-        "PR push",
-        (10155726, 7777592, 319, 74, 467, 0xd33b43eeeabd4a45),
-    ),
-    (
-        "PR adaptive modes",
-        (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45),
-    ),
-    (
-        "PR forced pull",
-        (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45),
-    ),
-    (
-        "PR 2-device NVLink + prefetch",
-        (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45),
-    ),
+/// before PageRank's scatter went lane-private; the two hashes and the
+/// last eight rows on PR 13, the commit before push and pull became one
+/// pipeline), identical at every thread count.
+#[rustfmt::skip]
+const GOLDEN: [(&str, Virt); 18] = [
+    ("BFS(0)", (2008146, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0x83e6a6e5577825a0, 0xbee0a04ffcedadb7)),
+    ("BFS(1777)", (1962549, 279428, 38, 52, 142, 0x16fd92c0332e67f7, 0xc6f32830f934aa5d, 0x4e954480f47e4474)),
+    ("BFS(4242)", (2130180, 281768, 43, 53, 146, 0x6ef9d11362d6a739, 0xdeee7423570100a0, 0x8600a001f0c12299)),
+    ("BFS(0) again", (2068313, 284868, 42, 51, 143, 0x1f2c1ab87e045bfe, 0xf9274ecc21f7550a, 0x212957c8359f0e83)),
+    ("CC", (6165388, 2404988, 221, 51, 323, 0xff29483f185f2a2c, 0xaf863cd6598b3a85, 0xab0c2e706b8b1251)),
+    ("SSSP(0)", (9638509, 6329488, 251, 101, 438, 0x478264cf27d5749d, 0x7415b7df629f8723, 0x73c764a8edfb3b93)),
+    ("PR push", (10155726, 7777592, 319, 74, 467, 0xd33b43eeeabd4a45, 0xa8f9002f8bd4d661, 0xe4b3fbdbcd7754ea)),
+    ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0x5141747cf8198eff)),
+    ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x71659f9f6053393e)),
+    ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0x1857351b7ee1b901)),
+    ("BFS(0) push, compression always", (2163836, 110378, 39, 51, 141, 0x1f2c1ab87e045bfe, 0xb95bee6c36f77a21, 0x1781672bc2ab02d5)),
+    ("CC push, compression always", (6269099, 945831, 221, 51, 323, 0xff29483f185f2a2c, 0x0d51b86e214f1b09, 0x647cd16045e6ca33)),
+    ("BFS(0) forced pull, compression always", (6359942, 1625293, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x49a0b1569c75fe2b, 0xdc8d4856bece8a66)),
+    ("CC forced pull, compression always", (6314359, 1625293, 179, 51, 230, 0xff29483f185f2a2c, 0x260b69118ee86f00, 0x0bfb6c15d1d658ed)),
+    ("PR lazy fill", (11833706, 8591208, 461, 74, 493, 0xd33b43eeeabd4a45, 0x833143172c77cb3e, 0xf64e847f82bd9fb0)),
+    ("BFS(0) overlap off", (2230367, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0xa9b8fb4fb534529c, 0x7f8a67dc791f3f34)),
+    ("CC od_buffers=2", (5256638, 2270408, 175, 51, 277, 0xff29483f185f2a2c, 0xa3bc09c8acf5c187, 0x6d467aa181b62765)),
+    ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0x3ed6bf52baf85cfc)),
 ];
 
 fn cfg_for(g: &Csr) -> AsceticConfig {
     // ~40 % of the edges fit: both regions and the replacement server work
     let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 2 / 5);
-    AsceticConfig::new(dev).with_chunk_bytes(1024)
+    AsceticConfig::new(dev)
+        .with_chunk_bytes(1024)
+        .with_tracing(true)
 }
 
-fn virt(r: &RunReport) -> Virt {
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of the span trace's JSONL export.
+fn trace_fp(trace: Option<&Trace>) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv(&mut h, trace.expect("tracing armed").to_jsonl(1).as_bytes());
+    h
+}
+
+/// FNV-1a over every metric (name, kind, value, histogram buckets),
+/// folded into `h`; `skip` names one metric to leave out.
+fn metrics_fp(h: &mut u64, m: &MetricsSnapshot, skip: Option<&str>) {
+    for (name, v) in m.iter().filter(|(name, _)| Some(*name) != skip) {
+        fnv(h, name.as_bytes());
+        fnv(h, format!("{v:?}").as_bytes());
+    }
+}
+
+fn virt_skipping(r: &RunReport, skip: Option<&str>) -> Virt {
+    let mut metrics = FNV_OFFSET;
+    metrics_fp(&mut metrics, &r.metrics, skip);
     (
         r.sim_time_ns,
         r.xfer.h2d_wire_bytes,
@@ -81,7 +102,13 @@ fn virt(r: &RunReport) -> Virt {
         r.iterations,
         r.kernels.launches,
         r.output.fingerprint(),
+        trace_fp(r.span_trace.as_ref()),
+        metrics,
     )
+}
+
+fn virt(r: &RunReport) -> Virt {
+    virt_skipping(r, None)
 }
 
 fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
@@ -120,6 +147,10 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     let fleet_cfg = cfg_for(g).with_prefetch(PrefetchMode::NextFrontier);
     let fleet = run_fleet(fleet_cfg, FleetConfig::nvlink(2), g, &pr);
     let per_device = |f: fn(&RunReport) -> u64| fleet.per_device.iter().map(f).sum::<u64>();
+    let mut fleet_metrics = FNV_OFFSET;
+    for r in &fleet.per_device {
+        metrics_fp(&mut fleet_metrics, &r.metrics, None);
+    }
     out.push((
         fleet.makespan_ns,
         per_device(|r| r.xfer.h2d_wire_bytes),
@@ -127,7 +158,41 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
         fleet.iterations,
         per_device(|r| r.kernels.launches),
         fleet.output.fingerprint(),
+        trace_fp(fleet.span_trace.as_ref()),
+        fleet_metrics,
     ));
+    // The arms no benchmark workload reaches: forced encoding in both
+    // directions (one warm session each, so CC also sees refreshes priced
+    // by the BFS's wire cache), lazy fill, the no-overlap lane layout, a
+    // split on-demand slab, and Subway's compressed subgraph shipping.
+    let always = cfg_for(g).with_compression(CompressionMode::Always);
+    for cfg in [always, always.with_direction(DirectionMode::Pull)] {
+        let mut s = AsceticSession::new(cfg, g);
+        out.push(go(&mut s, &Bfs::new(0)));
+        out.push(go(&mut s, &Cc::new()));
+    }
+    out.push(cold(cfg_for(g).with_fill(FillPolicy::Lazy)));
+    let bfs_cold = |cfg: AsceticConfig| virt(&AsceticSession::new(cfg, g).run(&Bfs::new(0)));
+    out.push(bfs_cold(cfg_for(g).with_overlap(false)));
+    out.push(virt(
+        &AsceticSession::new(cfg_for(g).with_od_buffers(2), g).run(&Cc::new()),
+    ));
+    // a decompressor fast enough that Adaptive ships some subgraphs
+    // encoded and declines others (the p100 calibration declines them all)
+    let mut dev = cfg_for(g).device;
+    dev.decompress = DecompressModel {
+        bandwidth_bps: 200_000_000_000,
+        launch_ns: 1_000,
+    };
+    let subway = SubwaySystem::new(dev)
+        .with_tracing(true)
+        .with_compression(CompressionMode::Adaptive)
+        .run(g, &Bfs::new(0));
+    assert!(subway.metrics.counter("compress.transfers") > Some(0));
+    assert!(subway.metrics.counter("compress.declined") > Some(0));
+    // (Subway's compressed transfers did not feed the ratio histogram
+    // when these rows were captured; they do now)
+    out.push(virt_skipping(&subway, Some("compress.ratio_x100")));
     out
 }
 
@@ -142,8 +207,11 @@ fn virtual_numbers_match_the_pre_fast_path_commit_at_every_thread_count() {
     let wg = weighted_variant(&g);
     if std::env::var_os("ASCETIC_PRINT_GOLDENS").is_some() {
         for ((name, _), v) in GOLDEN.iter().zip(run_all(&g, &wg)) {
-            let (sim, wire, ops, iters, launches, fp) = v;
-            println!("    (\"{name}\", ({sim}, {wire}, {ops}, {iters}, {launches}, {fp:#018x})),");
+            let (sim, wire, ops, iters, launches, fp, trace, metrics) = v;
+            println!(
+                "    (\"{name}\", ({sim}, {wire}, {ops}, {iters}, {launches}, {fp:#018x}, \
+                 {trace:#018x}, {metrics:#018x})),"
+            );
         }
         return;
     }
@@ -153,7 +221,8 @@ fn virtual_numbers_match_the_pre_fast_path_commit_at_every_thread_count() {
             assert_eq!(
                 got, *golden,
                 "{name} @ {threads} threads: virtual numbers drifted \
-                 (sim ns, wire bytes, h2d ops, iterations, launches, output fp)"
+                 (sim ns, wire bytes, h2d ops, iterations, launches, output fp, \
+                 span-trace fp, metrics fp)"
             );
         }
     }
