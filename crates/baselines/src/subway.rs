@@ -17,13 +17,11 @@
 
 use ascetic_algos::ops::{self, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
-use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::Csr;
 use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::parallel_for_work;
 use ascetic_sim::{DeviceConfig, Gpu};
 
-use ascetic_core::codec::compress_wins;
+use ascetic_core::codec::{compress_wins, eligible, ship_batch, EncodeScratch};
 use ascetic_core::engine::finish_report;
 use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
@@ -104,9 +102,8 @@ impl OutOfCoreSystem for SubwaySystem {
         let buffer_words = gpu.mem.available();
         let buffer = gpu.alloc(buffer_words).expect("subgraph buffer");
         let weighted = g.is_weighted();
-        let compressible = self.compression != CompressionMode::Off && !weighted;
-        let mut enc_buf: Vec<u8> = Vec::new();
-        let mut enc_entries: Vec<EncodeEntry> = Vec::new();
+        let encode = eligible(self.compression, g);
+        let mut scratch = EncodeScratch::default();
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
@@ -151,37 +148,24 @@ impl OutOfCoreSystem for SubwaySystem {
                 breakdown.gather_ns += g_span.duration();
 
                 let dst = buffer.slice(0, batch.words());
-                let gather_rows = |window: &mut [u32]| batch.gather_into(g, window);
-                // Subway rebuilds the subgraph every iteration, so the
-                // crossover decides on the actual encoded size: the phases
-                // are strictly sequential, which makes the pure link rule
-                // exact (the compute engine is idle while the copy runs).
-                let mut compressed = None;
-                if compressible && batch.payload_bytes() > 0 {
-                    enc_entries.clear();
-                    enc_entries.extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
-                    enc_buf.clear();
-                    let wire = encode_ranges(g, &enc_entries, &mut enc_buf) as u64;
-                    let raw = batch.payload_bytes();
-                    let ship = matches!(self.compression, CompressionMode::Always)
-                        || compress_wins(&gpu.config.pcie, &gpu.config.decompress, raw, wire);
-                    if ship {
-                        let (copy, dec) =
-                            gpu.h2d_compressed_at(dst, &enc_buf, g_span.end, gather_rows);
-                        gpu.obs.registry.counter_add("compress.transfers", 1);
-                        gpu.obs.registry.counter_add("compress.raw_bytes", raw);
-                        gpu.obs.registry.counter_add("compress.wire_bytes", wire);
-                        compressed = Some((copy.duration() + dec.duration(), dec.end));
-                    } else {
-                        gpu.obs.registry.counter_add("compress.declined", 1);
-                    }
-                }
-                let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = gpu.h2d_fill_at(dst, g_span.end, gather_rows);
-                    (t_span.duration(), t_span.end)
-                });
-                gpu.xfer.h2d_bytes += batch.index_bytes();
-                gpu.xfer.h2d_wire_bytes += batch.index_bytes();
+                // Subway rebuilds the subgraph every iteration, so there is
+                // no estimate to try first: the crossover decides on the
+                // actual encoded size, and because the phases are strictly
+                // sequential the pure link rule is exact (the compute
+                // engine is idle while the copy runs).
+                let (t_ns, payload_at) = ship_batch(
+                    &mut gpu,
+                    g,
+                    batch,
+                    dst,
+                    g_span.end,
+                    encode,
+                    &mut scratch,
+                    None::<fn() -> u64>,
+                    |gpu, _, raw, wire| {
+                        compress_wins(&gpu.config.pcie, &gpu.config.decompress, raw, wire)
+                    },
+                );
                 breakdown.transfer_ns += t_ns;
                 payload += batch.payload_bytes() + batch.index_bytes();
 
@@ -189,18 +173,9 @@ impl OutOfCoreSystem for SubwaySystem {
                 breakdown.ondemand_compute_ns += k_span.duration();
                 phase_end = k_span.end; // CPU waits for the GPU before the next gather
 
-                let payload_words = gpu.mem.words(dst);
-                parallel_for_work(batch.entries.len(), batch.edges(), |lane, i| {
-                    let e = &batch.entries[i];
-                    let words = &payload_words[batch.entry_words(i)];
-                    ops::advance(
-                        prog,
-                        lane,
-                        e.vertex,
-                        EdgeSlice::new(words, weighted),
-                        &state,
-                        next_bits,
-                    );
+                batch.for_each_row(gpu.mem.words(dst), |lane, v, words| {
+                    let edges = EdgeSlice::new(words, weighted);
+                    ops::advance(prog, lane, v, edges, &state, next_bits);
                 });
             }
 

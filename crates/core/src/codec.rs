@@ -19,21 +19,148 @@
 //! cached ratio. Everything here is integer math over deterministic
 //! encodes, so the decisions — and hence the simulated timeline — are
 //! bit-identical at every host thread count.
+//!
+//! Callers bring the cost rule; putting the payload on the link either way
+//! — [`ship_batch`] for gather batches (Ascetic's push and pull iterations,
+//! the Subway baseline), [`region_dma`] for the static region's fill, lazy
+//! loads and refreshes — and the `compress.*` accounting live here once.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::Csr;
+use ascetic_obs::{Event, Registry};
 use ascetic_par::with_scratch;
-use ascetic_sim::{DecompressModel, PcieModel};
+use ascetic_sim::{DecompressModel, DevPtr, Engine, Gpu, PcieModel, SimTime};
 
+use crate::config::CompressionMode;
 use crate::hotness::HotnessTable;
-use crate::ondemand::GatherEntry;
+use crate::ondemand::{Batch, GatherEntry};
 
 /// The crossover rule: ship encoded iff copying the encoded bytes plus
 /// decoding them beats copying raw.
 #[inline]
 pub fn compress_wins(pcie: &PcieModel, dec: &DecompressModel, raw: u64, wire: u64) -> bool {
     pcie.transfer_ns(wire) + dec.decompress_ns(raw) < pcie.transfer_ns(raw)
+}
+
+/// `mode`, if it lets `g`'s payloads ship encoded at all — resolved once
+/// per session, so a transfer site holding `Some(mode)` ships encoded when
+/// `mode` is `Always` or its own cost rule wins. Weighted payloads
+/// interleave 4-byte weights with targets and always ship raw: the
+/// delta–varint codec covers unweighted adjacency only.
+pub fn eligible(mode: CompressionMode, g: &Csr) -> Option<CompressionMode> {
+    (mode != CompressionMode::Off && !g.is_weighted()).then_some(mode)
+}
+
+/// Account one compression decision on an eligible payload of `raw`
+/// bytes: shipped as `Some(wire)` encoded bytes, or declined.
+pub fn count_decision(reg: &mut Registry, raw: u64, shipped: Option<u64>) {
+    match shipped {
+        Some(wire) => {
+            reg.counter_add("compress.transfers", 1);
+            reg.counter_add("compress.raw_bytes", raw);
+            reg.counter_add("compress.wire_bytes", wire);
+            reg.observe("compress.ratio_x100", raw * 100 / wire.max(1));
+        }
+        None => reg.counter_add("compress.declined", 1),
+    }
+}
+
+/// Charge one static-region DMA — prestore fill, lazy load or refresh,
+/// whose payload the region's data plane moves itself. `wire = None`
+/// ships the `raw` bytes on the copy engine; `Some(wire)` ships the
+/// encoded bytes and chains the decompression launch on the compute
+/// engine. Returns the chain's total duration, ns.
+pub fn region_dma(gpu: &mut Gpu, label: &str, raw: u64, wire: Option<u64>, ready: SimTime) -> u64 {
+    let copy_ns = gpu.config.pcie.transfer_ns(wire.unwrap_or(raw));
+    let copy = gpu
+        .timeline
+        .schedule_labeled(Engine::Copy, ready, copy_ns, || match wire {
+            Some(wire) => format!("{label} {wire}B (compressed, {raw}B raw)"),
+            None => format!("{label} {raw}B"),
+        });
+    let Some(wire) = wire else {
+        return copy.duration();
+    };
+    let dec_ns = gpu.config.decompress.decompress_ns(raw);
+    let dec = gpu
+        .timeline
+        .schedule_labeled(Engine::Compute, copy.end, dec_ns, || {
+            format!("{label} decompress {raw}B")
+        });
+    gpu.obs.record(
+        copy.start.0,
+        Event::CompressedDma {
+            raw_bytes: raw,
+            wire_bytes: wire,
+            dur_ns: copy.duration(),
+            decompress_ns: dec.duration(),
+        },
+    );
+    copy.duration() + dec.duration()
+}
+
+/// Encoder buffers a run recycles across batches (zero steady-state
+/// allocation once they reach their high-water capacity).
+#[derive(Debug, Default)]
+pub struct EncodeScratch {
+    buf: Vec<u8>,
+    entries: Vec<EncodeEntry>,
+}
+
+#[cfg(test)]
+impl EncodeScratch {
+    /// Allocated capacity across both buffers (recycling tests).
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity() + self.entries.capacity()
+    }
+}
+
+/// Ship one gather batch of `src` rows into `dst`, usable from `ready`:
+/// the payload raw or encoded, plus its subgraph index (always raw, riding
+/// the same DMA op). Returns `(transfer_ns, payload_at)` — the
+/// link-plus-decode time charged and when a kernel may read `dst`.
+///
+/// Under a `mode`, `wins(gpu, ready, raw, wire)` is the caller's cost
+/// rule. Given an `estimate` of the encoded size, the rule is asked about
+/// it first and the batch really encoded only if that looks promising;
+/// either way the rule then sees the actual size — a bad estimate must
+/// not ship a loser.
+#[allow(clippy::too_many_arguments)]
+pub fn ship_batch(
+    gpu: &mut Gpu,
+    src: &Csr,
+    batch: Batch<'_>,
+    dst: DevPtr,
+    ready: SimTime,
+    mode: Option<CompressionMode>,
+    scratch: &mut EncodeScratch,
+    estimate: Option<impl FnOnce() -> u64>,
+    wins: impl Fn(&Gpu, SimTime, u64, u64) -> bool,
+) -> (u64, SimTime) {
+    let raw = batch.payload_bytes();
+    let gather_rows = |window: &mut [u32]| batch.gather_into(src, window);
+    gpu.xfer.h2d_bytes += batch.index_bytes();
+    gpu.xfer.h2d_wire_bytes += batch.index_bytes();
+    if let Some(mode) = mode.filter(|_| raw > 0) {
+        let always = mode == CompressionMode::Always;
+        if always || estimate.is_none_or(|est| wins(gpu, ready, raw, est())) {
+            scratch.entries.clear();
+            scratch
+                .entries
+                .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
+            scratch.buf.clear();
+            let wire = encode_ranges(src, &scratch.entries, &mut scratch.buf) as u64;
+            if always || wins(gpu, ready, raw, wire) {
+                let (copy, dec) = gpu.h2d_compressed_at(dst, &scratch.buf, ready, gather_rows);
+                count_decision(&mut gpu.obs.registry, raw, Some(wire));
+                return (copy.duration() + dec.duration(), dec.end);
+            }
+        }
+        count_decision(&mut gpu.obs.registry, raw, None);
+    }
+    let span = gpu.h2d_fill_at(dst, ready, gather_rows);
+    (span.duration(), span.end)
 }
 
 /// The `(vertex, clipped edge range)` entries covering chunk `c` — the

@@ -1,24 +1,20 @@
-//! The Ascetic Manager: per-iteration orchestration (paper Figures 3–6).
+//! The one-shot Ascetic system, and the report assembly every system
+//! shares.
 //!
-//! Iteration structure (overlap enabled, the default):
+//! [`AsceticSystem`] is [`OutOfCoreSystem`] over a single-run
+//! [`AsceticSession`]: `prepare` is the typed admission check (vertices
+//! fit, the configuration suits the graph, the edge budget holds two
+//! chunks) and `run` builds a session and runs it once. The Manager's
+//! per-iteration orchestration (paper Figures 3–6) lives in
+//! [`crate::session`] — one frame for both traversal directions,
+//! `DESIGN.md` §17. With overlap enabled (the default) it lays an
+//! iteration out as:
 //!
 //! ```text
 //! GPU compute :  [GenDataMap][ Static Region compute ][ OD compute b0 ][ b1 ]...
 //! GPU copy    :                 [ H2D b0 ][ H2D b1 ]...        [refresh swaps]
 //! CPU         :                 [ gather b0 ][ gather b1 ]...
 //! ```
-//!
-//! * `GenDataMap` splits the frontier against the `StaticBitmap`
-//!   ([`crate::maps::DataMaps`]), optionally re-partitioning per Eq (3) first.
-//! * Static-region compute runs on the COMPUTE engine while the On-demand
-//!   Engine gathers and the COPY engine ships batches (Figure 5's
-//!   "Overlapping savings"); with `overlap = false` every phase chains
-//!   after the previous one (the Figure 8 ablation).
-//! * On-demand batches cycle through the available region buffers; a batch
-//!   can transfer while the previous one computes.
-//! * While the GPU chews on-demand batches, the replacement server swaps
-//!   stale static chunks for hot ones within that window's PCIe budget
-//!   (Figure 6).
 //!
 //! All kernel *work* really executes on host threads against device-arena
 //! data; all *times* come from the virtual clock, so reports are exact and
@@ -70,6 +66,11 @@ impl OutOfCoreSystem for AsceticSystem {
     fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
         let prepared = Prepared::for_device(g, self.cfg.device.mem_bytes)?;
         self.cfg.validate_for(g)?;
+        let budget = prepared.edge_budget_bytes;
+        let chunk = self.cfg.chunk_bytes as u64;
+        if budget < 2 * chunk {
+            return Err(PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk });
+        }
         Ok(prepared.with_geometry(ChunkGeometry::with_chunk_bytes(g, self.cfg.chunk_bytes)))
     }
 

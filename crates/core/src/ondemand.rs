@@ -18,13 +18,14 @@
 //!    on-demand buffer's slice of device memory, so each row is written
 //!    once, not staged and re-copied.
 //!
-//! The engine is pure data-plane; the [`crate::engine`] Manager charges the
-//! gather/transfer costs. A run keeps one [`BatchPlan`] and re-plans into
-//! it every iteration; [`plan_batches`] / [`gather`] are the one-shot forms
+//! The engine is pure data-plane: the iteration frame in [`crate::session`]
+//! charges the gather, and [`crate::codec::ship_batch`] the transfer. A
+//! run keeps one [`BatchPlan`] and re-plans into it every iteration;
+//! [`plan_batches`] / [`gather`] are the one-shot forms
 //! (fresh buffers) for callers outside an iteration loop.
 
 use ascetic_graph::{Csr, VertexId};
-use ascetic_par::{parallel_parts, threads_for_work};
+use ascetic_par::{parallel_for_work, parallel_parts, threads_for_work};
 
 /// One gather request: a vertex and the sub-range of its edges to deliver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,6 +131,12 @@ impl BatchPlan {
         }
     }
 
+    /// Allocated capacity across the plan's vectors (recycling tests).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity() + self.offsets.capacity() + self.ends.capacity()
+    }
+
     /// Number of batches.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -185,6 +192,16 @@ impl Batch<'_> {
     pub fn entry_words(&self, i: usize) -> std::ops::Range<usize> {
         let start = self.offsets[i] as usize;
         start..start + (self.entries[i].num_edges() * self.words_per_edge) as usize
+    }
+
+    /// Run `body(lane, vertex, words)` over every entry of the batch in
+    /// parallel, `words` being the entry's window of the delivered
+    /// `payload` — the host execution of the batch's kernel. `lane` is
+    /// [`ascetic_par::parallel_for_work`]'s.
+    pub fn for_each_row(&self, payload: &[u32], body: impl Fn(usize, VertexId, &[u32]) + Sync) {
+        parallel_for_work(self.entries.len(), self.edges(), |lane, i| {
+            body(lane, self.entries[i].vertex, &payload[self.entry_words(i)]);
+        });
     }
 
     /// Gather the batch's payload from the host CSR into `dst` — exactly

@@ -30,7 +30,7 @@ use ascetic_algos::{RepairPlan, VertexProgram};
 use ascetic_graph::{Csr, GraphPatch};
 
 use crate::report::RunReport;
-use crate::session::AsceticSession;
+use crate::session::{AsceticSession, MUTATE_TRACK};
 
 /// How [`repair_session`] re-converged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +73,12 @@ pub fn repair_session<P: VertexProgram>(
         let report = sess.run_with_state(prog, state, prog.initial_frontier(g_new));
         sess.obs_counter_add("mutate.repair_fallback", 1);
         let end_ns = sess.clock_ns();
-        sess.mutate_span(start_ns, end_ns, "repair (fallback recompute)");
+        sess.phase_span(
+            MUTATE_TRACK,
+            start_ns,
+            end_ns,
+            "repair (fallback recompute)",
+        );
         return RepairOutcome {
             mode: RepairMode::Fallback,
             seed_count: 0,
@@ -88,7 +93,7 @@ pub fn repair_session<P: VertexProgram>(
             sess.obs_counter_add("mutate.repair_seeded", 1);
             sess.obs_counter_add("mutate.repair_seeds", seed_count);
             let end_ns = sess.clock_ns();
-            sess.mutate_span(start_ns, end_ns, "repair (seeded settle)");
+            sess.phase_span(MUTATE_TRACK, start_ns, end_ns, "repair (seeded settle)");
             RepairOutcome {
                 mode: RepairMode::Seeded,
                 seed_count,
@@ -100,7 +105,7 @@ pub fn repair_session<P: VertexProgram>(
             let report = sess.run_with_state(prog, state, prog.initial_frontier(g_new));
             sess.obs_counter_add("mutate.repair_restart", 1);
             let end_ns = sess.clock_ns();
-            sess.mutate_span(start_ns, end_ns, "repair (warm restart)");
+            sess.phase_span(MUTATE_TRACK, start_ns, end_ns, "repair (warm restart)");
             RepairOutcome {
                 mode: RepairMode::Restart,
                 seed_count: 0,

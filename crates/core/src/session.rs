@@ -14,28 +14,35 @@
 //! so two drivers can share one engine: [`AsceticSession::run`] composes
 //! them into the classic single-device loop, while `crate::fleet`
 //! interleaves the steps of N shard sessions with cross-device frontier
-//! exchanges between rounds.
+//! exchanges between rounds. `step_iteration` is one frame for both
+//! traversal directions (`DESIGN.md` §17): a direction only chooses what
+//! the shared on-demand pipeline is fed.
 //!
 //! [`super::engine::AsceticSystem`] is a thin one-shot wrapper around this
 //! type.
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ascetic_algos::ops::{self, NextFrontier};
-use ascetic_algos::{EdgeSlice, TraversalDirection, VertexProgram};
+use ascetic_algos::TraversalDirection::{self, Pull, Push};
+use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
-use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
 use ascetic_obs::{Event, MetricsSnapshot, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::{parallel_for_work, Bitmap};
+use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, Span, XferStats};
 
-use crate::codec::{chunk_wire_bytes, compress_wins, estimate_batch_wire};
+use crate::codec::{
+    chunk_wire_bytes, compress_wins, count_decision, eligible, estimate_batch_wire, region_dma,
+    ship_batch, EncodeScratch,
+};
 use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, ReplacementPolicy};
 use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
-use crate::ondemand::BatchPlan;
+use crate::ondemand::{Batch, BatchPlan};
 use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchMode, PrefetchOp};
 use crate::ratio::{repartition_check, static_share, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
@@ -86,14 +93,39 @@ pub struct AsceticSession<'g> {
     region: StaticRegion,
     od_buffers: Vec<DevPtr>,
     hotness: HotnessTable,
+    // the compression mode, if this graph's payloads may ship encoded at
+    // all (resolved once); `None` ships everything raw
+    encode: Option<CompressionMode>,
     // the chunked CSC mirror for pull-direction iterations; built once
     // per session (only when the config can ever pull) and shared by
-    // every run
-    mirror: Option<GraphChunks>,
+    // every run — behind a handle a pull iteration holds while it
+    // drives the device
+    mirror: Option<Arc<GraphChunks>>,
     prestore_bytes: u64,
     prestore_wire_bytes: u64,
     prestore_ns: u64,
     runs: u32,
+}
+
+/// An iteration's resolved traversal direction. Pull carries the CSC
+/// mirror it gathers from, so a pull iteration cannot be entered without
+/// one.
+enum Direction {
+    Push,
+    Pull(Arc<GraphChunks>),
+}
+
+/// What one pass of the on-demand pipeline hands back to the frame.
+#[derive(Default)]
+struct OdRun {
+    // payload + index bytes shipped
+    payload: u64,
+    // edges the batch kernels were charged for
+    edges: u64,
+    // total batch-kernel time, and when the first one started: the
+    // replacement server's window
+    compute_window: u64,
+    first_compute_start: Option<SimTime>,
 }
 
 /// Per-run bookkeeping threaded through the stepping API: the delta
@@ -104,6 +136,7 @@ pub struct AsceticSession<'g> {
 /// gather spans, pull targets, encoder scratch). Opaque outside the
 /// core crate: drivers create it, pass it to each step, and surrender it
 /// to `AsceticSession::finish_run`.
+#[derive(Default)]
 pub struct RunCtx {
     run_start: SimTime,
     xfer0: XferStats,
@@ -116,11 +149,8 @@ pub struct RunCtx {
     refresh_bytes: u64,
     refresh_wire_bytes: u64,
     repartitions: u32,
-    // reused across batches by the compressed path: the encoded stream
-    // and the entry list handed to the encoder (zero steady-state
-    // allocation once they reach their high-water capacity)
-    enc_buf: Vec<u8>,
-    enc_entries: Vec<EncodeEntry>,
+    // reused across batches by the compressed path
+    scratch: EncodeScratch,
     // likewise refilled every iteration: the data maps, the on-demand
     // batch plan with its gather spans, and the pull path's target set
     // (which the direction choice consults too) and target list
@@ -149,14 +179,16 @@ pub struct RunCtx {
     // gap-issued transfers whose region mutation is deferred to the
     // iteration boundary (kernels may still be reading the region)
     prefetch_inflight: Vec<(PrefetchOp, u64)>,
+    // the prefetch DMAs issued this iteration (gap fills + the tail),
+    // for the iteration's window span on the prefetch track
+    pf_window: Option<(u64, u64)>,
     // --- Direction-optimizing traversal state. ---
     // the direction iteration k decided for k+1 (computed after k's
     // refreshes so the estimate sees the residency k+1 will); None on
     // iteration 0, which decides on the spot
-    next_pull: Option<TraversalDirection>,
-    // the direction the previous iteration ran in (hysteresis input)
-    last_dir: TraversalDirection,
-    pull_iters: u32,
+    next_dir: Option<Direction>,
+    // whether the previous iteration pulled (hysteresis input)
+    last_pull: bool,
 }
 
 impl RunCtx {
@@ -166,13 +198,6 @@ impl RunCtx {
     }
 }
 
-/// Whether `cfg` allows the compressed transfer path for `g` at all.
-/// Weighted payloads interleave 4-byte weights with targets and always
-/// ship raw — the delta–varint codec covers unweighted adjacency only.
-fn compression_eligible(cfg: &AsceticConfig, g: &Csr) -> bool {
-    cfg.compression != CompressionMode::Off && !g.is_weighted()
-}
-
 /// Chain-aware adaptive decision for an on-demand payload: compare when
 /// the consuming kernel could start on each path, given the current engine
 /// frontiers. When the transfer is the bottleneck this reduces to the pure
@@ -180,14 +205,20 @@ fn compression_eligible(cfg: &AsceticConfig, g: &Csr) -> bool {
 /// engine is, it declines — a decompression launch there would push the
 /// kernel later no matter how many link bytes it saves.
 fn chain_wins(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> bool {
+    let (decoded_at, raw_copied_at, compute_free) = chain_times(gpu, ready, raw, wire);
+    decoded_at < raw_copied_at.max(compute_free)
+}
+
+/// Where a transfer ready at `ready` would stand on each path, given the
+/// current engine frontiers: when the encoded chain's decompression would
+/// finish, when the raw copy would, and when the compute engine frees up.
+fn chain_times(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> (u64, u64, u64) {
     let pcie = gpu.config.pcie;
-    let decomp = gpu.config.decompress;
     let copy_start = ready.max(gpu.timeline.engine_free_at(Engine::Copy)).0;
     let compute_free = gpu.timeline.engine_free_at(Engine::Compute).0;
-    let raw_kernel_at = (copy_start + pcie.transfer_ns(raw)).max(compute_free);
-    let comp_kernel_at =
-        (copy_start + pcie.transfer_ns(wire)).max(compute_free) + decomp.decompress_ns(raw);
-    comp_kernel_at < raw_kernel_at
+    let decoded_at = (copy_start + pcie.transfer_ns(wire)).max(compute_free)
+        + gpu.config.decompress.decompress_ns(raw);
+    (decoded_at, copy_start + pcie.transfer_ns(raw), compute_free)
 }
 
 impl<'g> AsceticSession<'g> {
@@ -226,6 +257,8 @@ impl<'g> AsceticSession<'g> {
         let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
         let m_edge = edge_budget_bytes(&gpu);
         let d = g.edge_bytes();
+        // `AsceticSystem::prepare` rejects this with a typed error; a
+        // caller that skipped it broke the contract
         assert!(
             m_edge >= 2 * cfg.chunk_bytes as u64,
             "edge budget ({m_edge} B) below two chunks"
@@ -266,6 +299,7 @@ impl<'g> AsceticSession<'g> {
         // encoded-size cache prices the fill's compression crossover, and
         // the measurements stay warm for every later transfer decision.
         let mut hotness = HotnessTable::new(geo.num_chunks(), cfg.replacement);
+        let encode = eligible(cfg.compression, g);
 
         // --- Prestore: one bulk fill of the static region. ---
         let plan = region.plan_fill(cfg.fill, region.slots());
@@ -273,56 +307,18 @@ impl<'g> AsceticSession<'g> {
         // Compression crossover for the fill: price the planned chunks'
         // encoded payloads (measuring + caching each) and ship encoded
         // only when the link savings beat the decompression cost.
-        let mut prestore_wire_bytes = prestore_bytes;
-        let mut prestore_ns = gpu.config.pcie.transfer_ns(prestore_bytes);
-        let mut prestore_compressed = false;
-        if compression_eligible(&cfg, g) && prestore_bytes > 0 {
-            let wire: u64 = plan
+        let mut wire = None;
+        if let Some(mode) = encode.filter(|_| prestore_bytes > 0) {
+            let encoded: u64 = plan
                 .iter()
                 .map(|&c| chunk_wire_bytes(g, &geo, c, &mut hotness))
                 .sum();
-            let ship = match cfg.compression {
-                CompressionMode::Always => true,
-                CompressionMode::Adaptive => compress_wins(
-                    &gpu.config.pcie,
-                    &gpu.config.decompress,
-                    prestore_bytes,
-                    wire,
-                ),
-                CompressionMode::Off => unreachable!(),
-            };
-            if ship {
-                prestore_compressed = true;
-                prestore_wire_bytes = wire;
-                let copy_ns = gpu.config.pcie.transfer_ns(wire);
-                let dec_ns = gpu.config.decompress.decompress_ns(prestore_bytes);
-                let copy =
-                    gpu.timeline
-                        .schedule_labeled(Engine::Copy, SimTime::ZERO, copy_ns, || {
-                            format!("prestore {wire}B (compressed, {prestore_bytes}B raw)")
-                        });
-                gpu.timeline
-                    .schedule_labeled(Engine::Compute, copy.end, dec_ns, || {
-                        format!("prestore decompress {prestore_bytes}B")
-                    });
-                prestore_ns = copy_ns + dec_ns;
-                gpu.obs.record(
-                    0,
-                    Event::CompressedDma {
-                        raw_bytes: prestore_bytes,
-                        wire_bytes: wire,
-                        dur_ns: copy_ns,
-                        decompress_ns: dec_ns,
-                    },
-                );
-            }
+            let (pcie, dec) = (gpu.config.pcie, gpu.config.decompress);
+            let wins = || compress_wins(&pcie, &dec, prestore_bytes, encoded);
+            wire = (mode == CompressionMode::Always || wins()).then_some(encoded);
         }
-        if !prestore_compressed {
-            gpu.timeline
-                .schedule_labeled(Engine::Copy, SimTime::ZERO, prestore_ns, || {
-                    format!("prestore {prestore_bytes}B")
-                });
-        }
+        let prestore_ns = region_dma(&mut gpu, "prestore", prestore_bytes, wire, SimTime::ZERO);
+        let prestore_wire_bytes = wire.unwrap_or(prestore_bytes);
         gpu.obs
             .registry
             .counter_add("prestore.bytes", prestore_bytes);
@@ -337,24 +333,14 @@ impl<'g> AsceticSession<'g> {
             },
         );
         let staged = gpu.sync();
-        if staged.0 > 0 {
-            if let Some(tr) = gpu.timeline.tracer_mut() {
-                let t = tr.track(SESSION_TRACK);
-                tr.complete(t, 0, staged.0, "static staging", CAT_PHASE)
-                    .expect("staging is the first session span");
-            }
-        }
 
         // The CSC mirror is host-side state (the on-demand pipeline ships
         // its rows exactly like CSR rows), built eagerly so every run —
         // and every fleet shard — amortizes one transpose.
-        let mirror = if cfg.direction != DirectionMode::Push {
-            Some(GraphChunks::build(g, cfg.chunk_bytes))
-        } else {
-            None
-        };
+        let mirror = (cfg.direction != DirectionMode::Push)
+            .then(|| Arc::new(GraphChunks::build(g, cfg.chunk_bytes)));
 
-        AsceticSession {
+        let mut session = AsceticSession {
             cfg,
             g,
             geo,
@@ -362,12 +348,15 @@ impl<'g> AsceticSession<'g> {
             region,
             od_buffers,
             hotness,
+            encode,
             mirror,
             prestore_bytes,
             prestore_wire_bytes,
             prestore_ns,
             runs: 0,
-        }
+        };
+        session.phase_span(SESSION_TRACK, 0, staged.0, "static staging");
+        session
     }
 
     /// Number of runs executed so far.
@@ -393,65 +382,24 @@ impl<'g> AsceticSession<'g> {
         ready: SimTime,
         label: &'static str,
     ) -> (u64, u64) {
-        let pcie = self.gpu.config.pcie;
-        let decomp = self.gpu.config.decompress;
-        if compression_eligible(&self.cfg, self.g) && bytes > 0 {
+        let mut shipped = None;
+        if let Some(mode) = self.encode.filter(|_| bytes > 0) {
             let wire = chunk_wire_bytes(self.g, &self.geo, chunk, &mut self.hotness);
-            let ship = match self.cfg.compression {
-                CompressionMode::Always => true,
-                CompressionMode::Adaptive => {
-                    // Nothing waits on a refresh, so the crossover alone is
-                    // not enough: the encoded chain — including queueing on
-                    // the busy compute engine — must finish before the raw
-                    // copy would, or the decompression launch could grow
-                    // the iteration's critical path for no latency gain.
-                    let copy_start = ready.max(self.gpu.timeline.engine_free_at(Engine::Copy)).0;
-                    let compute_free = self.gpu.timeline.engine_free_at(Engine::Compute).0;
-                    let raw_copy_end = copy_start + pcie.transfer_ns(bytes);
-                    let dec_end = (copy_start + pcie.transfer_ns(wire)).max(compute_free)
-                        + decomp.decompress_ns(bytes);
-                    compress_wins(&pcie, &decomp, bytes, wire) && dec_end < raw_copy_end
-                }
-                CompressionMode::Off => unreachable!(),
+            let ship = mode == CompressionMode::Always || {
+                // Nothing waits on a refresh, so the crossover alone is
+                // not enough: the encoded chain — including queueing on
+                // the busy compute engine — must finish before the raw
+                // copy would, or the decompression launch could grow the
+                // iteration's critical path for no latency gain.
+                let (pcie, decomp) = (self.gpu.config.pcie, self.gpu.config.decompress);
+                let (decoded_at, raw_copied_at, _) = chain_times(&self.gpu, ready, bytes, wire);
+                compress_wins(&pcie, &decomp, bytes, wire) && decoded_at < raw_copied_at
             };
-            if ship {
-                let copy = self.gpu.timeline.schedule_labeled(
-                    Engine::Copy,
-                    ready,
-                    pcie.transfer_ns(wire),
-                    || format!("{label} {wire}B (compressed, {bytes}B raw)"),
-                );
-                let dec = self.gpu.timeline.schedule_labeled(
-                    Engine::Compute,
-                    copy.end,
-                    decomp.decompress_ns(bytes),
-                    || format!("{label} decompress {bytes}B"),
-                );
-                let reg = &mut self.gpu.obs.registry;
-                reg.counter_add("compress.transfers", 1);
-                reg.counter_add("compress.raw_bytes", bytes);
-                reg.counter_add("compress.wire_bytes", wire);
-                reg.observe("compress.ratio_x100", bytes * 100 / wire.max(1));
-                self.gpu.obs.record(
-                    copy.start.0,
-                    Event::CompressedDma {
-                        raw_bytes: bytes,
-                        wire_bytes: wire,
-                        dur_ns: copy.duration(),
-                        decompress_ns: dec.duration(),
-                    },
-                );
-                return (wire, copy.duration() + dec.duration());
-            }
-            self.gpu.obs.registry.counter_add("compress.declined", 1);
+            shipped = ship.then_some(wire);
+            count_decision(&mut self.gpu.obs.registry, bytes, shipped);
         }
-        let span = self.gpu.timeline.schedule_labeled(
-            Engine::Copy,
-            ready,
-            pcie.transfer_ns(bytes),
-            || format!("{label} {bytes}B"),
-        );
-        (bytes, span.duration())
+        let ns = region_dma(&mut self.gpu, label, bytes, shipped, ready);
+        (shipped.unwrap_or(bytes), ns)
     }
 
     /// Fraction of the graph's chunks currently resident in the static
@@ -541,13 +489,14 @@ impl<'g> AsceticSession<'g> {
     /// on-demand wire bytes each direction would ship for `frontier`.
     /// Push ships the non-resident frontier vertices' out-edge rows plus
     /// their subgraph index; pull bypasses the (CSR-chunked) static region
-    /// entirely, so it ships every candidate target's full in-edge row.
-    /// Switching *into* pull demands a 25 % margin; staying only a tie —
-    /// the hysteresis that keeps near-equal iterations from flapping.
-    /// `targets` is the run's recycled pull-target bitmap.
+    /// entirely, so it ships every candidate target's full in-edge row
+    /// from `csc`. Switching *into* pull demands a 25 % margin; staying
+    /// only a tie — the hysteresis that keeps near-equal iterations from
+    /// flapping. `targets` is the run's recycled pull-target bitmap.
     fn pull_wins<P: VertexProgram>(
         &self,
         prog: &P,
+        csc: &Csr,
         frontier: &Bitmap,
         state: &P::State,
         prev_pull: bool,
@@ -565,11 +514,6 @@ impl<'g> AsceticSession<'g> {
             }
         }
         let push_est = push_edges * bpe + push_nodes * 8;
-        let csc = &self
-            .mirror
-            .as_ref()
-            .expect("adaptive direction without a CSC mirror")
-            .csc;
         ops::pull_frontier_into(prog, g, frontier, state, targets);
         let mut pull_edges = 0u64;
         let mut pull_nodes = 0u64;
@@ -590,7 +534,8 @@ impl<'g> AsceticSession<'g> {
 
     /// Resolve the traversal direction for an iteration whose frontier is
     /// `frontier`, honoring the config policy and the program's pull
-    /// capability. A push-only program always runs push: forcing
+    /// capability. A session whose config never pulls built no mirror and
+    /// always runs push, as does a push-only program: forcing
     /// `--direction pull` onto one is rejected at configuration build /
     /// admission time ([`AsceticConfig::validate_algo`]), never here.
     fn direction_for<P: VertexProgram>(
@@ -598,23 +543,23 @@ impl<'g> AsceticSession<'g> {
         prog: &P,
         frontier: &Bitmap,
         state: &P::State,
-        prev: TraversalDirection,
+        prev_pull: bool,
         pull_targets: &mut Bitmap,
-    ) -> TraversalDirection {
-        if !prog.capabilities().pull {
-            return TraversalDirection::Push;
-        }
-        match self.cfg.direction {
-            DirectionMode::Push => TraversalDirection::Push,
-            DirectionMode::Pull => TraversalDirection::Pull,
+    ) -> Direction {
+        let Some(mirror) = self.mirror.as_ref().filter(|_| prog.capabilities().pull) else {
+            return Direction::Push;
+        };
+        let pull = match self.cfg.direction {
+            DirectionMode::Push => false,
+            DirectionMode::Pull => true,
             DirectionMode::Adaptive => {
-                let prev_pull = prev == TraversalDirection::Pull;
-                if self.pull_wins(prog, frontier, state, prev_pull, pull_targets) {
-                    TraversalDirection::Pull
-                } else {
-                    TraversalDirection::Push
-                }
+                self.pull_wins(prog, &mirror.csc, frontier, state, prev_pull, pull_targets)
             }
+        };
+        if pull {
+            Direction::Pull(Arc::clone(mirror))
+        } else {
+            Direction::Push
         }
     }
 
@@ -622,52 +567,41 @@ impl<'g> AsceticSession<'g> {
     /// call this once, then `AsceticSession::step_iteration` per
     /// iteration, then `AsceticSession::finish_run`.
     pub(crate) fn begin_run(&mut self) -> RunCtx {
-        let run_start = self.gpu.sync();
         RunCtx {
-            run_start,
+            run_start: self.gpu.sync(),
             xfer0: self.gpu.xfer,
             kernels0: self.gpu.kernels,
             compute_busy0: self.gpu.timeline.busy_ns(Engine::Compute),
             obs0: self.gpu.obs.registry.snapshot(),
-            breakdown: Breakdown::default(),
-            per_iter: Vec::new(),
-            iter_windows: Vec::new(),
-            refresh_bytes: 0,
-            refresh_wire_bytes: 0,
-            repartitions: 0,
-            enc_buf: Vec::new(),
-            enc_entries: Vec::new(),
-            maps: DataMaps::default(),
-            plan: BatchPlan::default(),
-            gather_spans: Vec::new(),
-            pull_bits: Bitmap::new(0),
-            pull_targets: Vec::new(),
-            iter: 0,
             buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
-            prefetch_pending: Vec::new(),
-            prefetch_ready: SimTime::ZERO,
-            prefetch_bytes: 0,
-            prefetch_ops: 0,
-            prefetch_hits: 0,
-            prefetch_waste: 0,
-            prefetch_deferred: std::collections::VecDeque::new(),
-            prefetch_inflight: Vec::new(),
-            next_pull: None,
-            last_dir: TraversalDirection::Push,
-            pull_iters: 0,
+            ..RunCtx::default()
         }
     }
 
-    /// Execute one iteration of `prog` over this session's graph: data
-    /// maps, adaptive re-partition, static-region compute overlapped with
-    /// the on-demand pipeline, replacement-server window and the
-    /// cross-iteration prefetch commit/plan. The driver owns the frontier
-    /// dance: it runs the compute operator first, passes the (already
-    /// ownership-masked, in the fleet case) `active` bitmap, and closes
-    /// `next` after the step (after *all* shards' steps, in the fleet
-    /// case) to build the next round's frontier. The step itself looks at
-    /// the next frontier only when a planner needs it (prefetch, direction
-    /// choice), through `next`'s shared snapshot.
+    /// Execute one iteration of `prog` over this session's graph — one
+    /// frame for both traversal directions:
+    ///
+    /// 1. **open** — barrier, `IterStart`, the iteration span and the
+    ///    `GenDataMap` charge;
+    /// 2. **select** — push splits the frontier against the static region
+    ///    (data maps, Eq (3) re-partition) and runs the static-region
+    ///    kernel; pull derives the target set from the CSC mirror and
+    ///    writes off any prefetch plan;
+    /// 3. **on-demand pipeline** — one `run_ondemand` over whatever rows
+    ///    the selection left to ship: plan, gather, ship, kernel per batch;
+    /// 4. **refresh** (push only — pull never reads the CSR-chunked static
+    ///    region) — hotness accounting, the replacement-server window and
+    ///    the cross-iteration prefetch commit/plan;
+    /// 5. **pre-commit** the next iteration's direction;
+    /// 6. **close** — barrier, `IterEnd`, windows, the `IterReport`.
+    ///
+    /// The driver owns the frontier dance: it runs the compute operator
+    /// first, passes the (already ownership-masked, in the fleet case)
+    /// `active` bitmap, and closes `next` after the step (after *all*
+    /// shards' steps, in the fleet case) to build the next round's
+    /// frontier. The step itself looks at the next frontier only when a
+    /// planner needs it (prefetch, direction choice), through `next`'s
+    /// shared snapshot.
     pub(crate) fn step_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -677,58 +611,164 @@ impl<'g> AsceticSession<'g> {
         next: &mut NextFrontier,
     ) {
         let g = self.g;
-        let cfg = self.cfg;
-        let n = g.num_vertices();
-        let geo = self.geo;
         let weighted = g.is_weighted();
-        let bpe = g.bytes_per_edge() as u64;
-        let d = g.edge_bytes();
-        let compressible = compression_eligible(&cfg, g);
-        let lazy_fill = matches!(cfg.fill, FillPolicy::Lazy);
-        let prefetch_on = cfg.prefetch.is_on();
-        let iter = ctx.iter;
-
         // Direction dispatch: the previous iteration pre-committed a
         // direction for this frontier (after its prefetch window, so the
         // residency estimate matches what this iteration's data maps will
-        // see); iteration 0 decides on the spot. Default `Push` policy
-        // takes none of these branches and stays byte-identical.
-        if cfg.direction != DirectionMode::Push {
-            let dir = match ctx.next_pull.take() {
-                Some(d) => d,
-                None => self.direction_for(prog, active, state, ctx.last_dir, &mut ctx.pull_bits),
-            };
-            ctx.last_dir = dir;
-            if dir == TraversalDirection::Pull {
-                return self.step_pull_iteration(prog, ctx, active, state, next);
+        // see); iteration 0 decides on the spot.
+        let dir = match ctx.next_dir.take() {
+            Some(dir) => dir,
+            None => self.direction_for(prog, active, state, ctx.last_pull, &mut ctx.pull_bits),
+        };
+        ctx.last_pull = matches!(dir, Direction::Pull(_));
+        let (iter_start, genmap) = self.open_iteration(ctx);
+
+        let report = match &dir {
+            Direction::Push => {
+                let next_bits = next.writer();
+                let ready = self.select_push(prog, ctx, active, state, next_bits, genmap);
+                let nodes = std::mem::take(&mut ctx.maps.ondemand_nodes);
+                let kernel = |batch: Batch<'_>, payload: &[u32]| {
+                    batch.for_each_row(payload, |lane, v, words| {
+                        let edges = EdgeSlice::new(words, weighted);
+                        ops::advance(prog, lane, v, edges, state, next_bits);
+                    });
+                    batch.edges()
+                };
+                let od = self.run_ondemand(ctx, g, &nodes, ready, Push, kernel);
+                ctx.maps.ondemand_nodes = nodes;
+                self.refresh_phases(prog, ctx, state, next, &od, iter_start);
+                IterReport {
+                    active_vertices: ctx.maps.active_vertices(),
+                    active_edges: ctx.maps.active_edges(),
+                    payload_bytes: od.payload,
+                    time_ns: 0,
+                    static_edges: ctx.maps.static_edges,
+                    pull: false,
+                }
+            }
+            Direction::Pull(mirror) => {
+                let csc = &mirror.csc;
+                let next_bits = next.writer();
+                self.select_pull(prog, ctx, csc, active, state);
+                let targets = std::mem::take(&mut ctx.pull_targets);
+                // The pull kernel is charged for the in-edges the operator
+                // actually scanned (CC's zero-label early exit makes that
+                // data-dependent), which is why the pipeline takes its
+                // edge count from the host execution.
+                let kernel = |batch: Batch<'_>, payload: &[u32]| {
+                    let scanned = AtomicU64::new(0);
+                    batch.for_each_row(payload, |_, v, words| {
+                        let in_edges = EdgeSlice::new(words, weighted);
+                        let s = ops::advance_pull(prog, v, in_edges, active, state, next_bits);
+                        scanned.fetch_add(s, Ordering::Relaxed);
+                    });
+                    scanned.into_inner()
+                };
+                let od = self.run_ondemand(ctx, csc, &targets, genmap.end, Pull, kernel);
+                ctx.pull_targets = targets;
+                self.gpu.obs.registry.counter_add("direction.pull_iters", 1);
+                IterReport {
+                    active_vertices: active.count_ones() as u64,
+                    active_edges: od.edges,
+                    payload_bytes: od.payload,
+                    time_ns: 0,
+                    static_edges: 0,
+                    pull: true,
+                }
+            }
+        };
+
+        // Pre-commit the next iteration's direction *after* the refresh
+        // phases, so the push-vs-pull transfer estimate sees the exact
+        // static-region residency the next data maps will see.
+        if self.mirror.is_some() && prog.capabilities().pull {
+            let next_frontier = next.snapshot(prog, state);
+            if !next_frontier.is_all_zero() {
+                ctx.next_dir = Some(self.direction_for(
+                    prog,
+                    next_frontier,
+                    state,
+                    ctx.last_pull,
+                    &mut ctx.pull_bits,
+                ));
             }
         }
+        self.close_iteration(ctx, iter_start, report);
+    }
 
+    /// Open the frame: barrier, `IterStart`, the iteration's span on the
+    /// session track and ➊ GenDataMap — a cheap bitmap kernel over |V|
+    /// bits, over the frontier under push and the target set under pull,
+    /// charged the same. Returns the iteration's start and that kernel.
+    fn open_iteration(&mut self, ctx: &mut RunCtx) -> (SimTime, Span) {
+        let iter = ctx.iter;
         let iter_start = self.gpu.sync();
         self.gpu.obs.record(iter_start.0, Event::IterStart { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             let t = tr.track(SESSION_TRACK);
-            tr.begin(t, iter_start.0, &format!("iteration {iter}"), CAT_PHASE)
-                .expect("iterations are sequential on the session track");
+            let pull = if ctx.last_pull { " (pull)" } else { "" };
+            tr.begin(
+                t,
+                iter_start.0,
+                &format!("iteration {iter}{pull}"),
+                CAT_PHASE,
+            )
+            .expect("iterations are sequential on the session track");
         }
-
-        // ➊ GenDataMap (cheap bitmap kernel over |V| bits).
-        let next_bits = next.writer();
-        let maps = &mut ctx.maps;
-        maps.regenerate(g, active, self.region.vertex_bitmap());
-        let genmap = self.gpu.kernel_at(0, (n as u64).div_ceil(64), iter_start);
+        let n = self.g.num_vertices() as u64;
+        let genmap = self.gpu.kernel_at(0, n.div_ceil(64), iter_start);
         ctx.breakdown.gen_map_ns += genmap.duration();
+        self.phase_span(SESSION_TRACK, genmap.start.0, genmap.end.0, "GenDataMap");
+        (iter_start, genmap)
+    }
+
+    /// Close the frame: the prefetch stream's window span, barrier,
+    /// `IterEnd`, the iteration span, and `report` with its time filled in.
+    fn close_iteration(&mut self, ctx: &mut RunCtx, iter_start: SimTime, mut report: IterReport) {
+        let iter = ctx.iter;
+        if let Some((start, end)) = ctx.pf_window.take() {
+            let label = format_args!("prefetch iter {iter}");
+            self.phase_span(PREFETCH_WINDOW_TRACK, start, end, label);
+        }
+        let iter_end = self.gpu.sync();
+        self.gpu.obs.record(iter_end.0, Event::IterEnd { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             let t = tr.track(SESSION_TRACK);
-            tr.complete(t, genmap.start.0, genmap.end.0, "GenDataMap", CAT_PHASE)
-                .expect("GenDataMap opens the iteration");
+            tr.end(t, iter_end.0)
+                .expect("the iteration span closes at the barrier");
         }
+        ctx.iter_windows.push((iter_start.0, iter_end.0));
+        report.time_ns = iter_end.since(iter_start);
+        ctx.per_iter.push(report);
+        ctx.iter += 1;
+    }
+
+    /// Push selection: split the frontier against the static region, apply
+    /// Eq (3), and run the static-region kernel over the resident share —
+    /// `ctx.maps.ondemand_nodes` is what is left for the on-demand
+    /// pipeline. Returns when that pipeline may start.
+    fn select_push<P: VertexProgram>(
+        &mut self,
+        prog: &P,
+        ctx: &mut RunCtx,
+        active: &Bitmap,
+        state: &P::State,
+        next_bits: &AtomicBitmap,
+        genmap: Span,
+    ) -> SimTime {
+        let g = self.g;
+        let cfg = self.cfg;
+        let bpe = g.bytes_per_edge() as u64;
+        let maps = &mut ctx.maps;
+        maps.regenerate(g, active, self.region.vertex_bitmap());
 
         // Eq (3): adaptive re-partition when the on-demand volume
         // overflows an under-used static region. Under lazy fill the
         // region is *supposed* to look under-used until warming
         // completes, so the check waits for a full region.
-        if cfg.adaptive && !(lazy_fill && self.region.free_slots() > 0) {
+        let warming = matches!(cfg.fill, FillPolicy::Lazy) && self.region.free_slots() > 0;
+        if cfg.adaptive && !warming {
             let od_capacity: u64 = self.od_buffers.iter().map(|b| b.len_bytes()).sum();
             let decision = repartition_check(
                 maps.ondemand_bytes(bpe),
@@ -736,7 +776,7 @@ impl<'g> AsceticSession<'g> {
                 maps.active_edges() * bpe,
                 self.region.capacity_bytes(),
                 od_capacity,
-                d,
+                g.edge_bytes(),
             );
             if let Repartition::ShrinkStaticBy(bytes) = decision {
                 let slots = (bytes as usize).div_ceil(cfg.chunk_bytes).max(1);
@@ -746,9 +786,9 @@ impl<'g> AsceticSession<'g> {
                     ctx.repartitions += 1;
                     self.gpu.obs.registry.counter_add("repartitions", 1);
                     self.gpu.obs.record(
-                        iter_start.0,
+                        genmap.start.0,
                         Event::Repartition {
-                            iter,
+                            iter: ctx.iter,
                             static_bytes: self.region.capacity_bytes(),
                         },
                     );
@@ -763,221 +803,227 @@ impl<'g> AsceticSession<'g> {
         // completion instead of faulting on a half-refreshed region;
         // prefetches are budgeted to land inside the previous
         // iteration's link slack, so the wait never actually stalls.
+        if maps.static_nodes.is_empty() {
+            return genmap.end;
+        }
         let static_ready = genmap.end.max(ctx.prefetch_ready);
-        let static_span = if maps.static_nodes.is_empty() {
-            None
-        } else {
-            let span = self.gpu.kernel_at(
-                maps.static_edges,
-                maps.static_nodes.len() as u64,
-                static_ready,
-            );
-            ctx.breakdown.static_compute_ns += span.duration();
-            Some(span)
-        };
-        if let Some(span) = static_span {
-            if let Some(tr) = self.gpu.timeline.tracer_mut() {
-                let t = tr.track(SESSION_TRACK);
-                tr.complete(
-                    t,
-                    span.start.0,
-                    span.end.0,
-                    "static-region compute",
-                    CAT_PHASE,
-                )
-                .expect("static compute follows GenDataMap");
-            }
-        }
-        if !maps.static_nodes.is_empty() {
-            let mem = &self.gpu.mem;
-            let region_ref = &self.region;
-            let nodes = &maps.static_nodes;
-            parallel_for_work(nodes.len(), maps.static_edges, |lane, i| {
-                let v = nodes[i];
-                region_ref.for_each_vertex_slice(mem, g, v, |words| {
-                    let edges = EdgeSlice::new(words, weighted);
-                    ops::advance(prog, lane, v, edges, state, next_bits);
-                });
+        let nodes = &maps.static_nodes;
+        let span = self
+            .gpu
+            .kernel_at(maps.static_edges, nodes.len() as u64, static_ready);
+        ctx.breakdown.static_compute_ns += span.duration();
+        self.phase_span(
+            SESSION_TRACK,
+            span.start.0,
+            span.end.0,
+            "static-region compute",
+        );
+        let (mem, region) = (&self.gpu.mem, &self.region);
+        let weighted = g.is_weighted();
+        parallel_for_work(nodes.len(), maps.static_edges, |lane, i| {
+            let v = nodes[i];
+            region.for_each_vertex_slice(mem, g, v, |words| {
+                let edges = EdgeSlice::new(words, weighted);
+                ops::advance(prog, lane, v, edges, state, next_bits);
             });
+        });
+        // In no-overlap mode the whole pipeline waits for the static
+        // compute (the Figure 8 "Baseline" lane layout).
+        if cfg.overlap {
+            genmap.end
+        } else {
+            span.end
         }
+    }
 
-        // ➋➍➎ On-demand pipeline: gather → transfer → compute, batched.
+    /// Pull selection: the live targets' in-edge rows of the CSC mirror
+    /// are what the on-demand pipeline ships (`ctx.pull_targets`). The
+    /// CSR-chunked static region holds out-edges, so pull bypasses it
+    /// entirely — no static compute, no hotness updates, no replacement —
+    /// and a stale prefetch plan has nothing to validate against: it is
+    /// written off as waste rather than committed against a region nothing
+    /// will read this iteration on signals one push iteration old. That
+    /// also leaves the deferred queue empty, so the pipeline's gap fill
+    /// idles under pull without being told the direction.
+    fn select_pull<P: VertexProgram>(
+        &self,
+        prog: &P,
+        ctx: &mut RunCtx,
+        csc: &Csr,
+        active: &Bitmap,
+        state: &P::State,
+    ) {
+        ops::pull_frontier_into(prog, self.g, active, state, &mut ctx.pull_bits);
+        for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
+            ctx.prefetch_waste += bytes;
+        }
+        for (_chunk, bytes) in ctx.prefetch_pending.drain(..) {
+            ctx.prefetch_waste += bytes;
+        }
+        ctx.prefetch_deferred.clear();
+        ctx.prefetch_ready = SimTime::ZERO;
+        ctx.pull_targets.clear();
+        ctx.pull_targets.extend(
+            ctx.pull_bits
+                .iter_ones()
+                .map(|v| v as VertexId)
+                .filter(|&v| csc.degree(v) > 0),
+        );
+    }
+
+    /// ➋➍➎ The on-demand pipeline, the same for both directions: plan
+    /// `nodes`' rows of `src` (the CSR under push, the CSC mirror under
+    /// pull) into batches that fit the on-demand buffers, then gather →
+    /// ship → kernel per batch, starting no earlier than `ready`.
+    /// `kernel(batch, payload)` executes one delivered batch on the host
+    /// and returns the edge count its simulated kernel is charged for;
+    /// host execution runs before the charge because that count can be
+    /// data-dependent, and the virtual clock makes the order unobservable.
+    fn run_ondemand(
+        &mut self,
+        ctx: &mut RunCtx,
+        src: &Csr,
+        nodes: &[VertexId],
+        ready: SimTime,
+        dir: TraversalDirection,
+        kernel: impl Fn(Batch<'_>, &[u32]) -> u64,
+    ) -> OdRun {
+        let mut od = OdRun::default();
+        if nodes.is_empty() {
+            return od;
+        }
         let min_buffer_words = self.od_buffers.iter().map(|b| b.len).min().unwrap_or(0);
-        let mut od_payload = 0u64;
-        let mut od_compute_window = 0u64;
-        let mut first_od_compute_start: Option<SimTime> = None;
-        // prefetch DMAs issued this iteration (gap fills + the tail),
-        // for the iteration's window span on the prefetch track
-        let mut pf_window: Option<(u64, u64)> = None;
-        if !maps.ondemand_nodes.is_empty() {
-            assert!(
-                min_buffer_words > 0,
-                "no on-demand buffer but on-demand data exists"
+        assert!(
+            min_buffer_words > 0,
+            "no on-demand buffer but on-demand data exists"
+        );
+        ctx.plan.plan(src, nodes, min_buffer_words);
+        // Issue every batch's CPU gather up front. The spans are
+        // identical to in-loop issue (gathers serialize on the CPU
+        // engine and depend on nothing downstream of themselves),
+        // but knowing when batch k's gather completes tells the
+        // prefetch stream exactly how long the link stays idle
+        // before batch k's transfer can possibly start.
+        let mut gather_ready = ready;
+        ctx.gather_spans.clear();
+        for batch in ctx.plan.batches() {
+            let span = self.gpu.gather_at(
+                batch.payload_bytes(),
+                batch.entries.len() as u64,
+                gather_ready,
             );
-            // In no-overlap mode the whole pipeline waits for the
-            // static compute (the Figure 8 "Baseline" lane layout).
-            let pipeline_ready = if cfg.overlap {
-                genmap.end
-            } else {
-                static_span.map_or(genmap.end, |s| s.end)
-            };
-            let plan = &mut ctx.plan;
-            plan.plan(g, &maps.ondemand_nodes, min_buffer_words);
-            // Issue every batch's CPU gather up front. The spans are
-            // identical to in-loop issue (gathers serialize on the CPU
-            // engine and depend on nothing downstream of themselves),
-            // but knowing when batch k's gather completes tells the
-            // prefetch stream exactly how long the link stays idle
-            // before batch k's transfer can possibly start.
-            let mut gather_ready = pipeline_ready;
-            ctx.gather_spans.clear();
-            for batch in plan.batches() {
-                let span = self.gpu.gather_at(
-                    batch.payload_bytes(),
-                    batch.entries.len() as u64,
-                    gather_ready,
-                );
-                ctx.breakdown.gather_ns += span.duration();
-                gather_ready = span.end; // CPU engine serializes anyway
-                ctx.gather_spans.push(span);
-            }
-            let gather_first = ctx.gather_spans.first().map(|s| s.start);
-            let gather_last = gather_ready;
-            let mut od_window_end = gather_last;
-            for (bi, batch) in plan.batches().enumerate() {
-                let g_span = ctx.gather_spans[bi];
-                let buf_idx = bi % self.od_buffers.len();
-                let buffer = self.od_buffers[buf_idx];
-
-                // Prefetch gap fill: the link is provably idle until
-                // this batch's gather completes, so deferred
-                // speculative refreshes ride the second copy stream in
-                // that window — an op is issued only when it finishes
-                // before the gather does, so no on-demand transfer
-                // moves by a nanosecond.
-                while let Some(&op) = ctx.prefetch_deferred.front() {
-                    let bytes = geo.chunk_len_bytes(op.chunk()) as u64;
-                    let dur = self.gpu.config.pcie.transfer_ns(bytes);
-                    let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
-                    if link_free.0 + dur > g_span.end.0 {
-                        break; // would push this batch's transfer later
-                    }
-                    ctx.prefetch_deferred.pop_front();
-                    let span = self
-                        .gpu
-                        .prefetch_dma_at(op.chunk() as u64, bytes, link_free);
-                    widen(&mut pf_window, span.start.0, span.end.0);
-                    ctx.prefetch_bytes += bytes;
-                    ctx.prefetch_ops += 1;
-                    ctx.prefetch_inflight.push((op, bytes));
-                }
-
-                // H2D transfer of payload + index, into this batch's
-                // buffer: the rows are gathered from the host CSR straight
-                // into the buffer's window of device memory
-                let dst = buffer.slice(0, batch.words());
-                let gather_rows = |window: &mut [u32]| batch.gather_into(g, window);
-                let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
-                let raw_bytes = batch.payload_bytes();
-                // Compression crossover: estimate from the per-chunk
-                // cache, then (if promising) really encode and re-check
-                // against the actual byte count before shipping — a bad
-                // estimate falls back to the raw path.
-                let mut compressed: Option<(u64, SimTime)> = None;
-                if compressible && raw_bytes > 0 {
-                    let promising = match cfg.compression {
-                        CompressionMode::Always => true,
-                        CompressionMode::Adaptive => {
-                            let est =
-                                estimate_batch_wire(g, &geo, &mut self.hotness, batch.entries);
-                            chain_wins(&self.gpu, ready, raw_bytes, est)
-                        }
-                        CompressionMode::Off => unreachable!(),
-                    };
-                    if promising {
-                        ctx.enc_entries.clear();
-                        ctx.enc_entries
-                            .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
-                        ctx.enc_buf.clear();
-                        let wire = encode_ranges(g, &ctx.enc_entries, &mut ctx.enc_buf) as u64;
-                        // re-check with the actual encoded size: a bad
-                        // chunk-ratio estimate must not ship a loser
-                        let ship = matches!(cfg.compression, CompressionMode::Always)
-                            || chain_wins(&self.gpu, ready, raw_bytes, wire);
-                        if ship {
-                            let (copy, dec) =
-                                self.gpu
-                                    .h2d_compressed_at(dst, &ctx.enc_buf, ready, gather_rows);
-                            let reg = &mut self.gpu.obs.registry;
-                            reg.counter_add("compress.transfers", 1);
-                            reg.counter_add("compress.raw_bytes", raw_bytes);
-                            reg.counter_add("compress.wire_bytes", wire);
-                            reg.observe("compress.ratio_x100", raw_bytes * 100 / wire.max(1));
-                            compressed = Some((copy.duration() + dec.duration(), dec.end));
-                        }
-                    }
-                    if compressed.is_none() {
-                        self.gpu.obs.registry.counter_add("compress.declined", 1);
-                    }
-                }
-                let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_fill_at(dst, ready, gather_rows);
-                    (t_span.duration(), t_span.end)
-                });
-                // account the subgraph index bytes on the same DMA op
-                // (the index always ships raw, compressed payload or not)
-                self.gpu.xfer.h2d_bytes += batch.index_bytes();
-                self.gpu.xfer.h2d_wire_bytes += batch.index_bytes();
-                ctx.breakdown.transfer_ns += t_ns;
-                od_payload += batch.payload_bytes() + batch.index_bytes();
-
-                // OD compute (serializes on the COMPUTE engine after the
-                // static kernel automatically)
-                let c_span =
-                    self.gpu
-                        .kernel_at(batch.edges(), batch.entries.len() as u64, payload_at);
-                ctx.breakdown.ondemand_compute_ns += c_span.duration();
-                od_compute_window += c_span.duration();
-                first_od_compute_start.get_or_insert(c_span.start);
-                ctx.buffer_free_at[buf_idx] = c_span.end;
-                od_window_end = od_window_end.max(c_span.end);
-
-                // host execution of the batch
-                let payload = self.gpu.mem.words(dst);
-                parallel_for_work(batch.entries.len(), batch.edges(), |lane, i| {
-                    let e = &batch.entries[i];
-                    let words = &payload[batch.entry_words(i)];
-                    ops::advance(
-                        prog,
-                        lane,
-                        e.vertex,
-                        EdgeSlice::new(words, weighted),
-                        state,
-                        next_bits,
-                    );
-                });
-            }
-            if let Some(first) = gather_first {
-                if let Some(tr) = self.gpu.timeline.tracer_mut() {
-                    let t = tr.track(ONDEMAND_TRACK);
-                    tr.begin(t, first.0, &format!("on-demand iter {iter}"), CAT_PHASE)
-                        .expect("on-demand windows are sequential");
-                    tr.complete(t, first.0, gather_last.0, "gather", CAT_PHASE)
-                        .expect("gather nests in the on-demand window");
-                    tr.end(t, od_window_end.0)
-                        .expect("the window closes after its last batch");
-                }
-            }
+            ctx.breakdown.gather_ns += span.duration();
+            gather_ready = span.end; // CPU engine serializes anyway
+            ctx.gather_spans.push(span);
         }
+        let gather_first = ctx.gather_spans.first().map(|s| s.start);
+        let gather_last = gather_ready;
+        let mut window_end = gather_last;
+        for (bi, batch) in ctx.plan.batches().enumerate() {
+            let g_span = ctx.gather_spans[bi];
+            let buf_idx = bi % self.od_buffers.len();
 
+            // Prefetch gap fill: the link is provably idle until
+            // this batch's gather completes, so deferred
+            // speculative refreshes ride the second copy stream in
+            // that window — an op is issued only when it finishes
+            // before the gather does, so no on-demand transfer
+            // moves by a nanosecond.
+            while let Some(&op) = ctx.prefetch_deferred.front() {
+                let bytes = self.geo.chunk_len_bytes(op.chunk()) as u64;
+                let dur = self.gpu.config.pcie.transfer_ns(bytes);
+                let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
+                if link_free.0 + dur > g_span.end.0 {
+                    break; // would push this batch's transfer later
+                }
+                ctx.prefetch_deferred.pop_front();
+                let span = self
+                    .gpu
+                    .prefetch_dma_at(op.chunk() as u64, bytes, link_free);
+                widen(&mut ctx.pf_window, span.start.0, span.end.0);
+                ctx.prefetch_bytes += bytes;
+                ctx.prefetch_ops += 1;
+                ctx.prefetch_inflight.push((op, bytes));
+            }
+
+            // H2D transfer of payload + index into this batch's buffer.
+            // The hotness table's wire cache is keyed by CSR chunks, so
+            // only push — which ships CSR rows — has an estimate to try
+            // before encoding; the mirror's rows are encoded outright.
+            let dst = self.od_buffers[buf_idx].slice(0, batch.words());
+            let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
+            let estimate = (dir == Push).then_some(|| {
+                estimate_batch_wire(self.g, &self.geo, &mut self.hotness, batch.entries)
+            });
+            let (t_ns, payload_at) = ship_batch(
+                &mut self.gpu,
+                src,
+                batch,
+                dst,
+                ready,
+                self.encode,
+                &mut ctx.scratch,
+                estimate,
+                chain_wins,
+            );
+            ctx.breakdown.transfer_ns += t_ns;
+            od.payload += batch.payload_bytes() + batch.index_bytes();
+
+            // OD compute (serializes on the COMPUTE engine after the
+            // static kernel automatically)
+            let edges = kernel(batch, self.gpu.mem.words(dst));
+            let vertices = batch.entries.len() as u64;
+            let c_span = match dir {
+                Push => self.gpu.kernel_at(edges, vertices, payload_at),
+                Pull => self.gpu.pull_kernel_at(edges, vertices, payload_at),
+            };
+            od.edges += edges;
+            ctx.breakdown.ondemand_compute_ns += c_span.duration();
+            od.compute_window += c_span.duration();
+            od.first_compute_start.get_or_insert(c_span.start);
+            ctx.buffer_free_at[buf_idx] = c_span.end;
+            window_end = window_end.max(c_span.end);
+        }
+        if let (Some(first), Some(tr)) = (gather_first, self.gpu.timeline.tracer_mut()) {
+            let t = tr.track(ONDEMAND_TRACK);
+            let pull = if ctx.last_pull { " (pull)" } else { "" };
+            let label = format!("on-demand iter {}{pull}", ctx.iter);
+            tr.begin(t, first.0, &label, CAT_PHASE)
+                .expect("on-demand windows are sequential");
+            tr.complete(t, first.0, gather_last.0, "gather", CAT_PHASE)
+                .expect("gather nests in the on-demand window");
+            tr.end(t, window_end.0)
+                .expect("the window closes after its last batch");
+        }
+        od
+    }
+
+    /// The push-only phases after the pipeline, all of them about keeping
+    /// the static region useful: hotness accounting, ➎ the replacement
+    /// server's window and ➏ the cross-iteration prefetch commit/plan.
+    fn refresh_phases<P: VertexProgram>(
+        &mut self,
+        prog: &P,
+        ctx: &mut RunCtx,
+        state: &P::State,
+        next: &mut NextFrontier,
+        od: &OdRun,
+        iter_start: SimTime,
+    ) {
+        let g = self.g;
+        let cfg = self.cfg;
+        let geo = self.geo;
+        let iter = ctx.iter;
+        let lazy_fill = matches!(cfg.fill, FillPolicy::Lazy);
+        let prefetch_on = cfg.prefetch.is_on();
         // Hotness accounting for this iteration's touched chunks
         // (needed by the replacement server, lazy warming and the
         // prefetch pipeline's demand scoring).
         if lazy_fill || !matches!(cfg.replacement, ReplacementPolicy::Disabled) || prefetch_on {
             self.hotness
-                .record_vertices(g, &geo, &maps.static_nodes, iter);
+                .record_vertices(g, &geo, &ctx.maps.static_nodes, iter);
             self.hotness
-                .record_vertices(g, &geo, &maps.ondemand_nodes, iter);
+                .record_vertices(g, &geo, &ctx.maps.ondemand_nodes, iter);
 
             // Score the previous iteration's speculative refreshes now
             // that the demand they predicted has materialized: a hit iff
@@ -992,17 +1038,10 @@ impl<'g> AsceticSession<'g> {
 
             // ➎ Replacement server window: chunk DMAs issued while the
             // GPU chews the on-demand region, within its PCIe budget.
-            if od_compute_window > 0 {
-                // each op is one chunk-sized DMA including its fixed
-                // latency; the server only issues what fits the window
-                let per_op_ns = self
-                    .gpu
-                    .config
-                    .pcie
-                    .transfer_ns(cfg.chunk_bytes as u64)
-                    .max(1);
-                let mut ops_left = (od_compute_window / per_op_ns) as usize;
-                let ready = first_od_compute_start.unwrap_or(iter_start);
+            if od.compute_window > 0 {
+                // the server only issues what fits the window
+                let mut ops_left = (od.compute_window / self.chunk_op_ns()) as usize;
+                let ready = od.first_compute_start.unwrap_or(iter_start);
                 let copy_free0 = self.gpu.timeline.engine_free_at(Engine::Copy);
                 let mut window_ops = 0u32;
 
@@ -1050,11 +1089,12 @@ impl<'g> AsceticSession<'g> {
                 if window_ops > 0 {
                     let start = copy_free0.max(ready).0;
                     let end = self.gpu.timeline.engine_free_at(Engine::Copy).0;
-                    if let Some(tr) = self.gpu.timeline.tracer_mut() {
-                        let t = tr.track(REFRESH_TRACK);
-                        tr.complete(t, start, end, &format!("refresh iter {iter}"), CAT_PHASE)
-                            .expect("refresh windows are sequential");
-                    }
+                    self.phase_span(
+                        REFRESH_TRACK,
+                        start,
+                        end,
+                        format_args!("refresh iter {iter}"),
+                    );
                 }
             }
         }
@@ -1070,373 +1110,101 @@ impl<'g> AsceticSession<'g> {
         // whatever of last iteration's plan never found a gap dies
         // here, un-issued and free of charge
         ctx.prefetch_deferred.clear();
-        if prefetch_on {
-            let next_frontier = next.snapshot(prog, state);
-            let more = iter + 1 < prog.max_iterations() && !next_frontier.is_all_zero();
-            // Commit the gap-issued transfers now that every kernel of
-            // this iteration is done reading the region. The plan was
-            // one iteration old when its wire time was bought, so each
-            // commit is re-validated against the *fresh* frontier: a
-            // stale op is dropped — its link time was idle slack, its
-            // bytes become waste — rather than applied.
-            if more {
-                let demand = chunk_demand_bytes(g, &geo, next_frontier);
-                for (op, bytes) in ctx.prefetch_inflight.drain(..) {
-                    let apply = match op {
-                        PrefetchOp::Load(c) => {
-                            !self.region.is_resident(c)
-                                && self.region.free_slots() > 0
-                                && demand[c as usize] > 0
-                        }
-                        PrefetchOp::Swap { evict, load } => {
-                            self.region.is_resident(evict)
-                                && !self.region.is_resident(load)
-                                && match cfg.prefetch {
-                                    PrefetchMode::NextFrontier => {
-                                        demand[load as usize] > demand[evict as usize]
-                                    }
-                                    // the speculative mode commits on
-                                    // residency alone; hit scoring
-                                    // charges any misprediction
-                                    _ => true,
-                                }
-                        }
-                    };
-                    if apply {
-                        match op {
-                            PrefetchOp::Load(c) => {
-                                self.region.load_chunk(&mut self.gpu, g, c);
-                            }
-                            PrefetchOp::Swap { evict, load } => {
-                                self.region.swap_chunk(&mut self.gpu, g, evict, load);
-                            }
-                        }
-                        ctx.prefetch_pending.push((op.chunk(), bytes));
-                    } else {
-                        ctx.prefetch_waste += bytes;
-                    }
+        if !prefetch_on {
+            return;
+        }
+        let next_frontier = next.snapshot(prog, state);
+        if iter + 1 >= prog.max_iterations() || next_frontier.is_all_zero() {
+            // no iteration left to refresh for: what the gaps shipped is waste
+            for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
+                ctx.prefetch_waste += bytes;
+            }
+            return;
+        }
+        // Commit the gap-issued transfers now that every kernel of
+        // this iteration is done reading the region. The plan was
+        // one iteration old when its wire time was bought, so each
+        // commit is re-validated against the *fresh* frontier: a
+        // stale op is dropped — its link time was idle slack, its
+        // bytes become waste — rather than applied.
+        let demand = chunk_demand_bytes(g, &geo, next_frontier);
+        for (op, bytes) in ctx.prefetch_inflight.drain(..) {
+            let apply = match op {
+                PrefetchOp::Load(c) => {
+                    !self.region.is_resident(c)
+                        && self.region.free_slots() > 0
+                        && demand[c as usize] > 0
                 }
+                PrefetchOp::Swap { evict, load } => {
+                    self.region.is_resident(evict)
+                        && !self.region.is_resident(load)
+                        && match cfg.prefetch {
+                            PrefetchMode::NextFrontier => {
+                                demand[load as usize] > demand[evict as usize]
+                            }
+                            // the speculative mode commits on
+                            // residency alone; hit scoring
+                            // charges any misprediction
+                            _ => true,
+                        }
+                }
+            };
+            if apply {
+                self.apply_prefetch(op);
+                ctx.prefetch_pending.push((op.chunk(), bytes));
             } else {
-                for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
-                    ctx.prefetch_waste += bytes;
-                }
-            }
-            if more {
-                let per_op_ns = self
-                    .gpu
-                    .config
-                    .pcie
-                    .transfer_ns(cfg.chunk_bytes as u64)
-                    .max(1);
-                let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
-                let slack = self.gpu.timeline.now().0.saturating_sub(link_free.0);
-                let budget = (slack / per_op_ns) as usize;
-                let plan = plan_prefetch(
-                    cfg.prefetch,
-                    g,
-                    &geo,
-                    &self.region,
-                    &mut self.hotness,
-                    next_frontier,
-                    iter,
-                    compressible,
-                    budget + GAP_PLAN_OPS,
-                );
-                let mut plan = plan.into_iter();
-                // what fits the tail slack ships (and applies) now ...
-                for op in plan.by_ref().take(budget) {
-                    let chunk = op.chunk();
-                    let bytes = match op {
-                        PrefetchOp::Load(c) => self.region.load_chunk(&mut self.gpu, g, c),
-                        PrefetchOp::Swap { evict, load } => {
-                            self.region.swap_chunk(&mut self.gpu, g, evict, load)
-                        }
-                    };
-                    // prefetches ship raw: the decompression launch
-                    // would land on the busy compute engine and could
-                    // push the very kernel they are hiding under
-                    let span = self.gpu.prefetch_dma_at(chunk as u64, bytes, link_free);
-                    widen(&mut pf_window, span.start.0, span.end.0);
-                    ctx.prefetch_ready = ctx.prefetch_ready.max(span.end);
-                    ctx.prefetch_bytes += bytes;
-                    ctx.prefetch_ops += 1;
-                    ctx.prefetch_pending.push((chunk, bytes));
-                }
-                // ... the remainder waits for link gaps in the next
-                // iteration's on-demand pipeline
-                ctx.prefetch_deferred.extend(plan);
+                ctx.prefetch_waste += bytes;
             }
         }
-
-        // Pre-commit the next iteration's direction *after* the prefetch
-        // commits above, so the push-vs-pull transfer estimate sees the
-        // exact static-region residency the next data maps will see.
-        if cfg.direction != DirectionMode::Push && prog.capabilities().pull {
-            let next_frontier = next.snapshot(prog, state);
-            if !next_frontier.is_all_zero() {
-                ctx.next_pull = Some(self.direction_for(
-                    prog,
-                    next_frontier,
-                    state,
-                    TraversalDirection::Push,
-                    &mut ctx.pull_bits,
-                ));
-            }
+        let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
+        let slack = self.gpu.timeline.now().0.saturating_sub(link_free.0);
+        let budget = (slack / self.chunk_op_ns()) as usize;
+        let plan = plan_prefetch(
+            cfg.prefetch,
+            g,
+            &geo,
+            &self.region,
+            &mut self.hotness,
+            next_frontier,
+            iter,
+            self.encode.is_some(),
+            budget + GAP_PLAN_OPS,
+        );
+        let mut plan = plan.into_iter();
+        // what fits the tail slack ships (and applies) now ...
+        for op in plan.by_ref().take(budget) {
+            let chunk = op.chunk();
+            let bytes = self.apply_prefetch(op);
+            // prefetches ship raw: the decompression launch
+            // would land on the busy compute engine and could
+            // push the very kernel they are hiding under
+            let span = self.gpu.prefetch_dma_at(chunk as u64, bytes, link_free);
+            widen(&mut ctx.pf_window, span.start.0, span.end.0);
+            ctx.prefetch_ready = ctx.prefetch_ready.max(span.end);
+            ctx.prefetch_bytes += bytes;
+            ctx.prefetch_ops += 1;
+            ctx.prefetch_pending.push((chunk, bytes));
         }
-
-        if let Some((start, end)) = pf_window.take() {
-            if let Some(tr) = self.gpu.timeline.tracer_mut() {
-                let t = tr.track(PREFETCH_WINDOW_TRACK);
-                tr.complete(t, start, end, &format!("prefetch iter {iter}"), CAT_PHASE)
-                    .expect("the prefetch stream serializes its windows");
-            }
-        }
-        let iter_end = self.gpu.sync();
-        self.gpu.obs.record(iter_end.0, Event::IterEnd { iter });
-        if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(SESSION_TRACK);
-            tr.end(t, iter_end.0)
-                .expect("the iteration span closes at the barrier");
-        }
-        ctx.iter_windows.push((iter_start.0, iter_end.0));
-        ctx.per_iter.push(IterReport {
-            active_vertices: ctx.maps.active_vertices(),
-            active_edges: ctx.maps.active_edges(),
-            payload_bytes: od_payload,
-            time_ns: iter_end.since(iter_start),
-            static_edges: ctx.maps.static_edges,
-            pull: false,
-        });
-        ctx.iter += 1;
+        // ... the remainder waits for link gaps in the next
+        // iteration's on-demand pipeline
+        ctx.prefetch_deferred.extend(plan);
     }
 
-    /// One pull-direction iteration: ship every live target's in-edge row
-    /// from the chunked CSC mirror through the on-demand pipeline and run
-    /// the pull kernel over it. The CSR-chunked static region holds
-    /// out-edges, so pull bypasses it entirely — no static compute, no
-    /// hotness updates, no replacement, and any in-flight prefetch plan is
-    /// written off as waste rather than committed against a region nothing
-    /// will read this iteration.
-    fn step_pull_iteration<P: VertexProgram>(
-        &mut self,
-        prog: &P,
-        ctx: &mut RunCtx,
-        active: &Bitmap,
-        state: &P::State,
-        next: &mut NextFrontier,
-    ) {
-        let g = self.g;
-        let cfg = self.cfg;
-        let n = g.num_vertices();
-        let weighted = g.is_weighted();
-        let compressible = compression_eligible(&cfg, g);
-        let iter = ctx.iter;
-        let next_bits = next.writer();
+    /// Link time of one chunk-sized DMA, fixed latency included — the unit
+    /// the replacement server and the prefetch tail budget their windows in.
+    fn chunk_op_ns(&self) -> u64 {
+        let chunk_bytes = self.cfg.chunk_bytes as u64;
+        self.gpu.config.pcie.transfer_ns(chunk_bytes).max(1)
+    }
 
-        let iter_start = self.gpu.sync();
-        self.gpu.obs.record(iter_start.0, Event::IterStart { iter });
-        if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(SESSION_TRACK);
-            tr.begin(
-                t,
-                iter_start.0,
-                &format!("iteration {iter} (pull)"),
-                CAT_PHASE,
-            )
-            .expect("iterations are sequential on the session track");
+    /// Move a prefetch op's chunk into the static region (the data plane;
+    /// the caller charges the link). Returns the bytes loaded.
+    fn apply_prefetch(&mut self, op: PrefetchOp) -> u64 {
+        let (gpu, g) = (&mut self.gpu, self.g);
+        match op {
+            PrefetchOp::Load(c) => self.region.load_chunk(gpu, g, c),
+            PrefetchOp::Swap { evict, load } => self.region.swap_chunk(gpu, g, evict, load),
         }
-
-        // ➊ GenDataMap over the *target* set (unvisited candidates), same
-        // bitmap-kernel charge as the push direction.
-        ops::pull_frontier_into(prog, g, active, state, &mut ctx.pull_bits);
-        let genmap = self.gpu.kernel_at(0, (n as u64).div_ceil(64), iter_start);
-        ctx.breakdown.gen_map_ns += genmap.duration();
-        if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(SESSION_TRACK);
-            tr.complete(t, genmap.start.0, genmap.end.0, "GenDataMap", CAT_PHASE)
-                .expect("GenDataMap opens the iteration");
-        }
-
-        // A pull iteration never reads the static region, so a stale
-        // prefetch plan has nothing to validate against: drain it as
-        // waste instead of mutating residency on signals one push
-        // iteration old.
-        for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
-            ctx.prefetch_waste += bytes;
-        }
-        for (_chunk, bytes) in ctx.prefetch_pending.drain(..) {
-            ctx.prefetch_waste += bytes;
-        }
-        ctx.prefetch_deferred.clear();
-        ctx.prefetch_ready = SimTime::ZERO;
-
-        let mirror = self
-            .mirror
-            .as_ref()
-            .expect("pull iteration without a CSC mirror");
-        let csc = &mirror.csc;
-        let target_nodes = &mut ctx.pull_targets;
-        target_nodes.clear();
-        target_nodes.extend(
-            ctx.pull_bits
-                .iter_ones()
-                .map(|v| v as VertexId)
-                .filter(|&v| csc.degree(v) > 0),
-        );
-
-        let mut od_payload = 0u64;
-        let mut scanned_edges = 0u64;
-        if !target_nodes.is_empty() {
-            let min_buffer_words = self.od_buffers.iter().map(|b| b.len).min().unwrap_or(0);
-            assert!(
-                min_buffer_words > 0,
-                "no on-demand buffer but pull targets exist"
-            );
-            let plan = &mut ctx.plan;
-            plan.plan(csc, target_nodes, min_buffer_words);
-            // CPU gather spans up front, same as push: gathers serialize
-            // on the CPU engine and overlap downstream wire + kernels.
-            let mut gather_ready = genmap.end;
-            ctx.gather_spans.clear();
-            for batch in plan.batches() {
-                let span = self.gpu.gather_at(
-                    batch.payload_bytes(),
-                    batch.entries.len() as u64,
-                    gather_ready,
-                );
-                ctx.breakdown.gather_ns += span.duration();
-                gather_ready = span.end;
-                ctx.gather_spans.push(span);
-            }
-            let gather_first = ctx.gather_spans.first().map(|s| s.start);
-            let gather_last = gather_ready;
-            let mut od_window_end = gather_last;
-            for (bi, batch) in plan.batches().enumerate() {
-                let g_span = ctx.gather_spans[bi];
-                let buf_idx = bi % self.od_buffers.len();
-                let buffer = self.od_buffers[buf_idx];
-                let dst = buffer.slice(0, batch.words());
-                let gather_rows = |window: &mut [u32]| batch.gather_into(csc, window);
-                let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
-                let raw_bytes = batch.payload_bytes();
-                // Compression crossover. The hotness wire cache is keyed
-                // by CSR chunks, so no estimate is available for CSC
-                // rows: encode outright and decide on the actual size.
-                let mut compressed: Option<(u64, SimTime)> = None;
-                if compressible && raw_bytes > 0 {
-                    ctx.enc_entries.clear();
-                    ctx.enc_entries
-                        .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
-                    ctx.enc_buf.clear();
-                    let wire = encode_ranges(csc, &ctx.enc_entries, &mut ctx.enc_buf) as u64;
-                    let ship = matches!(cfg.compression, CompressionMode::Always)
-                        || chain_wins(&self.gpu, ready, raw_bytes, wire);
-                    if ship {
-                        let (copy, dec) =
-                            self.gpu
-                                .h2d_compressed_at(dst, &ctx.enc_buf, ready, gather_rows);
-                        let reg = &mut self.gpu.obs.registry;
-                        reg.counter_add("compress.transfers", 1);
-                        reg.counter_add("compress.raw_bytes", raw_bytes);
-                        reg.counter_add("compress.wire_bytes", wire);
-                        reg.observe("compress.ratio_x100", raw_bytes * 100 / wire.max(1));
-                        compressed = Some((copy.duration() + dec.duration(), dec.end));
-                    } else {
-                        self.gpu.obs.registry.counter_add("compress.declined", 1);
-                    }
-                }
-                let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_fill_at(dst, ready, gather_rows);
-                    (t_span.duration(), t_span.end)
-                });
-                self.gpu.xfer.h2d_bytes += batch.index_bytes();
-                self.gpu.xfer.h2d_wire_bytes += batch.index_bytes();
-                ctx.breakdown.transfer_ns += t_ns;
-                od_payload += batch.payload_bytes() + batch.index_bytes();
-
-                // Host execution runs before the kernel charge: the
-                // simulated pull kernel's edge count is the exact number
-                // of in-edges the operator scanned (CC's zero-label early
-                // exit makes that data-dependent), so the scan result is
-                // needed first. The virtual clock makes the ordering
-                // unobservable.
-                let batch_scanned = {
-                    let payload = self.gpu.mem.words(dst);
-                    let scanned = AtomicU64::new(0);
-                    parallel_for_work(batch.entries.len(), batch.edges(), |_, i| {
-                        let e = &batch.entries[i];
-                        let words = &payload[batch.entry_words(i)];
-                        let s = ops::advance_pull(
-                            prog,
-                            e.vertex,
-                            EdgeSlice::new(words, weighted),
-                            active,
-                            state,
-                            next_bits,
-                        );
-                        scanned.fetch_add(s, Ordering::Relaxed);
-                    });
-                    scanned.into_inner()
-                };
-                scanned_edges += batch_scanned;
-                let c_span =
-                    self.gpu
-                        .pull_kernel_at(batch_scanned, batch.entries.len() as u64, payload_at);
-                ctx.breakdown.ondemand_compute_ns += c_span.duration();
-                ctx.buffer_free_at[buf_idx] = c_span.end;
-                od_window_end = od_window_end.max(c_span.end);
-            }
-            if let Some(first) = gather_first {
-                if let Some(tr) = self.gpu.timeline.tracer_mut() {
-                    let t = tr.track(ONDEMAND_TRACK);
-                    tr.begin(
-                        t,
-                        first.0,
-                        &format!("on-demand iter {iter} (pull)"),
-                        CAT_PHASE,
-                    )
-                    .expect("on-demand windows are sequential");
-                    tr.complete(t, first.0, gather_last.0, "gather", CAT_PHASE)
-                        .expect("gather nests in the on-demand window");
-                    tr.end(t, od_window_end.0)
-                        .expect("the window closes after its last batch");
-                }
-            }
-        }
-        self.gpu.obs.registry.counter_add("direction.pull_iters", 1);
-        ctx.pull_iters += 1;
-
-        // Pre-commit the next iteration's direction. Pull never mutates
-        // static residency, so deciding here sees exactly what the next
-        // iteration's estimate would.
-        let next_frontier = next.snapshot(prog, state);
-        if !next_frontier.is_all_zero() {
-            ctx.next_pull = Some(self.direction_for(
-                prog,
-                next_frontier,
-                state,
-                TraversalDirection::Pull,
-                &mut ctx.pull_bits,
-            ));
-        }
-
-        let iter_end = self.gpu.sync();
-        self.gpu.obs.record(iter_end.0, Event::IterEnd { iter });
-        if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(SESSION_TRACK);
-            tr.end(t, iter_end.0)
-                .expect("the iteration span closes at the barrier");
-        }
-        ctx.iter_windows.push((iter_start.0, iter_end.0));
-        ctx.per_iter.push(IterReport {
-            active_vertices: active.count_ones() as u64,
-            active_edges: scanned_edges,
-            payload_bytes: od_payload,
-            time_ns: iter_end.since(iter_start),
-            static_edges: 0,
-            pull: true,
-        });
-        ctx.iter += 1;
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
@@ -1449,6 +1217,10 @@ impl<'g> AsceticSession<'g> {
         mut ctx: RunCtx,
     ) -> RunReport {
         let cfg = self.cfg;
+        // the first run owns the prestore: its bytes, its (possibly
+        // encoded) wire payload and its time on the clock
+        let first = self.runs == 0;
+        let if_first = |v: u64| if first { v } else { 0 };
         // Per-run delta accounting against the session baselines.
         let run_end = self.gpu.sync();
         let mut report = finish_report(
@@ -1456,12 +1228,8 @@ impl<'g> AsceticSession<'g> {
             prog.name(),
             ctx.iter,
             &mut self.gpu,
-            if self.runs == 0 {
-                self.prestore_bytes
-            } else {
-                0
-            },
-            if self.runs == 0 { self.prestore_ns } else { 0 },
+            if_first(self.prestore_bytes),
+            if_first(self.prestore_ns),
             ctx.refresh_bytes,
             ctx.breakdown,
             ctx.per_iter,
@@ -1498,18 +1266,12 @@ impl<'g> AsceticSession<'g> {
         report.kernels.edges -= ctx.kernels0.edges;
         report.kernels.vertices -= ctx.kernels0.vertices;
         report.kernels.time_ns -= ctx.kernels0.time_ns;
-        let run_ns =
-            run_end.since(ctx.run_start) + if self.runs == 0 { ctx.run_start.0 } else { 0 }; // first run owns the prestore time
+        let run_ns = run_end.since(ctx.run_start) + if_first(ctx.run_start.0);
         report.sim_time_ns = run_ns;
         let busy_delta = self.gpu.timeline.busy_ns(Engine::Compute) - ctx.compute_busy0;
         report.gpu_idle_ns = run_ns.saturating_sub(busy_delta);
-        // wire bytes: the first run owns the prestore's (possibly encoded)
-        // payload, every run owns its own refresh traffic
-        report.prestore_wire_bytes = if self.runs == 0 {
-            self.prestore_wire_bytes
-        } else {
-            0
-        };
+        // every run owns its own refresh traffic
+        report.prestore_wire_bytes = if_first(self.prestore_wire_bytes);
         report.refresh_wire_bytes = ctx.refresh_wire_bytes;
         // metrics: subtract the session baseline (histograms, subsystem
         // counters), then re-pin the canonical counters to this run's
@@ -1629,14 +1391,14 @@ impl<'g> AsceticSession<'g> {
         self.hotness.resize(new_geo.num_chunks());
         self.hotness.invalidate_wire_from(first_dirty_chunk);
         if self.mirror.is_some() {
-            self.mirror = Some(match csc_new {
+            self.mirror = Some(Arc::new(match csc_new {
                 Some(csc) => GraphChunks {
                     csr_geo: new_geo,
                     csc_geo: ChunkGeometry::with_chunk_bytes(csc, self.cfg.chunk_bytes),
                     csc: csc.clone(),
                 },
                 None => GraphChunks::build(g_new, self.cfg.chunk_bytes),
-            });
+            }));
         }
         self.g = g_new;
         self.geo = new_geo;
@@ -1676,7 +1438,7 @@ impl<'g> AsceticSession<'g> {
         reg.counter_add("mutate.wire_bytes", wire_bytes);
         reg.counter_add("mutate.refreshed_chunks", rp.refreshed.len() as u64);
         reg.counter_add("mutate.evicted_chunks", rp.evicted.len() as u64);
-        self.mutate_span(start.0, end.0, "mutation patch");
+        self.phase_span(MUTATE_TRACK, start.0, end.0, "mutation patch");
         PatchApply {
             wire_bytes,
             refreshed_chunks: rp.refreshed.len() as u32,
@@ -1698,17 +1460,25 @@ impl<'g> AsceticSession<'g> {
         self.gpu.obs.registry.counter_add(key, v);
     }
 
-    /// Stamp a `[start_ns, end_ns]` span on the mutation track. Zero-length
-    /// spans (an empty-seed repair) are skipped rather than risk tracer
-    /// ordering errors.
-    pub(crate) fn mutate_span(&mut self, start_ns: u64, end_ns: u64, label: &str) {
+    /// Stamp a `[start_ns, end_ns]` phase span on `track` — the one way
+    /// the session (and the repair engine, on [`MUTATE_TRACK`]) annotates
+    /// the trace beyond the frame's open/close. Zero-length spans (an
+    /// empty-seed repair) are skipped rather than risk tracer ordering
+    /// errors; the label is only rendered when a tracer is armed.
+    pub(crate) fn phase_span(
+        &mut self,
+        track: &str,
+        start_ns: u64,
+        end_ns: u64,
+        label: impl Display,
+    ) {
         if end_ns <= start_ns {
             return;
         }
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(MUTATE_TRACK);
-            tr.complete(t, start_ns, end_ns, label, CAT_PHASE)
-                .expect("mutation spans are sequential");
+            let t = tr.track(track);
+            tr.complete(t, start_ns, end_ns, &label.to_string(), CAT_PHASE)
+                .expect("spans on a phase track are sequential or nested");
         }
     }
 }
@@ -1728,6 +1498,7 @@ pub struct PatchApply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CompressionMode;
     use ascetic_algos::inmemory::run_in_memory;
     use ascetic_algos::{Bfs, Cc, PageRank, Sssp};
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
@@ -2176,6 +1947,96 @@ mod tests {
                 );
                 assert_eq!(r.output, run_in_memory(&g, &prog).output, "{what}");
             }
+        }
+    }
+
+    /// Drive `prog` to its fixed point through `ctx` the way
+    /// `run_frontier` does, calling `after_step` once per iteration.
+    fn step_to_fixed_point(
+        s: &mut AsceticSession,
+        ctx: &mut RunCtx,
+        prog: &Bfs,
+        mut after_step: impl FnMut(&RunCtx),
+    ) {
+        let state = prog.new_state(s.g);
+        let mut active = prog.initial_frontier(s.g);
+        let mut next = NextFrontier::new(s.g.num_vertices());
+        while !active.is_all_zero() {
+            ops::compute(prog, ctx.iter, &active, &state);
+            s.step_iteration(prog, ctx, &active, &state, &mut next);
+            next.finish(prog, &state, &mut active);
+            after_step(ctx);
+        }
+    }
+
+    #[test]
+    fn a_pull_iteration_writes_off_the_prefetch_plan_and_issues_no_prefetch_dma() {
+        // why the pipeline's gap fill needs no direction branch: pull
+        // selection leaves it nothing to issue
+        let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
+        let cfg = cfg_for(&g)
+            .with_prefetch(PrefetchMode::NextFrontier)
+            .with_direction(DirectionMode::Pull);
+        let mut s = AsceticSession::new(cfg, &g);
+        let mut ctx = s.begin_run();
+        // a plan a previous push iteration would have left behind
+        ctx.prefetch_deferred
+            .extend([PrefetchOp::Load(0), PrefetchOp::Load(1)]);
+        ctx.prefetch_inflight.push((PrefetchOp::Load(2), 700));
+        ctx.prefetch_pending.push((3, 300));
+        let prog = Bfs::new(0);
+        let mut first = true;
+        step_to_fixed_point(&mut s, &mut ctx, &prog, |ctx| {
+            if std::mem::take(&mut first) {
+                assert_eq!(ctx.prefetch_waste, 1_000, "in-flight + pending bytes");
+            }
+            assert!(ctx.per_iter.last().unwrap().pull);
+            assert!(ctx.prefetch_deferred.is_empty());
+            assert!(ctx.prefetch_inflight.is_empty() && ctx.prefetch_pending.is_empty());
+        });
+        assert_eq!(ctx.prefetch_ops, 0, "no gap fill under pull");
+        let r = s.finish_run(&prog, &prog.new_state(&g), ctx);
+        assert_eq!(r.xfer.h2d_prefetch_bytes, 0);
+        assert_eq!(r.prefetch_wasted_bytes, 1_000);
+    }
+
+    #[test]
+    fn warm_iterations_recycle_every_host_buffer() {
+        // Capacity stability stands in for "step_iteration allocates
+        // nothing": a second identical BFS through the same `RunCtx` must
+        // find every recycled buffer already at its high-water size.
+        // (`per_iter` / `iter_windows` are the report and grow by design.)
+        fn capacities(ctx: &RunCtx) -> [usize; 10] {
+            [
+                ctx.maps.static_nodes.capacity(),
+                ctx.maps.ondemand_nodes.capacity(),
+                ctx.plan.capacity(),
+                ctx.gather_spans.capacity(),
+                ctx.pull_bits.words().len(),
+                ctx.pull_targets.capacity(),
+                ctx.scratch.capacity(),
+                ctx.prefetch_pending.capacity(),
+                ctx.prefetch_deferred.capacity(),
+                ctx.prefetch_inflight.capacity(),
+            ]
+        }
+        let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
+        // residency must not drift between the two passes
+        let base =
+            compress_cfg(&g, CompressionMode::Always).with_replacement(ReplacementPolicy::Disabled);
+        for (what, cfg) in [
+            ("push", base),
+            ("forced pull", base.with_direction(DirectionMode::Pull)),
+        ] {
+            let mut s = AsceticSession::new(cfg, &g);
+            let prog = Bfs::new(0);
+            let mut ctx = s.begin_run();
+            step_to_fixed_point(&mut s, &mut ctx, &prog, |_| {});
+            let warm = capacities(&ctx);
+            assert!(warm[2] > 0 && warm[6] > 0, "{what}: the pipeline ran");
+            step_to_fixed_point(&mut s, &mut ctx, &prog, |ctx| {
+                assert_eq!(capacities(ctx), warm, "{what}: iteration {}", ctx.iter);
+            });
         }
     }
 }

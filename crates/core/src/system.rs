@@ -25,6 +25,14 @@ pub enum PrepareError {
         /// Device capacity in bytes.
         capacity: u64,
     },
+    /// What the vertex arrays leave of device memory cannot hold the two
+    /// chunks Ascetic needs (one static slot plus the on-demand region).
+    EdgeBudgetBelowTwoChunks {
+        /// Edge budget in bytes, as the session's arena will see it.
+        budget: u64,
+        /// Configured chunk size in bytes.
+        chunk: u64,
+    },
     /// The system's configuration is invalid for this graph.
     Config(ConfigError),
 }
@@ -36,6 +44,9 @@ impl std::fmt::Display for PrepareError {
                 f,
                 "vertex arrays need {need} B but the device holds {capacity} B"
             ),
+            PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk } => {
+                write!(f, "edge budget {budget} B below two {chunk}-byte chunks")
+            }
             PrepareError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
@@ -74,7 +85,9 @@ pub struct Prepared {
     pub geometry: Option<ChunkGeometry>,
     /// Bytes the device-resident vertex arrays will occupy.
     pub vertex_bytes: u64,
-    /// Edge budget in bytes left on the device after the vertex arrays.
+    /// Edge budget in bytes left on the device after the vertex arrays —
+    /// what [`edge_budget_bytes`] will report of the word-granular arena
+    /// once [`reserve_vertex_arrays`] has run.
     pub edge_budget_bytes: u64,
 }
 
@@ -87,7 +100,7 @@ impl Prepared {
         Ok(Prepared {
             geometry: None,
             vertex_bytes,
-            edge_budget_bytes: capacity_bytes - vertex_bytes,
+            edge_budget_bytes: capacity_bytes / 4 * 4 - vertex_bytes,
         })
     }
 
@@ -218,5 +231,36 @@ mod tests {
             bad.prepare(&g).unwrap_err(),
             PrepareError::Config(ConfigError::ZeroOdBuffers)
         );
+    }
+
+    #[test]
+    fn ascetic_prepare_rejects_an_edge_budget_below_two_chunks() {
+        use crate::config::AsceticConfig;
+        use crate::engine::AsceticSystem;
+        let g = uniform_graph(4_000, 30_000, false, 5);
+        // vertex arrays + 40 % of the edges, two bytes past a word boundary
+        let mem = 4_000 * DEVICE_BYTES_PER_VERTEX + g.edge_bytes() * 2 / 5 + 2;
+        let cfg = AsceticConfig::new(DeviceConfig::p100(mem));
+        let err = AsceticSystem::new(cfg.with_chunk_bytes(65_536))
+            .prepare(&g)
+            .unwrap_err();
+        // the budget is the word-granular arena's, not `mem - vertex_bytes`
+        let budget = (mem / 4) * 4 - 4_000 * DEVICE_BYTES_PER_VERTEX;
+        let mut gpu = Gpu::new(cfg.device);
+        reserve_vertex_arrays(&mut gpu, &g);
+        assert_eq!(edge_budget_bytes(&gpu), budget);
+        assert_eq!(
+            err,
+            PrepareError::EdgeBudgetBelowTwoChunks {
+                budget,
+                chunk: 65_536
+            }
+        );
+        let text = err.to_string();
+        assert!(text.contains(&budget.to_string()) && text.contains("65536"));
+        // exactly two chunks is the smallest budget a session accepts
+        let fits = cfg.with_chunk_bytes(budget as usize / 2);
+        assert!(AsceticSystem::new(fits).prepare(&g).is_ok());
+        crate::session::AsceticSession::new(fits, &g);
     }
 }

@@ -91,7 +91,7 @@ fn marked_blocks(summary: impl Iterator<Item = u64>) -> impl Iterator<Item = usi
 /// assert_eq!(static_map.to_indices(), vec![3]);
 /// assert_eq!(ondemand_map.to_indices(), vec![90]);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Bitmap {
     words: Vec<u64>,
     /// One bit per [`BLOCK_WORDS`]-word block; see the module docs.

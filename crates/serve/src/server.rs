@@ -451,18 +451,11 @@ fn serve_impl<'g>(
         let g = &eps.versions[0];
         let sys = AsceticSystem::new(sc.cfg);
         match sys.prepare(g) {
-            Ok(prepared) if prepared.edge_budget_bytes >= 2 * sc.cfg.chunk_bytes as u64 => {
+            Ok(prepared) => {
                 states[vi] = Some(VariantState {
                     epochs: eps,
                     prepared,
                 });
-            }
-            Ok(prepared) => {
-                let reason = format!(
-                    "edge budget {} B below two {}-byte chunks",
-                    prepared.edge_budget_bytes, sc.cfg.chunk_bytes
-                );
-                reject_variant(vi, &admitted, &reason, &mut rejected);
             }
             Err(e) => reject_variant(vi, &admitted, &e.to_string(), &mut rejected),
         }
@@ -1039,6 +1032,22 @@ mod tests {
             rep.rejected[0].reason.contains("compress"),
             "reason should carry the prepare error: {}",
             rep.rejected[0].reason
+        );
+    }
+
+    #[test]
+    fn an_edge_budget_below_two_chunks_rejects_the_variant_with_both_numbers() {
+        let (g, w) = graphs();
+        // ~32 KB of edge budget against 64 KiB chunks
+        let cfg = cfg_for(&g).with_chunk_bytes(65_536);
+        let jobs = [bfs_job(0, 0, 0)];
+        let rep = serve(&ServeConfig::new(cfg, Policy::Fifo), &g, Some(&w), &jobs).unwrap();
+        assert!(rep.jobs.is_empty());
+        assert_eq!(rep.rejected.len(), 1);
+        let budget = (cfg.device.mem_bytes / 4) * 4 - g.num_vertices() as u64 * 24;
+        assert_eq!(
+            rep.rejected[0].reason,
+            format!("edge budget {budget} B below two 65536-byte chunks")
         );
     }
 

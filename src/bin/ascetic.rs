@@ -391,6 +391,17 @@ fn ascetic_config(o: &Opts, dev: DeviceConfig) -> Result<AsceticConfig, String> 
     cfg.build().map_err(|e| e.to_string())
 }
 
+/// `cfg`, once `AsceticSystem::prepare` accepts it for `g` — the typed
+/// check the subcommands that build sessions themselves (fleet, mutations,
+/// pipeline) owe `AsceticSession::new`, whose preconditions panic. As in
+/// `run_system`, the unweighted `g` also vouches for its weighted variant.
+fn prepared(cfg: AsceticConfig, g: &Csr) -> Result<AsceticConfig, String> {
+    AsceticSystem::new(cfg)
+        .prepare(g)
+        .map_err(|e| e.to_string())?;
+    Ok(cfg)
+}
+
 /// Instantiate `algo` from the CLI knobs: `--source` roots single-source
 /// programs, `--kcore-k` parameterizes kcore, and multi-source programs
 /// draw their registry-default sample count from the graph.
@@ -686,7 +697,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_run_mutations(o: &Opts, g: &Csr, algo: Algo, path: &str) -> Result<(), String> {
     use ascetic::mutate::{parse_mutations, run_with_mutations};
     let dev = device_from(o, g)?;
-    let cfg = ascetic_config(o, dev)?;
+    let cfg = prepared(ascetic_config(o, dev)?, g)?;
     let verify = o.has("verify");
     let weighted_run = algo.weighted() && !g.is_weighted();
     let wg = weighted_run.then(|| weighted_variant(g));
@@ -775,7 +786,7 @@ fn fleet_config(o: &Opts, devices: usize) -> Result<FleetConfig, String> {
 fn cmd_run_fleet(o: &Opts, g: &Csr, algo: Algo, devices: usize) -> Result<(), String> {
     let dev = device_from(o, g)?;
     let tracing = o.get("trace-out").is_some();
-    let cfg = ascetic_config(o, dev)?.with_tracing(tracing);
+    let cfg = prepared(ascetic_config(o, dev)?.with_tracing(tracing), g)?;
     let fleet = fleet_config(o, devices)?;
     let fabric = o.get("fabric").unwrap_or("pcie").to_string();
     let prog = program_for(o, g, algo)?;
@@ -835,7 +846,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         return Err("pipeline runs unweighted algorithms; use an unweighted graph".into());
     }
     let dev = device_from(&o, &g)?;
-    let cfg = ascetic_config(&o, dev)?;
+    let cfg = prepared(ascetic_config(&o, dev)?, &g)?;
 
     let mut session = AsceticSession::new(cfg, &g);
     println!(

@@ -381,3 +381,39 @@ fn bad_arguments_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn oversized_chunk_is_rejected_with_a_typed_error_not_a_panic() {
+    let path = tmpfile("small.beg");
+    let out = bin()
+        .args(["generate", "--kind", "uniform", "--vertices", "4000"])
+        .args(["--edges", "30000", "--seed", "5", "-o"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // 40 % of ~120 KB of edges cannot hold two 64 KiB chunks
+    // one device, a fleet (shards keep the global vertex count, so the same
+    // budget) and the session-building pipeline subcommand
+    for args in [
+        &["run", "--algo", "bfs"][..],
+        &["run", "--algo", "bfs", "--devices", "2"][..],
+        &["pipeline", "--algos", "bfs,cc"][..],
+    ] {
+        let out = bin()
+            .arg(args[0])
+            .arg(&path)
+            .args(&args[1..])
+            .args(["--mem-frac", "0.4", "--chunk", "65536"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "must exit nonzero: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            stderr.contains("edge budget 47992 B below two 65536-byte chunks"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
