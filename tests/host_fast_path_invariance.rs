@@ -14,11 +14,11 @@
 //! prints a fresh table.)
 
 use ascetic::algos::reference::pagerank_reference;
-use ascetic::algos::{AlgoOutput, Bfs, Cc, PageRank, Sssp, VertexProgram};
-use ascetic::baselines::SubwaySystem;
+use ascetic::algos::{AlgoOutput, Betweenness, Bfs, Cc, PageRank, Sssp, VertexProgram};
+use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::{
     run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FillPolicy,
-    FleetConfig, OutOfCoreSystem, PrefetchMode, RunReport,
+    FleetConfig, FleetRunReport, OutOfCoreSystem, PrefetchMode, RunReport,
 };
 use ascetic::graph::datasets::weighted_variant;
 use ascetic::graph::generators::{web_graph, WebConfig};
@@ -36,9 +36,11 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// Captured on the parent commit (PR 11; the PR rows on PR 12, the commit
 /// before PageRank's scatter went lane-private; the two hashes and the
 /// last eight rows on PR 13, the commit before push and pull became one
-/// pipeline), identical at every thread count.
+/// pipeline; the last seven rows on PR 14, the commit before the runtimes
+/// shared one driver loop and the baselines one run frame), identical at
+/// every thread count.
 #[rustfmt::skip]
-const GOLDEN: [(&str, Virt); 18] = [
+const GOLDEN: [(&str, Virt); 25] = [
     ("BFS(0)", (2008146, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0x83e6a6e5577825a0, 0xbee0a04ffcedadb7)),
     ("BFS(1777)", (1962549, 279428, 38, 52, 142, 0x16fd92c0332e67f7, 0xc6f32830f934aa5d, 0x4e954480f47e4474)),
     ("BFS(4242)", (2130180, 281768, 43, 53, 146, 0x6ef9d11362d6a739, 0xdeee7423570100a0, 0x8600a001f0c12299)),
@@ -57,6 +59,13 @@ const GOLDEN: [(&str, Virt); 18] = [
     ("BFS(0) overlap off", (2230367, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0xa9b8fb4fb534529c, 0x7f8a67dc791f3f34)),
     ("CC od_buffers=2", (5256638, 2270408, 175, 51, 277, 0xff29483f185f2a2c, 0xa3bc09c8acf5c187, 0x6d467aa181b62765)),
     ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0x3ed6bf52baf85cfc)),
+    ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x2e2b67b5ef15df2a)),
+    ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0xd5889d6c2e3f80f2, 0xc60888e39023816a)),
+    ("UVM BFS(0)", (13586918, 0, 373, 51, 51, 0x1f2c1ab87e045bfe, 0xa7de9c0a7aecf2b0, 0x8ae42a9353a93991)),
+    ("UVM BFS(0), bulk prefetch", (531918, 0, 0, 51, 51, 0x1f2c1ab87e045bfe, 0xf312d64ff2c29414, 0xf6feb1d48bd8a790)),
+    ("Subway BFS(0) raw", (2769697, 405804, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x89ff1533b6e9e203, 0xce949f1417955d58)),
+    ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0xb5a13daa6212b89e)),
+    ("BC(0) 2-device NVLink", (3289961, 181024, 72, 100, 408, 0xd504c1a8d3152869, 0x44c58d6f1ba6a709, 0xa707777a1b286d44)),
 ];
 
 fn cfg_for(g: &Csr) -> AsceticConfig {
@@ -92,9 +101,19 @@ fn metrics_fp(h: &mut u64, m: &MetricsSnapshot, skip: Option<&str>) {
     }
 }
 
+/// Folds the run's event log (every retained event with its timestamp, in
+/// record order) into `h` — nothing when the run had events off, so rows
+/// captured without a log keep their metrics fingerprint.
+fn events_fp(h: &mut u64, r: &RunReport) {
+    for e in r.events.iter().flat_map(|log| log.iter()) {
+        fnv(h, format!("{e:?}").as_bytes());
+    }
+}
+
 fn virt_skipping(r: &RunReport, skip: Option<&str>) -> Virt {
     let mut metrics = FNV_OFFSET;
     metrics_fp(&mut metrics, &r.metrics, skip);
+    events_fp(&mut metrics, r);
     (
         r.sim_time_ns,
         r.xfer.h2d_wire_bytes,
@@ -109,6 +128,27 @@ fn virt_skipping(r: &RunReport, skip: Option<&str>) -> Virt {
 
 fn virt(r: &RunReport) -> Virt {
     virt_skipping(r, None)
+}
+
+/// A fleet's row: makespan, per-device sums, the merged trace, and every
+/// device's metrics (and event log, when armed) folded in device order.
+fn fleet_virt(fleet: &FleetRunReport) -> Virt {
+    let per_device = |f: fn(&RunReport) -> u64| fleet.per_device.iter().map(f).sum::<u64>();
+    let mut fleet_metrics = FNV_OFFSET;
+    for r in &fleet.per_device {
+        metrics_fp(&mut fleet_metrics, &r.metrics, None);
+        events_fp(&mut fleet_metrics, r);
+    }
+    (
+        fleet.makespan_ns,
+        per_device(|r| r.xfer.h2d_wire_bytes),
+        per_device(|r| r.xfer.h2d_ops),
+        fleet.iterations,
+        per_device(|r| r.kernels.launches),
+        fleet.output.fingerprint(),
+        trace_fp(fleet.span_trace.as_ref()),
+        fleet_metrics,
+    )
 }
 
 fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
@@ -145,22 +185,12 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     // (prefetch on, so each shard snapshots the frontier its predecessor
     // wrote — the mid-iteration settle)
     let fleet_cfg = cfg_for(g).with_prefetch(PrefetchMode::NextFrontier);
-    let fleet = run_fleet(fleet_cfg, FleetConfig::nvlink(2), g, &pr);
-    let per_device = |f: fn(&RunReport) -> u64| fleet.per_device.iter().map(f).sum::<u64>();
-    let mut fleet_metrics = FNV_OFFSET;
-    for r in &fleet.per_device {
-        metrics_fp(&mut fleet_metrics, &r.metrics, None);
-    }
-    out.push((
-        fleet.makespan_ns,
-        per_device(|r| r.xfer.h2d_wire_bytes),
-        per_device(|r| r.xfer.h2d_ops),
-        fleet.iterations,
-        per_device(|r| r.kernels.launches),
-        fleet.output.fingerprint(),
-        trace_fp(fleet.span_trace.as_ref()),
-        fleet_metrics,
-    ));
+    out.push(fleet_virt(&run_fleet(
+        fleet_cfg,
+        FleetConfig::nvlink(2),
+        g,
+        &pr,
+    )));
     // The arms no benchmark workload reaches: forced encoding in both
     // directions (one warm session each, so CC also sees refreshes priced
     // by the BFS's wire cache), lazy fill, the no-overlap lane layout, a
@@ -193,6 +223,33 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     // (Subway's compressed transfers did not feed the ratio histogram
     // when these rows were captured; they do now)
     out.push(virt_skipping(&subway, Some("compress.ratio_x100")));
+    // The systems behind the shared driver loop and baseline frame that no
+    // row above reaches, tracing and events on (the event log rides in the
+    // metrics fingerprint): PT, UVM demand-paged and with bulk hints, raw
+    // Subway — and betweenness through Subway and a fleet, whose phase
+    // handshake (and, in the fleet, the exchange that still runs on the
+    // drained frontier at a phase boundary) only a multi-phase program
+    // exercises.
+    let dev = cfg_for(g).device;
+    let bc = Betweenness::new(0);
+    let pt = PtSystem::new(dev).with_tracing(true).with_events(true);
+    out.push(virt(&pt.run(g, &Bfs::new(0))));
+    out.push(virt(&pt.run(g, &pr)));
+    // pages scaled down with the graph, as the chunks are
+    let mut paged = dev;
+    paged.uvm.page_bytes = 1024;
+    let uvm = UvmSystem::new(paged).with_tracing(true).with_events(true);
+    out.push(virt(&uvm.run(g, &Bfs::new(0))));
+    out.push(virt(&uvm.with_prefetch(true).run(g, &Bfs::new(0))));
+    let subway = SubwaySystem::new(dev).with_tracing(true).with_events(true);
+    out.push(virt(&subway.run(g, &Bfs::new(0))));
+    out.push(virt(&subway.run(g, &bc)));
+    out.push(fleet_virt(&run_fleet(
+        cfg_for(g).with_events(true),
+        FleetConfig::nvlink(2),
+        g,
+        &bc,
+    )));
     out
 }
 
