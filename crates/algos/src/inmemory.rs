@@ -1,7 +1,9 @@
 //! Memory-unconstrained runner.
 //!
 //! Executes a [`VertexProgram`] directly over the host CSR with no device,
-//! no partitioning and no transfers. Three jobs:
+//! no partitioning and no transfers — the shared driver loop
+//! ([`crate::ops::Drive`]) around a bare [`crate::ops::advance_frontier`].
+//! Three jobs:
 //!
 //! 1. **Semantic oracle** — every out-of-core system must produce exactly
 //!    this output (integration tests enforce it);
@@ -14,6 +16,7 @@
 use ascetic_graph::Csr;
 use ascetic_par::Bitmap;
 
+use crate::ops::{advance_frontier, Drive, NextFrontier};
 use crate::traits::{AlgoOutput, VertexProgram};
 
 /// Per-iteration activity record.
@@ -57,9 +60,8 @@ impl InMemoryResult {
     }
 }
 
-/// Run `prog` over `g` entirely in memory, one
-/// [`crate::ops::advance_all_into`] composition per iteration, with the multi-phase handshake when the
-/// frontier drains.
+/// Run `prog` over `g` entirely in memory: [`crate::ops::Drive`] around one
+/// [`crate::ops::advance_frontier`] per iteration.
 pub fn run_in_memory<P: VertexProgram>(g: &Csr, prog: &P) -> InMemoryResult {
     if prog.capabilities().weights {
         assert!(g.is_weighted(), "{} requires weights", prog.name());
@@ -81,36 +83,24 @@ pub fn run_in_memory_from<P: VertexProgram>(
 ) -> InMemoryResult {
     let mut log = Vec::new();
     let mut total_edges = 0u64;
-    let mut iter = 0u32;
-    let mut phase = 0u32;
-    let mut next = crate::ops::NextFrontier::new(g.num_vertices());
+    let mut next = NextFrontier::new(g.num_vertices());
     let mut nodes = Vec::new();
 
-    while iter < prog.max_iterations() {
-        if active.is_all_zero() {
-            match crate::ops::phase_transition(prog, phase, g, state) {
-                Some(f) => {
-                    active = f;
-                    phase += 1;
-                }
-                None => break,
-            }
-        }
-        let active_vertices = active.count_ones() as u64;
-        let active_edges =
-            crate::ops::advance_all_into(prog, g, iter, &mut active, state, &mut next, &mut nodes);
+    let mut drive = Drive::new(prog, g, state);
+    while let Some(iteration) = drive.begin(&mut active) {
+        let active_edges = advance_frontier(prog, g, &active, state, next.writer(), &mut nodes);
         log.push(IterationLog {
-            iteration: iter,
-            active_vertices,
+            iteration,
+            active_vertices: nodes.len() as u64,
             active_edges,
         });
         total_edges += active_edges;
-        iter += 1;
+        drive.end(&mut active, &mut next);
     }
 
     InMemoryResult {
         output: prog.output(state),
-        iterations: iter,
+        iterations: drive.iterations(),
         log,
         total_edges,
     }

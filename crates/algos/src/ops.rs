@@ -18,10 +18,13 @@
 //!   carries across iterations (concurrent write side, one snapshot per
 //!   iteration, filter, swap) — and the one place the program's `settle`
 //!   hook runs, so no driver can read a frontier ahead of it;
-//! * [`advance_all`] / [`advance_all_into`] — whole-frontier push advance
-//!   over a host CSR, the composition the in-memory oracle uses;
+//! * [`advance_frontier`] — whole-frontier push advance over a host CSR,
+//!   the in-memory oracle's iteration body ([`advance_all`] is the one-shot
+//!   form);
 //! * [`phase_transition`] — the multi-phase handshake, consulted when a
-//!   frontier drains.
+//!   frontier drains;
+//! * [`Drive`] — the driver loop every runtime shares: counters, cap,
+//!   handshake, compute before the body, `finish` after it.
 //!
 //! The operators are deliberately thin: determinism rests on the same
 //! contracts as before (frozen snapshots in `compute`, commuting atomic
@@ -182,9 +185,8 @@ impl NextFrontier {
 
 /// Run one whole-frontier push advance over a host CSR: compute, then a
 /// parallel advance of every active row, then filter. Returns the
-/// compacted next frontier plus the active-edge count — the reference
-/// composition the out-of-core engines mirror around their data movement.
-/// One-shot form of [`advance_all_into`], with fresh buffers.
+/// compacted next frontier plus the active-edge count — one iteration of
+/// [`Drive`] around [`advance_frontier`], with fresh buffers.
 pub fn advance_all<P: VertexProgram>(
     prog: &P,
     g: &Csr,
@@ -194,45 +196,35 @@ pub fn advance_all<P: VertexProgram>(
 ) -> (Bitmap, u64) {
     let mut frontier = active.clone();
     let mut next = NextFrontier::new(g.num_vertices());
-    let mut nodes = Vec::new();
-    let active_edges = advance_all_into(
-        prog,
-        g,
-        iteration,
-        &mut frontier,
-        state,
-        &mut next,
-        &mut nodes,
-    );
+    compute(prog, iteration, &frontier, state);
+    let active_edges = advance_frontier(prog, g, &frontier, state, next.writer(), &mut Vec::new());
+    next.finish(prog, state, &mut frontier);
     (frontier, active_edges)
 }
 
-/// [`advance_all`] on a loop's recycled buffers — the in-memory oracle's
-/// entire iteration: `active` is advanced in place to the compacted next
-/// frontier, `nodes` is scratch for the active-vertex list. Returns the
-/// active-edge count.
-pub fn advance_all_into<P: VertexProgram>(
+/// Push-advance every active row straight from the host CSR — the
+/// in-memory oracle's whole iteration body, and the host execution of any
+/// runtime whose edges never leave host memory (UVM). `nodes` is recycled
+/// scratch that comes back holding the active-vertex list, ascending.
+/// Returns the active-edge count.
+pub fn advance_frontier<P: VertexProgram>(
     prog: &P,
     g: &Csr,
-    iteration: u32,
-    active: &mut Bitmap,
+    active: &Bitmap,
     state: &P::State,
-    next: &mut NextFrontier,
+    next: &AtomicBitmap,
     nodes: &mut Vec<VertexId>,
 ) -> u64 {
-    compute(prog, iteration, active, state);
     active.collect_indices(nodes);
     let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
     let weights_all = g.weights();
-    let bits = next.writer();
     parallel_for_work(nodes.len(), active_edges, |lane, i| {
         let v = nodes[i];
         let r = g.edge_range(v);
         let (s, e) = (r.start as usize, r.end as usize);
         let slice = EdgeSlice::split(&g.targets()[s..e], weights_all.map(|w| &w[s..e]));
-        advance(prog, lane, v, slice, state, bits);
+        advance(prog, lane, v, slice, state, next);
     });
-    next.finish(prog, state, active);
     active_edges
 }
 
@@ -251,6 +243,77 @@ pub fn phase_transition<P: VertexProgram>(
         None
     } else {
         Some(f)
+    }
+}
+
+/// The one driver loop, shared by every runtime (session, fleet, the
+/// three baselines, the in-memory oracle): it owns the iteration and phase
+/// counters, the `max_iterations` cap, the [`phase_transition`] handshake
+/// on a drained frontier, [`compute`] before the iteration's body and
+/// [`NextFrontier::finish`] (settle, snapshot, filter, swap) after it. A
+/// runtime writes only the body — how the active rows reach the advance
+/// operators:
+///
+/// ```text
+/// let mut drive = Drive::new(prog, g, &state);
+/// while let Some(iter) = drive.begin(&mut active) {
+///     /* advance `active`'s rows into `next.writer()` */
+///     drive.end(&mut active, &mut next);
+/// }
+/// ```
+///
+/// After [`Drive::end`], `active` is the frontier it just closed — empty
+/// at a phase boundary — which is where a fleet runs its exchange. The
+/// two frontier buffers stay the runtime's own locals (the loop borrows
+/// them per call rather than holding them), so the body's hot code keeps
+/// working on its function's own references.
+pub struct Drive<'a, P: VertexProgram> {
+    prog: &'a P,
+    g: &'a Csr,
+    state: &'a P::State,
+    iter: u32,
+    phase: u32,
+}
+
+impl<'a, P: VertexProgram> Drive<'a, P> {
+    /// A loop over `prog`, at iteration 0 of phase 0.
+    pub fn new(prog: &'a P, g: &'a Csr, state: &'a P::State) -> Self {
+        Drive {
+            prog,
+            g,
+            state,
+            iter: 0,
+            phase: 0,
+        }
+    }
+
+    /// Open the next iteration over `active`: `None` once the cap is
+    /// reached or the frontier has drained and the program declines
+    /// another phase (otherwise the next phase's frontier is now in
+    /// `active`); `Some(iteration index)` once the compute operator has
+    /// run on the frozen frontier and the body may advance it.
+    pub fn begin(&mut self, active: &mut Bitmap) -> Option<u32> {
+        if self.iter >= self.prog.max_iterations() {
+            return None;
+        }
+        if active.is_all_zero() {
+            *active = phase_transition(self.prog, self.phase, self.g, self.state)?;
+            self.phase += 1;
+        }
+        compute(self.prog, self.iter, active, self.state);
+        Some(self.iter)
+    }
+
+    /// Close the iteration [`Drive::begin`] opened: what the body wrote
+    /// through `next` becomes `active`.
+    pub fn end(&mut self, active: &mut Bitmap, next: &mut NextFrontier) {
+        next.finish(self.prog, self.state, active);
+        self.iter += 1;
+    }
+
+    /// Iterations closed so far.
+    pub fn iterations(&self) -> u32 {
+        self.iter
     }
 }
 
@@ -358,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn recycled_advance_matches_the_one_shot_form() {
+    fn driven_advance_matches_the_one_shot_form() {
         let g = uniform_graph(600, 4_000, false, 11);
         let prog = crate::Bfs::new(3);
         let (s1, s2) = (prog.new_state(&g), prog.new_state(&g));
@@ -366,13 +429,135 @@ mod tests {
         let mut recycled = one_shot.clone();
         let mut next = NextFrontier::new(g.num_vertices());
         let mut nodes = Vec::new();
-        for iter in 0..6 {
+        let mut drive = Drive::new(&prog, &g, &s2);
+        while let Some(iter) = drive.begin(&mut recycled) {
             let (f, e1) = advance_all(&prog, &g, iter, &one_shot, &s1);
-            let e2 = advance_all_into(&prog, &g, iter, &mut recycled, &s2, &mut next, &mut nodes);
+            let e2 = advance_frontier(&prog, &g, &recycled, &s2, next.writer(), &mut nodes);
             one_shot = f;
+            drive.end(&mut recycled, &mut next);
             assert_eq!((e1, &one_shot), (e2, &recycled), "iteration {iter}");
         }
+        assert!(drive.iterations() > 3 && one_shot.is_all_zero());
         assert_eq!(prog.output(&s1), prog.output(&s2));
+    }
+
+    /// What a [`Probe`] run did, in order.
+    #[derive(Debug, PartialEq)]
+    enum Ev {
+        Compute(u32),
+        Body(u32),
+        Handshake(u32),
+    }
+
+    /// A program that only records how the loop called it: starts from
+    /// `start`, offers `phases` (each a frontier of that one vertex) through
+    /// the handshake, and leaves all activation to the test's loop body.
+    struct Probe {
+        start: Option<usize>,
+        phases: Vec<usize>,
+        cap: u32,
+        log: std::sync::Mutex<Vec<Ev>>,
+    }
+    impl Probe {
+        fn new(start: Option<usize>, phases: Vec<usize>, cap: u32) -> Probe {
+            Probe {
+                start,
+                phases,
+                cap,
+                log: Default::default(),
+            }
+        }
+        fn push(&self, ev: Ev) {
+            self.log.lock().unwrap().push(ev);
+        }
+        fn only(v: usize) -> Bitmap {
+            let mut b = Bitmap::new(8);
+            b.set(v);
+            b
+        }
+        /// Drive to the end; `body(iter)` names the vertex to activate.
+        fn run(&self, body: impl Fn(u32) -> Option<usize>) -> (u32, Vec<Ev>) {
+            let g = uniform_graph(8, 16, false, 1);
+            let mut active = self.initial_frontier(&g);
+            let mut next = NextFrontier::new(8);
+            let mut drive = Drive::new(self, &g, &());
+            while let Some(iter) = drive.begin(&mut active) {
+                assert!(
+                    !active.is_all_zero(),
+                    "a body never sees a drained frontier"
+                );
+                self.push(Ev::Body(iter));
+                if let Some(v) = body(iter) {
+                    next.writer().set(v);
+                }
+                drive.end(&mut active, &mut next);
+            }
+            (
+                drive.iterations(),
+                std::mem::take(&mut self.log.lock().unwrap()),
+            )
+        }
+    }
+    impl VertexProgram for Probe {
+        type State = ();
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn new_state(&self, _g: &Csr) {}
+        fn initial_frontier(&self, _g: &Csr) -> Bitmap {
+            self.start.map_or(Bitmap::new(8), Probe::only)
+        }
+        fn compute(&self, iteration: u32, _active: &Bitmap, _state: &()) {
+            self.push(Ev::Compute(iteration));
+        }
+        fn advance_push(&self, _: usize, _: VertexId, _: EdgeSlice<'_>, _: &(), _: &AtomicBitmap) {}
+        fn next_phase(&self, finished: u32, _g: &Csr, _state: &()) -> Option<Bitmap> {
+            self.push(Ev::Handshake(finished));
+            self.phases.get(finished as usize).copied().map(Probe::only)
+        }
+        fn max_iterations(&self) -> u32 {
+            self.cap
+        }
+        fn output(&self, _state: &()) -> AlgoOutput {
+            AlgoOutput::Labels(Vec::new())
+        }
+    }
+
+    #[test]
+    fn drive_runs_no_body_from_an_empty_frontier_with_no_further_phase() {
+        let (iters, log) = Probe::new(None, vec![], 100).run(|_| Some(0));
+        assert_eq!((iters, log), (0, vec![Ev::Handshake(0)]));
+    }
+
+    #[test]
+    fn drive_caps_a_never_draining_program_exactly() {
+        let (iters, log) = Probe::new(Some(0), vec![1], 7).run(|_| Some(3));
+        assert_eq!(iters, 7);
+        assert_eq!(log.len(), 14, "compute + body per iteration, no handshake");
+        assert_eq!(log[12..], [Ev::Compute(6), Ev::Body(6)]);
+    }
+
+    #[test]
+    fn drive_computes_before_each_body_and_shakes_hands_once_per_drained_frontier() {
+        // phase 0 runs two iterations, phase 1 (entered through the
+        // handshake) one; the second drain ends the run
+        let probe = Probe::new(Some(0), vec![5], 100);
+        let (iters, log) = probe.run(|iter| (iter == 0).then_some(1));
+        assert_eq!(iters, 3);
+        use Ev::*;
+        assert_eq!(
+            log,
+            [
+                Compute(0),
+                Body(0),
+                Compute(1),
+                Body(1),
+                Handshake(0),
+                Compute(2),
+                Body(2),
+                Handshake(1),
+            ]
+        );
     }
 
     #[test]

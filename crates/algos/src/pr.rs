@@ -590,10 +590,13 @@ mod tests {
             NextFrontier::new(g.num_vertices()),
         );
         let mut nodes = Vec::new();
-        let mut iters = 0;
-        while !fa.is_all_zero() {
-            let ea = ops::advance_all_into(&pr, g, iters, &mut fa, &laned, &mut na, &mut nodes);
-            let eb = ops::advance_all_into(&pr, g, iters, &mut fb, &oracle, &mut nb, &mut nodes);
+        let mut a = ops::Drive::new(&pr, g, &laned);
+        let mut b = ops::Drive::new(&pr, g, &oracle);
+        while let (Some(iters), Some(_)) = (a.begin(&mut fa), b.begin(&mut fb)) {
+            let ea = ops::advance_frontier(&pr, g, &fa, &laned, na.writer(), &mut nodes);
+            let eb = ops::advance_frontier(&pr, g, &fb, &oracle, nb.writer(), &mut nodes);
+            a.end(&mut fa, &mut na);
+            b.end(&mut fb, &mut nb);
             assert_eq!((ea, &fa), (eb, &fb), "activation set, iteration {iters}");
             assert_eq!(
                 words(&laned.residual),
@@ -605,14 +608,40 @@ mod tests {
                 words(&oracle.rank),
                 "ranks, iteration {iters}"
             );
-            iters += 1;
         }
+        let iters = a.iterations();
+        assert_eq!(iters, b.iterations());
         assert!(iters > 3, "ran {iters} iterations");
         assert!(
             oracle.live_lanes().next().is_none(),
             "the oracle must not grow lanes"
         );
         assert_eq!(pr.output(&laned), pr.output(&oracle));
+    }
+
+    #[test]
+    fn the_driver_loop_never_hands_a_body_unsettled_lanes() {
+        use crate::reference::pagerank_reference;
+        let g = ascetic_graph::generators::uniform_graph(5_000, 60_000, false, 13);
+        let pr = PageRank::new().with_eps_frac(1e-6);
+        let state = at_threads(8, || {
+            let state = pr.new_state(&g);
+            let mut active = pr.initial_frontier(&g);
+            let mut next = NextFrontier::new(g.num_vertices());
+            let mut nodes = Vec::new();
+            let mut parked_mid_iteration = 0;
+            let mut drive = ops::Drive::new(&pr, &g, &state);
+            while drive.begin(&mut active).is_some() {
+                assert_eq!(state.parked_blocks(), 0, "frontier handed out unsettled");
+                ops::advance_frontier(&pr, &g, &active, &state, next.writer(), &mut nodes);
+                parked_mid_iteration += state.parked_blocks();
+                drive.end(&mut active, &mut next);
+            }
+            assert!(parked_mid_iteration > 0, "the lanes were never used");
+            state
+        });
+        let expect = AlgoOutput::Ranks(pagerank_reference(&g, 0.85, 1e-12, 10_000));
+        assert_eq!(pr.output(&state).first_mismatch(&expect, 1e-6), None);
     }
 
     #[test]

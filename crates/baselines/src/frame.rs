@@ -1,0 +1,109 @@
+//! The run frame the three baselines share.
+//!
+//! PT, Subway and UVM differ in which bytes move when — and in nothing
+//! else: each runs on a fresh device with the vertex arrays reserved,
+//! brackets every iteration between two barriers and the `IterStart` /
+//! `IterEnd` events, logs one [`IterReport`] per iteration and assembles
+//! the same [`RunReport`]. That frame lives here, once, and the frontier
+//! loop around it is [`ascetic_algos::ops::Drive`]; the system modules keep
+//! only their data movement.
+
+use ascetic_algos::VertexProgram;
+use ascetic_core::engine::finish_report;
+use ascetic_core::report::{Breakdown, IterReport, RunReport};
+use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
+use ascetic_graph::Csr;
+use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
+use ascetic_sim::{DevPtr, DeviceConfig, Gpu, SimTime};
+
+/// One baseline run's device and report state.
+pub(crate) struct Frame {
+    /// The device: vertex arrays reserved, tracer and event log armed as
+    /// the system asked.
+    pub gpu: Gpu,
+    /// Time components the system charges as it goes.
+    pub breakdown: Breakdown,
+    per_iter: Vec<IterReport>,
+    iter_windows: Vec<(u64, u64)>,
+}
+
+impl Frame {
+    /// A fresh device for one run over `g`.
+    pub fn new(device: DeviceConfig, tracing: bool, events: bool, g: &Csr) -> Frame {
+        let mut gpu = if tracing {
+            Gpu::new_traced(device)
+        } else {
+            Gpu::new(device)
+        };
+        if events {
+            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
+        }
+        reserve_vertex_arrays(&mut gpu, g);
+        Frame {
+            gpu,
+            breakdown: Breakdown::default(),
+            per_iter: Vec::new(),
+            iter_windows: Vec::new(),
+        }
+    }
+
+    /// Everything the vertex arrays left, as one edge buffer.
+    pub fn edge_buffer(&mut self, g: &Csr) -> DevPtr {
+        assert!(
+            edge_budget_bytes(&self.gpu) >= g.bytes_per_edge() as u64,
+            "no room for edge data"
+        );
+        let words = self.gpu.mem.available();
+        self.gpu.alloc(words).expect("edge buffer")
+    }
+
+    /// Open iteration `iter`: barrier, `IterStart`. Returns its start.
+    pub fn open(&mut self, iter: u32) -> SimTime {
+        let start = self.gpu.sync();
+        self.gpu.obs.record(start.0, Event::IterStart { iter });
+        start
+    }
+
+    /// Close iteration `iter`, opened at `start`: barrier, `IterEnd`, and
+    /// the iteration's report row.
+    pub fn close(
+        &mut self,
+        iter: u32,
+        start: SimTime,
+        active_vertices: u64,
+        active_edges: u64,
+        payload_bytes: u64,
+    ) {
+        let end = self.gpu.sync();
+        self.gpu.obs.record(end.0, Event::IterEnd { iter });
+        self.per_iter.push(IterReport {
+            active_vertices,
+            active_edges,
+            payload_bytes,
+            time_ns: end.since(start),
+            static_edges: 0,
+            pull: false,
+        });
+        self.iter_windows.push((start.0, end.0));
+    }
+
+    /// Assemble the run's report from the final device state.
+    pub fn finish<P: VertexProgram>(
+        mut self,
+        system: &'static str,
+        prog: &P,
+        state: &P::State,
+        iterations: u32,
+    ) -> RunReport {
+        finish_report(
+            system,
+            prog.name(),
+            iterations,
+            &mut self.gpu,
+            self.breakdown,
+            self.per_iter,
+            self.iter_windows,
+            prog.output(state),
+        )
+    }
+}

@@ -21,8 +21,12 @@
 //!
 //! All three implement [`ascetic_core::OutOfCoreSystem`] and produce the
 //! same [`ascetic_core::RunReport`] as Ascetic, so every table and figure
-//! compares like-for-like.
+//! compares like-for-like — and all three run the driver loop Ascetic runs
+//! ([`ascetic_algos::ops::Drive`]) inside one shared run frame (the
+//! private `frame` module), so they differ from each other, and from
+//! Ascetic, in data movement only.
 
+mod frame;
 pub mod pt;
 pub mod subway;
 pub mod uvm;

@@ -8,26 +8,28 @@
 //! overlap: transfer and compute chain strictly (classic double-buffering
 //! is deliberately absent, matching the paper's PT results where data
 //! transfer dominates by 10–200×).
+//!
+//! The frontier loop is [`ascetic_algos::ops::Drive`] and the device /
+//! iteration / report frame is `crate::frame` (`DESIGN.md` §18); what is
+//! left here is PT's data movement: which partitions ship, in what slices.
 
-use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::ops::{self, Drive, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::partition::partition_by_bytes;
 use ascetic_graph::Csr;
-use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
 use ascetic_par::parallel_for_work;
-use ascetic_sim::{DeviceConfig, Gpu};
+use ascetic_sim::DeviceConfig;
 
-use ascetic_core::engine::finish_report;
-use ascetic_core::report::{Breakdown, IterReport, RunReport};
-use ascetic_core::system::{
-    edge_budget_bytes, reserve_vertex_arrays, OutOfCoreSystem, PrepareError, Prepared,
-};
+use ascetic_core::report::RunReport;
+use ascetic_core::system::{OutOfCoreSystem, PrepareError, Prepared};
+
+use crate::frame::Frame;
 
 /// The PT baseline system.
 pub struct PtSystem {
     /// Device configuration.
     pub device: DeviceConfig,
-    /// Record engine spans for Chrome-trace export.
+    /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
     /// Record a structured event log on the report (comparable with
     /// Ascetic's stream).
@@ -44,7 +46,7 @@ impl PtSystem {
         }
     }
 
-    /// Enable Chrome-trace span recording.
+    /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
@@ -68,46 +70,21 @@ impl OutOfCoreSystem for PtSystem {
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
-        let n = g.num_vertices();
-        let mut gpu = if self.tracing {
-            Gpu::new_traced(self.device)
-        } else {
-            Gpu::new(self.device)
-        };
-        if self.events {
-            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
-        let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
-        let budget = edge_budget_bytes(&gpu);
-        assert!(budget >= g.bytes_per_edge() as u64, "no room for edge data");
-        let parts = partition_by_bytes(g, budget);
-        let buffer_words = gpu.mem.available();
-        let buffer = gpu.alloc(buffer_words).expect("partition buffer");
+        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let buffer = frame.edge_buffer(g);
+        let parts = partition_by_bytes(g, buffer.len_bytes());
+        let buffer_words = buffer.len;
         let wpe = g.words_per_edge();
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
-        let mut next = NextFrontier::new(n);
-        let mut breakdown = Breakdown::default();
-        let mut per_iter = Vec::new();
-        let mut iter_windows = Vec::new();
+        let mut next = NextFrontier::new(g.num_vertices());
         let mut staging: Vec<u32> = Vec::new();
-        let mut iter = 0u32;
-        let mut phase = 0u32;
 
-        while iter < prog.max_iterations() {
-            if active.is_all_zero() {
-                match ops::phase_transition(prog, phase, g, &state) {
-                    Some(f) => {
-                        active = f;
-                        phase += 1;
-                    }
-                    None => break,
-                }
-            }
-            let iter_start = gpu.sync();
-            gpu.obs.record(iter_start.0, Event::IterStart { iter });
-            ops::compute(prog, iter, &active, &state);
+        let mut drive = Drive::new(prog, g, &state);
+        while let Some(iter) = drive.begin(&mut active) {
+            let iter_start = frame.open(iter);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
             let next_bits = next.writer();
             let mut payload = 0u64;
             let mut active_vertices = 0u64;
@@ -193,34 +170,10 @@ impl OutOfCoreSystem for PtSystem {
                 }
             }
 
-            let iter_end = gpu.sync();
-            gpu.obs.record(iter_end.0, Event::IterEnd { iter });
-            per_iter.push(IterReport {
-                active_vertices,
-                active_edges,
-                payload_bytes: payload,
-                time_ns: iter_end.since(iter_start),
-                static_edges: 0,
-                pull: false,
-            });
-            iter_windows.push((iter_start.0, iter_end.0));
-            next.finish(prog, &state, &mut active);
-            iter += 1;
+            frame.close(iter, iter_start, active_vertices, active_edges, payload);
+            drive.end(&mut active, &mut next);
         }
-
-        finish_report(
-            "PT",
-            prog.name(),
-            iter,
-            &mut gpu,
-            0,
-            0,
-            0,
-            breakdown,
-            per_iter,
-            iter_windows,
-            prog.output(&state),
-        )
+        frame.finish("PT", prog, &state, drive.iterations())
     }
 }
 

@@ -13,28 +13,29 @@
 //!
 //! The gather/batching machinery is shared with Ascetic's On-demand Engine
 //! (`ascetic_core::ondemand`), mirroring the paper: "We also exploit such
-//! an approach to manage the On-demand Region in Ascetic."
+//! an approach to manage the On-demand Region in Ascetic." The frontier
+//! loop is [`ascetic_algos::ops::Drive`] and the device / iteration /
+//! report frame is `crate::frame` (`DESIGN.md` §18); what is left here is
+//! Subway's data movement: identify, gather, ship, compute, per batch.
 
-use ascetic_algos::ops::{self, NextFrontier};
+use ascetic_algos::ops::{self, Drive, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::Csr;
-use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_sim::{DeviceConfig, Gpu};
+use ascetic_sim::DeviceConfig;
 
 use ascetic_core::codec::{compress_wins, eligible, ship_batch, EncodeScratch};
-use ascetic_core::engine::finish_report;
 use ascetic_core::ondemand::BatchPlan;
-use ascetic_core::report::{Breakdown, IterReport, RunReport};
-use ascetic_core::system::{
-    edge_budget_bytes, reserve_vertex_arrays, OutOfCoreSystem, PrepareError, Prepared,
-};
+use ascetic_core::report::RunReport;
+use ascetic_core::system::{OutOfCoreSystem, PrepareError, Prepared};
 use ascetic_core::CompressionMode;
+
+use crate::frame::Frame;
 
 /// The Subway baseline system.
 pub struct SubwaySystem {
     /// Device configuration.
     pub device: DeviceConfig,
-    /// Record engine spans for Chrome-trace export.
+    /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
     /// Record a structured event log on the report (comparable with
     /// Ascetic's stream).
@@ -55,7 +56,7 @@ impl SubwaySystem {
         }
     }
 
-    /// Enable Chrome-trace span recording.
+    /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
@@ -86,21 +87,8 @@ impl OutOfCoreSystem for SubwaySystem {
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
         let n = g.num_vertices();
-        let mut gpu = if self.tracing {
-            Gpu::new_traced(self.device)
-        } else {
-            Gpu::new(self.device)
-        };
-        if self.events {
-            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
-        let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
-        assert!(
-            edge_budget_bytes(&gpu) >= g.bytes_per_edge() as u64,
-            "no room for the subgraph buffer"
-        );
-        let buffer_words = gpu.mem.available();
-        let buffer = gpu.alloc(buffer_words).expect("subgraph buffer");
+        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let buffer = frame.edge_buffer(g);
         let weighted = g.is_weighted();
         let encode = eligible(self.compression, g);
         let mut scratch = EncodeScratch::default();
@@ -110,25 +98,11 @@ impl OutOfCoreSystem for SubwaySystem {
         let mut next = NextFrontier::new(n);
         let mut nodes = Vec::new();
         let mut plan = BatchPlan::default();
-        let mut breakdown = Breakdown::default();
-        let mut per_iter = Vec::new();
-        let mut iter_windows = Vec::new();
-        let mut iter = 0u32;
-        let mut phase = 0u32;
 
-        while iter < prog.max_iterations() {
-            if active.is_all_zero() {
-                match ops::phase_transition(prog, phase, g, &state) {
-                    Some(f) => {
-                        active = f;
-                        phase += 1;
-                    }
-                    None => break,
-                }
-            }
-            let iter_start = gpu.sync();
-            gpu.obs.record(iter_start.0, Event::IterStart { iter });
-            ops::compute(prog, iter, &active, &state);
+        let mut drive = Drive::new(prog, g, &state);
+        while let Some(iter) = drive.begin(&mut active) {
+            let iter_start = frame.open(iter);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
             active.collect_indices(&mut nodes);
             let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
             let next_bits = next.writer();
@@ -141,7 +115,7 @@ impl OutOfCoreSystem for SubwaySystem {
             // (b)-(d) per batch, strictly chained.
             let mut payload = 0u64;
             let mut phase_end = ident.end;
-            plan.plan(g, &nodes, buffer_words);
+            plan.plan(g, &nodes, buffer.len);
             for batch in plan.batches() {
                 let g_span =
                     gpu.gather_at(batch.payload_bytes(), batch.entries.len() as u64, phase_end);
@@ -154,7 +128,7 @@ impl OutOfCoreSystem for SubwaySystem {
                 // sequential the pure link rule is exact (the compute
                 // engine is idle while the copy runs).
                 let (t_ns, payload_at) = ship_batch(
-                    &mut gpu,
+                    gpu,
                     g,
                     batch,
                     dst,
@@ -179,34 +153,10 @@ impl OutOfCoreSystem for SubwaySystem {
                 });
             }
 
-            let iter_end = gpu.sync();
-            gpu.obs.record(iter_end.0, Event::IterEnd { iter });
-            per_iter.push(IterReport {
-                active_vertices: nodes.len() as u64,
-                active_edges,
-                payload_bytes: payload,
-                time_ns: iter_end.since(iter_start),
-                static_edges: 0,
-                pull: false,
-            });
-            iter_windows.push((iter_start.0, iter_end.0));
-            next.finish(prog, &state, &mut active);
-            iter += 1;
+            frame.close(iter, iter_start, nodes.len() as u64, active_edges, payload);
+            drive.end(&mut active, &mut next);
         }
-
-        finish_report(
-            "Subway",
-            prog.name(),
-            iter,
-            &mut gpu,
-            0,
-            0,
-            0,
-            breakdown,
-            per_iter,
-            iter_windows,
-            prog.output(&state),
-        )
+        frame.finish("Subway", prog, &state, drive.iterations())
     }
 }
 

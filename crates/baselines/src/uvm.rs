@@ -13,19 +13,23 @@
 //! (`cudaMemAdvise`-style bulk hints, which the paper's tuned baseline
 //! uses) migrates each iteration's page set at bulk bandwidth instead of
 //! fault-by-fault.
+//!
+//! The frontier loop is [`ascetic_algos::ops::Drive`], the device /
+//! iteration / report frame is `crate::frame`, and the host execution is
+//! the in-memory oracle's [`ops::advance_frontier`] — the mapping *is* host
+//! memory (`DESIGN.md` §18). What is left here is UVM's data movement: the
+//! page walk and what its faults cost.
 
-use ascetic_algos::ops::{self, NextFrontier};
-use ascetic_algos::{EdgeSlice, VertexProgram};
+use ascetic_algos::ops::{self, Drive, NextFrontier};
+use ascetic_algos::VertexProgram;
 use ascetic_graph::Csr;
-use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
-use ascetic_par::parallel_for_work;
-use ascetic_sim::{AccessTracer, DeviceConfig, Engine, Gpu, SimTime, Uvm};
+use ascetic_obs::Event;
+use ascetic_sim::{AccessTracer, DeviceConfig, Engine, SimTime, Uvm};
 
-use ascetic_core::engine::finish_report;
-use ascetic_core::report::{Breakdown, IterReport, RunReport};
-use ascetic_core::system::{
-    edge_budget_bytes, reserve_vertex_arrays, OutOfCoreSystem, PrepareError, Prepared,
-};
+use ascetic_core::report::RunReport;
+use ascetic_core::system::{edge_budget_bytes, OutOfCoreSystem, PrepareError, Prepared};
+
+use crate::frame::Frame;
 
 /// The UVM baseline system.
 pub struct UvmSystem {
@@ -33,7 +37,7 @@ pub struct UvmSystem {
     pub device: DeviceConfig,
     /// Use bulk prefetch hints instead of pure demand faulting.
     pub prefetch: bool,
-    /// Record engine spans for Chrome-trace export.
+    /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
     /// Record a structured event log on the report (comparable with
     /// Ascetic's stream; includes per-page faults and evictions).
@@ -51,7 +55,7 @@ impl UvmSystem {
         }
     }
 
-    /// Enable Chrome-trace span recording.
+    /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
@@ -89,45 +93,24 @@ impl UvmSystem {
         mut trace: Option<(&mut AccessTracer, u64)>,
     ) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
-        let n = g.num_vertices();
-        let mut gpu = if self.tracing {
-            Gpu::new_traced(self.device)
-        } else {
-            Gpu::new(self.device)
-        };
-        if self.events {
-            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
-        let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
-        let capacity = edge_budget_bytes(&gpu);
-        let mut uvm = Uvm::new(self.device.uvm, capacity);
+        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let mut uvm = Uvm::new(self.device.uvm, edge_budget_bytes(&frame.gpu));
         let bpe = g.bytes_per_edge() as u64;
 
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
-        let mut next = NextFrontier::new(n);
+        let mut next = NextFrontier::new(g.num_vertices());
         let mut nodes = Vec::new();
-        let mut breakdown = Breakdown::default();
-        let mut per_iter = Vec::new();
-        let mut iter_windows = Vec::new();
-        let mut iter = 0u32;
-        let mut phase = 0u32;
 
-        while iter < prog.max_iterations() {
-            if active.is_all_zero() {
-                match ops::phase_transition(prog, phase, g, &state) {
-                    Some(f) => {
-                        active = f;
-                        phase += 1;
-                    }
-                    None => break,
-                }
-            }
-            let iter_start = gpu.sync();
-            gpu.obs.record(iter_start.0, Event::IterStart { iter });
-            ops::compute(prog, iter, &active, &state);
-            active.collect_indices(&mut nodes);
-            let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
+        let mut drive = Drive::new(prog, g, &state);
+        while let Some(iter) = drive.begin(&mut active) {
+            let iter_start = frame.open(iter);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
+            // Execute on host data first (the UVM mapping *is* host memory,
+            // so this is the in-memory oracle's advance); what follows
+            // charges the page traffic those reads would have cost.
+            let active_edges =
+                ops::advance_frontier(prog, g, &active, &state, next.writer(), &mut nodes);
             let migrated_before = uvm.stats.migrated_bytes;
             let faults_before = uvm.stats.faults;
             let evictions_before = uvm.stats.evictions;
@@ -198,45 +181,10 @@ impl UvmSystem {
                 .registry
                 .counter_add("uvm.evictions", uvm.stats.evictions - evictions_before);
 
-            // Execute on host data (the UVM mapping *is* host memory).
-            let weights = g.weights();
-            let next_bits = next.writer();
-            parallel_for_work(nodes.len(), active_edges, |lane, i| {
-                let v = nodes[i];
-                let er = g.edge_range(v);
-                let (s, e) = (er.start as usize, er.end as usize);
-                let slice = EdgeSlice::split(&g.targets()[s..e], weights.map(|w| &w[s..e]));
-                ops::advance(prog, lane, v, slice, &state, next_bits);
-            });
-
-            let iter_end = gpu.sync();
-            gpu.obs.record(iter_end.0, Event::IterEnd { iter });
-            per_iter.push(IterReport {
-                active_vertices: nodes.len() as u64,
-                active_edges,
-                payload_bytes: migrated,
-                time_ns: iter_end.since(iter_start),
-                static_edges: 0,
-                pull: false,
-            });
-            iter_windows.push((iter_start.0, iter_end.0));
-            next.finish(prog, &state, &mut active);
-            iter += 1;
+            frame.close(iter, iter_start, nodes.len() as u64, active_edges, migrated);
+            drive.end(&mut active, &mut next);
         }
-
-        finish_report(
-            "UVM",
-            prog.name(),
-            iter,
-            &mut gpu,
-            0,
-            0,
-            0,
-            breakdown,
-            per_iter,
-            iter_windows,
-            prog.output(&state),
-        )
+        frame.finish("UVM", prog, &state, drive.iterations())
     }
 }
 

@@ -44,16 +44,6 @@ pub struct Env {
     pub trace: Option<std::path::PathBuf>,
 }
 
-/// Parse an `ASCETIC_COMPRESSION`-style mode string.
-pub fn parse_compression(s: &str) -> Option<CompressionMode> {
-    match s {
-        "off" => Some(CompressionMode::Off),
-        "always" => Some(CompressionMode::Always),
-        "adaptive" => Some(CompressionMode::Adaptive),
-        _ => None,
-    }
-}
-
 impl Env {
     /// Environment with the default (or `ASCETIC_SCALE`-overridden) scale,
     /// the `ASCETIC_COMPRESSION`-selected transfer mode
@@ -71,7 +61,7 @@ impl Env {
             .unwrap_or(DEFAULT_BENCH_SCALE);
         let compression = std::env::var("ASCETIC_COMPRESSION")
             .ok()
-            .and_then(|s| parse_compression(&s))
+            .and_then(|s| CompressionMode::parse(&s))
             .unwrap_or(CompressionMode::Off);
         let prefetch = std::env::var("ASCETIC_PREFETCH")
             .ok()

@@ -119,6 +119,27 @@ pub enum CompressionMode {
     Adaptive,
 }
 
+impl CompressionMode {
+    /// Parse a CLI / env spelling (`off` / `always` / `adaptive`).
+    pub fn parse(s: &str) -> Option<CompressionMode> {
+        match s {
+            "off" => Some(CompressionMode::Off),
+            "always" => Some(CompressionMode::Always),
+            "adaptive" => Some(CompressionMode::Adaptive),
+            _ => None,
+        }
+    }
+
+    /// The CLI name of the mode.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            CompressionMode::Off => "off",
+            CompressionMode::Always => "always",
+            CompressionMode::Adaptive => "adaptive",
+        }
+    }
+}
+
 /// Which direction the session traverses edges in each iteration.
 ///
 /// Push scatters over the frontier's out-edges (CSR rows, the paper's
@@ -207,8 +228,9 @@ pub struct AsceticConfig {
     pub adaptive: bool,
     /// Edge-chunk size in bytes (paper: 16 KiB).
     pub chunk_bytes: usize,
-    /// Record every engine span for Chrome-trace export
-    /// ([`ascetic_sim::chrome_trace_json`] on the report's `trace`).
+    /// Record every engine span and session phase on the report's
+    /// `span_trace` (export with [`ascetic_obs::Trace::to_perfetto_json`]
+    /// or [`ascetic_obs::Trace::to_jsonl`]).
     pub tracing: bool,
     /// Record a structured [`ascetic_obs::EventLog`] (iteration boundaries,
     /// DMAs, kernels, repartitions, …) on the report's `events`. Off by
@@ -401,10 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn compression_builder() {
+    fn compression_builder_and_parse() {
         let c = AsceticConfig::new(DeviceConfig::p100(1 << 20))
             .with_compression(CompressionMode::Adaptive);
         assert_eq!(c.compression, CompressionMode::Adaptive);
+        for m in [
+            CompressionMode::Off,
+            CompressionMode::Always,
+            CompressionMode::Adaptive,
+        ] {
+            assert_eq!(CompressionMode::parse(m.as_str()), Some(m));
+        }
+        assert_eq!(CompressionMode::parse("zstd"), None);
     }
 
     #[test]

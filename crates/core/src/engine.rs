@@ -94,9 +94,6 @@ pub fn finish_report(
     algorithm: &'static str,
     iterations: u32,
     gpu: &mut Gpu,
-    prestore_bytes: u64,
-    prestore_ns: u64,
-    refresh_bytes: u64,
     breakdown: Breakdown,
     per_iter: Vec<IterReport>,
     iter_windows: Vec<(u64, u64)>,
@@ -126,15 +123,13 @@ pub fn finish_report(
         iterations,
         sim_time_ns: gpu.elapsed().0,
         xfer: gpu.xfer,
-        prestore_bytes,
-        // Wire defaults to raw; the session overwrites these (and re-syncs)
-        // when the compressed transfer path shipped encoded payloads.
-        prestore_wire_bytes: prestore_bytes,
-        prestore_ns,
-        refresh_bytes,
-        refresh_wire_bytes: refresh_bytes,
-        // Prefetch counters default to zero; the session overwrites them
-        // (and re-syncs) when the prefetch pipeline ran.
+        // Prestore, refresh and prefetch are the session's: it overwrites
+        // these zeros (and re-syncs) with what its static region shipped.
+        prestore_bytes: 0,
+        prestore_wire_bytes: 0,
+        prestore_ns: 0,
+        refresh_bytes: 0,
+        refresh_wire_bytes: 0,
         prefetch_bytes: 0,
         prefetch_ops: 0,
         prefetch_hits: 0,
@@ -143,7 +138,6 @@ pub fn finish_report(
         breakdown,
         gpu_idle_ns: gpu.timeline.idle_ns(Engine::Compute),
         repartitions: 0,
-        trace: gpu.timeline.take_trace(),
         span_trace,
         utilization,
         events_dropped,

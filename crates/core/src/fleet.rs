@@ -4,9 +4,9 @@
 //! single algorithm across N devices: the graph is edge-balanced into
 //! shards ([`ascetic_graph::partition::partition_even_edges`]), each device
 //! owns one shard as a masked CSR in the *global* vertex-id space, and the
-//! round loop interleaves every shard's
-//! `AsceticSession::step_iteration` with a cross-device **frontier
-//! exchange** arbitrated by the [`Interconnect`]:
+//! round loop — the shared [`ops::Drive`], whose body steps every shard's
+//! `AsceticSession::step_iteration` — follows each closed round with a
+//! cross-device **frontier exchange** arbitrated by the [`Interconnect`]:
 //!
 //! * **owner-computes** — a vertex's full out-edge list lives in exactly
 //!   one shard, so each device processes `active ∧ owned` and the union of
@@ -21,7 +21,9 @@
 //!   peer links when the fabric has them or staged through host memory
 //!   otherwise. The round then closes with a BSP barrier at the last
 //!   transfer's end, stamped onto every device timeline so per-device
-//!   traces stay aligned.
+//!   traces stay aligned. The exchange reads the frontier `Drive::end`
+//!   just closed: at a phase boundary that is empty, nothing ships, and
+//!   the barrier still runs.
 //!
 //! Everything the paper gives one device — static region, hotness table,
 //! compression crossover, cross-iteration prefetch — runs per-device,
@@ -157,22 +159,11 @@ pub fn run_fleet<P: VertexProgram>(
     let mut active = prog.initial_frontier(g);
     let mut next = NextFrontier::new(n);
     let mut exchange_bytes = 0u64;
-    let mut round = 0u32;
-    let mut phase = 0u32;
-    while round < prog.max_iterations() {
-        if active.is_all_zero() {
-            // multi-phase handshake: state is replicated, so the
-            // transition runs once on the global view and the next
-            // phase's frontier shards exactly like the initial one
-            match ops::phase_transition(prog, phase, g, &state) {
-                Some(f) => {
-                    active = f;
-                    phase += 1;
-                }
-                None => break,
-            }
-        }
-        ops::compute(prog, round, &active, &state);
+    // State is replicated, so the driver loop — compute, the multi-phase
+    // handshake — runs once on the global view, and a later phase's
+    // frontier shards exactly like the initial one.
+    let mut drive = ops::Drive::new(prog, g, &state);
+    while let Some(round) = drive.begin(&mut active) {
         // Owner-computes: every shard steps every round (a device with an
         // empty local frontier still opens/closes its iteration span) so
         // per-device iteration counts and the BSP barrier stay aligned.
@@ -180,7 +171,9 @@ pub fn run_fleet<P: VertexProgram>(
             let local = active.and(&owned[s]);
             session.step_iteration(prog, &mut ctxs[s], &local, &state, &mut next);
         }
-        next.finish(prog, &state, &mut active);
+        // (`active` is empty at a phase boundary: nothing ships below, the
+        // barrier still runs)
+        drive.end(&mut active, &mut next);
 
         // Frontier exchange: device i broadcasts its owned slice of the
         // next frontier to every peer. Sends issue in (src, dst) order on
@@ -210,8 +203,6 @@ pub fn run_fleet<P: VertexProgram>(
             session.fleet_exchange(round, sent, window, barrier);
             exchange_bytes += sent;
         }
-
-        round += 1;
     }
 
     let per_device: Vec<RunReport> = sessions
@@ -233,7 +224,7 @@ pub fn run_fleet<P: VertexProgram>(
     };
     FleetRunReport {
         devices: per_device.len(),
-        iterations: round,
+        iterations: drive.iterations(),
         makespan_ns,
         exchange_bytes,
         interconnect: ic.stats(),

@@ -14,7 +14,7 @@
 
 use ascetic_algos::AlgoOutput;
 use ascetic_obs::{json, EventLog, MetricsSnapshot, Trace};
-use ascetic_sim::{KernelStats, TraceSpan, XferStats};
+use ascetic_sim::{KernelStats, XferStats};
 
 /// Version stamped into every machine-readable report this workspace
 /// emits ([`RunReport::summary_json`], the CLI's metrics JSONL, the bench
@@ -190,9 +190,6 @@ pub struct RunReport {
     pub peak_iteration_payload_bytes: u64,
     /// Mean per-iteration device edge-payload footprint, bytes.
     pub avg_iteration_payload_bytes: u64,
-    /// Recorded engine spans, when the system ran with tracing enabled
-    /// (export with [`ascetic_sim::chrome_trace_json`]).
-    pub trace: Option<Vec<TraceSpan>>,
     /// Hierarchical span trace (one track per copy stream, one per
     /// engine, plus session phase tracks), when the system ran with
     /// tracing enabled. Export with [`ascetic_obs::Trace::to_perfetto_json`]
@@ -632,7 +629,6 @@ mod tests {
             repartitions: 0,
             peak_iteration_payload_bytes: 64,
             avg_iteration_payload_bytes: 32,
-            trace: None,
             span_trace: None,
             utilization: vec![],
             events_dropped: 0,

@@ -11,12 +11,12 @@
 //!
 //! Execution is factored into three steps — `AsceticSession::begin_run`,
 //! `AsceticSession::step_iteration` and `AsceticSession::finish_run` —
-//! so two drivers can share one engine: [`AsceticSession::run`] composes
-//! them into the classic single-device loop, while `crate::fleet`
-//! interleaves the steps of N shard sessions with cross-device frontier
-//! exchanges between rounds. `step_iteration` is one frame for both
-//! traversal directions (`DESIGN.md` §17): a direction only chooses what
-//! the shared on-demand pipeline is fed.
+//! so two drivers can share one engine: [`AsceticSession::run`] puts one
+//! step in the body of the shared driver loop ([`ops::Drive`], `DESIGN.md`
+//! §18), while `crate::fleet` puts the steps of N shard sessions there and
+//! a cross-device frontier exchange after each round. `step_iteration` is
+//! one frame for both traversal directions (`DESIGN.md` §17): a direction
+//! only chooses what the shared on-demand pipeline is fed.
 //!
 //! [`super::engine::AsceticSystem`] is a thin one-shot wrapper around this
 //! type.
@@ -595,13 +595,13 @@ impl<'g> AsceticSession<'g> {
     /// 5. **pre-commit** the next iteration's direction;
     /// 6. **close** — barrier, `IterEnd`, windows, the `IterReport`.
     ///
-    /// The driver owns the frontier dance: it runs the compute operator
-    /// first, passes the (already ownership-masked, in the fleet case)
-    /// `active` bitmap, and closes `next` after the step (after *all*
-    /// shards' steps, in the fleet case) to build the next round's
-    /// frontier. The step itself looks at the next frontier only when a
-    /// planner needs it (prefetch, direction choice), through `next`'s
-    /// shared snapshot.
+    /// The driver loop ([`ops::Drive`]) owns the frontier dance: it runs
+    /// the compute operator first, its body passes the (already
+    /// ownership-masked, in the fleet case) `active` bitmap, and it closes
+    /// `next` after the step (after *all* shards' steps, in the fleet case)
+    /// to build the next round's frontier. The step itself looks at the
+    /// next frontier only when a planner needs it (prefetch, direction
+    /// choice), through `next`'s shared snapshot.
     pub(crate) fn step_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -1228,9 +1228,6 @@ impl<'g> AsceticSession<'g> {
             prog.name(),
             ctx.iter,
             &mut self.gpu,
-            if_first(self.prestore_bytes),
-            if_first(self.prestore_ns),
-            ctx.refresh_bytes,
             ctx.breakdown,
             ctx.per_iter,
             ctx.iter_windows,
@@ -1271,7 +1268,10 @@ impl<'g> AsceticSession<'g> {
         let busy_delta = self.gpu.timeline.busy_ns(Engine::Compute) - ctx.compute_busy0;
         report.gpu_idle_ns = run_ns.saturating_sub(busy_delta);
         // every run owns its own refresh traffic
+        report.prestore_bytes = if_first(self.prestore_bytes);
         report.prestore_wire_bytes = if_first(self.prestore_wire_bytes);
+        report.prestore_ns = if_first(self.prestore_ns);
+        report.refresh_bytes = ctx.refresh_bytes;
         report.refresh_wire_bytes = ctx.refresh_wire_bytes;
         // metrics: subtract the session baseline (histograms, subsystem
         // counters), then re-pin the canonical counters to this run's
@@ -1286,11 +1286,11 @@ impl<'g> AsceticSession<'g> {
     /// carries the prestore cost; later runs report zero prestore (the
     /// region is already resident — the paper's amortization point).
     ///
-    /// The loop is the canonical operator composition: compute → advance
-    /// (one `AsceticSession::step_iteration`) → filter, with the
-    /// multi-phase handshake ([`ops::phase_transition`]) when the frontier
-    /// drains. Multi-phase programs (betweenness) therefore inherit
-    /// prefetch, compression and direction choice with no session changes.
+    /// The loop is [`ops::Drive`] — compute → advance (one
+    /// `AsceticSession::step_iteration`) → filter, with the multi-phase
+    /// handshake when the frontier drains. Multi-phase programs
+    /// (betweenness) therefore inherit prefetch, compression and direction
+    /// choice with no session changes.
     pub fn run<P: VertexProgram>(&mut self, prog: &P) -> RunReport {
         let state = prog.new_state(self.g);
         let active = prog.initial_frontier(self.g);
@@ -1329,20 +1329,10 @@ impl<'g> AsceticSession<'g> {
             "graph weighting must match the program"
         );
         let mut ctx = self.begin_run();
-        let mut phase = 0u32;
-        while ctx.iter < prog.max_iterations() {
-            if active.is_all_zero() {
-                match ops::phase_transition(prog, phase, self.g, state) {
-                    Some(f) => {
-                        *active = f;
-                        phase += 1;
-                    }
-                    None => break,
-                }
-            }
-            ops::compute(prog, ctx.iter, active, state);
+        let mut drive = ops::Drive::new(prog, self.g, state);
+        while drive.begin(active).is_some() {
             self.step_iteration(prog, &mut ctx, active, state, next);
-            next.finish(prog, state, active);
+            drive.end(active, next);
         }
         self.finish_run(prog, state, ctx)
     }

@@ -20,6 +20,7 @@
 //! an actionable message and exit nonzero.
 
 use ascetic_graph::Mutation;
+use ascetic_obs::json;
 
 /// What went wrong on a mutation line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,69 +110,23 @@ impl std::fmt::Display for MutateError {
 
 impl std::error::Error for MutateError {}
 
-/// One parsed `key: value` pair; values stay raw text until typed.
-struct Field<'a> {
-    key: &'a str,
-    value: &'a str,
-}
-
-/// Split a flat JSON object into raw fields. No nesting, no arrays — a
-/// mutation line is a record, not a document.
-fn split_fields(line: &str) -> Result<Vec<Field<'_>>, MutateErrorKind> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| MutateErrorKind::Syntax("line is not a JSON object".into()))?
-        .trim();
-    let mut fields = Vec::new();
-    if body.is_empty() {
-        return Ok(fields);
-    }
-    // split on top-level commas; the only string is the op value, which
-    // may not contain commas or escapes
-    for part in body.split(',') {
-        let (k, v) = part.split_once(':').ok_or_else(|| {
-            MutateErrorKind::Syntax(format!("expected \"key\": value, got {part:?}"))
-        })?;
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| {
-                MutateErrorKind::Syntax(format!("field name {} is not quoted", k.trim()))
-            })?;
-        fields.push(Field {
-            key,
-            value: v.trim(),
-        });
-    }
-    Ok(fields)
-}
-
-fn parse_u64(f: &Field<'_>, field: &'static str) -> Result<u64, MutateErrorKind> {
-    f.value.parse().map_err(|_| MutateErrorKind::BadValue {
+fn bad_value(field: &'static str, value: &str) -> MutateErrorKind {
+    MutateErrorKind::BadValue {
         field,
-        value: f.value.to_string(),
-    })
+        value: value.to_string(),
+    }
 }
 
-fn parse_u32(f: &Field<'_>, field: &'static str) -> Result<u32, MutateErrorKind> {
-    let v = parse_u64(f, field)?;
-    u32::try_from(v).map_err(|_| MutateErrorKind::BadValue {
-        field,
-        value: f.value.to_string(),
-    })
+fn parse_u64(value: &str, field: &'static str) -> Result<u64, MutateErrorKind> {
+    value.parse().map_err(|_| bad_value(field, value))
 }
 
-fn parse_string<'a>(f: &Field<'a>, field: &'static str) -> Result<&'a str, MutateErrorKind> {
-    f.value
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| MutateErrorKind::BadValue {
-            field,
-            value: f.value.to_string(),
-        })
+fn parse_u32(value: &str, field: &'static str) -> Result<u32, MutateErrorKind> {
+    u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
+}
+
+fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, MutateErrorKind> {
+    json::unquote(value).ok_or_else(|| bad_value(field, value))
 }
 
 /// One line, typed but not yet grouped.
@@ -181,19 +136,20 @@ struct Record {
 }
 
 fn parse_line(line: &str, weighted: Option<bool>) -> Result<Record, MutateErrorKind> {
-    let fields = split_fields(line)?;
+    // a mutation line is a flat record, not a document
+    let fields = json::split_fields(line).map_err(MutateErrorKind::Syntax)?;
     let mut op = None;
     let mut src = None;
     let mut dst = None;
     let mut weight = None;
     let mut batch = None;
-    for f in &fields {
-        match f.key {
-            "op" => op = Some(parse_string(f, "op")?),
-            "src" => src = Some(parse_u32(f, "src")?),
-            "dst" => dst = Some(parse_u32(f, "dst")?),
-            "weight" => weight = Some(parse_u32(f, "weight")?),
-            "batch" => batch = Some(parse_u64(f, "batch")?),
+    for (key, value) in fields {
+        match key {
+            "op" => op = Some(parse_string(value, "op")?),
+            "src" => src = Some(parse_u32(value, "src")?),
+            "dst" => dst = Some(parse_u32(value, "dst")?),
+            "weight" => weight = Some(parse_u32(value, "weight")?),
+            "batch" => batch = Some(parse_u64(value, "batch")?),
             other => {
                 return Err(MutateErrorKind::Syntax(format!(
                     "unknown field \"{other}\""

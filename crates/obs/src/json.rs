@@ -47,6 +47,39 @@ pub fn string_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The contents of a raw JSON string value without escapes (`"bfs"` →
+/// `bfs`); `None` when `raw` is not quoted.
+pub fn unquote(raw: &str) -> Option<&str> {
+    raw.strip_prefix('"').and_then(|s| s.strip_suffix('"'))
+}
+
+/// Split one flat JSON object — a JSONL record, not a document: no
+/// nesting, no arrays, no commas or escapes inside its strings — into
+/// `(key, raw value)` pairs, in order. Values stay raw text for the caller
+/// to type ([`unquote`] for strings, `str::parse` for numbers); the error
+/// is the syntax complaint, for the caller to stamp a line number on.
+pub fn split_fields(line: &str) -> Result<Vec<(&str, &str)>, String> {
+    let body = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or("line is not a JSON object")?
+        .trim();
+    let mut fields = Vec::new();
+    if body.is_empty() {
+        return Ok(fields);
+    }
+    for part in body.split(',') {
+        let (k, v) = part
+            .split_once(':')
+            .ok_or_else(|| format!("expected \"key\": value, got {part:?}"))?;
+        let key =
+            unquote(k.trim()).ok_or_else(|| format!("field name {} is not quoted", k.trim()))?;
+        fields.push((key, v.trim()));
+    }
+    Ok(fields)
+}
+
 /// Validate that `s` is exactly one well-formed JSON value (object, array,
 /// string, number, boolean or null), with nothing but whitespace around it.
 pub fn validate(s: &str) -> Result<(), String> {
@@ -307,5 +340,29 @@ mod tests {
             let doc = format!("\"{}\"", escape(s));
             assert!(validate(&doc).is_ok(), "escaped {s:?} must validate");
         }
+    }
+
+    #[test]
+    fn flat_object_fields_come_back_raw_and_in_order() {
+        let fields = split_fields(r#" {"id": 7, "algo" : "bfs","w":-1} "#).unwrap();
+        assert_eq!(fields, [("id", "7"), ("algo", "\"bfs\""), ("w", "-1")]);
+        assert_eq!(unquote(fields[1].1), Some("bfs"));
+        assert_eq!(unquote(fields[0].1), None);
+        assert_eq!(split_fields("{ }").unwrap(), []);
+    }
+
+    #[test]
+    fn flat_object_syntax_errors_name_the_problem() {
+        assert_eq!(
+            split_fields("[1, 2]").unwrap_err(),
+            "line is not a JSON object"
+        );
+        assert!(split_fields(r#"{"id" 7}"#)
+            .unwrap_err()
+            .starts_with("expected \"key\": value"));
+        assert_eq!(
+            split_fields("{id: 7}").unwrap_err(),
+            "field name id is not quoted"
+        );
     }
 }

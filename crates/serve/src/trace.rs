@@ -30,6 +30,7 @@
 //! [`parse_trace`] stays strict and rejects mutation lines.
 
 use ascetic_graph::Mutation;
+use ascetic_obs::json;
 
 use crate::job::{Algo, Job};
 
@@ -146,65 +147,31 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One parsed `key: value` pair; values stay raw text until typed.
-struct Field<'a> {
-    key: &'a str,
-    value: &'a str,
-}
+/// One `(key, raw value)` pair of a record; values stay raw text until
+/// typed.
+type Field<'a> = (&'a str, &'a str);
 
-/// Split a flat JSON object into raw fields. No nesting, no arrays — a
-/// trace line is a record, not a document.
-fn split_fields(line: &str) -> Result<Vec<Field<'_>>, TraceErrorKind> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| TraceErrorKind::Syntax("line is not a JSON object".into()))?
-        .trim();
-    let mut fields = Vec::new();
-    if body.is_empty() {
-        return Ok(fields);
-    }
-    // split on top-level commas; the only strings are keys and the algo
-    // value, neither of which may contain commas or escapes
-    for part in body.split(',') {
-        let (k, v) = part.split_once(':').ok_or_else(|| {
-            TraceErrorKind::Syntax(format!("expected \"key\": value, got {part:?}"))
-        })?;
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| {
-                TraceErrorKind::Syntax(format!("field name {} is not quoted", k.trim()))
-            })?;
-        fields.push(Field {
-            key,
-            value: v.trim(),
-        });
-    }
-    Ok(fields)
-}
-
-fn parse_u64(f: &Field<'_>, field: &'static str) -> Result<u64, TraceErrorKind> {
-    f.value.parse().map_err(|_| TraceErrorKind::BadValue {
+fn bad_value(field: &'static str, value: &str) -> TraceErrorKind {
+    TraceErrorKind::BadValue {
         field,
-        value: f.value.to_string(),
-    })
+        value: value.to_string(),
+    }
 }
 
-fn parse_string<'a>(f: &Field<'a>, field: &'static str) -> Result<&'a str, TraceErrorKind> {
-    f.value
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| TraceErrorKind::BadValue {
-            field,
-            value: f.value.to_string(),
-        })
+fn parse_u64(value: &str, field: &'static str) -> Result<u64, TraceErrorKind> {
+    value.parse().map_err(|_| bad_value(field, value))
+}
+
+fn parse_u32(value: &str, field: &'static str) -> Result<u32, TraceErrorKind> {
+    u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
+}
+
+fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, TraceErrorKind> {
+    json::unquote(value).ok_or_else(|| bad_value(field, value))
 }
 
 fn parse_line(line: &str) -> Result<Job, TraceErrorKind> {
-    parse_job_fields(&split_fields(line)?)
+    parse_job_fields(&json::split_fields(line).map_err(TraceErrorKind::Syntax)?)
 }
 
 fn parse_job_fields(fields: &[Field<'_>]) -> Result<Job, TraceErrorKind> {
@@ -213,31 +180,19 @@ fn parse_job_fields(fields: &[Field<'_>]) -> Result<Job, TraceErrorKind> {
     let mut source = None;
     let mut submit_ns = 0u64;
     let mut deadline_ns = None;
-    for f in fields {
-        match f.key {
-            "id" => {
-                let v = parse_u64(f, "id")?;
-                id = Some(u32::try_from(v).map_err(|_| TraceErrorKind::BadValue {
-                    field: "id",
-                    value: f.value.to_string(),
-                })?);
-            }
+    for &(key, value) in fields {
+        match key {
+            "id" => id = Some(parse_u32(value, "id")?),
             "algo" => {
-                let s = parse_string(f, "algo")?;
+                let s = parse_string(value, "algo")?;
                 algo = Some(
                     s.parse::<Algo>()
                         .map_err(|_| TraceErrorKind::UnknownAlgo(s.into()))?,
                 );
             }
-            "source" => {
-                let v = parse_u64(f, "source")?;
-                source = Some(u32::try_from(v).map_err(|_| TraceErrorKind::BadValue {
-                    field: "source",
-                    value: f.value.to_string(),
-                })?);
-            }
-            "submit_ns" => submit_ns = parse_u64(f, "submit_ns")?,
-            "deadline_ns" => deadline_ns = Some(parse_u64(f, "deadline_ns")?),
+            "source" => source = Some(parse_u32(value, "source")?),
+            "submit_ns" => submit_ns = parse_u64(value, "submit_ns")?,
+            "deadline_ns" => deadline_ns = Some(parse_u64(value, "deadline_ns")?),
             other => {
                 return Err(TraceErrorKind::Syntax(format!("unknown field \"{other}\"")));
             }
@@ -318,31 +273,13 @@ fn parse_mutation_fields(fields: &[Field<'_>]) -> Result<TraceMutation, TraceErr
     let mut dst = None;
     let mut weight = None;
     let mut at_ns = 0u64;
-    for f in fields {
-        match f.key {
-            "mutate" => op = Some(parse_string(f, "mutate")?),
-            "src" => {
-                let v = parse_u64(f, "src")?;
-                src = Some(u32::try_from(v).map_err(|_| TraceErrorKind::BadValue {
-                    field: "src",
-                    value: f.value.to_string(),
-                })?);
-            }
-            "dst" => {
-                let v = parse_u64(f, "dst")?;
-                dst = Some(u32::try_from(v).map_err(|_| TraceErrorKind::BadValue {
-                    field: "dst",
-                    value: f.value.to_string(),
-                })?);
-            }
-            "weight" => {
-                let v = parse_u64(f, "weight")?;
-                weight = Some(u32::try_from(v).map_err(|_| TraceErrorKind::BadValue {
-                    field: "weight",
-                    value: f.value.to_string(),
-                })?);
-            }
-            "at" => at_ns = parse_u64(f, "at")?,
+    for &(key, value) in fields {
+        match key {
+            "mutate" => op = Some(parse_string(value, "mutate")?),
+            "src" => src = Some(parse_u32(value, "src")?),
+            "dst" => dst = Some(parse_u32(value, "dst")?),
+            "weight" => weight = Some(parse_u32(value, "weight")?),
+            "at" => at_ns = parse_u64(value, "at")?,
             other => {
                 return Err(TraceErrorKind::Syntax(format!("unknown field \"{other}\"")));
             }
@@ -382,8 +319,9 @@ pub fn parse_trace_mutating(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let fields = split_fields(trimmed).map_err(at)?;
-        if fields.iter().any(|f| f.key == "mutate") {
+        let fields =
+            json::split_fields(trimmed).map_err(|what| at(TraceErrorKind::Syntax(what)))?;
+        if fields.iter().any(|&(key, _)| key == "mutate") {
             let m = parse_mutation_fields(&fields).map_err(at)?;
             if let Some(n) = num_vertices {
                 let (src, dst) = match m.mutation {

@@ -54,7 +54,7 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// A fresh device with span tracing enabled (Chrome-trace export).
+    /// A fresh device with span tracing enabled.
     pub fn new_traced(config: DeviceConfig) -> Self {
         let mut g = Self::new(config);
         g.timeline.enable_tracing();

@@ -49,8 +49,7 @@ pub use memory::{ArenaOccupancy, DevPtr, DeviceMemory, OutOfDeviceMemory};
 pub use metrics::{KernelStats, XferStats};
 pub use time::SimTime;
 pub use timeline::{
-    chrome_trace_json, copy_stream_track_name, CopyStream, Engine, Span, Timeline, TraceSpan,
-    COPY_STREAM_TRACK_PREFIX,
+    copy_stream_track_name, CopyStream, Engine, Span, Timeline, COPY_STREAM_TRACK_PREFIX,
 };
 pub use trace::AccessTracer;
 pub use uvm::{Uvm, UvmStats};

@@ -88,21 +88,6 @@ impl Span {
     }
 }
 
-/// A labeled executed span, recorded when tracing is enabled — exported as
-/// a Chrome trace (`chrome://tracing` / Perfetto) via
-/// [`chrome_trace_json`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceSpan {
-    /// Engine the operation ran on.
-    pub engine: Engine,
-    /// Start instant.
-    pub start: SimTime,
-    /// End instant.
-    pub end: SimTime,
-    /// Human-readable label ("H2D 64KB", "kernel e=12000 v=800", ...).
-    pub label: String,
-}
-
 /// Per-run scheduling state plus busy-time accounting.
 #[derive(Clone, Debug)]
 pub struct Timeline {
@@ -123,11 +108,10 @@ pub struct Timeline {
     stream_busy_ns: Vec<u64>,
     /// Latest finish time seen so far (the makespan).
     horizon: SimTime,
-    /// Recorded spans, when tracing is on.
-    trace: Option<Vec<TraceSpan>>,
-    /// Hierarchical per-track tracer, armed together with `trace`. Engine
-    /// and per-stream tracks are fed from `record`; callers may add their
-    /// own tracks (session phases, serve jobs) via [`Timeline::tracer_mut`].
+    /// Hierarchical per-track tracer, when tracing is on — the one span
+    /// recorder. Engine and per-stream tracks are fed from `record`;
+    /// callers may add their own tracks (session phases, serve jobs) via
+    /// [`Timeline::tracer_mut`].
     tracer: Option<SpanTracer>,
 }
 
@@ -146,7 +130,6 @@ impl Timeline {
             stream_free_at: vec![SimTime::ZERO],
             stream_busy_ns: vec![0],
             horizon: SimTime::ZERO,
-            trace: None,
             tracer: None,
         }
     }
@@ -171,13 +154,11 @@ impl Timeline {
         self.stream_free_at.len()
     }
 
-    /// Start recording every scheduled span, both as the flat Chrome-trace
-    /// list and as hierarchical per-track spans in a
-    /// [`SpanTracer`]. Tracks are interned eagerly (one per existing copy
-    /// stream, one per compute/CPU engine) so track order does not depend
-    /// on which operation happens to run first.
+    /// Start recording every scheduled span as hierarchical per-track
+    /// spans in a [`SpanTracer`]. Tracks are interned eagerly (one per
+    /// existing copy stream, one per compute/CPU engine) so track order
+    /// does not depend on which operation happens to run first.
     pub fn enable_tracing(&mut self) {
-        self.trace.get_or_insert_with(Vec::new);
         let streams = self.stream_free_at.len();
         let tr = self.tracer.get_or_insert_with(SpanTracer::new);
         for s in 0..streams {
@@ -185,16 +166,6 @@ impl Timeline {
         }
         tr.track(Engine::Compute.name());
         tr.track(Engine::Cpu.name());
-    }
-
-    /// The recorded spans, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[TraceSpan]> {
-        self.trace.as_deref()
-    }
-
-    /// Take ownership of the recorded spans (used when assembling reports).
-    pub fn take_trace(&mut self) -> Option<Vec<TraceSpan>> {
-        self.trace.take()
     }
 
     /// The hierarchical tracer, if tracing is enabled. Callers add their
@@ -282,32 +253,22 @@ impl Timeline {
         dur_ns: u64,
         label: impl FnOnce() -> String,
     ) {
-        if dur_ns == 0 || (self.trace.is_none() && self.tracer.is_none()) {
+        let Some(tr) = self.tracer.as_mut().filter(|_| dur_ns > 0) else {
             return;
-        }
+        };
         let label = label();
-        if let Some(tr) = self.tracer.as_mut() {
-            let track = match stream {
-                Some(s) => tr.track(&copy_stream_track_name(s)),
-                None => tr.track(engine.name()),
-            };
-            let cat = span_cat(engine, &label);
-            let name = if label.is_empty() {
-                "op"
-            } else {
-                label.as_str()
-            };
-            tr.complete(track, start.0, end.0, name, cat)
-                .expect("engine spans are FIFO per track");
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceSpan {
-                engine,
-                start,
-                end,
-                label,
-            });
-        }
+        let track = match stream {
+            Some(s) => tr.track(&copy_stream_track_name(s)),
+            None => tr.track(engine.name()),
+        };
+        let cat = span_cat(engine, &label);
+        let name = if label.is_empty() {
+            "op"
+        } else {
+            label.as_str()
+        };
+        tr.complete(track, start.0, end.0, name, cat)
+            .expect("engine spans are FIFO per track");
     }
 
     /// The instant `engine` next becomes free. For [`Engine::Copy`] this
@@ -389,41 +350,6 @@ fn span_cat(engine: Engine, label: &str) -> &'static str {
     }
 }
 
-/// Render recorded spans as Chrome trace-event JSON (load in
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Timestamps are in
-/// microseconds of simulated time; each engine appears as its own thread.
-pub fn chrome_trace_json(spans: &[TraceSpan]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in [Engine::Copy, Engine::Compute, Engine::Cpu]
-        .into_iter()
-        .enumerate()
-    {
-        let sep = if spans.is_empty() && i == 2 {
-            "\n"
-        } else {
-            ",\n"
-        };
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}{sep}",
-            e.index(),
-            e.name()
-        ));
-    }
-    for (i, s) in spans.iter().enumerate() {
-        let label = ascetic_obs::json::escape(&s.label);
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-            if label.is_empty() { "op" } else { &label },
-            s.engine.index(),
-            s.start.0 as f64 / 1_000.0,
-            s.end.since(s.start) as f64 / 1_000.0,
-        ));
-        out.push_str(if i + 1 == spans.len() { "\n" } else { ",\n" });
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,28 +418,38 @@ mod tests {
         assert_eq!(next.start, SimTime(120));
     }
 
-    #[test]
-    fn tracing_records_labeled_spans() {
-        let mut tl = Timeline::new();
-        tl.schedule(Engine::Copy, SimTime::ZERO, 10); // before tracing: not recorded
-        tl.enable_tracing();
-        tl.schedule_labeled(Engine::Compute, SimTime::ZERO, 100, || "kernel".into());
-        tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 0, || "empty".into()); // zero-dur skipped
-        let spans = tl.trace().unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].label, "kernel");
-        assert_eq!(spans[0].engine, Engine::Compute);
+    /// Everything `tl`'s tracer recorded, as Perfetto JSON.
+    fn perfetto(tl: &mut Timeline) -> String {
+        let trace = tl.take_tracer().unwrap().finish().unwrap();
+        trace.to_perfetto_json(1)
     }
 
     #[test]
-    fn chrome_json_is_well_formed() {
+    fn tracing_records_labeled_spans() {
+        let mut tl = Timeline::new();
+        // before tracing: not recorded, and the label closure never runs
+        tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 10, || {
+            panic!("label built with tracing off")
+        });
+        tl.enable_tracing();
+        tl.schedule_labeled(Engine::Compute, SimTime::ZERO, 100, || "kernel".into());
+        tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 0, || "empty".into()); // zero-dur skipped
+        let trace = tl.take_tracer().unwrap().finish().unwrap();
+        assert_eq!(trace.spans().len(), 1);
+        assert_eq!(trace.spans()[0].name, "kernel");
+        let compute = trace.track_index(Engine::Compute.name()).unwrap();
+        assert_eq!(trace.spans()[0].track, compute);
+    }
+
+    #[test]
+    fn perfetto_export_is_well_formed() {
         let mut tl = Timeline::new();
         tl.enable_tracing();
         tl.schedule_labeled(Engine::Cpu, SimTime::ZERO, 2_000, || "gather \"x\"".into());
         tl.schedule_labeled(Engine::Copy, SimTime(2_000), 1_000, || "H2D".into());
-        let json = chrome_trace_json(tl.trace().unwrap());
+        let json = perfetto(&mut tl);
         assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
+        assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("Host CPU"));
         assert!(json.contains("gather \\\"x\\\"")); // quotes escaped
@@ -522,20 +458,26 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_escapes_control_characters() {
+    fn perfetto_export_escapes_control_characters() {
         let mut tl = Timeline::new();
         tl.enable_tracing();
         tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 100, || {
             "line\nbreak\ttab \\ \u{01}".into()
         });
-        let json = chrome_trace_json(tl.trace().unwrap());
+        let json = perfetto(&mut tl);
         assert!(json.contains("line\\nbreak\\ttab \\\\ \\u0001"));
         ascetic_obs::json::validate(&json).expect("control chars must be escaped");
     }
 
     #[test]
-    fn chrome_json_empty_trace_validates() {
-        let json = chrome_trace_json(&[]);
+    fn perfetto_export_of_an_empty_trace_validates() {
+        let mut tl = Timeline::new();
+        tl.enable_tracing();
+        let json = perfetto(&mut tl);
+        assert!(
+            json.contains("GPU compute engine"),
+            "tracks are interned eagerly"
+        );
         ascetic_obs::json::validate(&json).expect("metadata-only trace validates");
     }
 
@@ -644,19 +586,6 @@ mod tests {
         let k = trace.track_index(Engine::Compute.name()).unwrap();
         let cats: Vec<_> = trace.track_spans(k).map(|s| s.cat.as_str()).collect();
         assert_eq!(cats, ["kernel", "decode"]);
-    }
-
-    #[test]
-    fn tracer_and_flat_trace_agree_on_span_count() {
-        let mut tl = Timeline::new();
-        tl.enable_tracing();
-        tl.schedule_labeled(Engine::Cpu, SimTime::ZERO, 10, || "gather".into());
-        tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 10, || "H2D".into());
-        tl.schedule(Engine::Compute, SimTime::ZERO, 0); // zero-dur: skipped by both
-        let flat = tl.take_trace().unwrap();
-        let trace = tl.take_tracer().unwrap().finish().unwrap();
-        assert_eq!(flat.len(), 2);
-        assert_eq!(trace.spans().len(), 2, "no waits here, counts match");
     }
 
     #[test]

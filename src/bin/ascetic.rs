@@ -83,10 +83,11 @@ USAGE:
                    [--devices N] [--fabric pcie|nvlink] (N>1: shard across an
                     N-device fleet — ascetic system only; outputs stay
                     byte-identical to one device)
-                   [--iter-csv FILE] [--trace FILE.json]
+                   [--iter-csv FILE]
                    [--trace-out FILE.json|FILE.jsonl] (hierarchical span trace:
                     .json is Chrome/Perfetto format for ui.perfetto.dev,
-                    .jsonl is the compact form `ascetic trace summarize` reads)
+                    .jsonl is the compact form `ascetic trace summarize` reads;
+                    --trace FILE is the same flag's older spelling)
                    [--metrics-out FILE.jsonl] [--summary text|json|csv|md]
                    [--pool-metrics] (append host worker-pool telemetry — wall-clock,
                     non-deterministic — as an extra JSONL line / stdout object)
@@ -313,29 +314,30 @@ fn device_from(o: &Opts, g: &Csr) -> Result<DeviceConfig, String> {
     Ok(DeviceConfig::p100(mem))
 }
 
-fn parse_compression_mode(s: &str) -> Result<CompressionMode, String> {
-    match s {
-        "off" => Ok(CompressionMode::Off),
-        "always" => Ok(CompressionMode::Always),
-        "adaptive" => Ok(CompressionMode::Adaptive),
-        other => Err(format!(
-            "unknown --compression {other} (off|always|adaptive)"
-        )),
-    }
+/// A mode flag's value through the mode's own parser: `--KEY V` → `Some`,
+/// absent → `None`, an unknown `V` → an error listing `choices`.
+fn parse_mode<T>(
+    o: &Opts,
+    key: &str,
+    parse: fn(&str) -> Option<T>,
+    choices: &str,
+) -> Result<Option<T>, String> {
+    o.get(key)
+        .map(|v| parse(v).ok_or_else(|| format!("unknown --{key} {v} ({choices})")))
+        .transpose()
 }
 
-/// `--direction` beats the ASCETIC_DIRECTION environment default.
+fn parse_compression_mode(o: &Opts) -> Result<Option<CompressionMode>, String> {
+    parse_mode(
+        o,
+        "compression",
+        CompressionMode::parse,
+        "off|always|adaptive",
+    )
+}
+
 fn parse_direction(o: &Opts) -> Result<Option<DirectionMode>, String> {
-    let dir = match o.get("direction") {
-        Some(d) => Some(d.to_string()),
-        None => std::env::var("ASCETIC_DIRECTION").ok(),
-    };
-    match dir {
-        None => Ok(None),
-        Some(d) => DirectionMode::parse(&d)
-            .map(Some)
-            .ok_or_else(|| format!("unknown --direction {d} (push|pull|adaptive)")),
-    }
+    parse_mode(o, "direction", DirectionMode::parse, "push|pull|adaptive")
 }
 
 fn ascetic_config(o: &Opts, dev: DeviceConfig) -> Result<AsceticConfig, String> {
@@ -364,18 +366,16 @@ fn ascetic_config(o: &Opts, dev: DeviceConfig) -> Result<AsceticConfig, String> 
             other => return Err(format!("unknown --fill {other}")),
         });
     }
-    if let Some(m) = o.get("compression") {
-        cfg = cfg.with_compression(parse_compression_mode(m)?);
+    if let Some(m) = parse_compression_mode(o)? {
+        cfg = cfg.with_compression(m);
     }
-    // --prefetch beats the ASCETIC_PREFETCH environment default
-    let prefetch = match o.get("prefetch") {
-        Some(p) => Some(p.to_string()),
-        None => std::env::var("ASCETIC_PREFETCH").ok(),
-    };
-    if let Some(p) = prefetch {
-        let mode = PrefetchMode::parse(&p)
-            .ok_or_else(|| format!("unknown --prefetch {p} (off|next-frontier|hotness)"))?;
-        cfg = cfg.with_prefetch(mode);
+    if let Some(m) = parse_mode(
+        o,
+        "prefetch",
+        PrefetchMode::parse,
+        "off|next-frontier|hotness",
+    )? {
+        cfg = cfg.with_prefetch(m);
     }
     if let Some(m) = parse_direction(o)? {
         cfg = cfg.with_direction(m);
@@ -429,17 +429,11 @@ fn run_system(o: &Opts, system: &str, g: &Csr, algo: Algo) -> Result<RunReport, 
                 .with_events(events);
             AsceticSystem::new(cfg).into()
         }
-        "subway" => {
-            let mode = match o.get("compression") {
-                Some(m) => parse_compression_mode(m)?,
-                None => CompressionMode::Off,
-            };
-            SubwaySystem::new(dev)
-                .with_tracing(tracing)
-                .with_events(events)
-                .with_compression(mode)
-                .into()
-        }
+        "subway" => SubwaySystem::new(dev)
+            .with_tracing(tracing)
+            .with_events(events)
+            .with_compression(parse_compression_mode(o)?.unwrap_or_default())
+            .into(),
         "pt" => PtSystem::new(dev)
             .with_tracing(tracing)
             .with_events(events)
@@ -666,20 +660,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         write_iter_csv(&rep, path)?;
         eprintln!("wrote per-iteration log to {path}");
     }
-    if let Some(path) = o.get("trace") {
-        match &rep.trace {
-            Some(spans) => {
-                std::fs::write(path, ascetic::sim::chrome_trace_json(spans))
-                    .map_err(|e| e.to_string())?;
-                eprintln!(
-                    "wrote {} spans to {path} (open in chrome://tracing or ui.perfetto.dev)",
-                    spans.len()
-                );
-            }
-            None => eprintln!("note: this system ran without tracing"),
-        }
-    }
-    if let Some(path) = o.get("trace-out") {
+    // `--trace` is the older spelling of `--trace-out`
+    for path in ["trace", "trace-out"].into_iter().filter_map(|k| o.get(k)) {
         match &rep.span_trace {
             Some(trace) => write_span_trace(trace, path)?,
             None => eprintln!("note: this system ran without span tracing"),
