@@ -1502,7 +1502,8 @@ mod tests {
     /// A device whose decompressor is fast enough for the small test
     /// payloads to cross over (the p100 calibration needs near-MB
     /// transfers), but whose launch overhead still declines chunk-sized
-    /// refreshes under `Adaptive`.
+    /// refreshes under `Adaptive` — with the replacement server named, so
+    /// those refreshes happen.
     fn compress_cfg(g: &Csr, mode: CompressionMode) -> AsceticConfig {
         let mut dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 3 / 5);
         dev.decompress = DecompressModel {
@@ -1512,6 +1513,7 @@ mod tests {
         AsceticConfig::new(dev)
             .with_chunk_bytes(2048)
             .with_compression(mode)
+            .with_replacement(ReplacementPolicy::LastIteration)
     }
 
     #[test]
