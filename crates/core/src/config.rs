@@ -188,9 +188,19 @@ impl std::fmt::Display for DirectionMode {
 }
 
 /// Static-region chunk replacement policy (paper §3.4, Figure 6).
+///
+/// The reactive server is an opt-in study, not the default (`DESIGN.md`
+/// §19): it evicts residents "not touched this iteration" for chunks just
+/// touched — for a traversal, the swept past for the unexplored future —
+/// and every hole it punches in the contiguous prefix costs later
+/// iterations an on-demand pipeline they did not need. The paper's own §5
+/// finds it "does not significantly improve performance"; in a warm
+/// session it ages the region (`bfs-web`: 52 → 233 H2D ops per BFS over 32
+/// queries at constant bytes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplacementPolicy {
-    /// Never replace (initial fill persists for the whole run).
+    /// Never replace: the prestored region is a session asset, reused as
+    /// filled by every iteration of every run (paper §4.3). The default.
     Disabled,
     /// A chunk is stale once its cumulative access count exceeds the
     /// threshold — the paper's suggestion for one-shot traversals like BFS
@@ -222,9 +232,14 @@ pub struct AsceticConfig {
     pub overlap: bool,
     /// Initial fill policy.
     pub fill: FillPolicy,
-    /// Static-region replacement policy.
+    /// Static-region replacement policy (default
+    /// [`ReplacementPolicy::Disabled`]: nothing reshapes a warm region on
+    /// one iteration's evidence). Ignored while a prefetch mode is on —
+    /// the prefetch pipeline subsumes the reactive swaps.
     pub replacement: ReplacementPolicy,
-    /// Enable the Eq (3) adaptive re-partition check.
+    /// Enable the Eq (3) adaptive re-partition check (judged on the
+    /// evidence accumulated since the region last changed size, see
+    /// [`crate::ratio::RegionEvidence`]).
     pub adaptive: bool,
     /// Edge-chunk size in bytes (paper: 16 KiB).
     pub chunk_bytes: usize,
@@ -260,7 +275,7 @@ impl AsceticConfig {
             static_ratio_override: None,
             overlap: true,
             fill: FillPolicy::Front,
-            replacement: ReplacementPolicy::LastIteration,
+            replacement: ReplacementPolicy::Disabled,
             adaptive: true,
             chunk_bytes: 16 * 1024,
             tracing: false,

@@ -26,6 +26,21 @@
 
 use ascetic_graph::{Csr, VertexId};
 use ascetic_par::{parallel_for_work, parallel_parts, threads_for_work};
+use ascetic_sim::DevPtr;
+
+/// Split the on-demand slab into `n` equal batch buffers of whole edge
+/// entries (fewer when the slab cannot give each one entry); a single
+/// buffer is the whole slab. Every batch is planned to the smallest buffer,
+/// so memory that joins the region (an Eq (3) donation) is merged into the
+/// slab and re-split rather than appended as one more, smaller buffer.
+pub(crate) fn split_buffers(slab: DevPtr, n: usize, words_per_edge: usize) -> Vec<DevPtr> {
+    let n = n.clamp(1, (slab.len / words_per_edge).max(1));
+    if n == 1 {
+        return vec![slab];
+    }
+    let per = slab.len / n / words_per_edge * words_per_edge;
+    (0..n).map(|i| slab.slice(i * per, per)).collect()
+}
 
 /// One gather request: a vertex and the sub-range of its edges to deliver.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -17,7 +17,9 @@
 //! At runtime, after the data map is generated, if the on-demand volume
 //! `V_ondemand` overflows the on-demand region while the static region is
 //! under-used (`V_static/M_static < 0.5 · V/D`), the static region shrinks
-//! by `M_static · V/D` (Eq (3)) and the maps are regenerated.
+//! by `M_static · V/D` (Eq (3)) and the maps are regenerated. Under-use is
+//! judged on the volumes accumulated since the region last changed size,
+//! not on one iteration's ([`RegionEvidence`]).
 
 /// Static-region share per Eq (2), clamped to `[0, 1]`.
 ///
@@ -47,43 +49,97 @@ pub fn satisfies_eq1(k: f64, dataset_bytes: u64, mem_bytes: u64, m_static: u64) 
 }
 
 /// Decision of the Eq (3) adaptive re-partitioning check.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Repartition {
     /// Keep the current split.
     Keep,
-    /// Shrink the static region by this many bytes (grow on-demand).
-    ShrinkStaticBy(u64),
+    /// Keep the current split although this iteration, judged alone as the
+    /// paper does, would have shrunk the region: over everything seen since
+    /// the region last changed size it earns its space.
+    Declined,
+    /// Shrink the static region (grow on-demand).
+    Shrink(Shrink),
 }
 
-/// Eq (3): evaluate the re-partition rule for one iteration.
+/// An Eq (3) shrink and the evidence that fired it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shrink {
+    /// Bytes to take from the static region: `M_static · V/D`.
+    pub bytes: u64,
+    /// Share of all accessed bytes the static region served since it last
+    /// changed size (`Σv_static/ΣV`), parts per million.
+    pub static_share_ppm: u32,
+    /// Share of the dataset the static region holds (`M_static/D`), parts
+    /// per million; the rule fires below half of it.
+    pub region_share_ppm: u32,
+    /// Bytes by which this iteration's on-demand volume overflowed the
+    /// on-demand region.
+    pub overflow_bytes: u64,
+}
+
+/// Eq (3) judged on accumulated evidence (`DESIGN.md` §19).
 ///
-/// * `v_ondemand` — bytes the on-demand region must receive this iteration,
-/// * `v_static` — bytes of static-region data accessed this iteration,
-/// * `v_total` — all bytes accessed this iteration (`V`),
-/// * `m_static` / `m_ondemand` — current region sizes,
-/// * `dataset_bytes` — `D`.
-pub fn repartition_check(
-    v_ondemand: u64,
+/// The paper evaluates the rule on one iteration's data map. Its shrink is
+/// irreversible, and a session outlives any one frontier: a single sparse
+/// iteration that happens to miss the region would give away memory that
+/// served every iteration before it and would serve every run after. So
+/// the overflow test and the shrink amount stay per-iteration, but "the
+/// static region is under-used" is judged on the volumes accumulated since
+/// the region last changed size (session start or the previous shrink):
+/// `Σv_static/ΣV < 0.5 · M_static/D` — the paper's
+/// `V_static/M_static < 0.5 · V/D` rearranged, over sums. On the first
+/// iteration after a size change the two are the same test.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegionEvidence {
     v_static: u64,
     v_total: u64,
-    m_static: u64,
-    m_ondemand: u64,
-    dataset_bytes: u64,
-) -> Repartition {
-    if m_static == 0 || dataset_bytes == 0 {
-        return Repartition::Keep;
-    }
-    let overflow = v_ondemand > m_ondemand;
-    // "Vstatic/Mstatic < 0.5 × V/D" — static region significantly
-    // under-utilized relative to the overall touch rate.
-    let static_util = v_static as f64 / m_static as f64;
-    let touch_rate = v_total as f64 / dataset_bytes as f64;
-    if overflow && static_util < 0.5 * touch_rate {
+}
+
+impl RegionEvidence {
+    /// Fold one iteration's volumes into the evidence and evaluate Eq (3).
+    /// A shrink verdict resets the evidence: the smaller region is judged
+    /// on what *it* serves.
+    ///
+    /// * `v_ondemand` — bytes the on-demand region must receive this iteration,
+    /// * `v_static` — bytes of static-region data accessed this iteration,
+    /// * `v_total` — all bytes accessed this iteration (`V`),
+    /// * `m_static` / `m_ondemand` — current region sizes,
+    /// * `dataset_bytes` — `D`.
+    pub fn check(
+        &mut self,
+        v_ondemand: u64,
+        v_static: u64,
+        v_total: u64,
+        m_static: u64,
+        m_ondemand: u64,
+        dataset_bytes: u64,
+    ) -> Repartition {
+        self.v_static += v_static;
+        self.v_total += v_total;
+        if m_static == 0 || dataset_bytes == 0 || v_ondemand <= m_ondemand {
+            return Repartition::Keep;
+        }
+        // "Vstatic/Mstatic < 0.5 × V/D" — static region significantly
+        // under-utilized relative to the overall touch rate.
+        let half_region_share = 0.5 * m_static as f64 / dataset_bytes as f64;
+        let share = |v_static: u64, v_total: u64| v_static as f64 / v_total.max(1) as f64;
+        if share(self.v_static, self.v_total) >= half_region_share {
+            return if share(v_static, v_total) < half_region_share {
+                Repartition::Declined
+            } else {
+                Repartition::Keep
+            };
+        }
         // Shrink by Mstatic × V/D (Eq (3)), at least one byte, at most all.
-        let shrink = ((m_static as f64 * touch_rate) as u64).clamp(1, m_static);
-        Repartition::ShrinkStaticBy(shrink)
-    } else {
-        Repartition::Keep
+        let touch_rate = v_total as f64 / dataset_bytes as f64;
+        let shrink = Shrink {
+            bytes: ((m_static as f64 * touch_rate) as u64).clamp(1, m_static),
+            static_share_ppm: (share(self.v_static, self.v_total) * 1e6) as u32,
+            region_share_ppm: (2e6 * half_region_share) as u32,
+            overflow_bytes: v_ondemand - m_ondemand,
+        };
+        *self = RegionEvidence::default();
+        Repartition::Shrink(shrink)
     }
 }
 
@@ -135,33 +191,106 @@ mod tests {
         }
     }
 
+    /// Eq (3) on fresh evidence — the first iteration after the region
+    /// changed size, where the accumulated rule is the paper's rule.
+    fn fresh(v_ondemand: u64, v_static: u64, v_total: u64, m: (u64, u64), d: u64) -> Repartition {
+        RegionEvidence::default().check(v_ondemand, v_static, v_total, m.0, m.1, d)
+    }
+
+    fn shrink_bytes(r: Repartition) -> u64 {
+        match r {
+            Repartition::Shrink(s) => s.bytes,
+            other => panic!("expected a shrink, got {other:?}"),
+        }
+    }
+
     #[test]
     fn repartition_triggers_only_on_overflow_and_underuse() {
-        // overflow + underused static -> shrink
-        let r = repartition_check(600, 10, 1_000, 800, 500, 10_000);
-        assert_eq!(r, Repartition::ShrinkStaticBy(80)); // 800 * 0.1
-                                                        // overflow but static well-used -> keep
-        let r = repartition_check(600, 700, 1_000, 800, 500, 10_000);
-        assert_eq!(r, Repartition::Keep);
+        // overflow + underused static -> shrink by 800 * 0.1
+        let r = fresh(600, 10, 1_000, (800, 500), 10_000);
+        assert_eq!(
+            r,
+            Repartition::Shrink(Shrink {
+                bytes: 80,
+                static_share_ppm: 10_000,
+                region_share_ppm: 80_000,
+                overflow_bytes: 100,
+            })
+        );
+        // overflow but static well-used -> keep
+        assert_eq!(
+            fresh(600, 700, 1_000, (800, 500), 10_000),
+            Repartition::Keep
+        );
         // no overflow -> keep
-        let r = repartition_check(100, 10, 1_000, 800, 500, 10_000);
-        assert_eq!(r, Repartition::Keep);
+        assert_eq!(fresh(100, 10, 1_000, (800, 500), 10_000), Repartition::Keep);
     }
 
     #[test]
     fn repartition_shrink_is_bounded() {
         // touch rate ~ 1.0: shrink everything but never more than m_static
-        let r = repartition_check(600, 0, 10_000, 800, 500, 10_000);
-        match r {
-            Repartition::ShrinkStaticBy(s) => assert!((1..=800).contains(&s)),
-            _ => panic!("expected shrink"),
-        }
+        let s = shrink_bytes(fresh(600, 0, 10_000, (800, 500), 10_000));
+        assert!((1..=800).contains(&s));
     }
 
     #[test]
     fn repartition_degenerate_inputs() {
-        assert_eq!(repartition_check(1, 0, 1, 0, 0, 100), Repartition::Keep);
-        assert_eq!(repartition_check(1, 0, 1, 10, 0, 0), Repartition::Keep);
+        assert_eq!(fresh(1, 0, 1, (0, 0), 100), Repartition::Keep);
+        assert_eq!(fresh(1, 0, 1, (10, 0), 0), Repartition::Keep);
+    }
+
+    #[test]
+    fn one_underused_iteration_after_a_well_used_history_keeps() {
+        let mut ev = RegionEvidence::default();
+        // the region serves 70 % of every access for a while, no overflow
+        for _ in 0..10 {
+            assert_eq!(
+                ev.check(300, 700, 1_000, 800, 500, 10_000),
+                Repartition::Keep
+            );
+        }
+        // one frontier misses the region and overflows: the paper's
+        // one-iteration rule would shrink, the history declines
+        assert_eq!(
+            ev.check(600, 10, 1_000, 800, 500, 10_000),
+            Repartition::Declined
+        );
+        // and the evidence survives a declined verdict
+        assert_eq!(
+            ev.check(600, 10, 1_000, 800, 500, 10_000),
+            Repartition::Declined
+        );
+    }
+
+    #[test]
+    fn persistent_underuse_shrinks() {
+        let mut ev = RegionEvidence::default();
+        // 3 % served from a region holding 8 % of the data: under half its
+        // share on every iteration; the first overflow shrinks
+        for _ in 0..10 {
+            assert_eq!(
+                ev.check(400, 30, 1_000, 800, 500, 10_000),
+                Repartition::Keep
+            );
+        }
+        assert_eq!(shrink_bytes(ev.check(600, 30, 1_000, 800, 500, 10_000)), 80);
+    }
+
+    #[test]
+    fn evidence_resets_after_a_shrink() {
+        let mut ev = RegionEvidence::default();
+        for _ in 0..10 {
+            ev.check(400, 30, 1_000, 800, 500, 10_000);
+        }
+        assert_eq!(shrink_bytes(ev.check(600, 30, 1_000, 800, 500, 10_000)), 80);
+        assert_eq!(ev, RegionEvidence::default());
+        // the smaller region is judged on what it serves from here on: an
+        // iteration it serves 10 % of is not outvoted by the pre-shrink
+        // history (with which the sum would read 430/12000 < 3.6 %)
+        assert_eq!(
+            ev.check(600, 100, 1_000, 720, 580, 10_000),
+            Repartition::Keep
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! An [`AsceticSession`] owns the device, the prestored static region, the
 //! on-demand buffers and the hotness state, and runs any number of
 //! [`VertexProgram`]s over the same graph. The first run pays the prestore;
-//! subsequent runs start with a warm region (possibly *warmer* than the
-//! initial fill, if the replacement server adapted it).
+//! subsequent runs start with the same warm region — by default nothing
+//! reshapes it on one iteration's evidence (`DESIGN.md` §19).
 //!
 //! Execution is factored into three steps — `AsceticSession::begin_run`,
 //! `AsceticSession::step_iteration` and `AsceticSession::finish_run` —
@@ -42,9 +42,9 @@ use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, R
 use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
-use crate::ondemand::{Batch, BatchPlan};
+use crate::ondemand::{split_buffers, Batch, BatchPlan};
 use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchMode, PrefetchOp};
-use crate::ratio::{repartition_check, static_share, Repartition};
+use crate::ratio::{static_share, RegionEvidence, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
 use crate::static_region::StaticRegion;
 use crate::system::{edge_budget_bytes, reserve_vertex_arrays};
@@ -91,7 +91,10 @@ pub struct AsceticSession<'g> {
     geo: ChunkGeometry,
     gpu: Gpu,
     region: StaticRegion,
+    // the on-demand region and the batch buffers it is split into
+    od_slab: DevPtr,
     od_buffers: Vec<DevPtr>,
+    evidence: RegionEvidence,
     hotness: HotnessTable,
     // the compression mode, if this graph's payloads may ship encoded at
     // all (resolved once); `None` ships everything raw
@@ -283,17 +286,7 @@ impl<'g> AsceticSession<'g> {
         let mut region = StaticRegion::new(&mut gpu, g, geo, static_target);
         let od_words = gpu.mem.available();
         let od_slab = gpu.alloc(od_words).expect("on-demand region allocation");
-        // split the on-demand slab into cfg.od_buffers equal pieces (each
-        // must still hold at least one edge entry)
-        let nbuf = cfg
-            .od_buffers
-            .max(1)
-            .min((od_words / g.words_per_edge()).max(1));
-        let per = od_words / nbuf / g.words_per_edge() * g.words_per_edge();
-        let mut od_buffers: Vec<DevPtr> = (0..nbuf).map(|i| od_slab.slice(i * per, per)).collect();
-        if nbuf == 1 {
-            od_buffers[0] = od_slab; // use the whole slab when not splitting
-        }
+        let od_buffers = split_buffers(od_slab, cfg.od_buffers, g.words_per_edge());
 
         // The hotness table exists before the prestore: its per-chunk
         // encoded-size cache prices the fill's compression crossover, and
@@ -346,7 +339,9 @@ impl<'g> AsceticSession<'g> {
             geo,
             gpu,
             region,
+            od_slab,
             od_buffers,
+            evidence: RegionEvidence::default(),
             hotness,
             encode,
             mirror,
@@ -764,25 +759,29 @@ impl<'g> AsceticSession<'g> {
         maps.regenerate(g, active, self.region.vertex_bitmap());
 
         // Eq (3): adaptive re-partition when the on-demand volume
-        // overflows an under-used static region. Under lazy fill the
-        // region is *supposed* to look under-used until warming
-        // completes, so the check waits for a full region.
+        // overflows a static region its evidence shows under-used. Under
+        // lazy fill the region is *supposed* to look under-used until
+        // warming completes, so the check waits for a full region.
         let warming = matches!(cfg.fill, FillPolicy::Lazy) && self.region.free_slots() > 0;
         if cfg.adaptive && !warming {
-            let od_capacity: u64 = self.od_buffers.iter().map(|b| b.len_bytes()).sum();
-            let decision = repartition_check(
+            let verdict = self.evidence.check(
                 maps.ondemand_bytes(bpe),
                 maps.static_bytes(bpe),
                 maps.active_edges() * bpe,
                 self.region.capacity_bytes(),
-                od_capacity,
+                self.od_slab.len_bytes(),
                 g.edge_bytes(),
             );
-            if let Repartition::ShrinkStaticBy(bytes) = decision {
-                let slots = (bytes as usize).div_ceil(cfg.chunk_bytes).max(1);
+            if let Repartition::Shrink(shrink) = verdict {
+                let slots = (shrink.bytes as usize).div_ceil(cfg.chunk_bytes).max(1);
                 if let Some(tail) = self.region.release_tail_slots(g, slots) {
-                    self.od_buffers.push(tail);
-                    ctx.buffer_free_at.push(SimTime::ZERO);
+                    // the donated tail borders the on-demand slab: one
+                    // bigger region, re-split, never a smaller extra buffer
+                    self.od_slab = tail.join(self.od_slab);
+                    self.od_buffers =
+                        split_buffers(self.od_slab, cfg.od_buffers, g.words_per_edge());
+                    ctx.buffer_free_at
+                        .resize(self.od_buffers.len(), SimTime::ZERO);
                     ctx.repartitions += 1;
                     self.gpu.obs.registry.counter_add("repartitions", 1);
                     self.gpu.obs.record(
@@ -1667,19 +1666,16 @@ mod tests {
         for mode in [PrefetchMode::NextFrontier, PrefetchMode::Hotness] {
             let r = AsceticSession::new(cfg_for(&g).with_prefetch(mode), &g).run(&Bfs::new(0));
             assert_eq!(r.output, oracle, "{mode}: prefetch must not change results");
-            // Only the exact-demand policy promises never to lose: its
-            // transfers hide in link slack AND it never evicts chunks the
-            // next iteration needs. Hotness is genuinely speculative — a
-            // misprediction can worsen residency, which waste accounting
-            // (not the makespan contract) captures.
-            if mode == PrefetchMode::NextFrontier {
-                assert!(
-                    r.sim_time_ns <= off.sim_time_ns,
-                    "{mode}: prefetch ({}) must not lose to off ({})",
-                    r.sim_time_ns,
-                    off.sim_time_ns
-                );
-            }
+            // What holds by construction is that prefetch transfers hide
+            // in link slack (no on-demand transfer moves) and that the
+            // exact-demand policy never evicts a chunk the *next*
+            // iteration needs. Neither promises a shorter run: a swap
+            // still trades a chunk of the contiguous prefix for one
+            // elsewhere, and iterations after the next pay for the hole in
+            // on-demand ops. While `Off` still meant "reactive swaps on
+            // the link" NextFrontier never lost to it; against a region
+            // nothing reshapes it does here (1 426 923 vs 1 410 314 ns,
+            // +1.2 %) — recorded in DESIGN.md §19, not asserted away.
             // speculative traffic is accounted exactly, as a subset of H2D
             assert_eq!(r.xfer.h2d_prefetch_bytes, r.prefetch_bytes, "{mode}");
             assert!(r.prefetch_hits <= r.prefetch_ops, "{mode}");
@@ -1990,6 +1986,39 @@ mod tests {
         let r = s.finish_run(&prog, &prog.new_state(&g), ctx);
         assert_eq!(r.xfer.h2d_prefetch_bytes, 0);
         assert_eq!(r.prefetch_wasted_bytes, 1_000);
+    }
+
+    #[test]
+    fn an_eq3_donation_never_lowers_batch_capacity() {
+        // Two islands: the front-filled static region holds the first,
+        // which a BFS inside the second never touches — persistent
+        // under-use, so the first overflowing frontier shrinks the region.
+        let (half, deg) = (1_500u32, 8u32);
+        let mut b = ascetic_graph::GraphBuilder::new(2 * half as usize);
+        for v in 0..2 * half {
+            let (base, local) = (v / half * half, v % half);
+            for i in 0..deg {
+                b.add_edge(v, base + (local * 31 + i * 17 + 1) % half);
+            }
+        }
+        let g = b.build();
+        let prog = Bfs::new(half);
+        let oracle = run_in_memory(&g, &prog).output;
+        let min_words = |s: &AsceticSession| s.od_buffers.iter().map(|b| b.len).min().unwrap();
+        for od_buffers in [1, 2] {
+            let mut s = AsceticSession::new(cfg_for(&g).with_od_buffers(od_buffers), &g);
+            let (before, slab_before) = (min_words(&s), s.od_slab.len);
+            let r = s.run(&prog);
+            assert_eq!(r.output, oracle);
+            assert!(r.repartitions > 0, "persistent under-use must shrink");
+            assert_eq!(s.od_buffers.len(), od_buffers, "the split is the config's");
+            assert!(s.od_slab.len > slab_before, "the donation joined the slab");
+            assert!(
+                min_words(&s) > before,
+                "{od_buffers} buffer(s): batches are planned to the smallest \
+                 buffer, which a donation must only ever grow"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! The Eq (3) adaptive re-partition is supported by `release_tail_slots`,
 //! which evicts and donates the trailing slots of the slab to the
-//! on-demand engine as an extra batch buffer (shrinking the static region
-//! without relocating the arena).
+//! on-demand engine — they border its slab, which grows by them (shrinking
+//! the static region without relocating the arena).
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, VertexId};

@@ -30,6 +30,16 @@ impl DevPtr {
             len,
         }
     }
+
+    /// The allocation spanning this one and `next`, the block that starts
+    /// where this one ends.
+    pub fn join(&self, next: DevPtr) -> DevPtr {
+        assert_eq!(self.offset + self.len, next.offset, "blocks not adjacent");
+        DevPtr {
+            offset: self.offset,
+            len: self.len + next.len,
+        }
+    }
 }
 
 /// Error: the device is out of memory (or too fragmented).
