@@ -38,25 +38,29 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// last eight rows on PR 13, the commit before push and pull became one
 /// pipeline; the last seven rows on PR 14, the commit before the runtimes
 /// shared one driver loop and the baselines one run frame), identical at
-/// every thread count.
+/// every thread count. Nine rows were re-harvested when Eq (3) began to
+/// judge under-use on accumulated evidence: the two warm sessions that open
+/// with BFS(0) (`repartitions` 1 → 0 in that run, every later run keeps the
+/// unshrunk region), their compression-always and overlap-off twins, and
+/// SSSP(0) (`repartitions` 4 → 0).
 #[rustfmt::skip]
 const GOLDEN: [(&str, Virt); 25] = [
-    ("BFS(0)", (2008146, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0x83e6a6e5577825a0, 0xbee0a04ffcedadb7)),
-    ("BFS(1777)", (1962549, 279428, 38, 52, 142, 0x16fd92c0332e67f7, 0xc6f32830f934aa5d, 0x4e954480f47e4474)),
-    ("BFS(4242)", (2130180, 281768, 43, 53, 146, 0x6ef9d11362d6a739, 0xdeee7423570100a0, 0x8600a001f0c12299)),
-    ("BFS(0) again", (2068313, 284868, 42, 51, 143, 0x1f2c1ab87e045bfe, 0xf9274ecc21f7550a, 0x212957c8359f0e83)),
-    ("CC", (6165388, 2404988, 221, 51, 323, 0xff29483f185f2a2c, 0xaf863cd6598b3a85, 0xab0c2e706b8b1251)),
-    ("SSSP(0)", (9638509, 6329488, 251, 101, 438, 0x478264cf27d5749d, 0x7415b7df629f8723, 0x73c764a8edfb3b93)),
+    ("BFS(0)", (1771089, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xc68376c547b15afd, 0x75bf2436d6263c3b)),
+    ("BFS(1777)", (1648669, 271720, 25, 52, 129, 0x16fd92c0332e67f7, 0x72e5047317502e6e, 0x863d9fdcc5230c78)),
+    ("BFS(4242)", (1844028, 272516, 31, 53, 134, 0x6ef9d11362d6a739, 0x5feeaa0cf3904389, 0x663e4817c326e751)),
+    ("BFS(0) again", (1750944, 270960, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x22455d2c49bc2477, 0xe0e823be2b6f41db)),
+    ("CC", (3623831, 2310800, 96, 51, 198, 0xff29483f185f2a2c, 0xc0b51c91087a08f6, 0xb2b7c4f519941458)),
+    ("SSSP(0)", (5336468, 3863880, 107, 101, 309, 0x478264cf27d5749d, 0x2ccd1b205a09cf04, 0x9f9b0ed315f4a50c)),
     ("PR push", (10155726, 7777592, 319, 74, 467, 0xd33b43eeeabd4a45, 0xa8f9002f8bd4d661, 0xe4b3fbdbcd7754ea)),
     ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0x5141747cf8198eff)),
     ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x71659f9f6053393e)),
     ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0x1857351b7ee1b901)),
-    ("BFS(0) push, compression always", (2163836, 110378, 39, 51, 141, 0x1f2c1ab87e045bfe, 0xb95bee6c36f77a21, 0x1781672bc2ab02d5)),
-    ("CC push, compression always", (6269099, 945831, 221, 51, 323, 0xff29483f185f2a2c, 0x0d51b86e214f1b09, 0x647cd16045e6ca33)),
+    ("BFS(0) push, compression always", (1924821, 106850, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xdf80c53457683f57, 0x801d469f1eec2735)),
+    ("CC push, compression always", (3970805, 908601, 96, 51, 198, 0xff29483f185f2a2c, 0xad6a02e1cd034ad1, 0x217fed8659d49633)),
     ("BFS(0) forced pull, compression always", (6359942, 1625293, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x49a0b1569c75fe2b, 0xdc8d4856bece8a66)),
     ("CC forced pull, compression always", (6314359, 1625293, 179, 51, 230, 0xff29483f185f2a2c, 0x260b69118ee86f00, 0x0bfb6c15d1d658ed)),
     ("PR lazy fill", (11833706, 8591208, 461, 74, 493, 0xd33b43eeeabd4a45, 0x833143172c77cb3e, 0xf64e847f82bd9fb0)),
-    ("BFS(0) overlap off", (2230367, 280428, 39, 51, 141, 0x1f2c1ab87e045bfe, 0xa9b8fb4fb534529c, 0x7f8a67dc791f3f34)),
+    ("BFS(0) overlap off", (1993919, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x3d1bd9ea1b1d8335, 0x70684ab9652fced7)),
     ("CC od_buffers=2", (5256638, 2270408, 175, 51, 277, 0xff29483f185f2a2c, 0xa3bc09c8acf5c187, 0x6d467aa181b62765)),
     ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0x3ed6bf52baf85cfc)),
     ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x2e2b67b5ef15df2a)),
