@@ -23,8 +23,15 @@ pub struct HotnessTable {
     policy: ReplacementPolicy,
     /// Cumulative access count per chunk.
     counts: Vec<u32>,
-    /// Last iteration (1-based; 0 = never) each chunk was accessed.
+    /// Stamp of the last iteration each chunk was accessed (0 = never).
+    /// Stamps count iterations over the whole session, not within a run:
+    /// `run_base + iteration + 1`, so an access at iteration `i` of an
+    /// earlier run never reads as an access at iteration `i` of this one.
     last_access: Vec<u32>,
+    /// Stamp of the last iteration before the current run.
+    run_base: u32,
+    /// Highest stamp issued so far.
+    newest: u32,
     /// Cached delta–varint encoded size of each chunk's edge payload
     /// (0 = not yet measured; a real chunk never encodes to zero bytes).
     /// The adaptive crossover prices a transfer from these instead of
@@ -39,8 +46,28 @@ impl HotnessTable {
             policy,
             counts: vec![0; num_chunks],
             last_access: vec![0; num_chunks],
+            run_base: 0,
+            newest: 0,
             wire_bytes: vec![0; num_chunks],
         }
+    }
+
+    /// Start a new run: its iteration indices restart at 0, its stamps
+    /// continue after the previous run's.
+    pub fn begin_run(&mut self) {
+        self.run_base = self.newest;
+    }
+
+    /// The session-wide stamp of this run's `iteration` (0-based).
+    fn stamp(&self, iteration: u32) -> u32 {
+        self.run_base.saturating_add(iteration).saturating_add(1)
+    }
+
+    fn touch(&mut self, chunk: ChunkId, hits: u32, iteration: u32) {
+        let stamp = self.stamp(iteration);
+        self.counts[chunk as usize] = self.counts[chunk as usize].saturating_add(hits);
+        self.last_access[chunk as usize] = stamp;
+        self.newest = self.newest.max(stamp);
     }
 
     /// Cached encoded size of `chunk`'s payload, if measured.
@@ -79,8 +106,7 @@ impl HotnessTable {
 
     /// Record that `chunk` was accessed during `iteration` (0-based).
     pub fn record(&mut self, chunk: ChunkId, iteration: u32) {
-        self.counts[chunk as usize] = self.counts[chunk as usize].saturating_add(1);
-        self.last_access[chunk as usize] = iteration + 1;
+        self.touch(chunk, 1, iteration);
     }
 
     /// Record accesses for every chunk covering the edges of `nodes` — one
@@ -120,8 +146,7 @@ impl HotnessTable {
     /// `hits` back-to-back [`HotnessTable::record`]s of one chunk.
     fn record_hits(&mut self, chunk: ChunkId, hits: u32, iteration: u32) {
         if hits > 0 {
-            self.counts[chunk as usize] = self.counts[chunk as usize].saturating_add(hits);
-            self.last_access[chunk as usize] = iteration + 1;
+            self.touch(chunk, hits, iteration);
         }
     }
 
@@ -130,7 +155,7 @@ impl HotnessTable {
     /// hit test: a prefetched chunk counts as a hit iff the next iteration
     /// really demanded it.
     pub fn demanded_at(&self, chunk: ChunkId, iteration: u32) -> bool {
-        self.last_access[chunk as usize] == iteration + 1
+        self.last_access[chunk as usize] == self.stamp(iteration)
     }
 
     /// Cumulative access count of `chunk` (the Hotness prefetch ranking).
@@ -138,8 +163,9 @@ impl HotnessTable {
         self.counts[chunk as usize]
     }
 
-    /// Raw recency stamp of `chunk`: 1-based last-access iteration, 0 =
-    /// never touched. Orders eviction candidates coldest-first.
+    /// Raw recency stamp of `chunk`: session-wide count of the iteration
+    /// that last accessed it, 0 = never touched. Orders eviction
+    /// candidates coldest-first, across runs as within one.
     pub fn last_access_stamp(&self, chunk: ChunkId) -> u32 {
         self.last_access[chunk as usize]
     }
@@ -174,7 +200,7 @@ impl HotnessTable {
             return Vec::new();
         }
         (0..self.counts.len() as ChunkId)
-            .filter(|&c| !region.is_resident(c) && self.last_access[c as usize] == iteration + 1)
+            .filter(|&c| !region.is_resident(c) && self.demanded_at(c, iteration))
             .take(max_loads)
             .collect()
     }
@@ -242,6 +268,26 @@ mod tests {
         assert!(t.is_stale(0, 4), "not touched in iteration 4");
         assert!(t.is_hot(0, 3));
         assert!(!t.is_hot(0, 4));
+    }
+
+    #[test]
+    fn an_access_in_an_earlier_run_is_not_an_access_in_this_one() {
+        let mut t = HotnessTable::new(3, ReplacementPolicy::LastIteration);
+        t.record(0, 3);
+        t.record(1, 5);
+        assert!(t.demanded_at(0, 3) && t.is_hot(0, 3));
+        // a second run reaches the same iteration index without touching
+        // chunk 0: the old stamp must read as stale, not as this iteration
+        t.begin_run();
+        t.record(2, 3);
+        assert!(!t.demanded_at(0, 3), "run 1's iteration 3 is not run 2's");
+        assert!(!t.is_hot(0, 3) && t.is_stale(0, 3));
+        assert!(t.demanded_at(2, 3) && !t.is_stale(2, 3));
+        // and recency orders across runs: anything touched in run 1 is
+        // older than anything touched in run 2, whatever the indices
+        assert!(t.last_access_stamp(1) < t.last_access_stamp(2));
+        assert!(t.last_access_stamp(0) < t.last_access_stamp(1));
+        assert_eq!(t.access_count(0), 1, "counts are cumulative as before");
     }
 
     #[test]

@@ -562,6 +562,7 @@ impl<'g> AsceticSession<'g> {
     /// call this once, then `AsceticSession::step_iteration` per
     /// iteration, then `AsceticSession::finish_run`.
     pub(crate) fn begin_run(&mut self) -> RunCtx {
+        self.hotness.begin_run();
         RunCtx {
             run_start: self.gpu.sync(),
             xfer0: self.gpu.xfer,
