@@ -328,6 +328,13 @@ impl RunReport {
             .set_counter("iterations", self.iterations as u64);
         self.metrics
             .set_counter("repartitions", self.repartitions as u64);
+        // iterations that ran a static-region kernel *and* an on-demand
+        // pipeline: the ones a fragmented region multiplies
+        let both = |i: &&IterReport| i.static_edges > 0 && i.payload_bytes > 0;
+        self.metrics.set_counter(
+            "iterations.both_regions",
+            self.per_iter.iter().filter(both).count() as u64,
+        );
         self.metrics.set_gauge("sim_time_ns", self.sim_time_ns);
         self.metrics.set_gauge("gpu.idle_ns", self.gpu_idle_ns);
         self.metrics

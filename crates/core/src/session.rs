@@ -790,11 +790,17 @@ impl<'g> AsceticSession<'g> {
                         Event::Repartition {
                             iter: ctx.iter,
                             static_bytes: self.region.capacity_bytes(),
+                            static_share_ppm: shrink.static_share_ppm,
+                            region_share_ppm: shrink.region_share_ppm,
+                            overflow_bytes: shrink.overflow_bytes,
                         },
                     );
                     // bitmap changed: regenerate the data maps
                     maps.regenerate(g, active, self.region.vertex_bitmap());
                 }
+            } else if verdict == Repartition::Declined {
+                let reg = &mut self.gpu.obs.registry;
+                reg.counter_add("repartitions.declined", 1);
             }
         }
 
@@ -1223,6 +1229,8 @@ impl<'g> AsceticSession<'g> {
         let if_first = |v: u64| if first { v } else { 0 };
         // Per-run delta accounting against the session baselines.
         let run_end = self.gpu.sync();
+        let reg = &mut self.gpu.obs.registry;
+        reg.gauge_set("region.resident_runs", self.region.resident_runs());
         let mut report = finish_report(
             "Ascetic",
             prog.name(),
@@ -1253,16 +1261,8 @@ impl<'g> AsceticSession<'g> {
         report.prefetch_hits = ctx.prefetch_hits;
         report.prefetch_wasted_bytes = ctx.prefetch_waste;
         // convert cumulative device counters into this run's share
-        report.xfer.h2d_bytes -= ctx.xfer0.h2d_bytes;
-        report.xfer.h2d_wire_bytes -= ctx.xfer0.h2d_wire_bytes;
-        report.xfer.h2d_prefetch_bytes -= ctx.xfer0.h2d_prefetch_bytes;
-        report.xfer.d2h_bytes -= ctx.xfer0.d2h_bytes;
-        report.xfer.h2d_ops -= ctx.xfer0.h2d_ops;
-        report.xfer.d2h_ops -= ctx.xfer0.d2h_ops;
-        report.kernels.launches -= ctx.kernels0.launches;
-        report.kernels.edges -= ctx.kernels0.edges;
-        report.kernels.vertices -= ctx.kernels0.vertices;
-        report.kernels.time_ns -= ctx.kernels0.time_ns;
+        report.xfer = report.xfer.since(&ctx.xfer0);
+        report.kernels = report.kernels.since(&ctx.kernels0);
         let run_ns = run_end.since(ctx.run_start) + if_first(ctx.run_start.0);
         report.sim_time_ns = run_ns;
         let busy_delta = self.gpu.timeline.busy_ns(Engine::Compute) - ctx.compute_busy0;
@@ -2007,11 +2007,36 @@ mod tests {
         let oracle = run_in_memory(&g, &prog).output;
         let min_words = |s: &AsceticSession| s.od_buffers.iter().map(|b| b.len).min().unwrap();
         for od_buffers in [1, 2] {
-            let mut s = AsceticSession::new(cfg_for(&g).with_od_buffers(od_buffers), &g);
+            let cfg = cfg_for(&g).with_od_buffers(od_buffers).with_events(true);
+            let mut s = AsceticSession::new(cfg, &g);
             let (before, slab_before) = (min_words(&s), s.od_slab.len);
             let r = s.run(&prog);
             assert_eq!(r.output, oracle);
             assert!(r.repartitions > 0, "persistent under-use must shrink");
+            // the event says why: a region holding a third of the data
+            // served nothing, and the frontier did not fit beside it
+            let fired = r
+                .events
+                .as_ref()
+                .unwrap()
+                .iter()
+                .find_map(|e| match e.event {
+                    Event::Repartition {
+                        static_share_ppm,
+                        region_share_ppm,
+                        overflow_bytes,
+                        ..
+                    } => Some((static_share_ppm, region_share_ppm, overflow_bytes)),
+                    _ => None,
+                });
+            let (served, held, overflow) = fired.expect("a repartition event");
+            assert_eq!(served, 0);
+            assert!(
+                (250_000..400_000).contains(&held),
+                "region share {held} ppm"
+            );
+            assert!(overflow > 0);
+            assert_eq!(r.metrics.gauge("region.resident_runs"), Some(1));
             assert_eq!(s.od_buffers.len(), od_buffers, "the split is the config's");
             assert!(s.od_slab.len > slab_before, "the donation joined the slab");
             assert!(

@@ -114,6 +114,17 @@ impl StaticRegion {
         self.slot_of_chunk[chunk as usize] != NO_SLOT
     }
 
+    /// Number of maximal runs of consecutive resident chunk ids — 1 for an
+    /// untouched front fill. Every extra run is a hole some swap punched:
+    /// vertices straddling it go on demand, and an iteration that would
+    /// have run from the region alone needs the pipeline too.
+    pub fn resident_runs(&self) -> u64 {
+        let resident = |c: usize| self.slot_of_chunk[c] != NO_SLOT;
+        (0..self.slot_of_chunk.len())
+            .filter(|&c| resident(c) && (c == 0 || !resident(c - 1)))
+            .count() as u64
+    }
+
     /// The `StaticBitmap`.
     pub fn vertex_bitmap(&self) -> &Bitmap {
         &self.vertex_static
@@ -518,6 +529,19 @@ mod tests {
         let mut seen = Vec::new();
         sr.for_each_vertex_slice(&gpu.mem, &g, 21, |w| seen.extend_from_slice(w));
         assert_eq!(seen, vec![22]);
+    }
+
+    #[test]
+    fn resident_runs_count_the_holes() {
+        let (g, geo, mut gpu) = setup(33, 16); // 8 chunks
+        let mut sr = StaticRegion::new(&mut gpu, &g, geo, 4 * 16);
+        assert_eq!(sr.resident_runs(), 0, "empty region");
+        sr.fill(&mut gpu, &g, &[0, 1, 2, 3]);
+        assert_eq!(sr.resident_runs(), 1, "a front fill is one run");
+        sr.swap_chunk(&mut gpu, &g, 1, 6);
+        assert_eq!(sr.resident_runs(), 3, "0 | 2 3 | 6");
+        sr.swap_chunk(&mut gpu, &g, 0, 7);
+        assert_eq!(sr.resident_runs(), 2, "2 3 | 6 7");
     }
 
     #[test]

@@ -122,6 +122,16 @@ pub enum Event {
         iter: u32,
         /// New static-region size in bytes.
         static_bytes: u64,
+        /// The evidence that fired it: share of all accessed bytes the
+        /// static region served since it last changed size, parts per
+        /// million ...
+        static_share_ppm: u32,
+        /// ... against the share of the dataset it held (the rule fires
+        /// below half of it), parts per million ...
+        region_share_ppm: u32,
+        /// ... and the bytes by which this iteration's on-demand volume
+        /// overflowed the on-demand region.
+        overflow_bytes: u64,
     },
     /// The one-time prestore fill of the static region.
     Prestore {
@@ -213,8 +223,19 @@ impl Event {
             Event::LazyLoad { bytes } => {
                 out.push_str(&format!(",\"bytes\":{bytes}"));
             }
-            Event::Repartition { iter, static_bytes } => {
-                out.push_str(&format!(",\"iter\":{iter},\"static_bytes\":{static_bytes}"));
+            Event::Repartition {
+                iter,
+                static_bytes,
+                static_share_ppm,
+                region_share_ppm,
+                overflow_bytes,
+            } => {
+                out.push_str(&format!(
+                    ",\"iter\":{iter},\"static_bytes\":{static_bytes},\
+                     \"static_share_ppm\":{static_share_ppm},\
+                     \"region_share_ppm\":{region_share_ppm},\
+                     \"overflow_bytes\":{overflow_bytes}"
+                ));
             }
             Event::Prestore { bytes, dur_ns } => {
                 out.push_str(&format!(",\"bytes\":{bytes},\"dur_ns\":{dur_ns}"));
@@ -430,6 +451,9 @@ mod tests {
             Event::Repartition {
                 iter: 2,
                 static_bytes: 99,
+                static_share_ppm: 10_000,
+                region_share_ppm: 80_000,
+                overflow_bytes: 100,
             },
         );
         log.record(

@@ -45,6 +45,19 @@ impl XferStats {
         self.d2h_ops += other.d2h_ops;
     }
 
+    /// The counters accumulated since `base` was copied off this set —
+    /// one run's share of a device that serves many.
+    pub fn since(&self, base: &XferStats) -> XferStats {
+        XferStats {
+            h2d_bytes: self.h2d_bytes - base.h2d_bytes,
+            h2d_wire_bytes: self.h2d_wire_bytes - base.h2d_wire_bytes,
+            h2d_prefetch_bytes: self.h2d_prefetch_bytes - base.h2d_prefetch_bytes,
+            d2h_bytes: self.d2h_bytes - base.d2h_bytes,
+            h2d_ops: self.h2d_ops - base.h2d_ops,
+            d2h_ops: self.d2h_ops - base.d2h_ops,
+        }
+    }
+
     /// The reactive share of the H2D payload: everything the device pulled
     /// on demand rather than receiving from the prefetch stream.
     pub fn h2d_ondemand_bytes(&self) -> u64 {
@@ -72,6 +85,16 @@ impl KernelStats {
         self.edges += other.edges;
         self.vertices += other.vertices;
         self.time_ns += other.time_ns;
+    }
+
+    /// The counters accumulated since `base` was copied off this set.
+    pub fn since(&self, base: &KernelStats) -> KernelStats {
+        KernelStats {
+            launches: self.launches - base.launches,
+            edges: self.edges - base.edges,
+            vertices: self.vertices - base.vertices,
+            time_ns: self.time_ns - base.time_ns,
+        }
     }
 }
 
