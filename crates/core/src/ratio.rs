@@ -84,21 +84,32 @@ pub struct Shrink {
 /// iteration that happens to miss the region would give away memory that
 /// served every iteration before it and would serve every run after. So
 /// the overflow test and the shrink amount stay per-iteration, but "the
-/// static region is under-used" is judged on the volumes accumulated since
-/// the region last changed size (session start or the previous shrink):
-/// `Σv_static/ΣV < 0.5 · M_static/D` — the paper's
-/// `V_static/M_static < 0.5 · V/D` rearranged, over sums. On the first
-/// iteration after a size change the two are the same test.
+/// static region is under-used" is judged on the volumes of the *whole
+/// runs* completed since the region last changed size (session start or
+/// the previous shrink): `Σv_static/ΣV < 0.5 · M_static/D` — the paper's
+/// `V_static/M_static < 0.5 · V/D` rearranged, over sums.
+///
+/// Whole runs, because a traversal's frontier sweeps the graph: any prefix
+/// of a run is a biased sample of what the region serves (an MS-SSSP's
+/// first dense iterations read 25 % from a region that serves 77 % of the
+/// run), and a shrink judged on one re-arms the same misjudgment on the
+/// next iteration. And the runs must have moved at least the region's own
+/// size, or nothing has been learnt about it. A one-shot run therefore
+/// never re-partitions — the paper reports none at its defaults either.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegionEvidence {
+    // completed runs since the region last changed size
     v_static: u64,
     v_total: u64,
+    // the run in progress
+    run_static: u64,
+    run_total: u64,
 }
 
 impl RegionEvidence {
-    /// Fold one iteration's volumes into the evidence and evaluate Eq (3).
-    /// A shrink verdict resets the evidence: the smaller region is judged
-    /// on what *it* serves.
+    /// Note one iteration's volumes and evaluate Eq (3) for it. A shrink
+    /// verdict resets the evidence: the smaller region is judged on what
+    /// *it* serves.
     ///
     /// * `v_ondemand` — bytes the on-demand region must receive this iteration,
     /// * `v_static` — bytes of static-region data accessed this iteration,
@@ -114,8 +125,8 @@ impl RegionEvidence {
         m_ondemand: u64,
         dataset_bytes: u64,
     ) -> Repartition {
-        self.v_static += v_static;
-        self.v_total += v_total;
+        self.run_static += v_static;
+        self.run_total += v_total;
         if m_static == 0 || dataset_bytes == 0 || v_ondemand <= m_ondemand {
             return Repartition::Keep;
         }
@@ -123,7 +134,7 @@ impl RegionEvidence {
         // under-utilized relative to the overall touch rate.
         let half_region_share = 0.5 * m_static as f64 / dataset_bytes as f64;
         let share = |v_static: u64, v_total: u64| v_static as f64 / v_total.max(1) as f64;
-        if share(self.v_static, self.v_total) >= half_region_share {
+        if self.v_total < m_static || share(self.v_static, self.v_total) >= half_region_share {
             return if share(v_static, v_total) < half_region_share {
                 Repartition::Declined
             } else {
@@ -140,6 +151,12 @@ impl RegionEvidence {
         };
         *self = RegionEvidence::default();
         Repartition::Shrink(shrink)
+    }
+
+    /// The frontier drained: the run's volumes become evidence.
+    pub fn end_run(&mut self) {
+        self.v_static += std::mem::take(&mut self.run_static);
+        self.v_total += std::mem::take(&mut self.run_total);
     }
 }
 
@@ -191,10 +208,16 @@ mod tests {
         }
     }
 
-    /// Eq (3) on fresh evidence — the first iteration after the region
-    /// changed size, where the accumulated rule is the paper's rule.
-    fn fresh(v_ondemand: u64, v_static: u64, v_total: u64, m: (u64, u64), d: u64) -> Repartition {
-        RegionEvidence::default().check(v_ondemand, v_static, v_total, m.0, m.1, d)
+    /// Evidence of one completed run that moved `v_total` bytes, `v_static`
+    /// of them from the static region, without ever overflowing.
+    fn after_a_run(v_static: u64, v_total: u64) -> RegionEvidence {
+        let mut ev = RegionEvidence::default();
+        assert_eq!(
+            ev.check(0, v_static, v_total, 800, 500, 10_000),
+            Repartition::Keep
+        );
+        ev.end_run();
+        ev
     }
 
     fn shrink_bytes(r: Repartition) -> u64 {
@@ -206,8 +229,9 @@ mod tests {
 
     #[test]
     fn repartition_triggers_only_on_overflow_and_underuse() {
-        // overflow + underused static -> shrink by 800 * 0.1
-        let r = fresh(600, 10, 1_000, (800, 500), 10_000);
+        // a run served 1 % from a region holding 8 %: the next overflow
+        // shrinks by 800 * 0.1
+        let r = after_a_run(10, 1_000).check(600, 10, 1_000, 800, 500, 10_000);
         assert_eq!(
             r,
             Repartition::Shrink(Shrink {
@@ -218,79 +242,86 @@ mod tests {
             })
         );
         // overflow but static well-used -> keep
-        assert_eq!(
-            fresh(600, 700, 1_000, (800, 500), 10_000),
-            Repartition::Keep
-        );
+        let r = after_a_run(700, 1_000).check(600, 700, 1_000, 800, 500, 10_000);
+        assert_eq!(r, Repartition::Keep);
         // no overflow -> keep
-        assert_eq!(fresh(100, 10, 1_000, (800, 500), 10_000), Repartition::Keep);
+        let r = after_a_run(10, 1_000).check(100, 10, 1_000, 800, 500, 10_000);
+        assert_eq!(r, Repartition::Keep);
     }
 
     #[test]
     fn repartition_shrink_is_bounded() {
         // touch rate ~ 1.0: shrink everything but never more than m_static
-        let s = shrink_bytes(fresh(600, 0, 10_000, (800, 500), 10_000));
+        let s = shrink_bytes(after_a_run(0, 1_000).check(600, 0, 10_000, 800, 500, 10_000));
         assert!((1..=800).contains(&s));
     }
 
     #[test]
     fn repartition_degenerate_inputs() {
-        assert_eq!(fresh(1, 0, 1, (0, 0), 100), Repartition::Keep);
-        assert_eq!(fresh(1, 0, 1, (10, 0), 0), Repartition::Keep);
+        let mut ev = after_a_run(0, 1_000);
+        assert_eq!(ev.check(1, 0, 1, 0, 0, 100), Repartition::Keep);
+        assert_eq!(ev.check(1, 0, 1, 10, 0, 0), Repartition::Keep);
     }
 
     #[test]
-    fn one_underused_iteration_after_a_well_used_history_keeps() {
+    fn a_run_in_progress_is_not_evidence() {
+        // a traversal's first iterations miss the region entirely and
+        // overflow: the paper's one-iteration rule would shrink on each,
+        // but a prefix of a run says nothing about what the region serves
         let mut ev = RegionEvidence::default();
-        // the region serves 70 % of every access for a while, no overflow
         for _ in 0..10 {
+            assert_eq!(
+                ev.check(600, 0, 1_000, 800, 500, 10_000),
+                Repartition::Declined
+            );
+        }
+        // the rest of the run reads mostly from the region
+        for _ in 0..90 {
             assert_eq!(
                 ev.check(300, 700, 1_000, 800, 500, 10_000),
                 Repartition::Keep
             );
         }
-        // one frontier misses the region and overflows: the paper's
-        // one-iteration rule would shrink, the history declines
+        ev.end_run();
+        // the next run opens the same way, against a 63 % history
         assert_eq!(
-            ev.check(600, 10, 1_000, 800, 500, 10_000),
-            Repartition::Declined
-        );
-        // and the evidence survives a declined verdict
-        assert_eq!(
-            ev.check(600, 10, 1_000, 800, 500, 10_000),
+            ev.check(600, 0, 1_000, 800, 500, 10_000),
             Repartition::Declined
         );
     }
 
     #[test]
-    fn persistent_underuse_shrinks() {
-        let mut ev = RegionEvidence::default();
-        // 3 % served from a region holding 8 % of the data: under half its
-        // share on every iteration; the first overflow shrinks
-        for _ in 0..10 {
-            assert_eq!(
-                ev.check(400, 30, 1_000, 800, 500, 10_000),
-                Repartition::Keep
-            );
-        }
-        assert_eq!(shrink_bytes(ev.check(600, 30, 1_000, 800, 500, 10_000)), 80);
+    fn runs_smaller_than_the_region_are_not_evidence() {
+        // 500 bytes moved, none from an 800-byte region: nothing learnt
+        let mut ev = after_a_run(0, 500);
+        assert_eq!(
+            ev.check(600, 0, 200, 800, 500, 10_000),
+            Repartition::Declined
+        );
+        ev.end_run();
+        // 700 by now; one more small run crosses the region's size
+        assert_eq!(
+            ev.check(600, 0, 200, 800, 500, 10_000),
+            Repartition::Declined
+        );
+        ev.end_run();
+        assert_eq!(shrink_bytes(ev.check(600, 0, 1_000, 800, 500, 10_000)), 80);
     }
 
     #[test]
-    fn evidence_resets_after_a_shrink() {
-        let mut ev = RegionEvidence::default();
-        for _ in 0..10 {
-            ev.check(400, 30, 1_000, 800, 500, 10_000);
-        }
+    fn persistent_underuse_shrinks_once_per_run() {
+        // 3 % served from a region holding 8 % of the data, run after run
+        let mut ev = after_a_run(300, 10_000);
         assert_eq!(shrink_bytes(ev.check(600, 30, 1_000, 800, 500, 10_000)), 80);
+        // the evidence resets with the size: the smaller region is judged
+        // on what it serves, which takes a whole run to learn
         assert_eq!(ev, RegionEvidence::default());
-        // the smaller region is judged on what it serves from here on: an
-        // iteration it serves 10 % of is not outvoted by the pre-shrink
-        // history (with which the sum would read 430/12000 < 3.6 %)
         assert_eq!(
-            ev.check(600, 100, 1_000, 720, 580, 10_000),
-            Repartition::Keep
+            ev.check(600, 30, 1_000, 720, 580, 10_000),
+            Repartition::Declined
         );
+        ev.end_run();
+        assert_eq!(shrink_bytes(ev.check(600, 30, 1_000, 720, 580, 10_000)), 72);
     }
 
     #[test]

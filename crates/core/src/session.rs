@@ -799,8 +799,7 @@ impl<'g> AsceticSession<'g> {
                     maps.regenerate(g, active, self.region.vertex_bitmap());
                 }
             } else if verdict == Repartition::Declined {
-                let reg = &mut self.gpu.obs.registry;
-                reg.counter_add("repartitions.declined", 1);
+                self.obs_counter_add("repartitions.declined", 1);
             }
         }
 
@@ -1251,6 +1250,7 @@ impl<'g> AsceticSession<'g> {
             self.gpu.timeline.enable_tracing();
         }
         report.repartitions = ctx.repartitions;
+        self.evidence.end_run();
         // speculative refreshes still in flight when the frontier drained
         // never got their demand scored: charge them as waste
         for (_c, bytes) in ctx.prefetch_pending.drain(..) {
@@ -1992,8 +1992,9 @@ mod tests {
     #[test]
     fn an_eq3_donation_never_lowers_batch_capacity() {
         // Two islands: the front-filled static region holds the first,
-        // which a BFS inside the second never touches — persistent
-        // under-use, so the first overflowing frontier shrinks the region.
+        // which a BFS inside the second never touches — a whole run of
+        // that is evidence, so the replay's first overflowing frontier
+        // shrinks the region.
         let (half, deg) = (1_500u32, 8u32);
         let mut b = ascetic_graph::GraphBuilder::new(2 * half as usize);
         for v in 0..2 * half {
@@ -2010,9 +2011,15 @@ mod tests {
             let cfg = cfg_for(&g).with_od_buffers(od_buffers).with_events(true);
             let mut s = AsceticSession::new(cfg, &g);
             let (before, slab_before) = (min_words(&s), s.od_slab.len);
+            let first = s.run(&prog);
+            assert_eq!(first.repartitions, 0, "a run in progress is not evidence");
+            assert!(first.metrics.counter("repartitions.declined") > Some(0));
             let r = s.run(&prog);
             assert_eq!(r.output, oracle);
-            assert!(r.repartitions > 0, "persistent under-use must shrink");
+            assert_eq!(
+                r.repartitions, 1,
+                "persistent under-use shrinks, once a run"
+            );
             // the event says why: a region holding a third of the data
             // served nothing, and the frontier did not fit beside it
             let fired = r
