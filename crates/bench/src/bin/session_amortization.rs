@@ -82,9 +82,12 @@ fn main() {
     }
     emit("session_amortization", &table, &csv);
     println!(
-        "The time saving approximates two prestores — §4.3's point that the\n\
-         prestore is a per-graph cost, not a per-algorithm one. Byte savings can\n\
-         be offset when the persistent hotness state drives extra replacement\n\
-         traffic in later runs (visible on UK)."
+        "The saving approximates two prestores, in time and in bytes — §4.3's\n\
+         point that the prestore is a per-graph cost, not a per-algorithm one.\n\
+         Nothing reshapes the warm region between or within runs (DESIGN.md §19),\n\
+         so later runs add no replacement traffic. A session that looked faster\n\
+         than this before §19 owed it to Eq (3) firing in the BFS: the donated\n\
+         tail became an accidental second on-demand buffer for CC and PR —\n\
+         pipelining that is `od_buffers`' job (see ablation_double_buffer)."
     );
 }

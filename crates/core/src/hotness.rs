@@ -9,7 +9,9 @@
 //! the swaps while the GPU processes the on-demand region; the Manager
 //! bounds the swap volume by that overlap window's transfer budget
 //! (§5: "only about 2% of the total data transfer can be completed during
-//! that time").
+//! that time"). The swaps are opt-in ([`ReplacementPolicy::Disabled`] is
+//! the default, `DESIGN.md` §19); the table itself also serves lazy fill,
+//! the prefetch planner and the compressed path's wire-size cache.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, VertexId};

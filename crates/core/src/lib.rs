@@ -8,15 +8,18 @@
 //! distances of iterative graph analytics) and an **On-demand Region** that
 //! receives exactly the active edges the static region does not cover,
 //! gathered by the CPU-side On-demand Engine — with the static-region
-//! compute overlapped against the gather + transfer (Figure 5) and a
-//! hotness-driven chunk-replacement server refreshing the static region
-//! during on-demand compute (Figure 6).
+//! compute overlapped against the gather + transfer (Figure 5). The
+//! paper's hotness-driven chunk-replacement server (Figure 6), which
+//! refreshes the static region during on-demand compute, is an opt-in
+//! policy: by default the region is a session asset nothing reshapes
+//! (`DESIGN.md` §19).
 //!
 //! Module map (paper reference in parentheses):
 //!
 //! * [`config`] — framework configuration: K, fill policy, overlap toggle,
 //!   replacement policy, adaptive re-partitioning (§4.1 defaults).
-//! * [`ratio`] — the partition-ratio math: Equations (1)–(3) (§3.3).
+//! * [`ratio`] — the partition-ratio math: Equations (1)–(3) (§3.3), Eq (3)
+//!   judged on whole-run evidence.
 //! * [`maps`] — `ActiveBitmap`/`StaticBitmap` → `StaticMap`/`OndemandMap`
 //!   dataflow and node-list generation (Figure 4).
 //! * [`static_region`] — the chunk-slotted static region store and its
