@@ -18,8 +18,8 @@
 //! `V_ondemand` overflows the on-demand region while the static region is
 //! under-used (`V_static/M_static < 0.5 · V/D`), the static region shrinks
 //! by `M_static · V/D` (Eq (3)) and the maps are regenerated. Under-use is
-//! judged on the volumes accumulated since the region last changed size,
-//! not on one iteration's ([`RegionEvidence`]).
+//! judged on the whole runs completed since the region last changed size,
+//! not on one iteration ([`RegionEvidence`]).
 
 /// Static-region share per Eq (2), clamped to `[0, 1]`.
 ///
@@ -54,8 +54,8 @@ pub enum Repartition {
     /// Keep the current split.
     Keep,
     /// Keep the current split although this iteration, judged alone as the
-    /// paper does, would have shrunk the region: over everything seen since
-    /// the region last changed size it earns its space.
+    /// paper does, would have shrunk the region: the whole runs completed
+    /// since the region last changed size do not show it under-used.
     Declined,
     /// Shrink the static region (grow on-demand).
     Shrink(Shrink),
@@ -66,8 +66,9 @@ pub enum Repartition {
 pub struct Shrink {
     /// Bytes to take from the static region: `M_static · V/D`.
     pub bytes: u64,
-    /// Share of all accessed bytes the static region served since it last
-    /// changed size (`Σv_static/ΣV`), parts per million.
+    /// Share of all accessed bytes the static region served over the runs
+    /// completed since it last changed size (`Σv_static/ΣV`), parts per
+    /// million.
     pub static_share_ppm: u32,
     /// Share of the dataset the static region holds (`M_static/D`), parts
     /// per million; the rule fires below half of it.
@@ -132,10 +133,11 @@ impl RegionEvidence {
         }
         // "Vstatic/Mstatic < 0.5 × V/D" — static region significantly
         // under-utilized relative to the overall touch rate.
-        let half_region_share = 0.5 * m_static as f64 / dataset_bytes as f64;
+        let region_share = m_static as f64 / dataset_bytes as f64;
         let share = |v_static: u64, v_total: u64| v_static as f64 / v_total.max(1) as f64;
-        if self.v_total < m_static || share(self.v_static, self.v_total) >= half_region_share {
-            return if share(v_static, v_total) < half_region_share {
+        let seen_share = share(self.v_static, self.v_total);
+        if self.v_total < m_static || seen_share >= 0.5 * region_share {
+            return if share(v_static, v_total) < 0.5 * region_share {
                 Repartition::Declined
             } else {
                 Repartition::Keep
@@ -145,8 +147,8 @@ impl RegionEvidence {
         let touch_rate = v_total as f64 / dataset_bytes as f64;
         let shrink = Shrink {
             bytes: ((m_static as f64 * touch_rate) as u64).clamp(1, m_static),
-            static_share_ppm: (share(self.v_static, self.v_total) * 1e6) as u32,
-            region_share_ppm: (2e6 * half_region_share) as u32,
+            static_share_ppm: (seen_share * 1e6) as u32,
+            region_share_ppm: (region_share * 1e6) as u32,
             overflow_bytes: v_ondemand - m_ondemand,
         };
         *self = RegionEvidence::default();
