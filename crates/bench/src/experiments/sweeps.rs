@@ -1,0 +1,415 @@
+//! The three transfer-mode sweeps over the paper grid — compression,
+//! prefetch, direction — each writing a `BENCH_<name>.json`. They ignore
+//! the `ASCETIC_*` mode knobs: the modes *are* the variants.
+
+use ascetic_core::{AsceticConfig, CompressionMode, DirectionMode, PrefetchMode, RunReport};
+use ascetic_graph::datasets::DatasetId;
+
+use crate::fmt::{human_bytes, Table};
+use crate::output::{emit_pivot, lit, obj, Json};
+use crate::run::{ascetic, grid, Cell, Ctx, Variant};
+use crate::setup::{Algo, Env, TABLE4_ORDER};
+
+/// One per-run statistic of a mode sweep: its CSV column and its key in
+/// the per-mode JSON object (an empty name leaves it out of that file).
+type Metric = (&'static str, &'static str, fn(&RunReport) -> String);
+
+fn s(x: impl ToString) -> String {
+    x.to_string()
+}
+
+/// The sweep's CSV header: `lead` (the mode column, then any tag columns),
+/// the cell, the metrics.
+fn csv_table(lead: &[&'static str], metrics: &[Metric]) -> Table {
+    let in_csv = metrics.iter().map(|m| m.0).filter(|name| !name.is_empty());
+    Table::new(
+        lead.iter()
+            .copied()
+            .chain(["algo", "dataset"])
+            .chain(in_csv)
+            .collect(),
+    )
+}
+
+/// The sweep's CSV rows: one per (mode, cell), mode-major, `tags` after
+/// the mode. The modes' reports start at `first`.
+fn csv_rows(
+    csv: &mut Table,
+    (modes, first): (&[&str], usize),
+    tags: &[&str],
+    cells: &[Cell],
+    metrics: &[Metric],
+) {
+    for (mi, mode) in modes.iter().enumerate() {
+        for c in cells {
+            let mut row = vec![mode.to_string()];
+            row.extend(tags.iter().map(|t| t.to_string()));
+            row.extend([c.algo.display().to_string(), c.dataset.abbr().to_string()]);
+            let in_csv = metrics.iter().filter(|m| !m.0.is_empty());
+            row.extend(in_csv.map(|m| m.2(&c.reports[first + mi])));
+            csv.row(row);
+        }
+    }
+}
+
+/// One cell of the sweep's JSON: identity, `tags`, one object per mode,
+/// then `deltas`.
+fn json_cell(
+    c: &Cell,
+    (modes, first): (&[&str], usize),
+    tags: Vec<(&str, Json)>,
+    metrics: &[Metric],
+    deltas: Vec<(&str, Json)>,
+) -> Json {
+    let mut fields = vec![
+        ("algo".to_string(), Json::Str(c.algo.display().into())),
+        ("dataset".to_string(), Json::Str(c.dataset.abbr().into())),
+    ];
+    let own = |(k, v): (&str, Json)| (k.to_string(), v);
+    fields.extend(tags.into_iter().map(own));
+    for (mode, r) in modes.iter().zip(&c.reports[first..]) {
+        let in_json = metrics.iter().filter(|m| !m.1.is_empty());
+        let stats = in_json.map(|m| (m.1, lit(m.2(r)))).collect();
+        fields.push((mode.replace('-', "_"), obj(stats)));
+    }
+    fields.extend(deltas.into_iter().map(own));
+    Json::Obj(fields)
+}
+
+fn pct(part: f64, whole: u64) -> f64 {
+    100.0 * part / whole.max(1) as f64
+}
+
+fn delta(a: u64, b: u64) -> i64 {
+    a as i64 - b as i64
+}
+
+/// `ALGO/DS[/tag] +x.xx%` for every cell whose mode `treated` is slower
+/// than its mode `base`.
+fn slower(cells: &[Cell], tag: &str, base: usize, treated: usize) -> Vec<String> {
+    let times = |c: &Cell| (c.reports[base].sim_time_ns, c.reports[treated].sim_time_ns);
+    let name = |c: &Cell| {
+        let (b, t) = times(c);
+        let by = pct(delta(t, b) as f64, b);
+        format!("{}/{}{tag} {by:+.2}%", c.algo.display(), c.dataset.abbr())
+    };
+    let slow = cells.iter().filter(|c| times(c).1 > times(c).0);
+    slow.map(name).collect()
+}
+
+fn none_or(list: &[String]) -> String {
+    match list {
+        [] => "none".into(),
+        _ => list.join(", "),
+    }
+}
+
+/// Ascetic under each of `modes`, on the scale's plain environment.
+fn mode_variants<M: Copy>(
+    scale: u64,
+    names: &[&str],
+    modes: &[M],
+    edit: impl Fn(AsceticConfig, M) -> AsceticConfig,
+) -> Vec<Variant> {
+    let cfg = Env::with_scale(scale).ascetic_cfg();
+    let variant = |(name, &m): (&&str, &M)| ascetic(*name, edit(cfg, m));
+    names.iter().zip(modes).map(variant).collect()
+}
+
+/// The compressed transfer path (`DESIGN.md` §7) across the Table 5 grid
+/// under `CompressionMode::{Off, Always, Adaptive}`. Adaptive must put
+/// strictly fewer bytes on the wire than Off over the grid (web-locality
+/// datasets compress ~3×; the bulk prestore crosses over) and never
+/// increase the simulated time of a cell (the chain-aware crossover only
+/// ships encoded payloads when copy + decompress beats the raw copy).
+pub fn compression(cx: &mut Ctx) {
+    const MODES: [&str; 3] = ["off", "always", "adaptive"];
+    use CompressionMode::{Adaptive, Always, Off};
+    let mut cells = Vec::new();
+    for algo in TABLE4_ORDER {
+        // weighted graphs reject `Always` by design (weights ship raw, so a
+        // forced-encode mode is a contradiction); SSSP's "always" cells run
+        // the closest legal mode instead so the grid stays rectangular
+        let always = if algo.weighted() { Adaptive } else { Always };
+        let modes = [Off, always, Adaptive];
+        let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_compression(m));
+        cells.extend(cx.sweep(&grid(&[algo], &DatasetId::ALL), &variants));
+    }
+    let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
+    let metrics: [Metric; 3] = [
+        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
+        ("bytes_with_prestore", "bytes", |r| {
+            s(r.total_bytes_with_prestore())
+        }),
+        ("wire_bytes_with_prestore", "wire", |r| {
+            s(r.total_wire_bytes_with_prestore())
+        }),
+    ];
+    let mut csv = csv_table(&["mode"], &metrics);
+    csv_rows(&mut csv, (&MODES, 0), &[], &cells, &metrics);
+    let mut table = Table::new(vec![
+        "Algo",
+        "Dataset",
+        "Raw",
+        "Wire (adaptive)",
+        "Saved",
+        "Time delta",
+    ]);
+    let mut json_cells = Vec::new();
+    for c in &cells {
+        let (o, ad) = (&c.reports[0], &c.reports[2]);
+        let dt = delta(ad.sim_time_ns, o.sim_time_ns);
+        table.row(vec![
+            c.algo.display().to_string(),
+            c.dataset.abbr().to_string(),
+            human_bytes(wire(o)),
+            human_bytes(wire(ad)),
+            format!("{:.1}%", pct(wire(o) as f64 - wire(ad) as f64, wire(o))),
+            format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
+        ]);
+        let deltas = vec![
+            ("wire_saved_bytes", lit(delta(wire(o), wire(ad)))),
+            ("time_delta_ns", lit(dt)),
+        ];
+        json_cells.push(json_cell(c, (&MODES, 0), vec![], &metrics, deltas));
+    }
+    emit_pivot("compression", &table, &csv);
+
+    let off_wire: u64 = cells.iter().map(|c| wire(&c.reports[0])).sum();
+    let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[2])).sum();
+    let slow = slower(&cells, "", 0, 2);
+    let totals = obj(vec![
+        ("off_wire_bytes", lit(off_wire)),
+        ("adaptive_wire_bytes", lit(ad_wire)),
+        ("wire_saved_bytes", lit(delta(off_wire, ad_wire))),
+        ("adaptive_saves_wire", lit(ad_wire < off_wire)),
+        ("cells_time_regressed", lit(slow.len())),
+    ]);
+    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
+    cx.write_json("compression", fields);
+    cx.check(
+        "adaptive puts fewer bytes on the wire than off",
+        format!(
+            "{:.1}% fewer",
+            pct(off_wire as f64 - ad_wire as f64, off_wire)
+        ),
+        "> 0",
+        ad_wire < off_wire,
+    );
+    cx.check(
+        "adaptive slows down no cell",
+        none_or(&slow),
+        "none",
+        slow.is_empty(),
+    );
+}
+
+/// The stall time a prefetch can attack: on-demand H2D transfer plus the
+/// replacement server's refresh transfers.
+fn stall_ns(r: &RunReport) -> u64 {
+    r.breakdown.transfer_ns + r.breakdown.update_ns
+}
+
+/// The cross-iteration prefetch pipeline (`DESIGN.md` §8) across the
+/// Table 5 grid under `PrefetchMode::{Off, NextFrontier, Hotness}`.
+/// `next-frontier` must hide ≥ 20 % of the grid's on-demand stall time
+/// (Ttransfer + Tupdate — the work a prefetch can hide under compute; the
+/// speculative refreshes ride the second copy stream inside link slack)
+/// and never increase the simulated time of a cell (its transfers are
+/// budgeted into existing slack and never evict what the next frontier
+/// demands).
+pub fn prefetch(cx: &mut Ctx) {
+    const MODES: [&str; 3] = ["off", "next-frontier", "hotness"];
+    use PrefetchMode::{Hotness, NextFrontier, Off};
+    let modes = [Off, NextFrontier, Hotness];
+    let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_prefetch(m));
+    let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
+    let metrics: [Metric; 9] = [
+        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
+        ("stall_ns", "stall_ns", |r| s(stall_ns(r))),
+        ("", "transfer_ns", |r| s(r.breakdown.transfer_ns)),
+        ("", "update_ns", |r| s(r.breakdown.update_ns)),
+        ("prefetch_bytes", "prefetch_bytes", |r| s(r.prefetch_bytes)),
+        ("prefetch_ops", "prefetch_ops", |r| s(r.prefetch_ops)),
+        ("prefetch_hits", "prefetch_hits", |r| s(r.prefetch_hits)),
+        ("prefetch_wasted_bytes", "prefetch_wasted_bytes", |r| {
+            s(r.prefetch_wasted_bytes)
+        }),
+        ("", "hit_rate", |r| format!("{:.4}", r.prefetch_hit_rate())),
+    ];
+    let mut csv = csv_table(&["mode"], &metrics);
+    csv_rows(&mut csv, (&MODES, 0), &[], &cells, &metrics);
+    let mut table = Table::new(vec![
+        "Algo",
+        "Dataset",
+        "Stall (off)",
+        "Stall (next-frontier)",
+        "Hidden",
+        "Hit rate",
+        "Time delta",
+    ]);
+    let mut json_cells = Vec::new();
+    for c in &cells {
+        let (o, n) = (&c.reports[0], &c.reports[1]);
+        let dt = delta(n.sim_time_ns, o.sim_time_ns);
+        table.row(vec![
+            c.algo.display().to_string(),
+            c.dataset.abbr().to_string(),
+            format!("{:.2} ms", stall_ns(o) as f64 / 1e6),
+            format!("{:.2} ms", stall_ns(n) as f64 / 1e6),
+            format!(
+                "{:.1}%",
+                pct(stall_ns(o) as f64 - stall_ns(n) as f64, stall_ns(o))
+            ),
+            format!("{:.0}%", n.prefetch_hit_rate() * 100.0),
+            format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
+        ]);
+        let deltas = vec![
+            ("stall_hidden_ns", lit(delta(stall_ns(o), stall_ns(n)))),
+            ("time_delta_ns", lit(dt)),
+        ];
+        json_cells.push(json_cell(c, (&MODES, 0), vec![], &metrics, deltas));
+    }
+    emit_pivot("prefetch", &table, &csv);
+
+    let off_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[0])).sum();
+    let nf_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[1])).sum();
+    let hidden_pct = pct(off_stall as f64 - nf_stall as f64, off_stall);
+    let slow = slower(&cells, "", 0, 1);
+    let totals = obj(vec![
+        ("off_stall_ns", lit(off_stall)),
+        ("next_frontier_stall_ns", lit(nf_stall)),
+        ("stall_hidden_pct", lit(format!("{hidden_pct:.2}"))),
+        ("cells_time_regressed", lit(slow.len())),
+    ]);
+    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
+    cx.write_json("prefetch", fields);
+    println!("next-frontier hides {hidden_pct:.1}% of on-demand refresh stall time");
+    cx.check(
+        "next-frontier hides the grid's on-demand stall time",
+        format!("{hidden_pct:.1}%"),
+        ">= 20%",
+        hidden_pct >= 20.0,
+    );
+    cx.check(
+        "next-frontier slows down no cell",
+        none_or(&slow),
+        "none",
+        slow.is_empty(),
+    );
+}
+
+/// Push vs pull vs density-adaptive traversal over the chunked CSC mirror,
+/// on the pull-capable algorithms (BFS, CC, PR — SSSP is push-only and
+/// would be rejected) × every dataset, with the on-demand compression
+/// chain both off and adaptive. Every direction must answer identically;
+/// `adaptive` must never ship more steady-state wire bytes than push-only
+/// (strictly fewer on BFS, whose dense mid-phase is where pull wins) and
+/// never increase the simulated time of a cell.
+pub fn direction(cx: &mut Ctx) {
+    const MODES: [&str; 3] = ["push", "pull", "adaptive"];
+    use DirectionMode::{Adaptive, Pull, Push};
+    let comps = [
+        ("off", CompressionMode::Off),
+        ("adaptive", CompressionMode::Adaptive),
+    ];
+    let metrics: [Metric; 4] = [
+        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
+        ("steady_wire_bytes", "steady_wire_bytes", |r| {
+            s(r.steady_wire_bytes())
+        }),
+        ("h2d_wire_bytes", "h2d_wire_bytes", |r| {
+            s(r.xfer.h2d_wire_bytes)
+        }),
+        ("pull_iterations", "pull_iterations", |r| s(pull_iters(r))),
+    ];
+    let mut csv = csv_table(&["direction", "compression"], &metrics);
+    let mut table = Table::new(vec![
+        "Algo",
+        "Dataset",
+        "Compression",
+        "Wire (push)",
+        "Wire (adaptive)",
+        "Saved",
+        "Pull iters",
+        "Time delta",
+    ]);
+    // one sweep of all six direction × compression variants, so the runner
+    // holds every one of them to push/off's answer
+    let variants: Vec<Variant> = comps
+        .iter()
+        .flat_map(|&(_, comp)| {
+            let edit = |c: AsceticConfig, m| c.with_direction(m).with_compression(comp);
+            mode_variants(cx.env.scale, &MODES, &[Push, Pull, Adaptive], edit)
+        })
+        .collect();
+    let cells = cx.sweep(
+        &grid(&[Algo::Bfs, Algo::Cc, Algo::Pr], &DatasetId::ALL),
+        &variants,
+    );
+    let mut json_cells = Vec::new();
+    let (mut push_wire, mut adaptive_wire) = (0u64, 0u64);
+    let (mut slow, mut not_reduced) = (Vec::new(), Vec::new());
+    for (ci, (comp_name, _)) in comps.iter().enumerate() {
+        let first = ci * MODES.len();
+        csv_rows(&mut csv, (&MODES, first), &[comp_name], &cells, &metrics);
+        let tag = format!("/{comp_name}");
+        slow.extend(slower(&cells, &tag, first, first + 2));
+        for c in &cells {
+            let (p, a) = (&c.reports[first], &c.reports[first + 2]);
+            let (pw, aw) = (p.steady_wire_bytes(), a.steady_wire_bytes());
+            push_wire += pw;
+            adaptive_wire += aw;
+            let dt = delta(a.sim_time_ns, p.sim_time_ns);
+            table.row(vec![
+                c.algo.display().to_string(),
+                c.dataset.abbr().to_string(),
+                comp_name.to_string(),
+                format!("{:.1} KiB", pw as f64 / 1024.0),
+                format!("{:.1} KiB", aw as f64 / 1024.0),
+                format!("{:.1}%", pct(delta(pw, aw) as f64, pw)),
+                pull_iters(a).to_string(),
+                format!("{:+.2}%", pct(dt as f64, p.sim_time_ns)),
+            ]);
+            // strict reduction only where push shipped anything at all —
+            // a fully-resident graph has nothing for pull to save
+            if aw > pw || (c.algo == Algo::Bfs && pw > 0 && aw >= pw) {
+                not_reduced.push(format!("{}/{}{tag}", c.algo.display(), c.dataset.abbr()));
+            }
+            let deltas = vec![
+                ("wire_saved_bytes", lit(delta(pw, aw))),
+                ("time_delta_ns", lit(dt)),
+            ];
+            let tags = vec![("compression", Json::Str(comp_name.to_string()))];
+            json_cells.push(json_cell(c, (&MODES, first), tags, &metrics, deltas));
+        }
+    }
+    emit_pivot("direction", &table, &csv);
+
+    let saved_pct = pct(push_wire as f64 - adaptive_wire as f64, push_wire);
+    let totals = obj(vec![
+        ("push_wire_bytes", lit(push_wire)),
+        ("adaptive_wire_bytes", lit(adaptive_wire)),
+        ("wire_saved_pct", lit(format!("{saved_pct:.2}"))),
+        ("cells_time_regressed", lit(slow.len())),
+    ]);
+    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
+    cx.write_json("direction", fields);
+    println!("adaptive ships {saved_pct:.1}% fewer steady-state wire bytes than push-only");
+    cx.check(
+        "adaptive ships no more wire bytes than push (strictly fewer on BFS)",
+        none_or(&not_reduced),
+        "none",
+        not_reduced.is_empty(),
+    );
+    cx.check(
+        "adaptive slows down no cell",
+        none_or(&slow),
+        "none",
+        slow.is_empty(),
+    );
+}
+
+fn pull_iters(r: &RunReport) -> usize {
+    r.per_iter.iter().filter(|i| i.pull).count()
+}

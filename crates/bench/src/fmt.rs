@@ -1,8 +1,5 @@
 //! Table formatting and small statistics helpers.
 
-use std::io::Write;
-use std::path::PathBuf;
-
 /// Geometric mean of positive values (the paper's Table 4/5 GEOMEAN rows).
 pub fn geomean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "geomean of nothing");
@@ -76,17 +73,117 @@ impl Table {
     }
 }
 
-/// Write `content` to `<ASCETIC_RESULTS>/<name>` when the env var is set;
-/// returns the path written.
-pub fn maybe_write_csv(name: &str, content: &str) -> Option<PathBuf> {
-    let dir = std::env::var("ASCETIC_RESULTS").ok()?;
-    let dir = PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).ok()?;
-    f.write_all(content.as_bytes()).ok()?;
-    eprintln!("wrote {}", path.display());
-    Some(path)
+/// One rendered value: humanised for the terminal table, full precision
+/// for the CSV.
+#[derive(Clone, Debug)]
+pub struct Val {
+    md: String,
+    raw: String,
+}
+
+/// A value that reads the same in both renderings.
+pub fn text(s: impl ToString) -> Val {
+    val(s.to_string(), s)
+}
+
+/// A value with separate terminal and CSV renderings.
+pub fn val(md: impl Into<String>, raw: impl ToString) -> Val {
+    Val {
+        md: md.into(),
+        raw: raw.to_string(),
+    }
+}
+
+/// `x` with `md_prec` decimals and a unit on the terminal, `raw_prec`
+/// bare decimals in the CSV.
+pub fn num(x: f64, md_prec: usize, unit: &str, raw_prec: usize) -> Val {
+    val(format!("{x:.md_prec$}{unit}"), format!("{x:.raw_prec$}"))
+}
+
+/// Seconds: `0.1234s` on the terminal, microsecond precision in the CSV.
+pub fn secs(x: f64) -> Val {
+    num(x, 4, "s", 6)
+}
+
+/// One result set whose columns are declared once and rendered twice: as
+/// markdown (one table, or one per [`Sheet::section`]) and as one CSV. A
+/// column is `(markdown header, csv header)`; an empty header leaves the
+/// column out of that rendering, and a section's table also leaves out
+/// the columns none of its rows has a markdown value for.
+pub struct Sheet {
+    cols: Vec<(&'static str, &'static str)>,
+    rows: Vec<(bool, Vec<Val>)>,
+    sections: Vec<(String, usize)>,
+}
+
+impl Sheet {
+    /// Sheet with the given `(markdown, csv)` column headers.
+    pub fn new(cols: &[(&'static str, &'static str)]) -> Sheet {
+        Sheet {
+            cols: cols.to_vec(),
+            rows: Vec::new(),
+            sections: Vec::new(),
+        }
+    }
+
+    /// Append a row: one value per column.
+    pub fn row(&mut self, vals: Vec<Val>) {
+        assert_eq!(vals.len(), self.cols.len(), "row width mismatch");
+        self.rows.push((false, vals));
+    }
+
+    /// Append a row the CSV does not carry (the paper's GEOMEAN lines, a
+    /// reference row): one value per *markdown* column.
+    pub fn md_row(&mut self, cells: Vec<Val>) {
+        self.rows.push((true, cells));
+    }
+
+    /// Start a new markdown table titled `### title` at the next row; the
+    /// CSV stays one table.
+    pub fn section(&mut self, title: impl Into<String>) {
+        self.sections.push((title.into(), self.rows.len()));
+    }
+
+    fn md_table(&self, rows: &[(bool, Vec<Val>)]) -> Table {
+        let filled = |i: usize| rows.iter().any(|(md, r)| *md || !r[i].md.is_empty());
+        let keep: Vec<usize> = (0..self.cols.len())
+            .filter(|&i| !self.cols[i].0.is_empty() && (self.sections.is_empty() || filled(i)))
+            .collect();
+        let mut t = Table::new(keep.iter().map(|&i| self.cols[i].0).collect());
+        for (md_only, r) in rows {
+            t.row(match md_only {
+                true => r.iter().map(|v| v.md.clone()).collect(),
+                false => keep.iter().map(|&i| r[i].md.clone()).collect(),
+            });
+        }
+        t
+    }
+
+    /// Exactly what the terminal shows: a blank line and the table, or a
+    /// blank line, heading and table per section.
+    pub fn to_markdown(&self) -> String {
+        if self.sections.is_empty() {
+            return format!("\n{}", self.md_table(&self.rows).to_markdown());
+        }
+        let ends = self.sections.iter().skip(1).map(|s| s.1);
+        let ends = ends.chain([self.rows.len()]);
+        let parts = self.sections.iter().zip(ends).map(|((title, start), end)| {
+            let t = self.md_table(&self.rows[*start..end]);
+            format!("\n### {title}\n\n{}", t.to_markdown())
+        });
+        parts.collect::<Vec<_>>().join("\n")
+    }
+
+    /// The full-precision table behind `<experiment>.csv`.
+    pub fn to_csv(&self) -> String {
+        let keep = |(_, csv): &(&str, &str)| !csv.is_empty();
+        let mut t = Table::new(self.cols.iter().filter(|c| keep(c)).map(|c| c.1).collect());
+        for (_, r) in self.rows.iter().filter(|(md_only, _)| !md_only) {
+            let cells = r.iter().zip(&self.cols).filter(|(_, c)| keep(c));
+            t.row(cells.map(|(v, _)| v.raw.clone()).collect());
+        }
+        t.to_csv()
+    }
 }
 
 /// Human-readable byte count.

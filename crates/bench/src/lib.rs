@@ -3,21 +3,30 @@
 
 //! # ascetic-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
-//! index). This library holds what they share:
+//! One binary, `ascetic-bench <id> | all | --list [--smoke]`, and one
+//! table of experiments ([`experiments::EXPERIMENTS`]; `DESIGN.md` §4 is
+//! the index). Every entry is a list of (algorithm, dataset) cells run
+//! under a list of system variants, a column definition and a set of
+//! checks:
 //!
 //! * [`setup`] — the scaled experimental environment: datasets, device,
 //!   system constructors, all derived from one scale divisor so the
 //!   paper's ratios (dataset : GPU memory, K) are preserved;
-//! * [`fmt`] — markdown/CSV table printers and geometric means;
-//! * [`output`] — the emission path every binary shares: markdown to
-//!   stdout, one `<bin>.csv` per binary under `$ASCETIC_RESULTS`;
-//! * [`run`] — uniform "run algorithm X on dataset Y under system Z"
-//!   drivers used by most experiments.
+//! * [`run`] — the runner: cells × variants → cross-checked reports, with
+//!   datasets and the paper's 16-cell grid shared across experiments;
+//! * [`fmt`] — columns declared once and rendered as markdown and CSV,
+//!   geometric means, humanised units;
+//! * [`output`] — the one emission path (stdout, `<id>.csv` under
+//!   `$ASCETIC_RESULTS`, `BENCH_<name>.json`) and checks as data;
+//! * [`experiments`] — the table and the experiments themselves.
 //!
-//! Every binary prints a markdown table shaped like the paper's, and (when
-//! `ASCETIC_RESULTS` is set) writes raw CSVs for plotting.
+//! Every experiment prints markdown shaped like the paper's and (when
+//! `ASCETIC_RESULTS` is set) writes raw CSVs for plotting. Its checks are
+//! printed with its results; a failing check makes the process exit
+//! non-zero after all output is written, except under `--smoke` (scale
+//! 1/50 000, where the paper-scale bounds need not hold).
 
+pub mod experiments;
 pub mod fmt;
 pub mod output;
 pub mod run;

@@ -1,12 +1,8 @@
-//! The shared emission path for the bench binaries.
-//!
-//! Every binary produces the same two artifacts: a human-readable markdown
-//! table on stdout and (when `$ASCETIC_RESULTS` is set) a machine-readable
-//! CSV named after the binary. Centralising the pair keeps the file-naming
-//! convention (`<bin>.csv`) and the stdout layout identical across all of
-//! them.
+//! The one emission path: markdown to stdout, `<experiment>.csv` under
+//! `$ASCETIC_RESULTS`, `BENCH_<name>.json` beside it (or in the current
+//! directory), and acceptance checks as data.
 
-use crate::fmt::{maybe_write_csv, Table};
+use crate::fmt::{Sheet, Table};
 use std::path::PathBuf;
 
 pub use ascetic_core::RUN_REPORT_SCHEMA_VERSION as SCHEMA_VERSION;
@@ -15,76 +11,202 @@ pub use ascetic_core::RUN_REPORT_SCHEMA_VERSION as SCHEMA_VERSION;
 ///
 /// When [`ascetic_core::RUN_REPORT_SCHEMA_VERSION`] moves, every
 /// `BENCH_*.json` layout must be revisited and the committed artifacts
-/// regenerated. Keeping a local copy that [`json_header`] checks makes a
+/// regenerated. Keeping a local copy that [`bench_json`] checks makes a
 /// stale bench crate fail fast in debug/test builds instead of silently
 /// stamping the new version onto an old layout.
 pub const EMITTED_SCHEMA_VERSION: u32 = 3;
 
-/// Shared opening of every `BENCH_*.json` document: the brace, the
-/// [`SCHEMA_VERSION`] stamp and the bench identity lines, so downstream
-/// parsers can branch on layout before touching bench-specific fields.
-/// Callers append their own fields and the closing brace.
-pub fn json_header(bench: &str, smoke: bool) -> String {
+/// A JSON value in the `BENCH_*.json` house layout: top-level fields one
+/// per line, arrays one element per line, everything deeper inline.
+pub enum Json {
+    /// A number, boolean or pre-rendered document, written as is.
+    Lit(String),
+    /// A string, quoted on output (bench strings need no escaping).
+    Str(String),
+    /// An object, fields in order.
+    Obj(Vec<(String, Json)>),
+    /// An array.
+    Arr(Vec<Json>),
+}
+
+/// A literal (number / boolean) value.
+pub fn lit(x: impl ToString) -> Json {
+    Json::Lit(x.to_string())
+}
+
+/// An object from `(key, value)` pairs.
+pub fn obj<K: Into<String>>(fields: Vec<(K, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+impl Json {
+    fn inline(&self) -> String {
+        match self {
+            Json::Lit(s) => s.clone(),
+            Json::Str(s) => format!("\"{s}\""),
+            Json::Obj(fields) => {
+                let body: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\": {}", v.inline()))
+                    .collect();
+                format!("{{{}}}", body.join(", "))
+            }
+            Json::Arr(items) => {
+                let body: Vec<String> = items.iter().map(Json::inline).collect();
+                format!("[{}]", body.join(", "))
+            }
+        }
+    }
+
+    /// Rendering as a top-level field's value: one level of line breaks.
+    fn block(&self) -> String {
+        let lines = |items: Vec<String>, open: char, close: char| {
+            format!("{open}\n    {}\n  {close}", items.join(",\n    "))
+        };
+        match self {
+            Json::Obj(fields) => lines(
+                fields
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\": {}", v.inline()))
+                    .collect(),
+                '{',
+                '}',
+            ),
+            Json::Arr(items) => lines(items.iter().map(Json::inline).collect(), '[', ']'),
+            scalar => scalar.inline(),
+        }
+    }
+}
+
+/// A whole `BENCH_*.json` document: the [`SCHEMA_VERSION`] stamp and bench
+/// identity first, so downstream parsers can branch on layout before
+/// touching bench-specific fields, then `fields`.
+pub fn bench_json(bench: &str, smoke: bool, fields: Vec<(&str, Json)>) -> String {
     debug_assert_eq!(
         SCHEMA_VERSION, EMITTED_SCHEMA_VERSION,
         "RUN_REPORT_SCHEMA_VERSION moved ({SCHEMA_VERSION}) but the bench emitters still \
          target {EMITTED_SCHEMA_VERSION}; revisit the BENCH_*.json layouts and regenerate \
          the committed artifacts before bumping EMITTED_SCHEMA_VERSION"
     );
-    format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"bench\": \"{bench}\",\n  \
-         \"smoke\": {smoke},\n"
-    )
+    let mut all = vec![
+        ("schema_version", lit(SCHEMA_VERSION)),
+        ("bench", Json::Str(bench.into())),
+        ("smoke", lit(smoke)),
+    ];
+    all.extend(fields);
+    let body: Vec<String> = all
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {}", v.block()))
+        .collect();
+    format!("{{\n{}\n}}\n", body.join(",\n"))
 }
 
-/// Print `display` as markdown and write `raw` as `<bin>.csv`.
-///
-/// `display` carries humanised units for the terminal; `raw` carries full
-/// precision for plotting. Binaries with a single table pass it as both.
-/// Returns the CSV path when `$ASCETIC_RESULTS` routed it to disk.
-pub fn emit(bin: &str, display: &Table, raw: &Table) -> Option<PathBuf> {
+/// `<ASCETIC_RESULTS>/<file>` (directory created on demand) when the
+/// variable is set.
+pub fn output_path(file: &str) -> Option<PathBuf> {
+    let dir = std::env::var("ASCETIC_RESULTS")
+        .ok()
+        .filter(|d| !d.is_empty())?;
+    std::fs::create_dir_all(&dir).expect("create $ASCETIC_RESULTS dir");
+    Some(PathBuf::from(dir).join(file))
+}
+
+/// Write `content` as `<ASCETIC_RESULTS>/<file>` when the variable is set.
+pub fn write_csv(file: &str, content: &str) -> Option<PathBuf> {
+    let path = output_path(file)?;
+    std::fs::write(&path, content).expect("write CSV under $ASCETIC_RESULTS");
+    eprintln!("wrote {}", path.display());
+    Some(path)
+}
+
+/// Write a [`bench_json`] document as `BENCH_<bench>.json` — under
+/// `$ASCETIC_RESULTS`, else in the current directory — and say where.
+pub fn write_json(bench: &str, smoke: bool, fields: Vec<(&str, Json)>) {
+    let file = format!("BENCH_{bench}.json");
+    let path = output_path(&file).unwrap_or_else(|| PathBuf::from(file));
+    std::fs::write(&path, bench_json(bench, smoke, fields)).expect("write BENCH json");
+    println!("wrote {}", path.display());
+}
+
+/// Print `sheet`'s markdown and write its CSV as `<name>.csv`.
+pub fn emit(name: &str, sheet: &Sheet) {
+    println!("{}", sheet.to_markdown());
+    write_csv(&format!("{name}.csv"), &sheet.to_csv());
+}
+
+/// [`emit`] for experiments whose terminal table is a pivot of the CSV
+/// rather than a rendering of the same rows.
+pub fn emit_pivot(name: &str, display: &Table, raw: &Table) {
     println!("\n{}", display.to_markdown());
-    write_raw(bin, raw)
+    write_csv(&format!("{name}.csv"), &raw.to_csv());
 }
 
-/// Print `table` as a markdown section under a `### title` heading — the
-/// per-algorithm view the sweep binaries use, with one shared CSV written
-/// separately via [`write_raw`] once all sections are out.
-pub fn section(title: &str, table: &Table) {
-    println!("\n### {title}\n\n{}", table.to_markdown());
+/// One acceptance check, as data: printed with the experiment's results,
+/// fatal only at full scale and only after every output is written.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// The experiment that made it.
+    pub experiment: &'static str,
+    /// What must hold.
+    pub name: String,
+    /// What was measured.
+    pub measured: String,
+    /// The bound it was held against.
+    pub bound: String,
+    /// Whether it held.
+    pub ok: bool,
 }
 
-/// The CSV half of [`emit`]: write `raw` as `<bin>.csv` under
-/// `$ASCETIC_RESULTS` when the variable is set.
-pub fn write_raw(bin: &str, raw: &Table) -> Option<PathBuf> {
-    maybe_write_csv(&format!("{bin}.csv"), &raw.to_csv())
+/// The `#### checks` block printed after an experiment's own output.
+pub fn checks_markdown(checks: &[Check]) -> String {
+    let mut t = Table::new(vec!["check", "measured", "bound", "ok"]);
+    for c in checks {
+        let ok = if c.ok { "ok" } else { "FAILED" };
+        t.row(vec![c.name.as_str(), &c.measured, &c.bound, ok]);
+    }
+    format!("\n#### checks\n\n{}", t.to_markdown())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fmt::text;
 
     #[test]
-    fn json_header_stamps_the_emitted_schema_generation() {
-        let h = json_header("some_bench", false);
-        assert!(
-            h.contains(&format!("\"schema_version\": {EMITTED_SCHEMA_VERSION}")),
-            "header must stamp the generation the emitters target:\n{h}"
+    fn bench_json_stamps_the_schema_and_breaks_lines_one_level_deep() {
+        let doc = bench_json(
+            "some_bench",
+            false,
+            vec![
+                ("scale", lit(7)),
+                (
+                    "cells",
+                    Json::Arr(vec![obj(vec![("a", obj(vec![("b", lit(1))]))])]),
+                ),
+                ("totals", obj(vec![("ok", lit(true)), ("n", lit(2))])),
+            ],
         );
+        let want = format!(
+            "{{\n  \"schema_version\": {EMITTED_SCHEMA_VERSION},\n  \"bench\": \"some_bench\",\n  \
+             \"smoke\": false,\n  \"scale\": 7,\n  \"cells\": [\n    {{\"a\": {{\"b\": 1}}}}\n  ],\n  \
+             \"totals\": {{\n    \"ok\": true,\n    \"n\": 2\n  }}\n}}\n"
+        );
+        assert_eq!(doc, want);
     }
 
     #[test]
-    fn write_raw_names_the_file_after_the_binary() {
+    fn csv_is_named_after_the_experiment_and_needs_the_results_dir() {
         // Serial by construction: this is the only test in the crate that
         // touches ASCETIC_RESULTS.
         std::env::remove_var("ASCETIC_RESULTS");
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        assert!(write_raw("some_bench", &t).is_none());
+        assert!(write_csv("some_bench.csv", "a,b\n").is_none());
+        assert!(output_path("BENCH_x.json").is_none());
 
         let dir = std::env::temp_dir().join(format!("ascetic-output-{}", std::process::id()));
         std::env::set_var("ASCETIC_RESULTS", &dir);
-        let path = write_raw("some_bench", &t).expect("env set, should write");
+        let mut s = Sheet::new(&[("A", "a"), ("", "b")]);
+        s.row(vec![text(1), text(2)]);
+        let path = write_csv("some_bench.csv", &s.to_csv()).expect("env set, should write");
         std::env::remove_var("ASCETIC_RESULTS");
         assert_eq!(path, dir.join("some_bench.csv"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");

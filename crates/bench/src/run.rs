@@ -1,27 +1,41 @@
-//! Uniform experiment drivers.
+//! The one runner: a list of (algorithm, dataset) cells × a list of system
+//! variants → one [`RunReport`] per pair, answers cross-checked.
 //!
-//! Most experiments need "run all four algorithms on some datasets under
-//! some systems and compare"; this module provides that grid runner with
-//! result caching of the built datasets (building FK' once, not once per
-//! algorithm).
+//! Every table, figure and sweep is a cell list fed through
+//! [`Ctx::sweep`]; datasets are built once per process (FK' once, not
+//! once per experiment), and the paper's 16-cell grid is run once per
+//! system however many experiments read it.
 
-use ascetic_core::RunReport;
+use std::rc::Rc;
+
+use ascetic_baselines::AnySystem;
+use ascetic_core::{AsceticConfig, AsceticSystem, OutOfCoreSystem, RunReport};
 use ascetic_graph::datasets::{Dataset, DatasetId};
 use ascetic_graph::Csr;
 
-use crate::setup::{run_algo, Algo, Env};
+use crate::output::{lit, write_json, Check, Json};
+use crate::setup::{run_algo, Algo, Env, TABLE4_ORDER};
 
-/// One grid cell result.
+/// One cell's results.
 pub struct Cell {
     /// Algorithm.
     pub algo: Algo,
     /// Dataset.
     pub dataset: DatasetId,
-    /// Reports per system, in the order requested.
+    /// The graph variant the algorithm ran on.
+    pub graph: Rc<Csr>,
+    /// Reports per variant, in the order requested.
     pub reports: Vec<RunReport>,
 }
 
-/// Which systems to include in a grid run.
+impl Cell {
+    /// `ALGO-DS`, the paper's workload label.
+    pub fn label(&self) -> String {
+        format!("{}-{}", self.algo.display(), self.dataset.abbr())
+    }
+}
+
+/// The four systems of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sys {
     /// Partition-based baseline.
@@ -46,31 +60,46 @@ impl Sys {
     }
 }
 
+/// One column of a sweep: a named system (a baseline, or Ascetic under
+/// some configuration edit).
+pub type Variant = (String, AnySystem);
+
+/// An Ascetic variant under `cfg`.
+pub fn ascetic(name: impl Into<String>, cfg: AsceticConfig) -> Variant {
+    (name.into(), AsceticSystem::new(cfg).into())
+}
+
+/// `algos × datasets`, algorithm-major (the paper's table order).
+pub fn grid(algos: &[Algo], datasets: &[DatasetId]) -> Vec<(Algo, DatasetId)> {
+    let cell = |&a| datasets.iter().map(move |&d| (a, d));
+    algos.iter().flat_map(cell).collect()
+}
+
 /// Materialized dataset with both graph variants (unweighted + weighted),
 /// so the weighted build happens once.
 pub struct PreparedDataset {
     /// Dataset identity.
     pub id: DatasetId,
     /// Unweighted graph.
-    pub unweighted: Csr,
+    pub unweighted: Rc<Csr>,
     /// Weighted variant (SSSP).
-    pub weighted: Csr,
+    pub weighted: Rc<Csr>,
 }
 
 impl PreparedDataset {
     /// Build from the environment.
     pub fn build(env: &Env, id: DatasetId) -> PreparedDataset {
         let ds: Dataset = env.dataset(id);
-        let weighted = ds.weighted();
+        let weighted = Rc::new(ds.weighted());
         PreparedDataset {
             id,
-            unweighted: ds.graph,
+            unweighted: Rc::new(ds.graph),
             weighted,
         }
     }
 
     /// The variant `algo` needs.
-    pub fn graph(&self, algo: Algo) -> &Csr {
+    pub fn graph(&self, algo: Algo) -> &Rc<Csr> {
         if algo.weighted() {
             &self.weighted
         } else {
@@ -79,59 +108,145 @@ impl PreparedDataset {
     }
 }
 
-/// Run the full (algo × dataset × system) grid, with progress to stderr.
-pub fn run_grid(env: &Env, algos: &[Algo], datasets: &[DatasetId], systems: &[Sys]) -> Vec<Cell> {
-    let prepared: Vec<PreparedDataset> = datasets
+/// Run every variant of one cell on `g`, with progress to stderr; every
+/// variant must give variant 0's answer exactly.
+pub fn run_cell(env: &Env, algo: Algo, on: &str, g: &Csr, variants: &[Variant]) -> Vec<RunReport> {
+    let reports: Vec<RunReport> = variants
         .iter()
-        .map(|&id| PreparedDataset::build(env, id))
+        .map(|(name, system)| {
+            eprintln!("  running {name} / {} / {on} ...", algo.display());
+            if let Err(e) = system.prepare(g) {
+                panic!("{name} refuses {} / {on}: {e}", algo.display());
+            }
+            let rep = run_algo(system, g, algo);
+            env.maybe_write_trace(&rep, &format!("{name}_{}_{on}", algo.display()));
+            rep
+        })
         .collect();
-    let mut cells = Vec::new();
-    for &algo in algos {
-        for pd in &prepared {
-            let g = pd.graph(algo);
-            let mut reports = Vec::new();
-            for &sys in systems {
-                eprintln!(
-                    "  running {} / {} / {} ...",
-                    sys.name(),
-                    algo.display(),
-                    pd.id.abbr()
-                );
-                let system = env.system(sys);
-                if let Err(e) = ascetic_core::OutOfCoreSystem::prepare(&system, g) {
-                    panic!(
-                        "{} refuses {} / {}: {e}",
-                        sys.name(),
-                        algo.display(),
-                        pd.id.abbr()
-                    );
-                }
-                let rep = run_algo(&system, g, algo);
-                env.maybe_write_trace(
-                    &rep,
-                    &format!("{}_{}_{}", sys.name(), algo.display(), pd.id.abbr()),
-                );
-                reports.push(rep);
-            }
-            // cross-check: all systems must agree on the answer
-            for r in &reports[1..] {
-                assert!(
-                    r.output.first_mismatch(&reports[0].output, 1e-6).is_none(),
-                    "{} and {} disagree on {} / {}",
-                    r.system,
-                    reports[0].system,
-                    algo.display(),
-                    pd.id.abbr()
-                );
-            }
-            cells.push(Cell {
-                algo,
-                dataset: pd.id,
-                reports,
-            });
+    for (r, (name, _)) in reports.iter().zip(variants).skip(1) {
+        assert!(
+            r.output == reports[0].output,
+            "{name} and {} disagree on {} / {on}",
+            variants[0].0,
+            algo.display()
+        );
+    }
+    reports
+}
+
+/// What the experiments of one process share: the environment, the built
+/// datasets, the paper-grid reports and the checks recorded so far.
+pub struct Ctx {
+    /// The scaled environment every experiment of this process runs in.
+    pub env: Env,
+    /// `--smoke`: scale 1/50 000, checks recorded but never fatal.
+    pub smoke: bool,
+    /// `--before FILE`: an earlier `BENCH_wallclock.json` to carry along.
+    pub before: Option<String>,
+    /// The experiment currently running (stamped on its checks).
+    pub id: &'static str,
+    /// Every check recorded so far, in order.
+    pub checks: Vec<Check>,
+    datasets: Vec<Rc<PreparedDataset>>,
+    paper_grid: Vec<(Sys, Vec<Cell>)>,
+}
+
+impl Ctx {
+    /// A context over `env` with nothing built or checked yet.
+    pub fn new(env: Env, smoke: bool) -> Ctx {
+        Ctx {
+            env,
+            smoke,
+            before: None,
+            id: "",
+            checks: Vec::new(),
+            datasets: Vec::new(),
+            paper_grid: Vec::new(),
         }
     }
-    cells
+
+    /// Record that `name` was measured at `measured` against `bound`.
+    pub fn check(&mut self, name: &str, measured: String, bound: &str, ok: bool) {
+        self.checks.push(Check {
+            experiment: self.id,
+            name: name.into(),
+            measured,
+            bound: bound.into(),
+            ok,
+        });
+    }
+
+    /// Write `BENCH_<bench>.json`: this run's `smoke` flag and scale, then
+    /// `fields`.
+    pub fn write_json(&self, bench: &str, mut fields: Vec<(&str, Json)>) {
+        fields.insert(0, ("scale", lit(self.env.scale)));
+        write_json(bench, self.smoke, fields);
+    }
+
+    /// The stand-in for `id`, built on first use.
+    pub fn dataset(&mut self, id: DatasetId) -> Rc<PreparedDataset> {
+        if let Some(pd) = self.datasets.iter().find(|pd| pd.id == id) {
+            return Rc::clone(pd);
+        }
+        self.datasets
+            .push(Rc::new(PreparedDataset::build(&self.env, id)));
+        Rc::clone(self.datasets.last().expect("just pushed"))
+    }
+
+    /// Run `variants` on every cell of `cells`.
+    pub fn sweep(&mut self, cells: &[(Algo, DatasetId)], variants: &[Variant]) -> Vec<Cell> {
+        cells
+            .iter()
+            .map(|&(algo, dataset)| {
+                let graph = Rc::clone(self.dataset(dataset).graph(algo));
+                let reports = run_cell(&self.env, algo, dataset.abbr(), &graph, variants);
+                Cell {
+                    algo,
+                    dataset,
+                    graph,
+                    reports,
+                }
+            })
+            .collect()
+    }
+
+    /// The paper's 16-cell grid (Table 4 order × all datasets) under
+    /// `systems`, each system run at most once per process: Tables 4 and
+    /// 5 and Figures 7 and 9 are four readings of the same runs.
+    pub fn paper_grid(&mut self, systems: &[Sys]) -> Vec<Cell> {
+        let cells = grid(&TABLE4_ORDER, &DatasetId::ALL);
+        for &sys in systems {
+            if self.paper_grid.iter().any(|(s, _)| *s == sys) {
+                continue;
+            }
+            let variant = (sys.name().to_string(), self.env.system(sys));
+            let column = self.sweep(&cells, &[variant]);
+            if let Some((first, seen)) = self.paper_grid.first() {
+                for (c, s) in column.iter().zip(seen) {
+                    assert!(
+                        c.reports[0].output == s.reports[0].output,
+                        "{} and {} disagree on {}",
+                        sys.name(),
+                        first.name(),
+                        c.label()
+                    );
+                }
+            }
+            self.paper_grid.push((sys, column));
+        }
+        let column = |sys: Sys| {
+            let found = self.paper_grid.iter().find(|(s, _)| *s == sys);
+            &found.expect("run above").1
+        };
+        let one = |sys: Sys, i: usize| column(sys)[i].reports[0].clone();
+        let cell = |(i, c): (usize, &Cell)| Cell {
+            algo: c.algo,
+            dataset: c.dataset,
+            graph: Rc::clone(&c.graph),
+            reports: systems.iter().map(|&s| one(s, i)).collect(),
+        };
+        column(systems[0]).iter().enumerate().map(cell).collect()
+    }
 }
 
 #[cfg(test)]
@@ -139,18 +254,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_runs_and_cross_checks() {
-        let env = Env::with_scale(50_000);
-        let cells = run_grid(
-            &env,
-            &[Algo::Bfs],
-            &[DatasetId::Gs],
-            &[Sys::Subway, Sys::Ascetic],
-        );
+    fn sweep_runs_and_cross_checks() {
+        let mut r = Ctx::new(Env::with_scale(50_000), true);
+        let variants = [Sys::Subway, Sys::Ascetic].map(|s| (s.name().to_string(), r.env.system(s)));
+        let cells = r.sweep(&grid(&[Algo::Bfs], &[DatasetId::Gs]), &variants);
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].reports.len(), 2);
         assert_eq!(cells[0].reports[0].system, "Subway");
         assert_eq!(cells[0].reports[1].system, "Ascetic");
+    }
+
+    #[test]
+    fn paper_grid_runs_each_system_once_and_serves_any_subset() {
+        let mut r = Ctx::new(Env::with_scale(50_000), true);
+        let both = r.paper_grid(&[Sys::Subway, Sys::Ascetic]);
+        assert_eq!(both.len(), 16);
+        let again = r.paper_grid(&[Sys::Ascetic]);
+        assert_eq!(r.paper_grid.len(), 2, "a cached system is not re-run");
+        assert_eq!(
+            again[5].reports[0].sim_time_ns,
+            both[5].reports[1].sim_time_ns
+        );
+        assert_eq!(again[5].label(), both[5].label());
     }
 
     #[test]

@@ -126,36 +126,9 @@ impl Env {
         }
     }
 
-    /// Same environment with a different compression mode.
-    pub fn with_compression(mut self, mode: CompressionMode) -> Env {
-        self.compression = mode;
-        self
-    }
-
-    /// Same environment with a different prefetch mode.
-    pub fn with_prefetch(mut self, mode: PrefetchMode) -> Env {
-        self.prefetch = mode;
-        self
-    }
-
-    /// Same environment with a different traversal-direction policy.
-    pub fn with_direction(mut self, mode: DirectionMode) -> Env {
-        self.direction = mode;
-        self
-    }
-
     /// Build one dataset stand-in.
     pub fn dataset(&self, id: DatasetId) -> Dataset {
         Dataset::build(id, self.scale)
-    }
-
-    /// The graph variant an algorithm runs on.
-    pub fn graph_for(&self, ds: &Dataset, algo: Algo) -> Csr {
-        if algo.weighted() {
-            ds.weighted()
-        } else {
-            ds.graph.clone()
-        }
     }
 
     /// Simulated device with the paper's (scaled) 10 GB cap.
@@ -302,17 +275,17 @@ mod tests {
     #[test]
     fn all_systems_agree_on_a_small_dataset() {
         let env = Env::with_scale(50_000);
-        let ds = env.dataset(DatasetId::Gs);
+        let pd = crate::run::PreparedDataset::build(&env, DatasetId::Gs);
         for algo in TABLE4_ORDER {
-            let g = env.graph_for(&ds, algo);
-            let oracle = run_algo_in_memory(&g, algo);
-            let asc = run_algo(&env.ascetic(), &g, algo);
+            let g = pd.graph(algo);
+            let oracle = run_algo_in_memory(g, algo);
+            let asc = run_algo(&env.ascetic(), g, algo);
             assert_eq!(asc.output, oracle.output, "Ascetic {}", algo.display());
-            let sw = run_algo(&env.subway(), &g, algo);
+            let sw = run_algo(&env.subway(), g, algo);
             assert_eq!(sw.output, oracle.output, "Subway {}", algo.display());
-            let pt = run_algo(&env.pt(), &g, algo);
+            let pt = run_algo(&env.pt(), g, algo);
             assert_eq!(pt.output, oracle.output, "PT {}", algo.display());
-            let uv = run_algo(&env.uvm(), &g, algo);
+            let uv = run_algo(&env.uvm(), g, algo);
             assert_eq!(uv.output, oracle.output, "UVM {}", algo.display());
         }
     }
@@ -321,8 +294,7 @@ mod tests {
     fn any_system_dispatch_matches_direct_construction() {
         use crate::run::Sys;
         let env = Env::with_scale(50_000);
-        let ds = env.dataset(DatasetId::Gs);
-        let g = env.graph_for(&ds, Algo::Bfs);
+        let g = env.dataset(DatasetId::Gs).graph;
         for sys in [Sys::Pt, Sys::Subway, Sys::Uvm, Sys::Ascetic] {
             let direct = match sys {
                 Sys::Pt => run_algo(&env.pt(), &g, Algo::Bfs),
