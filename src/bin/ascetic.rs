@@ -86,8 +86,7 @@ USAGE:
                    [--iter-csv FILE]
                    [--trace-out FILE.json|FILE.jsonl] (hierarchical span trace:
                     .json is Chrome/Perfetto format for ui.perfetto.dev,
-                    .jsonl is the compact form `ascetic trace summarize` reads;
-                    --trace FILE is the same flag's older spelling)
+                    .jsonl is the compact form `ascetic trace summarize` reads)
                    [--metrics-out FILE.jsonl] [--summary text|json|csv|md]
                    [--pool-metrics] (append host worker-pool telemetry — wall-clock,
                     non-deterministic — as an extra JSONL line / stdout object)
@@ -419,7 +418,7 @@ fn program_for(o: &Opts, g: &Csr, algo: Algo) -> Result<AnyProgram, String> {
 
 fn run_system(o: &Opts, system: &str, g: &Csr, algo: Algo) -> Result<RunReport, String> {
     let dev = device_from(o, g)?;
-    let tracing = o.has("trace-flag") || o.get("trace").is_some() || o.get("trace-out").is_some();
+    let tracing = o.has("trace-flag") || o.get("trace-out").is_some();
     // an event log is only worth recording when it will be exported
     let events = o.get("metrics-out").is_some();
     let sys: AnySystem = match system {
@@ -660,8 +659,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         write_iter_csv(&rep, path)?;
         eprintln!("wrote per-iteration log to {path}");
     }
-    // `--trace` is the older spelling of `--trace-out`
-    for path in ["trace", "trace-out"].into_iter().filter_map(|k| o.get(k)) {
+    if let Some(path) = o.get("trace-out") {
         match &rep.span_trace {
             Some(trace) => write_span_trace(trace, path)?,
             None => eprintln!("note: this system ran without span tracing"),

@@ -68,7 +68,7 @@ fn run_builtin_dataset_with_trace_and_csv() {
     let csv = tmpfile("iters.csv");
     let out = bin()
         .args(["run", "fk@20000", "--algo", "pr", "--mem-frac", "0.4"])
-        .arg("--trace")
+        .arg("--trace-out")
         .arg(&trace)
         .arg("--iter-csv")
         .arg(&csv)
