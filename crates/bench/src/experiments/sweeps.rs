@@ -211,7 +211,7 @@ fn stall_ns(r: &RunReport) -> u64 {
 }
 
 /// The cross-iteration prefetch pipeline (`DESIGN.md` §8) across the
-/// Table 5 grid under `PrefetchMode::{Off, NextFrontier, Hotness}`.
+/// Table 5 grid under `PrefetchMode::{Off, NextFrontier}`.
 /// `next-frontier` must hide ≥ 20 % of the grid's on-demand stall time
 /// (Ttransfer + Tupdate — the work a prefetch can hide under compute; the
 /// speculative refreshes ride the second copy stream inside link slack)
@@ -219,9 +219,9 @@ fn stall_ns(r: &RunReport) -> u64 {
 /// budgeted into existing slack and never evict what the next frontier
 /// demands).
 pub fn prefetch(cx: &mut Ctx) {
-    const MODES: [&str; 3] = ["off", "next-frontier", "hotness"];
-    use PrefetchMode::{Hotness, NextFrontier, Off};
-    let modes = [Off, NextFrontier, Hotness];
+    const MODES: [&str; 2] = ["off", "next-frontier"];
+    use PrefetchMode::{NextFrontier, Off};
+    let modes = [Off, NextFrontier];
     let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_prefetch(m));
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
     let metrics: [Metric; 9] = [

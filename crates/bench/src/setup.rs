@@ -49,7 +49,7 @@ impl Env {
     /// the `ASCETIC_COMPRESSION`-selected transfer mode
     /// (`off`/`always`/`adaptive`; default off) and the
     /// `ASCETIC_PREFETCH`-selected prefetch mode
-    /// (`off`/`next-frontier`/`hotness`; default off), the
+    /// (`off`/`next-frontier`; default off), the
     /// `ASCETIC_DIRECTION`-selected traversal-direction policy
     /// (`push`/`pull`/`adaptive`; default push). `ASCETIC_TRACE=DIR`
     /// additionally records span traces on every constructed system and

@@ -160,7 +160,8 @@ impl HotnessTable {
         self.last_access[chunk as usize] == self.stamp(iteration)
     }
 
-    /// Cumulative access count of `chunk` (the Hotness prefetch ranking).
+    /// Cumulative access count of `chunk` (zero marks a never-touched
+    /// chunk — the prefetch planner evicts those last).
     pub fn access_count(&self, chunk: ChunkId) -> u32 {
         self.counts[chunk as usize]
     }

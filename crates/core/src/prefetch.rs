@@ -49,11 +49,6 @@ pub enum PrefetchMode {
     /// demand (so every swap reduces the next iteration's on-demand
     /// volume).
     NextFrontier,
-    /// Cumulative-hotness prediction: prefetch historically hot
-    /// non-residents, evicting residents cold in the current iteration.
-    /// Genuinely speculative — can produce waste the `NextFrontier` oracle
-    /// cannot.
-    Hotness,
 }
 
 impl PrefetchMode {
@@ -67,16 +62,14 @@ impl PrefetchMode {
         match self {
             PrefetchMode::Off => "off",
             PrefetchMode::NextFrontier => "next-frontier",
-            PrefetchMode::Hotness => "hotness",
         }
     }
 
-    /// Parse a CLI / env spelling (`off`, `next-frontier`, `hotness`).
+    /// Parse a CLI / env spelling (`off`, `next-frontier`).
     pub fn parse(s: &str) -> Option<PrefetchMode> {
         match s {
             "off" => Some(PrefetchMode::Off),
             "next-frontier" | "next_frontier" | "frontier" => Some(PrefetchMode::NextFrontier),
-            "hotness" => Some(PrefetchMode::Hotness),
             _ => None,
         }
     }
@@ -134,10 +127,10 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
 }
 
 /// Plan up to `max_ops` speculative chunk transfers for the iteration
-/// *after* `iteration`, judged at the end of `iteration`.
+/// `next_frontier` opens, judged at the end of the one before it.
 ///
-/// Candidates are non-resident chunks the policy predicts hot, ranked by
-/// `predicted demand × wire cost` descending (prefetching an
+/// Candidates are non-resident chunks the next frontier demands, ranked by
+/// `demand × wire cost` descending (prefetching an
 /// expensive-to-ship chunk hides more stall), ties broken by ascending
 /// chunk id. Free slots are consumed first ([`PrefetchOp::Load`]); after
 /// that each candidate pairs with the cheapest evictable resident
@@ -145,7 +138,7 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
 ///
 /// Eviction order matters twice over:
 ///
-/// * `NextFrontier` pairs a load only with a resident of *strictly lower*
+/// * A load is paired only with a resident of *strictly lower*
 ///   next-frontier demand, so every swap is a net reduction of the next
 ///   iteration's on-demand volume — the policy can keep adapting under
 ///   dense frontiers (where no resident has zero demand) without ever
@@ -163,7 +156,6 @@ pub fn plan_prefetch(
     region: &StaticRegion,
     hot: &mut HotnessTable,
     next_frontier: &Bitmap,
-    iteration: u32,
     compressible: bool,
     max_ops: usize,
 ) -> Vec<PrefetchOp> {
@@ -188,11 +180,7 @@ pub fn plan_prefetch(
         if region.is_resident(c) {
             continue;
         }
-        let activity = match mode {
-            PrefetchMode::NextFrontier => demand[c as usize],
-            PrefetchMode::Hotness => hot.access_count(c) as u64,
-            PrefetchMode::Off => unreachable!(),
-        };
+        let activity = demand[c as usize];
         if activity == 0 {
             continue;
         }
@@ -210,11 +198,6 @@ pub fn plan_prefetch(
     let mut evictable: Vec<(u64, u8, u32, ChunkId)> = region
         .resident_chunk_ids()
         .into_iter()
-        .filter(|&c| match mode {
-            PrefetchMode::NextFrontier => true,
-            PrefetchMode::Hotness => !hot.demanded_at(c, iteration),
-            PrefetchMode::Off => unreachable!(),
-        })
         .map(|c| {
             let never = u8::from(hot.access_count(c) == 0);
             (demand[c as usize], never, hot.last_access_stamp(c), c)
@@ -230,18 +213,18 @@ pub fn plan_prefetch(
             free -= 1;
             plan.push(PrefetchOp::Load(load));
         } else if let Some(&(evict_demand, _, _, evict)) = evictable.peek() {
-            // NextFrontier: a swap must strictly reduce the next
-            // iteration's on-demand bytes, or it is churn, not progress.
+            // A swap must strictly reduce the next iteration's on-demand
+            // bytes, or it is churn, not progress.
             // (Skip rather than stop: candidates are ranked by
             // demand × wire, so a later one can still out-demand the
             // cheapest resident.)
-            if mode == PrefetchMode::NextFrontier && demand[load as usize] <= evict_demand {
+            if demand[load as usize] <= evict_demand {
                 continue;
             }
             evictable.next();
             plan.push(PrefetchOp::Swap { evict, load });
         } else {
-            break; // region full of data the mode refuses to evict
+            break; // nothing resident left to evict
         }
     }
     plan
@@ -272,11 +255,7 @@ mod tests {
 
     #[test]
     fn mode_parsing_round_trips() {
-        for m in [
-            PrefetchMode::Off,
-            PrefetchMode::NextFrontier,
-            PrefetchMode::Hotness,
-        ] {
+        for m in [PrefetchMode::Off, PrefetchMode::NextFrontier] {
             assert_eq!(PrefetchMode::parse(m.as_str()), Some(m));
         }
         assert_eq!(
@@ -285,7 +264,12 @@ mod tests {
         );
         assert_eq!(PrefetchMode::parse("bogus"), None);
         assert!(!PrefetchMode::Off.is_on());
-        assert!(PrefetchMode::Hotness.is_on());
+        assert!(PrefetchMode::NextFrontier.is_on());
+        assert_eq!(
+            PrefetchMode::parse("hotness"),
+            None,
+            "the history mode is gone"
+        );
     }
 
     #[test]
@@ -308,7 +292,7 @@ mod tests {
         sr.fill(&mut gpu, &g, &plan);
         let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
         let f = Bitmap::ones(33);
-        let ops = plan_prefetch(PrefetchMode::Off, &g, &geo, &sr, &mut hot, &f, 0, false, 8);
+        let ops = plan_prefetch(PrefetchMode::Off, &g, &geo, &sr, &mut hot, &f, false, 8);
         assert!(ops.is_empty());
     }
 
@@ -330,7 +314,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            3,
             false,
             8,
         );
@@ -355,7 +338,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            0,
             false,
             8,
         );
@@ -384,7 +366,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            0,
             false,
             8,
         );
@@ -414,7 +395,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            0,
             false,
             2,
         );
@@ -443,7 +423,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            0,
             false,
             8,
         );
@@ -472,7 +451,6 @@ mod tests {
             &sr,
             &mut hot,
             &f,
-            5,
             false,
             8,
         );
@@ -480,32 +458,5 @@ mod tests {
         // evict the swept past (accessed, stale) first, even though its
         // stamp makes it look "warmer" than the never-accessed resident.
         assert_eq!(ops, vec![PrefetchOp::Swap { evict: 0, load: 2 }]);
-    }
-
-    #[test]
-    fn hotness_mode_ranks_by_cumulative_counts() {
-        let (g, geo) = fixture();
-        let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
-        let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
-        sr.fill(&mut gpu, &g, &[0, 1]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
-        // chunk 6 touched three times, chunk 4 once; residents idle at iter 2
-        hot.record(6, 0);
-        hot.record(6, 1);
-        hot.record(6, 2);
-        hot.record(4, 1);
-        let f = Bitmap::new(33); // empty next frontier: hotness ignores it
-        let ops = plan_prefetch(
-            PrefetchMode::Hotness,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &f,
-            2,
-            false,
-            1,
-        );
-        assert_eq!(ops, vec![PrefetchOp::Swap { evict: 0, load: 6 }]);
     }
 }

@@ -1171,7 +1171,6 @@ impl<'g> AsceticSession<'g> {
             &self.region,
             &mut self.hotness,
             next_frontier,
-            iter,
             self.encode.is_some(),
             budget + GAP_PLAN_OPS,
         );
@@ -1664,29 +1663,28 @@ mod tests {
         let off = AsceticSession::new(cfg_for(&g), &g).run(&Bfs::new(0));
         assert_eq!(off.prefetch_ops, 0, "off mode never speculates");
         assert_eq!(off.xfer.h2d_prefetch_bytes, 0);
-        for mode in [PrefetchMode::NextFrontier, PrefetchMode::Hotness] {
-            let r = AsceticSession::new(cfg_for(&g).with_prefetch(mode), &g).run(&Bfs::new(0));
-            assert_eq!(r.output, oracle, "{mode}: prefetch must not change results");
-            // What holds by construction is that prefetch transfers hide
-            // in link slack (no on-demand transfer moves) and that the
-            // exact-demand policy never evicts a chunk the *next*
-            // iteration needs. Neither promises a shorter run: a swap
-            // still trades a chunk of the contiguous prefix for one
-            // elsewhere, and iterations after the next pay for the hole in
-            // on-demand ops. While `Off` still meant "reactive swaps on
-            // the link" NextFrontier never lost to it; against a region
-            // nothing reshapes it does here (1 426 923 vs 1 410 314 ns,
-            // +1.2 %) — recorded in DESIGN.md §19, not asserted away.
-            // speculative traffic is accounted exactly, as a subset of H2D
-            assert_eq!(r.xfer.h2d_prefetch_bytes, r.prefetch_bytes, "{mode}");
-            assert!(r.prefetch_hits <= r.prefetch_ops, "{mode}");
-            assert!(r.prefetch_wasted_bytes <= r.prefetch_bytes, "{mode}");
-            assert_eq!(
-                r.metrics.counter("prefetch.bytes"),
-                Some(r.prefetch_bytes),
-                "{mode}"
-            );
-        }
+        let mode = PrefetchMode::NextFrontier;
+        let r = AsceticSession::new(cfg_for(&g).with_prefetch(mode), &g).run(&Bfs::new(0));
+        assert_eq!(r.output, oracle, "{mode}: prefetch must not change results");
+        // What holds by construction is that prefetch transfers hide
+        // in link slack (no on-demand transfer moves) and that the
+        // exact-demand policy never evicts a chunk the *next*
+        // iteration needs. Neither promises a shorter run: a swap
+        // still trades a chunk of the contiguous prefix for one
+        // elsewhere, and iterations after the next pay for the hole in
+        // on-demand ops. While `Off` still meant "reactive swaps on
+        // the link" NextFrontier never lost to it; against a region
+        // nothing reshapes it does here (1 426 923 vs 1 410 314 ns,
+        // +1.2 %) — recorded in DESIGN.md §19, not asserted away.
+        // speculative traffic is accounted exactly, as a subset of H2D
+        assert_eq!(r.xfer.h2d_prefetch_bytes, r.prefetch_bytes, "{mode}");
+        assert!(r.prefetch_hits <= r.prefetch_ops, "{mode}");
+        assert!(r.prefetch_wasted_bytes <= r.prefetch_bytes, "{mode}");
+        assert_eq!(
+            r.metrics.counter("prefetch.bytes"),
+            Some(r.prefetch_bytes),
+            "{mode}"
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ USAGE:
                    [--mem BYTES | --mem-frac F] [--source V] [--k-param F] [--kcore-k K]
                    [--static-ratio R] [--no-overlap] [--fill front|rear|random|lazy]
                    [--chunk BYTES] [--no-adaptive] [--compression off|always|adaptive]
-                   [--prefetch off|next-frontier|hotness]
+                   [--prefetch off|next-frontier]
                    [--direction push|pull|adaptive] (pull gathers unvisited
                     vertices' in-edges from a chunked CSC mirror; adaptive
                     switches per iteration on frontier density — bfs|cc|pr
@@ -368,12 +368,7 @@ fn ascetic_config(o: &Opts, dev: DeviceConfig) -> Result<AsceticConfig, String> 
     if let Some(m) = parse_compression_mode(o)? {
         cfg = cfg.with_compression(m);
     }
-    if let Some(m) = parse_mode(
-        o,
-        "prefetch",
-        PrefetchMode::parse,
-        "off|next-frontier|hotness",
-    )? {
+    if let Some(m) = parse_mode(o, "prefetch", PrefetchMode::parse, "off|next-frontier")? {
         cfg = cfg.with_prefetch(m);
     }
     if let Some(m) = parse_direction(o)? {

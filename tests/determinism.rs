@@ -187,11 +187,7 @@ fn prefetch_modes_are_bit_identical_across_thread_counts() {
 
     let g = rmat_graph(&RmatConfig::new(11, 80_000, 42));
     let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() / 2);
-    let prefetch_modes = [
-        PrefetchMode::Off,
-        PrefetchMode::NextFrontier,
-        PrefetchMode::Hotness,
-    ];
+    let prefetch_modes = [PrefetchMode::Off, PrefetchMode::NextFrontier];
     let compression_modes = [CompressionMode::Off, CompressionMode::Adaptive];
 
     let run_suite = |threads: usize| -> Vec<RunReport> {
@@ -249,25 +245,23 @@ fn prefetch_never_changes_algorithm_results() {
         )
     };
     let off = cfg(PrefetchMode::Off);
-    for pf in [PrefetchMode::NextFrontier, PrefetchMode::Hotness] {
-        let on = cfg(pf);
-        assert_eq!(
-            off.run(&g, &Bfs::new(0)).output,
-            on.run(&g, &Bfs::new(0)).output
-        );
-        assert_eq!(
-            off.run(&g, &PageRank::new()).output,
-            on.run(&g, &PageRank::new()).output
-        );
-        assert_eq!(
-            off.run(&g, &Cc::new()).output,
-            on.run(&g, &Cc::new()).output
-        );
-        assert_eq!(
-            off.run(&wg, &Sssp::new(0)).output,
-            on.run(&wg, &Sssp::new(0)).output
-        );
-    }
+    let on = cfg(PrefetchMode::NextFrontier);
+    assert_eq!(
+        off.run(&g, &Bfs::new(0)).output,
+        on.run(&g, &Bfs::new(0)).output
+    );
+    assert_eq!(
+        off.run(&g, &PageRank::new()).output,
+        on.run(&g, &PageRank::new()).output
+    );
+    assert_eq!(
+        off.run(&g, &Cc::new()).output,
+        on.run(&g, &Cc::new()).output
+    );
+    assert_eq!(
+        off.run(&wg, &Sssp::new(0)).output,
+        on.run(&wg, &Sssp::new(0)).output
+    );
 }
 
 /// Satellite of the span-tracer PR: all span emission happens on the
