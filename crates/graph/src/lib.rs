@@ -41,5 +41,5 @@ pub use builder::GraphBuilder;
 pub use chunks::{ChunkGeometry, GraphChunks};
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetId};
-pub use patch::{GraphPatch, Mutation, PatchError, PatchableCsr};
+pub use patch::{Epochs, GraphPatch, Mutation, PatchError, PatchableCsr};
 pub use types::{EdgeCount, VertexId, Weight, INF_DIST};

@@ -409,6 +409,26 @@ impl PatchStore {
     }
 }
 
+/// All graph epochs of a mutation stream ([`PatchableCsr::materialize`]).
+pub struct Epochs {
+    /// `versions[i]` is the graph after the first `i` batches
+    /// (`versions[0]` is the base graph re-packed through the patch
+    /// store's canonical chunking).
+    pub versions: Vec<Csr>,
+    /// The CSC mirror of each version (same indexing) — empty unless the
+    /// mirror was asked for.
+    pub cscs: Vec<Csr>,
+    /// `patches[i]` turned `versions[i]` into `versions[i + 1]`.
+    pub patches: Vec<GraphPatch>,
+}
+
+impl Epochs {
+    /// The mirror of `versions[i]`, when mirrors were kept.
+    pub fn csc(&self, i: usize) -> Option<&Csr> {
+        self.cscs.get(i)
+    }
+}
+
 /// A mutable graph: a chunked CSR with slack, plus an optional CSC mirror
 /// kept in lockstep (built when pull-direction engines need the transpose).
 pub struct PatchableCsr {
@@ -570,6 +590,32 @@ impl PatchableCsr {
         patch.touched = touched;
         patch.splits = self.csr.splits - splits_before;
         Ok(patch)
+    }
+
+    /// Apply `batches` in order through a default-geometry store over `g`
+    /// and keep every intermediate epoch — a session borrows the graph it
+    /// runs over, so a mutation stream's versions must all outlive it.
+    /// The CSC mirrors are kept only when `mirror` is set (a session reads
+    /// them only if its direction policy can pull). Fails on the first
+    /// malformed mutation (weight-rule violation or out-of-range
+    /// endpoint), identifying the batch by index.
+    pub fn materialize(
+        g: &Csr,
+        batches: &[Vec<Mutation>],
+        mirror: bool,
+    ) -> Result<Epochs, (usize, PatchError)> {
+        let mut store = PatchableCsr::with_defaults(g, mirror);
+        let mut epochs = Epochs {
+            versions: vec![store.to_csr()],
+            cscs: store.to_csc().into_iter().collect(),
+            patches: Vec::with_capacity(batches.len()),
+        };
+        for (i, batch) in batches.iter().enumerate() {
+            epochs.patches.push(store.apply(batch).map_err(|e| (i, e))?);
+            epochs.versions.push(store.to_csr());
+            epochs.cscs.extend(store.to_csc());
+        }
+        Ok(epochs)
     }
 
     /// Materialize the packed CSR.
@@ -844,6 +890,36 @@ mod tests {
             csc.validate().expect("patched CSC invariants");
             assert_csr_eq(&csc, &csr.transpose());
         }
+    }
+
+    #[test]
+    fn materialize_keeps_every_epoch_and_mirrors_only_on_request() {
+        let g = uniform_graph(40, 250, false, 9);
+        let insert = |src, dst| Mutation::Insert {
+            src,
+            dst,
+            weight: None,
+        };
+        let batches = vec![
+            vec![insert(1, 2), insert(3, 4)],
+            vec![Mutation::Delete { src: 1, dst: 2 }],
+        ];
+        let with = PatchableCsr::materialize(&g, &batches, true).unwrap();
+        let without = PatchableCsr::materialize(&g, &batches, false).unwrap();
+        assert_eq!((with.versions.len(), with.cscs.len()), (3, 3));
+        assert_eq!((without.versions.len(), without.cscs.len()), (3, 0));
+        assert!(without.csc(1).is_none());
+        for (i, version) in with.versions.iter().enumerate() {
+            assert_csr_eq(version, &without.versions[i]);
+            assert_csr_eq(with.csc(i).unwrap(), &version.transpose());
+        }
+        assert_eq!(with.patches.len(), 2);
+        // a malformed batch is named by index, whatever came before it
+        let bad = vec![batches[0].clone(), vec![insert(1, 400)]];
+        let Err((idx, _)) = PatchableCsr::materialize(&g, &bad, false) else {
+            panic!("out-of-range endpoint accepted");
+        };
+        assert_eq!(idx, 1);
     }
 
     #[test]

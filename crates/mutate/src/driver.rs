@@ -3,7 +3,7 @@
 //!
 //! The session borrows the graph it runs over, so all epochs are
 //! materialized up front via [`PatchableCsr`] — one [`Csr`] (plus CSC
-//! mirror) per batch boundary — and the session is then walked through
+//! mirror, when the session can pull) per batch boundary — and the session is then walked through
 //! them: `apply_patch` splices each delta into the chunked region and
 //! [`repair_session`] re-converges the program state from the patch's
 //! affected-vertex frontier. The optional verify mode replays every epoch
@@ -13,39 +13,19 @@
 
 use ascetic_algos::inmemory::run_in_memory;
 use ascetic_algos::VertexProgram;
-use ascetic_core::{repair_session, AsceticConfig, AsceticSession, RepairMode, RunReport};
-use ascetic_graph::{Csr, GraphPatch, Mutation, PatchError, PatchableCsr};
+use ascetic_core::{
+    repair_session, AsceticConfig, AsceticSession, DirectionMode, RepairMode, RunReport,
+};
+use ascetic_graph::{Csr, Mutation, PatchError, PatchableCsr};
 
-/// All graph epochs of a mutation stream, materialized up front.
-pub struct Epochs {
-    /// `versions[i]` is the graph after the first `i` batches
-    /// (`versions[0]` is the base graph re-packed through the patch
-    /// store's canonical chunking).
-    pub versions: Vec<Csr>,
-    /// The CSC mirror of each version (same indexing).
-    pub cscs: Vec<Csr>,
-    /// `patches[i]` turned `versions[i]` into `versions[i + 1]`.
-    pub patches: Vec<GraphPatch>,
-}
+pub use ascetic_graph::Epochs;
 
-/// Apply `batches` through a [`PatchableCsr`] and keep every intermediate
-/// epoch. Fails on the first malformed mutation (weight-rule violation or
-/// out-of-range endpoint), identifying the batch by index.
+/// Every graph version of a mutation stream ([`PatchableCsr::materialize`]),
+/// without the CSC mirrors: what a caller replaying or checking the stream
+/// reads. Fails on the first malformed mutation, identifying the batch by
+/// index.
 pub fn materialize(g: &Csr, batches: &[Vec<Mutation>]) -> Result<Epochs, (usize, PatchError)> {
-    let mut store = PatchableCsr::with_defaults(g, true);
-    let mut versions = vec![store.to_csr()];
-    let mut cscs = vec![store.to_csc().expect("mirror requested")];
-    let mut patches = Vec::with_capacity(batches.len());
-    for (i, batch) in batches.iter().enumerate() {
-        patches.push(store.apply(batch).map_err(|e| (i, e))?);
-        versions.push(store.to_csr());
-        cscs.push(store.to_csc().expect("mirror requested"));
-    }
-    Ok(Epochs {
-        versions,
-        cscs,
-        patches,
-    })
+    PatchableCsr::materialize(g, batches, false)
 }
 
 /// What one batch cost and how the session recovered from it.
@@ -127,14 +107,16 @@ pub fn run_with_mutations<P: VertexProgram>(
     batches: &[Vec<Mutation>],
     verify: bool,
 ) -> Result<MutationRun, (usize, PatchError)> {
-    let epochs = materialize(g, batches)?;
+    // the session swaps its mirror for the patched one only if it built one
+    let pulls = cfg.direction != DirectionMode::Push;
+    let epochs = PatchableCsr::materialize(g, batches, pulls)?;
     let mut sess = AsceticSession::new(cfg, &epochs.versions[0]);
     let mut state = prog.new_state(&epochs.versions[0]);
     let base = sess.run_with_state(prog, &state, prog.initial_frontier(&epochs.versions[0]));
     let mut outcomes = Vec::with_capacity(epochs.patches.len());
     for (i, patch) in epochs.patches.iter().enumerate() {
         let (g_old, g_new) = (&epochs.versions[i], &epochs.versions[i + 1]);
-        let pa = sess.apply_patch(g_new, Some(&epochs.cscs[i + 1]), patch);
+        let pa = sess.apply_patch(g_new, epochs.csc(i + 1), patch);
         let out = repair_session(&mut sess, prog, &mut state, g_old, patch);
         let matches_recompute =
             verify.then(|| out.report.output == run_in_memory(g_new, prog).output);

@@ -40,8 +40,10 @@
 //! the classic scheduler byte-for-byte.
 
 use ascetic_algos::{AlgoOutput, MsBfsDistances, MsSsspDistances, ProgramOpts};
-use ascetic_core::{AsceticConfig, AsceticSession, AsceticSystem, OutOfCoreSystem, Prepared};
-use ascetic_graph::{Csr, GraphPatch, Mutation, PatchError, PatchableCsr};
+use ascetic_core::{
+    AsceticConfig, AsceticSession, AsceticSystem, DirectionMode, OutOfCoreSystem, Prepared,
+};
+use ascetic_graph::{Csr, Epochs, GraphPatch, Mutation, PatchError, PatchableCsr};
 use ascetic_obs::{Registry, SpanTracer};
 use ascetic_par::Bitmap;
 use ascetic_sim::{Interconnect, InterconnectConfig};
@@ -249,19 +251,12 @@ impl<'g> EpochSlices<'g> {
     }
 }
 
-/// Owned epoch storage behind [`serve_mutating`]'s slices.
-struct OwnedEpochs {
-    versions: Vec<Csr>,
-    cscs: Vec<Csr>,
-    patches: Vec<GraphPatch>,
-}
-
-impl OwnedEpochs {
-    fn slices(&self) -> EpochSlices<'_> {
+impl<'g> From<&'g Epochs> for EpochSlices<'g> {
+    fn from(e: &'g Epochs) -> EpochSlices<'g> {
         EpochSlices {
-            versions: &self.versions,
-            cscs: &self.cscs,
-            patches: &self.patches,
+            versions: &e.versions,
+            cscs: &e.cscs,
+            patches: &e.patches,
         }
     }
 }
@@ -279,34 +274,23 @@ fn normalize_weight(m: Mutation, weighted: bool) -> Mutation {
     }
 }
 
-/// Run `batches` through a patch store over `g`, keeping every epoch.
+/// Every epoch of `batches` over one graph variant, weights normalized for
+/// it; CSC mirrors only when `mirror` (the serve config can pull).
 fn materialize_variant(
     g: &Csr,
     batches: &[Vec<Mutation>],
     weighted: bool,
-) -> Result<OwnedEpochs, ServeError> {
-    let mut store = PatchableCsr::with_defaults(g, true);
-    let mut versions = vec![store.to_csr()];
-    let mut cscs = vec![store.to_csc().expect("mirror requested")];
-    let mut patches = Vec::with_capacity(batches.len());
-    for (i, batch) in batches.iter().enumerate() {
-        let normalized: Vec<Mutation> = batch
+    mirror: bool,
+) -> Result<Epochs, ServeError> {
+    let normalize = |batch: &Vec<Mutation>| -> Vec<Mutation> {
+        batch
             .iter()
             .map(|&m| normalize_weight(m, weighted))
-            .collect();
-        patches.push(
-            store
-                .apply(&normalized)
-                .map_err(|error| ServeError::Mutation { batch: i, error })?,
-        );
-        versions.push(store.to_csr());
-        cscs.push(store.to_csc().expect("mirror requested"));
-    }
-    Ok(OwnedEpochs {
-        versions,
-        cscs,
-        patches,
-    })
+            .collect()
+    };
+    let normalized: Vec<Vec<Mutation>> = batches.iter().map(normalize).collect();
+    PatchableCsr::materialize(g, &normalized, mirror)
+        .map_err(|(batch, error)| ServeError::Mutation { batch, error })
 }
 
 /// State the scheduler carries for one graph variant.
@@ -367,15 +351,17 @@ pub fn serve_mutating(
         }
         batches.last_mut().expect("just pushed").push(m.mutation);
     }
-    let un = materialize_variant(unweighted, &batches, false)?;
+    // a session swaps its mirror for the patched one only if it built one
+    let pulls = sc.cfg.direction != DirectionMode::Push;
+    let un = materialize_variant(unweighted, &batches, false, pulls)?;
     let w = match weighted {
-        Some(g) => Some(materialize_variant(g, &batches, true)?),
+        Some(g) => Some(materialize_variant(g, &batches, true, pulls)?),
         None => None,
     };
     serve_impl(
         sc,
-        un.slices(),
-        w.as_ref().map(|e| e.slices()),
+        (&un).into(),
+        w.as_ref().map(EpochSlices::from),
         &boundaries,
         jobs,
     )
@@ -579,7 +565,7 @@ fn serve_impl<'g>(
                 let k = dev.epoch;
                 let pa = sess.apply_patch(
                     &vs.epochs.versions[k + 1],
-                    Some(&vs.epochs.cscs[k + 1]),
+                    vs.epochs.cscs.get(k + 1),
                     &vs.epochs.patches[k],
                 );
                 mutate_ns += pa.patch_ns;
@@ -1379,7 +1365,7 @@ mod tests {
         );
         // the answers bracket the mutation: job 0 over the base graph,
         // job 1 over the patched one — each bit-identical to the oracle
-        let epochs = materialize_variant(&g, &[vec![mutations[0].mutation]], false).unwrap();
+        let epochs = materialize_variant(&g, &[vec![mutations[0].mutation]], false, false).unwrap();
         for (job, version) in rep.jobs.iter().zip(&epochs.versions) {
             assert_eq!(
                 output_fingerprint(&job.output),
@@ -1420,10 +1406,13 @@ mod tests {
             }
             batches.last_mut().unwrap().push(m.mutation);
         }
-        let un = materialize_variant(&g, &batches, false).unwrap();
-        let we = materialize_variant(&w, &batches, true).unwrap();
-        for policy in ALL_POLICIES {
-            let sc = ServeConfig::new(cfg_for(&g), policy);
+        let un = materialize_variant(&g, &batches, false, false).unwrap();
+        let we = materialize_variant(&w, &batches, true, false).unwrap();
+        // push sessions build no CSC mirror and are patched without one;
+        // adaptive ones swap theirs for the patched transpose at each epoch
+        let directions = [DirectionMode::Push, DirectionMode::Adaptive];
+        for (policy, direction) in ALL_POLICIES.into_iter().zip(directions.into_iter().cycle()) {
+            let sc = ServeConfig::new(cfg_for(&g).with_direction(direction), policy);
             let a = serve_mutating(&sc, &g, Some(&w), &jobs, &mutations).unwrap();
             let b = serve_mutating(&sc, &g, Some(&w), &jobs, &mutations).unwrap();
             assert_eq!(
