@@ -14,7 +14,7 @@ use ascetic_serve::{
 use ascetic_sim::InterconnectConfig;
 
 use crate::fmt::{human_bytes, text, val, Sheet};
-use crate::output::{emit, lit, obj, Json};
+use crate::output::{emit, lit, obj, quoted, Json};
 use crate::run::Ctx;
 use crate::setup::{bench_program, Algo, Env};
 
@@ -110,7 +110,7 @@ pub fn serve(cx: &mut Ctx) {
             ),
         ]);
         policies.push(obj(vec![
-            ("policy", Json::Str(r.policy.to_string())),
+            ("policy", quoted(r.policy)),
             ("makespan_ns", lit(r.makespan_ns)),
             ("total_queue_wait_ns", lit(r.total_queue_wait_ns)),
             ("ondemand_h2d_bytes", lit(r.ondemand_h2d_bytes)),
@@ -302,7 +302,7 @@ pub fn fleet(cx: &mut Ctx) {
                 val(exchange, r.exchange_bytes),
             ]);
             algo_json.push(obj(vec![
-                ("algo", Json::Str(name.to_string())),
+                ("algo", quoted(name)),
                 ("devices", lit(r.devices)),
                 ("iterations", lit(r.iterations)),
                 ("makespan_ns", lit(r.makespan_ns)),
@@ -324,7 +324,7 @@ pub fn fleet(cx: &mut Ctx) {
         vec![
             ("jobs", lit(N_JOBS)),
             ("trace_seed", lit(TRACE_SEED)),
-            ("fabric", Json::Str("nvlink".into())),
+            ("fabric", quoted("nvlink")),
             ("serve", Json::Arr(serve_json)),
             ("algorithms", Json::Arr(algo_json)),
             ("oracles", oracles),
@@ -436,8 +436,8 @@ pub fn incremental_repair(cx: &mut Ctx) {
                 text(repair_iters),
             ]);
             json_cells.push(obj(vec![
-                ("algo", Json::Str(algo.display().into())),
-                ("mode", Json::Str(mode.into())),
+                ("algo", quoted(algo.display())),
+                ("mode", quoted(mode)),
                 ("batch_frac", lit(frac)),
                 ("batch_edges", lit(batch_edges)),
                 (
@@ -490,26 +490,16 @@ pub fn incremental_repair(cx: &mut Ctx) {
     cx.write_json(
         "incremental",
         vec![
-            ("dataset", Json::Str("fk".into())),
+            ("dataset", quoted("fk")),
             ("batches_per_cell", lit(BATCHES)),
             ("cells", Json::Arr(json_cells)),
             ("totals", totals),
         ],
     );
-    let none_or = |list: &[String]| match list {
-        [] => "none".to_string(),
-        _ => list.join("; "),
-    };
-    cx.check(
-        "repair beats recompute on time and wire on every batch <= 1% of edges",
-        none_or(&small_losses),
-        "none lost",
-        small_losses.is_empty(),
-    );
-    cx.check(
+    let small = "repair beats recompute on time and wire on every batch <= 1% of edges";
+    cx.check_none(small, &small_losses);
+    cx.check_none(
         "no fallback cell is slower than the recompute",
-        none_or(&fallback_slower),
-        "none",
-        fallback_slower.is_empty(),
+        &fallback_slower,
     );
 }

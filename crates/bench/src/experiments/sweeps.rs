@@ -6,7 +6,7 @@ use ascetic_core::{AsceticConfig, CompressionMode, DirectionMode, PrefetchMode, 
 use ascetic_graph::datasets::DatasetId;
 
 use crate::fmt::{human_bytes, Table};
-use crate::output::{emit_pivot, lit, obj, Json};
+use crate::output::{emit_pivot, lit, obj, quoted, Json};
 use crate::run::{ascetic, grid, Cell, Ctx, Variant};
 use crate::setup::{Algo, Env, TABLE4_ORDER};
 
@@ -62,8 +62,8 @@ fn json_cell(
     deltas: Vec<(&str, Json)>,
 ) -> Json {
     let mut fields = vec![
-        ("algo".to_string(), Json::Str(c.algo.display().into())),
-        ("dataset".to_string(), Json::Str(c.dataset.abbr().into())),
+        ("algo".to_string(), quoted(c.algo.display())),
+        ("dataset".to_string(), quoted(c.dataset.abbr())),
     ];
     let own = |(k, v): (&str, Json)| (k.to_string(), v);
     fields.extend(tags.into_iter().map(own));
@@ -95,13 +95,6 @@ fn slower(cells: &[Cell], tag: &str, base: usize, treated: usize) -> Vec<String>
     };
     let slow = cells.iter().filter(|c| times(c).1 > times(c).0);
     slow.map(name).collect()
-}
-
-fn none_or(list: &[String]) -> String {
-    match list {
-        [] => "none".into(),
-        _ => list.join(", "),
-    }
 }
 
 /// Ascetic under each of `modes`, on the scale's plain environment.
@@ -196,12 +189,7 @@ pub fn compression(cx: &mut Ctx) {
         "> 0",
         ad_wire < off_wire,
     );
-    cx.check(
-        "adaptive slows down no cell",
-        none_or(&slow),
-        "none",
-        slow.is_empty(),
-    );
+    cx.check_none("adaptive slows down no cell", &slow);
 }
 
 /// The stall time a prefetch can attack: on-demand H2D transfer plus the
@@ -291,12 +279,7 @@ pub fn prefetch(cx: &mut Ctx) {
         ">= 20%",
         hidden_pct >= 20.0,
     );
-    cx.check(
-        "next-frontier slows down no cell",
-        none_or(&slow),
-        "none",
-        slow.is_empty(),
-    );
+    cx.check_none("next-frontier slows down no cell", &slow);
 }
 
 /// Push vs pull vs density-adaptive traversal over the chunked CSC mirror,
@@ -380,7 +363,7 @@ pub fn direction(cx: &mut Ctx) {
                 ("wire_saved_bytes", lit(delta(pw, aw))),
                 ("time_delta_ns", lit(dt)),
             ];
-            let tags = vec![("compression", Json::Str(comp_name.to_string()))];
+            let tags = vec![("compression", quoted(comp_name))];
             json_cells.push(json_cell(c, (&MODES, first), tags, &metrics, deltas));
         }
     }
@@ -396,18 +379,11 @@ pub fn direction(cx: &mut Ctx) {
     let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
     cx.write_json("direction", fields);
     println!("adaptive ships {saved_pct:.1}% fewer steady-state wire bytes than push-only");
-    cx.check(
+    cx.check_none(
         "adaptive ships no more wire bytes than push (strictly fewer on BFS)",
-        none_or(&not_reduced),
-        "none",
-        not_reduced.is_empty(),
+        &not_reduced,
     );
-    cx.check(
-        "adaptive slows down no cell",
-        none_or(&slow),
-        "none",
-        slow.is_empty(),
-    );
+    cx.check_none("adaptive slows down no cell", &slow);
 }
 
 fn pull_iters(r: &RunReport) -> usize {

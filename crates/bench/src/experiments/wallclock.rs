@@ -8,7 +8,7 @@ use ascetic_graph::datasets::DatasetId;
 use ascetic_par::{parallel_for, set_dispatch_mode, set_num_threads, DispatchMode};
 
 use crate::fmt::Table;
-use crate::output::{lit, obj, write_json, Json};
+use crate::output::{lit, obj, quoted, write_json, Json};
 use crate::run::{Ctx, PreparedDataset};
 use crate::setup::{run_algo, Algo, Env};
 
@@ -118,9 +118,9 @@ pub fn wallclock(cx: &mut Ctx) {
                 r.iterations.to_string(),
             ]);
             runs.push(obj(vec![
-                ("system", Json::Str("Ascetic".into())),
-                ("dataset", Json::Str("FK".into())),
-                ("algo", Json::Str(algo.display().into())),
+                ("system", quoted("Ascetic")),
+                ("dataset", quoted("FK")),
+                ("algo", quoted(algo.display())),
                 ("threads", lit(t)),
                 ("wall_ms", lit(format!("{wall_ms:.3}"))),
                 ("sim_ms", lit(format!("{sim_ms:.3}"))),

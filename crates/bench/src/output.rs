@@ -21,7 +21,7 @@ pub const EMITTED_SCHEMA_VERSION: u32 = 3;
 pub enum Json {
     /// A number, boolean or pre-rendered document, written as is.
     Lit(String),
-    /// A string, quoted on output (bench strings need no escaping).
+    /// A string, quoted on output.
     Str(String),
     /// An object, fields in order.
     Obj(Vec<(String, Json)>),
@@ -32,6 +32,11 @@ pub enum Json {
 /// A literal (number / boolean) value.
 pub fn lit(x: impl ToString) -> Json {
     Json::Lit(x.to_string())
+}
+
+/// A string value (bench strings need no escaping).
+pub fn quoted(s: impl ToString) -> Json {
+    Json::Str(s.to_string())
 }
 
 /// An object from `(key, value)` pairs.
@@ -90,7 +95,7 @@ pub fn bench_json(bench: &str, smoke: bool, fields: Vec<(&str, Json)>) -> String
     );
     let mut all = vec![
         ("schema_version", lit(SCHEMA_VERSION)),
-        ("bench", Json::Str(bench.into())),
+        ("bench", quoted(bench)),
         ("smoke", lit(smoke)),
     ];
     all.extend(fields);

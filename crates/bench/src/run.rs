@@ -176,6 +176,16 @@ impl Ctx {
         });
     }
 
+    /// Record that nothing may be in `offenders` (cells that lost, grew,
+    /// slowed down): the measurement is the list itself.
+    pub fn check_none(&mut self, name: &str, offenders: &[String]) {
+        let measured = match offenders {
+            [] => "none".to_string(),
+            some => some.join(", "),
+        };
+        self.check(name, measured, "none", offenders.is_empty());
+    }
+
     /// Write `BENCH_<bench>.json`: this run's `smoke` flag and scale, then
     /// `fields`.
     pub fn write_json(&self, bench: &str, mut fields: Vec<(&str, Json)>) {
