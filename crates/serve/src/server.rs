@@ -950,6 +950,7 @@ mod tests {
                 "job {} batched answer differs from its solo answer",
                 b.id
             );
+            assert_eq!(b.run.output, b.output, "job {}: run report's lane", b.id);
         }
         assert!(
             batched.makespan_ns < solo.makespan_ns,
