@@ -36,7 +36,7 @@ pub use subway::SubwaySystem;
 pub use uvm::UvmSystem;
 
 use ascetic_algos::VertexProgram;
-use ascetic_core::system::{PrepareError, Prepared};
+use ascetic_core::system::PrepareError;
 use ascetic_core::{AsceticSystem, OutOfCoreSystem, RunReport};
 use ascetic_graph::Csr;
 
@@ -66,7 +66,7 @@ impl OutOfCoreSystem for AnySystem {
         }
     }
 
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
         match self {
             AnySystem::Ascetic(s) => s.prepare(g),
             AnySystem::Subway(s) => s.prepare(g),

@@ -21,7 +21,7 @@ use ascetic_par::parallel_for_work;
 use ascetic_sim::DeviceConfig;
 
 use ascetic_core::report::RunReport;
-use ascetic_core::system::{OutOfCoreSystem, PrepareError, Prepared};
+use ascetic_core::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
 
 use crate::frame::Frame;
 
@@ -64,8 +64,8 @@ impl OutOfCoreSystem for PtSystem {
         "PT"
     }
 
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
-        Prepared::for_device(g, self.device.mem_bytes)
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
+        check_vertex_fit(g, self.device.mem_bytes)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

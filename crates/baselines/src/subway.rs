@@ -26,7 +26,7 @@ use ascetic_sim::DeviceConfig;
 use ascetic_core::codec::{compress_wins, eligible, ship_batch, EncodeScratch};
 use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::RunReport;
-use ascetic_core::system::{OutOfCoreSystem, PrepareError, Prepared};
+use ascetic_core::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
 use ascetic_core::CompressionMode;
 
 use crate::frame::Frame;
@@ -80,8 +80,8 @@ impl OutOfCoreSystem for SubwaySystem {
         "Subway"
     }
 
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
-        Prepared::for_device(g, self.device.mem_bytes)
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
+        check_vertex_fit(g, self.device.mem_bytes)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

@@ -27,7 +27,7 @@ use ascetic_obs::Event;
 use ascetic_sim::{AccessTracer, DeviceConfig, Engine, SimTime, Uvm};
 
 use ascetic_core::report::RunReport;
-use ascetic_core::system::{edge_budget_bytes, OutOfCoreSystem, PrepareError, Prepared};
+use ascetic_core::system::{check_vertex_fit, edge_budget_bytes, OutOfCoreSystem, PrepareError};
 
 use crate::frame::Frame;
 
@@ -193,8 +193,8 @@ impl OutOfCoreSystem for UvmSystem {
         "UVM"
     }
 
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
-        Prepared::for_device(g, self.device.mem_bytes)
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
+        check_vertex_fit(g, self.device.mem_bytes)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

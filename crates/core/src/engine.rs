@@ -20,6 +20,7 @@
 //! data; all *times* come from the virtual clock, so reports are exact and
 //! reproducible.
 
+use ascetic_algos::traits::DEVICE_BYTES_PER_VERTEX;
 use ascetic_algos::{AlgoOutput, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_sim::{Engine, Gpu};
@@ -27,8 +28,7 @@ use ascetic_sim::{Engine, Gpu};
 use crate::config::AsceticConfig;
 use crate::report::{utilization_from_trace, Breakdown, IterReport, RunReport};
 use crate::session::AsceticSession;
-use crate::system::{OutOfCoreSystem, PrepareError, Prepared};
-use ascetic_graph::chunks::ChunkGeometry;
+use crate::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
 
 /// The Ascetic out-of-core system.
 ///
@@ -63,15 +63,18 @@ impl OutOfCoreSystem for AsceticSystem {
         "Ascetic"
     }
 
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
-        let prepared = Prepared::for_device(g, self.cfg.device.mem_bytes)?;
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
+        let capacity = self.cfg.device.mem_bytes;
+        check_vertex_fit(g, capacity)?;
         self.cfg.validate_for(g)?;
-        let budget = prepared.edge_budget_bytes;
+        // what `edge_budget_bytes` will report of the word-granular arena
+        // once `reserve_vertex_arrays` has run
+        let budget = capacity / 4 * 4 - g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX;
         let chunk = self.cfg.chunk_bytes as u64;
         if budget < 2 * chunk {
             return Err(PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk });
         }
-        Ok(prepared.with_geometry(ChunkGeometry::with_chunk_bytes(g, self.cfg.chunk_bytes)))
+        Ok(())
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

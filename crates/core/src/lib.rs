@@ -80,4 +80,4 @@ pub use report::{
     RUN_REPORT_SCHEMA_VERSION,
 };
 pub use session::{AsceticSession, PatchApply};
-pub use system::{OutOfCoreSystem, PrepareError, Prepared};
+pub use system::{OutOfCoreSystem, PrepareError};

@@ -229,26 +229,6 @@ impl<'g> AsceticSession<'g> {
     /// per Eq (2), allocate the on-demand buffers and perform the prestore.
     pub fn new(cfg: AsceticConfig, g: &'g Csr) -> AsceticSession<'g> {
         let geo = ChunkGeometry::with_chunk_bytes(g, cfg.chunk_bytes);
-        Self::with_geometry(cfg, g, geo)
-    }
-
-    /// Like [`AsceticSession::new`] but reusing the chunking cached by
-    /// [`crate::system::OutOfCoreSystem::prepare`], so layers that run many
-    /// jobs against one prepared system (the serve scheduler) do not
-    /// re-derive config state per session.
-    pub fn with_prepared(
-        cfg: AsceticConfig,
-        g: &'g Csr,
-        prepared: &crate::system::Prepared,
-    ) -> AsceticSession<'g> {
-        let geo = prepared
-            .geometry
-            .unwrap_or_else(|| ChunkGeometry::with_chunk_bytes(g, cfg.chunk_bytes));
-        debug_assert_eq!(geo.num_edges, g.num_edges(), "prepared for another graph");
-        Self::with_geometry(cfg, g, geo)
-    }
-
-    fn with_geometry(cfg: AsceticConfig, g: &'g Csr, geo: ChunkGeometry) -> AsceticSession<'g> {
         let mut gpu = if cfg.tracing {
             Gpu::new_traced(cfg.device)
         } else {

@@ -9,8 +9,6 @@ use ascetic_algos::VertexProgram;
 use ascetic_graph::Csr;
 use ascetic_sim::{DevPtr, Gpu};
 
-use ascetic_graph::chunks::ChunkGeometry;
-
 use crate::config::ConfigError;
 use crate::report::RunReport;
 
@@ -74,43 +72,6 @@ pub fn check_vertex_fit(g: &Csr, capacity_bytes: u64) -> Result<(), PrepareError
     Ok(())
 }
 
-/// State computed once by [`OutOfCoreSystem::prepare`] and reusable across
-/// runs of the same graph on the same system. Callers that run many jobs
-/// back-to-back (the serve layer, the bench grid) prepare once and pass the
-/// result down instead of re-deriving the config-dependent chunking per run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Prepared {
-    /// Config-derived edge chunking, for systems that chunk the edge array
-    /// (Ascetic). Chunkless baselines leave this `None`.
-    pub geometry: Option<ChunkGeometry>,
-    /// Bytes the device-resident vertex arrays will occupy.
-    pub vertex_bytes: u64,
-    /// Edge budget in bytes left on the device after the vertex arrays —
-    /// what [`edge_budget_bytes`] will report of the word-granular arena
-    /// once [`reserve_vertex_arrays`] has run.
-    pub edge_budget_bytes: u64,
-}
-
-impl Prepared {
-    /// Prepared state for `g` on a device with `capacity_bytes`, after the
-    /// shared vertices-fit check. Systems add their geometry on top.
-    pub fn for_device(g: &Csr, capacity_bytes: u64) -> Result<Self, PrepareError> {
-        check_vertex_fit(g, capacity_bytes)?;
-        let vertex_bytes = g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX;
-        Ok(Prepared {
-            geometry: None,
-            vertex_bytes,
-            edge_budget_bytes: capacity_bytes / 4 * 4 - vertex_bytes,
-        })
-    }
-
-    /// Same prepared state with the chunk geometry filled in.
-    pub fn with_geometry(mut self, geo: ChunkGeometry) -> Self {
-        self.geometry = Some(geo);
-        self
-    }
-}
-
 /// An out-of-GPU-memory graph-processing system.
 pub trait OutOfCoreSystem {
     /// Display name.
@@ -118,19 +79,12 @@ pub trait OutOfCoreSystem {
 
     /// Validate that this system can run `g` at all — configuration sanity
     /// plus the vertices-fit-on-device assumption — *before* committing to
-    /// device allocation, and return the reusable [`Prepared`] state
-    /// (vertex/edge budgets plus any config-derived chunking) so repeated
-    /// runs do not pay the derivation again. Callers (the CLI, the bench
-    /// harness, the serve layer) surface the error cleanly instead of
-    /// panicking mid-run. The default accepts everything and claims no
-    /// budget.
-    fn prepare(&self, g: &Csr) -> Result<Prepared, PrepareError> {
+    /// device allocation. Callers (the CLI, the bench harness, the serve
+    /// layer) surface the error cleanly instead of panicking mid-run. The
+    /// default accepts everything.
+    fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
         let _ = g;
-        Ok(Prepared {
-            geometry: None,
-            vertex_bytes: 0,
-            edge_budget_bytes: 0,
-        })
+        Ok(())
     }
 
     /// Execute `prog` over `g`, returning the full report. The graph must
@@ -204,15 +158,7 @@ mod tests {
         let g = uniform_graph(1_000, 5_000, false, 1);
         let dev = DeviceConfig::p100(1 << 20);
         let sys = AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(1024));
-        let prepared = sys.prepare(&g).expect("valid config");
-        // prepare caches the config-derived chunking and the device budgets
-        let geo = prepared.geometry.expect("Ascetic chunks the edge array");
-        assert_eq!(geo, ChunkGeometry::with_chunk_bytes(&g, 1024));
-        assert_eq!(prepared.vertex_bytes, 1_000 * DEVICE_BYTES_PER_VERTEX);
-        assert_eq!(
-            prepared.edge_budget_bytes,
-            (1u64 << 20) - prepared.vertex_bytes
-        );
+        sys.prepare(&g).expect("valid config");
         // graph-dependent rule: weighted + Always is rejected up front
         let wg = weighted_variant(&g);
         let always = AsceticSystem::new(

@@ -8,6 +8,9 @@
 //! {"op": "delete", "src": 7, "dst": 3, "batch": 1}
 //! ```
 //!
+//! This is the record `ascetic-serve`'s mutating traces interleave with
+//! their jobs — one parser, [`ascetic_obs::json::EdgeRecord`], reads both,
+//! so `mutate` / `at` are accepted for `op` / `batch`.
 //! `op`, `src` and `dst` are required. `weight` is required on inserts
 //! into a weighted graph, rejected on inserts into an unweighted one, and
 //! always rejected on deletes (a delete removes *every* parallel edge).
@@ -20,7 +23,7 @@
 //! an actionable message and exit nonzero.
 
 use ascetic_graph::Mutation;
-use ascetic_obs::json;
+use ascetic_obs::json::{self, EdgeRecord, RecordError};
 
 /// What went wrong on a mutation line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,78 +113,18 @@ impl std::fmt::Display for MutateError {
 
 impl std::error::Error for MutateError {}
 
-fn bad_value(field: &'static str, value: &str) -> MutateErrorKind {
-    MutateErrorKind::BadValue {
-        field,
-        value: value.to_string(),
-    }
-}
-
-fn parse_u64(value: &str, field: &'static str) -> Result<u64, MutateErrorKind> {
-    value.parse().map_err(|_| bad_value(field, value))
-}
-
-fn parse_u32(value: &str, field: &'static str) -> Result<u32, MutateErrorKind> {
-    u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
-}
-
-fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, MutateErrorKind> {
-    json::unquote(value).ok_or_else(|| bad_value(field, value))
-}
-
-/// One line, typed but not yet grouped.
-struct Record {
-    mutation: Mutation,
-    batch: Option<u64>,
-}
-
-fn parse_line(line: &str, weighted: Option<bool>) -> Result<Record, MutateErrorKind> {
-    // a mutation line is a flat record, not a document
-    let fields = json::split_fields(line).map_err(MutateErrorKind::Syntax)?;
-    let mut op = None;
-    let mut src = None;
-    let mut dst = None;
-    let mut weight = None;
-    let mut batch = None;
-    for (key, value) in fields {
-        match key {
-            "op" => op = Some(parse_string(value, "op")?),
-            "src" => src = Some(parse_u32(value, "src")?),
-            "dst" => dst = Some(parse_u32(value, "dst")?),
-            "weight" => weight = Some(parse_u32(value, "weight")?),
-            "batch" => batch = Some(parse_u64(value, "batch")?),
-            other => {
-                return Err(MutateErrorKind::Syntax(format!(
-                    "unknown field \"{other}\""
-                )));
-            }
+impl From<RecordError> for MutateErrorKind {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::Syntax(what) => MutateErrorKind::Syntax(what),
+            RecordError::MissingField(field) => MutateErrorKind::MissingField(field),
+            RecordError::BadValue { field, value } => MutateErrorKind::BadValue { field, value },
+            RecordError::UnknownOp(op) => MutateErrorKind::UnknownOp(op),
+            RecordError::WeightOnDelete => MutateErrorKind::UnexpectedWeight(
+                "a delete removes every parallel edge regardless of weight",
+            ),
         }
     }
-    let op = op.ok_or(MutateErrorKind::MissingField("op"))?;
-    let src = src.ok_or(MutateErrorKind::MissingField("src"))?;
-    let dst = dst.ok_or(MutateErrorKind::MissingField("dst"))?;
-    let mutation = match op {
-        "insert" => {
-            match weighted {
-                Some(true) if weight.is_none() => return Err(MutateErrorKind::MissingWeight),
-                Some(false) if weight.is_some() => {
-                    return Err(MutateErrorKind::UnexpectedWeight("the graph is unweighted"))
-                }
-                _ => {}
-            }
-            Mutation::Insert { src, dst, weight }
-        }
-        "delete" => {
-            if weight.is_some() {
-                return Err(MutateErrorKind::UnexpectedWeight(
-                    "a delete removes every parallel edge regardless of weight",
-                ));
-            }
-            Mutation::Delete { src, dst }
-        }
-        other => return Err(MutateErrorKind::UnknownOp(other.into())),
-    };
-    Ok(Record { mutation, batch })
 }
 
 /// Parse a JSONL mutation stream into ordered batches. `num_vertices`,
@@ -195,15 +138,23 @@ pub fn parse_mutations(
 ) -> Result<Vec<Vec<Mutation>>, MutateError> {
     let mut batches: Vec<Vec<Mutation>> = Vec::new();
     let mut current_batch = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let at = |kind| MutateError { line: lineno, kind };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let rec = parse_line(trimmed, weighted).map_err(at)?;
-        let batch = rec.batch.unwrap_or(current_batch);
+    for (line, fields) in json::records(text) {
+        let at = |kind| MutateError { line, kind };
+        let parsed = fields.and_then(|fields| EdgeRecord::parse(&fields));
+        let rec = parsed.map_err(|e| at(e.into()))?;
+        let EdgeRecord {
+            src, dst, weight, ..
+        } = rec;
+        let mutation = match (rec.insert, weighted, weight) {
+            (false, ..) => Mutation::Delete { src, dst },
+            (true, Some(true), None) => return Err(at(MutateErrorKind::MissingWeight)),
+            (true, Some(false), Some(_)) => {
+                let why = "the graph is unweighted";
+                return Err(at(MutateErrorKind::UnexpectedWeight(why)));
+            }
+            (true, ..) => Mutation::Insert { src, dst, weight },
+        };
+        let batch = rec.stamp.unwrap_or(current_batch);
         if batch < current_batch {
             return Err(at(MutateErrorKind::BatchOutOfOrder {
                 batch,
@@ -211,24 +162,18 @@ pub fn parse_mutations(
             }));
         }
         if let Some(n) = num_vertices {
-            let (src, dst) = match rec.mutation {
-                Mutation::Insert { src, dst, .. } => (src, dst),
-                Mutation::Delete { src, dst } => (src, dst),
-            };
-            for v in [src, dst] {
-                if v as usize >= n {
-                    return Err(at(MutateErrorKind::EndpointOutOfRange {
-                        vertex: v,
-                        num_vertices: n,
-                    }));
-                }
+            if let Some(vertex) = rec.endpoint_beyond(n) {
+                return Err(at(MutateErrorKind::EndpointOutOfRange {
+                    vertex,
+                    num_vertices: n,
+                }));
             }
         }
         if batch > current_batch || batches.is_empty() {
             current_batch = batch;
             batches.push(Vec::new());
         }
-        batches.last_mut().expect("just ensured").push(rec.mutation);
+        batches.last_mut().expect("just ensured").push(mutation);
     }
     Ok(batches)
 }

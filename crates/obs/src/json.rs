@@ -58,7 +58,7 @@ pub fn unquote(raw: &str) -> Option<&str> {
 /// `(key, raw value)` pairs, in order. Values stay raw text for the caller
 /// to type ([`unquote`] for strings, `str::parse` for numbers); the error
 /// is the syntax complaint, for the caller to stamp a line number on.
-pub fn split_fields(line: &str) -> Result<Vec<(&str, &str)>, String> {
+pub fn split_fields(line: &str) -> Result<Vec<Field<'_>>, String> {
     let body = line
         .trim()
         .strip_prefix('{')
@@ -78,6 +78,140 @@ pub fn split_fields(line: &str) -> Result<Vec<(&str, &str)>, String> {
         fields.push((key, v.trim()));
     }
     Ok(fields)
+}
+
+/// One `(key, raw value)` pair of a flat record, as [`split_fields`]
+/// yields them.
+pub type Field<'a> = (&'a str, &'a str);
+
+/// The lines of a JSONL text that carry something: `(1-based line number,
+/// trimmed line)`, blank lines and `#` comments skipped.
+pub fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let numbered = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
+    numbered.filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// The flat records of a JSONL text, each split into fields under its
+/// line number — the one loop every record parser runs.
+pub fn records(text: &str) -> impl Iterator<Item = (usize, Result<Vec<Field<'_>>, RecordError>)> {
+    numbered_lines(text).map(|(n, l)| (n, split_fields(l).map_err(RecordError::Syntax)))
+}
+
+/// Why a flat record did not type. The job-trace and mutation-stream
+/// parsers map these onto their own public error kinds, each with its own
+/// wording.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecordError {
+    /// Not a flat JSON object, or a field the record does not have.
+    Syntax(String),
+    /// A required field is absent.
+    MissingField(&'static str),
+    /// A field holds a value of the wrong type or out of range.
+    BadValue {
+        /// Field name, as the line spelled it.
+        field: &'static str,
+        /// The offending raw text.
+        value: String,
+    },
+    /// An [`EdgeRecord`]'s op is neither `insert` nor `delete`.
+    UnknownOp(String),
+    /// An [`EdgeRecord`] deletes and carries a `weight`.
+    WeightOnDelete,
+}
+
+fn bad_value(field: &'static str, value: &str) -> RecordError {
+    RecordError::BadValue {
+        field,
+        value: value.to_string(),
+    }
+}
+
+/// `value` as an unsigned 64-bit number, or [`RecordError::BadValue`]
+/// naming `field`.
+pub fn parse_u64(value: &str, field: &'static str) -> Result<u64, RecordError> {
+    value.parse().map_err(|_| bad_value(field, value))
+}
+
+/// `value` as an unsigned 32-bit number (vertex ids, job ids, weights).
+pub fn parse_u32(value: &str, field: &'static str) -> Result<u32, RecordError> {
+    u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
+}
+
+/// `value` as a quoted string, quotes removed.
+pub fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, RecordError> {
+    unquote(value).ok_or_else(|| bad_value(field, value))
+}
+
+/// One edge mutation, as both JSONL formats that carry one spell it:
+///
+/// ```text
+/// {"op": "insert", "src": 1, "dst": 2, "weight": 5, "batch": 0}
+/// {"mutate": "delete", "src": 7, "dst": 3, "at": 900}
+/// ```
+///
+/// `op` and `mutate` are two names for one key, as are `batch` and `at`;
+/// what the stamp means (a batch id, a serve-clock instant) is the
+/// caller's business.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EdgeRecord {
+    /// `insert` (true) or `delete`.
+    pub insert: bool,
+    /// Edge source.
+    pub src: u32,
+    /// Edge target.
+    pub dst: u32,
+    /// `weight`, inserts only.
+    pub weight: Option<u32>,
+    /// `batch` / `at`, when given.
+    pub stamp: Option<u64>,
+}
+
+impl EdgeRecord {
+    /// Whether `fields` spell an edge mutation (they carry its op key).
+    pub fn is_spelled_by(fields: &[Field<'_>]) -> bool {
+        fields
+            .iter()
+            .any(|&(key, _)| key == "op" || key == "mutate")
+    }
+
+    /// Type `fields` as an edge mutation.
+    pub fn parse(fields: &[Field<'_>]) -> Result<EdgeRecord, RecordError> {
+        const KEYS: [&str; 7] = ["op", "mutate", "src", "dst", "weight", "batch", "at"];
+        let (mut op, mut src, mut dst, mut weight, mut stamp) = (None, None, None, None, None);
+        for &(key, value) in fields {
+            let Some(&field) = KEYS.iter().find(|&&k| k == key) else {
+                return Err(RecordError::Syntax(format!("unknown field \"{key}\"")));
+            };
+            match field {
+                "op" | "mutate" => op = Some(parse_string(value, field)?),
+                "src" => src = Some(parse_u32(value, field)?),
+                "dst" => dst = Some(parse_u32(value, field)?),
+                "weight" => weight = Some(parse_u32(value, field)?),
+                _ => stamp = Some(parse_u64(value, field)?),
+            }
+        }
+        let op = op.ok_or(RecordError::MissingField("op"))?;
+        let src = src.ok_or(RecordError::MissingField("src"))?;
+        let dst = dst.ok_or(RecordError::MissingField("dst"))?;
+        let insert = match op {
+            "insert" => true,
+            "delete" if weight.is_some() => return Err(RecordError::WeightOnDelete),
+            "delete" => false,
+            other => return Err(RecordError::UnknownOp(other.into())),
+        };
+        Ok(EdgeRecord {
+            insert,
+            src,
+            dst,
+            weight,
+            stamp,
+        })
+    }
+
+    /// The first endpoint that is not a vertex of an `n`-vertex graph.
+    pub fn endpoint_beyond(&self, n: usize) -> Option<u32> {
+        [self.src, self.dst].into_iter().find(|&v| v as usize >= n)
+    }
 }
 
 /// Validate that `s` is exactly one well-formed JSON value (object, array,

@@ -535,7 +535,7 @@ impl Trace {
     /// from the meta line alongside the trace; fails with a line-numbered
     /// message on malformed input.
     pub fn from_jsonl(text: &str) -> Result<(Trace, u32), String> {
-        let mut lines = text.lines().enumerate();
+        let mut lines = json::numbered_lines(text);
         let (_, meta) = lines
             .next()
             .ok_or_else(|| "trace line 1: empty input".to_string())?;
@@ -548,11 +548,7 @@ impl Trace {
             as u32;
         let tracks = meta_tracks(meta).ok_or_else(|| "trace line 1: bad tracks".to_string())?;
         let mut spans = Vec::new();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
+        for (lineno, line) in lines {
             json::validate(line).map_err(|e| format!("trace line {lineno}: {e}"))?;
             let bad = || format!("trace line {lineno}: missing span field");
             let track = field_u64(line, "track").ok_or_else(bad)? as usize;

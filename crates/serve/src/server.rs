@@ -15,8 +15,8 @@
 //!    rejected jobs never run, the rest of the workload still does;
 //! 2. **scheduling** — among arrived jobs, [`Policy`] picks the next one;
 //! 3. **batching** — arrived same-kind single-source jobs are folded into
-//!    the pick (up to [`ServeConfig::max_batch`] lanes) and the whole
-//!    batch runs as one multi-source pass;
+//!    the pick (up to [`MAX_BATCH_LANES`], the MS-BFS mask width) and the
+//!    whole batch runs as one multi-source pass;
 //! 4. **residency** — if the live session already serves the right graph
 //!    variant it is *reused*: the warmed static region and hotness table
 //!    carry over and the run pays no prestore. A variant switch tears the
@@ -38,13 +38,22 @@
 //! that donor's static region faster than a host prestore, admission is
 //! charged as the device-to-device replica instead. One device reproduces
 //! the classic scheduler byte-for-byte.
+//!
+//! **One loop** (`DESIGN.md` §9): a `Scheduler` owns the devices, the
+//! queue, the cost model, the registry and the tracer, and every serve
+//! call — plain, mutating, one device or a fleet — is
+//! `admit → while let Some(decision) = next_decision() { pick →
+//! session_for → run → account } → finish`. Mutations and devices are
+//! inputs to that loop (an empty schedule, one device), not second paths.
+//! Each serve-level tally is bumped at one site, in the registry;
+//! `finish` reads the report's copies back from it.
 
-use ascetic_algos::{AlgoOutput, MsBfsDistances, MsSsspDistances, ProgramOpts};
+use ascetic_algos::{AlgoOutput, MsBfsDistances, MsSsspDistances, ProgramOpts, MAX_BATCH_LANES};
 use ascetic_core::{
-    AsceticConfig, AsceticSession, AsceticSystem, DirectionMode, OutOfCoreSystem, Prepared,
+    AsceticConfig, AsceticSession, AsceticSystem, DirectionMode, OutOfCoreSystem, RunReport,
 };
 use ascetic_graph::{Csr, Epochs, GraphPatch, Mutation, PatchError, PatchableCsr};
-use ascetic_obs::{Registry, SpanTracer};
+use ascetic_obs::{Registry, SpanTracer, TrackId};
 use ascetic_par::Bitmap;
 use ascetic_sim::{Interconnect, InterconnectConfig};
 
@@ -60,10 +69,9 @@ pub struct ServeConfig {
     pub cfg: AsceticConfig,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Fold compatible single-source jobs into multi-source batches.
+    /// Fold compatible single-source jobs into multi-source batches (of up
+    /// to [`MAX_BATCH_LANES`]).
     pub batching: bool,
-    /// Max lanes per batch (clamped to the MS-BFS mask width, 64).
-    pub max_batch: usize,
     /// Devices in the fleet (1 = the classic single-device scheduler;
     /// the default).
     pub devices: usize,
@@ -73,13 +81,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Serve `cfg` under `policy` with batching on (64 lanes), one device.
+    /// Serve `cfg` under `policy` with batching on, one device.
     pub fn new(cfg: AsceticConfig, policy: Policy) -> Self {
         ServeConfig {
             cfg,
             policy,
             batching: true,
-            max_batch: ascetic_algos::MAX_BATCH_LANES,
             devices: 1,
             interconnect: InterconnectConfig::pcie(),
         }
@@ -110,11 +117,14 @@ impl ServeConfig {
 struct Device<'g> {
     /// Serve-clock instant the device next goes idle.
     free_ns: u64,
-    /// The device's live session, if any.
-    session: Option<(Variant, AsceticSession<'g>)>,
+    /// The device's live session, if any, under whether it serves the
+    /// weighted graph variant.
+    session: Option<(bool, AsceticSession<'g>)>,
     /// How many mutation batches the live session's graph includes (its
     /// graph is `versions[epoch]` of the session's variant).
     epoch: usize,
+    /// The device's scheduler track in the serve trace.
+    track: TrackId,
 }
 
 /// Why a serve call could not start at all (per-job problems become
@@ -150,21 +160,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Which graph a job runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Variant {
-    Unweighted,
-    Weighted,
-}
-
-fn variant_of(kind: Algo) -> Variant {
-    if kind.weighted() {
-        Variant::Weighted
-    } else {
-        Variant::Unweighted
-    }
-}
 
 /// Number of registered algorithm kinds the cost model tracks.
 const KINDS: usize = Algo::ALL.len();
@@ -293,18 +288,6 @@ fn materialize_variant(
         .map_err(|(batch, error)| ServeError::Mutation { batch, error })
 }
 
-/// State the scheduler carries for one graph variant.
-struct VariantState<'g> {
-    epochs: EpochSlices<'g>,
-    prepared: Prepared,
-}
-
-impl<'g> VariantState<'g> {
-    fn at(&self, epoch: usize) -> &'g Csr {
-        &self.epochs.versions[epoch]
-    }
-}
-
 /// Serve `jobs` over `unweighted` (and `weighted`, required iff the trace
 /// holds SSSP jobs) on one simulated device. Returns the full serve
 /// report; per-job problems (inadmissible variants) surface inside it as
@@ -367,6 +350,9 @@ pub fn serve_mutating(
     )
 }
 
+/// The one serve loop. `serve`, `serve_mutating` and a fleet differ only
+/// in what they hand it: one epoch or many, no boundaries or some, one
+/// device or `sc.devices`.
 fn serve_impl<'g>(
     sc: &ServeConfig,
     unweighted: EpochSlices<'g>,
@@ -377,374 +363,373 @@ fn serve_impl<'g>(
     if jobs.iter().any(|j| j.kind.weighted()) && weighted.is_none() {
         return Err(ServeError::WeightedGraphMissing);
     }
-    let max_batch = sc.max_batch.clamp(1, ascetic_algos::MAX_BATCH_LANES);
-    let mut reg = Registry::new();
-    reg.set_label("layer", "serve");
-    reg.set_label("policy", sc.policy.name());
-    let devices = sc.devices.max(1);
-    // Serve-clock span trace: one scheduler track per device (named
-    // plain "scheduler" on the classic single device) plus one lifecycle
-    // track per job (queued → admitted → running).
-    let mut tracer = SpanTracer::new();
-    let sched_tracks: Vec<_> = (0..devices)
-        .map(|d| {
-            if devices == 1 {
-                tracer.track("scheduler")
-            } else {
-                tracer.track(&format!("dev{d}/scheduler"))
-            }
-        })
-        .collect();
+    let mut s = Scheduler::new(sc, unweighted, weighted, boundaries);
+    s.admit(jobs);
+    while let Some(at) = s.next_decision() {
+        let batch = s.pick(&at);
+        let admission = s.session_for(&at, batch[0].kind);
+        let run = s.run(&at, &batch);
+        s.account(&at, &batch, admission, run);
+    }
+    Ok(s.finish())
+}
 
-    // --- Admission. ---
-    // Per-job capability checks first: kinds the serve layer does not
-    // accept, and kinds the configuration rules out (forced pull on a
-    // push-only program), are rejected here with a reason — never by a
-    // panic mid-run.
-    let mut rejected: Vec<RejectedJob> = Vec::new();
-    let mut admitted: Vec<Job> = Vec::new();
-    for job in jobs {
-        if !job.kind.servable() {
-            rejected.push(RejectedJob {
-                id: job.id,
-                algo: job.kind.name(),
-                reason: format!(
-                    "{} is a whole-graph batch sweep, not a servable query",
-                    job.kind.name()
-                ),
-            });
-            continue;
-        }
-        if let Err(e) = sc
-            .cfg
-            .validate_algo(job.kind.capabilities(), job.kind.display())
-        {
-            rejected.push(RejectedJob {
-                id: job.id,
-                algo: job.kind.name(),
-                reason: e.to_string(),
-            });
-            continue;
-        }
-        admitted.push(*job);
-    }
-    // Then prepare each graph variant once (over its base epoch); reject
-    // what cannot run.
-    let mut pending: Vec<Job> = Vec::new();
-    let mut states: [Option<VariantState<'g>>; 2] = [None, None];
-    for (vi, eps) in [(0, Some(unweighted)), (1, weighted)] {
-        let Some(eps) = eps else { continue };
-        let g = &eps.versions[0];
-        let sys = AsceticSystem::new(sc.cfg);
-        match sys.prepare(g) {
-            Ok(prepared) => {
-                states[vi] = Some(VariantState {
-                    epochs: eps,
-                    prepared,
-                });
-            }
-            Err(e) => reject_variant(vi, &admitted, &e.to_string(), &mut rejected),
-        }
-    }
-    for job in &admitted {
-        let vi = variant_of(job.kind) as usize;
-        if states[vi].is_some() {
-            pending.push(*job);
-        }
-    }
-    pending.sort_by_key(|j| (j.submit_ns, j.id));
+/// One turn of the loop: which device decides, when on the serve clock,
+/// and how many mutation batches that instant has passed — the epoch
+/// every estimate, build and run of the turn must see.
+struct Decision {
+    device: usize,
+    now: u64,
+    epoch: usize,
+}
 
-    // --- The scheduling loop. ---
-    let mut devs: Vec<Device<'g>> = (0..devices)
-        .map(|_| Device {
+/// What [`Scheduler::session_for`] did to put the right session on the
+/// deciding device.
+struct Admission {
+    /// The live session served the variant already (and was patched up to
+    /// the epoch); otherwise a cold one was built over it.
+    reused: bool,
+    /// Serve-clock time the catch-up patches took.
+    mutate_ns: u64,
+    /// A cold build's warm peer of the same variant and epoch, with the
+    /// wire bytes of its static region.
+    donor: Option<(usize, u64)>,
+}
+
+/// Everything one serve call owns. Each serve-level tally lives in `reg`
+/// alone; the scheduler keeps beside it only what no counter carries.
+struct Scheduler<'a, 'g> {
+    sc: &'a ServeConfig,
+    /// The unweighted and the weighted graph's epochs, indexed by
+    /// [`Algo::weighted`].
+    graphs: [Option<EpochSlices<'g>>; 2],
+    /// Serve-clock instants of the mutation batches, ascending.
+    boundaries: &'a [u64],
+    devs: Vec<Device<'g>>,
+    ic: Interconnect,
+    cost: CostModel,
+    /// Admitted jobs not yet run, in canonical `(submit_ns, id)` order.
+    queue: Vec<Job>,
+    reg: Registry,
+    /// Serve-clock span trace: one scheduler track per device plus one
+    /// lifecycle track per job (queued → admitted → running).
+    tracer: SpanTracer,
+    jobs: Vec<JobReport>,
+    rejected: Vec<RejectedJob>,
+    prestore_bytes: u64,
+    makespan_ns: u64,
+    next_batch_id: u32,
+}
+
+impl<'a, 'g> Scheduler<'a, 'g> {
+    fn new(
+        sc: &'a ServeConfig,
+        unweighted: EpochSlices<'g>,
+        weighted: Option<EpochSlices<'g>>,
+        boundaries: &'a [u64],
+    ) -> Self {
+        let mut reg = Registry::new();
+        reg.set_label("layer", "serve");
+        reg.set_label("policy", sc.policy.name());
+        let mut tracer = SpanTracer::new();
+        let devices = sc.devices.max(1);
+        // the classic single device's track is plain "scheduler"
+        let track_name = |d: usize| match devices {
+            1 => "scheduler".to_string(),
+            _ => format!("dev{d}/scheduler"),
+        };
+        let device = |d: usize| Device {
             free_ns: 0,
             session: None,
             epoch: 0,
-        })
-        .collect();
-    let mut ic = Interconnect::new(sc.interconnect, devices);
-    let mut cost = CostModel::new(&unweighted.versions[0], weighted.map(|e| &e.versions[0]));
-    let mut job_reports: Vec<JobReport> = Vec::new();
-    let mut batch_seq = 0u32;
-    let mut sessions_built = 0u32;
-    let mut replications = 0u32;
-    let mut replicated_bytes = 0u64;
-    let mut batches = 0u32;
-    let mut batched_jobs = 0u32;
-    let mut ondemand_h2d_bytes = 0u64;
-    let mut prestore_bytes = 0u64;
-    let mut residency_hit_bytes = 0u64;
-    let mut mutations_applied = 0u32;
-    let mut mutation_wire_bytes = 0u64;
-    let mut makespan_ns = 0u64;
+            track: tracer.track(&track_name(d)),
+        };
+        Scheduler {
+            sc,
+            graphs: [Some(unweighted), weighted],
+            boundaries,
+            devs: (0..devices).map(device).collect(),
+            ic: Interconnect::new(sc.interconnect, devices),
+            cost: CostModel::new(&unweighted.versions[0], weighted.map(|e| &e.versions[0])),
+            queue: Vec::new(),
+            reg,
+            tracer,
+            jobs: Vec::new(),
+            rejected: Vec::new(),
+            prestore_bytes: 0,
+            makespan_ns: 0,
+            next_batch_id: 0,
+        }
+    }
 
-    while !pending.is_empty() {
-        // Earliest-free device takes the next decision (lowest index on
-        // ties) — the fleet's rebalance-under-skew mechanism: a device
-        // stuck on a long batch simply stops winning this argmin and the
-        // queue drains through its idle peers.
-        let d = (0..devs.len())
-            .min_by_key(|&i| (devs[i].free_ns, i))
-            .expect("at least one device");
-        let now = devs[d].free_ns;
-        // Mutation batches whose boundary this decision has passed: the
-        // epoch every estimate, build and run at `now` must see.
-        let cur_epoch = boundaries.iter().take_while(|&&b| b <= now).count();
-        let arrived_until = {
-            let arrived: Vec<usize> = (0..pending.len())
-                .filter(|&i| pending[i].submit_ns <= now)
-                .collect();
-            if arrived.is_empty() {
+    /// The graph `kind` runs on, as of `epoch`.
+    fn graph(&self, kind: Algo, epoch: usize) -> &'g Csr {
+        let eps = self.graphs[kind.weighted() as usize].expect("serve_impl checked the variant");
+        &eps.versions[epoch]
+    }
+
+    /// Admission: every job is queued or turned away with a reason —
+    /// never by a panic mid-run. Kinds the serve layer does not accept and
+    /// kinds the configuration rules out (forced pull on a push-only
+    /// program) go per job; each graph variant is prepared once, over its
+    /// base epoch, and takes its jobs with it when it cannot run.
+    fn admit(&mut self, jobs: &[Job]) {
+        let cfg = self.sc.cfg;
+        let refusal = self.graphs.map(|eps| {
+            let prepared = AsceticSystem::new(cfg).prepare(&eps?.versions[0]);
+            prepared.err().map(|e| e.to_string())
+        });
+        for job in jobs {
+            let kind = job.kind;
+            let reason = if !kind.servable() {
+                let name = kind.name();
+                Some(format!(
+                    "{name} is a whole-graph batch sweep, not a servable query"
+                ))
+            } else if let Err(e) = cfg.validate_algo(kind.capabilities(), kind.display()) {
+                Some(e.to_string())
+            } else {
+                refusal[kind.weighted() as usize].clone()
+            };
+            match reason {
+                Some(reason) => self.rejected.push(RejectedJob {
+                    id: job.id,
+                    algo: kind.name(),
+                    reason,
+                }),
+                None => self.queue.push(*job),
+            }
+        }
+        self.queue.sort_by_key(|j| (j.submit_ns, j.id));
+    }
+
+    /// Route: the earliest-free device takes the next decision (lowest
+    /// index on ties) — the fleet's rebalance-under-skew mechanism: a
+    /// device stuck on a long batch simply stops winning this argmin and
+    /// the queue drains through its idle peers. `None` once the queue is
+    /// empty.
+    fn next_decision(&mut self) -> Option<Decision> {
+        while let Some(next_arrival) = self.queue.iter().map(|j| j.submit_ns).min() {
+            let free_at = |&d: &usize| (self.devs[d].free_ns, d);
+            let device = (0..self.devs.len())
+                .min_by_key(free_at)
+                .expect("at least one device");
+            let now = self.devs[device].free_ns;
+            if now < next_arrival {
                 // idle device: jump to the next arrival
-                devs[d].free_ns = pending.iter().map(|j| j.submit_ns).min().unwrap();
+                self.devs[device].free_ns = next_arrival;
                 continue;
             }
-            arrived
-        };
-
-        // policy pick (pending is in canonical (submit, id) order, so the
-        // first candidate wins every tie)
-        let pick = match sc.policy {
-            Policy::Fifo => arrived_until[0],
-            Policy::Sjf => *arrived_until
-                .iter()
-                .min_by_key(|&&i| {
-                    let j = &pending[i];
-                    let g = states[variant_of(j.kind) as usize]
-                        .as_ref()
-                        .unwrap()
-                        .at(cur_epoch);
-                    cost.estimate(j, g)
-                })
-                .unwrap(),
-            Policy::ResidencyAffinity => *arrived_until
-                .iter()
-                .min_by_key(|&&i| {
-                    let j = &pending[i];
-                    let g = states[variant_of(j.kind) as usize]
-                        .as_ref()
-                        .unwrap()
-                        .at(cur_epoch);
-                    // highest score against the deciding device's session
-                    // wins; ties fall back to FIFO order
-                    (std::cmp::Reverse(score_affinity(j, g, &devs[d].session)), i)
-                })
-                .unwrap(),
-        };
-        let picked = pending[pick];
-        let variant = variant_of(picked.kind);
-        let vi = variant as usize;
-        let g = states[vi].as_ref().unwrap().at(cur_epoch);
-
-        // fold arrived same-kind batchable jobs into the batch
-        let mut batch_idx: Vec<usize> = vec![pick];
-        if sc.batching && picked.kind.capabilities().batchable {
-            for &i in &arrived_until {
-                if i != pick && pending[i].kind == picked.kind && batch_idx.len() < max_batch {
-                    batch_idx.push(i);
-                }
-            }
-            batch_idx.sort_unstable(); // canonical lane order: (submit, id)
+            let epoch = self.boundaries.iter().take_while(|&&b| b <= now).count();
+            return Some(Decision { device, now, epoch });
         }
+        None
+    }
 
-        // session residency: reuse on a variant match, rebuild otherwise.
-        // A reused session that is behind the mutation schedule is caught
-        // up by splicing each passed batch into its resident chunks —
-        // repaired, not rebuilt. A rebuild looks for a warm donor of the
-        // same variant (at the same epoch) on another device first —
-        // replicating its static region device-to-device can be far
-        // cheaper than a fresh host prestore.
-        let reuse = matches!(&devs[d].session, Some((v, _)) if *v == variant);
-        let mut mutate_ns = 0u64;
-        let mut replica_donor: Option<(usize, u64)> = None;
-        if reuse {
-            let vs = states[vi].as_ref().unwrap();
-            let dev = &mut devs[d];
-            let sess = &mut dev.session.as_mut().expect("reuse checked").1;
-            while dev.epoch < cur_epoch {
-                let k = dev.epoch;
-                let pa = sess.apply_patch(
-                    &vs.epochs.versions[k + 1],
-                    vs.epochs.cscs.get(k + 1),
-                    &vs.epochs.patches[k],
-                );
-                mutate_ns += pa.patch_ns;
-                mutations_applied += 1;
-                mutation_wire_bytes += pa.wire_bytes;
-                reg.counter_add("serve.mutations_applied", 1);
-                reg.counter_add("serve.mutation_wire_bytes", pa.wire_bytes);
-                dev.epoch += 1;
+    /// Pick and fold: among the jobs that have arrived, [`Policy`] picks
+    /// one, and — batching on, kind batchable — arrived jobs of its kind
+    /// ride along, up to [`MAX_BATCH_LANES`]. The batch leaves the queue in
+    /// lane order (the canonical `(submit, id)`).
+    fn pick(&mut self, at: &Decision) -> Vec<Job> {
+        let queue = &self.queue;
+        let arrived = (0..queue.len()).filter(|&i| queue[i].submit_ns <= at.now);
+        // the queue is in canonical order, so the first candidate wins
+        // every tie
+        let pick = match self.sc.policy {
+            Policy::Fifo => arrived.clone().next(),
+            Policy::Sjf => arrived.clone().min_by_key(|&i| {
+                let g = self.graph(queue[i].kind, at.epoch);
+                self.cost.estimate(&queue[i], g)
+            }),
+            // highest score against the deciding device's session wins
+            Policy::ResidencyAffinity => arrived.clone().min_by_key(|&i| {
+                let g = self.graph(queue[i].kind, at.epoch);
+                let score = score_affinity(&queue[i], g, &self.devs[at.device].session);
+                (std::cmp::Reverse(score), i)
+            }),
+        }
+        .expect("a decision is taken with a job waiting");
+        let kind = queue[pick].kind;
+        let mut lanes = vec![pick];
+        if self.sc.batching && kind.capabilities().batchable {
+            let same_kind = arrived.filter(|&i| i != pick && queue[i].kind == kind);
+            lanes.extend(same_kind.take(MAX_BATCH_LANES - 1));
+            lanes.sort_unstable();
+        }
+        // out of the queue back to front, so the indices hold
+        let mut batch: Vec<Job> = lanes.iter().rev().map(|&i| self.queue.remove(i)).collect();
+        batch.reverse();
+        batch
+    }
+
+    /// Residency: a live session of the right variant is *reused* — the
+    /// warmed static region and hotness table carry over — and, if it is
+    /// behind the mutation schedule, caught up by splicing each passed
+    /// batch into its resident chunks: repaired, not rebuilt. Anything
+    /// else is torn down for a cold session over the current epoch, which
+    /// first looks for a warm donor of the same variant and epoch on
+    /// another device ([`Scheduler::replicate`]).
+    fn session_for(&mut self, at: &Decision, kind: Algo) -> Admission {
+        let weighted = kind.weighted();
+        let eps = self.graphs[weighted as usize].expect("serve_impl checked the variant");
+        let dev = &mut self.devs[at.device];
+        let mut mutate_ns = 0;
+        if let Some((_, sess)) = dev.session.as_mut().filter(|(w, _)| *w == weighted) {
+            for k in dev.epoch..at.epoch {
+                let patched =
+                    sess.apply_patch(&eps.versions[k + 1], eps.cscs.get(k + 1), &eps.patches[k]);
+                mutate_ns += patched.patch_ns;
+                self.reg.counter_add("serve.mutations_applied", 1);
+                self.reg
+                    .counter_add("serve.mutation_wire_bytes", patched.wire_bytes);
             }
-        } else {
-            replica_donor = devs
-                .iter()
-                .enumerate()
-                .filter(|&(i, dev)| {
-                    i != d
-                        && dev.epoch == cur_epoch
-                        && dev
-                            .session
-                            .as_ref()
-                            .is_some_and(|(v, s)| *v == variant && s.runs() > 0)
-                })
-                .map(|(i, dev)| (i, dev.session.as_ref().unwrap().1.prestore_wire_bytes()))
-                .next();
-            // assigning drops the old device state, prestore re-paid
-            let vs = states[vi].as_ref().unwrap();
-            let session = if cur_epoch == 0 {
-                AsceticSession::with_prepared(sc.cfg, g, &vs.prepared)
-            } else {
-                // a mid-stream build prestores the current epoch's graph;
-                // the base-epoch geometry cache no longer describes it
-                AsceticSession::new(sc.cfg, g)
+            dev.epoch = at.epoch;
+            return Admission {
+                reused: true,
+                mutate_ns,
+                donor: None,
             };
-            devs[d].session = Some((variant, session));
-            devs[d].epoch = cur_epoch;
-            sessions_built += 1;
-            reg.counter_add("serve.sessions_built", 1);
         }
-        let sess = &mut devs[d].session.as_mut().unwrap().1;
-        let warm = sess.runs() > 0;
+        let donor = self.devs.iter().enumerate().find_map(|(i, dev)| {
+            let (w, sess) = dev.session.as_ref()?;
+            let warm_peer = i != at.device && dev.epoch == at.epoch && *w == weighted;
+            warm_peer.then(|| (i, sess.prestore_wire_bytes()))
+        });
+        // assigning drops the old device state, prestore re-paid
+        let dev = &mut self.devs[at.device];
+        dev.session = Some((
+            weighted,
+            AsceticSession::new(self.sc.cfg, &eps.versions[at.epoch]),
+        ));
+        dev.epoch = at.epoch;
+        self.reg.counter_add("serve.sessions_built", 1);
+        Admission {
+            reused: false,
+            mutate_ns,
+            donor,
+        }
+    }
 
-        // the batch's run
-        let sources: Vec<u32> = batch_idx
-            .iter()
-            .filter_map(|&i| pending[i].source)
-            .collect();
-        let report = match picked.kind {
-            // batched single-source traversals run their multi-lane variant
-            Algo::Bfs if sources.len() > 1 => sess.run(&MsBfsDistances::new(sources.clone())),
-            Algo::Sssp if sources.len() > 1 => sess.run(&MsSsspDistances::new(sources.clone())),
+    /// Run the batch on the deciding device's session: a batched
+    /// single-source traversal runs its multi-lane variant, anything else
+    /// runs alone.
+    fn run(&mut self, at: &Decision, batch: &[Job]) -> RunReport {
+        let kind = batch[0].kind;
+        let session = self.devs[at.device].session.as_mut();
+        let sess = &mut session.expect("session_for put one there").1;
+        let sources: Vec<u32> = batch.iter().filter_map(|j| j.source).collect();
+        let report = match kind {
+            Algo::Bfs if sources.len() > 1 => sess.run(&MsBfsDistances::new(sources)),
+            Algo::Sssp if sources.len() > 1 => sess.run(&MsSsspDistances::new(sources)),
             kind => {
                 let opts = ProgramOpts::from_source(sources.first().copied().unwrap_or(0));
                 sess.run(&kind.program(&opts))
             }
         };
-        cost.observe(picked.kind, report.sim_time_ns);
+        self.cost.observe(kind, report.sim_time_ns);
+        report
+    }
 
-        // Clock + serve-level accounting. A cold build with a warm donor
-        // replicates the donor's (possibly encoded) static region over
-        // the interconnect instead of re-paying the host prestore — but
-        // only when the fabric actually wins, probed against the live
-        // link frontiers so concurrent replicas queue honestly.
-        let mut admission_ns = report.prestore_ns;
-        let mut service_ns = report.sim_time_ns;
-        if let Some((src, bytes)) = replica_donor {
-            if report.prestore_ns > 0 && bytes > 0 {
-                let mut probe = ic.clone();
-                let (_, end) = probe.transfer(src, d, bytes, now);
-                let repl_ns = end - now;
-                if repl_ns < report.prestore_ns {
-                    ic = probe;
-                    admission_ns = repl_ns;
-                    service_ns = report.sim_time_ns - report.prestore_ns + repl_ns;
-                    replications += 1;
-                    replicated_bytes += bytes;
-                    reg.counter_add("serve.replications", 1);
-                    reg.counter_add("serve.replicated_bytes", bytes);
-                }
-            }
+    /// A cold build with a warm donor replicates the donor's (possibly
+    /// encoded) static region over the interconnect instead of re-paying
+    /// the host prestore — but only when the fabric actually wins, probed
+    /// against the live link frontiers so concurrent replicas queue
+    /// honestly. Returns the replica's duration when it does.
+    fn replicate(&mut self, at: &Decision, donor: (usize, u64), prestore_ns: u64) -> Option<u64> {
+        let (src, bytes) = donor;
+        if prestore_ns == 0 || bytes == 0 {
+            return None;
         }
-        if mutate_ns > 0 {
-            tracer
-                .complete(
-                    sched_tracks[d],
-                    now,
-                    now + mutate_ns,
-                    &format!("mutate to epoch {cur_epoch}"),
-                    "mutate",
-                )
-                .expect("patches precede the run");
+        let mut probe = self.ic.clone();
+        let (_, end) = probe.transfer(src, at.device, bytes, at.now);
+        let replica_ns = end - at.now;
+        if replica_ns >= prestore_ns {
+            return None;
         }
-        let start = now + mutate_ns;
-        let finish = start + service_ns;
-        devs[d].free_ns = finish;
-        makespan_ns = makespan_ns.max(finish);
-        tracer
-            .complete(
-                sched_tracks[d],
-                start,
-                finish,
-                &format!("run {} x{}", picked.kind.name(), batch_idx.len()),
-                "run",
-            )
-            .expect("scheduler runs are sequential per device");
-        ondemand_h2d_bytes += report.xfer.h2d_bytes;
-        prestore_bytes += report.prestore_bytes;
-        if warm {
+        self.ic = probe;
+        self.reg.counter_add("serve.replications", 1);
+        self.reg.counter_add("serve.replicated_bytes", bytes);
+        Some(replica_ns)
+    }
+
+    /// A closed span on `track`.
+    fn span(&mut self, track: TrackId, start: u64, end: u64, name: &str, cat: &str) {
+        self.tracer
+            .complete(track, start, end, name, cat)
+            .expect("a track's spans are laid down in clock order");
+    }
+
+    /// Account the run: advance the device's clock, bump the serve-level
+    /// tallies, and give each batch member its report — the run's
+    /// `RunReport` with its own lane as the output. The latency
+    /// decomposition comes from the shared run: admission = the (re)build
+    /// prestore (or the replica transfer), H2D = link time on transfers +
+    /// refreshes, compute = kernel time.
+    fn account(&mut self, at: &Decision, batch: &[Job], admission: Admission, mut run: RunReport) {
+        let kind = batch[0].kind;
+        let lanes = batch.len();
+        let track = self.devs[at.device].track;
+        let replica_ns = admission
+            .donor
+            .and_then(|donor| self.replicate(at, donor, run.prestore_ns));
+        let admission_ns = replica_ns.unwrap_or(run.prestore_ns);
+        let start = at.now + admission.mutate_ns;
+        let finish = start + run.sim_time_ns - run.prestore_ns + admission_ns;
+        if admission.mutate_ns > 0 {
+            let name = format!("mutate to epoch {}", at.epoch);
+            self.span(track, at.now, start, &name, "mutate");
+        }
+        let name = format!("run {} x{lanes}", kind.name());
+        self.span(track, start, finish, &name, "run");
+        self.devs[at.device].free_ns = finish;
+        self.makespan_ns = self.makespan_ns.max(finish);
+
+        self.prestore_bytes += run.prestore_bytes;
+        if admission.reused {
             // bytes a cold session would have shipped but the carried
             // residency served from device memory
-            let hit: u64 = report
-                .per_iter
-                .iter()
-                .map(|it| it.static_edges * g.bytes_per_edge() as u64)
-                .sum();
-            residency_hit_bytes += hit;
-            reg.counter_add("serve.residency_hit_bytes", hit);
+            let static_edges: u64 = run.per_iter.iter().map(|it| it.static_edges).sum();
+            let bytes_per_edge = self.graph(kind, at.epoch).bytes_per_edge() as u64;
+            self.reg
+                .counter_add("serve.residency_hit_bytes", static_edges * bytes_per_edge);
         }
-        let batch_id = if batch_idx.len() > 1 {
-            batches += 1;
-            batched_jobs += batch_idx.len() as u32;
-            reg.counter_add("serve.batches", 1);
-            reg.counter_add("serve.batched_jobs", batch_idx.len() as u64);
-            batch_seq += 1;
-            Some(batch_seq - 1)
-        } else {
-            None
-        };
-        reg.observe("serve.batch_occupancy", batch_idx.len() as u64);
-        reg.counter_add("serve.jobs", batch_idx.len() as u64);
-        reg.counter_add("serve.ondemand_h2d_bytes", report.xfer.h2d_bytes);
+        let batch_id = (lanes > 1).then(|| {
+            self.reg.counter_add("serve.batches", 1);
+            self.reg.counter_add("serve.batched_jobs", lanes as u64);
+            self.next_batch_id += 1;
+            self.next_batch_id - 1
+        });
+        self.reg.observe("serve.batch_occupancy", lanes as u64);
+        self.reg.counter_add("serve.jobs", lanes as u64);
+        self.reg
+            .counter_add("serve.ondemand_h2d_bytes", run.xfer.h2d_bytes);
 
-        // per-job reports: each batch member gets the run's RunReport with
-        // its own lane as the output. The latency decomposition comes from
-        // the shared run: admission = the (re)build prestore (or the
-        // replica transfer), H2D = link time on transfers + refreshes,
-        // compute = kernel time.
-        let h2d_ns = report.breakdown.transfer_ns + report.breakdown.update_ns;
-        let compute_ns = report.breakdown.gen_map_ns
-            + report.breakdown.static_compute_ns
-            + report.breakdown.ondemand_compute_ns;
-        for (lane, &i) in batch_idx.iter().enumerate() {
-            let job = pending[i];
-            let output = split_output(&report.output, lane, batch_idx.len());
+        let h2d_ns = run.breakdown.transfer_ns + run.breakdown.update_ns;
+        let compute_ns = run.breakdown.gen_map_ns
+            + run.breakdown.static_compute_ns
+            + run.breakdown.ondemand_compute_ns;
+        // every lane's report shares the run minus its output: take that
+        // out once and hand each lane its own
+        let mut shared = std::mem::replace(&mut run.output, AlgoOutput::Distances(Vec::new()));
+        for (lane, job) in batch.iter().enumerate() {
             let queue_wait_ns = start - job.submit_ns;
-            reg.observe("serve.queue_wait_ns", queue_wait_ns);
-            let jt = tracer.track(&format!("job {}", job.id));
-            tracer
-                .begin(
-                    jt,
-                    job.submit_ns,
-                    &format!("job {} ({})", job.id, job.kind.name()),
-                    "job",
-                )
-                .expect("job ids are unique");
-            tracer
-                .complete(jt, job.submit_ns, start, "queued", "queue")
-                .expect("a job queues before it starts");
-            if admission_ns > 0 {
-                tracer
-                    .complete(jt, start, start + admission_ns, "admitted", "admission")
-                    .expect("admission precedes the run");
-            }
-            let running = if batch_idx.len() > 1 {
-                format!("running (batched x{})", batch_idx.len())
-            } else {
-                "running".to_string()
+            self.reg.observe("serve.queue_wait_ns", queue_wait_ns);
+            self.trace_lifecycle(job, start, start + admission_ns, finish, lanes);
+            let output = match &mut shared {
+                AlgoOutput::MultiDistances(v) => {
+                    AlgoOutput::Distances(std::mem::take(&mut v[lane]))
+                }
+                single => std::mem::replace(single, AlgoOutput::Distances(Vec::new())),
             };
-            tracer
-                .complete(jt, start + admission_ns, finish, &running, "run")
-                .expect("the run closes the lifecycle");
-            tracer.end(jt, finish).expect("job spans close at finish");
-            let mut job_run = report.clone();
+            let mut job_run = run.clone();
             job_run.output = output.clone();
-            job_reports.push(JobReport {
+            self.jobs.push(JobReport {
                 id: job.id,
-                algo: job.kind.name(),
-                device: d as u32,
+                algo: kind.name(),
+                device: at.device as u32,
                 batch: batch_id,
-                lanes: batch_idx.len() as u32,
-                batch_folds: batch_idx.len() as u32 - 1,
+                lanes: lanes as u32,
+                batch_folds: lanes as u32 - 1,
                 submit_ns: job.submit_ns,
                 start_ns: start,
                 finish_ns: finish,
@@ -758,53 +743,74 @@ fn serve_impl<'g>(
                 run: job_run,
             });
         }
-
-        // remove the batch from the queue (descending so indices hold)
-        for &i in batch_idx.iter().rev() {
-            pending.remove(i);
-        }
     }
 
-    job_reports.sort_by_key(|r| r.id);
-    rejected.sort_by_key(|r| r.id);
-    reg.counter_add("serve.rejected", rejected.len() as u64);
-    // device 0's arena at shutdown (the fleet devices are identically
-    // configured, so one is representative)
-    let occupancy = devs[0]
-        .session
-        .as_ref()
-        .map(|(_, s)| s.occupancy())
-        .unwrap_or_default();
-    let total_queue_wait_ns = job_reports.iter().map(|r| r.queue_wait_ns).sum();
-    Ok(ServeReport {
-        policy: sc.policy.name(),
-        devices: devices as u32,
-        makespan_ns,
-        total_queue_wait_ns,
-        ondemand_h2d_bytes,
-        prestore_bytes,
-        residency_hit_bytes,
-        batches,
-        batched_jobs,
-        sessions_built,
-        replications,
-        replicated_bytes,
-        mutations_applied,
-        mutation_wire_bytes,
-        occupancy,
-        metrics: reg.snapshot(),
-        span_trace: Some(tracer.finish().expect("serve spans are complete")),
-        jobs: job_reports,
-        rejected,
-    })
+    /// One job's track: queued → admitted (when the run paid a build) →
+    /// running, under a span from submission to finish.
+    fn trace_lifecycle(&mut self, job: &Job, start: u64, admitted: u64, finish: u64, lanes: usize) {
+        let track = self.tracer.track(&format!("job {}", job.id));
+        let name = format!("job {} ({})", job.id, job.kind.name());
+        self.tracer
+            .begin(track, job.submit_ns, &name, "job")
+            .expect("job ids are unique");
+        self.span(track, job.submit_ns, start, "queued", "queue");
+        if admitted > start {
+            self.span(track, start, admitted, "admitted", "admission");
+        }
+        let running = match lanes {
+            1 => "running".to_string(),
+            _ => format!("running (batched x{lanes})"),
+        };
+        self.span(track, admitted, finish, &running, "run");
+        self.tracer
+            .end(track, finish)
+            .expect("the lifecycle span is the track's only open one");
+    }
+
+    /// Close the books: the report's tallies are read back from the
+    /// registry, which is where they were counted.
+    fn finish(mut self) -> ServeReport {
+        self.jobs.sort_by_key(|r| r.id);
+        self.rejected.sort_by_key(|r| r.id);
+        self.reg
+            .counter_add("serve.rejected", self.rejected.len() as u64);
+        let metrics = self.reg.snapshot();
+        let tally = |name: &str| metrics.counter(name).unwrap_or(0);
+        // device 0's arena at shutdown (the fleet devices are identically
+        // configured, so one is representative)
+        let session = self.devs[0].session.as_ref();
+        ServeReport {
+            policy: self.sc.policy.name(),
+            devices: self.devs.len() as u32,
+            makespan_ns: self.makespan_ns,
+            total_queue_wait_ns: self.jobs.iter().map(|r| r.queue_wait_ns).sum(),
+            ondemand_h2d_bytes: tally("serve.ondemand_h2d_bytes"),
+            prestore_bytes: self.prestore_bytes,
+            residency_hit_bytes: tally("serve.residency_hit_bytes"),
+            batches: tally("serve.batches") as u32,
+            batched_jobs: tally("serve.batched_jobs") as u32,
+            sessions_built: tally("serve.sessions_built") as u32,
+            replications: tally("serve.replications") as u32,
+            replicated_bytes: tally("serve.replicated_bytes"),
+            mutations_applied: tally("serve.mutations_applied") as u32,
+            mutation_wire_bytes: tally("serve.mutation_wire_bytes"),
+            occupancy: session.map(|(_, s)| s.occupancy()).unwrap_or_default(),
+            metrics,
+            span_trace: Some(self.tracer.finish().expect("serve spans are complete")),
+            jobs: self.jobs,
+            rejected: self.rejected,
+        }
+    }
 }
 
 /// Residency score of a waiting job against the live session: bytes of
 /// useful residency a schedule-now would enjoy. Zero when the session
 /// would have to be rebuilt (wrong variant or none).
-fn score_affinity(job: &Job, g: &Csr, session: &Option<(Variant, AsceticSession<'_>)>) -> u64 {
-    let Some((v, sess)) = session else { return 0 };
-    if *v != variant_of(job.kind) {
+fn score_affinity(job: &Job, g: &Csr, session: &Option<(bool, AsceticSession<'_>)>) -> u64 {
+    let Some((weighted, sess)) = session else {
+        return 0;
+    };
+    if *weighted != job.kind.weighted() {
         return 0;
     }
     let base = sess.resident_bytes();
@@ -818,31 +824,6 @@ fn score_affinity(job: &Job, g: &Csr, session: &Option<(Variant, AsceticSession<
     }
 }
 
-/// Pull one job's answer out of a (possibly batched) run output.
-fn split_output(output: &AlgoOutput, lane: usize, lanes: usize) -> AlgoOutput {
-    match output {
-        AlgoOutput::MultiDistances(v) => {
-            debug_assert_eq!(v.len(), lanes);
-            AlgoOutput::Distances(v[lane].clone())
-        }
-        single => {
-            debug_assert_eq!(lanes, 1);
-            single.clone()
-        }
-    }
-}
-
-fn reject_variant(vi: usize, jobs: &[Job], reason: &str, rejected: &mut Vec<RejectedJob>) {
-    for job in jobs {
-        if variant_of(job.kind) as usize == vi {
-            rejected.push(RejectedJob {
-                id: job.id,
-                algo: job.kind.name(),
-                reason: reason.to_string(),
-            });
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,14 +23,17 @@
 //! {"mutate": "delete", "src": 7, "dst": 0, "at": 900}
 //! ```
 //!
-//! `mutate`, `src` and `dst` are required; `at` (serve-clock ns, default
-//! 0) stamps when the mutation lands; `weight` is optional on inserts
-//! (the serving layer weights each graph variant itself) and rejected on
-//! deletes. Records sharing an `at` form one atomic batch. The plain
-//! [`parse_trace`] stays strict and rejects mutation lines.
+//! This is `ascetic-mutate`'s mutation record — one parser,
+//! [`ascetic_obs::json::EdgeRecord`], reads both, so `op` / `batch` are
+//! accepted for `mutate` / `at`. `mutate`, `src` and `dst` are required;
+//! `at` (serve-clock ns, default 0) stamps when the mutation lands;
+//! `weight` is optional on inserts (the serving layer weights each graph
+//! variant itself) and rejected on deletes. Records sharing an `at` form
+//! one atomic batch. The plain [`parse_trace`] stays strict and rejects
+//! mutation lines.
 
 use ascetic_graph::Mutation;
-use ascetic_obs::json;
+use ascetic_obs::json::{self, EdgeRecord, RecordError};
 
 use crate::job::{Algo, Job};
 
@@ -147,34 +150,19 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One `(key, raw value)` pair of a record; values stay raw text until
-/// typed.
-type Field<'a> = (&'a str, &'a str);
-
-fn bad_value(field: &'static str, value: &str) -> TraceErrorKind {
-    TraceErrorKind::BadValue {
-        field,
-        value: value.to_string(),
+impl From<RecordError> for TraceErrorKind {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::Syntax(what) => TraceErrorKind::Syntax(what),
+            RecordError::MissingField(field) => TraceErrorKind::MissingField(field),
+            RecordError::BadValue { field, value } => TraceErrorKind::BadValue { field, value },
+            RecordError::UnknownOp(op) => TraceErrorKind::UnknownMutation(op),
+            RecordError::WeightOnDelete => TraceErrorKind::UnexpectedWeight,
+        }
     }
 }
 
-fn parse_u64(value: &str, field: &'static str) -> Result<u64, TraceErrorKind> {
-    value.parse().map_err(|_| bad_value(field, value))
-}
-
-fn parse_u32(value: &str, field: &'static str) -> Result<u32, TraceErrorKind> {
-    u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
-}
-
-fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, TraceErrorKind> {
-    json::unquote(value).ok_or_else(|| bad_value(field, value))
-}
-
-fn parse_line(line: &str) -> Result<Job, TraceErrorKind> {
-    parse_job_fields(&json::split_fields(line).map_err(TraceErrorKind::Syntax)?)
-}
-
-fn parse_job_fields(fields: &[Field<'_>]) -> Result<Job, TraceErrorKind> {
+fn parse_job_fields(fields: &[json::Field<'_>]) -> Result<Job, TraceErrorKind> {
     let mut id = None;
     let mut algo = None;
     let mut source = None;
@@ -182,17 +170,17 @@ fn parse_job_fields(fields: &[Field<'_>]) -> Result<Job, TraceErrorKind> {
     let mut deadline_ns = None;
     for &(key, value) in fields {
         match key {
-            "id" => id = Some(parse_u32(value, "id")?),
+            "id" => id = Some(json::parse_u32(value, "id")?),
             "algo" => {
-                let s = parse_string(value, "algo")?;
+                let s = json::parse_string(value, "algo")?;
                 algo = Some(
                     s.parse::<Algo>()
                         .map_err(|_| TraceErrorKind::UnknownAlgo(s.into()))?,
                 );
             }
-            "source" => source = Some(parse_u32(value, "source")?),
-            "submit_ns" => submit_ns = parse_u64(value, "submit_ns")?,
-            "deadline_ns" => deadline_ns = Some(parse_u64(value, "deadline_ns")?),
+            "source" => source = Some(json::parse_u32(value, "source")?),
+            "submit_ns" => submit_ns = json::parse_u64(value, "submit_ns")?,
+            "deadline_ns" => deadline_ns = Some(json::parse_u64(value, "deadline_ns")?),
             other => {
                 return Err(TraceErrorKind::Syntax(format!("unknown field \"{other}\"")));
             }
@@ -216,34 +204,11 @@ fn parse_job_fields(fields: &[Field<'_>]) -> Result<Job, TraceErrorKind> {
     })
 }
 
-/// Parse a JSONL trace. Jobs come back sorted by `(submit_ns, id)` — the
-/// canonical queue order every policy starts from. `num_vertices`, when
-/// known, bounds the `source` fields.
+/// Parse a JSONL trace of jobs only: [`parse_trace_mutating`], except
+/// that a mutation record is read as the job line it is not (and fails on
+/// its first field no job has).
 pub fn parse_trace(text: &str, num_vertices: Option<usize>) -> Result<Vec<Job>, TraceError> {
-    let mut jobs: Vec<Job> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let at = |kind| TraceError { line: lineno, kind };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let job = parse_line(trimmed).map_err(at)?;
-        if jobs.iter().any(|j| j.id == job.id) {
-            return Err(at(TraceErrorKind::DuplicateId(job.id)));
-        }
-        if let (Some(n), Some(s)) = (num_vertices, job.source) {
-            if s as usize >= n {
-                return Err(at(TraceErrorKind::SourceOutOfRange {
-                    source: s,
-                    num_vertices: n,
-                }));
-            }
-        }
-        jobs.push(job);
-    }
-    jobs.sort_by_key(|j| (j.submit_ns, j.id));
-    Ok(jobs)
+    parse(text, num_vertices, false).map(|t| t.jobs)
 }
 
 /// One edge mutation scheduled on the serve clock.
@@ -261,83 +226,53 @@ pub struct TraceMutation {
 /// A parsed mutating trace: the job queue plus the mutation schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MutatingTrace {
-    /// Jobs sorted by `(submit_ns, id)` — exactly [`parse_trace`]'s order.
+    /// Jobs sorted by `(submit_ns, id)` — the canonical queue order every
+    /// policy starts from.
     pub jobs: Vec<Job>,
     /// Mutations sorted by `at_ns` (stable: file order breaks ties).
     pub mutations: Vec<TraceMutation>,
 }
 
-fn parse_mutation_fields(fields: &[Field<'_>]) -> Result<TraceMutation, TraceErrorKind> {
-    let mut op = None;
-    let mut src = None;
-    let mut dst = None;
-    let mut weight = None;
-    let mut at_ns = 0u64;
-    for &(key, value) in fields {
-        match key {
-            "mutate" => op = Some(parse_string(value, "mutate")?),
-            "src" => src = Some(parse_u32(value, "src")?),
-            "dst" => dst = Some(parse_u32(value, "dst")?),
-            "weight" => weight = Some(parse_u32(value, "weight")?),
-            "at" => at_ns = parse_u64(value, "at")?,
-            other => {
-                return Err(TraceErrorKind::Syntax(format!("unknown field \"{other}\"")));
-            }
-        }
-    }
-    let op = op.expect("dispatched on the mutate key");
-    let src = src.ok_or(TraceErrorKind::MissingField("src"))?;
-    let dst = dst.ok_or(TraceErrorKind::MissingField("dst"))?;
-    let mutation = match op {
-        "insert" => Mutation::Insert { src, dst, weight },
-        "delete" => {
-            if weight.is_some() {
-                return Err(TraceErrorKind::UnexpectedWeight);
-            }
-            Mutation::Delete { src, dst }
-        }
-        other => return Err(TraceErrorKind::UnknownMutation(other.into())),
-    };
-    Ok(TraceMutation { at_ns, mutation })
-}
-
 /// Parse a JSONL trace that may interleave mutation records with jobs.
-/// Jobs get the exact [`parse_trace`] treatment (duplicate-id rejection,
-/// source bounds, canonical `(submit_ns, id)` order); mutation endpoints
-/// are bounded by `num_vertices` when known and the schedule comes back
-/// sorted by `at_ns` with file order breaking ties.
+/// Job ids must be unique; `num_vertices`, when known, bounds job sources
+/// and mutation endpoints. Jobs come back in `(submit_ns, id)` order, the
+/// schedule sorted by `at_ns` with file order breaking ties.
 pub fn parse_trace_mutating(
     text: &str,
     num_vertices: Option<usize>,
 ) -> Result<MutatingTrace, TraceError> {
+    parse(text, num_vertices, true)
+}
+
+fn parse(
+    text: &str,
+    num_vertices: Option<usize>,
+    mutations_allowed: bool,
+) -> Result<MutatingTrace, TraceError> {
     let mut jobs: Vec<Job> = Vec::new();
     let mut mutations: Vec<TraceMutation> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let at = |kind| TraceError { line: lineno, kind };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields =
-            json::split_fields(trimmed).map_err(|what| at(TraceErrorKind::Syntax(what)))?;
-        if fields.iter().any(|&(key, _)| key == "mutate") {
-            let m = parse_mutation_fields(&fields).map_err(at)?;
+    for (line, fields) in json::records(text) {
+        let at = |kind| TraceError { line, kind };
+        let fields = fields.map_err(|e| at(e.into()))?;
+        if mutations_allowed && EdgeRecord::is_spelled_by(&fields) {
+            let rec = EdgeRecord::parse(&fields).map_err(|e| at(e.into()))?;
             if let Some(n) = num_vertices {
-                let (src, dst) = match m.mutation {
-                    Mutation::Insert { src, dst, .. } => (src, dst),
-                    Mutation::Delete { src, dst } => (src, dst),
-                };
-                for v in [src, dst] {
-                    if v as usize >= n {
-                        return Err(at(TraceErrorKind::EndpointOutOfRange {
-                            vertex: v,
-                            num_vertices: n,
-                        }));
-                    }
+                if let Some(vertex) = rec.endpoint_beyond(n) {
+                    return Err(at(TraceErrorKind::EndpointOutOfRange {
+                        vertex,
+                        num_vertices: n,
+                    }));
                 }
             }
-            mutations.push(m);
+            let EdgeRecord {
+                src, dst, weight, ..
+            } = rec;
+            let mutation = match rec.insert {
+                true => Mutation::Insert { src, dst, weight },
+                false => Mutation::Delete { src, dst },
+            };
+            let at_ns = rec.stamp.unwrap_or(0);
+            mutations.push(TraceMutation { at_ns, mutation });
             continue;
         }
         let job = parse_job_fields(&fields).map_err(at)?;

@@ -267,3 +267,33 @@ fn every_trace_and_mutation_error_keeps_its_message() {
         "trace line 1: unknown field \"mutate\" (expected a flat JSON object per line)"
     );
 }
+
+/// `op`/`mutate` and `batch`/`at` are two names for one key each: either
+/// file format reads either spelling, to the same `Mutation`.
+#[test]
+fn the_two_mutation_spellings_are_one_record() {
+    use ascetic::graph::Mutation;
+    let spellings = [
+        "{\"op\": \"insert\", \"src\": 1, \"dst\": 2, \"weight\": 5, \"batch\": 3}\n\
+         {\"op\": \"delete\", \"src\": 4, \"dst\": 0, \"batch\": 3}\n",
+        "{\"mutate\": \"insert\", \"src\": 1, \"dst\": 2, \"weight\": 5, \"at\": 3}\n\
+         {\"mutate\": \"delete\", \"src\": 4, \"dst\": 0, \"at\": 3}\n",
+    ];
+    let want = vec![
+        Mutation::Insert {
+            src: 1,
+            dst: 2,
+            weight: Some(5),
+        },
+        Mutation::Delete { src: 4, dst: 0 },
+    ];
+    for text in spellings {
+        let batches = parse_mutations(text, Some(5), Some(true)).expect(text);
+        assert_eq!(batches, vec![want.clone()], "{text}");
+        let trace = parse_trace_mutating(text, Some(5)).expect(text);
+        assert!(trace.jobs.is_empty());
+        assert!(trace.mutations.iter().all(|m| m.at_ns == 3), "{text}");
+        let mutations: Vec<Mutation> = trace.mutations.iter().map(|m| m.mutation).collect();
+        assert_eq!(mutations, want, "{text}");
+    }
+}
