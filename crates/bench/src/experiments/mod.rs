@@ -6,7 +6,6 @@ pub mod paper;
 pub mod serving;
 pub mod studies;
 pub mod sweeps;
-pub mod wallclock;
 
 use crate::output::checks_markdown;
 use crate::run::Ctx;
@@ -50,7 +49,6 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "motivation_stats"       "§1-§2"              studies::motivation => "UVM transfer amplification and Subway GPU idle on FK";
     "ablation_chunk_size"    "§3.4 (extension)"   studies::chunk_size => "2-64 KiB chunks on FK";
     "ablation_k_sweep"       "Eq (2) (extension)" studies::k_sweep => "K from 2 % to 45 % on FK";
-    "ablation_adaptive"      "Eq (3) (extension)" studies::adaptive => "adaptive re-partitioning on and off, oversized regions";
     "ablation_double_buffer" "extension"          studies::double_buffer => "1 / 2 / 4 on-demand buffers on FS";
     "ablation_relabel"       "§5 (extension)"     studies::relabel => "degree-descending relabeling under a front fill on FK";
     "ablation_cost_model"    "extension"          studies::cost_model => "gather bandwidth and kernel rate swept around the P100 point";
@@ -61,7 +59,6 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "serve"                  "extension"          serving::serve => "48-job trace under fifo / sjf / residency -> BENCH_serve.json";
     "fleet"                  "extension"          serving::fleet => "serving and sharded runs on 1-8 NVLink devices -> BENCH_fleet.json";
     "incremental_repair"     "extension"          serving::incremental_repair => "patch + repair against teardown + recompute -> BENCH_incremental.json";
-    "wallclock"              "host clock"         wallclock::wallclock => "dispatch cost and wall ms by thread count -> BENCH_wallclock.json";
 };
 
 /// The table as `--list` prints it.
@@ -72,9 +69,8 @@ pub fn list() -> String {
 
 /// Run `experiments` in order in one shared [`Ctx`]; each one's checks are
 /// printed after its own output. Returns the context, checks included.
-pub fn run(experiments: &[&Experiment], env: Env, smoke: bool, before: Option<String>) -> Ctx {
+pub fn run(experiments: &[&Experiment], env: Env, smoke: bool) -> Ctx {
     let mut cx = Ctx::new(env, smoke);
-    cx.before = before;
     for e in experiments {
         eprintln!(
             "== {} — {}: {} (scale 1/{})",
@@ -125,7 +121,7 @@ mod tests {
         };
         let both: Vec<&Experiment> = table.iter().collect();
         for (smoke, code) in [(true, 0), (false, 1)] {
-            let cx = run(&both, Env::with_scale(50_000), smoke, None);
+            let cx = run(&both, Env::with_scale(50_000), smoke);
             // the failure stops nothing: the later experiment still ran
             let seen: Vec<_> = cx.checks.iter().map(|c| (c.experiment, c.ok)).collect();
             assert_eq!(seen, [("failing", false), ("after", true)]);

@@ -4,7 +4,7 @@ use ascetic_algos::{Cc, PageRank, Sssp};
 use ascetic_baselines::SubwaySystem;
 use ascetic_core::ratio::static_share;
 use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
-use ascetic_core::{AsceticConfig, CompressionMode, PrefetchMode};
+use ascetic_core::{AsceticConfig, PrefetchMode};
 use ascetic_graph::datasets::{rmat_dataset, DatasetId, PAPER_GPU_MEM_BYTES};
 use ascetic_graph::stats::degree_stats;
 use ascetic_graph::Csr;
@@ -184,11 +184,10 @@ pub fn table4(cx: &mut Ctx) {
 /// "Data transfer results": total transferred bytes normalized to the
 /// dataset size (Ascetic's number *includes* the static-region prestore).
 /// Expected shape: PT ≫ Subway > Ascetic everywhere, Ascetic below 1× on
-/// BFS. With `ASCETIC_COMPRESSION` on, a wire-bytes column is added.
+/// BFS.
 pub fn table5(cx: &mut Ctx) {
     let cells = cx.paper_grid(&[Sys::Pt, Sys::Subway, Sys::Ascetic]);
-    let compressed = cx.env.compression != CompressionMode::Off;
-    let mut cols = vec![
+    let mut sheet = Sheet::new(&[
         ("Algo", "algo"),
         ("Dataset", "dataset"),
         ("Size", "dataset_bytes"),
@@ -196,12 +195,8 @@ pub fn table5(cx: &mut Ctx) {
         ("Subway", "subway_bytes"),
         ("Ascetic", "ascetic_bytes_with_prestore"),
         ("", "ascetic_prestore_bytes"),
-    ];
-    if compressed {
-        cols.push(("Ascetic wire", "ascetic_wire_bytes_with_prestore"));
-    }
-    let mut sheet = Sheet::new(&cols);
-    let mut geo: [Vec<f64>; 4] = Default::default();
+    ]);
+    let mut geo: [Vec<f64>; 3] = Default::default();
     for c in &cells {
         let size = c.graph.edge_bytes();
         let mut of_size = |i: usize, bytes: u64, prec: usize| {
@@ -209,7 +204,7 @@ pub fn table5(cx: &mut Ctx) {
             geo[i].push(x);
             val(format!("{x:.prec$}X"), bytes)
         };
-        let mut row = vec![
+        sheet.row(vec![
             text(c.algo.display()),
             text(c.dataset.abbr()),
             val(human_bytes(size), size),
@@ -217,17 +212,10 @@ pub fn table5(cx: &mut Ctx) {
             of_size(1, c.reports[1].total_bytes_with_prestore(), 1),
             of_size(2, c.reports[2].total_bytes_with_prestore(), 2),
             text(c.reports[2].prestore_bytes),
-        ];
-        if compressed {
-            row.push(of_size(3, c.reports[2].total_wire_bytes_with_prestore(), 2));
-        }
-        sheet.row(row);
+        ]);
     }
     let mut footer = vec![text("GEOMEAN"), text(""), text("")];
-    footer.extend(geo[..3].iter().map(|g| text(format!("{:.1}X", geomean(g)))));
-    if compressed {
-        footer.push(text(format!("{:.2}X", geomean(&geo[3]))));
-    }
+    footer.extend(geo.iter().map(|g| text(format!("{:.1}X", geomean(g)))));
     sheet.md_row(footer);
     emit("table5_data_transfer", &sheet);
     println!(
@@ -383,34 +371,24 @@ pub fn fig8(cx: &mut Ctx) {
 }
 
 /// "Performance and data transfer comparison with the UVM-based scheme".
-/// With `ASCETIC_COMPRESSION` on, a wire-ratio column is added.
 pub fn fig9(cx: &mut Ctx) {
     let cells = cx.paper_grid(&[Sys::Uvm, Sys::Ascetic]);
-    let compressed = cx.env.compression != CompressionMode::Off;
-    let mut cols = vec![
+    let mut sheet = Sheet::new(&[
         ("Workload", "workload"),
         ("Speedup over UVM", "speedup"),
         ("Transfer vs UVM", "transfer_ratio"),
-    ];
-    if compressed {
-        cols.push(("Wire vs UVM", "wire_ratio"));
-    }
-    let mut sheet = Sheet::new(&cols);
+    ]);
     let mut speeds = Vec::new();
     for c in &cells {
         let (uvm, asc) = (&c.reports[0], &c.reports[1]);
         let speed = uvm.seconds() / asc.seconds();
         speeds.push(speed);
-        let of_uvm = |bytes: u64| num(bytes as f64 / uvm.steady_bytes() as f64, 2, "", 4);
-        let mut row = vec![
+        let transfer = asc.total_bytes_with_prestore() as f64 / uvm.steady_bytes() as f64;
+        sheet.row(vec![
             text(c.label()),
             num(speed, 2, "X", 4),
-            of_uvm(asc.total_bytes_with_prestore()),
-        ];
-        if compressed {
-            row.push(of_uvm(asc.total_wire_bytes_with_prestore()));
-        }
-        sheet.row(row);
+            num(transfer, 2, "", 4),
+        ]);
     }
     emit("fig9_vs_uvm", &sheet);
     println!(

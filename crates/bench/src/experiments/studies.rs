@@ -183,109 +183,6 @@ pub fn replacement(cx: &mut Ctx) {
     );
 }
 
-/// The Eq (3) adaptive re-partitioning rule. The paper's defaults never
-/// trigger it ("no partition adjustment is monitored", §4.1), so its
-/// value only shows when the static region is deliberately oversized for
-/// a high-activity workload. Under-use is judged on whole completed runs
-/// (`DESIGN.md` §19), so one-shot runs are expected to show exactly no
-/// difference; the staged scenario is a two-run session.
-pub fn adaptive(cx: &mut Ctx) {
-    let cfg = cx.env.ascetic_cfg();
-    // two forced ratios, then the default Eq (2) sizing for reference:
-    // there adaptivity should be a no-op
-    let sizings = [
-        ("0.97", cfg.with_static_ratio(0.97)),
-        ("0.99", cfg.with_static_ratio(0.99)),
-        ("Eq(2)", cfg),
-    ];
-    let on_off = |&(label, base): &(&str, AsceticConfig)| {
-        let off = ascetic(format!("{label} off"), base.with_adaptive(false));
-        [
-            off,
-            ascetic(format!("{label} on"), base.with_adaptive(true)),
-        ]
-    };
-    let variants: Vec<Variant> = sizings.iter().flat_map(on_off).collect();
-    let mut sheet = Sheet::new(&[
-        ("Algo", "algo"),
-        ("Forced R", "ratio"),
-        ("Adaptive off", "off_seconds"),
-        ("Adaptive on", "on_seconds"),
-        ("Improvement", "improvement_pct"),
-    ]);
-    let improvement = |off: f64, on: f64| (off / on - 1.0) * 100.0;
-    for c in cx.sweep(&grid(&[Algo::Pr, Algo::Cc], &FK), &variants) {
-        for (&(label, _), pair) in sizings.iter().zip(c.reports.chunks(2)) {
-            let (off, on) = (pair[0].seconds(), pair[1].seconds());
-            let gain = improvement(off, on);
-            let row = vec![
-                text(c.algo.display()),
-                text(label),
-                secs(off),
-                secs(on),
-                val(format!("{gain:+.1}%"), format!("{gain:.2}")),
-            ];
-            match label {
-                "Eq(2)" => sheet.md_row(row),
-                _ => sheet.row(row),
-            }
-        }
-    }
-    // The rule demands *both* an on-demand overflow and an under-used
-    // static region — with the paper's near-uniform access that second
-    // condition never holds, which is exactly why the paper reports "no
-    // partition adjustment is monitored". And under-use is judged on whole
-    // runs (DESIGN.md §19), so a one-shot run never re-partitions at all.
-    // The staged case is therefore a *session*: a rear-filled, oversized
-    // static region against BFS on the web graph, whose early frontiers
-    // are localized near the (front-resident) source, run twice. Judged
-    // one iteration at a time the region looks cold early on and Eq (3)
-    // fires (+0.2 % here before §19); over the whole sweep a region
-    // holding x % of the edges serves x % of the accesses, so the replay
-    // has no case against it either — the declined count is what the
-    // paper's rule would have done.
-    let uk = cx.dataset(DatasetId::Uk);
-    let g = &*uk.unweighted;
-    let bad = cfg.with_static_ratio(0.995).with_fill(FillPolicy::Rear);
-    let bfs = Bfs::new(source_vertex(g));
-    let replay = |cfg: AsceticConfig| {
-        let mut session = AsceticSession::new(cfg, g);
-        let first = session.run(&bfs);
-        let second = session.run(&bfs);
-        assert_eq!(first.output, second.output);
-        let declined = |r: &RunReport| r.metrics.counter("repartitions.declined").unwrap_or(0);
-        (
-            first.seconds() + second.seconds(),
-            first.repartitions + second.repartitions,
-            declined(&first) + declined(&second),
-            second.output,
-        )
-    };
-    let (off_s, off_fired, _, off_out) = replay(bad.with_adaptive(false));
-    let (on_s, on_fired, declined, on_out) = replay(bad);
-    assert_eq!(off_out, on_out);
-    eprintln!(
-        "staged scenario: Eq (3) fired {on_fired} times over a BFS and its replay \
-         and declined {declined} one-iteration firings (with adaptivity off: {off_fired})"
-    );
-    let gain = improvement(off_s, on_s);
-    sheet.row(vec![
-        val("BFS×2-UK(rear)", "BFSx2-UK-rear"),
-        text("1.00"),
-        secs(off_s),
-        secs(on_s),
-        val(format!("{gain:+.1}%"), format!("{gain:.2}")),
-    ]);
-    emit("ablation_adaptive", &sheet);
-    println!(
-        "Expectation: exactly 0% in one-shot runs (under-use is judged on whole\n\
-         runs; the paper saw no triggers at its defaults either), and 0% in the\n\
-         staged session too: the region that looks cold iteration by iteration\n\
-         serves its share of the whole sweep. Eq (3) fires only when whole runs\n\
-         miss the region (core::session's two-island unit test)."
-    );
-}
-
 /// Static-region chunk size. The paper fixes 16 KiB chunks ("amenable to
 /// the PCI-e burst transfer mechanism", §3.4) without studying
 /// alternatives: small chunks track vertex boundaries tightly but cost

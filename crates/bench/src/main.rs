@@ -1,16 +1,14 @@
-//! `ascetic-bench <id>... | all | --list [--smoke] [--before FILE]`
+//! `ascetic-bench <id>... | all | --list [--smoke]`
 
 use ascetic_bench::experiments::{exit_code, list, run, Experiment, EXPERIMENTS};
 use ascetic_bench::setup::Env;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let (mut smoke, mut before, mut ids) = (false, None, Vec::new());
-    while let Some(arg) = args.next() {
+    let (mut smoke, mut ids) = (false, Vec::new());
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--list" => return print!("{}", list()),
             "--smoke" => smoke = true,
-            "--before" => before = Some(args.next().expect("--before takes a file")),
             _ => ids.push(arg),
         }
     }
@@ -20,7 +18,7 @@ fn main() {
             let find = |id: &String| EXPERIMENTS.iter().find(|e| e.id == id);
             let found: Option<Vec<_>> = ids.iter().map(find).collect();
             found.filter(|f| !f.is_empty()).unwrap_or_else(|| {
-                eprintln!("usage: ascetic-bench <id>... | all | --list [--smoke] [--before FILE]");
+                eprintln!("usage: ascetic-bench <id>... | all | --list [--smoke]");
                 eprintln!("{}", list());
                 std::process::exit(2)
             })
@@ -30,5 +28,5 @@ fn main() {
     if smoke {
         env.scale = 50_000;
     }
-    std::process::exit(exit_code(&run(&chosen, env, smoke, before)));
+    std::process::exit(exit_code(&run(&chosen, env, smoke)));
 }

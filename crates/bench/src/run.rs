@@ -141,8 +141,6 @@ pub struct Ctx {
     pub env: Env,
     /// `--smoke`: scale 1/50 000, checks recorded but never fatal.
     pub smoke: bool,
-    /// `--before FILE`: an earlier `BENCH_wallclock.json` to carry along.
-    pub before: Option<String>,
     /// The experiment currently running (stamped on its checks).
     pub id: &'static str,
     /// Every check recorded so far, in order.
@@ -157,7 +155,6 @@ impl Ctx {
         Ctx {
             env,
             smoke,
-            before: None,
             id: "",
             checks: Vec::new(),
             datasets: Vec::new(),

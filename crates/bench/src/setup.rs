@@ -9,7 +9,7 @@
 //! of magnitude of the paper's Figure 2 chunking.
 
 use ascetic_baselines::{AnySystem, PtSystem, SubwaySystem, UvmSystem};
-use ascetic_core::{AsceticConfig, AsceticSystem, CompressionMode, DirectionMode, PrefetchMode};
+use ascetic_core::{AsceticConfig, AsceticSystem};
 use ascetic_graph::datasets::{Dataset, DatasetId, PAPER_GPU_MEM_BYTES};
 use ascetic_graph::{Csr, VertexId};
 use ascetic_sim::DeviceConfig;
@@ -32,12 +32,6 @@ pub const TABLE1_ORDER: [Algo; 4] = [Algo::Bfs, Algo::Sssp, Algo::Cc, Algo::Pr];
 pub struct Env {
     /// Scale divisor relative to the paper's setup.
     pub scale: u64,
-    /// Compressed transfer path mode (Ascetic and Subway).
-    pub compression: CompressionMode,
-    /// Cross-iteration prefetch mode (Ascetic only).
-    pub prefetch: PrefetchMode,
-    /// Traversal direction policy (Ascetic only).
-    pub direction: DirectionMode,
     /// Span-trace output directory (`ASCETIC_TRACE`). When set, every
     /// system the environment constructs records hierarchical spans, and
     /// [`Env::maybe_write_trace`] dumps one Perfetto `.json` per run.
@@ -45,51 +39,23 @@ pub struct Env {
 }
 
 impl Env {
-    /// Environment with the default (or `ASCETIC_SCALE`-overridden) scale,
-    /// the `ASCETIC_COMPRESSION`-selected transfer mode
-    /// (`off`/`always`/`adaptive`; default off) and the
-    /// `ASCETIC_PREFETCH`-selected prefetch mode
-    /// (`off`/`next-frontier`; default off), the
-    /// `ASCETIC_DIRECTION`-selected traversal-direction policy
-    /// (`push`/`pull`/`adaptive`; default push). `ASCETIC_TRACE=DIR`
-    /// additionally records span traces on every constructed system and
-    /// routes per-run Perfetto dumps into `DIR`.
+    /// Environment with the default (or `ASCETIC_SCALE`-overridden) scale.
+    /// `ASCETIC_TRACE=DIR` additionally records span traces on every
+    /// constructed system and routes per-run Perfetto dumps into `DIR`.
+    /// Transfer modes are not environment: the `compression`, `prefetch`
+    /// and `direction` experiments sweep them as variants.
     pub fn from_env() -> Env {
         let scale = std::env::var("ASCETIC_SCALE")
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(DEFAULT_BENCH_SCALE);
-        let compression = std::env::var("ASCETIC_COMPRESSION")
-            .ok()
-            .and_then(|s| CompressionMode::parse(&s))
-            .unwrap_or(CompressionMode::Off);
-        let prefetch = std::env::var("ASCETIC_PREFETCH")
-            .ok()
-            .and_then(|s| PrefetchMode::parse(&s))
-            .unwrap_or(PrefetchMode::Off);
-        let direction = std::env::var("ASCETIC_DIRECTION")
-            .ok()
-            .and_then(|s| DirectionMode::parse(&s))
-            .unwrap_or(DirectionMode::Push);
         let trace = std::env::var_os("ASCETIC_TRACE").map(std::path::PathBuf::from);
-        Env {
-            scale,
-            compression,
-            prefetch,
-            direction,
-            trace,
-        }
+        Env { scale, trace }
     }
 
     /// Environment with an explicit scale.
     pub fn with_scale(scale: u64) -> Env {
-        Env {
-            scale,
-            compression: CompressionMode::Off,
-            prefetch: PrefetchMode::Off,
-            direction: DirectionMode::Push,
-            trace: None,
-        }
+        Env { scale, trace: None }
     }
 
     /// Whether span tracing is armed (`ASCETIC_TRACE` set).
@@ -160,9 +126,6 @@ impl Env {
     pub fn ascetic_cfg(&self) -> AsceticConfig {
         AsceticConfig::new(self.device())
             .with_chunk_bytes(self.chunk_bytes())
-            .with_compression(self.compression)
-            .with_prefetch(self.prefetch)
-            .with_direction(self.direction)
             .with_tracing(self.tracing())
     }
 
@@ -171,12 +134,9 @@ impl Env {
         AsceticSystem::new(self.ascetic_cfg())
     }
 
-    /// The Subway baseline (sharing the compressed transfer path setting,
-    /// so transfer comparisons stay apples-to-apples).
+    /// The Subway baseline.
     pub fn subway(&self) -> SubwaySystem {
-        SubwaySystem::new(self.device())
-            .with_compression(self.compression)
-            .with_tracing(self.tracing())
+        SubwaySystem::new(self.device()).with_tracing(self.tracing())
     }
 
     /// The PT baseline.

@@ -25,31 +25,6 @@ fn listed_ids() -> BTreeSet<String> {
     text.lines().map(first_word).collect()
 }
 
-/// Host-clock output is compared with every number masked, and with it
-/// the column padding that follows the numbers' widths.
-fn mask_numbers(s: &str) -> String {
-    let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            ' ' | '-' => {}
-            '0'..='9' | '.' if out.ends_with('#') => {}
-            '0'..='9' => out.push('#'),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// `wallclock`'s JSON: same keys in the same order; the pool snapshot's
-/// histogram buckets depend on what the host did.
-fn json_keys(s: &str) -> Vec<String> {
-    let before_pool = s.split("\"pool\"").next().expect("non-empty");
-    let keys = before_pool.split('"').skip(1).step_by(2);
-    keys.filter(|k| !k.chars().any(|c| c.is_ascii_uppercase()))
-        .map(str::to_string)
-        .collect()
-}
-
 fn replay(id: &str, golden: &Path) {
     let work = std::env::temp_dir().join(format!("ascetic-golden-{}-{id}", std::process::id()));
     std::fs::create_dir_all(&work).expect("scratch dir");
@@ -58,9 +33,6 @@ fn replay(id: &str, golden: &Path) {
         .current_dir(&work)
         .env("ASCETIC_RESULTS", "out")
         .env_remove("ASCETIC_SCALE")
-        .env_remove("ASCETIC_COMPRESSION")
-        .env_remove("ASCETIC_PREFETCH")
-        .env_remove("ASCETIC_DIRECTION")
         .env_remove("ASCETIC_TRACE")
         .output()
         .expect("run ascetic-bench");
@@ -73,7 +45,6 @@ fn replay(id: &str, golden: &Path) {
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     // the checks block is the driver's; everything before it is the bin's
     let tables = stdout.split("\n#### checks\n").next().expect("non-empty");
-    let host_clock = id == "wallclock";
     let mut files: Vec<PathBuf> = std::fs::read_dir(golden)
         .expect("golden dir")
         .map(|e| e.expect("dir entry").path())
@@ -87,14 +58,10 @@ fn replay(id: &str, golden: &Path) {
             _ => std::fs::read_to_string(work.join("out").join(name))
                 .unwrap_or_else(|e| panic!("{id} did not write {name}: {e}")),
         };
-        match (host_clock, name.ends_with(".json")) {
-            (false, _) => assert!(
-                got == want,
-                "{id}: {name} differs from the golden\n--- got\n{got}\n--- want\n{want}"
-            ),
-            (true, true) => assert_eq!(json_keys(&got), json_keys(&want), "{id}: {name} keys"),
-            (true, false) => assert_eq!(mask_numbers(&got), mask_numbers(&want), "{id}: {name}"),
-        }
+        assert!(
+            got == want,
+            "{id}: {name} differs from the golden\n--- got\n{got}\n--- want\n{want}"
+        );
     }
     std::fs::remove_dir_all(&work).ok();
 }
@@ -162,8 +129,8 @@ fn the_experiment_table_is_what_the_docs_and_ci_name() {
         .filter_map(|rest| rest.split_whitespace().next())
         .collect();
     assert!(
-        called.len() >= 7,
-        "CI smoke-runs the seven BENCH-writing experiments"
+        called.len() >= 6,
+        "CI smoke-runs the six BENCH-writing experiments"
     );
     for id in called {
         assert!(

@@ -69,7 +69,7 @@ impl PrefetchMode {
     pub fn parse(s: &str) -> Option<PrefetchMode> {
         match s {
             "off" => Some(PrefetchMode::Off),
-            "next-frontier" | "next_frontier" | "frontier" => Some(PrefetchMode::NextFrontier),
+            "next-frontier" => Some(PrefetchMode::NextFrontier),
             _ => None,
         }
     }
@@ -258,10 +258,6 @@ mod tests {
         for m in [PrefetchMode::Off, PrefetchMode::NextFrontier] {
             assert_eq!(PrefetchMode::parse(m.as_str()), Some(m));
         }
-        assert_eq!(
-            PrefetchMode::parse("frontier"),
-            Some(PrefetchMode::NextFrontier)
-        );
         assert_eq!(PrefetchMode::parse("bogus"), None);
         assert!(!PrefetchMode::Off.is_on());
         assert!(PrefetchMode::NextFrontier.is_on());

@@ -43,7 +43,7 @@ use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
-use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchMode, PrefetchOp};
+use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchOp};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
 use crate::static_region::StaticRegion;
@@ -1123,15 +1123,7 @@ impl<'g> AsceticSession<'g> {
                 PrefetchOp::Swap { evict, load } => {
                     self.region.is_resident(evict)
                         && !self.region.is_resident(load)
-                        && match cfg.prefetch {
-                            PrefetchMode::NextFrontier => {
-                                demand[load as usize] > demand[evict as usize]
-                            }
-                            // the speculative mode commits on
-                            // residency alone; hit scoring
-                            // charges any misprediction
-                            _ => true,
-                        }
+                        && demand[load as usize] > demand[evict as usize]
                 }
             };
             if apply {
@@ -1468,6 +1460,7 @@ pub struct PatchApply {
 mod tests {
     use super::*;
     use crate::config::CompressionMode;
+    use crate::prefetch::PrefetchMode;
     use ascetic_algos::inmemory::run_in_memory;
     use ascetic_algos::{Bfs, Cc, PageRank, Sssp};
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
@@ -1637,7 +1630,6 @@ mod tests {
 
     #[test]
     fn prefetch_never_changes_results_and_accounts_its_bytes() {
-        use crate::prefetch::PrefetchMode;
         let g = web_graph(&WebConfig::new(4_000, 60_000, 3));
         let oracle = run_in_memory(&g, &Bfs::new(0)).output;
         let off = AsceticSession::new(cfg_for(&g), &g).run(&Bfs::new(0));
@@ -1669,7 +1661,6 @@ mod tests {
 
     #[test]
     fn next_frontier_prefetch_fires_and_hits() {
-        use crate::prefetch::PrefetchMode;
         let g = web_graph(&WebConfig::new(4_000, 60_000, 3));
         let cfg = cfg_for(&g).with_prefetch(PrefetchMode::NextFrontier);
         let r = AsceticSession::new(cfg, &g).run(&Bfs::new(0));

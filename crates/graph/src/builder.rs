@@ -103,11 +103,6 @@ impl GraphBuilder {
         self.weights.as_mut().unwrap().push(w);
     }
 
-    /// Number of staged edges (before symmetrization/dedup).
-    pub fn staged_edges(&self) -> usize {
-        self.srcs.len()
-    }
-
     /// Build the CSR.
     pub fn build(mut self) -> Csr {
         let n = self.num_vertices;

@@ -183,29 +183,6 @@ impl Csr {
         self.num_edges() * self.bytes_per_edge() as u64
     }
 
-    /// Serialize the edge entries of edge-index range `r` into `out`
-    /// (little-endian `target[,weight]` records). Used by the host side to
-    /// stage data for transfers; the byte layout is what travels over the
-    /// simulated PCIe link.
-    pub fn write_edge_bytes(&self, r: std::ops::Range<u64>, out: &mut Vec<u8>) {
-        let (s, e) = (r.start as usize, r.end as usize);
-        match &self.weights {
-            None => {
-                out.reserve((e - s) * BYTES_PER_EDGE_UNWEIGHTED);
-                for &t in &self.targets[s..e] {
-                    out.extend_from_slice(&t.to_le_bytes());
-                }
-            }
-            Some(w) => {
-                out.reserve((e - s) * BYTES_PER_EDGE_WEIGHTED);
-                for (&t, &wt) in self.targets[s..e].iter().zip(&w[s..e]) {
-                    out.extend_from_slice(&t.to_le_bytes());
-                    out.extend_from_slice(&wt.to_le_bytes());
-                }
-            }
-        }
-    }
-
     /// Serialize the edge entries of edge-index range `r` as little-endian
     /// `u32` words (`target` or `target, weight` per edge) appended to
     /// `out`. Device memory in `ascetic-sim` is word-addressed, so this is
@@ -254,16 +231,6 @@ impl Csr {
     #[inline]
     pub fn words_per_edge(&self) -> usize {
         self.bytes_per_edge() / 4
-    }
-
-    /// Strip weights (e.g. to reuse one weighted dataset for BFS/CC/PR,
-    /// whose Table 5 sizes assume 4 B/edge).
-    pub fn without_weights(&self) -> Csr {
-        Csr {
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            weights: None,
-        }
     }
 
     /// Attach weights generated by `f(src, edge_idx) -> Weight`.
@@ -395,31 +362,6 @@ mod tests {
         assert_eq!(g.bytes_per_edge(), 8);
         assert_eq!(g.edge_weights(0), &[10, 11]);
         assert_eq!(g.edge_weights(2), &[13]);
-        let g2 = g.without_weights();
-        assert!(!g2.is_weighted());
-        assert_eq!(g2.neighbors(0), g.neighbors(0));
-    }
-
-    #[test]
-    fn edge_bytes_serialization_unweighted() {
-        let g = tiny();
-        let mut buf = Vec::new();
-        g.write_edge_bytes(0..2, &mut buf);
-        assert_eq!(buf.len(), 8);
-        assert_eq!(&buf[0..4], &1u32.to_le_bytes());
-        assert_eq!(&buf[4..8], &2u32.to_le_bytes());
-    }
-
-    #[test]
-    fn edge_bytes_serialization_weighted() {
-        let g = tiny().with_weights_from(|_, e| e as Weight * 2);
-        let mut buf = Vec::new();
-        g.write_edge_bytes(2..4, &mut buf);
-        assert_eq!(buf.len(), 16);
-        assert_eq!(&buf[0..4], &2u32.to_le_bytes()); // target of edge 2
-        assert_eq!(&buf[4..8], &4u32.to_le_bytes()); // weight of edge 2
-        assert_eq!(&buf[8..12], &0u32.to_le_bytes()); // target of edge 3
-        assert_eq!(&buf[12..16], &6u32.to_le_bytes()); // weight of edge 3
     }
 
     #[test]

@@ -150,14 +150,6 @@ impl Dataset {
         Dataset { id, graph, scale }
     }
 
-    /// Build all four datasets at `scale`.
-    pub fn build_all(scale: u64) -> Vec<Dataset> {
-        DatasetId::ALL
-            .iter()
-            .map(|&id| Dataset::build(id, scale))
-            .collect()
-    }
-
     /// The scaled GPU-memory cap matching this dataset's scale
     /// (paper: 10 GB).
     pub fn gpu_mem_bytes(&self) -> u64 {

@@ -492,11 +492,6 @@ impl PatchableCsr {
         self.weighted
     }
 
-    /// Whether a CSC mirror is maintained.
-    pub fn has_mirror(&self) -> bool {
-        self.csc.is_some()
-    }
-
     /// Chunk splits performed so far (CSR side).
     pub fn splits(&self) -> u32 {
         self.csr.splits

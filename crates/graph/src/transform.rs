@@ -1,9 +1,8 @@
-//! Graph transformations: transpose, symmetrization and induced subgraphs.
+//! Graph transformations: transpose, symmetrization and relabeling.
 //!
 //! Out-of-core frameworks frequently need the transpose (pull-based
-//! algorithms, in-degree statistics, reverse reachability) and tooling
-//! needs induced subgraphs (sampling large inputs down to test size);
-//! these are the standard O(V+E) counting-sort constructions.
+//! algorithms, in-degree statistics, reverse reachability); these are the
+//! standard O(V+E) counting-sort constructions.
 
 use crate::csr::Csr;
 use crate::types::{VertexId, Weight};
@@ -70,45 +69,6 @@ pub fn symmetrized(g: &Csr) -> Csr {
                     w.push(bw[j]);
                 }
                 j += 1;
-            }
-        }
-        offsets.push(targets.len() as u64);
-    }
-    Csr::from_parts(offsets, targets, weights)
-}
-
-/// Induced subgraph on the vertex set `keep` (a sorted, deduplicated id
-/// list); vertices are renumbered 0..keep.len() in `keep` order.
-pub fn induced_subgraph(g: &Csr, keep: &[VertexId]) -> Csr {
-    debug_assert!(
-        keep.windows(2).all(|w| w[0] < w[1]),
-        "keep must be sorted unique"
-    );
-    let n = g.num_vertices();
-    let mut remap = vec![u32::MAX; n];
-    for (new, &old) in keep.iter().enumerate() {
-        remap[old as usize] = new as u32;
-    }
-    let mut offsets = Vec::with_capacity(keep.len() + 1);
-    offsets.push(0u64);
-    let mut targets = Vec::new();
-    let mut weights = g.weights().map(|_| Vec::new());
-    for &old in keep {
-        match g.weights() {
-            None => {
-                for &t in g.neighbors(old) {
-                    if remap[t as usize] != u32::MAX {
-                        targets.push(remap[t as usize]);
-                    }
-                }
-            }
-            Some(_) => {
-                for (&t, &w) in g.neighbors(old).iter().zip(g.edge_weights(old)) {
-                    if remap[t as usize] != u32::MAX {
-                        targets.push(remap[t as usize]);
-                        weights.as_mut().unwrap().push(w);
-                    }
-                }
             }
         }
         offsets.push(targets.len() as u64);
@@ -224,33 +184,6 @@ mod tests {
             let nb = s.neighbors(v);
             assert!(nb.windows(2).all(|w| w[0] <= w[1]), "v{v}: {nb:?}");
         }
-    }
-
-    #[test]
-    fn induced_subgraph_renumbers() {
-        let g = sample();
-        let sub = induced_subgraph(&g, &[0, 1, 2]);
-        assert_eq!(sub.num_vertices(), 3);
-        // edge 3->0 dropped; 0->1, 0->2, 2->1 kept
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(sub.neighbors(0), &[1, 2]);
-        assert_eq!(sub.edge_weights(2), &[30]);
-        sub.validate().unwrap();
-    }
-
-    #[test]
-    fn induced_subgraph_empty_keep() {
-        let g = sample();
-        let sub = induced_subgraph(&g, &[]);
-        assert_eq!(sub.num_vertices(), 0);
-        assert_eq!(sub.num_edges(), 0);
-    }
-
-    #[test]
-    fn induced_on_all_vertices_is_identity() {
-        let g = uniform_graph(50, 400, false, 2);
-        let all: Vec<u32> = (0..50).collect();
-        assert_eq!(induced_subgraph(&g, &all), g);
     }
 
     #[test]

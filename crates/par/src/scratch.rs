@@ -34,7 +34,6 @@ const MAX_POOLED: usize = 8;
 pub struct Scratch {
     u8s: Vec<Vec<u8>>,
     u32s: Vec<Vec<u32>>,
-    u64s: Vec<Vec<u64>>,
 }
 
 impl Scratch {
@@ -57,19 +56,6 @@ impl Scratch {
         }
     }
 
-    /// Take a cleared `Vec<u64>`, reusing pooled capacity when available.
-    pub fn take_u64(&mut self) -> Vec<u64> {
-        self.u64s.pop().unwrap_or_default()
-    }
-
-    /// Return a `Vec<u64>` to the pool (cleared; capacity retained).
-    pub fn put_u64(&mut self, mut buf: Vec<u64>) {
-        if self.u64s.len() < MAX_POOLED && buf.capacity() > 0 {
-            buf.clear();
-            self.u64s.push(buf);
-        }
-    }
-
     /// Take a cleared `Vec<u8>`, reusing pooled capacity when available.
     /// Byte buffers back the streaming delta–varint encoder, which stages
     /// one transfer's compressed payload per call.
@@ -85,9 +71,9 @@ impl Scratch {
         }
     }
 
-    /// Number of pooled buffers `(u32, u64)` — for tests and telemetry.
-    pub fn pooled(&self) -> (usize, usize) {
-        (self.u32s.len(), self.u64s.len())
+    /// Number of pooled `u32` buffers — for tests and telemetry.
+    pub fn pooled(&self) -> usize {
+        self.u32s.len()
     }
 
     /// Number of pooled `u8` buffers.
@@ -134,16 +120,16 @@ mod tests {
     fn pool_is_bounded() {
         let mut s = Scratch::new();
         for _ in 0..(MAX_POOLED + 5) {
-            s.put_u64(Vec::with_capacity(16));
+            s.put_u32(Vec::with_capacity(16));
         }
-        assert_eq!(s.pooled().1, MAX_POOLED);
+        assert_eq!(s.pooled(), MAX_POOLED);
     }
 
     #[test]
     fn empty_buffers_are_not_pooled() {
         let mut s = Scratch::new();
         s.put_u32(Vec::new());
-        assert_eq!(s.pooled().0, 0, "no point pooling zero capacity");
+        assert_eq!(s.pooled(), 0, "no point pooling zero capacity");
     }
 
     #[test]

@@ -243,30 +243,6 @@ impl Gpu {
         (copy, dec)
     }
 
-    /// D2H copy of `src` into `dst`, ready at `ready`.
-    pub fn d2h_at(&mut self, src: DevPtr, dst: &mut [u32], ready: SimTime) -> Span {
-        self.mem.read(src, dst);
-        let bytes = (dst.len() * 4) as u64;
-        self.xfer.d2h_bytes += bytes;
-        self.xfer.d2h_ops += 1;
-        self.obs.registry.observe("d2h.op_bytes", bytes);
-        let span = self.timeline.schedule_labeled(
-            Engine::Copy,
-            ready,
-            self.config.pcie.transfer_ns(bytes),
-            || format!("D2H {bytes}B"),
-        );
-        self.obs.record(
-            span.start.0,
-            Event::Dma {
-                dir: XferDir::D2h,
-                bytes,
-                dur_ns: span.duration(),
-            },
-        );
-        span
-    }
-
     /// Charge a kernel of `edges`/`vertices` work on the COMPUTE engine,
     /// ready at `ready`. The caller runs the actual computation on host
     /// threads; this records its simulated cost.
@@ -393,17 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn d2h_roundtrip() {
-        let mut g = small_gpu();
-        let p = g.alloc(3).unwrap();
-        g.h2d(p, &[1, 2, 3]);
-        let mut out = [0u32; 3];
-        g.d2h_at(p, &mut out, g.elapsed());
-        assert_eq!(out, [1, 2, 3]);
-        assert_eq!(g.xfer.d2h_bytes, 12);
-    }
-
-    #[test]
     fn kernel_accounting() {
         let mut g = small_gpu();
         let s = g.kernel_at(1000, 10, SimTime::ZERO);
@@ -456,15 +421,10 @@ mod tests {
         let p = g.alloc(8).unwrap();
         g.h2d(p, &[0; 8]);
         g.h2d(p, &[1; 8]);
-        let mut out = [0u32; 8];
-        g.d2h_at(p, &mut out, g.elapsed());
         let snap = g.obs.registry.snapshot();
         let h2d = snap.histogram("h2d.op_bytes").unwrap();
         assert_eq!(h2d.count(), g.xfer.h2d_ops);
         assert_eq!(h2d.sum(), g.xfer.h2d_bytes);
-        let d2h = snap.histogram("d2h.op_bytes").unwrap();
-        assert_eq!(d2h.count(), g.xfer.d2h_ops);
-        assert_eq!(d2h.sum(), g.xfer.d2h_bytes);
     }
 
     #[test]
@@ -551,7 +511,6 @@ mod tests {
         g.obs.enable_events(64);
         let s1 = g.stream();
         assert_eq!(g.stream(), s1, "stream is minted once");
-        assert_eq!(g.timeline.num_copy_streams(), 2);
         let span = g.prefetch_dma_at(3, 4096, SimTime::ZERO);
         assert_eq!(span.duration(), g.config.pcie.transfer_ns(4096));
         assert_eq!(g.xfer.h2d_bytes, 4096);

@@ -193,25 +193,6 @@ impl Interconnect {
         self.stats.staged_transfers += 1;
         (up_start, down_end)
     }
-
-    /// All-gather at an iteration boundary: device `i` ships `bytes[i]`
-    /// to every other device, each send no earlier than `ready[i]`.
-    /// Returns the time every device holds every slice (the fleet's
-    /// barrier point). Deterministic: sends issue in `(src, dst)` order.
-    pub fn all_gather(&mut self, ready: &[u64], bytes: &[u64]) -> u64 {
-        assert_eq!(ready.len(), self.devices);
-        assert_eq!(bytes.len(), self.devices);
-        let mut done = ready.iter().copied().max().unwrap_or(0);
-        for src in 0..self.devices {
-            for dst in 0..self.devices {
-                if src != dst {
-                    let (_, end) = self.transfer(src, dst, bytes[src], ready[src]);
-                    done = done.max(end);
-                }
-            }
-        }
-        done
-    }
 }
 
 #[cfg(test)]
@@ -281,23 +262,5 @@ mod tests {
         assert_eq!(ic.stats(), InterconnectStats::default());
         let (s, _) = ic.transfer(1, 0, 4096, 9_000);
         assert_eq!(s, 9_000, "transfers never start before ready");
-    }
-
-    #[test]
-    fn all_gather_is_deterministic_and_covers_all_pairs() {
-        let cfg = InterconnectConfig::nvlink();
-        let run = |cfg| {
-            let mut ic = Interconnect::new(cfg, 3);
-            let t = ic.all_gather(&[100, 0, 50], &[4096, 8192, 0]);
-            (t, ic.stats())
-        };
-        let (t1, s1) = run(cfg);
-        let (t2, s2) = run(cfg);
-        assert_eq!(t1, t2);
-        assert_eq!(s1, s2);
-        // devices 0 and 1 each send to two peers; device 2 sends nothing
-        assert_eq!(s1.peer_transfers, 4);
-        assert_eq!(s1.peer_bytes, 2 * (4096 + 8192));
-        assert!(t1 >= 100, "barrier respects the latest ready time");
     }
 }

@@ -244,12 +244,6 @@ impl DeviceMemory {
         assert_eq!(src.len(), ptr.len, "payload size must match allocation");
         self.data[ptr.offset..ptr.offset + ptr.len].copy_from_slice(src);
     }
-
-    /// Copy a range of the allocation out to `dst` (D2H data plane).
-    pub fn read(&self, ptr: DevPtr, dst: &mut [u32]) {
-        assert_eq!(dst.len(), ptr.len, "buffer size must match allocation");
-        dst.copy_from_slice(&self.data[ptr.offset..ptr.offset + ptr.len]);
-    }
 }
 
 #[cfg(test)]
@@ -337,9 +331,6 @@ mod tests {
         let p = m.alloc(4).unwrap();
         m.write(p, &[1, 2, 3, 4]);
         assert_eq!(m.words(p), &[1, 2, 3, 4]);
-        let mut out = [0u32; 4];
-        m.read(p, &mut out);
-        assert_eq!(out, [1, 2, 3, 4]);
         m.words_mut(p)[2] = 99;
         assert_eq!(m.words(p), &[1, 2, 99, 4]);
     }

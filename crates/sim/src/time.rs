@@ -43,13 +43,6 @@ impl SimTime {
     }
 }
 
-/// Nanoseconds for a given seconds value (helper for configuring models).
-#[inline]
-pub fn ns_from_secs_f64(s: f64) -> u64 {
-    debug_assert!(s >= 0.0 && s.is_finite());
-    (s * 1e9).round() as u64
-}
-
 /// Nanoseconds to move `bytes` at `bytes_per_sec`, rounded up so that a
 /// nonzero payload never takes zero time.
 #[inline]
@@ -78,8 +71,6 @@ mod tests {
     #[test]
     fn seconds_conversion() {
         assert_eq!(SimTime(1_500_000_000).as_secs_f64(), 1.5);
-        assert_eq!(ns_from_secs_f64(0.25), 250_000_000);
-        assert_eq!(ns_from_secs_f64(0.0), 0);
     }
 
     #[test]

@@ -77,11 +77,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// An empty span at `t` (zero-duration operations).
-    pub fn empty_at(t: SimTime) -> Span {
-        Span { start: t, end: t }
-    }
-
     /// Duration in nanoseconds.
     pub fn duration(&self) -> u64 {
         self.end.since(self.start)
@@ -147,11 +142,6 @@ impl Timeline {
             tr.track(&copy_stream_track_name(id));
         }
         CopyStream(id)
-    }
-
-    /// Number of copy streams (≥ 1; the default stream counts).
-    pub fn num_copy_streams(&self) -> usize {
-        self.stream_free_at.len()
     }
 
     /// Start recording every scheduled span as hierarchical per-track
@@ -485,7 +475,6 @@ mod tests {
     fn second_stream_serializes_on_the_shared_link() {
         let mut tl = Timeline::new();
         let pf = tl.add_copy_stream();
-        assert_eq!(tl.num_copy_streams(), 2);
         // Default-stream op first, then a prefetch op with the same ready
         // time: the link is one wire, so they serialize in issue order.
         let a = tl.schedule(Engine::Copy, SimTime::ZERO, 100);
@@ -593,6 +582,6 @@ mod tests {
         let mut tl = Timeline::new();
         let s = tl.schedule(Engine::Cpu, SimTime(42), 0);
         assert_eq!(s.duration(), 0);
-        assert_eq!(s, Span::empty_at(SimTime(42)));
+        assert_eq!((s.start, s.end), (SimTime(42), SimTime(42)));
     }
 }

@@ -214,11 +214,6 @@ impl Uvm {
         self.model.fault_in_ns()
     }
 
-    /// Touch the page containing byte address `addr`.
-    pub fn touch_addr(&mut self, addr: u64) -> u64 {
-        self.touch(addr / self.model.page_bytes)
-    }
-
     /// Bulk prefetch hint (`cudaMemPrefetchAsync`-style): migrate the page
     /// range without fault stalls, at migration bandwidth. Returns the
     /// charged time. Pages already resident are skipped.
@@ -238,12 +233,6 @@ impl Uvm {
         self.stats.migrated_bytes += migrated;
         self.stats.prefetched_bytes += migrated;
         crate::time::ns_for_bytes(migrated, self.model.bandwidth_bps)
-    }
-
-    /// Drop every resident page (e.g. `cudaMemAdvise` un-set / reset
-    /// between algorithm runs).
-    pub fn evict_all(&mut self) {
-        while self.lru.pop_lru().is_some() {}
     }
 }
 
@@ -305,16 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_addr_maps_to_page() {
-        let mut u = Uvm::new(model(), 10 * 1024);
-        u.touch_addr(0);
-        u.touch_addr(1023);
-        u.touch_addr(1024);
-        assert_eq!(u.stats.faults, 2);
-        assert_eq!(u.stats.hits, 1);
-    }
-
-    #[test]
     fn prefetch_is_cheaper_per_byte_than_faulting() {
         let mut a = Uvm::new(model(), 64 * 1024);
         let mut b = Uvm::new(model(), 64 * 1024);
@@ -332,16 +311,6 @@ mod tests {
         let migrated_before = u.stats.migrated_bytes;
         u.prefetch(5..6);
         assert_eq!(u.stats.migrated_bytes, migrated_before);
-    }
-
-    #[test]
-    fn evict_all_clears() {
-        let mut u = Uvm::new(model(), 64 * 1024);
-        u.touch(1);
-        u.touch(2);
-        u.evict_all();
-        assert_eq!(u.resident_pages(), 0);
-        assert!(!u.is_resident(1));
     }
 
     #[test]

@@ -413,7 +413,7 @@ fn program_for(o: &Opts, g: &Csr, algo: Algo) -> Result<AnyProgram, String> {
 
 fn run_system(o: &Opts, system: &str, g: &Csr, algo: Algo) -> Result<RunReport, String> {
     let dev = device_from(o, g)?;
-    let tracing = o.has("trace-flag") || o.get("trace-out").is_some();
+    let tracing = o.get("trace-out").is_some();
     // an event log is only worth recording when it will be exported
     let events = o.get("metrics-out").is_some();
     let sys: AnySystem = match system {
