@@ -65,7 +65,7 @@ impl OutOfCoreSystem for PtSystem {
     }
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
-        check_vertex_fit(g, self.device.mem_bytes)
+        check_vertex_fit(g, self.device.mem_bytes).map(drop)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

@@ -194,7 +194,7 @@ impl OutOfCoreSystem for UvmSystem {
     }
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
-        check_vertex_fit(g, self.device.mem_bytes)
+        check_vertex_fit(g, self.device.mem_bytes).map(drop)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

@@ -20,7 +20,6 @@
 //! data; all *times* come from the virtual clock, so reports are exact and
 //! reproducible.
 
-use ascetic_algos::traits::DEVICE_BYTES_PER_VERTEX;
 use ascetic_algos::{AlgoOutput, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_sim::{Engine, Gpu};
@@ -65,11 +64,11 @@ impl OutOfCoreSystem for AsceticSystem {
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
         let capacity = self.cfg.device.mem_bytes;
-        check_vertex_fit(g, capacity)?;
+        let vertex_bytes = check_vertex_fit(g, capacity)?;
         self.cfg.validate_for(g)?;
         // what `edge_budget_bytes` will report of the word-granular arena
         // once `reserve_vertex_arrays` has run
-        let budget = capacity / 4 * 4 - g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX;
+        let budget = capacity / 4 * 4 - vertex_bytes;
         let chunk = self.cfg.chunk_bytes as u64;
         if budget < 2 * chunk {
             return Err(PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk });

@@ -60,8 +60,8 @@ impl From<ConfigError> for PrepareError {
 
 /// Check the paper's standing assumption that the vertex arrays fit on
 /// the device with `capacity_bytes` of memory (shared by every system's
-/// [`OutOfCoreSystem::prepare`]).
-pub fn check_vertex_fit(g: &Csr, capacity_bytes: u64) -> Result<(), PrepareError> {
+/// [`OutOfCoreSystem::prepare`]); returns the bytes they need.
+pub fn check_vertex_fit(g: &Csr, capacity_bytes: u64) -> Result<u64, PrepareError> {
     let need = g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX;
     if need > capacity_bytes {
         return Err(PrepareError::VerticesDontFit {
@@ -69,7 +69,7 @@ pub fn check_vertex_fit(g: &Csr, capacity_bytes: u64) -> Result<(), PrepareError
             capacity: capacity_bytes,
         });
     }
-    Ok(())
+    Ok(need)
 }
 
 /// An out-of-GPU-memory graph-processing system.

@@ -462,10 +462,14 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         }
     }
 
+    /// The epochs of the graph variant `kind` runs on.
+    fn epochs(&self, kind: Algo) -> EpochSlices<'g> {
+        self.graphs[kind.weighted() as usize].expect("serve_impl checked the variant")
+    }
+
     /// The graph `kind` runs on, as of `epoch`.
     fn graph(&self, kind: Algo, epoch: usize) -> &'g Csr {
-        let eps = self.graphs[kind.weighted() as usize].expect("serve_impl checked the variant");
-        &eps.versions[epoch]
+        &self.epochs(kind).versions[epoch]
     }
 
     /// Admission: every job is queued or turned away with a reason —
@@ -509,7 +513,8 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// the queue drains through its idle peers. `None` once the queue is
     /// empty.
     fn next_decision(&mut self) -> Option<Decision> {
-        while let Some(next_arrival) = self.queue.iter().map(|j| j.submit_ns).min() {
+        // the queue is in `(submit_ns, id)` order: its head arrives first
+        while let Some(next_arrival) = self.queue.first().map(|j| j.submit_ns) {
             let free_at = |&d: &usize| (self.devs[d].free_ns, d);
             let device = (0..self.devs.len())
                 .min_by_key(free_at)
@@ -571,10 +576,10 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// another device ([`Scheduler::replicate`]).
     fn session_for(&mut self, at: &Decision, kind: Algo) -> Admission {
         let weighted = kind.weighted();
-        let eps = self.graphs[weighted as usize].expect("serve_impl checked the variant");
+        let eps = self.epochs(kind);
         let dev = &mut self.devs[at.device];
-        let mut mutate_ns = 0;
         if let Some((_, sess)) = dev.session.as_mut().filter(|(w, _)| *w == weighted) {
+            let mut mutate_ns = 0;
             for k in dev.epoch..at.epoch {
                 let patched =
                     sess.apply_patch(&eps.versions[k + 1], eps.cscs.get(k + 1), &eps.patches[k]);
@@ -605,7 +610,7 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         self.reg.counter_add("serve.sessions_built", 1);
         Admission {
             reused: false,
-            mutate_ns,
+            mutate_ns: 0,
             donor,
         }
     }
