@@ -66,7 +66,7 @@ pub use kcore::KCore;
 pub use lp::LabelPropagation;
 pub use msbfs::MsBfs;
 pub use pr::PageRank;
-pub use registry::{Algo, AnyProgram, ProgramOpts};
+pub use registry::{sample_sources, Algo, AnyProgram, ProgramOpts};
 pub use sssp::Sssp;
 pub use traits::{
     AlgoError, AlgoOutput, Capabilities, EdgeSlice, TraversalDirection, VertexProgram,

@@ -26,7 +26,7 @@ use crate::lp::{LabelPropagation, LpState};
 use crate::msbfs::{MsBfs, MsBfsState};
 use crate::pr::{PageRank, PrState};
 use crate::sssp::{Sssp, SsspState};
-use crate::traits::{AlgoOutput, Capabilities, EdgeSlice, VertexProgram};
+use crate::traits::{AlgoError, AlgoOutput, Capabilities, EdgeSlice, VertexProgram};
 
 /// Every algorithm the workspace ships, by CLI name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,6 +131,26 @@ impl Algo {
         }
     }
 
+    /// Instantiate the program for a run over `g`: rooted at `source`,
+    /// core parameter `k`, multi-source programs on their
+    /// [`Algo::default_source_count`] [`sample_sources`]. A `source` that
+    /// is no vertex of `g`, or `k == 0`, is the typed error the program
+    /// constructors would otherwise panic on mid-run.
+    pub fn program_on(self, g: &Csr, source: VertexId, k: u32) -> Result<AnyProgram, AlgoError> {
+        let vertices = g.num_vertices();
+        if source as usize >= vertices {
+            return Err(AlgoError::SourceOutOfRange { source, vertices });
+        }
+        if k == 0 {
+            return Err(AlgoError::ZeroCoreK);
+        }
+        let sources = match self.default_source_count() {
+            0 => vec![source],
+            count => sample_sources(g, count),
+        };
+        Ok(self.program(&ProgramOpts { source, sources, k }))
+    }
+
     /// Whether the serve layer accepts jobs of this kind. The long-running
     /// whole-graph sweeps (`msbfs`, `closeness`) are batch workloads, not
     /// interactive queries.
@@ -152,6 +172,20 @@ impl Algo {
             Algo::Bc => AnyProgram::Bc(Betweenness::new(opts.source)),
         }
     }
+}
+
+/// The deterministic source sample of the multi-source programs: `count`
+/// vertices spread over `g` by a multiplicative hash of the index, sorted,
+/// duplicates dropped (the CLI, the bench harness and the operator goldens
+/// all draw this sequence).
+pub fn sample_sources(g: &Csr, count: usize) -> Vec<VertexId> {
+    let n = (g.num_vertices() as VertexId).max(1);
+    let mut s: Vec<VertexId> = (0..count as VertexId)
+        .map(|i| i.wrapping_mul(2_654_435_761) % n)
+        .collect();
+    s.sort_unstable();
+    s.dedup();
+    s
 }
 
 impl std::fmt::Display for Algo {
@@ -429,6 +463,33 @@ mod tests {
             // display name agrees with the instantiated program
             assert_eq!(a.display(), a.program(&ProgramOpts::meta()).name());
         }
+    }
+
+    #[test]
+    fn program_on_range_checks_and_samples() {
+        let g = uniform_graph(300, 2_400, true, 5);
+        for a in Algo::ALL {
+            assert_eq!(
+                a.program_on(&g, 300, 4).err(),
+                Some(AlgoError::SourceOutOfRange {
+                    source: 300,
+                    vertices: 300
+                })
+            );
+            assert_eq!(a.program_on(&g, 299, 0).err(), Some(AlgoError::ZeroCoreK));
+            assert!(a.program_on(&g, 299, 1).is_ok());
+        }
+        let msg = Algo::Bfs
+            .program_on(&g, 99_999, 4)
+            .err()
+            .unwrap()
+            .to_string();
+        assert!(
+            msg.contains("--source 99999") && msg.contains("300"),
+            "{msg}"
+        );
+        let s = sample_sources(&g, 64);
+        assert!(s.windows(2).all(|w| w[0] < w[1]) && s.iter().all(|&v| v < 300));
     }
 
     /// Every registered algorithm, erased and concrete, must run the same

@@ -459,6 +459,15 @@ pub enum AlgoError {
         /// Whether the program requires weights.
         needs_weights: bool,
     },
+    /// `--source` names no vertex of the graph the program would run on.
+    SourceOutOfRange {
+        /// The rejected root.
+        source: VertexId,
+        /// The graph's vertex count.
+        vertices: usize,
+    },
+    /// `--kcore-k 0`: every vertex is in the 0-core.
+    ZeroCoreK,
 }
 
 impl std::fmt::Display for AlgoError {
@@ -476,6 +485,11 @@ impl std::fmt::Display for AlgoError {
                 algo,
                 needs_weights: false,
             } => write!(f, "{algo} runs on the unweighted graph variant"),
+            AlgoError::SourceOutOfRange { source, vertices } => write!(
+                f,
+                "--source {source} is not a vertex of a {vertices}-vertex graph"
+            ),
+            AlgoError::ZeroCoreK => write!(f, "--kcore-k must be at least 1"),
         }
     }
 }

@@ -174,23 +174,8 @@ pub fn source_vertex(g: &Csr) -> VertexId {
 /// dataset's hub ([`source_vertex`]), multi-source programs draw their
 /// registry-default sample count, kcore uses the paper-default k = 4.
 pub fn bench_program(g: &Csr, algo: Algo) -> ascetic_algos::AnyProgram {
-    let count = algo.default_source_count();
-    let sources = if count > 0 {
-        let n = g.num_vertices() as VertexId;
-        let mut s: Vec<VertexId> = (0..count as VertexId)
-            .map(|i| i.wrapping_mul(2_654_435_761) % n.max(1))
-            .collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    } else {
-        vec![source_vertex(g)]
-    };
-    algo.program(&ascetic_algos::ProgramOpts {
-        source: source_vertex(g),
-        sources,
-        k: 4,
-    })
+    algo.program_on(g, source_vertex(g), 4)
+        .expect("the hub is a vertex of its own graph")
 }
 
 /// Run `algo` on `g` (already weighted if needed) under a system, via the

@@ -77,6 +77,31 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Give a mode enum both text directions from its one spelling method:
+/// `Display` writes `self.$name()`, `FromStr` accepts exactly the spellings
+/// of the listed variants and otherwise says which those are.
+#[macro_export]
+macro_rules! spelled {
+    ($t:ident, $name:ident, $($v:expr),+) => {
+        impl std::fmt::Display for $t {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.$name())
+            }
+        }
+        impl std::str::FromStr for $t {
+            type Err = String;
+            fn from_str(s: &str) -> Result<Self, String> {
+                use $t::*;
+                let all = [$($v),+];
+                all.into_iter().find(|m| m.$name() == s).ok_or_else(|| {
+                    let choices: Vec<_> = all.iter().map(|m| m.$name()).collect();
+                    format!("'{s}' is not one of {}", choices.join("|"))
+                })
+            }
+        }
+    };
+}
+
 /// How the static region is filled before iteration 0 (paper §5 studies
 /// front / rear / random and finds < 5 % spread).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +127,21 @@ pub enum FillPolicy {
     Lazy,
 }
 
+impl FillPolicy {
+    /// The CLI name of the policy.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            FillPolicy::Front => "front",
+            FillPolicy::Rear => "rear",
+            FillPolicy::Random { .. } => "random",
+            FillPolicy::Lazy => "lazy",
+        }
+    }
+}
+
+// `random` parses to the seed the CLI has always used
+spelled!(FillPolicy, as_str, Front, Rear, Random { seed: 7 }, Lazy);
+
 /// Whether H2D edge payloads are delta–varint encoded before crossing the
 /// link (on-demand batches, prestore fills, refreshes and lazy loads).
 /// Weighted payloads always ship raw — weights would ride along
@@ -120,16 +160,6 @@ pub enum CompressionMode {
 }
 
 impl CompressionMode {
-    /// Parse a CLI / env spelling (`off` / `always` / `adaptive`).
-    pub fn parse(s: &str) -> Option<CompressionMode> {
-        match s {
-            "off" => Some(CompressionMode::Off),
-            "always" => Some(CompressionMode::Always),
-            "adaptive" => Some(CompressionMode::Adaptive),
-            _ => None,
-        }
-    }
-
     /// The CLI name of the mode.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -139,6 +169,8 @@ impl CompressionMode {
         }
     }
 }
+
+spelled!(CompressionMode, as_str, Off, Always, Adaptive);
 
 /// Which direction the session traverses edges in each iteration.
 ///
@@ -161,16 +193,6 @@ pub enum DirectionMode {
 }
 
 impl DirectionMode {
-    /// Parse a CLI value (`push` / `pull` / `adaptive`).
-    pub fn parse(s: &str) -> Option<DirectionMode> {
-        match s {
-            "push" => Some(DirectionMode::Push),
-            "pull" => Some(DirectionMode::Pull),
-            "adaptive" => Some(DirectionMode::Adaptive),
-            _ => None,
-        }
-    }
-
     /// The CLI name of the mode.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -181,11 +203,7 @@ impl DirectionMode {
     }
 }
 
-impl std::fmt::Display for DirectionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+spelled!(DirectionMode, as_str, Push, Pull, Adaptive);
 
 /// Static-region chunk replacement policy (paper §3.4, Figure 6).
 ///
@@ -447,9 +465,10 @@ mod tests {
             CompressionMode::Always,
             CompressionMode::Adaptive,
         ] {
-            assert_eq!(CompressionMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.as_str().parse(), Ok(m));
         }
-        assert_eq!(CompressionMode::parse("zstd"), None);
+        let err = "zstd".parse::<CompressionMode>().unwrap_err();
+        assert_eq!(err, "'zstd' is not one of off|always|adaptive");
     }
 
     #[test]
@@ -550,10 +569,10 @@ mod tests {
             DirectionMode::Pull,
             DirectionMode::Adaptive,
         ] {
-            assert_eq!(DirectionMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.as_str().parse(), Ok(m));
             assert_eq!(m.to_string(), m.as_str());
         }
-        assert_eq!(DirectionMode::parse("sideways"), None);
+        assert!("sideways".parse::<DirectionMode>().is_err());
     }
 
     #[test]

@@ -64,22 +64,9 @@ impl PrefetchMode {
             PrefetchMode::NextFrontier => "next-frontier",
         }
     }
-
-    /// Parse a CLI / env spelling (`off`, `next-frontier`).
-    pub fn parse(s: &str) -> Option<PrefetchMode> {
-        match s {
-            "off" => Some(PrefetchMode::Off),
-            "next-frontier" => Some(PrefetchMode::NextFrontier),
-            _ => None,
-        }
-    }
 }
 
-impl std::fmt::Display for PrefetchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+crate::spelled!(PrefetchMode, as_str, Off, NextFrontier);
 
 /// One planned speculative transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,8 +113,9 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
     demand
 }
 
-/// Plan up to `max_ops` speculative chunk transfers for the iteration
-/// `next_frontier` opens, judged at the end of the one before it.
+/// Plan up to `max_ops` speculative chunk transfers for the iteration the
+/// next frontier opens, judged at the end of the one before it; `demand`
+/// is that frontier's [`chunk_demand_bytes`].
 ///
 /// Candidates are non-resident chunks the next frontier demands, ranked by
 /// `demand × wire cost` descending (prefetching an
@@ -155,14 +143,13 @@ pub fn plan_prefetch(
     geo: &ChunkGeometry,
     region: &StaticRegion,
     hot: &mut HotnessTable,
-    next_frontier: &Bitmap,
+    demand: &[u64],
     compressible: bool,
     max_ops: usize,
 ) -> Vec<PrefetchOp> {
     if !mode.is_on() || max_ops == 0 || geo.num_chunks() == 0 {
         return Vec::new();
     }
-    let demand = chunk_demand_bytes(g, geo, next_frontier);
 
     // Wire cost of shipping chunk `c` on demand: the cached encoded size
     // when the compressed path could apply, the raw size otherwise.
@@ -256,14 +243,13 @@ mod tests {
     #[test]
     fn mode_parsing_round_trips() {
         for m in [PrefetchMode::Off, PrefetchMode::NextFrontier] {
-            assert_eq!(PrefetchMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.as_str().parse(), Ok(m));
         }
-        assert_eq!(PrefetchMode::parse("bogus"), None);
+        assert!("bogus".parse::<PrefetchMode>().is_err());
         assert!(!PrefetchMode::Off.is_on());
         assert!(PrefetchMode::NextFrontier.is_on());
-        assert_eq!(
-            PrefetchMode::parse("hotness"),
-            None,
+        assert!(
+            "hotness".parse::<PrefetchMode>().is_err(),
             "the history mode is gone"
         );
     }
@@ -287,8 +273,17 @@ mod tests {
         let plan = sr.plan_fill(FillPolicy::Front, 2);
         sr.fill(&mut gpu, &g, &plan);
         let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
-        let f = Bitmap::ones(33);
-        let ops = plan_prefetch(PrefetchMode::Off, &g, &geo, &sr, &mut hot, &f, false, 8);
+        let demand = chunk_demand_bytes(&g, &geo, &Bitmap::ones(33));
+        let ops = plan_prefetch(
+            PrefetchMode::Off,
+            &g,
+            &geo,
+            &sr,
+            &mut hot,
+            &demand,
+            false,
+            8,
+        );
         assert!(ops.is_empty());
     }
 
@@ -309,7 +304,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             8,
         );
@@ -333,7 +328,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             8,
         );
@@ -361,7 +356,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             8,
         );
@@ -390,7 +385,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             2,
         );
@@ -418,7 +413,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             8,
         );
@@ -446,7 +441,7 @@ mod tests {
             &geo,
             &sr,
             &mut hot,
-            &f,
+            &chunk_demand_bytes(&g, &geo, &f),
             false,
             8,
         );

@@ -1142,7 +1142,7 @@ impl<'g> AsceticSession<'g> {
             &geo,
             &self.region,
             &mut self.hotness,
-            next_frontier,
+            &demand,
             self.encode.is_some(),
             budget + GAP_PLAN_OPS,
         );

@@ -20,16 +20,6 @@ pub enum Policy {
 pub const ALL_POLICIES: [Policy; 3] = [Policy::Fifo, Policy::Sjf, Policy::ResidencyAffinity];
 
 impl Policy {
-    /// Parse a CLI `--policy` value.
-    pub fn parse(s: &str) -> Option<Policy> {
-        match s {
-            "fifo" => Some(Policy::Fifo),
-            "sjf" => Some(Policy::Sjf),
-            "residency" | "residency-affinity" => Some(Policy::ResidencyAffinity),
-            _ => None,
-        }
-    }
-
     /// Display name (matches the CLI spelling).
     pub fn name(self) -> &'static str {
         match self {
@@ -40,6 +30,8 @@ impl Policy {
     }
 }
 
+ascetic_core::spelled!(Policy, name, Fifo, Sjf, ResidencyAffinity);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,12 +39,10 @@ mod tests {
     #[test]
     fn parse_round_trips() {
         for p in ALL_POLICIES {
-            assert_eq!(Policy::parse(p.name()), Some(p));
+            assert_eq!(p.name().parse(), Ok(p));
+            assert_eq!(p.to_string(), p.name());
         }
-        assert_eq!(
-            Policy::parse("residency-affinity"),
-            Some(Policy::ResidencyAffinity)
-        );
-        assert_eq!(Policy::parse("lifo"), None);
+        let err = "lifo".parse::<Policy>().unwrap_err();
+        assert_eq!(err, "'lifo' is not one of fifo|sjf|residency");
     }
 }

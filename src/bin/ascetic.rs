@@ -8,23 +8,26 @@
 //! ascetic compare g.beg --algo cc --mem-frac 0.4
 //! ```
 //!
-//! Graphs are file paths (binary `.beg` from `generate`, or whitespace
-//! `src dst [w]` text) or builtin dataset specs `gs|fk|fs|uk@SCALE`
-//! (stand-ins for the paper's Table 3 datasets at `1/SCALE` size).
-//!
-//! `run --mutations FILE` streams JSONL edge insert/delete batches through
-//! the session after the base run, delta-patching resident chunks and
-//! incrementally repairing the answer after every batch; `--verify` checks
-//! each repaired output bit-identically against a cold recompute.
+//! This file is argument wiring (`DESIGN.md` §20). [`CMDS`] is the one
+//! table of subcommands and flags: the parser accepts exactly what it
+//! declares, `--help` is printed from it, and an [`Opts`] lookup of a name
+//! it does not declare panics. [`resolve`] is the one step from
+//! `GRAPH --algo … knobs` to the graph a run executes on, its program(s)
+//! and a checked [`AsceticConfig`]. A new knob is one table row plus one
+//! `knob(…, AsceticConfig::with_*)` line in [`ascetic_config`].
 
-use std::collections::HashMap;
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use ascetic::algos::{Algo, AlgoError, AnyProgram, ProgramOpts};
+use ascetic::algos::inmemory::run_in_memory;
+use ascetic::algos::traits::DEVICE_BYTES_PER_VERTEX;
+use ascetic::algos::{Algo, AnyProgram};
 use ascetic::baselines::{AnySystem, PtSystem, SubwaySystem, UvmSystem};
+use ascetic::core::session::AsceticSession;
 use ascetic::core::{
-    run_fleet, AsceticConfig, AsceticSystem, CompressionMode, DirectionMode, FillPolicy,
-    FleetConfig, FleetRunReport, OutOfCoreSystem, PrefetchMode, RunReport,
+    pool_metrics_snapshot, run_fleet, AsceticConfig, AsceticSystem, FleetConfig, FleetRunReport,
+    OutOfCoreSystem, RunReport, MIN_CHUNK_BYTES, RUN_REPORT_SCHEMA_VERSION,
 };
 use ascetic::graph::datasets::{weighted_variant, Dataset, DatasetId};
 use ascetic::graph::generators::{
@@ -32,172 +35,306 @@ use ascetic::graph::generators::{
 };
 use ascetic::graph::stats::{degree_histogram, degree_stats};
 use ascetic::graph::{edgelist, Csr};
-use ascetic::sim::DeviceConfig;
+use ascetic::obs::{json, Trace};
+use ascetic::sim::{DeviceConfig, InterconnectConfig};
+
+/// Any failure, as the text `main` prints after `error: `. Every `Display`
+/// error converts, so `?` is the whole error path.
+struct CliError(String);
+
+impl<E: Display> From<E> for CliError {
+    fn from(e: E) -> Self {
+        CliError(e.to_string())
+    }
+}
+
+type Res<T = ()> = Result<T, CliError>;
+
+/// `r`, its error prefixed with `what` (the file or flag it came from).
+fn ctx<T, E: Display>(r: Result<T, E>, what: impl Display) -> Res<T> {
+    r.map_err(|e| CliError(format!("{what}: {e}")))
+}
+
+fn read(path: &str, what: &str) -> Res<String> {
+    ctx(
+        std::fs::read_to_string(path),
+        format_args!("cannot read {what} {path}"),
+    )
+}
+
+/// One table row, as `--help` prints it: a flag is `"--name VALUE: help"`
+/// (`"--name: help"` for a switch), a subcommand `"name ARG..: about"`.
+type Row = &'static str;
+
+/// `row` as `(name, VALUE or ARG.. or "", help)`.
+fn split(row: Row) -> (&'static str, &'static str, &'static str) {
+    let (head, help) = row.split_once(": ").expect("a row carries a help text");
+    let (name, value) = head.split_once(' ').unwrap_or((head, ""));
+    (name, value, help)
+}
+
+/// Flags several subcommands (or several paths of one) share.
+type Group = &'static [Row];
+
+const PROG: Group = &[
+    "--source V: root vertex of bfs|sssp|bc (default 0)",
+    "--kcore-k K: the k of kcore (default 4)",
+];
+const DEV: Group = &[
+    "--mem BYTES: device memory, or:",
+    "--mem-frac F: vertex arrays + F x edge bytes (default 0.4)",
+];
+const COMP: Group =
+    &["--compression MODE: off|always|adaptive delta-varint H2D payloads (ascetic, subway)"];
+const KNOBS: Group = &[
+    "--k-param F: Eq (2) active-edge fraction K (default 0.1)",
+    "--static-ratio R: fixed static-region share, not Eq (2)",
+    "--chunk BYTES: edge-chunk size (default 16384; scaled down under 1 MiB)",
+    "--fill POLICY: front|rear|random|lazy static-region prestore",
+    "--no-overlap: serialize static-region compute and on-demand transfer",
+    "--no-adaptive: never re-partition (Eq (3) off)",
+    "--prefetch MODE: off|next-frontier use of this iteration's link gaps",
+    "--direction MODE: push|pull|adaptive traversal (pull: bfs|cc|pr only)",
+];
+const FLEET: Group = &[
+    "--devices N: simulated devices (answers identical to one)",
+    "--fabric NAME: pcie|nvlink between them (default pcie)",
+];
+const TRACE: Group =
+    &["--trace-out FILE: spans; .json for ui.perfetto.dev, .jsonl for `trace summarize`"];
+const REPORT: Group = &[
+    "--summary FMT: text|json|csv|md (default text)",
+    "--metrics-out FILE: JSONL of meta, every event, final metrics",
+    "--iter-csv FILE: one row per iteration",
+    "--pool-metrics: append host worker-pool telemetry (wall-clock)",
+];
+const SYNTH: Group = &[
+    "--synthetic N: N deterministic mixed jobs instead of --trace",
+    "--seed S: their seed (default 7)",
+    "--spacing-ns T: their arrival spacing (default 0: one burst)",
+    "--mutations M: interleave M synthetic edge mutations",
+];
+
+/// One subcommand: its synopsis row, its own flags, the shared groups it
+/// also reads, and the function that runs it.
+struct Cmd {
+    synopsis: Row,
+    flags: &'static [Row],
+    groups: &'static [Group],
+    run: fn(&Opts) -> Res,
+}
+
+const CMDS: &[Cmd] = &[
+    Cmd {
+        synopsis: "generate: write a synthetic graph",
+        flags: &[
+            "--kind KIND: social|web|rmat|uniform",
+            "--vertices N: vertex count",
+            "--edges M: edge count",
+            "--seed S: (default 42)",
+            "--undirected: rmat|uniform only: add every reverse edge",
+            "--weighted: attach deterministic edge weights",
+            "-o FILE: .txt|.el get 'src dst [w]' text, anything else .beg binary",
+        ],
+        groups: &[],
+        run: cmd_generate,
+    },
+    Cmd {
+        synopsis: "info GRAPH: size, degree statistics and histogram",
+        flags: &[],
+        groups: &[],
+        run: cmd_info,
+    },
+    Cmd {
+        synopsis: "run GRAPH: one algorithm under one system, on one path of it",
+        flags: &[
+            "--algo ALGO: bfs|sssp|cc|pr|kcore|msbfs|closeness|lp|bc",
+            "--system SYSTEM: ascetic|subway|pt|uvm|memory (default ascetic)",
+            "--mutations FILE: then stream JSONL edge batches through the live session",
+            "--verify: recompute every batch cold and demand bit-identity",
+        ],
+        groups: &[PROG, DEV, COMP, KNOBS, FLEET, REPORT, TRACE],
+        run: cmd_run,
+    },
+    Cmd {
+        synopsis: "pipeline GRAPH: several algorithms, one prestored static region (§4.3)",
+        flags: &["--algos A,B,..: unweighted algorithms, in order"],
+        groups: &[PROG, DEV, COMP, KNOBS],
+        run: cmd_pipeline,
+    },
+    Cmd {
+        synopsis: "compare GRAPH: all four systems; a knob goes to the systems that have it",
+        flags: &["--algo ALGO: as for run"],
+        groups: &[PROG, DEV, COMP, KNOBS],
+        run: cmd_compare,
+    },
+    Cmd {
+        synopsis: "serve GRAPH: a job trace under admission, scheduling and BFS/SSSP batching",
+        flags: &[
+            "--trace FILE: JSONL jobs, optionally with mutation records",
+            "--policy POLICY: fifo|sjf|residency (default residency)",
+            "--no-batching: every job runs alone",
+            "--summary FMT: text|json (default text)",
+        ],
+        groups: &[SYNTH, DEV, COMP, KNOBS, FLEET, TRACE],
+        run: cmd_serve,
+    },
+    Cmd {
+        synopsis: "trace summarize FILE.jsonl: busy time per track, the longest spans",
+        flags: &["--top K: spans listed (default 10)"],
+        groups: &[],
+        run: cmd_trace,
+    },
+];
+
+impl Cmd {
+    fn name(&self) -> &'static str {
+        split(self.synopsis).0
+    }
+
+    fn args(&self) -> impl Iterator<Item = &'static str> {
+        split(self.synopsis).1.split(' ').filter(|a| !a.is_empty())
+    }
+
+    /// `(--name, VALUE or "", help)` of every flag the command declares.
+    fn all_flags(&self) -> impl Iterator<Item = (&'static str, &'static str, &'static str)> {
+        let shared = self.groups.iter().flat_map(|g| g.iter());
+        self.flags.iter().chain(shared).map(|row| split(row))
+    }
+}
+
+/// The help text, printed from [`CMDS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "ascetic — out-of-GPU-memory graph processing (Ascetic, ICPP'21 reproduction)\n",
+    );
+    for c in CMDS {
+        let (name, args, about) = split(c.synopsis);
+        let synopsis = format!("{name} {args}");
+        writeln!(out, "\n  ascetic {}\n      {about}", synopsis.trim_end()).unwrap();
+        for (flag, value, help) in c.all_flags() {
+            writeln!(out, "      {:<22} {help}", format!("{flag} {value}")).unwrap();
+        }
+    }
+    out.push_str(
+        "\nGRAPH: a file path (.beg binary or 'src dst [w]' text), or a builtin\n       \
+         dataset spec gs|fk|fs|uk@SCALE (e.g. fk@2000 = friendster-konect\n       \
+         stand-in at 1/2000 of the paper's size).\n",
+    );
+    out
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
     };
-    let r = match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "info" => cmd_info(rest),
-        "run" => cmd_run(rest),
-        "pipeline" => cmd_pipeline(rest),
-        "serve" => cmd_serve(rest),
-        "trace" => cmd_trace(rest),
-        "compare" => cmd_compare(rest),
-        "-h" | "--help" | "help" => {
-            usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
+    if ["-h", "--help", "help"].contains(&name.as_str()) {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let r = match CMDS.iter().find(|c| c.name() == name) {
+        Some(c) => parse_opts(c, rest).and_then(|o| (c.run)(&o)),
+        None => Err(format!("unknown command '{name}' (see `ascetic --help`)").into()),
     };
     match r {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "ascetic — out-of-GPU-memory graph processing (Ascetic, ICPP'21 reproduction)
-
-USAGE:
-  ascetic generate --kind social|web|rmat|uniform --vertices N --edges M
-                   [--seed S] [--undirected] [--weighted] -o FILE
-  ascetic info GRAPH
-  ascetic run GRAPH --algo bfs|sssp|cc|pr|kcore|msbfs|closeness|lp|bc
-                   [--system ascetic|subway|pt|uvm|memory]
-                   [--mem BYTES | --mem-frac F] [--source V] [--k-param F] [--kcore-k K]
-                   [--static-ratio R] [--no-overlap] [--fill front|rear|random|lazy]
-                   [--chunk BYTES] [--no-adaptive] [--compression off|always|adaptive]
-                   [--prefetch off|next-frontier]
-                   [--direction push|pull|adaptive] (pull gathers unvisited
-                    vertices' in-edges from a chunked CSC mirror; adaptive
-                    switches per iteration on frontier density — bfs|cc|pr
-                    only, outputs byte-identical to push)
-                   [--devices N] [--fabric pcie|nvlink] (N>1: shard across an
-                    N-device fleet — ascetic system only; outputs stay
-                    byte-identical to one device)
-                   [--iter-csv FILE]
-                   [--trace-out FILE.json|FILE.jsonl] (hierarchical span trace:
-                    .json is Chrome/Perfetto format for ui.perfetto.dev,
-                    .jsonl is the compact form `ascetic trace summarize` reads)
-                   [--metrics-out FILE.jsonl] [--summary text|json|csv|md]
-                   [--pool-metrics] (append host worker-pool telemetry — wall-clock,
-                    non-deterministic — as an extra JSONL line / stdout object)
-                   [--mutations FILE.jsonl] [--verify] (stream edge insert/delete
-                    batches through the session after the base run: resident
-                    chunks are delta-patched in place and the answer is
-                    incrementally repaired after every batch; lines are
-                    {{\"op\":\"insert|delete\",\"src\":..,\"dst\":..[,\"weight\":W][,\"batch\":B]}};
-                    --verify recomputes each batch cold and demands bit-identity
-                    — ascetic system, single device only)
-  ascetic pipeline GRAPH --algos bfs,cc,pr,lp [--mem BYTES | --mem-frac F]
-                   (one Ascetic session: the static region is prestored once
-                    and reused by every algorithm — paper §4.3)
-  ascetic serve GRAPH (--trace FILE.jsonl | --synthetic N [--seed S] [--spacing-ns T])
-                   [--mutations M] (with --synthetic: interleave M synthetic edge
-                    mutations; trace files may carry their own
-                    {{\"mutate\":\"insert|delete\",\"src\":..,\"dst\":..,\"at\":NS}} lines —
-                    live sessions are delta-patched at each batch's instant)
-                   [--policy fifo|sjf|residency] [--no-batching]
-                   [--devices N] [--fabric pcie|nvlink] (route jobs across an
-                    N-device fleet with static-region replication)
-                   [--mem BYTES | --mem-frac F] [--summary text|json]
-                   [--trace-out FILE.json|FILE.jsonl] (per-job lifecycle spans)
-                   (multi-query serving: admission control, shared-residency
-                    scheduling, BFS/SSSP batching; trace lines are
-                    {{\"id\":..,\"algo\":\"bfs\",\"source\":..,\"submit_ns\":..}})
-  ascetic trace summarize FILE.jsonl [--top K]
-                   (per-track span counts + busy/utilization, top-K longest
-                    spans, schema-version check of a --trace-out .jsonl file)
-  ascetic compare GRAPH --algo ALGO [--mem BYTES | --mem-frac F]
-
-GRAPH: a file path (.beg binary or 'src dst [w]' text), or a builtin
-       dataset spec gs|fk|fs|uk@SCALE (e.g. fk@2000 = friendster-konect
-       stand-in at 1/2000 of the paper's size)."
-    );
-    ExitCode::FAILURE
-}
-
-/// Minimal flag parser: positionals plus `--key value` / `--bool-flag`.
+/// One parsed command line: `cmd`'s positionals and the flags given, both
+/// checked against `cmd`'s row of [`CMDS`].
 struct Opts {
-    positional: Vec<String>,
-    flags: HashMap<String, String>,
+    cmd: &'static Cmd,
+    args: Vec<String>,
+    given: Vec<(&'static str, String)>,
 }
 
-const BOOL_FLAGS: [&str; 8] = [
-    "undirected",
-    "weighted",
-    "no-overlap",
-    "no-adaptive",
-    "quiet",
-    "pool-metrics",
-    "no-batching",
-    "verify",
-];
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        positional: Vec::new(),
-        flags: HashMap::new(),
-    };
-    let mut it = args.iter().peekable();
+/// Parse `argv` by `cmd`'s table: a flag it does not declare, a repeated
+/// flag, a missing value and a missing or surplus positional are errors
+/// naming the offender.
+fn parse_opts(cmd: &'static Cmd, argv: &[String]) -> Res<Opts> {
+    let (me, want) = (cmd.name(), cmd.args().collect::<Vec<_>>());
+    let (mut args, mut given) = (Vec::new(), Vec::<(&str, String)>::new());
+    let mut it = argv.iter();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
-                o.flags.insert(name.to_string(), "true".to_string());
-            } else {
-                let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                o.flags.insert(name.to_string(), v.clone());
-            }
-        } else if let Some(name) = a.strip_prefix("-") {
-            let v = it.next().ok_or_else(|| format!("-{name} needs a value"))?;
-            o.flags.insert(name.to_string(), v.clone());
-        } else {
-            o.positional.push(a.clone());
+        if !a.starts_with('-') {
+            args.push(a.clone());
+            continue;
         }
+        let (name, value, _) = cmd
+            .all_flags()
+            .find(|f| f.0 == a)
+            .ok_or_else(|| format!("`ascetic {me}` has no flag {a}"))?;
+        if given.iter().any(|g| g.0 == name) {
+            return Err(format!("{a} given twice to `ascetic {me}`").into());
+        }
+        let v = match value {
+            "" => String::new(),
+            _ => it
+                .next()
+                .ok_or_else(|| format!("{a} needs a value"))?
+                .clone(),
+        };
+        given.push((name, v));
     }
-    Ok(o)
+    match (args.get(want.len()), want.get(args.len())) {
+        (Some(extra), _) => Err(format!("unexpected argument '{extra}' for `ascetic {me}`").into()),
+        (None, Some(missing)) => Err(format!("missing {missing}").into()),
+        (None, None) => Ok(Opts { cmd, args, given }),
+    }
 }
 
 impl Opts {
+    /// The value of flag `k` (`"--name"`; empty for a switch), if given.
+    ///
+    /// # Panics
+    /// If `k` is not in the subcommand's table — a reader and the table
+    /// (hence the parser and `--help`) cannot drift apart.
     fn get(&self, k: &str) -> Option<&str> {
-        self.flags.get(k).map(|s| s.as_str())
+        let me = self.cmd.name();
+        let declared = self.cmd.all_flags().any(|f| f.0 == k);
+        assert!(declared, "`ascetic {me}` reads {k} but does not declare it");
+        self.given.iter().find(|g| g.0 == k).map(|g| g.1.as_str())
     }
-    fn parse<T: std::str::FromStr>(&self, k: &str) -> Result<Option<T>, String> {
-        match self.get(k) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad value for --{k}: {v}")),
-        }
-    }
-    fn require<T: std::str::FromStr>(&self, k: &str) -> Result<T, String> {
-        self.parse(k)?.ok_or_else(|| format!("missing --{k}"))
-    }
+
     fn has(&self, k: &str) -> bool {
-        self.flags.contains_key(k)
+        self.get(k).is_some()
+    }
+
+    /// Flag `k` through its type's own parser.
+    fn parse<T: FromStr<Err: Display>>(&self, k: &str) -> Res<Option<T>> {
+        self.get(k)
+            .map(|v| ctx(v.parse(), format_args!("{k} {v}")))
+            .transpose()
+    }
+
+    fn require<T: FromStr<Err: Display>>(&self, k: &str) -> Res<T> {
+        self.parse(k)?.ok_or_else(|| format!("missing {k}").into())
+    }
+
+    /// Fail if a flag of `groups` was given: `path` cannot honour it.
+    fn reject(&self, groups: &[Group], path: &str) -> Res {
+        let mut names = groups.iter().flat_map(|g| g.iter()).map(|row| split(row).0);
+        match names.find(|name| self.has(name)) {
+            Some(name) => Err(format!("{name} has no effect with {path}").into()),
+            None => Ok(()),
+        }
     }
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let kind: String = o.require("kind")?;
-    let n: usize = o.require("vertices")?;
-    let m: u64 = o.require("edges")?;
-    let seed: u64 = o.parse("seed")?.unwrap_or(42);
-    let out: String = o
-        .parse::<String>("o")?
-        .or(o.parse::<String>("out")?)
-        .ok_or("missing -o FILE")?;
-    let undirected = o.has("undirected");
+fn cmd_generate(o: &Opts) -> Res {
+    let kind: String = o.require("--kind")?;
+    let n: usize = o.require("--vertices")?;
+    let m: u64 = o.require("--edges")?;
+    let seed: u64 = o.parse("--seed")?.unwrap_or(42);
+    let out: String = o.require("-o")?;
+    let undirected = o.has("--undirected");
 
     eprintln!("generating {kind} graph: {n} vertices, {m} edges, seed {seed} ...");
     let mut g = match kind.as_str() {
@@ -208,12 +345,16 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             rmat_graph(&RmatConfig::new(scale, m, seed).undirected(undirected))
         }
         "uniform" => uniform_graph(n, m, undirected, seed),
-        other => return Err(format!("unknown --kind {other}")),
+        other => return Err(format!("unknown --kind {other}").into()),
     };
-    if o.has("weighted") {
+    if o.has("--weighted") {
         g = weighted_variant(&g);
     }
-    write_graph(&g, &out)?;
+    if is_text(&out) {
+        edgelist::write_text(&g, std::fs::File::create(&out)?)?;
+    } else {
+        edgelist::save_binary(&g, &out)?;
+    }
     eprintln!(
         "wrote {} ({} vertices, {} edges, {:.1} MB of edge data)",
         out,
@@ -224,43 +365,30 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn write_graph(g: &Csr, path: &str) -> Result<(), String> {
-    if path.ends_with(".txt") || path.ends_with(".el") {
-        let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        edgelist::write_text(g, f).map_err(|e| e.to_string())
-    } else {
-        edgelist::save_binary(g, path).map_err(|e| e.to_string())
-    }
+fn is_text(path: &str) -> bool {
+    path.ends_with(".txt") || path.ends_with(".el")
 }
 
 /// Load a graph argument: builtin `name@scale` or a file path.
-fn load_graph(spec: &str) -> Result<Csr, String> {
+fn load_graph(spec: &str) -> Res<Csr> {
     if let Some((name, scale)) = spec.split_once('@') {
-        let id = match name.to_lowercase().as_str() {
-            "gs" => DatasetId::Gs,
-            "fk" => DatasetId::Fk,
-            "fs" => DatasetId::Fs,
-            "uk" => DatasetId::Uk,
-            other => return Err(format!("unknown builtin dataset '{other}'")),
-        };
-        let scale: u64 = scale
-            .parse()
-            .map_err(|_| format!("bad scale in '{spec}'"))?;
+        let id = DatasetId::ALL
+            .into_iter()
+            .find(|d| d.abbr().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown builtin dataset '{name}'"))?;
+        let scale: u64 = ctx(scale.parse(), format_args!("bad scale in '{spec}'"))?;
         eprintln!("building {} stand-in at scale 1/{scale} ...", id.name());
         return Ok(Dataset::build(id, scale).graph);
     }
-    if spec.ends_with(".txt") || spec.ends_with(".el") {
-        Ok(edgelist::load_text(spec, None)
-            .map_err(|e| e.to_string())?
-            .build())
+    if is_text(spec) {
+        Ok(edgelist::load_text(spec, None)?.build())
     } else {
-        edgelist::load_binary(spec).map_err(|e| e.to_string())
+        Ok(edgelist::load_binary(spec)?)
     }
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let spec = o.positional.first().ok_or("missing GRAPH")?;
+fn cmd_info(o: &Opts) -> Res {
+    let spec = &o.args[0];
     let g = load_graph(spec)?;
     let s = degree_stats(&g);
     println!("graph:        {spec}");
@@ -287,146 +415,104 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Deterministic evenly-spread source sample for msbfs/closeness.
-fn sample_sources(g: &Csr, k: usize) -> Vec<u32> {
-    let n = g.num_vertices() as u32;
-    let mut s: Vec<u32> = (0..k as u32)
-        .map(|i| i.wrapping_mul(2_654_435_761) % n.max(1))
-        .collect();
-    s.sort_unstable();
-    s.dedup();
-    s
-}
-
-/// Resolve the device from `--mem` / `--mem-frac` (default: 40% of the
-/// dataset's edge bytes, which oversubscribes like the paper's setup).
-fn device_from(o: &Opts, g: &Csr) -> Result<DeviceConfig, String> {
-    let mem = if let Some(m) = o.parse::<u64>("mem")? {
-        m
-    } else {
-        let frac: f64 = o.parse("mem-frac")?.unwrap_or(0.4);
-        if !(0.01..=100.0).contains(&frac) {
-            return Err("--mem-frac out of range".into());
-        }
-        g.num_vertices() as u64 * 24 + (g.edge_bytes() as f64 * frac) as u64
-    };
-    Ok(DeviceConfig::p100(mem))
-}
-
-/// A mode flag's value through the mode's own parser: `--KEY V` → `Some`,
-/// absent → `None`, an unknown `V` → an error listing `choices`.
-fn parse_mode<T>(
+/// `cfg` with `--k VALUE`, when given, applied through `set`.
+fn knob<T: FromStr<Err: Display>>(
     o: &Opts,
-    key: &str,
-    parse: fn(&str) -> Option<T>,
-    choices: &str,
-) -> Result<Option<T>, String> {
-    o.get(key)
-        .map(|v| parse(v).ok_or_else(|| format!("unknown --{key} {v} ({choices})")))
-        .transpose()
+    k: &str,
+    cfg: AsceticConfig,
+    set: fn(AsceticConfig, T) -> AsceticConfig,
+) -> Res<AsceticConfig> {
+    Ok(match o.parse(k)? {
+        Some(v) => set(cfg, v),
+        None => cfg,
+    })
 }
 
-fn parse_compression_mode(o: &Opts) -> Result<Option<CompressionMode>, String> {
-    parse_mode(
-        o,
-        "compression",
-        CompressionMode::parse,
-        "off|always|adaptive",
-    )
-}
-
-fn parse_direction(o: &Opts) -> Result<Option<DirectionMode>, String> {
-    parse_mode(o, "direction", DirectionMode::parse, "push|pull|adaptive")
-}
-
-fn ascetic_config(o: &Opts, dev: DeviceConfig) -> Result<AsceticConfig, String> {
-    let mut cfg = AsceticConfig::new(dev);
-    if let Some(k) = o.parse::<f64>("k-param")? {
-        cfg = cfg.with_k(k);
-    }
-    if let Some(r) = o.parse::<f64>("static-ratio")? {
-        cfg = cfg.with_static_ratio(r);
-    }
-    if let Some(c) = o.parse::<usize>("chunk")? {
-        cfg = cfg.with_chunk_bytes(c);
-    }
-    if o.has("no-overlap") {
-        cfg = cfg.with_overlap(false);
-    }
-    if o.has("no-adaptive") {
-        cfg = cfg.with_adaptive(false);
-    }
-    if let Some(f) = o.get("fill") {
-        cfg = cfg.with_fill(match f {
-            "front" => FillPolicy::Front,
-            "rear" => FillPolicy::Rear,
-            "random" => FillPolicy::Random { seed: 7 },
-            "lazy" => FillPolicy::Lazy,
-            other => return Err(format!("unknown --fill {other}")),
-        });
-    }
-    if let Some(m) = parse_compression_mode(o)? {
-        cfg = cfg.with_compression(m);
-    }
-    if let Some(m) = parse_mode(o, "prefetch", PrefetchMode::parse, "off|next-frontier")? {
-        cfg = cfg.with_prefetch(m);
-    }
-    if let Some(m) = parse_direction(o)? {
-        cfg = cfg.with_direction(m);
-    }
-    // default chunk scaled sensibly for small inputs
-    if o.get("chunk").is_none() {
-        let budget = dev.mem_bytes;
-        if budget < 64 * (16 * 1024) {
-            cfg = cfg.with_chunk_bytes(((budget / 64).next_multiple_of(8) as usize).max(64));
+/// The device (`--mem`, or `--mem-frac` of `g`'s edge bytes beside the
+/// vertex arrays: the default 0.4 oversubscribes like the paper's setup)
+/// and every Ascetic knob, as a `build()`-checked configuration.
+fn ascetic_config(o: &Opts, g: &Csr) -> Res<AsceticConfig> {
+    let mem = match o.parse::<u64>("--mem")? {
+        Some(_) if o.has("--mem-frac") => return Err("give --mem or --mem-frac, not both".into()),
+        Some(m) => m,
+        None => {
+            let frac: f64 = o.parse("--mem-frac")?.unwrap_or(0.4);
+            if !(0.01..=100.0).contains(&frac) {
+                return Err("--mem-frac out of range".into());
+            }
+            g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX
+                + (g.edge_bytes() as f64 * frac) as u64
         }
-    }
-    // surface bad knob combinations as a clean CLI error, not a panic
-    cfg.build().map_err(|e| e.to_string())
-}
-
-/// `cfg`, once `AsceticSystem::prepare` accepts it for `g` — the typed
-/// check the subcommands that build sessions themselves (fleet, mutations,
-/// pipeline) owe `AsceticSession::new`, whose preconditions panic. As in
-/// `run_system`, the unweighted `g` also vouches for its weighted variant.
-fn prepared(cfg: AsceticConfig, g: &Csr) -> Result<AsceticConfig, String> {
-    AsceticSystem::new(cfg)
-        .prepare(g)
-        .map_err(|e| e.to_string())?;
-    Ok(cfg)
-}
-
-/// Instantiate `algo` from the CLI knobs: `--source` roots single-source
-/// programs, `--kcore-k` parameterizes kcore, and multi-source programs
-/// draw their registry-default sample count from the graph.
-fn program_for(o: &Opts, g: &Csr, algo: Algo) -> Result<AnyProgram, String> {
-    let source: u32 = o.parse("source")?.unwrap_or(0);
-    let k: u32 = o.parse("kcore-k")?.unwrap_or(4);
-    let count = algo.default_source_count();
-    let sources = if count > 0 {
-        sample_sources(g, count)
-    } else {
-        vec![source]
     };
-    Ok(algo.program(&ProgramOpts { source, sources, k }))
+    let mut cfg = AsceticConfig::new(DeviceConfig::p100(mem))
+        .with_overlap(!o.has("--no-overlap"))
+        .with_adaptive(!o.has("--no-adaptive"));
+    // the paper's 16 KiB chunk, scaled down where a device holds under 64 of them
+    if mem < 64 * cfg.chunk_bytes as u64 {
+        let chunk = (mem / 64).next_multiple_of(8) as usize;
+        cfg = cfg.with_chunk_bytes(chunk.max(MIN_CHUNK_BYTES));
+    }
+    cfg = knob(o, "--chunk", cfg, AsceticConfig::with_chunk_bytes)?;
+    cfg = knob(o, "--k-param", cfg, AsceticConfig::with_k)?;
+    cfg = knob(o, "--static-ratio", cfg, AsceticConfig::with_static_ratio)?;
+    cfg = knob(o, "--fill", cfg, AsceticConfig::with_fill)?;
+    cfg = knob(o, "--compression", cfg, AsceticConfig::with_compression)?;
+    cfg = knob(o, "--prefetch", cfg, AsceticConfig::with_prefetch)?;
+    cfg = knob(o, "--direction", cfg, AsceticConfig::with_direction)?;
+    Ok(cfg.build()?)
 }
 
-fn run_system(o: &Opts, system: &str, g: &Csr, algo: Algo) -> Result<RunReport, String> {
-    let dev = device_from(o, g)?;
-    let tracing = o.get("trace-out").is_some();
-    // an event log is only worth recording when it will be exported
-    let events = o.get("metrics-out").is_some();
-    let sys: AnySystem = match system {
-        "ascetic" => {
-            let cfg = ascetic_config(o, dev)?
-                .with_tracing(tracing)
-                .with_events(events);
-            AsceticSystem::new(cfg).into()
-        }
+/// What a subcommand runs on, out of [`resolve`].
+struct Resolved {
+    /// The graph as executed.
+    g: Csr,
+    /// Edge bytes of the graph as *given* — what `--mem-frac` and the
+    /// reports' transfer-per-dataset ratios are relative to.
+    dataset_bytes: u64,
+    cfg: AsceticConfig,
+    /// One program per requested algorithm.
+    progs: Vec<AnyProgram>,
+}
+
+/// The one step from `GRAPH`, the requested algorithms and the flags to
+/// what actually runs: the graph (its weighted variant when an algorithm
+/// reads weights the input lacks), each program (`--source`, `--kcore-k`
+/// range-checked by the registry), and a configuration that passed
+/// `build()`, each algorithm's `validate_algo()` and `prepare()` on that
+/// graph — whose vertex-fit half is all a baseline's own `prepare` checks.
+/// `serve` names no algorithm here: its admission checks each job's.
+fn resolve(o: &Opts, algos: &[Algo]) -> Res<Resolved> {
+    let mut g = load_graph(&o.args[0])?;
+    let cfg = ascetic_config(o, &g)?;
+    let dataset_bytes = g.edge_bytes();
+    if algos.iter().any(|a| a.weighted()) && !g.is_weighted() {
+        g = weighted_variant(&g);
+    }
+    let mut progs = Vec::new();
+    for algo in algos {
+        cfg.validate_algo(algo.capabilities(), algo.display())?;
+        AsceticSystem::new(cfg).prepare(&g)?;
+        let source = o.parse("--source")?.unwrap_or(0);
+        let k = o.parse("--kcore-k")?.unwrap_or(4);
+        progs.push(algo.program_on(&g, source, k)?);
+    }
+    Ok(Resolved {
+        g,
+        dataset_bytes,
+        cfg,
+        progs,
+    })
+}
+
+/// The system `--system name` names, on `r`'s device.
+fn system(r: &Resolved, name: &str, tracing: bool, events: bool) -> Res<AnySystem> {
+    let dev = r.cfg.device;
+    Ok(match name {
+        "ascetic" => AsceticSystem::new(r.cfg.with_tracing(tracing).with_events(events)).into(),
         "subway" => SubwaySystem::new(dev)
             .with_tracing(tracing)
             .with_events(events)
-            .with_compression(parse_compression_mode(o)?.unwrap_or_default())
+            .with_compression(r.cfg.compression)
             .into(),
         "pt" => PtSystem::new(dev)
             .with_tracing(tracing)
@@ -436,20 +522,19 @@ fn run_system(o: &Opts, system: &str, g: &Csr, algo: Algo) -> Result<RunReport, 
             .with_tracing(tracing)
             .with_events(events)
             .into(),
-        other => return Err(format!("unknown --system {other}")),
+        other => return Err(format!("unknown --system {other}").into()),
+    })
+}
+
+/// `--devices N --fabric pcie|nvlink` → `(N, fabric name, fabric)`.
+fn fleet(o: &Opts) -> Res<(usize, &str, InterconnectConfig)> {
+    let name = o.get("--fabric").unwrap_or("pcie");
+    let fabric = match name {
+        "pcie" => InterconnectConfig::pcie(),
+        "nvlink" => InterconnectConfig::nvlink(),
+        other => return Err(format!("unknown --fabric {other} (pcie|nvlink)").into()),
     };
-    // A weighted program may auto-weight the graph below; the vertex
-    // count (what prepare checks) is unchanged by weighting, and the
-    // session ships weighted payloads raw, so preparing against `g`
-    // stays valid.
-    sys.prepare(g).map_err(|e| e.to_string())?;
-    let prog = program_for(o, g, algo)?;
-    if algo.weighted() && !g.is_weighted() {
-        let wg = weighted_variant(g);
-        Ok(sys.run(&wg, &prog))
-    } else {
-        Ok(sys.run(g, &prog))
-    }
+    Ok((o.parse("--devices")?.unwrap_or(1), name, fabric))
 }
 
 /// Eight-level unicode sparkline of per-iteration activity.
@@ -472,32 +557,26 @@ fn sparkline(values: &[u64]) -> String {
     out
 }
 
-fn write_iter_csv(r: &RunReport, path: &str) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-    writeln!(
-        f,
-        "iteration,active_vertices,active_edges,static_edges,payload_bytes,time_ns"
-    )
-    .map_err(|e| e.to_string())?;
+fn write_iter_csv(r: &RunReport, path: &str) -> Res {
+    let mut out =
+        String::from("iteration,active_vertices,active_edges,static_edges,payload_bytes,time_ns\n");
     for (i, it) in r.per_iter.iter().enumerate() {
         writeln!(
-            f,
+            out,
             "{},{},{},{},{},{}",
             i, it.active_vertices, it.active_edges, it.static_edges, it.payload_bytes, it.time_ns
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
     }
-    Ok(())
+    Ok(std::fs::write(path, out)?)
 }
 
-fn print_report(r: &RunReport, g: &Csr) {
+fn print_report(r: &RunReport, dataset_bytes: u64) {
     // the stable summary lives on the report's Display impl; the CLI adds
     // the graph-relative ratio and the activity sparkline
     print!("{r}");
     println!(
         "xfer/dataset:      {:.2}x",
-        r.total_bytes_with_prestore() as f64 / g.edge_bytes() as f64
+        r.total_bytes_with_prestore() as f64 / dataset_bytes as f64
     );
     if r.per_iter.len() > 1 {
         let activity: Vec<u64> = r.per_iter.iter().map(|i| i.active_edges).collect();
@@ -510,65 +589,47 @@ fn print_report(r: &RunReport, g: &Csr) {
 /// `include_pool`, a `{"kind":"pool",...}` line carrying the host
 /// worker-pool telemetry (wall-clock, non-deterministic — deliberately
 /// kept out of the run's deterministic metrics) is appended.
-fn write_metrics_jsonl(
-    r: &RunReport,
-    graph: &str,
-    path: &str,
-    include_pool: bool,
-) -> Result<(), String> {
-    use ascetic::obs::json;
-    let mut out = String::new();
-    out.push_str("{\"kind\":\"meta\",");
-    json::key_into("schema_version", &mut out);
-    out.push_str(&ascetic::core::RUN_REPORT_SCHEMA_VERSION.to_string());
-    out.push(',');
-    json::key_into("system", &mut out);
-    json::string_into(r.system, &mut out);
-    out.push(',');
-    json::key_into("algorithm", &mut out);
-    json::string_into(r.algorithm, &mut out);
-    out.push(',');
-    json::key_into("graph", &mut out);
-    json::string_into(graph, &mut out);
-    out.push(',');
-    json::key_into("events", &mut out);
-    out.push_str(&r.events.as_ref().map_or(0, |e| e.len()).to_string());
-    out.push(',');
-    json::key_into("events_dropped", &mut out);
-    out.push_str(&r.events_dropped.to_string());
-    out.push(',');
-    json::key_into("first_drop_at", &mut out);
-    match r.first_drop_at {
-        Some(t) => out.push_str(&t.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str("}\n");
+fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str, include_pool: bool) -> Res {
+    let mut out = format!(
+        "{{\"kind\":\"meta\",\"schema_version\":{RUN_REPORT_SCHEMA_VERSION},\
+         \"system\":\"{}\",\"algorithm\":\"{}\",\"graph\":\"{}\",\
+         \"events\":{},\"events_dropped\":{},\"first_drop_at\":{}}}\n",
+        json::escape(r.system),
+        json::escape(r.algorithm),
+        json::escape(graph),
+        r.events.as_ref().map_or(0, |e| e.len()),
+        r.events_dropped,
+        r.first_drop_at
+            .map_or("null".to_string(), |t| t.to_string()),
+    );
     if let Some(events) = &r.events {
         out.push_str(&events.to_jsonl());
     }
-    out.push_str("{\"kind\":\"metrics\",\"data\":");
-    out.push_str(&r.metrics.to_json());
-    out.push_str("}\n");
+    writeln!(
+        out,
+        "{{\"kind\":\"metrics\",\"data\":{}}}",
+        r.metrics.to_json()
+    )?;
     if include_pool {
-        out.push_str("{\"kind\":\"pool\",\"data\":");
-        out.push_str(&ascetic::core::pool_metrics_snapshot().to_json());
-        out.push_str("}\n");
+        let pool = pool_metrics_snapshot().to_json();
+        writeln!(out, "{{\"kind\":\"pool\",\"data\":{pool}}}")?;
     }
-    std::fs::write(path, out).map_err(|e| e.to_string())
+    Ok(std::fs::write(path, out)?)
 }
 
-/// Write a hierarchical span trace: `.jsonl` gets the compact form that
-/// `ascetic trace summarize` and [`Trace::from_jsonl`] read back; any
-/// other extension gets the Chrome/Perfetto JSON array for
-/// ui.perfetto.dev / chrome://tracing.
-fn write_span_trace(trace: &ascetic::obs::Trace, path: &str) -> Result<(), String> {
-    let ver = ascetic::core::RUN_REPORT_SCHEMA_VERSION;
-    let text = if path.ends_with(".jsonl") {
-        trace.to_jsonl(ver)
-    } else {
-        trace.to_perfetto_json(ver)
+/// The `--trace-out FILE` epilogue of every traced path: `.jsonl` gets the
+/// compact form `ascetic trace summarize` and [`Trace::from_jsonl`] read
+/// back, any other extension the Chrome/Perfetto JSON array.
+fn write_trace_out(o: &Opts, trace: Option<&Trace>) -> Res {
+    let (Some(path), Some(trace)) = (o.get("--trace-out"), trace) else {
+        return Ok(());
     };
-    std::fs::write(path, text).map_err(|e| e.to_string())?;
+    let text = if path.ends_with(".jsonl") {
+        trace.to_jsonl(RUN_REPORT_SCHEMA_VERSION)
+    } else {
+        trace.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION)
+    };
+    std::fs::write(path, text)?;
     eprintln!(
         "wrote {} spans on {} tracks to {path} (open .json in ui.perfetto.dev, \
          or `ascetic trace summarize` a .jsonl)",
@@ -578,114 +639,101 @@ fn write_span_trace(trace: &ascetic::obs::Trace, path: &str) -> Result<(), Strin
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let spec = o.positional.first().ok_or("missing GRAPH")?;
-    let algo: Algo = o
-        .require::<String>("algo")?
-        .parse()
-        .map_err(|e: ascetic::algos::registry::UnknownAlgo| e.to_string())?;
-    let system = o.get("system").unwrap_or("ascetic").to_string();
-    // reject a forced pull on a push-only algorithm up front, before any
-    // graph loading, with the typed registry error instead of a mid-run
-    // panic
-    if parse_direction(&o)? == Some(DirectionMode::Pull) && !algo.pull() {
-        return Err(AlgoError::PullUnsupported {
-            algo: algo.display(),
-        }
-        .to_string());
+fn cmd_run(o: &Opts) -> Res {
+    let algo: Algo = o.require("--algo")?;
+    let system_name = o.get("--system").unwrap_or("ascetic");
+    let (devices, fabric_name, interconnect) = fleet(o)?;
+    let mutations = o.get("--mutations");
+    // a flag the chosen path cannot honour is an error, not a silent default
+    let path = format!("--system {system_name}");
+    match system_name {
+        "ascetic" => {}
+        "subway" => o.reject(&[KNOBS], &path)?,
+        _ => o.reject(&[KNOBS, COMP], &path)?,
     }
-    let g = load_graph(spec)?;
-    if system == "memory" {
-        let prog = program_for(&o, &g, algo)?;
-        let res = if algo.weighted() && !g.is_weighted() {
-            ascetic::algos::inmemory::run_in_memory(&weighted_variant(&g), &prog)
-        } else {
-            ascetic::algos::inmemory::run_in_memory(&g, &prog)
+    if system_name != "ascetic" && (devices > 1 || mutations.is_some()) {
+        let flag = if devices > 1 { "devices" } else { "mutations" };
+        return Err(format!("--{flag} drives ascetic sessions; {path} has none").into());
+    }
+    if mutations.is_some() && devices > 1 {
+        return Err("--mutations runs single-device (drop --devices)".into());
+    }
+    if o.has("--verify") && mutations.is_none() {
+        return Err("--verify checks --mutations batches (give --mutations FILE)".into());
+    }
+    let r = resolve(o, &[algo])?;
+    let prog = &r.progs[0];
+    if let Some(file) = mutations {
+        o.reject(&[REPORT, TRACE], "--mutations (it prints one table)")?;
+        return run_mutations(&r, prog, file, o.has("--verify"));
+    }
+    if devices > 1 {
+        o.reject(&[REPORT], "--devices N>1 (it prints one table)")?;
+        let cfg = r.cfg.with_tracing(o.has("--trace-out"));
+        let fleet = FleetConfig {
+            devices,
+            interconnect,
         };
+        let rep = run_fleet(cfg, fleet, &r.g, prog);
+        print_fleet_report(&rep, fabric_name);
+        return write_trace_out(o, rep.span_trace.as_ref());
+    }
+    if system_name == "memory" {
+        o.reject(&[REPORT, TRACE], &path)?;
+        let res = run_in_memory(&r.g, prog);
         println!("system:            memory (oracle)");
         println!("iterations:        {}", res.iterations);
         println!("edges traversed:   {}", res.total_edges);
         println!(
             "avg active edges:  {:.2} % per iteration",
-            res.avg_active_edge_fraction(&g) * 100.0
+            res.avg_active_edge_fraction(&r.g) * 100.0
         );
         return Ok(());
     }
-    let devices: usize = o.parse("devices")?.unwrap_or(1);
-    if let Some(path) = o.get("mutations") {
-        if system != "ascetic" {
-            return Err(format!(
-                "--mutations patches the ascetic session; --system {system} has none"
-            ));
-        }
-        if devices > 1 {
-            return Err("--mutations runs single-device (drop --devices)".into());
-        }
-        return cmd_run_mutations(&o, &g, algo, path);
-    }
-    if devices > 1 {
-        if system != "ascetic" {
-            return Err(format!(
-                "--devices {devices} shards the ascetic system; --system {system} is single-device"
-            ));
-        }
-        return cmd_run_fleet(&o, &g, algo, devices);
-    }
-    let rep = run_system(&o, &system, &g, algo)?;
-    match o.get("summary").unwrap_or("text") {
-        "text" => print_report(&rep, &g),
+    // an event log is only worth recording when it will be exported
+    let sys = system(
+        &r,
+        system_name,
+        o.has("--trace-out"),
+        o.has("--metrics-out"),
+    )?;
+    let rep = sys.run(&r.g, prog);
+    match o.get("--summary").unwrap_or("text") {
+        "text" => print_report(&rep, r.dataset_bytes),
         "json" => println!("{}", rep.summary_json()),
         "csv" => print!("{}", rep.summary_csv()),
-        "md" | "markdown" => print!("{}", rep.summary_markdown()),
-        other => return Err(format!("unknown --summary {other} (text|json|csv|md)")),
+        "md" => print!("{}", rep.summary_markdown()),
+        other => return Err(format!("unknown --summary {other} (text|json|csv|md)").into()),
     }
-    let pool_metrics = o.has("pool-metrics");
-    if let Some(path) = o.get("metrics-out") {
-        write_metrics_jsonl(&rep, spec, path, pool_metrics)?;
+    if let Some(path) = o.get("--metrics-out") {
+        write_metrics_jsonl(&rep, &o.args[0], path, o.has("--pool-metrics"))?;
         eprintln!(
             "wrote metrics snapshot + {} events to {path}",
             rep.events.as_ref().map_or(0, |e| e.len())
         );
-    } else if pool_metrics {
-        println!("{}", ascetic::core::pool_metrics_snapshot().to_json());
+    } else if o.has("--pool-metrics") {
+        println!("{}", pool_metrics_snapshot().to_json());
     }
-    if let Some(path) = o.get("iter-csv") {
+    if let Some(path) = o.get("--iter-csv") {
         write_iter_csv(&rep, path)?;
         eprintln!("wrote per-iteration log to {path}");
     }
-    if let Some(path) = o.get("trace-out") {
-        match &rep.span_trace {
-            Some(trace) => write_span_trace(trace, path)?,
-            None => eprintln!("note: this system ran without span tracing"),
-        }
-    }
-    Ok(())
+    write_trace_out(o, rep.span_trace.as_ref())
 }
 
 /// The `--mutations FILE` path of `ascetic run`: converge on the base
-/// graph, then stream the file's insert/delete batches through the live
-/// session — delta-patching resident chunks in place and incrementally
-/// repairing the answer after every batch. `--verify` recomputes each
-/// batch cold in memory and demands bit-identity; any mismatch is a
-/// nonzero exit.
-fn cmd_run_mutations(o: &Opts, g: &Csr, algo: Algo, path: &str) -> Result<(), String> {
+/// graph, then stream the file's batches through the live session, which
+/// patches resident chunks in place and repairs the answer after each. A
+/// `verify` mismatch against the cold recompute is a nonzero exit.
+fn run_mutations(r: &Resolved, prog: &AnyProgram, path: &str, verify: bool) -> Res {
     use ascetic::mutate::{parse_mutations, run_with_mutations};
-    let dev = device_from(o, g)?;
-    let cfg = prepared(ascetic_config(o, dev)?, g)?;
-    let verify = o.has("verify");
-    let weighted_run = algo.weighted() && !g.is_weighted();
-    let wg = weighted_run.then(|| weighted_variant(g));
-    let run_g = wg.as_ref().unwrap_or(g);
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read mutations {path}: {e}"))?;
-    let batches = parse_mutations(&text, Some(run_g.num_vertices()), Some(run_g.is_weighted()))
-        .map_err(|e| format!("{path}: {e}"))?;
+    let text = read(path, "mutations")?;
+    let (n, weighted) = (r.g.num_vertices(), r.g.is_weighted());
+    let batches = ctx(parse_mutations(&text, Some(n), Some(weighted)), path)?;
     if batches.is_empty() {
-        return Err(format!("{path}: the mutation file holds no batches"));
+        return Err(format!("{path}: the mutation file holds no batches").into());
     }
-    let prog = program_for(o, run_g, algo)?;
-    let run = run_with_mutations(cfg, run_g, &prog, &batches, verify)
+    let run = run_with_mutations(r.cfg, &r.g, prog, &batches, verify)
         .map_err(|(i, e)| format!("{path}: batch {i} is not applicable: {e}"))?;
     println!("system:            Ascetic (streaming mutations)");
     println!("algorithm:         {}", run.base.algorithm);
@@ -745,42 +793,8 @@ fn cmd_run_mutations(o: &Opts, g: &Csr, algo: Algo, path: &str) -> Result<(), St
     Ok(())
 }
 
-/// `--fabric pcie|nvlink` → a [`FleetConfig`] over N devices.
-fn fleet_config(o: &Opts, devices: usize) -> Result<FleetConfig, String> {
-    match o.get("fabric").unwrap_or("pcie") {
-        "pcie" => Ok(FleetConfig::pcie(devices)),
-        "nvlink" => Ok(FleetConfig::nvlink(devices)),
-        other => Err(format!("unknown --fabric {other} (pcie|nvlink)")),
-    }
-}
-
-/// The `--devices N` (N>1) path of `ascetic run`: shard the graph across
-/// an N-device fleet and run with cross-device frontier exchange. The
-/// answer is byte-identical to the single-device run; only the timing
-/// model changes.
-fn cmd_run_fleet(o: &Opts, g: &Csr, algo: Algo, devices: usize) -> Result<(), String> {
-    let dev = device_from(o, g)?;
-    let tracing = o.get("trace-out").is_some();
-    let cfg = prepared(ascetic_config(o, dev)?.with_tracing(tracing), g)?;
-    let fleet = fleet_config(o, devices)?;
-    let fabric = o.get("fabric").unwrap_or("pcie").to_string();
-    let prog = program_for(o, g, algo)?;
-    let rep = if algo.weighted() && !g.is_weighted() {
-        let wg = weighted_variant(g);
-        run_fleet(cfg, fleet, &wg, &prog)
-    } else {
-        run_fleet(cfg, fleet, g, &prog)
-    };
-    print_fleet_report(&rep, &fabric);
-    if let Some(path) = o.get("trace-out") {
-        match &rep.span_trace {
-            Some(trace) => write_span_trace(trace, path)?,
-            None => eprintln!("note: fleet ran without span tracing"),
-        }
-    }
-    Ok(())
-}
-
+/// The report of the `--devices N` (N>1) path of `ascetic run`: the answer
+/// is byte-identical to one device's, only the timing model changes.
 fn print_fleet_report(r: &FleetRunReport, fabric: &str) {
     println!(
         "system:            Ascetic fleet ({} devices, {fabric} fabric)",
@@ -811,45 +825,36 @@ fn print_fleet_report(r: &FleetRunReport, fabric: &str) {
     }
 }
 
-fn cmd_pipeline(args: &[String]) -> Result<(), String> {
-    use ascetic::core::session::AsceticSession;
-    let o = parse_opts(args)?;
-    let spec = o.positional.first().ok_or("missing GRAPH")?;
-    let algos: String = o.require("algos")?;
-    let g = load_graph(spec)?;
-    if g.is_weighted() {
+fn cmd_pipeline(o: &Opts) -> Res {
+    let names: String = o.require("--algos")?;
+    let algos: Vec<Algo> = ctx(
+        names.split(',').map(|n| n.trim().parse()).collect(),
+        "--algos",
+    )?;
+    if let Some(a) = algos.iter().find(|a| a.weighted()) {
+        return Err(
+            format!("pipeline runs unweighted algorithms; '{a}' needs edge weights").into(),
+        );
+    }
+    let r = resolve(o, &algos)?;
+    if r.g.is_weighted() {
         return Err("pipeline runs unweighted algorithms; use an unweighted graph".into());
     }
-    let dev = device_from(&o, &g)?;
-    let cfg = prepared(ascetic_config(&o, dev)?, &g)?;
-
-    let mut session = AsceticSession::new(cfg, &g);
+    let mut session = AsceticSession::new(r.cfg, &r.g);
     println!(
         "{:<10} {:>10} {:>8} {:>12} {:>11} {:>11}",
         "step", "time", "iters", "steady xfer", "prestore", "static hit"
     );
-    for name in algos.split(',') {
-        let algo: Algo = name
-            .trim()
-            .parse()
-            .map_err(|e: ascetic::algos::registry::UnknownAlgo| e.to_string())?;
-        if algo.weighted() {
-            return Err(format!(
-                "pipeline runs unweighted algorithms; '{}' needs edge weights",
-                algo.name()
-            ));
-        }
-        let rep = session.run(&program_for(&o, &g, algo)?);
-        let static_edges: u64 = rep.per_iter.iter().map(|i| i.static_edges).sum();
-        let total: u64 = rep.per_iter.iter().map(|i| i.active_edges).sum();
+    for (algo, prog) in algos.iter().zip(&r.progs) {
+        let rep = session.run(prog);
         println!(
             "{:<10} {:>8.2}ms {:>8} {:>10.2}MB {:>9.2}MB {:>10.1}%",
-            name.trim(),
+            algo.name(),
             rep.sim_time_ns as f64 / 1e6,
             rep.iterations,
             rep.steady_bytes() as f64 / 1e6,
             rep.prestore_bytes as f64 / 1e6,
-            static_edges as f64 / total.max(1) as f64 * 100.0
+            rep.static_edge_fraction() * 100.0
         );
     }
     println!(
@@ -860,41 +865,34 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(o: &Opts) -> Res {
     use ascetic::serve::{
         parse_trace_mutating, serve_mutating, synthetic_mixed, synthetic_mutations, Policy,
-        ServeConfig, TraceMutation,
+        ServeConfig,
     };
-    let o = parse_opts(args)?;
-    let spec = o.positional.first().ok_or("missing GRAPH")?;
-    let g = load_graph(spec)?;
-    if g.is_weighted() {
+    let policy = o.parse("--policy")?.unwrap_or(Policy::ResidencyAffinity);
+    let (devices, _, interconnect) = fleet(o)?;
+    let r = resolve(o, &[])?;
+    if r.g.is_weighted() {
         return Err(
             "serve expects an unweighted graph; sssp jobs run on an auto-weighted variant".into(),
         );
     }
-    let policy = match o.get("policy") {
-        Some(p) => {
-            Policy::parse(p).ok_or_else(|| format!("unknown --policy {p} (fifo|sjf|residency)"))?
-        }
-        None => Policy::ResidencyAffinity,
-    };
+    let n = r.g.num_vertices();
     // a trace file (which may interleave mutation records), or the
     // deterministic synthetic mixed workload
-    let (jobs, mutations): (Vec<_>, Vec<TraceMutation>) = if let Some(path) = o.get("trace") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-        let t = parse_trace_mutating(&text, Some(g.num_vertices())).map_err(|e| e.to_string())?;
+    let (jobs, mutations) = if let Some(path) = o.get("--trace") {
+        o.reject(&[SYNTH], "--trace FILE")?;
+        let t = parse_trace_mutating(&read(path, "trace")?, Some(n))?;
         (t.jobs, t.mutations)
-    } else if let Some(n) = o.parse::<usize>("synthetic")? {
-        let seed = o.parse::<u64>("seed")?.unwrap_or(7);
-        let spacing = o.parse::<u64>("spacing-ns")?.unwrap_or(0);
-        let jobs = synthetic_mixed(n, g.num_vertices(), seed, spacing, 1);
-        let muts = match o.parse::<usize>("mutations")? {
-            Some(m) => synthetic_mutations(m, g.num_vertices(), seed, spacing.max(1)),
-            None => Vec::new(),
-        };
-        (jobs, muts)
+    } else if let Some(count) = o.parse("--synthetic")? {
+        let seed = o.parse("--seed")?.unwrap_or(7);
+        let spacing: u64 = o.parse("--spacing-ns")?.unwrap_or(0);
+        let muts: usize = o.parse("--mutations")?.unwrap_or(0);
+        (
+            synthetic_mixed(count, n, seed, spacing, 1),
+            synthetic_mutations(muts, n, seed, spacing.max(1)),
+        )
     } else {
         return Err("serve needs --trace FILE or --synthetic N".into());
     };
@@ -903,28 +901,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     // a forced pull with push-only jobs in the trace is handled per-job
     // at admission: those jobs come back rejected with the AlgoError text
-    let dev = device_from(&o, &g)?;
-    let cfg = ascetic_config(&o, dev)?;
-    let mut sc = ServeConfig::new(cfg, policy);
-    if o.has("no-batching") {
+    let mut sc = ServeConfig::new(r.cfg, policy)
+        .with_devices(devices)
+        .with_interconnect(interconnect);
+    if o.has("--no-batching") {
         sc = sc.without_batching();
-    }
-    if let Some(n) = o.parse::<usize>("devices")? {
-        sc = sc.with_devices(n);
-        let ic = match o.get("fabric").unwrap_or("pcie") {
-            "pcie" => ascetic::sim::InterconnectConfig::pcie(),
-            "nvlink" => ascetic::sim::InterconnectConfig::nvlink(),
-            other => return Err(format!("unknown --fabric {other} (pcie|nvlink)")),
-        };
-        sc = sc.with_interconnect(ic);
     }
     let weighted = jobs
         .iter()
         .any(|j| j.kind.weighted())
-        .then(|| weighted_variant(&g));
-    let rep =
-        serve_mutating(&sc, &g, weighted.as_ref(), &jobs, &mutations).map_err(|e| e.to_string())?;
-    match o.get("summary").unwrap_or("text") {
+        .then(|| weighted_variant(&r.g));
+    let rep = serve_mutating(&sc, &r.g, weighted.as_ref(), &jobs, &mutations)?;
+    match o.get("--summary").unwrap_or("text") {
         "text" => {
             println!("{}", rep.summary_text());
             println!(
@@ -952,37 +940,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         }
         "json" => println!("{}", rep.to_json()),
-        other => return Err(format!("unknown --summary {other} (text|json)")),
+        other => return Err(format!("unknown --summary {other} (text|json)").into()),
     }
-    if let Some(path) = o.get("trace-out") {
-        match &rep.span_trace {
-            Some(trace) => write_span_trace(trace, path)?,
-            None => eprintln!("note: serve ran without span tracing"),
-        }
-    }
-    Ok(())
+    write_trace_out(o, rep.span_trace.as_ref())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let sub = o.positional.first().map(|s| s.as_str());
-    if sub != Some("summarize") {
+fn cmd_trace(o: &Opts) -> Res {
+    if o.args[0] != "summarize" {
         return Err("usage: ascetic trace summarize FILE.jsonl [--top K]".into());
     }
-    let path = o
-        .positional
-        .get(1)
-        .ok_or("trace summarize needs a FILE.jsonl (from --trace-out)")?;
-    let top: usize = o.parse("top")?.unwrap_or(10);
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    let (trace, version) =
-        ascetic::obs::Trace::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    if version != ascetic::core::RUN_REPORT_SCHEMA_VERSION {
+    let path = &o.args[1];
+    let top: usize = o.parse("--top")?.unwrap_or(10);
+    let (trace, version) = ctx(Trace::from_jsonl(&read(path, "trace")?), path)?;
+    if version != RUN_REPORT_SCHEMA_VERSION {
         return Err(format!(
-            "{path}: trace schema version {version} does not match this binary's {}",
-            ascetic::core::RUN_REPORT_SCHEMA_VERSION
-        ));
+            "{path}: trace schema version {version} does not match this binary's \
+             {RUN_REPORT_SCHEMA_VERSION}"
+        )
+        .into());
     }
     let horizon = trace.horizon_ns();
     println!("trace:          {path}");
@@ -1025,28 +1000,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let spec = o.positional.first().ok_or("missing GRAPH")?;
-    let algo: Algo = o
-        .require::<String>("algo")?
-        .parse()
-        .map_err(|e: ascetic::algos::registry::UnknownAlgo| e.to_string())?;
-    if parse_direction(&o)? == Some(DirectionMode::Pull) && !algo.pull() {
-        return Err(AlgoError::PullUnsupported {
-            algo: algo.display(),
-        }
-        .to_string());
-    }
-    let g = load_graph(spec)?;
+fn cmd_compare(o: &Opts) -> Res {
+    let r = resolve(o, &[o.require("--algo")?])?;
     println!(
         "{:<8} {:>12} {:>9} {:>14} {:>10} {:>9}",
         "system", "time", "speedup", "transferred", "xfer/data", "GPU idle"
     );
     let mut base: Option<f64> = None;
     let mut outputs: Vec<RunReport> = Vec::new();
-    for system in ["pt", "uvm", "subway", "ascetic"] {
-        let rep = run_system(&o, system, &g, algo)?;
+    for name in ["pt", "uvm", "subway", "ascetic"] {
+        let rep = system(&r, name, false, false)?.run(&r.g, &r.progs[0]);
         let t = rep.seconds();
         let b = *base.get_or_insert(t);
         println!(
@@ -1055,16 +1018,121 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             t * 1e3,
             b / t,
             rep.total_bytes_with_prestore() as f64 / 1e6,
-            rep.total_bytes_with_prestore() as f64 / g.edge_bytes() as f64,
+            rep.total_bytes_with_prestore() as f64 / r.dataset_bytes as f64,
             rep.gpu_idle_fraction() * 100.0
         );
         outputs.push(rep);
     }
     for r in &outputs[1..] {
         if r.output.first_mismatch(&outputs[0].output, 1e-6).is_some() {
-            return Err(format!("{} and {} disagree!", r.system, outputs[0].system));
+            return Err(format!("{} and {} disagree!", r.system, outputs[0].system).into());
         }
     }
     println!("\nall systems agree on the result ✓");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &'static Cmd, line: &str) -> Result<(), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_opts(cmd, &argv).map(drop).map_err(|e| e.0)
+    }
+
+    /// The positionals `cmd` wants, then `rest`.
+    fn line(cmd: &Cmd, rest: &str) -> String {
+        format!("{} {rest}", cmd.args().collect::<Vec<_>>().join(" "))
+    }
+
+    #[test]
+    fn every_flag_is_one_row_of_its_subcommand() {
+        for c in CMDS {
+            let names: Vec<&str> = c.all_flags().map(|f| f.0).collect();
+            for (i, n) in names.iter().enumerate() {
+                assert!(n.starts_with('-'), "{}: row '{n}' is not a flag", c.name());
+                assert!(!names[..i].contains(n), "{}: {n} declared twice", c.name());
+            }
+        }
+    }
+
+    /// For every subcommand: a made-up flag, a repeated flag, a flag only
+    /// another subcommand has, a missing value and a surplus positional
+    /// are errors naming the offender (and the subcommand, where it is the
+    /// subcommand that lacks the flag).
+    #[test]
+    fn the_parser_is_the_table() {
+        for c in CMDS {
+            let me = format!("`ascetic {}`", c.name());
+            assert!(parse(c, &line(c, "")).is_ok(), "{me}: bare positionals");
+            let err = parse(c, &line(c, "--no-such-flag 3")).unwrap_err();
+            assert!(err.contains("--no-such-flag") && err.contains(&me), "{err}");
+            let err = parse(c, &line(c, "surplus")).unwrap_err();
+            assert!(err.contains("'surplus'") && err.contains(&me), "{err}");
+            let foreign = CMDS
+                .iter()
+                .flat_map(|other| other.all_flags())
+                .find(|f| c.all_flags().all(|mine| mine.0 != f.0))
+                .expect("no subcommand declares every flag");
+            let err = parse(c, &line(c, &format!("{} 1", foreign.0))).unwrap_err();
+            assert!(err.contains(foreign.0) && err.contains(&me), "{err}");
+            for (name, value, _) in c.all_flags() {
+                let once = format!("{name} {}", if value.is_empty() { "" } else { "1" });
+                assert!(parse(c, &line(c, &once)).is_ok(), "{me} {once}");
+                let err = parse(c, &line(c, &format!("{once} {once}"))).unwrap_err();
+                assert!(err.contains(name) && err.contains("twice"), "{err}");
+                if !value.is_empty() {
+                    let err = parse(c, &line(c, name)).unwrap_err();
+                    assert!(err.contains(name) && err.contains("needs a value"), "{err}");
+                }
+            }
+            if let Some(first) = c.args().next() {
+                let err = parse(c, "").unwrap_err();
+                assert_eq!(err, format!("missing {first}"));
+            }
+        }
+    }
+
+    /// `--help` names every row of every table, and nothing that looks like
+    /// a flag without being one.
+    #[test]
+    fn help_is_printed_from_the_table() {
+        let help = usage();
+        let declared: Vec<&str> = CMDS
+            .iter()
+            .flat_map(|c| c.all_flags())
+            .map(|f| f.0)
+            .collect();
+        for name in &declared {
+            assert!(
+                help.contains(&format!("      {name} ")),
+                "{name} not in --help"
+            );
+        }
+        let word = |w: &str| {
+            w.trim_matches(|ch: char| !ch.is_alphanumeric() && ch != '-')
+                .to_string()
+        };
+        for w in help
+            .split_whitespace()
+            .map(word)
+            .filter(|w| w.starts_with('-'))
+        {
+            let known = declared.contains(&w.as_str()) || w.chars().all(|ch| ch == '-');
+            assert!(known, "--help mentions {w}, which no table declares");
+        }
+        for c in CMDS {
+            let synopsis = format!("\n  ascetic {}", c.name());
+            assert!(help.contains(&synopsis), "{}", c.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reads --policy but does not declare it")]
+    fn reading_a_flag_the_table_does_not_declare_panics() {
+        let run = CMDS.iter().find(|c| c.name() == "run").unwrap();
+        let o = parse_opts(run, &["g.beg".to_string()]).ok().unwrap();
+        o.get("--policy");
+    }
 }

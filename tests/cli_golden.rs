@@ -237,3 +237,20 @@ fn every_invocation_reproduces_the_pre_table_bytes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// README's flag reference is `ascetic --help`, verbatim.
+#[test]
+fn readme_carries_the_generated_help() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ascetic"))
+        .arg("--help")
+        .output()
+        .expect("the binary runs");
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md is readable");
+    assert!(
+        readme.contains(help.trim_end()),
+        "README.md's flag reference is stale: paste `ascetic --help` into it"
+    );
+}

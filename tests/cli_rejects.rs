@@ -1,0 +1,237 @@
+//! An input the command does not read is an error, not a silent default:
+//! every invocation below used to exit 0 on something other than what was
+//! asked for (or panic), and must now exit 1 with a message naming the
+//! offending flag or value. The parser's own rules (made-up, repeated and
+//! foreign flags, surplus positionals, for every subcommand) are
+//! table-driven unit tests in `src/bin/ascetic.rs`; this file drives the
+//! real binary through the paths that choose what a flag means.
+
+use std::process::Command;
+
+use ascetic::core::{CompressionMode, DirectionMode, FillPolicy, PrefetchMode};
+use ascetic::serve::{Policy, ALL_POLICIES};
+
+const G: &str = "gs@50000"; // 1373 vertices
+
+/// Run `ascetic ARGS`, demand exit code 1 and no panic, return stderr.
+fn rejected(args: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ascetic"))
+        .args(args.split_whitespace())
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "`ascetic {args}`: {stderr}");
+    assert!(!stderr.contains("panicked"), "`ascetic {args}`: {stderr}");
+    stderr
+}
+
+fn accepted(args: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ascetic"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "`ascetic {args}`: {stderr}");
+}
+
+#[test]
+fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
+    let err = rejected(&format!(
+        "run {G} --algo bfs --compresion always --no-such-flag 3"
+    ));
+    assert!(
+        err.contains("--compresion") && err.contains("`ascetic run`"),
+        "{err}"
+    );
+    let err = rejected(&format!("run {G} --algo bfs --policy sjf"));
+    assert!(
+        err.contains("--policy") && err.contains("`ascetic run`"),
+        "{err}"
+    );
+    let err = rejected(&format!("run {G} fk@30000 --algo bfs"));
+    assert!(err.contains("'fk@30000'"), "{err}");
+    let err = rejected(&format!("run {G} --algo bfs --algo cc"));
+    assert!(err.contains("--algo given twice"), "{err}");
+    let err = rejected(&format!("serve {G} --synthetic 4 --polcy sjf"));
+    assert!(
+        err.contains("--polcy") && err.contains("`ascetic serve`"),
+        "{err}"
+    );
+    let err = rejected(&format!("compare {G} --algo cc --trace-out x.json"));
+    assert!(err.contains("--trace-out"), "{err}");
+    let err = rejected("generate --kind web --vertices 10 --edges 20 --out g.beg");
+    assert!(err.contains("--out"), "{err}");
+    let err = rejected(&format!("run {G} --algo bfs --compression zstd"));
+    assert!(
+        err.contains("--compression zstd") && err.contains("off|always|adaptive"),
+        "{err}"
+    );
+}
+
+#[test]
+fn an_out_of_range_source_or_k_is_an_error_on_every_path_not_a_panic() {
+    let muts = std::env::temp_dir().join(format!("ascetic-rejects-{}.jsonl", std::process::id()));
+    std::fs::write(&muts, "{\"op\": \"insert\", \"src\": 1, \"dst\": 2}\n").unwrap();
+    let muts = muts.to_str().unwrap();
+    let paths = [
+        format!("run {G} --algo bfs"),
+        format!("run {G} --algo bfs --system subway"),
+        format!("run {G} --algo bfs --system pt"),
+        format!("run {G} --algo bfs --system uvm"),
+        format!("run {G} --algo sssp --system memory"),
+        format!("run {G} --algo bc --devices 2"),
+        format!("run {G} --algo bfs --mutations {muts}"),
+        format!("pipeline {G} --algos bfs,cc"),
+        format!("compare {G} --algo bfs"),
+    ];
+    for path in &paths {
+        let err = rejected(&format!("{path} --source 99999999"));
+        assert!(
+            err.contains("--source 99999999") && err.contains("1373-vertex"),
+            "{path}: {err}"
+        );
+        // the first vertex id past the end, too
+        rejected(&format!("{path} --source 1373"));
+    }
+    for path in &paths {
+        let path = path
+            .replace("bfs,cc", "kcore,cc")
+            .replace("--algo bfs", "--algo kcore")
+            .replace("--algo sssp", "--algo kcore")
+            .replace("--algo bc", "--algo kcore");
+        let err = rejected(&format!("{path} --kcore-k 0"));
+        assert!(
+            err.contains("--kcore-k must be at least 1"),
+            "{path}: {err}"
+        );
+    }
+    std::fs::remove_file(muts).ok();
+}
+
+#[test]
+fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
+    let muts = std::env::temp_dir().join(format!("ascetic-paths-{}.jsonl", std::process::id()));
+    std::fs::write(&muts, "{\"op\": \"insert\", \"src\": 1, \"dst\": 2}\n").unwrap();
+    let muts = muts.to_str().unwrap();
+    let report = [
+        "--summary json",
+        "--metrics-out m.jsonl",
+        "--iter-csv i.csv",
+        "--pool-metrics",
+    ];
+    let knobs = [
+        "--k-param 0.2",
+        "--static-ratio 0.5",
+        "--chunk 1024",
+        "--fill rear",
+        "--no-overlap",
+        "--no-adaptive",
+        "--prefetch next-frontier",
+        "--direction adaptive",
+    ];
+    let name = |flag: &str| flag.split(' ').next().unwrap().to_string();
+    // the fleet prints one fixed table and writes only --trace-out
+    for flag in report {
+        let err = rejected(&format!("run {G} --algo bfs --devices 2 {flag}"));
+        assert!(
+            err.contains(&name(flag)) && err.contains("--devices"),
+            "{err}"
+        );
+    }
+    // so does the mutation stream, which does not trace either
+    for flag in report.iter().chain(&["--trace-out t.json"]) {
+        let err = rejected(&format!("run {G} --algo bfs --mutations {muts} {flag}"));
+        assert!(
+            err.contains(&name(flag)) && err.contains("--mutations"),
+            "{err}"
+        );
+    }
+    // the baselines and the oracle have none of Ascetic's knobs ...
+    for system in ["subway", "pt", "uvm", "memory"] {
+        for flag in knobs {
+            let err = rejected(&format!("run {G} --algo bfs --system {system} {flag}"));
+            let path = format!("--system {system}");
+            assert!(err.contains(&name(flag)) && err.contains(&path), "{err}");
+        }
+    }
+    // ... and only Subway has a compressed path
+    for system in ["pt", "uvm", "memory"] {
+        let err = rejected(&format!(
+            "run {G} --algo bfs --system {system} --compression always"
+        ));
+        assert!(
+            err.contains("--compression") && err.contains(system),
+            "{err}"
+        );
+    }
+    accepted(&format!(
+        "run {G} --algo bfs --system subway --compression always"
+    ));
+    // compare applies each knob to the systems that have it
+    accepted(&format!(
+        "compare {G} --algo bfs --chunk 1024 --compression adaptive"
+    ));
+    // the oracle writes no report; sessions are what shard and mutate
+    for flag in report.iter().chain(&["--trace-out t.json"]) {
+        let err = rejected(&format!("run {G} --algo bfs --system memory {flag}"));
+        assert!(err.contains(&name(flag)), "{err}");
+    }
+    for flag in ["--devices 2".to_string(), format!("--mutations {muts}")] {
+        let err = rejected(&format!("run {G} --algo bfs --system pt {flag}"));
+        assert!(
+            err.contains(&name(&flag)) && err.contains("--system pt"),
+            "{err}"
+        );
+    }
+    let err = rejected(&format!("run {G} --algo bfs --verify"));
+    assert!(
+        err.contains("--verify") && err.contains("--mutations"),
+        "{err}"
+    );
+    let err = rejected(&format!("run {G} --algo bfs --mem 100000 --mem-frac 0.4"));
+    assert!(err.contains("--mem-frac"), "{err}");
+    // a weighted run cannot be labelled compression=always: weights ship raw
+    let err = rejected(&format!("run {G} --algo sssp --compression always"));
+    assert!(err.contains("compression=always"), "{err}");
+    // a trace file carries its own schedule
+    let err = rejected(&format!("serve {G} --trace {muts} --seed 3"));
+    assert!(err.contains("--seed") && err.contains("--trace"), "{err}");
+    std::fs::remove_file(muts).ok();
+}
+
+/// The five mode enums parse themselves: `FromStr` inverts `Display`, and
+/// the error of anything else lists the choices.
+#[test]
+fn modes_round_trip_and_their_errors_list_the_choices() {
+    fn check<T>(all: &[T], choices: &str)
+    where
+        T: std::str::FromStr<Err = String> + std::fmt::Display + PartialEq + std::fmt::Debug,
+    {
+        for m in all {
+            assert_eq!(m.to_string().parse::<T>().as_ref(), Ok(m));
+        }
+        let shown: Vec<String> = all.iter().map(|m| m.to_string()).collect();
+        assert_eq!(shown.join("|"), choices);
+        let err = "no-such-mode".parse::<T>().unwrap_err();
+        assert!(
+            err.contains("no-such-mode") && err.contains(choices),
+            "{err}"
+        );
+    }
+    use CompressionMode as C;
+    use DirectionMode as D;
+    use FillPolicy as F;
+    check(&[C::Off, C::Always, C::Adaptive], "off|always|adaptive");
+    check(&[D::Push, D::Pull, D::Adaptive], "push|pull|adaptive");
+    check(
+        &[PrefetchMode::Off, PrefetchMode::NextFrontier],
+        "off|next-frontier",
+    );
+    check(
+        &[F::Front, F::Rear, F::Random { seed: 7 }, F::Lazy],
+        "front|rear|random|lazy",
+    );
+    check(&ALL_POLICIES, "fifo|sjf|residency");
+    let _: Policy = "residency".parse().unwrap();
+}

@@ -10,29 +10,18 @@
 //! changed an answer.
 
 use ascetic::algos::{
-    Bfs, Cc, Closeness, KCore, MsBfs, MsBfsDistances, MsSsspDistances, PageRank, Sssp,
-    VertexProgram,
+    sample_sources, Bfs, Cc, Closeness, KCore, MsBfs, MsBfsDistances, MsSsspDistances, PageRank,
+    Sssp, VertexProgram,
 };
 use ascetic::core::{
     run_fleet, AsceticConfig, AsceticSystem, DirectionMode, FleetConfig, OutOfCoreSystem,
 };
 use ascetic::graph::datasets::{Dataset, DatasetId};
-use ascetic::graph::{Csr, VertexId};
+use ascetic::graph::Csr;
 use ascetic::par::set_num_threads;
 use ascetic::sim::DeviceConfig;
 
 const SCALE: u64 = 30_000;
-
-/// Deterministic multi-source sample (same scheme as the CLI).
-fn sample_sources(g: &Csr, k: usize) -> Vec<VertexId> {
-    let n = g.num_vertices() as u32;
-    let mut s: Vec<VertexId> = (0..k as u32)
-        .map(|i| i.wrapping_mul(2_654_435_761) % n)
-        .collect();
-    s.sort_unstable();
-    s.dedup();
-    s
-}
 
 /// Pre-refactor golden fingerprints, one per program × direction (outputs
 /// are thread- and device-count-invariant, so a single fingerprint pins
