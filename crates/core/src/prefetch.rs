@@ -240,6 +240,20 @@ mod tests {
         (g, geo)
     }
 
+    /// The `NextFrontier` plan for the frontier `f`, at raw wire costs.
+    fn plan(
+        g: &Csr,
+        geo: &ChunkGeometry,
+        sr: &StaticRegion,
+        hot: &mut HotnessTable,
+        f: &Bitmap,
+        max_ops: usize,
+    ) -> Vec<PrefetchOp> {
+        let demand = chunk_demand_bytes(g, geo, f);
+        let mode = PrefetchMode::NextFrontier;
+        plan_prefetch(mode, g, geo, sr, hot, &demand, false, max_ops)
+    }
+
     #[test]
     fn mode_parsing_round_trips() {
         for m in [PrefetchMode::Off, PrefetchMode::NextFrontier] {
@@ -298,16 +312,7 @@ mod tests {
         let mut f = Bitmap::new(33);
         f.set(5);
         f.set(21);
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            8,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         // chunk 5 comes in; chunk 1 is demanded next iteration so only
         // chunk 0 may be evicted
         assert_eq!(ops, vec![PrefetchOp::Swap { evict: 0, load: 5 }]);
@@ -322,16 +327,7 @@ mod tests {
         sr.fill(&mut gpu, &g, &[0, 1]);
         let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
         let f = Bitmap::ones(33); // everything active (PageRank-style)
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            8,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         assert!(
             ops.is_empty(),
             "nothing evictable when every resident has next-iteration demand"
@@ -350,16 +346,7 @@ mod tests {
         f.set(9); // chunk 2
         f.set(13); // chunk 3
         f.set(17); // chunk 4
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            8,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         assert_eq!(ops.len(), 3);
         assert!(matches!(ops[0], PrefetchOp::Load(_)));
         assert!(matches!(ops[1], PrefetchOp::Load(_)));
@@ -379,16 +366,7 @@ mod tests {
         sr.fill(&mut gpu, &g, &[0]);
         let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
         let f = Bitmap::ones(33);
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            2,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 2);
         assert_eq!(ops.len(), 2, "max_ops bounds the plan");
     }
 
@@ -407,16 +385,7 @@ mod tests {
             f.set(v);
         }
         f.set(12);
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            8,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         // chunk 2 (16 B) may displace chunk 0 (4 B): net −12 B of
         // next-iteration on-demand volume. Chunk 3 (4 B) must NOT displace
         // chunk 1 (16 B): that swap would be churn.
@@ -435,16 +404,7 @@ mod tests {
         for v in 8..12 {
             f.set(v); // chunk 2 demanded, both residents at zero demand
         }
-        let ops = plan_prefetch(
-            PrefetchMode::NextFrontier,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &chunk_demand_bytes(&g, &geo, &f),
-            false,
-            8,
-        );
+        let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         // In a traversal the never-touched chunk is the unexplored future:
         // evict the swept past (accessed, stale) first, even though its
         // stamp makes it look "warmer" than the never-accessed resident.

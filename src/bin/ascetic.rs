@@ -193,13 +193,13 @@ impl Cmd {
     }
 
     fn args(&self) -> impl Iterator<Item = &'static str> {
-        split(self.synopsis).1.split(' ').filter(|a| !a.is_empty())
+        split(self.synopsis).1.split_whitespace()
     }
 
     /// `(--name, VALUE or "", help)` of every flag the command declares.
     fn all_flags(&self) -> impl Iterator<Item = (&'static str, &'static str, &'static str)> {
         let shared = self.groups.iter().flat_map(|g| g.iter());
-        self.flags.iter().chain(shared).map(|row| split(row))
+        self.flags.iter().chain(shared).copied().map(split)
     }
 }
 
@@ -320,9 +320,9 @@ impl Opts {
 
     /// Fail if a flag of `groups` was given: `path` cannot honour it.
     fn reject(&self, groups: &[Group], path: &str) -> Res {
-        let mut names = groups.iter().flat_map(|g| g.iter()).map(|row| split(row).0);
-        match names.find(|name| self.has(name)) {
-            Some(name) => Err(format!("{name} has no effect with {path}").into()),
+        let mut rows = groups.iter().flat_map(|g| g.iter()).copied().map(split);
+        match rows.find(|row| self.has(row.0)) {
+            Some((name, ..)) => Err(format!("{name} has no effect with {path}").into()),
             None => Ok(()),
         }
     }
@@ -338,6 +338,9 @@ fn cmd_generate(o: &Opts) -> Res {
 
     eprintln!("generating {kind} graph: {n} vertices, {m} edges, seed {seed} ...");
     let mut g = match kind.as_str() {
+        "social" | "web" if undirected => {
+            return Err(format!("--undirected has no effect with --kind {kind}").into())
+        }
         "social" => social_graph(&SocialConfig::new(n, m / 2, seed)),
         "web" => web_graph(&WebConfig::new(n, m, seed)),
         "rmat" => {
@@ -480,7 +483,8 @@ struct Resolved {
 /// range-checked by the registry), and a configuration that passed
 /// `build()`, each algorithm's `validate_algo()` and `prepare()` on that
 /// graph — whose vertex-fit half is all a baseline's own `prepare` checks.
-/// `serve` names no algorithm here: its admission checks each job's.
+/// `serve` names no algorithm and gets no program or `prepare`: its
+/// admission checks each job's.
 fn resolve(o: &Opts, algos: &[Algo]) -> Res<Resolved> {
     let mut g = load_graph(&o.args[0])?;
     let cfg = ascetic_config(o, &g)?;
@@ -489,12 +493,14 @@ fn resolve(o: &Opts, algos: &[Algo]) -> Res<Resolved> {
         g = weighted_variant(&g);
     }
     let mut progs = Vec::new();
-    for algo in algos {
-        cfg.validate_algo(algo.capabilities(), algo.display())?;
+    if !algos.is_empty() {
         AsceticSystem::new(cfg).prepare(&g)?;
         let source = o.parse("--source")?.unwrap_or(0);
         let k = o.parse("--kcore-k")?.unwrap_or(4);
-        progs.push(algo.program_on(&g, source, k)?);
+        for algo in algos {
+            cfg.validate_algo(algo.capabilities(), algo.display())?;
+            progs.push(algo.program_on(&g, source, k)?);
+        }
     }
     Ok(Resolved {
         g,

@@ -194,6 +194,9 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
     // a weighted run cannot be labelled compression=always: weights ship raw
     let err = rejected(&format!("run {G} --algo sssp --compression always"));
     assert!(err.contains("compression=always"), "{err}");
+    // a web graph is directed, a social one undirected, whatever is asked
+    let err = rejected("generate --kind web --vertices 10 --edges 20 --undirected -o x.beg");
+    assert!(err.contains("--undirected") && err.contains("web"), "{err}");
     // a trace file carries its own schedule
     let err = rejected(&format!("serve {G} --trace {muts} --seed 3"));
     assert!(err.contains("--seed") && err.contains("--trace"), "{err}");
