@@ -233,7 +233,7 @@ mod tests {
     use crate::config::ReplacementPolicy;
     use ascetic_graph::compress::encoded_len;
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
-    use ascetic_sim::DeviceConfig;
+    use ascetic_sim::{DecompressModel, DeviceConfig, PcieModel};
 
     #[test]
     fn crossover_favors_big_well_compressed_transfers() {
@@ -261,6 +261,72 @@ mod tests {
         ));
         // equal sizes must never "win"
         assert!(!compress_wins(&cfg.pcie, &cfg.decompress, 1 << 20, 1 << 20));
+    }
+
+    /// The two decompressor calibrations the suite runs: the P100's, and
+    /// the fast one the unit tests use to make small payloads cross over.
+    fn models() -> [(PcieModel, DecompressModel); 2] {
+        let p100 = DeviceConfig::p100(1 << 30);
+        let fast = DecompressModel {
+            bandwidth_bps: 200_000_000_000,
+            launch_ns: 1_000,
+        };
+        [(p100.pcie, p100.decompress), (p100.pcie, fast)]
+    }
+
+    /// `(decoded_at, raw_at)` for a transfer whose copy starts at `cs` with
+    /// the compute engine free at `cf` — `session::chain_times`, spelled
+    /// over explicit frontiers.
+    fn chain(
+        p: &PcieModel,
+        d: &DecompressModel,
+        cs: u64,
+        cf: u64,
+        raw: u64,
+        wire: u64,
+    ) -> (u64, u64) {
+        let decoded_at = (cs + p.transfer_ns(wire)).max(cf) + d.decompress_ns(raw);
+        (decoded_at, cs + p.transfer_ns(raw))
+    }
+
+    proptest::proptest! {
+        /// (i) While the compute engine frees up no later than the encoded
+        /// copy lands (`cf ≤ cs + t(wire)`: Subway's strictly chained
+        /// phases, the prestore on idle engines), the chain-aware rule for
+        /// a payload a kernel waits on *is* the pure link crossover.
+        #[test]
+        fn chain_rule_is_the_crossover_while_compute_is_not_the_bottleneck(
+            cs in 0u64..4_000_000,
+            lead in 0u64..4_000_000,
+            raw in 1u64..(64 << 20),
+            ratio_x1000 in 1u64..2_000,
+        ) {
+            let wire = (raw * ratio_x1000 / 1000).max(1);
+            for (p, d) in models() {
+                let cf = (cs + p.transfer_ns(wire)).saturating_sub(lead);
+                let (decoded_at, raw_at) = chain(&p, &d, cs, cf, raw, wire);
+                let chain_wins = decoded_at < raw_at.max(cf);
+                proptest::prop_assert_eq!(chain_wins, compress_wins(&p, &d, raw, wire));
+            }
+        }
+
+        /// (ii) An encoded chain that finishes before the raw copy would
+        /// has already won the link crossover, whatever the frontiers: the
+        /// refresh rule's `compress_wins &&` conjunct is redundant.
+        #[test]
+        fn finishing_before_the_raw_copy_implies_the_crossover(
+            cs in 0u64..4_000_000,
+            cf in 0u64..8_000_000,
+            raw in 1u64..(64 << 20),
+            ratio_x1000 in 1u64..2_000,
+        ) {
+            let wire = (raw * ratio_x1000 / 1000).max(1);
+            for (p, d) in models() {
+                let (decoded_at, raw_at) = chain(&p, &d, cs, cf, raw, wire);
+                let chunk_dma_rule = compress_wins(&p, &d, raw, wire) && decoded_at < raw_at;
+                proptest::prop_assert_eq!(chunk_dma_rule, decoded_at < raw_at);
+            }
+        }
     }
 
     #[test]

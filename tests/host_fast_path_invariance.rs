@@ -48,8 +48,11 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// snapshot (the other seven columns did not move). The last three rows
 /// pin the default configuration — no reactive swaps, Eq (3) on whole-run
 /// evidence — and were harvested on the commit that made it the default.
+/// The last row (lazy loads and swaps through the encoded chain, events
+/// armed) was harvested on PR 20, the commit before every region op went
+/// through one issue site.
 #[rustfmt::skip]
-const GOLDEN: [(&str, Virt); 28] = [
+const GOLDEN: [(&str, Virt); 29] = [
     ("BFS(0)", (1771089, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xc68376c547b15afd, 0xa020efac9d2819b5)),
     ("BFS(1777)", (1648669, 271720, 25, 52, 129, 0x16fd92c0332e67f7, 0x72e5047317502e6e, 0x62262bb9408a3992)),
     ("BFS(4242)", (1844028, 272516, 31, 53, 134, 0x6ef9d11362d6a739, 0x5feeaa0cf3904389, 0xbe5659c8d1b276dd)),
@@ -78,6 +81,7 @@ const GOLDEN: [(&str, Virt); 28] = [
     ("default: BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x00a69a788ea40ab6)),
     ("default: CC after BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
     ("default: PR", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x126b0d107061ed39)),
+    ("PR lazy fill, compression always, events", (13008850, 3368730, 461, 74, 493, 0xd33b43eeeabd4a45, 0x855ec9b5ffb504c5, 0xe7fd5d9a64f1cb75)),
 ];
 
 /// The default configuration on a device ~40 % of the edges fit in, so
@@ -276,6 +280,17 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     out.push(go(&mut session, &Bfs::new(0)));
     out.push(go(&mut session, &Cc::new()));
     out.push(virt(&AsceticSession::new(default_cfg(g), g).run(&pr)));
+    // Every region op through the encoded chain with the event log armed:
+    // lazy loads warm the region, then the replacement server swaps, each
+    // a `CompressedDma` followed by its `LazyLoad` / `HotSwap`.
+    let lazy = cfg_for(g)
+        .with_fill(FillPolicy::Lazy)
+        .with_compression(CompressionMode::Always)
+        .with_events(true);
+    let lazy = AsceticSession::new(lazy, g).run(&pr);
+    assert!(lazy.metrics.counter("lazy.loads") > Some(0));
+    assert!(lazy.metrics.counter("hotness.swaps") > Some(0));
+    out.push(virt(&lazy));
     out
 }
 
