@@ -23,7 +23,7 @@ use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_sim::DeviceConfig;
 
-use ascetic_core::codec::{compress_wins, eligible, ship_batch, EncodeScratch};
+use ascetic_core::codec::{eligible, ship_batch, EncodeScratch};
 use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::RunReport;
 use ascetic_core::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
@@ -123,10 +123,10 @@ impl OutOfCoreSystem for SubwaySystem {
 
                 let dst = buffer.slice(0, batch.words());
                 // Subway rebuilds the subgraph every iteration, so there is
-                // no estimate to try first: the crossover decides on the
-                // actual encoded size, and because the phases are strictly
-                // sequential the pure link rule is exact (the compute
-                // engine is idle while the copy runs).
+                // no estimate to try first: the wire-form rule decides on
+                // the actual encoded size. (The phases are strictly
+                // sequential — the compute engine is idle while the copy
+                // runs — so here the rule is the pure link crossover.)
                 let (t_ns, payload_at) = ship_batch(
                     gpu,
                     g,
@@ -136,9 +136,6 @@ impl OutOfCoreSystem for SubwaySystem {
                     encode,
                     &mut scratch,
                     None::<fn() -> u64>,
-                    |gpu, _, raw, wire| {
-                        compress_wins(&gpu.config.pcie, &gpu.config.decompress, raw, wire)
-                    },
                 );
                 breakdown.transfer_ns += t_ns;
                 payload += batch.payload_bytes() + batch.index_bytes();

@@ -24,7 +24,7 @@ use ascetic_algos::ops::{self, Drive, NextFrontier};
 use ascetic_algos::VertexProgram;
 use ascetic_graph::Csr;
 use ascetic_obs::Event;
-use ascetic_sim::{AccessTracer, DeviceConfig, Engine, SimTime, Uvm};
+use ascetic_sim::{AccessTracer, DeviceConfig, SimTime, Uvm, Xfer};
 
 use ascetic_core::report::RunReport;
 use ascetic_core::system::{check_vertex_fit, edge_budget_bytes, OutOfCoreSystem, PrepareError};
@@ -162,18 +162,16 @@ impl UvmSystem {
                 }
                 cursor_ns += 1;
             }
-            // Kernel with its fault stalls.
+            // Kernel with its fault stalls: one DMA per fault.
             let k_span = gpu.kernel_at(active_edges, nodes.len() as u64, iter_start);
             breakdown.ondemand_compute_ns += k_span.duration();
-            let stall =
-                gpu.timeline
-                    .schedule_labeled(Engine::Compute, k_span.end, fault_ns, || {
-                        format!("UVM fault stalls {fault_ns}ns")
-                    });
-            breakdown.transfer_ns += stall.duration();
             let migrated = uvm.stats.migrated_bytes - migrated_before;
-            gpu.xfer.h2d_bytes += migrated;
-            gpu.xfer.h2d_ops += uvm.stats.faults - faults_before; // one DMA per fault
+            let class = Xfer::UvmMigration {
+                faults: uvm.stats.faults - faults_before,
+                stall_ns: fault_ns,
+            };
+            let (stall, _) = gpu.ship_at(class, migrated, None, k_span.end);
+            breakdown.transfer_ns += stall.duration();
             gpu.obs
                 .registry
                 .counter_add("uvm.faults", uvm.stats.faults - faults_before);

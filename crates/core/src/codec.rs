@@ -1,15 +1,13 @@
-//! The compressed transfer path's crossover logic.
+//! The compressed transfer path: the wire-form rule and its accounting.
 //!
 //! Every eligible H2D edge payload — on-demand gather batches, the
 //! prestore fill, refreshes and lazy loads — can ship either raw 4-byte
 //! targets or the delta–varint stream from
 //! [`ascetic_graph::compress::encode_ranges`]. Encoding pays a
 //! decompression kernel on the compute engine, so it only wins when the
-//! link savings exceed that cost:
-//!
-//! ```text
-//! wire_bytes / link_bw + decompress_cost  <  raw_bytes / link_bw
-//! ```
+//! decoded payload is there before the raw one could be used —
+//! [`encoded_wins`], the one rule every transfer site asks (`DESIGN.md`
+//! §21).
 //!
 //! Deciding needs the encoded size *before* encoding. The estimate comes
 //! from per-chunk encoded sizes cached across iterations in the
@@ -20,15 +18,14 @@
 //! encodes, so the decisions — and hence the simulated timeline — are
 //! bit-identical at every host thread count.
 //!
-//! Callers bring the cost rule; putting the payload on the link either way
-//! — [`ship_batch`] for gather batches (Ascetic's push and pull iterations,
-//! the Subway baseline), [`region_dma`] for the static region's fill, lazy
-//! loads and refreshes — and the `compress.*` accounting live here once.
+//! [`ship_batch`] puts a gather batch on the link either way (Ascetic's
+//! push and pull iterations, the Subway baseline); the `compress.*`
+//! accounting lives here once.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::compress::{encode_ranges, EncodeEntry};
 use ascetic_graph::Csr;
-use ascetic_obs::{Event, Registry};
+use ascetic_obs::Registry;
 use ascetic_par::with_scratch;
 use ascetic_sim::{DecompressModel, DevPtr, Engine, Gpu, PcieModel, SimTime};
 
@@ -36,11 +33,44 @@ use crate::config::CompressionMode;
 use crate::hotness::HotnessTable;
 use crate::ondemand::{Batch, GatherEntry};
 
-/// The crossover rule: ship encoded iff copying the encoded bytes plus
-/// decoding them beats copying raw.
+/// The pure link crossover: copying the encoded bytes plus decoding them
+/// beats copying raw. It is [`encoded_wins`] on a copy engine that is the
+/// bottleneck — the compute engine frees up no later than the encoded copy
+/// lands — and it is implied whenever the encoded chain finishes before
+/// the raw copy would; no transfer site asks it directly.
 #[inline]
 pub fn compress_wins(pcie: &PcieModel, dec: &DecompressModel, raw: u64, wire: u64) -> bool {
     pcie.transfer_ns(wire) + dec.decompress_ns(raw) < pcie.transfer_ns(raw)
+}
+
+/// Where a transfer ready at `ready` would stand on each path, given the
+/// current engine frontiers: when the encoded chain's decompression would
+/// finish, when the raw copy would, and when the compute engine frees up.
+fn chain_times(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> (u64, u64, u64) {
+    let pcie = gpu.config.pcie;
+    let copy_start = ready.max(gpu.timeline.engine_free_at(Engine::Copy)).0;
+    let compute_free = gpu.timeline.engine_free_at(Engine::Compute).0;
+    let decoded_at = (copy_start + pcie.transfer_ns(wire)).max(compute_free)
+        + gpu.config.decompress.decompress_ns(raw);
+    (decoded_at, copy_start + pcie.transfer_ns(raw), compute_free)
+}
+
+/// The one wire-form rule: ship encoded iff the decoded payload would be
+/// on the device before the raw one could be used, given the current
+/// engine frontiers. A payload a kernel waits on (a gather batch) is
+/// usable no earlier than the compute engine frees up, so queueing the
+/// decode behind a busy engine is free until then; a payload nothing waits
+/// on (prestore, lazy load, refresh) must simply land first, or the
+/// decompression launch could grow the iteration's critical path for no
+/// latency gain.
+pub fn encoded_wins(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64, kernel_waits: bool) -> bool {
+    let (decoded_at, raw_at, compute_free) = chain_times(gpu, ready, raw, wire);
+    let usable_raw = if kernel_waits {
+        raw_at.max(compute_free)
+    } else {
+        raw_at
+    };
+    decoded_at < usable_raw
 }
 
 /// `mode`, if it lets `g`'s payloads ship encoded at all — resolved once
@@ -66,40 +96,6 @@ pub fn count_decision(reg: &mut Registry, raw: u64, shipped: Option<u64>) {
     }
 }
 
-/// Charge one static-region DMA — prestore fill, lazy load or refresh,
-/// whose payload the region's data plane moves itself. `wire = None`
-/// ships the `raw` bytes on the copy engine; `Some(wire)` ships the
-/// encoded bytes and chains the decompression launch on the compute
-/// engine. Returns the chain's total duration, ns.
-pub fn region_dma(gpu: &mut Gpu, label: &str, raw: u64, wire: Option<u64>, ready: SimTime) -> u64 {
-    let copy_ns = gpu.config.pcie.transfer_ns(wire.unwrap_or(raw));
-    let copy = gpu
-        .timeline
-        .schedule_labeled(Engine::Copy, ready, copy_ns, || match wire {
-            Some(wire) => format!("{label} {wire}B (compressed, {raw}B raw)"),
-            None => format!("{label} {raw}B"),
-        });
-    let Some(wire) = wire else {
-        return copy.duration();
-    };
-    let dec_ns = gpu.config.decompress.decompress_ns(raw);
-    let dec = gpu
-        .timeline
-        .schedule_labeled(Engine::Compute, copy.end, dec_ns, || {
-            format!("{label} decompress {raw}B")
-        });
-    gpu.obs.record(
-        copy.start.0,
-        Event::CompressedDma {
-            raw_bytes: raw,
-            wire_bytes: wire,
-            dur_ns: copy.duration(),
-            decompress_ns: dec.duration(),
-        },
-    );
-    copy.duration() + dec.duration()
-}
-
 /// Encoder buffers a run recycles across batches (zero steady-state
 /// allocation once they reach their high-water capacity).
 #[derive(Debug, Default)]
@@ -121,11 +117,10 @@ impl EncodeScratch {
 /// the same DMA op). Returns `(transfer_ns, payload_at)` — the
 /// link-plus-decode time charged and when a kernel may read `dst`.
 ///
-/// Under a `mode`, `wins(gpu, ready, raw, wire)` is the caller's cost
-/// rule. Given an `estimate` of the encoded size, the rule is asked about
-/// it first and the batch really encoded only if that looks promising;
-/// either way the rule then sees the actual size — a bad estimate must
-/// not ship a loser.
+/// Under a `mode`, given an `estimate` of the encoded size, the wire-form
+/// rule is asked about it first and the batch really encoded only if that
+/// looks promising; either way the rule then sees the actual size — a bad
+/// estimate must not ship a loser.
 #[allow(clippy::too_many_arguments)]
 pub fn ship_batch(
     gpu: &mut Gpu,
@@ -136,30 +131,28 @@ pub fn ship_batch(
     mode: Option<CompressionMode>,
     scratch: &mut EncodeScratch,
     estimate: Option<impl FnOnce() -> u64>,
-    wins: impl Fn(&Gpu, SimTime, u64, u64) -> bool,
 ) -> (u64, SimTime) {
-    let raw = batch.payload_bytes();
+    let (raw, index) = (batch.payload_bytes(), batch.index_bytes());
     let gather_rows = |window: &mut [u32]| batch.gather_into(src, window);
-    gpu.xfer.h2d_bytes += batch.index_bytes();
-    gpu.xfer.h2d_wire_bytes += batch.index_bytes();
     if let Some(mode) = mode.filter(|_| raw > 0) {
         let always = mode == CompressionMode::Always;
-        if always || estimate.is_none_or(|est| wins(gpu, ready, raw, est())) {
+        if always || estimate.is_none_or(|est| encoded_wins(gpu, ready, raw, est(), true)) {
             scratch.entries.clear();
             scratch
                 .entries
                 .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
             scratch.buf.clear();
             let wire = encode_ranges(src, &scratch.entries, &mut scratch.buf) as u64;
-            if always || wins(gpu, ready, raw, wire) {
-                let (copy, dec) = gpu.h2d_compressed_at(dst, &scratch.buf, ready, gather_rows);
+            if always || encoded_wins(gpu, ready, raw, wire, true) {
+                let (copy, dec) =
+                    gpu.h2d_compressed_at(dst, &scratch.buf, index, ready, gather_rows);
                 count_decision(&mut gpu.obs.registry, raw, Some(wire));
                 return (copy.duration() + dec.duration(), dec.end);
             }
         }
         count_decision(&mut gpu.obs.registry, raw, None);
     }
-    let span = gpu.h2d_fill_at(dst, ready, gather_rows);
+    let span = gpu.h2d_fill_at(dst, index, ready, gather_rows);
     (span.duration(), span.end)
 }
 
@@ -325,6 +318,36 @@ mod tests {
                 let (decoded_at, raw_at) = chain(&p, &d, cs, cf, raw, wire);
                 let chunk_dma_rule = compress_wins(&p, &d, raw, wire) && decoded_at < raw_at;
                 proptest::prop_assert_eq!(chunk_dma_rule, decoded_at < raw_at);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over a device's engine frontiers the one rule is, arm by arm,
+        /// each rule it replaced: the chain-aware comparison for a payload
+        /// a kernel waits on, crossover-and-lands-first for one nothing
+        /// waits on.
+        #[test]
+        fn the_one_rule_is_each_rule_it_replaced(
+            link_free in 0u64..4_000_000,
+            ready in 0u64..4_000_000,
+            cf in 0u64..8_000_000,
+            raw in 1u64..(64 << 20),
+            ratio_x1000 in 1u64..2_000,
+        ) {
+            let wire = (raw * ratio_x1000 / 1000).max(1);
+            for (p, d) in models() {
+                let mut cfg = DeviceConfig::p100(4096);
+                (cfg.pcie, cfg.decompress) = (p, d);
+                let mut gpu = Gpu::new(cfg);
+                gpu.timeline.schedule(Engine::Copy, SimTime::ZERO, link_free);
+                gpu.timeline.schedule(Engine::Compute, SimTime::ZERO, cf);
+                let (decoded_at, raw_at) = chain(&p, &d, ready.max(link_free), cf, raw, wire);
+                let waited = encoded_wins(&gpu, SimTime(ready), raw, wire, true);
+                proptest::prop_assert_eq!(waited, decoded_at < raw_at.max(cf));
+                let unwaited = encoded_wins(&gpu, SimTime(ready), raw, wire, false);
+                let refresh_rule = compress_wins(&p, &d, raw, wire) && decoded_at < raw_at;
+                proptest::prop_assert_eq!(unwaited, refresh_rule);
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Per-chunk hotness tracking and replacement planning (paper §3.4, Fig 6).
+//! Per-chunk hotness tracking: the replacement policies' evidence (paper
+//! §3.4, Fig 6).
 //!
 //! "For each chunk, a counter is assigned to record the number of accesses
 //! in the earlier iterations. If the counter exceeds a threshold, it means
@@ -10,14 +11,14 @@
 //! bounds the swap volume by that overlap window's transfer budget
 //! (§5: "only about 2% of the total data transfer can be completed during
 //! that time"). The swaps are opt-in ([`ReplacementPolicy::Disabled`] is
-//! the default, `DESIGN.md` §19); the table itself also serves lazy fill,
-//! the prefetch planner and the compressed path's wire-size cache.
+//! the default, `DESIGN.md` §19) and planned, like every region op, by
+//! [`crate::prefetch::plan_ops`]; the table itself also serves lazy fill,
+//! next-frontier prefetch and the compressed path's wire-size cache.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, VertexId};
 
 use crate::config::ReplacementPolicy;
-use crate::static_region::StaticRegion;
 
 /// Per-chunk access statistics, plus per-chunk metadata reused across
 /// iterations by the compressed transfer path.
@@ -189,59 +190,14 @@ impl HotnessTable {
     pub fn is_hot(&self, chunk: ChunkId, iteration: u32) -> bool {
         self.demanded_at(chunk, iteration) && !self.is_stale(chunk, iteration)
     }
-
-    /// Plan up to `max_loads` chunk adoptions into free slots (lazy fill):
-    /// non-resident chunks that were demanded at `iteration`, ascending.
-    pub fn plan_loads(
-        &self,
-        region: &StaticRegion,
-        iteration: u32,
-        max_loads: usize,
-    ) -> Vec<ChunkId> {
-        let max_loads = max_loads.min(region.free_slots());
-        if max_loads == 0 {
-            return Vec::new();
-        }
-        (0..self.counts.len() as ChunkId)
-            .filter(|&c| !region.is_resident(c) && self.demanded_at(c, iteration))
-            .take(max_loads)
-            .collect()
-    }
-
-    /// Plan up to `max_swaps` (evict, load) pairs: stale resident chunks
-    /// replaced by hot non-resident ones, both in ascending chunk order
-    /// (deterministic).
-    pub fn plan_swaps(
-        &self,
-        region: &StaticRegion,
-        iteration: u32,
-        max_swaps: usize,
-    ) -> Vec<(ChunkId, ChunkId)> {
-        if matches!(self.policy, ReplacementPolicy::Disabled) || max_swaps == 0 {
-            return Vec::new();
-        }
-        let mut evictable = region
-            .resident_chunk_ids()
-            .into_iter()
-            .filter(|&c| self.is_stale(c, iteration));
-        let loadable = (0..self.counts.len() as ChunkId)
-            .filter(|&c| !region.is_resident(c) && self.is_hot(c, iteration));
-        let mut plan = Vec::new();
-        for load in loadable {
-            let Some(evict) = evictable.next() else { break };
-            plan.push((evict, load));
-            if plan.len() >= max_swaps {
-                break;
-            }
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FillPolicy;
+    use crate::prefetch::{plan_ops, OpSource, PrefetchOp};
+    use crate::static_region::StaticRegion;
     use ascetic_graph::GraphBuilder;
     use ascetic_sim::{DeviceConfig, Gpu};
 
@@ -251,6 +207,24 @@ mod tests {
             b.add_edge(v as u32, v as u32 + 1);
         }
         b.build()
+    }
+
+    /// The replacement server's plan at `iteration`, as `(evict, load)`.
+    fn plan_swaps(
+        t: &mut HotnessTable,
+        (g, geo): (&Csr, &ChunkGeometry),
+        sr: &StaticRegion,
+        iteration: u32,
+        max_swaps: usize,
+    ) -> Vec<(ChunkId, ChunkId)> {
+        let source = OpSource::Replacement(iteration);
+        plan_ops(source, g, geo, sr, t, max_swaps)
+            .into_iter()
+            .map(|op| match op {
+                PrefetchOp::Swap { evict, load } => (evict, load),
+                PrefetchOp::Load(c) => panic!("the server adopted {c} into a free slot"),
+            })
+            .collect()
     }
 
     #[test]
@@ -303,7 +277,7 @@ mod tests {
         sr.fill(&mut gpu, &g, &plan);
         let mut t = HotnessTable::new(geo.num_chunks(), ReplacementPolicy::Disabled);
         t.record(5, 0);
-        assert!(t.plan_swaps(&sr, 0, 10).is_empty());
+        assert!(plan_swaps(&mut t, (&g, &geo), &sr, 0, 10).is_empty());
         assert!(!t.is_stale(0, 9));
     }
 
@@ -369,10 +343,10 @@ mod tests {
         // iteration 5: chunks 4 and 5 demanded (on-demand), residents idle
         t.record(4, 5);
         t.record(5, 5);
-        let plan = t.plan_swaps(&sr, 5, 10);
+        let plan = plan_swaps(&mut t, (&g, &geo), &sr, 5, 10);
         assert_eq!(plan, vec![(0, 4), (1, 5)]);
         // budget of one swap
-        let plan1 = t.plan_swaps(&sr, 5, 1);
+        let plan1 = plan_swaps(&mut t, (&g, &geo), &sr, 5, 1);
         assert_eq!(plan1, vec![(0, 4)]);
     }
 
@@ -386,7 +360,7 @@ mod tests {
         let mut t = HotnessTable::new(8, ReplacementPolicy::LastIteration);
         t.record(0, 2); // resident 0 is fresh at iter 2
         t.record(6, 2); // chunk 6 demanded
-        let plan = t.plan_swaps(&sr, 2, 10);
+        let plan = plan_swaps(&mut t, (&g, &geo), &sr, 2, 10);
         // only chunk 1 (stale) may be evicted
         assert_eq!(plan, vec![(1, 6)]);
     }

@@ -24,6 +24,10 @@
 //! is charged as *waste*, never as corruption: the data plane stays exact
 //! either way.
 //!
+//! Lazy warming and the replacement server plan their region ops through
+//! the same pairing loop as the prefetcher ([`plan_ops`]); each is only a
+//! set of inputs to it ([`OpSource`]).
+//!
 //! Everything here is integer math over deterministic inputs (the frontier
 //! bitmap, the hotness table, cached encode sizes), planned from the
 //! single orchestration thread — so plans are bit-identical at every host
@@ -68,12 +72,12 @@ impl PrefetchMode {
 
 crate::spelled!(PrefetchMode, as_str, Off, NextFrontier);
 
-/// One planned speculative transfer.
+/// One planned region op: a chunk on its way into the static region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchOp {
     /// Adopt a chunk into a free static-region slot.
     Load(ChunkId),
-    /// Replace a cold resident with a predicted-hot chunk.
+    /// Replace a resident with a chunk worth more.
     Swap {
         /// Resident chunk to evict.
         evict: ChunkId,
@@ -113,103 +117,148 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
     demand
 }
 
-/// Plan up to `max_ops` speculative chunk transfers for the iteration the
-/// next frontier opens, judged at the end of the one before it; `demand`
-/// is that frontier's [`chunk_demand_bytes`].
-///
-/// Candidates are non-resident chunks the next frontier demands, ranked by
-/// `demand × wire cost` descending (prefetching an
-/// expensive-to-ship chunk hides more stall), ties broken by ascending
-/// chunk id. Free slots are consumed first ([`PrefetchOp::Load`]); after
-/// that each candidate pairs with the cheapest evictable resident
+/// Who is asking for region ops. A source is only a set of *inputs* to the
+/// one pairing loop of [`plan_ops`] — a candidate ranking, a victim
+/// ranking, a free-slot budget and an admit test (`DESIGN.md` §21).
+#[derive(Clone, Copy, Debug)]
+pub enum OpSource<'a> {
+    /// Lazy fill's warming: chunks demanded at the (0-based) iteration,
+    /// ascending, into free slots only — nothing is ever evicted.
+    LazyWarming(u32),
+    /// The §3.4 replacement server: chunks hot at the (0-based) iteration,
+    /// ascending, each for a stale resident (in slot order). It never
+    /// adopts into free slots — that is warming's job.
+    Replacement(u32),
+    /// Next-frontier prefetch, judged at the end of the iteration before
+    /// the one `demand` (the next frontier's [`chunk_demand_bytes`]) opens.
+    ///
+    /// Candidates are non-resident chunks the next frontier demands,
+    /// ranked by `demand × wire cost` descending (prefetching an
+    /// expensive-to-ship chunk hides more stall), ties broken by ascending
+    /// chunk id. Eviction order matters twice over:
+    ///
+    /// * A load is paired only with a resident of *strictly lower*
+    ///   next-frontier demand, so every swap is a net reduction of the next
+    ///   iteration's on-demand volume — the policy can keep adapting under
+    ///   dense frontiers (where no resident has zero demand) without ever
+    ///   making the next iteration worse.
+    /// * Among equally-cheap residents, chunks that have *been accessed*
+    ///   and gone stale are evicted before chunks that have *never* been
+    ///   accessed: in a traversal, never-touched chunks are precisely the
+    ///   unexplored future (the frontier will reach them), while
+    ///   long-stale chunks are the swept past.
+    NextFrontier {
+        /// Bytes the next frontier demands of each chunk.
+        demand: &'a [u64],
+        /// Whether a chunk's wire cost is its cached encoded size (the
+        /// compressed path could apply) rather than its raw size.
+        compressible: bool,
+    },
+}
+
+/// Plan up to `max_ops` region ops for `source`: its candidates in rank
+/// order, each into a free slot while the source's budget of them lasts
+/// ([`PrefetchOp::Load`]), then against the cheapest victim left
 /// ([`PrefetchOp::Swap`]).
-///
-/// Eviction order matters twice over:
-///
-/// * A load is paired only with a resident of *strictly lower*
-///   next-frontier demand, so every swap is a net reduction of the next
-///   iteration's on-demand volume — the policy can keep adapting under
-///   dense frontiers (where no resident has zero demand) without ever
-///   making the next iteration worse.
-/// * Among equally-cheap residents, chunks that have *been accessed* and
-///   gone stale are evicted before chunks that have *never* been accessed:
-///   in a traversal, never-touched chunks are precisely the unexplored
-///   future (the frontier will reach them), while long-stale chunks are
-///   the swept past.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_prefetch(
-    mode: PrefetchMode,
+pub fn plan_ops(
+    source: OpSource<'_>,
     g: &Csr,
     geo: &ChunkGeometry,
     region: &StaticRegion,
     hot: &mut HotnessTable,
-    demand: &[u64],
-    compressible: bool,
     max_ops: usize,
 ) -> Vec<PrefetchOp> {
-    if !mode.is_on() || max_ops == 0 || geo.num_chunks() == 0 {
+    if max_ops == 0 {
         return Vec::new();
     }
-
-    // Wire cost of shipping chunk `c` on demand: the cached encoded size
-    // when the compressed path could apply, the raw size otherwise.
-    let wire = |c: ChunkId, hot: &mut HotnessTable| -> u64 {
-        if compressible {
-            chunk_wire_bytes(g, geo, c, hot)
-        } else {
-            geo.chunk_len_bytes(c) as u64
+    let absent = (0..geo.num_chunks() as ChunkId).filter(|&c| !region.is_resident(c));
+    let free = region.free_slots();
+    match source {
+        OpSource::LazyWarming(iteration) => pair_ops(
+            absent.filter(|&c| hot.demanded_at(c, iteration)),
+            std::iter::empty(),
+            free,
+            max_ops,
+            |_, _| true,
+        ),
+        OpSource::Replacement(iteration) => pair_ops(
+            absent.filter(|&c| hot.is_hot(c, iteration)),
+            region
+                .resident_chunk_ids()
+                .into_iter()
+                .filter(|&c| hot.is_stale(c, iteration)),
+            0,
+            max_ops,
+            |_, _| true,
+        ),
+        OpSource::NextFrontier {
+            demand,
+            compressible,
+        } => {
+            // Wire cost of shipping chunk `c` on demand: the cached encoded
+            // size when the compressed path could apply, the raw size
+            // otherwise.
+            let mut candidates: Vec<(u128, ChunkId)> = absent
+                .filter(|&c| demand[c as usize] > 0)
+                .map(|c| {
+                    let wire = if compressible {
+                        chunk_wire_bytes(g, geo, c, hot)
+                    } else {
+                        geo.chunk_len_bytes(c) as u64
+                    };
+                    (demand[c as usize] as u128 * wire as u128, c)
+                })
+                .collect();
+            // benefit descending, chunk id ascending on ties — deterministic
+            candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            // Residents cheapest-to-lose first. The key is (next-frontier
+            // demand, never-accessed flag, last-access stamp, id): lowest
+            // demand goes first; among equals, accessed-and-stale residents
+            // beat never-accessed ones, oldest stamp first, then ascending
+            // id.
+            let mut victims: Vec<(u64, u8, u32, ChunkId)> = region
+                .resident_chunk_ids()
+                .into_iter()
+                .map(|c| {
+                    let never = u8::from(hot.access_count(c) == 0);
+                    (demand[c as usize], never, hot.last_access_stamp(c), c)
+                })
+                .collect();
+            victims.sort();
+            pair_ops(
+                candidates.into_iter().map(|(_, c)| c),
+                victims.into_iter().map(|(.., c)| c),
+                free,
+                max_ops,
+                // A swap must strictly reduce the next iteration's
+                // on-demand bytes, or it is churn, not progress.
+                |load, evict| demand[load as usize] > demand[evict as usize],
+            )
         }
-    };
-
-    // --- Candidates: non-resident chunks, ranked by predicted benefit. ---
-    let mut candidates: Vec<(u128, ChunkId)> = Vec::new();
-    for c in 0..geo.num_chunks() as ChunkId {
-        if region.is_resident(c) {
-            continue;
-        }
-        let activity = demand[c as usize];
-        if activity == 0 {
-            continue;
-        }
-        candidates.push((activity as u128 * wire(c, hot) as u128, c));
     }
-    // benefit descending, chunk id ascending on ties — deterministic
-    candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    candidates.truncate(max_ops);
+}
 
-    // --- Evictables: residents ranked cheapest-to-lose first. The key is
-    //     (next-frontier demand, never-accessed flag, last-access stamp,
-    //     id): lowest demand goes first; among equals, accessed-and-stale
-    //     residents beat never-accessed ones (the unexplored future of a
-    //     traversal), oldest stamp first, then ascending id. ---
-    let mut evictable: Vec<(u64, u8, u32, ChunkId)> = region
-        .resident_chunk_ids()
-        .into_iter()
-        .map(|c| {
-            let never = u8::from(hot.access_count(c) == 0);
-            (demand[c as usize], never, hot.last_access_stamp(c), c)
-        })
-        .collect();
-    evictable.sort();
-    let mut evictable = evictable.into_iter().peekable();
-
-    let mut free = region.free_slots();
+/// The one pairing loop. `admit(load, evict)` may turn the cheapest victim
+/// down for this load; the load is then skipped rather than the plan
+/// stopped — a later candidate can still out-rank that victim.
+fn pair_ops(
+    candidates: impl Iterator<Item = ChunkId>,
+    victims: impl Iterator<Item = ChunkId>,
+    mut free_slots: usize,
+    max_ops: usize,
+    admit: impl Fn(ChunkId, ChunkId) -> bool,
+) -> Vec<PrefetchOp> {
+    let mut victims = victims.peekable();
     let mut plan = Vec::new();
-    for (_, load) in candidates {
-        if free > 0 {
-            free -= 1;
+    for load in candidates.take(max_ops) {
+        if free_slots > 0 {
+            free_slots -= 1;
             plan.push(PrefetchOp::Load(load));
-        } else if let Some(&(evict_demand, _, _, evict)) = evictable.peek() {
-            // A swap must strictly reduce the next iteration's on-demand
-            // bytes, or it is churn, not progress.
-            // (Skip rather than stop: candidates are ranked by
-            // demand × wire, so a later one can still out-demand the
-            // cheapest resident.)
-            if demand[load as usize] <= evict_demand {
-                continue;
+        } else if let Some(&evict) = victims.peek() {
+            if admit(load, evict) {
+                victims.next();
+                plan.push(PrefetchOp::Swap { evict, load });
             }
-            evictable.next();
-            plan.push(PrefetchOp::Swap { evict, load });
         } else {
             break; // nothing resident left to evict
         }
@@ -220,7 +269,7 @@ pub fn plan_prefetch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FillPolicy, ReplacementPolicy};
+    use crate::config::ReplacementPolicy;
     use ascetic_graph::GraphBuilder;
     use ascetic_sim::{DeviceConfig, Gpu};
 
@@ -250,8 +299,11 @@ mod tests {
         max_ops: usize,
     ) -> Vec<PrefetchOp> {
         let demand = chunk_demand_bytes(g, geo, f);
-        let mode = PrefetchMode::NextFrontier;
-        plan_prefetch(mode, g, geo, sr, hot, &demand, false, max_ops)
+        let source = OpSource::NextFrontier {
+            demand: &demand,
+            compressible: false,
+        };
+        plan_ops(source, g, geo, sr, hot, max_ops)
     }
 
     #[test]
@@ -279,26 +331,19 @@ mod tests {
         assert_eq!(d.iter().sum::<u64>(), 8, "no other chunk touched");
     }
 
+    /// `Off` is the session never asking: an oversubscribed traversal
+    /// that prefetches under `NextFrontier` issues nothing without it.
     #[test]
     fn off_mode_plans_nothing() {
-        let (g, geo) = fixture();
-        let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
-        let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
-        let plan = sr.plan_fill(FillPolicy::Front, 2);
-        sr.fill(&mut gpu, &g, &plan);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
-        let demand = chunk_demand_bytes(&g, &geo, &Bitmap::ones(33));
-        let ops = plan_prefetch(
-            PrefetchMode::Off,
-            &g,
-            &geo,
-            &sr,
-            &mut hot,
-            &demand,
-            false,
-            8,
-        );
-        assert!(ops.is_empty());
+        use crate::session::AsceticSession;
+        let g = ascetic_graph::generators::uniform_graph(2_000, 16_000, false, 7);
+        let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 2 / 5);
+        let cfg = crate::AsceticConfig::new(dev).with_chunk_bytes(1024);
+        let bfs = ascetic_algos::Bfs::new(0);
+        let on = cfg.with_prefetch(PrefetchMode::NextFrontier);
+        assert!(AsceticSession::new(on, &g).run(&bfs).prefetch_ops > 0);
+        let off = AsceticSession::new(cfg.with_prefetch(PrefetchMode::Off), &g).run(&bfs);
+        assert_eq!((off.prefetch_ops, off.xfer.h2d_prefetch_bytes), (0, 0));
     }
 
     #[test]

@@ -32,18 +32,18 @@ use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
 use ascetic_obs::{Event, MetricsSnapshot, DEFAULT_EVENT_CAPACITY};
 use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
-use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, Span, XferStats};
+use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, Span, Xfer, XferStats};
 
 use crate::codec::{
-    chunk_wire_bytes, compress_wins, count_decision, eligible, estimate_batch_wire, region_dma,
-    ship_batch, EncodeScratch,
+    chunk_wire_bytes, count_decision, eligible, encoded_wins, estimate_batch_wire, ship_batch,
+    EncodeScratch,
 };
 use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, ReplacementPolicy};
 use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
-use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchOp};
+use crate::prefetch::{chunk_demand_bytes, plan_ops, OpSource, PrefetchOp};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
 use crate::static_region::StaticRegion;
@@ -75,14 +75,6 @@ const CAT_PHASE: &str = "phase";
 /// Wire overhead per refreshed device chunk in the mutation delta stream:
 /// a chunk header naming the slot, valid edge count and patch range.
 const PATCH_CHUNK_HEADER_BYTES: u64 = 32;
-
-/// Widen a `(start, end)` window to include `[start_ns, end_ns]`.
-fn widen(w: &mut Option<(u64, u64)>, start_ns: u64, end_ns: u64) {
-    *w = Some(match *w {
-        None => (start_ns, end_ns),
-        Some((a, b)) => (a.min(start_ns), b.max(end_ns)),
-    });
-}
 
 /// A prepared Ascetic device bound to one graph, reusable across runs.
 pub struct AsceticSession<'g> {
@@ -201,29 +193,6 @@ impl RunCtx {
     }
 }
 
-/// Chain-aware adaptive decision for an on-demand payload: compare when
-/// the consuming kernel could start on each path, given the current engine
-/// frontiers. When the transfer is the bottleneck this reduces to the pure
-/// link crossover (`wire/bw + decompress < raw/bw`); when the compute
-/// engine is, it declines — a decompression launch there would push the
-/// kernel later no matter how many link bytes it saves.
-fn chain_wins(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> bool {
-    let (decoded_at, raw_copied_at, compute_free) = chain_times(gpu, ready, raw, wire);
-    decoded_at < raw_copied_at.max(compute_free)
-}
-
-/// Where a transfer ready at `ready` would stand on each path, given the
-/// current engine frontiers: when the encoded chain's decompression would
-/// finish, when the raw copy would, and when the compute engine frees up.
-fn chain_times(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> (u64, u64, u64) {
-    let pcie = gpu.config.pcie;
-    let copy_start = ready.max(gpu.timeline.engine_free_at(Engine::Copy)).0;
-    let compute_free = gpu.timeline.engine_free_at(Engine::Compute).0;
-    let decoded_at = (copy_start + pcie.transfer_ns(wire)).max(compute_free)
-        + gpu.config.decompress.decompress_ns(raw);
-    (decoded_at, copy_start + pcie.transfer_ns(raw), compute_free)
-}
-
 impl<'g> AsceticSession<'g> {
     /// Set up the device for `g`: reserve vertex arrays, size the regions
     /// per Eq (2), allocate the on-demand buffers and perform the prestore.
@@ -269,7 +238,7 @@ impl<'g> AsceticSession<'g> {
         let od_buffers = split_buffers(od_slab, cfg.od_buffers, g.words_per_edge());
 
         // The hotness table exists before the prestore: its per-chunk
-        // encoded-size cache prices the fill's compression crossover, and
+        // encoded-size cache prices the fill's wire form, and
         // the measurements stay warm for every later transfer decision.
         let mut hotness = HotnessTable::new(geo.num_chunks(), cfg.replacement);
         let encode = eligible(cfg.compression, g);
@@ -277,34 +246,22 @@ impl<'g> AsceticSession<'g> {
         // --- Prestore: one bulk fill of the static region. ---
         let plan = region.plan_fill(cfg.fill, region.slots());
         let prestore_bytes = region.fill(&mut gpu, g, &plan);
-        // Compression crossover for the fill: price the planned chunks'
-        // encoded payloads (measuring + caching each) and ship encoded
-        // only when the link savings beat the decompression cost.
+        // Wire form of the fill: price the planned chunks' encoded
+        // payloads (measuring + caching each) and ship encoded only when
+        // the rule favors it.
         let mut wire = None;
         if let Some(mode) = encode.filter(|_| prestore_bytes > 0) {
             let encoded: u64 = plan
                 .iter()
                 .map(|&c| chunk_wire_bytes(g, &geo, c, &mut hotness))
                 .sum();
-            let (pcie, dec) = (gpu.config.pcie, gpu.config.decompress);
-            let wins = || compress_wins(&pcie, &dec, prestore_bytes, encoded);
-            wire = (mode == CompressionMode::Always || wins()).then_some(encoded);
+            let ship = mode == CompressionMode::Always
+                || encoded_wins(&gpu, SimTime::ZERO, prestore_bytes, encoded, false);
+            wire = ship.then_some(encoded);
         }
-        let prestore_ns = region_dma(&mut gpu, "prestore", prestore_bytes, wire, SimTime::ZERO);
+        let (copy, dec) = gpu.ship_at(Xfer::Prestore, prestore_bytes, wire, SimTime::ZERO);
+        let prestore_ns = copy.duration() + dec.duration();
         let prestore_wire_bytes = wire.unwrap_or(prestore_bytes);
-        gpu.obs
-            .registry
-            .counter_add("prestore.bytes", prestore_bytes);
-        gpu.obs
-            .registry
-            .counter_add("prestore.wire_bytes", prestore_wire_bytes);
-        gpu.obs.record(
-            0,
-            Event::Prestore {
-                bytes: prestore_bytes,
-                dur_ns: prestore_ns,
-            },
-        );
         let staged = gpu.sync();
 
         // The CSC mirror is host-side state (the on-demand pipeline ships
@@ -344,37 +301,65 @@ impl<'g> AsceticSession<'g> {
         self.g
     }
 
-    /// Schedule the DMA for one chunk-sized region transfer (lazy load or
-    /// refresh): raw, or — when the crossover favors it — the encoded
-    /// payload on the copy engine plus a decompression launch on the
-    /// compute engine. Returns `(wire_bytes, total_ns)`. Chunk transfers
-    /// are small, so the decompression launch overhead usually keeps them
-    /// raw under `Adaptive`; `Always` forces the encoded path.
-    fn chunk_dma(
+    /// The one issue site for a region op (`DESIGN.md` §21): move the
+    /// chunk into the region, pick its wire form, charge the link as
+    /// `class` and book the op against the run. A gap-issued prefetch is
+    /// the one op issued with `apply_now` off — kernels are still reading
+    /// the region, so it waits in flight for the boundary's commit.
+    fn issue(
         &mut self,
-        chunk: ChunkId,
-        bytes: u64,
+        ctx: &mut RunCtx,
+        op: PrefetchOp,
+        class: Xfer,
         ready: SimTime,
-        label: &'static str,
-    ) -> (u64, u64) {
-        let mut shipped = None;
-        if let Some(mode) = self.encode.filter(|_| bytes > 0) {
-            let wire = chunk_wire_bytes(self.g, &self.geo, chunk, &mut self.hotness);
-            let ship = mode == CompressionMode::Always || {
-                // Nothing waits on a refresh, so the crossover alone is
-                // not enough: the encoded chain — including queueing on
-                // the busy compute engine — must finish before the raw
-                // copy would, or the decompression launch could grow the
-                // iteration's critical path for no latency gain.
-                let (pcie, decomp) = (self.gpu.config.pcie, self.gpu.config.decompress);
-                let (decoded_at, raw_copied_at, _) = chain_times(&self.gpu, ready, bytes, wire);
-                compress_wins(&pcie, &decomp, bytes, wire) && decoded_at < raw_copied_at
-            };
-            shipped = ship.then_some(wire);
-            count_decision(&mut self.gpu.obs.registry, bytes, shipped);
+        apply_now: bool,
+    ) {
+        let chunk = op.chunk();
+        let bytes = self.geo.chunk_len_bytes(chunk) as u64;
+        if apply_now {
+            self.apply(op);
         }
-        let ns = region_dma(&mut self.gpu, label, bytes, shipped, ready);
-        (shipped.unwrap_or(bytes), ns)
+        // Prefetches ship raw: the decompression launch would land on the
+        // busy compute engine and could push the very kernel they are
+        // hiding under. The rest ask the rule — chunk transfers are small,
+        // so the launch overhead usually keeps them raw under `Adaptive`.
+        let speculative = matches!(class, Xfer::Prefetch { .. });
+        let mut wire = None;
+        if let Some(mode) = self.encode.filter(|_| bytes > 0 && !speculative) {
+            let encoded = chunk_wire_bytes(self.g, &self.geo, chunk, &mut self.hotness);
+            let ship = mode == CompressionMode::Always
+                || encoded_wins(&self.gpu, ready, bytes, encoded, false);
+            wire = ship.then_some(encoded);
+            count_decision(&mut self.gpu.obs.registry, bytes, wire);
+        }
+        let (copy, dec) = self.gpu.ship_at(class, bytes, wire, ready);
+        if speculative {
+            let (a, b) = ctx.pf_window.unwrap_or((u64::MAX, 0));
+            ctx.pf_window = Some((a.min(copy.start.0), b.max(copy.end.0)));
+            ctx.prefetch_bytes += bytes;
+            ctx.prefetch_ops += 1;
+            if apply_now {
+                ctx.prefetch_ready = ctx.prefetch_ready.max(copy.end);
+                ctx.prefetch_pending.push((chunk, bytes));
+            } else {
+                ctx.prefetch_inflight.push((op, bytes));
+            }
+        } else {
+            ctx.breakdown.update_ns += copy.duration() + dec.duration();
+            if class == Xfer::Refresh {
+                ctx.refresh_bytes += bytes;
+                ctx.refresh_wire_bytes += wire.unwrap_or(bytes);
+            }
+        }
+    }
+
+    /// Move an op's chunk into the static region (the data plane).
+    fn apply(&mut self, op: PrefetchOp) {
+        let (gpu, g) = (&mut self.gpu, self.g);
+        match op {
+            PrefetchOp::Load(c) => self.region.load_chunk(gpu, g, c),
+            PrefetchOp::Swap { evict, load } => self.region.swap_chunk(gpu, g, evict, load),
+        };
     }
 
     /// Fraction of the graph's chunks currently resident in the static
@@ -450,12 +435,9 @@ impl<'g> AsceticSession<'g> {
         barrier_ns: u64,
     ) {
         if send_bytes > 0 && window.1 > window.0 {
-            self.gpu.timeline.schedule_labeled(
-                Engine::Copy,
-                SimTime(window.0),
-                window.1 - window.0,
-                || format!("frontier exchange {send_bytes}B (round {round})"),
-            );
+            let dur_ns = window.1 - window.0;
+            let class = Xfer::FleetExchange { round, dur_ns };
+            self.gpu.ship_at(class, send_bytes, None, SimTime(window.0));
         }
         self.gpu.timeline.barrier(SimTime(barrier_ns));
     }
@@ -904,7 +886,10 @@ impl<'g> AsceticSession<'g> {
         let gather_first = ctx.gather_spans.first().map(|s| s.start);
         let gather_last = gather_ready;
         let mut window_end = gather_last;
-        for (bi, batch) in ctx.plan.batches().enumerate() {
+        // (the plan steps out of `ctx` while its batches are walked: the
+        // gap fill below books against the whole of it)
+        let plan = std::mem::take(&mut ctx.plan);
+        for (bi, batch) in plan.batches().enumerate() {
             let g_span = ctx.gather_spans[bi];
             let buf_idx = bi % self.od_buffers.len();
 
@@ -922,13 +907,8 @@ impl<'g> AsceticSession<'g> {
                     break; // would push this batch's transfer later
                 }
                 ctx.prefetch_deferred.pop_front();
-                let span = self
-                    .gpu
-                    .prefetch_dma_at(op.chunk() as u64, bytes, link_free);
-                widen(&mut ctx.pf_window, span.start.0, span.end.0);
-                ctx.prefetch_bytes += bytes;
-                ctx.prefetch_ops += 1;
-                ctx.prefetch_inflight.push((op, bytes));
+                let chunk = op.chunk() as u64;
+                self.issue(ctx, op, Xfer::Prefetch { chunk }, link_free, false);
             }
 
             // H2D transfer of payload + index into this batch's buffer.
@@ -949,7 +929,6 @@ impl<'g> AsceticSession<'g> {
                 self.encode,
                 &mut ctx.scratch,
                 estimate,
-                chain_wins,
             );
             ctx.breakdown.transfer_ns += t_ns;
             od.payload += batch.payload_bytes() + batch.index_bytes();
@@ -969,6 +948,7 @@ impl<'g> AsceticSession<'g> {
             ctx.buffer_free_at[buf_idx] = c_span.end;
             window_end = window_end.max(c_span.end);
         }
+        ctx.plan = plan;
         if let (Some(first), Some(tr)) = (gather_first, self.gpu.timeline.tracer_mut()) {
             let t = tr.track(ONDEMAND_TRACK);
             let pull = if ctx.last_pull { " (pull)" } else { "" };
@@ -1025,53 +1005,29 @@ impl<'g> AsceticSession<'g> {
             // GPU chews the on-demand region, within its PCIe budget.
             if od.compute_window > 0 {
                 // the server only issues what fits the window
-                let mut ops_left = (od.compute_window / self.chunk_op_ns()) as usize;
+                let window_ops = (od.compute_window / self.chunk_op_ns()) as usize;
+                let mut ops_left = window_ops;
                 let ready = od.first_compute_start.unwrap_or(iter_start);
                 let copy_free0 = self.gpu.timeline.engine_free_at(Engine::Copy);
-                let mut window_ops = 0u32;
 
-                // lazy warming first: adopt demanded chunks into free
-                // slots (counted as steady transfer, not prestore)
-                if lazy_fill && ops_left > 0 {
-                    for chunk in self.hotness.plan_loads(&self.region, iter, ops_left) {
-                        let bytes = self.region.load_chunk(&mut self.gpu, g, chunk);
-                        let (wire, dur) = self.chunk_dma(chunk, bytes, ready, "lazy-load");
-                        self.gpu.xfer.h2d_bytes += bytes;
-                        self.gpu.xfer.h2d_wire_bytes += wire;
-                        self.gpu.xfer.h2d_ops += 1;
-                        self.gpu.obs.registry.counter_add("lazy.loads", 1);
-                        self.gpu.obs.record(ready.0, Event::LazyLoad { bytes });
-                        ctx.breakdown.update_ns += dur;
+                // Lazy warming first: adopt demanded chunks into free
+                // slots (counted as steady transfer, not prestore). Then
+                // stale-for-hot swaps — unless the prefetch pipeline is
+                // on, which subsumes them: it refreshes the region from
+                // *exact* next-frontier demand on the second copy stream
+                // (inside link slack) instead of spending synchronous
+                // link time inside the iteration on hotness guesses.
+                let swaps = !matches!(cfg.replacement, ReplacementPolicy::Disabled) && !prefetch_on;
+                let warm = lazy_fill.then_some((OpSource::LazyWarming(iter), Xfer::LazyLoad));
+                let swap = swaps.then_some((OpSource::Replacement(iter), Xfer::Refresh));
+                for (source, class) in warm.into_iter().chain(swap) {
+                    let (region, hot) = (&self.region, &mut self.hotness);
+                    for op in plan_ops(source, g, &geo, region, hot, ops_left) {
+                        self.issue(ctx, op, class, ready, true);
                         ops_left -= 1;
-                        window_ops += 1;
                     }
                 }
-
-                // then stale-for-hot swaps — unless the prefetch
-                // pipeline is on, which subsumes them: it refreshes the
-                // region from *exact* next-frontier demand on the
-                // second copy stream (inside link slack) instead of
-                // spending synchronous link time inside the iteration
-                // on hotness guesses
-                if !matches!(cfg.replacement, ReplacementPolicy::Disabled)
-                    && ops_left > 0
-                    && !prefetch_on
-                {
-                    let swaps = self.hotness.plan_swaps(&self.region, iter, ops_left);
-                    for (evict, load) in swaps {
-                        let bytes = self.region.swap_chunk(&mut self.gpu, g, evict, load);
-                        let (wire, dur) = self.chunk_dma(load, bytes, ready, "refresh");
-                        ctx.refresh_bytes += bytes;
-                        ctx.refresh_wire_bytes += wire;
-                        self.gpu.obs.registry.counter_add("hotness.swaps", 1);
-                        self.gpu
-                            .obs
-                            .record(ready.0, Event::HotSwap { chunks: 1, bytes });
-                        ctx.breakdown.update_ns += dur;
-                        window_ops += 1;
-                    }
-                }
-                if window_ops > 0 {
+                if ops_left < window_ops {
                     let start = copy_free0.max(ready).0;
                     let end = self.gpu.timeline.engine_free_at(Engine::Copy).0;
                     self.phase_span(
@@ -1127,7 +1083,7 @@ impl<'g> AsceticSession<'g> {
                 }
             };
             if apply {
-                self.apply_prefetch(op);
+                self.apply(op);
                 ctx.prefetch_pending.push((op.chunk(), bytes));
             } else {
                 ctx.prefetch_waste += bytes;
@@ -1136,30 +1092,16 @@ impl<'g> AsceticSession<'g> {
         let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
         let slack = self.gpu.timeline.now().0.saturating_sub(link_free.0);
         let budget = (slack / self.chunk_op_ns()) as usize;
-        let plan = plan_prefetch(
-            cfg.prefetch,
-            g,
-            &geo,
-            &self.region,
-            &mut self.hotness,
-            &demand,
-            self.encode.is_some(),
-            budget + GAP_PLAN_OPS,
-        );
-        let mut plan = plan.into_iter();
+        let source = OpSource::NextFrontier {
+            demand: &demand,
+            compressible: self.encode.is_some(),
+        };
+        let (region, hot) = (&self.region, &mut self.hotness);
+        let mut plan = plan_ops(source, g, &geo, region, hot, budget + GAP_PLAN_OPS).into_iter();
         // what fits the tail slack ships (and applies) now ...
         for op in plan.by_ref().take(budget) {
-            let chunk = op.chunk();
-            let bytes = self.apply_prefetch(op);
-            // prefetches ship raw: the decompression launch
-            // would land on the busy compute engine and could
-            // push the very kernel they are hiding under
-            let span = self.gpu.prefetch_dma_at(chunk as u64, bytes, link_free);
-            widen(&mut ctx.pf_window, span.start.0, span.end.0);
-            ctx.prefetch_ready = ctx.prefetch_ready.max(span.end);
-            ctx.prefetch_bytes += bytes;
-            ctx.prefetch_ops += 1;
-            ctx.prefetch_pending.push((chunk, bytes));
+            let chunk = op.chunk() as u64;
+            self.issue(ctx, op, Xfer::Prefetch { chunk }, link_free, true);
         }
         // ... the remainder waits for link gaps in the next
         // iteration's on-demand pipeline
@@ -1171,16 +1113,6 @@ impl<'g> AsceticSession<'g> {
     fn chunk_op_ns(&self) -> u64 {
         let chunk_bytes = self.cfg.chunk_bytes as u64;
         self.gpu.config.pcie.transfer_ns(chunk_bytes).max(1)
-    }
-
-    /// Move a prefetch op's chunk into the static region (the data plane;
-    /// the caller charges the link). Returns the bytes loaded.
-    fn apply_prefetch(&mut self, op: PrefetchOp) -> u64 {
-        let (gpu, g) = (&mut self.gpu, self.g);
-        match op {
-            PrefetchOp::Load(c) => self.region.load_chunk(gpu, g, c),
-            PrefetchOp::Swap { evict, load } => self.region.swap_chunk(gpu, g, evict, load),
-        }
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
@@ -1371,15 +1303,8 @@ impl<'g> AsceticSession<'g> {
             + rp.refreshed.len() as u64 * PATCH_CHUNK_HEADER_BYTES;
         let mut end = start;
         if wire_bytes > 0 {
-            let copy = self.gpu.timeline.schedule_labeled(
-                Engine::Copy,
-                start,
-                self.gpu.config.pcie.transfer_ns(wire_bytes),
-                || format!("mutation delta {wire_bytes}B"),
-            );
-            self.gpu.xfer.h2d_bytes += wire_bytes;
-            self.gpu.xfer.h2d_wire_bytes += wire_bytes;
-            self.gpu.xfer.h2d_ops += 1;
+            let class = Xfer::MutationDelta;
+            let (copy, _) = self.gpu.ship_at(class, wire_bytes, None, start);
             let refreshed_edges = rp.bytes / self.geo.bytes_per_edge as u64;
             if refreshed_edges > 0 {
                 let k = self

@@ -4,9 +4,10 @@
 //! order ≠ chunk order, hotness history across two runs, a sparse demand
 //! vector, budgets from 0 past the chunk count, all three replacement
 //! policies, compressible on and off). Every op list is folded into one
-//! FNV per planner; the values below were harvested from the three
-//! separate planners the one pairing loop replaced, so a planner change
-//! that moves any op of any state shows up here.
+//! FNV per input set; the values below were harvested from the three
+//! separate planners (`HotnessTable::{plan_loads, plan_swaps}`,
+//! `plan_prefetch`) the one pairing loop replaced, so a planner change that
+//! moves any op of any state shows up here.
 //!
 //! `ASCETIC_PRINT_GOLDENS=1 cargo test -p ascetic-core --test
 //! planner_differential -- --nocapture` prints one line per state — diff
@@ -14,46 +15,34 @@
 
 use ascetic_core::config::ReplacementPolicy;
 use ascetic_core::hotness::HotnessTable;
-use ascetic_core::prefetch::{plan_prefetch, PrefetchMode, PrefetchOp};
+use ascetic_core::prefetch::{plan_ops, OpSource, PrefetchOp};
 use ascetic_core::static_region::StaticRegion;
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::generators::{web_graph, WebConfig};
 use ascetic_graph::Csr;
 use ascetic_sim::{DeviceConfig, Gpu};
 
-// ---- The three planners under test, as `PrefetchOp` lists. --------------
+// ---- The three input sets under test, through the one planner. ----------
 
-/// Lazy warming: chunks demanded at `iteration`, into free slots.
-fn lazy_warming(
-    hot: &HotnessTable,
-    region: &StaticRegion,
-    iteration: u32,
-    max_ops: usize,
-) -> Vec<PrefetchOp> {
-    hot.plan_loads(region, iteration, max_ops)
-        .into_iter()
-        .map(PrefetchOp::Load)
-        .collect()
+/// Lazy warming: chunks demanded at the state's iteration, into free slots.
+fn lazy_warming(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
+    let source = OpSource::LazyWarming(s.iteration);
+    plan_ops(source, g, geo, &s.region, &mut s.hot, s.max_ops)
 }
 
 /// The replacement server: stale residents out, hot chunks in.
-fn replacement(
-    hot: &HotnessTable,
-    region: &StaticRegion,
-    iteration: u32,
-    max_ops: usize,
-) -> Vec<PrefetchOp> {
-    hot.plan_swaps(region, iteration, max_ops)
-        .into_iter()
-        .map(|(evict, load)| PrefetchOp::Swap { evict, load })
-        .collect()
+fn replacement(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
+    let source = OpSource::Replacement(s.iteration);
+    plan_ops(source, g, geo, &s.region, &mut s.hot, s.max_ops)
 }
 
-/// Next-frontier prefetch over `demand`.
+/// Next-frontier prefetch over the state's demand.
 fn next_frontier(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
-    let mode = PrefetchMode::NextFrontier;
-    let (region, hot, demand) = (&s.region, &mut s.hot, &s.demand);
-    plan_prefetch(mode, g, geo, region, hot, demand, s.compressible, s.max_ops)
+    let source = OpSource::NextFrontier {
+        demand: &s.demand,
+        compressible: s.compressible,
+    };
+    plan_ops(source, g, geo, &s.region, &mut s.hot, s.max_ops)
 }
 
 // ---- Pinned fingerprints (harvested on the three-planner parent). -------
@@ -199,8 +188,8 @@ fn every_seeded_plan_matches_its_pinned_fingerprint() {
     for seed in 0..STATES {
         let mut s = state(seed, &g, geo);
         let plans = [
-            lazy_warming(&s.hot, &s.region, s.iteration, s.max_ops),
-            replacement(&s.hot, &s.region, s.iteration, s.max_ops),
+            lazy_warming(&mut s, &g, &geo),
+            replacement(&mut s, &g, &geo),
             next_frontier(&mut s, &g, &geo),
         ];
         for (h, ops) in [&mut lazy, &mut repl, &mut next].into_iter().zip(&plans) {

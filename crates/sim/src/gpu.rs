@@ -15,7 +15,7 @@
 //! "everything so far" (a full barrier), which is how the non-overlapping
 //! baselines behave.
 
-use crate::device::DeviceConfig;
+use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
 use crate::metrics::{KernelStats, XferStats};
 use crate::time::SimTime;
@@ -51,6 +51,66 @@ pub struct Gpu {
     pub obs: Obs,
     /// Lazily-minted second copy stream for speculative transfers.
     prefetch_stream: Option<CopyStream>,
+}
+
+/// What the bytes of a transfer *are*. [`Gpu::ship_at`] reads the stream,
+/// the span labels, the counters and the event off the class, so a caller
+/// never books a byte or touches the copy engine itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Xfer {
+    /// An on-demand payload (a gather batch, or any plain H2D copy).
+    OnDemand {
+        /// Bytes riding the same DMA op — the batch's subgraph index:
+        /// booked raw, not timed.
+        rider: u64,
+    },
+    /// A speculative refresh on the prefetch stream. Always raw: decoding
+    /// would steal the compute engine the pipeline is trying to keep busy.
+    Prefetch {
+        /// The chunk shipped.
+        chunk: u64,
+    },
+    /// A lazy-fill adoption into a free static-region slot (steady
+    /// transfer, not prestore).
+    LazyLoad,
+    /// A replacement-server swap (reported as refresh traffic, outside the
+    /// `XferStats` columns).
+    Refresh,
+    /// The bulk static-region fill (reported as prestore).
+    Prestore,
+    /// A mutation batch's delta stream.
+    MutationDelta,
+    /// A cross-device frontier exchange: the interconnect fixed the window
+    /// the copy engine is held for.
+    FleetExchange {
+        /// Fleet round the exchange closes.
+        round: u32,
+        /// The window's length, ns.
+        dur_ns: u64,
+    },
+    /// A UVM iteration's page migrations, stalling the faulting kernel.
+    UvmMigration {
+        /// Page faults serviced (one DMA each).
+        faults: u64,
+        /// Total fault-servicing stall, ns.
+        stall_ns: u64,
+    },
+}
+
+impl Xfer {
+    /// What the class's span labels open with.
+    fn stem(self) -> &'static str {
+        match self {
+            Xfer::OnDemand { .. } => "H2D",
+            Xfer::Prefetch { .. } => "prefetch",
+            Xfer::LazyLoad => "lazy-load",
+            Xfer::Refresh => "refresh",
+            Xfer::Prestore => "prestore",
+            Xfer::MutationDelta => "mutation delta",
+            Xfer::FleetExchange { .. } => "frontier exchange",
+            Xfer::UvmMigration { .. } => "UVM fault stalls",
+        }
+    }
 }
 
 impl Gpu {
@@ -90,33 +150,136 @@ impl Gpu {
     }
 
     /// Speculative H2D refresh of `bytes` for `chunk` on the prefetch
-    /// stream, ready at `ready`. The caller moves the payload itself (the
-    /// static region's data-plane load/swap); this charges the link time
-    /// on the second stream and accounts the bytes as prefetch traffic
-    /// (`h2d_prefetch_bytes` rides inside `h2d_bytes`). Prefetches always
-    /// ship raw: decoding would steal the compute engine the pipeline is
-    /// trying to keep busy.
+    /// stream, ready at `ready` — [`Xfer::Prefetch`] through
+    /// [`Gpu::ship_at`]. The caller moves the payload itself (the static
+    /// region's data-plane load/swap).
     pub fn prefetch_dma_at(&mut self, chunk: u64, bytes: u64, ready: SimTime) -> Span {
-        let stream = self.stream();
-        self.xfer.h2d_bytes += bytes;
-        self.xfer.h2d_wire_bytes += bytes;
-        self.xfer.h2d_prefetch_bytes += bytes;
-        self.xfer.h2d_ops += 1;
-        self.obs.registry.observe("h2d.op_bytes", bytes);
-        let span =
-            self.timeline
-                .schedule_copy(stream, ready, self.config.pcie.transfer_ns(bytes), || {
-                    format!("prefetch chunk {chunk} ({bytes}B)")
+        self.ship_at(Xfer::Prefetch { chunk }, bytes, None, ready).0
+    }
+
+    /// The one link-charge site: schedule a transfer of `bytes` of payload
+    /// ready at `ready`, book it and record its event. `wire = None` ships
+    /// the bytes as they are; `Some(wire)` ships the encoded form and
+    /// chains the decompression launch on the compute engine. What the
+    /// bytes *are* — `class` — decides the stream, the span labels, the
+    /// counters and the event (`DESIGN.md` §21 has the table); the data
+    /// plane is the caller's. Returns the `(copy, decompress)` spans — the
+    /// second empty at `copy.end` for a raw transfer — so the payload is
+    /// usable at `decompress.end` either way.
+    pub fn ship_at(
+        &mut self,
+        class: Xfer,
+        bytes: u64,
+        wire: Option<u64>,
+        ready: SimTime,
+    ) -> (Span, Span) {
+        let on_link = wire.unwrap_or(bytes);
+        let stem = class.stem();
+        let label = || match (class, wire) {
+            (Xfer::Prefetch { chunk }, _) => format!("{stem} chunk {chunk} ({bytes}B)"),
+            (Xfer::FleetExchange { round, .. }, _) => format!("{stem} {bytes}B (round {round})"),
+            (Xfer::UvmMigration { stall_ns, .. }, _) => format!("{stem} {stall_ns}ns"),
+            (_, Some(wire)) => format!("{stem} {wire}B (compressed, {bytes}B raw)"),
+            (_, None) => format!("{stem} {bytes}B"),
+        };
+        let link_ns = self.config.pcie.transfer_ns(on_link);
+        let copy = match class {
+            Xfer::Prefetch { .. } => {
+                let stream = self.stream();
+                self.timeline.schedule_copy(stream, ready, link_ns, label)
+            }
+            Xfer::FleetExchange { dur_ns, .. } => {
+                self.timeline
+                    .schedule_labeled(Engine::Copy, ready, dur_ns, label)
+            }
+            // a faulting kernel stalls: the migrations' time is charged on
+            // the compute engine, not the link
+            Xfer::UvmMigration { stall_ns, .. } => {
+                self.timeline
+                    .schedule_labeled(Engine::Compute, ready, stall_ns, label)
+            }
+            _ => self
+                .timeline
+                .schedule_labeled(Engine::Copy, ready, link_ns, label),
+        };
+        let dur_ns = copy.duration();
+        let mut decode = Span {
+            start: copy.end,
+            end: copy.end,
+        };
+        if let Some(wire_bytes) = wire {
+            let dec_ns = self.config.decompress.decompress_ns(bytes);
+            decode = self
+                .timeline
+                .schedule_labeled(Engine::Compute, copy.end, dec_ns, || match class {
+                    Xfer::OnDemand { .. } => format!("decompress {bytes}B"),
+                    _ => format!("{stem} decompress {bytes}B"),
                 });
-        self.obs.record(
-            span.start.0,
-            Event::PrefetchDma {
-                chunk,
-                bytes,
-                dur_ns: span.duration(),
-            },
-        );
-        span
+            let (raw_bytes, decompress_ns) = (bytes, decode.duration());
+            let event = Event::CompressedDma {
+                raw_bytes,
+                wire_bytes,
+                dur_ns,
+                decompress_ns,
+            };
+            self.obs.record(copy.start.0, event);
+        }
+
+        // What this class of byte feeds: `XferStats` columns (payload,
+        // link, ops), registry counters and histograms, and its event.
+        let reg = &mut self.obs.registry;
+        let (payload, link, ops, event) = match class {
+            Xfer::OnDemand { rider } => {
+                reg.observe("h2d.op_bytes", bytes);
+                let dir = XferDir::H2d;
+                let event = match wire {
+                    Some(wire) => {
+                        reg.observe("h2d.op_wire_bytes", wire);
+                        None // the encoded chain's event is the transfer's
+                    }
+                    None => Some((copy.start, Event::Dma { dir, bytes, dur_ns })),
+                };
+                (bytes + rider, on_link + rider, 1, event)
+            }
+            Xfer::Prefetch { chunk } => {
+                self.xfer.h2d_prefetch_bytes += bytes;
+                reg.observe("h2d.op_bytes", bytes);
+                let event = Event::PrefetchDma {
+                    chunk,
+                    bytes,
+                    dur_ns,
+                };
+                (bytes, bytes, 1, Some((copy.start, event)))
+            }
+            Xfer::LazyLoad => {
+                reg.counter_add("lazy.loads", 1);
+                (bytes, on_link, 1, Some((ready, Event::LazyLoad { bytes })))
+            }
+            // refresh and prestore traffic ride their own report lines
+            Xfer::Refresh => {
+                reg.counter_add("hotness.swaps", 1);
+                let event = Event::HotSwap { chunks: 1, bytes };
+                (0, 0, 0, Some((ready, event)))
+            }
+            Xfer::Prestore => {
+                reg.counter_add("prestore.bytes", bytes);
+                reg.counter_add("prestore.wire_bytes", on_link);
+                let dur_ns = dur_ns + decode.duration();
+                (0, 0, 0, Some((ready, Event::Prestore { bytes, dur_ns })))
+            }
+            Xfer::MutationDelta => (bytes, bytes, 1, None),
+            Xfer::FleetExchange { .. } => (0, 0, 0, None),
+            // fault-ordered page migrations are not link-rate DMAs: logical
+            // bytes and one op per fault, no wire column
+            Xfer::UvmMigration { faults, .. } => (bytes, 0, faults, None),
+        };
+        self.xfer.h2d_bytes += payload;
+        self.xfer.h2d_wire_bytes += link;
+        self.xfer.h2d_ops += ops;
+        if let Some((at, event)) = event {
+            self.obs.record(at.0, event);
+        }
+        (copy, decode)
     }
 
     /// Allocate device words, advancing the allocator high-water telemetry
@@ -141,7 +304,7 @@ impl Gpu {
     /// H2D copy of `src` into `dst`, ready at `ready`. Copies the payload
     /// and charges `pcie.transfer_ns` on the COPY engine.
     pub fn h2d_at(&mut self, dst: DevPtr, src: &[u32], ready: SimTime) -> Span {
-        self.h2d_fill_at(dst, ready, |window| window.copy_from_slice(src))
+        self.h2d_fill_at(dst, 0, ready, |window| window.copy_from_slice(src))
     }
 
     /// [`Gpu::h2d_at`] for a payload produced in place: `fill` writes the
@@ -149,34 +312,19 @@ impl Gpu {
     /// from the host CSR straight into it, with no staging buffer), and
     /// the transfer is charged exactly as if those words had been copied
     /// from a host slice — same bytes, op count, span and event. The data
-    /// plane may take the shortcut; the charge never does.
+    /// plane may take the shortcut; the charge never does. `rider` bytes
+    /// (a gather batch's subgraph index) ride the same DMA op: booked raw,
+    /// not timed.
     pub fn h2d_fill_at(
         &mut self,
         dst: DevPtr,
+        rider: u64,
         ready: SimTime,
         fill: impl FnOnce(&mut [u32]),
     ) -> Span {
         fill(self.mem.words_mut(dst));
-        let bytes = dst.len_bytes();
-        self.xfer.h2d_bytes += bytes;
-        self.xfer.h2d_wire_bytes += bytes;
-        self.xfer.h2d_ops += 1;
-        self.obs.registry.observe("h2d.op_bytes", bytes);
-        let span = self.timeline.schedule_labeled(
-            Engine::Copy,
-            ready,
-            self.config.pcie.transfer_ns(bytes),
-            || format!("H2D {bytes}B"),
-        );
-        self.obs.record(
-            span.start.0,
-            Event::Dma {
-                dir: XferDir::H2d,
-                bytes,
-                dur_ns: span.duration(),
-            },
-        );
-        span
+        let class = Xfer::OnDemand { rider };
+        self.ship_at(class, dst.len_bytes(), None, ready).0
     }
 
     /// H2D copy chained after everything scheduled so far.
@@ -194,16 +342,16 @@ impl Gpu {
     /// byte copy of the wire payload), then the decoded words overwrite
     /// them — modelling an in-place decompression kernel. Only the encoded
     /// size is charged on the COPY engine; the decode cost is charged on
-    /// the COMPUTE engine starting when the copy completes.
+    /// the COMPUTE engine starting when the copy completes. `rider` as in
+    /// [`Gpu::h2d_fill_at`].
     pub fn h2d_compressed_at(
         &mut self,
         dst: DevPtr,
         encoded: &[u8],
+        rider: u64,
         ready: SimTime,
         decode: impl FnOnce(&mut [u32]),
     ) -> (Span, Span) {
-        let wire = encoded.len() as u64;
-        let raw = dst.len_bytes();
         // Land the encoded stream in the destination window. `Always` mode
         // may inflate a payload past its raw size; the landing copy is then
         // clipped to the window (the link still pays for every wire byte).
@@ -213,62 +361,16 @@ impl Gpu {
             b[..chunk.len()].copy_from_slice(chunk);
             *w = u32::from_le_bytes(b);
         }
-        let copy = self.timeline.schedule_labeled(
-            Engine::Copy,
-            ready,
-            self.config.pcie.transfer_ns(wire),
-            || format!("H2D {wire}B (compressed, {raw}B raw)"),
-        );
-        let dec = self.timeline.schedule_labeled(
-            Engine::Compute,
-            copy.end,
-            self.config.decompress.decompress_ns(raw),
-            || format!("decompress {raw}B"),
-        );
-        decode(self.mem.words_mut(dst));
-        self.xfer.h2d_bytes += raw;
-        self.xfer.h2d_wire_bytes += wire;
-        self.xfer.h2d_ops += 1;
-        self.obs.registry.observe("h2d.op_bytes", raw);
-        self.obs.registry.observe("h2d.op_wire_bytes", wire);
-        self.obs.record(
-            copy.start.0,
-            Event::CompressedDma {
-                raw_bytes: raw,
-                wire_bytes: wire,
-                dur_ns: copy.duration(),
-                decompress_ns: dec.duration(),
-            },
-        );
-        (copy, dec)
+        decode(window);
+        let (class, wire) = (Xfer::OnDemand { rider }, encoded.len() as u64);
+        self.ship_at(class, dst.len_bytes(), Some(wire), ready)
     }
 
     /// Charge a kernel of `edges`/`vertices` work on the COMPUTE engine,
     /// ready at `ready`. The caller runs the actual computation on host
     /// threads; this records its simulated cost.
     pub fn kernel_at(&mut self, edges: u64, vertices: u64, ready: SimTime) -> Span {
-        let dur = self.config.kernel.kernel_ns(edges, vertices);
-        self.kernels.launches += 1;
-        self.kernels.edges += edges;
-        self.kernels.vertices += vertices;
-        self.kernels.time_ns += dur;
-        self.obs.registry.observe("kernel.ns", dur);
-        let span = self
-            .timeline
-            .schedule_labeled(Engine::Compute, ready, dur, || {
-                format!("kernel e={edges} v={vertices}")
-            });
-        if self.obs.events_enabled() {
-            self.obs.record(
-                span.start.0,
-                Event::Kernel {
-                    label: format!("e={edges} v={vertices}"),
-                    edges,
-                    dur_ns: span.duration(),
-                },
-            );
-        }
-        span
+        self.charge_kernel(self.config.kernel, "", edges, vertices, ready)
     }
 
     /// Charge a pull-direction (gather) kernel of `edges`/`vertices` work
@@ -276,7 +378,18 @@ impl Gpu {
     /// [`Gpu::kernel_at`] but costed with the pull kernel model — gather
     /// kernels pay more per in-edge for their scattered parent reads.
     pub fn pull_kernel_at(&mut self, edges: u64, vertices: u64, ready: SimTime) -> Span {
-        let dur = self.config.pull_kernel.kernel_ns(edges, vertices);
+        self.charge_kernel(self.config.pull_kernel, "pull ", edges, vertices, ready)
+    }
+
+    fn charge_kernel(
+        &mut self,
+        model: KernelModel,
+        pull: &str,
+        edges: u64,
+        vertices: u64,
+        ready: SimTime,
+    ) -> Span {
+        let dur = model.kernel_ns(edges, vertices);
         self.kernels.launches += 1;
         self.kernels.edges += edges;
         self.kernels.vertices += vertices;
@@ -285,13 +398,13 @@ impl Gpu {
         let span = self
             .timeline
             .schedule_labeled(Engine::Compute, ready, dur, || {
-                format!("pull kernel e={edges} v={vertices}")
+                format!("{pull}kernel e={edges} v={vertices}")
             });
         if self.obs.events_enabled() {
             self.obs.record(
                 span.start.0,
                 Event::Kernel {
-                    label: format!("pull e={edges} v={vertices}"),
+                    label: format!("{pull}e={edges} v={vertices}"),
                     edges,
                     dur_ns: span.duration(),
                 },
@@ -360,7 +473,7 @@ mod tests {
         b.obs.enable_events(8);
         let (pa, pb) = (a.alloc(4).unwrap(), b.alloc(4).unwrap());
         let sa = a.h2d_at(pa, &[7, 8, 9, 10], SimTime(5));
-        let sb = b.h2d_fill_at(pb, SimTime(5), |w| w.copy_from_slice(&[7, 8, 9, 10]));
+        let sb = b.h2d_fill_at(pb, 0, SimTime(5), |w| w.copy_from_slice(&[7, 8, 9, 10]));
         assert_eq!(sa, sb);
         assert_eq!(a.mem.words(pa), b.mem.words(pb));
         assert_eq!(a.xfer, b.xfer);
@@ -433,7 +546,7 @@ mod tests {
         let p = g.alloc(8).unwrap();
         let decoded = [1u32, 2, 3, 4, 5, 6, 7, 8]; // 32 raw bytes
         let encoded = [9u8; 10]; // 10 wire bytes
-        let (copy, dec) = g.h2d_compressed_at(p, &encoded, SimTime::ZERO, |window| {
+        let (copy, dec) = g.h2d_compressed_at(p, &encoded, 0, SimTime::ZERO, |window| {
             // the wire bytes landed first, then the decoder overwrites them
             assert_eq!(window[0], u32::from_le_bytes([9; 4]));
             window.copy_from_slice(&decoded);
@@ -457,7 +570,7 @@ mod tests {
         let p = g.alloc(8).unwrap();
         g.h2d(p, &[0; 8]); // raw: 32 payload == 32 wire
         let t = g.elapsed();
-        g.h2d_compressed_at(p, &[0; 12], t, |window| window.fill(0));
+        g.h2d_compressed_at(p, &[0; 12], 0, t, |window| window.fill(0));
         assert_eq!(g.xfer.h2d_bytes, 64);
         assert_eq!(g.xfer.h2d_wire_bytes, 44);
         assert_eq!(g.xfer.total_bytes(), 64);
@@ -474,7 +587,7 @@ mod tests {
         let mut g = small_gpu();
         g.obs.enable_events(64);
         let p = g.alloc(4).unwrap();
-        g.h2d_compressed_at(p, &[7, 7, 7], SimTime::ZERO, |window| {
+        g.h2d_compressed_at(p, &[7, 7, 7], 0, SimTime::ZERO, |window| {
             window.copy_from_slice(&[1, 2, 3, 4])
         });
         let events = g.obs.events().unwrap();

@@ -43,7 +43,7 @@ pub mod trace;
 pub mod uvm;
 
 pub use device::{DecompressModel, DeviceConfig, GatherModel, KernelModel, PcieModel, UvmModel};
-pub use gpu::Gpu;
+pub use gpu::{Gpu, Xfer};
 pub use interconnect::{Interconnect, InterconnectConfig, InterconnectStats, LinkModel};
 pub use memory::{ArenaOccupancy, DevPtr, DeviceMemory, OutOfDeviceMemory};
 pub use metrics::{KernelStats, XferStats};

@@ -94,7 +94,7 @@ fn default_cfg(g: &Csr) -> AsceticConfig {
 }
 
 /// [`default_cfg`] with the opt-in replacement server named, so the rows
-/// built on it keep pinning its `refresh` / `chunk_dma` arms whatever the
+/// built on it keep pinning its `Xfer::Refresh` arm whatever the
 /// default policy is.
 fn cfg_for(g: &Csr) -> AsceticConfig {
     default_cfg(g).with_replacement(ReplacementPolicy::LastIteration)
