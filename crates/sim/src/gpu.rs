@@ -237,7 +237,7 @@ impl Gpu {
                         reg.observe("h2d.op_wire_bytes", wire);
                         None // the encoded chain's event is the transfer's
                     }
-                    None => Some((copy.start, Event::Dma { dir, bytes, dur_ns })),
+                    None => Some(Event::Dma { dir, bytes, dur_ns }),
                 };
                 (bytes + rider, on_link + rider, 1, event)
             }
@@ -249,23 +249,22 @@ impl Gpu {
                     bytes,
                     dur_ns,
                 };
-                (bytes, bytes, 1, Some((copy.start, event)))
+                (bytes, bytes, 1, Some(event))
             }
             Xfer::LazyLoad => {
                 reg.counter_add("lazy.loads", 1);
-                (bytes, on_link, 1, Some((ready, Event::LazyLoad { bytes })))
+                (bytes, on_link, 1, Some(Event::LazyLoad { bytes }))
             }
             // refresh and prestore traffic ride their own report lines
             Xfer::Refresh => {
                 reg.counter_add("hotness.swaps", 1);
-                let event = Event::HotSwap { chunks: 1, bytes };
-                (0, 0, 0, Some((ready, event)))
+                (0, 0, 0, Some(Event::HotSwap { chunks: 1, bytes }))
             }
             Xfer::Prestore => {
                 reg.counter_add("prestore.bytes", bytes);
                 reg.counter_add("prestore.wire_bytes", on_link);
                 let dur_ns = dur_ns + decode.duration();
-                (0, 0, 0, Some((ready, Event::Prestore { bytes, dur_ns })))
+                (0, 0, 0, Some(Event::Prestore { bytes, dur_ns }))
             }
             Xfer::MutationDelta => (bytes, bytes, 1, None),
             Xfer::FleetExchange { .. } => (0, 0, 0, None),
@@ -276,8 +275,9 @@ impl Gpu {
         self.xfer.h2d_bytes += payload;
         self.xfer.h2d_wire_bytes += link;
         self.xfer.h2d_ops += ops;
-        if let Some((at, event)) = event {
-            self.obs.record(at.0, event);
+        // every event carries the start of the span it describes
+        if let Some(event) = event {
+            self.obs.record(copy.start.0, event);
         }
         (copy, decode)
     }

@@ -6,8 +6,9 @@
 use ascetic::algos::{Bfs, PageRank};
 use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::report::RunReport;
-use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
+use ascetic::core::{AsceticConfig, AsceticSystem, FillPolicy, OutOfCoreSystem, ReplacementPolicy};
 use ascetic::graph::datasets::{Dataset, DatasetId, PAPER_GPU_MEM_BYTES};
+use ascetic::obs::Event;
 use ascetic::sim::DeviceConfig;
 
 const SCALE: u64 = 8_000;
@@ -104,6 +105,51 @@ fn event_stream_is_clock_ordered_and_valid_json() {
         .filter(|e| e.event.kind() == "iter_start")
         .count();
     assert_eq!(starts as u32, rep.iterations);
+}
+
+/// A lazy load or a hot swap is one DMA, and its event says when that DMA
+/// started — not when the replacement server's window opened, which would
+/// stamp every op of a window at one instant.
+#[test]
+fn region_op_events_carry_their_dmas_start_time() {
+    let (ds, dev, chunk) = env();
+    let cfg = AsceticConfig::new(dev)
+        .with_chunk_bytes(chunk)
+        .with_fill(FillPolicy::Lazy)
+        .with_replacement(ReplacementPolicy::LastIteration)
+        .with_events(true)
+        .with_tracing(true);
+    let rep = AsceticSystem::new(cfg).run(&ds.graph, &PageRank::new());
+    let trace = rep.span_trace.as_ref().expect("tracing on");
+    let link = trace
+        .track_index("PCIe copy stream 0")
+        .expect("the default copy stream's track");
+    let events = rep.events.as_ref().expect("events on");
+    for stem in ["lazy-load", "refresh"] {
+        let stamps: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::LazyLoad { bytes } if stem == "lazy-load" => Some((e.t_ns, bytes)),
+                Event::HotSwap { bytes, .. } if stem == "refresh" => Some((e.t_ns, bytes)),
+                _ => None,
+            })
+            .collect();
+        assert!(stamps.len() > 1, "{stem}: the run must issue several");
+        for (t_ns, bytes) in &stamps {
+            let name = format!("{stem} {bytes}B");
+            assert!(
+                trace
+                    .track_spans(link)
+                    .any(|s| s.start_ns == *t_ns && s.name == name),
+                "no `{name}` span starts at {t_ns}"
+            );
+        }
+        // DMAs serialize on the link, so no two ops share a stamp
+        assert!(
+            stamps.windows(2).all(|w| w[0].0 < w[1].0),
+            "{stem}: stamps must strictly increase"
+        );
+    }
 }
 
 #[test]
