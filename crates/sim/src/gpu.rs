@@ -215,12 +215,11 @@ impl Gpu {
                     Xfer::OnDemand { .. } => format!("decompress {bytes}B"),
                     _ => format!("{stem} decompress {bytes}B"),
                 });
-            let (raw_bytes, decompress_ns) = (bytes, decode.duration());
             let event = Event::CompressedDma {
-                raw_bytes,
+                raw_bytes: bytes,
                 wire_bytes,
                 dur_ns,
-                decompress_ns,
+                decompress_ns: decode.duration(),
             };
             self.obs.record(copy.start.0, event);
         }
@@ -231,13 +230,16 @@ impl Gpu {
         let (payload, link, ops, event) = match class {
             Xfer::OnDemand { rider } => {
                 reg.observe("h2d.op_bytes", bytes);
-                let dir = XferDir::H2d;
                 let event = match wire {
                     Some(wire) => {
                         reg.observe("h2d.op_wire_bytes", wire);
                         None // the encoded chain's event is the transfer's
                     }
-                    None => Some(Event::Dma { dir, bytes, dur_ns }),
+                    None => Some(Event::Dma {
+                        dir: XferDir::H2d,
+                        bytes,
+                        dur_ns,
+                    }),
                 };
                 (bytes + rider, on_link + rider, 1, event)
             }
