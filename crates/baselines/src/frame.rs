@@ -9,7 +9,7 @@
 //! only their data movement.
 
 use ascetic_algos::VertexProgram;
-use ascetic_core::engine::finish_report;
+use ascetic_core::engine::{finish_report, RunBase};
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
 use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
 use ascetic_graph::Csr;
@@ -100,6 +100,8 @@ impl Frame {
             prog.name(),
             iterations,
             &mut self.gpu,
+            // a fresh device per run: nothing came before
+            &RunBase::default(),
             self.breakdown,
             self.per_iter,
             self.iter_windows,

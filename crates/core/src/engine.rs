@@ -22,10 +22,11 @@
 
 use ascetic_algos::{AlgoOutput, VertexProgram};
 use ascetic_graph::Csr;
-use ascetic_sim::{Engine, Gpu};
+use ascetic_obs::MetricsSnapshot;
+use ascetic_sim::{Engine, Gpu, KernelStats, XferStats};
 
 use crate::config::AsceticConfig;
-use crate::report::{utilization_from_trace, Breakdown, IterReport, RunReport};
+use crate::report::{utilization_from_trace, Breakdown, IterReport, RunReport, SCALARS};
 use crate::session::AsceticSession;
 use crate::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
 
@@ -83,8 +84,26 @@ impl OutOfCoreSystem for AsceticSystem {
     }
 }
 
+/// What a run's numbers are measured from. The default — nothing came
+/// before — is a one-shot system's base and that of a session's first run,
+/// which therefore owns whatever the device did while it was set up (the
+/// prestore); a later run's base is the device as its `begin_run` found it.
+#[derive(Default)]
+pub struct RunBase {
+    /// The registry as it stood: the run's metrics are the diff against it.
+    pub metrics: MetricsSnapshot,
+    /// The device clock, ns.
+    pub clock_ns: u64,
+    /// The compute engine's busy time, ns (the mark has no exported name).
+    pub compute_busy_ns: u64,
+    /// Duration of the prestore this run owns, ns.
+    pub prestore_ns: u64,
+}
+
 /// Assemble a [`RunReport`] from the final device state (shared with the
-/// baselines crate).
+/// baselines crate). A run's numbers are one diff: the device registry —
+/// the only place anything was counted — against `base`, and every scalar
+/// field is read off that snapshot.
 ///
 /// `iter_windows` are the per-iteration `(start_ns, end_ns)` windows on
 /// the virtual clock; when tracing was enabled they drive the
@@ -96,6 +115,7 @@ pub fn finish_report(
     algorithm: &'static str,
     iterations: u32,
     gpu: &mut Gpu,
+    base: &RunBase,
     breakdown: Breakdown,
     per_iter: Vec<IterReport>,
     iter_windows: Vec<(u64, u64)>,
@@ -117,41 +137,65 @@ pub fn finish_report(
         .map(|t| utilization_from_trace(t, &iter_windows))
         .unwrap_or_default();
     let events = gpu.obs.take_events();
-    let events_dropped = events.as_ref().map_or(0, |e| e.dropped());
-    let first_drop_at = events.as_ref().and_then(|e| e.first_drop_at());
+    let sim_time_ns = gpu.elapsed().0 - base.clock_ns;
+    let compute_busy_ns = gpu.timeline.busy_ns(Engine::Compute) - base.compute_busy_ns;
+    let mut metrics = gpu.obs.registry.snapshot().diff(&base.metrics);
+    metrics.set_label("system", system);
+    metrics.set_label("algo", algorithm);
+    let tally = |name: &str| metrics.counter(name).unwrap_or(0);
     let mut report = RunReport {
         system,
         algorithm,
         iterations,
-        sim_time_ns: gpu.elapsed().0,
-        xfer: gpu.xfer,
-        // Prestore, refresh and prefetch are the session's: it overwrites
-        // these zeros (and re-syncs) with what its static region shipped.
-        prestore_bytes: 0,
-        prestore_wire_bytes: 0,
-        prestore_ns: 0,
-        refresh_bytes: 0,
-        refresh_wire_bytes: 0,
-        prefetch_bytes: 0,
-        prefetch_ops: 0,
-        prefetch_hits: 0,
-        prefetch_wasted_bytes: 0,
-        kernels: gpu.kernels,
+        sim_time_ns,
+        xfer: XferStats {
+            h2d_bytes: tally("xfer.h2d_bytes"),
+            h2d_wire_bytes: tally("xfer.h2d_wire_bytes"),
+            h2d_prefetch_bytes: tally("prefetch.bytes"),
+            d2h_bytes: tally("xfer.d2h_bytes"),
+            h2d_ops: tally("xfer.h2d_ops"),
+            d2h_ops: tally("xfer.d2h_ops"),
+        },
+        prestore_bytes: tally("prestore.bytes"),
+        prestore_wire_bytes: tally("prestore.wire_bytes"),
+        prestore_ns: base.prestore_ns,
+        refresh_bytes: tally("refresh.bytes"),
+        refresh_wire_bytes: tally("refresh.wire_bytes"),
+        prefetch_bytes: tally("prefetch.bytes"),
+        prefetch_ops: tally("prefetch.ops"),
+        prefetch_hits: tally("prefetch.hits"),
+        prefetch_wasted_bytes: tally("prefetch.waste_bytes"),
+        kernels: KernelStats {
+            launches: tally("kernel.launches"),
+            edges: tally("kernel.edges"),
+            vertices: tally("kernel.vertices"),
+            time_ns: tally("kernel.time_ns"),
+        },
         breakdown,
-        gpu_idle_ns: gpu.timeline.idle_ns(Engine::Compute),
-        repartitions: 0,
+        gpu_idle_ns: sim_time_ns.saturating_sub(compute_busy_ns),
+        repartitions: tally("repartitions") as u32,
         span_trace,
         utilization,
-        events_dropped,
-        first_drop_at,
-        metrics: gpu.obs.registry.snapshot(),
+        events_dropped: events.as_ref().map_or(0, |e| e.dropped()),
+        first_drop_at: events.as_ref().and_then(|e| e.first_drop_at()),
+        metrics,
         events,
         peak_iteration_payload_bytes: peak,
         avg_iteration_payload_bytes: avg,
         output,
         per_iter,
     };
-    report.sync_metrics();
+    // A name the registry never saw is written from the report, once: the
+    // scalars derived here (clock, idle, payload, iterations, drops) at
+    // their value, a counter no operation bumped at zero.
+    for &(name, gauge, _, _, get) in SCALARS.iter().filter(|s| !s.0.is_empty()) {
+        let value = get(&report);
+        if gauge {
+            report.metrics.set_gauge(name, value);
+        } else if report.metrics.counter(name).is_none() {
+            report.metrics.set_counter(name, value);
+        }
+    }
     report
 }
 

@@ -204,11 +204,11 @@ pub struct RunReport {
     /// Virtual-clock timestamp of the first dropped event, when any were
     /// dropped — everything before this time is complete.
     pub first_drop_at: Option<u64>,
-    /// Metrics snapshot for this run. Canonical counters (`xfer.*`,
-    /// `kernel.*`, `prestore.bytes`, …) are synced from the report fields
-    /// by [`RunReport::sync_metrics`], so they agree exactly with
-    /// [`RunReport::xfer`]/[`RunReport::kernels`]; histograms and
-    /// subsystem counters come from the live device registry.
+    /// Metrics snapshot for this run: the device registry's change over
+    /// the run (`DESIGN.md` §21, "a run is one diff"). The scalar fields
+    /// above are read off it, so `xfer.*`, `kernel.*`, `prestore.*`, … here
+    /// *are* [`RunReport::xfer`] / [`RunReport::kernels`] / …; every
+    /// headline scalar's name is present, at zero when nothing bumped it.
     pub metrics: MetricsSnapshot,
     /// Structured event log, when the system ran with event logging
     /// enabled (`AsceticConfig::with_events` / baseline `with_events`).
@@ -218,6 +218,63 @@ pub struct RunReport {
     /// Per-iteration details.
     pub per_iter: Vec<IterReport>,
 }
+
+/// One headline scalar: `(metric name, gauge?, CSV column, JSON key,
+/// accessor)` — `""` where it is not on that surface.
+pub(crate) type Scalar = (
+    &'static str,
+    bool,
+    &'static str,
+    &'static str,
+    fn(&RunReport) -> u64,
+);
+
+/// A [`Scalar`] exported as a gauge (a point-in-time value of this run)…
+const GAUGE: bool = true;
+/// … or as a counter.
+const COUNT: bool = false;
+
+/// The one list of a run's headline scalars. The summary CSV's header and
+/// row, the summary JSON's headline keys and the names every report's
+/// snapshot declares (at zero when no operation bumped them) are all read
+/// off it, in this order.
+#[rustfmt::skip]
+pub(crate) const SCALARS: &[Scalar] = &[
+    ("iterations", COUNT, "iterations", "iterations", |r| r.iterations as u64),
+    ("sim_time_ns", GAUGE, "sim_time_ns", "sim_time_ns", |r| r.sim_time_ns),
+    ("xfer.h2d_bytes", COUNT, "h2d_bytes", "", |r| r.xfer.h2d_bytes),
+    ("xfer.d2h_bytes", COUNT, "d2h_bytes", "", |r| r.xfer.d2h_bytes),
+    ("xfer.h2d_ops", COUNT, "h2d_ops", "", |r| r.xfer.h2d_ops),
+    ("xfer.d2h_ops", COUNT, "d2h_ops", "", |r| r.xfer.d2h_ops),
+    ("prestore.bytes", COUNT, "prestore_bytes", "prestore_bytes", |r| r.prestore_bytes),
+    ("refresh.bytes", COUNT, "refresh_bytes", "refresh_bytes", |r| r.refresh_bytes),
+    ("", COUNT, "", "steady_bytes", RunReport::steady_bytes),
+    ("", COUNT, "", "total_bytes_with_prestore", RunReport::total_bytes_with_prestore),
+    ("", COUNT, "", "steady_wire_bytes", RunReport::steady_wire_bytes),
+    ("", COUNT, "", "total_wire_bytes_with_prestore", RunReport::total_wire_bytes_with_prestore),
+    ("kernel.launches", COUNT, "kernel_launches", "", |r| r.kernels.launches),
+    ("kernel.edges", COUNT, "kernel_edges", "", |r| r.kernels.edges),
+    ("gpu.idle_ns", GAUGE, "gpu_idle_ns", "gpu_idle_ns", |r| r.gpu_idle_ns),
+    ("repartitions", COUNT, "repartitions", "repartitions", |r| r.repartitions as u64),
+    ("payload.peak_bytes", GAUGE, "peak_payload_bytes", "", |r| r.peak_iteration_payload_bytes),
+    ("xfer.h2d_wire_bytes", COUNT, "h2d_wire_bytes", "", |r| r.xfer.h2d_wire_bytes),
+    ("prestore.wire_bytes", COUNT, "prestore_wire_bytes", "", |r| r.prestore_wire_bytes),
+    ("refresh.wire_bytes", COUNT, "refresh_wire_bytes", "", |r| r.refresh_wire_bytes),
+    ("prefetch.bytes", COUNT, "prefetch_bytes", "prefetch_bytes", |r| r.prefetch_bytes),
+    ("prefetch.ops", COUNT, "prefetch_ops", "prefetch_ops", |r| r.prefetch_ops),
+    ("prefetch.hits", COUNT, "prefetch_hits", "prefetch_hits", |r| r.prefetch_hits),
+    ("prefetch.waste_bytes", COUNT, "prefetch_wasted_bytes", "prefetch_wasted_bytes", |r| r.prefetch_wasted_bytes),
+    ("kernel.vertices", COUNT, "", "", |r| r.kernels.vertices),
+    ("kernel.time_ns", COUNT, "", "", |r| r.kernels.time_ns),
+    ("payload.avg_bytes", GAUGE, "", "", |r| r.avg_iteration_payload_bytes),
+    ("events.dropped", COUNT, "", "", |r| r.events_dropped),
+    // iterations that ran a static-region kernel *and* an on-demand
+    // pipeline: the ones a fragmented region multiplies
+    ("iterations.both_regions", COUNT, "", "", |r| {
+        let both = |i: &&IterReport| i.static_edges > 0 && i.payload_bytes > 0;
+        r.per_iter.iter().filter(both).count() as u64
+    }),
+];
 
 impl RunReport {
     /// Total bytes transferred including the prestore — the Table 5 notion
@@ -281,104 +338,21 @@ impl RunReport {
         stat as f64 / total as f64
     }
 
-    /// Overwrite the snapshot's canonical metrics with this report's
-    /// authoritative fields and stamp the `system`/`algo` labels.
-    ///
-    /// The live registry counts every DMA the device issues, but systems
-    /// also adjust `XferStats` directly (index bytes ride along on payload
-    /// DMAs; sessions subtract earlier runs' traffic), so the report
-    /// fields — not the registry — are the source of truth. Calling this
-    /// pins the exported snapshot to them exactly.
-    pub fn sync_metrics(&mut self) {
-        self.metrics.set_label("system", self.system);
-        self.metrics.set_label("algo", self.algorithm);
-        self.metrics
-            .set_counter("xfer.h2d_bytes", self.xfer.h2d_bytes);
-        self.metrics
-            .set_counter("xfer.h2d_wire_bytes", self.xfer.h2d_wire_bytes);
-        self.metrics
-            .set_counter("xfer.d2h_bytes", self.xfer.d2h_bytes);
-        self.metrics.set_counter("xfer.h2d_ops", self.xfer.h2d_ops);
-        self.metrics.set_counter("xfer.d2h_ops", self.xfer.d2h_ops);
-        self.metrics
-            .set_counter("kernel.launches", self.kernels.launches);
-        self.metrics.set_counter("kernel.edges", self.kernels.edges);
-        self.metrics
-            .set_counter("kernel.vertices", self.kernels.vertices);
-        self.metrics
-            .set_counter("kernel.time_ns", self.kernels.time_ns);
-        self.metrics
-            .set_counter("prestore.bytes", self.prestore_bytes);
-        self.metrics
-            .set_counter("prestore.wire_bytes", self.prestore_wire_bytes);
-        self.metrics
-            .set_counter("refresh.bytes", self.refresh_bytes);
-        self.metrics
-            .set_counter("refresh.wire_bytes", self.refresh_wire_bytes);
-        self.metrics
-            .set_counter("prefetch.bytes", self.prefetch_bytes);
-        self.metrics.set_counter("prefetch.ops", self.prefetch_ops);
-        self.metrics
-            .set_counter("prefetch.hits", self.prefetch_hits);
-        self.metrics
-            .set_counter("prefetch.waste_bytes", self.prefetch_wasted_bytes);
-        self.metrics
-            .set_counter("events.dropped", self.events_dropped);
-        self.metrics
-            .set_counter("iterations", self.iterations as u64);
-        self.metrics
-            .set_counter("repartitions", self.repartitions as u64);
-        // iterations that ran a static-region kernel *and* an on-demand
-        // pipeline: the ones a fragmented region multiplies
-        let both = |i: &&IterReport| i.static_edges > 0 && i.payload_bytes > 0;
-        self.metrics.set_counter(
-            "iterations.both_regions",
-            self.per_iter.iter().filter(both).count() as u64,
-        );
-        self.metrics.set_gauge("sim_time_ns", self.sim_time_ns);
-        self.metrics.set_gauge("gpu.idle_ns", self.gpu_idle_ns);
-        self.metrics
-            .set_gauge("payload.peak_bytes", self.peak_iteration_payload_bytes);
-        self.metrics
-            .set_gauge("payload.avg_bytes", self.avg_iteration_payload_bytes);
-    }
-
     /// Header line matching [`RunReport::summary_csv_row`].
-    pub fn summary_csv_header() -> &'static str {
-        "system,algorithm,iterations,sim_time_ns,h2d_bytes,d2h_bytes,h2d_ops,d2h_ops,\
-         prestore_bytes,refresh_bytes,kernel_launches,kernel_edges,gpu_idle_ns,\
-         repartitions,peak_payload_bytes,h2d_wire_bytes,prestore_wire_bytes,\
-         refresh_wire_bytes,prefetch_bytes,prefetch_ops,prefetch_hits,\
-         prefetch_wasted_bytes"
+    pub fn summary_csv_header() -> String {
+        let columns = SCALARS.iter().map(|s| s.2).filter(|c| !c.is_empty());
+        let mut header = String::from("system,algorithm");
+        columns.for_each(|c| header.extend([",", c]));
+        header
     }
 
     /// One CSV row of the headline scalars (no trailing newline).
     pub fn summary_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.system,
-            self.algorithm,
-            self.iterations,
-            self.sim_time_ns,
-            self.xfer.h2d_bytes,
-            self.xfer.d2h_bytes,
-            self.xfer.h2d_ops,
-            self.xfer.d2h_ops,
-            self.prestore_bytes,
-            self.refresh_bytes,
-            self.kernels.launches,
-            self.kernels.edges,
-            self.gpu_idle_ns,
-            self.repartitions,
-            self.peak_iteration_payload_bytes,
-            self.xfer.h2d_wire_bytes,
-            self.prestore_wire_bytes,
-            self.refresh_wire_bytes,
-            self.prefetch_bytes,
-            self.prefetch_ops,
-            self.prefetch_hits,
-            self.prefetch_wasted_bytes,
-        )
+        let mut row = format!("{},{}", self.system, self.algorithm);
+        for &(_, _, _, _, get) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
+            row.push_str(&format!(",{}", get(self)));
+        }
+        row
     }
 
     /// Header + row CSV document.
@@ -454,31 +428,10 @@ impl RunReport {
         out.push(',');
         json::key_into("algorithm", &mut out);
         json::string_into(self.algorithm, &mut out);
-        for (k, v) in [
-            ("iterations", self.iterations as u64),
-            ("sim_time_ns", self.sim_time_ns),
-            ("prestore_bytes", self.prestore_bytes),
-            ("refresh_bytes", self.refresh_bytes),
-            ("steady_bytes", self.steady_bytes()),
-            (
-                "total_bytes_with_prestore",
-                self.total_bytes_with_prestore(),
-            ),
-            ("steady_wire_bytes", self.steady_wire_bytes()),
-            (
-                "total_wire_bytes_with_prestore",
-                self.total_wire_bytes_with_prestore(),
-            ),
-            ("gpu_idle_ns", self.gpu_idle_ns),
-            ("repartitions", self.repartitions as u64),
-            ("prefetch_bytes", self.prefetch_bytes),
-            ("prefetch_ops", self.prefetch_ops),
-            ("prefetch_hits", self.prefetch_hits),
-            ("prefetch_wasted_bytes", self.prefetch_wasted_bytes),
-        ] {
+        for &(_, _, _, key, get) in SCALARS.iter().filter(|s| !s.3.is_empty()) {
             out.push(',');
-            json::key_into(k, &mut out);
-            out.push_str(&v.to_string());
+            json::key_into(key, &mut out);
+            out.push_str(&get(self).to_string());
         }
         out.push(',');
         json::key_into("pull_iterations", &mut out);
@@ -667,10 +620,6 @@ mod tests {
         assert_eq!(r.total_wire_bytes_with_prestore(), 200 + 100 + 10 + 80);
         // payload views are untouched by the wire numbers
         assert_eq!(r.total_bytes_with_prestore(), 830);
-        r.sync_metrics();
-        assert_eq!(r.metrics.counter("xfer.h2d_wire_bytes"), Some(200));
-        assert_eq!(r.metrics.counter("prestore.wire_bytes"), Some(80));
-        assert_eq!(r.metrics.counter("refresh.wire_bytes"), Some(10));
         let text = r.to_string();
         assert!(text.contains("on the wire:"), "{text}");
         assert!(r.summary_markdown().contains("wire transfer"));
@@ -689,24 +638,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_metrics_pins_canonical_counters() {
-        let mut r = dummy();
-        r.metrics.set_counter("xfer.h2d_bytes", 999_999); // stale registry value
-        r.sync_metrics();
-        assert_eq!(r.metrics.counter("xfer.h2d_bytes"), Some(r.xfer.h2d_bytes));
-        assert_eq!(r.metrics.counter("xfer.d2h_ops"), Some(r.xfer.d2h_ops));
-        assert_eq!(r.metrics.counter("prestore.bytes"), Some(200));
-        assert_eq!(r.metrics.counter("iterations"), Some(3));
-        assert_eq!(r.metrics.gauge("sim_time_ns"), Some(1_000));
-        assert_eq!(r.metrics.gauge("gpu.idle_ns"), Some(400));
-        assert_eq!(r.metrics.label("system"), Some("X"));
-        assert_eq!(r.metrics.label("algo"), Some("BFS"));
-    }
-
-    #[test]
     fn display_and_summaries_are_well_formed() {
-        let mut r = dummy();
-        r.sync_metrics();
+        let r = dummy();
         let text = r.to_string();
         assert!(text.contains("system:            X"));
         assert!(text.contains("iterations:        3"));
@@ -735,11 +668,6 @@ mod tests {
         r.xfer.h2d_prefetch_bytes = 96;
         assert!((r.prefetch_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(r.xfer.h2d_ondemand_bytes(), 500 - 96);
-        r.sync_metrics();
-        assert_eq!(r.metrics.counter("prefetch.bytes"), Some(96));
-        assert_eq!(r.metrics.counter("prefetch.ops"), Some(3));
-        assert_eq!(r.metrics.counter("prefetch.hits"), Some(2));
-        assert_eq!(r.metrics.counter("prefetch.waste_bytes"), Some(32));
         let text = r.to_string();
         assert!(text.contains("prefetch:"), "{text}");
         let row = r.summary_csv_row();
@@ -756,8 +684,6 @@ mod tests {
         assert!(json.contains("\"first_drop_at\":null"), "{json}");
         r.events_dropped = 7;
         r.first_drop_at = Some(123);
-        r.sync_metrics();
-        assert_eq!(r.metrics.counter("events.dropped"), Some(7));
         let json = r.summary_json();
         assert!(json.contains("\"events_dropped\":7"), "{json}");
         assert!(json.contains("\"first_drop_at\":123"), "{json}");

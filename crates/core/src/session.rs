@@ -30,16 +30,16 @@ use ascetic_algos::TraversalDirection::{self, Pull, Push};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
-use ascetic_obs::{Event, MetricsSnapshot, DEFAULT_EVENT_CAPACITY};
+use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
 use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
-use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, Span, Xfer, XferStats};
+use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
 
 use crate::codec::{
     chunk_wire_bytes, count_decision, eligible, encoded_wins, estimate_batch_wire, ship_batch,
     EncodeScratch,
 };
 use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, ReplacementPolicy};
-use crate::engine::finish_report;
+use crate::engine::{finish_report, RunBase};
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
@@ -96,8 +96,6 @@ pub struct AsceticSession<'g> {
     // every run — behind a handle a pull iteration holds while it
     // drives the device
     mirror: Option<Arc<GraphChunks>>,
-    prestore_bytes: u64,
-    prestore_wire_bytes: u64,
     prestore_ns: u64,
     runs: u32,
 }
@@ -123,27 +121,21 @@ struct OdRun {
     first_compute_start: Option<SimTime>,
 }
 
-/// Per-run bookkeeping threaded through the stepping API: the delta
-/// baselines captured by `AsceticSession::begin_run` plus every piece
-/// of loop state one iteration hands the next (breakdown, per-iteration
-/// reports, prefetch pipeline state, buffer fences) and the host buffers
-/// an iteration refills instead of allocating (data maps, batch plan,
-/// gather spans, pull targets, encoder scratch). Opaque outside the
-/// core crate: drivers create it, pass it to each step, and surrender it
-/// to `AsceticSession::finish_run`.
+/// Per-run bookkeeping threaded through the stepping API: the base
+/// `AsceticSession::begin_run` captured (what the run's numbers are
+/// measured from — the tallies themselves live in the device registry and
+/// nowhere else) plus every piece of loop state one iteration hands the
+/// next (breakdown, per-iteration reports, prefetch pipeline state, buffer
+/// fences) and the host buffers an iteration refills instead of allocating
+/// (data maps, batch plan, gather spans, pull targets, encoder scratch).
+/// Opaque outside the core crate: drivers create it, pass it to each step,
+/// and surrender it to `AsceticSession::finish_run`.
 #[derive(Default)]
 pub struct RunCtx {
-    run_start: SimTime,
-    xfer0: XferStats,
-    kernels0: KernelStats,
-    compute_busy0: u64,
-    obs0: MetricsSnapshot,
+    base: RunBase,
     breakdown: Breakdown,
     per_iter: Vec<IterReport>,
     iter_windows: Vec<(u64, u64)>,
-    refresh_bytes: u64,
-    refresh_wire_bytes: u64,
-    repartitions: u32,
     // reused across batches by the compressed path
     scratch: EncodeScratch,
     // likewise refilled every iteration: the data maps, the on-demand
@@ -164,10 +156,6 @@ pub struct RunCtx {
     // the event the next iteration's static kernel waits on (the
     // prefetch stream's last completion) instead of a blocking miss
     prefetch_ready: SimTime,
-    prefetch_bytes: u64,
-    prefetch_ops: u64,
-    prefetch_hits: u64,
-    prefetch_waste: u64,
     // planned ops that did not fit the end-of-iteration slack: they
     // wait for link gaps in the next iteration's on-demand pipeline
     prefetch_deferred: std::collections::VecDeque<PrefetchOp>,
@@ -261,7 +249,6 @@ impl<'g> AsceticSession<'g> {
         }
         let (copy, dec) = gpu.ship_at(Xfer::Prestore, prestore_bytes, wire, SimTime::ZERO);
         let prestore_ns = copy.duration() + dec.duration();
-        let prestore_wire_bytes = wire.unwrap_or(prestore_bytes);
         let staged = gpu.sync();
 
         // The CSC mirror is host-side state (the on-demand pipeline ships
@@ -282,8 +269,6 @@ impl<'g> AsceticSession<'g> {
             hotness,
             encode,
             mirror,
-            prestore_bytes,
-            prestore_wire_bytes,
             prestore_ns,
             runs: 0,
         };
@@ -336,8 +321,6 @@ impl<'g> AsceticSession<'g> {
         if speculative {
             let (a, b) = ctx.pf_window.unwrap_or((u64::MAX, 0));
             ctx.pf_window = Some((a.min(copy.start.0), b.max(copy.end.0)));
-            ctx.prefetch_bytes += bytes;
-            ctx.prefetch_ops += 1;
             if apply_now {
                 ctx.prefetch_ready = ctx.prefetch_ready.max(copy.end);
                 ctx.prefetch_pending.push((chunk, bytes));
@@ -346,10 +329,6 @@ impl<'g> AsceticSession<'g> {
             }
         } else {
             ctx.breakdown.update_ns += copy.duration() + dec.duration();
-            if class == Xfer::Refresh {
-                ctx.refresh_bytes += bytes;
-                ctx.refresh_wire_bytes += wire.unwrap_or(bytes);
-            }
         }
     }
 
@@ -387,7 +366,7 @@ impl<'g> AsceticSession<'g> {
     /// crossed over) — what a device-to-device replica of this session's
     /// static region would put on a fleet link.
     pub fn prestore_wire_bytes(&self) -> u64 {
-        self.prestore_wire_bytes
+        self.gpu.obs.registry.counter("prestore.wire_bytes")
     }
 
     /// Snapshot of the device arena's occupancy, for serve-layer admission
@@ -520,17 +499,32 @@ impl<'g> AsceticSession<'g> {
         }
     }
 
-    /// Capture the per-run delta baselines and fresh loop state. Drivers
-    /// call this once, then `AsceticSession::step_iteration` per
-    /// iteration, then `AsceticSession::finish_run`.
+    /// Capture the run's base and fresh loop state. Drivers call this
+    /// once, then `AsceticSession::step_iteration` per iteration, then
+    /// `AsceticSession::finish_run`. The first run is measured from an
+    /// empty registry and a zero clock, so it owns the prestore — bytes,
+    /// wire payload and time — with no special case per field; a later
+    /// run from the device as it stands now.
     pub(crate) fn begin_run(&mut self) -> RunCtx {
         self.hotness.begin_run();
+        let clock_ns = self.gpu.sync().0;
+        let compute_busy_ns = self.gpu.timeline.busy_ns(Engine::Compute);
+        let base = if self.runs == 0 {
+            RunBase {
+                compute_busy_ns,
+                prestore_ns: self.prestore_ns,
+                ..RunBase::default()
+            }
+        } else {
+            RunBase {
+                metrics: self.gpu.obs.registry.snapshot(),
+                clock_ns,
+                compute_busy_ns,
+                prestore_ns: 0,
+            }
+        };
         RunCtx {
-            run_start: self.gpu.sync(),
-            xfer0: self.gpu.xfer,
-            kernels0: self.gpu.kernels,
-            compute_busy0: self.gpu.timeline.busy_ns(Engine::Compute),
-            obs0: self.gpu.obs.registry.snapshot(),
+            base,
             buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
             ..RunCtx::default()
         }
@@ -745,7 +739,6 @@ impl<'g> AsceticSession<'g> {
                         split_buffers(self.od_slab, cfg.od_buffers, g.words_per_edge());
                     ctx.buffer_free_at
                         .resize(self.od_buffers.len(), SimTime::ZERO);
-                    ctx.repartitions += 1;
                     self.gpu.obs.registry.counter_add("repartitions", 1);
                     self.gpu.obs.record(
                         genmap.start.0,
@@ -813,7 +806,7 @@ impl<'g> AsceticSession<'g> {
     /// also leaves the deferred queue empty, so the pipeline's gap fill
     /// idles under pull without being told the direction.
     fn select_pull<P: VertexProgram>(
-        &self,
+        &mut self,
         prog: &P,
         ctx: &mut RunCtx,
         csc: &Csr,
@@ -821,11 +814,10 @@ impl<'g> AsceticSession<'g> {
         state: &P::State,
     ) {
         ops::pull_frontier_into(prog, self.g, active, state, &mut ctx.pull_bits);
-        for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
-            ctx.prefetch_waste += bytes;
-        }
-        for (_chunk, bytes) in ctx.prefetch_pending.drain(..) {
-            ctx.prefetch_waste += bytes;
+        let inflight = ctx.prefetch_inflight.drain(..).map(|(_op, bytes)| bytes);
+        let pending = ctx.prefetch_pending.drain(..).map(|(_chunk, bytes)| bytes);
+        for bytes in inflight.chain(pending) {
+            self.obs_counter_add("prefetch.waste_bytes", bytes);
         }
         ctx.prefetch_deferred.clear();
         ctx.prefetch_ready = SimTime::ZERO;
@@ -995,9 +987,9 @@ impl<'g> AsceticSession<'g> {
             // the chunk is still resident and this iteration touched it.
             for (c, bytes) in ctx.prefetch_pending.drain(..) {
                 if self.region.is_resident(c) && self.hotness.demanded_at(c, iter) {
-                    ctx.prefetch_hits += 1;
+                    self.obs_counter_add("prefetch.hits", 1);
                 } else {
-                    ctx.prefetch_waste += bytes;
+                    self.obs_counter_add("prefetch.waste_bytes", bytes);
                 }
             }
 
@@ -1058,7 +1050,7 @@ impl<'g> AsceticSession<'g> {
         if iter + 1 >= prog.max_iterations() || next_frontier.is_all_zero() {
             // no iteration left to refresh for: what the gaps shipped is waste
             for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
-                ctx.prefetch_waste += bytes;
+                self.obs_counter_add("prefetch.waste_bytes", bytes);
             }
             return;
         }
@@ -1086,7 +1078,7 @@ impl<'g> AsceticSession<'g> {
                 self.apply(op);
                 ctx.prefetch_pending.push((op.chunk(), bytes));
             } else {
-                ctx.prefetch_waste += bytes;
+                self.obs_counter_add("prefetch.waste_bytes", bytes);
             }
         }
         let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
@@ -1116,8 +1108,8 @@ impl<'g> AsceticSession<'g> {
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
-    /// the report, convert cumulative device counters into this run's
-    /// deltas and re-arm the event log / tracer for the next run.
+    /// the report — the registry's change since the run's base — and
+    /// re-arm the event log / tracer for the next run.
     pub(crate) fn finish_run<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -1125,19 +1117,20 @@ impl<'g> AsceticSession<'g> {
         mut ctx: RunCtx,
     ) -> RunReport {
         let cfg = self.cfg;
-        // the first run owns the prestore: its bytes, its (possibly
-        // encoded) wire payload and its time on the clock
-        let first = self.runs == 0;
-        let if_first = |v: u64| if first { v } else { 0 };
-        // Per-run delta accounting against the session baselines.
-        let run_end = self.gpu.sync();
+        // speculative refreshes still in flight when the frontier drained
+        // never got their demand scored: charge them as waste
+        for (_c, bytes) in ctx.prefetch_pending.drain(..) {
+            self.obs_counter_add("prefetch.waste_bytes", bytes);
+        }
+        self.gpu.sync();
         let reg = &mut self.gpu.obs.registry;
         reg.gauge_set("region.resident_runs", self.region.resident_runs());
-        let mut report = finish_report(
+        let report = finish_report(
             "Ascetic",
             prog.name(),
             ctx.iter,
             &mut self.gpu,
+            &ctx.base,
             ctx.breakdown,
             ctx.per_iter,
             ctx.iter_windows,
@@ -1152,35 +1145,7 @@ impl<'g> AsceticSession<'g> {
         if cfg.tracing {
             self.gpu.timeline.enable_tracing();
         }
-        report.repartitions = ctx.repartitions;
         self.evidence.end_run();
-        // speculative refreshes still in flight when the frontier drained
-        // never got their demand scored: charge them as waste
-        for (_c, bytes) in ctx.prefetch_pending.drain(..) {
-            ctx.prefetch_waste += bytes;
-        }
-        report.prefetch_bytes = ctx.prefetch_bytes;
-        report.prefetch_ops = ctx.prefetch_ops;
-        report.prefetch_hits = ctx.prefetch_hits;
-        report.prefetch_wasted_bytes = ctx.prefetch_waste;
-        // convert cumulative device counters into this run's share
-        report.xfer = report.xfer.since(&ctx.xfer0);
-        report.kernels = report.kernels.since(&ctx.kernels0);
-        let run_ns = run_end.since(ctx.run_start) + if_first(ctx.run_start.0);
-        report.sim_time_ns = run_ns;
-        let busy_delta = self.gpu.timeline.busy_ns(Engine::Compute) - ctx.compute_busy0;
-        report.gpu_idle_ns = run_ns.saturating_sub(busy_delta);
-        // every run owns its own refresh traffic
-        report.prestore_bytes = if_first(self.prestore_bytes);
-        report.prestore_wire_bytes = if_first(self.prestore_wire_bytes);
-        report.prestore_ns = if_first(self.prestore_ns);
-        report.refresh_bytes = ctx.refresh_bytes;
-        report.refresh_wire_bytes = ctx.refresh_wire_bytes;
-        // metrics: subtract the session baseline (histograms, subsystem
-        // counters), then re-pin the canonical counters to this run's
-        // delta-corrected fields
-        report.metrics = report.metrics.diff(&ctx.obs0);
-        report.sync_metrics();
         self.runs += 1;
         report
     }
@@ -1455,18 +1420,42 @@ mod tests {
 
     #[test]
     fn metrics_and_events_are_per_run() {
+        use ascetic_graph::{Mutation, PatchableCsr};
+        use ascetic_obs::MetricValue;
         let g = uniform_graph(2_000, 16_000, false, 35);
-        let mut session = AsceticSession::new(cfg_for(&g).with_events(true), &g);
+        let mut store = PatchableCsr::with_defaults(&g, false);
+        let batch: Vec<Mutation> = (0..20u32)
+            .map(|i| Mutation::Insert {
+                src: i * 7,
+                dst: i * 13 + 1,
+                weight: None,
+            })
+            .collect();
+        let patch = store.apply(&batch).expect("valid inserts");
+        let g1 = store.to_csr();
+        let cfg = cfg_for(&g)
+            .with_prefetch(PrefetchMode::NextFrontier)
+            .with_events(true);
+        let mut session = AsceticSession::new(cfg, &g);
+        let registry = |s: &AsceticSession| s.gpu.obs.registry.snapshot();
+        // What lets the first run be measured from an empty registry: all
+        // the setup counted is the prestore (the gauge passes through a
+        // diff as it is).
+        let fresh = registry(&session);
+        let names: Vec<&str> = fresh.iter().map(|(name, _)| name).collect();
+        let setup = [
+            "mem.high_water_bytes",
+            "prestore.bytes",
+            "prestore.wire_bytes",
+        ];
+        assert_eq!(names, setup);
+
         let a = session.run(&Bfs::new(0));
-        // canonical counters agree exactly with the trusted report fields
-        assert_eq!(a.metrics.counter("xfer.h2d_bytes"), Some(a.xfer.h2d_bytes));
-        assert_eq!(a.metrics.counter("xfer.h2d_ops"), Some(a.xfer.h2d_ops));
-        assert_eq!(
-            a.metrics.counter("kernel.launches"),
-            Some(a.kernels.launches)
-        );
+        assert!(a.prestore_bytes > 0 && a.prestore_wire_bytes > 0);
         assert_eq!(a.metrics.counter("prestore.bytes"), Some(a.prestore_bytes));
+        assert_eq!(a.metrics.counter("iterations"), Some(a.iterations as u64));
         assert_eq!(a.metrics.label("system"), Some("Ascetic"));
+        assert_eq!(a.metrics.label("algo"), Some("BFS"));
         let kinds: Vec<&str> = a
             .events
             .as_ref()
@@ -1480,11 +1469,40 @@ mod tests {
         assert!(kinds.contains(&"dma"));
 
         let b = session.run(&Cc::new());
-        assert_eq!(b.metrics.counter("xfer.h2d_bytes"), Some(b.xfer.h2d_bytes));
-        assert_eq!(b.metrics.counter("prestore.bytes"), Some(0));
         let b_events = b.events.as_ref().expect("log re-armed per run");
         assert!(b_events.iter().all(|e| e.event.kind() != "prestore"));
         assert!(b_events.iter().any(|e| e.event.kind() == "iter_start"));
+
+        // a patch lands between runs: its traffic is nobody's run
+        let before = registry(&session);
+        let pa = session.apply_patch(&g1, None, &patch);
+        let patched = registry(&session).diff(&before);
+        assert_eq!(patched.counter("mutate.wire_bytes"), Some(pa.wire_bytes));
+        assert_eq!(patched.counter("xfer.h2d_wire_bytes"), Some(pa.wire_bytes));
+        let c = session.run(&Bfs::new(0));
+        assert_eq!(c.metrics.counter("mutate.wire_bytes"), Some(0));
+
+        // the prestore is the first run's alone
+        for warm in [&b, &c] {
+            assert_eq!((warm.prestore_bytes, warm.prestore_wire_bytes), (0, 0));
+            assert_eq!(warm.metrics.counter("prestore.bytes"), Some(0));
+            assert_eq!(warm.prestore_ns, 0);
+        }
+        // Every counter and histogram the device holds is the sum of what
+        // each run reported plus the patch: nothing is counted twice,
+        // nothing falls between two runs.
+        let mut sum = a.metrics.clone();
+        for part in [&b.metrics, &patched, &c.metrics] {
+            sum.merge(part);
+        }
+        let sum: std::collections::BTreeMap<&str, &MetricValue> = sum.iter().collect();
+        let cumulative = registry(&session);
+        assert!(cumulative.counter("prefetch.ops") > Some(0));
+        for (name, total) in cumulative.iter() {
+            if !matches!(total, MetricValue::Gauge(_)) {
+                assert_eq!(sum.get(name), Some(&total), "{name}");
+            }
+        }
     }
 
     #[test]
@@ -1512,12 +1530,6 @@ mod tests {
                     "Always must ship the on-demand payloads encoded too"
                 );
             }
-            // the logical payload accounting is mode-independent
-            assert_eq!(r.metrics.counter("xfer.h2d_bytes"), Some(r.xfer.h2d_bytes));
-            assert_eq!(
-                r.metrics.counter("xfer.h2d_wire_bytes"),
-                Some(r.xfer.h2d_wire_bytes)
-            );
         }
     }
 
@@ -1573,15 +1585,11 @@ mod tests {
         // the link" NextFrontier never lost to it; against a region
         // nothing reshapes it does here (1 426 923 vs 1 410 314 ns,
         // +1.2 %) — recorded in DESIGN.md §19, not asserted away.
-        // speculative traffic is accounted exactly, as a subset of H2D
-        assert_eq!(r.xfer.h2d_prefetch_bytes, r.prefetch_bytes, "{mode}");
+        // speculative traffic is accounted as a subset of H2D
+        assert!(r.prefetch_bytes > 0, "{mode}");
+        assert!(r.xfer.h2d_prefetch_bytes <= r.xfer.h2d_bytes, "{mode}");
         assert!(r.prefetch_hits <= r.prefetch_ops, "{mode}");
         assert!(r.prefetch_wasted_bytes <= r.prefetch_bytes, "{mode}");
-        assert_eq!(
-            r.metrics.counter("prefetch.bytes"),
-            Some(r.prefetch_bytes),
-            "{mode}"
-        );
     }
 
     #[test]
@@ -1868,16 +1876,15 @@ mod tests {
         ctx.prefetch_inflight.push((PrefetchOp::Load(2), 700));
         ctx.prefetch_pending.push((3, 300));
         let prog = Bfs::new(0);
-        let mut first = true;
         step_to_fixed_point(&mut s, &mut ctx, &prog, |ctx| {
-            if std::mem::take(&mut first) {
-                assert_eq!(ctx.prefetch_waste, 1_000, "in-flight + pending bytes");
-            }
             assert!(ctx.per_iter.last().unwrap().pull);
             assert!(ctx.prefetch_deferred.is_empty());
             assert!(ctx.prefetch_inflight.is_empty() && ctx.prefetch_pending.is_empty());
         });
-        assert_eq!(ctx.prefetch_ops, 0, "no gap fill under pull");
+        let counted = |s: &AsceticSession, name| s.gpu.obs.registry.counter(name);
+        // in-flight + pending bytes, written off by the first iteration
+        assert_eq!(counted(&s, "prefetch.waste_bytes"), 1_000);
+        assert_eq!(counted(&s, "prefetch.ops"), 0, "no gap fill under pull");
         let r = s.finish_run(&prog, &prog.new_state(&g), ctx);
         assert_eq!(r.xfer.h2d_prefetch_bytes, 0);
         assert_eq!(r.prefetch_wasted_bytes, 1_000);

@@ -216,6 +216,14 @@ impl Registry {
         }
     }
 
+    /// What counter `name` has reached (0 when nothing has bumped it).
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.metrics.get(name) {
+            Some(MetricValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
+
     /// Set gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, value: u64) {
         match self.metrics.entry(name).or_insert(MetricValue::Gauge(0)) {
@@ -337,9 +345,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Overwrite (or create) counter `name` with an authoritative value —
-    /// used to pin the snapshot to the `XferStats`/`KernelStats` totals the
-    /// experiments already trust.
+    /// Overwrite (or create) counter `name` — for a value derived after
+    /// the fact (a run's iteration count) or a name nothing bumped.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.metrics
             .insert(name.to_string(), MetricValue::Counter(value));
@@ -559,6 +566,8 @@ mod tests {
         r.observe("h2d.op_bytes", 64);
         let s = r.snapshot();
         assert_eq!(s.counter("xfer.h2d_bytes"), Some(120));
+        assert_eq!(r.counter("xfer.h2d_bytes"), 120);
+        assert_eq!(r.counter("never.bumped"), 0);
         assert_eq!(s.gauge("mem.high_water_bytes"), Some(7));
         assert_eq!(s.histogram("h2d.op_bytes").unwrap().count(), 1);
         assert_eq!(s.label("system"), Some("Ascetic"));

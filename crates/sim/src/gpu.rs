@@ -1,7 +1,8 @@
 //! The assembled simulated GPU.
 //!
-//! [`Gpu`] bundles the arena, the timeline and the counters behind the
-//! operations every system needs:
+//! [`Gpu`] bundles the arena, the timeline and the telemetry registry — the
+//! one place a transfer or a kernel is counted — behind the operations
+//! every system needs:
 //!
 //! * `h2d` / `h2d_at` — copy host words into a device allocation, charging
 //!   the PCIe model on the COPY engine,
@@ -17,7 +18,6 @@
 
 use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
-use crate::metrics::{KernelStats, XferStats};
 use crate::time::SimTime;
 use crate::timeline::{CopyStream, Engine, Span, Timeline};
 use ascetic_obs::{Event, Obs, XferDir};
@@ -33,7 +33,7 @@ use ascetic_obs::{Event, Obs, XferDir};
 /// let c = gpu.h2d_at(buf, &[1, 2, 3, 4], SimTime::ZERO);
 /// assert_eq!(k.start, c.start);
 /// assert_eq!(gpu.mem.words(buf), &[1, 2, 3, 4]); // data really moved
-/// assert_eq!(gpu.xfer.h2d_bytes, 16);            // and was accounted
+/// assert_eq!(gpu.obs.registry.counter("xfer.h2d_bytes"), 16); // and was accounted
 /// ```
 pub struct Gpu {
     /// Static configuration / cost models.
@@ -42,12 +42,9 @@ pub struct Gpu {
     pub mem: DeviceMemory,
     /// Engine timeline.
     pub timeline: Timeline,
-    /// Transfer counters.
-    pub xfer: XferStats,
-    /// Kernel counters.
-    pub kernels: KernelStats,
-    /// Telemetry bundle: live metric registry plus optional event log
-    /// (enable with `obs.enable_events`; off by default).
+    /// Telemetry bundle: the live metric registry — where every transfer
+    /// and kernel is counted, once — plus an optional event log (enable
+    /// with `obs.enable_events`; off by default).
     pub obs: Obs,
     /// Lazily-minted second copy stream for speculative transfers.
     prefetch_stream: Option<CopyStream>,
@@ -74,7 +71,7 @@ pub enum Xfer {
     /// transfer, not prestore).
     LazyLoad,
     /// A replacement-server swap (reported as refresh traffic, outside the
-    /// `XferStats` columns).
+    /// `xfer.*` columns).
     Refresh,
     /// The bulk static-region fill (reported as prestore).
     Prestore,
@@ -126,8 +123,6 @@ impl Gpu {
         Gpu {
             mem: DeviceMemory::new(config.mem_words()),
             timeline: Timeline::new(),
-            xfer: XferStats::default(),
-            kernels: KernelStats::default(),
             obs: Obs::new(),
             prefetch_stream: None,
             config,
@@ -224,10 +219,11 @@ impl Gpu {
             self.obs.record(copy.start.0, event);
         }
 
-        // What this class of byte feeds: `XferStats` columns (payload,
-        // link, ops), registry counters and histograms, and its event.
+        // What this class of byte feeds: the steady `xfer.*` columns
+        // (payload, link, ops) when it is steady traffic, its own counters
+        // and histograms, and its event.
         let reg = &mut self.obs.registry;
-        let (payload, link, ops, event) = match class {
+        let (steady, event) = match class {
             Xfer::OnDemand { rider } => {
                 reg.observe("h2d.op_bytes", bytes);
                 let event = match wire {
@@ -241,42 +237,47 @@ impl Gpu {
                         dur_ns,
                     }),
                 };
-                (bytes + rider, on_link + rider, 1, event)
+                (Some((bytes + rider, on_link + rider, 1)), event)
             }
             Xfer::Prefetch { chunk } => {
-                self.xfer.h2d_prefetch_bytes += bytes;
+                reg.counter_add("prefetch.bytes", bytes);
+                reg.counter_add("prefetch.ops", 1);
                 reg.observe("h2d.op_bytes", bytes);
                 let event = Event::PrefetchDma {
                     chunk,
                     bytes,
                     dur_ns,
                 };
-                (bytes, bytes, 1, Some(event))
+                (Some((bytes, bytes, 1)), Some(event))
             }
             Xfer::LazyLoad => {
                 reg.counter_add("lazy.loads", 1);
-                (bytes, on_link, 1, Some(Event::LazyLoad { bytes }))
+                (Some((bytes, on_link, 1)), Some(Event::LazyLoad { bytes }))
             }
             // refresh and prestore traffic ride their own report lines
             Xfer::Refresh => {
                 reg.counter_add("hotness.swaps", 1);
-                (0, 0, 0, Some(Event::HotSwap { chunks: 1, bytes }))
+                reg.counter_add("refresh.bytes", bytes);
+                reg.counter_add("refresh.wire_bytes", on_link);
+                (None, Some(Event::HotSwap { chunks: 1, bytes }))
             }
             Xfer::Prestore => {
                 reg.counter_add("prestore.bytes", bytes);
                 reg.counter_add("prestore.wire_bytes", on_link);
                 let dur_ns = dur_ns + decode.duration();
-                (0, 0, 0, Some(Event::Prestore { bytes, dur_ns }))
+                (None, Some(Event::Prestore { bytes, dur_ns }))
             }
-            Xfer::MutationDelta => (bytes, bytes, 1, None),
-            Xfer::FleetExchange { .. } => (0, 0, 0, None),
+            Xfer::MutationDelta => (Some((bytes, bytes, 1)), None),
+            Xfer::FleetExchange { .. } => (None, None),
             // fault-ordered page migrations are not link-rate DMAs: logical
             // bytes and one op per fault, no wire column
-            Xfer::UvmMigration { faults, .. } => (bytes, 0, faults, None),
+            Xfer::UvmMigration { faults, .. } => (Some((bytes, 0, faults)), None),
         };
-        self.xfer.h2d_bytes += payload;
-        self.xfer.h2d_wire_bytes += link;
-        self.xfer.h2d_ops += ops;
+        if let Some((payload, link, ops)) = steady {
+            reg.counter_add("xfer.h2d_bytes", payload);
+            reg.counter_add("xfer.h2d_wire_bytes", link);
+            reg.counter_add("xfer.h2d_ops", ops);
+        }
         // every event carries the start of the span it describes
         if let Some(event) = event {
             self.obs.record(copy.start.0, event);
@@ -392,11 +393,12 @@ impl Gpu {
         ready: SimTime,
     ) -> Span {
         let dur = model.kernel_ns(edges, vertices);
-        self.kernels.launches += 1;
-        self.kernels.edges += edges;
-        self.kernels.vertices += vertices;
-        self.kernels.time_ns += dur;
-        self.obs.registry.observe("kernel.ns", dur);
+        let reg = &mut self.obs.registry;
+        reg.counter_add("kernel.launches", 1);
+        reg.counter_add("kernel.edges", edges);
+        reg.counter_add("kernel.vertices", vertices);
+        reg.counter_add("kernel.time_ns", dur);
+        reg.observe("kernel.ns", dur);
         let span = self
             .timeline
             .schedule_labeled(Engine::Compute, ready, dur, || {
@@ -457,14 +459,19 @@ mod tests {
         Gpu::new(DeviceConfig::p100(4096)) // 1024 words
     }
 
+    /// What the device has counted under `name` so far.
+    fn counted(g: &Gpu, name: &str) -> u64 {
+        g.obs.registry.counter(name)
+    }
+
     #[test]
     fn h2d_moves_real_data_and_charges_time() {
         let mut g = small_gpu();
         let p = g.alloc(4).unwrap();
         let s = g.h2d(p, &[7, 8, 9, 10]);
         assert_eq!(g.mem.words(p), &[7, 8, 9, 10]);
-        assert_eq!(g.xfer.h2d_bytes, 16);
-        assert_eq!(g.xfer.h2d_ops, 1);
+        assert_eq!(counted(&g, "xfer.h2d_bytes"), 16);
+        assert_eq!(counted(&g, "xfer.h2d_ops"), 1);
         assert!(s.duration() >= g.config.pcie.latency_ns);
     }
 
@@ -478,7 +485,6 @@ mod tests {
         let sb = b.h2d_fill_at(pb, 0, SimTime(5), |w| w.copy_from_slice(&[7, 8, 9, 10]));
         assert_eq!(sa, sb);
         assert_eq!(a.mem.words(pa), b.mem.words(pb));
-        assert_eq!(a.xfer, b.xfer);
         assert_eq!(a.obs.registry.snapshot(), b.obs.registry.snapshot());
         assert_eq!(a.obs.events().unwrap().len(), b.obs.events().unwrap().len());
     }
@@ -487,18 +493,18 @@ mod tests {
     fn kernel_accounting() {
         let mut g = small_gpu();
         let s = g.kernel_at(1000, 10, SimTime::ZERO);
-        assert_eq!(g.kernels.launches, 1);
-        assert_eq!(g.kernels.edges, 1000);
-        assert_eq!(g.kernels.time_ns, s.duration());
+        assert_eq!(counted(&g, "kernel.launches"), 1);
+        assert_eq!(counted(&g, "kernel.edges"), 1000);
+        assert_eq!(counted(&g, "kernel.time_ns"), s.duration());
     }
 
     #[test]
     fn pull_kernel_accounting_uses_its_own_model() {
         let mut g = small_gpu();
         let s = g.pull_kernel_at(1000, 10, SimTime::ZERO);
-        assert_eq!(g.kernels.launches, 1);
-        assert_eq!(g.kernels.edges, 1000);
-        assert_eq!(g.kernels.time_ns, s.duration());
+        assert_eq!(counted(&g, "kernel.launches"), 1);
+        assert_eq!(counted(&g, "kernel.edges"), 1000);
+        assert_eq!(counted(&g, "kernel.time_ns"), s.duration());
         assert_eq!(s.duration(), g.config.pull_kernel.kernel_ns(1000, 10));
         assert!(s.duration() > g.config.kernel.kernel_ns(1000, 10));
     }
@@ -538,8 +544,8 @@ mod tests {
         g.h2d(p, &[1; 8]);
         let snap = g.obs.registry.snapshot();
         let h2d = snap.histogram("h2d.op_bytes").unwrap();
-        assert_eq!(h2d.count(), g.xfer.h2d_ops);
-        assert_eq!(h2d.sum(), g.xfer.h2d_bytes);
+        assert_eq!(h2d.count(), counted(&g, "xfer.h2d_ops"));
+        assert_eq!(h2d.sum(), counted(&g, "xfer.h2d_bytes"));
     }
 
     #[test]
@@ -554,9 +560,9 @@ mod tests {
             window.copy_from_slice(&decoded);
         });
         // payload accounting: logical bytes stay raw, wire bytes shrink
-        assert_eq!(g.xfer.h2d_bytes, 32);
-        assert_eq!(g.xfer.h2d_wire_bytes, 10);
-        assert_eq!(g.xfer.h2d_ops, 1);
+        assert_eq!(counted(&g, "xfer.h2d_bytes"), 32);
+        assert_eq!(counted(&g, "xfer.h2d_wire_bytes"), 10);
+        assert_eq!(counted(&g, "xfer.h2d_ops"), 1);
         // the link was charged for the encoded size only
         assert_eq!(copy.duration(), g.config.pcie.transfer_ns(10));
         // decompression runs on the compute engine after the copy
@@ -573,15 +579,13 @@ mod tests {
         g.h2d(p, &[0; 8]); // raw: 32 payload == 32 wire
         let t = g.elapsed();
         g.h2d_compressed_at(p, &[0; 12], 0, t, |window| window.fill(0));
-        assert_eq!(g.xfer.h2d_bytes, 64);
-        assert_eq!(g.xfer.h2d_wire_bytes, 44);
-        assert_eq!(g.xfer.total_bytes(), 64);
-        assert_eq!(g.xfer.total_wire_bytes(), 44);
+        assert_eq!(counted(&g, "xfer.h2d_bytes"), 64);
+        assert_eq!(counted(&g, "xfer.h2d_wire_bytes"), 44);
         // op_bytes histogram still tracks logical payload exactly
         let snap = g.obs.registry.snapshot();
         let h = snap.histogram("h2d.op_bytes").unwrap();
-        assert_eq!(h.count(), g.xfer.h2d_ops);
-        assert_eq!(h.sum(), g.xfer.h2d_bytes);
+        assert_eq!(h.count(), counted(&g, "xfer.h2d_ops"));
+        assert_eq!(h.sum(), counted(&g, "xfer.h2d_bytes"));
     }
 
     #[test]
@@ -628,11 +632,10 @@ mod tests {
         assert_eq!(g.stream(), s1, "stream is minted once");
         let span = g.prefetch_dma_at(3, 4096, SimTime::ZERO);
         assert_eq!(span.duration(), g.config.pcie.transfer_ns(4096));
-        assert_eq!(g.xfer.h2d_bytes, 4096);
-        assert_eq!(g.xfer.h2d_wire_bytes, 4096);
-        assert_eq!(g.xfer.h2d_prefetch_bytes, 4096);
-        assert_eq!(g.xfer.h2d_ondemand_bytes(), 0);
-        assert_eq!(g.xfer.h2d_ops, 1);
+        assert_eq!(counted(&g, "xfer.h2d_bytes"), 4096);
+        assert_eq!(counted(&g, "xfer.h2d_wire_bytes"), 4096);
+        assert_eq!(counted(&g, "prefetch.bytes"), 4096);
+        assert_eq!(counted(&g, "xfer.h2d_ops"), 1);
         assert_eq!(g.timeline.stream_busy_ns(s1), span.duration());
         let events = g.obs.events().unwrap();
         assert!(events.iter().any(|e| e.event.kind() == "prefetch_dma"));
@@ -645,7 +648,10 @@ mod tests {
         let c = g.h2d_at(p, &[0u32; 256], SimTime::ZERO);
         let pf = g.prefetch_dma_at(0, 1024, SimTime::ZERO);
         assert_eq!(pf.start, c.end, "one wire: prefetch waits for the DMA");
-        assert_eq!(g.xfer.h2d_ondemand_bytes(), 1024);
+        assert_eq!(
+            counted(&g, "xfer.h2d_bytes") - counted(&g, "prefetch.bytes"),
+            1024
+        );
     }
 
     #[test]

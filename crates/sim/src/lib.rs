@@ -18,15 +18,17 @@
 //!   engine and the host CPU, with CUDA-stream-like dependency scheduling.
 //!   Overlap (paper Figure 5) falls out of scheduling compute and copy
 //!   spans with independent ready-times.
-//! * [`gpu`] — ties the above together: `h2d`/`d2h` transfers that copy real
-//!   words and charge the link, kernels that charge the compute model.
+//! * [`gpu`] — ties the above together: `h2d` transfers that copy real
+//!   words and charge the link, kernels that charge the compute model —
+//!   each counted once, in the device's metric registry. (Nothing copies
+//!   device→host: results are read out of the arena directly.)
 //! * [`interconnect`] — the N-device fabric: per-device PCIe links behind
 //!   a shared root complex, plus optional NVLink-class peer links, for the
 //!   fleet execution layer.
 //! * [`uvm`] — Unified Virtual Memory emulation: demand paging over host
 //!   data, LRU residency, fault/migration accounting (the UVM baseline).
 //! * [`trace`] — chunk-access tracer used to regenerate Figure 2.
-//! * [`metrics`] — transfer/kernel counters every experiment reads.
+//! * [`metrics`] — the transfer/kernel counter views every report exposes.
 //!
 //! Determinism: nothing in this crate reads wall-clock time or RNGs; given
 //! the same sequence of operations the clock advances identically on every
