@@ -269,9 +269,10 @@ impl Gpu {
             }
             Xfer::MutationDelta => (Some((bytes, bytes, 1)), None),
             Xfer::FleetExchange { .. } => (None, None),
-            // fault-ordered page migrations are not link-rate DMAs: logical
-            // bytes and one op per fault, no wire column
-            Xfer::UvmMigration { faults, .. } => (Some((bytes, 0, faults)), None),
+            // fault-ordered page migrations are not link-rate DMAs (their
+            // time is the stall above), but every migrated byte crossed the
+            // link raw: payload = wire, one op per fault
+            Xfer::UvmMigration { faults, .. } => (Some((bytes, bytes, faults)), None),
         };
         if let Some((payload, link, ops)) = steady {
             reg.counter_add("xfer.h2d_bytes", payload);

@@ -55,7 +55,12 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// ops issued — was re-harvested when `LazyLoad` / `HotSwap` events began
 /// to carry their DMA's start time instead of their window's
 /// (`0xe7fd5d9a64f1cb75` → `0x3bfd070bab667551`, `0xf9c0e0a8ad16f835` →
-/// `0x179cf0225a0b3b81`; the other seven columns did not move).
+/// `0x179cf0225a0b3b81`; the other seven columns did not move). The two UVM
+/// rows were re-harvested when a page migration began to book its bytes on
+/// the wire column as well (they cross the link raw): `h2d_wire_bytes`
+/// 0 → 381952 in both, metrics hash `0x2bb2a6b57e4747fd` →
+/// `0x3593b9c0c54fa355` and `0x85378e5788ac55c4` → `0x0ca216dc4fca5630`;
+/// nothing on the virtual clock and no span moved.
 #[rustfmt::skip]
 const GOLDEN: [(&str, Virt); 29] = [
     ("BFS(0)", (1771089, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xc68376c547b15afd, 0xa020efac9d2819b5)),
@@ -78,8 +83,8 @@ const GOLDEN: [(&str, Virt); 29] = [
     ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0xdbe8c828c876905a)),
     ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x319b907d63ac72d0)),
     ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0xd5889d6c2e3f80f2, 0xfe669ca259d4a336)),
-    ("UVM BFS(0)", (13586918, 0, 373, 51, 51, 0x1f2c1ab87e045bfe, 0xa7de9c0a7aecf2b0, 0x2bb2a6b57e4747fd)),
-    ("UVM BFS(0), bulk prefetch", (531918, 0, 0, 51, 51, 0x1f2c1ab87e045bfe, 0xf312d64ff2c29414, 0x85378e5788ac55c4)),
+    ("UVM BFS(0)", (13586918, 381952, 373, 51, 51, 0x1f2c1ab87e045bfe, 0xa7de9c0a7aecf2b0, 0x3593b9c0c54fa355)),
+    ("UVM BFS(0), bulk prefetch", (531918, 381952, 0, 51, 51, 0x1f2c1ab87e045bfe, 0xf312d64ff2c29414, 0x0ca216dc4fca5630)),
     ("Subway BFS(0) raw", (2769697, 405804, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x89ff1533b6e9e203, 0x1d16c04e6cd26036)),
     ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0x2eb7ce13dce355c0)),
     ("BC(0) 2-device NVLink", (3289961, 181024, 72, 100, 408, 0xd504c1a8d3152869, 0x44c58d6f1ba6a709, 0x179cf0225a0b3b81)),

@@ -5,7 +5,9 @@
 //! session's name set, every baseline and a fleet's per-device reports.
 //! Harvested on the commit before a run's scalars became one snapshot
 //! diff read off the device registry; that refactor must reproduce every
-//! row byte for byte.
+//! row byte for byte. (The two UVM rows were re-harvested afterwards, when a
+//! page migration began to book its bytes on the wire column too — a UVM
+//! report no longer prints an `on the wire … (compressed)` row.)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test report_renderings -- --nocapture`
 //! prints a fresh table.)
 
@@ -33,8 +35,8 @@ const GOLDEN: [(&str, Hashes); 13] = [
     ("Subway BFS(0), compression adaptive", [0x141dee5251d33e82, 0x3e2a5f93a2ea5259, 0x9e8261e273a01f7e, 0x4bd147761aced331, 0x9c8e8c5558551209]),
     ("Subway CC, compression always", [0xe4b9dd3aa0b05d24, 0x26fcd7effb9ccfd2, 0xd8a656fbeb6f4c45, 0xf9599bdd9636dd94, 0xb3086752fe7faf8b]),
     ("PT BFS(0)", [0x56acdd4d75a0b2dd, 0x77132d4126ce47ff, 0x8a9db19b4b3ebf3c, 0x439b75dae3c6a47e, 0x5eb671a12189f319]),
-    ("UVM BFS(0)", [0x1e977e4e496ceede, 0x60c6231e8914f380, 0xbc741e9cbbec432f, 0x0a23418bce0fcb3b, 0x17f7963f0763b270]),
-    ("UVM PR, bulk prefetch", [0x44dc593f1400213d, 0xd15ce5e95272f1b4, 0x12e5c48fc93b0947, 0xb8b135bcbb61c75e, 0x1ff1e8db66080cfd]),
+    ("UVM BFS(0)", [0xa1ac5775a05fbf8c, 0x3aa5e59826fb1a69, 0xba433bf9b0a1f307, 0xb1cfab09ccdb65d7, 0x250605b9bde4129c]),
+    ("UVM PR, bulk prefetch", [0xea70b624104efd0c, 0xedf7e2f9eee99e81, 0x4a3d0fd0b11f286c, 0x30935aba7fd6e52e, 0x735b84f6e80b13ba]),
     ("PR 2-device NVLink, device 0", [0xe55a0fc97f614ed5, 0x49c86ccc8765a7b2, 0x310c56888f6c278b, 0x5d359ab6d006334b, 0x1dbcf5ad10643bc7]),
     ("PR 2-device NVLink, device 1", [0xca5cb01b5518d714, 0x5de920a0a1fc0b71, 0x40a7032a92ef0ed3, 0xb1ebf7d8a53a0c13, 0x0dc62b4175db3516]),
 ];
