@@ -508,21 +508,16 @@ impl<'g> AsceticSession<'g> {
     pub(crate) fn begin_run(&mut self) -> RunCtx {
         self.hotness.begin_run();
         let clock_ns = self.gpu.sync().0;
-        let compute_busy_ns = self.gpu.timeline.busy_ns(Engine::Compute);
-        let base = if self.runs == 0 {
-            RunBase {
-                compute_busy_ns,
-                prestore_ns: self.prestore_ns,
-                ..RunBase::default()
-            }
-        } else {
-            RunBase {
-                metrics: self.gpu.obs.registry.snapshot(),
-                clock_ns,
-                compute_busy_ns,
-                prestore_ns: 0,
-            }
+        let mut base = RunBase {
+            compute_busy_ns: self.gpu.timeline.busy_ns(Engine::Compute),
+            ..RunBase::default()
         };
+        if self.runs == 0 {
+            base.prestore_ns = self.prestore_ns;
+        } else {
+            base.metrics = self.gpu.obs.registry.snapshot();
+            base.clock_ns = clock_ns;
+        }
         RunCtx {
             base,
             buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
