@@ -340,9 +340,10 @@ impl RunReport {
 
     /// Header line matching [`RunReport::summary_csv_row`].
     pub fn summary_csv_header() -> String {
-        let columns = SCALARS.iter().map(|s| s.2).filter(|c| !c.is_empty());
         let mut header = String::from("system,algorithm");
-        columns.for_each(|c| header.extend([",", c]));
+        for &(_, _, column, _, _) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
+            header.extend([",", column]);
+        }
         header
     }
 
