@@ -13,7 +13,7 @@ use ascetic_core::engine::{finish_report, RunBase};
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
 use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
 use ascetic_graph::Csr;
-use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
+use ascetic_obs::Event;
 use ascetic_sim::{DevPtr, DeviceConfig, Gpu, SimTime};
 
 /// One baseline run's device and report state.
@@ -30,14 +30,7 @@ pub(crate) struct Frame {
 impl Frame {
     /// A fresh device for one run over `g`.
     pub fn new(device: DeviceConfig, tracing: bool, events: bool, g: &Csr) -> Frame {
-        let mut gpu = if tracing {
-            Gpu::new_traced(device)
-        } else {
-            Gpu::new(device)
-        };
-        if events {
-            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
+        let mut gpu = Gpu::armed(device, tracing, events);
         reserve_vertex_arrays(&mut gpu, g);
         Frame {
             gpu,

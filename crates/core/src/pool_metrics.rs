@@ -7,8 +7,7 @@
 //! [`crate::RunReport`] metrics (which are bit-identical across thread
 //! counts by contract). Instead they travel as a separate labelled
 //! snapshot: the CLI appends it to the `--metrics-out` JSONL as its own
-//! line when `--pool-metrics` is passed, and the `wallclock` bench embeds
-//! it in `BENCH_wallclock.json`.
+//! line when `--pool-metrics` is passed.
 
 use ascetic_obs::{Histogram, MetricsSnapshot, NUM_BUCKETS};
 

@@ -700,11 +700,11 @@ mod tests {
         let s1 = tr.track(&copy_stream_track_name(1));
         let gpu = tr.track(Engine::Compute.name());
         // stream 0 busy [0,100), stream 1 busy [50,150) -> union 150
-        tr.complete(s0, 0, 100, "H2D", "dma").unwrap();
-        tr.complete(s1, 50, 150, "H2D", "dma").unwrap();
+        tr.span(s0, 0, 100, "H2D", "dma");
+        tr.span(s1, 50, 150, "H2D", "dma");
         // compute busy [80,200) -> overlap with link union = [80,150) = 70
-        tr.complete(gpu, 80, 200, "kernel", "kernel").unwrap();
-        let trace = tr.finish().unwrap();
+        tr.span(gpu, 80, 200, "kernel", "kernel");
+        let trace = tr.finish();
         let u = utilization_from_trace(&trace, &[(0, 200), (0, 100)]);
         assert_eq!(u.len(), 2);
         assert_eq!(u[0].link_busy_ns, 150);

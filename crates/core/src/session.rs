@@ -30,7 +30,7 @@ use ascetic_algos::TraversalDirection::{self, Pull, Push};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
-use ascetic_obs::{Event, DEFAULT_EVENT_CAPACITY};
+use ascetic_obs::Event;
 use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
 
@@ -165,6 +165,9 @@ pub struct RunCtx {
     // the prefetch DMAs issued this iteration (gap fills + the tail),
     // for the iteration's window span on the prefetch track
     pf_window: Option<(u64, u64)>,
+    // where the tracer stood when the iteration opened: what its span
+    // encloses when it closes
+    iter_mark: usize,
     // --- Direction-optimizing traversal state. ---
     // the direction iteration k decided for k+1 (computed after k's
     // refreshes so the estimate sees the residency k+1 will); None on
@@ -186,14 +189,7 @@ impl<'g> AsceticSession<'g> {
     /// per Eq (2), allocate the on-demand buffers and perform the prestore.
     pub fn new(cfg: AsceticConfig, g: &'g Csr) -> AsceticSession<'g> {
         let geo = ChunkGeometry::with_chunk_bytes(g, cfg.chunk_bytes);
-        let mut gpu = if cfg.tracing {
-            Gpu::new_traced(cfg.device)
-        } else {
-            Gpu::new(cfg.device)
-        };
-        if cfg.events {
-            gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
+        let mut gpu = Gpu::armed(cfg.device, cfg.tracing, cfg.events);
         let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
         let m_edge = edge_budget_bytes(&gpu);
         let d = g.edge_bytes();
@@ -366,7 +362,8 @@ impl<'g> AsceticSession<'g> {
     /// crossed over) — what a device-to-device replica of this session's
     /// static region would put on a fleet link.
     pub fn prestore_wire_bytes(&self) -> u64 {
-        self.gpu.obs.registry.counter("prestore.wire_bytes")
+        let reg = &self.gpu.obs.registry;
+        reg.counter("prestore.wire_bytes").unwrap_or(0)
     }
 
     /// Snapshot of the device arena's occupancy, for serve-layer admission
@@ -653,15 +650,8 @@ impl<'g> AsceticSession<'g> {
         let iter_start = self.gpu.sync();
         self.gpu.obs.record(iter_start.0, Event::IterStart { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
-            let t = tr.track(SESSION_TRACK);
-            let pull = if ctx.last_pull { " (pull)" } else { "" };
-            tr.begin(
-                t,
-                iter_start.0,
-                &format!("iteration {iter}{pull}"),
-                CAT_PHASE,
-            )
-            .expect("iterations are sequential on the session track");
+            tr.track(SESSION_TRACK); // keeps its place in the track table
+            ctx.iter_mark = tr.mark();
         }
         let n = self.g.num_vertices() as u64;
         let genmap = self.gpu.kernel_at(0, n.div_ceil(64), iter_start);
@@ -682,8 +672,10 @@ impl<'g> AsceticSession<'g> {
         self.gpu.obs.record(iter_end.0, Event::IterEnd { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             let t = tr.track(SESSION_TRACK);
-            tr.end(t, iter_end.0)
-                .expect("the iteration span closes at the barrier");
+            let pull = if ctx.last_pull { " (pull)" } else { "" };
+            let label = format!("iteration {iter}{pull}");
+            let (start, end) = (iter_start.0, iter_end.0);
+            tr.enclose(t, ctx.iter_mark, start, end, &label, CAT_PHASE);
         }
         ctx.iter_windows.push((iter_start.0, iter_end.0));
         report.time_ns = iter_end.since(iter_start);
@@ -940,12 +932,9 @@ impl<'g> AsceticSession<'g> {
             let t = tr.track(ONDEMAND_TRACK);
             let pull = if ctx.last_pull { " (pull)" } else { "" };
             let label = format!("on-demand iter {}{pull}", ctx.iter);
-            tr.begin(t, first.0, &label, CAT_PHASE)
-                .expect("on-demand windows are sequential");
-            tr.complete(t, first.0, gather_last.0, "gather", CAT_PHASE)
-                .expect("gather nests in the on-demand window");
-            tr.end(t, window_end.0)
-                .expect("the window closes after its last batch");
+            let window = tr.mark();
+            tr.span(t, first.0, gather_last.0, "gather", CAT_PHASE);
+            tr.enclose(t, window, first.0, window_end.0, &label, CAT_PHASE);
         }
         od
     }
@@ -1103,15 +1092,14 @@ impl<'g> AsceticSession<'g> {
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
-    /// the report — the registry's change since the run's base — and
-    /// re-arm the event log / tracer for the next run.
+    /// the report — the registry's change since the run's base. The device
+    /// stays armed as it was built, so a later run keeps recording.
     pub(crate) fn finish_run<P: VertexProgram>(
         &mut self,
         prog: &P,
         state: &P::State,
         mut ctx: RunCtx,
     ) -> RunReport {
-        let cfg = self.cfg;
         // speculative refreshes still in flight when the frontier drained
         // never got their demand scored: charge them as waste
         for (_c, bytes) in ctx.prefetch_pending.drain(..) {
@@ -1131,15 +1119,6 @@ impl<'g> AsceticSession<'g> {
             ctx.iter_windows,
             prog.output(state),
         );
-        // the report took ownership of the event log; arm a fresh one so
-        // later runs over this session keep recording
-        if cfg.events {
-            self.gpu.obs.enable_events(DEFAULT_EVENT_CAPACITY);
-        }
-        // likewise the span tracer: re-arm so warm runs keep tracing
-        if cfg.tracing {
-            self.gpu.timeline.enable_tracing();
-        }
         self.evidence.end_run();
         self.runs += 1;
         report
@@ -1309,8 +1288,8 @@ impl<'g> AsceticSession<'g> {
     /// Stamp a `[start_ns, end_ns]` phase span on `track` — the one way
     /// the session (and the repair engine, on [`MUTATE_TRACK`]) annotates
     /// the trace beyond the frame's open/close. Zero-length spans (an
-    /// empty-seed repair) are skipped rather than risk tracer ordering
-    /// errors; the label is only rendered when a tracer is armed.
+    /// empty-seed repair) are skipped; the label is only rendered when a
+    /// tracer is armed.
     pub(crate) fn phase_span(
         &mut self,
         track: &str,
@@ -1323,8 +1302,7 @@ impl<'g> AsceticSession<'g> {
         }
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             let t = tr.track(track);
-            tr.complete(t, start_ns, end_ns, &label.to_string(), CAT_PHASE)
-                .expect("spans on a phase track are sequential or nested");
+            tr.span(t, start_ns, end_ns, &label.to_string(), CAT_PHASE);
         }
     }
 }
@@ -1876,7 +1854,7 @@ mod tests {
             assert!(ctx.prefetch_deferred.is_empty());
             assert!(ctx.prefetch_inflight.is_empty() && ctx.prefetch_pending.is_empty());
         });
-        let counted = |s: &AsceticSession, name| s.gpu.obs.registry.counter(name);
+        let counted = |s: &AsceticSession, name| s.gpu.obs.registry.counter(name).unwrap_or(0);
         // in-flight + pending bytes, written off by the first iteration
         assert_eq!(counted(&s, "prefetch.waste_bytes"), 1_000);
         assert_eq!(counted(&s, "prefetch.ops"), 0, "no gap fill under pull");

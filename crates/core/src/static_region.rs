@@ -150,17 +150,7 @@ impl StaticRegion {
             .iter()
             .position(|c| c.is_none())
             .expect("no free slot for lazy load");
-        let bytes = with_scratch(|scratch| {
-            let mut staging = scratch.take_u32();
-            g.write_edge_words(self.geo.edge_range(chunk), &mut staging);
-            let dst = self.slot_ptr(slot).slice(0, staging.len());
-            gpu.mem.write(dst, &staging);
-            let bytes = (staging.len() * 4) as u64;
-            scratch.put_u32(staging);
-            bytes
-        });
-        self.chunk_of_slot[slot] = Some(chunk);
-        self.slot_of_chunk[chunk as usize] = slot as u32;
+        let bytes = self.write_slot(gpu, g, slot, chunk);
         self.update_vertices_overlapping(g, chunk);
         bytes
     }
@@ -193,29 +183,14 @@ impl StaticRegion {
     /// operation in the paper's accounting).
     pub fn fill(&mut self, gpu: &mut Gpu, g: &Csr, chunks: &[ChunkId]) -> u64 {
         assert!(chunks.len() <= self.slot_count, "more chunks than slots");
-        // The staging buffer comes from the thread-local scratch arena so
-        // repeated fills (sessions, lazy adoption, Eq (3) re-partitions)
-        // reuse one allocation instead of re-growing a fresh Vec each time.
-        let bytes = with_scratch(|scratch| {
-            let mut staging = scratch.take_u32();
-            staging.reserve(self.words_per_chunk);
-            let mut bytes = 0u64;
-            for (slot, &c) in chunks.iter().enumerate() {
-                assert!(
-                    self.chunk_of_slot[slot].is_none(),
-                    "fill into occupied slot"
-                );
-                staging.clear();
-                g.write_edge_words(self.geo.edge_range(c), &mut staging);
-                let dst = self.slot_ptr(slot).slice(0, staging.len());
-                gpu.mem.write(dst, &staging);
-                self.chunk_of_slot[slot] = Some(c);
-                self.slot_of_chunk[c as usize] = slot as u32;
-                bytes += (staging.len() * 4) as u64;
-            }
-            scratch.put_u32(staging);
-            bytes
-        });
+        let mut bytes = 0u64;
+        for (slot, &c) in chunks.iter().enumerate() {
+            assert!(
+                self.chunk_of_slot[slot].is_none(),
+                "fill into occupied slot"
+            );
+            bytes += self.write_slot(gpu, g, slot, c);
+        }
         self.rebuild_vertex_bitmap(g);
         bytes
     }
@@ -224,6 +199,26 @@ impl StaticRegion {
     fn slot_ptr(&self, slot: usize) -> DevPtr {
         self.slab
             .slice(slot * self.words_per_chunk, self.words_per_chunk)
+    }
+
+    /// The one way a chunk reaches the device: stage `chunk`'s edge words
+    /// from the host CSR, write them over the front of `slot` and record
+    /// the chunk resident there (the `StaticBitmap` is the caller's). The
+    /// staging buffer comes from the thread-local scratch arena, so fills,
+    /// lazy adoptions and per-iteration swaps reuse one allocation. Returns
+    /// the bytes written.
+    fn write_slot(&mut self, gpu: &mut Gpu, g: &Csr, slot: usize, chunk: ChunkId) -> u64 {
+        self.chunk_of_slot[slot] = Some(chunk);
+        self.slot_of_chunk[chunk as usize] = slot as u32;
+        with_scratch(|scratch| {
+            let mut staging = scratch.take_u32();
+            g.write_edge_words(self.geo.edge_range(chunk), &mut staging);
+            let dst = self.slot_ptr(slot).slice(0, staging.len());
+            gpu.mem.write(dst, &staging);
+            let bytes = (staging.len() * 4) as u64;
+            scratch.put_u32(staging);
+            bytes
+        })
     }
 
     /// Replace resident `evict` with non-resident `load` (the Figure 6
@@ -236,19 +231,7 @@ impl StaticRegion {
         self.slot_of_chunk[evict as usize] = NO_SLOT;
         self.update_vertices_overlapping(g, evict);
 
-        // Hotness replacement swaps one chunk per iteration — the scratch
-        // arena makes the steady state allocation-free.
-        let bytes = with_scratch(|scratch| {
-            let mut staging = scratch.take_u32();
-            g.write_edge_words(self.geo.edge_range(load), &mut staging);
-            let dst = self.slot_ptr(slot as usize).slice(0, staging.len());
-            gpu.mem.write(dst, &staging);
-            let bytes = (staging.len() * 4) as u64;
-            scratch.put_u32(staging);
-            bytes
-        });
-        self.chunk_of_slot[slot as usize] = Some(load);
-        self.slot_of_chunk[load as usize] = slot;
+        let bytes = self.write_slot(gpu, g, slot as usize, load);
         self.update_vertices_overlapping(g, load);
         bytes
     }
@@ -305,16 +288,19 @@ impl StaticRegion {
         }
     }
 
+    /// Whether every chunk covering `v`'s edge range is resident
+    /// (trivially so for a zero-degree vertex: nothing to load).
+    fn covers(&self, g: &Csr, v: VertexId) -> bool {
+        self.geo
+            .chunks_of_vertex(g, v)
+            .is_none_or(|mut chunks| chunks.all(|c| self.is_resident(c)))
+    }
+
     /// Recompute the whole `StaticBitmap` (used after bulk changes).
     pub fn rebuild_vertex_bitmap(&mut self, g: &Csr) {
-        for v in 0..g.num_vertices() as VertexId {
-            let is_static = match self.geo.chunks_of_vertex(g, v) {
-                None => true, // zero-degree: nothing to load
-                Some(chunks) => chunks
-                    .clone()
-                    .all(|c| self.slot_of_chunk[c as usize] != NO_SLOT),
-            };
-            self.vertex_static.assign(v as usize, is_static);
+        for v in 0..g.num_vertices() {
+            let is_static = self.covers(g, v as VertexId);
+            self.vertex_static.assign(v, is_static);
         }
     }
 
@@ -329,12 +315,7 @@ impl StaticRegion {
         // vertices with offsets[v] < cr.end
         let mut v = first;
         while v < n && offsets[v] < cr.end {
-            let is_static = match self.geo.chunks_of_vertex(g, v as VertexId) {
-                None => true,
-                Some(chunks) => chunks
-                    .clone()
-                    .all(|c| self.slot_of_chunk[c as usize] != NO_SLOT),
-            };
+            let is_static = self.covers(g, v as VertexId);
             self.vertex_static.assign(v, is_static);
             v += 1;
         }
@@ -379,25 +360,14 @@ impl StaticRegion {
         self.slot_of_chunk.resize(new_chunks, NO_SLOT);
         self.geo = new_geo;
 
-        let mut refreshed = Vec::new();
-        let bytes = with_scratch(|scratch| {
-            let mut staging = scratch.take_u32();
-            let mut bytes = 0u64;
-            for c in (first_dirty_chunk as usize)..new_chunks {
-                let slot = self.slot_of_chunk[c];
-                if slot == NO_SLOT {
-                    continue;
-                }
-                staging.clear();
-                g_new.write_edge_words(self.geo.edge_range(c as ChunkId), &mut staging);
-                let dst = self.slot_ptr(slot as usize).slice(0, staging.len());
-                gpu.mem.write(dst, &staging);
-                bytes += (staging.len() * 4) as u64;
-                refreshed.push(c as ChunkId);
+        let (mut refreshed, mut bytes) = (Vec::new(), 0u64);
+        for c in first_dirty_chunk..new_chunks as ChunkId {
+            let slot = self.slot_of_chunk[c as usize];
+            if slot != NO_SLOT {
+                bytes += self.write_slot(gpu, g_new, slot as usize, c);
+                refreshed.push(c);
             }
-            scratch.put_u32(staging);
-            bytes
-        });
+        }
         self.rebuild_vertex_bitmap(g_new);
         RegionPatch {
             refreshed,

@@ -26,3 +26,16 @@ pub use rmat::{rmat_graph, RmatConfig};
 pub use social::{social_graph, SocialConfig};
 pub use uniform::uniform_graph;
 pub use web::{web_graph, WebConfig};
+
+/// Deterministic xorshift64* — the one generator the synthetic workloads
+/// over a graph (serve job traces, mutation churn) draw from, so their
+/// streams are reproducible across machines and thread counts. `state`
+/// must be nonzero.
+pub fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}

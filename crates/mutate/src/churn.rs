@@ -7,19 +7,8 @@
 //! `missing_deletes`, which keeps the bench and CI oracles sharp: a churn
 //! batch that silently no-ops would understate the repair work.
 
+use ascetic_graph::generators::xorshift;
 use ascetic_graph::{Csr, Mutation, VertexId};
-
-/// Deterministic xorshift64* — the same generator the serve trace and the
-/// workspace determinism suites use, so churn streams are reproducible
-/// across machines and thread counts.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
 
 /// Generate `batches` batches of `batch_size` mutations each over `g`:
 /// roughly 70% inserts (weighted iff `g` is weighted, weights in 1..=9)

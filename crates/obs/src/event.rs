@@ -345,29 +345,6 @@ impl EventLog {
         self.capacity
     }
 
-    /// Merge another log: events concatenate (then sort by timestamp,
-    /// stable so equal stamps keep record order), drops add, and the
-    /// larger capacity wins.
-    pub fn merge(&mut self, other: &EventLog) {
-        self.capacity = self.capacity.max(other.capacity);
-        for e in &other.events {
-            if self.events.len() < self.capacity {
-                self.events.push(e.clone());
-            } else {
-                if self.dropped == 0 {
-                    self.first_drop_at = Some(e.t_ns);
-                }
-                self.dropped += 1;
-            }
-        }
-        self.dropped += other.dropped;
-        self.first_drop_at = match (self.first_drop_at, other.first_drop_at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.events.sort_by_key(|e| e.t_ns);
-    }
-
     /// Render the retained events as JSONL, one event object per line
     /// (callers prepend their own meta line and append the snapshot).
     pub fn to_jsonl(&self) -> String {
@@ -396,28 +373,6 @@ mod tests {
         assert_eq!(log.dropped(), 2);
         // The clock of the *first* drop is pinned, not the latest.
         assert_eq!(log.first_drop_at(), Some(3));
-    }
-
-    #[test]
-    fn merge_carries_earliest_first_drop() {
-        let mut a = EventLog::new(4);
-        a.record(1, Event::IterStart { iter: 0 });
-        let mut b = EventLog::new(1);
-        b.record(2, Event::IterStart { iter: 1 });
-        b.record(5, Event::IterEnd { iter: 1 }); // dropped in b at t=5
-        a.merge(&b);
-        assert_eq!(a.dropped(), 1);
-        assert_eq!(a.first_drop_at(), Some(5));
-
-        // A merge that itself overflows records the overflow instant, and
-        // the earliest of the two logs' first drops wins.
-        let mut c = EventLog::new(1);
-        c.record(1, Event::IterStart { iter: 0 });
-        let mut d = EventLog::new(1);
-        d.record(3, Event::IterStart { iter: 1 });
-        c.merge(&d); // capacity stays 1: d's event drops at t=3
-        assert_eq!(c.dropped(), 1);
-        assert_eq!(c.first_drop_at(), Some(3));
     }
 
     #[test]
@@ -486,17 +441,5 @@ mod tests {
         assert!(lines[4].contains("\"wire_bytes\":1024"));
         assert!(lines[5].contains("\"kind\":\"prefetch_dma\""));
         assert!(lines[5].contains("\"chunk\":7"));
-    }
-
-    #[test]
-    fn merge_sorts_by_timestamp_and_sums_drops() {
-        let mut a = EventLog::new(8);
-        a.record(10, Event::IterEnd { iter: 0 });
-        let mut b = EventLog::new(8);
-        b.record(5, Event::IterStart { iter: 0 });
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.events()[0].t_ns, 5);
-        assert_eq!(a.events()[1].t_ns, 10);
     }
 }

@@ -8,7 +8,7 @@
 //! signals are collected, so every system (Ascetic and the baselines) emits
 //! a *comparable* stream and every experiment reads the same names:
 //!
-//! * [`registry`] — a [`Registry`] of named counters, gauges and
+//! * [`registry`] — one [`Registry`] of named counters, gauges and
 //!   log2-bucketed [`Histogram`]s with labels (system/algo/dataset), merge
 //!   and diff support, and deterministic (sorted) export ordering.
 //! * [`event`] — a structured [`EventLog`] stamped by the **virtual clock**
@@ -34,4 +34,4 @@ pub mod trace;
 
 pub use event::{Event, EventLog, TimedEvent, XferDir, DEFAULT_EVENT_CAPACITY};
 pub use registry::{Histogram, MetricValue, MetricsSnapshot, Obs, Registry, NUM_BUCKETS};
-pub use trace::{SpanTracer, Trace, TraceError, TracedSpan, TrackId, CAT_WAIT};
+pub use trace::{SpanTracer, Trace, TracedSpan, TrackId, CAT_WAIT};

@@ -1,8 +1,9 @@
 //! Metric registry: counters, gauges and log2-bucketed histograms.
 //!
-//! Names are `&'static str` at the recording sites (no per-op allocation);
-//! export always walks a `BTreeMap`, so ordering is deterministic and two
-//! identical runs serialize byte-identically. Labels identify the stream
+//! Names are `&'static str` — every one in the tree is a literal or a row of
+//! `report::SCALARS` — so neither an operation nor a copy of the map
+//! allocates a key; export always walks a `BTreeMap`, so ordering is
+//! deterministic and two identical runs serialize byte-identically. Labels identify the stream
 //! (system / algo / dataset) the way the paper's tables are keyed.
 //!
 //! Distributions matter as much as totals: HyTGraph's transfer management
@@ -187,12 +188,18 @@ impl MetricValue {
     }
 }
 
-/// Live metric registry used at recording sites.
-#[derive(Clone, Debug, Default)]
+/// The one metric map: labels plus named counters, gauges and histograms.
+/// Recording sites bump it live; a report embeds a copy
+/// ([`Registry::snapshot`]) or the change between two copies
+/// ([`Registry::diff`]), exported by `--metrics-out` / `--summary json`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     labels: BTreeMap<String, String>,
     metrics: BTreeMap<&'static str, MetricValue>,
 }
+
+/// A [`Registry`] that is read, not bumped: what a `RunReport` embeds.
+pub type MetricsSnapshot = Registry;
 
 impl Registry {
     /// An empty registry.
@@ -205,6 +212,16 @@ impl Registry {
         self.labels.insert(key.to_string(), value.to_string());
     }
 
+    /// Label value, if set.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels.get(key).map(|s| s.as_str())
+    }
+
+    /// All labels, sorted by key.
+    pub fn labels(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
     /// Add `delta` to counter `name` (created at zero on first use).
     ///
     /// # Panics
@@ -213,14 +230,6 @@ impl Registry {
         match self.metrics.entry(name).or_insert(MetricValue::Counter(0)) {
             MetricValue::Counter(v) => *v += delta,
             other => panic!("{name} is a {}, not a counter", other.kind()),
-        }
-    }
-
-    /// What counter `name` has reached (0 when nothing has bumped it).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.metrics.get(name) {
-            Some(MetricValue::Counter(v)) => *v,
-            _ => 0,
         }
     }
 
@@ -252,76 +261,8 @@ impl Registry {
         }
     }
 
-    /// Merge another registry: counters add, gauges take the max,
-    /// histograms merge. Labels from `other` fill in missing keys only.
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, v) in &other.labels {
-            self.labels.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-        for (name, theirs) in &other.metrics {
-            match self.metrics.entry(name) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(theirs.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    match (e.get_mut(), theirs) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                        (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(*b),
-                        (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                        (mine, theirs) => panic!(
-                            "metric {name} kind mismatch: {} vs {}",
-                            mine.kind(),
-                            theirs.kind()
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Immutable, exportable copy of the current state.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            labels: self.labels.clone(),
-            metrics: self
-                .metrics
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// A frozen, serializable view of a [`Registry`] — embedded in every
-/// `RunReport` and exported by `--metrics-out` / `--summary json`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    labels: BTreeMap<String, String>,
-    metrics: BTreeMap<String, MetricValue>,
-}
-
-impl MetricsSnapshot {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set a stream label.
-    pub fn set_label(&mut self, key: &str, value: &str) {
-        self.labels.insert(key.to_string(), value.to_string());
-    }
-
-    /// Label value, if set.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels.get(key).map(|s| s.as_str())
-    }
-
-    /// All labels, sorted by key.
-    pub fn labels(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Counter value, if `name` is a counter.
+    /// Counter value, if `name` is a counter (`None` when nothing has
+    /// bumped it).
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
             Some(MetricValue::Counter(v)) => Some(*v),
@@ -347,27 +288,25 @@ impl MetricsSnapshot {
 
     /// Overwrite (or create) counter `name` — for a value derived after
     /// the fact (a run's iteration count) or a name nothing bumped.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.metrics
-            .insert(name.to_string(), MetricValue::Counter(value));
+    pub fn set_counter(&mut self, name: &'static str, value: u64) {
+        self.metrics.insert(name, MetricValue::Counter(value));
     }
 
     /// Overwrite (or create) gauge `name`.
-    pub fn set_gauge(&mut self, name: &str, value: u64) {
-        self.metrics
-            .insert(name.to_string(), MetricValue::Gauge(value));
+    pub fn set_gauge(&mut self, name: &'static str, value: u64) {
+        self.metrics.insert(name, MetricValue::Gauge(value));
     }
 
     /// Overwrite (or create) histogram `name` with an externally built
     /// distribution (see [`Histogram::from_parts`]).
-    pub fn set_histogram(&mut self, name: &str, h: Histogram) {
+    pub fn set_histogram(&mut self, name: &'static str, h: Histogram) {
         self.metrics
-            .insert(name.to_string(), MetricValue::Histogram(Box::new(h)));
+            .insert(name, MetricValue::Histogram(Box::new(h)));
     }
 
     /// All metrics, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.metrics.iter().map(|(k, v)| (*k, v))
     }
 
     /// Number of metrics.
@@ -375,56 +314,51 @@ impl MetricsSnapshot {
         self.metrics.len()
     }
 
-    /// Whether the snapshot holds no metrics.
+    /// Whether the registry holds no metrics.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
+    }
+
+    /// A copy of the current state, to embed or to [`Registry::diff`]
+    /// against later.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.clone()
     }
 
     /// The change since `baseline`: counters and histograms subtract,
     /// gauges keep their current value. Metrics absent from `baseline`
     /// pass through unchanged.
-    pub fn diff(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot {
-            labels: self.labels.clone(),
-            metrics: BTreeMap::new(),
-        };
-        for (name, v) in &self.metrics {
-            let d = match (v, baseline.metrics.get(name)) {
+    pub fn diff(&self, baseline: &Registry) -> Registry {
+        let mut out = self.clone();
+        for (name, v) in &mut out.metrics {
+            match (v, baseline.metrics.get(name)) {
                 (MetricValue::Counter(a), Some(MetricValue::Counter(b))) => {
-                    MetricValue::Counter(a.saturating_sub(*b))
+                    *a = a.saturating_sub(*b)
                 }
-                (MetricValue::Histogram(a), Some(MetricValue::Histogram(b))) => {
-                    MetricValue::Histogram(Box::new(a.diff(b)))
-                }
-                (v, _) => v.clone(),
-            };
-            out.metrics.insert(name.clone(), d);
+                (MetricValue::Histogram(a), Some(MetricValue::Histogram(b))) => **a = a.diff(b),
+                _ => {}
+            }
         }
         out
     }
 
-    /// Merge semantics identical to [`Registry::merge`].
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
+    /// Merge another registry: counters add, gauges take the max,
+    /// histograms merge. Labels from `other` fill in missing keys only.
+    pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.labels {
             self.labels.entry(k.clone()).or_insert_with(|| v.clone());
         }
-        for (name, theirs) in &other.metrics {
-            match self.metrics.entry(name.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(theirs.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    match (e.get_mut(), theirs) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                        (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(*b),
-                        (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                        (mine, theirs) => panic!(
-                            "metric {name} kind mismatch: {} vs {}",
-                            mine.kind(),
-                            theirs.kind()
-                        ),
-                    }
-                }
+        for (&name, theirs) in &other.metrics {
+            match (self.metrics.get_mut(name), theirs) {
+                (None, _) => drop(self.metrics.insert(name, theirs.clone())),
+                (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
+                (Some(MetricValue::Gauge(a)), MetricValue::Gauge(b)) => *a = (*a).max(*b),
+                (Some(MetricValue::Histogram(a)), MetricValue::Histogram(b)) => a.merge(b),
+                (Some(mine), theirs) => panic!(
+                    "metric {name} kind mismatch: {} vs {}",
+                    mine.kind(),
+                    theirs.kind()
+                ),
             }
         }
     }
@@ -514,9 +448,12 @@ impl Obs {
         self.events.as_ref()
     }
 
-    /// Take ownership of the event log (used when assembling reports).
+    /// Take ownership of the event log (used when assembling reports),
+    /// leaving an empty one of the same capacity: a bundle stays armed the
+    /// way it was built.
     pub fn take_events(&mut self) -> Option<crate::EventLog> {
-        self.events.take()
+        let fresh = crate::EventLog::new(self.events.as_ref()?.capacity());
+        self.events.replace(fresh)
     }
 }
 
@@ -565,9 +502,9 @@ mod tests {
         r.gauge_max("mem.high_water_bytes", 3);
         r.observe("h2d.op_bytes", 64);
         let s = r.snapshot();
+        assert_eq!(s, r, "a snapshot is a copy of the one map");
         assert_eq!(s.counter("xfer.h2d_bytes"), Some(120));
-        assert_eq!(r.counter("xfer.h2d_bytes"), 120);
-        assert_eq!(r.counter("never.bumped"), 0);
+        assert_eq!(s.counter("never.bumped"), None, "absence is readable");
         assert_eq!(s.gauge("mem.high_water_bytes"), Some(7));
         assert_eq!(s.histogram("h2d.op_bytes").unwrap().count(), 1);
         assert_eq!(s.label("system"), Some("Ascetic"));
@@ -655,5 +592,9 @@ mod tests {
         o.enable_events(4);
         o.record(7, crate::Event::IterEnd { iter: 1 });
         assert_eq!(o.events().unwrap().len(), 1);
+        // taking the log leaves the bundle armed as it was
+        assert_eq!(o.take_events().unwrap().len(), 1);
+        let fresh = o.events().expect("still armed");
+        assert_eq!((fresh.len(), fresh.capacity()), (0, 4));
     }
 }

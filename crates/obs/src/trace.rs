@@ -12,11 +12,14 @@
 //! (`ascetic-sim`'s clock, or the serve clock); nothing here reads the wall
 //! clock, so a trace is byte-identical across runs and host thread counts.
 //!
-//! Nesting is enforced at record time: on each track, `begin`/`end` follow
-//! a stack discipline, children must lie inside their parent, and siblings
-//! may not overlap. Violations return a [`TraceError`] carrying the
-//! 1-based index of the offending operation, so a broken instrumentation
-//! site is pointed at directly instead of producing a garbled trace.
+//! Recording cannot fail: spans are appended closed
+//! ([`SpanTracer::span`]), and a parent is stated once, when it closes, by
+//! [`SpanTracer::enclose`] over everything its track recorded since a
+//! [`SpanTracer::mark`]. The nesting contract — on each track, children lie
+//! inside their parent and siblings do not overlap — is checked in one
+//! place, [`Trace::check_nesting`], which the tests run over every trace
+//! they pin; a broken instrumentation site is a test failure naming the
+//! two offending spans, never a panic in a run.
 
 use crate::json;
 
@@ -30,77 +33,11 @@ pub const CAT_WAIT: &str = "wait";
 pub struct TrackId(usize);
 
 impl TrackId {
-    /// Position of the track in [`Trace::tracks`] / [`SpanTracer::tracks`].
+    /// Position of the track in [`Trace::tracks`].
     pub fn index(self) -> usize {
         self.0
     }
 }
-
-/// What went wrong while recording spans.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceErrorKind {
-    /// `end` with no open span on the track.
-    EndWithoutBegin,
-    /// `end` before the innermost open span's start (or before its last
-    /// closed child's end — closing there would orphan the child).
-    EndBeforeStart {
-        /// Requested end instant.
-        at: u64,
-        /// Earliest legal end instant.
-        min: u64,
-    },
-    /// `begin` (or `complete`) earlier than allowed: a child must start
-    /// inside its parent and after the previous sibling ended.
-    BeginBeforeFrontier {
-        /// Requested start instant.
-        at: u64,
-        /// Earliest legal start instant.
-        min: u64,
-    },
-    /// `complete` with `end < start`.
-    NegativeSpan {
-        /// Requested start instant.
-        start: u64,
-        /// Requested end instant.
-        end: u64,
-    },
-    /// `finish` while a span was still open (its `begin` op is reported).
-    UnclosedSpan,
-}
-
-/// A span-nesting violation, pinned to the 1-based index of the recording
-/// operation (`begin`/`end`/`complete` each count as one operation) that
-/// caused it — the "line number" of the broken instrumentation site.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based index of the offending operation.
-    pub op: u64,
-    /// Track the operation targeted.
-    pub track: String,
-    /// Violation detail.
-    pub kind: TraceErrorKind,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace op {} on track \"{}\": ", self.op, self.track)?;
-        match &self.kind {
-            TraceErrorKind::EndWithoutBegin => write!(f, "end without begin"),
-            TraceErrorKind::EndBeforeStart { at, min } => {
-                write!(f, "end at {at} before earliest legal end {min}")
-            }
-            TraceErrorKind::BeginBeforeFrontier { at, min } => {
-                write!(f, "begin at {at} before frontier {min}")
-            }
-            TraceErrorKind::NegativeSpan { start, end } => {
-                write!(f, "span ends ({end}) before it starts ({start})")
-            }
-            TraceErrorKind::UnclosedSpan => write!(f, "span still open at finish"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// One closed span in a finished [`Trace`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,38 +50,17 @@ pub struct TracedSpan {
     pub cat: String,
     /// Start instant, virtual ns.
     pub start_ns: u64,
-    /// End instant, virtual ns (`end_ns >= start_ns`).
+    /// End instant, virtual ns (`end_ns >= start_ns` in a well-nested trace).
     pub end_ns: u64,
     /// Nesting depth (0 = top level on its track).
     pub depth: u32,
 }
 
 impl TracedSpan {
-    /// Span length in virtual ns.
+    /// Span length in virtual ns (0 for an inverted span).
     pub fn dur_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
+        self.end_ns.saturating_sub(self.start_ns)
     }
-}
-
-/// One still-open span on a track's stack.
-#[derive(Clone, Debug)]
-struct Open {
-    name: String,
-    cat: String,
-    start_ns: u64,
-    /// End of the last closed child; the earliest instant the next child
-    /// may begin at, and the earliest instant this span may end at.
-    child_frontier: u64,
-    /// 1-based op index of the `begin` that opened this span.
-    op: u64,
-}
-
-/// Per-track mutable state while recording.
-#[derive(Clone, Debug, Default)]
-struct TrackState {
-    stack: Vec<Open>,
-    /// End of the last closed top-level span (root sibling frontier).
-    root_frontier: u64,
 }
 
 /// Collects spans on named tracks; [`SpanTracer::finish`] freezes it into
@@ -152,9 +68,8 @@ struct TrackState {
 #[derive(Clone, Debug, Default)]
 pub struct SpanTracer {
     names: Vec<String>,
-    state: Vec<TrackState>,
+    /// In close order: a parent lands after its children.
     spans: Vec<TracedSpan>,
-    ops: u64,
 }
 
 impl SpanTracer {
@@ -172,161 +87,58 @@ impl SpanTracer {
             return TrackId(i);
         }
         self.names.push(name.to_string());
-        self.state.push(TrackState::default());
         TrackId(self.names.len() - 1)
     }
 
-    /// Track names in creation order.
-    pub fn tracks(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Number of closed spans so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    fn err(&self, track: TrackId, kind: TraceErrorKind) -> TraceError {
-        TraceError {
-            op: self.ops,
-            track: self.names[track.0].clone(),
-            kind,
-        }
-    }
-
-    /// Open a span on `track` at instant `t_ns`. Fails if `t_ns` is
-    /// earlier than the innermost open span's child frontier (children
-    /// must start inside their parent and after the previous sibling).
-    pub fn begin(
-        &mut self,
-        track: TrackId,
-        t_ns: u64,
-        name: &str,
-        cat: &str,
-    ) -> Result<(), TraceError> {
-        self.ops += 1;
-        let st = &self.state[track.0];
-        let min = match st.stack.last() {
-            Some(parent) => parent.child_frontier,
-            None => st.root_frontier,
-        };
-        if t_ns < min {
-            return Err(self.err(track, TraceErrorKind::BeginBeforeFrontier { at: t_ns, min }));
-        }
-        let op = self.ops;
-        self.state[track.0].stack.push(Open {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            start_ns: t_ns,
-            child_frontier: t_ns,
-            op,
-        });
-        Ok(())
-    }
-
-    /// Close the innermost open span on `track` at instant `t_ns`.
-    pub fn end(&mut self, track: TrackId, t_ns: u64) -> Result<(), TraceError> {
-        self.ops += 1;
-        let st = &self.state[track.0];
-        let Some(top) = st.stack.last() else {
-            return Err(self.err(track, TraceErrorKind::EndWithoutBegin));
-        };
-        let min = top.child_frontier.max(top.start_ns);
-        if t_ns < min {
-            return Err(self.err(track, TraceErrorKind::EndBeforeStart { at: t_ns, min }));
-        }
-        let st = &mut self.state[track.0];
-        let depth = (st.stack.len() - 1) as u32;
-        let top = st.stack.pop().expect("checked non-empty");
-        match st.stack.last_mut() {
-            Some(parent) => parent.child_frontier = t_ns,
-            None => st.root_frontier = t_ns,
-        }
-        self.spans.push(TracedSpan {
-            track: track.0,
-            name: top.name,
-            cat: top.cat,
-            start_ns: top.start_ns,
-            end_ns: t_ns,
-            depth,
-        });
-        Ok(())
-    }
-
-    /// Record an already-closed span `[start_ns, end_ns]`, nesting under
-    /// the innermost open span on `track` (one operation, one error site).
-    pub fn complete(
-        &mut self,
-        track: TrackId,
-        start_ns: u64,
-        end_ns: u64,
-        name: &str,
-        cat: &str,
-    ) -> Result<(), TraceError> {
-        self.ops += 1;
-        if end_ns < start_ns {
-            return Err(self.err(
-                track,
-                TraceErrorKind::NegativeSpan {
-                    start: start_ns,
-                    end: end_ns,
-                },
-            ));
-        }
-        let st = &self.state[track.0];
-        let min = match st.stack.last() {
-            Some(parent) => parent.child_frontier,
-            None => st.root_frontier,
-        };
-        if start_ns < min {
-            return Err(self.err(
-                track,
-                TraceErrorKind::BeginBeforeFrontier { at: start_ns, min },
-            ));
-        }
-        let st = &mut self.state[track.0];
-        let depth = st.stack.len() as u32;
-        match st.stack.last_mut() {
-            Some(parent) => parent.child_frontier = end_ns,
-            None => st.root_frontier = end_ns,
-        }
+    /// Record the closed span `[start_ns, end_ns]` at the top level of
+    /// `track` (until an [`SpanTracer::enclose`] puts a parent over it).
+    pub fn span(&mut self, track: TrackId, start_ns: u64, end_ns: u64, name: &str, cat: &str) {
         self.spans.push(TracedSpan {
             track: track.0,
             name: name.to_string(),
             cat: cat.to_string(),
             start_ns,
             end_ns,
-            depth,
+            depth: 0,
         });
-        Ok(())
     }
 
-    /// Freeze into an immutable [`Trace`]. Fails (pointing at the earliest
-    /// offending `begin`) if any span is still open.
-    pub fn finish(self) -> Result<Trace, TraceError> {
-        let mut unclosed: Option<(u64, usize)> = None;
-        for (i, st) in self.state.iter().enumerate() {
-            for open in &st.stack {
-                if unclosed.map(|(op, _)| open.op < op).unwrap_or(true) {
-                    unclosed = Some((open.op, i));
-                }
-            }
+    /// Where the next span will land: what a parent-to-be holds from the
+    /// moment it opens until it can [`SpanTracer::enclose`] its children.
+    pub fn mark(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Close a parent over its children: every span recorded on `track`
+    /// since `mark` goes one level deeper, and `[start_ns, end_ns]` is
+    /// recorded above them.
+    pub fn enclose(
+        &mut self,
+        track: TrackId,
+        mark: usize,
+        start_ns: u64,
+        end_ns: u64,
+        name: &str,
+        cat: &str,
+    ) {
+        // a mark handed over from another tracer must not index past this one
+        let from = mark.min(self.spans.len());
+        for s in self.spans[from..].iter_mut().filter(|s| s.track == track.0) {
+            s.depth += 1;
         }
-        if let Some((op, track)) = unclosed {
-            return Err(TraceError {
-                op,
-                track: self.names[track].clone(),
-                kind: TraceErrorKind::UnclosedSpan,
-            });
-        }
+        self.span(track, start_ns, end_ns, name, cat);
+    }
+
+    /// Freeze into an immutable [`Trace`].
+    pub fn finish(self) -> Trace {
         let mut spans = self.spans;
         // Stable sort: per track in time order, parents before children at
-        // equal starts. Insertion order breaks remaining ties stably.
+        // equal starts. Close order breaks remaining ties.
         spans.sort_by_key(|s| (s.track, s.start_ns, s.depth));
-        Ok(Trace {
+        Trace {
             tracks: self.names,
             spans,
-        })
+        }
     }
 }
 
@@ -362,6 +174,57 @@ impl Trace {
     /// Latest end instant across all spans (0 for an empty trace).
     pub fn horizon_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.end_ns).max().unwrap_or(0)
+    }
+
+    /// The nesting contract, checked: on every track a span lies inside its
+    /// parent — the latest span one level up — and starts no earlier than
+    /// the previous span of its own depth ended. The utilization queries
+    /// below read top-level spans as disjoint busy intervals on the strength
+    /// of it. Fails on the first violation in trace order, naming the track
+    /// and the two spans.
+    pub fn check_nesting(&self) -> Result<(), String> {
+        // per depth, the latest span seen on the current track
+        let mut last: Vec<Option<&TracedSpan>> = Vec::new();
+        for (i, s) in self.spans.iter().enumerate() {
+            if i > 0 && self.spans[i - 1].track != s.track {
+                last.clear();
+            }
+            let show = |s: &TracedSpan| {
+                let (name, start, end) = (&s.name, s.start_ns, s.end_ns);
+                format!("\"{name}\" [{start}, {end}) at depth {}", s.depth)
+            };
+            let broken = |rule: &str, other: &TracedSpan| {
+                let track = &self.tracks[s.track];
+                Err(format!(
+                    "track \"{track}\": {} {rule} {}",
+                    show(s),
+                    show(other)
+                ))
+            };
+            let d = s.depth as usize;
+            last.resize(last.len().max(d + 1), None);
+            if s.end_ns < s.start_ns {
+                return broken("ends before it starts:", s);
+            }
+            if let Some(sibling) = last[d].filter(|b| b.end_ns > s.start_ns) {
+                return broken("overlaps its sibling", sibling);
+            }
+            if d > 0 {
+                // a parent that opens only after its child sorts behind it
+                let ahead = || {
+                    let parent = |p: &&TracedSpan| (p.track, p.depth + 1) == (s.track, s.depth);
+                    self.spans[i..].iter().find(parent)
+                };
+                let Some(parent) = last[d - 1].or_else(ahead) else {
+                    return broken("has no span one level above:", s);
+                };
+                if s.start_ns < parent.start_ns || parent.end_ns < s.end_ns {
+                    return broken("escapes its parent", parent);
+                }
+            }
+            last[d] = Some(s);
+        }
+        Ok(())
     }
 
     /// Merge `other` into this trace, prefixing every incoming track name
@@ -408,9 +271,9 @@ impl Trace {
             .sum()
     }
 
-    /// Busy nanoseconds of the *union* of several tracks inside
-    /// `[w0, w1)` — e.g. all copy streams together = PCIe link busy.
-    pub fn busy_union_ns(&self, tracks: &[usize], w0: u64, w1: u64) -> u64 {
+    /// The disjoint, sorted cover of `tracks`' busy intervals clipped to
+    /// `[w0, w1)`.
+    fn busy_union(&self, tracks: &[usize], w0: u64, w1: u64) -> Vec<(u64, u64)> {
         let mut iv: Vec<(u64, u64)> = tracks
             .iter()
             .flat_map(|&t| self.busy_intervals(t))
@@ -418,25 +281,22 @@ impl Trace {
             .filter(|&(s, e)| s < e)
             .collect();
         iv.sort_unstable();
-        merge_intervals(iv).iter().map(|(s, e)| e - s).sum()
+        merge_intervals(iv)
+    }
+
+    /// Busy nanoseconds of the *union* of several tracks inside
+    /// `[w0, w1)` — e.g. all copy streams together = PCIe link busy.
+    pub fn busy_union_ns(&self, tracks: &[usize], w0: u64, w1: u64) -> u64 {
+        let union = self.busy_union(tracks, w0, w1);
+        union.iter().map(|(s, e)| e - s).sum()
     }
 
     /// Nanoseconds inside `[w0, w1)` where both `a`-union and `b`-union
     /// are busy simultaneously — the transfer/compute *overlap* the paper
     /// optimizes for (Figure 5).
     pub fn overlap_ns(&self, a: &[usize], b: &[usize], w0: u64, w1: u64) -> u64 {
-        let collect = |tracks: &[usize]| -> Vec<(u64, u64)> {
-            let mut iv: Vec<(u64, u64)> = tracks
-                .iter()
-                .flat_map(|&t| self.busy_intervals(t))
-                .map(|(s, e)| (s.max(w0), e.min(w1)))
-                .filter(|&(s, e)| s < e)
-                .collect();
-            iv.sort_unstable();
-            merge_intervals(iv)
-        };
-        let ia = collect(a);
-        let ib = collect(b);
+        let ia = self.busy_union(a, w0, w1);
+        let ib = self.busy_union(b, w0, w1);
         let (mut i, mut j, mut total) = (0, 0, 0u64);
         while i < ia.len() && j < ib.len() {
             let s = ia[i].0.max(ib[j].0);
@@ -676,24 +536,27 @@ mod tests {
         let mut t = SpanTracer::new();
         for &(track, s, e, name) in ops {
             let id = t.track(track);
-            t.complete(id, s, e, name, "test").unwrap();
+            t.span(id, s, e, name, "test");
         }
-        t.finish().unwrap()
+        t.finish()
     }
 
     #[test]
-    fn begin_end_nest_and_export() {
+    fn enclosed_spans_nest_and_export() {
         let mut t = SpanTracer::new();
-        let a = t.track("engine");
-        t.begin(a, 0, "outer", "phase").unwrap();
-        t.complete(a, 10, 20, "child", "kernel").unwrap();
-        t.begin(a, 30, "grand", "kernel").unwrap();
-        t.end(a, 40).unwrap();
-        t.end(a, 50).unwrap();
-        let trace = t.finish().unwrap();
-        assert_eq!(trace.tracks(), &["engine".to_string()]);
+        let (a, b) = (t.track("engine"), t.track("other"));
+        let outer = t.mark();
+        t.span(a, 10, 20, "child", "kernel");
+        t.span(b, 12, 18, "elsewhere", "kernel"); // another track: not a child
+        let inner = t.mark();
+        t.span(a, 32, 38, "grandchild", "kernel");
+        t.enclose(a, inner, 30, 40, "second child", "kernel");
+        t.enclose(a, outer, 0, 50, "outer", "phase");
+        let trace = t.finish();
+        trace.check_nesting().expect("recorded in close order");
+        assert_eq!(trace.tracks(), &["engine".to_string(), "other".to_string()]);
         let depths: Vec<u32> = trace.spans().iter().map(|s| s.depth).collect();
-        assert_eq!(depths, [0, 1, 1]);
+        assert_eq!(depths, [0, 1, 1, 2, 0]);
         let json = trace.to_perfetto_json(3);
         crate::json::validate(&json).expect("perfetto json parses");
         assert!(json.contains("\"schema_version\":3"));
@@ -701,56 +564,53 @@ mod tests {
         assert!(json.contains("\"ts\":0.010")); // 10 ns = 0.010 µs
     }
 
+    /// One mis-nested recording per rule: each is recorded without a
+    /// panic, finishes into a trace that still exports, and fails the
+    /// checker with both spans named.
     #[test]
-    fn errors_carry_op_index() {
-        let mut t = SpanTracer::new();
-        let a = t.track("x");
-        t.begin(a, 5, "s", "c").unwrap(); // op 1
-        let err = t.end(a, 3).unwrap_err(); // op 2
-        assert_eq!(err.op, 2);
-        assert_eq!(err.track, "x");
-        assert!(matches!(
-            err.kind,
-            TraceErrorKind::EndBeforeStart { at: 3, min: 5 }
-        ));
-
-        let mut t = SpanTracer::new();
-        let a = t.track("x");
-        let err = t.end(a, 0).unwrap_err(); // op 1: nothing open
-        assert_eq!(err.op, 1);
-        assert_eq!(err.kind, TraceErrorKind::EndWithoutBegin);
-
-        let mut t = SpanTracer::new();
-        let a = t.track("x");
-        t.complete(a, 0, 10, "s1", "c").unwrap(); // op 1
-        let err = t.complete(a, 5, 8, "s2", "c").unwrap_err(); // op 2 overlaps
-        assert_eq!(err.op, 2);
-        assert!(matches!(
-            err.kind,
-            TraceErrorKind::BeginBeforeFrontier { at: 5, min: 10 }
-        ));
-
-        let mut t = SpanTracer::new();
-        let a = t.track("x");
-        t.begin(a, 0, "open", "c").unwrap(); // op 1, never closed
-        let err = t.finish().unwrap_err();
-        assert_eq!(err.op, 1);
-        assert_eq!(err.kind, TraceErrorKind::UnclosedSpan);
-    }
-
-    #[test]
-    fn end_cannot_orphan_children() {
-        let mut t = SpanTracer::new();
-        let a = t.track("x");
-        t.begin(a, 0, "outer", "c").unwrap();
-        t.complete(a, 2, 8, "child", "c").unwrap();
-        let err = t.end(a, 6).unwrap_err(); // child ends at 8
-        assert!(matches!(
-            err.kind,
-            TraceErrorKind::EndBeforeStart { at: 6, min: 8 }
-        ));
-        t.end(a, 8).unwrap();
-        t.finish().unwrap();
+    fn a_misnested_recording_is_a_named_check_failure_not_a_panic() {
+        type Record = fn(&mut SpanTracer, TrackId);
+        let cases: [(&str, Record); 4] = [
+            (
+                "\"late child\" [2, 12) at depth 1 escapes its parent \"outer\" [0, 10) at depth 0",
+                |t, x| {
+                    let m = t.mark();
+                    t.span(x, 2, 12, "late child", "c");
+                    t.enclose(x, m, 0, 10, "outer", "c");
+                },
+            ),
+            (
+                "\"early child\" [2, 4) at depth 1 escapes its parent \"outer\" [5, 10) at depth 0",
+                |t, x| {
+                    let m = t.mark();
+                    t.span(x, 2, 4, "early child", "c");
+                    t.enclose(x, m, 5, 10, "outer", "c");
+                },
+            ),
+            (
+                "\"s2\" [5, 8) at depth 0 overlaps its sibling \"s1\" [0, 10) at depth 0",
+                |t, x| {
+                    t.span(x, 0, 10, "s1", "c");
+                    t.span(x, 5, 8, "s2", "c");
+                },
+            ),
+            (
+                "\"backwards\" [9, 3) at depth 0 ends before it starts",
+                |t, x| {
+                    t.span(x, 9, 3, "backwards", "c");
+                },
+            ),
+        ];
+        for (want, record) in cases {
+            let mut t = SpanTracer::new();
+            let x = t.track("x");
+            record(&mut t, x);
+            let trace = t.finish();
+            crate::json::validate(&trace.to_perfetto_json(3)).expect("still exports");
+            let err = trace.check_nesting().unwrap_err();
+            assert!(err.starts_with("track \"x\": "), "{err}");
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -777,9 +637,9 @@ mod tests {
     fn wait_spans_render_but_do_not_count_as_busy() {
         let mut t = SpanTracer::new();
         let a = t.track("copy1");
-        t.complete(a, 0, 10, "arbitration", CAT_WAIT).unwrap();
-        t.complete(a, 10, 30, "dma", "dma").unwrap();
-        let trace = t.finish().unwrap();
+        t.span(a, 0, 10, "arbitration", CAT_WAIT);
+        t.span(a, 10, 30, "dma", "dma");
+        let trace = t.finish();
         assert_eq!(trace.busy_ns(0, 0, 30), 20);
         assert!(trace.to_perfetto_json(3).contains("arbitration"));
     }
@@ -817,11 +677,17 @@ mod tests {
         assert!(Trace::from_jsonl(&bad)
             .unwrap_err()
             .contains("out of range"));
+        // a span with nothing one level above it parses, and fails the check
+        let orphan = format!("{good}{{\"track\":0,\"name\":\"x\",\"cat\":\"c\",\"start_ns\":9,\"dur_ns\":1,\"depth\":2}}\n");
+        let (trace, _) = Trace::from_jsonl(&orphan).unwrap();
+        let err = trace.check_nesting().unwrap_err();
+        assert!(err.contains("has no span one level above"), "{err}");
     }
 
     #[test]
     fn empty_trace_exports_validate() {
-        let trace = SpanTracer::new().finish().unwrap();
+        let trace = SpanTracer::new().finish();
+        trace.check_nesting().unwrap();
         crate::json::validate(&trace.to_perfetto_json(3)).unwrap();
         let (back, _) = Trace::from_jsonl(&trace.to_jsonl(3)).unwrap();
         assert_eq!(back, trace);
@@ -833,116 +699,89 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One step of a walk over a span forest: each track has its own clock
+    /// and its own chain of open parents; steps of different tracks
+    /// interleave freely.
     #[derive(Clone, Debug)]
-    enum Op {
-        Begin { track: u8, t: u64 },
-        End { track: u8, t: u64 },
-        Complete { track: u8, s: u64, d: u64 },
+    enum Step {
+        /// A childless span `gap` after the track's clock, `dur` long.
+        Leaf { track: usize, gap: u64, dur: u64 },
+        /// A parent opens `gap` after the track's clock.
+        Open { track: usize, gap: u64 },
+        /// The innermost open parent closes `gap` after the clock.
+        Close { track: usize, gap: u64 },
     }
 
-    fn arb_op() -> impl Strategy<Value = Op> {
+    fn arb_step() -> impl Strategy<Value = Step> {
         prop_oneof![
-            (0u8..3, 0u64..1000).prop_map(|(track, t)| Op::Begin { track, t }),
-            (0u8..3, 0u64..1000).prop_map(|(track, t)| Op::End { track, t }),
-            (0u8..3, 0u64..1000, 0u64..100).prop_map(|(track, s, d)| Op::Complete { track, s, d }),
+            (0usize..3, 0u64..20, 1u64..50).prop_map(|(track, gap, dur)| Step::Leaf {
+                track,
+                gap,
+                dur
+            }),
+            (0usize..3, 0u64..20).prop_map(|(track, gap)| Step::Open { track, gap }),
+            (0usize..3, 0u64..20).prop_map(|(track, gap)| Step::Close { track, gap }),
         ]
     }
 
-    /// The forest invariants a finished trace must satisfy on each track:
-    /// spans sorted, children strictly inside parents, siblings disjoint.
-    fn assert_well_formed(trace: &Trace) {
-        for track in 0..trace.tracks().len() {
-            // Stack replay: a span at depth d must be contained in the
-            // current open chain of depth d-1.
-            let mut stack: Vec<(u64, u64)> = Vec::new();
-            for s in trace.track_spans(track) {
-                stack.truncate(s.depth as usize);
-                if let Some(&(ps, pe)) = stack.last() {
-                    assert!(ps <= s.start_ns && s.end_ns <= pe, "child escapes parent");
+    /// `(track, start, end, depth)` of every span of the forest in the order
+    /// a finished trace must list them — per track, parents before their
+    /// children, siblings by time — next to the tracer the forest was
+    /// recorded into the only way a caller can: leaves as they happen,
+    /// a parent when it closes, over a mark taken when it opened.
+    fn record(steps: &[Step]) -> (Vec<(usize, u64, u64, u32)>, SpanTracer) {
+        let mut tracer = SpanTracer::new();
+        let ids: Vec<TrackId> = (0..3).map(|t| tracer.track(&format!("t{t}"))).collect();
+        let mut clock = [0u64; 3];
+        // per track: (start, mark, position in `forest`) of each open parent
+        let mut open: [Vec<(u64, usize, usize)>; 3] = Default::default();
+        let mut forest = Vec::new();
+        let closes = (0..3)
+            .flat_map(|track| std::iter::repeat_n(Step::Close { track, gap: 1 }, steps.len()));
+        for step in steps.iter().cloned().chain(closes) {
+            match step {
+                Step::Leaf { track, gap, dur } => {
+                    let (start, end) = (clock[track] + gap, clock[track] + gap + dur);
+                    tracer.span(ids[track], start, end, "leaf", "c");
+                    forest.push((track, start, end, open[track].len() as u32));
+                    clock[track] = end;
                 }
-                assert!(s.start_ns <= s.end_ns);
-                stack.push((s.start_ns, s.end_ns));
-            }
-            // Depth-0 spans are disjoint and ordered.
-            let mut last_end = 0;
-            for s in trace.track_spans(track).filter(|s| s.depth == 0) {
-                assert!(s.start_ns >= last_end, "top-level spans overlap");
-                last_end = s.end_ns;
+                Step::Open { track, gap } => {
+                    clock[track] += gap;
+                    let depth = open[track].len() as u32;
+                    open[track].push((clock[track], tracer.mark(), forest.len()));
+                    forest.push((track, clock[track], 0, depth));
+                }
+                Step::Close { track, gap } => {
+                    let Some((start, mark, at)) = open[track].pop() else {
+                        continue;
+                    };
+                    clock[track] += gap;
+                    tracer.enclose(ids[track], mark, start, clock[track], "parent", "c");
+                    forest[at].2 = clock[track];
+                }
             }
         }
+        forest.sort_by_key(|s| s.0); // stable: per track, the walk's order
+        (forest, tracer)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Arbitrary interleavings of begin/end/complete either build a
-        /// well-formed forest or fail with the index of the bad operation.
+        /// The property the recorder rests on: any forest, recorded in
+        /// close order with the tracks interleaved, comes back from
+        /// `finish` with every span at its depth and in its place, passes
+        /// the nesting check and round-trips through JSONL.
         #[test]
-        fn interleavings_forest_or_line_numbered_error(ops in proptest::collection::vec(arb_op(), 0..40)) {
-            let mut tracer = SpanTracer::new();
-            let mut applied: u64 = 0;
-            let mut failed_at: Option<u64> = None;
-            for op in &ops {
-                applied += 1;
-                let r = match *op {
-                    Op::Begin { track, t } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.begin(id, t, "span", "c")
-                    }
-                    Op::End { track, t } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.end(id, t)
-                    }
-                    Op::Complete { track, s, d } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.complete(id, s, s + d, "span", "c")
-                    }
-                };
-                if let Err(e) = r {
-                    // The error is pinned to exactly the op that failed.
-                    prop_assert_eq!(e.op, applied);
-                    failed_at = Some(applied);
-                    break;
-                }
-            }
-            match tracer.finish() {
-                Ok(trace) => assert_well_formed(&trace),
-                Err(e) => {
-                    // Only unclosed spans can fail finish, and the op index
-                    // points inside the applied prefix.
-                    prop_assert_eq!(e.kind, TraceErrorKind::UnclosedSpan);
-                    prop_assert!(e.op <= failed_at.unwrap_or(applied));
-                }
-            }
-        }
-
-        /// Whatever survives recording round-trips through JSONL.
-        #[test]
-        fn surviving_traces_round_trip(ops in proptest::collection::vec(arb_op(), 0..40)) {
-            let mut tracer = SpanTracer::new();
-            for op in &ops {
-                let ok = match *op {
-                    Op::Begin { track, t } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.begin(id, t, "span", "c").is_ok()
-                    }
-                    Op::End { track, t } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.end(id, t).is_ok()
-                    }
-                    Op::Complete { track, s, d } => {
-                        let id = tracer.track(&format!("t{track}"));
-                        tracer.complete(id, s, s + d, "span", "c").is_ok()
-                    }
-                };
-                if !ok {
-                    break;
-                }
-            }
-            if let Ok(trace) = tracer.finish() {
-                let (back, _) = Trace::from_jsonl(&trace.to_jsonl(3)).unwrap();
-                prop_assert_eq!(back, trace);
-            }
+        fn a_forest_recorded_in_close_order_is_reproduced(steps in proptest::collection::vec(arb_step(), 0..60)) {
+            let (forest, tracer) = record(&steps);
+            let trace = tracer.finish();
+            let got: Vec<_> = trace.spans().iter().map(|s| (s.track, s.start_ns, s.end_ns, s.depth)).collect();
+            prop_assert_eq!(got, forest);
+            prop_assert_eq!(trace.check_nesting(), Ok(()));
+            let (back, _) = Trace::from_jsonl(&trace.to_jsonl(3)).unwrap();
+            prop_assert_eq!(back, trace);
         }
     }
 }

@@ -60,6 +60,4 @@ pub use pool::{
 };
 pub use scan::exclusive_scan_in_place;
 pub use scratch::{with_scratch, Scratch};
-pub use workers::{
-    dispatch_mode, pool_stats, reset_pool_stats, set_dispatch_mode, DispatchMode, PoolStats,
-};
+pub use workers::{dispatch_mode, pool_stats, set_dispatch_mode, DispatchMode, PoolStats};

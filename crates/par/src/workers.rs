@@ -30,9 +30,9 @@
 //! # Dispatch modes
 //!
 //! [`DispatchMode::Persistent`] is the default. The pre-pool behaviour is
-//! kept as [`DispatchMode::Spawn`] for A/B measurement (the `wallclock`
-//! bench binary flips between them in one process); the `ASCETIC_POOL`
-//! environment variable (`spawn` | `persistent`) selects the initial mode.
+//! kept as [`DispatchMode::Spawn`] for A/B measurement (CI runs the par and
+//! algos suites under it); the `ASCETIC_POOL` environment variable
+//! (`spawn` | `persistent`) selects the initial mode.
 //! The mode is read at each job boundary, never mid-job.
 //!
 //! # The one unsafe block
@@ -129,7 +129,7 @@ fn observe_job_wall(ns: u64) {
 ///
 /// Everything here is **wall-clock derived and host-dependent** — it must
 /// never feed the deterministic `RunReport` metrics, only side-channel
-/// telemetry (`--pool-metrics`, the `wallclock` bench).
+/// telemetry (`--pool-metrics`, the `benchmark/` harness's `par.*` layer).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolStats {
     /// Persistent workers currently alive (gauge; excludes submitters).
@@ -167,20 +167,6 @@ pub fn pool_stats() -> PoolStats {
         job_wall_count: JOB_WALL_COUNT.load(Ordering::Relaxed),
         job_wall_sum_ns: JOB_WALL_SUM_NS.load(Ordering::Relaxed),
         job_wall_ns_buckets: buckets,
-    }
-}
-
-/// Zero every counter except the live-worker gauge (used by the `wallclock`
-/// bench between A/B measurements).
-pub fn reset_pool_stats() {
-    JOBS_PERSISTENT.store(0, Ordering::Relaxed);
-    JOBS_SPAWN.store(0, Ordering::Relaxed);
-    JOBS_INLINE.store(0, Ordering::Relaxed);
-    CHUNKS_SERVED.store(0, Ordering::Relaxed);
-    JOB_WALL_COUNT.store(0, Ordering::Relaxed);
-    JOB_WALL_SUM_NS.store(0, Ordering::Relaxed);
-    for a in JOB_WALL_NS.iter() {
-        a.store(0, Ordering::Relaxed);
     }
 }
 

@@ -657,13 +657,6 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         Some(replica_ns)
     }
 
-    /// A closed span on `track`.
-    fn span(&mut self, track: TrackId, start: u64, end: u64, name: &str, cat: &str) {
-        self.tracer
-            .complete(track, start, end, name, cat)
-            .expect("a track's spans are laid down in clock order");
-    }
-
     /// Account the run: advance the device's clock, bump the serve-level
     /// tallies, and give each batch member its report — the run's
     /// `RunReport` with its own lane as the output. The latency
@@ -682,10 +675,10 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         let finish = start + run.sim_time_ns - run.prestore_ns + admission_ns;
         if admission.mutate_ns > 0 {
             let name = format!("mutate to epoch {}", at.epoch);
-            self.span(track, at.now, start, &name, "mutate");
+            self.tracer.span(track, at.now, start, &name, "mutate");
         }
         let name = format!("run {} x{lanes}", kind.name());
-        self.span(track, start, finish, &name, "run");
+        self.tracer.span(track, start, finish, &name, "run");
         self.devs[at.device].free_ns = finish;
         self.makespan_ns = self.makespan_ns.max(finish);
 
@@ -753,23 +746,20 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// One job's track: queued → admitted (when the run paid a build) →
     /// running, under a span from submission to finish.
     fn trace_lifecycle(&mut self, job: &Job, start: u64, admitted: u64, finish: u64, lanes: usize) {
-        let track = self.tracer.track(&format!("job {}", job.id));
-        let name = format!("job {} ({})", job.id, job.kind.name());
-        self.tracer
-            .begin(track, job.submit_ns, &name, "job")
-            .expect("job ids are unique");
-        self.span(track, job.submit_ns, start, "queued", "queue");
+        let tr = &mut self.tracer;
+        let track = tr.track(&format!("job {}", job.id));
+        let lifetime = tr.mark();
+        tr.span(track, job.submit_ns, start, "queued", "queue");
         if admitted > start {
-            self.span(track, start, admitted, "admitted", "admission");
+            tr.span(track, start, admitted, "admitted", "admission");
         }
         let running = match lanes {
             1 => "running".to_string(),
             _ => format!("running (batched x{lanes})"),
         };
-        self.span(track, admitted, finish, &running, "run");
-        self.tracer
-            .end(track, finish)
-            .expect("the lifecycle span is the track's only open one");
+        tr.span(track, admitted, finish, &running, "run");
+        let name = format!("job {} ({})", job.id, job.kind.name());
+        tr.enclose(track, lifetime, job.submit_ns, finish, &name, "job");
     }
 
     /// Close the books: the report's tallies are read back from the
@@ -801,7 +791,7 @@ impl<'a, 'g> Scheduler<'a, 'g> {
             mutation_wire_bytes: tally("serve.mutation_wire_bytes"),
             occupancy: session.map(|(_, s)| s.occupancy()).unwrap_or_default(),
             metrics,
-            span_trace: Some(self.tracer.finish().expect("serve spans are complete")),
+            span_trace: Some(self.tracer.finish()),
             jobs: self.jobs,
             rejected: self.rejected,
         }

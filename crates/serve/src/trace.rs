@@ -32,6 +32,7 @@
 //! one atomic batch. The plain [`parse_trace`] stays strict and rejects
 //! mutation lines.
 
+use ascetic_graph::generators::xorshift;
 use ascetic_graph::Mutation;
 use ascetic_obs::json::{self, EdgeRecord, RecordError};
 
@@ -340,18 +341,6 @@ pub fn to_jsonl(jobs: &[Job]) -> String {
         out.push_str("}\n");
     }
     out
-}
-
-/// Deterministic xorshift64*, for source picking in synthetic traces —
-/// the serve layer is virtual-clock deterministic, so its inputs must be
-/// too.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// Generate a mixed serve trace: `n_jobs` jobs cycling through

@@ -39,6 +39,7 @@ fn cfg_for(g: &Csr) -> AsceticConfig {
 /// `(makespan_ns, fnv(to_json), fnv(span trace JSONL))`.
 fn observe(rep: &ServeReport) -> (u64, u64, u64) {
     let trace = rep.span_trace.as_ref().expect("serve always traces");
+    assert_eq!(trace.check_nesting(), Ok(()), "every pinned trace nests");
     (
         rep.makespan_ns,
         fnv(&rep.to_json()),

@@ -20,7 +20,7 @@ use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
 use crate::time::SimTime;
 use crate::timeline::{CopyStream, Engine, Span, Timeline};
-use ascetic_obs::{Event, Obs, XferDir};
+use ascetic_obs::{Event, Obs, XferDir, DEFAULT_EVENT_CAPACITY};
 
 /// A simulated GPU with its host-side engines.
 ///
@@ -33,7 +33,7 @@ use ascetic_obs::{Event, Obs, XferDir};
 /// let c = gpu.h2d_at(buf, &[1, 2, 3, 4], SimTime::ZERO);
 /// assert_eq!(k.start, c.start);
 /// assert_eq!(gpu.mem.words(buf), &[1, 2, 3, 4]); // data really moved
-/// assert_eq!(gpu.obs.registry.counter("xfer.h2d_bytes"), 16); // and was accounted
+/// assert_eq!(gpu.obs.registry.counter("xfer.h2d_bytes"), Some(16)); // and was accounted
 /// ```
 pub struct Gpu {
     /// Static configuration / cost models.
@@ -43,8 +43,8 @@ pub struct Gpu {
     /// Engine timeline.
     pub timeline: Timeline,
     /// Telemetry bundle: the live metric registry — where every transfer
-    /// and kernel is counted, once — plus an optional event log (enable
-    /// with `obs.enable_events`; off by default).
+    /// and kernel is counted, once — plus an optional event log (armed by
+    /// [`Gpu::armed`]; off by default).
     pub obs: Obs,
     /// Lazily-minted second copy stream for speculative transfers.
     prefetch_stream: Option<CopyStream>,
@@ -111,10 +111,17 @@ impl Xfer {
 }
 
 impl Gpu {
-    /// A fresh device with span tracing enabled.
-    pub fn new_traced(config: DeviceConfig) -> Self {
+    /// A fresh device armed as a run asked: span tracing on the timeline
+    /// when `tracing`, a [`DEFAULT_EVENT_CAPACITY`] event log when
+    /// `events`. Both stay armed when a report takes what they recorded.
+    pub fn armed(config: DeviceConfig, tracing: bool, events: bool) -> Self {
         let mut g = Self::new(config);
-        g.timeline.enable_tracing();
+        if tracing {
+            g.timeline.enable_tracing();
+        }
+        if events {
+            g.obs.enable_events(DEFAULT_EVENT_CAPACITY);
+        }
         g
     }
 
@@ -130,9 +137,9 @@ impl Gpu {
     }
 
     /// The dedicated prefetch copy stream, minted on first use. Operations
-    /// issued through it ([`Gpu::prefetch_dma_at`]) queue FIFO among
-    /// themselves but share the one physical link with the default stream
-    /// (see [`crate::timeline::CopyStream`]).
+    /// issued through it ([`Xfer::Prefetch`]) queue FIFO among themselves
+    /// but share the one physical link with the default stream (see
+    /// [`crate::timeline::CopyStream`]).
     pub fn stream(&mut self) -> CopyStream {
         match self.prefetch_stream {
             Some(s) => s,
@@ -142,14 +149,6 @@ impl Gpu {
                 s
             }
         }
-    }
-
-    /// Speculative H2D refresh of `bytes` for `chunk` on the prefetch
-    /// stream, ready at `ready` — [`Xfer::Prefetch`] through
-    /// [`Gpu::ship_at`]. The caller moves the payload itself (the static
-    /// region's data-plane load/swap).
-    pub fn prefetch_dma_at(&mut self, chunk: u64, bytes: u64, ready: SimTime) -> Span {
-        self.ship_at(Xfer::Prefetch { chunk }, bytes, None, ready).0
     }
 
     /// The one link-charge site: schedule a transfer of `bytes` of payload
@@ -204,11 +203,19 @@ impl Gpu {
         };
         if let Some(wire_bytes) = wire {
             let dec_ns = self.config.decompress.decompress_ns(bytes);
+            // only the on-demand chain's launch is its own category; a
+            // region class's decode renders as the kernel it stands in for
+            // (pinned by the trace goldens)
+            let on_demand = matches!(class, Xfer::OnDemand { .. });
+            let cat = if on_demand { "decode" } else { "kernel" };
             decode = self
                 .timeline
-                .schedule_labeled(Engine::Compute, copy.end, dec_ns, || match class {
-                    Xfer::OnDemand { .. } => format!("decompress {bytes}B"),
-                    _ => format!("{stem} decompress {bytes}B"),
+                .schedule_as(Engine::Compute, cat, copy.end, dec_ns, || {
+                    if on_demand {
+                        format!("decompress {bytes}B")
+                    } else {
+                        format!("{stem} decompress {bytes}B")
+                    }
                 });
             let event = Event::CompressedDma {
                 raw_bytes: bytes,
@@ -462,7 +469,7 @@ mod tests {
 
     /// What the device has counted under `name` so far.
     fn counted(g: &Gpu, name: &str) -> u64 {
-        g.obs.registry.counter(name)
+        g.obs.registry.counter(name).unwrap_or(0)
     }
 
     #[test]
@@ -631,7 +638,7 @@ mod tests {
         g.obs.enable_events(64);
         let s1 = g.stream();
         assert_eq!(g.stream(), s1, "stream is minted once");
-        let span = g.prefetch_dma_at(3, 4096, SimTime::ZERO);
+        let (span, _) = g.ship_at(Xfer::Prefetch { chunk: 3 }, 4096, None, SimTime::ZERO);
         assert_eq!(span.duration(), g.config.pcie.transfer_ns(4096));
         assert_eq!(counted(&g, "xfer.h2d_bytes"), 4096);
         assert_eq!(counted(&g, "xfer.h2d_wire_bytes"), 4096);
@@ -647,7 +654,7 @@ mod tests {
         let mut g = small_gpu();
         let p = g.alloc(256).unwrap();
         let c = g.h2d_at(p, &[0u32; 256], SimTime::ZERO);
-        let pf = g.prefetch_dma_at(0, 1024, SimTime::ZERO);
+        let (pf, _) = g.ship_at(Xfer::Prefetch { chunk: 0 }, 1024, None, SimTime::ZERO);
         assert_eq!(pf.start, c.end, "one wire: prefetch waits for the DMA");
         assert_eq!(
             counted(&g, "xfer.h2d_bytes") - counted(&g, "prefetch.bytes"),

@@ -166,10 +166,12 @@ impl Timeline {
     }
 
     /// Take ownership of the hierarchical tracer (used when assembling a
-    /// run report; call [`Timeline::enable_tracing`] again to re-arm for
-    /// a subsequent run on the same timeline).
+    /// run report), leaving a fresh one armed the same way — a traced
+    /// timeline keeps tracing its next run.
     pub fn take_tracer(&mut self) -> Option<SpanTracer> {
-        self.tracer.take()
+        let taken = self.tracer.take()?;
+        self.enable_tracing();
+        Some(taken)
     }
 
     /// Schedule an operation of `dur_ns` on `engine`, not before `ready`.
@@ -179,10 +181,26 @@ impl Timeline {
     }
 
     /// [`Timeline::schedule`] with a lazily-built label recorded when
-    /// tracing is enabled (the closure never runs otherwise).
+    /// tracing is enabled (the closure never runs otherwise), under the
+    /// engine's own span category.
     pub fn schedule_labeled(
         &mut self,
         engine: Engine,
+        ready: SimTime,
+        dur_ns: u64,
+        label: impl FnOnce() -> String,
+    ) -> Span {
+        self.schedule_as(engine, engine.cat(), ready, dur_ns, label)
+    }
+
+    /// [`Timeline::schedule_labeled`] under the span category `cat` — for
+    /// the caller that knows its operation is not the engine's usual kind
+    /// (a decompression launch on the compute engine). A copy is a `dma`
+    /// whatever it carries.
+    pub fn schedule_as(
+        &mut self,
+        engine: Engine,
+        cat: &'static str,
         ready: SimTime,
         dur_ns: u64,
         label: impl FnOnce() -> String,
@@ -196,7 +214,7 @@ impl Timeline {
         self.free_at[i] = end;
         self.busy_ns[i] += dur_ns;
         self.horizon = self.horizon.max(end);
-        self.record(engine, None, start, end, dur_ns, label);
+        self.record(engine, None, cat, start, end, label);
         Span { start, end }
     }
 
@@ -226,11 +244,11 @@ impl Timeline {
         if dur_ns > 0 && start > queue_ready {
             if let Some(tr) = self.tracer.as_mut() {
                 let id = tr.track(&copy_stream_track_name(stream.0));
-                tr.complete(id, queue_ready.0, start.0, "link arbitration", CAT_WAIT)
-                    .expect("stream spans are FIFO per track");
+                tr.span(id, queue_ready.0, start.0, "link arbitration", CAT_WAIT);
             }
         }
-        self.record(Engine::Copy, Some(stream.0), start, end, dur_ns, label);
+        let (engine, stream) = (Engine::Copy, Some(stream.0));
+        self.record(engine, stream, engine.cat(), start, end, label);
         Span { start, end }
     }
 
@@ -238,12 +256,12 @@ impl Timeline {
         &mut self,
         engine: Engine,
         stream: Option<usize>,
+        cat: &str,
         start: SimTime,
         end: SimTime,
-        dur_ns: u64,
         label: impl FnOnce() -> String,
     ) {
-        let Some(tr) = self.tracer.as_mut().filter(|_| dur_ns > 0) else {
+        let Some(tr) = self.tracer.as_mut().filter(|_| end > start) else {
             return;
         };
         let label = label();
@@ -251,14 +269,12 @@ impl Timeline {
             Some(s) => tr.track(&copy_stream_track_name(s)),
             None => tr.track(engine.name()),
         };
-        let cat = span_cat(engine, &label);
         let name = if label.is_empty() {
             "op"
         } else {
             label.as_str()
         };
-        tr.complete(track, start.0, end.0, name, cat)
-            .expect("engine spans are FIFO per track");
+        tr.span(track, start.0, end.0, name, cat);
     }
 
     /// The instant `engine` next becomes free. For [`Engine::Copy`] this
@@ -325,18 +341,16 @@ impl Engine {
             Engine::Cpu => "Host CPU",
         }
     }
-}
 
-/// Category assigned to an automatically-recorded engine span: the copy
-/// engine moves data (`dma`), the compute engine runs kernels except for
-/// decompression launches (`decode`), and the host CPU does gather /
-/// encode work (`cpu`).
-fn span_cat(engine: Engine, label: &str) -> &'static str {
-    match engine {
-        Engine::Copy => "dma",
-        Engine::Compute if label.starts_with("decompress") => "decode",
-        Engine::Compute => "kernel",
-        Engine::Cpu => "cpu",
+    /// Category of the spans the engine records for its usual work: the
+    /// copy engine moves data, the compute engine runs kernels, the host
+    /// CPU gathers and encodes.
+    fn cat(self) -> &'static str {
+        match self {
+            Engine::Copy => "dma",
+            Engine::Compute => "kernel",
+            Engine::Cpu => "cpu",
+        }
     }
 }
 
@@ -410,7 +424,7 @@ mod tests {
 
     /// Everything `tl`'s tracer recorded, as Perfetto JSON.
     fn perfetto(tl: &mut Timeline) -> String {
-        let trace = tl.take_tracer().unwrap().finish().unwrap();
+        let trace = tl.take_tracer().unwrap().finish();
         trace.to_perfetto_json(1)
     }
 
@@ -424,7 +438,7 @@ mod tests {
         tl.enable_tracing();
         tl.schedule_labeled(Engine::Compute, SimTime::ZERO, 100, || "kernel".into());
         tl.schedule_labeled(Engine::Copy, SimTime::ZERO, 0, || "empty".into()); // zero-dur skipped
-        let trace = tl.take_tracer().unwrap().finish().unwrap();
+        let trace = tl.take_tracer().unwrap().finish();
         assert_eq!(trace.spans().len(), 1);
         assert_eq!(trace.spans()[0].name, "kernel");
         let compute = trace.track_index(Engine::Compute.name()).unwrap();
@@ -552,8 +566,10 @@ mod tests {
         // Prefetch issued at t=0 must wait for the link until t=100.
         tl.schedule_copy(pf, SimTime::ZERO, 50, || "prefetch b".into());
         tl.schedule_labeled(Engine::Compute, SimTime(100), 80, || "kernel".into());
-        tl.schedule_labeled(Engine::Compute, SimTime::ZERO, 20, || "decompress x".into());
-        let trace = tl.take_tracer().unwrap().finish().unwrap();
+        tl.schedule_as(Engine::Compute, "decode", SimTime::ZERO, 20, || {
+            "decompress x".into()
+        });
+        let trace = tl.take_tracer().unwrap().finish();
         // Track order: streams first (creation order), then engines.
         assert_eq!(
             trace.tracks(),

@@ -119,10 +119,13 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a of the span trace's JSONL export.
+/// FNV-1a of the span trace's JSONL export — of a trace that keeps the
+/// nesting contract, which recording no longer enforces.
 fn trace_fp(trace: Option<&Trace>) -> u64 {
+    let trace = trace.expect("tracing armed");
+    trace.check_nesting().expect("every pinned trace nests");
     let mut h = FNV_OFFSET;
-    fnv(&mut h, trace.expect("tracing armed").to_jsonl(1).as_bytes());
+    fnv(&mut h, trace.to_jsonl(1).as_bytes());
     h
 }
 
