@@ -122,7 +122,7 @@ fn thread_sweep_is_bit_identical_for_all_systems_on_rmat() {
 #[test]
 fn compression_modes_are_bit_identical_across_thread_counts() {
     use ascetic::baselines::SubwaySystem;
-    use ascetic::core::{CompressionMode, ReplacementPolicy};
+    use ascetic::core::CompressionMode;
     use ascetic::graph::generators::{rmat_graph, RmatConfig};
 
     let g = rmat_graph(&RmatConfig::new(11, 80_000, 42));
@@ -139,12 +139,9 @@ fn compression_modes_are_bit_identical_across_thread_counts() {
             .iter()
             .flat_map(|&mode| {
                 let asc = AsceticSystem::new(
-                    // the replacement server named: its refreshes are the
-                    // chunk-sized transfers `refresh_wire_bytes` compares
                     AsceticConfig::new(dev)
                         .with_chunk_bytes(1024)
-                        .with_compression(mode)
-                        .with_replacement(ReplacementPolicy::LastIteration),
+                        .with_compression(mode),
                 );
                 let sw = SubwaySystem::new(dev).with_compression(mode);
                 [
@@ -162,7 +159,6 @@ fn compression_modes_are_bit_identical_across_thread_counts() {
         for (a, b) in base.iter().zip(&sweep) {
             assert_identical(a, b);
             assert_eq!(a.prestore_wire_bytes, b.prestore_wire_bytes);
-            assert_eq!(a.refresh_wire_bytes, b.refresh_wire_bytes);
             assert_eq!(
                 a.metrics, b.metrics,
                 "{}/{} metrics must not depend on host threads ({} vs 1)",

@@ -17,8 +17,8 @@ use ascetic::algos::reference::pagerank_reference;
 use ascetic::algos::{AlgoOutput, Betweenness, Bfs, Cc, PageRank, Sssp, VertexProgram};
 use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::{
-    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FillPolicy,
-    FleetConfig, FleetRunReport, OutOfCoreSystem, PrefetchMode, ReplacementPolicy, RunReport,
+    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FleetConfig,
+    FleetRunReport, OutOfCoreSystem, PrefetchMode, RunReport,
 };
 use ascetic::graph::datasets::weighted_variant;
 use ascetic::graph::generators::{web_graph, WebConfig};
@@ -45,41 +45,36 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// SSSP(0) (`repartitions` 4 → 0). The metrics hash of every row was
 /// re-harvested once more when `region.resident_runs`,
 /// `iterations.both_regions` and `repartitions.declined` joined the
-/// snapshot (the other seven columns did not move). The last three rows
-/// pin the default configuration — no reactive swaps, Eq (3) on whole-run
-/// evidence — and were harvested on the commit that made it the default.
-/// The last row (lazy loads and swaps through the encoded chain, events
-/// armed) was harvested on PR 20, the commit before every region op went
-/// through one issue site. The metrics hash (the event log rides in it) of
-/// that row and of the BC fleet row — the two with events armed and region
-/// ops issued — was re-harvested when `LazyLoad` / `HotSwap` events began
-/// to carry their DMA's start time instead of their window's
-/// (`0xe7fd5d9a64f1cb75` → `0x3bfd070bab667551`, `0xf9c0e0a8ad16f835` →
-/// `0x179cf0225a0b3b81`; the other seven columns did not move). The two UVM
-/// rows were re-harvested when a page migration began to book its bytes on
-/// the wire column as well (they cross the link raw): `h2d_wire_bytes`
-/// 0 → 381952 in both, metrics hash `0x2bb2a6b57e4747fd` →
-/// `0x3593b9c0c54fa355` and `0x85378e5788ac55c4` → `0x0ca216dc4fca5630`;
-/// nothing on the virtual clock and no span moved.
+/// snapshot (the other seven columns did not move). The two UVM rows were
+/// re-harvested when a page migration began to book its bytes on the wire
+/// column as well (they cross the link raw): `h2d_wire_bytes` 0 → 381952 in
+/// both, metrics hash `0x2bb2a6b57e4747fd` → `0x3593b9c0c54fa355` and
+/// `0x85378e5788ac55c4` → `0x0ca216dc4fca5630`; nothing on the virtual
+/// clock and no span moved. The twelve rows the opt-in replacement server
+/// used to move (every push row without prefetch, and the BC fleet) were
+/// re-harvested on PR 25, the commit before the server was deleted, once
+/// `cfg_for` stopped naming it; the lazy-fill rows went with lazy fill, and
+/// the default-configuration BFS(0) and PR rows, now equal to rows 1 and 7.
+/// The last row, harvested then too, pins every surviving region class
+/// through the event log.
 #[rustfmt::skip]
-const GOLDEN: [(&str, Virt); 29] = [
-    ("BFS(0)", (1771089, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xc68376c547b15afd, 0xa020efac9d2819b5)),
-    ("BFS(1777)", (1648669, 271720, 25, 52, 129, 0x16fd92c0332e67f7, 0x72e5047317502e6e, 0x62262bb9408a3992)),
-    ("BFS(4242)", (1844028, 272516, 31, 53, 134, 0x6ef9d11362d6a739, 0x5feeaa0cf3904389, 0xbe5659c8d1b276dd)),
-    ("BFS(0) again", (1750944, 270960, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x22455d2c49bc2477, 0x5f06e880a1103d8a)),
-    ("CC", (3623831, 2310800, 96, 51, 198, 0xff29483f185f2a2c, 0xc0b51c91087a08f6, 0x1cd09ab4706811d1)),
-    ("SSSP(0)", (5336468, 3863880, 107, 101, 309, 0x478264cf27d5749d, 0x2ccd1b205a09cf04, 0x94819ce5877afc47)),
-    ("PR push", (10155726, 7777592, 319, 74, 467, 0xd33b43eeeabd4a45, 0xa8f9002f8bd4d661, 0xe3946df40b4d6e16)),
+const GOLDEN: [(&str, Virt); 26] = [
+    ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x00a69a788ea40ab6)),
+    ("BFS(1777)", (1644753, 271620, 25, 52, 129, 0x16fd92c0332e67f7, 0xd33a51165471a8e4, 0x61a288ff62c14533)),
+    ("BFS(4242)", (1839901, 271620, 31, 53, 134, 0x6ef9d11362d6a739, 0x5426c1a4b9d05b15, 0xeb3f15feec11c74e)),
+    ("BFS(0) again", (1747428, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x97ba4dc38867eb66, 0x9c07814a76d519c0)),
+    ("CC", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0xa6caebfbf2ba56de, 0x7777842a2f483a36)),
+    ("SSSP(0)", (5202035, 4200232, 114, 101, 316, 0x478264cf27d5749d, 0x317c1fe878595818, 0x3918cf9913814e37)),
+    ("PR push", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x126b0d107061ed39)),
     ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0xcd02a92123c9af5e)),
     ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x1e2ba97c7a847a0a)),
     ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0x2986cf1bf0cbb31b)),
-    ("BFS(0) push, compression always", (1924821, 106850, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xdf80c53457683f57, 0x1be43fee6b6b013f)),
-    ("CC push, compression always", (3970805, 908601, 96, 51, 198, 0xff29483f185f2a2c, 0xad6a02e1cd034ad1, 0x72401d0d801e3f2e)),
+    ("BFS(0) push, compression always", (1914717, 106850, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xf02ea7157962b48e, 0xf7df95fad73d1acd)),
+    ("CC push, compression always", (4115223, 1033346, 108, 51, 210, 0xff29483f185f2a2c, 0x29010ae252d2a33e, 0xa8549d1e02f1d891)),
     ("BFS(0) forced pull, compression always", (6359942, 1625293, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x49a0b1569c75fe2b, 0x699f254395daefb4)),
     ("CC forced pull, compression always", (6314359, 1625293, 179, 51, 230, 0xff29483f185f2a2c, 0x260b69118ee86f00, 0x87065f965355c359)),
-    ("PR lazy fill", (11833706, 8591208, 461, 74, 493, 0xd33b43eeeabd4a45, 0x833143172c77cb3e, 0x6ac4db6c110f3819)),
-    ("BFS(0) overlap off", (1993919, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x3d1bd9ea1b1d8335, 0xf3581e9ae6df3885)),
-    ("CC od_buffers=2", (5256638, 2270408, 175, 51, 277, 0xff29483f185f2a2c, 0xa3bc09c8acf5c187, 0x36272467f92841fe)),
+    ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb03046e0c5589ba2, 0x60b07a1a27b2a182)),
+    ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x9d566e7009cad9fe, 0x237a6dbe466aedc4)),
     ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0xdbe8c828c876905a)),
     ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x319b907d63ac72d0)),
     ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0xd5889d6c2e3f80f2, 0xfe669ca259d4a336)),
@@ -87,27 +82,18 @@ const GOLDEN: [(&str, Virt); 29] = [
     ("UVM BFS(0), bulk prefetch", (531918, 381952, 0, 51, 51, 0x1f2c1ab87e045bfe, 0xf312d64ff2c29414, 0x0ca216dc4fca5630)),
     ("Subway BFS(0) raw", (2769697, 405804, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x89ff1533b6e9e203, 0x1d16c04e6cd26036)),
     ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0x2eb7ce13dce355c0)),
-    ("BC(0) 2-device NVLink", (3289961, 181024, 72, 100, 408, 0xd504c1a8d3152869, 0x44c58d6f1ba6a709, 0x179cf0225a0b3b81)),
-    ("default: BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x00a69a788ea40ab6)),
-    ("default: CC after BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
-    ("default: PR", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x126b0d107061ed39)),
-    ("PR lazy fill, compression always, events", (13008850, 3368730, 461, 74, 493, 0xd33b43eeeabd4a45, 0x855ec9b5ffb504c5, 0x3bfd070bab667551)),
+    ("BC(0) 2-device NVLink", (3271292, 181480, 72, 100, 408, 0xd504c1a8d3152869, 0xaf0c76aa9008c633, 0x51324e4bdd478f93)),
+    ("CC after one BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
+    ("PR compression always + next-frontier prefetch, events armed", (8681293, 2587362, 438, 74, 400, 0xd33b43eeeabd4a45, 0xb0e3aa2c1294ea14, 0x05fc1e0fd8d49ce3)),
 ];
 
 /// The default configuration on a device ~40 % of the edges fit in, so
 /// both regions work.
-fn default_cfg(g: &Csr) -> AsceticConfig {
+fn cfg_for(g: &Csr) -> AsceticConfig {
     let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 2 / 5);
     AsceticConfig::new(dev)
         .with_chunk_bytes(1024)
         .with_tracing(true)
-}
-
-/// [`default_cfg`] with the opt-in replacement server named, so the rows
-/// built on it keep pinning its `Xfer::Refresh` arm whatever the
-/// default policy is.
-fn cfg_for(g: &Csr) -> AsceticConfig {
-    default_cfg(g).with_replacement(ReplacementPolicy::LastIteration)
 }
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -229,8 +215,7 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
         &pr,
     )));
     // The arms no benchmark workload reaches: forced encoding in both
-    // directions (one warm session each, so CC also sees refreshes priced
-    // by the BFS's wire cache), lazy fill, the no-overlap lane layout, a
+    // directions (one warm session each), the no-overlap lane layout, a
     // split on-demand slab, and Subway's compressed subgraph shipping.
     let always = cfg_for(g).with_compression(CompressionMode::Always);
     for cfg in [always, always.with_direction(DirectionMode::Pull)] {
@@ -238,7 +223,6 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
         out.push(go(&mut s, &Bfs::new(0)));
         out.push(go(&mut s, &Cc::new()));
     }
-    out.push(cold(cfg_for(g).with_fill(FillPolicy::Lazy)));
     let bfs_cold = |cfg: AsceticConfig| virt(&AsceticSession::new(cfg, g).run(&Bfs::new(0)));
     out.push(bfs_cold(cfg_for(g).with_overlap(false)));
     out.push(virt(
@@ -287,23 +271,20 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
         g,
         &bc,
     )));
-    // The default configuration, no policy named: a warm BFS → CC session
-    // over a region nothing reshapes, and a cold PageRank.
-    let mut session = AsceticSession::new(default_cfg(g), g);
-    out.push(go(&mut session, &Bfs::new(0)));
+    // CC after a single BFS(0): the warm region as one traversal left it.
+    let mut session = AsceticSession::new(cfg_for(g), g);
+    session.run(&Bfs::new(0));
     out.push(go(&mut session, &Cc::new()));
-    out.push(virt(&AsceticSession::new(default_cfg(g), g).run(&pr)));
-    // Every region op through the encoded chain with the event log armed:
-    // lazy loads warm the region, then the replacement server swaps, each
-    // a `CompressedDma` followed by its `LazyLoad` / `HotSwap`.
-    let lazy = cfg_for(g)
-        .with_fill(FillPolicy::Lazy)
+    // Every region class with the event log armed: the prestore through
+    // the encoded chain (`CompressedDma` + `Prestore`), on-demand batches
+    // encoded, and prefetches on their own stream, raw (`PrefetchDma`).
+    let modes = cfg_for(g)
         .with_compression(CompressionMode::Always)
+        .with_prefetch(PrefetchMode::NextFrontier)
         .with_events(true);
-    let lazy = AsceticSession::new(lazy, g).run(&pr);
-    assert!(lazy.metrics.counter("lazy.loads") > Some(0));
-    assert!(lazy.metrics.counter("hotness.swaps") > Some(0));
-    out.push(virt(&lazy));
+    let modes = AsceticSession::new(modes, g).run(&pr);
+    assert!(modes.prefetch_ops > 0 && modes.prestore_wire_bytes < modes.prestore_bytes);
+    out.push(virt(&modes));
     out
 }
 

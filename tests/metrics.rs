@@ -8,7 +8,7 @@
 use ascetic::algos::{Bfs, PageRank};
 use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::report::RunReport;
-use ascetic::core::{AsceticConfig, AsceticSystem, FillPolicy, OutOfCoreSystem, ReplacementPolicy};
+use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem, PrefetchMode};
 use ascetic::graph::datasets::{Dataset, DatasetId, PAPER_GPU_MEM_BYTES};
 use ascetic::obs::Event;
 use ascetic::sim::DeviceConfig;
@@ -132,49 +132,45 @@ fn event_stream_is_clock_ordered_and_valid_json() {
     assert_eq!(starts as u32, rep.iterations);
 }
 
-/// A lazy load or a hot swap is one DMA, and its event says when that DMA
-/// started — not when the replacement server's window opened, which would
-/// stamp every op of a window at one instant.
+/// A prefetch is one DMA on the prefetch stream, and its event says when
+/// that DMA started — not when the iteration's prefetch window opened,
+/// which would stamp every op of a window at one instant.
 #[test]
 fn region_op_events_carry_their_dmas_start_time() {
     let (ds, dev, chunk) = env();
     let cfg = AsceticConfig::new(dev)
         .with_chunk_bytes(chunk)
-        .with_fill(FillPolicy::Lazy)
-        .with_replacement(ReplacementPolicy::LastIteration)
+        .with_prefetch(PrefetchMode::NextFrontier)
         .with_events(true)
         .with_tracing(true);
-    let rep = AsceticSystem::new(cfg).run(&ds.graph, &PageRank::new());
+    let rep = AsceticSystem::new(cfg).run(&ds.graph, &Bfs::new(0));
     let trace = rep.span_trace.as_ref().expect("tracing on");
-    let link = trace
-        .track_index("PCIe copy stream 0")
-        .expect("the default copy stream's track");
+    let stream = trace
+        .track_index("PCIe copy stream 1")
+        .expect("the prefetch stream's track");
     let events = rep.events.as_ref().expect("events on");
-    for stem in ["lazy-load", "refresh"] {
-        let stamps: Vec<(u64, u64)> = events
-            .iter()
-            .filter_map(|e| match e.event {
-                Event::LazyLoad { bytes } if stem == "lazy-load" => Some((e.t_ns, bytes)),
-                Event::HotSwap { bytes, .. } if stem == "refresh" => Some((e.t_ns, bytes)),
-                _ => None,
-            })
-            .collect();
-        assert!(stamps.len() > 1, "{stem}: the run must issue several");
-        for (t_ns, bytes) in &stamps {
-            let name = format!("{stem} {bytes}B");
-            assert!(
-                trace
-                    .track_spans(link)
-                    .any(|s| s.start_ns == *t_ns && s.name == name),
-                "no `{name}` span starts at {t_ns}"
-            );
-        }
-        // DMAs serialize on the link, so no two ops share a stamp
+    let stamps: Vec<(u64, u64, u64)> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::PrefetchDma { chunk, bytes, .. } => Some((e.t_ns, chunk, bytes)),
+            _ => None,
+        })
+        .collect();
+    assert!(stamps.len() > 1, "the run must issue several");
+    for (t_ns, chunk, bytes) in &stamps {
+        let name = format!("prefetch chunk {chunk} ({bytes}B)");
         assert!(
-            stamps.windows(2).all(|w| w[0].0 < w[1].0),
-            "{stem}: stamps must strictly increase"
+            trace
+                .track_spans(stream)
+                .any(|s| s.start_ns == *t_ns && s.name == name),
+            "no `{name}` span starts at {t_ns}"
         );
     }
+    // the stream is FIFO, so no two ops share a stamp
+    assert!(
+        stamps.windows(2).all(|w| w[0].0 < w[1].0),
+        "stamps must strictly increase"
+    );
 }
 
 #[test]

@@ -81,14 +81,15 @@ proptest! {
     #[test]
     fn ascetic_matches_oracle_under_random_configs(
         g in arb_graph(),
-        fill_pick in 0u8..4,
-        repl_pick in 0u8..3,
+        fill_pick in 0u8..3,
+        prefetch in any::<bool>(),
+        compression_pick in 0u8..3,
         overlap in any::<bool>(),
         adaptive in any::<bool>(),
         od_buffers in 1usize..4,
         weighted in any::<bool>(),
     ) {
-        use ascetic::core::{FillPolicy, ReplacementPolicy};
+        use ascetic::core::{CompressionMode, FillPolicy, PrefetchMode};
         use ascetic::algos::Sssp;
         use ascetic::graph::datasets::weighted_variant;
         let g = if weighted { weighted_variant(&g) } else { g };
@@ -96,18 +97,20 @@ proptest! {
         let fill = match fill_pick {
             0 => FillPolicy::Front,
             1 => FillPolicy::Rear,
-            2 => FillPolicy::Random { seed: 7 },
-            _ => FillPolicy::Lazy,
+            _ => FillPolicy::Random { seed: 7 },
         };
-        let repl = match repl_pick {
-            0 => ReplacementPolicy::Disabled,
-            1 => ReplacementPolicy::LastIteration,
-            _ => ReplacementPolicy::Cumulative { stale_threshold: 2 },
+        let prefetch = if prefetch { PrefetchMode::NextFrontier } else { PrefetchMode::Off };
+        let compression = match compression_pick {
+            1 => CompressionMode::Adaptive,
+            // weights ship raw: `always` is an unweighted mode
+            2 if !weighted => CompressionMode::Always,
+            _ => CompressionMode::Off,
         };
         let cfg = AsceticConfig::new(dev)
             .with_chunk_bytes(64)
             .with_fill(fill)
-            .with_replacement(repl)
+            .with_prefetch(prefetch)
+            .with_compression(compression)
             .with_overlap(overlap)
             .with_adaptive(adaptive)
             .with_od_buffers(od_buffers);
