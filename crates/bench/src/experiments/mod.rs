@@ -44,8 +44,7 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "fig10_ratio_sweep"      "Figure 10"          paper::fig10 => "static-region ratio 0..1 on FK, time by component";
     "fig11_memory_sweep"     "Figure 11 (left)"   paper::fig11_memory => "GPU memory at 35-87 % of FK against Subway";
     "fig11_rmat_sweep"       "Figure 11 (right)"  paper::fig11_rmat => "R-MAT graphs of 2.5-12 B paper edges against Subway";
-    "disc_fill_policy"       "§5"                 studies::fill_policy => "front / rear / random / lazy fill of the static region on FK";
-    "disc_replacement"       "§5"                 studies::replacement => "static-region replacement policies on FK";
+    "disc_fill_policy"       "§5"                 studies::fill_policy => "front / rear / random fill of the static region on FK";
     "motivation_stats"       "§1-§2"              studies::motivation => "UVM transfer amplification and Subway GPU idle on FK";
     "ablation_chunk_size"    "§3.4 (extension)"   studies::chunk_size => "2-64 KiB chunks on FK";
     "ablation_k_sweep"       "Eq (2) (extension)" studies::k_sweep => "K from 2 % to 45 % on FK";

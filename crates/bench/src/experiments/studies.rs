@@ -3,7 +3,7 @@
 
 use ascetic_algos::{Bfs, Cc, PageRank};
 use ascetic_baselines::SubwaySystem;
-use ascetic_core::{AsceticConfig, AsceticSession, FillPolicy, ReplacementPolicy, RunReport};
+use ascetic_core::{AsceticConfig, AsceticSession, FillPolicy, RunReport};
 use ascetic_graph::datasets::DatasetId;
 use ascetic_graph::transform::relabel_by_degree;
 
@@ -76,27 +76,17 @@ pub fn motivation(cx: &mut Ctx) {
 
 /// §5, static-region fill policy: "filling up the Static Region with the
 /// front portion, the rear portion, and randomly selected data chunks...
-/// has negligible impact on the performance (less than 5%)". The `lazy`
-/// column (no prestore, chunks adopted on demand) is this repo's.
+/// has negligible impact on the performance (less than 5%)".
 pub fn fill_policy(cx: &mut Ctx) {
     let policies = [
         ("front", FillPolicy::Front),
         ("rear", FillPolicy::Rear),
         ("random", FillPolicy::Random { seed: 42 }),
-        ("lazy", FillPolicy::Lazy),
     ];
     let cfg = cx.env.ascetic_cfg();
     let variants = policies.map(|(name, p)| ascetic(name, cfg.with_fill(p)));
     let mut csv = Table::new(vec!["algo", "policy", "seconds", "total_bytes"]);
-    let mut table = Table::new(vec![
-        "Algo",
-        "Front",
-        "Rear",
-        "Random",
-        "Spread(3)",
-        "Lazy",
-        "Lazy xfer",
-    ]);
+    let mut table = Table::new(vec!["Algo", "Front", "Rear", "Random", "Spread(3)"]);
     for c in cx.sweep(&grid(&[Algo::Bfs, Algo::Cc, Algo::Pr], &FK), &variants) {
         for ((name, _), rep) in policies.iter().zip(&c.reports) {
             csv.row(vec![
@@ -107,86 +97,24 @@ pub fn fill_policy(cx: &mut Ctx) {
             ]);
         }
         let s: Vec<f64> = c.reports.iter().map(|r| r.seconds()).collect();
-        // spread over the three prefill placements (the paper's experiment)
-        let max = s[..3].iter().cloned().fold(f64::MIN, f64::max);
-        let min = s[..3].iter().cloned().fold(f64::MAX, f64::min);
-        let lazy_bytes = c.reports[3].total_bytes_with_prestore();
+        let max = s.iter().cloned().fold(f64::MIN, f64::max);
+        let min = s.iter().cloned().fold(f64::MAX, f64::min);
         table.row(vec![
             c.algo.display().to_string(),
             format!("{:.4}s", s[0]),
             format!("{:.4}s", s[1]),
             format!("{:.4}s", s[2]),
             format!("{:.1}%", (max / min - 1.0) * 100.0),
-            format!("{:.4}s", s[3]),
-            format!(
-                "{:.2}X data",
-                lazy_bytes as f64 / c.graph.edge_bytes() as f64
-            ),
         ]);
     }
     emit_pivot("disc_fill_policy", &table, &csv);
-    println!(
-        "Paper: initial fill placement changes performance by < 5%. The extra 'lazy'\n\
-         column is this reproduction's extension (no prestore, chunks adopted on\n\
-         demand): at these high-coverage workloads the eager prestore wins —\n\
-         lazy pays repeated on-demand shipping while the window-rationed warming\n\
-         catches up. It pays off only when the touched working set is small."
-    );
-}
-
-/// §5, static-region replacement: "does not significantly improve the
-/// performance because the time left for On-demand Engine to update the
-/// Static Region is quite limited... only 28.40% of time is spent in the
-/// On-demand Region, and only about 2% of the total data transfer can be
-/// completed during that time." Measures exactly those three quantities.
-pub fn replacement(cx: &mut Ctx) {
-    let cfg = cx.env.ascetic_cfg();
-    let variants = [
-        ("disabled", ReplacementPolicy::Disabled),
-        ("last-iter", ReplacementPolicy::LastIteration),
-        (
-            "cumulative",
-            ReplacementPolicy::Cumulative { stale_threshold: 3 },
-        ),
-    ]
-    .map(|(name, p)| ascetic(name, cfg.with_replacement(p)));
-    let mut sheet = Sheet::new(&[
-        ("Algo", "algo"),
-        ("Policy", "policy"),
-        ("Time", "seconds"),
-        ("vs disabled", ""),
-        ("Refresh bytes", "refresh_bytes"),
-        ("of total xfer", "total_bytes"),
-        ("OD-compute share", "od_window_frac"),
-    ]);
-    for c in cx.sweep(&grid(&[Algo::Pr, Algo::Cc], &FK), &variants) {
-        for ((name, _), rep) in variants.iter().zip(&c.reports) {
-            let total = rep.total_bytes_with_prestore();
-            let refresh_frac = rep.refresh_bytes as f64 / total.max(1) as f64 * 100.0;
-            let od = rep.breakdown.ondemand_compute_ns as f64 / rep.sim_time_ns as f64 * 100.0;
-            let delta = (c.reports[0].seconds() / rep.seconds() - 1.0) * 100.0;
-            sheet.row(vec![
-                text(c.algo.display()),
-                text(name),
-                secs(rep.seconds()),
-                text(format!("{delta:+.1}%")),
-                text(rep.refresh_bytes),
-                val(format!("{refresh_frac:.1}%"), total),
-                val(format!("{od:.1}%"), format!("{:.4}", od / 100.0)),
-            ]);
-        }
-    }
-    emit("disc_replacement", &sheet);
-    println!(
-        "Paper: replacement gains are small — only ~28.4% of time is on-demand\n\
-         compute and only ~2% of the total transfer fits in that window."
-    );
+    println!("Paper: initial fill placement changes performance by < 5%.");
 }
 
 /// Static-region chunk size. The paper fixes 16 KiB chunks ("amenable to
 /// the PCI-e burst transfer mechanism", §3.4) without studying
 /// alternatives: small chunks track vertex boundaries tightly but cost
-/// more replacement DMAs per byte; large chunks amortize DMA latency but
+/// more DMAs per byte; large chunks amortize DMA latency but
 /// strand coverage on boundary-straddling vertices.
 pub fn chunk_size(cx: &mut Ctx) {
     let cfg = cx.env.ascetic_cfg();

@@ -192,16 +192,15 @@ pub fn compression(cx: &mut Ctx) {
     cx.check_none("adaptive slows down no cell", &slow);
 }
 
-/// The stall time a prefetch can attack: on-demand H2D transfer plus the
-/// replacement server's refresh transfers.
+/// The stall time a prefetch can attack: on-demand H2D transfer.
 fn stall_ns(r: &RunReport) -> u64 {
-    r.breakdown.transfer_ns + r.breakdown.update_ns
+    r.breakdown.transfer_ns
 }
 
 /// The cross-iteration prefetch pipeline (`DESIGN.md` §8) across the
 /// Table 5 grid under `PrefetchMode::{Off, NextFrontier}`.
 /// `next-frontier` must hide ≥ 20 % of the grid's on-demand stall time
-/// (Ttransfer + Tupdate — the work a prefetch can hide under compute; the
+/// (Ttransfer — the work a prefetch can hide under compute; the
 /// speculative refreshes ride the second copy stream inside link slack)
 /// and never increase the simulated time of a cell (its transfers are
 /// budgeted into existing slack and never evict what the next frontier

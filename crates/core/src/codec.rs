@@ -1,7 +1,7 @@
 //! The compressed transfer path: the wire-form rule and its accounting.
 //!
-//! Every eligible H2D edge payload — on-demand gather batches, the
-//! prestore fill, refreshes and lazy loads — can ship either raw 4-byte
+//! Every eligible H2D edge payload — on-demand gather batches and the
+//! prestore fill (prefetches always ship raw) — can ship either raw 4-byte
 //! targets or the delta–varint stream from
 //! [`ascetic_graph::compress::encode_ranges`]. Encoding pays a
 //! decompression kernel on the compute engine, so it only wins when the
@@ -60,9 +60,8 @@ fn chain_times(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64) -> (u64, u64, u64
 /// engine frontiers. A payload a kernel waits on (a gather batch) is
 /// usable no earlier than the compute engine frees up, so queueing the
 /// decode behind a busy engine is free until then; a payload nothing waits
-/// on (prestore, lazy load, refresh) must simply land first, or the
-/// decompression launch could grow the iteration's critical path for no
-/// latency gain.
+/// on (the prestore) must simply land first, or the decompression launch
+/// could grow the critical path for no latency gain.
 pub fn encoded_wins(gpu: &Gpu, ready: SimTime, raw: u64, wire: u64, kernel_waits: bool) -> bool {
     let (decoded_at, raw_at, compute_free) = chain_times(gpu, ready, raw, wire);
     let usable_raw = if kernel_waits {
@@ -84,7 +83,7 @@ pub fn eligible(mode: CompressionMode, g: &Csr) -> Option<CompressionMode> {
 
 /// Account one compression decision on an eligible payload of `raw`
 /// bytes: shipped as `Some(wire)` encoded bytes, or declined.
-pub fn count_decision(reg: &mut Registry, raw: u64, shipped: Option<u64>) {
+fn count_decision(reg: &mut Registry, raw: u64, shipped: Option<u64>) {
     match shipped {
         Some(wire) => {
             reg.counter_add("compress.transfers", 1);
@@ -223,7 +222,6 @@ pub fn estimate_batch_wire(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReplacementPolicy;
     use ascetic_graph::compress::encoded_len;
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
     use ascetic_sim::{DecompressModel, DeviceConfig, PcieModel};
@@ -376,7 +374,7 @@ mod tests {
     fn chunk_wire_bytes_is_cached_and_matches_encode() {
         let g = uniform_graph(200, 2_000, false, 9);
         let geo = ChunkGeometry::with_chunk_bytes(&g, 512);
-        let mut hot = HotnessTable::new(geo.num_chunks(), ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(geo.num_chunks());
         let w0 = chunk_wire_bytes(&g, &geo, 0, &mut hot);
         assert_eq!(hot.cached_wire_bytes(0), Some(w0));
         // second call must come from the cache and agree
@@ -393,7 +391,7 @@ mod tests {
     fn batch_estimate_tracks_actual_encoding_on_web_locality() {
         let g = web_graph(&WebConfig::new(5_000, 50_000, 3));
         let geo = ChunkGeometry::with_chunk_bytes(&g, 1024);
-        let mut hot = HotnessTable::new(geo.num_chunks(), ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(geo.num_chunks());
         let entries: Vec<GatherEntry> = (0..2_000u32)
             .filter(|&v| !g.edge_range(v).is_empty())
             .map(|v| GatherEntry {

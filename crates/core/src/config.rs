@@ -103,7 +103,8 @@ macro_rules! spelled {
 }
 
 /// How the static region is filled before iteration 0 (paper §5 studies
-/// front / rear / random and finds < 5 % spread).
+/// front / rear / random and finds < 5 % spread). After the prestore only
+/// Eq (3) and next-frontier prefetch change the region (`DESIGN.md` §19).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FillPolicy {
     /// Chunks from the front of the edge array (default).
@@ -115,16 +116,6 @@ pub enum FillPolicy {
         /// RNG seed.
         seed: u64,
     },
-    /// No prestore: the region starts empty and *adopts* chunks that show
-    /// on-demand activity, loading them into free slots during the
-    /// on-demand compute window (the replacement server's transfer budget).
-    /// Only chunks the run actually demands are ever loaded — a win when
-    /// the touched working set is a small fraction of the dataset (short
-    /// traversals, selective queries). When most chunks end up touched,
-    /// the eager bulk prestore is cheaper: warming is rationed by the
-    /// overlap window, so early iterations keep re-shipping data the
-    /// region has not adopted yet (measured in `disc_fill_policy`).
-    Lazy,
 }
 
 impl FillPolicy {
@@ -134,16 +125,16 @@ impl FillPolicy {
             FillPolicy::Front => "front",
             FillPolicy::Rear => "rear",
             FillPolicy::Random { .. } => "random",
-            FillPolicy::Lazy => "lazy",
         }
     }
 }
 
 // `random` parses to the seed the CLI has always used
-spelled!(FillPolicy, as_str, Front, Rear, Random { seed: 7 }, Lazy);
+spelled!(FillPolicy, as_str, Front, Rear, Random { seed: 7 });
 
 /// Whether H2D edge payloads are delta–varint encoded before crossing the
-/// link (on-demand batches, prestore fills, refreshes and lazy loads).
+/// link (on-demand batches and the prestore fill; prefetches always ship
+/// raw).
 /// Weighted payloads always ship raw — weights would ride along
 /// uncompressed and dilute the ratio below usefulness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -205,35 +196,6 @@ impl DirectionMode {
 
 spelled!(DirectionMode, as_str, Push, Pull, Adaptive);
 
-/// Static-region chunk replacement policy (paper §3.4, Figure 6).
-///
-/// The reactive server is an opt-in study, not the default (`DESIGN.md`
-/// §19): it evicts residents "not touched this iteration" for chunks just
-/// touched — for a traversal, the swept past for the unexplored future —
-/// and every hole it punches in the contiguous prefix costs later
-/// iterations an on-demand pipeline they did not need. The paper's own §5
-/// finds it "does not significantly improve performance"; in a warm
-/// session it ages the region (`bfs-web`: 52 → 233 H2D ops per BFS over 32
-/// queries at constant bytes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Never replace: the prestored region is a session asset, reused as
-    /// filled by every iteration of every run (paper §4.3). The default.
-    Disabled,
-    /// A chunk is stale once its cumulative access count exceeds the
-    /// threshold — the paper's suggestion for one-shot traversals like BFS
-    /// ("the counter in BFS can record the number of accesses in all of the
-    /// past iterations to determine if the chunk is stale").
-    Cumulative {
-        /// Accesses after which a resident chunk is considered consumed.
-        stale_threshold: u32,
-    },
-    /// A chunk is stale if it was not accessed in the previous iteration —
-    /// the paper's suggestion for PageRank ("determines the status of chunk
-    /// by the number of accesses in the last iteration").
-    LastIteration,
-}
-
 /// Full Ascetic configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct AsceticConfig {
@@ -250,11 +212,6 @@ pub struct AsceticConfig {
     pub overlap: bool,
     /// Initial fill policy.
     pub fill: FillPolicy,
-    /// Static-region replacement policy (default
-    /// [`ReplacementPolicy::Disabled`]: nothing reshapes a warm region on
-    /// one iteration's evidence). Ignored while a prefetch mode is on —
-    /// the prefetch pipeline subsumes the reactive swaps.
-    pub replacement: ReplacementPolicy,
     /// Enable the Eq (3) adaptive re-partition check (judged on the
     /// evidence accumulated since the region last changed size, see
     /// [`crate::ratio::RegionEvidence`]).
@@ -293,7 +250,6 @@ impl AsceticConfig {
             static_ratio_override: None,
             overlap: true,
             fill: FillPolicy::Front,
-            replacement: ReplacementPolicy::Disabled,
             adaptive: true,
             chunk_bytes: 16 * 1024,
             tracing: false,
@@ -327,12 +283,6 @@ impl AsceticConfig {
     /// Builder: set the fill policy.
     pub fn with_fill(mut self, fill: FillPolicy) -> Self {
         self.fill = fill;
-        self
-    }
-
-    /// Builder: set the replacement policy.
-    pub fn with_replacement(mut self, r: ReplacementPolicy) -> Self {
-        self.replacement = r;
         self
     }
 
@@ -500,7 +450,6 @@ mod tests {
             .with_static_ratio(0.5)
             .with_overlap(false)
             .with_fill(FillPolicy::Random { seed: 9 })
-            .with_replacement(ReplacementPolicy::Cumulative { stale_threshold: 3 })
             .with_adaptive(false);
         assert_eq!(c.k, 0.25);
         assert_eq!(c.static_ratio_override, Some(0.5));

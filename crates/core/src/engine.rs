@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! GPU compute :  [GenDataMap][ Static Region compute ][ OD compute b0 ][ b1 ]...
-//! GPU copy    :                 [ H2D b0 ][ H2D b1 ]...        [refresh swaps]
+//! GPU copy    :                 [ H2D b0 ][ H2D b1 ]...
 //! CPU         :                 [ gather b0 ][ gather b1 ]...
 //! ```
 //!
@@ -199,7 +199,7 @@ pub fn finish_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FillPolicy, ReplacementPolicy};
+    use crate::config::FillPolicy;
     use ascetic_algos::inmemory::run_in_memory;
     use ascetic_algos::{Bfs, Cc, PageRank, Sssp};
     use ascetic_graph::datasets::weighted_variant;
@@ -295,48 +295,6 @@ mod tests {
             AsceticSystem::new(base.with_fill(FillPolicy::Random { seed: 3 })).run(&g, &Cc::new());
         assert_eq!(front.output, rear.output);
         assert_eq!(front.output, rand.output);
-    }
-
-    #[test]
-    fn replacement_policies_preserve_results() {
-        let g = uniform_graph(2_000, 15_000, false, 9);
-        let base = cfg_for(&g);
-        let off = AsceticSystem::new(base.with_replacement(ReplacementPolicy::Disabled))
-            .run(&g, &PageRank::new());
-        let last = AsceticSystem::new(base.with_replacement(ReplacementPolicy::LastIteration))
-            .run(&g, &PageRank::new());
-        let cum = AsceticSystem::new(
-            base.with_replacement(ReplacementPolicy::Cumulative { stale_threshold: 2 }),
-        )
-        .run(&g, &PageRank::new());
-        assert_eq!(off.output, last.output);
-        assert_eq!(off.output, cum.output);
-        assert_eq!(off.refresh_bytes, 0);
-    }
-
-    #[test]
-    fn lazy_fill_ships_no_prestore_and_warms_up() {
-        use crate::config::FillPolicy;
-        let g = uniform_graph(2_500, 20_000, false, 21);
-        let cfg = cfg_for(&g).with_fill(FillPolicy::Lazy);
-        let rep = AsceticSystem::new(cfg).run(&g, &PageRank::new());
-        assert_eq!(rep.output, run_in_memory(&g, &PageRank::new()).output);
-        assert_eq!(rep.prestore_bytes, 0, "lazy fill has no prestore");
-        // warming must eventually serve edges from the static region
-        let static_edges: u64 = rep.per_iter.iter().map(|i| i.static_edges).sum();
-        assert!(
-            static_edges > 0,
-            "adopted chunks must serve later iterations"
-        );
-        // and total traffic must stay at or below the eager variant's
-        let eager = AsceticSystem::new(cfg_for(&g)).run(&g, &PageRank::new());
-        assert_eq!(rep.output, eager.output);
-        assert!(
-            rep.total_bytes_with_prestore() <= eager.total_bytes_with_prestore() + g.edge_bytes(),
-            "lazy {} vs eager {}",
-            rep.total_bytes_with_prestore(),
-            eager.total_bytes_with_prestore()
-        );
     }
 
     #[test]

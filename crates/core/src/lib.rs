@@ -8,16 +8,15 @@
 //! distances of iterative graph analytics) and an **On-demand Region** that
 //! receives exactly the active edges the static region does not cover,
 //! gathered by the CPU-side On-demand Engine — with the static-region
-//! compute overlapped against the gather + transfer (Figure 5). The
-//! paper's hotness-driven chunk-replacement server (Figure 6), which
-//! refreshes the static region during on-demand compute, is an opt-in
-//! policy: by default the region is a session asset nothing reshapes
-//! (`DESIGN.md` §19).
+//! compute overlapped against the gather + transfer (Figure 5). After the
+//! prestore only two rules change the region — the Eq (3) re-partition and
+//! next-frontier prefetch; the paper's reactive chunk-replacement server
+//! (Figure 6) was measured and removed (`DESIGN.md` §19).
 //!
 //! Module map (paper reference in parentheses):
 //!
 //! * [`config`] — framework configuration: K, fill policy, overlap toggle,
-//!   replacement policy, adaptive re-partitioning (§4.1 defaults).
+//!   adaptive re-partitioning (§4.1 defaults).
 //! * [`ratio`] — the partition-ratio math: Equations (1)–(3) (§3.3), Eq (3)
 //!   judged on whole-run evidence.
 //! * [`maps`] — `ActiveBitmap`/`StaticBitmap` → `StaticMap`/`OndemandMap`
@@ -29,8 +28,8 @@
 //! * [`pool_metrics`] — bridge from the `ascetic-par` persistent worker
 //!   pool's counters to a labelled (non-deterministic, wall-clock)
 //!   metrics snapshot.
-//! * [`hotness`] — the per-chunk hotness table and replacement policies
-//!   (Figure 6, §3.4).
+//! * [`hotness`] — the per-chunk access table: prefetch demand and hit
+//!   scoring, victim recency, the wire-size cache.
 //! * [`prefetch`] — the cross-iteration prefetch policy: next-frontier
 //!   chunk demand, benefit ranking, speculative refresh planning for the
 //!   second copy stream.
@@ -67,8 +66,7 @@ pub mod static_region;
 pub mod system;
 
 pub use config::{
-    AsceticConfig, CompressionMode, ConfigError, DirectionMode, FillPolicy, ReplacementPolicy,
-    MIN_CHUNK_BYTES,
+    AsceticConfig, CompressionMode, ConfigError, DirectionMode, FillPolicy, MIN_CHUNK_BYTES,
 };
 pub use engine::AsceticSystem;
 pub use fleet::{run_fleet, FleetConfig, FleetRunReport};

@@ -24,9 +24,8 @@
 //! is charged as *waste*, never as corruption: the data plane stays exact
 //! either way.
 //!
-//! Lazy warming and the replacement server plan their region ops through
-//! the same pairing loop as the prefetcher ([`plan_ops`]); each is only a
-//! set of inputs to it ([`OpSource`]).
+//! It is the only rule that changes the region's contents after the
+//! prestore (Eq (3) only ever changes its size, `DESIGN.md` §19).
 //!
 //! Everything here is integer math over deterministic inputs (the frontier
 //! bitmap, the hotness table, cached encode sizes), planned from the
@@ -117,145 +116,77 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
     demand
 }
 
-/// Who is asking for region ops. A source is only a set of *inputs* to the
-/// one pairing loop of [`plan_ops`] — a candidate ranking, a victim
-/// ranking, a free-slot budget and an admit test (`DESIGN.md` §21).
-#[derive(Clone, Copy, Debug)]
-pub enum OpSource<'a> {
-    /// Lazy fill's warming: chunks demanded at the (0-based) iteration,
-    /// ascending, into free slots only — nothing is ever evicted.
-    LazyWarming(u32),
-    /// The §3.4 replacement server: chunks hot at the (0-based) iteration,
-    /// ascending, each for a stale resident (in slot order). It never
-    /// adopts into free slots — that is warming's job.
-    Replacement(u32),
-    /// Next-frontier prefetch, judged at the end of the iteration before
-    /// the one `demand` (the next frontier's [`chunk_demand_bytes`]) opens.
-    ///
-    /// Candidates are non-resident chunks the next frontier demands,
-    /// ranked by `demand × wire cost` descending (prefetching an
-    /// expensive-to-ship chunk hides more stall), ties broken by ascending
-    /// chunk id. Eviction order matters twice over:
-    ///
-    /// * A load is paired only with a resident of *strictly lower*
-    ///   next-frontier demand, so every swap is a net reduction of the next
-    ///   iteration's on-demand volume — the policy can keep adapting under
-    ///   dense frontiers (where no resident has zero demand) without ever
-    ///   making the next iteration worse.
-    /// * Among equally-cheap residents, chunks that have *been accessed*
-    ///   and gone stale are evicted before chunks that have *never* been
-    ///   accessed: in a traversal, never-touched chunks are precisely the
-    ///   unexplored future (the frontier will reach them), while
-    ///   long-stale chunks are the swept past.
-    NextFrontier {
-        /// Bytes the next frontier demands of each chunk.
-        demand: &'a [u64],
-        /// Whether a chunk's wire cost is its cached encoded size (the
-        /// compressed path could apply) rather than its raw size.
-        compressible: bool,
-    },
-}
-
-/// Plan up to `max_ops` region ops for `source`: its candidates in rank
-/// order, each into a free slot while the source's budget of them lasts
-/// ([`PrefetchOp::Load`]), then against the cheapest victim left
-/// ([`PrefetchOp::Swap`]).
+/// Plan up to `max_ops` next-frontier prefetches, judged at the end of the
+/// iteration before the one `demand` (the next frontier's
+/// [`chunk_demand_bytes`]) opens: each candidate goes into a free slot
+/// while there are any ([`PrefetchOp::Load`]), then against the cheapest
+/// victim left ([`PrefetchOp::Swap`]).
+///
+/// Candidates are non-resident chunks the next frontier demands, ranked by
+/// `demand × wire cost` descending (prefetching an expensive-to-ship chunk
+/// hides more stall), ties broken by ascending chunk id; a chunk's wire cost
+/// is its cached encoded size when `compressible` (the compressed path
+/// could apply), its raw size otherwise. Eviction order matters twice over:
+///
+/// * A load is paired only with a resident of *strictly lower*
+///   next-frontier demand, so every swap is a net reduction of the next
+///   iteration's on-demand volume — the policy can keep adapting under
+///   dense frontiers (where no resident has zero demand) without ever
+///   making the next iteration worse. A victim that turns a load down
+///   skips that load rather than stopping the plan: a later candidate can
+///   still out-rank it.
+/// * Among equally-cheap residents, chunks that have *been accessed* and
+///   gone stale are evicted before chunks that have *never* been accessed:
+///   in a traversal, never-touched chunks are precisely the unexplored
+///   future (the frontier will reach them), while long-stale chunks are
+///   the swept past.
 pub fn plan_ops(
-    source: OpSource<'_>,
     g: &Csr,
     geo: &ChunkGeometry,
     region: &StaticRegion,
     hot: &mut HotnessTable,
+    demand: &[u64],
+    compressible: bool,
     max_ops: usize,
 ) -> Vec<PrefetchOp> {
     if max_ops == 0 {
         return Vec::new();
     }
-    let absent = (0..geo.num_chunks() as ChunkId).filter(|&c| !region.is_resident(c));
-    let free = region.free_slots();
-    match source {
-        OpSource::LazyWarming(iteration) => pair_ops(
-            absent.filter(|&c| hot.demanded_at(c, iteration)),
-            std::iter::empty(),
-            free,
-            max_ops,
-            |_, _| true,
-        ),
-        OpSource::Replacement(iteration) => pair_ops(
-            absent.filter(|&c| hot.is_hot(c, iteration)),
-            region
-                .resident_chunk_ids()
-                .into_iter()
-                .filter(|&c| hot.is_stale(c, iteration)),
-            0,
-            max_ops,
-            |_, _| true,
-        ),
-        OpSource::NextFrontier {
-            demand,
-            compressible,
-        } => {
-            // Wire cost of shipping chunk `c` on demand: the cached encoded
-            // size when the compressed path could apply, the raw size
-            // otherwise.
-            let mut candidates: Vec<(u128, ChunkId)> = absent
-                .filter(|&c| demand[c as usize] > 0)
-                .map(|c| {
-                    let wire = if compressible {
-                        chunk_wire_bytes(g, geo, c, hot)
-                    } else {
-                        geo.chunk_len_bytes(c) as u64
-                    };
-                    (demand[c as usize] as u128 * wire as u128, c)
-                })
-                .collect();
-            // benefit descending, chunk id ascending on ties — deterministic
-            candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            // Residents cheapest-to-lose first. The key is (next-frontier
-            // demand, never-accessed flag, last-access stamp, id): lowest
-            // demand goes first; among equals, accessed-and-stale residents
-            // beat never-accessed ones, oldest stamp first, then ascending
-            // id.
-            let mut victims: Vec<(u64, u8, u32, ChunkId)> = region
-                .resident_chunk_ids()
-                .into_iter()
-                .map(|c| {
-                    let never = u8::from(hot.access_count(c) == 0);
-                    (demand[c as usize], never, hot.last_access_stamp(c), c)
-                })
-                .collect();
-            victims.sort();
-            pair_ops(
-                candidates.into_iter().map(|(_, c)| c),
-                victims.into_iter().map(|(.., c)| c),
-                free,
-                max_ops,
-                // A swap must strictly reduce the next iteration's
-                // on-demand bytes, or it is churn, not progress.
-                |load, evict| demand[load as usize] > demand[evict as usize],
-            )
-        }
-    }
-}
-
-/// The one pairing loop. `admit(load, evict)` may turn the cheapest victim
-/// down for this load; the load is then skipped rather than the plan
-/// stopped — a later candidate can still out-rank that victim.
-fn pair_ops(
-    candidates: impl Iterator<Item = ChunkId>,
-    victims: impl Iterator<Item = ChunkId>,
-    mut free_slots: usize,
-    max_ops: usize,
-    admit: impl Fn(ChunkId, ChunkId) -> bool,
-) -> Vec<PrefetchOp> {
-    let mut victims = victims.peekable();
+    let mut candidates: Vec<(u128, ChunkId)> = (0..geo.num_chunks() as ChunkId)
+        .filter(|&c| !region.is_resident(c) && demand[c as usize] > 0)
+        .map(|c| {
+            let wire = if compressible {
+                chunk_wire_bytes(g, geo, c, hot)
+            } else {
+                geo.chunk_len_bytes(c) as u64
+            };
+            (demand[c as usize] as u128 * wire as u128, c)
+        })
+        .collect();
+    // benefit descending, chunk id ascending on ties — deterministic
+    candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    // Residents cheapest-to-lose first. The key is (next-frontier demand,
+    // never-accessed flag, last-access stamp, id): lowest demand goes
+    // first; among equals, accessed-and-stale residents beat never-accessed
+    // ones, oldest stamp first, then ascending id.
+    let mut victims: Vec<(u64, u8, u32, ChunkId)> = region
+        .resident_chunk_ids()
+        .into_iter()
+        .map(|c| {
+            let stamp = hot.last_access_stamp(c);
+            (demand[c as usize], u8::from(stamp == 0), stamp, c)
+        })
+        .collect();
+    victims.sort();
+    let mut victims = victims.into_iter().map(|(.., c)| c).peekable();
+    let mut free_slots = region.free_slots();
     let mut plan = Vec::new();
-    for load in candidates.take(max_ops) {
+    for (_, load) in candidates.into_iter().take(max_ops) {
         if free_slots > 0 {
             free_slots -= 1;
             plan.push(PrefetchOp::Load(load));
         } else if let Some(&evict) = victims.peek() {
-            if admit(load, evict) {
+            if demand[load as usize] > demand[evict as usize] {
                 victims.next();
                 plan.push(PrefetchOp::Swap { evict, load });
             }
@@ -269,7 +200,6 @@ fn pair_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReplacementPolicy;
     use ascetic_graph::GraphBuilder;
     use ascetic_sim::{DeviceConfig, Gpu};
 
@@ -299,11 +229,7 @@ mod tests {
         max_ops: usize,
     ) -> Vec<PrefetchOp> {
         let demand = chunk_demand_bytes(g, geo, f);
-        let source = OpSource::NextFrontier {
-            demand: &demand,
-            compressible: false,
-        };
-        plan_ops(source, g, geo, sr, hot, max_ops)
+        plan_ops(g, geo, sr, hot, &demand, false, max_ops)
     }
 
     #[test]
@@ -352,7 +278,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
         sr.fill(&mut gpu, &g, &[0, 1]); // residents 0, 1
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         // next frontier: vertices 5 (chunk 1, resident) and 21 (chunk 5)
         let mut f = Bitmap::new(33);
         f.set(5);
@@ -370,7 +296,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
         sr.fill(&mut gpu, &g, &[0, 1]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         let f = Bitmap::ones(33); // everything active (PageRank-style)
         let ops = plan(&g, &geo, &sr, &mut hot, &f, 8);
         assert!(
@@ -386,7 +312,7 @@ mod tests {
         // 3 slots, only 1 filled → 2 free
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 3 * 16);
         sr.fill(&mut gpu, &g, &[0]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         let mut f = Bitmap::new(33);
         f.set(9); // chunk 2
         f.set(13); // chunk 3
@@ -409,7 +335,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 4 * 16);
         sr.fill(&mut gpu, &g, &[0]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         let f = Bitmap::ones(33);
         let ops = plan(&g, &geo, &sr, &mut hot, &f, 2);
         assert_eq!(ops.len(), 2, "max_ops bounds the plan");
@@ -421,7 +347,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
         sr.fill(&mut gpu, &g, &[0, 1]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         // demand: chunk 0 (resident) 4 B, chunk 1 (resident) 16 B,
         // chunk 2 (candidate) 16 B, chunk 3 (candidate) 4 B
         let mut f = Bitmap::new(33);
@@ -443,7 +369,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
         let mut sr = StaticRegion::new(&mut gpu, &g, geo, 2 * 16);
         sr.fill(&mut gpu, &g, &[0, 1]);
-        let mut hot = HotnessTable::new(8, ReplacementPolicy::LastIteration);
+        let mut hot = HotnessTable::new(8);
         hot.record(0, 0); // chunk 0 was touched once, long ago; chunk 1 never
         let mut f = Bitmap::new(33);
         for v in 8..12 {

@@ -123,7 +123,7 @@ pub struct Breakdown {
     pub transfer_ns: u64,
     /// On-demand compute (`Tondemand`).
     pub ondemand_compute_ns: u64,
-    /// Static-region refresh transfers (replacement server).
+    /// 0 since the reactive server was removed (PR 25); goes with ROADMAP 5(d).
     pub update_ns: u64,
 }
 
@@ -163,9 +163,9 @@ pub struct RunReport {
     pub prestore_wire_bytes: u64,
     /// Time spent on the initial fill, ns (included in `sim_time_ns`).
     pub prestore_ns: u64,
-    /// Bytes moved by the replacement server (static refresh).
+    /// 0 since the reactive server was removed (PR 25); goes with ROADMAP 5(d).
     pub refresh_bytes: u64,
-    /// Refresh bytes actually on the link.
+    /// 0 since the reactive server was removed (PR 25); goes with ROADMAP 5(d).
     pub refresh_wire_bytes: u64,
     /// Bytes speculatively shipped by the cross-iteration prefetch
     /// pipeline (a subset of `xfer.h2d_bytes`; 0 when prefetch is off).
@@ -247,7 +247,7 @@ pub(crate) const SCALARS: &[Scalar] = &[
     ("xfer.h2d_ops", COUNT, "h2d_ops", "", |r| r.xfer.h2d_ops),
     ("xfer.d2h_ops", COUNT, "d2h_ops", "", |r| r.xfer.d2h_ops),
     ("prestore.bytes", COUNT, "prestore_bytes", "prestore_bytes", |r| r.prestore_bytes),
-    ("refresh.bytes", COUNT, "refresh_bytes", "refresh_bytes", |r| r.refresh_bytes),
+    ("refresh.bytes", COUNT, "refresh_bytes", "refresh_bytes", |r| r.refresh_bytes), // 0 since PR 25 (ROADMAP 5(d))
     ("", COUNT, "", "steady_bytes", RunReport::steady_bytes),
     ("", COUNT, "", "total_bytes_with_prestore", RunReport::total_bytes_with_prestore),
     ("", COUNT, "", "steady_wire_bytes", RunReport::steady_wire_bytes),
@@ -259,7 +259,7 @@ pub(crate) const SCALARS: &[Scalar] = &[
     ("payload.peak_bytes", GAUGE, "peak_payload_bytes", "", |r| r.peak_iteration_payload_bytes),
     ("xfer.h2d_wire_bytes", COUNT, "h2d_wire_bytes", "", |r| r.xfer.h2d_wire_bytes),
     ("prestore.wire_bytes", COUNT, "prestore_wire_bytes", "", |r| r.prestore_wire_bytes),
-    ("refresh.wire_bytes", COUNT, "refresh_wire_bytes", "", |r| r.refresh_wire_bytes),
+    ("refresh.wire_bytes", COUNT, "refresh_wire_bytes", "", |r| r.refresh_wire_bytes), // 0 since PR 25 (ROADMAP 5(d))
     ("prefetch.bytes", COUNT, "prefetch_bytes", "prefetch_bytes", |r| r.prefetch_bytes),
     ("prefetch.ops", COUNT, "prefetch_ops", "prefetch_ops", |r| r.prefetch_ops),
     ("prefetch.hits", COUNT, "prefetch_hits", "prefetch_hits", |r| r.prefetch_hits),

@@ -35,15 +35,14 @@ use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
 
 use crate::codec::{
-    chunk_wire_bytes, count_decision, eligible, encoded_wins, estimate_batch_wire, ship_batch,
-    EncodeScratch,
+    chunk_wire_bytes, eligible, encoded_wins, estimate_batch_wire, ship_batch, EncodeScratch,
 };
-use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, ReplacementPolicy};
+use crate::config::{AsceticConfig, CompressionMode, DirectionMode};
 use crate::engine::{finish_report, RunBase};
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
-use crate::prefetch::{chunk_demand_bytes, plan_ops, OpSource, PrefetchOp};
+use crate::prefetch::{chunk_demand_bytes, plan_ops, PrefetchOp};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
 use crate::static_region::StaticRegion;
@@ -61,8 +60,6 @@ pub const SESSION_TRACK: &str = "session";
 /// Span-trace track for the on-demand pipeline window of each iteration
 /// (overlaps the static compute in time, hence its own track).
 pub const ONDEMAND_TRACK: &str = "on-demand pipeline";
-/// Span-trace track for the replacement server's refresh windows.
-pub const REFRESH_TRACK: &str = "replacement server";
 /// Span-trace track for the cross-iteration prefetch windows.
 pub const PREFETCH_WINDOW_TRACK: &str = "prefetch window";
 /// Span-trace track for mutation batches: delta patching and the repair
@@ -115,10 +112,6 @@ struct OdRun {
     payload: u64,
     // edges the batch kernels were charged for
     edges: u64,
-    // total batch-kernel time, and when the first one started: the
-    // replacement server's window
-    compute_window: u64,
-    first_compute_start: Option<SimTime>,
 }
 
 /// Per-run bookkeeping threaded through the stepping API: the base
@@ -224,7 +217,7 @@ impl<'g> AsceticSession<'g> {
         // The hotness table exists before the prestore: its per-chunk
         // encoded-size cache prices the fill's wire form, and
         // the measurements stay warm for every later transfer decision.
-        let mut hotness = HotnessTable::new(geo.num_chunks(), cfg.replacement);
+        let mut hotness = HotnessTable::new(geo.num_chunks());
         let encode = eligible(cfg.compression, g);
 
         // --- Prestore: one bulk fill of the static region. ---
@@ -283,48 +276,29 @@ impl<'g> AsceticSession<'g> {
     }
 
     /// The one issue site for a region op (`DESIGN.md` §21): move the
-    /// chunk into the region, pick its wire form, charge the link as
-    /// `class` and book the op against the run. A gap-issued prefetch is
-    /// the one op issued with `apply_now` off — kernels are still reading
-    /// the region, so it waits in flight for the boundary's commit.
-    fn issue(
-        &mut self,
-        ctx: &mut RunCtx,
-        op: PrefetchOp,
-        class: Xfer,
-        ready: SimTime,
-        apply_now: bool,
-    ) {
+    /// chunk into the region, ship it on the prefetch stream and book the
+    /// op against the run. Prefetches ship raw: the decompression launch
+    /// would land on the busy compute engine and could push the very
+    /// kernel they are hiding under. A gap-issued prefetch is issued with
+    /// `apply_now` off — kernels are still reading the region, so it waits
+    /// in flight for the boundary's commit.
+    fn issue(&mut self, ctx: &mut RunCtx, op: PrefetchOp, ready: SimTime, apply_now: bool) {
         let chunk = op.chunk();
         let bytes = self.geo.chunk_len_bytes(chunk) as u64;
         if apply_now {
             self.apply(op);
         }
-        // Prefetches ship raw: the decompression launch would land on the
-        // busy compute engine and could push the very kernel they are
-        // hiding under. The rest ask the rule — chunk transfers are small,
-        // so the launch overhead usually keeps them raw under `Adaptive`.
-        let speculative = matches!(class, Xfer::Prefetch { .. });
-        let mut wire = None;
-        if let Some(mode) = self.encode.filter(|_| bytes > 0 && !speculative) {
-            let encoded = chunk_wire_bytes(self.g, &self.geo, chunk, &mut self.hotness);
-            let ship = mode == CompressionMode::Always
-                || encoded_wins(&self.gpu, ready, bytes, encoded, false);
-            wire = ship.then_some(encoded);
-            count_decision(&mut self.gpu.obs.registry, bytes, wire);
-        }
-        let (copy, dec) = self.gpu.ship_at(class, bytes, wire, ready);
-        if speculative {
-            let (a, b) = ctx.pf_window.unwrap_or((u64::MAX, 0));
-            ctx.pf_window = Some((a.min(copy.start.0), b.max(copy.end.0)));
-            if apply_now {
-                ctx.prefetch_ready = ctx.prefetch_ready.max(copy.end);
-                ctx.prefetch_pending.push((chunk, bytes));
-            } else {
-                ctx.prefetch_inflight.push((op, bytes));
-            }
+        let class = Xfer::Prefetch {
+            chunk: chunk as u64,
+        };
+        let (copy, _) = self.gpu.ship_at(class, bytes, None, ready);
+        let (a, b) = ctx.pf_window.unwrap_or((u64::MAX, 0));
+        ctx.pf_window = Some((a.min(copy.start.0), b.max(copy.end.0)));
+        if apply_now {
+            ctx.prefetch_ready = ctx.prefetch_ready.max(copy.end);
+            ctx.prefetch_pending.push((chunk, bytes));
         } else {
-            ctx.breakdown.update_ns += copy.duration() + dec.duration();
+            ctx.prefetch_inflight.push((op, bytes));
         }
     }
 
@@ -533,9 +507,9 @@ impl<'g> AsceticSession<'g> {
     ///    writes off any prefetch plan;
     /// 3. **on-demand pipeline** — one `run_ondemand` over whatever rows
     ///    the selection left to ship: plan, gather, ship, kernel per batch;
-    /// 4. **refresh** (push only — pull never reads the CSR-chunked static
-    ///    region) — hotness accounting, the replacement-server window and
-    ///    the cross-iteration prefetch commit/plan;
+    /// 4. **prefetch** (push only — pull never reads the CSR-chunked static
+    ///    region) — hotness accounting and the cross-iteration prefetch
+    ///    commit/plan;
     /// 5. **pre-commit** the next iteration's direction;
     /// 6. **close** — barrier, `IterEnd`, windows, the `IterReport`.
     ///
@@ -581,7 +555,7 @@ impl<'g> AsceticSession<'g> {
                 };
                 let od = self.run_ondemand(ctx, g, &nodes, ready, Push, kernel);
                 ctx.maps.ondemand_nodes = nodes;
-                self.refresh_phases(prog, ctx, state, next, &od, iter_start);
+                self.prefetch_phase(prog, ctx, state, next);
                 IterReport {
                     active_vertices: ctx.maps.active_vertices(),
                     active_edges: ctx.maps.active_edges(),
@@ -623,8 +597,8 @@ impl<'g> AsceticSession<'g> {
             }
         };
 
-        // Pre-commit the next iteration's direction *after* the refresh
-        // phases, so the push-vs-pull transfer estimate sees the exact
+        // Pre-commit the next iteration's direction *after* the prefetch
+        // phase, so the push-vs-pull transfer estimate sees the exact
         // static-region residency the next data maps will see.
         if self.mirror.is_some() && prog.capabilities().pull {
             let next_frontier = next.snapshot(prog, state);
@@ -703,11 +677,8 @@ impl<'g> AsceticSession<'g> {
         maps.regenerate(g, active, self.region.vertex_bitmap());
 
         // Eq (3): adaptive re-partition when the on-demand volume
-        // overflows a static region its evidence shows under-used. Under
-        // lazy fill the region is *supposed* to look under-used until
-        // warming completes, so the check waits for a full region.
-        let warming = matches!(cfg.fill, FillPolicy::Lazy) && self.region.free_slots() > 0;
-        if cfg.adaptive && !warming {
+        // overflows a static region its evidence shows under-used.
+        if cfg.adaptive {
             let verdict = self.evidence.check(
                 maps.ondemand_bytes(bpe),
                 maps.static_bytes(bpe),
@@ -786,10 +757,10 @@ impl<'g> AsceticSession<'g> {
     /// Pull selection: the live targets' in-edge rows of the CSC mirror
     /// are what the on-demand pipeline ships (`ctx.pull_targets`). The
     /// CSR-chunked static region holds out-edges, so pull bypasses it
-    /// entirely — no static compute, no hotness updates, no replacement —
-    /// and a stale prefetch plan has nothing to validate against: it is
-    /// written off as waste rather than committed against a region nothing
-    /// will read this iteration on signals one push iteration old. That
+    /// entirely — no static compute, no hotness updates — and a stale
+    /// prefetch plan has nothing to validate against: it is written off as
+    /// waste rather than committed against a region nothing will read this
+    /// iteration on signals one push iteration old. That
     /// also leaves the deferred queue empty, so the pipeline's gap fill
     /// idles under pull without being told the direction.
     fn select_pull<P: VertexProgram>(
@@ -817,7 +788,7 @@ impl<'g> AsceticSession<'g> {
         );
     }
 
-    /// ➋➍➎ The on-demand pipeline, the same for both directions: plan
+    /// ➋➍ The on-demand pipeline, the same for both directions: plan
     /// `nodes`' rows of `src` (the CSR under push, the CSC mirror under
     /// pull) into batches that fit the on-demand buffers, then gather →
     /// ship → kernel per batch, starting no earlier than `ready`.
@@ -886,8 +857,7 @@ impl<'g> AsceticSession<'g> {
                     break; // would push this batch's transfer later
                 }
                 ctx.prefetch_deferred.pop_front();
-                let chunk = op.chunk() as u64;
-                self.issue(ctx, op, Xfer::Prefetch { chunk }, link_free, false);
+                self.issue(ctx, op, link_free, false);
             }
 
             // H2D transfer of payload + index into this batch's buffer.
@@ -922,8 +892,6 @@ impl<'g> AsceticSession<'g> {
             };
             od.edges += edges;
             ctx.breakdown.ondemand_compute_ns += c_span.duration();
-            od.compute_window += c_span.duration();
-            od.first_compute_start.get_or_insert(c_span.start);
             ctx.buffer_free_at[buf_idx] = c_span.end;
             window_end = window_end.max(c_span.end);
         }
@@ -939,80 +907,36 @@ impl<'g> AsceticSession<'g> {
         od
     }
 
-    /// The push-only phases after the pipeline, all of them about keeping
-    /// the static region useful: hotness accounting, ➎ the replacement
-    /// server's window and ➏ the cross-iteration prefetch commit/plan.
-    fn refresh_phases<P: VertexProgram>(
+    /// ➏ The push-only phase after the pipeline: score last iteration's
+    /// prefetches against this one's demand, commit the gap-issued ones
+    /// and plan the next iteration's. A no-op unless prefetch is on —
+    /// nothing else reads the hotness table's access history.
+    fn prefetch_phase<P: VertexProgram>(
         &mut self,
         prog: &P,
         ctx: &mut RunCtx,
         state: &P::State,
         next: &mut NextFrontier,
-        od: &OdRun,
-        iter_start: SimTime,
     ) {
+        if !self.cfg.prefetch.is_on() {
+            return;
+        }
         let g = self.g;
-        let cfg = self.cfg;
         let geo = self.geo;
         let iter = ctx.iter;
-        let lazy_fill = matches!(cfg.fill, FillPolicy::Lazy);
-        let prefetch_on = cfg.prefetch.is_on();
-        // Hotness accounting for this iteration's touched chunks
-        // (needed by the replacement server, lazy warming and the
-        // prefetch pipeline's demand scoring).
-        if lazy_fill || !matches!(cfg.replacement, ReplacementPolicy::Disabled) || prefetch_on {
-            self.hotness
-                .record_vertices(g, &geo, &ctx.maps.static_nodes, iter);
-            self.hotness
-                .record_vertices(g, &geo, &ctx.maps.ondemand_nodes, iter);
+        self.hotness
+            .record_vertices(g, &geo, &ctx.maps.static_nodes, iter);
+        self.hotness
+            .record_vertices(g, &geo, &ctx.maps.ondemand_nodes, iter);
 
-            // Score the previous iteration's speculative refreshes now
-            // that the demand they predicted has materialized: a hit iff
-            // the chunk is still resident and this iteration touched it.
-            for (c, bytes) in ctx.prefetch_pending.drain(..) {
-                if self.region.is_resident(c) && self.hotness.demanded_at(c, iter) {
-                    self.obs_counter_add("prefetch.hits", 1);
-                } else {
-                    self.obs_counter_add("prefetch.waste_bytes", bytes);
-                }
-            }
-
-            // ➎ Replacement server window: chunk DMAs issued while the
-            // GPU chews the on-demand region, within its PCIe budget.
-            if od.compute_window > 0 {
-                // the server only issues what fits the window
-                let window_ops = (od.compute_window / self.chunk_op_ns()) as usize;
-                let mut ops_left = window_ops;
-                let ready = od.first_compute_start.unwrap_or(iter_start);
-                let copy_free0 = self.gpu.timeline.engine_free_at(Engine::Copy);
-
-                // Lazy warming first: adopt demanded chunks into free
-                // slots (counted as steady transfer, not prestore). Then
-                // stale-for-hot swaps — unless the prefetch pipeline is
-                // on, which subsumes them: it refreshes the region from
-                // *exact* next-frontier demand on the second copy stream
-                // (inside link slack) instead of spending synchronous
-                // link time inside the iteration on hotness guesses.
-                let swaps = !matches!(cfg.replacement, ReplacementPolicy::Disabled) && !prefetch_on;
-                let warm = lazy_fill.then_some((OpSource::LazyWarming(iter), Xfer::LazyLoad));
-                let swap = swaps.then_some((OpSource::Replacement(iter), Xfer::Refresh));
-                for (source, class) in warm.into_iter().chain(swap) {
-                    let (region, hot) = (&self.region, &mut self.hotness);
-                    for op in plan_ops(source, g, &geo, region, hot, ops_left) {
-                        self.issue(ctx, op, class, ready, true);
-                        ops_left -= 1;
-                    }
-                }
-                if ops_left < window_ops {
-                    let start = copy_free0.max(ready).0;
-                    let end = self.gpu.timeline.engine_free_at(Engine::Copy).0;
-                    self.phase_span(
-                        REFRESH_TRACK,
-                        start,
-                        end,
-                        format_args!("refresh iter {iter}"),
-                    );
-                }
+        // Score the previous iteration's speculative refreshes now that
+        // the demand they predicted has materialized: a hit iff the chunk
+        // is still resident and this iteration touched it.
+        for (c, bytes) in ctx.prefetch_pending.drain(..) {
+            if self.region.is_resident(c) && self.hotness.demanded_at(c, iter) {
+                self.obs_counter_add("prefetch.hits", 1);
+            } else {
+                self.obs_counter_add("prefetch.waste_bytes", bytes);
             }
         }
 
@@ -1027,9 +951,6 @@ impl<'g> AsceticSession<'g> {
         // whatever of last iteration's plan never found a gap dies
         // here, un-issued and free of charge
         ctx.prefetch_deferred.clear();
-        if !prefetch_on {
-            return;
-        }
         let next_frontier = next.snapshot(prog, state);
         if iter + 1 >= prog.max_iterations() || next_frontier.is_all_zero() {
             // no iteration left to refresh for: what the gaps shipped is waste
@@ -1067,28 +988,20 @@ impl<'g> AsceticSession<'g> {
         }
         let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
         let slack = self.gpu.timeline.now().0.saturating_sub(link_free.0);
-        let budget = (slack / self.chunk_op_ns()) as usize;
-        let source = OpSource::NextFrontier {
-            demand: &demand,
-            compressible: self.encode.is_some(),
-        };
+        // in chunk-sized DMAs, fixed latency included
+        let op_ns = self.gpu.config.pcie.transfer_ns(geo.chunk_bytes as u64);
+        let budget = (slack / op_ns.max(1)) as usize;
         let (region, hot) = (&self.region, &mut self.hotness);
-        let mut plan = plan_ops(source, g, &geo, region, hot, budget + GAP_PLAN_OPS).into_iter();
+        let compressible = self.encode.is_some();
+        let max_ops = budget + GAP_PLAN_OPS;
+        let mut plan = plan_ops(g, &geo, region, hot, &demand, compressible, max_ops).into_iter();
         // what fits the tail slack ships (and applies) now ...
         for op in plan.by_ref().take(budget) {
-            let chunk = op.chunk() as u64;
-            self.issue(ctx, op, Xfer::Prefetch { chunk }, link_free, true);
+            self.issue(ctx, op, link_free, true);
         }
         // ... the remainder waits for link gaps in the next
         // iteration's on-demand pipeline
         ctx.prefetch_deferred.extend(plan);
-    }
-
-    /// Link time of one chunk-sized DMA, fixed latency included — the unit
-    /// the replacement server and the prefetch tail budget their windows in.
-    fn chunk_op_ns(&self) -> u64 {
-        let chunk_bytes = self.cfg.chunk_bytes as u64;
-        self.gpu.config.pcie.transfer_ns(chunk_bytes).max(1)
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
@@ -1336,9 +1249,7 @@ mod tests {
 
     /// A device whose decompressor is fast enough for the small test
     /// payloads to cross over (the p100 calibration needs near-MB
-    /// transfers), but whose launch overhead still declines chunk-sized
-    /// refreshes under `Adaptive` — with the replacement server named, so
-    /// those refreshes happen.
+    /// transfers).
     fn compress_cfg(g: &Csr, mode: CompressionMode) -> AsceticConfig {
         let mut dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 3 / 5);
         dev.decompress = DecompressModel {
@@ -1348,7 +1259,6 @@ mod tests {
         AsceticConfig::new(dev)
             .with_chunk_bytes(2048)
             .with_compression(mode)
-            .with_replacement(ReplacementPolicy::LastIteration)
     }
 
     #[test]
@@ -1949,9 +1859,9 @@ mod tests {
             ]
         }
         let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
-        // residency must not drift between the two passes
-        let base =
-            compress_cfg(&g, CompressionMode::Always).with_replacement(ReplacementPolicy::Disabled);
+        // (residency does not drift between the two passes: nothing but
+        // prefetch, off here, changes the region after the prestore)
+        let base = compress_cfg(&g, CompressionMode::Always);
         for (what, cfg) in [
             ("push", base),
             ("forced pull", base.with_direction(DirectionMode::Pull)),

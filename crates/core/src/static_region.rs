@@ -1,10 +1,10 @@
 //! The Static Region (paper §3.1, §3.4).
 //!
 //! A device-memory slab divided into chunk-sized slots (16 KiB, the paper's
-//! replacement/transfer granularity). Residency is tracked two ways:
+//! transfer granularity). Residency is tracked two ways:
 //!
 //! * per **chunk** — which slot (if any) holds each edge chunk; this is the
-//!   granularity of initial fill and hotness replacement;
+//!   granularity of the initial fill and of prefetch loads and swaps;
 //! * per **vertex** — the paper's `StaticBitmap`: a vertex is *static* iff
 //!   every chunk covering its CSR edge range is resident (zero-degree
 //!   vertices are trivially static). The bitmap is maintained
@@ -140,16 +140,16 @@ impl StaticRegion {
         self.slot_count - self.resident_chunks()
     }
 
-    /// Load non-resident `chunk` into a free slot (the lazy-fill adoption
-    /// path). Returns the loaded bytes; panics if no slot is free or the
-    /// chunk is already resident.
+    /// Load non-resident `chunk` into a free slot (a prefetch `Load`).
+    /// Returns the loaded bytes; panics if no slot is free or the chunk is
+    /// already resident.
     pub fn load_chunk(&mut self, gpu: &mut Gpu, g: &Csr, chunk: ChunkId) -> u64 {
         assert!(!self.is_resident(chunk), "chunk already resident");
         let slot = self
             .chunk_of_slot
             .iter()
             .position(|c| c.is_none())
-            .expect("no free slot for lazy load");
+            .expect("no free slot to load into");
         let bytes = self.write_slot(gpu, g, slot, chunk);
         self.update_vertices_overlapping(g, chunk);
         bytes
@@ -160,7 +160,6 @@ impl StaticRegion {
         let total = self.geo.num_chunks();
         let n = n.min(total);
         match policy {
-            FillPolicy::Lazy => Vec::new(),
             FillPolicy::Front => (0..n as ChunkId).collect(),
             FillPolicy::Rear => ((total - n) as ChunkId..total as ChunkId).collect(),
             FillPolicy::Random { seed } => {
@@ -205,7 +204,7 @@ impl StaticRegion {
     /// from the host CSR, write them over the front of `slot` and record
     /// the chunk resident there (the `StaticBitmap` is the caller's). The
     /// staging buffer comes from the thread-local scratch arena, so fills,
-    /// lazy adoptions and per-iteration swaps reuse one allocation. Returns
+    /// prefetch loads and swaps reuse one allocation. Returns
     /// the bytes written.
     fn write_slot(&mut self, gpu: &mut Gpu, g: &Csr, slot: usize, chunk: ChunkId) -> u64 {
         self.chunk_of_slot[slot] = Some(chunk);
@@ -223,7 +222,7 @@ impl StaticRegion {
 
     /// Replace resident `evict` with non-resident `load` (the Figure 6
     /// swap, data plane). Returns the loaded bytes; the caller accounts the
-    /// transfer on the copy engine within the overlap window.
+    /// transfer on the prefetch stream.
     pub fn swap_chunk(&mut self, gpu: &mut Gpu, g: &Csr, evict: ChunkId, load: ChunkId) -> u64 {
         let slot = self.slot_of_chunk[evict as usize];
         assert_ne!(slot, NO_SLOT, "evicted chunk must be resident");

@@ -4,17 +4,14 @@
 //! demand vector, budgets from 0 past the chunk count, compressible on and
 //! off). Every op list is folded into one FNV; the value below was harvested
 //! from the separate `plan_prefetch` the one pairing loop replaced, so a
-//! planner change that moves any op of any state shows up here. (The lazy
-//! warming and replacement-server input sets were pinned beside it until
-//! both were deleted.)
+//! planner change that moves any op of any state shows up here.
 //!
 //! `ASCETIC_PRINT_GOLDENS=1 cargo test -p ascetic-core --test
 //! planner_differential -- --nocapture` prints one line per state — diff
 //! two builds' output to find the state that moved.
 
-use ascetic_core::config::ReplacementPolicy;
 use ascetic_core::hotness::HotnessTable;
-use ascetic_core::prefetch::{plan_ops, OpSource, PrefetchOp};
+use ascetic_core::prefetch::{plan_ops, PrefetchOp};
 use ascetic_core::static_region::StaticRegion;
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::generators::{web_graph, WebConfig};
@@ -23,11 +20,16 @@ use ascetic_sim::{DeviceConfig, Gpu};
 
 /// Next-frontier prefetch over the state's demand.
 fn next_frontier(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
-    let source = OpSource::NextFrontier {
-        demand: &s.demand,
-        compressible: s.compressible,
-    };
-    plan_ops(source, g, geo, &s.region, &mut s.hot, s.max_ops)
+    let (demand, compressible) = (&s.demand, s.compressible);
+    plan_ops(
+        g,
+        geo,
+        &s.region,
+        &mut s.hot,
+        demand,
+        compressible,
+        s.max_ops,
+    )
 }
 
 /// Pinned fingerprint (harvested on the three-planner parent).
@@ -122,7 +124,7 @@ fn state(seed: u64, g: &Csr, geo: ChunkGeometry) -> State {
     if seed % 3 == 1 {
         rng.below(4);
     }
-    let mut hot = HotnessTable::new(n, ReplacementPolicy::Disabled);
+    let mut hot = HotnessTable::new(n);
     for _run in 0..2 {
         hot.begin_run();
         let iters = 1 + rng.below(4) as u32;

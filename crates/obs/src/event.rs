@@ -104,18 +104,6 @@ pub enum Event {
         /// Number of pages evicted by this event.
         pages: u64,
     },
-    /// A hotness-table chunk replacement in the static region.
-    HotSwap {
-        /// Chunks swapped in this refresh.
-        chunks: u64,
-        /// Bytes re-filled.
-        bytes: u64,
-    },
-    /// A chunk loaded lazily into a free static-region slot.
-    LazyLoad {
-        /// Bytes loaded.
-        bytes: u64,
-    },
     /// An Eq (3) adaptive re-partition of the static/on-demand boundary.
     Repartition {
         /// Iteration at which the boundary moved.
@@ -160,8 +148,6 @@ impl Event {
             Event::Gather { .. } => "gather",
             Event::UvmFault { .. } => "uvm_fault",
             Event::UvmEvict { .. } => "uvm_evict",
-            Event::HotSwap { .. } => "hot_swap",
-            Event::LazyLoad { .. } => "lazy_load",
             Event::Repartition { .. } => "repartition",
             Event::Prestore { .. } => "prestore",
             Event::HighWater { .. } => "high_water",
@@ -216,12 +202,6 @@ impl Event {
             }
             Event::UvmEvict { pages } => {
                 out.push_str(&format!(",\"pages\":{pages}"));
-            }
-            Event::HotSwap { chunks, bytes } => {
-                out.push_str(&format!(",\"chunks\":{chunks},\"bytes\":{bytes}"));
-            }
-            Event::LazyLoad { bytes } => {
-                out.push_str(&format!(",\"bytes\":{bytes}"));
             }
             Event::Repartition {
                 iter,

@@ -33,8 +33,7 @@ pub struct JobReport {
     /// Session (re)build cost paid before the run's iterations: the
     /// prestore, 0 on a warm session.
     pub admission_ns: u64,
-    /// Link time spent on the run's on-demand H2D transfers plus static
-    /// refreshes.
+    /// Link time spent on the run's on-demand H2D transfers.
     pub h2d_ns: u64,
     /// Compute-engine time across the run's kernels (GenDataMap, static
     /// region, on-demand).
@@ -100,7 +99,7 @@ pub struct LatencyBreakdown {
     pub queue: LatencyPercentiles,
     /// Session (re)build / prestore time per job.
     pub admission: LatencyPercentiles,
-    /// On-demand transfer + refresh link time per job.
+    /// On-demand transfer link time per job.
     pub h2d: LatencyPercentiles,
     /// Kernel time per job.
     pub compute: LatencyPercentiles,

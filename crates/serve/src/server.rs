@@ -167,8 +167,8 @@ const KINDS: usize = Algo::ALL.len();
 /// Per-kind running-mean cost model for SJF: seeded from the graph's edge
 /// volume (a whole-graph sweep costs more on a bigger edge array, PR the
 /// most with its dense iterations), refined with every observed run, and
-/// adjusted per job by the source vertex's degree — the same
-/// degree-is-hotness signal the replacement server ranks chunks by.
+/// adjusted per job by the source vertex's degree (a high-degree source
+/// reaches more of the graph in its first iterations).
 struct CostModel {
     sum_ns: [u64; KINDS],
     runs: [u64; KINDS],
@@ -661,8 +661,8 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// tallies, and give each batch member its report — the run's
     /// `RunReport` with its own lane as the output. The latency
     /// decomposition comes from the shared run: admission = the (re)build
-    /// prestore (or the replica transfer), H2D = link time on transfers +
-    /// refreshes, compute = kernel time.
+    /// prestore (or the replica transfer), H2D = link time on on-demand
+    /// transfers, compute = kernel time.
     fn account(&mut self, at: &Decision, batch: &[Job], admission: Admission, mut run: RunReport) {
         let kind = batch[0].kind;
         let lanes = batch.len();
@@ -702,7 +702,7 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         self.reg
             .counter_add("serve.ondemand_h2d_bytes", run.xfer.h2d_bytes);
 
-        let h2d_ns = run.breakdown.transfer_ns + run.breakdown.update_ns;
+        let h2d_ns = run.breakdown.transfer_ns;
         let compute_ns = run.breakdown.gen_map_ns
             + run.breakdown.static_compute_ns
             + run.breakdown.ondemand_compute_ns;

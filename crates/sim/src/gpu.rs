@@ -67,12 +67,6 @@ pub enum Xfer {
         /// The chunk shipped.
         chunk: u64,
     },
-    /// A lazy-fill adoption into a free static-region slot (steady
-    /// transfer, not prestore).
-    LazyLoad,
-    /// A replacement-server swap (reported as refresh traffic, outside the
-    /// `xfer.*` columns).
-    Refresh,
     /// The bulk static-region fill (reported as prestore).
     Prestore,
     /// A mutation batch's delta stream.
@@ -100,8 +94,6 @@ impl Xfer {
         match self {
             Xfer::OnDemand { .. } => "H2D",
             Xfer::Prefetch { .. } => "prefetch",
-            Xfer::LazyLoad => "lazy-load",
-            Xfer::Refresh => "refresh",
             Xfer::Prestore => "prestore",
             Xfer::MutationDelta => "mutation delta",
             Xfer::FleetExchange { .. } => "frontier exchange",
@@ -203,8 +195,8 @@ impl Gpu {
         };
         if let Some(wire_bytes) = wire {
             let dec_ns = self.config.decompress.decompress_ns(bytes);
-            // only the on-demand chain's launch is its own category; a
-            // region class's decode renders as the kernel it stands in for
+            // only the on-demand chain's launch is its own category; the
+            // prestore's decode renders as the kernel it stands in for
             // (pinned by the trace goldens)
             let on_demand = matches!(class, Xfer::OnDemand { .. });
             let cat = if on_demand { "decode" } else { "kernel" };
@@ -257,17 +249,7 @@ impl Gpu {
                 };
                 (Some((bytes, bytes, 1)), Some(event))
             }
-            Xfer::LazyLoad => {
-                reg.counter_add("lazy.loads", 1);
-                (Some((bytes, on_link, 1)), Some(Event::LazyLoad { bytes }))
-            }
-            // refresh and prestore traffic ride their own report lines
-            Xfer::Refresh => {
-                reg.counter_add("hotness.swaps", 1);
-                reg.counter_add("refresh.bytes", bytes);
-                reg.counter_add("refresh.wire_bytes", on_link);
-                (None, Some(Event::HotSwap { chunks: 1, bytes }))
-            }
+            // prestore traffic rides its own report lines
             Xfer::Prestore => {
                 reg.counter_add("prestore.bytes", bytes);
                 reg.counter_add("prestore.wire_bytes", on_link);

@@ -90,7 +90,7 @@ const KNOBS: Group = &[
     "--k-param F: Eq (2) active-edge fraction K (default 0.1)",
     "--static-ratio R: fixed static-region share, not Eq (2)",
     "--chunk BYTES: edge-chunk size (default 16384; scaled down under 1 MiB)",
-    "--fill POLICY: front|rear|random|lazy static-region prestore",
+    "--fill POLICY: front|rear|random static-region prestore",
     "--no-overlap: serialize static-region compute and on-demand transfer",
     "--no-adaptive: never re-partition (Eq (3) off)",
     "--prefetch MODE: off|next-frontier use of this iteration's link gaps",

@@ -67,6 +67,12 @@ fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
         err.contains("--compression zstd") && err.contains("off|always|adaptive"),
         "{err}"
     );
+    // lazy fill was removed with the reactive replacement server
+    let err = rejected(&format!("run {G} --algo bfs --fill lazy"));
+    assert!(
+        err.contains("'lazy' is not one of front|rear|random"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -232,8 +238,8 @@ fn modes_round_trip_and_their_errors_list_the_choices() {
         "off|next-frontier",
     );
     check(
-        &[F::Front, F::Rear, F::Random { seed: 7 }, F::Lazy],
-        "front|rear|random|lazy",
+        &[F::Front, F::Rear, F::Random { seed: 7 }],
+        "front|rear|random",
     );
     check(&ALL_POLICIES, "fifo|sjf|residency");
     let _: Policy = "residency".parse().unwrap();
