@@ -204,8 +204,8 @@ impl StaticRegion {
     /// from the host CSR, write them over the front of `slot` and record
     /// the chunk resident there (the `StaticBitmap` is the caller's). The
     /// staging buffer comes from the thread-local scratch arena, so fills,
-    /// prefetch loads and swaps reuse one allocation. Returns
-    /// the bytes written.
+    /// prefetch loads and swaps reuse one allocation. Returns the bytes
+    /// written.
     fn write_slot(&mut self, gpu: &mut Gpu, g: &Csr, slot: usize, chunk: ChunkId) -> u64 {
         self.chunk_of_slot[slot] = Some(chunk);
         self.slot_of_chunk[chunk as usize] = slot as u32;
