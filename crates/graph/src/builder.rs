@@ -1,14 +1,15 @@
 //! Edge-list → CSR construction.
 //!
 //! The builder accepts an arbitrary `(src, dst[, weight])` stream and
-//! produces a valid [`Csr`]: counting-sort by source (O(V+E), no comparison
-//! sort), optional per-source neighbor sorting, optional de-duplication,
-//! optional self-loop removal, and symmetrization for undirected inputs —
-//! the same preprocessing pipeline graph frameworks run before handing data
-//! to an out-of-core engine.
+//! produces a valid [`Csr`] in one pipeline: one counting pass over the
+//! staged edges (dropping self-loops, counting mirrors, as asked), prefix
+//! sums, one scatter into the final target (+ weight) array — mirrors are
+//! never staged — and an in-place parallel sort (and de-duplication) of
+//! each row.
 
-use crate::csr::Csr;
-use crate::types::{VertexId, Weight};
+use crate::csr::{row_windows, Csr};
+use crate::types::{EdgeCount, VertexId, Weight};
+use ascetic_par::{exclusive_scan_in_place, parallel_parts};
 
 /// Staged edges plus construction options.
 ///
@@ -23,8 +24,7 @@ use crate::types::{VertexId, Weight};
 /// ```
 pub struct GraphBuilder {
     num_vertices: usize,
-    srcs: Vec<VertexId>,
-    dsts: Vec<VertexId>,
+    edges: (Vec<VertexId>, Vec<VertexId>),
     weights: Option<Vec<Weight>>,
     symmetrize: bool,
     dedup: bool,
@@ -37,8 +37,7 @@ impl GraphBuilder {
     pub fn new(num_vertices: usize) -> Self {
         GraphBuilder {
             num_vertices,
-            srcs: Vec::new(),
-            dsts: Vec::new(),
+            edges: (Vec::new(), Vec::new()),
             weights: None,
             symmetrize: false,
             dedup: false,
@@ -47,22 +46,25 @@ impl GraphBuilder {
         }
     }
 
-    /// Pre-size internal buffers for `n` edges.
+    /// Pre-size internal buffers for `n` staged edges.
     pub fn with_capacity(num_vertices: usize, n: usize) -> Self {
         let mut b = Self::new(num_vertices);
-        b.srcs.reserve(n);
-        b.dsts.reserve(n);
+        b.edges.0.reserve(n);
+        b.edges.1.reserve(n);
         b
     }
 
-    /// Also insert `(dst, src)` for every edge (undirected input).
+    /// Also insert `(dst, src)` for every edge that is not a self-loop
+    /// (undirected input). The mirrors are counted and scattered from the
+    /// staged edges, never staged themselves.
     pub fn symmetrize(mut self, on: bool) -> Self {
         self.symmetrize = on;
         self
     }
 
-    /// Remove duplicate `(src, dst)` pairs (keeping the first weight).
-    /// Implies neighbor sorting.
+    /// Remove duplicate `(src, dst)` pairs (implies neighbor sorting),
+    /// keeping the first entry of each run in *sorted* order: in a weighted
+    /// row, the weight [`GraphBuilder::sort_neighbors`] placed first.
     pub fn dedup(mut self, on: bool) -> Self {
         self.dedup = on;
         self
@@ -74,7 +76,11 @@ impl GraphBuilder {
         self
     }
 
-    /// Sort each adjacency list by target id.
+    /// Sort each adjacency list by target id. A row starts as its kept
+    /// edges in input order, then its mirrors in input order; weighted rows
+    /// sort `(target, weight)` pairs with `sort_unstable_by_key` on the
+    /// target, so equal targets end in no input or weight order — but in a
+    /// deterministic one, pinned by `tests/build_golden.rs`.
     pub fn sort_neighbors(mut self, on: bool) -> Self {
         self.sort_neighbors = on;
         self
@@ -82,138 +88,132 @@ impl GraphBuilder {
 
     /// Stage an unweighted edge. Panics if a weighted edge was staged before.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) {
-        assert!(
-            self.weights.is_none(),
-            "mixing weighted and unweighted edges"
-        );
         debug_assert!((src as usize) < self.num_vertices && (dst as usize) < self.num_vertices);
-        self.srcs.push(src);
-        self.dsts.push(dst);
+        self.extend([(src, dst)]);
     }
 
     /// Stage a weighted edge. All edges must be weighted once any is.
     pub fn add_weighted_edge(&mut self, src: VertexId, dst: VertexId, w: Weight) {
         debug_assert!((src as usize) < self.num_vertices && (dst as usize) < self.num_vertices);
         if self.weights.is_none() {
-            assert!(self.srcs.is_empty(), "mixing weighted and unweighted edges");
+            assert!(
+                self.edges.0.is_empty(),
+                "mixing weighted and unweighted edges"
+            );
             self.weights = Some(Vec::new());
         }
-        self.srcs.push(src);
-        self.dsts.push(dst);
+        self.edges.extend([(src, dst)]);
         self.weights.as_mut().unwrap().push(w);
     }
 
-    /// Build the CSR.
-    pub fn build(mut self) -> Csr {
-        let n = self.num_vertices;
-        if self.symmetrize {
-            let m = self.srcs.len();
-            self.srcs.reserve(m);
-            self.dsts.reserve(m);
-            for i in 0..m {
-                let (s, d) = (self.srcs[i], self.dsts[i]);
-                if s != d {
-                    self.srcs.push(d);
-                    self.dsts.push(s);
-                    if let Some(w) = self.weights.as_mut() {
-                        let wi = w[i];
-                        w.push(wi);
-                    }
-                }
+    /// Build the CSR. Besides the staged edges it holds one target
+    /// (+ weight) array and the offsets — no mirror, mask or second copy.
+    pub fn build(self) -> Csr {
+        let kept = |s: VertexId, d: VertexId| !self.drop_self_loops || s != d;
+        let mirrored = |s: VertexId, d: VertexId| self.symmetrize && s != d;
+        // Row s's degree is counted at `offsets[s + 1]`; the exclusive scan
+        // turns that slot into the row's start, the scatter's cursor, which
+        // the scatter leaves at the row's end: the final offset.
+        let mut offsets = vec![0 as EdgeCount; self.num_vertices + 1];
+        let edges = || std::iter::zip(self.edges.0.iter().copied(), self.edges.1.iter().copied());
+        for (s, d) in edges() {
+            offsets[s as usize + 1] += u64::from(kept(s, d));
+            if mirrored(s, d) {
+                offsets[d as usize + 1] += 1;
             }
         }
-        if self.drop_self_loops {
-            let keep: Vec<bool> = self
-                .srcs
-                .iter()
-                .zip(&self.dsts)
-                .map(|(s, d)| s != d)
-                .collect();
-            retain_by_mask(&mut self.srcs, &keep);
-            retain_by_mask(&mut self.dsts, &keep);
-            if let Some(w) = self.weights.as_mut() {
-                retain_by_mask(w, &keep);
-            }
-        }
-
-        // Counting sort by source: degree histogram → offsets → scatter.
-        let m = self.srcs.len();
-        let mut deg = vec![0u64; n + 1];
-        for &s in &self.srcs {
-            deg[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let offsets = deg.clone(); // final offsets (prefix sums)
-        let mut cursor = deg;
+        let m = exclusive_scan_in_place(&mut offsets) as usize;
         let mut targets = vec![0 as VertexId; m];
         let mut weights = self.weights.as_ref().map(|_| vec![0 as Weight; m]);
-        for i in 0..m {
-            let s = self.srcs[i] as usize;
-            let pos = cursor[s] as usize;
-            cursor[s] += 1;
-            targets[pos] = self.dsts[i];
-            if let (Some(out), Some(src_w)) = (weights.as_mut(), self.weights.as_ref()) {
-                out[pos] = src_w[i];
+        let mut place = |row: VertexId, target: VertexId, i: usize| {
+            let slot = offsets[row as usize + 1] as usize;
+            offsets[row as usize + 1] += 1;
+            targets[slot] = target;
+            if let (Some(out), Some(w)) = (weights.as_mut(), self.weights.as_ref()) {
+                out[slot] = w[i];
+            }
+        };
+        // a row is its kept edges in input order, then its mirrors
+        for (i, (s, d)) in edges().enumerate() {
+            if kept(s, d) {
+                place(s, d, i);
             }
         }
-
-        let mut csr = Csr::from_parts(offsets, targets, weights);
+        for (i, (s, d)) in edges().enumerate() {
+            if mirrored(s, d) {
+                place(d, s, i);
+            }
+        }
+        drop((self.edges, self.weights));
         if self.sort_neighbors || self.dedup {
-            csr = sort_and_maybe_dedup(csr, self.dedup);
+            sort_rows(&offsets, &mut targets, weights.as_deref_mut());
         }
-        csr
+        if self.dedup {
+            dedup_rows(&mut offsets, &mut targets, weights.as_mut());
+        }
+        Csr::from_parts(offsets, targets, weights)
     }
 }
 
-fn retain_by_mask<T: Copy>(v: &mut Vec<T>, keep: &[bool]) {
-    let mut w = 0usize;
-    for i in 0..v.len() {
-        if keep[i] {
-            v[w] = v[i];
-            w += 1;
-        }
+/// Stage a block of unweighted edges in one call; panics after a weighted one.
+impl Extend<(VertexId, VertexId)> for GraphBuilder {
+    fn extend<I: IntoIterator<Item = (VertexId, VertexId)>>(&mut self, edges: I) {
+        assert!(
+            self.weights.is_none(),
+            "mixing weighted and unweighted edges"
+        );
+        self.edges.extend(edges);
     }
-    v.truncate(w);
 }
 
-/// Sort each adjacency list (by target, stable on weights) and optionally
-/// remove duplicate targets, rebuilding the offset array.
-fn sort_and_maybe_dedup(csr: Csr, dedup: bool) -> Csr {
-    let n = csr.num_vertices();
-    let mut new_offsets = Vec::with_capacity(n + 1);
-    new_offsets.push(0u64);
-    let mut new_targets = Vec::with_capacity(csr.num_edges() as usize);
-    let mut new_weights = csr
-        .weights()
-        .map(|_| Vec::with_capacity(csr.num_edges() as usize));
-
-    let mut scratch: Vec<(VertexId, Weight)> = Vec::new();
-    for v in 0..n as VertexId {
-        scratch.clear();
-        match csr.weights() {
-            None => scratch.extend(csr.neighbors(v).iter().map(|&t| (t, 0))),
-            Some(_) => scratch.extend(
-                csr.neighbors(v)
-                    .iter()
-                    .zip(csr.edge_weights(v))
-                    .map(|(&t, &w)| (t, w)),
-            ),
-        }
-        scratch.sort_unstable_by_key(|&(t, _)| t);
-        if dedup {
-            scratch.dedup_by_key(|&mut (t, _)| t);
-        }
-        for &(t, w) in &scratch {
-            new_targets.push(t);
-            if let Some(nw) = new_weights.as_mut() {
-                nw.push(w);
+/// Sort every row in place over edge-balanced windows of whole rows, one
+/// worker each; a weighted row sorts `(target, weight)` pairs in a scratch
+/// row and writes them back.
+fn sort_rows(offsets: &[EdgeCount], targets: &mut [VertexId], weights: Option<&mut [Weight]>) {
+    let mut ws = weights.map(|w| row_windows(offsets, w).into_iter().map(|(_, w)| w));
+    let parts: Vec<_> = row_windows(offsets, targets)
+        .into_iter()
+        .map(|(rows, ts)| (rows, ts, ws.as_mut().and_then(Iterator::next)))
+        .collect();
+    parallel_parts(parts, |_, (rows, ts, mut ws)| {
+        let (base, mut pairs) = (offsets[rows.start], Vec::new());
+        for v in rows {
+            let r = (offsets[v] - base) as usize..(offsets[v + 1] - base) as usize;
+            let Some(ws) = ws.as_deref_mut() else {
+                ts[r].sort_unstable();
+                continue;
+            };
+            pairs.clear();
+            pairs.extend(r.clone().map(|e| (ts[e], ws[e])));
+            pairs.sort_unstable_by_key(|&(t, _)| t);
+            for (e, &(t, w)) in r.zip(&pairs) {
+                (ts[e], ws[e]) = (t, w);
             }
         }
-        new_offsets.push(new_targets.len() as u64);
+    });
+}
+
+/// Drop repeated targets from every sorted row, keeping the first entry of
+/// each run, and close the gaps by moving rows left in place (writes trail
+/// the reads, so `ts[e - 1]` is still the row's own sorted entry).
+fn dedup_rows(offsets: &mut [EdgeCount], ts: &mut Vec<VertexId>, mut ws: Option<&mut Vec<Weight>>) {
+    let (mut kept, mut start) = (0usize, 0usize);
+    for end in &mut offsets[1..] {
+        for e in start..*end as usize {
+            if e == start || ts[e] != ts[e - 1] {
+                ts[kept] = ts[e];
+                if let Some(w) = ws.as_deref_mut() {
+                    w[kept] = w[e];
+                }
+                kept += 1;
+            }
+        }
+        (start, *end) = (*end as usize, kept as EdgeCount);
     }
-    Csr::from_parts(new_offsets, new_targets, new_weights)
+    ts.truncate(kept);
+    if let Some(w) = ws {
+        w.truncate(kept);
+    }
 }
 
 #[cfg(test)]

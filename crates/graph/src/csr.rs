@@ -10,6 +10,7 @@
 use crate::types::{
     EdgeCount, VertexId, Weight, BYTES_PER_EDGE_UNWEIGHTED, BYTES_PER_EDGE_WEIGHTED,
 };
+use ascetic_par::{parallel_parts, threads_for_work};
 
 /// A directed graph in CSR form. Undirected inputs are stored symmetrized
 /// (each undirected edge appears in both adjacency lists).
@@ -233,14 +234,19 @@ impl Csr {
         self.bytes_per_edge() / 4
     }
 
-    /// Attach weights generated by `f(src, edge_idx) -> Weight`.
-    pub fn with_weights_from(&self, mut f: impl FnMut(VertexId, u64) -> Weight) -> Csr {
-        let mut w = Vec::with_capacity(self.targets.len());
-        for v in 0..self.num_vertices() as VertexId {
-            for e in self.edge_range(v) {
-                w.push(f(v, e));
+    /// Attach weights generated by `f(src, edge_idx) -> Weight`, filled by
+    /// edge-balanced row windows over the pool. Each weight depends only on
+    /// its own edge, so the bytes are the same at any thread count.
+    pub fn with_weights_from(&self, f: impl Fn(VertexId, u64) -> Weight + Sync) -> Csr {
+        let mut w = vec![0 as Weight; self.targets.len()];
+        parallel_parts(row_windows(&self.offsets, &mut w), |_, (rows, out)| {
+            let base = self.offsets[rows.start];
+            for v in rows.start as VertexId..rows.end as VertexId {
+                for e in self.edge_range(v) {
+                    out[(e - base) as usize] = f(v, e);
+                }
             }
-        }
+        });
         Csr {
             offsets: self.offsets.clone(),
             targets: self.targets.clone(),
@@ -318,6 +324,32 @@ impl Csr {
         }
         Ok(())
     }
+}
+
+/// Cut `data` — one entry per edge of the CSR these `offsets` describe —
+/// into `threads_for_work(m)` windows of whole rows carrying about equal
+/// edge counts, each beside its row range (rows past the last edge hold
+/// nothing and are left out). These are the parts `parallel_parts` hands
+/// one worker each; it starts a worker per part, so there are no more
+/// parts than threads.
+pub(crate) fn row_windows<'a, T>(
+    offsets: &[EdgeCount],
+    mut data: &'a mut [T],
+) -> Vec<(std::ops::Range<usize>, &'a mut [T])> {
+    let m = offsets[offsets.len() - 1];
+    let parts = threads_for_work(m) as EdgeCount;
+    let mut start = 0;
+    (1..=parts)
+        .map(|k| {
+            let end = offsets.partition_point(|&o| o < k * m / parts);
+            let len = (offsets[end] - offsets[start]) as usize;
+            let (window, rest) = std::mem::take(&mut data).split_at_mut(len);
+            data = rest;
+            let rows = start..end;
+            start = end;
+            (rows, window)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -137,14 +137,12 @@ pub fn social_graph(cfg: &SocialConfig) -> Csr {
         out
     });
 
-    let mut b = GraphBuilder::with_capacity(n, 2 * m)
+    let mut b = GraphBuilder::with_capacity(n, m)
         .symmetrize(true)
         .drop_self_loops(true)
         .sort_neighbors(true);
     for batch in batches {
-        for (u, v) in batch {
-            b.add_edge(u, v);
-        }
+        b.extend(batch);
     }
     b.build()
 }

@@ -17,11 +17,10 @@ pub fn uniform_graph(num_vertices: usize, num_edges: u64, undirected: bool, seed
         .symmetrize(undirected)
         .drop_self_loops(true)
         .sort_neighbors(true);
-    for _ in 0..num_edges {
+    b.extend((0..num_edges).map(|_| {
         let u = rng.gen_range(0..num_vertices) as VertexId;
-        let v = rng.gen_range(0..num_vertices) as VertexId;
-        b.add_edge(u, v);
-    }
+        (u, rng.gen_range(0..num_vertices) as VertexId)
+    }));
     b.build()
 }
 

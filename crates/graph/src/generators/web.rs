@@ -181,9 +181,7 @@ pub fn web_graph(cfg: &WebConfig) -> Csr {
         .drop_self_loops(true)
         .sort_neighbors(true);
     for batch in batches {
-        for (u, v) in batch {
-            b.add_edge(u, v);
-        }
+        b.extend(batch);
     }
     b.build()
 }
