@@ -127,7 +127,7 @@ mod tests {
     use crate::sssp::Sssp;
     use crate::traits::VertexProgram;
     use ascetic_graph::generators::uniform_graph;
-    use ascetic_graph::{GraphBuilder, Mutation, PatchableCsr};
+    use ascetic_graph::{GraphBuilder, Mutation};
 
     #[test]
     fn closure_follows_only_carrying_edges() {
@@ -212,17 +212,16 @@ mod tests {
         } else {
             base
         };
-        let mut store = PatchableCsr::with_defaults(&base, true);
-        let mut g_old = store.to_csr();
+        let mut g_old = base;
         let mut state = prog.new_state(&g_old);
         run_in_memory_from(&g_old, prog, &state, prog.initial_frontier(&g_old));
 
         for round in 0..4u64 {
             let batch = churn_batch(&g_old, weighted, 24, seed * 17 + round);
-            let patch = store.apply(&batch).expect("valid churn batch");
-            let g_new = store.to_csr();
+            let mut g_new = g_old.clone();
+            let patch = g_new.apply(&batch).expect("valid churn batch");
             g_new.validate().expect("patched CSR invariants");
-            let csc_new = store.to_csc().expect("mirror requested");
+            let csc_new = g_new.transpose();
 
             match prog.repair(&g_old, &g_new, Some(&csc_new), &patch, &state) {
                 RepairPlan::Seeded(seeds) => {
@@ -276,13 +275,12 @@ mod tests {
         b.add_edge(2, 3);
         b.add_edge(0, 3);
         let g = b.build();
-        let mut store = PatchableCsr::with_defaults(&g, true);
         let prog = Bfs::new(0);
         let state = prog.new_state(&g);
         run_in_memory_from(&g, &prog, &state, prog.initial_frontier(&g));
-        let patch = store.apply(&[Mutation::Delete { src: 1, dst: 2 }]).unwrap();
-        let g_new = store.to_csr();
-        match prog.repair(&g, &g_new, store.to_csc().as_ref(), &patch, &state) {
+        let mut g_new = g.clone();
+        let patch = g_new.apply(&[Mutation::Delete { src: 1, dst: 2 }]).unwrap();
+        match prog.repair(&g, &g_new, Some(&g_new.transpose()), &patch, &state) {
             RepairPlan::Seeded(seeds) => {
                 run_in_memory_from(&g_new, &prog, &state, seeds);
             }

@@ -53,6 +53,7 @@ pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod fleet;
+mod graph_ref;
 pub mod hotness;
 pub mod maps;
 pub mod ondemand;

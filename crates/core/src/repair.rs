@@ -2,7 +2,7 @@
 //!
 //! [`repair_session`] is the differential-dataflow-flavored half of
 //! `ascetic-mutate`: the caller has already delta-patched the session with
-//! [`AsceticSession::apply_patch`]; this decides *how little* recompute the
+//! [`AsceticSession::apply_batch`]; this decides *how little* recompute the
 //! patched graph needs and drives the existing operator core to do it.
 //!
 //! Three modes, ranked by how much converged work survives:
@@ -57,8 +57,8 @@ pub struct RepairOutcome {
 
 /// Re-converge `state` on `sess`'s (already patched) graph. `g_old` is the
 /// pre-patch graph the state converged over — the invalidation closures
-/// judge dependencies on its edges. The caller keeps ownership of both
-/// graph versions and of the program state across batches.
+/// judge dependencies on its edges; the caller keeps it (a copy taken
+/// before the batch) and the program state across batches.
 pub fn repair_session<P: VertexProgram>(
     sess: &mut AsceticSession<'_>,
     prog: &P,
@@ -66,11 +66,11 @@ pub fn repair_session<P: VertexProgram>(
     g_old: &Csr,
     patch: &GraphPatch,
 ) -> RepairOutcome {
-    let g_new = sess.graph();
     let start_ns = sess.clock_ns();
     if !prog.capabilities().incremental {
-        *state = prog.new_state(g_new);
-        let report = sess.run_with_state(prog, state, prog.initial_frontier(g_new));
+        *state = prog.new_state(sess.graph());
+        let frontier = prog.initial_frontier(sess.graph());
+        let report = sess.run_with_state(prog, state, frontier);
         sess.obs_counter_add("mutate.repair_fallback", 1);
         let end_ns = sess.clock_ns();
         sess.phase_span(
@@ -85,7 +85,7 @@ pub fn repair_session<P: VertexProgram>(
             report,
         };
     }
-    let plan = prog.repair(g_old, g_new, sess.mirror_csc(), patch, state);
+    let plan = prog.repair(g_old, sess.graph(), sess.mirror_csc(), patch, state);
     match plan {
         RepairPlan::Seeded(seeds) => {
             let seed_count = seeds.count_ones() as u64;
@@ -101,8 +101,9 @@ pub fn repair_session<P: VertexProgram>(
             }
         }
         RepairPlan::Restart => {
-            *state = prog.new_state(g_new);
-            let report = sess.run_with_state(prog, state, prog.initial_frontier(g_new));
+            *state = prog.new_state(sess.graph());
+            let frontier = prog.initial_frontier(sess.graph());
+            let report = sess.run_with_state(prog, state, frontier);
             sess.obs_counter_add("mutate.repair_restart", 1);
             let end_ns = sess.clock_ns();
             sess.phase_span(MUTATE_TRACK, start_ns, end_ns, "repair (warm restart)");
@@ -122,7 +123,7 @@ mod tests {
     use ascetic_algos::{Bfs, Cc, LabelPropagation, PageRank, Sssp};
     use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::uniform_graph;
-    use ascetic_graph::{Mutation, PatchableCsr};
+    use ascetic_graph::Mutation;
     use ascetic_sim::DeviceConfig;
 
     use crate::config::AsceticConfig;
@@ -174,30 +175,20 @@ mod tests {
         } else {
             base
         };
-        let mut store = PatchableCsr::with_defaults(&base, true);
-        // Pre-materialize every graph version: the session borrows each
-        // version for the lifetime of the epoch it is bound to.
-        let mut versions = vec![store.to_csr()];
-        let mut cscs = vec![store.to_csc().expect("mirror requested")];
-        let mut patches = Vec::new();
+        // the session patches its own copy; the pre-batch graph is kept
+        // only for repair's invalidation walk
+        let mut sess = AsceticSession::new(cfg_for(&base), &base);
+        let mut state = prog.new_state(&base);
+        sess.run_with_state(prog, &state, prog.initial_frontier(&base));
         for round in 0..3u64 {
-            let batch = churn(versions.last().unwrap(), weighted, 30, seed * 31 + round);
-            patches.push(store.apply(&batch).expect("valid churn"));
-            versions.push(store.to_csr());
-            cscs.push(store.to_csc().expect("mirror requested"));
-        }
-
-        let mut sess = AsceticSession::new(cfg_for(&versions[0]), &versions[0]);
-        let mut state = prog.new_state(&versions[0]);
-        sess.run_with_state(prog, &state, prog.initial_frontier(&versions[0]));
-        for (i, patch) in patches.iter().enumerate() {
-            let (g_old, g_new) = (&versions[i], &versions[i + 1]);
-            sess.apply_patch(g_new, Some(&cscs[i + 1]), patch);
-            let out = repair_session(&mut sess, prog, &mut state, g_old, patch);
+            let g_old = sess.graph().clone();
+            let batch = churn(&g_old, weighted, 30, seed * 31 + round);
+            let pa = sess.apply_batch(&batch).expect("valid churn");
+            let out = repair_session(&mut sess, prog, &mut state, &g_old, &pa.patch);
             assert_eq!(
                 out.report.output,
-                run_in_memory(g_new, prog).output,
-                "round {i} diverged from full recompute"
+                run_in_memory(sess.graph(), prog).output,
+                "round {round} diverged from full recompute"
             );
         }
     }
@@ -224,23 +215,18 @@ mod tests {
 
     #[test]
     fn lp_falls_back_to_full_recompute() {
-        let g = uniform_graph(500, 3_500, false, 15);
-        let mut store = PatchableCsr::with_defaults(&g, true);
-        let g0 = store.to_csr();
+        let g0 = uniform_graph(500, 3_500, false, 15);
         let batch = churn(&g0, false, 12, 99);
-        let patch = store.apply(&batch).expect("valid churn");
-        let g1 = store.to_csr();
-        let csc1 = store.to_csc();
 
         let prog = LabelPropagation::default();
         let mut sess = AsceticSession::new(cfg_for(&g0), &g0);
         let mut state = prog.new_state(&g0);
         sess.run_with_state(&prog, &state, prog.initial_frontier(&g0));
-        sess.apply_patch(&g1, csc1.as_ref(), &patch);
-        let out = repair_session(&mut sess, &prog, &mut state, &g0, &patch);
+        let pa = sess.apply_batch(&batch).expect("valid churn");
+        let out = repair_session(&mut sess, &prog, &mut state, &g0, &pa.patch);
         assert_eq!(out.mode, RepairMode::Fallback);
         assert_eq!(out.seed_count, 0);
-        assert_eq!(out.report.output, run_in_memory(&g1, &prog).output);
+        assert_eq!(out.report.output, run_in_memory(sess.graph(), &prog).output);
     }
 
     #[test]
@@ -248,23 +234,19 @@ mod tests {
         // A small batch on a converged BFS session must re-touch far fewer
         // edges than a cold recompute — the paper-side claim behind the
         // incremental bench lane.
-        let g = uniform_graph(1_500, 12_000, false, 21);
-        let mut store = PatchableCsr::with_defaults(&g, true);
-        let g0 = store.to_csr();
+        let g0 = uniform_graph(1_500, 12_000, false, 21);
         let batch = churn(&g0, false, 8, 7);
-        let patch = store.apply(&batch).expect("valid churn");
-        let g1 = store.to_csr();
-        let csc1 = store.to_csc();
 
         let prog = Bfs::new(0);
         let mut sess = AsceticSession::new(cfg_for(&g0), &g0);
         let mut state = prog.new_state(&g0);
         sess.run_with_state(&prog, &state, prog.initial_frontier(&g0));
-        let pa = sess.apply_patch(&g1, csc1.as_ref(), &patch);
+        let pa = sess.apply_batch(&batch).expect("valid churn");
         assert!(pa.wire_bytes > 0, "delta must be accounted on the wire");
-        let out = repair_session(&mut sess, &prog, &mut state, &g0, &patch);
+        let out = repair_session(&mut sess, &prog, &mut state, &g0, &pa.patch);
         assert_eq!(out.mode, RepairMode::Seeded);
 
+        let g1 = sess.graph().clone();
         let mut cold = AsceticSession::new(cfg_for(&g1), &g1);
         let cold_report = cold.run(&prog);
         assert_eq!(out.report.output, cold_report.output);

@@ -29,7 +29,7 @@ use ascetic_algos::ops::{self, NextFrontier};
 use ascetic_algos::TraversalDirection::{self, Pull, Push};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
-use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
+use ascetic_graph::{Csr, GraphChunks, GraphPatch, Mutation, PatchError, VertexId};
 use ascetic_obs::Event;
 use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
@@ -39,6 +39,7 @@ use crate::codec::{
 };
 use crate::config::{AsceticConfig, CompressionMode, DirectionMode};
 use crate::engine::{finish_report, RunBase};
+use crate::graph_ref::SessionGraph;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
@@ -76,7 +77,9 @@ const PATCH_CHUNK_HEADER_BYTES: u64 = 32;
 /// A prepared Ascetic device bound to one graph, reusable across runs.
 pub struct AsceticSession<'g> {
     cfg: AsceticConfig,
-    g: &'g Csr,
+    // the caller's graph until the first mutation batch, then the
+    // session's own copy of the epoch it is on
+    g: SessionGraph<'g>,
     geo: ChunkGeometry,
     gpu: Gpu,
     region: StaticRegion,
@@ -181,6 +184,17 @@ impl<'g> AsceticSession<'g> {
     /// Set up the device for `g`: reserve vertex arrays, size the regions
     /// per Eq (2), allocate the on-demand buffers and perform the prestore.
     pub fn new(cfg: AsceticConfig, g: &'g Csr) -> AsceticSession<'g> {
+        Self::build(cfg, SessionGraph::Borrowed(g))
+    }
+
+    /// [`AsceticSession::new`] over a graph the session owns from the
+    /// start (a cold build on a mutated epoch, which only it will patch).
+    pub fn owning(cfg: AsceticConfig, g: Csr) -> AsceticSession<'g> {
+        Self::build(cfg, SessionGraph::Owned(Arc::new(g)))
+    }
+
+    fn build(cfg: AsceticConfig, graph: SessionGraph<'g>) -> AsceticSession<'g> {
+        let g: &Csr = &graph;
         let geo = ChunkGeometry::with_chunk_bytes(g, cfg.chunk_bytes);
         let mut gpu = Gpu::armed(cfg.device, cfg.tracing, cfg.events);
         let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
@@ -248,7 +262,7 @@ impl<'g> AsceticSession<'g> {
 
         let mut session = AsceticSession {
             cfg,
-            g,
+            g: graph,
             geo,
             gpu,
             region,
@@ -270,9 +284,9 @@ impl<'g> AsceticSession<'g> {
         self.runs
     }
 
-    /// The graph this session is bound to.
-    pub fn graph(&self) -> &'g Csr {
-        self.g
+    /// The graph this session is bound to (patched to its current epoch).
+    pub fn graph(&self) -> &Csr {
+        &self.g
     }
 
     /// The one issue site for a region op (`DESIGN.md` §21): move the
@@ -304,7 +318,7 @@ impl<'g> AsceticSession<'g> {
 
     /// Move an op's chunk into the static region (the data plane).
     fn apply(&mut self, op: PrefetchOp) {
-        let (gpu, g) = (&mut self.gpu, self.g);
+        let (gpu, g) = (&mut self.gpu, &*self.g);
         match op {
             PrefetchOp::Load(c) => self.region.load_chunk(gpu, g, c),
             PrefetchOp::Swap { evict, load } => self.region.swap_chunk(gpu, g, evict, load),
@@ -353,7 +367,7 @@ impl<'g> AsceticSession<'g> {
     /// the traffic a cold session would have to ship on demand but a warm
     /// one serves from device memory.
     pub fn demand_overlap(&self, frontier: &Bitmap) -> (u64, u64) {
-        let demand = chunk_demand_bytes(self.g, &self.geo, frontier);
+        let demand = chunk_demand_bytes(&self.g, &self.geo, frontier);
         let mut resident = 0u64;
         let mut total = 0u64;
         for (c, &b) in demand.iter().enumerate() {
@@ -409,7 +423,7 @@ impl<'g> AsceticSession<'g> {
         prev_pull: bool,
         targets: &mut Bitmap,
     ) -> bool {
-        let g = self.g;
+        let g = &*self.g;
         let bpe = g.bytes_per_edge() as u64;
         let resident = self.region.vertex_bitmap();
         let mut push_edges = 0u64;
@@ -528,7 +542,7 @@ impl<'g> AsceticSession<'g> {
         state: &P::State,
         next: &mut NextFrontier,
     ) {
-        let g = self.g;
+        let g = self.g.clone();
         let weighted = g.is_weighted();
         // Direction dispatch: the previous iteration pre-committed a
         // direction for this frontier (after its prefetch window, so the
@@ -553,7 +567,7 @@ impl<'g> AsceticSession<'g> {
                     });
                     batch.edges()
                 };
-                let od = self.run_ondemand(ctx, g, &nodes, ready, Push, kernel);
+                let od = self.run_ondemand(ctx, &g, &nodes, ready, Push, kernel);
                 ctx.maps.ondemand_nodes = nodes;
                 self.prefetch_phase(prog, ctx, state, next);
                 IterReport {
@@ -670,7 +684,8 @@ impl<'g> AsceticSession<'g> {
         next_bits: &AtomicBitmap,
         genmap: Span,
     ) -> SimTime {
-        let g = self.g;
+        let g = self.g.clone();
+        let g = &*g;
         let cfg = self.cfg;
         let bpe = g.bytes_per_edge() as u64;
         let maps = &mut ctx.maps;
@@ -771,7 +786,7 @@ impl<'g> AsceticSession<'g> {
         active: &Bitmap,
         state: &P::State,
     ) {
-        ops::pull_frontier_into(prog, self.g, active, state, &mut ctx.pull_bits);
+        ops::pull_frontier_into(prog, &self.g, active, state, &mut ctx.pull_bits);
         let inflight = ctx.prefetch_inflight.drain(..).map(|(_op, bytes)| bytes);
         let pending = ctx.prefetch_pending.drain(..).map(|(_chunk, bytes)| bytes);
         for bytes in inflight.chain(pending) {
@@ -867,7 +882,7 @@ impl<'g> AsceticSession<'g> {
             let dst = self.od_buffers[buf_idx].slice(0, batch.words());
             let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
             let estimate = (dir == Push).then_some(|| {
-                estimate_batch_wire(self.g, &self.geo, &mut self.hotness, batch.entries)
+                estimate_batch_wire(&self.g, &self.geo, &mut self.hotness, batch.entries)
             });
             let (t_ns, payload_at) = ship_batch(
                 &mut self.gpu,
@@ -921,7 +936,8 @@ impl<'g> AsceticSession<'g> {
         if !self.cfg.prefetch.is_on() {
             return;
         }
-        let g = self.g;
+        let g = self.g.clone();
+        let g = &*g;
         let geo = self.geo;
         let iter = ctx.iter;
         self.hotness
@@ -1047,8 +1063,8 @@ impl<'g> AsceticSession<'g> {
     /// (betweenness) therefore inherit prefetch, compression and direction
     /// choice with no session changes.
     pub fn run<P: VertexProgram>(&mut self, prog: &P) -> RunReport {
-        let state = prog.new_state(self.g);
-        let active = prog.initial_frontier(self.g);
+        let state = prog.new_state(&self.g);
+        let active = prog.initial_frontier(&self.g);
         self.run_with_state(prog, &state, active)
     }
 
@@ -1084,7 +1100,8 @@ impl<'g> AsceticSession<'g> {
             "graph weighting must match the program"
         );
         let mut ctx = self.begin_run();
-        let mut drive = ops::Drive::new(prog, self.g, state);
+        let g = self.g.clone();
+        let mut drive = ops::Drive::new(prog, &g, state);
         while drive.begin(active).is_some() {
             self.step_iteration(prog, &mut ctx, active, state, next);
             drive.end(active, next);
@@ -1092,10 +1109,11 @@ impl<'g> AsceticSession<'g> {
         self.finish_run(prog, state, ctx)
     }
 
-    /// Re-bind the session to a mutated version of its graph *in place*:
-    /// no arena teardown, no re-prestore. The caller (the `ascetic-mutate`
-    /// driver) owns both graph versions; `g_new` must have the same vertex
-    /// count and weightedness (edge mutations, not schema changes).
+    /// Apply one mutation batch to the session's graph *in place*
+    /// ([`Csr::apply`]): no arena teardown, no re-prestore. The first batch
+    /// copies a borrowed graph once (the caller's stays as it was); from
+    /// then on the session patches its own. A rejected batch changes
+    /// nothing.
     ///
     /// What happens on the device, per the delta-shipping model:
     /// * resident chunks at or after the patch's first dirty edge are
@@ -1107,45 +1125,24 @@ impl<'g> AsceticSession<'g> {
     ///   compaction kernel over the resident copies;
     /// * the hotness table keeps its access history (chunk boundaries are
     ///   stable under patching) but drops cached encoded sizes for dirty
-    ///   chunks; the CSC mirror, when built, is swapped for the patched
-    ///   transpose (`csc_new`, or re-transposed here when absent).
-    pub fn apply_patch(
-        &mut self,
-        g_new: &'g Csr,
-        csc_new: Option<&Csr>,
-        patch: &GraphPatch,
-    ) -> PatchApply {
-        assert_eq!(
-            g_new.num_vertices(),
-            self.g.num_vertices(),
-            "patch must preserve the vertex set"
-        );
-        assert_eq!(
-            g_new.is_weighted(),
-            self.g.is_weighted(),
-            "patch must preserve weightedness"
-        );
+    ///   chunks; the CSC mirror, when built, is re-transposed.
+    pub fn apply_batch(&mut self, batch: &[Mutation]) -> Result<PatchApply, PatchError> {
+        self.g.check_batch(batch)?;
+        let patch = self.g.to_mut().apply(batch)?;
         let start = self.gpu.sync();
-        let new_geo = ChunkGeometry::with_chunk_bytes(g_new, self.cfg.chunk_bytes);
+        let new_geo = ChunkGeometry::with_chunk_bytes(&self.g, self.cfg.chunk_bytes);
         let epc = self.geo.edges_per_chunk;
         let first_dirty_chunk =
             ((patch.first_dirty_edge / epc) as ChunkId).min(new_geo.num_chunks() as ChunkId);
         let rp = self
             .region
-            .patch(&mut self.gpu, g_new, new_geo, first_dirty_chunk);
+            .patch(&mut self.gpu, &self.g, new_geo, first_dirty_chunk);
         self.hotness.resize(new_geo.num_chunks());
         self.hotness.invalidate_wire_from(first_dirty_chunk);
         if self.mirror.is_some() {
-            self.mirror = Some(Arc::new(match csc_new {
-                Some(csc) => GraphChunks {
-                    csr_geo: new_geo,
-                    csc_geo: ChunkGeometry::with_chunk_bytes(csc, self.cfg.chunk_bytes),
-                    csc: csc.clone(),
-                },
-                None => GraphChunks::build(g_new, self.cfg.chunk_bytes),
-            }));
+            let chunks = GraphChunks::build(&self.g, self.cfg.chunk_bytes);
+            self.mirror = Some(Arc::new(chunks));
         }
-        self.g = g_new;
         self.geo = new_geo;
 
         // Delta shipping: endpoints-and-weight records for every changed
@@ -1177,12 +1174,13 @@ impl<'g> AsceticSession<'g> {
         reg.counter_add("mutate.refreshed_chunks", rp.refreshed.len() as u64);
         reg.counter_add("mutate.evicted_chunks", rp.evicted.len() as u64);
         self.phase_span(MUTATE_TRACK, start.0, end.0, "mutation patch");
-        PatchApply {
+        Ok(PatchApply {
+            patch,
             wire_bytes,
             refreshed_chunks: rp.refreshed.len() as u32,
             evicted_chunks: rp.evicted.len() as u32,
             patch_ns: end.since(start),
-        }
+        })
     }
 
     /// The patched transpose the session's pull path would read — what
@@ -1220,8 +1218,10 @@ impl<'g> AsceticSession<'g> {
     }
 }
 
-/// What [`AsceticSession::apply_patch`] shipped and touched.
+/// What [`AsceticSession::apply_batch`] changed, shipped and touched.
 pub struct PatchApply {
+    /// The batch's record ([`Csr::apply`]): what repair seeds from.
+    pub patch: GraphPatch,
     /// Bytes the mutation delta put on the link (records + chunk headers).
     pub wire_bytes: u64,
     /// Resident chunks rewritten in place.
@@ -1303,10 +1303,8 @@ mod tests {
 
     #[test]
     fn metrics_and_events_are_per_run() {
-        use ascetic_graph::{Mutation, PatchableCsr};
         use ascetic_obs::MetricValue;
         let g = uniform_graph(2_000, 16_000, false, 35);
-        let mut store = PatchableCsr::with_defaults(&g, false);
         let batch: Vec<Mutation> = (0..20u32)
             .map(|i| Mutation::Insert {
                 src: i * 7,
@@ -1314,8 +1312,6 @@ mod tests {
                 weight: None,
             })
             .collect();
-        let patch = store.apply(&batch).expect("valid inserts");
-        let g1 = store.to_csr();
         let cfg = cfg_for(&g)
             .with_prefetch(PrefetchMode::NextFrontier)
             .with_events(true);
@@ -1358,7 +1354,7 @@ mod tests {
 
         // a patch lands between runs: its traffic is nobody's run
         let before = registry(&session);
-        let pa = session.apply_patch(&g1, None, &patch);
+        let pa = session.apply_batch(&batch).expect("valid inserts");
         let patched = registry(&session).diff(&before);
         assert_eq!(patched.counter("mutate.wire_bytes"), Some(pa.wire_bytes));
         assert_eq!(patched.counter("xfer.h2d_wire_bytes"), Some(pa.wire_bytes));
@@ -1732,8 +1728,8 @@ mod tests {
         prog: &Bfs,
         mut after_step: impl FnMut(&RunCtx),
     ) {
-        let state = prog.new_state(s.g);
-        let mut active = prog.initial_frontier(s.g);
+        let state = prog.new_state(&s.g);
+        let mut active = prog.initial_frontier(&s.g);
         let mut next = NextFrontier::new(s.g.num_vertices());
         while !active.is_all_zero() {
             ops::compute(prog, ctx.iter, &active, &state);

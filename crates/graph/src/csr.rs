@@ -18,11 +18,11 @@ use ascetic_par::{parallel_parts, threads_for_work};
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes `targets` (and `weights`) for the
     /// out-edges of `v`. Length `num_vertices + 1`; `offsets[0] == 0`.
-    offsets: Vec<EdgeCount>,
+    pub(crate) offsets: Vec<EdgeCount>,
     /// Edge targets, grouped by source vertex.
-    targets: Vec<VertexId>,
+    pub(crate) targets: Vec<VertexId>,
     /// Optional per-edge weights, parallel to `targets`.
-    weights: Option<Vec<Weight>>,
+    pub(crate) weights: Option<Vec<Weight>>,
 }
 
 impl std::fmt::Debug for Csr {

@@ -16,9 +16,9 @@
 //!   (paper §3.4: "we divide the graph dataset into 16KB chunks").
 //! * [`partition`] — contiguous vertex-range edge partitions for the PT
 //!   baseline (GraphReduce-style).
-//! * [`patch`] — streaming edge mutations: a chunked, slack-padded CSR/CSC
-//!   store supporting in-place insert/delete batches with chunk-split on
-//!   overflow (the `ascetic-mutate` substrate).
+//! * [`patch`] — streaming edge mutations: [`Csr::apply`] patches a packed
+//!   CSR in place, one pass per insert/delete batch (the `ascetic-mutate`
+//!   substrate).
 //! * [`compress`] — delta–varint adjacency compression (transfer-volume
 //!   ablation substrate).
 //! * [`stats`] — degree statistics and distribution summaries.
@@ -41,5 +41,5 @@ pub use builder::GraphBuilder;
 pub use chunks::{ChunkGeometry, GraphChunks};
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetId};
-pub use patch::{Epochs, GraphPatch, Mutation, PatchError, PatchableCsr};
+pub use patch::{GraphPatch, Mutation, PatchError};
 pub use types::{EdgeCount, VertexId, Weight, INF_DIST};

@@ -1,31 +1,46 @@
-//! The mutation driver: pre-materialize graph epochs, patch a live
-//! session through each batch, and repair instead of recomputing.
+//! The mutation driver: patch a live session through each batch, and
+//! repair instead of recomputing.
 //!
-//! The session borrows the graph it runs over, so all epochs are
-//! materialized up front via [`PatchableCsr`] — one [`Csr`] (plus CSC
-//! mirror, when the session can pull) per batch boundary — and the session is then walked through
-//! them: `apply_patch` splices each delta into the chunked region and
-//! [`repair_session`] re-converges the program state from the patch's
-//! affected-vertex frontier. The optional verify mode replays every epoch
-//! against the in-memory oracle and records bit-identity per batch — the
-//! hard oracle behind the `mutate-smoke` CI job and the incremental bench
-//! lane.
+//! The session owns the graph of the epoch it is on:
+//! `AsceticSession::apply_batch` patches it in place ([`Csr::apply`]) and
+//! splices the delta into the resident chunks, and [`repair_session`]
+//! re-converges the program state from the patch's affected-vertex
+//! frontier, judging invalidations on a copy of the pre-batch graph — two
+//! graph versions at a time, never one per batch. The optional verify mode
+//! replays every epoch against the in-memory oracle and records
+//! bit-identity per batch — the hard oracle behind the `mutate-smoke` CI
+//! job and the incremental bench lane. [`materialize`] keeps every epoch,
+//! for oracles that want them all at once.
 
 use ascetic_algos::inmemory::run_in_memory;
 use ascetic_algos::VertexProgram;
-use ascetic_core::{
-    repair_session, AsceticConfig, AsceticSession, DirectionMode, RepairMode, RunReport,
-};
-use ascetic_graph::{Csr, Mutation, PatchError, PatchableCsr};
+use ascetic_core::{repair_session, AsceticConfig, AsceticSession, RepairMode, RunReport};
+use ascetic_graph::{Csr, GraphPatch, Mutation, PatchError};
 
-pub use ascetic_graph::Epochs;
+/// Every graph epoch of a mutation stream ([`materialize`]).
+pub struct Epochs {
+    /// `versions[i]` is the graph after the first `i` batches
+    /// (`versions[0]` is the base graph).
+    pub versions: Vec<Csr>,
+    /// `patches[i]` turned `versions[i]` into `versions[i + 1]`.
+    pub patches: Vec<GraphPatch>,
+}
 
-/// Every graph version of a mutation stream ([`PatchableCsr::materialize`]),
-/// without the CSC mirrors: what a caller replaying or checking the stream
+/// Every graph version of a mutation stream, each a clone of the head
+/// [`Csr::apply`] patches: what an oracle replaying or checking the stream
 /// reads. Fails on the first malformed mutation, identifying the batch by
 /// index.
 pub fn materialize(g: &Csr, batches: &[Vec<Mutation>]) -> Result<Epochs, (usize, PatchError)> {
-    PatchableCsr::materialize(g, batches, false)
+    let mut head = g.clone();
+    let mut epochs = Epochs {
+        versions: vec![g.clone()],
+        patches: Vec::with_capacity(batches.len()),
+    };
+    for (i, batch) in batches.iter().enumerate() {
+        epochs.patches.push(head.apply(batch).map_err(|e| (i, e))?);
+        epochs.versions.push(head.clone());
+    }
+    Ok(epochs)
 }
 
 /// What one batch cost and how the session recovered from it.
@@ -99,7 +114,8 @@ impl MutationRun {
 /// patching the resident chunks in place and repairing the program state
 /// after each batch. With `verify`, every batch's repaired output is
 /// compared bit-identically against a cold in-memory recompute on the
-/// mutated graph ([`BatchOutcome::matches_recompute`]).
+/// mutated graph ([`BatchOutcome::matches_recompute`]). A malformed batch
+/// fails the call before anything runs, named by its index.
 pub fn run_with_mutations<P: VertexProgram>(
     cfg: AsceticConfig,
     g: &Csr,
@@ -107,19 +123,20 @@ pub fn run_with_mutations<P: VertexProgram>(
     batches: &[Vec<Mutation>],
     verify: bool,
 ) -> Result<MutationRun, (usize, PatchError)> {
-    // the session swaps its mirror for the patched one only if it built one
-    let pulls = cfg.direction != DirectionMode::Push;
-    let epochs = PatchableCsr::materialize(g, batches, pulls)?;
-    let mut sess = AsceticSession::new(cfg, &epochs.versions[0]);
-    let mut state = prog.new_state(&epochs.versions[0]);
-    let base = sess.run_with_state(prog, &state, prog.initial_frontier(&epochs.versions[0]));
-    let mut outcomes = Vec::with_capacity(epochs.patches.len());
-    for (i, patch) in epochs.patches.iter().enumerate() {
-        let (g_old, g_new) = (&epochs.versions[i], &epochs.versions[i + 1]);
-        let pa = sess.apply_patch(g_new, epochs.csc(i + 1), patch);
-        let out = repair_session(&mut sess, prog, &mut state, g_old, patch);
+    for (i, batch) in batches.iter().enumerate() {
+        g.check_batch(batch).map_err(|e| (i, e))?;
+    }
+    let mut sess = AsceticSession::new(cfg, g);
+    let mut state = prog.new_state(g);
+    let base = sess.run_with_state(prog, &state, prog.initial_frontier(g));
+    let mut outcomes = Vec::with_capacity(batches.len());
+    for (i, batch) in batches.iter().enumerate() {
+        let g_old = sess.graph().clone();
+        let pa = sess.apply_batch(batch).map_err(|e| (i, e))?;
+        let patch = &pa.patch;
+        let out = repair_session(&mut sess, prog, &mut state, &g_old, patch);
         let matches_recompute =
-            verify.then(|| out.report.output == run_in_memory(g_new, prog).output);
+            verify.then(|| out.report.output == run_in_memory(sess.graph(), prog).output);
         outcomes.push(BatchOutcome {
             index: i,
             inserts: patch.inserts.len() as u64,

@@ -129,8 +129,8 @@ impl From<RecordError> for MutateErrorKind {
 
 /// Parse a JSONL mutation stream into ordered batches. `num_vertices`,
 /// when known, bounds both endpoints; `weighted`, when known, enforces the
-/// weight rules at parse time (otherwise `PatchableCsr::apply` still
-/// enforces them at patch time).
+/// weight rules at parse time (otherwise `Csr::check_batch` still
+/// enforces them before anything is patched).
 pub fn parse_mutations(
     text: &str,
     num_vertices: Option<usize>,

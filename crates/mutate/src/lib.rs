@@ -4,8 +4,8 @@
 //! # ascetic-mutate — streaming graph mutations with incremental recompute
 //!
 //! The paper's static/on-demand split assumes the graph is frozen; this
-//! crate relaxes that. Edge insert/delete batches are delta-patched into
-//! the live session's chunked CSR (resident device chunks rewritten in
+//! crate relaxes that. Edge insert/delete batches are patched into the
+//! live session's own packed CSR (resident device chunks rewritten in
 //! place, not re-prestored) and the converged program state is *repaired*
 //! — re-run from an affected-vertex frontier — instead of recomputed
 //! cold. The hard oracle throughout: the patched-and-repaired result is
@@ -17,13 +17,13 @@
 //!   in the same format family as the serve job traces.
 //! * [`churn`] — deterministic synthetic insert/delete streams whose
 //!   deletes always name live edges (for benches, CI and proptests).
-//! * [`driver`] — epoch materialization via `ascetic_graph::PatchableCsr`
-//!   and the patch → repair → (optionally) verify loop over an
-//!   `ascetic_core::AsceticSession`.
+//! * [`driver`] — the patch → repair → (optionally) verify loop over an
+//!   `ascetic_core::AsceticSession` that patches its own graph, plus
+//!   every-epoch materialization for oracles.
 //!
-//! The pieces underneath live where their data lives: the delta-patching
-//! store in `ascetic-graph` (`patch`), the in-place device splice in
-//! `ascetic-core` (`AsceticSession::apply_patch`), the repair engine in
+//! The pieces underneath live where their data lives: the in-place batch
+//! routine in `ascetic-graph` (`Csr::apply`), the session's patch and
+//! device splice in `ascetic-core` (`AsceticSession::apply_batch`), the repair engine in
 //! `ascetic-core` (`repair`), and the per-program invalidate-then-settle
 //! passes in `ascetic-algos` (`incremental` + `VertexProgram::repair`).
 

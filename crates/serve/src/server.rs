@@ -47,12 +47,15 @@
 //! inputs to that loop (an empty schedule, one device), not second paths.
 //! Each serve-level tally is bumped at one site, in the registry;
 //! `finish` reads the report's copies back from it.
+//!
+//! **Mutations** ([`serve_mutating`]): a session owns the epoch it is on
+//! and patches its own graph batch by batch; serve keeps the batches, the
+//! input graphs and at most one lazily advanced head copy per variant —
+//! one graph per live session, never one per epoch.
 
 use ascetic_algos::{AlgoOutput, MsBfsDistances, MsSsspDistances, ProgramOpts, MAX_BATCH_LANES};
-use ascetic_core::{
-    AsceticConfig, AsceticSession, AsceticSystem, DirectionMode, OutOfCoreSystem, RunReport,
-};
-use ascetic_graph::{Csr, Epochs, GraphPatch, Mutation, PatchError, PatchableCsr};
+use ascetic_core::{AsceticConfig, AsceticSession, AsceticSystem, OutOfCoreSystem, RunReport};
+use ascetic_graph::{Csr, Mutation, PatchError};
 use ascetic_obs::{Registry, SpanTracer, TrackId};
 use ascetic_par::Bitmap;
 use ascetic_sim::{Interconnect, InterconnectConfig};
@@ -120,8 +123,8 @@ struct Device<'g> {
     /// The device's live session, if any, under whether it serves the
     /// weighted graph variant.
     session: Option<(bool, AsceticSession<'g>)>,
-    /// How many mutation batches the live session's graph includes (its
-    /// graph is `versions[epoch]` of the session's variant).
+    /// How many mutation batches the live session's graph includes (the
+    /// session patches its own graph; it borrows the input at epoch 0).
     epoch: usize,
     /// The device's scheduler track in the serve trace.
     track: TrackId,
@@ -138,7 +141,8 @@ pub enum ServeError {
         /// 0-based batch index in the schedule (batches are `at_ns`
         /// groups, in time order).
         batch: usize,
-        /// The patch-store rejection.
+        /// Why the batch was rejected (`Csr::check_batch`, run on every
+        /// batch before any job).
         error: PatchError,
     },
 }
@@ -212,7 +216,8 @@ impl CostModel {
         self.runs[i] += 1;
     }
 
-    fn estimate(&self, job: &Job, g: &Csr) -> u64 {
+    /// `g` is the job's graph as of the deciding epoch, for sourced jobs.
+    fn estimate(&self, job: &Job, g: Option<&Csr>) -> u64 {
         let i = kind_index(job.kind);
         let base = self.sum_ns[i]
             .checked_div(self.runs[i])
@@ -220,101 +225,98 @@ impl CostModel {
         // a hub source seeds a fatter first frontier
         let degree_term = job
             .source
-            .map_or(0, |s| g.degree(s) * g.bytes_per_edge() as u64);
+            .zip(g)
+            .map_or(0, |(s, g)| g.degree(s) * g.bytes_per_edge() as u64);
         base + degree_term
     }
 }
 
-/// One graph variant's epoch sequence, borrowed: `versions[k]` is the
-/// graph after the first `k` mutation batches; `patches[k]` turned
-/// `versions[k]` into `versions[k + 1]`. A non-mutating serve passes a
-/// single version and no patches.
-#[derive(Clone, Copy)]
-struct EpochSlices<'g> {
-    versions: &'g [Csr],
-    cscs: &'g [Csr],
-    patches: &'g [GraphPatch],
+/// One graph variant under the mutation schedule: the input graph, the
+/// batches with weights normalized for it (dropped on the unweighted
+/// graph, defaulted to 1 on the weighted one), and a head copy that only a
+/// cold build or an SJF estimate past epoch 0 brings into being. Live
+/// sessions patch their own graphs; no epoch is kept beside them.
+struct Variant<'g> {
+    base: &'g Csr,
+    batches: Vec<Vec<Mutation>>,
+    head: Option<(usize, Csr)>,
 }
 
-impl<'g> EpochSlices<'g> {
-    fn single(g: &'g Csr) -> EpochSlices<'g> {
-        EpochSlices {
-            versions: std::slice::from_ref(g),
-            cscs: &[],
-            patches: &[],
-        }
-    }
-}
-
-impl<'g> From<&'g Epochs> for EpochSlices<'g> {
-    fn from(e: &'g Epochs) -> EpochSlices<'g> {
-        EpochSlices {
-            versions: &e.versions,
-            cscs: &e.cscs,
-            patches: &e.patches,
-        }
-    }
-}
-
-/// Normalize a trace mutation's weight for one graph variant: dropped on
-/// the unweighted graph, defaulted to 1 on the weighted one.
-fn normalize_weight(m: Mutation, weighted: bool) -> Mutation {
-    match m {
-        Mutation::Insert { src, dst, weight } => Mutation::Insert {
-            src,
-            dst,
-            weight: weighted.then(|| weight.unwrap_or(1)),
-        },
-        delete => delete,
-    }
-}
-
-/// Every epoch of `batches` over one graph variant, weights normalized for
-/// it; CSC mirrors only when `mirror` (the serve config can pull).
-fn materialize_variant(
-    g: &Csr,
-    batches: &[Vec<Mutation>],
-    weighted: bool,
-    mirror: bool,
-) -> Result<Epochs, ServeError> {
-    let normalize = |batch: &Vec<Mutation>| -> Vec<Mutation> {
-        batch
+impl<'g> Variant<'g> {
+    /// Normalize `batches` for `base` and check every one against it up
+    /// front, so a malformed batch fails the serve before any job runs —
+    /// even one no session would ever reach.
+    fn new(base: &'g Csr, batches: &[Vec<Mutation>], weighted: bool) -> Result<Self, ServeError> {
+        let normalize = |&m| match m {
+            Mutation::Insert { src, dst, weight } => Mutation::Insert {
+                src,
+                dst,
+                weight: weighted.then(|| weight.unwrap_or(1)),
+            },
+            delete => delete,
+        };
+        let batches: Vec<Vec<Mutation>> = batches
             .iter()
-            .map(|&m| normalize_weight(m, weighted))
-            .collect()
-    };
-    let normalized: Vec<Vec<Mutation>> = batches.iter().map(normalize).collect();
-    PatchableCsr::materialize(g, &normalized, mirror)
-        .map_err(|(batch, error)| ServeError::Mutation { batch, error })
+            .map(|b| b.iter().map(normalize).collect())
+            .collect();
+        for (batch, ops) in batches.iter().enumerate() {
+            let check = base.check_batch(ops);
+            check.map_err(|error| ServeError::Mutation { batch, error })?;
+        }
+        Ok(Variant {
+            base,
+            batches,
+            head: None,
+        })
+    }
+
+    /// Bring the head up to `epoch` (decisions never go back in time).
+    fn advance(&mut self, epoch: usize) {
+        if epoch > 0 {
+            let (at, head) = self.head.get_or_insert_with(|| (0, self.base.clone()));
+            for batch in &self.batches[*at..epoch] {
+                head.apply(batch).expect("checked when the serve started");
+            }
+            *at = epoch;
+        }
+    }
+
+    /// The graph as of `epoch`: the input at 0, else the head, which
+    /// [`Variant::advance`] brought there.
+    fn at(&self, epoch: usize) -> &Csr {
+        match &self.head {
+            _ if epoch == 0 => self.base,
+            Some((at, head)) if *at == epoch => head,
+            _ => unreachable!("the head was not advanced to epoch {epoch}"),
+        }
+    }
 }
 
 /// Serve `jobs` over `unweighted` (and `weighted`, required iff the trace
 /// holds SSSP jobs) on one simulated device. Returns the full serve
 /// report; per-job problems (inadmissible variants) surface inside it as
 /// rejections, not errors.
-pub fn serve<'g>(
+pub fn serve(
     sc: &ServeConfig,
-    unweighted: &'g Csr,
-    weighted: Option<&'g Csr>,
+    unweighted: &Csr,
+    weighted: Option<&Csr>,
     jobs: &[Job],
 ) -> Result<ServeReport, ServeError> {
-    serve_impl(
-        sc,
-        EpochSlices::single(unweighted),
-        weighted.map(EpochSlices::single),
-        &[],
-        jobs,
-    )
+    serve_mutating(sc, unweighted, weighted, jobs, &[])
 }
 
 /// Like [`serve`], but with a schedule of edge mutations interleaved on
 /// the serve clock. Records sharing an `at_ns` form one atomic batch;
 /// when a device's clock passes a batch boundary its live session is
-/// *delta-patched in place* — resident chunks rewritten, hotness and
-/// residency carried — rather than torn down and re-prestored, and every
-/// job started at or after the boundary answers over the mutated graph.
-/// Both graph variants are mutated in lockstep (insert weights default to
-/// 1 on the weighted variant and are dropped on the unweighted one).
+/// *delta-patched in place* — its own graph patched, resident chunks
+/// rewritten, hotness and residency carried — rather than torn down and
+/// re-prestored, and every job started at or after the boundary answers
+/// over the mutated graph. Both graph variants are mutated in lockstep
+/// (insert weights default to 1 on the weighted variant and are dropped on
+/// the unweighted one); every batch of both is checked before any job runs.
+///
+/// One loop (`DESIGN.md` §9): [`serve`] is this with an empty schedule,
+/// and `sc.devices` only sets how many devices take decisions.
 pub fn serve_mutating(
     sc: &ServeConfig,
     unweighted: &Csr,
@@ -334,36 +336,15 @@ pub fn serve_mutating(
         }
         batches.last_mut().expect("just pushed").push(m.mutation);
     }
-    // a session swaps its mirror for the patched one only if it built one
-    let pulls = sc.cfg.direction != DirectionMode::Push;
-    let un = materialize_variant(unweighted, &batches, false, pulls)?;
-    let w = match weighted {
-        Some(g) => Some(materialize_variant(g, &batches, true, pulls)?),
+    let unweighted = Variant::new(unweighted, &batches, false)?;
+    let weighted = match weighted {
+        Some(g) => Some(Variant::new(g, &batches, true)?),
         None => None,
     };
-    serve_impl(
-        sc,
-        (&un).into(),
-        w.as_ref().map(EpochSlices::from),
-        &boundaries,
-        jobs,
-    )
-}
-
-/// The one serve loop. `serve`, `serve_mutating` and a fleet differ only
-/// in what they hand it: one epoch or many, no boundaries or some, one
-/// device or `sc.devices`.
-fn serve_impl<'g>(
-    sc: &ServeConfig,
-    unweighted: EpochSlices<'g>,
-    weighted: Option<EpochSlices<'g>>,
-    boundaries: &[u64],
-    jobs: &[Job],
-) -> Result<ServeReport, ServeError> {
     if jobs.iter().any(|j| j.kind.weighted()) && weighted.is_none() {
         return Err(ServeError::WeightedGraphMissing);
     }
-    let mut s = Scheduler::new(sc, unweighted, weighted, boundaries);
+    let mut s = Scheduler::new(sc, unweighted, weighted, &boundaries);
     s.admit(jobs);
     while let Some(at) = s.next_decision() {
         let batch = s.pick(&at);
@@ -400,9 +381,9 @@ struct Admission {
 /// alone; the scheduler keeps beside it only what no counter carries.
 struct Scheduler<'a, 'g> {
     sc: &'a ServeConfig,
-    /// The unweighted and the weighted graph's epochs, indexed by
+    /// The unweighted and the weighted graph variant, indexed by
     /// [`Algo::weighted`].
-    graphs: [Option<EpochSlices<'g>>; 2],
+    graphs: [Option<Variant<'g>>; 2],
     /// Serve-clock instants of the mutation batches, ascending.
     boundaries: &'a [u64],
     devs: Vec<Device<'g>>,
@@ -424,8 +405,8 @@ struct Scheduler<'a, 'g> {
 impl<'a, 'g> Scheduler<'a, 'g> {
     fn new(
         sc: &'a ServeConfig,
-        unweighted: EpochSlices<'g>,
-        weighted: Option<EpochSlices<'g>>,
+        unweighted: Variant<'g>,
+        weighted: Option<Variant<'g>>,
         boundaries: &'a [u64],
     ) -> Self {
         let mut reg = Registry::new();
@@ -446,11 +427,11 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         };
         Scheduler {
             sc,
+            cost: CostModel::new(unweighted.base, weighted.as_ref().map(|v| v.base)),
             graphs: [Some(unweighted), weighted],
             boundaries,
             devs: (0..devices).map(device).collect(),
             ic: Interconnect::new(sc.interconnect, devices),
-            cost: CostModel::new(&unweighted.versions[0], weighted.map(|e| &e.versions[0])),
             queue: Vec::new(),
             reg,
             tracer,
@@ -462,14 +443,11 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         }
     }
 
-    /// The epochs of the graph variant `kind` runs on.
-    fn epochs(&self, kind: Algo) -> EpochSlices<'g> {
-        self.graphs[kind.weighted() as usize].expect("serve_impl checked the variant")
-    }
-
-    /// The graph `kind` runs on, as of `epoch`.
-    fn graph(&self, kind: Algo, epoch: usize) -> &'g Csr {
-        &self.epochs(kind).versions[epoch]
+    /// The input graph `kind` runs on: what every epoch-invariant fact
+    /// (vertex count, bytes per edge) is read off.
+    fn base(&self, kind: Algo) -> &'g Csr {
+        let variant = self.graphs[kind.weighted() as usize].as_ref();
+        variant.expect("serve_mutating checked the variant").base
     }
 
     /// Admission: every job is queued or turned away with a reason —
@@ -479,8 +457,8 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// base epoch, and takes its jobs with it when it cannot run.
     fn admit(&mut self, jobs: &[Job]) {
         let cfg = self.sc.cfg;
-        let refusal = self.graphs.map(|eps| {
-            let prepared = AsceticSystem::new(cfg).prepare(&eps?.versions[0]);
+        let refusal = self.graphs.each_ref().map(|variant| {
+            let prepared = AsceticSystem::new(cfg).prepare(variant.as_ref()?.base);
             prepared.err().map(|e| e.to_string())
         });
         for job in jobs {
@@ -536,19 +514,31 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     /// ride along, up to [`MAX_BATCH_LANES`]. The batch leaves the queue in
     /// lane order (the canonical `(submit, id)`).
     fn pick(&mut self, at: &Decision) -> Vec<Job> {
+        if self.sc.policy == Policy::Sjf {
+            // the degree term reads a source's row as of this epoch
+            for job in self.queue.iter().filter(|j| j.submit_ns <= at.now) {
+                if job.source.is_some() {
+                    let variant = self.graphs[job.kind.weighted() as usize].as_mut();
+                    variant.expect("admitted").advance(at.epoch);
+                }
+            }
+        }
         let queue = &self.queue;
         let arrived = (0..queue.len()).filter(|&i| queue[i].submit_ns <= at.now);
+        let graphs = &self.graphs;
+        let graph = |kind: Algo| graphs[kind.weighted() as usize].as_ref().expect("admitted");
         // the queue is in canonical order, so the first candidate wins
         // every tie
         let pick = match self.sc.policy {
             Policy::Fifo => arrived.clone().next(),
             Policy::Sjf => arrived.clone().min_by_key(|&i| {
-                let g = self.graph(queue[i].kind, at.epoch);
-                self.cost.estimate(&queue[i], g)
+                let job = &queue[i];
+                let g = job.source.map(|_| graph(job.kind).at(at.epoch));
+                self.cost.estimate(job, g)
             }),
             // highest score against the deciding device's session wins
             Policy::ResidencyAffinity => arrived.clone().min_by_key(|&i| {
-                let g = self.graph(queue[i].kind, at.epoch);
+                let g = graph(queue[i].kind).base;
                 let score = score_affinity(&queue[i], g, &self.devs[at.device].session);
                 (std::cmp::Reverse(score), i)
             }),
@@ -569,20 +559,22 @@ impl<'a, 'g> Scheduler<'a, 'g> {
 
     /// Residency: a live session of the right variant is *reused* — the
     /// warmed static region and hotness table carry over — and, if it is
-    /// behind the mutation schedule, caught up by splicing each passed
-    /// batch into its resident chunks: repaired, not rebuilt. Anything
-    /// else is torn down for a cold session over the current epoch, which
-    /// first looks for a warm donor of the same variant and epoch on
-    /// another device ([`Scheduler::replicate`]).
+    /// behind the mutation schedule, caught up by patching each passed
+    /// batch into its own graph and resident chunks: repaired, not
+    /// rebuilt. Anything else is torn down for a cold session over the
+    /// current epoch — the input graph itself at epoch 0, else a copy of
+    /// the variant's head — which first looks for a warm donor of the same
+    /// variant and epoch on another device ([`Scheduler::replicate`]).
     fn session_for(&mut self, at: &Decision, kind: Algo) -> Admission {
         let weighted = kind.weighted();
-        let eps = self.epochs(kind);
+        let variant = self.graphs[weighted as usize].as_mut().expect("admitted");
         let dev = &mut self.devs[at.device];
         if let Some((_, sess)) = dev.session.as_mut().filter(|(w, _)| *w == weighted) {
             let mut mutate_ns = 0;
-            for k in dev.epoch..at.epoch {
-                let patched =
-                    sess.apply_patch(&eps.versions[k + 1], eps.cscs.get(k + 1), &eps.patches[k]);
+            for batch in &variant.batches[dev.epoch..at.epoch] {
+                let patched = sess
+                    .apply_batch(batch)
+                    .expect("checked when the serve started");
                 mutate_ns += patched.patch_ns;
                 self.reg.counter_add("serve.mutations_applied", 1);
                 self.reg
@@ -600,12 +592,15 @@ impl<'a, 'g> Scheduler<'a, 'g> {
             let warm_peer = i != at.device && dev.epoch == at.epoch && *w == weighted;
             warm_peer.then(|| (i, sess.prestore_wire_bytes()))
         });
+        let session = if at.epoch == 0 {
+            AsceticSession::new(self.sc.cfg, variant.base)
+        } else {
+            variant.advance(at.epoch);
+            AsceticSession::owning(self.sc.cfg, variant.at(at.epoch).clone())
+        };
         // assigning drops the old device state, prestore re-paid
         let dev = &mut self.devs[at.device];
-        dev.session = Some((
-            weighted,
-            AsceticSession::new(self.sc.cfg, &eps.versions[at.epoch]),
-        ));
+        dev.session = Some((weighted, session));
         dev.epoch = at.epoch;
         self.reg.counter_add("serve.sessions_built", 1);
         Admission {
@@ -687,7 +682,7 @@ impl<'a, 'g> Scheduler<'a, 'g> {
             // bytes a cold session would have shipped but the carried
             // residency served from device memory
             let static_edges: u64 = run.per_iter.iter().map(|it| it.static_edges).sum();
-            let bytes_per_edge = self.graph(kind, at.epoch).bytes_per_edge() as u64;
+            let bytes_per_edge = self.base(kind).bytes_per_edge() as u64;
             self.reg
                 .counter_add("serve.residency_hit_bytes", static_edges * bytes_per_edge);
         }
@@ -824,7 +819,7 @@ mod tests {
     use super::*;
     use crate::report::output_fingerprint;
     use crate::trace::synthetic_mixed;
-    use ascetic_core::CompressionMode;
+    use ascetic_core::{CompressionMode, DirectionMode};
     use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::uniform_graph;
     use ascetic_sim::DeviceConfig;
@@ -1307,6 +1302,49 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_last_batch_fails_the_serve_before_any_job_runs() {
+        use ascetic_graph::patch::PatchErrorKind;
+        let (g, w) = graphs();
+        let n = g.num_vertices() as u32;
+        let sc = ServeConfig::new(cfg_for(&g), Policy::Fifo);
+        let insert = |at_ns, src| TraceMutation {
+            at_ns,
+            mutation: Mutation::Insert {
+                src,
+                dst: 1,
+                weight: None,
+            },
+        };
+        // three good batches, then one landing long after the only job
+        // has finished — no session would ever reach it
+        let mut mutations: Vec<TraceMutation> = (0..3).map(|k| insert(k * 100, k as u32)).collect();
+        let never = 1_000_000_000_000;
+        mutations.push(insert(never, 0));
+        mutations.push(TraceMutation {
+            at_ns: never,
+            mutation: Mutation::Delete { src: 2, dst: n },
+        });
+        let err = serve_mutating(&sc, &g, Some(&w), &[bfs_job(0, 0, 0)], &mutations).unwrap_err();
+        let kind = PatchErrorKind::VertexOutOfRange {
+            vertex: n,
+            num_vertices: n as usize,
+        };
+        assert_eq!(
+            err,
+            ServeError::Mutation {
+                batch: 3,
+                error: PatchError { op: 1, kind }
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "mutation batch 3: mutation 1: vertex {n} out of range (graph has {n} vertices)"
+            )
+        );
+    }
+
+    #[test]
     fn mutating_serve_patches_the_session_instead_of_rebuilding() {
         use ascetic_algos::inmemory::run_in_memory;
         let g = uniform_graph(1_200, 9_000, false, 47);
@@ -1342,8 +1380,9 @@ mod tests {
         );
         // the answers bracket the mutation: job 0 over the base graph,
         // job 1 over the patched one — each bit-identical to the oracle
-        let epochs = materialize_variant(&g, &[vec![mutations[0].mutation]], false, false).unwrap();
-        for (job, version) in rep.jobs.iter().zip(&epochs.versions) {
+        let mut patched = g.clone();
+        patched.apply(&[mutations[0].mutation]).unwrap();
+        for (job, version) in rep.jobs.iter().zip([&g, &patched]) {
             assert_eq!(
                 output_fingerprint(&job.output),
                 output_fingerprint(&run_in_memory(version, &ascetic_algos::Bfs::new(0)).output),
@@ -1383,8 +1422,15 @@ mod tests {
             }
             batches.last_mut().unwrap().push(m.mutation);
         }
-        let un = materialize_variant(&g, &batches, false, false).unwrap();
-        let we = materialize_variant(&w, &batches, true, false).unwrap();
+        let epochs = |base: &Csr, weighted: bool| -> Vec<Csr> {
+            let mut variant = Variant::new(base, &batches, weighted).unwrap();
+            let mut at = |e: usize| {
+                variant.advance(e);
+                variant.at(e).clone()
+            };
+            (0..=batches.len()).map(&mut at).collect()
+        };
+        let (un, we) = (epochs(&g, false), epochs(&w, true));
         // push sessions build no CSC mirror and are patched without one;
         // adaptive ones swap theirs for the patched transpose at each epoch
         let directions = [DirectionMode::Push, DirectionMode::Adaptive];
@@ -1407,11 +1453,7 @@ mod tests {
                     .and_then(|j| j.source)
                     .unwrap_or(0);
                 let opts = ProgramOpts::from_source(source);
-                let versions = if algo.weighted() {
-                    &we.versions
-                } else {
-                    &un.versions
-                };
+                let versions = if algo.weighted() { &we } else { &un };
                 let matched = versions
                     .iter()
                     .any(|v| run_in_memory(v, &algo.program(&opts)).output == job.output);

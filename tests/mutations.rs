@@ -4,9 +4,9 @@
 //!
 //! * **Structural** (proptests): random insert/delete churn over quirky
 //!   graphs — self-loops, isolated vertices, parallel edges, batches that
-//!   straddle chunk boundaries — must leave the patched store byte-equal
-//!   to a CSR/CSC rebuilt from scratch, and `Csr::validate()` must hold
-//!   after every patch.
+//!   grow and shrink many rows at once — must leave the patched CSR (and
+//!   its transpose) byte-equal to one rebuilt from scratch, and
+//!   `Csr::validate()` must hold after every patch.
 //! * **Oracle + determinism**: the incrementally repaired answer after
 //!   every batch is bit-identical to a cold recompute on the mutated
 //!   graph, and the whole stream is reproducible across {1, 2, 8} host
@@ -14,10 +14,12 @@
 
 use proptest::prelude::*;
 
+use ascetic::algos::inmemory::run_in_memory;
 use ascetic::algos::{Algo, ProgramOpts};
-use ascetic::core::{run_fleet, AsceticConfig, FleetConfig, RepairMode};
+use ascetic::core::{run_fleet, AsceticConfig, AsceticSession, FleetConfig, RepairMode};
 use ascetic::graph::datasets::{Dataset, DatasetId};
-use ascetic::graph::{Csr, GraphBuilder, Mutation, PatchableCsr, VertexId, Weight};
+use ascetic::graph::generators::uniform_graph;
+use ascetic::graph::{Csr, GraphBuilder, Mutation, VertexId, Weight};
 use ascetic::mutate::{materialize, run_with_mutations, synthetic_churn};
 use ascetic::par::set_num_threads;
 use ascetic::sim::DeviceConfig;
@@ -61,8 +63,8 @@ fn arb_raw_batches() -> impl Strategy<Value = RawBatches> {
     )
 }
 
-/// Random mutation stream: inserts anywhere in the range (so patched rows
-/// grow past their chunk's slack and force splits), deletes aimed at the
+/// Random mutation stream: inserts anywhere in the range (so isolated rows
+/// grow too and the edge array shifts both ways), deletes aimed at the
 /// bottom half where the edges live (so they hit real edges often but not
 /// always — `missing_deletes` must be a counted no-op, not a failure).
 fn resolve_batches(raw: &RawBatches, n: usize, weighted: bool) -> Vec<Vec<Mutation>> {
@@ -139,9 +141,8 @@ fn assert_csr_eq(a: &Csr, b: &Csr, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Patched == rebuilt from scratch, CSR and CSC mirror alike, with
-    /// `validate()` after every batch — tiny chunks so batches straddle
-    /// chunk boundaries and overflow the per-chunk slack constantly.
+    /// Patched in place == rebuilt from scratch, CSR and its transpose
+    /// alike, with `validate()` after every batch.
     #[test]
     fn patched_store_matches_a_rebuild_from_scratch(
         (n, edges, weighted) in (16usize..120, proptest::collection::vec((any::<u32>(), any::<u32>()), 1..600), any::<bool>()),
@@ -149,14 +150,13 @@ proptest! {
     ) {
         let g = quirky_graph_from_edges(n, &edges, weighted);
         let batches = resolve_batches(&raw, n, weighted);
-        let mut store = PatchableCsr::with_mirror(&g, 8, 2);
+        let mut csr = g.clone();
         let mut applied: Vec<Vec<Mutation>> = Vec::new();
         for batch in &batches {
-            store.apply(batch).expect("well-formed batches always apply");
+            csr.apply(batch).expect("well-formed batches always apply");
             applied.push(batch.clone());
-            let csr = store.to_csr();
             csr.validate().expect("patched CSR invariants");
-            let csc = store.to_csc().expect("mirror requested");
+            let csc = csr.transpose();
             csc.validate().expect("patched CSC invariants");
             let oracle = oracle_apply(&g, &applied);
             assert_csr_eq(&csr, &oracle, "csr");
@@ -184,6 +184,43 @@ proptest! {
             prop_assert!(run.all_verified(), "{}: repaired output diverged", algo.name());
         }
     }
+}
+
+/// Long churn (ROADMAP 4(b), first slice): a hundred batches through one
+/// live session that patches its own graph. At every epoch the graph is a
+/// valid CSR whose edge slots never exceed its length plus one batch's
+/// inserts (in-place growth reserves exactly, nothing accumulates), and
+/// the session's BFS and CC answers equal the in-memory oracle's.
+#[test]
+fn one_session_patches_itself_through_a_hundred_churn_batches() {
+    let g = uniform_graph(600, 4_000, false, 41);
+    let batches = synthetic_churn(&g, 100, 30, 0xC0FFEE);
+    let mut sess = AsceticSession::new(small_cfg(&g), &g);
+    for (i, batch) in batches.iter().enumerate() {
+        sess.apply_batch(batch).expect("churn batches always apply");
+        let now = sess.graph();
+        now.validate().expect("patched CSR invariants");
+        let inserts = batch
+            .iter()
+            .filter(|m| matches!(m, Mutation::Insert { .. }))
+            .count();
+        assert!(
+            now.edge_capacity() <= now.num_edges() as usize + inserts,
+            "batch {i}: {} edge slots for {} edges",
+            now.edge_capacity(),
+            now.num_edges()
+        );
+        for algo in [Algo::Bfs, Algo::Cc] {
+            let prog = algo.program(&ProgramOpts::from_source(0));
+            let want = run_in_memory(sess.graph(), &prog).output;
+            assert_eq!(sess.run(&prog).output, want, "batch {i}: {}", algo.name());
+        }
+    }
+    drop(sess);
+    assert!(
+        g == uniform_graph(600, 4_000, false, 41),
+        "the session patched a copy, never the caller's graph"
+    );
 }
 
 /// The full stream — base run, every patch, every repair — is bit
