@@ -52,7 +52,7 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "ablation_relabel"       "§5 (extension)"     studies::relabel => "degree-descending relabeling under a front fill on FK";
     "ablation_cost_model"    "extension"          studies::cost_model => "gather bandwidth and kernel rate swept around the P100 point";
     "session_amortization"   "§4.3 (extension)"   studies::session_amortization => "BFS, CC, PR over one session against three one-shot runs";
-    "compression"            "extension"          sweeps::compression => "compression off / always / adaptive, 16 cells -> BENCH_compression.json";
+    "compression"            "extension"          sweeps::compression => "compression off / adaptive, 16 cells -> BENCH_compression.json";
     "prefetch"               "extension"          sweeps::prefetch => "prefetch off / next-frontier, 16 cells -> BENCH_prefetch.json";
     "direction"              "extension"          sweeps::direction => "push / pull / adaptive x compression, 12 cells -> BENCH_direction.json";
     "serve"                  "extension"          serving::serve => "48-job trace under fifo / sjf / residency -> BENCH_serve.json";

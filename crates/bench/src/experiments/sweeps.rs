@@ -110,24 +110,17 @@ fn mode_variants<M: Copy>(
 }
 
 /// The compressed transfer path (`DESIGN.md` §7) across the Table 5 grid
-/// under `CompressionMode::{Off, Always, Adaptive}`. Adaptive must put
-/// strictly fewer bytes on the wire than Off over the grid (web-locality
-/// datasets compress ~3×; the bulk prestore crosses over) and never
-/// increase the simulated time of a cell (the chain-aware crossover only
-/// ships encoded payloads when copy + decompress beats the raw copy).
+/// under `CompressionMode::{Off, Adaptive}`. Adaptive must put strictly
+/// fewer bytes on the wire than Off over the grid (web-locality datasets
+/// compress ~3×; the bulk prestore crosses over) and never increase the
+/// simulated time of a cell (the chain-aware crossover only ships encoded
+/// payloads when copy + decompress beats the raw copy).
 pub fn compression(cx: &mut Ctx) {
-    const MODES: [&str; 3] = ["off", "always", "adaptive"];
-    use CompressionMode::{Adaptive, Always, Off};
-    let mut cells = Vec::new();
-    for algo in TABLE4_ORDER {
-        // weighted graphs reject `Always` by design (weights ship raw, so a
-        // forced-encode mode is a contradiction); SSSP's "always" cells run
-        // the closest legal mode instead so the grid stays rectangular
-        let always = if algo.weighted() { Adaptive } else { Always };
-        let modes = [Off, always, Adaptive];
-        let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_compression(m));
-        cells.extend(cx.sweep(&grid(&[algo], &DatasetId::ALL), &variants));
-    }
+    const MODES: [&str; 2] = ["off", "adaptive"];
+    use CompressionMode::{Adaptive, Off};
+    let modes = [Off, Adaptive];
+    let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_compression(m));
+    let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
     let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
     let metrics: [Metric; 3] = [
         ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
@@ -150,7 +143,7 @@ pub fn compression(cx: &mut Ctx) {
     ]);
     let mut json_cells = Vec::new();
     for c in &cells {
-        let (o, ad) = (&c.reports[0], &c.reports[2]);
+        let (o, ad) = (&c.reports[0], &c.reports[1]);
         let dt = delta(ad.sim_time_ns, o.sim_time_ns);
         table.row(vec![
             c.algo.display().to_string(),
@@ -169,8 +162,8 @@ pub fn compression(cx: &mut Ctx) {
     emit_pivot("compression", &table, &csv);
 
     let off_wire: u64 = cells.iter().map(|c| wire(&c.reports[0])).sum();
-    let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[2])).sum();
-    let slow = slower(&cells, "", 0, 2);
+    let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[1])).sum();
+    let slow = slower(&cells, "", 0, 1);
     let totals = obj(vec![
         ("off_wire_bytes", lit(off_wire)),
         ("adaptive_wire_bytes", lit(ad_wire)),

@@ -3,13 +3,15 @@
 //! a synthetic mutation schedule} × {push, adaptive} must reproduce the
 //! `ServeReport::to_json()` bytes and the span trace's JSONL bytes that
 //! the pre-`Scheduler` `serve_impl` produced, and one trace run under
-//! four configurations must be turned away with every rejection reason.
+//! three configurations must be turned away with every rejection reason
+//! (a fourth, forced compression on the weighted variant, went with that
+//! mode).
 //! The graph is GS-sized but social (`fk@30000`): adaptive sessions pull
 //! there, so the two direction columns differ in every cell.
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test -p ascetic-serve --test golden -- --nocapture`
 //! prints a fresh table.)
 
-use ascetic_core::{AsceticConfig, CompressionMode, DirectionMode, RUN_REPORT_SCHEMA_VERSION};
+use ascetic_core::{AsceticConfig, DirectionMode, RUN_REPORT_SCHEMA_VERSION};
 use ascetic_graph::datasets::{weighted_variant, Dataset, DatasetId};
 use ascetic_graph::Csr;
 use ascetic_serve::{
@@ -208,17 +210,13 @@ fn job(id: u32, kind: Algo, source: Option<u32>) -> Job {
 }
 
 /// The configurations that make admission say no, each in its own way.
-fn rejecting_configs(g: &Csr) -> [(&'static str, AsceticConfig); 4] {
+fn rejecting_configs(g: &Csr) -> [(&'static str, AsceticConfig); 3] {
     let base = cfg_for(g);
     let vertex_bytes = g.num_vertices() as u64 * 24;
     let mut too_small = base;
     too_small.device = DeviceConfig::p100(vertex_bytes - 4);
     [
         ("forced pull", base.with_direction(DirectionMode::Pull)),
-        (
-            "always-compress",
-            base.with_compression(CompressionMode::Always),
-        ),
         ("vertex arrays don't fit", too_small),
         (
             "chunk above half the budget",
@@ -238,25 +236,23 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
     (
         "forced pull",
         &[
-            (1, "msbfs is a whole-graph batch sweep, not a servable query"),
+            (
+                1,
+                "msbfs is a whole-graph batch sweep, not a servable query",
+            ),
             (2, "--direction pull: LP is push-only (no pull operator)"),
             (3, "--direction pull: SSSP is push-only (no pull operator)"),
         ],
         (2065649, 0x5531af1db1f52096, 0x5c92d14ecec76320),
     ),
     (
-        "always-compress",
-        &[
-            (1, "msbfs is a whole-graph batch sweep, not a servable query"),
-            (3, "invalid configuration: weighted graphs cannot run with compression=always (weights ship raw)"),
-        ],
-        (2598666, 0x80542a65ee0ac599, 0xde645a805e35356c),
-    ),
-    (
         "vertex arrays don't fit",
         &[
             (0, "vertex arrays need 54672 B but the device holds 54668 B"),
-            (1, "msbfs is a whole-graph batch sweep, not a servable query"),
+            (
+                1,
+                "msbfs is a whole-graph batch sweep, not a servable query",
+            ),
             (2, "vertex arrays need 54672 B but the device holds 54668 B"),
             (3, "vertex arrays need 54672 B but the device holds 54668 B"),
             (4, "vertex arrays need 54672 B but the device holds 54668 B"),
@@ -267,7 +263,10 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
         "chunk above half the budget",
         &[
             (0, "edge budget 137508 B below two 1048576-byte chunks"),
-            (1, "msbfs is a whole-graph batch sweep, not a servable query"),
+            (
+                1,
+                "msbfs is a whole-graph batch sweep, not a servable query",
+            ),
             (2, "edge budget 137508 B below two 1048576-byte chunks"),
             (3, "edge budget 137508 B below two 1048576-byte chunks"),
             (4, "edge budget 137508 B below two 1048576-byte chunks"),
@@ -276,7 +275,7 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
     ),
 ];
 
-/// One trace, four configurations, every way admission says no.
+/// One trace, three configurations, every way admission says no.
 #[test]
 fn every_rejection_kind_keeps_its_reason_and_its_bytes() {
     let (g, w) = graphs();
@@ -288,7 +287,7 @@ fn every_rejection_kind_keeps_its_reason_and_its_bytes() {
         job(4, Algo::Cc, None),
     ];
     let print = std::env::var_os("ASCETIC_PRINT_GOLDENS").is_some();
-    assert!(print || GOLDEN_REJECTIONS.len() == 4);
+    assert!(print || GOLDEN_REJECTIONS.len() == 3);
     for (i, (name, cfg)) in rejecting_configs(&g).into_iter().enumerate() {
         let rep = serve(&ServeConfig::new(cfg, Policy::Fifo), &g, Some(&w), &trace)
             .expect("the weighted graph is supplied");

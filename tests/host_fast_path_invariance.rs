@@ -56,7 +56,9 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// `cfg_for` stopped naming it; the lazy-fill rows went with lazy fill, and
 /// the default-configuration BFS(0) and PR rows, now equal to rows 1 and 7.
 /// The last row, harvested then too, pins every surviving region class
-/// through the event log.
+/// through the event log. The five rows that forced every eligible payload
+/// encoded were replaced by adaptive twins on a slowed link (`slow_link`)
+/// when the forced mode was removed; the wire-form rule alone now decides.
 #[rustfmt::skip]
 const GOLDEN: [(&str, Virt); 26] = [
     ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x00a69a788ea40ab6)),
@@ -69,10 +71,10 @@ const GOLDEN: [(&str, Virt); 26] = [
     ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0xcd02a92123c9af5e)),
     ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x1e2ba97c7a847a0a)),
     ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0x2986cf1bf0cbb31b)),
-    ("BFS(0) push, compression always", (1914717, 106850, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xf02ea7157962b48e, 0xf7df95fad73d1acd)),
-    ("CC push, compression always", (4115223, 1033346, 108, 51, 210, 0xff29483f185f2a2c, 0x29010ae252d2a33e, 0xa8549d1e02f1d891)),
-    ("BFS(0) forced pull, compression always", (6359942, 1625293, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x49a0b1569c75fe2b, 0x699f254395daefb4)),
-    ("CC forced pull, compression always", (6314359, 1625293, 179, 51, 230, 0xff29483f185f2a2c, 0x260b69118ee86f00, 0x87065f965355c359)),
+    ("BFS(0) push, compression adaptive, slowed link", (1798586, 131485, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x38d94b0828dff072, 0xd128488f81a3af9c)),
+    ("CC push, compression adaptive, slowed link", (3785690, 1043975, 108, 51, 210, 0xff29483f185f2a2c, 0xdb547266f875ac48, 0xc4e9e41f874cd1f1)),
+    ("BFS(0) forced pull, compression adaptive, slowed link", (5793876, 1637234, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x48f82e0eb6261c0a, 0xf01d6f1a847e79f8)),
+    ("CC forced pull, compression adaptive, slowed link", (5758522, 1637234, 179, 51, 230, 0xff29483f185f2a2c, 0x9dd466877d10abcd, 0x575c3ba64af1cc03)),
     ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb03046e0c5589ba2, 0x60b07a1a27b2a182)),
     ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x9d566e7009cad9fe, 0x237a6dbe466aedc4)),
     ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0xdbe8c828c876905a)),
@@ -84,7 +86,7 @@ const GOLDEN: [(&str, Virt); 26] = [
     ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0x2eb7ce13dce355c0)),
     ("BC(0) 2-device NVLink", (3271292, 181480, 72, 100, 408, 0xd504c1a8d3152869, 0xaf0c76aa9008c633, 0x51324e4bdd478f93)),
     ("CC after one BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
-    ("PR compression always + next-frontier prefetch, events armed", (8681293, 2587362, 438, 74, 400, 0xd33b43eeeabd4a45, 0xb0e3aa2c1294ea14, 0x05fc1e0fd8d49ce3)),
+    ("PR adaptive compression on a slowed link + next-frontier prefetch, events armed", (7840796, 2536447, 425, 74, 397, 0xd33b43eeeabd4a45, 0x19c81de6f64186c0, 0x79151f42483fca1e)),
 ];
 
 /// The default configuration on a device ~40 % of the edges fit in, so
@@ -94,6 +96,20 @@ fn cfg_for(g: &Csr) -> AsceticConfig {
     AsceticConfig::new(dev)
         .with_chunk_bytes(1024)
         .with_tracing(true)
+}
+
+/// `cfg_for` under adaptive compression, with a fast decompressor and a
+/// quarter of the link bandwidth: a device on which the wire-form rule
+/// ships some on-demand batches encoded and declines others (on
+/// `cfg_for`'s own device it encodes the prestore and declines them all).
+fn slow_link(g: &Csr) -> AsceticConfig {
+    let mut cfg = cfg_for(g).with_compression(CompressionMode::Adaptive);
+    cfg.device.decompress = DecompressModel {
+        bandwidth_bps: 200_000_000_000,
+        launch_ns: 1_000,
+    };
+    cfg.device.pcie.bandwidth_bps /= 4;
+    cfg
 }
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -214,14 +230,18 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
         g,
         &pr,
     )));
-    // The arms no benchmark workload reaches: forced encoding in both
-    // directions (one warm session each), the no-overlap lane layout, a
+    // The arms no benchmark workload reaches: encoded on-demand batches in
+    // both directions (one warm session each, on a link slow enough that
+    // the wire-form rule ships some encoded), the no-overlap lane layout, a
     // split on-demand slab, and Subway's compressed subgraph shipping.
-    let always = cfg_for(g).with_compression(CompressionMode::Always);
-    for cfg in [always, always.with_direction(DirectionMode::Pull)] {
+    let slow = slow_link(g);
+    for cfg in [slow, slow.with_direction(DirectionMode::Pull)] {
         let mut s = AsceticSession::new(cfg, g);
-        out.push(go(&mut s, &Bfs::new(0)));
-        out.push(go(&mut s, &Cc::new()));
+        for r in [s.run(&Bfs::new(0)), s.run(&Cc::new())] {
+            assert!(r.metrics.counter("compress.transfers") > Some(0));
+            assert!(r.metrics.counter("compress.declined") > Some(0));
+            out.push(virt(&r));
+        }
     }
     let bfs_cold = |cfg: AsceticConfig| virt(&AsceticSession::new(cfg, g).run(&Bfs::new(0)));
     out.push(bfs_cold(cfg_for(g).with_overlap(false)));
@@ -278,12 +298,12 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     // Every region class with the event log armed: the prestore through
     // the encoded chain (`CompressedDma` + `Prestore`), on-demand batches
     // encoded, and prefetches on their own stream, raw (`PrefetchDma`).
-    let modes = cfg_for(g)
-        .with_compression(CompressionMode::Always)
+    let modes = slow_link(g)
         .with_prefetch(PrefetchMode::NextFrontier)
         .with_events(true);
     let modes = AsceticSession::new(modes, g).run(&pr);
     assert!(modes.prefetch_ops > 0 && modes.prestore_wire_bytes < modes.prestore_bytes);
+    assert!(modes.metrics.counter("compress.transfers") > Some(0));
     out.push(virt(&modes));
     out
 }
