@@ -256,14 +256,17 @@ mod tests {
         use ascetic_graph::generators::{web_graph, WebConfig};
         use ascetic_sim::DecompressModel;
         let g = web_graph(&WebConfig::new(4_000, 60_000, 3));
+        // a fast decompressor behind a quarter of the link, so the
+        // wire-form rule ships some subgraphs encoded
         let mut dev = small_device(&g);
         dev.decompress = DecompressModel {
             bandwidth_bps: 200_000_000_000,
             launch_ns: 1_000,
         };
+        dev.pcie.bandwidth_bps /= 4;
         let raw = SubwaySystem::new(dev).run(&g, &Bfs::new(0));
         let comp = SubwaySystem::new(dev)
-            .with_compression(ascetic_core::CompressionMode::Always)
+            .with_compression(ascetic_core::CompressionMode::Adaptive)
             .run(&g, &Bfs::new(0));
         assert_eq!(raw.output, comp.output);
         assert_eq!(

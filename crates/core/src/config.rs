@@ -1,7 +1,6 @@
 //! Ascetic configuration.
 
 use ascetic_algos::{AlgoError, Capabilities};
-use ascetic_graph::Csr;
 use ascetic_sim::DeviceConfig;
 
 use crate::prefetch::PrefetchMode;
@@ -11,8 +10,8 @@ use crate::prefetch::PrefetchMode;
 /// the data they manage (the CLI clamps auto-scaled chunks to this floor).
 pub const MIN_CHUNK_BYTES: usize = 64;
 
-/// Why a configuration failed [`AsceticConfig::build`] /
-/// [`AsceticConfig::validate_for`].
+/// Why a configuration failed [`AsceticConfig::build`] or
+/// [`AsceticConfig::validate_algo`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
     /// `od_buffers == 0`: the on-demand region needs at least one buffer.
@@ -28,9 +27,6 @@ pub enum ConfigError {
         /// The [`MIN_CHUNK_BYTES`] floor.
         min: usize,
     },
-    /// Weighted graphs cannot use [`CompressionMode::Always`]: weights
-    /// always ship raw, so forcing encoding would inflate every transfer.
-    CompressedWeightedGraph,
     /// The configuration asks for something the program's
     /// [`Capabilities`] rule out (forced pull on a push-only program,
     /// graph-weighting mismatch). Raised by
@@ -62,12 +58,6 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "chunk size {chunk} B is below the {min} B page granularity"
-                )
-            }
-            ConfigError::CompressedWeightedGraph => {
-                write!(
-                    f,
-                    "weighted graphs cannot run with compression=always (weights ship raw)"
                 )
             }
             ConfigError::Algo(e) => e.fmt(f),
@@ -142,11 +132,10 @@ pub enum CompressionMode {
     /// Ship raw 4-byte targets (the paper's systems all do).
     #[default]
     Off,
-    /// Encode every eligible transfer, even where encoding loses time.
-    Always,
-    /// Per-transfer crossover: encode only when
-    /// `wire_bytes/link_bw + decompress_cost < raw_bytes/link_bw`,
-    /// estimated from per-chunk ratios cached in the hotness table.
+    /// Per-transfer decision: a payload ships encoded iff
+    /// [`crate::codec::encoded_wins`] finds the decoded payload usable
+    /// before the raw one, pricing it first at the per-chunk ratios cached
+    /// in the hotness table.
     Adaptive,
 }
 
@@ -155,13 +144,12 @@ impl CompressionMode {
     pub fn as_str(&self) -> &'static str {
         match self {
             CompressionMode::Off => "off",
-            CompressionMode::Always => "always",
             CompressionMode::Adaptive => "adaptive",
         }
     }
 }
 
-spelled!(CompressionMode, as_str, Off, Always, Adaptive);
+spelled!(CompressionMode, as_str, Off, Adaptive);
 
 /// Which direction the session traverses edges in each iteration.
 ///
@@ -337,11 +325,11 @@ impl AsceticConfig {
         self
     }
 
-    /// Validate the graph-independent knobs, returning the config for
-    /// chaining. The `with_*` setters store values verbatim; call this (or
-    /// let `OutOfCoreSystem::prepare` call [`AsceticConfig::validate_for`])
-    /// before running to reject invalid combinations with a
-    /// [`ConfigError`] instead of a panic deep in the session.
+    /// Validate the knobs, returning the config for chaining. The `with_*`
+    /// setters store values verbatim; call this (or let
+    /// `OutOfCoreSystem::prepare` call it) before running to reject invalid
+    /// combinations with a [`ConfigError`] instead of a panic deep in the
+    /// session. No rule depends on the graph.
     pub fn build(self) -> Result<AsceticConfig, ConfigError> {
         if self.od_buffers == 0 {
             return Err(ConfigError::ZeroOdBuffers);
@@ -361,17 +349,6 @@ impl AsceticConfig {
             });
         }
         Ok(self)
-    }
-
-    /// [`AsceticConfig::build`] plus the graph-dependent checks: weighted
-    /// payloads always ship raw, so `CompressionMode::Always` on a
-    /// weighted graph is a contradiction rather than a silent no-op.
-    pub fn validate_for(&self, g: &Csr) -> Result<(), ConfigError> {
-        (*self).build()?;
-        if g.is_weighted() && self.compression == CompressionMode::Always {
-            return Err(ConfigError::CompressedWeightedGraph);
-        }
-        Ok(())
     }
 
     /// Check this configuration against a program's capability
@@ -410,15 +387,14 @@ mod tests {
         let c = AsceticConfig::new(DeviceConfig::p100(1 << 20))
             .with_compression(CompressionMode::Adaptive);
         assert_eq!(c.compression, CompressionMode::Adaptive);
-        for m in [
-            CompressionMode::Off,
-            CompressionMode::Always,
-            CompressionMode::Adaptive,
-        ] {
+        for m in [CompressionMode::Off, CompressionMode::Adaptive] {
             assert_eq!(m.as_str().parse(), Ok(m));
         }
         let err = "zstd".parse::<CompressionMode>().unwrap_err();
-        assert_eq!(err, "'zstd' is not one of off|always|adaptive");
+        assert_eq!(err, "'zstd' is not one of off|adaptive");
+        // forcing every payload encoded is not a mode: the wire-form rule decides
+        let err = "always".parse::<CompressionMode>().unwrap_err();
+        assert_eq!(err, "'always' is not one of off|adaptive");
     }
 
     #[test]
@@ -487,23 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn build_accepts_defaults_and_validate_for_rejects_weighted_always() {
-        use ascetic_graph::datasets::weighted_variant;
-        use ascetic_graph::generators::uniform_graph;
+    fn build_accepts_defaults_and_every_compression_mode() {
         let base = AsceticConfig::new(DeviceConfig::p100(1 << 20));
         assert!(base.build().is_ok());
-        let unweighted = uniform_graph(100, 500, false, 1);
-        let weighted = weighted_variant(&unweighted);
-        let always = base.with_compression(CompressionMode::Always);
-        assert!(always.validate_for(&unweighted).is_ok());
-        assert_eq!(
-            always.validate_for(&weighted).unwrap_err(),
-            ConfigError::CompressedWeightedGraph
-        );
-        // Adaptive quietly falls back to raw on weighted graphs: allowed.
+        // Adaptive ships weighted payloads raw rather than refusing them
         assert!(base
             .with_compression(CompressionMode::Adaptive)
-            .validate_for(&weighted)
+            .build()
             .is_ok());
     }
 

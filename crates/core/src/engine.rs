@@ -66,7 +66,7 @@ impl OutOfCoreSystem for AsceticSystem {
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
         let capacity = self.cfg.device.mem_bytes;
         let vertex_bytes = check_vertex_fit(g, capacity)?;
-        self.cfg.validate_for(g)?;
+        self.cfg.build()?;
         // what `edge_budget_bytes` will report of the word-granular arena
         // once `reserve_vertex_arrays` has run
         let budget = capacity / 4 * 4 - vertex_bytes;

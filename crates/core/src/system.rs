@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn ascetic_prepare_validates_config_for_the_graph() {
+    fn ascetic_prepare_validates_the_config() {
         use crate::config::{AsceticConfig, CompressionMode, ConfigError};
         use crate::engine::AsceticSystem;
         use ascetic_graph::datasets::weighted_variant;
@@ -159,19 +159,16 @@ mod tests {
         let dev = DeviceConfig::p100(1 << 20);
         let sys = AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(1024));
         sys.prepare(&g).expect("valid config");
-        // graph-dependent rule: weighted + Always is rejected up front
-        let wg = weighted_variant(&g);
-        let always = AsceticSystem::new(
+        // compression is never a reason to refuse a graph: weighted
+        // payloads simply ship raw
+        let adaptive = AsceticSystem::new(
             AsceticConfig::new(dev)
                 .with_chunk_bytes(1024)
-                .with_compression(CompressionMode::Always),
+                .with_compression(CompressionMode::Adaptive),
         );
-        assert!(always.prepare(&g).is_ok());
-        assert_eq!(
-            always.prepare(&wg).unwrap_err(),
-            PrepareError::Config(ConfigError::CompressedWeightedGraph)
-        );
-        // graph-independent knob errors surface here too
+        assert!(adaptive.prepare(&g).is_ok());
+        assert!(adaptive.prepare(&weighted_variant(&g)).is_ok());
+        // knob errors surface here
         let bad = AsceticSystem::new(AsceticConfig::new(dev).with_od_buffers(0));
         assert_eq!(
             bad.prepare(&g).unwrap_err(),

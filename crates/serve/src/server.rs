@@ -819,7 +819,7 @@ mod tests {
     use super::*;
     use crate::report::output_fingerprint;
     use crate::trace::synthetic_mixed;
-    use ascetic_core::{CompressionMode, DirectionMode};
+    use ascetic_core::DirectionMode;
     use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::uniform_graph;
     use ascetic_sim::DeviceConfig;
@@ -967,10 +967,12 @@ mod tests {
 
     #[test]
     fn inadmissible_variant_is_rejected_with_the_prepare_error() {
-        let (g, w) = graphs();
-        // Always-compress contradicts a weighted graph: SSSP jobs must be
-        // turned away at admission while BFS still runs.
-        let cfg = cfg_for(&g).with_compression(CompressionMode::Always);
+        let (g, _) = graphs();
+        // A weighted variant with more vertices than the device holds
+        // vertex arrays for (the two variants need not share |V|): SSSP
+        // jobs must be turned away at admission while BFS still runs.
+        let w = weighted_variant(&uniform_graph(5_000, 20_000, false, 31));
+        let cfg = cfg_for(&g);
         let jobs = [
             bfs_job(0, 0, 0),
             Job {
@@ -987,7 +989,7 @@ mod tests {
         assert_eq!(rep.rejected.len(), 1);
         assert_eq!(rep.rejected[0].id, 1);
         assert!(
-            rep.rejected[0].reason.contains("compress"),
+            rep.rejected[0].reason.contains("vertex arrays need"),
             "reason should carry the prepare error: {}",
             rep.rejected[0].reason
         );

@@ -345,10 +345,11 @@ impl Gpu {
         ready: SimTime,
         decode: impl FnOnce(&mut [u32]),
     ) -> (Span, Span) {
-        // Land the encoded stream in the destination window. `Always` mode
-        // may inflate a payload past its raw size; the landing copy is then
-        // clipped to the window (the link still pays for every wire byte).
+        // Land the encoded stream in the destination window. The wire-form
+        // rule ships a payload encoded only when that is shorter than raw,
+        // so the stream fits the window it is decoded in.
         let window = self.mem.words_mut(dst);
+        debug_assert!(encoded.len() as u64 <= dst.len_bytes());
         for (w, chunk) in window.iter_mut().zip(encoded.chunks(4)) {
             let mut b = [0u8; 4];
             b[..chunk.len()].copy_from_slice(chunk);

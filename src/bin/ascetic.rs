@@ -85,7 +85,7 @@ const DEV: Group = &[
     "--mem-frac F: vertex arrays + F x edge bytes (default 0.4)",
 ];
 const COMP: Group =
-    &["--compression MODE: off|always|adaptive delta-varint H2D payloads (ascetic, subway)"];
+    &["--compression MODE: off|adaptive delta-varint H2D payloads (ascetic, subway)"];
 const KNOBS: Group = &[
     "--k-param F: Eq (2) active-edge fraction K (default 0.1)",
     "--static-ratio R: fixed static-region share, not Eq (2)",

@@ -64,7 +64,7 @@ fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
     assert!(err.contains("--out"), "{err}");
     let err = rejected(&format!("run {G} --algo bfs --compression zstd"));
     assert!(
-        err.contains("--compression zstd") && err.contains("off|always|adaptive"),
+        err.contains("--compression zstd") && err.contains("off|adaptive"),
         "{err}"
     );
     // lazy fill was removed with the reactive replacement server
@@ -164,7 +164,7 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
     // ... and only Subway has a compressed path
     for system in ["pt", "uvm", "memory"] {
         let err = rejected(&format!(
-            "run {G} --algo bfs --system {system} --compression always"
+            "run {G} --algo bfs --system {system} --compression adaptive"
         ));
         assert!(
             err.contains("--compression") && err.contains(system),
@@ -172,7 +172,7 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
         );
     }
     accepted(&format!(
-        "run {G} --algo bfs --system subway --compression always"
+        "run {G} --algo bfs --system subway --compression adaptive"
     ));
     // compare applies each knob to the systems that have it
     accepted(&format!(
@@ -197,9 +197,9 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
     );
     let err = rejected(&format!("run {G} --algo bfs --mem 100000 --mem-frac 0.4"));
     assert!(err.contains("--mem-frac"), "{err}");
-    // a weighted run cannot be labelled compression=always: weights ship raw
+    // no mode forces every payload encoded: the wire-form rule decides
     let err = rejected(&format!("run {G} --algo sssp --compression always"));
-    assert!(err.contains("compression=always"), "{err}");
+    assert!(err.contains("'always' is not one of off|adaptive"), "{err}");
     // a web graph is directed, a social one undirected, whatever is asked
     let err = rejected("generate --kind web --vertices 10 --edges 20 --undirected -o x.beg");
     assert!(err.contains("--undirected") && err.contains("web"), "{err}");
@@ -231,7 +231,7 @@ fn modes_round_trip_and_their_errors_list_the_choices() {
     use CompressionMode as C;
     use DirectionMode as D;
     use FillPolicy as F;
-    check(&[C::Off, C::Always, C::Adaptive], "off|always|adaptive");
+    check(&[C::Off, C::Adaptive], "off|adaptive");
     check(&[D::Push, D::Pull, D::Adaptive], "push|pull|adaptive");
     check(
         &[PrefetchMode::Off, PrefetchMode::NextFrontier],

@@ -118,20 +118,24 @@ fn thread_sweep_is_bit_identical_for_all_systems_on_rmat() {
 /// on the worker pool (parallel length pre-pass + disjoint encode
 /// windows), and the adaptive crossover reads engine frontiers — neither
 /// may let the host thread count leak into a single bit of the report,
-/// under any `CompressionMode`.
+/// under any `CompressionMode`. The device has a fast decompressor and a
+/// quarter of the P100's link bandwidth, so the wire-form rule really
+/// ships on-demand payloads encoded and the encoded chain is pinned too.
 #[test]
 fn compression_modes_are_bit_identical_across_thread_counts() {
     use ascetic::baselines::SubwaySystem;
     use ascetic::core::CompressionMode;
     use ascetic::graph::generators::{rmat_graph, RmatConfig};
+    use ascetic::sim::DecompressModel;
 
     let g = rmat_graph(&RmatConfig::new(11, 80_000, 42));
-    let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() / 2);
-    let modes = [
-        CompressionMode::Off,
-        CompressionMode::Always,
-        CompressionMode::Adaptive,
-    ];
+    let mut dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() / 2);
+    dev.decompress = DecompressModel {
+        bandwidth_bps: 200_000_000_000,
+        launch_ns: 1_000,
+    };
+    dev.pcie.bandwidth_bps /= 4;
+    let modes = [CompressionMode::Off, CompressionMode::Adaptive];
 
     let run_suite = |threads: usize| -> Vec<RunReport> {
         set_num_threads(threads);
@@ -154,6 +158,14 @@ fn compression_modes_are_bit_identical_across_thread_counts() {
     };
 
     let base = run_suite(1);
+    for r in &base[3..] {
+        assert!(
+            r.metrics.counter("compress.transfers") > Some(0),
+            "{}/{}: no on-demand payload shipped encoded",
+            r.system,
+            r.algorithm
+        );
+    }
     for threads in [2, 8] {
         let sweep = run_suite(threads);
         for (a, b) in base.iter().zip(&sweep) {

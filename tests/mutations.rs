@@ -15,9 +15,9 @@
 use proptest::prelude::*;
 
 use ascetic::algos::inmemory::run_in_memory;
-use ascetic::algos::{Algo, ProgramOpts};
+use ascetic::algos::{Algo, ProgramOpts, VertexProgram};
 use ascetic::core::{run_fleet, AsceticConfig, AsceticSession, FleetConfig, RepairMode};
-use ascetic::graph::datasets::{Dataset, DatasetId};
+use ascetic::graph::datasets::{weighted_variant, Dataset, DatasetId};
 use ascetic::graph::generators::uniform_graph;
 use ascetic::graph::{Csr, GraphBuilder, Mutation, VertexId, Weight};
 use ascetic::mutate::{materialize, run_with_mutations, synthetic_churn};
@@ -221,6 +221,45 @@ fn one_session_patches_itself_through_a_hundred_churn_batches() {
         g == uniform_graph(600, 4_000, false, 41),
         "the session patched a copy, never the caller's graph"
     );
+}
+
+/// Repair stays exact over long churn: 100 `synthetic_churn` batches
+/// through `run_with_mutations` in verify mode for BFS, CC, PR and SSSP
+/// (on the weighted variant). Every batch's repaired answer equals a cold
+/// recompute on the graph it was repaired for, and a program that declares
+/// `incremental` never falls back to a cold rerun.
+#[test]
+fn repair_stays_exact_through_a_hundred_churn_batches() {
+    let g = uniform_graph(600, 4_000, false, 41);
+    let wg = weighted_variant(&g);
+    for algo in [Algo::Bfs, Algo::Cc, Algo::Pr, Algo::Sssp] {
+        let run_g = if algo.weighted() { &wg } else { &g };
+        let batches = synthetic_churn(run_g, 100, 30, 0xBEEF);
+        let prog = algo.program(&ProgramOpts::from_source(0));
+        let run = run_with_mutations(small_cfg(run_g), run_g, &prog, &batches, true)
+            .expect("churn batches always apply");
+        assert_eq!(run.batches.len(), 100, "{}", algo.name());
+        assert!(run.all_verified(), "{}", algo.name());
+        let incremental = prog.capabilities().incremental;
+        for b in &run.batches {
+            assert_eq!(
+                b.matches_recompute,
+                Some(true),
+                "{} batch {}",
+                algo.name(),
+                b.index
+            );
+            if incremental {
+                assert_ne!(
+                    b.mode,
+                    RepairMode::Fallback,
+                    "{} batch {}",
+                    algo.name(),
+                    b.index
+                );
+            }
+        }
+    }
 }
 
 /// The full stream — base run, every patch, every repair — is bit

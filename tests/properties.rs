@@ -12,7 +12,7 @@ use ascetic::core::ratio::{satisfies_eq1, static_share};
 use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
 use ascetic::graph::partition::{partition_by_bytes, validate_partitions};
 use ascetic::graph::{Csr, GraphBuilder};
-use ascetic::sim::DeviceConfig;
+use ascetic::sim::{DecompressModel, DeviceConfig};
 
 /// Build an arbitrary graph from a proptest edge list.
 fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> Csr {
@@ -93,7 +93,7 @@ proptest! {
         use ascetic::algos::Sssp;
         use ascetic::graph::datasets::weighted_variant;
         let g = if weighted { weighted_variant(&g) } else { g };
-        let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() / 2 + 512);
+        let mut dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() / 2 + 512);
         let fill = match fill_pick {
             0 => FillPolicy::Front,
             1 => FillPolicy::Rear,
@@ -101,10 +101,18 @@ proptest! {
         };
         let prefetch = if prefetch { PrefetchMode::NextFrontier } else { PrefetchMode::Off };
         let compression = match compression_pick {
+            0 => CompressionMode::Off,
             1 => CompressionMode::Adaptive,
-            // weights ship raw: `always` is an unweighted mode
-            2 if !weighted => CompressionMode::Always,
-            _ => CompressionMode::Off,
+            // a fast decompressor behind a quarter of the link: the
+            // wire-form rule ships some payloads encoded
+            _ => {
+                dev.decompress = DecompressModel {
+                    bandwidth_bps: 200_000_000_000,
+                    launch_ns: 1_000,
+                };
+                dev.pcie.bandwidth_bps /= 4;
+                CompressionMode::Adaptive
+            }
         };
         let cfg = AsceticConfig::new(dev)
             .with_chunk_bytes(64)
