@@ -236,42 +236,30 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
     (
         "forced pull",
         &[
-            (
-                1,
-                "msbfs is a whole-graph batch sweep, not a servable query",
-            ),
             (2, "--direction pull: LP is push-only (no pull operator)"),
             (3, "--direction pull: SSSP is push-only (no pull operator)"),
         ],
-        (2065649, 0x5531af1db1f52096, 0x5c92d14ecec76320),
+        (2065649, 0x14b53e9751bfa601, 0x5c92d14ecec76320),
     ),
     (
         "vertex arrays don't fit",
         &[
             (0, "vertex arrays need 54672 B but the device holds 54668 B"),
-            (
-                1,
-                "msbfs is a whole-graph batch sweep, not a servable query",
-            ),
             (2, "vertex arrays need 54672 B but the device holds 54668 B"),
             (3, "vertex arrays need 54672 B but the device holds 54668 B"),
             (4, "vertex arrays need 54672 B but the device holds 54668 B"),
         ],
-        (0, 0xf84d5056272a9202, 0xb45d49e12fc02a31),
+        (0, 0x8a9f539015c6fd2f, 0xb45d49e12fc02a31),
     ),
     (
         "chunk above half the budget",
         &[
             (0, "edge budget 137508 B below two 1048576-byte chunks"),
-            (
-                1,
-                "msbfs is a whole-graph batch sweep, not a servable query",
-            ),
             (2, "edge budget 137508 B below two 1048576-byte chunks"),
             (3, "edge budget 137508 B below two 1048576-byte chunks"),
             (4, "edge budget 137508 B below two 1048576-byte chunks"),
         ],
-        (0, 0xb436b738b3e6cd5e, 0xb45d49e12fc02a31),
+        (0, 0x795d15b54a11b04f, 0xb45d49e12fc02a31),
     ),
 ];
 
@@ -281,7 +269,6 @@ fn every_rejection_kind_keeps_its_reason_and_its_bytes() {
     let (g, w) = graphs();
     let trace = [
         job(0, Algo::Bfs, Some(3)),
-        job(1, Algo::MsBfs, None),
         job(2, Algo::Lp, None),
         job(3, Algo::Sssp, Some(5)),
         job(4, Algo::Cc, None),

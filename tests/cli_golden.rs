@@ -87,11 +87,6 @@ const ROWS: &[Row] = &[
          --prefetch next-frontier --direction adaptive",
         &[],
     ),
-    (
-        "run g.beg --algo kcore --kcore-k 3 --mem-frac 0.5 --fill random",
-        &[],
-    ),
-    ("run fk@30000 --algo msbfs --mem-frac 0.4", &[]),
     ("run w.txt --algo sssp --source 2 --mem-frac 0.5", &[]),
     (
         "run fk@30000 --algo bfs --mem-frac 0.4 --devices 2 --fabric nvlink --trace-out fleet.jsonl",
@@ -173,8 +168,6 @@ const GOLDEN: &[(i32, u64, u64, u64)] = &[
     (0, 0x769036b41bf7d8c3, 0xb107ef7e0b069d8c, 0x0b9e4f42805d5119),
     (0, 0xc3f7df02b4130f07, 0x81a63e1c9aba8b21, 0x7866edad3e23cd67),
     (0, 0xfde14071d9641c98, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0x65616ee5be9b73e0, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0x51bc0b262c9afdef, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0xe29bdaf704de5772, 0xcbf29ce484222325, 0xcbf29ce484222325),
     (0, 0x56ceb87bea0a7549, 0x89c396f725ada243, 0x48350862f09b809c),
     (0, 0xdd519d941daf2d81, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),

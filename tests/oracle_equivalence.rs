@@ -3,7 +3,7 @@
 //! class, under heavy memory oversubscription.
 
 use ascetic::algos::inmemory::run_in_memory;
-use ascetic::algos::{Bfs, Cc, PageRank, Sssp};
+use ascetic::algos::{Bfs, Cc, MsBfsDistances, PageRank, Sssp};
 use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
 use ascetic::graph::datasets::{weighted_variant, Dataset, DatasetId};
@@ -49,6 +49,14 @@ fn check_all_systems(g: &Csr, tag: &str) {
         check!(Bfs::new(0));
         check!(Cc::new());
         check!(PageRank::new());
+        // 48 lanes of one bitmask frontier: the multi-lane program shape
+        // through every system's transfer path
+        let mut sources: Vec<u32> = (0..48u32)
+            .map(|i| i * 71 % g.num_vertices() as u32)
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        check!(MsBfsDistances::new(sources));
     }
 }
 
@@ -73,86 +81,6 @@ fn rmat_dataset_all_algorithms() {
     );
     check_all_systems(&g, "RMAT unweighted");
     check_all_systems(&weighted_variant(&g), "RMAT weighted");
-}
-
-#[test]
-fn msbfs_extension_matches_oracle_under_all_systems() {
-    use ascetic::algos::msbfs::{msbfs_reference, MsBfs};
-    use ascetic::algos::AlgoOutput;
-    let ds = Dataset::build(DatasetId::Uk, SCALE);
-    let g = &ds.graph;
-    let dev = device_for(g, 2, 5);
-    let sources: Vec<u32> = (0..48u32)
-        .map(|i| i * 71 % g.num_vertices() as u32)
-        .collect();
-    let mut sources = sources;
-    sources.sort_unstable();
-    sources.dedup();
-    let expect = AlgoOutput::Labels(msbfs_reference(g, &sources));
-    let oracle = run_in_memory(g, &MsBfs::new(sources.clone()));
-    assert_eq!(oracle.output, expect);
-    let asc = AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(1024))
-        .run(g, &MsBfs::new(sources.clone()));
-    assert_eq!(asc.output, expect, "Ascetic MS-BFS");
-    let sw = SubwaySystem::new(dev).run(g, &MsBfs::new(sources.clone()));
-    assert_eq!(sw.output, expect, "Subway MS-BFS");
-    let pt = PtSystem::new(dev).run(g, &MsBfs::new(sources.clone()));
-    assert_eq!(pt.output, expect, "PT MS-BFS");
-    let uvm = UvmSystem::new(dev).run(g, &MsBfs::new(sources));
-    assert_eq!(uvm.output, expect, "UVM MS-BFS");
-}
-
-#[test]
-fn closeness_extension_matches_oracle_under_all_systems() {
-    use ascetic::algos::closeness::{closeness_reference, Closeness};
-    use ascetic::algos::AlgoOutput;
-    let ds = Dataset::build(DatasetId::Fk, SCALE);
-    let g = &ds.graph;
-    let dev = device_for(g, 2, 5);
-    let sources: Vec<u32> = (0..12u32)
-        .map(|i| i * 131 % g.num_vertices() as u32)
-        .collect();
-    let mut sources = sources;
-    sources.sort_unstable();
-    sources.dedup();
-    let expect = AlgoOutput::Labels(closeness_reference(g, &sources));
-    assert_eq!(
-        run_in_memory(g, &Closeness::new(sources.clone())).output,
-        expect
-    );
-    let asc = AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(1024))
-        .run(g, &Closeness::new(sources.clone()));
-    assert_eq!(asc.output, expect, "Ascetic closeness");
-    let sw = SubwaySystem::new(dev).run(g, &Closeness::new(sources.clone()));
-    assert_eq!(sw.output, expect, "Subway closeness");
-    let uvm = UvmSystem::new(dev).run(g, &Closeness::new(sources));
-    assert_eq!(uvm.output, expect, "UVM closeness");
-}
-
-#[test]
-fn kcore_extension_matches_oracle_under_all_systems() {
-    use ascetic::algos::kcore::{kcore_reference, KCore};
-    use ascetic::algos::AlgoOutput;
-    let ds = Dataset::build(DatasetId::Fk, SCALE);
-    let g = &ds.graph;
-    let dev = device_for(g, 2, 5);
-    for k in [2u32, 6] {
-        let expect = AlgoOutput::Labels(kcore_reference(g, k));
-        let oracle = run_in_memory(g, &KCore::new(k));
-        assert_eq!(
-            oracle.output, expect,
-            "in-memory vs peeling reference, k={k}"
-        );
-        let asc = AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(1024))
-            .run(g, &KCore::new(k));
-        assert_eq!(asc.output, expect, "Ascetic k-core, k={k}");
-        let sw = SubwaySystem::new(dev).run(g, &KCore::new(k));
-        assert_eq!(sw.output, expect, "Subway k-core, k={k}");
-        let pt = PtSystem::new(dev).run(g, &KCore::new(k));
-        assert_eq!(pt.output, expect, "PT k-core, k={k}");
-        let uvm = UvmSystem::new(dev).run(g, &KCore::new(k));
-        assert_eq!(uvm.output, expect, "UVM k-core, k={k}");
-    }
 }
 
 #[test]
