@@ -1,10 +1,9 @@
 //! Batched single-source traversals with per-source outputs.
 //!
 //! The serve layer folds compatible queued BFS/SSSP jobs over one graph
-//! into a single pass. [`crate::msbfs::MsBfs`] already advances up to 64
-//! traversals per edge sweep but only reports reachability counts; serving
-//! needs every job's *own* answer. These programs keep the MS-BFS frontier
-//! union (one read of the edge data for the whole batch) while maintaining
+//! into a single pass. Like MS-BFS they advance up to 64 traversals per
+//! edge sweep over one frontier union (one read of the edge data for the
+//! whole batch), and unlike it they keep every job's *own* answer in
 //! per-lane distance arrays, so a batch's [`AlgoOutput::MultiDistances`]
 //! lane `i` is byte-identical to running job `i` alone.
 //!

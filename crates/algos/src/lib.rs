@@ -23,8 +23,8 @@
 //! * [`bfs`] / [`sssp`] / [`cc`] / [`pr`] — the paper's four programs. PR is
 //!   the residual ("delta") formulation, which is what gives the paper's
 //!   decaying-but-high active ratios (Table 1: 25–29 %).
-//! * [`kcore`] / [`msbfs`] / [`closeness`] / [`batch`] — extension programs
-//!   (peeling, 64-lane traversal, sampled centrality, serve batching).
+//! * [`batch`] — multi-source BFS / SSSP with per-lane distances (serve
+//!   batching).
 //! * [`lp`] / [`betweenness`] — label-propagation community detection and
 //!   Brandes betweenness centrality (the first multi-phase program), each a
 //!   ~100-line program on the operator core.
@@ -42,12 +42,9 @@ pub mod batch;
 pub mod betweenness;
 pub mod bfs;
 pub mod cc;
-pub mod closeness;
 pub mod incremental;
 pub mod inmemory;
-pub mod kcore;
 pub mod lp;
-pub mod msbfs;
 pub mod ops;
 pub mod pr;
 pub mod reference;
@@ -59,14 +56,11 @@ pub use batch::{MsBfsDistances, MsSsspDistances, MAX_BATCH_LANES};
 pub use betweenness::Betweenness;
 pub use bfs::Bfs;
 pub use cc::Cc;
-pub use closeness::Closeness;
 pub use incremental::RepairPlan;
 pub use inmemory::{run_in_memory, run_in_memory_from, InMemoryResult, IterationLog};
-pub use kcore::KCore;
 pub use lp::LabelPropagation;
-pub use msbfs::MsBfs;
 pub use pr::PageRank;
-pub use registry::{sample_sources, Algo, AnyProgram, ProgramOpts};
+pub use registry::{Algo, AnyProgram, ProgramOpts};
 pub use sssp::Sssp;
 pub use traits::{
     AlgoError, AlgoOutput, Capabilities, EdgeSlice, TraversalDirection, VertexProgram,

@@ -466,8 +466,6 @@ pub enum AlgoError {
         /// The graph's vertex count.
         vertices: usize,
     },
-    /// `--kcore-k 0`: every vertex is in the 0-core.
-    ZeroCoreK,
 }
 
 impl std::fmt::Display for AlgoError {
@@ -489,7 +487,6 @@ impl std::fmt::Display for AlgoError {
                 f,
                 "--source {source} is not a vertex of a {vertices}-vertex graph"
             ),
-            AlgoError::ZeroCoreK => write!(f, "--kcore-k must be at least 1"),
         }
     }
 }

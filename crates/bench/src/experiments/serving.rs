@@ -385,14 +385,23 @@ pub fn incremental_repair(cx: &mut Ctx) {
     let mut json_cells = Vec::new();
     let (mut small_wins_time, mut small_wins_wire) = (true, true);
     let (mut small_losses, mut fallback_slower) = (Vec::new(), Vec::new());
-    for algo in [Algo::Bfs, Algo::Sssp, Algo::Cc, Algo::Pr, Algo::Lp] {
+    // each cell's churn seed tag is fixed here, not read off the registry
+    // order, so the draws stay put when the registry changes
+    let tagged = [
+        (Algo::Bfs, 0u64),
+        (Algo::Sssp, 1),
+        (Algo::Cc, 2),
+        (Algo::Pr, 3),
+        (Algo::Lp, 7),
+    ];
+    for (algo, tag) in tagged {
         let base = &**pd.graph(algo);
         eprintln!("algo: {}", algo.display());
         let prog = bench_program(base, algo);
         for (frac, frac_label) in [(0.001, "0.1%"), (0.01, "1%"), (0.05, "5%")] {
             let batch_edges = ((base.num_edges() as f64 * frac) as usize).max(1);
             // churn is seeded per (algo, frac) so cells are independent draws
-            let seed = 0x5EED ^ ((algo as u64) << 8) ^ (frac * 1e4) as u64;
+            let seed = 0x5EED ^ (tag << 8) ^ (frac * 1e4) as u64;
             let batches = synthetic_churn(base, BATCHES, batch_edges, seed);
             let run = run_with_mutations(env.ascetic_cfg(), base, &prog, &batches, true)
                 .expect("churn batches are always applicable");

@@ -171,10 +171,9 @@ pub fn source_vertex(g: &Csr) -> VertexId {
 }
 
 /// Instantiate `algo` for a bench run: single-source programs root at the
-/// dataset's hub ([`source_vertex`]), multi-source programs draw their
-/// registry-default sample count, kcore uses the paper-default k = 4.
+/// dataset's hub ([`source_vertex`]).
 pub fn bench_program(g: &Csr, algo: Algo) -> ascetic_algos::AnyProgram {
-    algo.program_on(g, source_vertex(g), 4)
+    algo.program_on(g, source_vertex(g))
         .expect("the hub is a vertex of its own graph")
 }
 

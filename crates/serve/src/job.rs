@@ -1,11 +1,11 @@
 //! Jobs: what a tenant submits to the serving layer.
 //!
 //! Job kinds are [`Algo`] values straight from the algorithm registry —
-//! the serve layer keeps no private algorithm list. Which kinds are
-//! admissible ([`Algo::servable`]) and which fold into multi-source
-//! batches ([`ascetic_algos::Capabilities::batchable`]) are registry
-//! metadata; inadmissible jobs are rejected per-job at admission with a
-//! reason, never mid-run.
+//! the serve layer keeps no private algorithm list. Which kinds fold into
+//! multi-source batches ([`ascetic_algos::Capabilities::batchable`]) and
+//! which a configuration rules out are registry metadata; a job that
+//! cannot run is rejected per-job at admission with a reason, never
+//! mid-run.
 
 pub use ascetic_algos::Algo;
 use ascetic_graph::VertexId;
@@ -24,33 +24,4 @@ pub struct Job {
     pub submit_ns: u64,
     /// Optional completion deadline, ns on the serve clock.
     pub deadline_ns: Option<u64>,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_round_trips_and_classifies() {
-        for k in [
-            Algo::Bfs,
-            Algo::Sssp,
-            Algo::Cc,
-            Algo::Pr,
-            Algo::Lp,
-            Algo::Bc,
-        ] {
-            assert_eq!(k.name().parse::<Algo>().ok(), Some(k));
-            assert!(k.servable());
-        }
-        assert!("pagerank".parse::<Algo>().is_err());
-        assert!(Algo::Sssp.weighted());
-        assert!(!Algo::Bfs.weighted());
-        assert!(Algo::Bfs.single_source() && Algo::Sssp.single_source());
-        assert!(!Algo::Cc.single_source() && !Algo::Pr.single_source());
-        assert!(
-            !Algo::MsBfs.servable() && !Algo::Closeness.servable(),
-            "whole-graph sweeps are batch workloads, not queries"
-        );
-    }
 }

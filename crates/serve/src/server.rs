@@ -6,12 +6,11 @@
 //! [`AsceticSession`] — the device model — and decides, job by job:
 //!
 //! 1. **admission** — each job is checked against its program's
-//!    capabilities first (whole-graph sweeps are not servable queries; a
-//!    forced pull direction rejects push-only kinds with the typed
-//!    [`AlgoError`](ascetic_algos::AlgoError) text), then jobs whose graph
-//!    variant cannot be prepared on the device (vertex arrays don't fit,
-//!    config invalid for the graph, edge budget below two chunks) are
-//!    rejected with the [`PrepareError`](ascetic_core::PrepareError) text;
+//!    capabilities first (a forced pull direction rejects push-only kinds
+//!    with the typed [`AlgoError`](ascetic_algos::AlgoError) text), then
+//!    jobs whose graph variant cannot be prepared on the device (vertex
+//!    arrays don't fit, config invalid for the graph, edge budget below two
+//!    chunks) are rejected with the [`PrepareError`](ascetic_core::PrepareError) text;
 //!    rejected jobs never run, the rest of the workload still does;
 //! 2. **scheduling** — among arrived jobs, [`Policy`] picks the next one;
 //! 3. **batching** — arrived same-kind single-source jobs are folded into
@@ -179,30 +178,20 @@ struct CostModel {
     prior: [u64; KINDS],
 }
 
-fn kind_index(kind: Algo) -> usize {
-    Algo::ALL
-        .iter()
-        .position(|&a| a == kind)
-        .expect("every Algo is registered")
-}
-
 impl CostModel {
     fn new(unweighted: &Csr, weighted: Option<&Csr>) -> CostModel {
         let eb = unweighted.edge_bytes();
         let ebw = weighted.map_or(eb * 2, |g| g.edge_bytes());
         // relative magnitudes only — SJF ranks, it does not predict.
-        // Index order is Algo::ALL: the paper's four keep their seeds,
-        // the extensions slot in by workload shape (traversal-like cheap,
-        // sweep-like dear).
+        // Indexed by `kind as usize` (Algo::ALL order): the paper's four
+        // keep their seeds, the extensions slot in by workload shape
+        // (traversal-like cheap, sweep-like dear).
         let mut prior = [eb; KINDS];
-        prior[kind_index(Algo::Sssp)] = ebw * 3;
-        prior[kind_index(Algo::Cc)] = eb * 2;
-        prior[kind_index(Algo::Pr)] = eb * 8;
-        prior[kind_index(Algo::KCore)] = eb * 4;
-        prior[kind_index(Algo::MsBfs)] = eb * 6;
-        prior[kind_index(Algo::Closeness)] = eb * 6;
-        prior[kind_index(Algo::Lp)] = eb * 4;
-        prior[kind_index(Algo::Bc)] = eb * 3;
+        prior[Algo::Sssp as usize] = ebw * 3;
+        prior[Algo::Cc as usize] = eb * 2;
+        prior[Algo::Pr as usize] = eb * 8;
+        prior[Algo::Lp as usize] = eb * 4;
+        prior[Algo::Bc as usize] = eb * 3;
         CostModel {
             sum_ns: [0; KINDS],
             runs: [0; KINDS],
@@ -211,14 +200,14 @@ impl CostModel {
     }
 
     fn observe(&mut self, kind: Algo, run_ns: u64) {
-        let i = kind_index(kind);
+        let i = kind as usize;
         self.sum_ns[i] += run_ns;
         self.runs[i] += 1;
     }
 
     /// `g` is the job's graph as of the deciding epoch, for sourced jobs.
     fn estimate(&self, job: &Job, g: Option<&Csr>) -> u64 {
-        let i = kind_index(job.kind);
+        let i = job.kind as usize;
         let base = self.sum_ns[i]
             .checked_div(self.runs[i])
             .unwrap_or(self.prior[i]);
@@ -451,10 +440,10 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     }
 
     /// Admission: every job is queued or turned away with a reason —
-    /// never by a panic mid-run. Kinds the serve layer does not accept and
-    /// kinds the configuration rules out (forced pull on a push-only
-    /// program) go per job; each graph variant is prepared once, over its
-    /// base epoch, and takes its jobs with it when it cannot run.
+    /// never by a panic mid-run. Kinds the configuration rules out (forced
+    /// pull on a push-only program) go per job; each graph variant is
+    /// prepared once, over its base epoch, and takes its jobs with it when
+    /// it cannot run.
     fn admit(&mut self, jobs: &[Job]) {
         let cfg = self.sc.cfg;
         let refusal = self.graphs.each_ref().map(|variant| {
@@ -463,15 +452,9 @@ impl<'a, 'g> Scheduler<'a, 'g> {
         });
         for job in jobs {
             let kind = job.kind;
-            let reason = if !kind.servable() {
-                let name = kind.name();
-                Some(format!(
-                    "{name} is a whole-graph batch sweep, not a servable query"
-                ))
-            } else if let Err(e) = cfg.validate_algo(kind.capabilities(), kind.display()) {
-                Some(e.to_string())
-            } else {
-                refusal[kind.weighted() as usize].clone()
+            let reason = match cfg.validate_algo(kind.capabilities(), kind.display()) {
+                Err(e) => Some(e.to_string()),
+                Ok(()) => refusal[kind.weighted() as usize].clone(),
             };
             match reason {
                 Some(reason) => self.rejected.push(RejectedJob {
@@ -1015,8 +998,7 @@ mod tests {
     fn capability_misfits_are_rejected_per_job_at_admission() {
         let (g, _) = graphs();
         // Forced pull: LP is push-only, BFS has a pull operator — the LP
-        // job is rejected with the AlgoError text, BFS still runs. A
-        // whole-graph sweep kind is rejected as unservable.
+        // job is rejected with the AlgoError text, BFS still runs.
         let cfg = cfg_for(&g).with_direction(ascetic_core::DirectionMode::Pull);
         let jobs = [
             bfs_job(0, 0, 0),
@@ -1027,29 +1009,16 @@ mod tests {
                 submit_ns: 0,
                 deadline_ns: None,
             },
-            Job {
-                id: 2,
-                kind: Algo::MsBfs,
-                source: None,
-                submit_ns: 0,
-                deadline_ns: None,
-            },
         ];
         let rep = serve(&ServeConfig::new(cfg, Policy::Fifo), &g, None, &jobs).unwrap();
         assert_eq!(rep.jobs.len(), 1);
         assert_eq!(rep.jobs[0].id, 0);
-        assert_eq!(rep.rejected.len(), 2);
+        assert_eq!(rep.rejected.len(), 1);
         assert_eq!(rep.rejected[0].id, 1);
         assert!(
             rep.rejected[0].reason.contains("push-only"),
             "reason should carry the pull mismatch: {}",
             rep.rejected[0].reason
-        );
-        assert_eq!(rep.rejected[1].id, 2);
-        assert!(
-            rep.rejected[1].reason.contains("not a servable query"),
-            "{}",
-            rep.rejected[1].reason
         );
     }
 

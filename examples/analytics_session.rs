@@ -7,10 +7,10 @@
 //! The paper (§4.3): "In practice, the Static Region can be reused
 //! throughout the graph processing". A realistic analytics job runs several
 //! algorithms over the same graph — here BFS (reachability), CC
-//! (communities), k-core (influencer filtering) and PageRank (ranking) —
+//! (components), label propagation (communities) and PageRank (ranking) —
 //! and an [`AsceticSession`] pays the prestore exactly once.
 
-use ascetic::algos::{Bfs, Cc, KCore, PageRank};
+use ascetic::algos::{Bfs, Cc, LabelPropagation, PageRank};
 use ascetic::core::session::AsceticSession;
 use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
 use ascetic::graph::generators::{social_graph, SocialConfig};
@@ -58,7 +58,7 @@ fn main() {
     }
     step!("bfs", Bfs::new(hub));
     step!("cc", Cc::new());
-    step!("kcore-8", KCore::new(8));
+    step!("lp", LabelPropagation::new());
     step!("pagerank", PageRank::new());
 
     // --- the same pipeline as four independent one-shot runs ------------
@@ -73,7 +73,7 @@ fn main() {
     }
     oneshot!(Bfs::new(hub));
     oneshot!(Cc::new());
-    oneshot!(KCore::new(8));
+    oneshot!(LabelPropagation::new());
     oneshot!(PageRank::new());
 
     println!(

@@ -76,10 +76,7 @@ fn split(row: Row) -> (&'static str, &'static str, &'static str) {
 /// Flags several subcommands (or several paths of one) share.
 type Group = &'static [Row];
 
-const PROG: Group = &[
-    "--source V: root vertex of bfs|sssp|bc (default 0)",
-    "--kcore-k K: the k of kcore (default 4)",
-];
+const PROG: Group = &["--source V: root vertex of bfs|sssp|bc (default 0)"];
 const DEV: Group = &[
     "--mem BYTES: device memory, or:",
     "--mem-frac F: vertex arrays + F x edge bytes (default 0.4)",
@@ -148,7 +145,7 @@ const CMDS: &[Cmd] = &[
     Cmd {
         synopsis: "run GRAPH: one algorithm under one system, on one path of it",
         flags: &[
-            "--algo ALGO: bfs|sssp|cc|pr|kcore|msbfs|closeness|lp|bc",
+            "--algo ALGO: bfs|sssp|cc|pr|lp|bc",
             "--system SYSTEM: ascetic|subway|pt|uvm|memory (default ascetic)",
             "--mutations FILE: then stream JSONL edge batches through the live session",
             "--verify: recompute every batch cold and demand bit-identity",
@@ -479,8 +476,8 @@ struct Resolved {
 
 /// The one step from `GRAPH`, the requested algorithms and the flags to
 /// what actually runs: the graph (its weighted variant when an algorithm
-/// reads weights the input lacks), each program (`--source`, `--kcore-k`
-/// range-checked by the registry), and a configuration that passed
+/// reads weights the input lacks), each program (`--source` range-checked
+/// by the registry), and a configuration that passed
 /// `build()`, each algorithm's `validate_algo()` and `prepare()` on that
 /// graph — whose vertex-fit half is all a baseline's own `prepare` checks.
 /// `serve` names no algorithm and gets no program or `prepare`: its
@@ -496,10 +493,9 @@ fn resolve(o: &Opts, algos: &[Algo]) -> Res<Resolved> {
     if !algos.is_empty() {
         AsceticSystem::new(cfg).prepare(&g)?;
         let source = o.parse("--source")?.unwrap_or(0);
-        let k = o.parse("--kcore-k")?.unwrap_or(4);
         for algo in algos {
             cfg.validate_algo(algo.capabilities(), algo.display())?;
-            progs.push(algo.program_on(&g, source, k)?);
+            progs.push(algo.program_on(&g, source)?);
         }
     }
     Ok(Resolved {

@@ -65,7 +65,7 @@ const TRACE_ERRORS: &[(&str, Option<usize>, &str)] = &[
     (
         "{\"id\": 0, \"algo\": \"walk\"}\n",
         None,
-        "trace line 1: unknown algo \"walk\" (expected one of: bfs, sssp, cc, pr, kcore, msbfs, closeness, lp, bc)",
+        "trace line 1: unknown algo \"walk\" (expected one of: bfs, sssp, cc, pr, lp, bc)",
     ),
     (
         "{\"id\": 0, \"algo\": \"pr\", \"source\": 1}\n",
