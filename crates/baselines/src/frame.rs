@@ -2,18 +2,17 @@
 //!
 //! PT, Subway and UVM differ in which bytes move when — and in nothing
 //! else: each runs on a fresh device with the vertex arrays reserved,
-//! brackets every iteration between two barriers and the `IterStart` /
-//! `IterEnd` events, logs one [`IterReport`] per iteration and assembles
-//! the same [`RunReport`]. That frame lives here, once, and the frontier
-//! loop around it is [`ascetic_algos::ops::Drive`]; the system modules keep
-//! only their data movement.
+//! opens every iteration on a barrier (`gpu.sync()`) and closes it on
+//! another ([`Frame::close`]), logs one [`IterReport`] per iteration and
+//! assembles the same [`RunReport`]. That frame lives here, once, and the
+//! frontier loop around it is [`ascetic_algos::ops::Drive`]; the system
+//! modules keep only their data movement.
 
 use ascetic_algos::VertexProgram;
 use ascetic_core::engine::{finish_report, RunBase};
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
 use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
 use ascetic_graph::Csr;
-use ascetic_obs::Event;
 use ascetic_sim::{DevPtr, DeviceConfig, Gpu, SimTime};
 
 /// One baseline run's device and report state.
@@ -50,25 +49,16 @@ impl Frame {
         self.gpu.alloc(words).expect("edge buffer")
     }
 
-    /// Open iteration `iter`: barrier, `IterStart`. Returns its start.
-    pub fn open(&mut self, iter: u32) -> SimTime {
-        let start = self.gpu.sync();
-        self.gpu.obs.record(start.0, Event::IterStart { iter });
-        start
-    }
-
-    /// Close iteration `iter`, opened at `start`: barrier, `IterEnd`, and
-    /// the iteration's report row.
+    /// Close the iteration opened at `start`: barrier, and the
+    /// iteration's report row.
     pub fn close(
         &mut self,
-        iter: u32,
         start: SimTime,
         active_vertices: u64,
         active_edges: u64,
         payload_bytes: u64,
     ) {
         let end = self.gpu.sync();
-        self.gpu.obs.record(end.0, Event::IterEnd { iter });
         self.per_iter.push(IterReport {
             active_vertices,
             active_edges,

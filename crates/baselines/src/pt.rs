@@ -31,8 +31,8 @@ pub struct PtSystem {
     pub device: DeviceConfig,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report (comparable with
-    /// Ascetic's stream).
+    /// Record a structured event log on the report (the allocator's
+    /// high-water marks; iterations and transfers are spans).
     pub events: bool,
 }
 
@@ -82,8 +82,8 @@ impl OutOfCoreSystem for PtSystem {
         let mut staging: Vec<u32> = Vec::new();
 
         let mut drive = Drive::new(prog, g, &state);
-        while let Some(iter) = drive.begin(&mut active) {
-            let iter_start = frame.open(iter);
+        while drive.begin(&mut active).is_some() {
+            let iter_start = frame.gpu.sync();
             let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
             let next_bits = next.writer();
             let mut payload = 0u64;
@@ -170,7 +170,7 @@ impl OutOfCoreSystem for PtSystem {
                 }
             }
 
-            frame.close(iter, iter_start, active_vertices, active_edges, payload);
+            frame.close(iter_start, active_vertices, active_edges, payload);
             drive.end(&mut active, &mut next);
         }
         frame.finish("PT", prog, &state, drive.iterations())

@@ -37,8 +37,8 @@ pub struct SubwaySystem {
     pub device: DeviceConfig,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report (comparable with
-    /// Ascetic's stream).
+    /// Record a structured event log on the report (the allocator's
+    /// high-water marks; iterations and transfers are spans).
     pub events: bool,
     /// Ship subgraph payloads delta–varint encoded over the link
     /// (apples-to-apples with Ascetic's compressed transfer path).
@@ -100,8 +100,8 @@ impl OutOfCoreSystem for SubwaySystem {
         let mut plan = BatchPlan::default();
 
         let mut drive = Drive::new(prog, g, &state);
-        while let Some(iter) = drive.begin(&mut active) {
-            let iter_start = frame.open(iter);
+        while drive.begin(&mut active).is_some() {
+            let iter_start = frame.gpu.sync();
             let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
             active.collect_indices(&mut nodes);
             let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
@@ -150,7 +150,7 @@ impl OutOfCoreSystem for SubwaySystem {
                 });
             }
 
-            frame.close(iter, iter_start, nodes.len() as u64, active_edges, payload);
+            frame.close(iter_start, nodes.len() as u64, active_edges, payload);
             drive.end(&mut active, &mut next);
         }
         frame.finish("Subway", prog, &state, drive.iterations())
@@ -230,18 +230,11 @@ mod tests {
         let rep = SubwaySystem::new(small_device(&g))
             .with_events(true)
             .run(&g, &Bfs::new(0));
+        // iterations, copies and kernels are spans; what a raw Subway run
+        // logs beside them is the allocator's climb
         let events = rep.events.as_ref().expect("events enabled");
-        let starts = events
-            .iter()
-            .filter(|e| e.event.kind() == "iter_start")
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| e.event.kind() == "iter_end")
-            .count();
-        assert_eq!(starts as u32, rep.iterations);
-        assert_eq!(ends as u32, rep.iterations);
-        assert!(events.iter().any(|e| e.event.kind() == "dma"));
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|e| e.event.kind() == "high_water"));
         assert_eq!(
             rep.metrics.counter("xfer.h2d_bytes"),
             Some(rep.xfer.h2d_bytes)

@@ -39,8 +39,8 @@ pub struct UvmSystem {
     pub prefetch: bool,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report (comparable with
-    /// Ascetic's stream; includes per-page faults and evictions).
+    /// Record a structured event log on the report: per-page faults and
+    /// evictions, and the allocator's high-water marks.
     pub events: bool,
 }
 
@@ -104,7 +104,7 @@ impl UvmSystem {
 
         let mut drive = Drive::new(prog, g, &state);
         while let Some(iter) = drive.begin(&mut active) {
-            let iter_start = frame.open(iter);
+            let iter_start = frame.gpu.sync();
             let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
             // Execute on host data first (the UVM mapping *is* host memory,
             // so this is the in-memory oracle's advance); what follows
@@ -179,7 +179,7 @@ impl UvmSystem {
                 .registry
                 .counter_add("uvm.evictions", uvm.stats.evictions - evictions_before);
 
-            frame.close(iter, iter_start, nodes.len() as u64, active_edges, migrated);
+            frame.close(iter_start, nodes.len() as u64, active_edges, migrated);
             drive.end(&mut active, &mut next);
         }
         frame.finish("UVM", prog, &state, drive.iterations())

@@ -210,8 +210,9 @@ pub struct AsceticConfig {
     /// `span_trace` (export with [`ascetic_obs::Trace::to_perfetto_json`]
     /// or [`ascetic_obs::Trace::to_jsonl`]).
     pub tracing: bool,
-    /// Record a structured [`ascetic_obs::EventLog`] (iteration boundaries,
-    /// DMAs, kernels, repartitions, …) on the report's `events`. Off by
+    /// Record a structured [`ascetic_obs::EventLog`] of what no span states
+    /// (Eq (3) repartitions, allocator high-water marks) on the report's
+    /// `events`; the span trace (`tracing`) is the run's timeline. Off by
     /// default; enabling costs one `Vec` push per event.
     pub events: bool,
     /// Number of buffers the on-demand region is split into (≥ 1). With

@@ -210,8 +210,8 @@ pub struct RunReport {
     /// *are* [`RunReport::xfer`] / [`RunReport::kernels`] / …; every
     /// headline scalar's name is present, at zero when nothing bumped it.
     pub metrics: MetricsSnapshot,
-    /// Structured event log, when the system ran with event logging
-    /// enabled (`AsceticConfig::with_events` / baseline `with_events`).
+    /// Event log of what no span of `span_trace` states (re-partitions,
+    /// high-water marks, UVM faults), when the run armed `with_events`.
     pub events: Option<EventLog>,
     /// Final algorithm output (validated against the in-memory oracle).
     pub output: AlgoOutput,

@@ -512,8 +512,8 @@ impl<'g> AsceticSession<'g> {
     /// Execute one iteration of `prog` over this session's graph — one
     /// frame for both traversal directions:
     ///
-    /// 1. **open** — barrier, `IterStart`, the iteration span and the
-    ///    `GenDataMap` charge;
+    /// 1. **open** — barrier, the iteration span and the `GenDataMap`
+    ///    charge;
     /// 2. **select** — push splits the frontier against the static region
     ///    (data maps, Eq (3) re-partition) and runs the static-region
     ///    kernel; pull derives the target set from the CSC mirror and
@@ -524,7 +524,7 @@ impl<'g> AsceticSession<'g> {
     ///    region) — hotness accounting and the cross-iteration prefetch
     ///    commit/plan;
     /// 5. **pre-commit** the next iteration's direction;
-    /// 6. **close** — barrier, `IterEnd`, windows, the `IterReport`.
+    /// 6. **close** — barrier, windows, the `IterReport`.
     ///
     /// The driver loop ([`ops::Drive`]) owns the frontier dance: it runs
     /// the compute operator first, its body passes the (already
@@ -628,14 +628,12 @@ impl<'g> AsceticSession<'g> {
         self.close_iteration(ctx, iter_start, report);
     }
 
-    /// Open the frame: barrier, `IterStart`, the iteration's span on the
-    /// session track and ➊ GenDataMap — a cheap bitmap kernel over |V|
-    /// bits, over the frontier under push and the target set under pull,
-    /// charged the same. Returns the iteration's start and that kernel.
+    /// Open the frame: barrier, the iteration's span on the session track
+    /// and ➊ GenDataMap — a cheap bitmap kernel over |V| bits, over the
+    /// frontier under push and the target set under pull, charged the
+    /// same. Returns the iteration's start and that kernel.
     fn open_iteration(&mut self, ctx: &mut RunCtx) -> (SimTime, Span) {
-        let iter = ctx.iter;
         let iter_start = self.gpu.sync();
-        self.gpu.obs.record(iter_start.0, Event::IterStart { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             tr.track(SESSION_TRACK); // keeps its place in the track table
             ctx.iter_mark = tr.mark();
@@ -647,8 +645,8 @@ impl<'g> AsceticSession<'g> {
         (iter_start, genmap)
     }
 
-    /// Close the frame: the prefetch stream's window span, barrier,
-    /// `IterEnd`, the iteration span, and `report` with its time filled in.
+    /// Close the frame: the prefetch stream's window span, barrier, the
+    /// iteration span, and `report` with its time filled in.
     fn close_iteration(&mut self, ctx: &mut RunCtx, iter_start: SimTime, mut report: IterReport) {
         let iter = ctx.iter;
         if let Some((start, end)) = ctx.pf_window.take() {
@@ -656,7 +654,6 @@ impl<'g> AsceticSession<'g> {
             self.phase_span(PREFETCH_WINDOW_TRACK, start, end, label);
         }
         let iter_end = self.gpu.sync();
-        self.gpu.obs.record(iter_end.0, Event::IterEnd { iter });
         if let Some(tr) = self.gpu.timeline.tracer_mut() {
             let t = tr.track(SESSION_TRACK);
             let pull = if ctx.last_pull { " (pull)" } else { "" };
@@ -1343,22 +1340,19 @@ mod tests {
         assert_eq!(a.metrics.counter("iterations"), Some(a.iterations as u64));
         assert_eq!(a.metrics.label("system"), Some("Ascetic"));
         assert_eq!(a.metrics.label("algo"), Some("BFS"));
-        let kinds: Vec<&str> = a
-            .events
-            .as_ref()
-            .expect("events enabled")
-            .iter()
-            .map(|e| e.event.kind())
-            .collect();
-        assert!(kinds.contains(&"prestore"), "first run owns the prestore");
-        assert!(kinds.contains(&"iter_start"));
-        assert!(kinds.contains(&"iter_end"));
-        assert!(kinds.contains(&"dma"));
+        // the setup's allocator climb is the first run's, as its
+        // prestore is
+        let high_water = |r: &RunReport| {
+            let log = r.events.as_ref().expect("log armed every run");
+            log.iter().any(|e| e.event.kind() == "high_water")
+        };
+        assert!(
+            high_water(&a),
+            "first run owns the setup's high-water marks"
+        );
 
         let b = session.run(&Cc::new());
-        let b_events = b.events.as_ref().expect("log re-armed per run");
-        assert!(b_events.iter().all(|e| e.event.kind() != "prestore"));
-        assert!(b_events.iter().any(|e| e.event.kind() == "iter_start"));
+        assert!(!high_water(&b));
 
         // a patch lands between runs: its traffic is nobody's run
         let before = registry(&session);
@@ -1492,17 +1486,6 @@ mod tests {
             r.prefetch_hit_rate(),
             r.prefetch_ops
         );
-        let cfg = cfg_for(&g)
-            .with_prefetch(PrefetchMode::NextFrontier)
-            .with_events(true);
-        let r = AsceticSession::new(cfg, &g).run(&Bfs::new(0));
-        let has_prefetch_event = r
-            .events
-            .as_ref()
-            .expect("events enabled")
-            .iter()
-            .any(|e| e.event.kind() == "prefetch_dma");
-        assert!(has_prefetch_event, "events record the prefetch stream");
     }
 
     #[test]

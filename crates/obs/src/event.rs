@@ -1,97 +1,24 @@
 //! Structured event log stamped by the virtual clock.
 //!
-//! Events are the *sequence* view the registry's totals cannot give:
-//! which iteration a re-partition happened in, how fault storms cluster,
-//! when the allocator's high-water mark moved. Timestamps are plain `u64`
-//! nanoseconds supplied by the caller from the simulated clock
+//! The span trace ([`crate::trace`]) is a run's timeline: every kernel,
+//! copy, gather and iteration is a span there, with its start and length.
+//! The event log holds what no span states — occurrences and decisions:
+//! when Eq (3) moved the static/on-demand boundary and on what evidence,
+//! when the allocator's high-water mark rose, where UVM's faults and
+//! evictions clustered. A planner decision that a span cannot express is a
+//! new variant here, never a second record of a transfer. Timestamps are
+//! plain `u64` nanoseconds supplied by the caller from the simulated clock
 //! (`ascetic-sim`'s `SimTime`), so the log is bit-deterministic.
 //!
 //! The log is bounded: past `capacity` events it counts drops instead of
 //! growing (a UVM run can fault millions of times).
 
-use crate::json;
-
 /// Default bound on retained events (65 536 ≈ a few MB worst case).
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
-/// Direction of a DMA transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum XferDir {
-    /// Host to device.
-    H2d,
-    /// Device to host.
-    D2h,
-}
-
-impl XferDir {
-    fn as_str(self) -> &'static str {
-        match self {
-            XferDir::H2d => "h2d",
-            XferDir::D2h => "d2h",
-        }
-    }
-}
-
-/// One observable occurrence in a run.
+/// One observable occurrence in a run that no span states.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// An iteration of the vertex program began.
-    IterStart {
-        /// Zero-based iteration index.
-        iter: u32,
-    },
-    /// An iteration finished.
-    IterEnd {
-        /// Zero-based iteration index.
-        iter: u32,
-    },
-    /// A compute kernel was launched.
-    Kernel {
-        /// Kernel label (e.g. `"bfs_static"`).
-        label: String,
-        /// Edges traversed by the launch.
-        edges: u64,
-        /// Modeled duration in virtual nanoseconds.
-        dur_ns: u64,
-    },
-    /// A DMA copy over PCIe.
-    Dma {
-        /// Transfer direction.
-        dir: XferDir,
-        /// Bytes moved.
-        bytes: u64,
-        /// Modeled duration in virtual nanoseconds.
-        dur_ns: u64,
-    },
-    /// A compressed DMA copy: delta–varint payload over the link, decoded
-    /// on the compute engine.
-    CompressedDma {
-        /// Decoded payload bytes.
-        raw_bytes: u64,
-        /// Encoded bytes actually on the link.
-        wire_bytes: u64,
-        /// Modeled copy duration in virtual nanoseconds.
-        dur_ns: u64,
-        /// Modeled decompression duration in virtual nanoseconds.
-        decompress_ns: u64,
-    },
-    /// A speculative chunk refresh issued on the prefetch copy stream
-    /// (cross-iteration pipeline; distinct from reactive `Dma`).
-    PrefetchDma {
-        /// Chunk shipped ahead of demand.
-        chunk: u64,
-        /// Bytes moved.
-        bytes: u64,
-        /// Modeled duration in virtual nanoseconds.
-        dur_ns: u64,
-    },
-    /// An on-demand gather of frontier-reachable edge chunks.
-    Gather {
-        /// Bytes gathered.
-        bytes: u64,
-        /// Modeled duration in virtual nanoseconds.
-        dur_ns: u64,
-    },
     /// A UVM page fault (miss serviced by migration).
     UvmFault {
         /// Virtual page index that faulted.
@@ -121,13 +48,6 @@ pub enum Event {
         /// overflowed the on-demand region.
         overflow_bytes: u64,
     },
-    /// The one-time prestore fill of the static region.
-    Prestore {
-        /// Bytes prestored.
-        bytes: u64,
-        /// Modeled duration in virtual nanoseconds.
-        dur_ns: u64,
-    },
     /// The device allocator's high-water mark rose.
     HighWater {
         /// New peak allocation in bytes.
@@ -139,64 +59,15 @@ impl Event {
     /// Machine-readable event kind (stable across releases).
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::IterStart { .. } => "iter_start",
-            Event::IterEnd { .. } => "iter_end",
-            Event::Kernel { .. } => "kernel",
-            Event::Dma { .. } => "dma",
-            Event::CompressedDma { .. } => "compressed_dma",
-            Event::PrefetchDma { .. } => "prefetch_dma",
-            Event::Gather { .. } => "gather",
             Event::UvmFault { .. } => "uvm_fault",
             Event::UvmEvict { .. } => "uvm_evict",
             Event::Repartition { .. } => "repartition",
-            Event::Prestore { .. } => "prestore",
             Event::HighWater { .. } => "high_water",
         }
     }
 
     fn fields_into(&self, out: &mut String) {
         match self {
-            Event::IterStart { iter } | Event::IterEnd { iter } => {
-                out.push_str(&format!(",\"iter\":{iter}"));
-            }
-            Event::Kernel {
-                label,
-                edges,
-                dur_ns,
-            } => {
-                out.push_str(",\"label\":");
-                json::string_into(label, out);
-                out.push_str(&format!(",\"edges\":{edges},\"dur_ns\":{dur_ns}"));
-            }
-            Event::Dma { dir, bytes, dur_ns } => {
-                out.push_str(&format!(
-                    ",\"dir\":\"{}\",\"bytes\":{bytes},\"dur_ns\":{dur_ns}",
-                    dir.as_str()
-                ));
-            }
-            Event::CompressedDma {
-                raw_bytes,
-                wire_bytes,
-                dur_ns,
-                decompress_ns,
-            } => {
-                out.push_str(&format!(
-                    ",\"raw_bytes\":{raw_bytes},\"wire_bytes\":{wire_bytes},\
-                     \"dur_ns\":{dur_ns},\"decompress_ns\":{decompress_ns}"
-                ));
-            }
-            Event::PrefetchDma {
-                chunk,
-                bytes,
-                dur_ns,
-            } => {
-                out.push_str(&format!(
-                    ",\"chunk\":{chunk},\"bytes\":{bytes},\"dur_ns\":{dur_ns}"
-                ));
-            }
-            Event::Gather { bytes, dur_ns } => {
-                out.push_str(&format!(",\"bytes\":{bytes},\"dur_ns\":{dur_ns}"));
-            }
             Event::UvmFault { page, dur_ns } => {
                 out.push_str(&format!(",\"page\":{page},\"dur_ns\":{dur_ns}"));
             }
@@ -216,9 +87,6 @@ impl Event {
                      \"region_share_ppm\":{region_share_ppm},\
                      \"overflow_bytes\":{overflow_bytes}"
                 ));
-            }
-            Event::Prestore { bytes, dur_ns } => {
-                out.push_str(&format!(",\"bytes\":{bytes},\"dur_ns\":{dur_ns}"));
             }
             Event::HighWater { bytes } => {
                 out.push_str(&format!(",\"bytes\":{bytes}"));
@@ -344,11 +212,11 @@ mod tests {
     #[test]
     fn records_until_capacity_then_counts_drops() {
         let mut log = EventLog::new(2);
-        log.record(1, Event::IterStart { iter: 0 });
-        log.record(2, Event::IterEnd { iter: 0 });
+        log.record(1, Event::HighWater { bytes: 10 });
+        log.record(2, Event::HighWater { bytes: 20 });
         assert_eq!(log.first_drop_at(), None);
-        log.record(3, Event::IterStart { iter: 1 });
-        log.record(7, Event::IterEnd { iter: 1 });
+        log.record(3, Event::HighWater { bytes: 30 });
+        log.record(7, Event::HighWater { bytes: 40 });
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 2);
         // The clock of the *first* drop is pinned, not the latest.
@@ -358,29 +226,7 @@ mod tests {
     #[test]
     fn jsonl_lines_validate_and_roundtrip_kinds() {
         let mut log = EventLog::new(16);
-        log.record(
-            0,
-            Event::Prestore {
-                bytes: 10,
-                dur_ns: 5,
-            },
-        );
-        log.record(
-            5,
-            Event::Kernel {
-                label: "bfs \"q\"\n".into(),
-                edges: 3,
-                dur_ns: 7,
-            },
-        );
-        log.record(
-            9,
-            Event::Dma {
-                dir: XferDir::H2d,
-                bytes: 4096,
-                dur_ns: 11,
-            },
-        );
+        log.record(0, Event::HighWater { bytes: 4096 });
         log.record(
             10,
             Event::Repartition {
@@ -393,33 +239,26 @@ mod tests {
         );
         log.record(
             12,
-            Event::CompressedDma {
-                raw_bytes: 4096,
-                wire_bytes: 1024,
+            Event::UvmFault {
+                page: 7,
                 dur_ns: 11,
-                decompress_ns: 3,
             },
         );
-        log.record(
-            14,
-            Event::PrefetchDma {
-                chunk: 7,
-                bytes: 2048,
-                dur_ns: 6,
-            },
-        );
+        log.record(14, Event::UvmEvict { pages: 3 });
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(
+            lines,
+            [
+                "{\"t_ns\":0,\"kind\":\"high_water\",\"bytes\":4096}",
+                "{\"t_ns\":10,\"kind\":\"repartition\",\"iter\":2,\"static_bytes\":99,\
+                 \"static_share_ppm\":10000,\"region_share_ppm\":80000,\"overflow_bytes\":100}",
+                "{\"t_ns\":12,\"kind\":\"uvm_fault\",\"page\":7,\"dur_ns\":11}",
+                "{\"t_ns\":14,\"kind\":\"uvm_evict\",\"pages\":3}",
+            ]
+        );
         for line in &lines {
             crate::json::validate(line).expect("each JSONL line is valid JSON");
         }
-        assert!(lines[1].contains("\"kind\":\"kernel\""));
-        assert!(lines[1].contains("bfs \\\"q\\\"\\n"));
-        assert!(lines[2].contains("\"dir\":\"h2d\""));
-        assert!(lines[4].contains("\"kind\":\"compressed_dma\""));
-        assert!(lines[4].contains("\"wire_bytes\":1024"));
-        assert!(lines[5].contains("\"kind\":\"prefetch_dma\""));
-        assert!(lines[5].contains("\"chunk\":7"));
     }
 }

@@ -12,9 +12,9 @@
 //!   log2-bucketed [`Histogram`]s with labels (system/algo/dataset), merge
 //!   and diff support, and deterministic (sorted) export ordering.
 //! * [`event`] — a structured [`EventLog`] stamped by the **virtual clock**
-//!   (iteration boundaries, kernel launches, DMA and prefetch ops, UVM
-//!   faults and evictions, Eq (3) re-partitions, allocator high-water
-//!   marks) with bounded capacity and a JSONL sink.
+//!   of what no span states (Eq (3) re-partitions, allocator high-water
+//!   marks, UVM faults and evictions) with bounded capacity and a JSONL
+//!   sink.
 //! * [`trace`] — a hierarchical [`SpanTracer`] over named tracks (one per
 //!   copy stream, compute engine, serve job) frozen into an immutable
 //!   [`Trace`] with Chrome/Perfetto and JSONL export plus busy/idle/overlap
@@ -32,6 +32,6 @@ pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use event::{Event, EventLog, TimedEvent, XferDir, DEFAULT_EVENT_CAPACITY};
+pub use event::{Event, EventLog, TimedEvent, DEFAULT_EVENT_CAPACITY};
 pub use registry::{Histogram, MetricValue, MetricsSnapshot, Obs, Registry, NUM_BUCKETS};
 pub use trace::{SpanTracer, Trace, TracedSpan, TrackId, CAT_WAIT};

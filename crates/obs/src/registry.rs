@@ -430,11 +430,6 @@ impl Obs {
         }
     }
 
-    /// Whether event recording is on.
-    pub fn events_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Record `event` at virtual-clock instant `t_ns` (no-op when event
     /// logging is disabled).
     pub fn record(&mut self, t_ns: u64, event: crate::Event) {
@@ -587,10 +582,10 @@ mod tests {
     #[test]
     fn obs_gates_events() {
         let mut o = Obs::new();
-        o.record(5, crate::Event::IterEnd { iter: 0 });
+        o.record(5, crate::Event::HighWater { bytes: 8 });
         assert!(o.events().is_none(), "disabled log records nothing");
         o.enable_events(4);
-        o.record(7, crate::Event::IterEnd { iter: 1 });
+        o.record(7, crate::Event::HighWater { bytes: 16 });
         assert_eq!(o.events().unwrap().len(), 1);
         // taking the log leaves the bundle armed as it was
         assert_eq!(o.take_events().unwrap().len(), 1);

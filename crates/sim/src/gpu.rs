@@ -20,7 +20,7 @@ use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
 use crate::time::SimTime;
 use crate::timeline::{CopyStream, Engine, Span, Timeline};
-use ascetic_obs::{Event, Obs, XferDir, DEFAULT_EVENT_CAPACITY};
+use ascetic_obs::{Event, Obs, DEFAULT_EVENT_CAPACITY};
 
 /// A simulated GPU with its host-side engines.
 ///
@@ -51,8 +51,8 @@ pub struct Gpu {
 }
 
 /// What the bytes of a transfer *are*. [`Gpu::ship_at`] reads the stream,
-/// the span labels, the counters and the event off the class, so a caller
-/// never books a byte or touches the copy engine itself.
+/// the span labels and the counters off the class, so a caller never books
+/// a byte or touches the copy engine itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Xfer {
     /// An on-demand payload (a gather batch, or any plain H2D copy).
@@ -144,14 +144,14 @@ impl Gpu {
     }
 
     /// The one link-charge site: schedule a transfer of `bytes` of payload
-    /// ready at `ready`, book it and record its event. `wire = None` ships
-    /// the bytes as they are; `Some(wire)` ships the encoded form and
-    /// chains the decompression launch on the compute engine. What the
-    /// bytes *are* — `class` — decides the stream, the span labels, the
-    /// counters and the event (`DESIGN.md` §21 has the table); the data
-    /// plane is the caller's. Returns the `(copy, decompress)` spans — the
-    /// second empty at `copy.end` for a raw transfer — so the payload is
-    /// usable at `decompress.end` either way.
+    /// ready at `ready` and book it. `wire = None` ships the bytes as they
+    /// are; `Some(wire)` ships the encoded form and chains the
+    /// decompression launch on the compute engine. What the bytes *are* —
+    /// `class` — decides the stream, the span labels and the counters
+    /// (`DESIGN.md` §21 has the table); the data plane is the caller's.
+    /// Returns the `(copy, decompress)` spans — the second empty at
+    /// `copy.end` for a raw transfer — so the payload is usable at
+    /// `decompress.end` either way.
     pub fn ship_at(
         &mut self,
         class: Xfer,
@@ -188,89 +188,63 @@ impl Gpu {
                 .timeline
                 .schedule_labeled(Engine::Copy, ready, link_ns, label),
         };
-        let dur_ns = copy.duration();
-        let mut decode = Span {
-            start: copy.end,
-            end: copy.end,
-        };
-        if let Some(wire_bytes) = wire {
+        let decode = if wire.is_some() {
             let dec_ns = self.config.decompress.decompress_ns(bytes);
             // only the on-demand chain's launch is its own category; the
             // prestore's decode renders as the kernel it stands in for
             // (pinned by the trace goldens)
             let on_demand = matches!(class, Xfer::OnDemand { .. });
             let cat = if on_demand { "decode" } else { "kernel" };
-            decode = self
-                .timeline
+            self.timeline
                 .schedule_as(Engine::Compute, cat, copy.end, dec_ns, || {
                     if on_demand {
                         format!("decompress {bytes}B")
                     } else {
                         format!("{stem} decompress {bytes}B")
                     }
-                });
-            let event = Event::CompressedDma {
-                raw_bytes: bytes,
-                wire_bytes,
-                dur_ns,
-                decompress_ns: decode.duration(),
-            };
-            self.obs.record(copy.start.0, event);
-        }
+                })
+        } else {
+            Span {
+                start: copy.end,
+                end: copy.end,
+            }
+        };
 
         // What this class of byte feeds: the steady `xfer.*` columns
-        // (payload, link, ops) when it is steady traffic, its own counters
-        // and histograms, and its event.
+        // (payload, link, ops) when it is steady traffic, and its own
+        // counters and histograms.
         let reg = &mut self.obs.registry;
-        let (steady, event) = match class {
+        let steady = match class {
             Xfer::OnDemand { rider } => {
                 reg.observe("h2d.op_bytes", bytes);
-                let event = match wire {
-                    Some(wire) => {
-                        reg.observe("h2d.op_wire_bytes", wire);
-                        None // the encoded chain's event is the transfer's
-                    }
-                    None => Some(Event::Dma {
-                        dir: XferDir::H2d,
-                        bytes,
-                        dur_ns,
-                    }),
-                };
-                (Some((bytes + rider, on_link + rider, 1)), event)
+                if let Some(wire) = wire {
+                    reg.observe("h2d.op_wire_bytes", wire);
+                }
+                Some((bytes + rider, on_link + rider, 1))
             }
-            Xfer::Prefetch { chunk } => {
+            Xfer::Prefetch { .. } => {
                 reg.counter_add("prefetch.bytes", bytes);
                 reg.counter_add("prefetch.ops", 1);
                 reg.observe("h2d.op_bytes", bytes);
-                let event = Event::PrefetchDma {
-                    chunk,
-                    bytes,
-                    dur_ns,
-                };
-                (Some((bytes, bytes, 1)), Some(event))
+                Some((bytes, bytes, 1))
             }
             // prestore traffic rides its own report lines
             Xfer::Prestore => {
                 reg.counter_add("prestore.bytes", bytes);
                 reg.counter_add("prestore.wire_bytes", on_link);
-                let dur_ns = dur_ns + decode.duration();
-                (None, Some(Event::Prestore { bytes, dur_ns }))
+                None
             }
-            Xfer::MutationDelta => (Some((bytes, bytes, 1)), None),
-            Xfer::FleetExchange { .. } => (None, None),
+            Xfer::MutationDelta => Some((bytes, bytes, 1)),
+            Xfer::FleetExchange { .. } => None,
             // fault-ordered page migrations are not link-rate DMAs (their
             // time is the stall above), but every migrated byte crossed the
             // link raw: payload = wire, one op per fault
-            Xfer::UvmMigration { faults, .. } => (Some((bytes, bytes, faults)), None),
+            Xfer::UvmMigration { faults, .. } => Some((bytes, bytes, faults)),
         };
         if let Some((payload, link, ops)) = steady {
             reg.counter_add("xfer.h2d_bytes", payload);
             reg.counter_add("xfer.h2d_wire_bytes", link);
             reg.counter_add("xfer.h2d_ops", ops);
-        }
-        // every event carries the start of the span it describes
-        if let Some(event) = event {
-            self.obs.record(copy.start.0, event);
         }
         (copy, decode)
     }
@@ -304,7 +278,7 @@ impl Gpu {
     /// whole of `dst`'s device window (the on-demand gather copies rows
     /// from the host CSR straight into it, with no staging buffer), and
     /// the transfer is charged exactly as if those words had been copied
-    /// from a host slice — same bytes, op count, span and event. The data
+    /// from a host slice — same bytes, op count and span. The data
     /// plane may take the shortcut; the charge never does. `rider` bytes
     /// (a gather batch's subgraph index) ride the same DMA op: booked raw,
     /// not timed.
@@ -390,22 +364,10 @@ impl Gpu {
         reg.counter_add("kernel.vertices", vertices);
         reg.counter_add("kernel.time_ns", dur);
         reg.observe("kernel.ns", dur);
-        let span = self
-            .timeline
+        self.timeline
             .schedule_labeled(Engine::Compute, ready, dur, || {
                 format!("{pull}kernel e={edges} v={vertices}")
-            });
-        if self.obs.events_enabled() {
-            self.obs.record(
-                span.start.0,
-                Event::Kernel {
-                    label: format!("{pull}e={edges} v={vertices}"),
-                    edges,
-                    dur_ns: span.duration(),
-                },
-            );
-        }
-        span
+            })
     }
 
     /// Charge a host gather of `bytes` over `vertices` adjacency lists on
@@ -413,17 +375,9 @@ impl Gpu {
     pub fn gather_at(&mut self, bytes: u64, vertices: u64, ready: SimTime) -> Span {
         let dur = self.config.gather.gather_ns(bytes, vertices);
         self.obs.registry.observe("gather.ns", dur);
-        let span = self.timeline.schedule_labeled(Engine::Cpu, ready, dur, || {
+        self.timeline.schedule_labeled(Engine::Cpu, ready, dur, || {
             format!("gather {bytes}B / {vertices} vertices")
-        });
-        self.obs.record(
-            span.start.0,
-            Event::Gather {
-                bytes,
-                dur_ns: span.duration(),
-            },
-        );
-        span
+        })
     }
 
     /// End-of-iteration barrier; returns the iteration finish time.
@@ -469,15 +423,12 @@ mod tests {
     #[test]
     fn h2d_fill_charges_exactly_like_a_slice_copy() {
         let (mut a, mut b) = (small_gpu(), small_gpu());
-        a.obs.enable_events(8);
-        b.obs.enable_events(8);
         let (pa, pb) = (a.alloc(4).unwrap(), b.alloc(4).unwrap());
         let sa = a.h2d_at(pa, &[7, 8, 9, 10], SimTime(5));
         let sb = b.h2d_fill_at(pb, 0, SimTime(5), |w| w.copy_from_slice(&[7, 8, 9, 10]));
         assert_eq!(sa, sb);
         assert_eq!(a.mem.words(pa), b.mem.words(pb));
         assert_eq!(a.obs.registry.snapshot(), b.obs.registry.snapshot());
-        assert_eq!(a.obs.events().unwrap().len(), b.obs.events().unwrap().len());
     }
 
     #[test]
@@ -580,27 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn compressed_h2d_emits_event() {
-        let mut g = small_gpu();
-        g.obs.enable_events(64);
-        let p = g.alloc(4).unwrap();
-        g.h2d_compressed_at(p, &[7, 7, 7], 0, SimTime::ZERO, |window| {
-            window.copy_from_slice(&[1, 2, 3, 4])
-        });
-        let events = g.obs.events().unwrap();
-        assert!(events.iter().any(|e| e.event.kind() == "compressed_dma"));
-    }
-
-    #[test]
-    fn obs_events_record_dma_and_high_water() {
+    fn obs_events_record_high_water() {
         let mut g = small_gpu();
         g.obs.enable_events(64);
         let p = g.alloc(8).unwrap();
         g.h2d(p, &[0; 8]);
         let events = g.obs.events().unwrap();
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
-        assert!(kinds.contains(&"high_water"));
-        assert!(kinds.contains(&"dma"));
+        assert_eq!(kinds, ["high_water"], "a copy is a span, not an event");
         assert_eq!(
             g.obs.registry.snapshot().gauge("mem.high_water_bytes"),
             Some(32)
@@ -618,7 +556,6 @@ mod tests {
     #[test]
     fn prefetch_dma_accounts_on_the_second_stream() {
         let mut g = small_gpu();
-        g.obs.enable_events(64);
         let s1 = g.stream();
         assert_eq!(g.stream(), s1, "stream is minted once");
         let (span, _) = g.ship_at(Xfer::Prefetch { chunk: 3 }, 4096, None, SimTime::ZERO);
@@ -628,8 +565,6 @@ mod tests {
         assert_eq!(counted(&g, "prefetch.bytes"), 4096);
         assert_eq!(counted(&g, "xfer.h2d_ops"), 1);
         assert_eq!(g.timeline.stream_busy_ns(s1), span.duration());
-        let events = g.obs.events().unwrap();
-        assert!(events.iter().any(|e| e.event.kind() == "prefetch_dma"));
     }
 
     #[test]

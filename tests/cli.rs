@@ -2,6 +2,7 @@
 //! inspect it, run algorithms under each system, and drive a session
 //! pipeline — all through the real binary.
 
+use ascetic::obs::json;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -118,17 +119,33 @@ fn metrics_out_writes_deterministic_jsonl() {
     let (summary, jsonl) = run("m1.jsonl");
 
     // The --summary json output is one parseable object embedding the snapshot.
-    ascetic::obs::json::validate(summary.trim()).expect("summary json parses");
+    json::validate(summary.trim()).expect("summary json parses");
     assert!(summary.contains("\"metrics\":"), "{summary}");
 
-    // Every JSONL line parses; the stream is meta, then events, then metrics.
+    // Every JSONL line parses; the stream is meta, then the events the meta
+    // line counts, then metrics.
     let lines: Vec<&str> = jsonl.lines().collect();
     assert!(lines.len() > 2, "meta + events + metrics expected");
     for line in &lines {
-        ascetic::obs::json::validate(line).unwrap_or_else(|e| panic!("bad line {e}: {line}"));
+        json::validate(line).unwrap_or_else(|e| panic!("bad line {e}: {line}"));
     }
     assert!(lines[0].starts_with("{\"kind\":\"meta\""), "{}", lines[0]);
-    assert!(lines[1].contains("\"kind\":\"iter_start\"") || lines[1].contains("\"kind\":"));
+    let field = |line: &str, key: &str| {
+        let fields = json::split_fields(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let value = fields.into_iter().find(|(k, _)| *k == key);
+        value
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+            .1
+            .to_string()
+    };
+    let events = &lines[1..lines.len() - 1];
+    assert_eq!(field(lines[0], "events"), events.len().to_string());
+    for line in events {
+        let kind = field(line, "kind");
+        let kind = json::unquote(&kind).expect("kind is a string");
+        let known = ["repartition", "high_water", "uvm_fault", "uvm_evict"];
+        assert!(known.contains(&kind), "{line}");
+    }
     let last = lines[lines.len() - 1];
     assert!(last.starts_with("{\"kind\":\"metrics\""), "{last}");
     assert!(last.contains("xfer.h2d_bytes"), "{last}");

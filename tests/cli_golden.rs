@@ -7,7 +7,12 @@
 //! (Row 9, `run … --system uvm`, was re-harvested when UVM stopped printing
 //! an `on the wire: 0.00 MB … (compressed)` line for bytes it shipped raw.
 //! Row 7 ran Subway with `--compression always` until that mode was
-//! removed; it now runs `--compression adaptive`.)
+//! removed; it now runs `--compression adaptive`. Row 14, `--metrics-out
+//! m.jsonl`, was re-harvested when the event log stopped restating spans:
+//! the file keeps its meta line, its three high-water events and its
+//! snapshot, and stderr counts 3 events, not 156 — stderr
+//! `0xb107ef7e0b069d8c` → `0x846998faa4f0a6bb`, file `0x0b9e4f42805d5119`
+//! → `0xd246e67b72c0a336`.)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test cli_golden -- --nocapture`
 //! prints a fresh table.)
 //!
@@ -165,7 +170,7 @@ const GOLDEN: &[(i32, u64, u64, u64)] = &[
     (0, 0x551351fd2679b849, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0x158d50a4d3953eb6, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0xf8830e0aa38580c7, 0x6442e526170be9ce, 0xcbf29ce484222325),
-    (0, 0x769036b41bf7d8c3, 0xb107ef7e0b069d8c, 0x0b9e4f42805d5119),
+    (0, 0x769036b41bf7d8c3, 0x846998faa4f0a6bb, 0xd246e67b72c0a336),
     (0, 0xc3f7df02b4130f07, 0x81a63e1c9aba8b21, 0x7866edad3e23cd67),
     (0, 0xfde14071d9641c98, 0xcbf29ce484222325, 0xcbf29ce484222325),
     (0, 0xe29bdaf704de5772, 0xcbf29ce484222325, 0xcbf29ce484222325),
