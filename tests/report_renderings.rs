@@ -1,8 +1,8 @@
 //! Every rendering of a `RunReport`, pinned: FNV hashes of
-//! `summary_csv()`, `summary_markdown()`, `summary_json()`, `to_string()`
-//! and `metrics.to_json()` for the report shapes `tests/cli_golden.rs`
-//! never prints — the conditional prefetch / wire rows, a warm session's
-//! name set, every baseline and a fleet's per-device reports.
+//! `summary_json()`, `to_string()` and `metrics.to_json()` for the report
+//! shapes `tests/cli_golden.rs` never prints — the conditional prefetch /
+//! wire rows, a warm session's name set, every baseline and a fleet's
+//! per-device reports.
 //! Harvested on the commit before a run's scalars became one snapshot
 //! diff read off the device registry; that refactor must reproduce every
 //! row byte for byte. (The two UVM rows were re-harvested afterwards, when a
@@ -10,7 +10,8 @@
 //! report no longer prints an `on the wire … (compressed)` row. The refresh
 //! and lazy-fill shapes went with the replacement server and lazy fill.
 //! Subway's forced-compression row became an adaptive twin on a slowed
-//! link when the forced mode was removed.)
+//! link when the forced mode was removed. The CSV and markdown columns
+//! went with those two renderings; the 33 hashes left did not move.)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test report_renderings -- --nocapture`
 //! prints a fresh table.)
 
@@ -24,22 +25,22 @@ use ascetic::graph::generators::{web_graph, WebConfig};
 use ascetic::graph::Csr;
 use ascetic::sim::{DecompressModel, DeviceConfig};
 
-/// `[csv, markdown, json, display, metrics json]`.
-type Hashes = [u64; 5];
+/// `[json, display, metrics json]`.
+type Hashes = [u64; 3];
 
 #[rustfmt::skip]
 const GOLDEN: [(&str, Hashes); 11] = [
-    ("Ascetic cold BFS(0)", [0x1e736b4cd6e2f65f, 0xafc1fc406d473e2e, 0x5e6bf5d45cbfcc64, 0x7bc9176554e62366, 0x141834474e126cd8]),
-    ("prefetch + adaptive compression, run 1: BFS(0)", [0xacaa4dc0f3080fc2, 0x8c77a763c4ac9aa3, 0x819bffaee2691b57, 0xed0b73c997d83fd1, 0xafc84681b8b9116d]),
-    ("prefetch + adaptive compression, run 2: CC", [0x6fb4c2584888b641, 0x87cd76e58708e5e0, 0x9a7462fa42ceea8d, 0x67c44602cd6c519f, 0x144005cf0fbeec4f]),
-    ("prefetch + adaptive compression, run 3: PR", [0x55c3136bc46b17b6, 0x9392e94bef3aa3c1, 0x2a379e6ecd20b0d2, 0x6fc20aa3e1d11437, 0xd317d147ccebc7bd]),
-    ("Subway BFS(0), compression adaptive", [0x141dee5251d33e82, 0x3e2a5f93a2ea5259, 0x9e8261e273a01f7e, 0x4bd147761aced331, 0x9c8e8c5558551209]),
-    ("Subway CC, compression adaptive, slowed link", [0x538a42c0cc86aaf6, 0xd2a11e8c1da9ecac, 0xdb0a929826d21e79, 0x7ec29504a824e682, 0xaf506570a568820e]),
-    ("PT BFS(0)", [0x56acdd4d75a0b2dd, 0x77132d4126ce47ff, 0x8a9db19b4b3ebf3c, 0x439b75dae3c6a47e, 0x5eb671a12189f319]),
-    ("UVM BFS(0)", [0xa1ac5775a05fbf8c, 0x3aa5e59826fb1a69, 0xba433bf9b0a1f307, 0xb1cfab09ccdb65d7, 0x250605b9bde4129c]),
-    ("UVM PR, bulk prefetch", [0xea70b624104efd0c, 0xedf7e2f9eee99e81, 0x4a3d0fd0b11f286c, 0x30935aba7fd6e52e, 0x735b84f6e80b13ba]),
-    ("PR 2-device NVLink, device 0", [0xe55a0fc97f614ed5, 0x49c86ccc8765a7b2, 0x310c56888f6c278b, 0x5d359ab6d006334b, 0x1dbcf5ad10643bc7]),
-    ("PR 2-device NVLink, device 1", [0xca5cb01b5518d714, 0x5de920a0a1fc0b71, 0x40a7032a92ef0ed3, 0xb1ebf7d8a53a0c13, 0x0dc62b4175db3516]),
+    ("Ascetic cold BFS(0)", [0x5e6bf5d45cbfcc64, 0x7bc9176554e62366, 0x141834474e126cd8]),
+    ("prefetch + adaptive compression, run 1: BFS(0)", [0x819bffaee2691b57, 0xed0b73c997d83fd1, 0xafc84681b8b9116d]),
+    ("prefetch + adaptive compression, run 2: CC", [0x9a7462fa42ceea8d, 0x67c44602cd6c519f, 0x144005cf0fbeec4f]),
+    ("prefetch + adaptive compression, run 3: PR", [0x2a379e6ecd20b0d2, 0x6fc20aa3e1d11437, 0xd317d147ccebc7bd]),
+    ("Subway BFS(0), compression adaptive", [0x9e8261e273a01f7e, 0x4bd147761aced331, 0x9c8e8c5558551209]),
+    ("Subway CC, compression adaptive, slowed link", [0xdb0a929826d21e79, 0x7ec29504a824e682, 0xaf506570a568820e]),
+    ("PT BFS(0)", [0x8a9db19b4b3ebf3c, 0x439b75dae3c6a47e, 0x5eb671a12189f319]),
+    ("UVM BFS(0)", [0xba433bf9b0a1f307, 0xb1cfab09ccdb65d7, 0x250605b9bde4129c]),
+    ("UVM PR, bulk prefetch", [0x4a3d0fd0b11f286c, 0x30935aba7fd6e52e, 0x735b84f6e80b13ba]),
+    ("PR 2-device NVLink, device 0", [0x310c56888f6c278b, 0x5d359ab6d006334b, 0x1dbcf5ad10643bc7]),
+    ("PR 2-device NVLink, device 1", [0x40a7032a92ef0ed3, 0xb1ebf7d8a53a0c13, 0x0dc62b4175db3516]),
 ];
 
 fn fnv(text: &str) -> u64 {
@@ -50,8 +51,6 @@ fn fnv(text: &str) -> u64 {
 
 fn hashes(r: &RunReport) -> Hashes {
     [
-        fnv(&r.summary_csv()),
-        fnv(&r.summary_markdown()),
         fnv(&r.summary_json()),
         fnv(&r.to_string()),
         fnv(&r.metrics.to_json()),
@@ -122,10 +121,8 @@ fn every_rendering_reproduces_the_pre_snapshot_bytes() {
     for ((name, golden), r) in GOLDEN.iter().zip(&reports) {
         let got = hashes(r);
         assert_eq!(
-            got,
-            *golden,
-            "{name}: a rendering moved (csv, markdown, json, display, metrics json)\n{r}\n{}",
-            r.summary_csv()
+            got, *golden,
+            "{name}: a rendering moved (json, display, metrics json)\n{r}"
         );
     }
 }
