@@ -647,6 +647,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fingerprint_separates_variants_and_values() {
+        let a = AlgoOutput::Distances(vec![1, 2, 3]);
+        let b = AlgoOutput::Labels(vec![1, 2, 3]);
+        let c = AlgoOutput::Distances(vec![1, 2, 4]);
+        assert_eq!(a.fingerprint(), a.fingerprint());
+        assert_eq!(a.fingerprint(), b.fingerprint()); // same payload class
+        assert_ne!(a.fingerprint(), c.fingerprint());
+        let r1 = AlgoOutput::Ranks(vec![0.5, 0.25]);
+        let r2 = AlgoOutput::Ranks(vec![0.5, 0.125]);
+        assert_ne!(r1.fingerprint(), r2.fingerprint());
+    }
+
+    #[test]
     fn unweighted_slice_iteration() {
         let words = [5u32, 6, 7];
         let s = EdgeSlice::new(&words, false);

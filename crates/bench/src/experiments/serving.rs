@@ -8,8 +8,7 @@ use ascetic_graph::datasets::DatasetId;
 use ascetic_graph::Csr;
 use ascetic_mutate::{materialize, run_with_mutations, synthetic_churn};
 use ascetic_serve::{
-    output_fingerprint, serve as run_serve, synthetic_mixed, Policy, ServeConfig, ServeReport,
-    ALL_POLICIES,
+    serve as run_serve, synthetic_mixed, Policy, ServeConfig, ServeReport, ALL_POLICIES,
 };
 use ascetic_sim::InterconnectConfig;
 
@@ -29,7 +28,7 @@ fn ms(ns: u64) -> f64 {
 fn same_answers(a: &ServeReport, b: &ServeReport, what: &str) {
     for (x, y) in a.jobs.iter().zip(&b.jobs) {
         assert_eq!(x.id, y.id);
-        let same = output_fingerprint(&x.output) == output_fingerprint(&y.output);
+        let same = x.output.fingerprint() == y.output.fingerprint();
         assert!(same, "{what} changed job {}'s answer", x.id);
     }
 }
@@ -241,7 +240,7 @@ pub fn fleet(cx: &mut Ctx) {
             let on = |d| run_fleet(cfg, FleetConfig::nvlink(d), graph, prog);
             let reps: Vec<FleetRunReport> = [1usize, 2, 4].into_iter().map(on).collect();
             for r in &reps[1..] {
-                let same = output_fingerprint(&reps[0].output) == output_fingerprint(&r.output);
+                let same = reps[0].output.fingerprint() == r.output.fingerprint();
                 assert!(same, "{name} answer changed at {} devices", r.devices);
             }
             (*name, reps)

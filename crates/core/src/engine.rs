@@ -185,7 +185,7 @@ pub fn finish_report(
     // A name the registry never saw is written from the report, once: the
     // scalars derived here (clock, idle, payload, iterations, drops) at
     // their value, a counter no operation bumped at zero.
-    for &(name, gauge, _, _, get) in SCALARS.iter().filter(|s| !s.0.is_empty()) {
+    for &(name, gauge, _, get) in SCALARS.iter().filter(|s| !s.0.is_empty()) {
         let value = get(&report);
         if gauge {
             report.metrics.set_gauge(name, value);

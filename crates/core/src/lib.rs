@@ -25,9 +25,6 @@
 //!   vertex-residency bitmap (§3.1, §3.4).
 //! * [`ondemand`] — the On-demand Engine: multi-threaded CPU gather into a
 //!   compact Subway-style subgraph, batched to the region capacity (§3.1).
-//! * [`pool_metrics`] — bridge from the `ascetic-par` persistent worker
-//!   pool's counters to a labelled (non-deterministic, wall-clock)
-//!   metrics snapshot.
 //! * [`hotness`] — the per-chunk access table: prefetch demand and hit
 //!   scoring, victim recency, the wire-size cache.
 //! * [`prefetch`] — the cross-iteration prefetch policy: next-frontier
@@ -57,7 +54,6 @@ mod graph_ref;
 pub mod hotness;
 pub mod maps;
 pub mod ondemand;
-pub mod pool_metrics;
 pub mod prefetch;
 pub mod ratio;
 pub mod repair;
@@ -71,7 +67,6 @@ pub use config::{
 };
 pub use engine::AsceticSystem;
 pub use fleet::{run_fleet, FleetConfig, FleetRunReport};
-pub use pool_metrics::pool_metrics_snapshot;
 pub use prefetch::{PrefetchMode, PrefetchOp};
 pub use repair::{repair_session, RepairMode, RepairOutcome};
 pub use report::{

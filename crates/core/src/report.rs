@@ -219,58 +219,51 @@ pub struct RunReport {
     pub per_iter: Vec<IterReport>,
 }
 
-/// One headline scalar: `(metric name, gauge?, CSV column, JSON key,
-/// accessor)` — `""` where it is not on that surface.
-pub(crate) type Scalar = (
-    &'static str,
-    bool,
-    &'static str,
-    &'static str,
-    fn(&RunReport) -> u64,
-);
+/// One headline scalar: `(metric name, gauge?, JSON key, accessor)` —
+/// `""` where it is not on that surface.
+pub(crate) type Scalar = (&'static str, bool, &'static str, fn(&RunReport) -> u64);
 
 /// A [`Scalar`] exported as a gauge (a point-in-time value of this run)…
 const GAUGE: bool = true;
 /// … or as a counter.
 const COUNT: bool = false;
 
-/// The one list of a run's headline scalars. The summary CSV's header and
-/// row, the summary JSON's headline keys and the names every report's
-/// snapshot declares (at zero when no operation bumped them) are all read
-/// off it, in this order.
+/// The one list of a run's headline scalars. The summary JSON's headline
+/// keys and the names every report's snapshot declares (at zero when no
+/// operation bumped them) are both read off it, in this order.
 #[rustfmt::skip]
 pub(crate) const SCALARS: &[Scalar] = &[
-    ("iterations", COUNT, "iterations", "iterations", |r| r.iterations as u64),
-    ("sim_time_ns", GAUGE, "sim_time_ns", "sim_time_ns", |r| r.sim_time_ns),
-    ("xfer.h2d_bytes", COUNT, "h2d_bytes", "", |r| r.xfer.h2d_bytes),
-    ("xfer.d2h_bytes", COUNT, "d2h_bytes", "", |r| r.xfer.d2h_bytes),
-    ("xfer.h2d_ops", COUNT, "h2d_ops", "", |r| r.xfer.h2d_ops),
-    ("xfer.d2h_ops", COUNT, "d2h_ops", "", |r| r.xfer.d2h_ops),
-    ("prestore.bytes", COUNT, "prestore_bytes", "prestore_bytes", |r| r.prestore_bytes),
-    ("refresh.bytes", COUNT, "refresh_bytes", "refresh_bytes", |r| r.refresh_bytes), // 0 since PR 25 (ROADMAP 5(d))
-    ("", COUNT, "", "steady_bytes", RunReport::steady_bytes),
-    ("", COUNT, "", "total_bytes_with_prestore", RunReport::total_bytes_with_prestore),
-    ("", COUNT, "", "steady_wire_bytes", RunReport::steady_wire_bytes),
-    ("", COUNT, "", "total_wire_bytes_with_prestore", RunReport::total_wire_bytes_with_prestore),
-    ("kernel.launches", COUNT, "kernel_launches", "", |r| r.kernels.launches),
-    ("kernel.edges", COUNT, "kernel_edges", "", |r| r.kernels.edges),
-    ("gpu.idle_ns", GAUGE, "gpu_idle_ns", "gpu_idle_ns", |r| r.gpu_idle_ns),
-    ("repartitions", COUNT, "repartitions", "repartitions", |r| r.repartitions as u64),
-    ("payload.peak_bytes", GAUGE, "peak_payload_bytes", "", |r| r.peak_iteration_payload_bytes),
-    ("xfer.h2d_wire_bytes", COUNT, "h2d_wire_bytes", "", |r| r.xfer.h2d_wire_bytes),
-    ("prestore.wire_bytes", COUNT, "prestore_wire_bytes", "", |r| r.prestore_wire_bytes),
-    ("refresh.wire_bytes", COUNT, "refresh_wire_bytes", "", |r| r.refresh_wire_bytes), // 0 since PR 25 (ROADMAP 5(d))
-    ("prefetch.bytes", COUNT, "prefetch_bytes", "prefetch_bytes", |r| r.prefetch_bytes),
-    ("prefetch.ops", COUNT, "prefetch_ops", "prefetch_ops", |r| r.prefetch_ops),
-    ("prefetch.hits", COUNT, "prefetch_hits", "prefetch_hits", |r| r.prefetch_hits),
-    ("prefetch.waste_bytes", COUNT, "prefetch_wasted_bytes", "prefetch_wasted_bytes", |r| r.prefetch_wasted_bytes),
-    ("kernel.vertices", COUNT, "", "", |r| r.kernels.vertices),
-    ("kernel.time_ns", COUNT, "", "", |r| r.kernels.time_ns),
-    ("payload.avg_bytes", GAUGE, "", "", |r| r.avg_iteration_payload_bytes),
-    ("events.dropped", COUNT, "", "", |r| r.events_dropped),
+    ("iterations", COUNT, "iterations", |r| r.iterations as u64),
+    ("sim_time_ns", GAUGE, "sim_time_ns", |r| r.sim_time_ns),
+    ("xfer.h2d_bytes", COUNT, "", |r| r.xfer.h2d_bytes),
+    ("xfer.d2h_bytes", COUNT, "", |r| r.xfer.d2h_bytes),
+    ("xfer.h2d_ops", COUNT, "", |r| r.xfer.h2d_ops),
+    ("xfer.d2h_ops", COUNT, "", |r| r.xfer.d2h_ops),
+    ("prestore.bytes", COUNT, "prestore_bytes", |r| r.prestore_bytes),
+    ("refresh.bytes", COUNT, "refresh_bytes", |r| r.refresh_bytes), // always 0: no reactive server (ROADMAP 1(d))
+    ("", COUNT, "steady_bytes", RunReport::steady_bytes),
+    ("", COUNT, "total_bytes_with_prestore", RunReport::total_bytes_with_prestore),
+    ("", COUNT, "steady_wire_bytes", RunReport::steady_wire_bytes),
+    ("", COUNT, "total_wire_bytes_with_prestore", RunReport::total_wire_bytes_with_prestore),
+    ("kernel.launches", COUNT, "", |r| r.kernels.launches),
+    ("kernel.edges", COUNT, "", |r| r.kernels.edges),
+    ("gpu.idle_ns", GAUGE, "gpu_idle_ns", |r| r.gpu_idle_ns),
+    ("repartitions", COUNT, "repartitions", |r| r.repartitions as u64),
+    ("payload.peak_bytes", GAUGE, "", |r| r.peak_iteration_payload_bytes),
+    ("xfer.h2d_wire_bytes", COUNT, "", |r| r.xfer.h2d_wire_bytes),
+    ("prestore.wire_bytes", COUNT, "", |r| r.prestore_wire_bytes),
+    ("refresh.wire_bytes", COUNT, "", |r| r.refresh_wire_bytes), // always 0: no reactive server (ROADMAP 1(d))
+    ("prefetch.bytes", COUNT, "prefetch_bytes", |r| r.prefetch_bytes),
+    ("prefetch.ops", COUNT, "prefetch_ops", |r| r.prefetch_ops),
+    ("prefetch.hits", COUNT, "prefetch_hits", |r| r.prefetch_hits),
+    ("prefetch.waste_bytes", COUNT, "prefetch_wasted_bytes", |r| r.prefetch_wasted_bytes),
+    ("kernel.vertices", COUNT, "", |r| r.kernels.vertices),
+    ("kernel.time_ns", COUNT, "", |r| r.kernels.time_ns),
+    ("payload.avg_bytes", GAUGE, "", |r| r.avg_iteration_payload_bytes),
+    ("events.dropped", COUNT, "", |r| r.events_dropped),
     // iterations that ran a static-region kernel *and* an on-demand
     // pipeline: the ones a fragmented region multiplies
-    ("iterations.both_regions", COUNT, "", "", |r| {
+    ("iterations.both_regions", COUNT, "", |r| {
         let both = |i: &&IterReport| i.static_edges > 0 && i.payload_bytes > 0;
         r.per_iter.iter().filter(both).count() as u64
     }),
@@ -338,86 +331,6 @@ impl RunReport {
         stat as f64 / total as f64
     }
 
-    /// Header line matching [`RunReport::summary_csv_row`].
-    pub fn summary_csv_header() -> String {
-        let mut header = String::from("system,algorithm");
-        for &(_, _, column, _, _) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
-            header.extend([",", column]);
-        }
-        header
-    }
-
-    /// One CSV row of the headline scalars (no trailing newline).
-    pub fn summary_csv_row(&self) -> String {
-        let mut row = format!("{},{}", self.system, self.algorithm);
-        for &(_, _, _, _, get) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
-            row.push_str(&format!(",{}", get(self)));
-        }
-        row
-    }
-
-    /// Header + row CSV document.
-    pub fn summary_csv(&self) -> String {
-        format!(
-            "{}\n{}\n",
-            Self::summary_csv_header(),
-            self.summary_csv_row()
-        )
-    }
-
-    /// Two-column markdown table of the headline numbers.
-    pub fn summary_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {} / {}\n\n", self.system, self.algorithm));
-        out.push_str("| metric | value |\n|---|---|\n");
-        let mut rows: Vec<(&str, String)> = vec![
-            ("iterations", self.iterations.to_string()),
-            (
-                "simulated time",
-                format!("{:.3} ms", self.sim_time_ns as f64 / 1e6),
-            ),
-            (
-                "steady transfer",
-                format!("{:.2} MB", self.steady_bytes() as f64 / 1e6),
-            ),
-            (
-                "prestore",
-                format!("{:.2} MB", self.prestore_bytes as f64 / 1e6),
-            ),
-            (
-                "DMA ops",
-                (self.xfer.h2d_ops + self.xfer.d2h_ops).to_string(),
-            ),
-            ("kernel launches", self.kernels.launches.to_string()),
-            (
-                "GPU idle",
-                format!("{:.1} %", self.gpu_idle_fraction() * 100.0),
-            ),
-            ("repartitions", self.repartitions.to_string()),
-            (
-                "static-region hit",
-                format!("{:.1} %", self.static_edge_fraction() * 100.0),
-            ),
-        ];
-        if self.total_wire_bytes_with_prestore() != self.total_bytes_with_prestore() {
-            rows.insert(
-                3,
-                (
-                    "wire transfer",
-                    format!(
-                        "{:.2} MB steady + {:.2} MB prestore",
-                        self.steady_wire_bytes() as f64 / 1e6,
-                        self.prestore_wire_bytes as f64 / 1e6
-                    ),
-                ),
-            );
-        }
-        for (k, v) in rows {
-            out.push_str(&format!("| {k} | {v} |\n"));
-        }
-        out
-    }
-
     /// One JSON object: headline scalars plus the full metrics snapshot.
     pub fn summary_json(&self) -> String {
         let mut out = String::from("{");
@@ -429,7 +342,7 @@ impl RunReport {
         out.push(',');
         json::key_into("algorithm", &mut out);
         json::string_into(self.algorithm, &mut out);
-        for &(_, _, _, key, get) in SCALARS.iter().filter(|s| !s.3.is_empty()) {
+        for &(_, _, key, get) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
             out.push(',');
             json::key_into(key, &mut out);
             out.push_str(&get(self).to_string());
@@ -623,7 +536,6 @@ mod tests {
         assert_eq!(r.total_bytes_with_prestore(), 830);
         let text = r.to_string();
         assert!(text.contains("on the wire:"), "{text}");
-        assert!(r.summary_markdown().contains("wire transfer"));
     }
 
     #[test]
@@ -644,16 +556,39 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("system:            X"));
         assert!(text.contains("iterations:        3"));
-        let md = r.summary_markdown();
-        assert!(md.contains("| iterations | 3 |"));
-        assert!(md.contains("### X / BFS"));
-        let csv = r.summary_csv();
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        let row = lines.next().unwrap();
-        assert_eq!(header.split(',').count(), row.split(',').count());
-        assert!(row.starts_with("X,BFS,3,1000,500,100,5,1,200,30,"));
-        ascetic_obs::json::validate(&r.summary_json()).expect("summary JSON validates");
+        let json = r.summary_json();
+        let head = r#""system":"X","algorithm":"BFS","iterations":3,"sim_time_ns":1000,"#;
+        assert!(json.contains(head), "{json}");
+        assert!(json.contains(r#""prestore_bytes":200,"refresh_bytes":30,"#));
+        ascetic_obs::json::validate(&json).expect("summary JSON validates");
+    }
+
+    #[test]
+    fn every_scalar_reads_back_from_summary_json() {
+        use crate::{AsceticConfig, AsceticSystem, OutOfCoreSystem, PrefetchMode};
+        use ascetic_graph::generators::uniform_graph;
+        let g = uniform_graph(2_000, 16_000, false, 12);
+        let dev =
+            ascetic_sim::DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 2 / 5);
+        let cfg = AsceticConfig::new(dev)
+            .with_chunk_bytes(1024)
+            .with_prefetch(PrefetchMode::NextFrontier);
+        let r = AsceticSystem::new(cfg).run(&g, &ascetic_algos::PageRank::new());
+        assert!(
+            r.prefetch_ops > 0 && r.xfer.h2d_bytes > 0,
+            "a run that moves bytes"
+        );
+        let json = r.summary_json();
+        for &(name, gauge, key, get) in SCALARS {
+            let value = get(&r);
+            let kind = if gauge { "gauge" } else { "counter" };
+            // a headline key, or a name in the embedded snapshot
+            let headline = format!(",\"{key}\":{value},");
+            let metric = format!("\"{name}\":{{\"type\":\"{kind}\",\"value\":{value}}}");
+            let found = (!key.is_empty() && json.contains(&headline))
+                || (!name.is_empty() && json.contains(&metric));
+            assert!(found, "{name:?} / {key:?} = {value} is not in {json}");
+        }
     }
 
     #[test]
@@ -671,9 +606,11 @@ mod tests {
         assert_eq!(r.xfer.h2d_ondemand_bytes(), 500 - 96);
         let text = r.to_string();
         assert!(text.contains("prefetch:"), "{text}");
-        let row = r.summary_csv_row();
-        assert!(row.ends_with(",96,3,2,32"), "{row}");
-        ascetic_obs::json::validate(&r.summary_json()).expect("summary JSON validates");
+        let json = r.summary_json();
+        let prefetch =
+            r#""prefetch_bytes":96,"prefetch_ops":3,"prefetch_hits":2,"prefetch_wasted_bytes":32,"#;
+        assert!(json.contains(prefetch), "{json}");
+        ascetic_obs::json::validate(&json).expect("summary JSON validates");
     }
 
     #[test]

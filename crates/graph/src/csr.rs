@@ -473,6 +473,24 @@ mod tests {
     }
 
     #[test]
+    fn double_transpose_is_identity() {
+        let g = crate::generators::uniform_graph(200, 2_000, false, 5);
+        assert_eq!(g.transpose().transpose(), g);
+    }
+
+    #[test]
+    fn transpose_preserves_degree_sum() {
+        let g = crate::generators::uniform_graph(100, 1_500, false, 9);
+        let t = g.transpose();
+        assert_eq!(t.num_edges(), g.num_edges());
+        // in-degree of v in g == out-degree of v in t
+        for v in 0..100u32 {
+            let indeg = g.iter_edges().filter(|&(_, d)| d == v).count() as u64;
+            assert_eq!(t.degree(v), indeg);
+        }
+    }
+
+    #[test]
     fn iter_edges_lists_all() {
         let g = tiny();
         let edges: Vec<_> = g.iter_edges().collect();

@@ -1,80 +1,8 @@
-//! Graph transformations: transpose, symmetrization and relabeling.
-//!
-//! Out-of-core frameworks frequently need the transpose (pull-based
-//! algorithms, in-degree statistics, reverse reachability); these are the
-//! standard O(V+E) counting-sort constructions.
+//! Graph transformations: relabeling by degree. (The transpose is
+//! [`Csr::transpose`]; undirected input is symmetrized by the builder.)
 
 use crate::csr::Csr;
 use crate::types::{VertexId, Weight};
-
-/// Transpose: edge `(u, v, w)` becomes `(v, u, w)`. Neighbor lists come
-/// out sorted (stable counting sort over sorted sources).
-pub fn transpose(g: &Csr) -> Csr {
-    let n = g.num_vertices();
-    let mut deg = vec![0u64; n + 1];
-    for &t in g.targets() {
-        deg[t as usize + 1] += 1;
-    }
-    for i in 0..n {
-        deg[i + 1] += deg[i];
-    }
-    let offsets = deg.clone();
-    let mut cursor = deg;
-    let m = g.num_edges() as usize;
-    let mut targets = vec![0 as VertexId; m];
-    let mut weights = g.weights().map(|_| vec![0 as Weight; m]);
-    for v in 0..n as VertexId {
-        let ws = g.weights();
-        for (i, &t) in g.neighbors(v).iter().enumerate() {
-            let pos = cursor[t as usize] as usize;
-            cursor[t as usize] += 1;
-            targets[pos] = v;
-            if let (Some(out), Some(ws)) = (weights.as_mut(), ws) {
-                out[pos] = ws[g.edge_range(v).start as usize + i];
-            }
-        }
-    }
-    Csr::from_parts(offsets, targets, weights)
-}
-
-/// Union of a graph with its transpose (makes a directed graph weakly
-/// traversable in both directions; parallel duplicates are kept).
-pub fn symmetrized(g: &Csr) -> Csr {
-    let t = transpose(g);
-    let n = g.num_vertices();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u64);
-    let m = (g.num_edges() * 2) as usize;
-    let mut targets = Vec::with_capacity(m);
-    let mut weights = g.weights().map(|_| Vec::with_capacity(m));
-    for v in 0..n as VertexId {
-        // merge the two sorted lists
-        let (a, b) = (g.neighbors(v), t.neighbors(v));
-        let (aw, bw) = match (g.weights(), t.weights()) {
-            (Some(_), Some(_)) => (Some(g.edge_weights(v)), Some(t.edge_weights(v))),
-            _ => (None, None),
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
-            if take_a {
-                targets.push(a[i]);
-                if let (Some(w), Some(aw)) = (weights.as_mut(), aw) {
-                    w.push(aw[i]);
-                }
-                i += 1;
-            } else {
-                targets.push(b[j]);
-                if let (Some(w), Some(bw)) = (weights.as_mut(), bw) {
-                    w.push(bw[j]);
-                }
-                j += 1;
-            }
-        }
-        offsets.push(targets.len() as u64);
-    }
-    Csr::from_parts(offsets, targets, weights)
-}
 
 /// Relabel vertices by descending out-degree: vertex 0 becomes the highest
 /// degree hub, etc. Returns the relabeled graph plus `old_of_new` (the
@@ -138,52 +66,6 @@ mod tests {
         b.add_weighted_edge(2, 1, 30);
         b.add_weighted_edge(3, 0, 40);
         b.build()
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = sample();
-        let t = transpose(&g);
-        assert_eq!(t.num_edges(), g.num_edges());
-        assert_eq!(t.neighbors(1), &[0, 2]);
-        assert_eq!(t.edge_weights(1), &[10, 30]);
-        assert_eq!(t.neighbors(0), &[3]);
-        assert_eq!(t.edge_weights(0), &[40]);
-        assert!(t.neighbors(3).is_empty());
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn double_transpose_is_identity() {
-        let g = uniform_graph(200, 2_000, false, 5);
-        assert_eq!(transpose(&transpose(&g)), g);
-    }
-
-    #[test]
-    fn transpose_preserves_degree_sum() {
-        let g = uniform_graph(100, 1_500, false, 9);
-        let t = transpose(&g);
-        assert_eq!(t.num_edges(), g.num_edges());
-        // in-degree of v in g == out-degree of v in t
-        for v in 0..100u32 {
-            let indeg = g.iter_edges().filter(|&(_, d)| d == v).count() as u64;
-            assert_eq!(t.degree(v), indeg);
-        }
-    }
-
-    #[test]
-    fn symmetrized_contains_both_directions() {
-        let g = sample();
-        let s = symmetrized(&g);
-        assert_eq!(s.num_edges(), 2 * g.num_edges());
-        assert!(s.neighbors(1).contains(&0));
-        assert!(s.neighbors(0).contains(&1));
-        s.validate().unwrap();
-        // neighbor lists stay sorted
-        for v in 0..4u32 {
-            let nb = s.neighbors(v);
-            assert!(nb.windows(2).all(|w| w[0] <= w[1]), "v{v}: {nb:?}");
-        }
     }
 
     #[test]

@@ -43,22 +43,6 @@ impl Histogram {
         Self::default()
     }
 
-    /// Rebuild a histogram from raw parts — the import path for external
-    /// log2-bucketed counters that share this layout (e.g. the
-    /// `ascetic-par` worker-pool job wall-time buckets).
-    ///
-    /// # Panics
-    /// Panics if `count` does not equal the bucket total.
-    pub fn from_parts(count: u64, sum: u64, buckets: [u64; NUM_BUCKETS]) -> Histogram {
-        let total: u64 = buckets.iter().sum();
-        assert_eq!(count, total, "histogram count must match bucket total");
-        Histogram {
-            count,
-            sum,
-            buckets,
-        }
-    }
-
     /// The bucket index `value` falls into.
     pub fn bucket_index(value: u64) -> usize {
         if value == 0 {
@@ -297,13 +281,6 @@ impl Registry {
         self.metrics.insert(name, MetricValue::Gauge(value));
     }
 
-    /// Overwrite (or create) histogram `name` with an externally built
-    /// distribution (see [`Histogram::from_parts`]).
-    pub fn set_histogram(&mut self, name: &'static str, h: Histogram) {
-        self.metrics
-            .insert(name, MetricValue::Histogram(Box::new(h)));
-    }
-
     /// All metrics, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.metrics.iter().map(|(k, v)| (*k, v))
@@ -387,22 +364,6 @@ impl Registry {
             v.json_into(&mut out);
         }
         out.push_str("}}");
-        out
-    }
-
-    /// Render as CSV (`metric,kind,value,count,sum` — histograms fill
-    /// count/sum, scalars fill value).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,kind,value,count,sum\n");
-        for (name, v) in &self.metrics {
-            match v {
-                MetricValue::Counter(c) => out.push_str(&format!("{name},counter,{c},,\n")),
-                MetricValue::Gauge(g) => out.push_str(&format!("{name},gauge,{g},,\n")),
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("{name},histogram,,{},{}\n", h.count(), h.sum()))
-                }
-            }
-        }
         out
     }
 }
@@ -544,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_and_csv_are_well_formed() {
+    fn snapshot_json_is_well_formed() {
         let mut r = Registry::new();
         r.set_label("algo", "BFS");
         r.counter_add("xfer.h2d_bytes", 4096);
@@ -554,29 +515,10 @@ mod tests {
         let j = s.to_json();
         crate::json::validate(&j).expect("snapshot JSON validates");
         assert!(j.contains("\"xfer.h2d_bytes\""));
-        let csv = s.to_csv();
-        assert!(csv.starts_with("metric,kind,value,count,sum\n"));
-        assert!(csv.contains("xfer.h2d_bytes,counter,4096,,"));
-        assert!(csv.contains("h2d.op_bytes,histogram,,1,4096"));
-    }
-
-    #[test]
-    fn histogram_from_parts_round_trips() {
-        let mut h = Histogram::new();
-        h.observe(3);
-        h.observe(1024);
-        let rebuilt = Histogram::from_parts(h.count(), h.sum(), *h.buckets());
-        assert_eq!(rebuilt, h);
-        let mut s = MetricsSnapshot::new();
-        s.set_histogram("pool.job_wall_ns", rebuilt);
-        assert_eq!(s.histogram("pool.job_wall_ns").unwrap().count(), 2);
-        crate::json::validate(&s.to_json()).expect("snapshot JSON validates");
-    }
-
-    #[test]
-    #[should_panic(expected = "count must match bucket total")]
-    fn histogram_from_parts_rejects_mismatch() {
-        Histogram::from_parts(3, 0, [0; NUM_BUCKETS]);
+        assert!(
+            j.contains("\"h2d.op_bytes\":{\"type\":\"histogram\""),
+            "{j}"
+        );
     }
 
     #[test]

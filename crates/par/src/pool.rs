@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::workers::{note_inline_job, run_on_workers, CHUNKS_SERVED};
+use crate::workers::{note_inline_job, run_on_workers};
 
 /// Global override for the worker thread count. `0` means "not set".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -179,7 +179,6 @@ where
         if start >= len {
             break;
         }
-        CHUNKS_SERVED.fetch_add(1, Ordering::Relaxed);
         let end = (start + chunk).min(len);
         for i in start..end {
             body(worker, i);

@@ -47,7 +47,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
 
 /// How parallel jobs reach their worker threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,44 +91,21 @@ pub fn dispatch_mode() -> DispatchMode {
 // Pool statistics (observability; see `pool_stats`).
 // ---------------------------------------------------------------------------
 
-/// Buckets in the job wall-time histogram — matches the `ascetic-obs`
-/// log2-histogram layout (bucket 0 holds zeros, bucket `i ≥ 1` holds
-/// `[2^(i-1), 2^i - 1]`, bucket 64 saturates).
-pub const WALL_BUCKETS: usize = 65;
-
 static WORKERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 static JOBS_PERSISTENT: AtomicU64 = AtomicU64::new(0);
 static JOBS_SPAWN: AtomicU64 = AtomicU64::new(0);
 static JOBS_INLINE: AtomicU64 = AtomicU64::new(0);
-/// Incremented by `parallel_for_with` once per chunk grabbed off the shared
-/// cursor (the dynamic load-balancing "steal" count).
-pub(crate) static CHUNKS_SERVED: AtomicU64 = AtomicU64::new(0);
-static JOB_WALL_COUNT: AtomicU64 = AtomicU64::new(0);
-static JOB_WALL_SUM_NS: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-static JOB_WALL_NS: [AtomicU64; WALL_BUCKETS] = [ZERO; WALL_BUCKETS];
 
 pub(crate) fn note_inline_job() {
     JOBS_INLINE.fetch_add(1, Ordering::Relaxed);
 }
 
-fn observe_job_wall(ns: u64) {
-    JOB_WALL_COUNT.fetch_add(1, Ordering::Relaxed);
-    JOB_WALL_SUM_NS.fetch_add(ns, Ordering::Relaxed);
-    let bucket = if ns == 0 {
-        0
-    } else {
-        64 - ns.leading_zeros() as usize
-    };
-    JOB_WALL_NS[bucket].fetch_add(1, Ordering::Relaxed);
-}
-
-/// A point-in-time snapshot of the pool's global counters.
+/// A point-in-time snapshot of the pool's global counters: its size and
+/// its jobs by dispatch path.
 ///
-/// Everything here is **wall-clock derived and host-dependent** — it must
-/// never feed the deterministic `RunReport` metrics, only side-channel
-/// telemetry (`--pool-metrics`, the `benchmark/` harness's `par.*` layer).
+/// The counts follow the host's thread count, so they never feed a
+/// `RunReport`; the `benchmark/` harness's `par.*` layer reads them beside
+/// the host clock it owns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolStats {
     /// Persistent workers currently alive (gauge; excludes submitters).
@@ -142,31 +118,15 @@ pub struct PoolStats {
     /// Jobs run serially inline (small loops, one-thread config, nested
     /// calls from inside a pool worker).
     pub jobs_inline: u64,
-    /// Chunks handed out by the shared work-stealing cursor.
-    pub chunks_served: u64,
-    /// Samples in the job wall-time histogram (== parallel jobs timed).
-    pub job_wall_count: u64,
-    /// Sum of all timed job wall-times, ns.
-    pub job_wall_sum_ns: u64,
-    /// Log2-bucketed job wall-times, ns (layout of `ascetic-obs`).
-    pub job_wall_ns_buckets: [u64; WALL_BUCKETS],
 }
 
 /// Snapshot the pool counters.
 pub fn pool_stats() -> PoolStats {
-    let mut buckets = [0u64; WALL_BUCKETS];
-    for (b, a) in buckets.iter_mut().zip(JOB_WALL_NS.iter()) {
-        *b = a.load(Ordering::Relaxed);
-    }
     PoolStats {
         workers: WORKERS_SPAWNED.load(Ordering::Relaxed),
         jobs_persistent: JOBS_PERSISTENT.load(Ordering::Relaxed),
         jobs_spawn: JOBS_SPAWN.load(Ordering::Relaxed),
         jobs_inline: JOBS_INLINE.load(Ordering::Relaxed),
-        chunks_served: CHUNKS_SERVED.load(Ordering::Relaxed),
-        job_wall_count: JOB_WALL_COUNT.load(Ordering::Relaxed),
-        job_wall_sum_ns: JOB_WALL_SUM_NS.load(Ordering::Relaxed),
-        job_wall_ns_buckets: buckets,
     }
 }
 
@@ -441,7 +401,6 @@ pub(crate) fn run_on_workers<F: Fn(usize) + Sync>(threads: usize, f: F) {
         }
         return;
     }
-    let start = Instant::now();
     match dispatch_mode() {
         DispatchMode::Spawn => {
             JOBS_SPAWN.fetch_add(1, Ordering::Relaxed);
@@ -456,7 +415,6 @@ pub(crate) fn run_on_workers<F: Fn(usize) + Sync>(threads: usize, f: F) {
             }
         }
     }
-    observe_job_wall(start.elapsed().as_nanos() as u64);
 }
 
 #[cfg(test)]
@@ -564,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_jobs_and_wall_time() {
+    fn stats_count_jobs_by_dispatch_path() {
         let _g = MODE_LOCK.lock().unwrap();
         set_dispatch_mode(DispatchMode::Persistent);
         let before = pool_stats();
@@ -574,10 +532,6 @@ mod tests {
         let after = pool_stats();
         assert!(after.jobs_persistent > before.jobs_persistent);
         assert!(after.jobs_spawn > before.jobs_spawn);
-        assert!(after.job_wall_count >= before.job_wall_count + 2);
-        assert!(after.job_wall_sum_ns >= before.job_wall_sum_ns);
-        let bucket_total: u64 = after.job_wall_ns_buckets.iter().sum();
-        assert_eq!(bucket_total, after.job_wall_count);
         set_dispatch_mode(DispatchMode::Persistent);
     }
 

@@ -44,9 +44,7 @@ pub mod trace;
 
 pub use job::{Algo, Job};
 pub use policy::{Policy, ALL_POLICIES};
-pub use report::{
-    output_fingerprint, JobReport, LatencyBreakdown, LatencyPercentiles, RejectedJob, ServeReport,
-};
+pub use report::{JobReport, LatencyBreakdown, LatencyPercentiles, RejectedJob, ServeReport};
 pub use server::{serve, serve_mutating, ServeConfig, ServeError};
 pub use trace::{
     mutating_to_jsonl, parse_trace, parse_trace_mutating, synthetic_mixed, synthetic_mutations,

@@ -164,14 +164,6 @@ pub struct ServeReport {
     pub rejected: Vec<RejectedJob>,
 }
 
-/// FNV-1a over an output's canonical little-endian bytes: a compact,
-/// deterministic fingerprint for byte-identity oracles across policies.
-/// (The hash itself lives on [`AlgoOutput::fingerprint`] so run reports
-/// and serve reports agree on the encoding.)
-pub fn output_fingerprint(output: &AlgoOutput) -> u64 {
-    output.fingerprint()
-}
-
 impl ServeReport {
     /// Percentile decomposition of job latency into
     /// queue/admission/H2D/compute components, over the admitted jobs.
@@ -316,7 +308,7 @@ impl ServeReport {
             }
             out.push(',');
             json::key_into("output_fp", &mut out);
-            out.push_str(&format!("\"{:016x}\"", output_fingerprint(&j.output)));
+            out.push_str(&format!("\"{:016x}\"", j.output.fingerprint()));
             out.push('}');
         }
         out.push(']');
@@ -409,18 +401,5 @@ mod tests {
         // 10 samples: p50 -> rank 5, p90 -> rank 9, p99 -> rank 10
         let p = LatencyPercentiles::from_samples((1..=10).map(|x| x * 10).collect());
         assert_eq!((p.p50_ns, p.p90_ns, p.p99_ns), (50, 90, 100));
-    }
-
-    #[test]
-    fn fingerprint_separates_variants_and_values() {
-        let a = AlgoOutput::Distances(vec![1, 2, 3]);
-        let b = AlgoOutput::Labels(vec![1, 2, 3]);
-        let c = AlgoOutput::Distances(vec![1, 2, 4]);
-        assert_eq!(output_fingerprint(&a), output_fingerprint(&a));
-        assert_eq!(output_fingerprint(&a), output_fingerprint(&b)); // same payload class
-        assert_ne!(output_fingerprint(&a), output_fingerprint(&c));
-        let r1 = AlgoOutput::Ranks(vec![0.5, 0.25]);
-        let r2 = AlgoOutput::Ranks(vec![0.5, 0.125]);
-        assert_ne!(output_fingerprint(&r1), output_fingerprint(&r2));
     }
 }

@@ -800,7 +800,6 @@ fn score_affinity(job: &Job, g: &Csr, session: &Option<(bool, AsceticSession<'_>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::output_fingerprint;
     use crate::trace::synthetic_mixed;
     use ascetic_core::DirectionMode;
     use ascetic_graph::datasets::weighted_variant;
@@ -856,10 +855,7 @@ mod tests {
         // the answers are the engine's answers
         let mut solo = AsceticSession::new(sc.cfg, &g);
         let d0 = solo.run(&ascetic_algos::Bfs::new(0)).output;
-        assert_eq!(
-            output_fingerprint(&rep.jobs[0].output),
-            output_fingerprint(&d0)
-        );
+        assert_eq!(rep.jobs[0].output.fingerprint(), d0.fingerprint());
         // only the first run paid the prestore; the rest rode the residency
         assert!(rep.jobs[0].run.prestore_bytes > 0);
         assert_eq!(rep.jobs[1].run.prestore_bytes, 0);
@@ -899,8 +895,8 @@ mod tests {
         for (b, s) in batched.jobs.iter().zip(&solo.jobs) {
             assert_eq!(b.id, s.id);
             assert_eq!(
-                output_fingerprint(&b.output),
-                output_fingerprint(&s.output),
+                b.output.fingerprint(),
+                s.output.fingerprint(),
                 "job {} batched answer differs from its solo answer",
                 b.id
             );
@@ -944,7 +940,7 @@ mod tests {
         // identical answers regardless of schedule
         for (a, b) in ra.jobs.iter().zip(&fifo.jobs) {
             assert_eq!(a.id, b.id);
-            assert_eq!(output_fingerprint(&a.output), output_fingerprint(&b.output));
+            assert_eq!(a.output.fingerprint(), b.output.fingerprint());
         }
     }
 
@@ -1139,8 +1135,8 @@ mod tests {
             for (a, b) in rep.jobs.iter().zip(&solo.jobs) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(
-                    output_fingerprint(&a.output),
-                    output_fingerprint(&b.output),
+                    a.output.fingerprint(),
+                    b.output.fingerprint(),
                     "job {} answer changed at {devices} devices",
                     a.id
                 );
@@ -1201,7 +1197,7 @@ mod tests {
         .unwrap();
         assert!(rep.makespan_ns < solo.makespan_ns);
         for (a, b) in rep.jobs.iter().zip(&solo.jobs) {
-            assert_eq!(output_fingerprint(&a.output), output_fingerprint(&b.output));
+            assert_eq!(a.output.fingerprint(), b.output.fingerprint());
         }
     }
 
@@ -1355,15 +1351,17 @@ mod tests {
         patched.apply(&[mutations[0].mutation]).unwrap();
         for (job, version) in rep.jobs.iter().zip([&g, &patched]) {
             assert_eq!(
-                output_fingerprint(&job.output),
-                output_fingerprint(&run_in_memory(version, &ascetic_algos::Bfs::new(0)).output),
+                job.output.fingerprint(),
+                run_in_memory(version, &ascetic_algos::Bfs::new(0))
+                    .output
+                    .fingerprint(),
                 "job {} diverged from its epoch's recompute",
                 job.id
             );
         }
         assert_ne!(
-            output_fingerprint(&rep.jobs[0].output),
-            output_fingerprint(&rep.jobs[1].output),
+            rep.jobs[0].output.fingerprint(),
+            rep.jobs[1].output.fingerprint(),
             "the shortcut must change the distances"
         );
         // the scheduler trace shows the splice window

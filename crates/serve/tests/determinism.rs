@@ -74,8 +74,8 @@ fn policies_agree_on_answers_but_not_necessarily_on_schedules() {
         for (a, b) in reports[0].jobs.iter().zip(&r.jobs) {
             assert_eq!(a.id, b.id);
             assert_eq!(
-                ascetic_serve::output_fingerprint(&a.output),
-                ascetic_serve::output_fingerprint(&b.output),
+                a.output.fingerprint(),
+                b.output.fingerprint(),
                 "policy {} changed job {}'s answer",
                 r.policy,
                 a.id

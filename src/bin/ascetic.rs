@@ -26,8 +26,8 @@ use ascetic::algos::{Algo, AnyProgram};
 use ascetic::baselines::{AnySystem, PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::session::AsceticSession;
 use ascetic::core::{
-    pool_metrics_snapshot, run_fleet, AsceticConfig, AsceticSystem, FleetConfig, FleetRunReport,
-    OutOfCoreSystem, RunReport, MIN_CHUNK_BYTES, RUN_REPORT_SCHEMA_VERSION,
+    run_fleet, AsceticConfig, AsceticSystem, FleetConfig, FleetRunReport, OutOfCoreSystem,
+    RunReport, MIN_CHUNK_BYTES, RUN_REPORT_SCHEMA_VERSION,
 };
 use ascetic::graph::datasets::{weighted_variant, Dataset, DatasetId};
 use ascetic::graph::generators::{
@@ -100,10 +100,9 @@ const FLEET: Group = &[
 const TRACE: Group =
     &["--trace-out FILE: spans; .json for ui.perfetto.dev, .jsonl for `trace summarize`"];
 const REPORT: Group = &[
-    "--summary FMT: text|json|csv|md (default text)",
+    "--summary FMT: text|json (default text)",
     "--metrics-out FILE: JSONL of meta, every event, final metrics",
     "--iter-csv FILE: one row per iteration",
-    "--pool-metrics: append host worker-pool telemetry (wall-clock)",
 ];
 const SYNTH: Group = &[
     "--synthetic N: N deterministic mixed jobs instead of --trace",
@@ -587,11 +586,8 @@ fn print_report(r: &RunReport, dataset_bytes: u64) {
 }
 
 /// Write the `--metrics-out` JSONL document: one meta line, one line per
-/// recorded event, and one final metrics-snapshot line. With
-/// `include_pool`, a `{"kind":"pool",...}` line carrying the host
-/// worker-pool telemetry (wall-clock, non-deterministic — deliberately
-/// kept out of the run's deterministic metrics) is appended.
-fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str, include_pool: bool) -> Res {
+/// recorded event, and one final metrics-snapshot line.
+fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str) -> Res {
     let mut out = format!(
         "{{\"kind\":\"meta\",\"schema_version\":{RUN_REPORT_SCHEMA_VERSION},\
          \"system\":\"{}\",\"algorithm\":\"{}\",\"graph\":\"{}\",\
@@ -612,10 +608,6 @@ fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str, include_pool: boo
         "{{\"kind\":\"metrics\",\"data\":{}}}",
         r.metrics.to_json()
     )?;
-    if include_pool {
-        let pool = pool_metrics_snapshot().to_json();
-        writeln!(out, "{{\"kind\":\"pool\",\"data\":{pool}}}")?;
-    }
     Ok(std::fs::write(path, out)?)
 }
 
@@ -703,18 +695,14 @@ fn cmd_run(o: &Opts) -> Res {
     match o.get("--summary").unwrap_or("text") {
         "text" => print_report(&rep, r.dataset_bytes),
         "json" => println!("{}", rep.summary_json()),
-        "csv" => print!("{}", rep.summary_csv()),
-        "md" => print!("{}", rep.summary_markdown()),
-        other => return Err(format!("unknown --summary {other} (text|json|csv|md)").into()),
+        other => return Err(format!("unknown --summary {other} (text|json)").into()),
     }
     if let Some(path) = o.get("--metrics-out") {
-        write_metrics_jsonl(&rep, &o.args[0], path, o.has("--pool-metrics"))?;
+        write_metrics_jsonl(&rep, &o.args[0], path)?;
         eprintln!(
             "wrote metrics snapshot + {} events to {path}",
             rep.events.as_ref().map_or(0, |e| e.len())
         );
-    } else if o.has("--pool-metrics") {
-        println!("{}", pool_metrics_snapshot().to_json());
     }
     if let Some(path) = o.get("--iter-csv") {
         write_iter_csv(&rep, path)?;

@@ -67,6 +67,12 @@ fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
         err.contains("--compression zstd") && err.contains("off|adaptive"),
         "{err}"
     );
+    // host wall-clock telemetry lives in the benchmark harness, not the CLI
+    let err = rejected(&format!("run {G} --algo bfs --pool-metrics"));
+    assert!(
+        err.contains("--pool-metrics") && err.contains("`ascetic run`"),
+        "{err}"
+    );
     // lazy fill was removed with the reactive replacement server
     let err = rejected(&format!("run {G} --algo bfs --fill lazy"));
     assert!(
@@ -112,7 +118,6 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
         "--summary json",
         "--metrics-out m.jsonl",
         "--iter-csv i.csv",
-        "--pool-metrics",
     ];
     let knobs = [
         "--k-param 0.2",
