@@ -11,7 +11,8 @@
 //! and lazy-fill shapes went with the replacement server and lazy fill.
 //! Subway's forced-compression row became an adaptive twin on a slowed
 //! link when the forced mode was removed. The CSV and markdown columns
-//! went with those two renderings; the 33 hashes left did not move.)
+//! went with those two renderings; the 33 hashes left did not move. The
+//! UVM bulk-prefetch row went with UVM's bulk hints.)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test report_renderings -- --nocapture`
 //! prints a fresh table.)
 
@@ -29,7 +30,7 @@ use ascetic::sim::{DecompressModel, DeviceConfig};
 type Hashes = [u64; 3];
 
 #[rustfmt::skip]
-const GOLDEN: [(&str, Hashes); 11] = [
+const GOLDEN: [(&str, Hashes); 10] = [
     ("Ascetic cold BFS(0)", [0x5e6bf5d45cbfcc64, 0x7bc9176554e62366, 0x141834474e126cd8]),
     ("prefetch + adaptive compression, run 1: BFS(0)", [0x819bffaee2691b57, 0xed0b73c997d83fd1, 0xafc84681b8b9116d]),
     ("prefetch + adaptive compression, run 2: CC", [0x9a7462fa42ceea8d, 0x67c44602cd6c519f, 0x144005cf0fbeec4f]),
@@ -38,7 +39,6 @@ const GOLDEN: [(&str, Hashes); 11] = [
     ("Subway CC, compression adaptive, slowed link", [0xdb0a929826d21e79, 0x7ec29504a824e682, 0xaf506570a568820e]),
     ("PT BFS(0)", [0x8a9db19b4b3ebf3c, 0x439b75dae3c6a47e, 0x5eb671a12189f319]),
     ("UVM BFS(0)", [0xba433bf9b0a1f307, 0xb1cfab09ccdb65d7, 0x250605b9bde4129c]),
-    ("UVM PR, bulk prefetch", [0x4a3d0fd0b11f286c, 0x30935aba7fd6e52e, 0x735b84f6e80b13ba]),
     ("PR 2-device NVLink, device 0", [0x310c56888f6c278b, 0x5d359ab6d006334b, 0x1dbcf5ad10643bc7]),
     ("PR 2-device NVLink, device 1", [0x40a7032a92ef0ed3, 0xb1ebf7d8a53a0c13, 0x0dc62b4175db3516]),
 ];
@@ -98,7 +98,6 @@ fn run_all(g: &Csr) -> Vec<RunReport> {
     let mut paged = dev;
     paged.uvm.page_bytes = 1024;
     out.push(UvmSystem::new(paged).run(g, &bfs));
-    out.push(UvmSystem::new(paged).with_prefetch(true).run(g, &pr));
     // a fleet's per-device reports
     let fleet = run_fleet(modes, FleetConfig::nvlink(2), g, &pr);
     assert_eq!(fleet.per_device.len(), 2);
