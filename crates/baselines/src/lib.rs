@@ -17,7 +17,7 @@
 //!   friendster-konect as a consequence).
 //! * [`uvm`] — a **Unified Virtual Memory** system: edges stay in host
 //!   memory and fault in page-by-page with LRU residency (the paper's
-//!   §4.4 comparison; optionally with bulk prefetch hints).
+//!   §4.4 comparison).
 //!
 //! All three implement [`ascetic_core::OutOfCoreSystem`] and produce the
 //! same [`ascetic_core::RunReport`] as Ascetic, so every table and figure

@@ -9,10 +9,7 @@
 //! kernel.
 //!
 //! Fault time is charged on the COMPUTE engine (a faulting kernel stalls);
-//! migrated bytes are accounted as H2D traffic. An optional prefetch mode
-//! (`cudaMemAdvise`-style bulk hints, which the paper's tuned baseline
-//! uses) migrates each iteration's page set at bulk bandwidth instead of
-//! fault-by-fault.
+//! migrated bytes are accounted as H2D traffic.
 //!
 //! The frontier loop is [`ascetic_algos::ops::Drive`], the device /
 //! iteration / report frame is `crate::frame`, and the host execution is
@@ -35,8 +32,6 @@ use crate::frame::Frame;
 pub struct UvmSystem {
     /// Device configuration.
     pub device: DeviceConfig,
-    /// Use bulk prefetch hints instead of pure demand faulting.
-    pub prefetch: bool,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
     /// Record a structured event log on the report: per-page faults and
@@ -49,7 +44,6 @@ impl UvmSystem {
     pub fn new(device: DeviceConfig) -> Self {
         UvmSystem {
             device,
-            prefetch: false,
             tracing: false,
             events: false,
         }
@@ -64,12 +58,6 @@ impl UvmSystem {
     /// Enable structured event logging.
     pub fn with_events(mut self, on: bool) -> Self {
         self.events = on;
-        self
-    }
-
-    /// Enable `cudaMemPrefetchAsync`-style bulk hints.
-    pub fn with_prefetch(mut self, on: bool) -> Self {
-        self.prefetch = on;
         self
     }
 
@@ -130,11 +118,7 @@ impl UvmSystem {
                 for p in first_page..=last_page {
                     let faults_b = uvm.stats.faults;
                     let evicts_b = uvm.stats.evictions;
-                    let ns = if self.prefetch {
-                        uvm.prefetch(p..p + 1)
-                    } else {
-                        uvm.touch(p)
-                    };
+                    let ns = uvm.touch(p);
                     fault_ns += ns;
                     if uvm.stats.faults > faults_b {
                         gpu.obs.registry.observe("uvm.fault_ns", ns);
@@ -273,17 +257,6 @@ mod tests {
             early.payload_bytes,
             g.edge_bytes()
         );
-    }
-
-    #[test]
-    fn prefetch_mode_is_faster_but_same_answer() {
-        let g = uniform_graph(2_000, 16_000, false, 7);
-        let demand = UvmSystem::new(small_device(&g)).run(&g, &PageRank::new());
-        let pref = UvmSystem::new(small_device(&g))
-            .with_prefetch(true)
-            .run(&g, &PageRank::new());
-        assert_eq!(demand.output, pref.output);
-        assert!(pref.sim_time_ns < demand.sim_time_ns);
     }
 
     #[test]

@@ -333,39 +333,22 @@ impl RunReport {
 
     /// One JSON object: headline scalars plus the full metrics snapshot.
     pub fn summary_json(&self) -> String {
-        let mut out = String::from("{");
-        json::key_into("schema_version", &mut out);
-        out.push_str(&RUN_REPORT_SCHEMA_VERSION.to_string());
-        out.push(',');
-        json::key_into("system", &mut out);
-        json::string_into(self.system, &mut out);
-        out.push(',');
-        json::key_into("algorithm", &mut out);
-        json::string_into(self.algorithm, &mut out);
-        for &(_, _, key, get) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
-            out.push(',');
-            json::key_into(key, &mut out);
-            out.push_str(&get(self).to_string());
-        }
-        out.push(',');
-        json::key_into("pull_iterations", &mut out);
-        out.push_str(&self.per_iter.iter().filter(|i| i.pull).count().to_string());
-        out.push(',');
-        json::key_into("output_fp", &mut out);
-        out.push_str(&format!("\"{:016x}\"", self.output.fingerprint()));
-        out.push(',');
-        json::key_into("events_dropped", &mut out);
-        out.push_str(&self.events_dropped.to_string());
-        out.push(',');
-        json::key_into("first_drop_at", &mut out);
-        match self.first_drop_at {
-            Some(t) => out.push_str(&t.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push(',');
-        json::key_into("metrics", &mut out);
-        out.push_str(&self.metrics.to_json());
-        out.push('}');
+        let pulls = self.per_iter.iter().filter(|i| i.pull).count();
+        let fp = self.output.fingerprint();
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.num("schema_version", RUN_REPORT_SCHEMA_VERSION);
+            o.str("system", self.system);
+            o.str("algorithm", self.algorithm);
+            for &(_, _, key, get) in SCALARS.iter().filter(|s| !s.2.is_empty()) {
+                o.num(key, get(self));
+            }
+            o.num("pull_iterations", pulls);
+            o.str("output_fp", format_args!("{fp:016x}"));
+            o.num("events_dropped", self.events_dropped);
+            o.opt("first_drop_at", self.first_drop_at);
+            o.raw("metrics", &self.metrics.to_json());
+        });
         out
     }
 }

@@ -178,34 +178,6 @@ pub fn parse_mutations(
     Ok(batches)
 }
 
-/// Serialize batches back to the JSONL mutation format (inverse of
-/// [`parse_mutations`]; used by the bench and CI to persist generated
-/// churn).
-pub fn to_jsonl(batches: &[Vec<Mutation>]) -> String {
-    let mut out = String::new();
-    for (b, batch) in batches.iter().enumerate() {
-        for m in batch {
-            match *m {
-                Mutation::Insert { src, dst, weight } => {
-                    out.push_str(&format!(
-                        "{{\"op\": \"insert\", \"src\": {src}, \"dst\": {dst}"
-                    ));
-                    if let Some(w) = weight {
-                        out.push_str(&format!(", \"weight\": {w}"));
-                    }
-                }
-                Mutation::Delete { src, dst } => {
-                    out.push_str(&format!(
-                        "{{\"op\": \"delete\", \"src\": {src}, \"dst\": {dst}"
-                    ));
-                }
-            }
-            out.push_str(&format!(", \"batch\": {b}}}\n"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,27 +297,5 @@ mod tests {
             bad.kind,
             MutateErrorKind::BadValue { field: "src", .. }
         ));
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let batches = vec![
-            vec![
-                Mutation::Insert {
-                    src: 3,
-                    dst: 4,
-                    weight: None,
-                },
-                Mutation::Delete { src: 1, dst: 0 },
-            ],
-            vec![Mutation::Insert {
-                src: 0,
-                dst: 2,
-                weight: None,
-            }],
-        ];
-        let text = to_jsonl(&batches);
-        let back = parse_mutations(&text, Some(5), Some(false)).unwrap();
-        assert_eq!(batches, back);
     }
 }

@@ -33,4 +33,4 @@ pub mod ingest;
 
 pub use churn::synthetic_churn;
 pub use driver::{materialize, run_with_mutations, BatchOutcome, Epochs, MutationRun};
-pub use ingest::{parse_mutations, to_jsonl, MutateError, MutateErrorKind};
+pub use ingest::{parse_mutations, MutateError, MutateErrorKind};

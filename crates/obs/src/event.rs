@@ -13,6 +13,8 @@
 //! The log is bounded: past `capacity` events it counts drops instead of
 //! growing (a UVM run can fault millions of times).
 
+use crate::json;
+
 /// Default bound on retained events (65 536 ≈ a few MB worst case).
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
@@ -66,32 +68,24 @@ impl Event {
         }
     }
 
-    fn fields_into(&self, out: &mut String) {
-        match self {
-            Event::UvmFault { page, dur_ns } => {
-                out.push_str(&format!(",\"page\":{page},\"dur_ns\":{dur_ns}"));
-            }
-            Event::UvmEvict { pages } => {
-                out.push_str(&format!(",\"pages\":{pages}"));
-            }
+    fn fields_into(&self, o: &mut json::Object<'_>) {
+        match *self {
+            Event::UvmFault { page, dur_ns } => o.num("page", page).num("dur_ns", dur_ns),
+            Event::UvmEvict { pages } => o.num("pages", pages),
             Event::Repartition {
                 iter,
                 static_bytes,
                 static_share_ppm,
                 region_share_ppm,
                 overflow_bytes,
-            } => {
-                out.push_str(&format!(
-                    ",\"iter\":{iter},\"static_bytes\":{static_bytes},\
-                     \"static_share_ppm\":{static_share_ppm},\
-                     \"region_share_ppm\":{region_share_ppm},\
-                     \"overflow_bytes\":{overflow_bytes}"
-                ));
-            }
-            Event::HighWater { bytes } => {
-                out.push_str(&format!(",\"bytes\":{bytes}"));
-            }
-        }
+            } => o
+                .num("iter", iter)
+                .num("static_bytes", static_bytes)
+                .num("static_share_ppm", static_share_ppm)
+                .num("region_share_ppm", region_share_ppm)
+                .num("overflow_bytes", overflow_bytes),
+            Event::HighWater { bytes } => o.num("bytes", bytes),
+        };
     }
 }
 
@@ -102,26 +96,6 @@ pub struct TimedEvent {
     pub t_ns: u64,
     /// What happened.
     pub event: Event,
-}
-
-impl TimedEvent {
-    /// Render as one JSON object:
-    /// `{"t_ns":N,"kind":"...",...fields}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64);
-        self.json_into(&mut out);
-        out
-    }
-
-    fn json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"t_ns\":{},\"kind\":\"{}\"",
-            self.t_ns,
-            self.event.kind()
-        ));
-        self.event.fields_into(out);
-        out.push('}');
-    }
 }
 
 /// A bounded, append-only log of [`TimedEvent`]s.
@@ -198,7 +172,10 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
         for e in &self.events {
-            e.json_into(&mut out);
+            json::object(&mut out, |o| {
+                o.num("t_ns", e.t_ns).str("kind", e.event.kind());
+                e.event.fields_into(o);
+            });
             out.push('\n');
         }
         out

@@ -1,10 +1,13 @@
-//! Hand-rolled JSON helpers.
+//! The workspace's one JSON grammar.
 //!
 //! The workspace policy is zero runtime dependencies (see `DESIGN.md` §3),
-//! so JSON is produced by hand — this module centralizes the escaping the
-//! Chrome-trace exporter used to do inline, and adds a small validating
-//! parser so tests (and the CLI) can check that emitted documents are
-//! well-formed without pulling in serde.
+//! so this module is the only code that knows JSON syntax: every report,
+//! event line and trace export is written through its streaming
+//! [`object()`] / [`array()`] writer, every reader goes through [`parse`], and
+//! the job-trace and mutation parsers share its flat-record splitter
+//! ([`records`]).
+
+use std::fmt::{self, Display, Write as _};
 
 /// Append `s` to `out` with JSON string escaping (quotes, backslash,
 /// control characters). Does not write the surrounding quotes.
@@ -19,7 +22,7 @@ pub fn escape_into(s: &str, out: &mut String) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -45,6 +48,140 @@ pub fn string_into(s: &str, out: &mut String) {
     out.push('"');
     escape_into(s, out);
     out.push('"');
+}
+
+/// Append `v` to `out` as a quoted JSON string, escaped as it is
+/// formatted: no `String` in between.
+fn display_string_into(v: impl Display, out: &mut String) {
+    out.push('"');
+    let _ = write!(Escaped(out), "{v}");
+    out.push('"');
+}
+
+/// A `fmt::Write` that escapes what is formatted into it.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
+/// Append one JSON object to `out`; `body` writes its members.
+pub fn object(out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    body(&mut Object(Items(out, ",", true)));
+    out.push('}');
+}
+
+/// Append one JSON array to `out`; `body` writes its items.
+pub fn array(out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
+    out.push('[');
+    body(&mut Array(Items(out, ",", true)));
+    out.push(']');
+}
+
+/// [`array()`] with each item on a line of its own, the layout of a
+/// Chrome/Perfetto trace file.
+pub fn array_lines(out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
+    out.push_str("[\n");
+    body(&mut Array(Items(out, ",\n", true)));
+    out.push_str("\n]");
+}
+
+/// The buffer, the separator between items, and whether the next item is
+/// the first.
+struct Items<'a>(&'a mut String, &'static str, bool);
+
+impl Items<'_> {
+    /// The buffer, after the separator the next item needs.
+    fn next(&mut self) -> &mut String {
+        if !std::mem::replace(&mut self.2, false) {
+            self.0.push_str(self.1);
+        }
+        self.0
+    }
+}
+
+/// The members of an object being written ([`object()`]). Numbers (and
+/// booleans) are written as their `Display` spells them.
+pub struct Object<'a>(Items<'a>);
+
+impl Object<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.0.next();
+        key_into(key, out);
+        out
+    }
+
+    /// `"key":v` for a number `v`.
+    pub fn num(&mut self, key: &str, v: impl Display) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// [`Object::num`], or `"key":null` for `None`.
+    pub fn opt(&mut self, key: &str, v: Option<impl Display>) -> &mut Self {
+        match v {
+            Some(v) => self.num(key, v),
+            None => self.raw(key, "null"),
+        }
+    }
+
+    /// `"key":"v"`, `v` escaped.
+    pub fn str(&mut self, key: &str, v: impl Display) -> &mut Self {
+        display_string_into(v, self.key(key));
+        self
+    }
+
+    /// `"key":` and an object whose members `body` writes.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        object(self.key(key), body);
+        self
+    }
+
+    /// `"key":` and an array whose items `body` writes.
+    pub fn array(&mut self, key: &str, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        array(self.key(key), body);
+        self
+    }
+
+    /// `"key":` and `json`, a value rendered beforehand (an embedded
+    /// metrics snapshot).
+    pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+        self.key(key).push_str(json);
+        self
+    }
+}
+
+/// The items of an array being written ([`array()`]).
+pub struct Array<'a>(Items<'a>);
+
+impl Array<'_> {
+    /// A number.
+    pub fn num(&mut self, v: impl Display) -> &mut Self {
+        let _ = write!(self.0.next(), "{v}");
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, v: impl Display) -> &mut Self {
+        display_string_into(v, self.0.next());
+        self
+    }
+
+    /// An object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        object(self.0.next(), body);
+        self
+    }
+
+    /// An array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        array(self.0.next(), body);
+        self
+    }
 }
 
 /// The contents of a raw JSON string value without escapes (`"bfs"` →
@@ -214,28 +351,77 @@ impl EdgeRecord {
     }
 }
 
-/// Validate that `s` is exactly one well-formed JSON value (object, array,
-/// string, number, boolean or null), with nothing but whitespace around it.
-pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+/// One parsed JSON value. A number keeps the text it was written as, so
+/// a `u64` reads back exactly; an object keeps its members in order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, as written.
+    Num(String),
+    /// A string, escapes decoded.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object's members, in order.
+    Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Member `key` of an object (`None` for other kinds or a missing key).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned 64-bit number, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parse `s` as exactly one JSON value (object, array, string, number,
+/// boolean or null), with nothing but whitespace around it.
+pub fn parse(s: &str) -> Result<Value, String> {
+    let mut p = Parser { text: s, pos: 0 };
     p.skip_ws();
-    p.value()?;
+    let value = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != s.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
-    Ok(())
+    Ok(value)
+}
+
+/// Check that `s` is exactly one well-formed JSON value: [`parse`], with
+/// the value dropped.
+pub fn validate(s: &str) -> Result<(), String> {
+    parse(s).map(drop)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,14 +444,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -275,39 +461,58 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
-            Ok(())
+            Ok(value)
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
+    fn object(&mut self) -> Result<Value, String> {
+        let member = |p: &mut Self| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            Ok((key, p.value()?))
+        };
+        self.items(b'{', b'}', member).map(Value::Obj)
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.items(b'[', b']', Self::value).map(Value::Arr)
+    }
+
+    /// The comma-separated items between `open` and `close`.
+    fn items<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        let mut items = Vec::new();
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(());
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
+            items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(items);
                 }
                 other => {
                     return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
+                        "expected ',' or '{}' at byte {}, found {:?}",
+                        close as char,
                         self.pos,
                         other.map(|c| c as char)
                     ))
@@ -316,89 +521,82 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = String::new();
         loop {
+            // a run of plain bytes ends on an ASCII byte: a char boundary
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => {
-                                        return Err(format!("bad \\u escape at byte {}", self.pos))
-                                    }
-                                }
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(c) if c < 0x20 => {
+                Some(b'\\') => self.pos += 1,
+                Some(c) => {
                     return Err(format!("raw control byte {c:#x} in string at {}", self.pos))
                 }
-                Some(_) => self.pos += 1,
             }
+            let c = match self.peek() {
+                Some(b'u') => {
+                    self.utf16_into(&mut out)?;
+                    continue;
+                }
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{08}',
+                Some(b'f') => '\u{0C}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            };
+            self.pos += 1;
+            out.push(c);
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    /// A run of `\uXXXX` escapes, read from its first `u`, as UTF-16: a
+    /// surrogate pair spells one character, an unpaired surrogate U+FFFD.
+    fn utf16_into(&mut self, out: &mut String) -> Result<(), String> {
+        let mut units = Vec::new();
+        loop {
+            self.pos += 1; // the `u`
+            let mut unit = 0;
+            for _ in 0..4 {
+                let digit = self.peek().and_then(|c| (c as char).to_digit(16));
+                let digit = digit.ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                unit = unit * 16 + digit as u16;
+                self.pos += 1;
+            }
+            units.push(unit);
+            if !self.text[self.pos..].starts_with("\\u") {
+                break;
+            }
+            self.pos += 1; // the next escape's backslash
+        }
+        let chars = char::decode_utf16(units).map(|c| c.unwrap_or(char::REPLACEMENT_CHARACTER));
+        out.extend(chars);
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
+        if self.digits() == 0 {
             return Err(format!("number without digits at byte {}", self.pos));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
+            if self.digits() == 0 {
                 return Err(format!("fraction without digits at byte {}", self.pos));
             }
         }
@@ -407,15 +605,20 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
+            if self.digits() == 0 {
                 return Err(format!("exponent without digits at byte {}", self.pos));
             }
         }
-        Ok(())
+        Ok(Value::Num(self.text[start..self.pos].to_string()))
+    }
+
+    /// Skip a run of decimal digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -474,6 +677,56 @@ mod tests {
             let doc = format!("\"{}\"", escape(s));
             assert!(validate(&doc).is_ok(), "escaped {s:?} must validate");
         }
+    }
+
+    #[test]
+    fn writer_nests_and_spells_none_as_null() {
+        let mut out = String::new();
+        object(&mut out, |o| {
+            o.num("n", 7u64)
+                .opt("none", None::<u64>)
+                .opt("some", Some(true));
+            o.str("s", "a\"b").array("a", |a| {
+                a.num(1u32).str(format_args!("{:02x}", 10));
+                a.object(|_| {}).array(|_| {});
+            });
+            o.raw("raw", r#"{"k":[]}"#);
+        });
+        let want =
+            r#"{"n":7,"none":null,"some":true,"s":"a\"b","a":[1,"0a",{},[]],"raw":{"k":[]}}"#;
+        assert_eq!(out, want);
+        let mut lines = String::new();
+        array_lines(&mut lines, |a| {
+            a.num(1u32).num(2u32);
+        });
+        assert_eq!(lines, "[\n1,\n2\n]");
+    }
+
+    #[test]
+    fn parse_keeps_numbers_as_written_and_decodes_escapes() {
+        let v = parse(
+            r#" {"a":[18446744073709551615,-2.5e3,true,null],"s":"\/\u0041\ud83d\ude00\ud800x"} "#,
+        )
+        .unwrap();
+        let num = |n: &str| Value::Num(n.into());
+        let items = [
+            num("18446744073709551615"),
+            num("-2.5e3"),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        assert_eq!(v.get("a"), Some(&Value::Arr(items.to_vec())));
+        assert_eq!(
+            v.get("a").and_then(|a| match a {
+                Value::Arr(items) => items[0].as_u64(),
+                _ => None,
+            }),
+            Some(u64::MAX)
+        );
+        assert_eq!(
+            v.get("s").and_then(Value::as_str),
+            Some("/A\u{1F600}\u{FFFD}x")
+        );
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   copy stream, compute engine, serve job) frozen into an immutable
 //!   [`Trace`] with Chrome/Perfetto and JSONL export plus busy/idle/overlap
 //!   utilization queries — the Fig-8 breakdown as a first-class artifact.
-//! * [`json`] — hand-rolled JSON escaping, number formatting and a small
-//!   validating parser (no serde; the whole workspace stays
-//!   dependency-free).
+//! * [`json`] — the one place JSON syntax lives: a streaming object/array
+//!   writer every export goes through, one parser every reader goes
+//!   through, and the flat-record splitter of the JSONL input formats (no
+//!   serde; the whole workspace stays dependency-free).
 //!
 //! Determinism: nothing here reads wall-clock time. Timestamps are supplied
 //! by the caller from the simulated clock (`ascetic-sim`), so two runs of

@@ -119,24 +119,16 @@ impl Histogram {
         out
     }
 
-    fn json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[",
-            self.count, self.sum
-        ));
-        let mut first = true;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
+    fn fields_into(&self, o: &mut json::Object<'_>) {
+        o.str("type", "histogram").num("count", self.count);
+        o.num("sum", self.sum).array("buckets", |a| {
+            for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+                let (lo, hi) = Self::bucket_range(i);
+                a.array(|b| {
+                    b.num(lo).num(hi).num(c);
+                });
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let (lo, hi) = Self::bucket_range(i);
-            out.push_str(&format!("[{lo},{hi},{c}]"));
-        }
-        out.push_str("]}");
+        });
     }
 }
 
@@ -161,13 +153,12 @@ impl MetricValue {
         }
     }
 
-    fn json_into(&self, out: &mut String) {
+    fn fields_into(&self, o: &mut json::Object<'_>) {
         match self {
-            MetricValue::Counter(v) => {
-                out.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"))
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                o.str("type", self.kind()).num("value", v);
             }
-            MetricValue::Gauge(v) => out.push_str(&format!("{{\"type\":\"gauge\",\"value\":{v}}}")),
-            MetricValue::Histogram(h) => h.json_into(out),
+            MetricValue::Histogram(h) => h.fields_into(o),
         }
     }
 }
@@ -343,27 +334,19 @@ impl Registry {
     /// Render as one JSON object:
     /// `{"labels":{...},"metrics":{"name":{"type":...,...},...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"labels\":{");
-        let mut first = true;
-        for (k, v) in &self.labels {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::key_into(k, &mut out);
-            json::string_into(v, &mut out);
-        }
-        out.push_str("},\"metrics\":{");
-        let mut first = true;
-        for (name, v) in &self.metrics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::key_into(name, &mut out);
-            v.json_into(&mut out);
-        }
-        out.push_str("}}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.object("labels", |l| {
+                for (k, v) in &self.labels {
+                    l.str(k, v);
+                }
+            });
+            o.object("metrics", |m| {
+                for (name, v) in &self.metrics {
+                    m.object(name, |f| v.fields_into(f));
+                }
+            });
+        });
         out
     }
 }

@@ -21,7 +21,7 @@
 //! they pin; a broken instrumentation site is a test failure naming the
 //! two offending spans, never a panic in a run.
 
-use crate::json;
+use crate::json::{self, Value};
 
 /// Category for arbitration/queueing gaps. Spans with this category render
 /// in the trace but are *excluded* from busy-time accounting — a stream
@@ -330,33 +330,35 @@ impl Trace {
     /// `chrome://tracing`.
     pub fn to_perfetto_json(&self, schema_version: u32) -> String {
         let mut out = String::with_capacity(128 + self.spans.len() * 96);
-        out.push_str("[\n");
-        out.push_str(&format!(
-            "{{\"name\":\"ascetic_schema\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"schema_version\":{schema_version}}}}}"
-        ));
-        for (i, name) in self.tracks.iter().enumerate() {
-            out.push_str(",\n");
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":",
-                i + 1
-            ));
-            json::string_into(name, &mut out);
-            out.push_str("}}");
-        }
-        for s in &self.spans {
-            out.push_str(",\n{\"name\":");
-            json::string_into(&s.name, &mut out);
-            out.push_str(",\"cat\":");
-            json::string_into(&s.cat, &mut out);
-            out.push_str(&format!(
-                ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-                s.track + 1,
-                us(s.start_ns),
-                us(s.dur_ns())
-            ));
-        }
-        out.push_str("\n]\n");
+        let meta = |o: &mut json::Object<'_>, name: &str, tid: usize| {
+            o.str("name", name).str("ph", "M").num("pid", 1u32);
+            o.num("tid", tid);
+        };
+        json::array_lines(&mut out, |events| {
+            events.object(|o| {
+                meta(o, "ascetic_schema", 0);
+                o.object("args", |a| {
+                    a.num("schema_version", schema_version);
+                });
+            });
+            for (i, name) in self.tracks.iter().enumerate() {
+                events.object(|o| {
+                    meta(o, "thread_name", i + 1);
+                    o.object("args", |a| {
+                        a.str("name", name);
+                    });
+                });
+            }
+            for s in &self.spans {
+                events.object(|o| {
+                    o.str("name", &s.name).str("cat", &s.cat).str("ph", "X");
+                    o.num("pid", 1u32).num("tid", s.track + 1);
+                    o.num("ts", Micros(s.start_ns));
+                    o.num("dur", Micros(s.dur_ns()));
+                });
+            }
+        });
+        out.push('\n');
         out
     }
 
@@ -366,27 +368,24 @@ impl Trace {
     /// [`Trace::from_jsonl`] and `ascetic trace summarize` consume.
     pub fn to_jsonl(&self, schema_version: u32) -> String {
         let mut out = String::with_capacity(96 + self.spans.len() * 80);
-        out.push_str(&format!(
-            "{{\"kind\":\"trace_meta\",\"schema_version\":{schema_version},\"tracks\":["
-        ));
-        for (i, name) in self.tracks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::string_into(name, &mut out);
-        }
-        out.push_str(&format!("],\"spans\":{}}}\n", self.spans.len()));
+        json::object(&mut out, |o| {
+            o.str("kind", "trace_meta")
+                .num("schema_version", schema_version);
+            o.array("tracks", |a| {
+                for name in &self.tracks {
+                    a.str(name);
+                }
+            });
+            o.num("spans", self.spans.len());
+        });
+        out.push('\n');
         for s in &self.spans {
-            out.push_str(&format!("{{\"track\":{},\"name\":", s.track));
-            json::string_into(&s.name, &mut out);
-            out.push_str(",\"cat\":");
-            json::string_into(&s.cat, &mut out);
-            out.push_str(&format!(
-                ",\"start_ns\":{},\"dur_ns\":{},\"depth\":{}}}\n",
-                s.start_ns,
-                s.dur_ns(),
-                s.depth
-            ));
+            json::object(&mut out, |o| {
+                o.num("track", s.track).str("name", &s.name);
+                o.str("cat", &s.cat).num("start_ns", s.start_ns);
+                o.num("dur_ns", s.dur_ns()).num("depth", s.depth);
+            });
+            out.push('\n');
         }
         out
     }
@@ -399,32 +398,41 @@ impl Trace {
         let (_, meta) = lines
             .next()
             .ok_or_else(|| "trace line 1: empty input".to_string())?;
-        json::validate(meta).map_err(|e| format!("trace line 1: {e}"))?;
-        if !meta.starts_with("{\"kind\":\"trace_meta\"") {
+        let meta = json::parse(meta).map_err(|e| format!("trace line 1: {e}"))?;
+        if meta.get("kind").and_then(Value::as_str) != Some("trace_meta") {
             return Err("trace line 1: missing trace_meta header".to_string());
         }
-        let schema_version = field_u64(meta, "schema_version")
+        let schema_version = meta
+            .get("schema_version")
+            .and_then(Value::as_u64)
             .ok_or_else(|| "trace line 1: missing schema_version".to_string())?
             as u32;
-        let tracks = meta_tracks(meta).ok_or_else(|| "trace line 1: bad tracks".to_string())?;
+        let tracks: Option<Vec<String>> = match meta.get("tracks") {
+            Some(Value::Arr(names)) => names
+                .iter()
+                .map(|n| n.as_str().map(str::to_string))
+                .collect(),
+            _ => None,
+        };
+        let tracks = tracks.ok_or_else(|| "trace line 1: bad tracks".to_string())?;
         let mut spans = Vec::new();
         for (lineno, line) in lines {
-            json::validate(line).map_err(|e| format!("trace line {lineno}: {e}"))?;
+            let span = json::parse(line).map_err(|e| format!("trace line {lineno}: {e}"))?;
             let bad = || format!("trace line {lineno}: missing span field");
-            let track = field_u64(line, "track").ok_or_else(bad)? as usize;
+            let num = |key| span.get(key).and_then(Value::as_u64).ok_or_else(bad);
+            let text = |key| span.get(key).and_then(Value::as_str).ok_or_else(bad);
+            let track = num("track")? as usize;
             if track >= tracks.len() {
                 return Err(format!("trace line {lineno}: track {track} out of range"));
             }
-            let start_ns = field_u64(line, "start_ns").ok_or_else(bad)?;
-            let dur_ns = field_u64(line, "dur_ns").ok_or_else(bad)?;
-            let depth = field_u64(line, "depth").ok_or_else(bad)? as u32;
+            let start_ns = num("start_ns")?;
             spans.push(TracedSpan {
                 track,
-                name: field_str(line, "name").ok_or_else(bad)?,
-                cat: field_str(line, "cat").ok_or_else(bad)?,
+                name: text("name")?.to_string(),
+                cat: text("cat")?.to_string(),
                 start_ns,
-                end_ns: start_ns + dur_ns,
-                depth,
+                end_ns: start_ns + num("dur_ns")?,
+                depth: num("depth")? as u32,
             });
         }
         spans.sort_by_key(|s| (s.track, s.start_ns, s.depth));
@@ -451,80 +459,13 @@ fn merge_intervals(iv: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// Nanoseconds rendered as microseconds with 3 decimal places (the
+/// Nanoseconds shown as microseconds with 3 decimal places (the
 /// resolution Chrome's trace viewer expects), exactly.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
+struct Micros(u64);
 
-/// Extract an unsigned integer field `"key":123` from a flat JSON object
-/// line we emitted ourselves (no nested objects between keys).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract a string field `"key":"..."` (JSON-unescaped) from a flat
-/// object line we emitted ourselves.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    unescape_prefix(&line[at..])
-}
-
-/// Unescape a JSON string up to its closing quote.
-fn unescape_prefix(s: &str) -> Option<String> {
-    let mut out = String::new();
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Parse the `"tracks":[...]` array from the meta line.
-fn meta_tracks(meta: &str) -> Option<Vec<String>> {
-    let at = meta.find("\"tracks\":[")? + "\"tracks\":[".len();
-    let mut rest = &meta[at..];
-    let mut tracks = Vec::new();
-    loop {
-        match rest.chars().next()? {
-            ']' => return Some(tracks),
-            ',' => rest = &rest[1..],
-            '"' => {
-                let name = unescape_prefix(&rest[1..])?;
-                // Skip past the escaped representation: re-escape to find
-                // the consumed length deterministically.
-                let consumed = 1 + json::escape(&name).len() + 1;
-                rest = &rest[consumed..];
-                tracks.push(name);
-            }
-            _ => return None,
-        }
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
     }
 }
 
@@ -664,6 +605,16 @@ mod tests {
         let (back, ver) = Trace::from_jsonl(&jsonl).unwrap();
         assert_eq!(ver, 3);
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn from_jsonl_decodes_every_string_escape() {
+        let text = r#"{"kind":"trace_meta","schema_version":3,"tracks":["a\/b","\u0041b"],"spans":1}
+{"track":1,"name":"k\u00e9rnel\/x","cat":"c","start_ns":0,"dur_ns":5,"depth":0}"#;
+        let (trace, version) = Trace::from_jsonl(text).unwrap();
+        assert_eq!(version, 3);
+        assert_eq!(trace.tracks(), ["a/b", "Ab"]);
+        assert_eq!(trace.spans()[0].name, "k\u{e9}rnel/x");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the telemetry primitives: bucket boundaries,
-//! merge associativity, and escaping always yielding valid JSON.
+//! merge associativity, and escaping always yielding valid JSON that
+//! parses back to the string escaped.
 
 use ascetic_obs::json;
 use ascetic_obs::{Histogram, Registry};
@@ -80,6 +81,20 @@ proptest! {
     fn escaped_string_always_validates(s in "\\PC*") {
         let doc = format!("\"{}\"", json::escape(&s));
         prop_assert!(json::validate(&doc).is_ok(), "escape({s:?}) -> invalid JSON");
+    }
+
+    /// The parser reads back any string the writer quotes: ASCII (control
+    /// characters included) interleaved with code points from the whole
+    /// range.
+    #[test]
+    fn parse_reads_back_what_string_into_writes(
+        pairs in prop::collection::vec((0u32..0x80, 0u32..0x11_0000), 0..32),
+    ) {
+        let codes = pairs.into_iter().flat_map(|(ascii, any)| [ascii, any]);
+        let s: String = codes.filter_map(char::from_u32).collect();
+        let mut doc = String::new();
+        json::string_into(&s, &mut doc);
+        prop_assert_eq!(json::parse(&doc), Ok(json::Value::Str(s)));
     }
 
     /// Snapshot JSON stays valid for arbitrary label/metric content,

@@ -47,6 +47,6 @@ pub use policy::{Policy, ALL_POLICIES};
 pub use report::{JobReport, LatencyBreakdown, LatencyPercentiles, RejectedJob, ServeReport};
 pub use server::{serve, serve_mutating, ServeConfig, ServeError};
 pub use trace::{
-    mutating_to_jsonl, parse_trace, parse_trace_mutating, synthetic_mixed, synthetic_mutations,
-    to_jsonl, MutatingTrace, TraceError, TraceErrorKind, TraceMutation,
+    parse_trace, parse_trace_mutating, synthetic_mixed, synthetic_mutations, MutatingTrace,
+    TraceError, TraceErrorKind, TraceMutation,
 };

@@ -1,5 +1,5 @@
 //! Serve-level reporting: per-job reports plus the aggregate serve report,
-//! with a hand-rolled JSON emitter matching the repo's other report paths.
+//! written to JSON through `ascetic_obs::json` like every other report.
 
 use ascetic_algos::AlgoOutput;
 use ascetic_core::{RunReport, RUN_REPORT_SCHEMA_VERSION};
@@ -199,143 +199,71 @@ impl ServeReport {
     /// are byte-identical iff their schedules *and* answers agree.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.jobs.len() * 160);
-        out.push('{');
-        json::key_into("schema_version", &mut out);
-        out.push_str(&RUN_REPORT_SCHEMA_VERSION.to_string());
-        out.push(',');
-        json::key_into("policy", &mut out);
-        json::string_into(self.policy, &mut out);
-        for (k, v) in [
-            ("devices", self.devices as u64),
-            ("makespan_ns", self.makespan_ns),
-            ("total_queue_wait_ns", self.total_queue_wait_ns),
-            ("ondemand_h2d_bytes", self.ondemand_h2d_bytes),
-            ("prestore_bytes", self.prestore_bytes),
-            ("residency_hit_bytes", self.residency_hit_bytes),
-            ("batches", self.batches as u64),
-            ("batched_jobs", self.batched_jobs as u64),
-            ("sessions_built", self.sessions_built as u64),
-            ("replications", self.replications as u64),
-            ("replicated_bytes", self.replicated_bytes),
-            ("mutations_applied", self.mutations_applied as u64),
-            ("mutation_wire_bytes", self.mutation_wire_bytes),
-            ("batch_occupancy_x100", self.batch_occupancy_x100()),
-        ] {
-            out.push(',');
-            json::key_into(k, &mut out);
-            out.push_str(&v.to_string());
-        }
-        out.push(',');
-        json::key_into("latency", &mut out);
-        let lb = self.latency_breakdown();
-        out.push('{');
-        for (i, (k, p)) in [
-            ("total", lb.total),
-            ("queue", lb.queue),
-            ("admission", lb.admission),
-            ("h2d", lb.h2d),
-            ("compute", lb.compute),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            json::key_into(k, &mut out);
-            out.push_str(&format!(
-                "{{\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-                p.p50_ns, p.p90_ns, p.p99_ns
-            ));
-        }
-        out.push('}');
-        out.push(',');
-        json::key_into("occupancy", &mut out);
-        out.push_str(&format!(
-            "{{\"capacity_bytes\":{},\"used_bytes\":{},\"high_water_bytes\":{}}}",
-            self.occupancy.capacity_bytes,
-            self.occupancy.used_bytes,
-            self.occupancy.high_water_bytes
-        ));
-        out.push(',');
-        json::key_into("jobs", &mut out);
-        out.push('[');
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json::key_into("id", &mut out);
-            out.push_str(&j.id.to_string());
-            out.push(',');
-            json::key_into("algo", &mut out);
-            json::string_into(j.algo, &mut out);
-            out.push(',');
-            json::key_into("batch", &mut out);
-            match j.batch {
-                Some(b) => out.push_str(&b.to_string()),
-                None => out.push_str("null"),
-            }
-            for (k, v) in [
-                ("device", j.device as u64),
-                ("lanes", j.lanes as u64),
-                ("batch_folds", j.batch_folds as u64),
-                ("submit_ns", j.submit_ns),
-                ("start_ns", j.start_ns),
-                ("finish_ns", j.finish_ns),
-                ("queue_wait_ns", j.queue_wait_ns),
-                ("admission_ns", j.admission_ns),
-                ("h2d_ns", j.h2d_ns),
-                ("compute_ns", j.compute_ns),
-                ("run_sim_ns", j.run.sim_time_ns),
-            ] {
-                out.push(',');
-                json::key_into(k, &mut out);
-                out.push_str(&v.to_string());
-            }
-            out.push(',');
-            json::key_into("deadline_ns", &mut out);
-            match j.deadline_ns {
-                Some(d) => out.push_str(&d.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push(',');
-            json::key_into("met_deadline", &mut out);
-            match j.met_deadline {
-                Some(true) => out.push_str("true"),
-                Some(false) => out.push_str("false"),
-                None => out.push_str("null"),
-            }
-            out.push(',');
-            json::key_into("output_fp", &mut out);
-            out.push_str(&format!("\"{:016x}\"", j.output.fingerprint()));
-            out.push('}');
-        }
-        out.push(']');
-        out.push(',');
-        json::key_into("rejected", &mut out);
-        out.push('[');
-        for (i, r) in self.rejected.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json::key_into("id", &mut out);
-            out.push_str(&r.id.to_string());
-            out.push(',');
-            json::key_into("algo", &mut out);
-            json::string_into(r.algo, &mut out);
-            out.push(',');
-            json::key_into("reason", &mut out);
-            json::string_into(&r.reason, &mut out);
-            out.push('}');
-        }
-        out.push(']');
-        out.push(',');
-        json::key_into("metrics", &mut out);
-        out.push_str(&self.metrics.to_json());
-        out.push('}');
-        debug_assert!(json::validate(&out).is_ok(), "serve report JSON malformed");
+        json::object(&mut out, |o| {
+            o.num("schema_version", RUN_REPORT_SCHEMA_VERSION);
+            o.str("policy", self.policy).num("devices", self.devices);
+            o.num("makespan_ns", self.makespan_ns);
+            o.num("total_queue_wait_ns", self.total_queue_wait_ns);
+            o.num("ondemand_h2d_bytes", self.ondemand_h2d_bytes);
+            o.num("prestore_bytes", self.prestore_bytes);
+            o.num("residency_hit_bytes", self.residency_hit_bytes);
+            o.num("batches", self.batches);
+            o.num("batched_jobs", self.batched_jobs);
+            o.num("sessions_built", self.sessions_built);
+            o.num("replications", self.replications);
+            o.num("replicated_bytes", self.replicated_bytes);
+            o.num("mutations_applied", self.mutations_applied);
+            o.num("mutation_wire_bytes", self.mutation_wire_bytes);
+            o.num("batch_occupancy_x100", self.batch_occupancy_x100());
+            let lb = self.latency_breakdown();
+            o.object("latency", |l| {
+                for (k, p) in [
+                    ("total", lb.total),
+                    ("queue", lb.queue),
+                    ("admission", lb.admission),
+                    ("h2d", lb.h2d),
+                    ("compute", lb.compute),
+                ] {
+                    l.object(k, |q| {
+                        q.num("p50_ns", p.p50_ns).num("p90_ns", p.p90_ns);
+                        q.num("p99_ns", p.p99_ns);
+                    });
+                }
+            });
+            let occ = &self.occupancy;
+            o.object("occupancy", |m| {
+                m.num("capacity_bytes", occ.capacity_bytes);
+                m.num("used_bytes", occ.used_bytes);
+                m.num("high_water_bytes", occ.high_water_bytes);
+            });
+            o.array("jobs", |a| {
+                for j in &self.jobs {
+                    a.object(|o| {
+                        o.num("id", j.id).str("algo", j.algo).opt("batch", j.batch);
+                        o.num("device", j.device).num("lanes", j.lanes);
+                        o.num("batch_folds", j.batch_folds);
+                        o.num("submit_ns", j.submit_ns).num("start_ns", j.start_ns);
+                        o.num("finish_ns", j.finish_ns);
+                        o.num("queue_wait_ns", j.queue_wait_ns);
+                        o.num("admission_ns", j.admission_ns);
+                        o.num("h2d_ns", j.h2d_ns).num("compute_ns", j.compute_ns);
+                        o.num("run_sim_ns", j.run.sim_time_ns);
+                        o.opt("deadline_ns", j.deadline_ns);
+                        o.opt("met_deadline", j.met_deadline);
+                        o.str("output_fp", format_args!("{:016x}", j.output.fingerprint()));
+                    });
+                }
+            });
+            o.array("rejected", |a| {
+                for r in &self.rejected {
+                    a.object(|o| {
+                        o.num("id", r.id).str("algo", r.algo);
+                        o.str("reason", &r.reason);
+                    });
+                }
+            });
+            o.raw("metrics", &self.metrics.to_json());
+        });
         out
     }
 

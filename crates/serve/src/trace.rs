@@ -295,54 +295,6 @@ fn parse(
     Ok(MutatingTrace { jobs, mutations })
 }
 
-/// Serialize a mutating trace back to JSONL (inverse of
-/// [`parse_trace_mutating`] up to line order, which the parser
-/// canonicalizes anyway).
-pub fn mutating_to_jsonl(jobs: &[Job], mutations: &[TraceMutation]) -> String {
-    let mut out = to_jsonl(jobs);
-    for m in mutations {
-        match m.mutation {
-            Mutation::Insert { src, dst, weight } => {
-                out.push_str(&format!(
-                    "{{\"mutate\": \"insert\", \"src\": {src}, \"dst\": {dst}"
-                ));
-                if let Some(w) = weight {
-                    out.push_str(&format!(", \"weight\": {w}"));
-                }
-            }
-            Mutation::Delete { src, dst } => {
-                out.push_str(&format!(
-                    "{{\"mutate\": \"delete\", \"src\": {src}, \"dst\": {dst}"
-                ));
-            }
-        }
-        out.push_str(&format!(", \"at\": {}}}\n", m.at_ns));
-    }
-    out
-}
-
-/// Serialize jobs back to the JSONL trace format (inverse of
-/// [`parse_trace`]; used by the bench to persist generated traces).
-pub fn to_jsonl(jobs: &[Job]) -> String {
-    let mut out = String::new();
-    for j in jobs {
-        out.push_str(&format!(
-            "{{\"id\": {}, \"algo\": \"{}\"",
-            j.id,
-            j.kind.name()
-        ));
-        if let Some(s) = j.source {
-            out.push_str(&format!(", \"source\": {s}"));
-        }
-        out.push_str(&format!(", \"submit_ns\": {}", j.submit_ns));
-        if let Some(d) = j.deadline_ns {
-            out.push_str(&format!(", \"deadline_ns\": {d}"));
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Generate a mixed serve trace: `n_jobs` jobs cycling through
 /// BFS/SSSP/CC/PR (weighted SSSP interleaved with the unweighted kinds, so
 /// a FIFO schedule keeps flipping the device between graph variants while
@@ -488,14 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let jobs = synthetic_mixed(12, 100, 42, 1_000, 3);
-        let text = to_jsonl(&jobs);
-        let back = parse_trace(&text, Some(100)).unwrap();
-        assert_eq!(jobs, back);
-    }
-
-    #[test]
     fn mutating_trace_interleaves_jobs_and_mutations() {
         let text = "{\"id\": 1, \"algo\": \"cc\", \"submit_ns\": 50}\n\
                     {\"mutate\": \"insert\", \"src\": 1, \"dst\": 2, \"at\": 500, \"weight\": 3}\n\
@@ -585,21 +529,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.line, 1);
         assert!(matches!(err.kind, TraceErrorKind::Syntax(_)));
-    }
-
-    #[test]
-    fn mutating_jsonl_round_trips() {
-        let jobs = synthetic_mixed(9, 50, 4, 1_000, 3);
-        let muts = synthetic_mutations(7, 50, 8, 2_000);
-        let text = mutating_to_jsonl(&jobs, &muts);
-        let back = parse_trace_mutating(&text, Some(50)).unwrap();
-        assert_eq!(back.jobs, jobs);
-        assert_eq!(back.mutations, muts);
-        assert_eq!(
-            synthetic_mutations(7, 50, 8, 2_000),
-            muts,
-            "generator is deterministic"
-        );
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub struct XferStats {
     /// stream (on-demand / reactive bytes are `h2d_bytes` minus this).
     pub h2d_prefetch_bytes: u64,
     /// Device→host payload bytes. Always 0: no system in the tree copies
-    /// results back over the link. The column stays because the summary
-    /// CSV header and `benchmark/` read it.
+    /// results back over the link. The field stays because every report's
+    /// snapshot names it (`xfer.d2h_bytes`) and `benchmark/` reads it.
     pub d2h_bytes: u64,
     /// Number of H2D DMA operations.
     pub h2d_ops: u64,

@@ -8,9 +8,7 @@
 //! * pages of configurable size (Pascal default 64 KiB),
 //! * a device-capacity-bounded resident set with **O(1) LRU** (hash map +
 //!   intrusive doubly-linked list),
-//! * fault / hit / eviction / migrated-byte accounting,
-//! * `prefetch` mimicking `cudaMemPrefetchAsync`-style bulk hints
-//!   (the paper's tuned UVM baseline uses `cudaMemAdvise`).
+//! * fault / hit / eviction / migrated-byte accounting.
 //!
 //! The paper's two UVM pathologies fall out naturally: sparse accesses
 //! drag in whole pages (amplification), and reuse distances larger than
@@ -32,10 +30,8 @@ pub struct UvmStats {
     pub faults: u64,
     /// Pages evicted to make room.
     pub evictions: u64,
-    /// Bytes migrated host→device (faults + prefetches).
+    /// Bytes migrated host→device by faults.
     pub migrated_bytes: u64,
-    /// Bytes migrated via prefetch hints only.
-    pub prefetched_bytes: u64,
 }
 
 /// Intrusive LRU list node.
@@ -213,27 +209,6 @@ impl Uvm {
         self.lru.insert(page);
         self.model.fault_in_ns()
     }
-
-    /// Bulk prefetch hint (`cudaMemPrefetchAsync`-style): migrate the page
-    /// range without fault stalls, at migration bandwidth. Returns the
-    /// charged time. Pages already resident are skipped.
-    pub fn prefetch(&mut self, pages: std::ops::Range<PageId>) -> u64 {
-        let mut migrated = 0u64;
-        for p in pages {
-            if self.lru.touch(p) {
-                continue;
-            }
-            if self.lru.len() >= self.capacity_pages {
-                self.lru.pop_lru();
-                self.stats.evictions += 1;
-            }
-            self.lru.insert(p);
-            migrated += self.model.page_bytes;
-        }
-        self.stats.migrated_bytes += migrated;
-        self.stats.prefetched_bytes += migrated;
-        crate::time::ns_for_bytes(migrated, self.model.bandwidth_bps)
-    }
 }
 
 #[cfg(test)]
@@ -291,26 +266,6 @@ mod tests {
             "LRU must thrash on cyclic oversubscribed scan"
         );
         assert_eq!(u.stats.faults, 24);
-    }
-
-    #[test]
-    fn prefetch_is_cheaper_per_byte_than_faulting() {
-        let mut a = Uvm::new(model(), 64 * 1024);
-        let mut b = Uvm::new(model(), 64 * 1024);
-        let t_prefetch = a.prefetch(0..16);
-        let t_faults: u64 = (0..16).map(|p| b.touch(p)).sum();
-        assert!(t_prefetch < t_faults);
-        assert_eq!(a.stats.prefetched_bytes, 16 * 1024);
-        assert_eq!(a.resident_pages(), b.resident_pages());
-    }
-
-    #[test]
-    fn prefetch_skips_resident() {
-        let mut u = Uvm::new(model(), 64 * 1024);
-        u.touch(5);
-        let migrated_before = u.stats.migrated_bytes;
-        u.prefetch(5..6);
-        assert_eq!(u.stats.migrated_bytes, migrated_before);
     }
 
     #[test]

@@ -72,26 +72,7 @@ proptest! {
     }
 
     #[test]
-    fn prefetch_then_touch_always_hits(
-        cap in 4usize..32,
-        pages in proptest::collection::vec(0u64..16, 1..16),
-    ) {
-        // prefetching a set smaller than capacity guarantees hits
-        let distinct: std::collections::BTreeSet<u64> = pages.iter().copied().collect();
-        prop_assume!(distinct.len() <= cap);
-        let mut uvm = Uvm::new(model(1024), cap as u64 * 1024);
-        for &p in &distinct {
-            uvm.prefetch(p..p + 1);
-        }
-        let faults_before = uvm.stats.faults;
-        for &p in &pages {
-            uvm.touch(p);
-        }
-        prop_assert_eq!(uvm.stats.faults, faults_before, "no faults after prefetch");
-    }
-
-    #[test]
-    fn migrated_bytes_equal_faults_plus_prefetches(
+    fn migrated_bytes_equal_faults(
         cap in 1usize..16,
         accesses in proptest::collection::vec(0u64..48, 1..500),
     ) {
@@ -100,6 +81,5 @@ proptest! {
             uvm.touch(p);
         }
         prop_assert_eq!(uvm.stats.migrated_bytes, uvm.stats.faults * 512);
-        prop_assert_eq!(uvm.stats.prefetched_bytes, 0);
     }
 }

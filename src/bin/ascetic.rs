@@ -588,26 +588,24 @@ fn print_report(r: &RunReport, dataset_bytes: u64) {
 /// Write the `--metrics-out` JSONL document: one meta line, one line per
 /// recorded event, and one final metrics-snapshot line.
 fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str) -> Res {
-    let mut out = format!(
-        "{{\"kind\":\"meta\",\"schema_version\":{RUN_REPORT_SCHEMA_VERSION},\
-         \"system\":\"{}\",\"algorithm\":\"{}\",\"graph\":\"{}\",\
-         \"events\":{},\"events_dropped\":{},\"first_drop_at\":{}}}\n",
-        json::escape(r.system),
-        json::escape(r.algorithm),
-        json::escape(graph),
-        r.events.as_ref().map_or(0, |e| e.len()),
-        r.events_dropped,
-        r.first_drop_at
-            .map_or("null".to_string(), |t| t.to_string()),
-    );
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.str("kind", "meta");
+        o.num("schema_version", RUN_REPORT_SCHEMA_VERSION);
+        o.str("system", r.system).str("algorithm", r.algorithm);
+        o.str("graph", graph);
+        o.num("events", r.events.as_ref().map_or(0, |e| e.len()));
+        o.num("events_dropped", r.events_dropped);
+        o.opt("first_drop_at", r.first_drop_at);
+    });
+    out.push('\n');
     if let Some(events) = &r.events {
         out.push_str(&events.to_jsonl());
     }
-    writeln!(
-        out,
-        "{{\"kind\":\"metrics\",\"data\":{}}}",
-        r.metrics.to_json()
-    )?;
+    json::object(&mut out, |o| {
+        o.str("kind", "metrics").raw("data", &r.metrics.to_json());
+    });
+    out.push('\n');
     Ok(std::fs::write(path, out)?)
 }
 
