@@ -47,11 +47,8 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "disc_fill_policy"       "§5"                 studies::fill_policy => "front / rear / random fill of the static region on FK";
     "motivation_stats"       "§1-§2"              studies::motivation => "UVM transfer amplification and Subway GPU idle on FK";
     "ablation_chunk_size"    "§3.4 (extension)"   studies::chunk_size => "2-64 KiB chunks on FK";
-    "ablation_k_sweep"       "Eq (2) (extension)" studies::k_sweep => "K from 2 % to 45 % on FK";
     "ablation_double_buffer" "extension"          studies::double_buffer => "1 / 2 / 4 on-demand buffers on FS";
-    "ablation_relabel"       "§5 (extension)"     studies::relabel => "degree-descending relabeling under a front fill on FK";
     "ablation_cost_model"    "extension"          studies::cost_model => "gather bandwidth and kernel rate swept around the P100 point";
-    "session_amortization"   "§4.3 (extension)"   studies::session_amortization => "BFS, CC, PR over one session against three one-shot runs";
     "compression"            "extension"          sweeps::compression => "compression off / adaptive, 16 cells -> BENCH_compression.json";
     "prefetch"               "extension"          sweeps::prefetch => "prefetch off / next-frontier, 16 cells -> BENCH_prefetch.json";
     "direction"              "extension"          sweeps::direction => "push / pull / adaptive x compression, 12 cells -> BENCH_direction.json";

@@ -19,7 +19,7 @@ const FK_UK: [DatasetId; 2] = [DatasetId::Fk, DatasetId::Uk];
 
 /// The static share Eq (2) picks for `g` at activity estimate `k` on the
 /// environment's device.
-pub fn eq2_share(env: &Env, g: &Csr, k: f64) -> f64 {
+fn eq2_share(env: &Env, g: &Csr, k: f64) -> f64 {
     let mut gpu = Gpu::new(env.device());
     let _v = reserve_vertex_arrays(&mut gpu, g);
     static_share(k, g.edge_bytes(), edge_budget_bytes(&gpu))

@@ -1,17 +1,14 @@
 //! The §1/§5 studies and the ablations beyond the paper: each one is
 //! "configuration variants × a few cells → columns".
 
-use ascetic_algos::{Bfs, Cc, PageRank};
 use ascetic_baselines::SubwaySystem;
-use ascetic_core::{AsceticConfig, AsceticSession, FillPolicy, RunReport};
+use ascetic_core::{AsceticConfig, FillPolicy};
 use ascetic_graph::datasets::DatasetId;
-use ascetic_graph::transform::relabel_by_degree;
 
-use super::paper::eq2_share;
 use crate::fmt::{human_bytes, num, secs, text, val, Sheet, Table};
 use crate::output::{emit, emit_pivot, write_csv};
-use crate::run::{ascetic, grid, run_cell, Ctx, Variant};
-use crate::setup::{run_algo_in_memory, source_vertex, Algo};
+use crate::run::{ascetic, grid, Ctx, Variant};
+use crate::setup::Algo;
 
 const FK: [DatasetId; 1] = [DatasetId::Fk];
 
@@ -267,147 +264,5 @@ pub fn double_buffer(cx: &mut Ctx) {
         "Expectation: a few percent from pipelining transfer under compute when\n\
          iterations span many batches; negligible once the static region absorbs\n\
          most of the traffic."
-    );
-}
-
-/// Sensitivity to the K parameter of Eq (2). The paper picks K = 10 %
-/// ("the percentage of active edges in the data set in each iteration is
-/// mostly around 10%, except PR") and claims the resulting split is
-/// near-optimal; this sweeps K and reports the share and runtime it gives.
-pub fn k_sweep(cx: &mut Ctx) {
-    let cfg = cx.env.ascetic_cfg();
-    let ks = [0.02, 0.05, 0.10, 0.20, 0.30, 0.45];
-    let variants = ks.map(|k| ascetic(format!("K={k}"), cfg.with_k(k)));
-    let mut sheet = Sheet::new(&[
-        ("", "algo"),
-        ("K", "k"),
-        ("Eq(2) share", "share"),
-        ("Time", "seconds"),
-        ("", "true_activity"),
-    ]);
-    for c in cx.sweep(&grid(&[Algo::Bfs, Algo::Cc, Algo::Pr], &FK), &variants) {
-        let truth = run_algo_in_memory(&c.graph, c.algo).avg_active_edge_fraction(&c.graph);
-        sheet.section(format!(
-            "{} (measured avg activity: {:.1}%)",
-            c.algo.display(),
-            truth * 100.0
-        ));
-        for (&k, rep) in ks.iter().zip(&c.reports) {
-            sheet.row(vec![
-                text(c.algo.display()),
-                val(format!("{:.0}%", k * 100.0), format!("{k:.2}")),
-                num(eq2_share(&cx.env, &c.graph, k), 2, "", 4),
-                secs(rep.seconds()),
-                text(format!("{truth:.4}")),
-            ]);
-        }
-    }
-    emit("ablation_k_sweep", &sheet);
-    println!(
-        "Expectation: runtimes vary only mildly across K — Eq (2)'s share moves\n\
-         slowly in K when D/M is moderate, which is why the paper's fixed 10%\n\
-         works across algorithms with very different true activity."
-    );
-}
-
-/// Degree-ordered relabeling × front fill (extension). The paper observes
-/// (§5) that placement barely matters because chunk access is
-/// near-uniform — a property of the vertex numbering: relabel so hubs
-/// come first and a front fill pins exactly the hot adjacency lists.
-pub fn relabel(cx: &mut Ctx) {
-    let variant = [ascetic("Ascetic", cx.env.ascetic_cfg())];
-    let pd = cx.dataset(DatasetId::Fk);
-    let mut sheet = Sheet::new(&[
-        ("Algo", "algo"),
-        ("Order", "order"),
-        ("Time", "seconds"),
-        ("Static hit", "static_hit_pct"),
-        ("Steady xfer", "steady_bytes"),
-    ]);
-    for algo in [Algo::Cc, Algo::Pr] {
-        let natural = pd.graph(algo);
-        let (relabeled, _map) = relabel_by_degree(natural);
-        for (order, g) in [("natural", &**natural), ("degree-desc", &relabeled)] {
-            let rep = run_cell(&cx.env, algo, order, g, &variant).remove(0);
-            sheet.row(vec![
-                text(algo.display()),
-                text(order),
-                secs(rep.seconds()),
-                num(rep.static_edge_fraction() * 100.0, 1, "%", 2),
-                val(
-                    format!("{:.2}MB", rep.steady_bytes() as f64 / 1e6),
-                    rep.steady_bytes(),
-                ),
-            ]);
-        }
-    }
-    emit("ablation_relabel", &sheet);
-    println!(
-        "Expectation: with hubs front-loaded, the front-filled static region covers\n\
-         a larger share of the *touched* edges, cutting steady transfer — the gain\n\
-         is bounded by how skewed the degree distribution is.\n\
-         Caveat: CC is confounded — min-label propagation converges faster when\n\
-         the hub holds label 0, a separate (also classic) benefit of relabeling;\n\
-         PR isolates the locality effect (same iterations, less transfer)."
-    );
-}
-
-/// Amortizing the prestore across an analytics pipeline (extension).
-/// Paper §4.3: "In practice, the Static Region can be reused throughout
-/// the graph processing": a BFS → CC → PR pipeline over one
-/// [`AsceticSession`] (prestore paid once) versus three one-shot runs.
-pub fn session_amortization(cx: &mut Ctx) {
-    let cfg = cx.env.ascetic_cfg();
-    let oneshot = [ascetic("Ascetic", cfg)];
-    let mut sheet = Sheet::new(&[
-        ("Dataset", "dataset"),
-        ("Pipeline", ""),
-        ("Session time", "session_ns"),
-        ("One-shot time", "oneshot_ns"),
-        ("Session xfer", "session_bytes"),
-        ("One-shot xfer", "oneshot_bytes"),
-        ("Saved", ""),
-    ]);
-    let cost = |reps: &[RunReport]| {
-        let ns: u64 = reps.iter().map(|r| r.sim_time_ns).sum();
-        let bytes: u64 = reps.iter().map(|r| r.total_bytes_with_prestore()).sum();
-        (ns, bytes)
-    };
-    for id in [DatasetId::Fk, DatasetId::Uk] {
-        let pd = cx.dataset(id);
-        let g = &*pd.unweighted;
-        let mut session = AsceticSession::new(cfg, g);
-        let (s_ns, s_bytes) = cost(&[
-            session.run(&Bfs::new(source_vertex(g))),
-            session.run(&Cc::new()),
-            session.run(&PageRank::new()),
-        ]);
-        let cells = cx.sweep(&grid(&[Algo::Bfs, Algo::Cc, Algo::Pr], &[id]), &oneshot);
-        let reps: Vec<RunReport> = cells.into_iter().flat_map(|c| c.reports).collect();
-        let (o_ns, o_bytes) = cost(&reps);
-        let (ms, mb) = (|ns: u64| ns as f64 / 1e6, |b: u64| b as f64 / 1e6);
-        sheet.row(vec![
-            text(id.abbr()),
-            text("BFS,CC,PR"),
-            val(format!("{:.2}ms", ms(s_ns)), s_ns),
-            val(format!("{:.2}ms", ms(o_ns)), o_ns),
-            val(format!("{:.1}MB", mb(s_bytes)), s_bytes),
-            val(format!("{:.1}MB", mb(o_bytes)), o_bytes),
-            text(format!(
-                "{:+.1}ms / {:+.1}MB",
-                (o_ns as i64 - s_ns as i64) as f64 / 1e6,
-                (o_bytes as i64 - s_bytes as i64) as f64 / 1e6
-            )),
-        ]);
-    }
-    emit("session_amortization", &sheet);
-    println!(
-        "The saving approximates two prestores, in time and in bytes — §4.3's\n\
-         point that the prestore is a per-graph cost, not a per-algorithm one.\n\
-         Nothing reshapes the warm region between or within runs (DESIGN.md §19),\n\
-         so later runs add no replacement traffic. A session that looked faster\n\
-         than this before §19 owed it to Eq (3) firing in the BFS: the donated\n\
-         tail became an accidental second on-demand buffer for CC and PR —\n\
-         pipelining that is `od_buffers`' job (see ablation_double_buffer)."
     );
 }

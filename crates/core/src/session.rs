@@ -1278,6 +1278,28 @@ mod tests {
         assert_eq!(third.prestore_bytes, 0);
         assert_eq!(session.runs(), 3);
         assert!(session.resident_fraction() > 0.0);
+
+        // against three one-shot runs on the same graph, the session saves
+        // exactly the two prestores it skips: nothing reshapes the region
+        // between runs, so every later run moves what a cold one would
+        // after its prestore
+        use crate::engine::AsceticSystem;
+        use crate::system::OutOfCoreSystem;
+        let sys = AsceticSystem::new(cfg_for(&g));
+        let one_shot = [
+            sys.run(&g, &Bfs::new(0)),
+            sys.run(&g, &Cc::new()),
+            sys.run(&g, &PageRank::new()),
+        ];
+        let (warm, cold) = ([&first, &second, &third], one_shot.each_ref());
+        assert!(warm.iter().chain(&cold).all(|r| r.repartitions == 0));
+        let bytes =
+            |rs: &[&RunReport]| -> u64 { rs.iter().map(|r| r.total_bytes_with_prestore()).sum() };
+        let ns = |rs: &[&RunReport]| -> u64 { rs.iter().map(|r| r.sim_time_ns).sum() };
+        let skipped = cold[1].prestore_bytes + cold[2].prestore_bytes;
+        assert!(skipped > 0);
+        assert_eq!(bytes(&warm), bytes(&cold) - skipped);
+        assert!(ns(&warm) < ns(&cold));
     }
 
     #[test]

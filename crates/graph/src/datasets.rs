@@ -110,6 +110,13 @@ impl DatasetId {
         }
     }
 
+    /// Vertex and edge counts of the stand-in at divisor `scale`.
+    pub(crate) fn scaled_size(self, scale: u64) -> (usize, u64) {
+        assert!(scale >= 1, "scale divisor must be >= 1");
+        let n = (self.paper_vertices() / scale).max(2) as usize;
+        (n, (self.paper_edges() / scale).max(16))
+    }
+
     /// Deterministic seed for the stand-in generator.
     fn seed(self) -> u64 {
         match self {
@@ -135,9 +142,7 @@ impl Dataset {
     /// Build the scaled stand-in for `id` with divisor `scale`
     /// (use [`DEFAULT_SCALE`] to match the shipped experiments).
     pub fn build(id: DatasetId, scale: u64) -> Dataset {
-        assert!(scale >= 1, "scale divisor must be >= 1");
-        let n = (id.paper_vertices() / scale).max(2) as usize;
-        let m = (id.paper_edges() / scale).max(16);
+        let (n, m) = id.scaled_size(scale);
         let graph = match id.class() {
             GraphClass::Social => {
                 // Social graphs are undirected; the CSR holds ~m entries,
@@ -252,6 +257,31 @@ mod tests {
         let a = Dataset::build(DatasetId::Uk, TEST_SCALE);
         let b = Dataset::build(DatasetId::Uk, TEST_SCALE);
         assert_eq!(a.graph, b.graph);
+    }
+
+    #[test]
+    fn every_social_community_is_non_empty_at_every_divisor() {
+        // the ring arithmetic alone, as `Dataset::build` sizes it: no edge
+        // is generated
+        let social = DatasetId::ALL
+            .into_iter()
+            .filter(|d| d.class() == GraphClass::Social);
+        for id in social {
+            for scale in 50..=8_000 {
+                let (n, m) = id.scaled_size(scale);
+                let (count, size) = SocialConfig::new(n, m / 2, id.seed()).communities();
+                let at = format!("{} at 1/{scale} (n = {n}, {count} x {size})", id.abbr());
+                for c in 0..count {
+                    let (lo, hi) = (c * size, ((c + 1) * size).min(n));
+                    assert!(lo < hi, "{at}: community {c} is empty");
+                }
+                assert_eq!(
+                    (n - 1) / size,
+                    count - 1,
+                    "{at}: the last id has no community"
+                );
+            }
+        }
     }
 
     #[test]

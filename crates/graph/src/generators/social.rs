@@ -63,6 +63,13 @@ impl SocialConfig {
             seed,
         }
     }
+
+    /// The community ring as `(count, size)`; no community is empty.
+    pub(crate) fn communities(&self) -> (usize, usize) {
+        let n = self.num_vertices;
+        let size = n.div_ceil((n / self.community_size.max(1)).clamp(1, n));
+        (n.div_ceil(size), size)
+    }
 }
 
 /// Sample a geometric ring hop ≥ 1 with mean ≈ `mean`.
@@ -86,8 +93,7 @@ pub fn social_graph(cfg: &SocialConfig) -> Csr {
         "intra_frac must be in [0,1]"
     );
     let n = cfg.num_vertices;
-    let communities = (n / cfg.community_size.max(1)).clamp(1, n);
-    let comm_size = n.div_ceil(communities);
+    let (communities, comm_size) = cfg.communities();
 
     // Zipf-ish expected-degree weights, permuted so hubs are spread across
     // the id space (and hence across communities).
@@ -102,14 +108,9 @@ pub fn social_graph(cfg: &SocialConfig) -> Csr {
 
     // Per-community alias tables so intra-community endpoints still follow
     // the power law.
-    let mut local_tables: Vec<AliasTable> = Vec::with_capacity(communities);
-    for c in 0..communities {
-        let lo = c * comm_size;
-        let hi = ((c + 1) * comm_size).min(n);
-        local_tables.push(AliasTable::new(&weights[lo..hi]));
-    }
+    let local_tables: Vec<AliasTable> = weights.chunks(comm_size).map(AliasTable::new).collect();
     let global = AliasTable::new(&weights);
-    let comm_of = |v: usize| (v / comm_size).min(communities - 1);
+    let comm_of = |v: usize| v / comm_size;
 
     let m = cfg.num_edges as usize;
     let batches = parallel_map_fixed_blocks(m, 65_536, |block, range| {
@@ -236,6 +237,18 @@ mod tests {
         }
         let frac = intra as f64 / total as f64;
         assert!(frac > 0.7, "intra fraction {frac:.2}");
+    }
+
+    #[test]
+    fn sizes_whose_last_community_was_empty_generate() {
+        // 263 169: the last community was empty (the alias table's assert);
+        // 263 681: it started past the last id (an out-of-range slice)
+        for n in [263_169, 263_681] {
+            let cfg = SocialConfig::new(n, 10_000, 1);
+            let (count, size) = cfg.communities();
+            assert!((count - 1) * size < n, "n = {n}: {count} x {size}");
+            assert_eq!(social_graph(&cfg).num_vertices(), n);
+        }
     }
 
     #[test]

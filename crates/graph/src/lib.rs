@@ -34,7 +34,6 @@ pub mod generators;
 pub mod partition;
 pub mod patch;
 pub mod stats;
-pub mod transform;
 pub mod types;
 
 pub use builder::GraphBuilder;
