@@ -45,8 +45,8 @@ use ascetic_par::{AtomicBitmap, Bitmap};
 /// A view over the edge payload of one vertex (or a piece of it).
 ///
 /// Two zero-copy layouts are supported:
-/// * **Packed** — the device serialization format produced by
-///   [`Csr::write_edge_words`]: `[target]` per edge unweighted or
+/// * **Packed** — the device serialization format [`Csr::copy_edge_words`]
+///   writes into device windows: `[target]` per edge unweighted or
 ///   `[target, weight]` interleaved (what the partition buffers, on-demand
 ///   region and static region hold);
 /// * **Split** — the host CSR's separate target/weight arrays (what the

@@ -11,9 +11,22 @@
 use ascetic_algos::VertexProgram;
 use ascetic_core::engine::{finish_report, RunBase};
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
-use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
+use ascetic_core::system::{
+    check_edge_budget, edge_budget_bytes, reserve_vertex_arrays, PrepareError,
+};
 use ascetic_graph::Csr;
 use ascetic_sim::{DevPtr, DeviceConfig, Gpu, SimTime};
+
+/// What PT's and Subway's `prepare` check: the vertex arrays fit and leave
+/// room for one edge entry — the least [`Frame::edge_buffer`] accepts.
+pub(crate) fn check_edge_room(g: &Csr, device: &DeviceConfig) -> Result<(), PrepareError> {
+    let budget = check_edge_budget(g, device.mem_bytes)?;
+    let edge = g.bytes_per_edge() as u64;
+    if budget < edge {
+        return Err(PrepareError::EdgeBudgetBelowOneEdge { budget, edge });
+    }
+    Ok(())
+}
 
 /// One baseline run's device and report state.
 pub(crate) struct Frame {

@@ -112,6 +112,7 @@ impl From<UvmSystem> for AnySystem {
 #[cfg(test)]
 mod any_tests {
     use super::*;
+    use ascetic_algos::traits::DEVICE_BYTES_PER_VERTEX;
     use ascetic_algos::Bfs;
     use ascetic_core::AsceticConfig;
     use ascetic_graph::generators::uniform_graph;
@@ -152,6 +153,17 @@ mod any_tests {
                 "{} must refuse",
                 sys.name()
             );
+        }
+        // vertex arrays that fill the device exactly leave no edge buffer:
+        // the streaming baselines refuse instead of panicking in `run`
+        let g = uniform_graph(1_000, 8_000, false, 3);
+        let full = DeviceConfig::p100(g.num_vertices() as u64 * DEVICE_BYTES_PER_VERTEX);
+        for sys in [
+            AnySystem::from(SubwaySystem::new(full)),
+            AnySystem::from(PtSystem::new(full)),
+        ] {
+            let err = sys.prepare(&g).expect_err(sys.name());
+            assert_eq!(err.to_string(), "edge budget 0 B below one 4-byte edge");
         }
     }
 }

@@ -21,9 +21,9 @@ use ascetic_par::parallel_for_work;
 use ascetic_sim::DeviceConfig;
 
 use ascetic_core::report::RunReport;
-use ascetic_core::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
+use ascetic_core::system::{OutOfCoreSystem, PrepareError};
 
-use crate::frame::Frame;
+use crate::frame::{check_edge_room, Frame};
 
 /// The PT baseline system.
 pub struct PtSystem {
@@ -65,7 +65,7 @@ impl OutOfCoreSystem for PtSystem {
     }
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
-        check_vertex_fit(g, self.device.mem_bytes).map(drop)
+        check_edge_room(g, &self.device)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {
@@ -79,7 +79,6 @@ impl OutOfCoreSystem for PtSystem {
         let state = prog.new_state(g);
         let mut active = prog.initial_frontier(g);
         let mut next = NextFrontier::new(g.num_vertices());
-        let mut staging: Vec<u32> = Vec::new();
 
         let mut drive = Drive::new(prog, g, &state);
         while drive.begin(&mut active).is_some() {
@@ -110,16 +109,17 @@ impl OutOfCoreSystem for PtSystem {
                     if len == 0 {
                         break;
                     }
-                    staging.clear();
                     let edge_lo = p.edges.start + shipped / wpe as u64;
                     let edge_hi = edge_lo + (len / wpe) as u64;
-                    g.write_edge_words(edge_lo..edge_hi, &mut staging);
-                    let dst = buffer.slice(0, staging.len());
-                    // strict chain: transfer waits for the previous compute
+                    let dst = buffer.slice(0, len);
+                    // strict chain: transfer waits for the previous compute;
+                    // the slice's words are copied straight into the buffer
                     let ready = gpu.timeline.now();
-                    let t_span = gpu.h2d_at(dst, &staging, ready);
+                    let t_span = gpu.h2d_fill_at(dst, 0, ready, |window| {
+                        g.copy_edge_words(edge_lo..edge_hi, window)
+                    });
                     breakdown.transfer_ns += t_span.duration();
-                    payload += (staging.len() * 4) as u64;
+                    payload += dst.len_bytes();
 
                     // GraphReduce-style kernel: the partition is processed
                     // in its entirety (every resident edge is scanned; the
@@ -163,7 +163,7 @@ impl OutOfCoreSystem for PtSystem {
                             );
                         });
                     }
-                    shipped += staging.len() as u64;
+                    shipped += len as u64;
                     if part_words == 0 {
                         break;
                     }

@@ -26,10 +26,10 @@ use ascetic_sim::DeviceConfig;
 use ascetic_core::codec::{eligible, ship_batch, EncodeScratch};
 use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::RunReport;
-use ascetic_core::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
+use ascetic_core::system::{OutOfCoreSystem, PrepareError};
 use ascetic_core::CompressionMode;
 
-use crate::frame::Frame;
+use crate::frame::{check_edge_room, Frame};
 
 /// The Subway baseline system.
 pub struct SubwaySystem {
@@ -81,7 +81,7 @@ impl OutOfCoreSystem for SubwaySystem {
     }
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
-        check_vertex_fit(g, self.device.mem_bytes).map(drop)
+        check_edge_room(g, &self.device)
     }
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {

@@ -13,7 +13,7 @@ use ascetic_serve::{
 use ascetic_sim::InterconnectConfig;
 
 use crate::fmt::{human_bytes, text, val, Sheet};
-use crate::output::{emit, lit, obj, quoted, Json};
+use crate::output::emit;
 use crate::run::Ctx;
 use crate::setup::{bench_program, Algo, Env};
 
@@ -89,7 +89,6 @@ pub fn serve(cx: &mut Ctx) {
         ("Batched", "batched_jobs"),
     ]);
     let mb = |b: u64| format!("{:.2} MB", b as f64 / 1e6);
-    let mut policies = Vec::new();
     for r in &reports {
         sheet.row(vec![
             text(r.policy),
@@ -108,51 +107,42 @@ pub fn serve(cx: &mut Ctx) {
                 r.batched_jobs,
             ),
         ]);
-        policies.push(obj(vec![
-            ("policy", quoted(r.policy)),
-            ("makespan_ns", lit(r.makespan_ns)),
-            ("total_queue_wait_ns", lit(r.total_queue_wait_ns)),
-            ("ondemand_h2d_bytes", lit(r.ondemand_h2d_bytes)),
-            ("prestore_bytes", lit(r.prestore_bytes)),
-            ("residency_hit_bytes", lit(r.residency_hit_bytes)),
-            ("sessions_built", lit(r.sessions_built)),
-            ("batches", lit(r.batches)),
-            ("batched_jobs", lit(r.batched_jobs)),
-            ("batch_occupancy_x100", lit(r.batch_occupancy_x100())),
-        ]));
     }
     emit("serve", &sheet);
 
     let (fifo, ra) = (&reports[0], &reports[2]);
-    let saved = |f: u64, r: u64| lit(f as i64 - r as i64);
-    let vs_fifo = obj(vec![
-        ("makespan_saved_ns", saved(fifo.makespan_ns, ra.makespan_ns)),
-        (
-            "ondemand_h2d_saved_bytes",
-            saved(fifo.ondemand_h2d_bytes, ra.ondemand_h2d_bytes),
-        ),
-        (
-            "prestores_avoided",
-            saved(fifo.sessions_built as u64, ra.sessions_built as u64),
-        ),
-    ]);
+    let saved = |f: fn(&ServeReport) -> u64| f(fifo) as i64 - f(ra) as i64;
     let hits = ra.residency_hit_bytes > 0;
-    let oracles = obj(vec![
-        ("outputs_identical_across_policies", lit(true)),
-        ("batched_identical_to_individual", lit(true)),
-        ("solo_makespan_ns", lit(solo.makespan_ns)),
-        ("residency_hit_bytes_nonzero", lit(hits)),
-    ]);
-    cx.write_json(
-        "serve",
-        vec![
-            ("jobs", lit(N_JOBS)),
-            ("trace_seed", lit(TRACE_SEED)),
-            ("policies", Json::Arr(policies)),
-            ("residency_vs_fifo", vs_fifo),
-            ("oracles", oracles),
-        ],
-    );
+    cx.write_json("serve", |o| {
+        o.num("jobs", N_JOBS).num("trace_seed", TRACE_SEED);
+        o.array("policies", |a| {
+            for r in &reports {
+                a.object(|p| {
+                    p.str("policy", r.policy)
+                        .num("makespan_ns", r.makespan_ns)
+                        .num("total_queue_wait_ns", r.total_queue_wait_ns)
+                        .num("ondemand_h2d_bytes", r.ondemand_h2d_bytes)
+                        .num("prestore_bytes", r.prestore_bytes)
+                        .num("residency_hit_bytes", r.residency_hit_bytes)
+                        .num("sessions_built", r.sessions_built)
+                        .num("batches", r.batches)
+                        .num("batched_jobs", r.batched_jobs)
+                        .num("batch_occupancy_x100", r.batch_occupancy_x100());
+                });
+            }
+        });
+        o.object("residency_vs_fifo", |v| {
+            v.num("makespan_saved_ns", saved(|r| r.makespan_ns))
+                .num("ondemand_h2d_saved_bytes", saved(|r| r.ondemand_h2d_bytes))
+                .num("prestores_avoided", saved(|r| r.sessions_built as u64));
+        });
+        o.object("oracles", |v| {
+            v.num("outputs_identical_across_policies", true)
+                .num("batched_identical_to_individual", true)
+                .num("solo_makespan_ns", solo.makespan_ns)
+                .num("residency_hit_bytes_nonzero", hits);
+        });
+    });
     println!(
         "residency vs fifo: makespan {:.2} ms -> {:.2} ms, on-demand H2D {:.2} MB -> {:.2} MB, \
          {} -> {} sessions",
@@ -264,7 +254,6 @@ pub fn fleet(cx: &mut Ctx) {
         ]
     };
     let base = serve_reps[0].makespan_ns;
-    let mut serve_json = Vec::new();
     for r in &serve_reps {
         let [makespan, speedup] = timing(base, r.makespan_ns);
         sheet.row(vec![
@@ -276,17 +265,7 @@ pub fn fleet(cx: &mut Ctx) {
             text(r.replicated_bytes),
             val("-", 0),
         ]);
-        serve_json.push(obj(vec![
-            ("devices", lit(r.devices)),
-            ("makespan_ns", lit(r.makespan_ns)),
-            ("speedup_x100", lit(speedup_x100(base, r.makespan_ns))),
-            ("replications", lit(r.replications)),
-            ("replicated_bytes", lit(r.replicated_bytes)),
-            ("sessions_built", lit(r.sessions_built)),
-            ("total_queue_wait_ns", lit(r.total_queue_wait_ns)),
-        ]));
     }
-    let mut algo_json = Vec::new();
     for (name, reps) in &algo_reps {
         for r in reps {
             let [makespan, speedup] = timing(reps[0].makespan_ns, r.makespan_ns);
@@ -300,35 +279,48 @@ pub fn fleet(cx: &mut Ctx) {
                 text(0),
                 val(exchange, r.exchange_bytes),
             ]);
-            algo_json.push(obj(vec![
-                ("algo", quoted(name)),
-                ("devices", lit(r.devices)),
-                ("iterations", lit(r.iterations)),
-                ("makespan_ns", lit(r.makespan_ns)),
-                ("exchange_bytes", lit(r.exchange_bytes)),
-                ("wire_bytes", lit(r.interconnect.total_bytes())),
-            ]));
         }
     }
     emit("fleet", &sheet);
 
     let (two, four) = (serve_reps[1].makespan_ns, serve_reps[2].makespan_ns);
-    let oracles = obj(vec![
-        ("outputs_identical_across_fleet_sizes", lit(true)),
-        ("serve_speedup_2dev_x100", lit(speedup_x100(base, two))),
-        ("serve_speedup_4dev_x100", lit(speedup_x100(base, four))),
-    ]);
-    cx.write_json(
-        "fleet",
-        vec![
-            ("jobs", lit(N_JOBS)),
-            ("trace_seed", lit(TRACE_SEED)),
-            ("fabric", quoted("nvlink")),
-            ("serve", Json::Arr(serve_json)),
-            ("algorithms", Json::Arr(algo_json)),
-            ("oracles", oracles),
-        ],
-    );
+    cx.write_json("fleet", |o| {
+        o.num("jobs", N_JOBS)
+            .num("trace_seed", TRACE_SEED)
+            .str("fabric", "nvlink");
+        o.array("serve", |a| {
+            for r in &serve_reps {
+                a.object(|s| {
+                    s.num("devices", r.devices)
+                        .num("makespan_ns", r.makespan_ns)
+                        .num("speedup_x100", speedup_x100(base, r.makespan_ns))
+                        .num("replications", r.replications)
+                        .num("replicated_bytes", r.replicated_bytes)
+                        .num("sessions_built", r.sessions_built)
+                        .num("total_queue_wait_ns", r.total_queue_wait_ns);
+                });
+            }
+        });
+        o.array("algorithms", |a| {
+            for (name, reps) in &algo_reps {
+                for r in reps {
+                    a.object(|s| {
+                        s.str("algo", name)
+                            .num("devices", r.devices)
+                            .num("iterations", r.iterations)
+                            .num("makespan_ns", r.makespan_ns)
+                            .num("exchange_bytes", r.exchange_bytes)
+                            .num("wire_bytes", r.interconnect.total_bytes());
+                    });
+                }
+            }
+        });
+        o.object("oracles", |v| {
+            v.num("outputs_identical_across_fleet_sizes", true)
+                .num("serve_speedup_2dev_x100", speedup_x100(base, two))
+                .num("serve_speedup_4dev_x100", speedup_x100(base, four));
+        });
+    });
     let (s2, s4) = (
         base as f64 / two.max(1) as f64,
         base as f64 / four.max(1) as f64,
@@ -443,35 +435,9 @@ pub fn incremental_repair(cx: &mut Ctx) {
                 val(human_bytes(recompute_wire), recompute_wire),
                 text(repair_iters),
             ]);
-            json_cells.push(obj(vec![
-                ("algo", quoted(algo.display())),
-                ("mode", quoted(mode)),
-                ("batch_frac", lit(frac)),
-                ("batch_edges", lit(batch_edges)),
-                (
-                    "repair",
-                    obj(vec![
-                        ("time_ns", lit(repair_ns)),
-                        ("wire_bytes", lit(repair_wire)),
-                        ("iterations", lit(repair_iters)),
-                    ]),
-                ),
-                (
-                    "recompute",
-                    obj(vec![
-                        ("time_ns", lit(recompute_ns)),
-                        ("wire_bytes", lit(recompute_wire)),
-                    ]),
-                ),
-                (
-                    "time_speedup_x1000",
-                    lit(recompute_ns * 1000 / repair_ns.max(1)),
-                ),
-                (
-                    "wire_saved_bytes",
-                    lit(recompute_wire as i64 - repair_wire as i64),
-                ),
-            ]));
+            let repair = [repair_ns, repair_wire, repair_iters];
+            let recompute = [recompute_ns, recompute_wire];
+            json_cells.push((algo, mode, frac, batch_edges, repair, recompute));
             let (wins_time, wins_wire) = (repair_ns < recompute_ns, repair_wire < recompute_wire);
             let cell = format!("{}/{frac_label}", algo.display());
             if frac <= 0.01 {
@@ -490,20 +456,34 @@ pub fn incremental_repair(cx: &mut Ctx) {
         }
     }
     emit("incremental", &sheet);
-    let totals = obj(vec![
-        ("small_batch_repair_wins_time", lit(small_wins_time)),
-        ("small_batch_repair_wins_wire", lit(small_wins_wire)),
-        ("fallback_cells_slower", lit(fallback_slower.len())),
-    ]);
-    cx.write_json(
-        "incremental",
-        vec![
-            ("dataset", quoted("fk")),
-            ("batches_per_cell", lit(BATCHES)),
-            ("cells", Json::Arr(json_cells)),
-            ("totals", totals),
-        ],
-    );
+    cx.write_json("incremental", |o| {
+        o.str("dataset", "fk").num("batches_per_cell", BATCHES);
+        o.array("cells", |a| {
+            for &(algo, mode, frac, batch_edges, [rn, rw, ri], [cn, cw]) in &json_cells {
+                a.object(|c| {
+                    c.str("algo", algo.display())
+                        .str("mode", mode)
+                        .num("batch_frac", frac)
+                        .num("batch_edges", batch_edges);
+                    c.object("repair", |r| {
+                        r.num("time_ns", rn)
+                            .num("wire_bytes", rw)
+                            .num("iterations", ri);
+                    });
+                    c.object("recompute", |r| {
+                        r.num("time_ns", cn).num("wire_bytes", cw);
+                    });
+                    c.num("time_speedup_x1000", cn * 1000 / rn.max(1))
+                        .num("wire_saved_bytes", cw as i64 - rw as i64);
+                });
+            }
+        });
+        o.object("totals", |t| {
+            t.num("small_batch_repair_wins_time", small_wins_time)
+                .num("small_batch_repair_wins_wire", small_wins_wire)
+                .num("fallback_cells_slower", fallback_slower.len());
+        });
+    });
     let small = "repair beats recompute on time and wire on every batch <= 1% of edges";
     cx.check_none(small, &small_losses);
     cx.check_none(

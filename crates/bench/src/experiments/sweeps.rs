@@ -4,9 +4,10 @@
 
 use ascetic_core::{AsceticConfig, CompressionMode, DirectionMode, PrefetchMode, RunReport};
 use ascetic_graph::datasets::DatasetId;
+use ascetic_obs::json::Array;
 
 use crate::fmt::{human_bytes, Table};
-use crate::output::{emit_pivot, lit, obj, quoted, Json};
+use crate::output::emit_pivot;
 use crate::run::{ascetic, grid, Cell, Ctx, Variant};
 use crate::setup::{Algo, Env, TABLE4_ORDER};
 
@@ -55,25 +56,30 @@ fn csv_rows(
 /// One cell of the sweep's JSON: identity, `tags`, one object per mode,
 /// then `deltas`.
 fn json_cell(
+    a: &mut Array<'_>,
     c: &Cell,
     (modes, first): (&[&str], usize),
-    tags: Vec<(&str, Json)>,
+    tags: &[(&str, &str)],
     metrics: &[Metric],
-    deltas: Vec<(&str, Json)>,
-) -> Json {
-    let mut fields = vec![
-        ("algo".to_string(), quoted(c.algo.display())),
-        ("dataset".to_string(), quoted(c.dataset.abbr())),
-    ];
-    let own = |(k, v): (&str, Json)| (k.to_string(), v);
-    fields.extend(tags.into_iter().map(own));
-    for (mode, r) in modes.iter().zip(&c.reports[first..]) {
-        let in_json = metrics.iter().filter(|m| !m.1.is_empty());
-        let stats = in_json.map(|m| (m.1, lit(m.2(r)))).collect();
-        fields.push((mode.replace('-', "_"), obj(stats)));
-    }
-    fields.extend(deltas.into_iter().map(own));
-    Json::Obj(fields)
+    deltas: [(&str, i64); 2],
+) {
+    a.object(|o| {
+        o.str("algo", c.algo.display())
+            .str("dataset", c.dataset.abbr());
+        for (key, tag) in tags {
+            o.str(key, tag);
+        }
+        for (mode, r) in modes.iter().zip(&c.reports[first..]) {
+            o.object(&mode.replace('-', "_"), |stats| {
+                for m in metrics.iter().filter(|m| !m.1.is_empty()) {
+                    stats.num(m.1, m.2(r));
+                }
+            });
+        }
+        for (key, d) in deltas {
+            o.num(key, d);
+        }
+    });
 }
 
 fn pct(part: f64, whole: u64) -> f64 {
@@ -153,26 +159,31 @@ pub fn compression(cx: &mut Ctx) {
             format!("{:.1}%", pct(wire(o) as f64 - wire(ad) as f64, wire(o))),
             format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
         ]);
-        let deltas = vec![
-            ("wire_saved_bytes", lit(delta(wire(o), wire(ad)))),
-            ("time_delta_ns", lit(dt)),
+        let deltas = [
+            ("wire_saved_bytes", delta(wire(o), wire(ad))),
+            ("time_delta_ns", dt),
         ];
-        json_cells.push(json_cell(c, (&MODES, 0), vec![], &metrics, deltas));
+        json_cells.push((c, deltas));
     }
     emit_pivot("compression", &table, &csv);
 
     let off_wire: u64 = cells.iter().map(|c| wire(&c.reports[0])).sum();
     let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[1])).sum();
     let slow = slower(&cells, "", 0, 1);
-    let totals = obj(vec![
-        ("off_wire_bytes", lit(off_wire)),
-        ("adaptive_wire_bytes", lit(ad_wire)),
-        ("wire_saved_bytes", lit(delta(off_wire, ad_wire))),
-        ("adaptive_saves_wire", lit(ad_wire < off_wire)),
-        ("cells_time_regressed", lit(slow.len())),
-    ]);
-    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
-    cx.write_json("compression", fields);
+    cx.write_json("compression", |o| {
+        o.array("cells", |a| {
+            for &(c, deltas) in &json_cells {
+                json_cell(a, c, (&MODES, 0), &[], &metrics, deltas);
+            }
+        });
+        o.object("totals", |t| {
+            t.num("off_wire_bytes", off_wire)
+                .num("adaptive_wire_bytes", ad_wire)
+                .num("wire_saved_bytes", delta(off_wire, ad_wire))
+                .num("adaptive_saves_wire", ad_wire < off_wire)
+                .num("cells_time_regressed", slow.len());
+        });
+    });
     cx.check(
         "adaptive puts fewer bytes on the wire than off",
         format!(
@@ -244,11 +255,11 @@ pub fn prefetch(cx: &mut Ctx) {
             format!("{:.0}%", n.prefetch_hit_rate() * 100.0),
             format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
         ]);
-        let deltas = vec![
-            ("stall_hidden_ns", lit(delta(stall_ns(o), stall_ns(n)))),
-            ("time_delta_ns", lit(dt)),
+        let deltas = [
+            ("stall_hidden_ns", delta(stall_ns(o), stall_ns(n))),
+            ("time_delta_ns", dt),
         ];
-        json_cells.push(json_cell(c, (&MODES, 0), vec![], &metrics, deltas));
+        json_cells.push((c, deltas));
     }
     emit_pivot("prefetch", &table, &csv);
 
@@ -256,14 +267,19 @@ pub fn prefetch(cx: &mut Ctx) {
     let nf_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[1])).sum();
     let hidden_pct = pct(off_stall as f64 - nf_stall as f64, off_stall);
     let slow = slower(&cells, "", 0, 1);
-    let totals = obj(vec![
-        ("off_stall_ns", lit(off_stall)),
-        ("next_frontier_stall_ns", lit(nf_stall)),
-        ("stall_hidden_pct", lit(format!("{hidden_pct:.2}"))),
-        ("cells_time_regressed", lit(slow.len())),
-    ]);
-    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
-    cx.write_json("prefetch", fields);
+    cx.write_json("prefetch", |o| {
+        o.array("cells", |a| {
+            for &(c, deltas) in &json_cells {
+                json_cell(a, c, (&MODES, 0), &[], &metrics, deltas);
+            }
+        });
+        o.object("totals", |t| {
+            t.num("off_stall_ns", off_stall)
+                .num("next_frontier_stall_ns", nf_stall)
+                .num("stall_hidden_pct", format_args!("{hidden_pct:.2}"))
+                .num("cells_time_regressed", slow.len());
+        });
+    });
     println!("next-frontier hides {hidden_pct:.1}% of on-demand refresh stall time");
     cx.check(
         "next-frontier hides the grid's on-demand stall time",
@@ -351,25 +367,27 @@ pub fn direction(cx: &mut Ctx) {
             if aw > pw || (c.algo == Algo::Bfs && pw > 0 && aw >= pw) {
                 not_reduced.push(format!("{}/{}{tag}", c.algo.display(), c.dataset.abbr()));
             }
-            let deltas = vec![
-                ("wire_saved_bytes", lit(delta(pw, aw))),
-                ("time_delta_ns", lit(dt)),
-            ];
-            let tags = vec![("compression", quoted(comp_name))];
-            json_cells.push(json_cell(c, (&MODES, first), tags, &metrics, deltas));
+            let deltas = [("wire_saved_bytes", delta(pw, aw)), ("time_delta_ns", dt)];
+            json_cells.push((c, first, comp_name, deltas));
         }
     }
     emit_pivot("direction", &table, &csv);
 
     let saved_pct = pct(push_wire as f64 - adaptive_wire as f64, push_wire);
-    let totals = obj(vec![
-        ("push_wire_bytes", lit(push_wire)),
-        ("adaptive_wire_bytes", lit(adaptive_wire)),
-        ("wire_saved_pct", lit(format!("{saved_pct:.2}"))),
-        ("cells_time_regressed", lit(slow.len())),
-    ]);
-    let fields = vec![("cells", Json::Arr(json_cells)), ("totals", totals)];
-    cx.write_json("direction", fields);
+    cx.write_json("direction", |o| {
+        o.array("cells", |a| {
+            for &(c, first, comp_name, deltas) in &json_cells {
+                let tags = [("compression", *comp_name)];
+                json_cell(a, c, (&MODES, first), &tags, &metrics, deltas);
+            }
+        });
+        o.object("totals", |t| {
+            t.num("push_wire_bytes", push_wire)
+                .num("adaptive_wire_bytes", adaptive_wire)
+                .num("wire_saved_pct", format_args!("{saved_pct:.2}"))
+                .num("cells_time_regressed", slow.len());
+        });
+    });
     println!("adaptive ships {saved_pct:.1}% fewer steady-state wire bytes than push-only");
     cx.check_none(
         "adaptive ships no more wire bytes than push (strictly fewer on BFS)",

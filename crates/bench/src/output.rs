@@ -3,6 +3,7 @@
 //! directory), and acceptance checks as data.
 
 use crate::fmt::{Sheet, Table};
+use ascetic_obs::json::{self, Layout, Object};
 use std::path::PathBuf;
 
 pub use ascetic_core::RUN_REPORT_SCHEMA_VERSION as SCHEMA_VERSION;
@@ -16,94 +17,27 @@ pub use ascetic_core::RUN_REPORT_SCHEMA_VERSION as SCHEMA_VERSION;
 /// stamping the new version onto an old layout.
 pub const EMITTED_SCHEMA_VERSION: u32 = 3;
 
-/// A JSON value in the `BENCH_*.json` house layout: top-level fields one
-/// per line, arrays one element per line, everything deeper inline.
-pub enum Json {
-    /// A number, boolean or pre-rendered document, written as is.
-    Lit(String),
-    /// A string, quoted on output.
-    Str(String),
-    /// An object, fields in order.
-    Obj(Vec<(String, Json)>),
-    /// An array.
-    Arr(Vec<Json>),
-}
-
-/// A literal (number / boolean) value.
-pub fn lit(x: impl ToString) -> Json {
-    Json::Lit(x.to_string())
-}
-
-/// A string value (bench strings need no escaping).
-pub fn quoted(s: impl ToString) -> Json {
-    Json::Str(s.to_string())
-}
-
-/// An object from `(key, value)` pairs.
-pub fn obj<K: Into<String>>(fields: Vec<(K, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-impl Json {
-    fn inline(&self) -> String {
-        match self {
-            Json::Lit(s) => s.clone(),
-            Json::Str(s) => format!("\"{s}\""),
-            Json::Obj(fields) => {
-                let body: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\": {}", v.inline()))
-                    .collect();
-                format!("{{{}}}", body.join(", "))
-            }
-            Json::Arr(items) => {
-                let body: Vec<String> = items.iter().map(Json::inline).collect();
-                format!("[{}]", body.join(", "))
-            }
-        }
-    }
-
-    /// Rendering as a top-level field's value: one level of line breaks.
-    fn block(&self) -> String {
-        let lines = |items: Vec<String>, open: char, close: char| {
-            format!("{open}\n    {}\n  {close}", items.join(",\n    "))
-        };
-        match self {
-            Json::Obj(fields) => lines(
-                fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\": {}", v.inline()))
-                    .collect(),
-                '{',
-                '}',
-            ),
-            Json::Arr(items) => lines(items.iter().map(Json::inline).collect(), '[', ']'),
-            scalar => scalar.inline(),
-        }
-    }
-}
-
-/// A whole `BENCH_*.json` document: the [`SCHEMA_VERSION`] stamp and bench
-/// identity first, so downstream parsers can branch on layout before
-/// touching bench-specific fields, then `fields`.
-pub fn bench_json(bench: &str, smoke: bool, fields: Vec<(&str, Json)>) -> String {
+/// A whole `BENCH_*.json` document, written by `obs::json` in its house
+/// layout ([`Layout::House`]: top-level fields one per line, their items
+/// one per line, everything deeper inline): the [`SCHEMA_VERSION`] stamp
+/// and bench identity first, so downstream parsers can branch on layout
+/// before touching bench-specific fields, then the members `body` writes.
+pub fn bench_json(bench: &str, smoke: bool, body: impl FnOnce(&mut Object<'_>)) -> String {
     debug_assert_eq!(
         SCHEMA_VERSION, EMITTED_SCHEMA_VERSION,
         "RUN_REPORT_SCHEMA_VERSION moved ({SCHEMA_VERSION}) but the bench emitters still \
          target {EMITTED_SCHEMA_VERSION}; revisit the BENCH_*.json layouts and regenerate \
          the committed artifacts before bumping EMITTED_SCHEMA_VERSION"
     );
-    let mut all = vec![
-        ("schema_version", lit(SCHEMA_VERSION)),
-        ("bench", quoted(bench)),
-        ("smoke", lit(smoke)),
-    ];
-    all.extend(fields);
-    let body: Vec<String> = all
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {}", v.block()))
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
+    let mut doc = String::new();
+    json::object_in(Layout::House, 0, &mut doc, |o| {
+        o.num("schema_version", SCHEMA_VERSION)
+            .str("bench", bench)
+            .num("smoke", smoke);
+        body(o);
+    });
+    doc.push('\n');
+    doc
 }
 
 /// `<ASCETIC_RESULTS>/<file>` (directory created on demand) when the
@@ -126,10 +60,10 @@ pub fn write_csv(file: &str, content: &str) -> Option<PathBuf> {
 
 /// Write a [`bench_json`] document as `BENCH_<bench>.json` — under
 /// `$ASCETIC_RESULTS`, else in the current directory — and say where.
-pub fn write_json(bench: &str, smoke: bool, fields: Vec<(&str, Json)>) {
+pub fn write_json(bench: &str, smoke: bool, body: impl FnOnce(&mut Object<'_>)) {
     let file = format!("BENCH_{bench}.json");
     let path = output_path(&file).unwrap_or_else(|| PathBuf::from(file));
-    std::fs::write(&path, bench_json(bench, smoke, fields)).expect("write BENCH json");
+    std::fs::write(&path, bench_json(bench, smoke, body)).expect("write BENCH json");
     println!("wrote {}", path.display());
 }
 
@@ -179,18 +113,18 @@ mod tests {
 
     #[test]
     fn bench_json_stamps_the_schema_and_breaks_lines_one_level_deep() {
-        let doc = bench_json(
-            "some_bench",
-            false,
-            vec![
-                ("scale", lit(7)),
-                (
-                    "cells",
-                    Json::Arr(vec![obj(vec![("a", obj(vec![("b", lit(1))]))])]),
-                ),
-                ("totals", obj(vec![("ok", lit(true)), ("n", lit(2))])),
-            ],
-        );
+        let doc = bench_json("some_bench", false, |o| {
+            o.num("scale", 7).array("cells", |a| {
+                a.object(|c| {
+                    c.object("a", |a| {
+                        a.num("b", 1);
+                    });
+                });
+            });
+            o.object("totals", |t| {
+                t.num("ok", true).num("n", 2);
+            });
+        });
         let want = format!(
             "{{\n  \"schema_version\": {EMITTED_SCHEMA_VERSION},\n  \"bench\": \"some_bench\",\n  \
              \"smoke\": false,\n  \"scale\": 7,\n  \"cells\": [\n    {{\"a\": {{\"b\": 1}}}}\n  ],\n  \

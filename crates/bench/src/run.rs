@@ -12,8 +12,9 @@ use ascetic_baselines::AnySystem;
 use ascetic_core::{AsceticConfig, AsceticSystem, OutOfCoreSystem, RunReport};
 use ascetic_graph::datasets::{Dataset, DatasetId};
 use ascetic_graph::Csr;
+use ascetic_obs::json::Object;
 
-use crate::output::{lit, write_json, Check, Json};
+use crate::output::{write_json, Check};
 use crate::setup::{run_algo, Algo, Env, TABLE4_ORDER};
 
 /// One cell's results.
@@ -184,10 +185,12 @@ impl Ctx {
     }
 
     /// Write `BENCH_<bench>.json`: this run's `smoke` flag and scale, then
-    /// `fields`.
-    pub fn write_json(&self, bench: &str, mut fields: Vec<(&str, Json)>) {
-        fields.insert(0, ("scale", lit(self.env.scale)));
-        write_json(bench, self.smoke, fields);
+    /// the members `body` writes.
+    pub fn write_json(&self, bench: &str, body: impl FnOnce(&mut Object<'_>)) {
+        write_json(bench, self.smoke, |o| {
+            o.num("scale", self.env.scale);
+            body(o);
+        });
     }
 
     /// The stand-in for `id`, built on first use.

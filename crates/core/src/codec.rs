@@ -337,8 +337,10 @@ mod tests {
                 let mut cfg = DeviceConfig::p100(4096);
                 (cfg.pcie, cfg.decompress) = (p, d);
                 let mut gpu = Gpu::new(cfg);
-                gpu.timeline.schedule(Engine::Copy, SimTime::ZERO, link_free);
-                gpu.timeline.schedule(Engine::Compute, SimTime::ZERO, cf);
+                gpu.timeline
+                    .schedule_labeled(Engine::Copy, SimTime::ZERO, link_free, String::new);
+                gpu.timeline
+                    .schedule_labeled(Engine::Compute, SimTime::ZERO, cf, String::new);
                 let (decoded_at, raw_at) = chain(&p, &d, ready.max(link_free), cf, raw, wire);
                 let waited = encoded_wins(&gpu, SimTime(ready), raw, wire, true);
                 proptest::prop_assert_eq!(waited, decoded_at < raw_at.max(cf));
@@ -365,8 +367,10 @@ mod tests {
                 let mut cfg = DeviceConfig::p100(4096);
                 (cfg.pcie, cfg.decompress) = (p, d);
                 let mut gpu = Gpu::new(cfg);
-                gpu.timeline.schedule(Engine::Copy, SimTime::ZERO, link_free);
-                gpu.timeline.schedule(Engine::Compute, SimTime::ZERO, cf);
+                gpu.timeline
+                    .schedule_labeled(Engine::Copy, SimTime::ZERO, link_free, String::new);
+                gpu.timeline
+                    .schedule_labeled(Engine::Compute, SimTime::ZERO, cf, String::new);
                 for kernel_waits in [true, false] {
                     if encoded_wins(&gpu, SimTime(ready), raw, wire, kernel_waits) {
                         proptest::prop_assert!(wire < raw, "{wire} >= {raw} shipped encoded");

@@ -1,6 +1,7 @@
 //! Ascetic configuration.
 
 use ascetic_algos::{AlgoError, Capabilities};
+use ascetic_graph::chunks::DEFAULT_CHUNK_BYTES;
 use ascetic_sim::DeviceConfig;
 
 use crate::prefetch::PrefetchMode;
@@ -240,7 +241,7 @@ impl AsceticConfig {
             overlap: true,
             fill: FillPolicy::Front,
             adaptive: true,
-            chunk_bytes: 16 * 1024,
+            chunk_bytes: DEFAULT_CHUNK_BYTES,
             tracing: false,
             events: false,
             od_buffers: 1,

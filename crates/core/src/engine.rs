@@ -28,7 +28,7 @@ use ascetic_sim::{Engine, Gpu, KernelStats, XferStats};
 use crate::config::AsceticConfig;
 use crate::report::{utilization_from_trace, Breakdown, IterReport, RunReport, SCALARS};
 use crate::session::AsceticSession;
-use crate::system::{check_vertex_fit, OutOfCoreSystem, PrepareError};
+use crate::system::{check_edge_budget, OutOfCoreSystem, PrepareError};
 
 /// The Ascetic out-of-core system.
 ///
@@ -64,12 +64,8 @@ impl OutOfCoreSystem for AsceticSystem {
     }
 
     fn prepare(&self, g: &Csr) -> Result<(), PrepareError> {
-        let capacity = self.cfg.device.mem_bytes;
-        let vertex_bytes = check_vertex_fit(g, capacity)?;
+        let budget = check_edge_budget(g, self.cfg.device.mem_bytes)?;
         self.cfg.build()?;
-        // what `edge_budget_bytes` will report of the word-granular arena
-        // once `reserve_vertex_arrays` has run
-        let budget = capacity / 4 * 4 - vertex_bytes;
         let chunk = self.cfg.chunk_bytes as u64;
         if budget < 2 * chunk {
             return Err(PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk });

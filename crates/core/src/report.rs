@@ -74,40 +74,6 @@ impl IterUtilization {
     pub fn window_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
-
-    /// Time the link carried nothing, ns.
-    pub fn link_idle_ns(&self) -> u64 {
-        self.window_ns().saturating_sub(self.link_busy_ns)
-    }
-
-    /// Time the compute engine sat idle, ns (the per-iteration slice of
-    /// the Fig-8 / §2.2 GPU-idle accounting).
-    pub fn compute_idle_ns(&self) -> u64 {
-        self.window_ns().saturating_sub(self.compute_busy_ns)
-    }
-
-    /// Fraction of the window the link was busy, in `[0, 1]`.
-    pub fn link_busy_fraction(&self) -> f64 {
-        frac(self.link_busy_ns, self.window_ns())
-    }
-
-    /// Fraction of the window the compute engine was busy, in `[0, 1]`.
-    pub fn compute_busy_fraction(&self) -> f64 {
-        frac(self.compute_busy_ns, self.window_ns())
-    }
-
-    /// Fraction of the window link and compute overlapped, in `[0, 1]`.
-    pub fn overlap_fraction(&self) -> f64 {
-        frac(self.overlap_ns, self.window_ns())
-    }
-}
-
-fn frac(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 /// Time breakdown across the run (Figure 10 components), ns.
@@ -631,9 +597,6 @@ mod tests {
         assert_eq!(u[0].compute_busy_ns, 120);
         assert_eq!(u[0].overlap_ns, 70);
         assert_eq!(u[0].window_ns(), 200);
-        assert_eq!(u[0].link_idle_ns(), 50);
-        assert_eq!(u[0].compute_idle_ns(), 80);
-        assert!((u[0].overlap_fraction() - 0.35).abs() < 1e-12);
         // clipped window
         assert_eq!(u[1].link_busy_ns, 100);
         assert_eq!(u[1].compute_busy_ns, 20);

@@ -330,11 +330,6 @@ impl<'g> AsceticSession<'g> {
         self.region.resident_chunks() as f64 / self.geo.num_chunks().max(1) as f64
     }
 
-    /// The session's edge-chunk geometry.
-    pub fn geometry(&self) -> ChunkGeometry {
-        self.geo
-    }
-
     /// Bytes of edge data currently resident in the static region
     /// (actual chunk payload, short last chunk included).
     pub fn resident_bytes(&self) -> u64 {

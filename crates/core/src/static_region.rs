@@ -17,7 +17,7 @@
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, VertexId};
-use ascetic_par::{with_scratch, Bitmap};
+use ascetic_par::Bitmap;
 use ascetic_sim::{DevPtr, DeviceMemory, Gpu};
 
 use crate::config::FillPolicy;
@@ -176,7 +176,7 @@ impl StaticRegion {
         }
     }
 
-    /// Fill the region with `chunks` (one per free slot, in order), staging
+    /// Fill the region with `chunks` (one per free slot, in order), copying
     /// each chunk's edge words from the host CSR. Returns the bytes loaded;
     /// the caller charges the transfer time (prestore is a single bulk
     /// operation in the paper's accounting).
@@ -200,24 +200,18 @@ impl StaticRegion {
             .slice(slot * self.words_per_chunk, self.words_per_chunk)
     }
 
-    /// The one way a chunk reaches the device: stage `chunk`'s edge words
-    /// from the host CSR, write them over the front of `slot` and record
-    /// the chunk resident there (the `StaticBitmap` is the caller's). The
-    /// staging buffer comes from the thread-local scratch arena, so fills,
-    /// prefetch loads and swaps reuse one allocation. Returns the bytes
-    /// written.
+    /// The one way a chunk reaches the device: copy `chunk`'s edge words
+    /// from the host CSR straight over the front of `slot` (one copy, no
+    /// staging buffer) and record the chunk resident there (the
+    /// `StaticBitmap` is the caller's). Returns the bytes written.
     fn write_slot(&mut self, gpu: &mut Gpu, g: &Csr, slot: usize, chunk: ChunkId) -> u64 {
         self.chunk_of_slot[slot] = Some(chunk);
         self.slot_of_chunk[chunk as usize] = slot as u32;
-        with_scratch(|scratch| {
-            let mut staging = scratch.take_u32();
-            g.write_edge_words(self.geo.edge_range(chunk), &mut staging);
-            let dst = self.slot_ptr(slot).slice(0, staging.len());
-            gpu.mem.write(dst, &staging);
-            let bytes = (staging.len() * 4) as u64;
-            scratch.put_u32(staging);
-            bytes
-        })
+        let edges = self.geo.edge_range(chunk);
+        let words = (edges.end - edges.start) as usize * g.words_per_edge();
+        let dst = self.slot_ptr(slot).slice(0, words);
+        g.copy_edge_words(edges, gpu.mem.words_mut(dst));
+        dst.len_bytes()
     }
 
     /// Replace resident `evict` with non-resident `load` (the Figure 6

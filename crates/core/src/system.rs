@@ -31,6 +31,14 @@ pub enum PrepareError {
         /// Configured chunk size in bytes.
         chunk: u64,
     },
+    /// What the vertex arrays leave of device memory cannot hold one edge
+    /// entry, so a streaming baseline (PT, Subway) has no edge buffer.
+    EdgeBudgetBelowOneEdge {
+        /// Edge budget in bytes, as the run's arena will see it.
+        budget: u64,
+        /// Bytes per edge entry of the graph (4 or 8).
+        edge: u64,
+    },
     /// The system's configuration is invalid for this graph.
     Config(ConfigError),
 }
@@ -44,6 +52,9 @@ impl std::fmt::Display for PrepareError {
             ),
             PrepareError::EdgeBudgetBelowTwoChunks { budget, chunk } => {
                 write!(f, "edge budget {budget} B below two {chunk}-byte chunks")
+            }
+            PrepareError::EdgeBudgetBelowOneEdge { budget, edge } => {
+                write!(f, "edge budget {budget} B below one {edge}-byte edge")
             }
             PrepareError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
@@ -70,6 +81,14 @@ pub fn check_vertex_fit(g: &Csr, capacity_bytes: u64) -> Result<u64, PrepareErro
         });
     }
     Ok(need)
+}
+
+/// [`check_vertex_fit`], then the edge budget [`edge_budget_bytes`] will
+/// report of the word-granular arena once [`reserve_vertex_arrays`] has
+/// run — what Ascetic's, PT's and Subway's `prepare` size edge data by.
+pub fn check_edge_budget(g: &Csr, capacity_bytes: u64) -> Result<u64, PrepareError> {
+    let vertex_bytes = check_vertex_fit(g, capacity_bytes)?;
+    Ok(capacity_bytes / 4 * 4 - vertex_bytes)
 }
 
 /// An out-of-GPU-memory graph-processing system.

@@ -30,11 +30,6 @@ pub struct ChunkGeometry {
 }
 
 impl ChunkGeometry {
-    /// Geometry for `g` using the paper's 16 KiB chunks.
-    pub fn for_graph(g: &Csr) -> Self {
-        Self::with_chunk_bytes(g, DEFAULT_CHUNK_BYTES)
-    }
-
     /// Geometry for `g` with a custom chunk size (must hold ≥ 1 edge).
     pub fn with_chunk_bytes(g: &Csr, chunk_bytes: usize) -> Self {
         let bpe = g.bytes_per_edge();
@@ -140,7 +135,7 @@ mod tests {
     fn paper_chunk_counts() {
         // 16 KiB / 4 B = 4096 edges per chunk.
         let g = line_graph(10_000); // 9999 edges
-        let geo = ChunkGeometry::for_graph(&g);
+        let geo = ChunkGeometry::with_chunk_bytes(&g, DEFAULT_CHUNK_BYTES);
         assert_eq!(geo.edges_per_chunk, 4096);
         assert_eq!(geo.num_chunks(), 3); // 4096+4096+1807
         assert_eq!(geo.edge_range(0), 0..4096);
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn weighted_halves_edges_per_chunk() {
         let g = line_graph(100).with_weights_from(|_, _| 1);
-        let geo = ChunkGeometry::for_graph(&g);
+        let geo = ChunkGeometry::with_chunk_bytes(&g, DEFAULT_CHUNK_BYTES);
         assert_eq!(geo.edges_per_chunk, 2048);
         assert_eq!(geo.bytes_per_edge, 8);
     }
@@ -160,7 +155,7 @@ mod tests {
     #[test]
     fn chunk_of_edge_roundtrip() {
         let g = line_graph(20_000);
-        let geo = ChunkGeometry::for_graph(&g);
+        let geo = ChunkGeometry::with_chunk_bytes(&g, DEFAULT_CHUNK_BYTES);
         for c in 0..geo.num_chunks() as ChunkId {
             for e in geo.edge_range(c) {
                 assert_eq!(geo.chunk_of_edge(e), c);

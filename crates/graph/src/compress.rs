@@ -15,8 +15,8 @@
 //! Large entry lists are encoded in parallel on the persistent pool: an
 //! exact length pre-pass ([`encoded_len`]) computes each entry's offset,
 //! then workers fill disjoint windows of the output, so the byte stream is
-//! bit-identical at every thread count. The offline projection
-//! ([`compression_stats`]) remains for the ablation benchmark.
+//! bit-identical at every thread count. A whole graph's projection is
+//! `encode_ranges` over every vertex's full edge range.
 
 use crate::csr::Csr;
 use crate::types::VertexId;
@@ -242,50 +242,23 @@ pub fn decode_ranges(srcs: &[VertexId], buf: &[u8]) -> Option<Vec<Vec<VertexId>>
     (pos == buf.len()).then_some(out)
 }
 
-/// Compress every adjacency list of `g` (unweighted graphs only — weights
-/// would ride along uncompressed). Returns the byte stream plus per-vertex
-/// offsets.
-pub fn compress_graph(g: &Csr) -> (Vec<u8>, Vec<u64>) {
-    assert!(!g.is_weighted(), "compression covers unweighted payloads");
-    let mut bytes = Vec::new();
-    let mut offsets = Vec::with_capacity(g.num_vertices() + 1);
-    offsets.push(0u64);
-    for v in 0..g.num_vertices() as VertexId {
-        encode_adjacency(v, g.neighbors(v), &mut bytes);
-        offsets.push(bytes.len() as u64);
-    }
-    (bytes, offsets)
-}
-
-/// Compression statistics for a graph.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompressionStats {
-    /// Raw payload bytes (4 per edge).
-    pub raw_bytes: u64,
-    /// Compressed payload bytes.
-    pub compressed_bytes: u64,
-}
-
-impl CompressionStats {
-    /// Compression ratio (raw / compressed).
-    pub fn ratio(&self) -> f64 {
-        self.raw_bytes as f64 / self.compressed_bytes.max(1) as f64
-    }
-}
-
-/// Measure how much delta–varint coding would shrink `g`'s edge payload.
-pub fn compression_stats(g: &Csr) -> CompressionStats {
-    let (bytes, _) = compress_graph(g);
-    CompressionStats {
-        raw_bytes: g.num_edges() * 4,
-        compressed_bytes: bytes.len() as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{social_graph, uniform_graph, web_graph, SocialConfig, WebConfig};
+
+    /// Every vertex's whole adjacency list, in vertex order.
+    fn whole_graph(g: &Csr) -> Vec<EncodeEntry> {
+        (0..g.num_vertices() as VertexId)
+            .map(|v| (v, g.edge_range(v)))
+            .collect()
+    }
+
+    /// Raw over encoded bytes of `g`'s whole edge payload.
+    fn ratio(g: &Csr) -> f64 {
+        let n = encode_ranges(g, &whole_graph(g), &mut Vec::new());
+        g.edge_bytes() as f64 / n.max(1) as f64
+    }
 
     #[test]
     fn varint_roundtrip() {
@@ -349,13 +322,13 @@ mod tests {
     #[test]
     fn whole_graph_roundtrip() {
         let g = uniform_graph(500, 5_000, false, 3);
-        let (bytes, offsets) = compress_graph(&g);
-        assert_eq!(offsets.len(), g.num_vertices() + 1);
-        for v in 0..g.num_vertices() as u32 {
-            let lo = offsets[v as usize] as usize;
-            let (targets, used) = decode_adjacency(v, &bytes[lo..]).unwrap();
-            assert_eq!(&targets[..], g.neighbors(v), "vertex {v}");
-            assert_eq!(lo + used, offsets[v as usize + 1] as usize);
+        let entries = whole_graph(&g);
+        let mut bytes = Vec::new();
+        encode_ranges(&g, &entries, &mut bytes);
+        let srcs: Vec<VertexId> = entries.iter().map(|e| e.0).collect();
+        let lists = decode_ranges(&srcs, &bytes).unwrap();
+        for (v, targets) in lists.iter().enumerate() {
+            assert_eq!(&targets[..], g.neighbors(v as VertexId), "vertex {v}");
         }
     }
 
@@ -364,8 +337,7 @@ mod tests {
         // web graphs have tiny gaps (host locality) -> much better ratio
         let web = web_graph(&WebConfig::new(20_000, 160_000, 1));
         let soc = social_graph(&SocialConfig::new(20_000, 80_000, 1));
-        let rw = compression_stats(&web).ratio();
-        let rs = compression_stats(&soc).ratio();
+        let (rw, rs) = (ratio(&web), ratio(&soc));
         assert!(rw > 2.0, "web ratio {rw:.2}");
         assert!(rw > rs, "web {rw:.2} should beat social {rs:.2}");
     }
@@ -444,7 +416,6 @@ mod tests {
     fn compression_never_explodes() {
         // worst case per edge: 5 varint bytes + degree header; sanity-bound it
         let g = uniform_graph(1_000, 8_000, false, 9);
-        let s = compression_stats(&g);
-        assert!(s.compressed_bytes < s.raw_bytes * 2);
+        assert!(ratio(&g) > 0.5);
     }
 }

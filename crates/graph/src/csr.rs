@@ -187,9 +187,10 @@ impl Csr {
     /// Serialize the edge entries of edge-index range `r` as little-endian
     /// `u32` words (`target` or `target, weight` per edge) appended to
     /// `out`. Device memory in `ascetic-sim` is word-addressed, so this is
-    /// the staging format for every simulated PCIe transfer; one edge is 1
-    /// word unweighted, 2 words weighted — the 4/8-byte footprint of the
-    /// paper.
+    /// the device format of every edge payload; one edge is 1 word
+    /// unweighted, 2 words weighted — the 4/8-byte footprint of the paper.
+    /// Transfers write it in place with [`Csr::copy_edge_words`]; this
+    /// appending form is the reference the tests compare that against.
     pub fn write_edge_words(&self, r: std::ops::Range<u64>, out: &mut Vec<u32>) {
         let (s, e) = (r.start as usize, r.end as usize);
         match &self.weights {

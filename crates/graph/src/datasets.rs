@@ -25,9 +25,6 @@ use crate::types::Weight;
 /// Paper GPU memory cap: "we limit the GPU memory as 10GB".
 pub const PAPER_GPU_MEM_BYTES: u64 = 10 * (1 << 30);
 
-/// Default scale divisor applied to the paper's graph sizes.
-pub const DEFAULT_SCALE: u64 = 1000;
-
 /// Structural class of a dataset (selects the generator).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphClass {
@@ -84,11 +81,6 @@ impl DatasetId {
         }
     }
 
-    /// Whether the original graph is directed.
-    pub fn directed(self) -> bool {
-        matches!(self.class(), GraphClass::Web)
-    }
-
     /// Paper vertex count.
     pub fn paper_vertices(self) -> u64 {
         match self {
@@ -139,8 +131,8 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Build the scaled stand-in for `id` with divisor `scale`
-    /// (use [`DEFAULT_SCALE`] to match the shipped experiments).
+    /// Build the scaled stand-in for `id` with divisor `scale` (the
+    /// shipped experiments and the benchmark use 1000).
     pub fn build(id: DatasetId, scale: u64) -> Dataset {
         let (n, m) = id.scaled_size(scale);
         let graph = match id.class() {
@@ -153,12 +145,6 @@ impl Dataset {
             GraphClass::Rmat => unreachable!("use Dataset::rmat"),
         };
         Dataset { id, graph, scale }
-    }
-
-    /// The scaled GPU-memory cap matching this dataset's scale
-    /// (paper: 10 GB).
-    pub fn gpu_mem_bytes(&self) -> u64 {
-        PAPER_GPU_MEM_BYTES / self.scale
     }
 
     /// Weighted variant for SSSP: weights uniform in `1..=64` derived from a
@@ -201,10 +187,10 @@ mod tests {
     fn catalog_matches_paper_table3_order() {
         let names: Vec<&str> = DatasetId::ALL.iter().map(|d| d.abbr()).collect();
         assert_eq!(names, vec!["GS", "FK", "FS", "UK"]);
-        assert!(DatasetId::Gs.directed());
-        assert!(!DatasetId::Fk.directed());
-        assert!(!DatasetId::Fs.directed());
-        assert!(DatasetId::Uk.directed());
+        // the directed originals get the web stand-in
+        let classes: Vec<GraphClass> = DatasetId::ALL.iter().map(|d| d.class()).collect();
+        let (web, social) = (GraphClass::Web, GraphClass::Social);
+        assert_eq!(classes, [web, social, social, web]);
     }
 
     #[test]
@@ -224,12 +210,11 @@ mod tests {
     #[test]
     fn gpu_memory_scales_with_dataset() {
         let d = Dataset::build(DatasetId::Gs, TEST_SCALE);
-        assert_eq!(d.gpu_mem_bytes(), PAPER_GPU_MEM_BYTES / TEST_SCALE);
         // Dataset must oversubscribe the device like the paper's do (PR sizes
         // are 0.7-1.5x of 10GB; SSSP 1.4-2.9x).
         let sssp_bytes = d.weighted().edge_bytes();
         assert!(
-            sssp_bytes > d.gpu_mem_bytes(),
+            sssp_bytes > PAPER_GPU_MEM_BYTES / d.scale,
             "SSSP dataset must exceed GPU memory"
         );
     }

@@ -2,10 +2,10 @@
 //!
 //! The workspace policy is zero runtime dependencies (see `DESIGN.md` §3),
 //! so this module is the only code that knows JSON syntax: every report,
-//! event line and trace export is written through its streaming
-//! [`object()`] / [`array()`] writer, every reader goes through [`parse`], and
-//! the job-trace and mutation parsers share its flat-record splitter
-//! ([`records`]).
+//! event line, trace export and committed `BENCH_*.json` file is written
+//! through its streaming [`object()`] / [`array()`] writer (in one of three
+//! [`Layout`]s), every reader goes through [`parse`], and the job-trace and
+//! mutation parsers share its flat-record splitter ([`records`]).
 
 use std::fmt::{self, Display, Write as _};
 
@@ -27,13 +27,6 @@ pub fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// JSON-escaped copy of `s` (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
 }
 
 /// Append `"key":` to `out` (escaped key plus colon).
@@ -68,39 +61,93 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
-/// Append one JSON object to `out`; `body` writes its members.
+/// How a document breaks its lines. A container hands its layout to the
+/// containers nested in it, one level deeper.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// One line, no spaces: `{"a":[1,2]}` — reports, snapshots, JSONL.
+    Compact,
+    /// The outermost container one item per line, the rest compact (Perfetto).
+    Lines,
+    /// The `BENCH_*.json` house layout: two levels one item per line, two
+    /// spaces a level; deeper levels inline, as `{"k": 1, "v": [1, 2]}`.
+    House,
+}
+
+impl Layout {
+    /// What a container at `depth` writes after its opening bracket,
+    /// between two items and before its closing bracket.
+    fn breaks(self, depth: u8) -> [&'static str; 3] {
+        match (self, depth) {
+            (Layout::Lines, 0) => ["\n", ",\n", "\n"],
+            (Layout::House, 0) => ["\n  ", ",\n  ", "\n"],
+            (Layout::House, 1) => ["\n    ", ",\n    ", "\n  "],
+            (Layout::House, _) => ["", ", ", ""],
+            _ => ["", ",", ""],
+        }
+    }
+}
+
+/// Append one compact JSON object to `out`; `body` writes its members.
 pub fn object(out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
-    out.push('{');
-    body(&mut Object(Items(out, ",", true)));
-    out.push('}');
+    object_in(Layout::Compact, 0, out, body);
 }
 
-/// Append one JSON array to `out`; `body` writes its items.
+/// Append one compact JSON array to `out`; `body` writes its items.
 pub fn array(out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
-    out.push('[');
-    body(&mut Array(Items(out, ",", true)));
-    out.push(']');
+    array_in(Layout::Compact, 0, out, body);
 }
 
-/// [`array()`] with each item on a line of its own, the layout of a
-/// Chrome/Perfetto trace file.
-pub fn array_lines(out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
-    out.push_str("[\n");
-    body(&mut Array(Items(out, ",\n", true)));
-    out.push_str("\n]");
+/// [`object()`] in `layout`, as a container nested `depth` levels deep.
+pub fn object_in(layout: Layout, depth: u8, out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
+    let mut members = Object(Items::new(out, layout, depth, '{'));
+    body(&mut members);
+    members.0.close('}');
 }
 
-/// The buffer, the separator between items, and whether the next item is
-/// the first.
-struct Items<'a>(&'a mut String, &'static str, bool);
+/// [`array()`] in `layout`, as a container nested `depth` levels deep.
+pub fn array_in(layout: Layout, depth: u8, out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
+    let mut items = Array(Items::new(out, layout, depth, '['));
+    body(&mut items);
+    items.0.close(']');
+}
 
-impl Items<'_> {
+/// The items of a container being written: the buffer, the container's
+/// layout and depth, and whether the next item is the first.
+struct Items<'a>(&'a mut String, Layout, u8, bool);
+
+impl<'a> Items<'a> {
+    fn new(out: &'a mut String, layout: Layout, depth: u8, bracket: char) -> Self {
+        out.push(bracket);
+        out.push_str(layout.breaks(depth)[0]);
+        Items(out, layout, depth, true)
+    }
+
     /// The buffer, after the separator the next item needs.
     fn next(&mut self) -> &mut String {
-        if !std::mem::replace(&mut self.2, false) {
-            self.0.push_str(self.1);
+        if !std::mem::replace(&mut self.3, false) {
+            self.0.push_str(self.1.breaks(self.2)[1]);
         }
         self.0
+    }
+
+    /// The buffer, after the separator and `"key":` of the next member.
+    fn key(&mut self, key: &str) -> &mut String {
+        let space = if self.1 == Layout::House { " " } else { "" };
+        let out = self.next();
+        key_into(key, out);
+        out.push_str(space);
+        out
+    }
+
+    /// Layout and depth of a container nested in this one.
+    fn inner(&self) -> (Layout, u8) {
+        (self.1, self.2 + 1)
+    }
+
+    fn close(self, bracket: char) {
+        self.0.push_str(self.1.breaks(self.2)[2]);
+        self.0.push(bracket);
     }
 }
 
@@ -109,15 +156,9 @@ impl Items<'_> {
 pub struct Object<'a>(Items<'a>);
 
 impl Object<'_> {
-    fn key(&mut self, key: &str) -> &mut String {
-        let out = self.0.next();
-        key_into(key, out);
-        out
-    }
-
     /// `"key":v` for a number `v`.
     pub fn num(&mut self, key: &str, v: impl Display) -> &mut Self {
-        let _ = write!(self.key(key), "{v}");
+        let _ = write!(self.0.key(key), "{v}");
         self
     }
 
@@ -131,26 +172,28 @@ impl Object<'_> {
 
     /// `"key":"v"`, `v` escaped.
     pub fn str(&mut self, key: &str, v: impl Display) -> &mut Self {
-        display_string_into(v, self.key(key));
+        display_string_into(v, self.0.key(key));
         self
     }
 
     /// `"key":` and an object whose members `body` writes.
     pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
-        object(self.key(key), body);
+        let (layout, depth) = self.0.inner();
+        object_in(layout, depth, self.0.key(key), body);
         self
     }
 
     /// `"key":` and an array whose items `body` writes.
     pub fn array(&mut self, key: &str, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
-        array(self.key(key), body);
+        let (layout, depth) = self.0.inner();
+        array_in(layout, depth, self.0.key(key), body);
         self
     }
 
     /// `"key":` and `json`, a value rendered beforehand (an embedded
     /// metrics snapshot).
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
-        self.key(key).push_str(json);
+        self.0.key(key).push_str(json);
         self
     }
 }
@@ -173,13 +216,15 @@ impl Array<'_> {
 
     /// An object whose members `body` writes.
     pub fn object(&mut self, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
-        object(self.0.next(), body);
+        let (layout, depth) = self.0.inner();
+        object_in(layout, depth, self.0.next(), body);
         self
     }
 
     /// An array whose items `body` writes.
     pub fn array(&mut self, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
-        array(self.0.next(), body);
+        let (layout, depth) = self.0.inner();
+        array_in(layout, depth, self.0.next(), body);
         self
     }
 }
@@ -626,6 +671,12 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(s, &mut out);
+        out
+    }
+
     #[test]
     fn escaping_covers_specials() {
         assert_eq!(escape("plain"), "plain");
@@ -696,10 +747,40 @@ mod tests {
             r#"{"n":7,"none":null,"some":true,"s":"a\"b","a":[1,"0a",{},[]],"raw":{"k":[]}}"#;
         assert_eq!(out, want);
         let mut lines = String::new();
-        array_lines(&mut lines, |a| {
-            a.num(1u32).num(2u32);
+        array_in(Layout::Lines, 0, &mut lines, |a| {
+            a.num(1u32).object(|o| {
+                o.num("k", 2u32).array("v", |_| {});
+            });
         });
-        assert_eq!(lines, "[\n1,\n2\n]");
+        assert_eq!(lines, "[\n1,\n{\"k\":2,\"v\":[]}\n]");
+    }
+
+    #[test]
+    fn house_layout_breaks_two_levels_and_escapes_strings() {
+        let mut house = String::new();
+        object_in(Layout::House, 0, &mut house, |o| {
+            o.num("n", 1u32).str("s", "a\"b");
+            o.array("cells", |a| {
+                a.object(|c| {
+                    c.str("algo", "BFS").array("v", |v| {
+                        v.num(1u32).num(2u32);
+                    });
+                });
+            });
+            o.object("totals", |t| {
+                t.num("ok", true).object("deep", |d| {
+                    d.num("x", 3u32);
+                });
+            });
+        });
+        let want = "{\n  \"n\": 1,\n  \"s\": \"a\\\"b\",\n  \"cells\": [\n    \
+                    {\"algo\": \"BFS\", \"v\": [1, 2]}\n  ],\n  \"totals\": {\n    \
+                    \"ok\": true,\n    \"deep\": {\"x\": 3}\n  }\n}";
+        assert_eq!(house, want);
+        assert!(
+            validate(&house).is_ok(),
+            "a quote in a string stays valid JSON"
+        );
     }
 
     #[test]

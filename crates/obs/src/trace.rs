@@ -291,28 +291,6 @@ impl Trace {
         union.iter().map(|(s, e)| e - s).sum()
     }
 
-    /// Nanoseconds inside `[w0, w1)` where both `a`-union and `b`-union
-    /// are busy simultaneously — the transfer/compute *overlap* the paper
-    /// optimizes for (Figure 5).
-    pub fn overlap_ns(&self, a: &[usize], b: &[usize], w0: u64, w1: u64) -> u64 {
-        let ia = self.busy_union(a, w0, w1);
-        let ib = self.busy_union(b, w0, w1);
-        let (mut i, mut j, mut total) = (0, 0, 0u64);
-        while i < ia.len() && j < ib.len() {
-            let s = ia[i].0.max(ib[j].0);
-            let e = ia[i].1.min(ib[j].1);
-            if s < e {
-                total += e - s;
-            }
-            if ia[i].1 <= ib[j].1 {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        total
-    }
-
     /// The `k` longest spans, ties broken by earlier start, lower track,
     /// shallower depth (deterministic).
     pub fn top_spans(&self, k: usize) -> Vec<&TracedSpan> {
@@ -334,7 +312,7 @@ impl Trace {
             o.str("name", name).str("ph", "M").num("pid", 1u32);
             o.num("tid", tid);
         };
-        json::array_lines(&mut out, |events| {
+        json::array_in(json::Layout::Lines, 0, &mut out, |events| {
             events.object(|o| {
                 meta(o, "ascetic_schema", 0);
                 o.object("args", |a| {
@@ -569,8 +547,12 @@ mod tests {
         assert_eq!(trace.busy_ns(c0, 5, 25), 10);
         // Union of copy streams: [0,10) ∪ [5,25) ∪ [20,30) = [0,30).
         assert_eq!(trace.busy_union_ns(&[c0, c1], 0, 30), 30);
-        // Overlap of link and compute: [0,30) ∩ [8,28) = 20.
-        assert_eq!(trace.overlap_ns(&[c0, c1], &[k], 0, 30), 20);
+        // Overlap of link and compute, as the utilization derives it:
+        // |[0,30)| + |[8,28)| − |[0,30) ∪ [8,28)| = 20.
+        assert_eq!(
+            30 + trace.busy_ns(k, 0, 30) - trace.busy_union_ns(&[c0, c1, k], 0, 30),
+            20
+        );
         assert_eq!(trace.horizon_ns(), 30);
     }
 

@@ -2,22 +2,20 @@
 //!
 //! Push-based vertex programs update destination vertex values from many
 //! threads at once: SSSP/BFS need an atomic `min`, CC needs an atomic `min`
-//! over labels, and delta-PageRank needs an atomic floating-point add.
+//! over labels. (PageRank's scatter is integer and lane-private, so it
+//! needs no float atomic.)
 //!
-//! * `min` / `max` are **test-before-RMW**: a Relaxed load first, and the
-//!   locked `fetch_min` / `fetch_max` only when the load says the update
-//!   could win. On sparse traversals almost every proposal loses (a BFS
-//!   lowers a distance on |V| of its |E| relaxations), so the common case
-//!   is a plain load instead of a `lock cmpxchg` loop.
-//! * the float adds are compare-exchange loops (`std` has no float
-//!   `fetch_add`); they are real reductions — every call changes the
-//!   value — so there is nothing to test first.
+//! Both are **test-before-RMW**: a Relaxed load first, and the locked
+//! `fetch_min` / `fetch_max` only when the load says the update could win.
+//! On sparse traversals almost every proposal loses (a BFS lowers a
+//! distance on |V| of its |E| relaxations), so the common case is a plain
+//! load instead of a `lock cmpxchg` loop.
 //!
 //! Everything uses `Relaxed` ordering: vertex values are only read between
 //! kernel phases (after the thread join, which synchronizes), never used to
 //! publish other memory.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Atomically `dst = min(dst, val)`. Returns `true` when `val` lowered the
 /// stored value (the caller then activates the destination vertex).
@@ -49,56 +47,6 @@ pub fn atomic_max_u32(dst: &AtomicU32, val: u32) -> bool {
         return false;
     }
     val > dst.fetch_max(val, Ordering::Relaxed)
-}
-
-/// Atomically add `val` to an `f32` stored as the bits of an [`AtomicU32`].
-///
-/// Returns the value held *before* the addition. This mirrors CUDA's
-/// `atomicAdd(float*)`, which PageRank's scatter uses.
-#[inline]
-pub fn atomic_add_f32(dst: &AtomicU32, val: f32) -> f32 {
-    let mut cur = dst.load(Ordering::Relaxed);
-    loop {
-        let old = f32::from_bits(cur);
-        let new = (old + val).to_bits();
-        match dst.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically add `val` to an `f64` stored as the bits of an [`AtomicU64`].
-#[inline]
-pub fn atomic_add_f64(dst: &AtomicU64, val: f64) -> f64 {
-    let mut cur = dst.load(Ordering::Relaxed);
-    loop {
-        let old = f64::from_bits(cur);
-        let new = (old + val).to_bits();
-        match dst.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return old,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically exchange an `f64` (bit-stored) with `val`, returning the old
-/// value. Delta-PageRank uses this to claim a vertex's accumulated residual.
-#[inline]
-pub fn atomic_swap_f64(dst: &AtomicU64, val: f64) -> f64 {
-    f64::from_bits(dst.swap(val.to_bits(), Ordering::Relaxed))
-}
-
-/// Load an `f64` stored as bits.
-#[inline]
-pub fn load_f64(src: &AtomicU64) -> f64 {
-    f64::from_bits(src.load(Ordering::Relaxed))
-}
-
-/// Store an `f64` as bits.
-#[inline]
-pub fn store_f64(dst: &AtomicU64, val: f64) {
-    dst.store(val.to_bits(), Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -193,43 +141,5 @@ mod tests {
     #[test]
     fn max_hammer_reports_each_raise_once() {
         hammer(0, atomic_max_u32, u32::max, |end, v| end > v);
-    }
-
-    #[test]
-    fn f32_add_accumulates() {
-        let a = AtomicU32::new(0f32.to_bits());
-        let n = 10_000;
-        parallel_for(n, |_| {
-            atomic_add_f32(&a, 1.0);
-        });
-        assert_eq!(f32::from_bits(a.load(Ordering::Relaxed)), n as f32);
-    }
-
-    #[test]
-    fn f64_add_accumulates_exactly_for_integers() {
-        let a = AtomicU64::new(0f64.to_bits());
-        let n = 50_000;
-        parallel_for(n, |i| {
-            atomic_add_f64(&a, (i % 7) as f64);
-        });
-        let expect: f64 = (0..n).map(|i| (i % 7) as f64).sum();
-        assert_eq!(load_f64(&a), expect);
-    }
-
-    #[test]
-    fn swap_returns_previous() {
-        let a = AtomicU64::new(3.5f64.to_bits());
-        assert_eq!(atomic_swap_f64(&a, 0.0), 3.5);
-        assert_eq!(load_f64(&a), 0.0);
-        store_f64(&a, -1.25);
-        assert_eq!(load_f64(&a), -1.25);
-    }
-
-    #[test]
-    fn f32_add_returns_old_value() {
-        let a = AtomicU32::new(2.0f32.to_bits());
-        let old = atomic_add_f32(&a, 3.0);
-        assert_eq!(old, 2.0);
-        assert_eq!(f32::from_bits(a.load(Ordering::Relaxed)), 5.0);
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! The converse is not required (a marked block may have been cleared bit
 //! by bit), so the summary is a conservative index, never a second source
-//! of truth: every bulk operation — iteration, counting, the AND / AND-NOT
-//! / OR / XOR combinators, snapshots, clearing — visits only marked blocks
+//! of truth: every bulk operation — iteration, counting, the AND and
+//! AND-NOT combinators, snapshots, clearing — visits only marked blocks
 //! and skips the rest unread, which makes its cost proportional to the
 //! populated part of the bitmap instead of |V|/64. Iteration order is
 //! still ascending. A dense bitmap pays one extra word per 64.
@@ -277,18 +277,6 @@ impl Bitmap {
     /// (Active AND Static) ≡ Active AND-NOT Static).
     pub fn and_not(&self, other: &Bitmap) -> Bitmap {
         self.zip_with(other, self.summary.iter().copied(), |a, b| a & !b)
-    }
-
-    /// `self ⊕ other`, element-wise.
-    pub fn xor(&self, other: &Bitmap) -> Bitmap {
-        let either = self.summary.iter().zip(&other.summary).map(|(a, b)| a | b);
-        self.zip_with(other, either, |a, b| a ^ b)
-    }
-
-    /// `self ∨ other`, element-wise.
-    pub fn or(&self, other: &Bitmap) -> Bitmap {
-        let either = self.summary.iter().zip(&other.summary).map(|(a, b)| a | b);
-        self.zip_with(other, either, |a, b| a | b)
     }
 
     /// Iterate over the indices of set bits, ascending. Unmarked blocks
@@ -574,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn and_xor_andnot_match_per_bit() {
+    fn and_andnot_match_per_bit() {
         let n = 200;
         let mut a = Bitmap::new(n);
         let mut b = Bitmap::new(n);
@@ -585,14 +573,10 @@ mod tests {
             b.set(i);
         }
         let and = a.and(&b);
-        let xor = a.xor(&b);
         let andnot = a.and_not(&b);
-        let or = a.or(&b);
         for i in 0..n {
             assert_eq!(and.get(i), a.get(i) && b.get(i));
-            assert_eq!(xor.get(i), a.get(i) ^ b.get(i));
             assert_eq!(andnot.get(i), a.get(i) && !b.get(i));
-            assert_eq!(or.get(i), a.get(i) || b.get(i));
         }
     }
 
@@ -610,9 +594,10 @@ mod tests {
             stat.set(i);
         }
         let static_map = active.and(&stat);
-        let od_via_xor = active.xor(&static_map);
         let od_via_andnot = active.and_not(&stat);
-        assert_eq!(od_via_xor, od_via_andnot);
+        for i in 0..n {
+            assert_eq!(od_via_andnot.get(i), active.get(i) ^ static_map.get(i));
+        }
     }
 
     #[test]
@@ -802,8 +787,6 @@ mod tests {
             };
             check(&a.and(&b), &zip(|x, y| x && y))?;
             check(&a.and_not(&b), &zip(|x, y| x && !y))?;
-            check(&a.or(&b), &zip(|x, y| x || y))?;
-            check(&a.xor(&b), &zip(|x, y| x ^ y))?;
 
             // bit-by-bit clearing leaves blocks marked but empty: every
             // operation must still agree, and equality ignores the summary
@@ -816,7 +799,6 @@ mod tests {
             check(&cleared, &mc)?;
             prop_assert_eq!(&cleared, &build(&mc));
             check(&cleared.and(&b), &mc.iter().zip(&mb).map(|(&x, &y)| x && y).collect::<Vec<_>>())?;
-            check(&cleared.or(&b), &mc.iter().zip(&mb).map(|(&x, &y)| x || y).collect::<Vec<_>>())?;
 
             // retain
             let mut kept = a.clone();

@@ -6,7 +6,7 @@
 //! Small, dependency-light building blocks used by every other crate in the
 //! Ascetic workspace:
 //!
-//! * [`parallel_for`] / [`parallel_for_with`] / [`parallel_for_work`] — a
+//! * [`parallel_for`] / [`parallel_for_work`] — a
 //!   chunked, work-stealing parallel loop over an index range, used to run
 //!   the "GPU kernels" of the simulated device on host cores. Whether a
 //!   job is dispatched or runs inline follows its estimated *work*
@@ -26,12 +26,11 @@
 //! * [`AtomicBitmap`] / [`Bitmap`] — the bitmap machinery behind the paper's
 //!   `ActiveBitmap` / `StaticBitmap` / `StaticMap` / `OndemandMap` dataflow
 //!   (Figure 4 of the paper): concurrent set/test plus bulk word-level
-//!   AND / XOR / AND-NOT combinators, all indexed by a summary level so
+//!   AND / AND-NOT combinators, all indexed by a summary level so
 //!   their cost follows the frontier's population rather than |V|.
 //! * [`atomics`] — the reductions the push-based vertex programs scatter
 //!   with: test-before-RMW atomic min / max (SSSP/BFS/CC relaxations, a
-//!   plain load when the proposal cannot win) and compare-exchange float
-//!   adds (PageRank scatter).
+//!   plain load when the proposal cannot win).
 //! * [`scan`] — the exclusive prefix sum that lays out compacted payloads
 //!   (per-entry lengths → offsets).
 //!
@@ -48,15 +47,11 @@ pub mod scan;
 pub mod scratch;
 pub mod workers;
 
-pub use atomics::{
-    atomic_add_f32, atomic_add_f64, atomic_max_u32, atomic_min_u32, atomic_swap_f64, load_f64,
-    store_f64,
-};
+pub use atomics::{atomic_max_u32, atomic_min_u32};
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use pool::{
-    current_num_threads, parallel_for, parallel_for_with, parallel_for_work,
-    parallel_map_fixed_blocks, parallel_parts, parallel_ranges, set_num_threads, threads_for_work,
-    INLINE_WORK,
+    current_num_threads, parallel_for, parallel_for_work, parallel_map_fixed_blocks,
+    parallel_parts, parallel_ranges, set_num_threads, threads_for_work, INLINE_WORK,
 };
 pub use scan::exclusive_scan_in_place;
 pub use scratch::{with_scratch, Scratch};

@@ -118,19 +118,10 @@ pub fn parallel_for<F>(len: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
-    parallel_for_with(len, |_, i| body(i));
+    dispatch(len, len as u64 * DEFAULT_ITEM_WORK, |_, i| body(i));
 }
 
-/// Like [`parallel_for`] but the body also receives the worker index
-/// (`0..current_num_threads()`), for per-thread scratch buffers.
-pub fn parallel_for_with<F>(len: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    dispatch(len, len as u64 * DEFAULT_ITEM_WORK, body);
-}
-
-/// [`parallel_for_with`] for a job whose total `work` the caller can
+/// [`parallel_for`] for a job whose total `work` the caller can
 /// estimate (in [`INLINE_WORK`] units — for the engines, the edges the items
 /// will relax). The inline-or-dispatch decision and the chunk size follow
 /// the work, not the item count: two hub rows are split across workers, a
@@ -335,7 +326,7 @@ mod tests {
         let _g = THREAD_OVERRIDE_LOCK.lock().unwrap();
         set_num_threads(4);
         let bad = AtomicUsize::new(0);
-        parallel_for_with(50_000, |w, _| {
+        parallel_for_work(50_000, 50_000 * DEFAULT_ITEM_WORK, |w, _| {
             if w >= 4 {
                 bad.fetch_add(1, Ordering::Relaxed);
             }
@@ -381,7 +372,7 @@ mod tests {
                 let n = 10_000;
                 let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                 let bad = AtomicUsize::new(0);
-                parallel_for_with(n, |w, i| {
+                parallel_for_work(n, n as u64 * DEFAULT_ITEM_WORK, |w, i| {
                     if w >= 8 {
                         bad.fetch_add(1, Ordering::Relaxed);
                     }

@@ -1,22 +1,24 @@
 //! Per-thread scratch arenas: reusable buffers that survive across jobs.
 //!
-//! The hot paths of the simulated device repeatedly need short-lived
-//! staging buffers — the on-demand gather serializes one adjacency list at
-//! a time, the static region stages one chunk per fill/swap. Allocating
-//! those on every call puts the allocator on the per-iteration critical
-//! path. Because the worker pool threads are persistent (see
-//! [`crate::workers`]), a thread-local pool of buffers amortizes those
-//! allocations across batches *and* iterations: after warm-up, the steady
-//! state performs zero staging allocations.
+//! The delta–varint encoder repeatedly needs a short-lived byte buffer —
+//! it stages one adjacency list (or one chunk's ranges, when a chunk's
+//! wire size is priced) per call. Allocating that on every call puts the
+//! allocator on the per-iteration critical path. Because the worker pool
+//! threads are persistent (see [`crate::workers`]), a thread-local pool of
+//! buffers amortizes those allocations across batches *and* iterations:
+//! after warm-up, the steady state performs zero staging allocations.
+//! (Edge words need no staging: the on-demand gather, the static region
+//! and PT's partition stream copy them from the host CSR straight into the
+//! device window.)
 //!
 //! Usage is take/put:
 //!
 //! ```
 //! ascetic_par::with_scratch(|s| {
-//!     let mut buf = s.take_u32();
+//!     let mut buf = s.take_u8();
 //!     buf.extend_from_slice(&[1, 2, 3]);
 //!     // ... use buf ...
-//!     s.put_u32(buf); // returns the capacity to this thread's pool
+//!     s.put_u8(buf); // returns the capacity to this thread's pool
 //! });
 //! ```
 //!
@@ -26,34 +28,19 @@
 
 use std::cell::RefCell;
 
-/// Buffers retained per type per thread; beyond this, `put_*` drops.
+/// Buffers retained per thread; beyond this, `put_u8` drops.
 const MAX_POOLED: usize = 8;
 
-/// A per-thread pool of reusable `Vec` buffers.
+/// A per-thread pool of reusable byte buffers.
 #[derive(Debug, Default)]
 pub struct Scratch {
     u8s: Vec<Vec<u8>>,
-    u32s: Vec<Vec<u32>>,
 }
 
 impl Scratch {
     /// A fresh, empty arena (thread-locals start here).
     pub fn new() -> Scratch {
         Scratch::default()
-    }
-
-    /// Take a cleared `Vec<u32>`, reusing a pooled buffer's capacity when
-    /// one is available.
-    pub fn take_u32(&mut self) -> Vec<u32> {
-        self.u32s.pop().unwrap_or_default()
-    }
-
-    /// Return a `Vec<u32>` to the pool (cleared; capacity retained).
-    pub fn put_u32(&mut self, mut buf: Vec<u32>) {
-        if self.u32s.len() < MAX_POOLED && buf.capacity() > 0 {
-            buf.clear();
-            self.u32s.push(buf);
-        }
     }
 
     /// Take a cleared `Vec<u8>`, reusing pooled capacity when available.
@@ -71,13 +58,8 @@ impl Scratch {
         }
     }
 
-    /// Number of pooled `u32` buffers — for tests and telemetry.
+    /// Number of pooled buffers — for tests and telemetry.
     pub fn pooled(&self) -> usize {
-        self.u32s.len()
-    }
-
-    /// Number of pooled `u8` buffers.
-    pub fn pooled_u8(&self) -> usize {
         self.u8s.len()
     }
 }
@@ -106,12 +88,12 @@ mod tests {
     #[test]
     fn take_put_reuses_capacity() {
         let mut s = Scratch::new();
-        let mut b = s.take_u32();
+        let mut b = s.take_u8();
         b.extend_from_slice(&[1, 2, 3, 4]);
         let cap = b.capacity();
         assert!(cap >= 4);
-        s.put_u32(b);
-        let b2 = s.take_u32();
+        s.put_u8(b);
+        let b2 = s.take_u8();
         assert!(b2.is_empty(), "pooled buffers come back cleared");
         assert_eq!(b2.capacity(), cap, "capacity is retained");
     }
@@ -120,7 +102,7 @@ mod tests {
     fn pool_is_bounded() {
         let mut s = Scratch::new();
         for _ in 0..(MAX_POOLED + 5) {
-            s.put_u32(Vec::with_capacity(16));
+            s.put_u8(Vec::with_capacity(16));
         }
         assert_eq!(s.pooled(), MAX_POOLED);
     }
@@ -128,7 +110,7 @@ mod tests {
     #[test]
     fn empty_buffers_are_not_pooled() {
         let mut s = Scratch::new();
-        s.put_u32(Vec::new());
+        s.put_u8(Vec::new());
         assert_eq!(s.pooled(), 0, "no point pooling zero capacity");
     }
 
@@ -138,16 +120,16 @@ mod tests {
         // thread cannot interfere with the capacity check.
         std::thread::spawn(|| {
             let cap = with_scratch(|s| {
-                let mut b = s.take_u32();
+                let mut b = s.take_u8();
                 b.resize(1000, 7);
                 let cap = b.capacity();
-                s.put_u32(b);
+                s.put_u8(b);
                 cap
             });
             let cap2 = with_scratch(|s| {
-                let b = s.take_u32();
+                let b = s.take_u8();
                 let c = b.capacity();
-                s.put_u32(b);
+                s.put_u8(b);
                 c
             });
             assert_eq!(cap, cap2, "second call sees the first call's buffer");
@@ -170,18 +152,18 @@ mod tests {
         for _ in 0..(MAX_POOLED + 5) {
             s.put_u8(Vec::with_capacity(8));
         }
-        assert_eq!(s.pooled_u8(), MAX_POOLED);
+        assert_eq!(s.pooled(), MAX_POOLED);
     }
 
     #[test]
     fn nested_with_scratch_does_not_panic() {
         with_scratch(|outer| {
-            let b = outer.take_u32();
+            let b = outer.take_u8();
             with_scratch(|inner| {
-                let ib = inner.take_u32();
-                inner.put_u32(ib);
+                let ib = inner.take_u8();
+                inner.put_u8(ib);
             });
-            outer.put_u32(b);
+            outer.put_u8(b);
         });
     }
 }

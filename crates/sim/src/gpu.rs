@@ -4,17 +4,17 @@
 //! one place a transfer or a kernel is counted — behind the operations
 //! every system needs:
 //!
-//! * `h2d` / `h2d_at` — copy host words into a device allocation, charging
-//!   the PCIe model on the COPY engine,
+//! * `h2d_at` / `h2d_fill_at` — copy host words into a device allocation,
+//!   charging the PCIe model on the COPY engine,
 //! * `kernel_at` — charge a kernel of given edge/vertex work on the COMPUTE
 //!   engine,
 //! * `gather_at` — charge a host-side gather on the CPU engine,
-//! * `alloc` / `free` — arena management.
+//! * `alloc` — arena management (a bump allocator: nothing is freed).
 //!
-//! Systems call the `_at` variants with explicit ready-times to express
-//! dependency structure (and hence overlap); the plain variants chain after
-//! "everything so far" (a full barrier), which is how the non-overlapping
-//! baselines behave.
+//! Systems pass every operation an explicit ready-time to express
+//! dependency structure (and hence overlap); a ready-time of
+//! [`Gpu::elapsed`] chains after "everything so far" (a full barrier),
+//! which is how the non-overlapping baselines behave.
 
 use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
@@ -263,11 +263,6 @@ impl Gpu {
         Ok(ptr)
     }
 
-    /// Free a device allocation.
-    pub fn free(&mut self, ptr: DevPtr) {
-        self.mem.free(ptr);
-    }
-
     /// H2D copy of `src` into `dst`, ready at `ready`. Copies the payload
     /// and charges `pcie.transfer_ns` on the COPY engine.
     pub fn h2d_at(&mut self, dst: DevPtr, src: &[u32], ready: SimTime) -> Span {
@@ -292,12 +287,6 @@ impl Gpu {
         fill(self.mem.words_mut(dst));
         let class = Xfer::OnDemand { rider };
         self.ship_at(class, dst.len_bytes(), None, ready).0
-    }
-
-    /// H2D copy chained after everything scheduled so far.
-    pub fn h2d(&mut self, dst: DevPtr, src: &[u32]) -> Span {
-        let now = self.timeline.now();
-        self.h2d_at(dst, src, now)
     }
 
     /// Compressed H2D copy: ship `encoded` over the link, then decode on
@@ -413,7 +402,7 @@ mod tests {
     fn h2d_moves_real_data_and_charges_time() {
         let mut g = small_gpu();
         let p = g.alloc(4).unwrap();
-        let s = g.h2d(p, &[7, 8, 9, 10]);
+        let s = g.h2d_at(p, &[7, 8, 9, 10], g.elapsed());
         assert_eq!(g.mem.words(p), &[7, 8, 9, 10]);
         assert_eq!(counted(&g, "xfer.h2d_bytes"), 16);
         assert_eq!(counted(&g, "xfer.h2d_ops"), 1);
@@ -482,8 +471,8 @@ mod tests {
     fn obs_histograms_track_xfer_counters() {
         let mut g = small_gpu();
         let p = g.alloc(8).unwrap();
-        g.h2d(p, &[0; 8]);
-        g.h2d(p, &[1; 8]);
+        g.h2d_at(p, &[0; 8], g.elapsed());
+        g.h2d_at(p, &[1; 8], g.elapsed());
         let snap = g.obs.registry.snapshot();
         let h2d = snap.histogram("h2d.op_bytes").unwrap();
         assert_eq!(h2d.count(), counted(&g, "xfer.h2d_ops"));
@@ -518,7 +507,7 @@ mod tests {
     fn compressed_h2d_mixes_with_raw_in_wire_totals() {
         let mut g = small_gpu();
         let p = g.alloc(8).unwrap();
-        g.h2d(p, &[0; 8]); // raw: 32 payload == 32 wire
+        g.h2d_at(p, &[0; 8], g.elapsed()); // raw: 32 payload == 32 wire
         let t = g.elapsed();
         g.h2d_compressed_at(p, &[0; 12], 0, t, |window| window.fill(0));
         assert_eq!(counted(&g, "xfer.h2d_bytes"), 64);
@@ -535,7 +524,7 @@ mod tests {
         let mut g = small_gpu();
         g.obs.enable_events(64);
         let p = g.alloc(8).unwrap();
-        g.h2d(p, &[0; 8]);
+        g.h2d_at(p, &[0; 8], g.elapsed());
         let events = g.obs.events().unwrap();
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, ["high_water"], "a copy is a span, not an event");
@@ -549,7 +538,7 @@ mod tests {
     fn obs_events_off_by_default() {
         let mut g = small_gpu();
         let p = g.alloc(8).unwrap();
-        g.h2d(p, &[0; 8]);
+        g.h2d_at(p, &[0; 8], g.elapsed());
         assert!(g.obs.events().is_none());
     }
 

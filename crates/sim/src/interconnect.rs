@@ -116,7 +116,7 @@ impl InterconnectStats {
 /// host link, and one for the shared root complex. [`Self::transfer`]
 /// places a payload on the earliest slot every involved resource allows
 /// and advances those frontiers — the multi-device analogue of
-/// [`crate::Timeline::schedule`].
+/// [`crate::Timeline::schedule_labeled`].
 #[derive(Clone, Debug)]
 pub struct Interconnect {
     cfg: InterconnectConfig,

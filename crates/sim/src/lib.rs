@@ -12,13 +12,14 @@
 //! * [`time`] — nanosecond-resolution simulated time.
 //! * [`device`] — the device descriptor: memory capacity, PCIe link, kernel
 //!   and CPU-gather cost models (P100-class defaults).
-//! * [`memory`] — the device-memory arena with a first-fit free-list
-//!   allocator; all "GPU" data lives here, word (u32) addressed.
+//! * [`memory`] — the device-memory arena, a bump allocator (memory is laid
+//!   out once and nothing is freed); all "GPU" data lives here, word (u32)
+//!   addressed.
 //! * [`timeline`] — the engine timeline: one COPY engine, one COMPUTE
 //!   engine and the host CPU, with CUDA-stream-like dependency scheduling.
 //!   Overlap (paper Figure 5) falls out of scheduling compute and copy
 //!   spans with independent ready-times.
-//! * [`gpu`] — ties the above together: `h2d` transfers that copy real
+//! * [`gpu`] — ties the above together: H2D transfers that copy real
 //!   words and charge the link, kernels that charge the compute model —
 //!   each counted once, in the device's metric registry. (Nothing copies
 //!   device→host: results are read out of the arena directly.)

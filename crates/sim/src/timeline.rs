@@ -174,15 +174,9 @@ impl Timeline {
         Some(taken)
     }
 
-    /// Schedule an operation of `dur_ns` on `engine`, not before `ready`.
-    /// Returns the executed span.
-    pub fn schedule(&mut self, engine: Engine, ready: SimTime, dur_ns: u64) -> Span {
-        self.schedule_labeled(engine, ready, dur_ns, String::new)
-    }
-
-    /// [`Timeline::schedule`] with a lazily-built label recorded when
-    /// tracing is enabled (the closure never runs otherwise), under the
-    /// engine's own span category.
+    /// Schedule an operation of `dur_ns` on `engine`, not before `ready`,
+    /// and return the executed span. `label` is built and recorded only
+    /// when tracing is enabled, under the engine's own span category.
     pub fn schedule_labeled(
         &mut self,
         engine: Engine,
@@ -358,12 +352,17 @@ impl Engine {
 mod tests {
     use super::*;
 
+    /// An unlabeled operation.
+    fn schedule(tl: &mut Timeline, engine: Engine, ready: SimTime, dur_ns: u64) -> Span {
+        tl.schedule_labeled(engine, ready, dur_ns, String::new)
+    }
+
     #[test]
     fn serial_chain_accumulates() {
         let mut tl = Timeline::new();
-        let a = tl.schedule(Engine::Cpu, SimTime::ZERO, 100);
-        let b = tl.schedule(Engine::Copy, a.end, 50);
-        let c = tl.schedule(Engine::Compute, b.end, 200);
+        let a = schedule(&mut tl, Engine::Cpu, SimTime::ZERO, 100);
+        let b = schedule(&mut tl, Engine::Copy, a.end, 50);
+        let c = schedule(&mut tl, Engine::Compute, b.end, 200);
         assert_eq!(a.start, SimTime(0));
         assert_eq!(b.start, SimTime(100));
         assert_eq!(c.start, SimTime(150));
@@ -374,8 +373,8 @@ mod tests {
     fn overlap_across_engines() {
         let mut tl = Timeline::new();
         // Kernel and copy issued with the same ready time run concurrently.
-        let k = tl.schedule(Engine::Compute, SimTime::ZERO, 300);
-        let x = tl.schedule(Engine::Copy, SimTime::ZERO, 200);
+        let k = schedule(&mut tl, Engine::Compute, SimTime::ZERO, 300);
+        let x = schedule(&mut tl, Engine::Copy, SimTime::ZERO, 200);
         assert_eq!(k.start, x.start);
         assert_eq!(tl.now(), SimTime(300), "makespan = max, not sum");
     }
@@ -383,9 +382,9 @@ mod tests {
     #[test]
     fn same_engine_serializes() {
         let mut tl = Timeline::new();
-        let a = tl.schedule(Engine::Compute, SimTime::ZERO, 100);
+        let a = schedule(&mut tl, Engine::Compute, SimTime::ZERO, 100);
         // ready earlier than engine-free: starts when the engine frees
-        let b = tl.schedule(Engine::Compute, SimTime::ZERO, 100);
+        let b = schedule(&mut tl, Engine::Compute, SimTime::ZERO, 100);
         assert_eq!(a.end, b.start);
         assert_eq!(tl.now(), SimTime(200));
     }
@@ -394,8 +393,8 @@ mod tests {
     fn idle_accounting_matches_overlap() {
         let mut tl = Timeline::new();
         // Baseline-style: gather 300 then compute 100 -> compute idle 300.
-        let g = tl.schedule(Engine::Cpu, SimTime::ZERO, 300);
-        tl.schedule(Engine::Compute, g.end, 100);
+        let g = schedule(&mut tl, Engine::Cpu, SimTime::ZERO, 300);
+        schedule(&mut tl, Engine::Compute, g.end, 100);
         assert_eq!(tl.idle_ns(Engine::Compute), 300);
         assert_eq!(tl.busy_ns(Engine::Compute), 100);
         assert_eq!(tl.busy_ns(Engine::Cpu), 300);
@@ -404,9 +403,9 @@ mod tests {
     #[test]
     fn barrier_advances_engines() {
         let mut tl = Timeline::new();
-        tl.schedule(Engine::Copy, SimTime::ZERO, 100);
+        schedule(&mut tl, Engine::Copy, SimTime::ZERO, 100);
         tl.barrier(SimTime(500));
-        let k = tl.schedule(Engine::Compute, SimTime::ZERO, 10);
+        let k = schedule(&mut tl, Engine::Compute, SimTime::ZERO, 10);
         assert_eq!(k.start, SimTime(500), "barrier holds later ops");
         assert_eq!(tl.now(), SimTime(510));
     }
@@ -414,11 +413,11 @@ mod tests {
     #[test]
     fn sync_all_is_iteration_boundary() {
         let mut tl = Timeline::new();
-        tl.schedule(Engine::Compute, SimTime::ZERO, 120);
-        tl.schedule(Engine::Copy, SimTime::ZERO, 80);
+        schedule(&mut tl, Engine::Compute, SimTime::ZERO, 120);
+        schedule(&mut tl, Engine::Copy, SimTime::ZERO, 80);
         let t = tl.sync_all();
         assert_eq!(t, SimTime(120));
-        let next = tl.schedule(Engine::Copy, SimTime::ZERO, 10);
+        let next = schedule(&mut tl, Engine::Copy, SimTime::ZERO, 10);
         assert_eq!(next.start, SimTime(120));
     }
 
@@ -491,7 +490,7 @@ mod tests {
         let pf = tl.add_copy_stream();
         // Default-stream op first, then a prefetch op with the same ready
         // time: the link is one wire, so they serialize in issue order.
-        let a = tl.schedule(Engine::Copy, SimTime::ZERO, 100);
+        let a = schedule(&mut tl, Engine::Copy, SimTime::ZERO, 100);
         let b = tl.schedule_copy(pf, SimTime::ZERO, 50, String::new);
         assert_eq!(a.end, b.start, "streams share the link FIFO");
         assert_eq!(tl.busy_ns(Engine::Copy), 150, "link busy = sum of streams");
@@ -526,8 +525,8 @@ mod tests {
         let mut multi = Timeline::new();
         let _pf = multi.add_copy_stream();
         for tl in [&mut plain, &mut multi] {
-            tl.schedule(Engine::Copy, SimTime::ZERO, 70);
-            tl.schedule(Engine::Compute, SimTime::ZERO, 100);
+            schedule(tl, Engine::Copy, SimTime::ZERO, 70);
+            schedule(tl, Engine::Compute, SimTime::ZERO, 100);
         }
         assert_eq!(plain.now(), multi.now());
         assert_eq!(
@@ -551,7 +550,7 @@ mod tests {
     #[test]
     fn new_stream_starts_at_the_link_frontier() {
         let mut tl = Timeline::new();
-        tl.schedule(Engine::Copy, SimTime::ZERO, 80);
+        schedule(&mut tl, Engine::Copy, SimTime::ZERO, 80);
         let pf = tl.add_copy_stream();
         assert_eq!(tl.stream_free_at(pf), SimTime(80));
         assert_eq!(tl.stream_busy_ns(pf), 0);
@@ -596,7 +595,7 @@ mod tests {
     #[test]
     fn zero_duration_span() {
         let mut tl = Timeline::new();
-        let s = tl.schedule(Engine::Cpu, SimTime(42), 0);
+        let s = schedule(&mut tl, Engine::Cpu, SimTime(42), 0);
         assert_eq!(s.duration(), 0);
         assert_eq!((s.start, s.end), (SimTime(42), SimTime(42)));
     }
