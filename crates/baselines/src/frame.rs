@@ -30,8 +30,8 @@ pub(crate) fn check_edge_room(g: &Csr, device: &DeviceConfig) -> Result<(), Prep
 
 /// One baseline run's device and report state.
 pub(crate) struct Frame {
-    /// The device: vertex arrays reserved, tracer and event log armed as
-    /// the system asked.
+    /// The device: vertex arrays reserved, tracer armed as the system
+    /// asked.
     pub gpu: Gpu,
     /// Time components the system charges as it goes.
     pub breakdown: Breakdown,
@@ -41,8 +41,8 @@ pub(crate) struct Frame {
 
 impl Frame {
     /// A fresh device for one run over `g`.
-    pub fn new(device: DeviceConfig, tracing: bool, events: bool, g: &Csr) -> Frame {
-        let mut gpu = Gpu::armed(device, tracing, events);
+    pub fn new(device: DeviceConfig, tracing: bool, g: &Csr) -> Frame {
+        let mut gpu = Gpu::armed(device, tracing);
         reserve_vertex_arrays(&mut gpu, g);
         Frame {
             gpu,

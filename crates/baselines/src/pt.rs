@@ -31,9 +31,6 @@ pub struct PtSystem {
     pub device: DeviceConfig,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report (the allocator's
-    /// high-water marks; iterations and transfers are spans).
-    pub events: bool,
 }
 
 impl PtSystem {
@@ -42,19 +39,12 @@ impl PtSystem {
         PtSystem {
             device,
             tracing: false,
-            events: false,
         }
     }
 
     /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Enable structured event logging.
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
         self
     }
 }
@@ -70,7 +60,7 @@ impl OutOfCoreSystem for PtSystem {
 
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
-        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let mut frame = Frame::new(self.device, self.tracing, g);
         let buffer = frame.edge_buffer(g);
         let parts = partition_by_bytes(g, buffer.len_bytes());
         let buffer_words = buffer.len;

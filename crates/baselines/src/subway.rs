@@ -37,9 +37,6 @@ pub struct SubwaySystem {
     pub device: DeviceConfig,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report (the allocator's
-    /// high-water marks; iterations and transfers are spans).
-    pub events: bool,
     /// Ship subgraph payloads delta–varint encoded over the link
     /// (apples-to-apples with Ascetic's compressed transfer path).
     pub compression: CompressionMode,
@@ -51,7 +48,6 @@ impl SubwaySystem {
         SubwaySystem {
             device,
             tracing: false,
-            events: false,
             compression: CompressionMode::Off,
         }
     }
@@ -59,12 +55,6 @@ impl SubwaySystem {
     /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Enable structured event logging.
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
         self
     }
 
@@ -87,7 +77,7 @@ impl OutOfCoreSystem for SubwaySystem {
     fn run<P: VertexProgram>(&self, g: &Csr, prog: &P) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
         let n = g.num_vertices();
-        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let mut frame = Frame::new(self.device, self.tracing, g);
         let buffer = frame.edge_buffer(g);
         let weighted = g.is_weighted();
         let encode = eligible(self.compression, g);
@@ -227,21 +217,15 @@ mod tests {
     #[test]
     fn event_stream_is_comparable_with_ascetic() {
         let g = uniform_graph(2_000, 16_000, false, 8);
-        let rep = SubwaySystem::new(small_device(&g))
-            .with_events(true)
-            .run(&g, &Bfs::new(0));
+        let rep = SubwaySystem::new(small_device(&g)).run(&g, &Bfs::new(0));
         // iterations, copies and kernels are spans; what a raw Subway run
         // logs beside them is the allocator's climb
-        let events = rep.events.as_ref().expect("events enabled");
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|e| e.event.kind() == "high_water"));
+        assert!(!rep.events.is_empty());
+        assert!(rep.events.iter().all(|e| e.event.kind() == "high_water"));
         assert_eq!(
             rep.metrics.counter("xfer.h2d_bytes"),
             Some(rep.xfer.h2d_bytes)
         );
-        // off by default
-        let quiet = SubwaySystem::new(small_device(&g)).run(&g, &Bfs::new(0));
-        assert!(quiet.events.is_none());
     }
 
     #[test]

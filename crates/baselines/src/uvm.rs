@@ -34,9 +34,6 @@ pub struct UvmSystem {
     pub device: DeviceConfig,
     /// Record engine spans on the report's `span_trace`.
     pub tracing: bool,
-    /// Record a structured event log on the report: per-page faults and
-    /// evictions, and the allocator's high-water marks.
-    pub events: bool,
 }
 
 impl UvmSystem {
@@ -45,19 +42,12 @@ impl UvmSystem {
         UvmSystem {
             device,
             tracing: false,
-            events: false,
         }
     }
 
     /// Enable span-trace recording.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Enable structured event logging.
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
         self
     }
 
@@ -81,7 +71,7 @@ impl UvmSystem {
         mut trace: Option<(&mut AccessTracer, u64)>,
     ) -> RunReport {
         assert_eq!(g.is_weighted(), prog.capabilities().weights);
-        let mut frame = Frame::new(self.device, self.tracing, self.events, g);
+        let mut frame = Frame::new(self.device, self.tracing, g);
         let mut uvm = Uvm::new(self.device.uvm, edge_budget_bytes(&frame.gpu));
         let bpe = g.bytes_per_edge() as u64;
 
@@ -262,9 +252,7 @@ mod tests {
     #[test]
     fn fault_counters_and_events_track_paging() {
         let g = uniform_graph(2_000, 16_000, false, 9);
-        let rep = UvmSystem::new(small_device(&g))
-            .with_events(true)
-            .run(&g, &PageRank::new());
+        let rep = UvmSystem::new(small_device(&g)).run(&g, &PageRank::new());
         let faults = rep.metrics.counter("uvm.faults").expect("faults counted");
         let evictions = rep
             .metrics
@@ -276,9 +264,8 @@ mod tests {
         assert_eq!(faults, rep.xfer.h2d_ops);
         let h = rep.metrics.histogram("uvm.fault_ns").expect("fault hist");
         assert_eq!(h.count(), faults, "one sample per fault");
-        let events = rep.events.as_ref().expect("events enabled");
-        assert!(events.iter().any(|e| e.event.kind() == "uvm_fault"));
-        assert!(events.iter().any(|e| e.event.kind() == "uvm_evict"));
+        assert!(rep.events.iter().any(|e| e.event.kind() == "uvm_fault"));
+        assert!(rep.events.iter().any(|e| e.event.kind() == "uvm_evict"));
         assert_eq!(rep.metrics.label("system"), Some("UVM"));
     }
 

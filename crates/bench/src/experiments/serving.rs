@@ -12,8 +12,7 @@ use ascetic_serve::{
 };
 use ascetic_sim::InterconnectConfig;
 
-use crate::fmt::{human_bytes, text, val, Sheet};
-use crate::output::emit;
+use crate::fmt::{human_bytes, Table};
 use crate::run::Ctx;
 use crate::setup::{bench_program, Algo, Env};
 
@@ -77,38 +76,30 @@ pub fn serve(cx: &mut Ctx) {
     }
     same_answers(&reports[0], &solo, "batching");
 
-    let mut sheet = Sheet::new(&[
-        ("Policy", "policy"),
-        ("Makespan", "makespan_ns"),
-        ("Queue wait", "total_queue_wait_ns"),
-        ("On-demand H2D", "ondemand_h2d_bytes"),
-        ("Prestore", "prestore_bytes"),
-        ("Residency hits", "residency_hit_bytes"),
-        ("Sessions", "sessions_built"),
-        ("", "batches"),
-        ("Batched", "batched_jobs"),
+    let mut table = Table::new(vec![
+        "Policy",
+        "Makespan",
+        "Queue wait",
+        "On-demand H2D",
+        "Prestore",
+        "Residency hits",
+        "Sessions",
+        "Batched",
     ]);
     let mb = |b: u64| format!("{:.2} MB", b as f64 / 1e6);
     for r in &reports {
-        sheet.row(vec![
-            text(r.policy),
-            val(format!("{:.2} ms", ms(r.makespan_ns)), r.makespan_ns),
-            val(
-                format!("{:.2} ms", ms(r.total_queue_wait_ns)),
-                r.total_queue_wait_ns,
-            ),
-            val(mb(r.ondemand_h2d_bytes), r.ondemand_h2d_bytes),
-            val(mb(r.prestore_bytes), r.prestore_bytes),
-            val(mb(r.residency_hit_bytes), r.residency_hit_bytes),
-            text(r.sessions_built),
-            text(r.batches),
-            val(
-                format!("{}/{}", r.batched_jobs, r.jobs.len()),
-                r.batched_jobs,
-            ),
+        table.row(vec![
+            r.policy.to_string(),
+            format!("{:.2} ms", ms(r.makespan_ns)),
+            format!("{:.2} ms", ms(r.total_queue_wait_ns)),
+            mb(r.ondemand_h2d_bytes),
+            mb(r.prestore_bytes),
+            mb(r.residency_hit_bytes),
+            r.sessions_built.to_string(),
+            format!("{}/{}", r.batched_jobs, r.jobs.len()),
         ]);
     }
-    emit("serve", &sheet);
+    println!("\n{}", table.to_markdown());
 
     let (fifo, ra) = (&reports[0], &reports[2]);
     let saved = |f: fn(&ServeReport) -> u64| f(fifo) as i64 - f(ra) as i64;
@@ -237,51 +228,45 @@ pub fn fleet(cx: &mut Ctx) {
         })
         .collect();
 
-    let mut sheet = Sheet::new(&[
-        ("Lane", "lane"),
-        ("Devices", "devices"),
-        ("Makespan", "makespan_ns"),
-        ("Speedup", "speedup_x100"),
-        ("Replications", "replications"),
-        ("", "replicated_bytes"),
-        ("Exchange", "exchange_bytes"),
+    let mut table = Table::new(vec![
+        "Lane",
+        "Devices",
+        "Makespan",
+        "Speedup",
+        "Replications",
+        "Exchange",
     ]);
     let timing = |base: u64, ns: u64| {
         let speedup = format!("{:.2}x", base as f64 / ns.max(1) as f64);
-        [
-            val(format!("{:.2} ms", ms(ns)), ns),
-            val(speedup, speedup_x100(base, ns)),
-        ]
+        [format!("{:.2} ms", ms(ns)), speedup]
     };
     let base = serve_reps[0].makespan_ns;
     for r in &serve_reps {
         let [makespan, speedup] = timing(base, r.makespan_ns);
-        sheet.row(vec![
-            text("serve"),
-            text(r.devices),
+        table.row(vec![
+            "serve".to_string(),
+            r.devices.to_string(),
             makespan,
             speedup,
-            text(r.replications),
-            text(r.replicated_bytes),
-            val("-", 0),
+            r.replications.to_string(),
+            "-".to_string(),
         ]);
     }
     for (name, reps) in &algo_reps {
         for r in reps {
             let [makespan, speedup] = timing(reps[0].makespan_ns, r.makespan_ns);
             let exchange = format!("{:.2} MB", r.exchange_bytes as f64 / 1e6);
-            sheet.row(vec![
-                text(name),
-                text(r.devices),
+            table.row(vec![
+                name.to_string(),
+                r.devices.to_string(),
                 makespan,
                 speedup,
-                val("-", 0),
-                text(0),
-                val(exchange, r.exchange_bytes),
+                "-".to_string(),
+                exchange,
             ]);
         }
     }
-    emit("fleet", &sheet);
+    println!("\n{}", table.to_markdown());
 
     let (two, four) = (serve_reps[1].makespan_ns, serve_reps[2].makespan_ns);
     cx.write_json("fleet", |o| {
@@ -361,17 +346,15 @@ pub fn incremental_repair(cx: &mut Ctx) {
     const BATCHES: usize = 3;
     let env = Env::with_scale(cx.env.scale);
     let pd = cx.dataset(DatasetId::Fk);
-    let mut sheet = Sheet::new(&[
-        ("Algo", "algo"),
-        ("Mode", "mode"),
-        ("Batch", "batch_frac"),
-        ("", "batch_edges"),
-        ("Repair", "repair_time_ns"),
-        ("Recompute", "recompute_time_ns"),
-        ("Speedup", ""),
-        ("Repair wire", "repair_wire_bytes"),
-        ("Recompute wire", "recompute_wire_bytes"),
-        ("", "repair_iterations"),
+    let mut table = Table::new(vec![
+        "Algo",
+        "Mode",
+        "Batch",
+        "Repair",
+        "Recompute",
+        "Speedup",
+        "Repair wire",
+        "Recompute wire",
     ]);
     let mut json_cells = Vec::new();
     let (mut small_wins_time, mut small_wins_wire) = (true, true);
@@ -423,17 +406,15 @@ pub fn incremental_repair(cx: &mut Ctx) {
                 RepairMode::Fallback => "fallback",
             };
             let speedup = recompute_ns as f64 / repair_ns.max(1) as f64;
-            sheet.row(vec![
-                text(algo.display()),
-                text(mode),
-                val(frac_label, frac),
-                text(batch_edges),
-                val(format!("{:.2}ms", ms(repair_ns)), repair_ns),
-                val(format!("{:.2}ms", ms(recompute_ns)), recompute_ns),
-                text(format!("{speedup:.2}x")),
-                val(human_bytes(repair_wire), repair_wire),
-                val(human_bytes(recompute_wire), recompute_wire),
-                text(repair_iters),
+            table.row(vec![
+                algo.display().to_string(),
+                mode.to_string(),
+                frac_label.to_string(),
+                format!("{:.2}ms", ms(repair_ns)),
+                format!("{:.2}ms", ms(recompute_ns)),
+                format!("{speedup:.2}x"),
+                human_bytes(repair_wire),
+                human_bytes(recompute_wire),
             ]);
             let repair = [repair_ns, repair_wire, repair_iters];
             let recompute = [recompute_ns, recompute_wire];
@@ -455,7 +436,7 @@ pub fn incremental_repair(cx: &mut Ctx) {
             }
         }
     }
-    emit("incremental", &sheet);
+    println!("\n{}", table.to_markdown());
     cx.write_json("incremental", |o| {
         o.str("dataset", "fk").num("batches_per_cell", BATCHES);
         o.array("cells", |a| {

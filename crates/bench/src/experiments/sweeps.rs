@@ -7,50 +7,15 @@ use ascetic_graph::datasets::DatasetId;
 use ascetic_obs::json::Array;
 
 use crate::fmt::{human_bytes, Table};
-use crate::output::emit_pivot;
 use crate::run::{ascetic, grid, Cell, Ctx, Variant};
 use crate::setup::{Algo, Env, TABLE4_ORDER};
 
-/// One per-run statistic of a mode sweep: its CSV column and its key in
-/// the per-mode JSON object (an empty name leaves it out of that file).
-type Metric = (&'static str, &'static str, fn(&RunReport) -> String);
+/// One per-run statistic of a mode sweep: its key in the per-mode JSON
+/// object and its value.
+type Metric = (&'static str, fn(&RunReport) -> String);
 
 fn s(x: impl ToString) -> String {
     x.to_string()
-}
-
-/// The sweep's CSV header: `lead` (the mode column, then any tag columns),
-/// the cell, the metrics.
-fn csv_table(lead: &[&'static str], metrics: &[Metric]) -> Table {
-    let in_csv = metrics.iter().map(|m| m.0).filter(|name| !name.is_empty());
-    Table::new(
-        lead.iter()
-            .copied()
-            .chain(["algo", "dataset"])
-            .chain(in_csv)
-            .collect(),
-    )
-}
-
-/// The sweep's CSV rows: one per (mode, cell), mode-major, `tags` after
-/// the mode. The modes' reports start at `first`.
-fn csv_rows(
-    csv: &mut Table,
-    (modes, first): (&[&str], usize),
-    tags: &[&str],
-    cells: &[Cell],
-    metrics: &[Metric],
-) {
-    for (mi, mode) in modes.iter().enumerate() {
-        for c in cells {
-            let mut row = vec![mode.to_string()];
-            row.extend(tags.iter().map(|t| t.to_string()));
-            row.extend([c.algo.display().to_string(), c.dataset.abbr().to_string()]);
-            let in_csv = metrics.iter().filter(|m| !m.0.is_empty());
-            row.extend(in_csv.map(|m| m.2(&c.reports[first + mi])));
-            csv.row(row);
-        }
-    }
 }
 
 /// One cell of the sweep's JSON: identity, `tags`, one object per mode,
@@ -71,8 +36,8 @@ fn json_cell(
         }
         for (mode, r) in modes.iter().zip(&c.reports[first..]) {
             o.object(&mode.replace('-', "_"), |stats| {
-                for m in metrics.iter().filter(|m| !m.1.is_empty()) {
-                    stats.num(m.1, m.2(r));
+                for (key, value) in metrics {
+                    stats.num(key, value(r));
                 }
             });
         }
@@ -129,16 +94,10 @@ pub fn compression(cx: &mut Ctx) {
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
     let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
     let metrics: [Metric; 3] = [
-        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
-        ("bytes_with_prestore", "bytes", |r| {
-            s(r.total_bytes_with_prestore())
-        }),
-        ("wire_bytes_with_prestore", "wire", |r| {
-            s(r.total_wire_bytes_with_prestore())
-        }),
+        ("sim_ns", |r| s(r.sim_time_ns)),
+        ("bytes", |r| s(r.total_bytes_with_prestore())),
+        ("wire", |r| s(r.total_wire_bytes_with_prestore())),
     ];
-    let mut csv = csv_table(&["mode"], &metrics);
-    csv_rows(&mut csv, (&MODES, 0), &[], &cells, &metrics);
     let mut table = Table::new(vec![
         "Algo",
         "Dataset",
@@ -165,7 +124,7 @@ pub fn compression(cx: &mut Ctx) {
         ];
         json_cells.push((c, deltas));
     }
-    emit_pivot("compression", &table, &csv);
+    println!("\n{}", table.to_markdown());
 
     let off_wire: u64 = cells.iter().map(|c| wire(&c.reports[0])).sum();
     let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[1])).sum();
@@ -216,20 +175,16 @@ pub fn prefetch(cx: &mut Ctx) {
     let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_prefetch(m));
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
     let metrics: [Metric; 9] = [
-        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
-        ("stall_ns", "stall_ns", |r| s(stall_ns(r))),
-        ("", "transfer_ns", |r| s(r.breakdown.transfer_ns)),
-        ("", "update_ns", |r| s(r.breakdown.update_ns)),
-        ("prefetch_bytes", "prefetch_bytes", |r| s(r.prefetch_bytes)),
-        ("prefetch_ops", "prefetch_ops", |r| s(r.prefetch_ops)),
-        ("prefetch_hits", "prefetch_hits", |r| s(r.prefetch_hits)),
-        ("prefetch_wasted_bytes", "prefetch_wasted_bytes", |r| {
-            s(r.prefetch_wasted_bytes)
-        }),
-        ("", "hit_rate", |r| format!("{:.4}", r.prefetch_hit_rate())),
+        ("sim_ns", |r| s(r.sim_time_ns)),
+        ("stall_ns", |r| s(stall_ns(r))),
+        ("transfer_ns", |r| s(r.breakdown.transfer_ns)),
+        ("update_ns", |r| s(r.breakdown.update_ns)),
+        ("prefetch_bytes", |r| s(r.prefetch_bytes)),
+        ("prefetch_ops", |r| s(r.prefetch_ops)),
+        ("prefetch_hits", |r| s(r.prefetch_hits)),
+        ("prefetch_wasted_bytes", |r| s(r.prefetch_wasted_bytes)),
+        ("hit_rate", |r| format!("{:.4}", r.prefetch_hit_rate())),
     ];
-    let mut csv = csv_table(&["mode"], &metrics);
-    csv_rows(&mut csv, (&MODES, 0), &[], &cells, &metrics);
     let mut table = Table::new(vec![
         "Algo",
         "Dataset",
@@ -261,7 +216,7 @@ pub fn prefetch(cx: &mut Ctx) {
         ];
         json_cells.push((c, deltas));
     }
-    emit_pivot("prefetch", &table, &csv);
+    println!("\n{}", table.to_markdown());
 
     let off_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[0])).sum();
     let nf_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[1])).sum();
@@ -305,16 +260,11 @@ pub fn direction(cx: &mut Ctx) {
         ("adaptive", CompressionMode::Adaptive),
     ];
     let metrics: [Metric; 4] = [
-        ("sim_ns", "sim_ns", |r| s(r.sim_time_ns)),
-        ("steady_wire_bytes", "steady_wire_bytes", |r| {
-            s(r.steady_wire_bytes())
-        }),
-        ("h2d_wire_bytes", "h2d_wire_bytes", |r| {
-            s(r.xfer.h2d_wire_bytes)
-        }),
-        ("pull_iterations", "pull_iterations", |r| s(pull_iters(r))),
+        ("sim_ns", |r| s(r.sim_time_ns)),
+        ("steady_wire_bytes", |r| s(r.steady_wire_bytes())),
+        ("h2d_wire_bytes", |r| s(r.xfer.h2d_wire_bytes)),
+        ("pull_iterations", |r| s(pull_iters(r))),
     ];
-    let mut csv = csv_table(&["direction", "compression"], &metrics);
     let mut table = Table::new(vec![
         "Algo",
         "Dataset",
@@ -343,7 +293,6 @@ pub fn direction(cx: &mut Ctx) {
     let (mut slow, mut not_reduced) = (Vec::new(), Vec::new());
     for (ci, (comp_name, _)) in comps.iter().enumerate() {
         let first = ci * MODES.len();
-        csv_rows(&mut csv, (&MODES, first), &[comp_name], &cells, &metrics);
         let tag = format!("/{comp_name}");
         slow.extend(slower(&cells, &tag, first, first + 2));
         for c in &cells {
@@ -371,7 +320,7 @@ pub fn direction(cx: &mut Ctx) {
             json_cells.push((c, first, comp_name, deltas));
         }
     }
-    emit_pivot("direction", &table, &csv);
+    println!("\n{}", table.to_markdown());
 
     let saved_pct = pct(push_wire as f64 - adaptive_wire as f64, push_wire);
     cx.write_json("direction", |o| {

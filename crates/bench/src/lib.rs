@@ -16,12 +16,14 @@
 //!   datasets and the paper's 16-cell grid shared across experiments;
 //! * [`fmt`] — columns declared once and rendered as markdown and CSV,
 //!   geometric means, humanised units;
-//! * [`output`] — the one emission path (stdout, `<id>.csv` under
-//!   `$ASCETIC_RESULTS`, `BENCH_<name>.json`) and checks as data;
+//! * [`output`] — the one emission path (stdout, then one file per
+//!   experiment: its `BENCH_<name>.json`, else `<id>.csv` under
+//!   `$ASCETIC_RESULTS`) and checks as data;
 //! * [`experiments`] — the table and the experiments themselves.
 //!
-//! Every experiment prints markdown shaped like the paper's and (when
-//! `ASCETIC_RESULTS` is set) writes raw CSVs for plotting. Its checks are
+//! Every experiment prints markdown shaped like the paper's and writes its
+//! numbers once: the six sweeps and lanes to `BENCH_<name>.json`, the
+//! others (when `ASCETIC_RESULTS` is set) to raw CSVs for plotting. Its checks are
 //! printed with its results; a failing check makes the process exit
 //! non-zero after all output is written, except under `--smoke` (scale
 //! 1/50 000, where the paper-scale bounds need not hold).

@@ -1,6 +1,7 @@
-//! The one emission path: markdown to stdout, `<experiment>.csv` under
-//! `$ASCETIC_RESULTS`, `BENCH_<name>.json` beside it (or in the current
-//! directory), and acceptance checks as data.
+//! The one emission path: markdown to stdout, then each experiment's
+//! numbers in one file — its `BENCH_<name>.json` (under `$ASCETIC_RESULTS`,
+//! else in the current directory), or else `<experiment>.csv` under
+//! `$ASCETIC_RESULTS` — and acceptance checks as data.
 
 use crate::fmt::{Sheet, Table};
 use ascetic_obs::json::{self, Layout, Object};

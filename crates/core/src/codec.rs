@@ -103,14 +103,6 @@ pub struct EncodeScratch {
     entries: Vec<EncodeEntry>,
 }
 
-#[cfg(test)]
-impl EncodeScratch {
-    /// Allocated capacity across both buffers (recycling tests).
-    pub(crate) fn capacity(&self) -> usize {
-        self.buf.capacity() + self.entries.capacity()
-    }
-}
-
 /// Ship one gather batch of `src` rows into `dst`, usable from `ready`:
 /// the payload raw or encoded, plus its subgraph index (always raw, riding
 /// the same DMA op). Returns `(transfer_ns, payload_at)` — the
@@ -224,6 +216,13 @@ mod tests {
     use ascetic_graph::compress::encoded_len;
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
     use ascetic_sim::{DecompressModel, DeviceConfig, PcieModel};
+
+    impl EncodeScratch {
+        /// Allocated capacity across both buffers (recycling tests).
+        pub(crate) fn capacity(&self) -> usize {
+            self.buf.capacity() + self.entries.capacity()
+        }
+    }
 
     #[test]
     fn crossover_favors_big_well_compressed_transfers() {

@@ -211,11 +211,6 @@ pub struct AsceticConfig {
     /// `span_trace` (export with [`ascetic_obs::Trace::to_perfetto_json`]
     /// or [`ascetic_obs::Trace::to_jsonl`]).
     pub tracing: bool,
-    /// Record a structured [`ascetic_obs::EventLog`] of what no span states
-    /// (Eq (3) repartitions, allocator high-water marks) on the report's
-    /// `events`; the span trace (`tracing`) is the run's timeline. Off by
-    /// default; enabling costs one `Vec` push per event.
-    pub events: bool,
     /// Number of buffers the on-demand region is split into (≥ 1). With
     /// more than one, batch `i+1`'s H2D transfer can run while batch `i`
     /// computes — classic double buffering. The paper's design has a
@@ -243,7 +238,6 @@ impl AsceticConfig {
             adaptive: true,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             tracing: false,
-            events: false,
             od_buffers: 1,
             compression: CompressionMode::Off,
             prefetch: PrefetchMode::Off,
@@ -285,12 +279,6 @@ impl AsceticConfig {
     /// Builder: toggle span tracing.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Builder: toggle structured event logging.
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
         self
     }
 
@@ -380,7 +368,6 @@ mod tests {
         assert_eq!(c.fill, FillPolicy::Front);
         assert!(c.static_ratio_override.is_none());
         assert_eq!(c.od_buffers, 1);
-        assert!(!c.events, "event logging is opt-in");
         assert_eq!(c.compression, CompressionMode::Off);
     }
 
@@ -397,12 +384,6 @@ mod tests {
         // forcing every payload encoded is not a mode: the wire-form rule decides
         let err = "always".parse::<CompressionMode>().unwrap_err();
         assert_eq!(err, "'always' is not one of off|adaptive");
-    }
-
-    #[test]
-    fn events_builder() {
-        let c = AsceticConfig::new(DeviceConfig::p100(1 << 20)).with_events(true);
-        assert!(c.events);
     }
 
     #[test]

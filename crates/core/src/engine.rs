@@ -123,7 +123,8 @@ pub fn finish_report(
     } else {
         per_iter.iter().map(|i| i.payload_bytes).sum::<u64>() / per_iter.len() as u64
     };
-    // taking the tracer and the event log leaves the device armed as it was
+    // taking the tracer leaves the device armed as it was; taking the event
+    // log leaves an empty one behind
     let span_trace = gpu.timeline.take_tracer().map(|t| t.finish());
     let utilization = span_trace
         .as_ref()
@@ -169,8 +170,8 @@ pub fn finish_report(
         repartitions: tally("repartitions") as u32,
         span_trace,
         utilization,
-        events_dropped: events.as_ref().map_or(0, |e| e.dropped()),
-        first_drop_at: events.as_ref().and_then(|e| e.first_drop_at()),
+        events_dropped: events.dropped(),
+        first_drop_at: events.first_drop_at(),
         metrics,
         events,
         peak_iteration_payload_bytes: peak,

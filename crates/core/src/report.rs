@@ -164,8 +164,8 @@ pub struct RunReport {
     /// Per-iteration link/compute utilization derived from the span
     /// trace. Empty when tracing was off.
     pub utilization: Vec<IterUtilization>,
-    /// Events the bounded log discarded after filling up (0 when event
-    /// logging was off or nothing was dropped).
+    /// Events the bounded log discarded after filling up (0 when nothing
+    /// was dropped).
     pub events_dropped: u64,
     /// Virtual-clock timestamp of the first dropped event, when any were
     /// dropped — everything before this time is complete.
@@ -177,8 +177,8 @@ pub struct RunReport {
     /// headline scalar's name is present, at zero when nothing bumped it.
     pub metrics: MetricsSnapshot,
     /// Event log of what no span of `span_trace` states (re-partitions,
-    /// high-water marks, UVM faults), when the run armed `with_events`.
-    pub events: Option<EventLog>,
+    /// high-water marks, UVM faults).
+    pub events: EventLog,
     /// Final algorithm output (validated against the in-memory oracle).
     pub output: AlgoOutput,
     /// Per-iteration details.
@@ -457,7 +457,7 @@ mod tests {
             events_dropped: 0,
             first_drop_at: None,
             metrics: MetricsSnapshot::new(),
-            events: None,
+            events: EventLog::default(),
             output: AlgoOutput::Distances(vec![]),
             per_iter: vec![],
         }

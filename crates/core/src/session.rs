@@ -196,7 +196,7 @@ impl<'g> AsceticSession<'g> {
     fn build(cfg: AsceticConfig, graph: SessionGraph<'g>) -> AsceticSession<'g> {
         let g: &Csr = &graph;
         let geo = ChunkGeometry::with_chunk_bytes(g, cfg.chunk_bytes);
-        let mut gpu = Gpu::armed(cfg.device, cfg.tracing, cfg.events);
+        let mut gpu = Gpu::armed(cfg.device, cfg.tracing);
         let _vertex_slab = reserve_vertex_arrays(&mut gpu, g);
         let m_edge = edge_budget_bytes(&gpu);
         let d = g.edge_bytes();
@@ -1334,9 +1334,7 @@ mod tests {
                 weight: None,
             })
             .collect();
-        let cfg = cfg_for(&g)
-            .with_prefetch(PrefetchMode::NextFrontier)
-            .with_events(true);
+        let cfg = cfg_for(&g).with_prefetch(PrefetchMode::NextFrontier);
         let mut session = AsceticSession::new(cfg, &g);
         let registry = |s: &AsceticSession| s.gpu.obs.registry.snapshot();
         // What lets the first run be measured from an empty registry: all
@@ -1359,10 +1357,7 @@ mod tests {
         assert_eq!(a.metrics.label("algo"), Some("BFS"));
         // the setup's allocator climb is the first run's, as its
         // prestore is
-        let high_water = |r: &RunReport| {
-            let log = r.events.as_ref().expect("log armed every run");
-            log.iter().any(|e| e.event.kind() == "high_water")
-        };
+        let high_water = |r: &RunReport| r.events.iter().any(|e| e.event.kind() == "high_water");
         assert!(
             high_water(&a),
             "first run owns the setup's high-water marks"
@@ -1803,7 +1798,7 @@ mod tests {
         let oracle = run_in_memory(&g, &prog).output;
         let min_words = |s: &AsceticSession| s.od_buffers.iter().map(|b| b.len).min().unwrap();
         for od_buffers in [1, 2] {
-            let cfg = cfg_for(&g).with_od_buffers(od_buffers).with_events(true);
+            let cfg = cfg_for(&g).with_od_buffers(od_buffers);
             let mut s = AsceticSession::new(cfg, &g);
             let (before, slab_before) = (min_words(&s), s.od_slab.len);
             let first = s.run(&prog);
@@ -1817,20 +1812,15 @@ mod tests {
             );
             // the event says why: a region holding a third of the data
             // served nothing, and the frontier did not fit beside it
-            let fired = r
-                .events
-                .as_ref()
-                .unwrap()
-                .iter()
-                .find_map(|e| match e.event {
-                    Event::Repartition {
-                        static_share_ppm,
-                        region_share_ppm,
-                        overflow_bytes,
-                        ..
-                    } => Some((static_share_ppm, region_share_ppm, overflow_bytes)),
-                    _ => None,
-                });
+            let fired = r.events.iter().find_map(|e| match e.event {
+                Event::Repartition {
+                    static_share_ppm,
+                    region_share_ppm,
+                    overflow_bytes,
+                    ..
+                } => Some((static_share_ppm, region_share_ppm, overflow_bytes)),
+                _ => None,
+            });
             let (served, held, overflow) = fired.expect("a repartition event");
             assert_eq!(served, 0);
             assert!(

@@ -54,12 +54,13 @@ pub struct WebConfig {
 impl WebConfig {
     /// uk-2007-ish defaults: ~250-page hosts, 80 % intra-host links with
     /// mean span 6 (deep hierarchies), cross links mostly to nearby hosts,
-    /// landing on the front 10 % of the target host.
+    /// landing on the front 10 % of the target host (at least four hosts,
+    /// but never more hosts than pages).
     pub fn new(num_vertices: usize, num_edges: u64, seed: u64) -> Self {
         WebConfig {
             num_vertices,
             num_edges,
-            num_hosts: (num_vertices / 250).max(4),
+            num_hosts: (num_vertices / 250).max(4).min(num_vertices),
             intra_frac: 0.8,
             intra_span_mean: 6.0,
             near_host_frac: 0.7,

@@ -351,48 +351,47 @@ impl Registry {
     }
 }
 
-/// The per-device observability bundle: one live [`Registry`] plus an
-/// optional [`crate::EventLog`] (off by default — enabling costs one `Vec`
-/// push per event).
-#[derive(Clone, Debug, Default)]
+/// The per-device observability bundle: one live [`Registry`] plus the
+/// bounded [`crate::EventLog`] every run keeps.
+#[derive(Clone, Debug)]
 pub struct Obs {
     /// Live metric registry (always on; counters are cheap).
     pub registry: Registry,
-    events: Option<crate::EventLog>,
+    events: crate::EventLog,
+}
+
+/// Written by hand: a derived `Default` would hold a zero-capacity log,
+/// which drops every event.
+impl Default for Obs {
+    fn default() -> Self {
+        Obs {
+            registry: Registry::default(),
+            events: crate::EventLog::new(crate::DEFAULT_EVENT_CAPACITY),
+        }
+    }
 }
 
 impl Obs {
-    /// A fresh bundle with event logging disabled.
+    /// A fresh bundle with an empty [`crate::DEFAULT_EVENT_CAPACITY`] log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Start recording events, keeping at most `capacity` of them.
-    pub fn enable_events(&mut self, capacity: usize) {
-        if self.events.is_none() {
-            self.events = Some(crate::EventLog::new(capacity));
-        }
-    }
-
-    /// Record `event` at virtual-clock instant `t_ns` (no-op when event
-    /// logging is disabled).
+    /// Record `event` at virtual-clock instant `t_ns`.
     pub fn record(&mut self, t_ns: u64, event: crate::Event) {
-        if let Some(log) = self.events.as_mut() {
-            log.record(t_ns, event);
-        }
+        self.events.record(t_ns, event);
     }
 
-    /// The recorded events, if enabled.
-    pub fn events(&self) -> Option<&crate::EventLog> {
-        self.events.as_ref()
+    /// The events recorded since the log was last taken.
+    pub fn events(&self) -> &crate::EventLog {
+        &self.events
     }
 
     /// Take ownership of the event log (used when assembling reports),
-    /// leaving an empty one of the same capacity: a bundle stays armed the
-    /// way it was built.
-    pub fn take_events(&mut self) -> Option<crate::EventLog> {
-        let fresh = crate::EventLog::new(self.events.as_ref()?.capacity());
-        self.events.replace(fresh)
+    /// leaving an empty one of the same capacity behind.
+    pub fn take_events(&mut self) -> crate::EventLog {
+        let fresh = crate::EventLog::new(self.events.capacity());
+        std::mem::replace(&mut self.events, fresh)
     }
 }
 
@@ -505,16 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn obs_gates_events() {
+    fn take_events_leaves_an_empty_log_behind() {
         let mut o = Obs::new();
-        o.record(5, crate::Event::HighWater { bytes: 8 });
-        assert!(o.events().is_none(), "disabled log records nothing");
-        o.enable_events(4);
         o.record(7, crate::Event::HighWater { bytes: 16 });
-        assert_eq!(o.events().unwrap().len(), 1);
-        // taking the log leaves the bundle armed as it was
-        assert_eq!(o.take_events().unwrap().len(), 1);
-        let fresh = o.events().expect("still armed");
-        assert_eq!((fresh.len(), fresh.capacity()), (0, 4));
+        assert_eq!(o.events().len(), 1);
+        assert_eq!(o.take_events().len(), 1);
+        let fresh = o.events();
+        assert_eq!(
+            (fresh.len(), fresh.capacity()),
+            (0, crate::DEFAULT_EVENT_CAPACITY)
+        );
     }
 }

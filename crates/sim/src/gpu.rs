@@ -20,7 +20,7 @@ use crate::device::{DeviceConfig, KernelModel};
 use crate::memory::{DevPtr, DeviceMemory, OutOfDeviceMemory};
 use crate::time::SimTime;
 use crate::timeline::{CopyStream, Engine, Span, Timeline};
-use ascetic_obs::{Event, Obs, DEFAULT_EVENT_CAPACITY};
+use ascetic_obs::{Event, Obs};
 
 /// A simulated GPU with its host-side engines.
 ///
@@ -104,15 +104,12 @@ impl Xfer {
 
 impl Gpu {
     /// A fresh device armed as a run asked: span tracing on the timeline
-    /// when `tracing`, a [`DEFAULT_EVENT_CAPACITY`] event log when
-    /// `events`. Both stay armed when a report takes what they recorded.
-    pub fn armed(config: DeviceConfig, tracing: bool, events: bool) -> Self {
+    /// when `tracing`. The tracer stays armed when a report takes what it
+    /// recorded; the event log is always on.
+    pub fn armed(config: DeviceConfig, tracing: bool) -> Self {
         let mut g = Self::new(config);
         if tracing {
             g.timeline.enable_tracing();
-        }
-        if events {
-            g.obs.enable_events(DEFAULT_EVENT_CAPACITY);
         }
         g
     }
@@ -522,24 +519,15 @@ mod tests {
     #[test]
     fn obs_events_record_high_water() {
         let mut g = small_gpu();
-        g.obs.enable_events(64);
         let p = g.alloc(8).unwrap();
         g.h2d_at(p, &[0; 8], g.elapsed());
-        let events = g.obs.events().unwrap();
+        let events = g.obs.events();
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, ["high_water"], "a copy is a span, not an event");
         assert_eq!(
             g.obs.registry.snapshot().gauge("mem.high_water_bytes"),
             Some(32)
         );
-    }
-
-    #[test]
-    fn obs_events_off_by_default() {
-        let mut g = small_gpu();
-        let p = g.alloc(8).unwrap();
-        g.h2d_at(p, &[0; 8], g.elapsed());
-        assert!(g.obs.events().is_none());
     }
 
     #[test]

@@ -337,6 +337,9 @@ fn cmd_generate(o: &Opts) -> Res {
         "social" | "web" if undirected => {
             return Err(format!("--undirected has no effect with --kind {kind}").into())
         }
+        "social" | "web" | "uniform" if n < 2 => {
+            return Err(format!("--vertices {n}: --kind {kind} needs at least 2").into())
+        }
         "social" => social_graph(&SocialConfig::new(n, m / 2, seed)),
         "web" => web_graph(&WebConfig::new(n, m, seed)),
         "rmat" => {
@@ -376,6 +379,9 @@ fn load_graph(spec: &str) -> Res<Csr> {
             .find(|d| d.abbr().eq_ignore_ascii_case(name))
             .ok_or_else(|| format!("unknown builtin dataset '{name}'"))?;
         let scale: u64 = ctx(scale.parse(), format_args!("bad scale in '{spec}'"))?;
+        if scale == 0 {
+            return Err(format!("bad scale in '{spec}': the divisor must be at least 1").into());
+        }
         eprintln!("building {} stand-in at scale 1/{scale} ...", id.name());
         return Ok(Dataset::build(id, scale).graph);
     }
@@ -506,23 +512,16 @@ fn resolve(o: &Opts, algos: &[Algo]) -> Res<Resolved> {
 }
 
 /// The system `--system name` names, on `r`'s device.
-fn system(r: &Resolved, name: &str, tracing: bool, events: bool) -> Res<AnySystem> {
+fn system(r: &Resolved, name: &str, tracing: bool) -> Res<AnySystem> {
     let dev = r.cfg.device;
     Ok(match name {
-        "ascetic" => AsceticSystem::new(r.cfg.with_tracing(tracing).with_events(events)).into(),
+        "ascetic" => AsceticSystem::new(r.cfg.with_tracing(tracing)).into(),
         "subway" => SubwaySystem::new(dev)
             .with_tracing(tracing)
-            .with_events(events)
             .with_compression(r.cfg.compression)
             .into(),
-        "pt" => PtSystem::new(dev)
-            .with_tracing(tracing)
-            .with_events(events)
-            .into(),
-        "uvm" => UvmSystem::new(dev)
-            .with_tracing(tracing)
-            .with_events(events)
-            .into(),
+        "pt" => PtSystem::new(dev).with_tracing(tracing).into(),
+        "uvm" => UvmSystem::new(dev).with_tracing(tracing).into(),
         other => return Err(format!("unknown --system {other}").into()),
     })
 }
@@ -594,14 +593,12 @@ fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str) -> Res {
         o.num("schema_version", RUN_REPORT_SCHEMA_VERSION);
         o.str("system", r.system).str("algorithm", r.algorithm);
         o.str("graph", graph);
-        o.num("events", r.events.as_ref().map_or(0, |e| e.len()));
+        o.num("events", r.events.len());
         o.num("events_dropped", r.events_dropped);
         o.opt("first_drop_at", r.first_drop_at);
     });
     out.push('\n');
-    if let Some(events) = &r.events {
-        out.push_str(&events.to_jsonl());
-    }
+    out.push_str(&r.events.to_jsonl());
     json::object(&mut out, |o| {
         o.str("kind", "metrics").raw("data", &r.metrics.to_json());
     });
@@ -682,13 +679,7 @@ fn cmd_run(o: &Opts) -> Res {
         );
         return Ok(());
     }
-    // an event log is only worth recording when it will be exported
-    let sys = system(
-        &r,
-        system_name,
-        o.has("--trace-out"),
-        o.has("--metrics-out"),
-    )?;
+    let sys = system(&r, system_name, o.has("--trace-out"))?;
     let rep = sys.run(&r.g, prog);
     match o.get("--summary").unwrap_or("text") {
         "text" => print_report(&rep, r.dataset_bytes),
@@ -699,7 +690,7 @@ fn cmd_run(o: &Opts) -> Res {
         write_metrics_jsonl(&rep, &o.args[0], path)?;
         eprintln!(
             "wrote metrics snapshot + {} events to {path}",
-            rep.events.as_ref().map_or(0, |e| e.len())
+            rep.events.len()
         );
     }
     if let Some(path) = o.get("--iter-csv") {
@@ -997,7 +988,7 @@ fn cmd_compare(o: &Opts) -> Res {
     let mut base: Option<f64> = None;
     let mut outputs: Vec<RunReport> = Vec::new();
     for name in ["pt", "uvm", "subway", "ascetic"] {
-        let rep = system(&r, name, false, false)?.run(&r.g, &r.progs[0]);
+        let rep = system(&r, name, false)?.run(&r.g, &r.progs[0]);
         let t = rep.seconds();
         let b = *base.get_or_insert(t);
         println!(

@@ -82,6 +82,38 @@ fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
 }
 
 #[test]
+fn a_degenerate_graph_size_is_an_error_not_a_panic() {
+    for kind in ["social", "web", "uniform"] {
+        for n in [0, 1] {
+            let err = rejected(&format!(
+                "generate --kind {kind} --vertices {n} --edges 10 -o g.beg"
+            ));
+            assert!(err.contains(&format!("--vertices {n}")), "{err}");
+        }
+    }
+    // the smallest graph of every kind is generated (a two- or three-page
+    // web graph has as many hosts as pages)
+    let tiny = std::env::temp_dir().join(format!("ascetic-tiny-{}.beg", std::process::id()));
+    for kind in ["social", "web", "uniform", "rmat"] {
+        for n in [2, 3] {
+            let out = tiny.display();
+            accepted(&format!(
+                "generate --kind {kind} --vertices {n} --edges 10 -o {out}"
+            ));
+        }
+    }
+    std::fs::remove_file(tiny).ok();
+    for cmd in [
+        "run gs@0 --algo bfs",
+        "info gs@0",
+        "serve gs@0 --synthetic 4",
+    ] {
+        let err = rejected(cmd);
+        assert!(err.contains("'gs@0'"), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn an_out_of_range_source_is_an_error_on_every_path_not_a_panic() {
     let muts = std::env::temp_dir().join(format!("ascetic-rejects-{}.jsonl", std::process::id()));
     std::fs::write(&muts, "{\"op\": \"insert\", \"src\": 1, \"dst\": 2}\n").unwrap();

@@ -55,35 +55,41 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// re-harvested on PR 25, the commit before the server was deleted, once
 /// `cfg_for` stopped naming it; the lazy-fill rows went with lazy fill, and
 /// the default-configuration BFS(0) and PR rows, now equal to rows 1 and 7.
-/// The last row, harvested then too, pins every surviving region class
-/// with the event log armed. The five rows that forced every eligible payload
-/// encoded were replaced by adaptive twins on a slowed link (`slow_link`)
-/// when the forced mode was removed; the wire-form rule alone now decides.
+/// The last row, harvested then too, pins every surviving region class.
+/// The five rows that forced every eligible payload encoded were replaced
+/// by adaptive twins on a slowed link (`slow_link`) when the forced mode
+/// was removed; the wire-form rule alone now decides.
 /// The metrics hash of the eight event-armed rows (PT ×2, UVM ×2, Subway
 /// raw and BC, the BC fleet, the last row) was re-harvested when the event
 /// log stopped restating spans: only re-partitions, high-water marks and
 /// UVM faults and evictions are folded; the other seven columns did not
 /// move and no armed row drops an event. The UVM bulk-prefetch row went
-/// with UVM's bulk hints.
+/// with UVM's bulk hints. When every run started keeping its event log
+/// (the `events` switch was deleted), the metrics hash of the 11 rows that
+/// had run without one and whose run logs something — the first run of a
+/// session owns the setup's high-water marks (`BFS(0)`, `SSSP(0)`,
+/// `PR push`, `PR adaptive modes`, `PR forced pull`, the PR fleet, the
+/// two slowed-link BFS rows, `BFS(0) overlap off`, `CC od_buffers=2`,
+/// compressed Subway) — was re-harvested; no other column moved.
 #[rustfmt::skip]
 const GOLDEN: [(&str, Virt); 25] = [
-    ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x00a69a788ea40ab6)),
+    ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x71bb0af5891af4e3)),
     ("BFS(1777)", (1644753, 271620, 25, 52, 129, 0x16fd92c0332e67f7, 0xd33a51165471a8e4, 0x61a288ff62c14533)),
     ("BFS(4242)", (1839901, 271620, 31, 53, 134, 0x6ef9d11362d6a739, 0x5426c1a4b9d05b15, 0xeb3f15feec11c74e)),
     ("BFS(0) again", (1747428, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x97ba4dc38867eb66, 0x9c07814a76d519c0)),
     ("CC", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0xa6caebfbf2ba56de, 0x7777842a2f483a36)),
-    ("SSSP(0)", (5202035, 4200232, 114, 101, 316, 0x478264cf27d5749d, 0x317c1fe878595818, 0x3918cf9913814e37)),
-    ("PR push", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x126b0d107061ed39)),
-    ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0xcd02a92123c9af5e)),
-    ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x1e2ba97c7a847a0a)),
-    ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0x2986cf1bf0cbb31b)),
-    ("BFS(0) push, compression adaptive, slowed link", (1798586, 131485, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x38d94b0828dff072, 0xd128488f81a3af9c)),
+    ("SSSP(0)", (5202035, 4200232, 114, 101, 316, 0x478264cf27d5749d, 0x317c1fe878595818, 0x325ac16884c78164)),
+    ("PR push", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x297096847a76a540)),
+    ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0xf82bc7e77aabdf6b)),
+    ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x976b65ef097c0497)),
+    ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0xc65205967ff484af)),
+    ("BFS(0) push, compression adaptive, slowed link", (1798586, 131485, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x38d94b0828dff072, 0xadb55b9cca6f1fe9)),
     ("CC push, compression adaptive, slowed link", (3785690, 1043975, 108, 51, 210, 0xff29483f185f2a2c, 0xdb547266f875ac48, 0xc4e9e41f874cd1f1)),
-    ("BFS(0) forced pull, compression adaptive, slowed link", (5793876, 1637234, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x48f82e0eb6261c0a, 0xf01d6f1a847e79f8)),
+    ("BFS(0) forced pull, compression adaptive, slowed link", (5793876, 1637234, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x48f82e0eb6261c0a, 0x4d9a2e412c3683d5)),
     ("CC forced pull, compression adaptive, slowed link", (5758522, 1637234, 179, 51, 230, 0xff29483f185f2a2c, 0x9dd466877d10abcd, 0x575c3ba64af1cc03)),
-    ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb03046e0c5589ba2, 0x60b07a1a27b2a182)),
-    ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x9d566e7009cad9fe, 0x237a6dbe466aedc4)),
-    ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0xdbe8c828c876905a)),
+    ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb03046e0c5589ba2, 0xeb6f9fc9ada235ef)),
+    ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x9d566e7009cad9fe, 0xf5fd5bed94fb7391)),
+    ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0x88fcd9e6b8415fdd)),
     ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x3ef25eb181007aa1)),
     ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0xd5889d6c2e3f80f2, 0x30a436b6c1cac443)),
     ("UVM BFS(0)", (13586918, 381952, 373, 51, 51, 0x1f2c1ab87e045bfe, 0xa7de9c0a7aecf2b0, 0x1e8550e26a4606b4)),
@@ -91,7 +97,7 @@ const GOLDEN: [(&str, Virt); 25] = [
     ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0x1cf8dcc92ea2e3b8)),
     ("BC(0) 2-device NVLink", (3271292, 181480, 72, 100, 408, 0xd504c1a8d3152869, 0xaf0c76aa9008c633, 0x222c25fd702d5d79)),
     ("CC after one BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
-    ("PR adaptive compression on a slowed link + next-frontier prefetch, events armed", (7840796, 2536447, 425, 74, 397, 0xd33b43eeeabd4a45, 0x19c81de6f64186c0, 0x4368da47c989ef95)),
+    ("PR adaptive compression on a slowed link + next-frontier prefetch", (7840796, 2536447, 425, 74, 397, 0xd33b43eeeabd4a45, 0x19c81de6f64186c0, 0x4368da47c989ef95)),
 ];
 
 /// The default configuration on a device ~40 % of the edges fit in, so
@@ -146,11 +152,10 @@ fn metrics_fp(h: &mut u64, m: &MetricsSnapshot, skip: Option<&str>) {
 }
 
 /// Folds the run's event log (every retained event with its timestamp, in
-/// record order) into `h` — nothing when the run had events off, so rows
-/// captured without a log keep their metrics fingerprint.
+/// record order) into `h`.
 fn events_fp(h: &mut u64, r: &RunReport) {
-    assert_eq!(r.events_dropped, 0, "an armed log holds the whole run");
-    for e in r.events.iter().flat_map(|log| log.iter()) {
+    assert_eq!(r.events_dropped, 0, "the log holds the whole run");
+    for e in r.events.iter() {
         fnv(h, format!("{e:?}").as_bytes());
     }
 }
@@ -176,7 +181,7 @@ fn virt(r: &RunReport) -> Virt {
 }
 
 /// A fleet's row: makespan, per-device sums, the merged trace, and every
-/// device's metrics (and event log, when armed) folded in device order.
+/// device's metrics and event log folded in device order.
 fn fleet_virt(fleet: &FleetRunReport) -> Virt {
     let per_device = |f: fn(&RunReport) -> u64| fleet.per_device.iter().map(f).sum::<u64>();
     let mut fleet_metrics = FNV_OFFSET;
@@ -271,27 +276,27 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     // when these rows were captured; they do now)
     out.push(virt_skipping(&subway, Some("compress.ratio_x100")));
     // The systems behind the shared driver loop and baseline frame that no
-    // row above reaches, tracing and events on (the event log rides in the
-    // metrics fingerprint): PT, UVM demand-paged and with bulk hints, raw
+    // row above reaches, tracing on (the event log rides in the metrics
+    // fingerprint): PT, UVM demand-paged and with bulk hints, raw
     // Subway — and betweenness through Subway and a fleet, whose phase
     // handshake (and, in the fleet, the exchange that still runs on the
     // drained frontier at a phase boundary) only a multi-phase program
     // exercises.
     let dev = cfg_for(g).device;
     let bc = Betweenness::new(0);
-    let pt = PtSystem::new(dev).with_tracing(true).with_events(true);
+    let pt = PtSystem::new(dev).with_tracing(true);
     out.push(virt(&pt.run(g, &Bfs::new(0))));
     out.push(virt(&pt.run(g, &pr)));
     // pages scaled down with the graph, as the chunks are
     let mut paged = dev;
     paged.uvm.page_bytes = 1024;
-    let uvm = UvmSystem::new(paged).with_tracing(true).with_events(true);
+    let uvm = UvmSystem::new(paged).with_tracing(true);
     out.push(virt(&uvm.run(g, &Bfs::new(0))));
-    let subway = SubwaySystem::new(dev).with_tracing(true).with_events(true);
+    let subway = SubwaySystem::new(dev).with_tracing(true);
     out.push(virt(&subway.run(g, &Bfs::new(0))));
     out.push(virt(&subway.run(g, &bc)));
     out.push(fleet_virt(&run_fleet(
-        cfg_for(g).with_events(true),
+        cfg_for(g),
         FleetConfig::nvlink(2),
         g,
         &bc,
@@ -300,12 +305,10 @@ fn run_all(g: &Csr, wg: &Csr) -> Vec<Virt> {
     let mut session = AsceticSession::new(cfg_for(g), g);
     session.run(&Bfs::new(0));
     out.push(go(&mut session, &Cc::new()));
-    // Every region class, events armed: the prestore through the encoded
+    // Every region class: the prestore through the encoded
     // chain, on-demand batches encoded, and prefetches on their own
     // stream, raw — each a span of the trace.
-    let modes = slow_link(g)
-        .with_prefetch(PrefetchMode::NextFrontier)
-        .with_events(true);
+    let modes = slow_link(g).with_prefetch(PrefetchMode::NextFrontier);
     let modes = AsceticSession::new(modes, g).run(&pr);
     assert!(modes.prefetch_ops > 0 && modes.prestore_wire_bytes < modes.prestore_bytes);
     assert!(modes.metrics.counter("compress.transfers") > Some(0));
@@ -377,9 +380,7 @@ fn each_event_kind_renders_one_pinned_jsonl_line() {
     let g = web_graph(&WebConfig::new(6_000, 90_000, 21));
     let mut paged = cfg_for(&g).device;
     paged.uvm.page_bytes = 1024;
-    let uvm = UvmSystem::new(paged)
-        .with_events(true)
-        .run(&g, &Bfs::new(0));
+    let uvm = UvmSystem::new(paged).run(&g, &Bfs::new(0));
     let (half, deg) = (1_500u32, 8u32);
     let mut b = GraphBuilder::new(2 * half as usize);
     for v in 0..2 * half {
@@ -389,13 +390,13 @@ fn each_event_kind_renders_one_pinned_jsonl_line() {
         }
     }
     let islands = b.build();
-    let mut session = AsceticSession::new(cfg_for(&islands).with_events(true), &islands);
+    let mut session = AsceticSession::new(cfg_for(&islands), &islands);
     session.run(&Bfs::new(half));
     let shrunk = session.run(&Bfs::new(half));
     assert_eq!(shrunk.repartitions, 1);
     let mut jsonl = String::new();
     for r in [&uvm, &shrunk] {
-        jsonl.push_str(&r.events.as_ref().expect("events armed").to_jsonl());
+        jsonl.push_str(&r.events.to_jsonl());
     }
     let first = |kind: &str| {
         let tag = format!("\"kind\":\"{kind}\"");

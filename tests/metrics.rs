@@ -94,13 +94,11 @@ fn snapshot_equals_xferstats_on_every_system() {
 fn snapshot_and_events_are_bit_deterministic() {
     let (ds, dev, chunk) = env();
     let g = &ds.graph;
-    let cfg = AsceticConfig::new(dev)
-        .with_chunk_bytes(chunk)
-        .with_events(true);
+    let cfg = AsceticConfig::new(dev).with_chunk_bytes(chunk);
     let a = AsceticSystem::new(cfg).run(g, &PageRank::new());
     let b = AsceticSystem::new(cfg).run(g, &PageRank::new());
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
-    let (ea, eb) = (a.events.expect("events on"), b.events.expect("events on"));
+    let (ea, eb) = (a.events, b.events);
     assert_eq!(ea.to_jsonl(), eb.to_jsonl());
     assert!(!ea.is_empty(), "an Ascetic run must produce events");
     assert_eq!(ea.dropped(), 0, "capacity must cover a small run");
@@ -114,16 +112,12 @@ const EVENT_KINDS: [&str; 4] = ["repartition", "high_water", "uvm_fault", "uvm_e
 fn event_stream_is_clock_ordered_and_valid_json() {
     let (ds, dev, chunk) = env();
     let g = &ds.graph;
-    let ascetic = AsceticSystem::new(
-        AsceticConfig::new(dev)
-            .with_chunk_bytes(chunk)
-            .with_events(true),
-    )
-    .run(g, &Bfs::new(0));
-    let uvm = UvmSystem::new(dev).with_events(true).run(g, &Bfs::new(0));
+    let ascetic =
+        AsceticSystem::new(AsceticConfig::new(dev).with_chunk_bytes(chunk)).run(g, &Bfs::new(0));
+    let uvm = UvmSystem::new(dev).run(g, &Bfs::new(0));
     for rep in [ascetic, uvm] {
         let sys = rep.system;
-        let events = rep.events.expect("events on");
+        let events = rep.events;
         assert!(!events.is_empty(), "{sys}");
         for line in events.to_jsonl().lines() {
             ascetic::obs::json::validate(line).unwrap_or_else(|e| panic!("bad JSON {e}: {line}"));
