@@ -20,7 +20,10 @@
 //! that was already sealed. Blank lines and `#` comments are skipped.
 //! Errors carry the 1-based line number, matching the serve trace parser:
 //! every variant names the offending field and value so the CLI can print
-//! an actionable message and exit nonzero.
+//! an actionable message and exit nonzero. Each line is read by
+//! `obs::json`'s one parser; the faults both files share are one
+//! [`RecordError`], worded once, and only the graph's weight rules and
+//! the batch order are this file's own.
 
 use ascetic_graph::Mutation;
 use ascetic_obs::json::{self, EdgeRecord, RecordError};
@@ -28,21 +31,12 @@ use ascetic_obs::json::{self, EdgeRecord, RecordError};
 /// What went wrong on a mutation line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MutateErrorKind {
-    /// The line is not a flat JSON object (`{"key": value, ...}`).
-    Syntax(String),
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field holds a value of the wrong type or out of range.
-    BadValue {
-        /// Field name.
-        field: &'static str,
-        /// The offending raw text.
-        value: String,
-    },
-    /// `op` is neither `insert` nor `delete`.
-    UnknownOp(String),
-    /// `weight` given where the graph (or the op) takes none.
-    UnexpectedWeight(&'static str),
+    /// A fault every record file shares (syntax, a missing or bad field,
+    /// an unknown op, a weighted delete, an endpoint past the graph),
+    /// worded by [`RecordError`].
+    Record(RecordError),
+    /// `weight` given on an insert into an unweighted graph.
+    UnexpectedWeight,
     /// Insert into a weighted graph without a `weight`.
     MissingWeight,
     /// `batch` went backwards relative to an earlier line.
@@ -51,13 +45,6 @@ pub enum MutateErrorKind {
         batch: u64,
         /// The batch id already in progress.
         prev: u64,
-    },
-    /// An endpoint is out of range for the graph being mutated.
-    EndpointOutOfRange {
-        /// The offending vertex id.
-        vertex: u32,
-        /// Vertices in the graph.
-        num_vertices: usize,
     },
 }
 
@@ -76,20 +63,9 @@ impl std::fmt::Display for MutateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "mutation line {}: ", self.line)?;
         match &self.kind {
-            MutateErrorKind::Syntax(what) => {
-                write!(f, "{what} (expected a flat JSON object per line)")
-            }
-            MutateErrorKind::MissingField(field) => {
-                write!(f, "missing required field \"{field}\"")
-            }
-            MutateErrorKind::BadValue { field, value } => {
-                write!(f, "field \"{field}\" has invalid value {value}")
-            }
-            MutateErrorKind::UnknownOp(op) => {
-                write!(f, "unknown op \"{op}\" (expected \"insert\" or \"delete\")")
-            }
-            MutateErrorKind::UnexpectedWeight(why) => {
-                write!(f, "\"weight\" given but {why}")
+            MutateErrorKind::Record(e) => write!(f, "{e}"),
+            MutateErrorKind::UnexpectedWeight => {
+                write!(f, "\"weight\" given but the graph is unweighted")
             }
             MutateErrorKind::MissingWeight => {
                 write!(f, "insert into a weighted graph requires a \"weight\"")
@@ -100,32 +76,11 @@ impl std::fmt::Display for MutateError {
                     "batch {batch} after batch {prev} (batch ids must be non-decreasing)"
                 )
             }
-            MutateErrorKind::EndpointOutOfRange {
-                vertex,
-                num_vertices,
-            } => write!(
-                f,
-                "vertex {vertex} out of range for a graph with {num_vertices} vertices"
-            ),
         }
     }
 }
 
 impl std::error::Error for MutateError {}
-
-impl From<RecordError> for MutateErrorKind {
-    fn from(e: RecordError) -> Self {
-        match e {
-            RecordError::Syntax(what) => MutateErrorKind::Syntax(what),
-            RecordError::MissingField(field) => MutateErrorKind::MissingField(field),
-            RecordError::BadValue { field, value } => MutateErrorKind::BadValue { field, value },
-            RecordError::UnknownOp(op) => MutateErrorKind::UnknownOp(op),
-            RecordError::WeightOnDelete => MutateErrorKind::UnexpectedWeight(
-                "a delete removes every parallel edge regardless of weight",
-            ),
-        }
-    }
-}
 
 /// Parse a JSONL mutation stream into ordered batches. `num_vertices`,
 /// when known, bounds both endpoints; `weighted`, when known, enforces the
@@ -140,18 +95,15 @@ pub fn parse_mutations(
     let mut current_batch = 0u64;
     for (line, fields) in json::records(text) {
         let at = |kind| MutateError { line, kind };
-        let parsed = fields.and_then(|fields| EdgeRecord::parse(&fields));
-        let rec = parsed.map_err(|e| at(e.into()))?;
+        let parsed = fields.and_then(|fields| EdgeRecord::parse(&fields, num_vertices));
+        let rec = parsed.map_err(|e| at(MutateErrorKind::Record(e)))?;
         let EdgeRecord {
             src, dst, weight, ..
         } = rec;
         let mutation = match (rec.insert, weighted, weight) {
             (false, ..) => Mutation::Delete { src, dst },
             (true, Some(true), None) => return Err(at(MutateErrorKind::MissingWeight)),
-            (true, Some(false), Some(_)) => {
-                let why = "the graph is unweighted";
-                return Err(at(MutateErrorKind::UnexpectedWeight(why)));
-            }
+            (true, Some(false), Some(_)) => return Err(at(MutateErrorKind::UnexpectedWeight)),
             (true, ..) => Mutation::Insert { src, dst, weight },
         };
         let batch = rec.stamp.unwrap_or(current_batch);
@@ -160,14 +112,6 @@ pub fn parse_mutations(
                 batch,
                 prev: current_batch,
             }));
-        }
-        if let Some(n) = num_vertices {
-            if let Some(vertex) = rec.endpoint_beyond(n) {
-                return Err(at(MutateErrorKind::EndpointOutOfRange {
-                    vertex,
-                    num_vertices: n,
-                }));
-            }
         }
         if batch > current_batch || batches.is_empty() {
             current_batch = batch;
@@ -220,7 +164,9 @@ mod tests {
 
         let err = parse_mutations("{\"op\": \"upsert\", \"src\": 0, \"dst\": 1}\n", None, None)
             .unwrap_err();
-        assert_eq!(err.kind, MutateErrorKind::UnknownOp("upsert".into()));
+        let op = "upsert".into();
+        let kind = MutateErrorKind::Record(RecordError::UnknownOp { key: "op", op });
+        assert_eq!(err.kind, kind);
         assert!(err.to_string().contains("unknown op"));
     }
 
@@ -228,7 +174,8 @@ mod tests {
     fn field_rules_are_enforced() {
         let missing =
             parse_mutations("{\"op\": \"insert\", \"dst\": 1}\n", None, None).unwrap_err();
-        assert_eq!(missing.kind, MutateErrorKind::MissingField("src"));
+        let kind = MutateErrorKind::Record(RecordError::MissingField("src"));
+        assert_eq!(missing.kind, kind);
 
         let unweighted = parse_mutations(
             "{\"op\": \"insert\", \"src\": 0, \"dst\": 1, \"weight\": 3}\n",
@@ -236,10 +183,7 @@ mod tests {
             Some(false),
         )
         .unwrap_err();
-        assert!(matches!(
-            unweighted.kind,
-            MutateErrorKind::UnexpectedWeight(_)
-        ));
+        assert_eq!(unweighted.kind, MutateErrorKind::UnexpectedWeight);
 
         let weightless = parse_mutations(
             "{\"op\": \"insert\", \"src\": 0, \"dst\": 1}\n",
@@ -255,10 +199,8 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert!(matches!(
-            weighted_delete.kind,
-            MutateErrorKind::UnexpectedWeight(_)
-        ));
+        let kind = MutateErrorKind::Record(RecordError::WeightOnDelete);
+        assert_eq!(weighted_delete.kind, kind);
 
         let oob = parse_mutations(
             "{\"op\": \"delete\", \"src\": 0, \"dst\": 9}\n",
@@ -266,13 +208,11 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert_eq!(
-            oob.kind,
-            MutateErrorKind::EndpointOutOfRange {
-                vertex: 9,
-                num_vertices: 5
-            }
-        );
+        let kind = RecordError::EndpointOutOfRange {
+            vertex: 9,
+            num_vertices: 5,
+        };
+        assert_eq!(oob.kind, MutateErrorKind::Record(kind));
 
         let backwards = parse_mutations(
             "{\"op\": \"delete\", \"src\": 0, \"dst\": 1, \"batch\": 3}\n\
@@ -295,7 +235,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             bad.kind,
-            MutateErrorKind::BadValue { field: "src", .. }
+            MutateErrorKind::Record(RecordError::BadValue { field: "src", .. })
         ));
     }
 }

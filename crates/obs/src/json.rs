@@ -4,8 +4,9 @@
 //! so this module is the only code that knows JSON syntax: every report,
 //! event line, trace export and committed `BENCH_*.json` file is written
 //! through its streaming [`object()`] / [`array()`] writer (in one of three
-//! [`Layout`]s), every reader goes through [`parse`], and the job-trace and
-//! mutation parsers share its flat-record splitter ([`records`]).
+//! [`Layout`]s) and every reader goes through [`parse`]: the job-trace and
+//! mutation parsers read their lines through [`records`], and every fault
+//! the two files share is a [`RecordError`], worded once.
 
 use std::fmt::{self, Display, Write as _};
 
@@ -229,43 +230,6 @@ impl Array<'_> {
     }
 }
 
-/// The contents of a raw JSON string value without escapes (`"bfs"` →
-/// `bfs`); `None` when `raw` is not quoted.
-pub fn unquote(raw: &str) -> Option<&str> {
-    raw.strip_prefix('"').and_then(|s| s.strip_suffix('"'))
-}
-
-/// Split one flat JSON object — a JSONL record, not a document: no
-/// nesting, no arrays, no commas or escapes inside its strings — into
-/// `(key, raw value)` pairs, in order. Values stay raw text for the caller
-/// to type ([`unquote`] for strings, `str::parse` for numbers); the error
-/// is the syntax complaint, for the caller to stamp a line number on.
-pub fn split_fields(line: &str) -> Result<Vec<Field<'_>>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?
-        .trim();
-    let mut fields = Vec::new();
-    if body.is_empty() {
-        return Ok(fields);
-    }
-    for part in body.split(',') {
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("expected \"key\": value, got {part:?}"))?;
-        let key =
-            unquote(k.trim()).ok_or_else(|| format!("field name {} is not quoted", k.trim()))?;
-        fields.push((key, v.trim()));
-    }
-    Ok(fields)
-}
-
-/// One `(key, raw value)` pair of a flat record, as [`split_fields`]
-/// yields them.
-pub type Field<'a> = (&'a str, &'a str);
-
 /// The lines of a JSONL text that carry something: `(1-based line number,
 /// trimmed line)`, blank lines and `#` comments skipped.
 pub fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
@@ -273,18 +237,26 @@ pub fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     numbered.filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
 }
 
-/// The flat records of a JSONL text, each split into fields under its
-/// line number — the one loop every record parser runs.
-pub fn records(text: &str) -> impl Iterator<Item = (usize, Result<Vec<Field<'_>>, RecordError>)> {
-    numbered_lines(text).map(|(n, l)| (n, split_fields(l).map_err(RecordError::Syntax)))
+/// The records of a JSONL text, each line [`parse`]d into its object's
+/// members under its line number — the one loop every record parser runs.
+pub fn records(
+    text: &str,
+) -> impl Iterator<Item = (usize, Result<Vec<(String, Value)>, RecordError>)> + '_ {
+    numbered_lines(text).map(|(n, line)| match parse(line) {
+        Ok(Value::Obj(members)) => (n, Ok(members)),
+        Err(e) if line.starts_with('{') => (n, Err(RecordError::Syntax(e))),
+        _ => (
+            n,
+            Err(RecordError::Syntax("line is not a JSON object".into())),
+        ),
+    })
 }
 
-/// Why a flat record did not type. The job-trace and mutation-stream
-/// parsers map these onto their own public error kinds, each with its own
-/// wording.
+/// Why a record did not type — the faults every record file shares,
+/// each worded once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecordError {
-    /// Not a flat JSON object, or a field the record does not have.
+    /// Not a JSON object, or a field the record does not have.
     Syntax(String),
     /// A required field is absent.
     MissingField(&'static str),
@@ -292,16 +264,59 @@ pub enum RecordError {
     BadValue {
         /// Field name, as the line spelled it.
         field: &'static str,
-        /// The offending raw text.
+        /// The offending value, written back as JSON.
         value: String,
     },
     /// An [`EdgeRecord`]'s op is neither `insert` nor `delete`.
-    UnknownOp(String),
+    UnknownOp {
+        /// The op key, as the line spelled it (`op` or `mutate`).
+        key: &'static str,
+        /// The offending op.
+        op: String,
+    },
     /// An [`EdgeRecord`] deletes and carries a `weight`.
     WeightOnDelete,
+    /// An [`EdgeRecord`] endpoint is not a vertex of the graph.
+    EndpointOutOfRange {
+        /// The offending vertex id.
+        vertex: u32,
+        /// Vertices in the graph.
+        num_vertices: usize,
+    },
 }
 
-fn bad_value(field: &'static str, value: &str) -> RecordError {
+impl Display for RecordError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecordError::Syntax(what) => {
+                write!(f, "{what} (expected a flat JSON object per line)")
+            }
+            RecordError::MissingField(field) => write!(f, "missing required field \"{field}\""),
+            RecordError::BadValue { field, value } => {
+                write!(f, "field \"{field}\" has invalid value {value}")
+            }
+            RecordError::UnknownOp { key, op } => {
+                write!(
+                    f,
+                    "unknown {key} \"{op}\" (expected \"insert\" or \"delete\")"
+                )
+            }
+            RecordError::WeightOnDelete => f.write_str(
+                "\"weight\" given but a delete removes every parallel edge regardless of weight",
+            ),
+            RecordError::EndpointOutOfRange {
+                vertex,
+                num_vertices,
+            } => write!(
+                f,
+                "vertex {vertex} out of range for a graph with {num_vertices} vertices"
+            ),
+        }
+    }
+}
+
+/// [`RecordError::BadValue`]: `value` in `field` is not what it must be.
+pub fn bad_value(field: &'static str, value: &Value) -> RecordError {
     RecordError::BadValue {
         field,
         value: value.to_string(),
@@ -310,18 +325,18 @@ fn bad_value(field: &'static str, value: &str) -> RecordError {
 
 /// `value` as an unsigned 64-bit number, or [`RecordError::BadValue`]
 /// naming `field`.
-pub fn parse_u64(value: &str, field: &'static str) -> Result<u64, RecordError> {
-    value.parse().map_err(|_| bad_value(field, value))
+pub fn parse_u64(value: &Value, field: &'static str) -> Result<u64, RecordError> {
+    value.as_u64().ok_or_else(|| bad_value(field, value))
 }
 
 /// `value` as an unsigned 32-bit number (vertex ids, job ids, weights).
-pub fn parse_u32(value: &str, field: &'static str) -> Result<u32, RecordError> {
+pub fn parse_u32(value: &Value, field: &'static str) -> Result<u32, RecordError> {
     u32::try_from(parse_u64(value, field)?).map_err(|_| bad_value(field, value))
 }
 
-/// `value` as a quoted string, quotes removed.
-pub fn parse_string<'a>(value: &'a str, field: &'static str) -> Result<&'a str, RecordError> {
-    unquote(value).ok_or_else(|| bad_value(field, value))
+/// `value` as a string.
+pub fn parse_string<'a>(value: &'a Value, field: &'static str) -> Result<&'a str, RecordError> {
+    value.as_str().ok_or_else(|| bad_value(field, value))
 }
 
 /// One edge mutation, as both JSONL formats that carry one spell it:
@@ -350,37 +365,46 @@ pub struct EdgeRecord {
 
 impl EdgeRecord {
     /// Whether `fields` spell an edge mutation (they carry its op key).
-    pub fn is_spelled_by(fields: &[Field<'_>]) -> bool {
-        fields
-            .iter()
-            .any(|&(key, _)| key == "op" || key == "mutate")
+    pub fn is_spelled_by(fields: &[(String, Value)]) -> bool {
+        fields.iter().any(|(key, _)| key == "op" || key == "mutate")
     }
 
-    /// Type `fields` as an edge mutation.
-    pub fn parse(fields: &[Field<'_>]) -> Result<EdgeRecord, RecordError> {
+    /// Type `fields` as an edge mutation whose endpoints, when
+    /// `num_vertices` is known, are vertices of the graph.
+    pub fn parse(
+        fields: &[(String, Value)],
+        num_vertices: Option<usize>,
+    ) -> Result<EdgeRecord, RecordError> {
         const KEYS: [&str; 7] = ["op", "mutate", "src", "dst", "weight", "batch", "at"];
         let (mut op, mut src, mut dst, mut weight, mut stamp) = (None, None, None, None, None);
-        for &(key, value) in fields {
+        for (key, value) in fields {
             let Some(&field) = KEYS.iter().find(|&&k| k == key) else {
                 return Err(RecordError::Syntax(format!("unknown field \"{key}\"")));
             };
             match field {
-                "op" | "mutate" => op = Some(parse_string(value, field)?),
+                "op" | "mutate" => op = Some((field, parse_string(value, field)?)),
                 "src" => src = Some(parse_u32(value, field)?),
                 "dst" => dst = Some(parse_u32(value, field)?),
                 "weight" => weight = Some(parse_u32(value, field)?),
                 _ => stamp = Some(parse_u64(value, field)?),
             }
         }
-        let op = op.ok_or(RecordError::MissingField("op"))?;
+        let (key, op) = op.ok_or(RecordError::MissingField("op"))?;
         let src = src.ok_or(RecordError::MissingField("src"))?;
         let dst = dst.ok_or(RecordError::MissingField("dst"))?;
         let insert = match op {
             "insert" => true,
             "delete" if weight.is_some() => return Err(RecordError::WeightOnDelete),
             "delete" => false,
-            other => return Err(RecordError::UnknownOp(other.into())),
+            op => return Err(RecordError::UnknownOp { key, op: op.into() }),
         };
+        let n = num_vertices.unwrap_or(usize::MAX);
+        if let Some(vertex) = [src, dst].into_iter().find(|&v| v as usize >= n) {
+            return Err(RecordError::EndpointOutOfRange {
+                vertex,
+                num_vertices: n,
+            });
+        }
         Ok(EdgeRecord {
             insert,
             src,
@@ -388,11 +412,6 @@ impl EdgeRecord {
             weight,
             stamp,
         })
-    }
-
-    /// The first endpoint that is not a vertex of an `n`-vertex graph.
-    pub fn endpoint_beyond(&self, n: usize) -> Option<u32> {
-        [self.src, self.dst].into_iter().find(|&v| v as usize >= n)
     }
 }
 
@@ -440,6 +459,23 @@ impl Value {
     }
 }
 
+/// A value written back as compact JSON, numbers as written: how a
+/// record shows a bad value.
+impl Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => return write!(f, "{b}"),
+            Value::Num(n) => out.push_str(n),
+            Value::Str(s) => string_into(s, &mut out),
+            Value::Arr(items) => array(&mut out, |a| items.iter().for_each(|v| _ = a.num(v))),
+            Value::Obj(kvs) => object(&mut out, |o| kvs.iter().for_each(|(k, v)| _ = o.num(k, v))),
+        }
+        f.write_str(&out)
+    }
+}
+
 /// Parse `s` as exactly one JSON value (object, array, string, number,
 /// boolean or null), with nothing but whitespace around it.
 pub fn parse(s: &str) -> Result<Value, String> {
@@ -475,17 +511,19 @@ impl Parser<'_> {
         }
     }
 
+    /// "expected `what` at byte N, found 'c'" (or "found end of input").
+    fn error(&self, what: &str) -> String {
+        let found = self.text.get(self.pos..).and_then(|s| s.chars().next());
+        let found = found.map_or("end of input".into(), |c| format!("{c:?}"));
+        format!("expected {what} at byte {}, found {found}", self.pos)
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(self.error(&format!("{:?}", b as char)))
         }
     }
 
@@ -498,11 +536,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            _ => Err(self.error("a value")),
         }
     }
 
@@ -511,7 +545,7 @@ impl Parser<'_> {
             self.pos += lit.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(format!("expected {lit} at byte {}", self.pos))
         }
     }
 
@@ -554,14 +588,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(items);
                 }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '{}' at byte {}, found {:?}",
-                        close as char,
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
+                _ => return Err(self.error(&format!("',' or {:?}", close as char))),
             }
         }
     }
@@ -811,26 +838,32 @@ mod tests {
     }
 
     #[test]
-    fn flat_object_fields_come_back_raw_and_in_order() {
-        let fields = split_fields(r#" {"id": 7, "algo" : "bfs","w":-1} "#).unwrap();
-        assert_eq!(fields, [("id", "7"), ("algo", "\"bfs\""), ("w", "-1")]);
-        assert_eq!(unquote(fields[1].1), Some("bfs"));
-        assert_eq!(unquote(fields[0].1), None);
-        assert_eq!(split_fields("{ }").unwrap(), []);
-    }
-
-    #[test]
-    fn flat_object_syntax_errors_name_the_problem() {
-        assert_eq!(
-            split_fields("[1, 2]").unwrap_err(),
-            "line is not a JSON object"
-        );
-        assert!(split_fields(r#"{"id" 7}"#)
-            .unwrap_err()
-            .starts_with("expected \"key\": value"));
-        assert_eq!(
-            split_fields("{id: 7}").unwrap_err(),
-            "field name id is not quoted"
-        );
+    fn records_parse_each_line_and_name_what_is_wrong() {
+        let text = "# jobs\n\n {\"id\": 7, \"algo\" : \"b,f\\u0073\", \"w\": [-1, {}]} \n\
+                    [1, 2]\n{\"id\" 7}\n{id: 7}\n{\"a\": nul}\n{\"a\": 1";
+        let got: Vec<_> = records(text).collect();
+        let num = |n: &str| Value::Num(n.into());
+        let members = vec![
+            ("id".to_string(), num("7")),
+            ("algo".to_string(), Value::Str("b,fs".into())),
+            (
+                "w".to_string(),
+                Value::Arr(vec![num("-1"), Value::Obj(vec![])]),
+            ),
+        ];
+        assert_eq!(got[0], (3, Ok(members)));
+        let errors = [
+            (4, "line is not a JSON object"),
+            (5, "expected ':' at byte 6, found '7'"),
+            (6, "expected '\"' at byte 1, found 'i'"),
+            (7, "expected null at byte 6"),
+            (8, "expected ',' or '}' at byte 7, found end of input"),
+        ];
+        for (&(n, want), (line, got)) in errors.iter().zip(&got[1..]) {
+            assert_eq!((*line, got), (n, &Err(RecordError::Syntax(want.into()))));
+        }
+        assert_eq!(got.len(), 6);
+        let w = parse("[-1, {\"k\": \"a\\\"b\"}, true, null]").unwrap();
+        assert_eq!(w.to_string(), r#"[-1,{"k":"a\"b"},true,null]"#);
     }
 }

@@ -9,11 +9,11 @@
 //!
 //! `id` and `algo` are required; `source` is required for the
 //! single-source kinds (`bfs`, `sssp`) and rejected for the whole-graph
-//! ones; `submit_ns` defaults to 0; `deadline_ns` is optional. Blank lines
-//! and `#` comment lines are skipped. Errors carry the 1-based line
-//! number, in the same spirit as `ascetic-core`'s `ConfigError`: every
-//! variant names the offending field and value so the CLI can print an
-//! actionable message and exit nonzero.
+//! ones; `submit_ns` defaults to 0 and is at most [`MAX_SUBMIT_NS`];
+//! `deadline_ns` is optional. Blank lines and `#` comment lines are
+//! skipped. Errors carry the 1-based line number, in the same spirit as
+//! `ascetic-core`'s `ConfigError`: every variant names the offending field
+//! and value so the CLI can print an actionable message and exit nonzero.
 //!
 //! A *mutating* trace ([`parse_trace_mutating`]) may interleave edge
 //! mutation records with the jobs:
@@ -29,29 +29,26 @@
 //! `at` (serve-clock ns, default 0) stamps when the mutation lands;
 //! `weight` is optional on inserts (the serving layer weights each graph
 //! variant itself) and rejected on deletes. Records sharing an `at` form
-//! one atomic batch. The plain [`parse_trace`] stays strict and rejects
-//! mutation lines.
+//! one atomic batch. Each line is read by `obs::json`'s one parser, and
+//! a fault every record file shares is a [`RecordError`], worded as in a
+//! mutation file.
 
 use ascetic_graph::generators::xorshift;
 use ascetic_graph::Mutation;
-use ascetic_obs::json::{self, EdgeRecord, RecordError};
+use ascetic_obs::json::{self, EdgeRecord, RecordError, Value};
 
 use crate::job::{Algo, Job};
+
+/// The latest `submit_ns` a job may carry: about 146 years of serve
+/// clock, leaving three times that for the runs to add before it wraps.
+pub const MAX_SUBMIT_NS: u64 = 1 << 62;
 
 /// What went wrong on a trace line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceErrorKind {
-    /// The line is not a flat JSON object (`{"key": value, ...}`).
-    Syntax(String),
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field holds a value of the wrong type or out of range.
-    BadValue {
-        /// Field name.
-        field: &'static str,
-        /// The offending raw text.
-        value: String,
-    },
+    /// A fault every record file shares (syntax, a missing or bad field,
+    /// a malformed mutation), worded by [`RecordError`].
+    Record(RecordError),
     /// `algo` names no known algorithm.
     UnknownAlgo(String),
     /// `source` given for a whole-graph algorithm.
@@ -62,17 +59,6 @@ pub enum TraceErrorKind {
     SourceOutOfRange {
         /// The offending source vertex.
         source: u32,
-        /// Vertices in the graph.
-        num_vertices: usize,
-    },
-    /// `mutate` is neither `insert` nor `delete`.
-    UnknownMutation(String),
-    /// `weight` given on a delete mutation.
-    UnexpectedWeight,
-    /// A mutation endpoint is out of range for the graph being served.
-    EndpointOutOfRange {
-        /// The offending vertex id.
-        vertex: u32,
         /// Vertices in the graph.
         num_vertices: usize,
     },
@@ -93,13 +79,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "trace line {}: ", self.line)?;
         match &self.kind {
-            TraceErrorKind::Syntax(what) => {
-                write!(f, "{what} (expected a flat JSON object per line)")
-            }
-            TraceErrorKind::MissingField(field) => write!(f, "missing required field \"{field}\""),
-            TraceErrorKind::BadValue { field, value } => {
-                write!(f, "field \"{field}\" has invalid value {value}")
-            }
+            TraceErrorKind::Record(e) => write!(f, "{e}"),
             TraceErrorKind::UnknownAlgo(a) => {
                 write!(f, "unknown algo \"{a}\" (expected one of: ")?;
                 for (i, k) in Algo::ALL.iter().enumerate() {
@@ -126,25 +106,6 @@ impl std::fmt::Display for TraceError {
                 f,
                 "source {source} out of range for a graph with {num_vertices} vertices"
             ),
-            TraceErrorKind::UnknownMutation(m) => {
-                write!(
-                    f,
-                    "unknown mutate \"{m}\" (expected \"insert\" or \"delete\")"
-                )
-            }
-            TraceErrorKind::UnexpectedWeight => {
-                write!(
-                    f,
-                    "a delete removes every parallel edge and takes no \"weight\""
-                )
-            }
-            TraceErrorKind::EndpointOutOfRange {
-                vertex,
-                num_vertices,
-            } => write!(
-                f,
-                "vertex {vertex} out of range for a graph with {num_vertices} vertices"
-            ),
         }
     }
 }
@@ -153,24 +114,18 @@ impl std::error::Error for TraceError {}
 
 impl From<RecordError> for TraceErrorKind {
     fn from(e: RecordError) -> Self {
-        match e {
-            RecordError::Syntax(what) => TraceErrorKind::Syntax(what),
-            RecordError::MissingField(field) => TraceErrorKind::MissingField(field),
-            RecordError::BadValue { field, value } => TraceErrorKind::BadValue { field, value },
-            RecordError::UnknownOp(op) => TraceErrorKind::UnknownMutation(op),
-            RecordError::WeightOnDelete => TraceErrorKind::UnexpectedWeight,
-        }
+        TraceErrorKind::Record(e)
     }
 }
 
-fn parse_job_fields(fields: &[json::Field<'_>]) -> Result<Job, TraceErrorKind> {
+fn parse_job_fields(fields: &[(String, Value)]) -> Result<Job, TraceErrorKind> {
     let mut id = None;
     let mut algo = None;
     let mut source = None;
     let mut submit_ns = 0u64;
     let mut deadline_ns = None;
-    for &(key, value) in fields {
-        match key {
+    for (key, value) in fields {
+        match key.as_str() {
             "id" => id = Some(json::parse_u32(value, "id")?),
             "algo" => {
                 let s = json::parse_string(value, "algo")?;
@@ -180,18 +135,21 @@ fn parse_job_fields(fields: &[json::Field<'_>]) -> Result<Job, TraceErrorKind> {
                 );
             }
             "source" => source = Some(json::parse_u32(value, "source")?),
-            "submit_ns" => submit_ns = json::parse_u64(value, "submit_ns")?,
+            "submit_ns" => match json::parse_u64(value, "submit_ns")? {
+                t if t <= MAX_SUBMIT_NS => submit_ns = t,
+                _ => return Err(json::bad_value("submit_ns", value).into()),
+            },
             "deadline_ns" => deadline_ns = Some(json::parse_u64(value, "deadline_ns")?),
             other => {
-                return Err(TraceErrorKind::Syntax(format!("unknown field \"{other}\"")));
+                return Err(RecordError::Syntax(format!("unknown field \"{other}\"")).into());
             }
         }
     }
-    let id = id.ok_or(TraceErrorKind::MissingField("id"))?;
-    let kind = algo.ok_or(TraceErrorKind::MissingField("algo"))?;
+    let id = id.ok_or(RecordError::MissingField("id"))?;
+    let kind = algo.ok_or(RecordError::MissingField("algo"))?;
     if kind.single_source() {
         if source.is_none() {
-            return Err(TraceErrorKind::MissingField("source"));
+            return Err(RecordError::MissingField("source").into());
         }
     } else if source.is_some() {
         return Err(TraceErrorKind::UnexpectedSource(kind.name()));
@@ -203,13 +161,6 @@ fn parse_job_fields(fields: &[json::Field<'_>]) -> Result<Job, TraceErrorKind> {
         submit_ns,
         deadline_ns,
     })
-}
-
-/// Parse a JSONL trace of jobs only: [`parse_trace_mutating`], except
-/// that a mutation record is read as the job line it is not (and fails on
-/// its first field no job has).
-pub fn parse_trace(text: &str, num_vertices: Option<usize>) -> Result<Vec<Job>, TraceError> {
-    parse(text, num_vertices, false).map(|t| t.jobs)
 }
 
 /// One edge mutation scheduled on the serve clock.
@@ -242,29 +193,13 @@ pub fn parse_trace_mutating(
     text: &str,
     num_vertices: Option<usize>,
 ) -> Result<MutatingTrace, TraceError> {
-    parse(text, num_vertices, true)
-}
-
-fn parse(
-    text: &str,
-    num_vertices: Option<usize>,
-    mutations_allowed: bool,
-) -> Result<MutatingTrace, TraceError> {
     let mut jobs: Vec<Job> = Vec::new();
     let mut mutations: Vec<TraceMutation> = Vec::new();
     for (line, fields) in json::records(text) {
         let at = |kind| TraceError { line, kind };
         let fields = fields.map_err(|e| at(e.into()))?;
-        if mutations_allowed && EdgeRecord::is_spelled_by(&fields) {
-            let rec = EdgeRecord::parse(&fields).map_err(|e| at(e.into()))?;
-            if let Some(n) = num_vertices {
-                if let Some(vertex) = rec.endpoint_beyond(n) {
-                    return Err(at(TraceErrorKind::EndpointOutOfRange {
-                        vertex,
-                        num_vertices: n,
-                    }));
-                }
-            }
+        if EdgeRecord::is_spelled_by(&fields) {
+            let rec = EdgeRecord::parse(&fields, num_vertices).map_err(|e| at(e.into()))?;
             let EdgeRecord {
                 src, dst, weight, ..
             } = rec;
@@ -372,29 +307,44 @@ pub fn synthetic_mutations(
 mod tests {
     use super::*;
 
+    /// The jobs of a trace.
+    fn jobs_of(text: &str, num_vertices: Option<usize>) -> Result<Vec<Job>, TraceError> {
+        parse_trace_mutating(text, num_vertices).map(|t| t.jobs)
+    }
+
     #[test]
     fn parses_a_full_line() {
-        let jobs = parse_trace(
-            "{\"id\": 3, \"algo\": \"sssp\", \"source\": 7, \"submit_ns\": 100, \"deadline_ns\": 5000}\n",
+        let jobs = jobs_of(
+            "{\"id\": 3, \"algo\": \"sssp\", \"source\": 7, \"submit_ns\": 100, \"deadline_ns\": 5000}\n\
+             {\"id\": 4, \"algo\": \"bf\\u0073\", \"source\": 1, \"submit_ns\": 200}\n",
             Some(10),
         )
         .unwrap();
         assert_eq!(
             jobs,
-            vec![Job {
-                id: 3,
-                kind: Algo::Sssp,
-                source: Some(7),
-                submit_ns: 100,
-                deadline_ns: Some(5000),
-            }]
+            vec![
+                Job {
+                    id: 3,
+                    kind: Algo::Sssp,
+                    source: Some(7),
+                    submit_ns: 100,
+                    deadline_ns: Some(5000),
+                },
+                Job {
+                    id: 4,
+                    kind: Algo::Bfs,
+                    source: Some(1),
+                    submit_ns: 200,
+                    deadline_ns: None,
+                }
+            ]
         );
     }
 
     #[test]
     fn skips_blanks_and_comments_and_sorts_by_submit() {
         let text = "# serve trace\n\n{\"id\": 1, \"algo\": \"cc\", \"submit_ns\": 50}\n{\"id\": 0, \"algo\": \"bfs\", \"source\": 2}\n";
-        let jobs = parse_trace(text, None).unwrap();
+        let jobs = jobs_of(text, None).unwrap();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].id, 0, "submit 0 sorts first");
         assert_eq!(jobs[1].id, 1);
@@ -403,39 +353,37 @@ mod tests {
     #[test]
     fn errors_carry_the_line_number() {
         let text = "{\"id\": 0, \"algo\": \"bfs\", \"source\": 1}\nnot json\n";
-        let err = parse_trace(text, None).unwrap_err();
+        let err = jobs_of(text, None).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().starts_with("trace line 2: "));
 
         let text = "{\"id\": 0, \"algo\": \"walk\"}\n";
-        let err = parse_trace(text, None).unwrap_err();
+        let err = jobs_of(text, None).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::UnknownAlgo("walk".into()));
         assert!(err.to_string().contains("unknown algo"));
     }
 
     #[test]
     fn field_rules_are_enforced() {
-        let missing = parse_trace("{\"algo\": \"bfs\", \"source\": 1}\n", None).unwrap_err();
-        assert_eq!(missing.kind, TraceErrorKind::MissingField("id"));
-        let no_source = parse_trace("{\"id\": 0, \"algo\": \"bfs\"}\n", None).unwrap_err();
-        assert_eq!(no_source.kind, TraceErrorKind::MissingField("source"));
-        let extra =
-            parse_trace("{\"id\": 0, \"algo\": \"pr\", \"source\": 1}\n", None).unwrap_err();
+        let missing = jobs_of("{\"algo\": \"bfs\", \"source\": 1}\n", None).unwrap_err();
+        assert_eq!(missing.kind, RecordError::MissingField("id").into());
+        let no_source = jobs_of("{\"id\": 0, \"algo\": \"bfs\"}\n", None).unwrap_err();
+        assert_eq!(no_source.kind, RecordError::MissingField("source").into());
+        let extra = jobs_of("{\"id\": 0, \"algo\": \"pr\", \"source\": 1}\n", None).unwrap_err();
         assert_eq!(extra.kind, TraceErrorKind::UnexpectedSource("pr"));
-        let dup = parse_trace(
+        let dup = jobs_of(
             "{\"id\": 0, \"algo\": \"cc\"}\n{\"id\": 0, \"algo\": \"pr\"}\n",
             None,
         )
         .unwrap_err();
         assert_eq!(dup.line, 2);
         assert_eq!(dup.kind, TraceErrorKind::DuplicateId(0));
-        let oob =
-            parse_trace("{\"id\": 0, \"algo\": \"bfs\", \"source\": 9}\n", Some(5)).unwrap_err();
+        let oob = jobs_of("{\"id\": 0, \"algo\": \"bfs\", \"source\": 9}\n", Some(5)).unwrap_err();
         assert!(matches!(oob.kind, TraceErrorKind::SourceOutOfRange { .. }));
-        let bad = parse_trace("{\"id\": -1, \"algo\": \"cc\"}\n", None).unwrap_err();
+        let bad = jobs_of("{\"id\": -1, \"algo\": \"cc\"}\n", None).unwrap_err();
         assert!(matches!(
             bad.kind,
-            TraceErrorKind::BadValue { field: "id", .. }
+            TraceErrorKind::Record(RecordError::BadValue { field: "id", .. })
         ));
     }
 
@@ -471,7 +419,7 @@ mod tests {
     #[test]
     fn mutating_parser_keeps_the_job_checks() {
         // duplicate job ids are rejected with the offending line number,
-        // exactly as in the plain parser
+        // mutation lines between them or not
         let dup = "{\"id\": 0, \"algo\": \"cc\"}\n\
                    {\"mutate\": \"insert\", \"src\": 1, \"dst\": 2, \"at\": 5}\n\
                    {\"id\": 0, \"algo\": \"pr\"}\n";
@@ -489,46 +437,34 @@ mod tests {
         let bad_op =
             parse_trace_mutating("{\"mutate\": \"upsert\", \"src\": 0, \"dst\": 1}\n", None)
                 .unwrap_err();
+        let op = "upsert".into();
         assert_eq!(
             bad_op.kind,
-            TraceErrorKind::UnknownMutation("upsert".into())
+            RecordError::UnknownOp { key: "mutate", op }.into()
         );
 
         let missing =
             parse_trace_mutating("{\"mutate\": \"insert\", \"dst\": 1}\n", None).unwrap_err();
-        assert_eq!(missing.kind, TraceErrorKind::MissingField("src"));
+        assert_eq!(missing.kind, RecordError::MissingField("src").into());
 
         let weighted_delete = parse_trace_mutating(
             "{\"mutate\": \"delete\", \"src\": 0, \"dst\": 1, \"weight\": 2}\n",
             None,
         )
         .unwrap_err();
-        assert_eq!(weighted_delete.kind, TraceErrorKind::UnexpectedWeight);
+        assert_eq!(weighted_delete.kind, RecordError::WeightOnDelete.into());
 
         let oob = parse_trace_mutating(
             "{\"mutate\": \"insert\", \"src\": 0, \"dst\": 9, \"at\": 1}\n",
             Some(5),
         )
         .unwrap_err();
-        assert_eq!(
-            oob.kind,
-            TraceErrorKind::EndpointOutOfRange {
-                vertex: 9,
-                num_vertices: 5
-            }
-        );
+        let oob_kind = RecordError::EndpointOutOfRange {
+            vertex: 9,
+            num_vertices: 5,
+        };
+        assert_eq!(oob.kind, oob_kind.into());
         assert!(oob.to_string().contains("vertex 9 out of range"));
-    }
-
-    #[test]
-    fn plain_parser_stays_strict_about_mutations() {
-        let err = parse_trace(
-            "{\"mutate\": \"insert\", \"src\": 0, \"dst\": 1, \"at\": 5}\n",
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(matches!(err.kind, TraceErrorKind::Syntax(_)));
     }
 
     #[test]

@@ -56,10 +56,8 @@ fn ctx<T, E: Display>(r: Result<T, E>, what: impl Display) -> Res<T> {
 }
 
 fn read(path: &str, what: &str) -> Res<String> {
-    ctx(
-        std::fs::read_to_string(path),
-        format_args!("cannot read {what} {path}"),
-    )
+    let text = std::fs::read_to_string(path);
+    ctx(text, format_args!("cannot read {what} {path}"))
 }
 
 /// One table row, as `--help` prints it: a flag is `"--name VALUE: help"`
@@ -427,10 +425,7 @@ fn knob<T: FromStr<Err: Display>>(
     cfg: AsceticConfig,
     set: fn(AsceticConfig, T) -> AsceticConfig,
 ) -> Res<AsceticConfig> {
-    Ok(match o.parse(k)? {
-        Some(v) => set(cfg, v),
-        None => cfg,
-    })
+    Ok(o.parse(k)?.map_or(cfg, |v| set(cfg, v)))
 }
 
 /// The device (`--mem`, or `--mem-frac` of `g`'s edge bytes beside the
@@ -534,7 +529,10 @@ fn fleet(o: &Opts) -> Res<(usize, &str, InterconnectConfig)> {
         "nvlink" => InterconnectConfig::nvlink(),
         other => return Err(format!("unknown --fabric {other} (pcie|nvlink)").into()),
     };
-    Ok((o.parse("--devices")?.unwrap_or(1), name, fabric))
+    match o.parse("--devices")?.unwrap_or(1) {
+        0 => Err("--devices must be at least 1".into()),
+        devices => Ok((devices, name, fabric)),
+    }
 }
 
 /// Eight-level unicode sparkline of per-iteration activity.
@@ -775,10 +773,8 @@ fn run_mutations(r: &Resolved, prog: &AnyProgram, path: &str, verify: bool) -> R
 /// The report of the `--devices N` (N>1) path of `ascetic run`: the answer
 /// is byte-identical to one device's, only the timing model changes.
 fn print_fleet_report(r: &FleetRunReport, fabric: &str) {
-    println!(
-        "system:            Ascetic fleet ({} devices, {fabric} fabric)",
-        r.devices
-    );
+    let devices = r.devices;
+    println!("system:            Ascetic fleet ({devices} devices, {fabric} fabric)");
     println!("iterations:        {}", r.iterations);
     println!("output fp:         {:016x}", r.output.fingerprint());
     println!("makespan:          {:>8.2} ms", r.makespan_ns as f64 / 1e6);
@@ -811,9 +807,8 @@ fn cmd_pipeline(o: &Opts) -> Res {
         "--algos",
     )?;
     if let Some(a) = algos.iter().find(|a| a.weighted()) {
-        return Err(
-            format!("pipeline runs unweighted algorithms; '{a}' needs edge weights").into(),
-        );
+        let e = format!("pipeline runs unweighted algorithms; '{a}' needs edge weights");
+        return Err(e.into());
     }
     let r = resolve(o, &algos)?;
     if r.g.is_weighted() {
@@ -847,15 +842,14 @@ fn cmd_pipeline(o: &Opts) -> Res {
 fn cmd_serve(o: &Opts) -> Res {
     use ascetic::serve::{
         parse_trace_mutating, serve_mutating, synthetic_mixed, synthetic_mutations, Policy,
-        ServeConfig,
+        ServeConfig, MAX_SUBMIT_NS,
     };
     let policy = o.parse("--policy")?.unwrap_or(Policy::ResidencyAffinity);
     let (devices, _, interconnect) = fleet(o)?;
     let r = resolve(o, &[])?;
     if r.g.is_weighted() {
-        return Err(
-            "serve expects an unweighted graph; sssp jobs run on an auto-weighted variant".into(),
-        );
+        let e = "serve expects an unweighted graph; sssp jobs run on an auto-weighted variant";
+        return Err(e.into());
     }
     let n = r.g.num_vertices();
     // a trace file (which may interleave mutation records), or the
@@ -864,10 +858,17 @@ fn cmd_serve(o: &Opts) -> Res {
         o.reject(&[SYNTH], "--trace FILE")?;
         let t = parse_trace_mutating(&read(path, "trace")?, Some(n))?;
         (t.jobs, t.mutations)
-    } else if let Some(count) = o.parse("--synthetic")? {
+    } else if let Some(count) = o.parse::<usize>("--synthetic")? {
         let seed = o.parse("--seed")?.unwrap_or(7);
         let spacing: u64 = o.parse("--spacing-ns")?.unwrap_or(0);
         let muts: usize = o.parse("--mutations")?.unwrap_or(0);
+        // job i arrives at i * spacing, mutation i at i / 3 * max(spacing, 1)
+        let last_job = (count.saturating_sub(1) as u64).saturating_mul(spacing);
+        let last_mutation = (muts.saturating_sub(1) as u64 / 3).saturating_mul(spacing.max(1));
+        if last_job.max(last_mutation) > MAX_SUBMIT_NS {
+            let e = format!("--spacing-ns {spacing} puts arrivals past {MAX_SUBMIT_NS} ns");
+            return Err(e.into());
+        }
         (
             synthetic_mixed(count, n, seed, spacing, 1),
             synthetic_mutations(muts, n, seed, spacing.max(1)),
@@ -886,10 +887,8 @@ fn cmd_serve(o: &Opts) -> Res {
     if o.has("--no-batching") {
         sc = sc.without_batching();
     }
-    let weighted = jobs
-        .iter()
-        .any(|j| j.kind.weighted())
-        .then(|| weighted_variant(&r.g));
+    let weighted = jobs.iter().any(|j| j.kind.weighted());
+    let weighted = weighted.then(|| weighted_variant(&r.g));
     let rep = serve_mutating(&sc, &r.g, weighted.as_ref(), &jobs, &mutations)?;
     match o.get("--summary").unwrap_or("text") {
         "text" => {

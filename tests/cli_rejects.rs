@@ -231,6 +231,22 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
     // a trace file carries its own schedule
     let err = rejected(&format!("serve {G} --trace {muts} --seed 3"));
     assert!(err.contains("--seed") && err.contains("--trace"), "{err}");
+    // no fleet has zero devices, and no arrival runs the serve clock over
+    for args in [
+        "run {G} --algo bfs --devices 0",
+        "serve {G} --synthetic 2 --devices 0",
+    ] {
+        let err = rejected(&args.replace("{G}", G));
+        assert!(err.contains("--devices must be at least 1"), "{err}");
+    }
+    let err = rejected(&format!(
+        "serve {G} --synthetic 3 --spacing-ns 18446744073709551615"
+    ));
+    assert!(err.contains("--spacing-ns 18446744073709551615"), "{err}");
+    let err = rejected(&format!(
+        "serve {G} --synthetic 1 --mutations 7 --spacing-ns 4611686018427387904"
+    ));
+    assert!(err.contains("--spacing-ns 4611686018427387904"), "{err}");
     std::fs::remove_file(muts).ok();
 }
 
