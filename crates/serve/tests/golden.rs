@@ -1,8 +1,8 @@
 //! The serve scheduler's whole observable output, pinned: every cell of
 //! {fifo, sjf, residency} × {1 device, 2 NVLink devices} × {no mutations,
 //! a synthetic mutation schedule} × {push, adaptive} must reproduce the
-//! `ServeReport::to_json()` bytes and the span trace's JSONL bytes that
-//! the pre-`Scheduler` `serve_impl` produced, and one trace run under
+//! `ServeReport::to_json()` bytes and the span trace (its tracks and every
+//! span) that the pre-`Scheduler` `serve_impl` produced, and one trace run under
 //! three configurations must be turned away with every rejection reason
 //! (a fourth, forced compression on the weighted variant, went with that
 //! mode).
@@ -11,7 +11,7 @@
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test -p ascetic-serve --test golden -- --nocapture`
 //! prints a fresh table.)
 
-use ascetic_core::{AsceticConfig, DirectionMode, RUN_REPORT_SCHEMA_VERSION};
+use ascetic_core::{AsceticConfig, DirectionMode};
 use ascetic_graph::datasets::{weighted_variant, Dataset, DatasetId};
 use ascetic_graph::Csr;
 use ascetic_serve::{
@@ -20,10 +20,14 @@ use ascetic_serve::{
 };
 use ascetic_sim::{DeviceConfig, InterconnectConfig};
 
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+fn fnv_on(h: u64, text: &str) -> u64 {
+    text.bytes().fold(h, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+fn fnv(text: &str) -> u64 {
+    fnv_on(0xcbf2_9ce4_8422_2325, text)
 }
 
 fn graphs() -> (Csr, Csr) {
@@ -38,114 +42,118 @@ fn cfg_for(g: &Csr) -> AsceticConfig {
     AsceticConfig::new(dev).with_chunk_bytes(1024)
 }
 
-/// `(makespan_ns, fnv(to_json), fnv(span trace JSONL))`.
+/// `(makespan_ns, fnv(to_json), fnv(span trace))`: the trace's FNV runs
+/// over its track names, then every span's `(track, name, cat, start_ns,
+/// end_ns, depth)`, no export in between.
 fn observe(rep: &ServeReport) -> (u64, u64, u64) {
     let trace = rep.span_trace.as_ref().expect("serve always traces");
     assert_eq!(trace.check_nesting(), Ok(()), "every pinned trace nests");
-    (
-        rep.makespan_ns,
-        fnv(&rep.to_json()),
-        fnv(&trace.to_jsonl(RUN_REPORT_SCHEMA_VERSION)),
-    )
+    let tracks = fnv(&format!("{:?}", trace.tracks()));
+    let spans = trace.spans().iter();
+    let trace_fnv = spans.fold(tracks, |h, s| fnv_on(h, &format!("{s:?}")));
+    (rep.makespan_ns, fnv(&rep.to_json()), trace_fnv)
 }
 
-/// Harvested from `serve_impl` at the parent of the `Scheduler` rewrite.
+/// Harvested from `serve_impl` at the parent of the `Scheduler` rewrite;
+/// the trace column (here and in [`GOLDEN_REJECTIONS`]) again when it began
+/// to hash the trace itself instead of the JSONL export, ahead of that
+/// export's removal.
 const GOLDEN: &[(&str, (u64, u64, u64))] = &[
     (
         "fifo/1dev/static/push",
-        (50812168, 0x78ac983d0d171a79, 0x7ad5f3a097b9a469),
+        (50812168, 0x78ac983d0d171a79, 0xe8c280425b433d66),
     ),
     (
         "fifo/1dev/static/adaptive",
-        (50126932, 0x7f1744cc47968e84, 0x215650ef77e7bbd5),
+        (50126932, 0x7f1744cc47968e84, 0x1b319f9dfddd895d),
     ),
     (
         "fifo/1dev/mutating/push",
-        (49989936, 0x95b8b87694858817, 0x22a094d4367a6877),
+        (49989936, 0x95b8b87694858817, 0xd1181cc3756ee8ca),
     ),
     (
         "fifo/1dev/mutating/adaptive",
-        (49304694, 0x4301a01f158fbaaa, 0xf80b9ea5f002e306),
+        (49304694, 0x4301a01f158fbaaa, 0xa5d4e0c47b583b8e),
     ),
     (
         "fifo/2dev/static/push",
-        (31126794, 0x1159699cd688cbce, 0x03999c09f993c126),
+        (31126794, 0x1159699cd688cbce, 0x4ed5dcd1f07ed824),
     ),
     (
         "fifo/2dev/static/adaptive",
-        (30802958, 0x4a1f8c05a3ec6dd3, 0xc3c999cc588a5d07),
+        (30802958, 0x4a1f8c05a3ec6dd3, 0x914c16911a7708a3),
     ),
     (
         "fifo/2dev/mutating/push",
-        (30621337, 0xc3a4a1d6ce2be854, 0xe082c84a6a5ef129),
+        (30621337, 0xc3a4a1d6ce2be854, 0x8d3d3266aed129b7),
     ),
     (
         "fifo/2dev/mutating/adaptive",
-        (30254673, 0x69852e439a7aaefe, 0x8f265c2aac6ebd08),
+        (30254673, 0x69852e439a7aaefe, 0xa035c91c8ad38b6a),
     ),
     (
         "sjf/1dev/static/push",
-        (49638874, 0x2b4a0d9cd772f6e5, 0x63fce910c2f5f075),
+        (49638874, 0x2b4a0d9cd772f6e5, 0xc2f7e41b087f9c4d),
     ),
     (
         "sjf/1dev/static/adaptive",
-        (48953638, 0xe548abb57c486e3d, 0x032c92d4506f0717),
+        (48953638, 0xe548abb57c486e3d, 0xb92f7af9b20418b8),
     ),
     (
         "sjf/1dev/mutating/push",
-        (48859500, 0x336ed32192318ccf, 0x04869ed4c79683df),
+        (48859500, 0x336ed32192318ccf, 0x30cfebeeb1596216),
     ),
     (
         "sjf/1dev/mutating/adaptive",
-        (48174258, 0x7cd2c34988727a44, 0x3bf2c7916a7dd1c3),
+        (48174258, 0x7cd2c34988727a44, 0x37c43ceb5b472bb4),
     ),
     (
         "sjf/2dev/static/push",
-        (32073187, 0x6ebb8751f159dc3a, 0xcf415456143964bf),
+        (32073187, 0x6ebb8751f159dc3a, 0xdb04ae45cc825209),
     ),
     (
         "sjf/2dev/static/adaptive",
-        (31616363, 0x5656febea6f9310d, 0xe2b943c2aa6d285f),
+        (31616363, 0x5656febea6f9310d, 0x1db6eeb73f6e5cf2),
     ),
     (
         "sjf/2dev/mutating/push",
-        (31524926, 0xb680b9c7331bfcac, 0x3be9482b13636e5f),
+        (31524926, 0xb680b9c7331bfcac, 0x14d8e4b18c8702a4),
     ),
     (
         "sjf/2dev/mutating/adaptive",
-        (31068098, 0x44816c194031a4a5, 0x28bb4fbb50c9fced),
+        (31068098, 0x44816c194031a4a5, 0xc066c908663e8240),
     ),
     (
         "residency/1dev/static/push",
-        (49147942, 0xa33393e95039cebe, 0x814f54eff31cfd76),
+        (49147942, 0xa33393e95039cebe, 0x1688213865d45460),
     ),
     (
         "residency/1dev/static/adaptive",
-        (48462706, 0x5546125529c80f95, 0xab1b1381e17b5302),
+        (48462706, 0x5546125529c80f95, 0x37d4b2e177825669),
     ),
     (
         "residency/1dev/mutating/push",
-        (48368561, 0xb8a67dd46090e309, 0x62618cf6c5483cc7),
+        (48368561, 0xb8a67dd46090e309, 0x4caf162681434b8e),
     ),
     (
         "residency/1dev/mutating/adaptive",
-        (47683317, 0xd512a00b23e5cbac, 0x572f3d457ef546b8),
+        (47683317, 0xd512a00b23e5cbac, 0x48b6cee59a9763e0),
     ),
     (
         "residency/2dev/static/push",
-        (31126794, 0x4cf047b59fe70dce, 0x03999c09f993c126),
+        (31126794, 0x4cf047b59fe70dce, 0x4ed5dcd1f07ed824),
     ),
     (
         "residency/2dev/static/adaptive",
-        (30669970, 0xdba4452b081699b6, 0xe5355db696d46df2),
+        (30669970, 0xdba4452b081699b6, 0x49483eeccd1b03f7),
     ),
     (
         "residency/2dev/mutating/push",
-        (30621337, 0xc5f0164b967ffc24, 0xe082c84a6a5ef129),
+        (30621337, 0xc5f0164b967ffc24, 0x8d3d3266aed129b7),
     ),
     (
         "residency/2dev/mutating/adaptive",
-        (30164507, 0xb5cf534253daac6a, 0x3fb4f7cffb0c311d),
+        (30164507, 0xb5cf534253daac6a, 0x95b2e7a3d4593004),
     ),
 ];
 
@@ -239,7 +247,7 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
             (2, "--direction pull: LP is push-only (no pull operator)"),
             (3, "--direction pull: SSSP is push-only (no pull operator)"),
         ],
-        (2065649, 0x14b53e9751bfa601, 0x5c92d14ecec76320),
+        (2065649, 0x14b53e9751bfa601, 0x880480a80fdc213d),
     ),
     (
         "vertex arrays don't fit",
@@ -249,7 +257,7 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
             (3, "vertex arrays need 54672 B but the device holds 54668 B"),
             (4, "vertex arrays need 54672 B but the device holds 54668 B"),
         ],
-        (0, 0x8a9f539015c6fd2f, 0xb45d49e12fc02a31),
+        (0, 0x8a9f539015c6fd2f, 0x747e63d4d84ffe88),
     ),
     (
         "chunk above half the budget",
@@ -259,7 +267,7 @@ const GOLDEN_REJECTIONS: &[Rejections] = &[
             (3, "edge budget 137508 B below two 1048576-byte chunks"),
             (4, "edge budget 137508 B below two 1048576-byte chunks"),
         ],
-        (0, 0x795d15b54a11b04f, 0xb45d49e12fc02a31),
+        (0, 0x795d15b54a11b04f, 0x747e63d4d84ffe88),
     ),
 ];
 

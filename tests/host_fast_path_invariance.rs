@@ -7,8 +7,8 @@
 //! bytes, DMA ops, iterations, kernel launches and the output fingerprint
 //! of every run — to constants captured on the commit *before* the fast
 //! path landed, at {1, 2, 8} host threads. Two hashes widen each row from
-//! six scalars to the whole observable run: the span-trace JSONL export
-//! (every span's label, track, order and times) and `report.metrics`
+//! six scalars to the whole observable run: the span trace (every
+//! track's name, every span's label, track, order, times and depth) and `report.metrics`
 //! (every counter, gauge and histogram bucket).
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test host_fast_path_invariance -- --nocapture`
 //! prints a fresh table.)
@@ -70,34 +70,37 @@ type Virt = (u64, u64, u64, u32, u64, u64, u64, u64);
 /// session owns the setup's high-water marks (`BFS(0)`, `SSSP(0)`,
 /// `PR push`, `PR adaptive modes`, `PR forced pull`, the PR fleet, the
 /// two slowed-link BFS rows, `BFS(0) overlap off`, `CC od_buffers=2`,
-/// compressed Subway) — was re-harvested; no other column moved.
+/// compressed Subway) — was re-harvested; no other column moved. The
+/// span-trace hash of every row was re-harvested when it began to hash the
+/// trace itself (track names, then every span's fields) instead of the
+/// JSONL export, ahead of that export's removal; no other column moved.
 #[rustfmt::skip]
 const GOLDEN: [(&str, Virt); 25] = [
-    ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x75185bacf68145ce, 0x71bb0af5891af4e3)),
-    ("BFS(1777)", (1644753, 271620, 25, 52, 129, 0x16fd92c0332e67f7, 0xd33a51165471a8e4, 0x61a288ff62c14533)),
-    ("BFS(4242)", (1839901, 271620, 31, 53, 134, 0x6ef9d11362d6a739, 0x5426c1a4b9d05b15, 0xeb3f15feec11c74e)),
-    ("BFS(0) again", (1747428, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x97ba4dc38867eb66, 0x9c07814a76d519c0)),
-    ("CC", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0xa6caebfbf2ba56de, 0x7777842a2f483a36)),
-    ("SSSP(0)", (5202035, 4200232, 114, 101, 316, 0x478264cf27d5749d, 0x317c1fe878595818, 0x325ac16884c78164)),
-    ("PR push", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xbfe3d2c52621e106, 0x297096847a76a540)),
-    ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0x1f83020ecb72dbf1, 0xf82bc7e77aabdf6b)),
-    ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x2872e628a1e6d36e, 0x976b65ef097c0497)),
-    ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0x9d46c08762bfb996, 0xc65205967ff484af)),
-    ("BFS(0) push, compression adaptive, slowed link", (1798586, 131485, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x38d94b0828dff072, 0xadb55b9cca6f1fe9)),
-    ("CC push, compression adaptive, slowed link", (3785690, 1043975, 108, 51, 210, 0xff29483f185f2a2c, 0xdb547266f875ac48, 0xc4e9e41f874cd1f1)),
-    ("BFS(0) forced pull, compression adaptive, slowed link", (5793876, 1637234, 179, 51, 230, 0x1f2c1ab87e045bfe, 0x48f82e0eb6261c0a, 0x4d9a2e412c3683d5)),
-    ("CC forced pull, compression adaptive, slowed link", (5758522, 1637234, 179, 51, 230, 0xff29483f185f2a2c, 0x9dd466877d10abcd, 0x575c3ba64af1cc03)),
-    ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb03046e0c5589ba2, 0xeb6f9fc9ada235ef)),
-    ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x9d566e7009cad9fe, 0xf5fd5bed94fb7391)),
-    ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5b8fe6c93b00d8c4, 0x88fcd9e6b8415fdd)),
-    ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0x415facef6a08416f, 0x3ef25eb181007aa1)),
-    ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0xd5889d6c2e3f80f2, 0x30a436b6c1cac443)),
-    ("UVM BFS(0)", (13586918, 381952, 373, 51, 51, 0x1f2c1ab87e045bfe, 0xa7de9c0a7aecf2b0, 0x1e8550e26a4606b4)),
-    ("Subway BFS(0) raw", (2769697, 405804, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x89ff1533b6e9e203, 0x9e9259a02930939f)),
-    ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x1abf85754bacf4c1, 0x1cf8dcc92ea2e3b8)),
-    ("BC(0) 2-device NVLink", (3271292, 181480, 72, 100, 408, 0xd504c1a8d3152869, 0xaf0c76aa9008c633, 0x222c25fd702d5d79)),
-    ("CC after one BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x5c732f8e32a34d75, 0x7777842a2f483a36)),
-    ("PR adaptive compression on a slowed link + next-frontier prefetch", (7840796, 2536447, 425, 74, 397, 0xd33b43eeeabd4a45, 0x19c81de6f64186c0, 0x4368da47c989ef95)),
+    ("BFS(0)", (1767327, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x6b6e98352c04b488, 0x71bb0af5891af4e3)),
+    ("BFS(1777)", (1644753, 271620, 25, 52, 129, 0x16fd92c0332e67f7, 0xfc2e023ec227ead9, 0x61a288ff62c14533)),
+    ("BFS(4242)", (1839901, 271620, 31, 53, 134, 0x6ef9d11362d6a739, 0x359a0abd085f42c0, 0xeb3f15feec11c74e)),
+    ("BFS(0) again", (1747428, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0xb2a3fe0b0f19afca, 0x9c07814a76d519c0)),
+    ("CC", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x724f8ed6c1de98fd, 0x7777842a2f483a36)),
+    ("SSSP(0)", (5202035, 4200232, 114, 101, 316, 0x478264cf27d5749d, 0xacec6a9b3d1fb973, 0x325ac16884c78164)),
+    ("PR push", (10066533, 8319032, 337, 74, 478, 0xd33b43eeeabd4a45, 0xf61a260af833d231, 0x297096847a76a540)),
+    ("PR adaptive modes", (7746179, 6143840, 424, 74, 397, 0xd33b43eeeabd4a45, 0xff8be7fa52a66761, 0xf82bc7e77aabdf6b)),
+    ("PR forced pull", (28769491, 30098760, 1110, 74, 1184, 0xd33b43eeeabd4a45, 0x37915344c469f1ba, 0x976b65ef097c0497)),
+    ("PR 2-device NVLink + prefetch", (5948661, 1781728, 528, 74, 673, 0xd33b43eeeabd4a45, 0xbf60a8c3783b1032, 0xc65205967ff484af)),
+    ("BFS(0) push, compression adaptive, slowed link", (1798586, 131485, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x002e6d331fa570a7, 0xadb55b9cca6f1fe9)),
+    ("CC push, compression adaptive, slowed link", (3785690, 1043975, 108, 51, 210, 0xff29483f185f2a2c, 0x01d4374f9c7e1eb3, 0xc4e9e41f874cd1f1)),
+    ("BFS(0) forced pull, compression adaptive, slowed link", (5793876, 1637234, 179, 51, 230, 0x1f2c1ab87e045bfe, 0xf2da4b2867da666a, 0x4d9a2e412c3683d5)),
+    ("CC forced pull, compression adaptive, slowed link", (5758522, 1637234, 179, 51, 230, 0xff29483f185f2a2c, 0x72f45b9386eaa1c0, 0x575c3ba64af1cc03)),
+    ("BFS(0) overlap off", (1990157, 271620, 29, 51, 131, 0x1f2c1ab87e045bfe, 0x34b4e1d3708729f4, 0xeb6f9fc9ada235ef)),
+    ("CC od_buffers=2", (5640040, 2628384, 204, 51, 306, 0xff29483f185f2a2c, 0x3b87c5f562ddc62e, 0xf5fd5bed94fb7391)),
+    ("Subway BFS(0), compression adaptive", (2766804, 275709, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x619639f5a5c28251, 0x88fcd9e6b8415fdd)),
+    ("PT BFS(0)", (3341809, 11258020, 84, 51, 84, 0x1f2c1ab87e045bfe, 0xa701033eaa5a164c, 0x3ef25eb181007aa1)),
+    ("PT PR", (7784135, 24960752, 207, 74, 207, 0xd33b43eeeabd4a45, 0x00281a507de9d9f0, 0x30a436b6c1cac443)),
+    ("UVM BFS(0)", (13586918, 381952, 373, 51, 51, 0x1f2c1ab87e045bfe, 0x1a1796c714b9f9d0, 0x1e8550e26a4606b4)),
+    ("Subway BFS(0) raw", (2769697, 405804, 51, 51, 102, 0x1f2c1ab87e045bfe, 0x5d3115b059168133, 0x9e9259a02930939f)),
+    ("Subway BC(0)", (5435125, 810668, 100, 100, 200, 0xd504c1a8d3152869, 0x02c5d41e8d6e3f5d, 0x1cf8dcc92ea2e3b8)),
+    ("BC(0) 2-device NVLink", (3271292, 181480, 72, 100, 408, 0xd504c1a8d3152869, 0x012c70cf06f9ce81, 0x222c25fd702d5d79)),
+    ("CC after one BFS(0)", (3737059, 2627776, 108, 51, 210, 0xff29483f185f2a2c, 0x65c565d136143934, 0x7777842a2f483a36)),
+    ("PR adaptive compression on a slowed link + next-frontier prefetch", (7840796, 2536447, 425, 74, 397, 0xd33b43eeeabd4a45, 0x49b9598a09e666e9, 0x4368da47c989ef95)),
 ];
 
 /// The default configuration on a device ~40 % of the edges fit in, so
@@ -132,13 +135,18 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a of the span trace's JSONL export — of a trace that keeps the
-/// nesting contract, which recording no longer enforces.
+/// FNV-1a of the span trace itself — the track names, then every span's
+/// `(track, name, cat, start_ns, end_ns, depth)`, no export in between —
+/// of a trace that keeps the nesting contract, which recording no longer
+/// enforces.
 fn trace_fp(trace: Option<&Trace>) -> u64 {
     let trace = trace.expect("tracing armed");
     trace.check_nesting().expect("every pinned trace nests");
     let mut h = FNV_OFFSET;
-    fnv(&mut h, trace.to_jsonl(1).as_bytes());
+    fnv(&mut h, format!("{:?}", trace.tracks()).as_bytes());
+    for s in trace.spans() {
+        fnv(&mut h, format!("{s:?}").as_bytes());
+    }
     h
 }
 
