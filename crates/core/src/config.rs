@@ -208,8 +208,7 @@ pub struct AsceticConfig {
     /// Edge-chunk size in bytes (paper: 16 KiB).
     pub chunk_bytes: usize,
     /// Record every engine span and session phase on the report's
-    /// `span_trace` (export with [`ascetic_obs::Trace::to_perfetto_json`]
-    /// or [`ascetic_obs::Trace::to_jsonl`]).
+    /// `span_trace` (export with [`ascetic_obs::Trace::to_perfetto_json`]).
     pub tracing: bool,
     /// Number of buffers the on-demand region is split into (≥ 1). With
     /// more than one, batch `i+1`'s H2D transfer can run while batch `i`

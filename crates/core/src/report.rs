@@ -158,8 +158,7 @@ pub struct RunReport {
     pub avg_iteration_payload_bytes: u64,
     /// Hierarchical span trace (one track per copy stream, one per
     /// engine, plus session phase tracks), when the system ran with
-    /// tracing enabled. Export with [`ascetic_obs::Trace::to_perfetto_json`]
-    /// or [`ascetic_obs::Trace::to_jsonl`].
+    /// tracing enabled. Export with [`ascetic_obs::Trace::to_perfetto_json`].
     pub span_trace: Option<Trace>,
     /// Per-iteration link/compute utilization derived from the span
     /// trace. Empty when tracing was off.

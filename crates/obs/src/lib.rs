@@ -17,12 +17,12 @@
 //!   sink.
 //! * [`trace`] — a hierarchical [`SpanTracer`] over named tracks (one per
 //!   copy stream, compute engine, serve job) frozen into an immutable
-//!   [`Trace`] with Chrome/Perfetto and JSONL export plus busy/idle/overlap
-//!   utilization queries — the Fig-8 breakdown as a first-class artifact.
+//!   [`Trace`] with one Chrome/Perfetto export, read back by its one reader,
+//!   plus busy/idle/overlap queries — the Fig-8 breakdown as an artifact.
 //! * [`json`] — the one place JSON syntax lives: a streaming object/array
 //!   writer every export goes through, one parser every reader goes
-//!   through, and the flat-record splitter of the JSONL input formats (no
-//!   serde; the whole workspace stays dependency-free).
+//!   through, and one wording of the faults the JSONL record files share
+//!   (no serde; the whole workspace stays dependency-free).
 //!
 //! Determinism: nothing here reads wall-clock time. Timestamps are supplied
 //! by the caller from the simulated clock (`ascetic-sim`), so two runs of

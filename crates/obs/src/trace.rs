@@ -4,9 +4,10 @@
 //! answers *where the time went*. A [`SpanTracer`] collects nested spans on
 //! named **tracks** — one per copy stream, one per compute engine, one per
 //! serve job — and freezes into an immutable [`Trace`] that exports as a
-//! Chrome/Perfetto `trace.json` (open in `ui.perfetto.dev`) or a compact
-//! JSONL stream, and can answer busy/idle/overlap queries over arbitrary
-//! windows (the Fig-8 utilization breakdown, per iteration).
+//! Chrome/Perfetto `trace.json` (open in `ui.perfetto.dev`; the same file
+//! reads back through [`Trace::from_perfetto_json`]), and can answer
+//! busy/idle/overlap queries over arbitrary windows (the Fig-8 utilization
+//! breakdown, per iteration).
 //!
 //! Timestamps are plain `u64` virtual nanoseconds supplied by the caller
 //! (`ascetic-sim`'s clock, or the serve clock); nothing here reads the wall
@@ -303,9 +304,9 @@ impl Trace {
     /// Export as a Chrome/Perfetto trace (JSON array of events, one per
     /// line): per-track `thread_name` metadata followed by `ph:"X"`
     /// complete events with microsecond `ts`/`dur` at nanosecond
-    /// precision. `schema_version` is stamped in a metadata event so
-    /// consumers can detect drift. Open the file in `ui.perfetto.dev` or
-    /// `chrome://tracing`.
+    /// precision, a nested span's depth in `args`. `schema_version` is
+    /// stamped in a metadata event so consumers can detect drift. Open the
+    /// file in `ui.perfetto.dev` or `chrome://tracing`.
     pub fn to_perfetto_json(&self, schema_version: u32) -> String {
         let mut out = String::with_capacity(128 + self.spans.len() * 96);
         let meta = |o: &mut json::Object<'_>, name: &str, tid: usize| {
@@ -333,6 +334,12 @@ impl Trace {
                     o.num("pid", 1u32).num("tid", s.track + 1);
                     o.num("ts", Micros(s.start_ns));
                     o.num("dur", Micros(s.dur_ns()));
+                    if s.depth > 0 {
+                        // zero-length spans leave depth unrecoverable from the times
+                        o.object("args", |a| {
+                            a.num("depth", s.depth);
+                        });
+                    }
                 });
             }
         });
@@ -340,82 +347,70 @@ impl Trace {
         out
     }
 
-    /// Export as compact JSONL: a meta line (`kind`, `schema_version`,
-    /// track table, span count), then one object per span in
-    /// `(track, start, depth)` order. This is the form
-    /// [`Trace::from_jsonl`] and `ascetic trace summarize` consume.
-    pub fn to_jsonl(&self, schema_version: u32) -> String {
-        let mut out = String::with_capacity(96 + self.spans.len() * 80);
-        json::object(&mut out, |o| {
-            o.str("kind", "trace_meta")
-                .num("schema_version", schema_version);
-            o.array("tracks", |a| {
-                for name in &self.tracks {
-                    a.str(name);
-                }
-            });
-            o.num("spans", self.spans.len());
-        });
-        out.push('\n');
-        for s in &self.spans {
-            json::object(&mut out, |o| {
-                o.num("track", s.track).str("name", &s.name);
-                o.str("cat", &s.cat).num("start_ns", s.start_ns);
-                o.num("dur_ns", s.dur_ns()).num("depth", s.depth);
-            });
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the JSONL form back into a trace. Returns the schema version
-    /// from the meta line alongside the trace; fails with a line-numbered
-    /// message on malformed input.
-    pub fn from_jsonl(text: &str) -> Result<(Trace, u32), String> {
-        let mut lines = json::numbered_lines(text);
-        let (_, meta) = lines
-            .next()
-            .ok_or_else(|| "trace line 1: empty input".to_string())?;
-        let meta = json::parse(meta).map_err(|e| format!("trace line 1: {e}"))?;
-        if meta.get("kind").and_then(Value::as_str) != Some("trace_meta") {
-            return Err("trace line 1: missing trace_meta header".to_string());
-        }
-        let schema_version = meta
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| "trace line 1: missing schema_version".to_string())?
-            as u32;
-        let tracks: Option<Vec<String>> = match meta.get("tracks") {
-            Some(Value::Arr(names)) => names
-                .iter()
-                .map(|n| n.as_str().map(str::to_string))
-                .collect(),
-            _ => None,
+    /// Parse the Chrome/Perfetto array [`Trace::to_perfetto_json`] writes
+    /// back into a trace, with the schema version its `ascetic_schema`
+    /// event stamps. Tracks are the `thread_name` events in order (`tid` =
+    /// index + 1); times come back to the exact nanosecond and a span's
+    /// depth is its `args.depth` (0 when absent). Fails naming the event on
+    /// malformed input.
+    pub fn from_perfetto_json(text: &str) -> Result<(Trace, u32), String> {
+        let is_array = text.trim_start().starts_with('[');
+        let Some(Value::Arr(events)) = is_array.then(|| json::parse(text)).transpose()? else {
+            return Err("expected the JSON array of events --trace-out writes".into());
         };
-        let tracks = tracks.ok_or_else(|| "trace line 1: bad tracks".to_string())?;
-        let mut spans = Vec::new();
-        for (lineno, line) in lines {
-            let span = json::parse(line).map_err(|e| format!("trace line {lineno}: {e}"))?;
-            let bad = || format!("trace line {lineno}: missing span field");
-            let num = |key| span.get(key).and_then(Value::as_u64).ok_or_else(bad);
-            let text = |key| span.get(key).and_then(Value::as_str).ok_or_else(bad);
-            let track = num("track")? as usize;
-            if track >= tracks.len() {
-                return Err(format!("trace line {lineno}: track {track} out of range"));
+        let u32_of = |v: Option<&Value>| v?.as_u64().and_then(|v| u32::try_from(v).ok());
+        let (mut version, mut tracks, mut spans) = (None, Vec::new(), Vec::new());
+        for (i, e) in events.iter().enumerate() {
+            let bad = |what: &str| format!("trace event {i}: {what}");
+            let text = |key| e.get(key).and_then(Value::as_str);
+            let arg = |key| e.get("args")?.get(key);
+            match (text("ph"), text("name")) {
+                (Some("M"), Some("ascetic_schema")) => {
+                    let v = u32_of(arg("schema_version"));
+                    version = Some(v.ok_or_else(|| bad("bad schema_version"))?);
+                }
+                (Some("M"), Some("thread_name")) => {
+                    let name = arg("name").and_then(Value::as_str);
+                    tracks.push(name.ok_or_else(|| bad("no track name"))?.to_string());
+                }
+                (Some("X"), Some(name)) => {
+                    let tid = e.get("tid").unwrap_or(&Value::Null);
+                    let track = tid.as_u64().and_then(|t| usize::try_from(t).ok());
+                    let track = track.filter(|t| (1..=tracks.len()).contains(t));
+                    let ns =
+                        |key| micros_to_ns(e.get(key)).ok_or_else(|| bad(&format!("bad {key}")));
+                    let start_ns = ns("ts")?;
+                    let end_ns = start_ns.checked_add(ns("dur")?);
+                    let depth = arg("depth").map_or(Some(0), |d| u32_of(Some(d)));
+                    spans.push(TracedSpan {
+                        track: track.ok_or_else(|| bad(&format!("tid {tid} names no track")))? - 1,
+                        name: name.to_string(),
+                        cat: text("cat").ok_or_else(|| bad("no cat"))?.to_string(),
+                        start_ns,
+                        end_ns: end_ns.ok_or_else(|| bad("ends past 2^64 - 1 ns"))?,
+                        depth: depth.ok_or_else(|| bad("bad depth"))?,
+                    });
+                }
+                _ => return Err(bad("neither a span nor a track or schema event")),
             }
-            let start_ns = num("start_ns")?;
-            spans.push(TracedSpan {
-                track,
-                name: text("name")?.to_string(),
-                cat: text("cat")?.to_string(),
-                start_ns,
-                end_ns: start_ns + num("dur_ns")?,
-                depth: num("depth")? as u32,
-            });
         }
+        let version = version.ok_or("no ascetic_schema event")?;
         spans.sort_by_key(|s| (s.track, s.start_ns, s.depth));
-        Ok((Trace { tracks, spans }, schema_version))
+        Ok((Trace { tracks, spans }, version))
     }
+}
+
+/// A `ts` / `dur` back in nanoseconds: the `us.nnn` text [`Micros`]
+/// writes, read exactly (no float in between).
+fn micros_to_ns(v: Option<&Value>) -> Option<u64> {
+    let Some(Value::Num(text)) = v else {
+        return None;
+    };
+    let (us, frac) = text.split_once('.').unwrap_or((text, ""));
+    if frac.len() > 3 {
+        return None;
+    }
+    format!("{us}{frac:0<3}").parse().ok()
 }
 
 /// Clip `[s, e)` to `[w0, w1)` and return the remaining length.
@@ -574,45 +569,104 @@ mod tests {
         assert_eq!(top, ["s3", "s2"]); // equal durations: earlier start wins
     }
 
+    /// A nested trace with escaped names and zero-length spans: the times
+    /// alone would not place them, the exported depth does.
     #[test]
-    fn jsonl_round_trips() {
-        let trace = tracer_with(&[
-            ("copy \"0\"", 0, 10, "dma\nweird"),
-            ("compute", 5, 9, "kernel"),
-        ]);
-        let jsonl = trace.to_jsonl(3);
-        for line in jsonl.lines() {
-            crate::json::validate(line).expect("every jsonl line parses");
-        }
-        let (back, ver) = Trace::from_jsonl(&jsonl).unwrap();
+    fn perfetto_round_trips() {
+        let mut t = SpanTracer::new();
+        let (copy, compute) = (t.track("copy \"0\""), t.track("compute"));
+        t.span(copy, 0, 10, "dma\nweird", "dma");
+        let outer = t.mark();
+        let inner = t.mark();
+        t.span(compute, 5, 5, "empty leaf", "kernel");
+        t.enclose(compute, inner, 5, 5, "empty parent", "phase");
+        t.enclose(compute, outer, 5, 9, "iteration", "phase");
+        let trace = t.finish();
+        trace.check_nesting().unwrap();
+        let json = trace.to_perfetto_json(3);
+        assert!(json.contains("\"args\":{\"depth\":2}"), "{json}");
+        let (back, ver) = Trace::from_perfetto_json(&json).unwrap();
         assert_eq!(ver, 3);
         assert_eq!(back, trace);
     }
 
     #[test]
-    fn from_jsonl_decodes_every_string_escape() {
-        let text = r#"{"kind":"trace_meta","schema_version":3,"tracks":["a\/b","\u0041b"],"spans":1}
-{"track":1,"name":"k\u00e9rnel\/x","cat":"c","start_ns":0,"dur_ns":5,"depth":0}"#;
-        let (trace, version) = Trace::from_jsonl(text).unwrap();
+    fn from_perfetto_json_decodes_every_string_escape() {
+        let text = r#"[
+{"name":"ascetic_schema","ph":"M","pid":1,"tid":0,"args":{"schema_version":3}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"a\/b"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"\u0041b"}},
+{"name":"k\u00e9rnel\/x","cat":"c","ph":"X","pid":1,"tid":2,"ts":0.007,"dur":12.345}
+]"#;
+        let (trace, version) = Trace::from_perfetto_json(text).unwrap();
         assert_eq!(version, 3);
         assert_eq!(trace.tracks(), ["a/b", "Ab"]);
-        assert_eq!(trace.spans()[0].name, "k\u{e9}rnel/x");
+        let s = &trace.spans()[0];
+        assert_eq!((s.track, s.name.as_str()), (1, "k\u{e9}rnel/x"));
+        assert_eq!((s.start_ns, s.end_ns, s.depth), (7, 12_352, 0));
     }
 
+    /// Hostile or foreign input ends in a message naming the event, never
+    /// a panic or a wrapped clock.
     #[test]
-    fn from_jsonl_rejects_garbage_with_line_numbers() {
-        assert!(Trace::from_jsonl("").unwrap_err().contains("line 1"));
-        assert!(Trace::from_jsonl("{\"kind\":\"nope\"}")
-            .unwrap_err()
-            .contains("line 1"));
-        let good = tracer_with(&[("t", 0, 5, "s")]).to_jsonl(3);
-        let bad = format!("{good}{{\"track\":9,\"name\":\"x\",\"cat\":\"c\",\"start_ns\":0,\"dur_ns\":1,\"depth\":0}}\n");
-        assert!(Trace::from_jsonl(&bad)
-            .unwrap_err()
-            .contains("out of range"));
-        // a span with nothing one level above it parses, and fails the check
-        let orphan = format!("{good}{{\"track\":0,\"name\":\"x\",\"cat\":\"c\",\"start_ns\":9,\"dur_ns\":1,\"depth\":2}}\n");
-        let (trace, _) = Trace::from_jsonl(&orphan).unwrap();
+    fn from_perfetto_json_rejects_garbage_naming_the_event() {
+        let good = tracer_with(&[("t", 0, 5, "s")]).to_perfetto_json(3);
+        let with = |span: &str| good.replacen("\n]", &format!(",\n{span}\n]"), 1);
+        let span = |tid: &str, ts: &str, dur: &str| {
+            with(&format!(
+                r#"{{"name":"x","cat":"c","ph":"X","pid":1,"tid":{tid},"ts":{ts},"dur":{dur}}}"#
+            ))
+        };
+        let not_array = "expected the JSON array of events --trace-out writes";
+        // the line-per-span form older builds wrote: a header, then spans
+        let jsonl = concat!(
+            r#"{"schema_version":3,"tracks":["t"],"spans":1}"#,
+            "\n",
+            r#"{"track":0,"name":"s","cat":"test","start_ns":0,"dur_ns":5,"depth":0}"#,
+        );
+        let cases = [
+            (String::new(), not_array),
+            ("{\"ph\":\"X\"}".to_string(), not_array),
+            (jsonl.to_string(), not_array),
+            ("[1,".to_string(), "at byte 3"),
+            (span("9", "0", "1"), "trace event 3: tid 9 names no track"),
+            (span("0", "0", "1"), "trace event 3: tid 0 names no track"),
+            (
+                span("\"1\"", "0", "1"),
+                "trace event 3: tid \"1\" names no track",
+            ),
+            (
+                span("1", "18446744073709551.615", "0.001"),
+                "trace event 3: ends past 2^64 - 1 ns",
+            ),
+            (
+                span("1", "18446744073709552.000", "0"),
+                "trace event 3: bad ts",
+            ),
+            (span("1", "0", "1.5e3"), "trace event 3: bad dur"),
+            (span("1", "0", "0.0001"), "trace event 3: bad dur"),
+            (span("1", "-1", "1"), "trace event 3: bad ts"),
+            (with("{\"ph\":\"B\"}"), "trace event 3: neither a span"),
+            (
+                good.replacen("\"ascetic_schema\"", "\"x\"", 1),
+                "trace event 0",
+            ),
+            (
+                good.replacen(r#"{"schema_version":3}"#, r#"{"schema_version":-3}"#, 1),
+                "trace event 0: bad schema_version",
+            ),
+            ("[]".to_string(), "no ascetic_schema event"),
+        ];
+        for (text, want) in cases {
+            let err = Trace::from_perfetto_json(&text).unwrap_err();
+            assert!(err.contains(want), "{text}: {err}");
+        }
+        // the reader does not enforce nesting: a span with nothing one
+        // level above it parses, and fails the check
+        let orphan = with(
+            r#"{"name":"x","cat":"c","ph":"X","pid":1,"tid":1,"ts":0.009,"dur":0.001,"args":{"depth":2}}"#,
+        );
+        let (trace, _) = Trace::from_perfetto_json(&orphan).unwrap();
         let err = trace.check_nesting().unwrap_err();
         assert!(err.contains("has no span one level above"), "{err}");
     }
@@ -621,8 +675,7 @@ mod tests {
     fn empty_trace_exports_validate() {
         let trace = SpanTracer::new().finish();
         trace.check_nesting().unwrap();
-        crate::json::validate(&trace.to_perfetto_json(3)).unwrap();
-        let (back, _) = Trace::from_jsonl(&trace.to_jsonl(3)).unwrap();
+        let (back, _) = Trace::from_perfetto_json(&trace.to_perfetto_json(3)).unwrap();
         assert_eq!(back, trace);
     }
 }
@@ -705,7 +758,7 @@ mod proptests {
         /// The property the recorder rests on: any forest, recorded in
         /// close order with the tracks interleaved, comes back from
         /// `finish` with every span at its depth and in its place, passes
-        /// the nesting check and round-trips through JSONL.
+        /// the nesting check and round-trips through the Perfetto export.
         #[test]
         fn a_forest_recorded_in_close_order_is_reproduced(steps in proptest::collection::vec(arb_step(), 0..60)) {
             let (forest, tracer) = record(&steps);
@@ -713,7 +766,7 @@ mod proptests {
             let got: Vec<_> = trace.spans().iter().map(|s| (s.track, s.start_ns, s.end_ns, s.depth)).collect();
             prop_assert_eq!(got, forest);
             prop_assert_eq!(trace.check_nesting(), Ok(()));
-            let (back, _) = Trace::from_jsonl(&trace.to_jsonl(3)).unwrap();
+            let (back, _) = Trace::from_perfetto_json(&trace.to_perfetto_json(3)).unwrap();
             prop_assert_eq!(back, trace);
         }
     }

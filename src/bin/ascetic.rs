@@ -96,7 +96,7 @@ const FLEET: Group = &[
     "--fabric NAME: pcie|nvlink between them (default pcie)",
 ];
 const TRACE: Group =
-    &["--trace-out FILE: spans; .json for ui.perfetto.dev, .jsonl for `trace summarize`"];
+    &["--trace-out FILE: spans as Perfetto JSON (ui.perfetto.dev, `trace summarize`)"];
 const REPORT: Group = &[
     "--summary FMT: text|json (default text)",
     "--metrics-out FILE: JSONL of meta, every event, final metrics",
@@ -174,7 +174,7 @@ const CMDS: &[Cmd] = &[
         run: cmd_serve,
     },
     Cmd {
-        synopsis: "trace summarize FILE.jsonl: busy time per track, the longest spans",
+        synopsis: "trace summarize FILE.json: busy time per track, the longest spans",
         flags: &["--top K: spans listed (default 10)"],
         groups: &[],
         run: cmd_trace,
@@ -383,11 +383,15 @@ fn load_graph(spec: &str) -> Res<Csr> {
         eprintln!("building {} stand-in at scale 1/{scale} ...", id.name());
         return Ok(Dataset::build(id, scale).graph);
     }
-    if is_text(spec) {
-        Ok(edgelist::load_text(spec, None)?.build())
+    let g = if is_text(spec) {
+        edgelist::load_text(spec, None)?.build()
     } else {
-        Ok(edgelist::load_binary(spec)?)
+        edgelist::load_binary(spec)?
+    };
+    if g.num_vertices() == 0 {
+        return Err(format!("{spec}: the graph has no vertices").into());
     }
+    Ok(g)
 }
 
 fn cmd_info(o: &Opts) -> Res {
@@ -604,22 +608,17 @@ fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str) -> Res {
     Ok(std::fs::write(path, out)?)
 }
 
-/// The `--trace-out FILE` epilogue of every traced path: `.jsonl` gets the
-/// compact form `ascetic trace summarize` and [`Trace::from_jsonl`] read
-/// back, any other extension the Chrome/Perfetto JSON array.
+/// The `--trace-out FILE` epilogue of every traced path: the
+/// Chrome/Perfetto JSON array, which `ascetic trace summarize`
+/// ([`Trace::from_perfetto_json`]) reads back.
 fn write_trace_out(o: &Opts, trace: Option<&Trace>) -> Res {
     let (Some(path), Some(trace)) = (o.get("--trace-out"), trace) else {
         return Ok(());
     };
-    let text = if path.ends_with(".jsonl") {
-        trace.to_jsonl(RUN_REPORT_SCHEMA_VERSION)
-    } else {
-        trace.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION)
-    };
-    std::fs::write(path, text)?;
+    std::fs::write(path, trace.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION))?;
     eprintln!(
-        "wrote {} spans on {} tracks to {path} (open .json in ui.perfetto.dev, \
-         or `ascetic trace summarize` a .jsonl)",
+        "wrote {} spans on {} tracks to {path} (open it in ui.perfetto.dev, \
+         or `ascetic trace summarize` it)",
         trace.spans().len(),
         trace.tracks().len()
     );
@@ -925,11 +924,11 @@ fn cmd_serve(o: &Opts) -> Res {
 
 fn cmd_trace(o: &Opts) -> Res {
     if o.args[0] != "summarize" {
-        return Err("usage: ascetic trace summarize FILE.jsonl [--top K]".into());
+        return Err("usage: ascetic trace summarize FILE.json [--top K]".into());
     }
     let path = &o.args[1];
     let top: usize = o.parse("--top")?.unwrap_or(10);
-    let (trace, version) = ctx(Trace::from_jsonl(&read(path, "trace")?), path)?;
+    let (trace, version) = ctx(Trace::from_perfetto_json(&read(path, "trace")?), path)?;
     if version != RUN_REPORT_SCHEMA_VERSION {
         return Err(format!(
             "{path}: trace schema version {version} does not match this binary's \
@@ -937,6 +936,7 @@ fn cmd_trace(o: &Opts) -> Res {
         )
         .into());
     }
+    ctx(trace.check_nesting(), path)?;
     let horizon = trace.horizon_ns();
     println!("trace:          {path}");
     println!("schema version: {version}");

@@ -170,38 +170,33 @@ fn summary_formats_render() {
 
 #[test]
 fn trace_out_roundtrips_through_summarize() {
-    let jsonl = tmpfile("spans.jsonl");
     let json = tmpfile("spans.json");
-    for path in [&jsonl, &json] {
-        let out = bin()
-            .args(["run", "gs@20000", "--algo", "bfs", "--mem-frac", "0.4"])
-            .arg("--trace-out")
-            .arg(path)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    let out = bin()
+        .args(["run", "gs@20000", "--algo", "bfs", "--mem-frac", "0.4"])
+        .arg("--trace-out")
+        .arg(&json)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-    // The .json flavour is the Chrome/Perfetto array.
+    // One file: the Chrome/Perfetto array, which round-trips through the
+    // parser and the summarize subcommand.
     let perfetto = std::fs::read_to_string(&json).expect("perfetto trace written");
     assert!(perfetto.starts_with('[') && perfetto.trim_end().ends_with(']'));
     assert!(perfetto.contains("GPU compute engine"), "{perfetto}");
     assert!(perfetto.contains("\"schema_version\":3"), "{perfetto}");
-
-    // The .jsonl flavour round-trips through the parser and the
-    // summarize subcommand.
-    let text = std::fs::read_to_string(&jsonl).expect("jsonl trace written");
-    let (trace, ver) = ascetic::obs::Trace::from_jsonl(&text).expect("jsonl parses");
+    let (trace, ver) = ascetic::obs::Trace::from_perfetto_json(&perfetto).expect("perfetto parses");
     assert_eq!(ver, ascetic::core::RUN_REPORT_SCHEMA_VERSION);
     assert!(!trace.spans().is_empty());
+    assert_eq!(trace.check_nesting(), Ok(()));
 
     let out = bin()
         .args(["trace", "summarize"])
-        .arg(&jsonl)
+        .arg(&json)
         .args(["--top", "5"])
         .output()
         .unwrap();
@@ -216,15 +211,6 @@ fn trace_out_roundtrips_through_summarize() {
     assert!(summary.contains("PCIe copy stream"), "{summary}");
     assert!(summary.contains("top 5 longest spans"), "{summary}");
 
-    // summarize refuses the Perfetto flavour (it reads the compact form)
-    let out = bin()
-        .args(["trace", "summarize"])
-        .arg(&json)
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "perfetto json is not summarizable");
-
-    std::fs::remove_file(&jsonl).ok();
     std::fs::remove_file(&json).ok();
 }
 

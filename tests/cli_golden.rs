@@ -13,13 +13,18 @@
 //! snapshot, and stderr counts 3 events, not 156 — stderr
 //! `0xb107ef7e0b069d8c` → `0x846998faa4f0a6bb`, file `0x0b9e4f42805d5119`
 //! → `0xd246e67b72c0a336`. The `--summary csv` and `--summary md` rows
-//! went with those renderings; no other row moved.)
+//! went with those renderings; no other row moved. When the Perfetto array
+//! became the one span-trace format, rows 13, 16 and 31 (every
+//! `--trace-out`) were re-harvested: stderr's hint names one format, and
+//! the file carries a nested span's depth (row 16's `fleet.jsonl`, then the
+//! compact form, became `fleet.json`). Rows 32 and 33 summarize that file:
+//! only their `trace:` path line moved.)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test cli_golden -- --nocapture`
 //! prints a fresh table.)
 //!
 //! Rows run in order in one scratch directory (relative paths keep the
 //! echoed file names machine-independent): later rows read files earlier
-//! rows wrote (`g.beg`, `w.txt`, `fleet.jsonl`).
+//! rows wrote (`g.beg`, `w.txt`, `fleet.json`).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -92,8 +97,8 @@ const ROWS: &[Row] = &[
     ),
     ("run w.txt --algo sssp --source 2 --mem-frac 0.5", &[]),
     (
-        "run fk@30000 --algo bfs --mem-frac 0.4 --devices 2 --fabric nvlink --trace-out fleet.jsonl",
-        &["fleet.jsonl"],
+        "run fk@30000 --algo bfs --mem-frac 0.4 --devices 2 --fabric nvlink --trace-out fleet.json",
+        &["fleet.json"],
     ),
     ("run fk@30000 --algo bc --source 7 --devices 2", &[]),
     (
@@ -147,8 +152,8 @@ const ROWS: &[Row] = &[
          --mem-frac 0.4 --trace-out serve.json",
         &["serve.json"],
     ),
-    ("trace summarize fleet.jsonl --top 5", &[]),
-    ("trace summarize fleet.jsonl", &[]),
+    ("trace summarize fleet.json --top 5", &[]),
+    ("trace summarize fleet.json", &[]),
 ];
 
 /// `(exit code, fnv(stdout), fnv(stderr), fnv(written files, in order))`,
@@ -167,10 +172,10 @@ const GOLDEN: &[(i32, u64, u64, u64)] = &[
     (0, 0xcdc106f8a57362c6, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0x551351fd2679b849, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0x769036b41bf7d8c3, 0x846998faa4f0a6bb, 0xd246e67b72c0a336),
-    (0, 0xc3f7df02b4130f07, 0x81a63e1c9aba8b21, 0x7866edad3e23cd67),
+    (0, 0xc3f7df02b4130f07, 0x48fadbf7ba6998f2, 0xf0581bdc3b189526),
     (0, 0xfde14071d9641c98, 0xcbf29ce484222325, 0xcbf29ce484222325),
     (0, 0xe29bdaf704de5772, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0x56ceb87bea0a7549, 0x89c396f725ada243, 0x48350862f09b809c),
+    (0, 0x56ceb87bea0a7549, 0x18e2dc2bafb3c5e2, 0x1e46c8d02498d1ed),
     (0, 0xdd519d941daf2d81, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0x13aeeb0e1d3194ca, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0xab8cb631091bf7a2, 0x6442e526170be9ce, 0xcbf29ce484222325),
@@ -185,9 +190,9 @@ const GOLDEN: &[(i32, u64, u64, u64)] = &[
     (0, 0xcafe03e7cb70d843, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0xc58016ba623cc321, 0x6442e526170be9ce, 0xcbf29ce484222325),
     (0, 0x7efbe2bc3dbe715b, 0x6442e526170be9ce, 0xcbf29ce484222325),
-    (0, 0x28144e647825fae4, 0x851c319910b72f3b, 0x3aa9a4a602a32a62),
-    (0, 0x97b803be9075928e, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0xa73d40d145180ea9, 0xcbf29ce484222325, 0xcbf29ce484222325),
+    (0, 0x28144e647825fae4, 0x49d569e28b360580, 0x165e53a0c43ecf72),
+    (0, 0x31edaf4e84a7fea2, 0xcbf29ce484222325, 0xcbf29ce484222325),
+    (0, 0x2baa35635461c205, 0xcbf29ce484222325, 0xcbf29ce484222325),
 ];
 
 #[test]

@@ -114,6 +114,71 @@ fn a_degenerate_graph_size_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_graph_with_no_vertices_is_an_error_naming_the_file_not_a_panic() {
+    let dir = std::env::temp_dir();
+    let stem = format!("ascetic-empty-{}", std::process::id());
+    let (empty, jobs) = (
+        dir.join(format!("{stem}.txt")),
+        dir.join(format!("{stem}.jsonl")),
+    );
+    std::fs::write(&empty, "").unwrap();
+    std::fs::write(&jobs, "{\"id\": 0, \"algo\": \"pr\"}\n").unwrap();
+    let (g, jobs_path) = (empty.to_str().unwrap(), jobs.to_str().unwrap());
+    let paths = [
+        format!("serve {g} --synthetic 3 --mem 100000"),
+        format!("serve {g} --trace {jobs_path} --mem 100000"),
+        format!("run {g} --algo pr"),
+        format!("run {g} --algo cc"),
+        format!("run {g} --algo lp"),
+    ];
+    for path in &paths {
+        let err = rejected(path);
+        assert!(
+            err.contains(&format!("{g}: the graph has no vertices")),
+            "{path}: {err}"
+        );
+        assert!(!err.contains("--source"), "{path}: {err}");
+    }
+    std::fs::remove_file(empty).ok();
+    std::fs::remove_file(jobs).ok();
+}
+
+/// `trace summarize` reads only a well-formed, well-nested Perfetto file:
+/// a span past the end of the clock, two overlapping siblings and the
+/// line-per-span form older builds wrote each end in a message.
+#[test]
+fn a_hostile_span_trace_is_an_error_not_a_panic_or_a_wrapped_clock() {
+    let head = concat!(
+        r#"[{"name":"ascetic_schema","ph":"M","pid":1,"tid":0,"args":{"schema_version":3}},"#,
+        r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"t"}}"#,
+    );
+    let span = |ts: &str, dur: &str| {
+        format!(r#",{{"name":"s","cat":"c","ph":"X","pid":1,"tid":1,"ts":{ts},"dur":{dur}}}"#)
+    };
+    let cases = [
+        (
+            format!("{head}{}]", span("18446744073709551.615", "0.001")),
+            "trace event 2: ends past 2^64 - 1 ns",
+        ),
+        (
+            format!("{head}{}{}]", span("0", "10"), span("5", "1")),
+            "overlaps its sibling",
+        ),
+        (
+            "{\"schema_version\":3,\"tracks\":[\"t\"],\"spans\":0}\n".to_string(),
+            "expected the JSON array of events --trace-out writes",
+        ),
+    ];
+    let path = std::env::temp_dir().join(format!("ascetic-hostile-{}.json", std::process::id()));
+    for (text, want) in cases {
+        std::fs::write(&path, &text).unwrap();
+        let err = rejected(&format!("trace summarize {}", path.display()));
+        assert!(err.contains(want), "{text}: {err}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn an_out_of_range_source_is_an_error_on_every_path_not_a_panic() {
     let muts = std::env::temp_dir().join(format!("ascetic-rejects-{}.jsonl", std::process::id()));
     std::fs::write(&muts, "{\"op\": \"insert\", \"src\": 1, \"dst\": 2}\n").unwrap();

@@ -309,11 +309,7 @@ fn span_traces_are_byte_identical_across_thread_counts() {
                 .unwrap_or_else(|| panic!("{} ran with tracing", r.system));
             assert!(!trace.spans().is_empty(), "{} trace is empty", r.system);
             assert_eq!(trace.check_nesting(), Ok(()), "{} mis-nests", r.system);
-            format!(
-                "{}\n{}",
-                trace.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION),
-                trace.to_jsonl(RUN_REPORT_SCHEMA_VERSION)
-            )
+            trace.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION)
         })
         .collect()
     };
@@ -375,11 +371,7 @@ fn fleet_runs_are_bit_identical_across_devices_and_threads() {
         let t = r.span_trace.as_ref().expect("fleet ran with tracing");
         assert!(!t.spans().is_empty());
         assert_eq!(t.check_nesting(), Ok(()), "the merged fleet trace nests");
-        format!(
-            "{}\n{}",
-            t.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION),
-            t.to_jsonl(RUN_REPORT_SCHEMA_VERSION)
-        )
+        t.to_perfetto_json(RUN_REPORT_SCHEMA_VERSION)
     };
     let sweep = run_suite(8);
     for (a, b) in base.iter().zip(&sweep) {
