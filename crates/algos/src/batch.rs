@@ -123,11 +123,11 @@ impl VertexProgram for MsBfsDistances {
             return;
         }
         let d = state.next_dist.load(Ordering::Relaxed);
-        for (t, _w) in edges.iter() {
+        edges.for_each_target(|t| {
             let old = state.reached[t as usize].fetch_or(mask, Ordering::Relaxed);
             let mut new = mask & !old;
             if new == 0 {
-                continue;
+                return;
             }
             next.set(t as usize);
             // exactly one thread sees each bit as new, so these stores are
@@ -137,7 +137,7 @@ impl VertexProgram for MsBfsDistances {
                 state.dist[t as usize * state.lanes + lane].store(d, Ordering::Relaxed);
                 new &= new - 1;
             }
-        }
+        });
     }
 
     fn output(&self, state: &MsBfsDistancesState) -> AlgoOutput {
@@ -246,7 +246,7 @@ impl VertexProgram for MsSsspDistances {
         if !any {
             return;
         }
-        for (t, w) in edges.iter() {
+        edges.for_each_edge(|t, w| {
             for (lane, &dl) in d.iter().enumerate().take(lanes) {
                 if dl == INF_DIST {
                     continue;
@@ -256,7 +256,7 @@ impl VertexProgram for MsSsspDistances {
                     next.set(t as usize);
                 }
             }
-        }
+        });
     }
 
     fn output(&self, state: &MsSsspDistancesState) -> AlgoOutput {

@@ -109,32 +109,32 @@ impl VertexProgram for Betweenness {
             // level finished last iteration).
             let nd = d + 1;
             let s = state.sigma[src as usize].load(Ordering::Relaxed);
-            for (t, _w) in edges.iter() {
+            edges.for_each_target(|t| {
                 if atomic_min_u32(&state.dist[t as usize], nd) {
                     next.set(t as usize);
                 }
                 if state.dist[t as usize].load(Ordering::Relaxed) == nd {
                     state.sigma[t as usize].fetch_add(s, Ordering::Relaxed);
                 }
-            }
+            });
         } else {
             // backward: one level per iteration; successors one level deeper
             // are finalized, so the gather is exact. Accumulate locally and
             // publish one commuting add (correct under split delivery).
             let s = state.sigma[src as usize].load(Ordering::Relaxed) as u128;
             let mut acc = 0u64;
-            for (t, _w) in edges.iter() {
+            edges.for_each_target(|t| {
                 if state.dist[t as usize].load(Ordering::Relaxed) == d + 1 {
                     let sw = state.sigma[t as usize].load(Ordering::Relaxed);
                     if sw == 0 {
-                        continue; // σ wrapped to 0: skip rather than divide by zero
+                        return; // σ wrapped to 0: skip rather than divide by zero
                     }
                     let dw = state.delta[t as usize].load(Ordering::Relaxed);
                     acc = acc.wrapping_add(
                         (s.wrapping_mul(SCALE as u128 + dw as u128) / sw as u128) as u64,
                     );
                 }
-            }
+            });
             if acc != 0 {
                 state.delta[src as usize].fetch_add(acc, Ordering::Relaxed);
             }

@@ -89,11 +89,11 @@ impl VertexProgram for Bfs {
         let d = state.frozen[src as usize].load(Ordering::Relaxed);
         debug_assert_ne!(d, INF_DIST, "active vertex must have been reached");
         let nd = d + 1;
-        for (t, _w) in edges.iter() {
+        edges.for_each_target(|t| {
             if atomic_min_u32(&state.dist[t as usize], nd) {
                 next.set(t as usize);
             }
-        }
+        });
     }
 
     fn output(&self, state: &BfsState) -> AlgoOutput {
@@ -135,12 +135,12 @@ impl VertexProgram for Bfs {
         next: &AtomicBitmap,
     ) -> u64 {
         let mut best = INF_DIST;
-        for (u, _w) in in_edges.iter() {
+        in_edges.for_each_target(|u| {
             if active.get(u as usize) {
                 let nd = state.frozen[u as usize].load(Ordering::Relaxed) + 1;
                 best = best.min(nd);
             }
-        }
+        });
         if best != INF_DIST && atomic_min_u32(&state.dist[v as usize], best) {
             next.set(v as usize);
         }

@@ -11,6 +11,7 @@
 //! graph is symmetrized, which is how CC is conventionally run (and how the
 //! tests compare against union–find).
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use ascetic_graph::{Csr, GraphPatch, VertexId};
@@ -80,11 +81,11 @@ impl VertexProgram for Cc {
         next: &AtomicBitmap,
     ) {
         let l = state.frozen[src as usize].load(Ordering::Relaxed);
-        for (t, _w) in edges.iter() {
+        edges.for_each_target(|t| {
             if atomic_min_u32(&state.label[t as usize], l) {
                 next.set(t as usize);
             }
-        }
+        });
     }
 
     fn output(&self, state: &CcState) -> AlgoOutput {
@@ -122,16 +123,17 @@ impl VertexProgram for Cc {
     ) -> u64 {
         let mut best = u32::MAX;
         let mut scanned = 0u64;
-        for (u, _w) in in_edges.iter() {
+        let _ = in_edges.try_for_each_target(|u| {
             scanned += 1;
             if active.get(u as usize) {
                 let l = state.frozen[u as usize].load(Ordering::Relaxed);
                 best = best.min(l);
                 if best == 0 {
-                    break;
+                    return ControlFlow::Break(());
                 }
             }
-        }
+            ControlFlow::Continue(())
+        });
         if best != u32::MAX && atomic_min_u32(&state.label[v as usize], best) {
             next.set(v as usize);
         }
@@ -222,6 +224,47 @@ mod tests {
         let g = rmat_graph(&RmatConfig::new(10, 3_000, 9).undirected(true));
         let res = run_in_memory(&g, &Cc::new());
         assert_eq!(res.output, AlgoOutput::Labels(cc_reference(&g)));
+    }
+
+    /// The pull gather stops at the first *active* zero-label in-neighbour,
+    /// and the count it returns — that index plus one, or the whole row
+    /// when there is none — is what the virtual pull kernel is charged for.
+    #[test]
+    fn advance_pull_scans_through_the_first_active_zero_label() {
+        let g = GraphBuilder::new(8).build();
+        let row = [5u32, 0, 3, 4, 2];
+        let weights = [9u32; 5];
+        let packed_w: Vec<u32> = row.iter().flat_map(|&t| [t, 9]).collect();
+        let layouts = [
+            EdgeSlice::new(&row, false),
+            EdgeSlice::new(&packed_w, true),
+            EdgeSlice::split(&row, None),
+            EdgeSlice::split(&row, Some(&weights)),
+        ];
+        let active_of = |vs: &[usize]| {
+            let mut b = Bitmap::new(8);
+            vs.iter().for_each(|&v| b.set(v));
+            b
+        };
+        // (active in-neighbours, edges scanned, label vertex 7 settles on)
+        let cases: [(&[usize], u64, u32); 4] = [
+            (&[5, 0, 3, 4, 2], 2, 0), // vertex 0 at index 1
+            (&[5, 3, 4, 2], 4, 0),    // vertex 4 (label zeroed) at index 3
+            (&[5, 3, 2], 5, 2),       // no active zero: the full row
+            (&[], 5, 7),              // nothing active: the full row, no update
+        ];
+        for edges in layouts {
+            for &(active, scanned, label) in &cases {
+                let cc = Cc::new();
+                let state = cc.new_state(&g);
+                state.frozen[4].store(0, Ordering::Relaxed);
+                let next = AtomicBitmap::new(8);
+                let got = cc.advance_pull(7, edges, &active_of(active), &state, &next);
+                assert_eq!(got, scanned, "active {active:?}");
+                assert_eq!(state.label[7].load(Ordering::Relaxed), label);
+                assert_eq!(next.get(7), label != 7);
+            }
+        }
     }
 
     #[test]

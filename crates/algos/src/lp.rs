@@ -152,12 +152,12 @@ impl VertexProgram for LabelPropagation {
         if l == p {
             return;
         }
-        for (t, _w) in edges.iter() {
+        edges.for_each_target(|t| {
             let mut hist = state.counts[t as usize].lock().unwrap();
             bump(&mut hist, p, -1);
             bump(&mut hist, l, 1);
             next.set(t as usize);
-        }
+        });
     }
 
     /// Keep only vertices whose argmax now disagrees with their label —

@@ -348,10 +348,10 @@ mod tests {
             state: &Self::State,
             next: &AtomicBitmap,
         ) {
-            for (t, _) in edges.iter() {
+            edges.for_each_target(|t| {
                 state[t as usize].fetch_add(1, Ordering::Relaxed);
                 next.set(t as usize);
-            }
+            });
         }
         fn capabilities(&self) -> crate::Capabilities {
             crate::Capabilities::new().with_filter()

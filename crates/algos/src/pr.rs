@@ -375,16 +375,16 @@ impl VertexProgram for PageRank {
         next: &AtomicBitmap,
     ) -> u64 {
         let mut total = 0u64;
-        for (u, _w) in in_edges.iter() {
+        in_edges.for_each_target(|u| {
             if active.get(u as usize) {
                 let deg = state.degree[u as usize] as u64;
                 if deg == 0 {
-                    continue; // dangling: mass already retired at claim time
+                    return; // dangling: mass already retired at claim time
                 }
                 let claimed = state.claimed[u as usize].load(Ordering::Relaxed);
                 total += ((claimed as u128 * state.damping_fx as u128) >> 40) as u64 / deg;
             }
-        }
+        });
         if total > 0 {
             state.deposit(v as usize, total, next);
         }

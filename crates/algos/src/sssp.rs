@@ -88,12 +88,12 @@ impl VertexProgram for Sssp {
         if d == INF_DIST {
             return;
         }
-        for (t, w) in edges.iter() {
+        edges.for_each_edge(|t, w| {
             let nd = d.saturating_add(w);
             if atomic_min_u32(&state.dist[t as usize], nd) {
                 next.set(t as usize);
             }
-        }
+        });
     }
 
     fn output(&self, state: &SsspState) -> AlgoOutput {

@@ -37,6 +37,8 @@
 //! per-edge accumulations (PR residual scatter, betweenness path counts)
 //! are exact.
 
+use std::ops::ControlFlow;
+
 use ascetic_graph::{Csr, GraphPatch, VertexId};
 
 use crate::incremental::RepairPlan;
@@ -123,9 +125,13 @@ impl<'a> EdgeSlice<'a> {
         }
     }
 
-    /// Call `f` with every edge's target, weights ignored. The layout is
-    /// matched once, outside the loop — [`EdgeSlice::iter`] matches per
-    /// item, which the optimizer does not always hoist out of a hot scatter.
+    /// Call `f` with every edge's target, weights ignored.
+    ///
+    /// Every edge loop goes through one of the visitors —
+    /// [`EdgeSlice::for_each_target`], [`EdgeSlice::for_each_edge`] or
+    /// [`EdgeSlice::try_for_each_target`]: each matches the layout once per
+    /// row and then runs a plain slice loop, which is what keeps the hot
+    /// scatters at slice speed. There is no per-item edge iterator.
     #[inline]
     pub fn for_each_target(&self, mut f: impl FnMut(VertexId)) {
         match *self {
@@ -141,97 +147,52 @@ impl<'a> EdgeSlice<'a> {
         }
     }
 
-    /// Iterate `(target, weight)`; unweighted edges yield weight 1.
+    /// Call `f` with every edge's `(target, weight)`; unweighted edges pass
+    /// weight 1. Matches the layout once per row, like
+    /// [`EdgeSlice::for_each_target`].
     #[inline]
-    pub fn iter(&self) -> EdgeSliceIter<'a> {
+    pub fn for_each_edge(&self, mut f: impl FnMut(VertexId, u32)) {
         match *self {
-            EdgeSlice::Packed { words, weighted } => EdgeSliceIter::Packed { words, weighted },
-            EdgeSlice::Split { targets, weights } => EdgeSliceIter::Split { targets, weights },
+            EdgeSlice::Packed {
+                words: targets,
+                weighted: false,
+            }
+            | EdgeSlice::Split {
+                targets,
+                weights: None,
+            } => targets.iter().for_each(|&t| f(t, 1)),
+            EdgeSlice::Packed {
+                words,
+                weighted: true,
+            } => words.chunks_exact(2).for_each(|e| f(e[0], e[1])),
+            EdgeSlice::Split {
+                targets,
+                weights: Some(weights),
+            } => targets.iter().zip(weights).for_each(|(&t, &w)| f(t, w)),
         }
     }
-}
 
-/// Iterator over an [`EdgeSlice`].
-pub enum EdgeSliceIter<'a> {
-    /// Interleaved walk.
-    Packed {
-        /// Remaining words.
-        words: &'a [u32],
-        /// Entry width flag.
-        weighted: bool,
-    },
-    /// Parallel-array walk.
-    Split {
-        /// Remaining targets.
-        targets: &'a [u32],
-        /// Remaining weights.
-        weights: Option<&'a [u32]>,
-    },
-}
-
-impl<'a> Iterator for EdgeSliceIter<'a> {
-    type Item = (VertexId, u32);
+    /// [`EdgeSlice::for_each_target`] that stops at the first
+    /// [`ControlFlow::Break`] and returns it — for gathers with an exact
+    /// early exit, whose stop position is the number of edges they scanned.
     #[inline]
-    fn next(&mut self) -> Option<(VertexId, u32)> {
-        match self {
-            EdgeSliceIter::Packed {
+    pub fn try_for_each_target<B>(
+        &self,
+        mut f: impl FnMut(VertexId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        match *self {
+            EdgeSlice::Packed {
+                words: targets,
+                weighted: false,
+            }
+            | EdgeSlice::Split { targets, .. } => targets.iter().try_for_each(|&t| f(t)),
+            EdgeSlice::Packed {
                 words,
                 weighted: true,
-            } => match words {
-                [t, w, rest @ ..] => {
-                    let item = (*t, *w);
-                    *words = rest;
-                    Some(item)
-                }
-                _ => None,
-            },
-            EdgeSliceIter::Packed {
-                words,
-                weighted: false,
-            } => match words {
-                [t, rest @ ..] => {
-                    let item = (*t, 1);
-                    *words = rest;
-                    Some(item)
-                }
-                _ => None,
-            },
-            EdgeSliceIter::Split { targets, weights } => match targets {
-                [t, rest @ ..] => {
-                    let w = match weights {
-                        Some([w, wrest @ ..]) => {
-                            let w = *w;
-                            *weights = Some(wrest);
-                            w
-                        }
-                        _ => 1,
-                    };
-                    let item = (*t, w);
-                    *targets = rest;
-                    Some(item)
-                }
-                _ => None,
-            },
+            } => words.chunks_exact(2).try_for_each(|e| f(e[0])),
         }
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            EdgeSliceIter::Packed {
-                words,
-                weighted: true,
-            } => words.len() / 2,
-            EdgeSliceIter::Packed {
-                words,
-                weighted: false,
-            } => words.len(),
-            EdgeSliceIter::Split { targets, .. } => targets.len(),
-        };
-        (n, Some(n))
-    }
 }
-
-impl ExactSizeIterator for EdgeSliceIter<'_> {}
 
 /// Final result of a program run, for oracle comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -659,15 +620,28 @@ mod tests {
         assert_ne!(r1.fingerprint(), r2.fingerprint());
     }
 
+    /// Every `(target, weight)` pair [`EdgeSlice::for_each_edge`] visits.
+    fn edges_of(s: EdgeSlice<'_>) -> Vec<(VertexId, u32)> {
+        let mut v = Vec::new();
+        s.for_each_edge(|t, w| v.push((t, w)));
+        v
+    }
+
+    /// Every target [`EdgeSlice::for_each_target`] visits.
+    fn targets_of(s: EdgeSlice<'_>) -> Vec<VertexId> {
+        let mut v = Vec::new();
+        s.for_each_target(|t| v.push(t));
+        v
+    }
+
     #[test]
     fn unweighted_slice_iteration() {
         let words = [5u32, 6, 7];
         let s = EdgeSlice::new(&words, false);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        let v: Vec<_> = s.iter().collect();
-        assert_eq!(v, vec![(5, 1), (6, 1), (7, 1)]);
-        assert_eq!(s.iter().len(), 3);
+        assert_eq!(edges_of(s), vec![(5, 1), (6, 1), (7, 1)]);
+        assert_eq!(targets_of(s).len(), 3);
     }
 
     #[test]
@@ -675,12 +649,11 @@ mod tests {
         let words = [5u32, 10, 6, 20];
         let s = EdgeSlice::new(&words, true);
         assert_eq!(s.len(), 2);
-        let v: Vec<_> = s.iter().collect();
-        assert_eq!(v, vec![(5, 10), (6, 20)]);
+        assert_eq!(edges_of(s), vec![(5, 10), (6, 20)]);
     }
 
     #[test]
-    fn for_each_target_agrees_with_iter_in_every_layout() {
+    fn for_each_target_agrees_with_for_each_edge_in_every_layout() {
         let (targets, weights) = ([3u32, 4, 9], [30u32, 40, 90]);
         let slices = [
             EdgeSlice::new(&targets, false),
@@ -690,9 +663,44 @@ mod tests {
             EdgeSlice::new(&[], true),
         ];
         for s in slices {
+            let want = targets[..s.len()].to_vec();
+            assert_eq!(targets_of(s), want);
+            assert_eq!(
+                edges_of(s).into_iter().map(|(t, _)| t).collect::<Vec<_>>(),
+                targets_of(s)
+            );
+            assert_eq!(edges_of(s).len(), s.len());
+        }
+    }
+
+    #[test]
+    fn try_for_each_target_stops_at_the_first_break_in_every_layout() {
+        let (targets, weights) = ([3u32, 4, 9], [30u32, 40, 90]);
+        let slices = [
+            EdgeSlice::new(&targets, false),
+            EdgeSlice::new(&[3, 30, 4, 40, 9, 90], true),
+            EdgeSlice::split(&targets, None),
+            EdgeSlice::split(&targets, Some(&weights)),
+        ];
+        for s in slices {
             let mut seen = Vec::new();
-            s.for_each_target(|t| seen.push(t));
-            assert_eq!(seen, s.iter().map(|(t, _)| t).collect::<Vec<_>>());
+            let stop = s.try_for_each_target(|t| {
+                seen.push(t);
+                if t == 4 {
+                    ControlFlow::Break(t)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(stop, ControlFlow::Break(4));
+            assert_eq!(seen, vec![3, 4]);
+            let mut all = Vec::new();
+            let run = s.try_for_each_target(|t| {
+                all.push(t);
+                ControlFlow::<()>::Continue(())
+            });
+            assert_eq!(run, ControlFlow::Continue(()));
+            assert_eq!(all, targets_of(s));
         }
     }
 
@@ -700,7 +708,8 @@ mod tests {
     fn empty_slice() {
         let s = EdgeSlice::new(&[], true);
         assert!(s.is_empty());
-        assert_eq!(s.iter().next(), None);
+        assert_eq!(edges_of(s), vec![]);
+        assert_eq!(targets_of(s), vec![]);
     }
 
     #[test]
@@ -709,7 +718,7 @@ mod tests {
         let s = EdgeSlice::split(&t, None);
         assert_eq!(s.len(), 2);
         assert!(!s.weighted());
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(3, 1), (4, 1)]);
+        assert_eq!(edges_of(s), vec![(3, 1), (4, 1)]);
     }
 
     #[test]
@@ -720,10 +729,8 @@ mod tests {
         let packed_words = [3u32, 30, 4, 40, 9, 90];
         let packed = EdgeSlice::new(&packed_words, true);
         assert!(split.weighted());
-        assert_eq!(
-            split.iter().collect::<Vec<_>>(),
-            packed.iter().collect::<Vec<_>>()
-        );
+        assert_eq!(edges_of(split), edges_of(packed));
+        assert_eq!(edges_of(split), vec![(3, 30), (4, 40), (9, 90)]);
         assert_eq!(split.len(), packed.len());
     }
 

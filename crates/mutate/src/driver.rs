@@ -110,6 +110,67 @@ impl MutationRun {
     }
 }
 
+impl std::fmt::Display for MutationRun {
+    /// The table `ascetic run --mutations` prints: the base run, one row
+    /// per batch, and the totals.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let base = &self.base;
+        writeln!(f, "system:            Ascetic (streaming mutations)")?;
+        writeln!(f, "algorithm:         {}", base.algorithm)?;
+        writeln!(
+            f,
+            "base run:          {:>8.2} ms, {} iterations, fp {:016x}",
+            base.sim_time_ns as f64 / 1e6,
+            base.iterations,
+            base.output.fingerprint()
+        )?;
+        writeln!(
+            f,
+            "\n{:>5} {:>6} {:>6} {:<8} {:>7} {:>11} {:>10} {:>6} {:>16} {:>7}",
+            "batch",
+            "+ins",
+            "-del",
+            "mode",
+            "seeds",
+            "patch",
+            "repair",
+            "iters",
+            "fingerprint",
+            "verify"
+        )?;
+        for b in &self.batches {
+            writeln!(
+                f,
+                "{:>5} {:>6} {:>6} {:<8} {:>7} {:>9.2}KB {:>8.2}ms {:>6} {:016x} {:>7}",
+                b.index,
+                b.inserts,
+                b.deletes,
+                format!("{:?}", b.mode).to_lowercase(),
+                b.seed_count,
+                b.patch_wire_bytes as f64 / 1e3,
+                b.repair_ns as f64 / 1e6,
+                b.repair_iterations,
+                b.fingerprint,
+                match b.matches_recompute {
+                    Some(true) => "ok",
+                    Some(false) => "FAIL",
+                    None => "-",
+                }
+            )?;
+        }
+        let total_patch: u64 = self.batches.iter().map(|b| b.patch_wire_bytes).sum();
+        let total_repair: u64 = self.batches.iter().map(|b| b.repair_ns).sum();
+        writeln!(
+            f,
+            "\n{} batches: {:.2} KB spliced, {:.2} ms of repair, final fp {:016x}",
+            self.batches.len(),
+            total_patch as f64 / 1e3,
+            total_repair as f64 / 1e6,
+            self.final_fingerprint()
+        )
+    }
+}
+
 /// Run `prog` over `g`, then stream `batches` through the session —
 /// patching the resident chunks in place and repairing the program state
 /// after each batch. With `verify`, every batch's repaired output is

@@ -74,12 +74,12 @@ impl VertexProgram for WidestPath {
         next: &AtomicBitmap,
     ) {
         let w = state.frozen[src as usize].load(Ordering::Relaxed);
-        for (t, ew) in edges.iter() {
+        edges.for_each_edge(|t, ew| {
             let cand = w.min(ew);
             if atomic_max_u32(&state.width[t as usize], cand) {
                 next.set(t as usize);
             }
-        }
+        });
     }
 
     fn output(&self, state: &WpState) -> AlgoOutput {

@@ -17,6 +17,7 @@
 //! `knob(…, AsceticConfig::with_*)` line in [`ascetic_config`].
 
 use std::fmt::{Display, Write as _};
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -49,6 +50,25 @@ impl<E: Display> From<E> for CliError {
 }
 
 type Res<T = ()> = Result<T, CliError>;
+
+/// Stdout, locked once for the whole command: every report line is
+/// written through it. A reader that went away (`ascetic run … | head`)
+/// is noted in `.1`, and `main` then ends quietly with exit 0.
+struct Out(io::StdoutLock<'static>, bool);
+
+impl io::Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let r = self.0.write(buf);
+        self.1 |= matches!(&r, Err(e) if e.kind() == io::ErrorKind::BrokenPipe);
+        r
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let r = self.0.flush();
+        self.1 |= matches!(&r, Err(e) if e.kind() == io::ErrorKind::BrokenPipe);
+        r
+    }
+}
 
 /// `r`, its error prefixed with `what` (the file or flag it came from).
 fn ctx<T, E: Display>(r: Result<T, E>, what: impl Display) -> Res<T> {
@@ -115,7 +135,7 @@ struct Cmd {
     synopsis: Row,
     flags: &'static [Row],
     groups: &'static [Group],
-    run: fn(&Opts) -> Res,
+    run: fn(&Opts, &mut Out) -> Res,
 }
 
 const CMDS: &[Cmd] = &[
@@ -224,20 +244,21 @@ fn main() -> ExitCode {
         eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    if ["-h", "--help", "help"].contains(&name.as_str()) {
-        print!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
+    let mut out = Out(io::stdout().lock(), false);
     let r = match CMDS.iter().find(|c| c.name() == name) {
-        Some(c) => parse_opts(c, rest).and_then(|o| (c.run)(&o)),
+        _ if ["-h", "--help", "help"].contains(&name.as_str()) => {
+            write!(out, "{}", usage()).map_err(CliError::from)
+        }
+        Some(c) => parse_opts(c, rest).and_then(|o| (c.run)(&o, &mut out)),
         None => Err(format!("unknown command '{name}' (see `ascetic --help`)").into()),
     };
-    match r {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(CliError(e)) => {
+    match r.and_then(|()| Ok(out.flush()?)) {
+        // a reader that went away has been told all it will read
+        Err(CliError(e)) if !out.1 => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+        _ => ExitCode::SUCCESS,
     }
 }
 
@@ -322,7 +343,7 @@ impl Opts {
     }
 }
 
-fn cmd_generate(o: &Opts) -> Res {
+fn cmd_generate(o: &Opts, _: &mut Out) -> Res {
     let kind: String = o.require("--kind")?;
     let n: usize = o.require("--vertices")?;
     let m: u64 = o.require("--edges")?;
@@ -394,29 +415,29 @@ fn load_graph(spec: &str) -> Res<Csr> {
     Ok(g)
 }
 
-fn cmd_info(o: &Opts) -> Res {
+fn cmd_info(o: &Opts, out: &mut Out) -> Res {
     let spec = &o.args[0];
     let g = load_graph(spec)?;
     let s = degree_stats(&g);
-    println!("graph:        {spec}");
-    println!("vertices:     {}", s.num_vertices);
-    println!("edges:        {}", s.num_edges);
-    println!("weighted:     {}", g.is_weighted());
-    println!("edge data:    {:.2} MB", g.edge_bytes() as f64 / 1e6);
-    println!("mean degree:  {:.2}", s.mean);
-    println!("max degree:   {}", s.max);
-    println!("isolated:     {}", s.isolated);
-    println!("degree gini:  {:.3}", s.gini);
+    writeln!(out, "graph:        {spec}")?;
+    writeln!(out, "vertices:     {}", s.num_vertices)?;
+    writeln!(out, "edges:        {}", s.num_edges)?;
+    writeln!(out, "weighted:     {}", g.is_weighted())?;
+    writeln!(out, "edge data:    {:.2} MB", g.edge_bytes() as f64 / 1e6)?;
+    writeln!(out, "mean degree:  {:.2}", s.mean)?;
+    writeln!(out, "max degree:   {}", s.max)?;
+    writeln!(out, "isolated:     {}", s.isolated)?;
+    writeln!(out, "degree gini:  {:.3}", s.gini)?;
     let hist = degree_histogram(&g);
     if !hist.is_empty() {
-        println!("degree histogram (log2 buckets):");
+        writeln!(out, "degree histogram (log2 buckets):")?;
         let max = *hist.iter().max().unwrap() as f64;
         for (k, &count) in hist.iter().enumerate() {
             if count == 0 {
                 continue;
             }
             let bar = "#".repeat(((count as f64 / max) * 40.0).ceil() as usize);
-            println!("  2^{k:<2} {count:>8} {bar}");
+            writeln!(out, "  2^{k:<2} {count:>8} {bar}")?;
         }
     }
     Ok(())
@@ -572,18 +593,20 @@ fn write_iter_csv(r: &RunReport, path: &str) -> Res {
     Ok(std::fs::write(path, out)?)
 }
 
-fn print_report(r: &RunReport, dataset_bytes: u64) {
+fn print_report(r: &RunReport, dataset_bytes: u64, out: &mut Out) -> Res {
     // the stable summary lives on the report's Display impl; the CLI adds
     // the graph-relative ratio and the activity sparkline
-    print!("{r}");
-    println!(
+    write!(out, "{r}")?;
+    writeln!(
+        out,
         "xfer/dataset:      {:.2}x",
         r.total_bytes_with_prestore() as f64 / dataset_bytes as f64
-    );
+    )?;
     if r.per_iter.len() > 1 {
         let activity: Vec<u64> = r.per_iter.iter().map(|i| i.active_edges).collect();
-        println!("activity/iter:     {}", sparkline(&activity));
+        writeln!(out, "activity/iter:     {}", sparkline(&activity))?;
     }
+    Ok(())
 }
 
 /// Write the `--metrics-out` JSONL document: one meta line, one line per
@@ -625,7 +648,7 @@ fn write_trace_out(o: &Opts, trace: Option<&Trace>) -> Res {
     Ok(())
 }
 
-fn cmd_run(o: &Opts) -> Res {
+fn cmd_run(o: &Opts, out: &mut Out) -> Res {
     let algo: Algo = o.require("--algo")?;
     let system_name = o.get("--system").unwrap_or("ascetic");
     let (devices, fabric_name, interconnect) = fleet(o)?;
@@ -651,7 +674,7 @@ fn cmd_run(o: &Opts) -> Res {
     let prog = &r.progs[0];
     if let Some(file) = mutations {
         o.reject(&[REPORT, TRACE], "--mutations (it prints one table)")?;
-        return run_mutations(&r, prog, file, o.has("--verify"));
+        return run_mutations(&r, prog, file, o.has("--verify"), out);
     }
     if devices > 1 {
         o.reject(&[REPORT], "--devices N>1 (it prints one table)")?;
@@ -661,26 +684,27 @@ fn cmd_run(o: &Opts) -> Res {
             interconnect,
         };
         let rep = run_fleet(cfg, fleet, &r.g, prog);
-        print_fleet_report(&rep, fabric_name);
+        print_fleet_report(&rep, fabric_name, out)?;
         return write_trace_out(o, rep.span_trace.as_ref());
     }
     if system_name == "memory" {
         o.reject(&[REPORT, TRACE], &path)?;
         let res = run_in_memory(&r.g, prog);
-        println!("system:            memory (oracle)");
-        println!("iterations:        {}", res.iterations);
-        println!("edges traversed:   {}", res.total_edges);
-        println!(
+        writeln!(out, "system:            memory (oracle)")?;
+        writeln!(out, "iterations:        {}", res.iterations)?;
+        writeln!(out, "edges traversed:   {}", res.total_edges)?;
+        writeln!(
+            out,
             "avg active edges:  {:.2} % per iteration",
             res.avg_active_edge_fraction(&r.g) * 100.0
-        );
+        )?;
         return Ok(());
     }
     let sys = system(&r, system_name, o.has("--trace-out"))?;
     let rep = sys.run(&r.g, prog);
     match o.get("--summary").unwrap_or("text") {
-        "text" => print_report(&rep, r.dataset_bytes),
-        "json" => println!("{}", rep.summary_json()),
+        "text" => print_report(&rep, r.dataset_bytes, out)?,
+        "json" => writeln!(out, "{}", rep.summary_json())?,
         other => return Err(format!("unknown --summary {other} (text|json)").into()),
     }
     if let Some(path) = o.get("--metrics-out") {
@@ -701,7 +725,7 @@ fn cmd_run(o: &Opts) -> Res {
 /// graph, then stream the file's batches through the live session, which
 /// patches resident chunks in place and repairs the answer after each. A
 /// `verify` mismatch against the cold recompute is a nonzero exit.
-fn run_mutations(r: &Resolved, prog: &AnyProgram, path: &str, verify: bool) -> Res {
+fn run_mutations(r: &Resolved, prog: &AnyProgram, path: &str, verify: bool, out: &mut Out) -> Res {
     use ascetic::mutate::{parse_mutations, run_with_mutations};
     let text = read(path, "mutations")?;
     let (n, weighted) = (r.g.num_vertices(), r.g.is_weighted());
@@ -711,95 +735,58 @@ fn run_mutations(r: &Resolved, prog: &AnyProgram, path: &str, verify: bool) -> R
     }
     let run = run_with_mutations(r.cfg, &r.g, prog, &batches, verify)
         .map_err(|(i, e)| format!("{path}: batch {i} is not applicable: {e}"))?;
-    println!("system:            Ascetic (streaming mutations)");
-    println!("algorithm:         {}", run.base.algorithm);
-    println!(
-        "base run:          {:>8.2} ms, {} iterations, fp {:016x}",
-        run.base.sim_time_ns as f64 / 1e6,
-        run.base.iterations,
-        run.base.output.fingerprint()
-    );
-    println!(
-        "\n{:>5} {:>6} {:>6} {:<8} {:>7} {:>11} {:>10} {:>6} {:>16} {:>7}",
-        "batch",
-        "+ins",
-        "-del",
-        "mode",
-        "seeds",
-        "patch",
-        "repair",
-        "iters",
-        "fingerprint",
-        "verify"
-    );
-    for b in &run.batches {
-        println!(
-            "{:>5} {:>6} {:>6} {:<8} {:>7} {:>9.2}KB {:>8.2}ms {:>6} {:016x} {:>7}",
-            b.index,
-            b.inserts,
-            b.deletes,
-            format!("{:?}", b.mode).to_lowercase(),
-            b.seed_count,
-            b.patch_wire_bytes as f64 / 1e3,
-            b.repair_ns as f64 / 1e6,
-            b.repair_iterations,
-            b.fingerprint,
-            match b.matches_recompute {
-                Some(true) => "ok",
-                Some(false) => "FAIL",
-                None => "-",
-            }
-        );
-    }
-    let total_patch: u64 = run.batches.iter().map(|b| b.patch_wire_bytes).sum();
-    let total_repair: u64 = run.batches.iter().map(|b| b.repair_ns).sum();
-    println!(
-        "\n{} batches: {:.2} KB spliced, {:.2} ms of repair, final fp {:016x}",
-        run.batches.len(),
-        total_patch as f64 / 1e3,
-        total_repair as f64 / 1e6,
-        run.final_fingerprint()
-    );
+    write!(out, "{run}")?;
     if verify {
         if !run.all_verified() {
             return Err("repaired output diverged from the cold recompute".into());
         }
-        println!("every repaired output matches its cold recompute ✓");
+        writeln!(out, "every repaired output matches its cold recompute ✓")?;
     }
     Ok(())
 }
 
 /// The report of the `--devices N` (N>1) path of `ascetic run`: the answer
 /// is byte-identical to one device's, only the timing model changes.
-fn print_fleet_report(r: &FleetRunReport, fabric: &str) {
+fn print_fleet_report(r: &FleetRunReport, fabric: &str, out: &mut Out) -> Res {
     let devices = r.devices;
-    println!("system:            Ascetic fleet ({devices} devices, {fabric} fabric)");
-    println!("iterations:        {}", r.iterations);
-    println!("output fp:         {:016x}", r.output.fingerprint());
-    println!("makespan:          {:>8.2} ms", r.makespan_ns as f64 / 1e6);
-    println!(
+    writeln!(
+        out,
+        "system:            Ascetic fleet ({devices} devices, {fabric} fabric)"
+    )?;
+    writeln!(out, "iterations:        {}", r.iterations)?;
+    writeln!(out, "output fp:         {:016x}", r.output.fingerprint())?;
+    writeln!(
+        out,
+        "makespan:          {:>8.2} ms",
+        r.makespan_ns as f64 / 1e6
+    )?;
+    writeln!(
+        out,
         "frontier exchange: {:>8.2} MB ({} peer / {} staged transfers, {:.2} MB over the wire)",
         r.exchange_bytes as f64 / 1e6,
         r.interconnect.peer_transfers,
         r.interconnect.staged_transfers,
         r.interconnect.total_bytes() as f64 / 1e6
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\n{:<8} {:>10} {:>11} {:>12}",
         "device", "time", "prestore", "steady xfer"
-    );
+    )?;
     for (i, d) in r.per_device.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>8.2}ms {:>9.2}MB {:>10.2}MB",
             format!("dev{i}"),
             d.sim_time_ns as f64 / 1e6,
             d.prestore_bytes as f64 / 1e6,
             d.steady_bytes() as f64 / 1e6
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_pipeline(o: &Opts) -> Res {
+fn cmd_pipeline(o: &Opts, out: &mut Out) -> Res {
     let names: String = o.require("--algos")?;
     let algos: Vec<Algo> = ctx(
         names.split(',').map(|n| n.trim().parse()).collect(),
@@ -814,13 +801,15 @@ fn cmd_pipeline(o: &Opts) -> Res {
         return Err("pipeline runs unweighted algorithms; use an unweighted graph".into());
     }
     let mut session = AsceticSession::new(r.cfg, &r.g);
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>10} {:>8} {:>12} {:>11} {:>11}",
         "step", "time", "iters", "steady xfer", "prestore", "static hit"
-    );
+    )?;
     for (algo, prog) in algos.iter().zip(&r.progs) {
         let rep = session.run(prog);
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>8.2}ms {:>8} {:>10.2}MB {:>9.2}MB {:>10.1}%",
             algo.name(),
             rep.sim_time_ns as f64 / 1e6,
@@ -828,17 +817,18 @@ fn cmd_pipeline(o: &Opts) -> Res {
             rep.steady_bytes() as f64 / 1e6,
             rep.prestore_bytes as f64 / 1e6,
             rep.static_edge_fraction() * 100.0
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\n{} runs over one prestored static region ({:.0}% of chunks resident)",
         session.runs(),
         session.resident_fraction() * 100.0
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_serve(o: &Opts) -> Res {
+fn cmd_serve(o: &Opts, out: &mut Out) -> Res {
     use ascetic::serve::{
         parse_trace_mutating, serve_mutating, synthetic_mixed, synthetic_mutations, Policy,
         ServeConfig, MAX_SUBMIT_NS,
@@ -891,13 +881,15 @@ fn cmd_serve(o: &Opts) -> Res {
     let rep = serve_mutating(&sc, &r.g, weighted.as_ref(), &jobs, &mutations)?;
     match o.get("--summary").unwrap_or("text") {
         "text" => {
-            println!("{}", rep.summary_text());
-            println!(
+            writeln!(out, "{}", rep.summary_text())?;
+            writeln!(
+                out,
                 "\n{:>5} {:<5} {:>6} {:>5} {:>12} {:>12} {:>9}",
                 "job", "algo", "batch", "lanes", "wait", "run", "deadline"
-            );
+            )?;
             for j in &rep.jobs {
-                println!(
+                writeln!(
+                    out,
                     "{:>5} {:<5} {:>6} {:>5} {:>10.2}ms {:>10.2}ms {:>9}",
                     j.id,
                     j.algo,
@@ -910,19 +902,19 @@ fn cmd_serve(o: &Opts) -> Res {
                         Some(false) => "MISSED",
                         None => "-",
                     }
-                );
+                )?;
             }
             for r in &rep.rejected {
                 eprintln!("rejected job {} ({}): {}", r.id, r.algo, r.reason);
             }
         }
-        "json" => println!("{}", rep.to_json()),
+        "json" => writeln!(out, "{}", rep.to_json())?,
         other => return Err(format!("unknown --summary {other} (text|json)").into()),
     }
     write_trace_out(o, rep.span_trace.as_ref())
 }
 
-fn cmd_trace(o: &Opts) -> Res {
+fn cmd_trace(o: &Opts, out: &mut Out) -> Res {
     if o.args[0] != "summarize" {
         return Err("usage: ascetic trace summarize FILE.json [--top K]".into());
     }
@@ -938,59 +930,65 @@ fn cmd_trace(o: &Opts) -> Res {
     }
     ctx(trace.check_nesting(), path)?;
     let horizon = trace.horizon_ns();
-    println!("trace:          {path}");
-    println!("schema version: {version}");
-    println!("horizon:        {:.3} ms", horizon as f64 / 1e6);
-    println!("tracks:         {}", trace.tracks().len());
-    println!("spans:          {}", trace.spans().len());
-    println!();
-    println!(
+    writeln!(out, "trace:          {path}")?;
+    writeln!(out, "schema version: {version}")?;
+    writeln!(out, "horizon:        {:.3} ms", horizon as f64 / 1e6)?;
+    writeln!(out, "tracks:         {}", trace.tracks().len())?;
+    writeln!(out, "spans:          {}", trace.spans().len())?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<32} {:>6} {:>12} {:>8}",
         "track", "spans", "busy", "util"
-    );
+    )?;
     for (i, name) in trace.tracks().iter().enumerate() {
         let spans = trace.track_spans(i).count();
         let busy = trace.busy_ns(i, 0, horizon);
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>6} {:>10.3}ms {:>7.1}%",
             name,
             spans,
             busy as f64 / 1e6,
             busy as f64 / horizon.max(1) as f64 * 100.0
-        );
+        )?;
     }
-    println!();
-    println!("top {top} longest spans:");
-    println!(
+    writeln!(out)?;
+    writeln!(out, "top {top} longest spans:")?;
+    writeln!(
+        out,
         "{:<28} {:<10} {:>12} {:>12} {:<24}",
         "name", "cat", "start", "duration", "track"
-    );
+    )?;
     for s in trace.top_spans(top) {
-        println!(
+        writeln!(
+            out,
             "{:<28} {:<10} {:>10.3}ms {:>10.3}ms {:<24}",
             s.name,
             s.cat,
             s.start_ns as f64 / 1e6,
             s.dur_ns() as f64 / 1e6,
             trace.tracks()[s.track]
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_compare(o: &Opts) -> Res {
+fn cmd_compare(o: &Opts, out: &mut Out) -> Res {
     let r = resolve(o, &[o.require("--algo")?])?;
-    println!(
+    writeln!(
+        out,
         "{:<8} {:>12} {:>9} {:>14} {:>10} {:>9}",
         "system", "time", "speedup", "transferred", "xfer/data", "GPU idle"
-    );
+    )?;
     let mut base: Option<f64> = None;
     let mut outputs: Vec<RunReport> = Vec::new();
     for name in ["pt", "uvm", "subway", "ascetic"] {
         let rep = system(&r, name, false)?.run(&r.g, &r.progs[0]);
         let t = rep.seconds();
         let b = *base.get_or_insert(t);
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>10.3}ms {:>8.2}X {:>12.2}MB {:>9.2}X {:>8.1}%",
             rep.system,
             t * 1e3,
@@ -998,7 +996,7 @@ fn cmd_compare(o: &Opts) -> Res {
             rep.total_bytes_with_prestore() as f64 / 1e6,
             rep.total_bytes_with_prestore() as f64 / r.dataset_bytes as f64,
             rep.gpu_idle_fraction() * 100.0
-        );
+        )?;
         outputs.push(rep);
     }
     for r in &outputs[1..] {
@@ -1006,7 +1004,7 @@ fn cmd_compare(o: &Opts) -> Res {
             return Err(format!("{} and {} disagree!", r.system, outputs[0].system).into());
         }
     }
-    println!("\nall systems agree on the result ✓");
+    writeln!(out, "\nall systems agree on the result ✓")?;
     Ok(())
 }
 

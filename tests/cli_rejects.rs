@@ -350,3 +350,29 @@ fn modes_round_trip_and_their_errors_list_the_choices() {
     check(&ALL_POLICIES, "fifo|sjf|residency");
     let _: Policy = "residency".parse().unwrap();
 }
+
+/// A reader that went away is not a failure (`ascetic run … | head`): the
+/// report goes to a pipe whose read end closed before the binary started,
+/// and every command ends quietly with exit 0, never `panicked`.
+#[test]
+fn a_closed_stdout_ends_quietly_with_exit_0() {
+    for args in [
+        "--help".to_string(),
+        format!("info {G}"),
+        format!("run {G} --algo bfs"),
+        format!("run {G} --algo cc --summary json"),
+        format!("compare {G} --algo bfs"),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_ascetic"))
+            .args(args.split_whitespace())
+            .stdout(writer)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "`ascetic {args}`: {stderr}");
+        assert!(!stderr.contains("panicked"), "`ascetic {args}`: {stderr}");
+        assert!(!stderr.contains("error"), "`ascetic {args}`: {stderr}");
+    }
+}
