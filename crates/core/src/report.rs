@@ -17,8 +17,8 @@ use ascetic_obs::{json, EventLog, MetricsSnapshot, Trace};
 use ascetic_sim::{KernelStats, XferStats};
 
 /// Version stamped into every machine-readable report this workspace
-/// emits ([`RunReport::summary_json`], the CLI's metrics JSONL, the bench
-/// BENCH_*.json files, the serve reports and the exported span traces).
+/// emits ([`RunReport::summary_json`], the bench BENCH_*.json files, the
+/// serve reports and the exported span traces).
 /// Bump it whenever a field is renamed, removed or re-interpreted so
 /// downstream trace parsers can branch instead of silently misreading.
 /// History: 1 = the PR 1–4 layout (no explicit version); 2 = the version
@@ -296,7 +296,7 @@ impl RunReport {
         stat as f64 / total as f64
     }
 
-    /// One JSON object: headline scalars plus the full metrics snapshot.
+    /// One JSON object, the run's record: headline scalars, snapshot, events, iterations.
     pub fn summary_json(&self) -> String {
         let pulls = self.per_iter.iter().filter(|i| i.pull).count();
         let fp = self.output.fingerprint();
@@ -313,6 +313,23 @@ impl RunReport {
             o.num("events_dropped", self.events_dropped);
             o.opt("first_drop_at", self.first_drop_at);
             o.raw("metrics", &self.metrics.to_json());
+            o.array("events", |a| {
+                for e in self.events.iter() {
+                    a.object(|o| e.json_into(o));
+                }
+            });
+            o.array("per_iter", |a| {
+                for i in &self.per_iter {
+                    a.object(|o| {
+                        o.num("active_vertices", i.active_vertices);
+                        o.num("active_edges", i.active_edges);
+                        o.num("payload_bytes", i.payload_bytes);
+                        o.num("time_ns", i.time_ns);
+                        o.num("static_edges", i.static_edges);
+                        o.num("pull", i.pull);
+                    });
+                }
+            });
         });
         out
     }

@@ -126,20 +126,24 @@ pub fn load_text<P: AsRef<Path>>(
     read_text_edges(std::fs::File::open(path)?, num_vertices)
 }
 
-/// Write `g` as a text edge list (mainly for interchange/debugging).
+/// Write `g` as a text edge list. The text names no vertex count (a reader
+/// takes one past the highest endpoint), so a graph whose top vertices have
+/// no edges is an error, raised before anything is written.
 pub fn write_text<W: Write>(g: &Csr, w: W) -> Result<(), IoError> {
+    let n = g.num_vertices();
+    let top_source = (0..n as VertexId).rev().find(|&v| g.degree(v) > 0);
+    let top = g.targets().iter().copied().chain(top_source).max();
+    let held = top.map_or(0, |v| v as usize + 1);
+    if held != n {
+        let why = format!("a text edge list holds {held} of {n} vertices; write .beg instead");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why).into());
+    }
     let mut out = BufWriter::new(w);
-    for v in 0..g.num_vertices() as VertexId {
-        match g.weights() {
-            None => {
-                for &t in g.neighbors(v) {
-                    writeln!(out, "{v} {t}")?;
-                }
-            }
-            Some(_) => {
-                for (&t, &wt) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
-                    writeln!(out, "{v} {t} {wt}")?;
-                }
+    for v in 0..n as VertexId {
+        for e in g.edge_range(v).map(|e| e as usize) {
+            match g.weights() {
+                Some(ws) => writeln!(out, "{v} {} {}", g.targets()[e], ws[e])?,
+                None => writeln!(out, "{v} {}", g.targets()[e])?,
             }
         }
     }
@@ -241,7 +245,7 @@ mod tests {
         let g = sample();
         let mut buf = Vec::new();
         write_text(&g, &mut buf).unwrap();
-        let g2 = read_text_edges(&buf[..], Some(4))
+        let g2 = read_text_edges(&buf[..], None)
             .unwrap()
             .sort_neighbors(true)
             .build();
@@ -253,11 +257,26 @@ mod tests {
         let g = sample().with_weights_from(|_, e| e as Weight + 1);
         let mut buf = Vec::new();
         write_text(&g, &mut buf).unwrap();
-        let g2 = read_text_edges(&buf[..], Some(4))
+        let g2 = read_text_edges(&buf[..], None)
             .unwrap()
             .sort_neighbors(true)
             .build();
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn text_refuses_a_graph_whose_top_vertices_have_no_edges() {
+        // vertex 4 is isolated: the text would read back as 4 vertices
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 3);
+        let mut buf = Vec::new();
+        let err = write_text(&b.build(), &mut buf).unwrap_err();
+        assert!(err.to_string().contains("holds 4 of 5 vertices"), "{err}");
+        assert!(buf.is_empty(), "nothing is written");
+        // no edges at all: only the empty graph fits
+        assert!(write_text(&Csr::empty(2), &mut buf).is_err());
+        write_text(&Csr::empty(0), &mut buf).unwrap();
+        assert!(buf.is_empty());
     }
 
     #[test]

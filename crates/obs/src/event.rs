@@ -67,9 +67,23 @@ impl Event {
             Event::HighWater { .. } => "high_water",
         }
     }
+}
 
-    fn fields_into(&self, o: &mut json::Object<'_>) {
-        match *self {
+/// An [`Event`] plus its virtual-clock timestamp.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TimedEvent {
+    /// Virtual-clock instant in nanoseconds.
+    pub t_ns: u64,
+    /// What happened.
+    pub event: Event,
+}
+
+impl TimedEvent {
+    /// Write this event's members into `o`: `t_ns`, `kind`, then the
+    /// kind's fields — one object of the summary JSON's `events` array.
+    pub fn json_into(&self, o: &mut json::Object<'_>) {
+        o.num("t_ns", self.t_ns).str("kind", self.event.kind());
+        match self.event {
             Event::UvmFault { page, dur_ns } => o.num("page", page).num("dur_ns", dur_ns),
             Event::UvmEvict { pages } => o.num("pages", pages),
             Event::Repartition {
@@ -87,15 +101,6 @@ impl Event {
             Event::HighWater { bytes } => o.num("bytes", bytes),
         };
     }
-}
-
-/// An [`Event`] plus its virtual-clock timestamp.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimedEvent {
-    /// Virtual-clock instant in nanoseconds.
-    pub t_ns: u64,
-    /// What happened.
-    pub event: Event,
 }
 
 /// A bounded, append-only log of [`TimedEvent`]s.
@@ -166,20 +171,6 @@ impl EventLog {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Render the retained events as JSONL, one event object per line
-    /// (callers prepend their own meta line and append the snapshot).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 64);
-        for e in &self.events {
-            json::object(&mut out, |o| {
-                o.num("t_ns", e.t_ns).str("kind", e.event.kind());
-                e.event.fields_into(o);
-            });
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_validate_and_roundtrip_kinds() {
+    fn each_kind_renders_one_pinned_object() {
         let mut log = EventLog::new(16);
         log.record(0, Event::HighWater { bytes: 4096 });
         log.record(
@@ -222,8 +213,14 @@ mod tests {
             },
         );
         log.record(14, Event::UvmEvict { pages: 3 });
-        let jsonl = log.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let lines: Vec<String> = log
+            .iter()
+            .map(|e| {
+                let mut line = String::new();
+                json::object(&mut line, |o| e.json_into(o));
+                line
+            })
+            .collect();
         assert_eq!(
             lines,
             [
@@ -235,7 +232,7 @@ mod tests {
             ]
         );
         for line in &lines {
-            crate::json::validate(line).expect("each JSONL line is valid JSON");
+            json::validate(line).expect("each event object is valid JSON");
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   and diff support, and deterministic (sorted) export ordering.
 //! * [`event`] — a structured [`EventLog`] stamped by the **virtual clock**
 //!   of what no span states (Eq (3) re-partitions, allocator high-water
-//!   marks, UVM faults and evictions) with bounded capacity and a JSONL
-//!   sink.
+//!   marks, UVM faults and evictions) with bounded capacity; each event
+//!   writes itself into a JSON object ([`TimedEvent::json_into`]).
 //! * [`trace`] — a hierarchical [`SpanTracer`] over named tracks (one per
 //!   copy stream, compute engine, serve job) frozen into an immutable
 //!   [`Trace`] with one Chrome/Perfetto export, read back by its one reader,

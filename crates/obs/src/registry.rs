@@ -166,7 +166,7 @@ impl MetricValue {
 /// The one metric map: labels plus named counters, gauges and histograms.
 /// Recording sites bump it live; a report embeds a copy
 /// ([`Registry::snapshot`]) or the change between two copies
-/// ([`Registry::diff`]), exported by `--metrics-out` / `--summary json`.
+/// ([`Registry::diff`]), exported by `--summary json`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     labels: BTreeMap<String, String>,

@@ -36,7 +36,7 @@ use ascetic::graph::generators::{
 };
 use ascetic::graph::stats::{degree_histogram, degree_stats};
 use ascetic::graph::{edgelist, Csr};
-use ascetic::obs::{json, Trace};
+use ascetic::obs::Trace;
 use ascetic::sim::{DeviceConfig, InterconnectConfig};
 
 /// Any failure, as the text `main` prints after `error: `. Every `Display`
@@ -117,11 +117,7 @@ const FLEET: Group = &[
 ];
 const TRACE: Group =
     &["--trace-out FILE: spans as Perfetto JSON (ui.perfetto.dev, `trace summarize`)"];
-const REPORT: Group = &[
-    "--summary FMT: text|json (default text)",
-    "--metrics-out FILE: JSONL of meta, every event, final metrics",
-    "--iter-csv FILE: one row per iteration",
-];
+const REPORT: Group = &["--summary FMT: text|json (default text)"];
 const SYNTH: Group = &[
     "--synthetic N: N deterministic mixed jobs instead of --trace",
     "--seed S: their seed (default 7)",
@@ -372,7 +368,10 @@ fn cmd_generate(o: &Opts, _: &mut Out) -> Res {
         g = weighted_variant(&g);
     }
     if is_text(&out) {
-        edgelist::write_text(&g, std::fs::File::create(&out)?)?;
+        // staged whole: a graph the text cannot hold leaves no file behind
+        let mut text = Vec::new();
+        edgelist::write_text(&g, &mut text)?;
+        std::fs::write(&out, text)?;
     } else {
         edgelist::save_binary(&g, &out)?;
     }
@@ -580,19 +579,6 @@ fn sparkline(values: &[u64]) -> String {
     out
 }
 
-fn write_iter_csv(r: &RunReport, path: &str) -> Res {
-    let mut out =
-        String::from("iteration,active_vertices,active_edges,static_edges,payload_bytes,time_ns\n");
-    for (i, it) in r.per_iter.iter().enumerate() {
-        writeln!(
-            out,
-            "{},{},{},{},{},{}",
-            i, it.active_vertices, it.active_edges, it.static_edges, it.payload_bytes, it.time_ns
-        )?;
-    }
-    Ok(std::fs::write(path, out)?)
-}
-
 fn print_report(r: &RunReport, dataset_bytes: u64, out: &mut Out) -> Res {
     // the stable summary lives on the report's Display impl; the CLI adds
     // the graph-relative ratio and the activity sparkline
@@ -607,28 +593,6 @@ fn print_report(r: &RunReport, dataset_bytes: u64, out: &mut Out) -> Res {
         writeln!(out, "activity/iter:     {}", sparkline(&activity))?;
     }
     Ok(())
-}
-
-/// Write the `--metrics-out` JSONL document: one meta line, one line per
-/// recorded event, and one final metrics-snapshot line.
-fn write_metrics_jsonl(r: &RunReport, graph: &str, path: &str) -> Res {
-    let mut out = String::new();
-    json::object(&mut out, |o| {
-        o.str("kind", "meta");
-        o.num("schema_version", RUN_REPORT_SCHEMA_VERSION);
-        o.str("system", r.system).str("algorithm", r.algorithm);
-        o.str("graph", graph);
-        o.num("events", r.events.len());
-        o.num("events_dropped", r.events_dropped);
-        o.opt("first_drop_at", r.first_drop_at);
-    });
-    out.push('\n');
-    out.push_str(&r.events.to_jsonl());
-    json::object(&mut out, |o| {
-        o.str("kind", "metrics").raw("data", &r.metrics.to_json());
-    });
-    out.push('\n');
-    Ok(std::fs::write(path, out)?)
 }
 
 /// The `--trace-out FILE` epilogue of every traced path: the
@@ -706,17 +670,6 @@ fn cmd_run(o: &Opts, out: &mut Out) -> Res {
         "text" => print_report(&rep, r.dataset_bytes, out)?,
         "json" => writeln!(out, "{}", rep.summary_json())?,
         other => return Err(format!("unknown --summary {other} (text|json)").into()),
-    }
-    if let Some(path) = o.get("--metrics-out") {
-        write_metrics_jsonl(&rep, &o.args[0], path)?;
-        eprintln!(
-            "wrote metrics snapshot + {} events to {path}",
-            rep.events.len()
-        );
-    }
-    if let Some(path) = o.get("--iter-csv") {
-        write_iter_csv(&rep, path)?;
-        eprintln!("wrote per-iteration log to {path}");
     }
     write_trace_out(o, rep.span_trace.as_ref())
 }

@@ -378,9 +378,9 @@ fn session_pagerank_matches_the_power_iteration_reference() {
     set_num_threads(0);
 }
 
-/// The first event of each kind, as the `--metrics-out` JSONL writes it:
-/// the four kinds' key sets, key order and number spelling, byte for
-/// byte. The UVM run faults and evicts; on two islands, a BFS inside the
+/// The first event of each kind, as the summary JSON's `events` array
+/// writes it: the four kinds' key sets, key order and number spelling,
+/// byte for byte. The UVM run faults and evicts; on two islands, a BFS inside the
 /// one the static region does not hold re-partitions on its second run.
 #[test]
 fn each_event_kind_renders_one_pinned_jsonl_line() {
@@ -402,17 +402,13 @@ fn each_event_kind_renders_one_pinned_jsonl_line() {
     session.run(&Bfs::new(half));
     let shrunk = session.run(&Bfs::new(half));
     assert_eq!(shrunk.repartitions, 1);
-    let mut jsonl = String::new();
-    for r in [&uvm, &shrunk] {
-        jsonl.push_str(&r.events.to_jsonl());
-    }
     let first = |kind: &str| {
-        let tag = format!("\"kind\":\"{kind}\"");
-        jsonl
-            .lines()
-            .find(|l| l.contains(&tag))
-            .unwrap_or_default()
-            .to_string()
+        let mut line = String::new();
+        let mut events = uvm.events.iter().chain(shrunk.events.iter());
+        if let Some(e) = events.find(|e| e.event.kind() == kind) {
+            ascetic::obs::json::object(&mut line, |o| e.json_into(o));
+        }
+        line
     };
     if std::env::var_os("ASCETIC_PRINT_GOLDENS").is_some() {
         for kind in ["uvm_fault", "uvm_evict", "repartition", "high_water"] {

@@ -10,6 +10,7 @@ use ascetic::baselines::{PtSystem, SubwaySystem, UvmSystem};
 use ascetic::core::report::RunReport;
 use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
 use ascetic::graph::datasets::{Dataset, DatasetId, PAPER_GPU_MEM_BYTES};
+use ascetic::obs::json::{self, Value};
 use ascetic::sim::DeviceConfig;
 
 const SCALE: u64 = 8_000;
@@ -99,7 +100,7 @@ fn snapshot_and_events_are_bit_deterministic() {
     let b = AsceticSystem::new(cfg).run(g, &PageRank::new());
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
     let (ea, eb) = (a.events, b.events);
-    assert_eq!(ea.to_jsonl(), eb.to_jsonl());
+    assert_eq!(ea.events(), eb.events());
     assert!(!ea.is_empty(), "an Ascetic run must produce events");
     assert_eq!(ea.dropped(), 0, "capacity must cover a small run");
 }
@@ -117,10 +118,24 @@ fn event_stream_is_clock_ordered_and_valid_json() {
     let uvm = UvmSystem::new(dev).run(g, &Bfs::new(0));
     for rep in [ascetic, uvm] {
         let sys = rep.system;
+        let summary = json::parse(&rep.summary_json()).expect("summary_json parses");
+        let Some(Value::Arr(written)) = summary.get("events") else {
+            panic!("{sys}: the summary has no events array");
+        };
         let events = rep.events;
         assert!(!events.is_empty(), "{sys}");
-        for line in events.to_jsonl().lines() {
-            ascetic::obs::json::validate(line).unwrap_or_else(|e| panic!("bad JSON {e}: {line}"));
+        assert_eq!(written.len(), events.len(), "{sys}");
+        for (w, e) in written.iter().zip(events.iter()) {
+            assert_eq!(
+                w.get("t_ns").and_then(Value::as_u64),
+                Some(e.t_ns),
+                "{sys}: {w}"
+            );
+            assert_eq!(
+                w.get("kind").and_then(Value::as_str),
+                Some(e.event.kind()),
+                "{sys}: {w}"
+            );
         }
         // Virtual-clock stamps are ordered and never exceed the makespan.
         let stamps: Vec<u64> = events.iter().map(|e| e.t_ns).collect();
