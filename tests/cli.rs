@@ -2,7 +2,11 @@
 //! inspect it, run algorithms under each system, and drive a session
 //! pipeline — all through the real binary.
 
+use ascetic::algos::Bfs;
+use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
+use ascetic::graph::datasets::{Dataset, DatasetId};
 use ascetic::obs::json;
+use ascetic::sim::DeviceConfig;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -64,15 +68,12 @@ fn generate_info_run_roundtrip() {
 }
 
 #[test]
-fn run_builtin_dataset_with_trace_and_csv() {
+fn run_builtin_dataset_with_trace() {
     let trace = tmpfile("trace.json");
-    let csv = tmpfile("iters.csv");
     let out = bin()
         .args(["run", "fk@20000", "--algo", "pr", "--mem-frac", "0.4"])
         .arg("--trace-out")
         .arg(&trace)
-        .arg("--iter-csv")
-        .arg(&csv)
         .output()
         .unwrap();
     assert!(
@@ -87,71 +88,54 @@ fn run_builtin_dataset_with_trace_and_csv() {
     let trace_json = std::fs::read_to_string(&trace).expect("trace written");
     assert!(trace_json.starts_with('[') && trace_json.trim_end().ends_with(']'));
     assert!(trace_json.contains("GPU compute engine"));
-
-    let csv_text = std::fs::read_to_string(&csv).expect("csv written");
-    assert!(csv_text.starts_with("iteration,active_vertices"));
-    assert!(csv_text.lines().count() > 2);
     std::fs::remove_file(&trace).ok();
-    std::fs::remove_file(&csv).ok();
 }
 
 #[test]
-fn metrics_out_writes_deterministic_jsonl() {
-    let run = |name: &str| {
-        let path = tmpfile(name);
-        let out = bin()
-            .args(["run", "gs@20000", "--algo", "bfs", "--mem-frac", "0.4"])
-            .args(["--summary", "json"])
-            .arg("--metrics-out")
-            .arg(&path)
-            .output()
-            .unwrap();
+fn summary_json_carries_events_and_iterations() {
+    // an explicit device and chunk, so the library run below is the same run
+    let args = "run gs@20000 --algo bfs --mem 200000 --chunk 2048 --summary json";
+    let run = || {
+        let out = bin().args(args.split(' ')).output().unwrap();
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let summary = String::from_utf8_lossy(&out.stdout).into_owned();
-        let jsonl = std::fs::read_to_string(&path).expect("metrics written");
-        std::fs::remove_file(&path).ok();
-        (summary, jsonl)
+        String::from_utf8(out.stdout).unwrap()
     };
-    let (summary, jsonl) = run("m1.jsonl");
-
-    // The --summary json output is one parseable object embedding the snapshot.
-    json::validate(summary.trim()).expect("summary json parses");
-    assert!(summary.contains("\"metrics\":"), "{summary}");
-
-    // Every JSONL line parses; the stream is meta, then the events the meta
-    // line counts, then metrics.
-    let lines: Vec<&str> = jsonl.lines().collect();
-    assert!(lines.len() > 2, "meta + events + metrics expected");
-    for line in &lines {
-        json::validate(line).unwrap_or_else(|e| panic!("bad line {e}: {line}"));
-    }
-    assert!(lines[0].starts_with("{\"kind\":\"meta\""), "{}", lines[0]);
-    let field = |line: &str, key: &str| {
-        let value = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        let value = value.get(key).cloned();
-        value.unwrap_or_else(|| panic!("no {key} in {line}"))
+    let summary = run();
+    let parsed = json::parse(summary.trim()).expect("summary json parses");
+    let field = |key: &str| parsed.get(key).unwrap_or_else(|| panic!("no {key}"));
+    assert!(matches!(field("metrics"), json::Value::Obj(_)));
+    let cfg = AsceticConfig::new(DeviceConfig::p100(200_000)).with_chunk_bytes(2048);
+    let g = Dataset::build(DatasetId::Gs, 20_000).graph;
+    let rep = AsceticSystem::new(cfg).run(&g, &Bfs::new(0));
+    assert_eq!(
+        summary.trim_end(),
+        rep.summary_json(),
+        "the CLI prints the library's record"
+    );
+    let json::Value::Arr(events) = field("events") else {
+        panic!("events is not an array");
     };
-    let events = &lines[1..lines.len() - 1];
-    let count = field(lines[0], "events").as_u64();
-    assert_eq!(count, Some(events.len() as u64));
-    for line in events {
-        let kind = field(line, "kind");
-        let kind = kind.as_str().expect("kind is a string");
+    assert_eq!(events.len(), rep.events.len());
+    assert!(
+        !events.is_empty(),
+        "every Ascetic run records a high-water mark"
+    );
+    for e in events {
+        let kind = e.get("kind").and_then(json::Value::as_str);
         let known = ["repartition", "high_water", "uvm_fault", "uvm_evict"];
-        assert!(known.contains(&kind), "{line}");
+        assert!(kind.is_some_and(|k| known.contains(&k)), "{e}");
     }
-    let last = lines[lines.len() - 1];
-    assert!(last.starts_with("{\"kind\":\"metrics\""), "{last}");
-    assert!(last.contains("xfer.h2d_bytes"), "{last}");
+    let json::Value::Arr(per_iter) = field("per_iter") else {
+        panic!("per_iter is not an array");
+    };
+    assert_eq!(Some(per_iter.len() as u64), field("iterations").as_u64());
 
     // Bit-deterministic: a second identical invocation produces identical bytes.
-    let (summary2, jsonl2) = run("m2.jsonl");
-    assert_eq!(summary, summary2);
-    assert_eq!(jsonl, jsonl2);
+    assert_eq!(summary, run());
 }
 
 #[test]

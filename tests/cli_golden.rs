@@ -18,13 +18,28 @@
 //! `--trace-out`) were re-harvested: stderr's hint names one format, and
 //! the file carries a nested span's depth (row 16's `fleet.jsonl`, then the
 //! compact form, became `fleet.json`). Rows 32 and 33 summarize that file:
-//! only their `trace:` path line moved.)
+//! only their `trace:` path line moved. When the summary JSON became a
+//! run's one machine-readable record, carrying the event log and one
+//! object per iteration, `--metrics-out` and `--iter-csv` went: row 11's
+//! stdout moved `0x551351fd2679b849` → `0x353c28cd7862cc4f`; row 12 drops
+//! `--metrics-out m.jsonl` (stdout `0x769036b41bf7d8c3` →
+//! `0x33c4e6b6b6ec48be`, stderr `0x846998faa4f0a6bb` →
+//! `0x6442e526170be9ce`, no file); row 13 drops `--iter-csv it.csv`
+//! (stderr `0x48fadbf7ba6998f2` → `0x3132b53724373dfe`, files
+//! `0xf0581bdc3b189526` → `0x7263f094cb48712e`, `one.json`'s bytes
+//! unchanged). A text edge list that cannot hold every vertex became an
+//! error: row 2, `-o w.txt`, exits 1 and writes nothing (stderr
+//! `0x1358f42a8d904c6b` → `0xbd732cb297feb13e`); its `w.beg` twin went
+//! in as row 3, so every later row moved down one (the numbers above
+//! are the old ones), and `info` / `run --algo sssp` read it, on 1024
+//! vertices, not the text's 1009 (stdout `0xd42971b9c7b1a125` →
+//! `0x81a5131089729a4c` and `0xe29bdaf704de5772` → `0xf629b0e932882499`).)
 //! (`ASCETIC_PRINT_GOLDENS=1 cargo test --test cli_golden -- --nocapture`
 //! prints a fresh table.)
 //!
 //! Rows run in order in one scratch directory (relative paths keep the
 //! echoed file names machine-independent): later rows read files earlier
-//! rows wrote (`g.beg`, `w.txt`, `fleet.json`).
+//! rows wrote (`g.beg`, `w.beg`, `fleet.json`).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,10 +76,14 @@ const ROWS: &[Row] = &[
     ),
     (
         "generate --kind rmat --vertices 1000 --edges 8000 --undirected --weighted -o w.txt",
-        &["w.txt"],
+        &[],
+    ),
+    (
+        "generate --kind rmat --vertices 1000 --edges 8000 --undirected --weighted -o w.beg",
+        &["w.beg"],
     ),
     ("info g.beg", &[]),
-    ("info w.txt", &[]),
+    ("info w.beg", &[]),
     ("run fk@30000 --algo bfs --mem-frac 0.4", &[]),
     (
         "run fk@30000 --algo bfs --mem-frac 0.4 --system subway",
@@ -82,12 +101,12 @@ const ROWS: &[Row] = &[
     ),
     ("run gs@50000 --algo pr --summary json", &[]),
     (
-        "run gs@50000 --algo bfs --mem-frac 0.4 --summary json --metrics-out m.jsonl",
-        &["m.jsonl"],
+        "run gs@50000 --algo bfs --mem-frac 0.4 --summary json",
+        &[],
     ),
     (
-        "run gs@50000 --algo cc --mem-frac 0.4 --iter-csv it.csv --trace-out one.json",
-        &["it.csv", "one.json"],
+        "run gs@50000 --algo cc --mem-frac 0.4 --trace-out one.json",
+        &["one.json"],
     ),
     (
         "run g.beg --algo bfs --source 7 --mem 200000 --k-param 0.2 --static-ratio 0.5 \
@@ -95,7 +114,7 @@ const ROWS: &[Row] = &[
          --prefetch next-frontier --direction adaptive",
         &[],
     ),
-    ("run w.txt --algo sssp --source 2 --mem-frac 0.5", &[]),
+    ("run w.beg --algo sssp --source 2 --mem-frac 0.5", &[]),
     (
         "run fk@30000 --algo bfs --mem-frac 0.4 --devices 2 --fabric nvlink --trace-out fleet.json",
         &["fleet.json"],
@@ -161,20 +180,21 @@ const ROWS: &[Row] = &[
 #[rustfmt::skip]
 const GOLDEN: &[(i32, u64, u64, u64)] = &[
     (0, 0xcbf29ce484222325, 0x10f81dd1c1106e38, 0xe8e68e760c790f5e),
-    (0, 0xcbf29ce484222325, 0x1358f42a8d904c6b, 0x87dbfe871772d5ae),
+    (1, 0xcbf29ce484222325, 0xbd732cb297feb13e, 0xcbf29ce484222325),
+    (0, 0xcbf29ce484222325, 0xde021722bad87c55, 0x1a0f8796c5ba8848),
     (0, 0xde446325d9c96285, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0xd42971b9c7b1a125, 0xcbf29ce484222325, 0xcbf29ce484222325),
+    (0, 0x81a5131089729a4c, 0xcbf29ce484222325, 0xcbf29ce484222325),
     (0, 0xa295bd584956f7a4, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0xbf3edbb064924296, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0xf561a9eae4dcf69a, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0x2b3740777a882397, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0xeea4ff0886dd9a4e, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0xcdc106f8a57362c6, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
-    (0, 0x551351fd2679b849, 0x6442e526170be9ce, 0xcbf29ce484222325),
-    (0, 0x769036b41bf7d8c3, 0x846998faa4f0a6bb, 0xd246e67b72c0a336),
-    (0, 0xc3f7df02b4130f07, 0x48fadbf7ba6998f2, 0xf0581bdc3b189526),
+    (0, 0x353c28cd7862cc4f, 0x6442e526170be9ce, 0xcbf29ce484222325),
+    (0, 0x33c4e6b6b6ec48be, 0x6442e526170be9ce, 0xcbf29ce484222325),
+    (0, 0xc3f7df02b4130f07, 0x3132b53724373dfe, 0x7263f094cb48712e),
     (0, 0xfde14071d9641c98, 0xcbf29ce484222325, 0xcbf29ce484222325),
-    (0, 0xe29bdaf704de5772, 0xcbf29ce484222325, 0xcbf29ce484222325),
+    (0, 0xf629b0e932882499, 0xcbf29ce484222325, 0xcbf29ce484222325),
     (0, 0x56ceb87bea0a7549, 0x18e2dc2bafb3c5e2, 0x1e46c8d02498d1ed),
     (0, 0xdd519d941daf2d81, 0x8bf55dc2a1e0d81e, 0xcbf29ce484222325),
     (0, 0x13aeeb0e1d3194ca, 0x6442e526170be9ce, 0xcbf29ce484222325),

@@ -79,6 +79,42 @@ fn a_typo_or_a_foreign_flag_cannot_run_the_default() {
         err.contains("'lazy' is not one of front|rear|random"),
         "{err}"
     );
+    // the summary JSON carries the events and the per-iteration rows
+    for flag in ["--metrics-out m.jsonl", "--iter-csv it.csv"] {
+        let err = rejected(&format!("run {G} --algo bfs {flag}"));
+        let name = flag.split(' ').next().unwrap();
+        assert!(err.contains(name) && err.contains("`ascetic run`"), "{err}");
+    }
+}
+
+#[test]
+fn a_text_edge_list_that_cannot_hold_the_graph_is_an_error_and_leaves_no_file() {
+    // the text's reader takes one past the highest endpoint: isolated top
+    // vertices would come back as a smaller graph
+    let dir = std::env::temp_dir();
+    let stem = format!("ascetic-text-{}", std::process::id());
+    for (args, n) in [
+        ("--kind uniform --vertices 1000 --edges 20", 1000),
+        ("--kind uniform --vertices 2 --edges 0", 2),
+        (
+            "--kind rmat --vertices 1000 --edges 8000 --undirected --weighted",
+            1024,
+        ),
+    ] {
+        for ext in ["txt", "el"] {
+            let path = dir.join(format!("{stem}.{ext}"));
+            let err = rejected(&format!("generate {args} -o {}", path.display()));
+            assert!(
+                err.contains(&format!("of {n} vertices")) && err.contains(".beg"),
+                "{args}: {err}"
+            );
+            assert!(!path.exists(), "{args}: {} was left behind", path.display());
+        }
+        // the binary format holds every vertex
+        let beg = dir.join(format!("{stem}.beg"));
+        accepted(&format!("generate {args} -o {}", beg.display()));
+        std::fs::remove_file(beg).ok();
+    }
 }
 
 #[test]
@@ -211,11 +247,7 @@ fn a_flag_the_chosen_path_cannot_honour_is_rejected() {
     let muts = std::env::temp_dir().join(format!("ascetic-paths-{}.jsonl", std::process::id()));
     std::fs::write(&muts, "{\"op\": \"insert\", \"src\": 1, \"dst\": 2}\n").unwrap();
     let muts = muts.to_str().unwrap();
-    let report = [
-        "--summary json",
-        "--metrics-out m.jsonl",
-        "--iter-csv i.csv",
-    ];
+    let report = ["--summary json"];
     let knobs = [
         "--k-param 0.2",
         "--static-ratio 0.5",
