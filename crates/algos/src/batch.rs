@@ -124,7 +124,13 @@ impl VertexProgram for MsBfsDistances {
         }
         let d = state.next_dist.load(Ordering::Relaxed);
         edges.for_each_target(|t| {
-            let old = state.reached[t as usize].fetch_or(mask, Ordering::Relaxed);
+            let reached = &state.reached[t as usize];
+            // Bits only rise during a run, so a load already holding all of
+            // `mask` proves the `fetch_or` a no-op (as in `atomic_min_u32`).
+            if reached.load(Ordering::Relaxed) & mask == mask {
+                return;
+            }
+            let old = reached.fetch_or(mask, Ordering::Relaxed);
             let mut new = mask & !old;
             if new == 0 {
                 return;
@@ -237,26 +243,22 @@ impl VertexProgram for MsSsspDistances {
     ) {
         debug_assert!(edges.weighted(), "SSSP must receive weighted slices");
         let lanes = state.lanes;
-        let mut d = [INF_DIST; MAX_BATCH_LANES];
-        let mut any = false;
-        for (lane, dl) in d.iter_mut().enumerate().take(lanes) {
-            *dl = state.frozen[src as usize * lanes + lane].load(Ordering::Relaxed);
-            any |= *dl != INF_DIST;
-        }
-        if !any {
-            return;
-        }
-        edges.for_each_edge(|t, w| {
-            for (lane, &dl) in d.iter().enumerate().take(lanes) {
-                if dl == INF_DIST {
-                    continue;
-                }
-                let nd = dl.saturating_add(w);
-                if atomic_min_u32(&state.dist[t as usize * lanes + lane], nd) {
+        let frozen = &state.frozen[src as usize * lanes..][..lanes];
+        // Lane-outer: one tight relax loop per lane that has a distance to
+        // push, walking that lane's column of `dist`. Each (target, lane)
+        // cell still sees its proposals in edge order, so every push and
+        // frontier bit is the edge-outer loop's.
+        for (lane, dl) in frozen.iter().enumerate() {
+            let dl = dl.load(Ordering::Relaxed);
+            if dl == INF_DIST {
+                continue;
+            }
+            edges.for_each_edge(|t, w| {
+                if atomic_min_u32(&state.dist[t as usize * lanes + lane], dl.saturating_add(w)) {
                     next.set(t as usize);
                 }
-            }
-        });
+            });
+        }
     }
 
     fn output(&self, state: &MsSsspDistancesState) -> AlgoOutput {
@@ -280,6 +282,7 @@ impl VertexProgram for MsSsspDistances {
 mod tests {
     use super::*;
     use crate::inmemory::run_in_memory;
+    use crate::ops::{Drive, NextFrontier};
     use crate::reference::{bfs_reference, sssp_reference};
     use crate::{Bfs, Sssp};
     use ascetic_graph::datasets::weighted_variant;
@@ -358,6 +361,164 @@ mod tests {
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(lanes[i], bfs_reference(&g, s), "lane {i}");
         }
+    }
+
+    /// Vertices 0..400 carry a sparse directed uniform graph; 400..404 are
+    /// isolated, so a source there reaches nothing and no other source
+    /// reaches it. Weighted, so both programs run on it.
+    fn islands() -> Csr {
+        let core = uniform_graph(400, 1_200, false, 5);
+        let mut b = GraphBuilder::new(404);
+        for v in 0..400u32 {
+            for &t in core.neighbors(v) {
+                b.add_edge(v, t);
+            }
+        }
+        weighted_variant(&b.build())
+    }
+
+    /// Batches of 1, 2, 3 and 64 lanes, each with duplicate sources and a
+    /// source that reaches nothing.
+    fn lane_sets() -> Vec<Vec<VertexId>> {
+        vec![
+            vec![401],
+            vec![17, 17],
+            vec![3, 402, 3],
+            (0..64u32)
+                .map(|i| {
+                    if i % 9 == 0 {
+                        400 + i % 4
+                    } else {
+                        i * 37 % 400
+                    }
+                })
+                .collect(),
+        ]
+    }
+
+    /// Drive `prog` to completion as the in-memory runtime does, but hand
+    /// every row to `advance_push` as a packed `[t, w]` slice — the device
+    /// layout — rather than split host arrays. Returns the output, the
+    /// iteration count and the per-iteration `(active vertices, active
+    /// edges)`.
+    fn run_packed<P: VertexProgram>(g: &Csr, prog: &P) -> (AlgoOutput, u32, Vec<(u64, u64)>) {
+        let weights = g.weights().expect("a weighted graph");
+        let packed: Vec<u32> = g
+            .targets()
+            .iter()
+            .zip(weights)
+            .flat_map(|(&t, &w)| [t, w])
+            .collect();
+        let state = prog.new_state(g);
+        let mut active = prog.initial_frontier(g);
+        let mut next = NextFrontier::new(g.num_vertices());
+        let mut drive = Drive::new(prog, g, &state);
+        let mut log = Vec::new();
+        while drive.begin(&mut active).is_some() {
+            let (mut vertices, mut edges) = (0, 0);
+            for v in active.iter_ones() {
+                let r = g.edge_range(v as VertexId);
+                let words = &packed[2 * r.start as usize..2 * r.end as usize];
+                let slice = EdgeSlice::new(words, true);
+                (vertices, edges) = (vertices + 1, edges + slice.len() as u64);
+                prog.advance_push(0, v as VertexId, slice, &state, next.writer());
+            }
+            log.push((vertices, edges));
+            drive.end(&mut active, &mut next);
+        }
+        (prog.output(&state), drive.iterations(), log)
+    }
+
+    /// [`run_in_memory`] (split host slices) in [`run_packed`]'s shape.
+    fn run_split<P: VertexProgram>(g: &Csr, prog: &P) -> (AlgoOutput, u32, Vec<(u64, u64)>) {
+        let res = run_in_memory(g, prog);
+        let log = res
+            .log
+            .iter()
+            .map(|l| (l.active_vertices, l.active_edges))
+            .collect();
+        (res.output, res.iterations, log)
+    }
+
+    type Runner<P> = fn(&Csr, &P) -> (AlgoOutput, u32, Vec<(u64, u64)>);
+
+    /// Every lane of a batch equals its source's solo run through the same
+    /// slice layout, and the batch takes as many iterations as the longest
+    /// solo run — so its virtual charge is the union frontier's, not more.
+    fn check_lanes_against_solo<B: VertexProgram, S: VertexProgram>(
+        batch: impl Fn(Vec<VertexId>) -> B,
+        solo: impl Fn(VertexId) -> S,
+        run_batch: Runner<B>,
+        run_solo: Runner<S>,
+    ) {
+        let g = islands();
+        for sources in lane_sets() {
+            let (out, iterations, _) = run_batch(&g, &batch(sources.clone()));
+            let mut longest = 0;
+            for (i, &s) in sources.iter().enumerate() {
+                let (want, solo_iterations, _) = run_solo(&g, &solo(s));
+                assert_eq!(
+                    want,
+                    AlgoOutput::Distances(lanes_of(&out)[i].clone()),
+                    "{} lanes, lane {i} from {s}",
+                    sources.len()
+                );
+                longest = longest.max(solo_iterations);
+            }
+            assert_eq!(iterations, longest, "{} lanes", sources.len());
+        }
+    }
+
+    #[test]
+    fn batched_bfs_lanes_equal_solo_runs_on_both_layouts() {
+        check_lanes_against_solo(MsBfsDistances::new, Bfs::new, run_split, run_split);
+        check_lanes_against_solo(MsBfsDistances::new, Bfs::new, run_packed, run_packed);
+    }
+
+    #[test]
+    fn batched_sssp_lanes_equal_solo_runs_on_both_layouts() {
+        check_lanes_against_solo(MsSsspDistances::new, Sssp::new, run_split, run_split);
+        check_lanes_against_solo(MsSsspDistances::new, Sssp::new, run_packed, run_packed);
+    }
+
+    /// FNV-1a over every iteration's `(active vertices, active edges)`.
+    fn activity_hash(log: &[(u64, u64)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(v, e) in log {
+            for b in v.to_le_bytes().into_iter().chain(e.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The batch kernels' per-iteration activity — what the virtual kernel
+    /// charge is computed from — pinned on a fixed graph and batch, through
+    /// both slice layouts. Changing a kernel's loop shape must not move it.
+    #[test]
+    fn batch_activity_per_iteration_is_pinned() {
+        let g = islands();
+        let sources = lane_sets().pop().expect("four lane sets");
+        let bfs = MsBfsDistances::new(sources.clone());
+        let sssp = MsSsspDistances::new(sources);
+        let runs = [
+            ("MS-BFS-D split", run_split(&g, &bfs)),
+            ("MS-BFS-D packed", run_packed(&g, &bfs)),
+            ("MS-SSSP-D split", run_split(&g, &sssp)),
+            ("MS-SSSP-D packed", run_packed(&g, &sssp)),
+        ];
+        let got: Vec<(&str, u32, u64)> = runs
+            .iter()
+            .map(|(name, (_, iterations, log))| (*name, *iterations, activity_hash(log)))
+            .collect();
+        // harvested on the edge-outer kernels this test was written against
+        let want = [
+            ("MS-BFS-D split", 15, 0xf818_ac6d_8796_6575),
+            ("MS-BFS-D packed", 15, 0xf818_ac6d_8796_6575),
+            ("MS-SSSP-D split", 19, 0xd5c4_e782_931b_0358),
+            ("MS-SSSP-D packed", 19, 0xd5c4_e782_931b_0358),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -11,22 +11,22 @@
 //!
 //! Deciding needs the encoded size *before* encoding. The estimate comes
 //! from per-chunk encoded sizes cached across iterations in the
-//! [`HotnessTable`]: the first time a chunk is priced, its clipped vertex
-//! ranges are really encoded (into a scratch-arena buffer) and the size is
-//! cached; afterwards a transfer touching the chunk is priced at the
-//! cached ratio. Everything here is integer math over deterministic
-//! encodes, so the decisions — and hence the simulated timeline — are
-//! bit-identical at every host thread count.
+//! [`HotnessTable`]: the first time a chunk is priced, the encoder's
+//! length pass ([`encoded_ranges_len`]) measures its clipped vertex ranges
+//! and the size is cached; afterwards a transfer touching the chunk is
+//! priced at the cached ratio. Nothing is encoded unless it ships
+//! encoded. Everything here is integer math over deterministic lengths, so
+//! the decisions — and hence the simulated timeline — are bit-identical at
+//! every host thread count.
 //!
 //! [`ship_batch`] puts a gather batch on the link either way (Ascetic's
 //! push and pull iterations, the Subway baseline); the `compress.*`
 //! accounting lives here once.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
-use ascetic_graph::compress::{encode_ranges, EncodeEntry};
+use ascetic_graph::compress::{encode_ranges, encoded_ranges_len, EncodeEntry};
 use ascetic_graph::Csr;
 use ascetic_obs::Registry;
-use ascetic_par::with_scratch;
 use ascetic_sim::{DecompressModel, DevPtr, Engine, Gpu, PcieModel, SimTime};
 
 use crate::config::CompressionMode;
@@ -110,8 +110,10 @@ pub struct EncodeScratch {
 ///
 /// When `encode` is set (the payload is [`eligible`]), given an `estimate`
 /// of the encoded size, the wire-form rule is asked about it first and the
-/// batch really encoded only if that looks promising; either way the rule
-/// then sees the actual size — a bad estimate must not ship a loser.
+/// batch measured only if that looks promising; either way the rule then
+/// sees the exact encoded size ([`encoded_ranges_len`], no bytes written)
+/// — a bad estimate must not ship a loser — and only a batch that ships
+/// encoded is encoded.
 #[allow(clippy::too_many_arguments)]
 pub fn ship_batch(
     gpu: &mut Gpu,
@@ -131,9 +133,10 @@ pub fn ship_batch(
             scratch
                 .entries
                 .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
-            scratch.buf.clear();
-            let wire = encode_ranges(src, &scratch.entries, &mut scratch.buf) as u64;
+            let wire = encoded_ranges_len(src, &scratch.entries) as u64;
             if encoded_wins(gpu, ready, raw, wire, true) {
+                scratch.buf.clear();
+                encode_ranges(src, &scratch.entries, &mut scratch.buf);
                 let (copy, dec) =
                     gpu.h2d_compressed_at(dst, &scratch.buf, index, ready, gather_rows);
                 count_decision(&mut gpu.obs.registry, raw, Some(wire));
@@ -167,19 +170,12 @@ pub fn chunk_entries(g: &Csr, geo: &ChunkGeometry, c: ChunkId) -> Vec<EncodeEntr
 }
 
 /// Encoded size of chunk `c`'s payload: cached in the hotness table, or
-/// measured now by really encoding the chunk (and then cached).
+/// measured now by the encoder's length pass (and then cached).
 pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, hot: &mut HotnessTable) -> u64 {
     if let Some(b) = hot.cached_wire_bytes(c) {
         return b;
     }
-    let entries = chunk_entries(g, geo, c);
-    let bytes = with_scratch(|s| {
-        let mut buf = s.take_u8();
-        let n = encode_ranges(g, &entries, &mut buf) as u64;
-        s.put_u8(buf);
-        n
-    })
-    .max(1);
+    let bytes = (encoded_ranges_len(g, &chunk_entries(g, geo, c)) as u64).max(1);
     hot.cache_wire_bytes(c, bytes);
     bytes
 }

@@ -13,18 +13,22 @@
 //! that appends into a caller-supplied buffer (typically one taken from an
 //! `ascetic-par` scratch arena, so the steady state allocates nothing).
 //! Large entry lists are encoded in parallel on the persistent pool: an
-//! exact length pre-pass ([`encoded_len`]) computes each entry's offset,
-//! then workers fill disjoint windows of the output, so the byte stream is
-//! bit-identical at every thread count. A whole graph's projection is
-//! `encode_ranges` over every vertex's full edge range.
+//! exact length pre-pass ([`encoded_len`]) measures each worker's span of
+//! entries, then workers fill disjoint windows of the output, so the byte
+//! stream is bit-identical at every thread count. That pre-pass alone is
+//! [`encoded_ranges_len`]: a payload is priced by it and encoded only if
+//! it ships encoded. A whole graph's projection is `encode_ranges` over
+//! every vertex's full edge range.
+
+use std::ops::Range;
 
 use crate::csr::Csr;
 use crate::types::VertexId;
-use ascetic_par::{exclusive_scan_in_place, parallel_parts, parallel_ranges, with_scratch};
+use ascetic_par::{parallel_parts, parallel_ranges, with_scratch};
 
-/// Entry lists at or below this size are encoded serially — parallel
-/// dispatch overhead dwarfs the work.
-const SERIAL_ENCODE_ENTRIES: usize = 64;
+/// Entry lists at or below this size are measured and encoded serially —
+/// parallel dispatch overhead dwarfs the work.
+pub const SERIAL_ENCODE_ENTRIES: usize = 64;
 
 /// Zig-zag encode a signed value into an unsigned one.
 #[inline]
@@ -149,15 +153,50 @@ pub fn encoded_len(src: VertexId, targets: &[VertexId]) -> usize {
 /// a chunk's clipped vertex span).
 pub type EncodeEntry = (VertexId, std::ops::Range<u64>);
 
+/// Exact byte length of `entries`' segments over the edge array `all`.
+fn segments_len(all: &[VertexId], entries: &[EncodeEntry]) -> usize {
+    entries
+        .iter()
+        .map(|e| encoded_len(e.0, &all[e.1.start as usize..e.1.end as usize]))
+        .sum()
+}
+
+/// The parallel length pre-pass of [`encode_ranges`] (lists above
+/// [`SERIAL_ENCODE_ENTRIES`]): `entries` split into per-worker spans, each
+/// measured on the persistent pool with the exact byte length of its
+/// segments.
+fn worker_spans(all: &[VertexId], entries: &[EncodeEntry]) -> Vec<(Range<usize>, usize)> {
+    parallel_ranges(entries.len(), |_, r| {
+        let bytes = segments_len(all, &entries[r.clone()]);
+        (r, bytes)
+    })
+}
+
+/// The byte count [`encode_ranges`] would append for `entries`, computed
+/// without writing a byte — what a caller prices a payload with before
+/// deciding whether to encode it at all. It reads targets only, so it
+/// never refuses a weighted graph; [`encode_ranges`] does.
+pub fn encoded_ranges_len(g: &Csr, entries: &[EncodeEntry]) -> usize {
+    let all = g.targets();
+    if entries.len() <= SERIAL_ENCODE_ENTRIES {
+        return segments_len(all, entries);
+    }
+    worker_spans(all, entries)
+        .iter()
+        .map(|(_, bytes)| bytes)
+        .sum()
+}
+
 /// Encode the target sub-ranges of `entries` as a concatenated
 /// delta–varint stream appended to `out`; returns the bytes appended.
 ///
 /// Each segment is self-contained (`degree, zigzag(first − src), gap...`),
 /// so a partial adjacency list delivered by one entry decodes without the
-/// rest of the list. Large entry lists run the length pre-pass and the
-/// encode itself on the persistent pool, each worker filling a disjoint
-/// window of `out` through its thread-local scratch arena; the resulting
-/// bytes are identical at every host thread count.
+/// rest of the list. Large entry lists run the length pre-pass
+/// ([`encoded_ranges_len`]'s) and the encode itself on the persistent pool,
+/// each worker filling a disjoint window of `out` through its thread-local
+/// scratch arena; the resulting bytes are identical at every host thread
+/// count.
 ///
 /// # Panics
 /// Panics if `g` is weighted — weights would ride along uncompressed, so
@@ -175,56 +214,33 @@ pub fn encode_ranges(g: &Csr, entries: &[EncodeEntry], out: &mut Vec<u8>) -> usi
         return out.len() - start;
     }
 
-    // Pass 1: exact per-entry byte lengths, computed in parallel into
-    // disjoint windows of `lens`.
-    let worker_ranges = parallel_ranges(entries.len(), |_, r| r);
-    let mut lens: Vec<u64> = vec![0; entries.len() + 1];
-    {
-        let mut parts: Vec<(&mut [u64], &[EncodeEntry])> = Vec::with_capacity(worker_ranges.len());
-        let mut rest: &mut [u64] = &mut lens[..entries.len()];
-        let mut consumed = 0usize;
-        for wr in &worker_ranges {
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(wr.end - consumed);
-            rest = tail;
-            consumed = wr.end;
-            parts.push((mine, &entries[wr.clone()]));
-        }
-        parallel_parts(parts, |_, (mine, es)| {
-            for (l, e) in mine.iter_mut().zip(es) {
-                *l = encoded_len(e.0, seg(e)) as u64;
-            }
-        });
-    }
-    let total = exclusive_scan_in_place(&mut lens) as usize;
+    // Pass 1: each worker span's exact byte length.
+    let spans = worker_spans(all, entries);
+    let total: usize = spans.iter().map(|(_, bytes)| bytes).sum();
 
-    // Pass 2: encode each worker's entries into its disjoint byte window.
+    // Pass 2: encode each span's entries into its disjoint byte window.
     out.resize(start + total, 0);
-    {
-        let mut parts: Vec<(&mut [u8], &[EncodeEntry])> = Vec::with_capacity(worker_ranges.len());
-        let mut rest: &mut [u8] = &mut out[start..];
-        let mut consumed = 0usize;
-        for wr in &worker_ranges {
-            let end_b = lens[wr.end] as usize;
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end_b - consumed);
-            rest = tail;
-            consumed = end_b;
-            parts.push((mine, &entries[wr.clone()]));
-        }
-        parallel_parts(parts, |_, (mine, es)| {
-            with_scratch(|scratch| {
-                let mut buf = scratch.take_u8();
-                let mut w = 0usize;
-                for e in es {
-                    buf.clear();
-                    encode_adjacency(e.0, seg(e), &mut buf);
-                    mine[w..w + buf.len()].copy_from_slice(&buf);
-                    w += buf.len();
-                }
-                debug_assert_eq!(w, mine.len(), "length pre-pass must be exact");
-                scratch.put_u8(buf);
-            });
-        });
+    let mut parts: Vec<(&mut [u8], &[EncodeEntry])> = Vec::with_capacity(spans.len());
+    let mut rest: &mut [u8] = &mut out[start..];
+    for (r, bytes) in spans {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(bytes);
+        rest = tail;
+        parts.push((mine, &entries[r]));
     }
+    parallel_parts(parts, |_, (mine, es)| {
+        with_scratch(|scratch| {
+            let mut buf = scratch.take_u8();
+            let mut w = 0usize;
+            for e in es {
+                buf.clear();
+                encode_adjacency(e.0, seg(e), &mut buf);
+                mine[w..w + buf.len()].copy_from_slice(&buf);
+                w += buf.len();
+            }
+            debug_assert_eq!(w, mine.len(), "length pre-pass must be exact");
+            scratch.put_u8(buf);
+        });
+    });
     total
 }
 

@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 
 use ascetic_graph::compress::{
-    decode_adjacency, decode_ranges, encode_adjacency, encode_ranges, encoded_len, read_varint,
-    write_varint, EncodeEntry,
+    decode_adjacency, decode_ranges, encode_adjacency, encode_ranges, encoded_len,
+    encoded_ranges_len, read_varint, write_varint, EncodeEntry, SERIAL_ENCODE_ENTRIES,
 };
+use ascetic_graph::generators::uniform_graph;
 use ascetic_graph::Csr;
 
 /// A sorted (duplicates allowed) adjacency list with ids spanning the
@@ -99,6 +100,7 @@ proptest! {
         let mut stream = Vec::new();
         let written = encode_ranges(&g, &entries, &mut stream);
         prop_assert_eq!(written, stream.len());
+        prop_assert_eq!(encoded_ranges_len(&g, &entries), written);
 
         let mut reference = Vec::new();
         for e in &entries {
@@ -159,6 +161,37 @@ proptest! {
         buf.truncate(buf.len() - cut);
         prop_assert!(decode_ranges(&[src], &buf).is_none(), "short stream must be rejected");
     }
+}
+
+/// The length-only pass prices exactly what [`encode_ranges`] appends, on
+/// entry lists at and on both sides of the serial cutoff (half-rows, so
+/// partial adjacency lists are priced too), serial and on a 2-thread pool.
+#[test]
+fn length_pass_equals_encoded_bytes_around_the_serial_cutoff() {
+    let g = uniform_graph(3_000, 40_000, false, 13);
+    let mut halves: Vec<EncodeEntry> = Vec::new();
+    for v in 0..g.num_vertices() as u32 {
+        let r = g.edge_range(v);
+        let mid = r.start + (r.end - r.start) / 2;
+        halves.extend([(v, r.start..mid), (v, mid..r.end)]);
+    }
+    let cut = SERIAL_ENCODE_ENTRIES;
+    for threads in [1, 2] {
+        ascetic_par::set_num_threads(threads);
+        for len in [0, 1, cut - 1, cut, cut + 1, 4 * cut + 3, halves.len()] {
+            // start mid-list so the first entry is not vertex 0's
+            let entries = &halves[halves.len() - len..];
+            let mut out = vec![0xAA; 5];
+            let written = encode_ranges(&g, entries, &mut out);
+            assert_eq!(written, out.len() - 5, "{len} entries at {threads} threads");
+            assert_eq!(
+                encoded_ranges_len(&g, entries),
+                written,
+                "{len} entries at {threads} threads"
+            );
+        }
+    }
+    ascetic_par::set_num_threads(0);
 }
 
 /// A degree varint claiming more targets than the buffer holds is
