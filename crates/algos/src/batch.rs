@@ -246,8 +246,8 @@ impl VertexProgram for MsSsspDistances {
         let frozen = &state.frozen[src as usize * lanes..][..lanes];
         // Lane-outer: one tight relax loop per lane that has a distance to
         // push, walking that lane's column of `dist`. Each (target, lane)
-        // cell still sees its proposals in edge order, so every push and
-        // frontier bit is the edge-outer loop's.
+        // cell sees its proposals in edge order whatever the loop nesting,
+        // so the pushes and frontier bits do not depend on it.
         for (lane, dl) in frozen.iter().enumerate() {
             let dl = dl.load(Ordering::Relaxed);
             if dl == INF_DIST {
