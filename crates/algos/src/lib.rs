@@ -62,6 +62,4 @@ pub use lp::LabelPropagation;
 pub use pr::PageRank;
 pub use registry::{Algo, AnyProgram, ProgramOpts};
 pub use sssp::Sssp;
-pub use traits::{
-    AlgoError, AlgoOutput, Capabilities, EdgeSlice, TraversalDirection, VertexProgram,
-};
+pub use traits::{AlgoError, AlgoOutput, Capabilities, EdgeSlice, VertexProgram};

@@ -1,17 +1,16 @@
 //! The operator core: advance / filter / compute, composed by every engine.
 //!
 //! Gunrock-style decomposition of a frontier iteration. Programs supply
-//! functors through [`VertexProgram`]; runtimes (session, fleet, serve,
-//! baselines, the in-memory oracle) call these free functions instead of
-//! invoking program hooks directly, so each engine feature — prefetch,
-//! compression, direction choice, batching, fleet exchange, tracing — is
-//! implemented once here and inherited by every workload:
+//! functors through [`VertexProgram`] — `compute` (per-vertex map over the
+//! frozen active set, once per iteration on the orchestration thread),
+//! `advance_push` / `advance_pull` (edge expansion of one vertex's row or
+//! a piece of it, single- or multi-lane: lanes live inside the program's
+//! state, as in MS-BFS) — which runtimes (session, fleet, serve,
+//! baselines, the in-memory oracle) call directly. What a runtime must not
+//! restate lives here, implemented once and inherited by every workload:
 //!
-//! * [`compute`] — per-vertex map over the frozen active set, run once per
-//!   iteration on the orchestration thread;
-//! * [`advance`] / [`advance_pull`] + [`pull_frontier_into`] — edge expansion of
-//!   one vertex's row (or a piece of it), push or pull, single- or
-//!   multi-lane (lanes live inside the program's state, as in MS-BFS);
+//! * [`pull_frontier_into`] — the candidate set a pull iteration gathers
+//!   into;
 //! * [`filter`] — frontier compaction through the program's retain
 //!   predicate;
 //! * [`NextFrontier`] — the recycled next-frontier buffers a driver loop
@@ -36,32 +35,6 @@ use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 
 use crate::traits::{EdgeSlice, VertexProgram};
 
-/// Run the *compute* operator for one iteration: the program's per-vertex
-/// map over the frozen `active` set. Must be called exactly once per
-/// iteration, before any advance of that iteration, on the orchestration
-/// thread.
-#[inline]
-pub fn compute<P: VertexProgram>(prog: &P, iteration: u32, active: &Bitmap, state: &P::State) {
-    prog.compute(iteration, active, state);
-}
-
-/// Run the push *advance* operator over (a piece of) one active vertex's
-/// out-edges. Engines may deliver a row in several pieces, but each edge
-/// exactly once per iteration. `lane` is the worker index
-/// [`parallel_for_work`] handed the calling body — pass it through as is
-/// (`0` from a serial loop).
-#[inline]
-pub fn advance<P: VertexProgram>(
-    prog: &P,
-    lane: usize,
-    src: VertexId,
-    edges: EdgeSlice<'_>,
-    state: &P::State,
-    next: &AtomicBitmap,
-) {
-    prog.advance_push(lane, src, edges, state, next);
-}
-
 /// The candidate set a pull iteration must gather into, given the frozen
 /// `active` frontier, written into the caller's recycled `out` (whatever
 /// it held or however long it was). Only meaningful when the program's
@@ -79,21 +52,6 @@ pub fn pull_frontier_into<P: VertexProgram>(
         *out = Bitmap::new(g.num_vertices());
     }
     prog.pull_targets_into(g, active, state, out);
-}
-
-/// Run the pull *advance* operator over (a piece of) one candidate
-/// vertex's in-edges; returns the number of edges actually scanned for the
-/// kernel cost model.
-#[inline]
-pub fn advance_pull<P: VertexProgram>(
-    prog: &P,
-    v: VertexId,
-    in_edges: EdgeSlice<'_>,
-    active: &Bitmap,
-    state: &P::State,
-    next: &AtomicBitmap,
-) -> u64 {
-    prog.advance_pull(v, in_edges, active, state, next)
 }
 
 /// Run the *filter* operator: compact a freshly snapshotted next frontier,
@@ -196,7 +154,7 @@ pub fn advance_all<P: VertexProgram>(
 ) -> (Bitmap, u64) {
     let mut frontier = active.clone();
     let mut next = NextFrontier::new(g.num_vertices());
-    compute(prog, iteration, &frontier, state);
+    prog.compute(iteration, &frontier, state);
     let active_edges = advance_frontier(prog, g, &frontier, state, next.writer(), &mut Vec::new());
     next.finish(prog, state, &mut frontier);
     (frontier, active_edges)
@@ -223,7 +181,7 @@ pub fn advance_frontier<P: VertexProgram>(
         let r = g.edge_range(v);
         let (s, e) = (r.start as usize, r.end as usize);
         let slice = EdgeSlice::split(&g.targets()[s..e], weights_all.map(|w| &w[s..e]));
-        advance(prog, lane, v, slice, state, next);
+        prog.advance_push(lane, v, slice, state, next);
     });
     active_edges
 }
@@ -249,10 +207,10 @@ pub fn phase_transition<P: VertexProgram>(
 /// The one driver loop, shared by every runtime (session, fleet, the
 /// three baselines, the in-memory oracle): it owns the iteration and phase
 /// counters, the `max_iterations` cap, the [`phase_transition`] handshake
-/// on a drained frontier, [`compute`] before the iteration's body and
-/// [`NextFrontier::finish`] (settle, snapshot, filter, swap) after it. A
-/// runtime writes only the body — how the active rows reach the advance
-/// operators:
+/// on a drained frontier, [`VertexProgram::compute`] before the
+/// iteration's body and [`NextFrontier::finish`] (settle, snapshot,
+/// filter, swap) after it. A runtime writes only the body — how the active
+/// rows reach the advance operators:
 ///
 /// ```text
 /// let mut drive = Drive::new(prog, g, &state);
@@ -300,7 +258,7 @@ impl<'a, P: VertexProgram> Drive<'a, P> {
             *active = phase_transition(self.prog, self.phase, self.g, self.state)?;
             self.phase += 1;
         }
-        compute(self.prog, self.iter, active, self.state);
+        self.prog.compute(self.iter, active, self.state);
         Some(self.iter)
     }
 

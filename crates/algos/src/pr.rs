@@ -567,14 +567,7 @@ mod tests {
         parallel_for_work(nodes.len(), edges, |lane, i| {
             let r = g.edge_range(nodes[i]);
             let row = &g.targets()[r.start as usize..r.end as usize];
-            ops::advance(
-                &PageRank::new(),
-                lane,
-                nodes[i],
-                EdgeSlice::split(row, None),
-                state,
-                next,
-            );
+            PageRank::new().advance_push(lane, nodes[i], EdgeSlice::split(row, None), state, next);
         });
     }
 
@@ -683,7 +676,7 @@ mod tests {
             let pr = PageRank::new();
             let state = pr.new_state(&g);
             let active = pr.initial_frontier(&g);
-            ops::compute(&pr, 0, &active, &state);
+            pr.compute(0, &active, &state);
             let next = AtomicBitmap::new(g.num_vertices());
             push_rows(&g, &active.to_indices(), &state, &next);
             assert!(
@@ -712,8 +705,8 @@ mod tests {
                 NextFrontier::new(g.num_vertices()),
             );
             for iter in 0..4 {
-                ops::compute(&pr, iter, &active, &laned);
-                ops::compute(&pr, iter, &active, &oracle);
+                pr.compute(iter, &active, &laned);
+                pr.compute(iter, &active, &oracle);
                 let nodes = active.to_indices();
                 let mut seen = 0;
                 for shard in nodes.chunks(nodes.len().div_ceil(3).max(1)) {
@@ -740,7 +733,7 @@ mod tests {
             let pr = PageRank::new();
             let state = pr.new_state(&g);
             let active = pr.initial_frontier(&g);
-            ops::compute(&pr, 0, &active, &state);
+            pr.compute(0, &active, &state);
             let next = AtomicBitmap::new(g.num_vertices());
             push_rows(&g, &active.to_indices(), &state, &next);
             let parked = pr.output(&state);
@@ -762,13 +755,13 @@ mod tests {
         let pr = PageRank::new();
         let state = pr.new_state_with_lanes(&g, 1);
         let active = pr.initial_frontier(&g);
-        ops::compute(&pr, 0, &active, &state);
+        pr.compute(0, &active, &state);
         let next = AtomicBitmap::new(g.num_vertices());
         for v in active.iter_ones() {
             let r = g.edge_range(v as VertexId);
             let row = &g.targets()[r.start as usize..r.end as usize];
             pr.advance_push(0, v as VertexId, EdgeSlice::split(row, None), &state, &next);
         }
-        ops::compute(&pr, 1, &active, &state); // no settle in between
+        pr.compute(1, &active, &state); // no settle in between
     }
 }

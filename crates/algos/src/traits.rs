@@ -286,23 +286,6 @@ impl AlgoOutput {
     }
 }
 
-/// Which orientation an iteration traverses edges in.
-///
-/// * **Push** — the classic mode: scan *active* vertices' out-edges and
-///   scatter updates to their targets (CSR rows).
-/// * **Pull** — direction-optimizing mode: scan candidate *target*
-///   vertices' in-edges (CSC rows of the transposed graph) and gather from
-///   active parents. Profitable when the frontier is dense, because the
-///   pull demand is bounded by the in-degree of the *unconverged* vertices
-///   rather than the out-degree of the whole frontier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraversalDirection {
-    /// Scatter over active vertices' out-edges.
-    Push,
-    /// Gather over candidate vertices' in-edges.
-    Pull,
-}
-
 /// What a program can do and what its frontier traffic costs — declared
 /// once, consulted by every engine instead of per-feature default-method
 /// probes. Engines promise never to invoke a functor whose capability bit

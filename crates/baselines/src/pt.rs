@@ -13,7 +13,7 @@
 //! iteration / report frame is `crate::frame` (`DESIGN.md` §18); what is
 //! left here is PT's data movement: which partitions ship, in what slices.
 
-use ascetic_algos::ops::{self, Drive, NextFrontier};
+use ascetic_algos::ops::{Drive, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::partition::partition_by_bytes;
 use ascetic_graph::Csr;
@@ -143,8 +143,7 @@ impl OutOfCoreSystem for PtSystem {
                             let off = (lo - edge_lo) as usize * wpe;
                             let len_w = (hi - lo) as usize * wpe;
                             let words = &mem.words(dst)[off..off + len_w];
-                            ops::advance(
-                                prog,
+                            prog.advance_push(
                                 lane,
                                 v,
                                 EdgeSlice::new(words, weighted),

@@ -18,7 +18,7 @@
 //! report frame is `crate::frame` (`DESIGN.md` §18); what is left here is
 //! Subway's data movement: identify, gather, ship, compute, per batch.
 
-use ascetic_algos::ops::{self, Drive, NextFrontier};
+use ascetic_algos::ops::{Drive, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_sim::DeviceConfig;
@@ -136,7 +136,7 @@ impl OutOfCoreSystem for SubwaySystem {
 
                 batch.for_each_row(gpu.mem.words(dst), |lane, v, words| {
                     let edges = EdgeSlice::new(words, weighted);
-                    ops::advance(prog, lane, v, edges, &state, next_bits);
+                    prog.advance_push(lane, v, edges, &state, next_bits);
                 });
             }
 

@@ -174,11 +174,10 @@ pub fn prefetch(cx: &mut Ctx) {
     let modes = [Off, NextFrontier];
     let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_prefetch(m));
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
-    let metrics: [Metric; 9] = [
+    let metrics: [Metric; 8] = [
         ("sim_ns", |r| s(r.sim_time_ns)),
         ("stall_ns", |r| s(stall_ns(r))),
         ("transfer_ns", |r| s(r.breakdown.transfer_ns)),
-        ("update_ns", |r| s(r.breakdown.update_ns)),
         ("prefetch_bytes", |r| s(r.prefetch_bytes)),
         ("prefetch_ops", |r| s(r.prefetch_ops)),
         ("prefetch_hits", |r| s(r.prefetch_hits)),

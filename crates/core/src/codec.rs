@@ -10,8 +10,8 @@
 //! §21).
 //!
 //! Deciding needs the encoded size *before* encoding. The estimate comes
-//! from per-chunk encoded sizes cached across iterations in the
-//! [`HotnessTable`]: the first time a chunk is priced, the encoder's
+//! from per-chunk encoded sizes cached across iterations in
+//! [`WireSizes`]: the first time a chunk is priced, the encoder's
 //! length pass ([`encoded_ranges_len`]) measures its clipped vertex ranges
 //! and the size is cached; afterwards a transfer touching the chunk is
 //! priced at the cached ratio. Nothing is encoded unless it ships
@@ -30,7 +30,6 @@ use ascetic_obs::Registry;
 use ascetic_sim::{DecompressModel, DevPtr, Engine, Gpu, PcieModel, SimTime};
 
 use crate::config::CompressionMode;
-use crate::hotness::HotnessTable;
 use crate::ondemand::{Batch, GatherEntry};
 
 /// The pure link crossover: copying the encoded bytes plus decoding them
@@ -169,14 +168,37 @@ pub fn chunk_entries(g: &Csr, geo: &ChunkGeometry, c: ChunkId) -> Vec<EncodeEntr
     entries
 }
 
-/// Encoded size of chunk `c`'s payload: cached in the hotness table, or
-/// measured now by the encoder's length pass (and then cached).
-pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, hot: &mut HotnessTable) -> u64 {
-    if let Some(b) = hot.cached_wire_bytes(c) {
-        return b;
+/// Per-chunk encoded sizes of a session's edge payload (0 = not yet
+/// measured; a real chunk never encodes to zero bytes), measured once by
+/// the encoder's length pass and reused across iterations and runs: the
+/// prestore's pricing, [`estimate_batch_wire`] and the prefetch planner's
+/// wire cost all read them through [`chunk_wire_bytes`].
+pub struct WireSizes(Vec<u32>);
+
+impl WireSizes {
+    /// An empty cache over `num_chunks` chunks.
+    pub fn new(num_chunks: usize) -> Self {
+        WireSizes(vec![0; num_chunks])
+    }
+
+    /// Follow a patch: resize to the patched graph's chunk count and drop
+    /// every size from `first_dirty` on, whose payload the patch changed
+    /// or shifted — they are re-measured before they price again.
+    pub(crate) fn patched(&mut self, num_chunks: usize, first_dirty: ChunkId) {
+        self.0.truncate(first_dirty as usize);
+        self.0.resize(num_chunks, 0);
+    }
+}
+
+/// Encoded size of chunk `c`'s payload: cached in `sizes`, or measured now
+/// by the encoder's length pass (and then cached).
+pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, sizes: &mut WireSizes) -> u64 {
+    let cached = &mut sizes.0[c as usize];
+    if *cached != 0 {
+        return *cached as u64;
     }
     let bytes = (encoded_ranges_len(g, &chunk_entries(g, geo, c)) as u64).max(1);
-    hot.cache_wire_bytes(c, bytes);
+    *cached = bytes.min(u32::MAX as u64) as u32;
     bytes
 }
 
@@ -186,7 +208,7 @@ pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, hot: &mut Hotn
 pub fn estimate_batch_wire(
     g: &Csr,
     geo: &ChunkGeometry,
-    hot: &mut HotnessTable,
+    sizes: &mut WireSizes,
     entries: &[GatherEntry],
 ) -> u64 {
     let mut est: u128 = 0;
@@ -198,7 +220,7 @@ pub fn estimate_batch_wire(
             let piece_end = r.end.min(cr.end);
             let piece_raw = (piece_end - r.start) * 4;
             let chunk_raw = (cr.end - cr.start) * 4;
-            let chunk_wire = chunk_wire_bytes(g, geo, c, hot);
+            let chunk_wire = chunk_wire_bytes(g, geo, c, sizes);
             est += (piece_raw as u128 * chunk_wire as u128).div_ceil(chunk_raw.max(1) as u128);
             r.start = piece_end;
         }
@@ -399,11 +421,17 @@ mod tests {
     fn chunk_wire_bytes_is_cached_and_matches_encode() {
         let g = uniform_graph(200, 2_000, false, 9);
         let geo = ChunkGeometry::with_chunk_bytes(&g, 512);
-        let mut hot = HotnessTable::new(geo.num_chunks());
-        let w0 = chunk_wire_bytes(&g, &geo, 0, &mut hot);
-        assert_eq!(hot.cached_wire_bytes(0), Some(w0));
+        let mut sizes = WireSizes::new(geo.num_chunks());
+        let w0 = chunk_wire_bytes(&g, &geo, 0, &mut sizes);
+        assert_eq!(sizes.0[0] as u64, w0);
+        assert_eq!(sizes.0[1], 0, "other chunks unmeasured");
         // second call must come from the cache and agree
-        assert_eq!(chunk_wire_bytes(&g, &geo, 0, &mut hot), w0);
+        assert_eq!(chunk_wire_bytes(&g, &geo, 0, &mut sizes), w0);
+        // a patch drops the dirty tail's sizes and keeps the rest
+        chunk_wire_bytes(&g, &geo, 2, &mut sizes);
+        sizes.patched(geo.num_chunks() + 1, 1);
+        assert_eq!((sizes.0[0] as u64, sizes.0[2]), (w0, 0));
+        assert_eq!(sizes.0.len(), geo.num_chunks() + 1);
         // against a direct per-entry length computation
         let expect: u64 = chunk_entries(&g, &geo, 0)
             .iter()
@@ -416,7 +444,7 @@ mod tests {
     fn batch_estimate_tracks_actual_encoding_on_web_locality() {
         let g = web_graph(&WebConfig::new(5_000, 50_000, 3));
         let geo = ChunkGeometry::with_chunk_bytes(&g, 1024);
-        let mut hot = HotnessTable::new(geo.num_chunks());
+        let mut sizes = WireSizes::new(geo.num_chunks());
         let entries: Vec<GatherEntry> = (0..2_000u32)
             .filter(|&v| !g.edge_range(v).is_empty())
             .map(|v| GatherEntry {
@@ -424,7 +452,7 @@ mod tests {
                 edges: g.edge_range(v),
             })
             .collect();
-        let est = estimate_batch_wire(&g, &geo, &mut hot, &entries);
+        let est = estimate_batch_wire(&g, &geo, &mut sizes, &entries);
         let enc: Vec<EncodeEntry> = entries
             .iter()
             .map(|e| (e.vertex, e.edges.clone()))

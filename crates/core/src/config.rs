@@ -136,7 +136,7 @@ pub enum CompressionMode {
     /// Per-transfer decision: a payload ships encoded iff
     /// [`crate::codec::encoded_wins`] finds the decoded payload usable
     /// before the raw one, pricing it first at the per-chunk ratios cached
-    /// in the hotness table.
+    /// in [`crate::codec::WireSizes`].
     Adaptive,
 }
 

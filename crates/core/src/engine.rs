@@ -332,4 +332,42 @@ mod tests {
         let static_edges: u64 = rep.per_iter.iter().map(|i| i.static_edges).sum();
         assert_eq!(static_edges, 0, "R=0 must serve everything on demand");
     }
+
+    /// A zero-slot region (R = 0) leaves next-frontier prefetch nothing to
+    /// load and nothing to evict: turning it on changes no byte of any
+    /// program's run, under either compression mode and in every direction
+    /// the program can take.
+    #[test]
+    fn a_zero_slot_region_runs_prefetch_on_exactly_as_off() {
+        use crate::config::CompressionMode;
+        use crate::config::DirectionMode::{Adaptive, Pull, Push};
+        use crate::prefetch::PrefetchMode;
+        use ascetic_algos::{Algo, ProgramOpts};
+        let plain = uniform_graph(1_000, 8_000, false, 13);
+        let weighted = weighted_variant(&plain);
+        for algo in Algo::ALL {
+            let g = if algo.weighted() { &weighted } else { &plain };
+            let prog = algo.program(&ProgramOpts::from_source(0));
+            let oracle = run_in_memory(g, &prog).output;
+            let directions = if algo.pull() {
+                &[Push, Adaptive, Pull][..]
+            } else {
+                &[Push]
+            };
+            for compression in [CompressionMode::Off, CompressionMode::Adaptive] {
+                for &direction in directions {
+                    let cfg = cfg_for(g)
+                        .with_static_ratio(0.0)
+                        .with_compression(compression)
+                        .with_direction(direction);
+                    let run = |mode| AsceticSystem::new(cfg.with_prefetch(mode)).run(g, &prog);
+                    let (off, on) = (run(PrefetchMode::Off), run(PrefetchMode::NextFrontier));
+                    let what = format!("{algo} {compression} {direction}");
+                    assert_eq!(on.prefetch_ops, 0, "{what}");
+                    assert_eq!(on.output, oracle, "{what}");
+                    assert_eq!(on.summary_json(), off.summary_json(), "{what}");
+                }
+            }
+        }
+    }
 }

@@ -25,7 +25,7 @@
 //!   just closed: at a phase boundary that is empty, nothing ships, and
 //!   the barrier still runs.
 //!
-//! Everything the paper gives one device — static region, hotness table,
+//! Everything the paper gives one device — static region, wire-size cache,
 //! compression crossover, cross-iteration prefetch — runs per-device,
 //! unchanged, over that device's shard.
 

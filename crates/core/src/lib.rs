@@ -25,11 +25,10 @@
 //!   vertex-residency bitmap (§3.1, §3.4).
 //! * [`ondemand`] — the On-demand Engine: multi-threaded CPU gather into a
 //!   compact Subway-style subgraph, batched to the region capacity (§3.1).
-//! * [`hotness`] — the per-chunk access table: prefetch demand and hit
-//!   scoring, victim recency, the wire-size cache.
-//! * [`prefetch`] — the cross-iteration prefetch policy: next-frontier
-//!   chunk demand, benefit ranking, speculative refresh planning for the
-//!   second copy stream.
+//! * [`prefetch`] — cross-iteration prefetch, one `Prefetcher`: the
+//!   per-chunk access history (hit scoring, victim recency), next-frontier
+//!   chunk demand, benefit ranking, and the speculative refresh pipeline
+//!   on the second copy stream.
 //! * [`session`] — the Manager: per-iteration orchestration with overlap
 //!   (Figure 5) over the simulated device, reusable across multiple
 //!   algorithm runs (the paper's prestore-amortization point, §4.3).
@@ -51,7 +50,6 @@ pub mod config;
 pub mod engine;
 pub mod fleet;
 mod graph_ref;
-pub mod hotness;
 pub mod maps;
 pub mod ondemand;
 pub mod prefetch;

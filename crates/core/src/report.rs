@@ -89,8 +89,6 @@ pub struct Breakdown {
     pub transfer_ns: u64,
     /// On-demand compute (`Tondemand`).
     pub ondemand_compute_ns: u64,
-    /// 0 since the reactive server was removed (PR 25); goes with ROADMAP 5(d).
-    pub update_ns: u64,
 }
 
 impl Breakdown {
@@ -102,7 +100,6 @@ impl Breakdown {
             + self.gather_ns
             + self.transfer_ns
             + self.ondemand_compute_ns
-            + self.update_ns
     }
 }
 
@@ -462,7 +459,6 @@ mod tests {
                 gather_ns: 3,
                 transfer_ns: 4,
                 ondemand_compute_ns: 5,
-                update_ns: 6,
             },
             gpu_idle_ns: 400,
             repartitions: 0,
@@ -505,7 +501,7 @@ mod tests {
 
     #[test]
     fn breakdown_total() {
-        assert_eq!(dummy().breakdown.total_ns(), 21);
+        assert_eq!(dummy().breakdown.total_ns(), 15);
     }
 
     #[test]

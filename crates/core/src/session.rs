@@ -4,7 +4,7 @@
 //! throughout the graph processing and benefits the reduction in data
 //! transfer"* — the prestore is a one-time cost, not a per-algorithm one.
 //! An [`AsceticSession`] owns the device, the prestored static region, the
-//! on-demand buffers and the hotness state, and runs any number of
+//! on-demand buffers and the prefetcher, and runs any number of
 //! [`VertexProgram`]s over the same graph. The first run pays the prestore;
 //! subsequent runs start with the same warm region — by default nothing
 //! reshapes it on one iteration's evidence (`DESIGN.md` §19).
@@ -26,7 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ascetic_algos::ops::{self, NextFrontier};
-use ascetic_algos::TraversalDirection::{self, Pull, Push};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::{Csr, GraphChunks, GraphPatch, Mutation, PatchError, VertexId};
@@ -36,24 +35,18 @@ use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
 
 use crate::codec::{
     chunk_wire_bytes, eligible, encoded_wins, estimate_batch_wire, ship_batch, EncodeScratch,
+    WireSizes,
 };
 use crate::config::{AsceticConfig, DirectionMode};
 use crate::engine::{finish_report, RunBase};
 use crate::graph_ref::SessionGraph;
-use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
-use crate::prefetch::{chunk_demand_bytes, plan_ops, PrefetchOp};
+use crate::prefetch::{chunk_demand_bytes, Prefetcher};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
 use crate::static_region::StaticRegion;
 use crate::system::{edge_budget_bytes, reserve_vertex_arrays};
-
-/// How many planned prefetch ops may be carried into the next iteration
-/// to wait for link gaps in its on-demand pipeline (on top of whatever
-/// fits the end-of-iteration slack). Purely a planning bound: deferred
-/// ops that never find a gap are dropped at no cost.
-const GAP_PLAN_OPS: usize = 256;
 
 /// Span-trace track carrying the session phases: static staging, then one
 /// span per iteration with `GenDataMap`/static-compute children.
@@ -87,7 +80,11 @@ pub struct AsceticSession<'g> {
     od_slab: DevPtr,
     od_buffers: Vec<DevPtr>,
     evidence: RegionEvidence,
-    hotness: HotnessTable,
+    // per-chunk encoded sizes: the prestore, push batches and the
+    // prefetch planner price the compressed path from them
+    wire: WireSizes,
+    // every prefetch decision; only when the config prefetches
+    prefetch: Option<Prefetcher>,
     // whether this graph's payloads may ship encoded at all (resolved
     // once); `false` ships everything raw
     encode: bool,
@@ -121,7 +118,7 @@ struct OdRun {
 /// `AsceticSession::begin_run` captured (what the run's numbers are
 /// measured from — the tallies themselves live in the device registry and
 /// nowhere else) plus every piece of loop state one iteration hands the
-/// next (breakdown, per-iteration reports, prefetch pipeline state, buffer
+/// next (breakdown, per-iteration reports, direction choice, buffer
 /// fences) and the host buffers an iteration refills instead of allocating
 /// (data maps, batch plan, gather spans, pull targets, encoder scratch).
 /// Opaque outside the core crate: drivers create it, pass it to each step,
@@ -145,22 +142,6 @@ pub struct RunCtx {
     iter: u32,
     // per-buffer "compute that last read this buffer" fences
     buffer_free_at: Vec<SimTime>,
-    // --- Cross-iteration prefetch pipeline state. ---
-    // speculative refreshes in flight: scored for hit/waste one
-    // iteration later, once the demand they predicted materializes
-    prefetch_pending: Vec<(ChunkId, u64)>,
-    // the event the next iteration's static kernel waits on (the
-    // prefetch stream's last completion) instead of a blocking miss
-    prefetch_ready: SimTime,
-    // planned ops that did not fit the end-of-iteration slack: they
-    // wait for link gaps in the next iteration's on-demand pipeline
-    prefetch_deferred: std::collections::VecDeque<PrefetchOp>,
-    // gap-issued transfers whose region mutation is deferred to the
-    // iteration boundary (kernels may still be reading the region)
-    prefetch_inflight: Vec<(PrefetchOp, u64)>,
-    // the prefetch DMAs issued this iteration (gap fills + the tail),
-    // for the iteration's window span on the prefetch track
-    pf_window: Option<(u64, u64)>,
     // where the tracer stood when the iteration opened: what its span
     // encloses when it closes
     iter_mark: usize,
@@ -228,10 +209,10 @@ impl<'g> AsceticSession<'g> {
         let od_slab = gpu.alloc(od_words).expect("on-demand region allocation");
         let od_buffers = split_buffers(od_slab, cfg.od_buffers, g.words_per_edge());
 
-        // The hotness table exists before the prestore: its per-chunk
-        // encoded-size cache prices the fill's wire form, and
-        // the measurements stay warm for every later transfer decision.
-        let mut hotness = HotnessTable::new(geo.num_chunks());
+        // The wire-size cache exists before the prestore: it prices the
+        // fill's wire form, and the measurements stay warm for every later
+        // transfer decision.
+        let mut wire_sizes = WireSizes::new(geo.num_chunks());
         let encode = eligible(cfg.compression, g);
 
         // --- Prestore: one bulk fill of the static region. ---
@@ -244,7 +225,7 @@ impl<'g> AsceticSession<'g> {
         if encode && prestore_bytes > 0 {
             let encoded: u64 = plan
                 .iter()
-                .map(|&c| chunk_wire_bytes(g, &geo, c, &mut hotness))
+                .map(|&c| chunk_wire_bytes(g, &geo, c, &mut wire_sizes))
                 .sum();
             wire = encoded_wins(&gpu, SimTime::ZERO, prestore_bytes, encoded, false)
                 .then_some(encoded);
@@ -268,7 +249,11 @@ impl<'g> AsceticSession<'g> {
             od_slab,
             od_buffers,
             evidence: RegionEvidence::default(),
-            hotness,
+            wire: wire_sizes,
+            prefetch: cfg
+                .prefetch
+                .is_on()
+                .then(|| Prefetcher::new(geo.num_chunks())),
             encode,
             mirror,
             prestore_ns,
@@ -286,42 +271,6 @@ impl<'g> AsceticSession<'g> {
     /// The graph this session is bound to (patched to its current epoch).
     pub fn graph(&self) -> &Csr {
         &self.g
-    }
-
-    /// The one issue site for a region op (`DESIGN.md` §21): move the
-    /// chunk into the region, ship it on the prefetch stream and book the
-    /// op against the run. Prefetches ship raw: the decompression launch
-    /// would land on the busy compute engine and could push the very
-    /// kernel they are hiding under. A gap-issued prefetch is issued with
-    /// `apply_now` off — kernels are still reading the region, so it waits
-    /// in flight for the boundary's commit.
-    fn issue(&mut self, ctx: &mut RunCtx, op: PrefetchOp, ready: SimTime, apply_now: bool) {
-        let chunk = op.chunk();
-        let bytes = self.geo.chunk_len_bytes(chunk) as u64;
-        if apply_now {
-            self.apply(op);
-        }
-        let class = Xfer::Prefetch {
-            chunk: chunk as u64,
-        };
-        let (copy, _) = self.gpu.ship_at(class, bytes, None, ready);
-        let (a, b) = ctx.pf_window.unwrap_or((u64::MAX, 0));
-        ctx.pf_window = Some((a.min(copy.start.0), b.max(copy.end.0)));
-        if apply_now {
-            ctx.prefetch_ready = ctx.prefetch_ready.max(copy.end);
-            ctx.prefetch_pending.push((chunk, bytes));
-        } else {
-            ctx.prefetch_inflight.push((op, bytes));
-        }
-    }
-
-    /// Move an op's chunk into the static region (the data plane).
-    fn apply(&mut self, op: PrefetchOp) {
-        let (gpu, g) = (&mut self.gpu, &*self.g);
-        match op {
-            PrefetchOp::Load(c) => self.region.load_chunk(gpu, g, c),
-            PrefetchOp::Swap { evict, load } => self.region.swap_chunk(gpu, g, evict, load),
-        };
     }
 
     /// Fraction of the graph's chunks currently resident in the static
@@ -485,7 +434,9 @@ impl<'g> AsceticSession<'g> {
     /// wire payload and time — with no special case per field; a later
     /// run from the device as it stands now.
     pub(crate) fn begin_run(&mut self) -> RunCtx {
-        self.hotness.begin_run();
+        if let Some(pf) = &mut self.prefetch {
+            pf.begin_run();
+        }
         let clock_ns = self.gpu.sync().0;
         let mut base = RunBase {
             compute_busy_ns: self.gpu.timeline.busy_ns(Engine::Compute),
@@ -516,8 +467,8 @@ impl<'g> AsceticSession<'g> {
     /// 3. **on-demand pipeline** — one `run_ondemand` over whatever rows
     ///    the selection left to ship: plan, gather, ship, kernel per batch;
     /// 4. **prefetch** (push only — pull never reads the CSR-chunked static
-    ///    region) — hotness accounting and the cross-iteration prefetch
-    ///    commit/plan;
+    ///    region) — the prefetcher's end-of-iteration step: access
+    ///    history, hit scoring, commit and the next plan;
     /// 5. **pre-commit** the next iteration's direction;
     /// 6. **close** — barrier, windows, the `IterReport`.
     ///
@@ -557,13 +508,20 @@ impl<'g> AsceticSession<'g> {
                 let kernel = |batch: Batch<'_>, payload: &[u32]| {
                     batch.for_each_row(payload, |lane, v, words| {
                         let edges = EdgeSlice::new(words, weighted);
-                        ops::advance(prog, lane, v, edges, state, next_bits);
+                        prog.advance_push(lane, v, edges, state, next_bits);
                     });
                     batch.edges()
                 };
-                let od = self.run_ondemand(ctx, &g, &nodes, ready, Push, kernel);
+                let od = self.run_ondemand(ctx, &g, &nodes, ready, &dir, kernel);
                 ctx.maps.ondemand_nodes = nodes;
-                self.prefetch_phase(prog, ctx, state, next);
+                if let Some(pf) = &mut self.prefetch {
+                    let frontier = next.snapshot(prog, state);
+                    let follows = ctx.iter + 1 < prog.max_iterations() && !frontier.is_all_zero();
+                    let frontier = follows.then_some(frontier);
+                    let wire = self.encode.then_some(&mut self.wire);
+                    let (gpu, region, maps) = (&mut self.gpu, &mut self.region, &ctx.maps);
+                    pf.end_iteration(gpu, region, &g, &self.geo, wire, maps, ctx.iter, frontier);
+                }
                 IterReport {
                     active_vertices: ctx.maps.active_vertices(),
                     active_edges: ctx.maps.active_edges(),
@@ -586,12 +544,12 @@ impl<'g> AsceticSession<'g> {
                     let scanned = AtomicU64::new(0);
                     batch.for_each_row(payload, |_, v, words| {
                         let in_edges = EdgeSlice::new(words, weighted);
-                        let s = ops::advance_pull(prog, v, in_edges, active, state, next_bits);
+                        let s = prog.advance_pull(v, in_edges, active, state, next_bits);
                         scanned.fetch_add(s, Ordering::Relaxed);
                     });
                     scanned.into_inner()
                 };
-                let od = self.run_ondemand(ctx, csc, &targets, genmap.end, Pull, kernel);
+                let od = self.run_ondemand(ctx, csc, &targets, genmap.end, &dir, kernel);
                 ctx.pull_targets = targets;
                 self.gpu.obs.registry.counter_add("direction.pull_iters", 1);
                 IterReport {
@@ -644,7 +602,7 @@ impl<'g> AsceticSession<'g> {
     /// iteration span, and `report` with its time filled in.
     fn close_iteration(&mut self, ctx: &mut RunCtx, iter_start: SimTime, mut report: IterReport) {
         let iter = ctx.iter;
-        if let Some((start, end)) = ctx.pf_window.take() {
+        if let Some((start, end)) = self.prefetch.as_mut().and_then(Prefetcher::take_window) {
             let label = format_args!("prefetch iter {iter}");
             self.phase_span(PREFETCH_WINDOW_TRACK, start, end, label);
         }
@@ -722,15 +680,13 @@ impl<'g> AsceticSession<'g> {
             }
         }
 
-        // ➌ Static-region compute (overlaps the on-demand pipeline).
-        // The kernel event-waits on the prefetch stream's last
-        // completion instead of faulting on a half-refreshed region;
-        // prefetches are budgeted to land inside the previous
-        // iteration's link slack, so the wait never actually stalls.
+        // ➌ Static-region compute (overlaps the on-demand pipeline),
+        // once the prefetch stream's refreshes have landed.
         if maps.static_nodes.is_empty() {
             return genmap.end;
         }
-        let static_ready = genmap.end.max(ctx.prefetch_ready);
+        let refreshed = self.prefetch.as_ref().map(Prefetcher::ready);
+        let static_ready = refreshed.map_or(genmap.end, |r| genmap.end.max(r));
         let nodes = &maps.static_nodes;
         let span = self
             .gpu
@@ -748,7 +704,7 @@ impl<'g> AsceticSession<'g> {
             let v = nodes[i];
             region.for_each_vertex_slice(mem, g, v, |words| {
                 let edges = EdgeSlice::new(words, weighted);
-                ops::advance(prog, lane, v, edges, state, next_bits);
+                prog.advance_push(lane, v, edges, state, next_bits);
             });
         });
         // In no-overlap mode the whole pipeline waits for the static
@@ -763,12 +719,9 @@ impl<'g> AsceticSession<'g> {
     /// Pull selection: the live targets' in-edge rows of the CSC mirror
     /// are what the on-demand pipeline ships (`ctx.pull_targets`). The
     /// CSR-chunked static region holds out-edges, so pull bypasses it
-    /// entirely — no static compute, no hotness updates — and a stale
-    /// prefetch plan has nothing to validate against: it is written off as
-    /// waste rather than committed against a region nothing will read this
-    /// iteration on signals one push iteration old. That
-    /// also leaves the deferred queue empty, so the pipeline's gap fill
-    /// idles under pull without being told the direction.
+    /// entirely — no static compute, no access history — and the
+    /// prefetcher writes its pipeline off, which leaves its gap fill idle
+    /// under pull without being told the direction.
     fn select_pull<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -778,13 +731,9 @@ impl<'g> AsceticSession<'g> {
         state: &P::State,
     ) {
         ops::pull_frontier_into(prog, &self.g, active, state, &mut ctx.pull_bits);
-        let inflight = ctx.prefetch_inflight.drain(..).map(|(_op, bytes)| bytes);
-        let pending = ctx.prefetch_pending.drain(..).map(|(_chunk, bytes)| bytes);
-        for bytes in inflight.chain(pending) {
-            self.obs_counter_add("prefetch.waste_bytes", bytes);
+        if let Some(pf) = &mut self.prefetch {
+            pf.write_off(&mut self.gpu);
         }
-        ctx.prefetch_deferred.clear();
-        ctx.prefetch_ready = SimTime::ZERO;
         ctx.pull_targets.clear();
         ctx.pull_targets.extend(
             ctx.pull_bits
@@ -808,7 +757,7 @@ impl<'g> AsceticSession<'g> {
         src: &Csr,
         nodes: &[VertexId],
         ready: SimTime,
-        dir: TraversalDirection,
+        dir: &Direction,
         kernel: impl Fn(Batch<'_>, &[u32]) -> u64,
     ) -> OdRun {
         let mut od = OdRun::default();
@@ -849,31 +798,20 @@ impl<'g> AsceticSession<'g> {
             let g_span = ctx.gather_spans[bi];
             let buf_idx = bi % self.od_buffers.len();
 
-            // Prefetch gap fill: the link is provably idle until
-            // this batch's gather completes, so deferred
-            // speculative refreshes ride the second copy stream in
-            // that window — an op is issued only when it finishes
-            // before the gather does, so no on-demand transfer
-            // moves by a nanosecond.
-            while let Some(&op) = ctx.prefetch_deferred.front() {
-                let bytes = self.geo.chunk_len_bytes(op.chunk()) as u64;
-                let dur = self.gpu.config.pcie.transfer_ns(bytes);
-                let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
-                if link_free.0 + dur > g_span.end.0 {
-                    break; // would push this batch's transfer later
-                }
-                ctx.prefetch_deferred.pop_front();
-                self.issue(ctx, op, link_free, false);
+            // prefetch gap fill: the link idles until this gather ends
+            if let Some(pf) = &mut self.prefetch {
+                pf.fill_gap(&mut self.gpu, &self.geo, g_span.end);
             }
 
             // H2D transfer of payload + index into this batch's buffer.
-            // The hotness table's wire cache is keyed by CSR chunks, so
-            // only push — which ships CSR rows — has an estimate to try
-            // before encoding; the mirror's rows are encoded outright.
+            // The wire-size cache is keyed by CSR chunks, so only push —
+            // which ships CSR rows — has an estimate to try before
+            // encoding; the mirror's rows are encoded outright.
             let dst = self.od_buffers[buf_idx].slice(0, batch.words());
             let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
-            let estimate = (dir == Push).then_some(|| {
-                estimate_batch_wire(&self.g, &self.geo, &mut self.hotness, batch.entries)
+            let push = matches!(dir, Direction::Push);
+            let estimate = push.then_some(|| {
+                estimate_batch_wire(&self.g, &self.geo, &mut self.wire, batch.entries)
             });
             let (t_ns, payload_at) = ship_batch(
                 &mut self.gpu,
@@ -892,9 +830,10 @@ impl<'g> AsceticSession<'g> {
             // static kernel automatically)
             let edges = kernel(batch, self.gpu.mem.words(dst));
             let vertices = batch.entries.len() as u64;
-            let c_span = match dir {
-                Push => self.gpu.kernel_at(edges, vertices, payload_at),
-                Pull => self.gpu.pull_kernel_at(edges, vertices, payload_at),
+            let c_span = if push {
+                self.gpu.kernel_at(edges, vertices, payload_at)
+            } else {
+                self.gpu.pull_kernel_at(edges, vertices, payload_at)
             };
             od.edges += edges;
             ctx.breakdown.ondemand_compute_ns += c_span.duration();
@@ -913,103 +852,6 @@ impl<'g> AsceticSession<'g> {
         od
     }
 
-    /// ➏ The push-only phase after the pipeline: score last iteration's
-    /// prefetches against this one's demand, commit the gap-issued ones
-    /// and plan the next iteration's. A no-op unless prefetch is on —
-    /// nothing else reads the hotness table's access history.
-    fn prefetch_phase<P: VertexProgram>(
-        &mut self,
-        prog: &P,
-        ctx: &mut RunCtx,
-        state: &P::State,
-        next: &mut NextFrontier,
-    ) {
-        if !self.cfg.prefetch.is_on() {
-            return;
-        }
-        let g = self.g.clone();
-        let g = &*g;
-        let geo = self.geo;
-        let iter = ctx.iter;
-        self.hotness
-            .record_vertices(g, &geo, &ctx.maps.static_nodes, iter);
-        self.hotness
-            .record_vertices(g, &geo, &ctx.maps.ondemand_nodes, iter);
-
-        // Score the previous iteration's speculative refreshes now that
-        // the demand they predicted has materialized: a hit iff the chunk
-        // is still resident and this iteration touched it.
-        for (c, bytes) in ctx.prefetch_pending.drain(..) {
-            if self.region.is_resident(c) && self.hotness.demanded_at(c, iter) {
-                self.obs_counter_add("prefetch.hits", 1);
-            } else {
-                self.obs_counter_add("prefetch.waste_bytes", bytes);
-            }
-        }
-
-        // ➏ Cross-iteration prefetch: the kernels just wrote the next
-        // frontier, so its chunk demand is already known. Speculatively
-        // refresh the static region on the second copy stream, budgeted
-        // to the link slack left before this iteration's barrier — the
-        // transfers hide entirely under work already on the clock, so
-        // the iteration's makespan is untouched whether they pay off
-        // or not.
-        ctx.prefetch_ready = SimTime::ZERO;
-        // whatever of last iteration's plan never found a gap dies
-        // here, un-issued and free of charge
-        ctx.prefetch_deferred.clear();
-        let next_frontier = next.snapshot(prog, state);
-        if iter + 1 >= prog.max_iterations() || next_frontier.is_all_zero() {
-            // no iteration left to refresh for: what the gaps shipped is waste
-            for (_op, bytes) in ctx.prefetch_inflight.drain(..) {
-                self.obs_counter_add("prefetch.waste_bytes", bytes);
-            }
-            return;
-        }
-        // Commit the gap-issued transfers now that every kernel of
-        // this iteration is done reading the region. The plan was
-        // one iteration old when its wire time was bought, so each
-        // commit is re-validated against the *fresh* frontier: a
-        // stale op is dropped — its link time was idle slack, its
-        // bytes become waste — rather than applied.
-        let demand = chunk_demand_bytes(g, &geo, next_frontier);
-        for (op, bytes) in ctx.prefetch_inflight.drain(..) {
-            let apply = match op {
-                PrefetchOp::Load(c) => {
-                    !self.region.is_resident(c)
-                        && self.region.free_slots() > 0
-                        && demand[c as usize] > 0
-                }
-                PrefetchOp::Swap { evict, load } => {
-                    self.region.is_resident(evict)
-                        && !self.region.is_resident(load)
-                        && demand[load as usize] > demand[evict as usize]
-                }
-            };
-            if apply {
-                self.apply(op);
-                ctx.prefetch_pending.push((op.chunk(), bytes));
-            } else {
-                self.obs_counter_add("prefetch.waste_bytes", bytes);
-            }
-        }
-        let link_free = self.gpu.timeline.engine_free_at(Engine::Copy);
-        let slack = self.gpu.timeline.now().0.saturating_sub(link_free.0);
-        // in chunk-sized DMAs, fixed latency included
-        let op_ns = self.gpu.config.pcie.transfer_ns(geo.chunk_bytes as u64);
-        let budget = (slack / op_ns.max(1)) as usize;
-        let (region, hot) = (&self.region, &mut self.hotness);
-        let max_ops = budget + GAP_PLAN_OPS;
-        let mut plan = plan_ops(g, &geo, region, hot, &demand, self.encode, max_ops).into_iter();
-        // what fits the tail slack ships (and applies) now ...
-        for op in plan.by_ref().take(budget) {
-            self.issue(ctx, op, link_free, true);
-        }
-        // ... the remainder waits for link gaps in the next
-        // iteration's on-demand pipeline
-        ctx.prefetch_deferred.extend(plan);
-    }
-
     /// Close out a run started by `AsceticSession::begin_run`: assemble
     /// the report — the registry's change since the run's base. The device
     /// stays armed as it was built, so a later run keeps recording.
@@ -1017,12 +859,12 @@ impl<'g> AsceticSession<'g> {
         &mut self,
         prog: &P,
         state: &P::State,
-        mut ctx: RunCtx,
+        ctx: RunCtx,
     ) -> RunReport {
-        // speculative refreshes still in flight when the frontier drained
-        // never got their demand scored: charge them as waste
-        for (_c, bytes) in ctx.prefetch_pending.drain(..) {
-            self.obs_counter_add("prefetch.waste_bytes", bytes);
+        // refreshes still pending when the frontier drained never got
+        // their demand scored: they are waste
+        if let Some(pf) = &mut self.prefetch {
+            pf.write_off(&mut self.gpu);
         }
         self.gpu.sync();
         let reg = &mut self.gpu.obs.registry;
@@ -1113,9 +955,9 @@ impl<'g> AsceticSession<'g> {
     ///   removed edge plus a header per refreshed chunk — not the refreshed
     ///   chunks' full payload: the device applies the delta with a
     ///   compaction kernel over the resident copies;
-    /// * the hotness table keeps its access history (chunk boundaries are
-    ///   stable under patching) but drops cached encoded sizes for dirty
-    ///   chunks; the CSC mirror, when built, is re-transposed.
+    /// * the prefetcher keeps its access history (chunk boundaries are
+    ///   stable under patching), the wire-size cache drops the dirty
+    ///   chunks' sizes, and the CSC mirror, when built, is re-transposed.
     pub fn apply_batch(&mut self, batch: &[Mutation]) -> Result<PatchApply, PatchError> {
         self.g.check_batch(batch)?;
         let patch = self.g.to_mut().apply(batch)?;
@@ -1127,8 +969,10 @@ impl<'g> AsceticSession<'g> {
         let rp = self
             .region
             .patch(&mut self.gpu, &self.g, new_geo, first_dirty_chunk);
-        self.hotness.resize(new_geo.num_chunks());
-        self.hotness.invalidate_wire_from(first_dirty_chunk);
+        self.wire.patched(new_geo.num_chunks(), first_dirty_chunk);
+        if let Some(pf) = &mut self.prefetch {
+            pf.resize(new_geo.num_chunks());
+        }
         if self.mirror.is_some() {
             let chunks = GraphChunks::build(&self.g, self.cfg.chunk_bytes);
             self.mirror = Some(Arc::new(chunks));
@@ -1736,16 +1580,16 @@ mod tests {
         s: &mut AsceticSession,
         ctx: &mut RunCtx,
         prog: &Bfs,
-        mut after_step: impl FnMut(&RunCtx),
+        mut after_step: impl FnMut(&AsceticSession, &RunCtx),
     ) {
         let state = prog.new_state(&s.g);
         let mut active = prog.initial_frontier(&s.g);
         let mut next = NextFrontier::new(s.g.num_vertices());
         while !active.is_all_zero() {
-            ops::compute(prog, ctx.iter, &active, &state);
+            prog.compute(ctx.iter, &active, &state);
             s.step_iteration(prog, ctx, &active, &state, &mut next);
             next.finish(prog, &state, &mut active);
-            after_step(ctx);
+            after_step(s, ctx);
         }
     }
 
@@ -1759,16 +1603,13 @@ mod tests {
             .with_direction(DirectionMode::Pull);
         let mut s = AsceticSession::new(cfg, &g);
         let mut ctx = s.begin_run();
-        // a plan a previous push iteration would have left behind
-        ctx.prefetch_deferred
-            .extend([PrefetchOp::Load(0), PrefetchOp::Load(1)]);
-        ctx.prefetch_inflight.push((PrefetchOp::Load(2), 700));
-        ctx.prefetch_pending.push((3, 300));
+        // a plan a previous push iteration would have left behind:
+        // 700 bytes in flight, 300 pending their hit test
+        s.prefetch.as_mut().unwrap().leave_stale_plan(700, 300);
         let prog = Bfs::new(0);
-        step_to_fixed_point(&mut s, &mut ctx, &prog, |ctx| {
+        step_to_fixed_point(&mut s, &mut ctx, &prog, |s, ctx| {
             assert!(ctx.per_iter.last().unwrap().pull);
-            assert!(ctx.prefetch_deferred.is_empty());
-            assert!(ctx.prefetch_inflight.is_empty() && ctx.prefetch_pending.is_empty());
+            assert!(s.prefetch.as_ref().unwrap().is_idle());
         });
         let counted = |s: &AsceticSession, name| s.gpu.obs.registry.counter(name).unwrap_or(0);
         // in-flight + pending bytes, written off by the first iteration
@@ -1845,7 +1686,7 @@ mod tests {
         // nothing": a second identical BFS through the same `RunCtx` must
         // find every recycled buffer already at its high-water size.
         // (`per_iter` / `iter_windows` are the report and grow by design.)
-        fn capacities(ctx: &RunCtx) -> [usize; 10] {
+        fn capacities(ctx: &RunCtx) -> [usize; 7] {
             [
                 ctx.maps.static_nodes.capacity(),
                 ctx.maps.ondemand_nodes.capacity(),
@@ -1854,9 +1695,6 @@ mod tests {
                 ctx.pull_bits.words().len(),
                 ctx.pull_targets.capacity(),
                 ctx.scratch.capacity(),
-                ctx.prefetch_pending.capacity(),
-                ctx.prefetch_deferred.capacity(),
-                ctx.prefetch_inflight.capacity(),
             ]
         }
         let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
@@ -1870,10 +1708,10 @@ mod tests {
             let mut s = AsceticSession::new(cfg, &g);
             let prog = Bfs::new(0);
             let mut ctx = s.begin_run();
-            step_to_fixed_point(&mut s, &mut ctx, &prog, |_| {});
+            step_to_fixed_point(&mut s, &mut ctx, &prog, |_, _| {});
             let warm = capacities(&ctx);
             assert!(warm[2] > 0 && warm[6] > 0, "{what}: the pipeline ran");
-            step_to_fixed_point(&mut s, &mut ctx, &prog, |ctx| {
+            step_to_fixed_point(&mut s, &mut ctx, &prog, |_, ctx| {
                 assert_eq!(capacities(ctx), warm, "{what}: iteration {}", ctx.iter);
             });
         }

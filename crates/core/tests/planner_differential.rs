@@ -1,6 +1,6 @@
 //! Differential pin of the region-op planner: next-frontier prefetch over
 //! 240 seeded states (residency with free slots and non-contiguous holes in
-//! slot order ≠ chunk order, hotness history across two runs, a sparse
+//! slot order ≠ chunk order, access history across two runs, a sparse
 //! demand vector, budgets from 0 past the chunk count, compressible on and
 //! off). Every op list is folded into one FNV; the value below was harvested
 //! from the separate `plan_prefetch` the one pairing loop replaced, so a
@@ -10,8 +10,8 @@
 //! planner_differential -- --nocapture` prints one line per state — diff
 //! two builds' output to find the state that moved.
 
-use ascetic_core::hotness::HotnessTable;
-use ascetic_core::prefetch::{plan_ops, PrefetchOp};
+use ascetic_core::codec::WireSizes;
+use ascetic_core::prefetch::{plan_ops, PrefetchOp, Prefetcher};
 use ascetic_core::static_region::StaticRegion;
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::generators::{web_graph, WebConfig};
@@ -20,16 +20,8 @@ use ascetic_sim::{DeviceConfig, Gpu};
 
 /// Next-frontier prefetch over the state's demand.
 fn next_frontier(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
-    let (demand, compressible) = (&s.demand, s.compressible);
-    plan_ops(
-        g,
-        geo,
-        &s.region,
-        &mut s.hot,
-        demand,
-        compressible,
-        s.max_ops,
-    )
+    let wire = s.compressible.then_some(&mut s.wire);
+    plan_ops(g, geo, &s.region, &s.history, wire, &s.demand, s.max_ops)
 }
 
 /// Pinned fingerprint (harvested on the three-planner parent).
@@ -78,7 +70,8 @@ impl Rng {
 
 struct State {
     region: StaticRegion,
-    hot: HotnessTable,
+    history: Prefetcher,
+    wire: WireSizes,
     demand: Vec<u64>,
     max_ops: usize,
     compressible: bool,
@@ -118,19 +111,19 @@ fn state(seed: u64, g: &Csr, geo: ChunkGeometry) -> State {
         region.swap_chunk(&mut gpu, g, evict, load);
     }
 
-    // Hotness: two runs of random touches. (One state in three still takes
+    // Access history: two runs of random touches. (One state in three still takes
     // the draw that once picked a staleness threshold, so the states are
     // the ones the fingerprint was harvested on.)
     if seed % 3 == 1 {
         rng.below(4);
     }
-    let mut hot = HotnessTable::new(n);
+    let mut history = Prefetcher::new(n);
     for _run in 0..2 {
-        hot.begin_run();
+        history.begin_run();
         let iters = 1 + rng.below(4) as u32;
         for it in 0..iters {
             for _ in 0..rng.below(n) {
-                hot.record(rng.below(n) as ChunkId, it);
+                history.record(rng.below(n) as ChunkId, it);
             }
         }
     }
@@ -146,7 +139,8 @@ fn state(seed: u64, g: &Csr, geo: ChunkGeometry) -> State {
 
     State {
         region,
-        hot,
+        history,
+        wire: WireSizes::new(n),
         demand,
         max_ops: rng.below(n + 3),
         compressible: seed.is_multiple_of(2),

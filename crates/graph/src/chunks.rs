@@ -2,7 +2,8 @@
 //!
 //! Paper §3.4: *"we divide the graph dataset into 16KB chunks, which are
 //! also amenable to the PCI-e burst transfer mechanism"*. The static region,
-//! the hotness table and the Figure-2 access tracer all operate on this
+//! the prefetcher's access history, the codec's wire-size cache and the
+//! Figure-2 access tracer all operate on this
 //! fixed-size chunking of the edge array. A chunk covers a contiguous range
 //! of edge *indices*; how many edges fit depends on whether the graph is
 //! weighted (16 KiB / 4 B = 4096 edges, or 2048 weighted).

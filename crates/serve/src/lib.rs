@@ -14,7 +14,7 @@
 //! - **shared-residency scheduling** ([`policy`]) — the
 //!   [`Policy::ResidencyAffinity`] policy prefers the waiting job whose
 //!   chunk demand best overlaps what is already on-device, so the warmed
-//!   static region and hotness table carry from job to job instead of
+//!   static region and prefetch history carry from job to job instead of
 //!   being torn down and re-prestored.
 //! - **query batching** ([`server`], via `ascetic_algos::batch`) —
 //!   compatible single-source BFS/SSSP jobs fold into one multi-source
@@ -26,7 +26,7 @@
 //! - **streaming mutations** ([`server::serve_mutating`]) — traces may
 //!   interleave edge insert/delete records; when a batch's serve-clock
 //!   instant passes, each device's live session is delta-patched in place
-//!   (resident chunks rewritten, hotness carried) instead of being torn
+//!   (resident chunks rewritten, access history carried) instead of being torn
 //!   down and re-prestored, and later jobs answer over the mutated graph.
 //!
 //! Everything runs on integer virtual time: a (trace, policy, config)

@@ -7,11 +7,11 @@ pub enum Policy {
     Fifo,
     /// Shortest job first: rank by a per-algorithm running-mean cost
     /// estimate (seeded from the graph's edge volume, refined by the
-    /// hotness of observed runs), shortest first.
+    /// costs of observed runs), shortest first.
     Sjf,
     /// Residency affinity: prefer the job whose chunk demand best overlaps
     /// what the live session already holds on-device, carrying the warmed
-    /// static region and hotness table across jobs instead of tearing the
+    /// static region and prefetch history across jobs instead of tearing the
     /// session down.
     ResidencyAffinity,
 }

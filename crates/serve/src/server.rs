@@ -17,7 +17,7 @@
 //!    the pick (up to [`MAX_BATCH_LANES`], the MS-BFS mask width) and the
 //!    whole batch runs as one multi-source pass;
 //! 4. **residency** — if the live session already serves the right graph
-//!    variant it is *reused*: the warmed static region and hotness table
+//!    variant it is *reused*: the warmed static region and prefetch history
 //!    carry over and the run pays no prestore. A variant switch tears the
 //!    session down and pays a fresh prestore — the cost residency-affinity
 //!    scheduling exists to avoid.
@@ -298,7 +298,7 @@ pub fn serve(
 /// the serve clock. Records sharing an `at_ns` form one atomic batch;
 /// when a device's clock passes a batch boundary its live session is
 /// *delta-patched in place* — its own graph patched, resident chunks
-/// rewritten, hotness and residency carried — rather than torn down and
+/// rewritten, access history and residency carried — rather than torn down and
 /// re-prestored, and every job started at or after the boundary answers
 /// over the mutated graph. Both graph variants are mutated in lockstep
 /// (insert weights default to 1 on the weighted variant and are dropped on
@@ -541,7 +541,7 @@ impl<'a, 'g> Scheduler<'a, 'g> {
     }
 
     /// Residency: a live session of the right variant is *reused* — the
-    /// warmed static region and hotness table carry over — and, if it is
+    /// warmed static region and prefetch history carry over — and, if it is
     /// behind the mutation schedule, caught up by patching each passed
     /// batch into its own graph and resident chunks: repaired, not
     /// rebuilt. Anything else is torn down for a cold session over the

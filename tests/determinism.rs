@@ -183,7 +183,7 @@ fn compression_modes_are_bit_identical_across_thread_counts() {
 
 /// Satellite of the prefetch-pipeline PR: the cross-iteration prefetch
 /// planner runs on the single orchestration thread over deterministic
-/// inputs (frontier bitmap, hotness table, cached encode sizes), and the
+/// inputs (frontier bitmap, access history, cached encode sizes), and the
 /// second copy stream arbitrates the link in issue order — so every
 /// prefetch mode, combined with every compression mode, must be
 /// bit-identical at every host thread count, including the speculative
