@@ -323,22 +323,12 @@ mod tests {
         assert_eq!(rep.prestore_bytes, g.edge_bytes());
     }
 
+    /// R = 0 leaves the region no slot: every program is served on demand
+    /// and matches its oracle, and next-frontier prefetch has nothing to
+    /// load or evict, so turning it on changes no byte of the run — under
+    /// either compression mode and in every direction the program can take.
     #[test]
     fn forced_tiny_static_ratio_still_correct() {
-        let g = uniform_graph(1_000, 8_000, false, 13);
-        let rep = AsceticSystem::new(cfg_for(&g).with_static_ratio(0.0)).run(&g, &Bfs::new(0));
-        assert_eq!(rep.output, run_in_memory(&g, &Bfs::new(0)).output);
-        assert_eq!(rep.prestore_bytes, 0);
-        let static_edges: u64 = rep.per_iter.iter().map(|i| i.static_edges).sum();
-        assert_eq!(static_edges, 0, "R=0 must serve everything on demand");
-    }
-
-    /// A zero-slot region (R = 0) leaves next-frontier prefetch nothing to
-    /// load and nothing to evict: turning it on changes no byte of any
-    /// program's run, under either compression mode and in every direction
-    /// the program can take.
-    #[test]
-    fn a_zero_slot_region_runs_prefetch_on_exactly_as_off() {
         use crate::config::CompressionMode;
         use crate::config::DirectionMode::{Adaptive, Pull, Push};
         use crate::prefetch::PrefetchMode;
@@ -363,8 +353,15 @@ mod tests {
                     let run = |mode| AsceticSystem::new(cfg.with_prefetch(mode)).run(g, &prog);
                     let (off, on) = (run(PrefetchMode::Off), run(PrefetchMode::NextFrontier));
                     let what = format!("{algo} {compression} {direction}");
-                    assert_eq!(on.prefetch_ops, 0, "{what}");
+                    assert_eq!(off.output, oracle, "{what}");
                     assert_eq!(on.output, oracle, "{what}");
+                    assert_eq!(off.prestore_bytes, 0, "{what}");
+                    let static_edges: u64 = off.per_iter.iter().map(|i| i.static_edges).sum();
+                    assert_eq!(
+                        static_edges, 0,
+                        "{what}: R=0 must serve everything on demand"
+                    );
+                    assert_eq!(on.prefetch_ops, 0, "{what}");
                     assert_eq!(on.summary_json(), off.summary_json(), "{what}");
                 }
             }
