@@ -441,6 +441,17 @@ mod tests {
     }
 
     #[test]
+    fn wire_byte_cache_round_trips() {
+        let g = uniform_graph(200, 2_000, false, 9);
+        let geo = ChunkGeometry::with_chunk_bytes(&g, 512);
+        let mut sizes = WireSizes::new(geo.num_chunks());
+        assert_eq!(sizes.0[2], 0, "a new cache holds no sizes");
+        sizes.0[2] = 1234;
+        assert_eq!(chunk_wire_bytes(&g, &geo, 2, &mut sizes), 1234);
+        assert_eq!(sizes.0[3], 0, "other chunks unaffected");
+    }
+
+    #[test]
     fn batch_estimate_tracks_actual_encoding_on_web_locality() {
         let g = web_graph(&WebConfig::new(5_000, 50_000, 3));
         let geo = ChunkGeometry::with_chunk_bytes(&g, 1024);
