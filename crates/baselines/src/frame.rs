@@ -3,14 +3,15 @@
 //! PT, Subway and UVM differ in which bytes move when — and in nothing
 //! else: each runs on a fresh device with the vertex arrays reserved,
 //! opens every iteration on a barrier (`gpu.sync()`) and closes it on
-//! another ([`Frame::close`]), logs one [`IterReport`] per iteration and
-//! assembles the same [`RunReport`]. That frame lives here, once, and the
+//! another ([`Frame::close`]), logs one [`IterReport`] per iteration in
+//! the ledger the Ascetic session keeps too ([`RunLedger`]) and assembles
+//! the same [`RunReport`] from it. That frame lives here, once, and the
 //! frontier loop around it is [`ascetic_algos::ops::Drive`]; the system
 //! modules keep only their data movement.
 
 use ascetic_algos::VertexProgram;
-use ascetic_core::engine::{finish_report, RunBase};
-use ascetic_core::report::{Breakdown, IterReport, RunReport};
+use ascetic_core::engine::RunLedger;
+use ascetic_core::report::{IterReport, RunReport};
 use ascetic_core::system::{
     check_edge_budget, edge_budget_bytes, reserve_vertex_arrays, PrepareError,
 };
@@ -33,10 +34,10 @@ pub(crate) struct Frame {
     /// The device: vertex arrays reserved, tracer armed as the system
     /// asked.
     pub gpu: Gpu,
-    /// Time components the system charges as it goes.
-    pub breakdown: Breakdown,
-    per_iter: Vec<IterReport>,
-    iter_windows: Vec<(u64, u64)>,
+    /// The run's ledger: a fresh device per run, so its base is the
+    /// default (nothing came before); the system charges its breakdown
+    /// as it goes.
+    pub ledger: RunLedger,
 }
 
 impl Frame {
@@ -46,9 +47,7 @@ impl Frame {
         reserve_vertex_arrays(&mut gpu, g);
         Frame {
             gpu,
-            breakdown: Breakdown::default(),
-            per_iter: Vec::new(),
-            iter_windows: Vec::new(),
+            ledger: RunLedger::default(),
         }
     }
 
@@ -72,15 +71,15 @@ impl Frame {
         payload_bytes: u64,
     ) {
         let end = self.gpu.sync();
-        self.per_iter.push(IterReport {
+        let row = IterReport {
             active_vertices,
             active_edges,
             payload_bytes,
-            time_ns: end.since(start),
+            time_ns: 0,
             static_edges: 0,
             pull: false,
-        });
-        self.iter_windows.push((start.0, end.0));
+        };
+        self.ledger.close(start, end, row);
     }
 
     /// Assemble the run's report from the final device state.
@@ -89,19 +88,9 @@ impl Frame {
         system: &'static str,
         prog: &P,
         state: &P::State,
-        iterations: u32,
     ) -> RunReport {
-        finish_report(
-            system,
-            prog.name(),
-            iterations,
-            &mut self.gpu,
-            // a fresh device per run: nothing came before
-            &RunBase::default(),
-            self.breakdown,
-            self.per_iter,
-            self.iter_windows,
-            prog.output(state),
-        )
+        let output = prog.output(state);
+        self.ledger
+            .into_report(system, prog.name(), &mut self.gpu, output)
     }
 }

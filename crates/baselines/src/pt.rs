@@ -73,7 +73,7 @@ impl OutOfCoreSystem for PtSystem {
         let mut drive = Drive::new(prog, g, &state);
         while drive.begin(&mut active).is_some() {
             let iter_start = frame.gpu.sync();
-            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.ledger.breakdown);
             let next_bits = next.writer();
             let mut payload = 0u64;
             let mut active_vertices = 0u64;
@@ -162,7 +162,7 @@ impl OutOfCoreSystem for PtSystem {
             frame.close(iter_start, active_vertices, active_edges, payload);
             drive.end(&mut active, &mut next);
         }
-        frame.finish("PT", prog, &state, drive.iterations())
+        frame.finish("PT", prog, &state)
     }
 }
 

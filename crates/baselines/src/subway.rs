@@ -92,7 +92,7 @@ impl OutOfCoreSystem for SubwaySystem {
         let mut drive = Drive::new(prog, g, &state);
         while drive.begin(&mut active).is_some() {
             let iter_start = frame.gpu.sync();
-            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.ledger.breakdown);
             active.collect_indices(&mut nodes);
             let active_edges: u64 = nodes.iter().map(|&v| g.degree(v)).sum();
             let next_bits = next.writer();
@@ -143,7 +143,7 @@ impl OutOfCoreSystem for SubwaySystem {
             frame.close(iter_start, nodes.len() as u64, active_edges, payload);
             drive.end(&mut active, &mut next);
         }
-        frame.finish("Subway", prog, &state, drive.iterations())
+        frame.finish("Subway", prog, &state)
     }
 }
 

@@ -83,7 +83,7 @@ impl UvmSystem {
         let mut drive = Drive::new(prog, g, &state);
         while let Some(iter) = drive.begin(&mut active) {
             let iter_start = frame.gpu.sync();
-            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.breakdown);
+            let (gpu, breakdown) = (&mut frame.gpu, &mut frame.ledger.breakdown);
             // Execute on host data first (the UVM mapping *is* host memory,
             // so this is the in-memory oracle's advance); what follows
             // charges the page traffic those reads would have cost.
@@ -156,7 +156,7 @@ impl UvmSystem {
             frame.close(iter_start, nodes.len() as u64, active_edges, migrated);
             drive.end(&mut active, &mut next);
         }
-        frame.finish("UVM", prog, &state, drive.iterations())
+        frame.finish("UVM", prog, &state)
     }
 }
 

@@ -242,6 +242,13 @@ mod tests {
         }
     }
 
+    impl WireSizes {
+        /// How many chunks have been measured so far.
+        pub(crate) fn measured(&self) -> usize {
+            self.0.iter().filter(|&&size| size != 0).count()
+        }
+    }
+
     #[test]
     fn crossover_favors_big_well_compressed_transfers() {
         let cfg = DeviceConfig::p100(1 << 30);

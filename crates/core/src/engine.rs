@@ -23,7 +23,7 @@
 use ascetic_algos::{AlgoOutput, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_obs::MetricsSnapshot;
-use ascetic_sim::{Engine, Gpu, KernelStats, XferStats};
+use ascetic_sim::{Engine, Gpu, KernelStats, SimTime, XferStats};
 
 use crate::config::AsceticConfig;
 use crate::report::{utilization_from_trace, Breakdown, IterReport, RunReport, SCALARS};
@@ -96,101 +96,123 @@ pub struct RunBase {
     pub prestore_ns: u64,
 }
 
-/// Assemble a [`RunReport`] from the final device state (shared with the
-/// baselines crate). A run's numbers are one diff: the device registry —
-/// the only place anything was counted — against `base`, and every scalar
-/// field is read off that snapshot.
-///
-/// `iter_windows` are the per-iteration `(start_ns, end_ns)` windows on
-/// the virtual clock; when tracing was enabled they drive the
-/// [`RunReport::utilization`] timeline (pass an empty slice when the
-/// caller did not record them).
-#[allow(clippy::too_many_arguments)]
-pub fn finish_report(
-    system: &'static str,
-    algorithm: &'static str,
-    iterations: u32,
-    gpu: &mut Gpu,
-    base: &RunBase,
-    breakdown: Breakdown,
+/// A run's ledger, the same for the session and the baseline frame: the
+/// base its numbers are measured from, the time components its system
+/// charges, and one report row and one `(start_ns, end_ns)` window per
+/// closed iteration. It never branches on its caller.
+#[derive(Default)]
+pub struct RunLedger {
+    /// What the run is measured from.
+    pub(crate) base: RunBase,
+    /// Time components the system charges as it goes.
+    pub breakdown: Breakdown,
+    // one row and one window per closed iteration, pushed together
     per_iter: Vec<IterReport>,
     iter_windows: Vec<(u64, u64)>,
-    output: AlgoOutput,
-) -> RunReport {
-    let peak = per_iter.iter().map(|i| i.payload_bytes).max().unwrap_or(0);
-    let avg = if per_iter.is_empty() {
-        0
-    } else {
-        per_iter.iter().map(|i| i.payload_bytes).sum::<u64>() / per_iter.len() as u64
-    };
-    // taking the tracer leaves the device armed as it was; taking the event
-    // log leaves an empty one behind
-    let span_trace = gpu.timeline.take_tracer().map(|t| t.finish());
-    let utilization = span_trace
-        .as_ref()
-        .map(|t| utilization_from_trace(t, &iter_windows))
-        .unwrap_or_default();
-    let events = gpu.obs.take_events();
-    let sim_time_ns = gpu.elapsed().0 - base.clock_ns;
-    let compute_busy_ns = gpu.timeline.busy_ns(Engine::Compute) - base.compute_busy_ns;
-    let mut metrics = gpu.obs.registry.snapshot().diff(&base.metrics);
-    metrics.set_label("system", system);
-    metrics.set_label("algo", algorithm);
-    let tally = |name: &str| metrics.counter(name).unwrap_or(0);
-    let mut report = RunReport {
-        system,
-        algorithm,
-        iterations,
-        sim_time_ns,
-        xfer: XferStats {
-            h2d_bytes: tally("xfer.h2d_bytes"),
-            h2d_wire_bytes: tally("xfer.h2d_wire_bytes"),
-            h2d_prefetch_bytes: tally("prefetch.bytes"),
-            d2h_bytes: tally("xfer.d2h_bytes"),
-            h2d_ops: tally("xfer.h2d_ops"),
-            d2h_ops: tally("xfer.d2h_ops"),
-        },
-        prestore_bytes: tally("prestore.bytes"),
-        prestore_wire_bytes: tally("prestore.wire_bytes"),
-        prestore_ns: base.prestore_ns,
-        refresh_bytes: tally("refresh.bytes"),
-        refresh_wire_bytes: tally("refresh.wire_bytes"),
-        prefetch_bytes: tally("prefetch.bytes"),
-        prefetch_ops: tally("prefetch.ops"),
-        prefetch_hits: tally("prefetch.hits"),
-        prefetch_wasted_bytes: tally("prefetch.waste_bytes"),
-        kernels: KernelStats {
-            launches: tally("kernel.launches"),
-            edges: tally("kernel.edges"),
-            vertices: tally("kernel.vertices"),
-            time_ns: tally("kernel.time_ns"),
-        },
-        breakdown,
-        gpu_idle_ns: sim_time_ns.saturating_sub(compute_busy_ns),
-        repartitions: tally("repartitions") as u32,
-        span_trace,
-        utilization,
-        events_dropped: events.dropped(),
-        first_drop_at: events.first_drop_at(),
-        metrics,
-        events,
-        peak_iteration_payload_bytes: peak,
-        avg_iteration_payload_bytes: avg,
-        output,
-        per_iter,
-    };
-    // A name the registry never saw is written from the report, once: the
-    // scalars derived here (clock, idle, payload, iterations, drops) at
-    // their value, a counter no operation bumped at zero.
-    for &(name, gauge, _, get) in SCALARS.iter().filter(|s| !s.0.is_empty()) {
-        let value = get(&report);
-        if gauge {
-            report.metrics.set_gauge(name, value);
-        } else if report.metrics.counter(name).is_none() {
-            report.metrics.set_counter(name, value);
-        }
+}
+
+impl RunLedger {
+    /// Iterations closed so far.
+    pub(crate) fn iterations(&self) -> u32 {
+        self.per_iter.len() as u32
     }
-    report
+
+    /// Close an iteration that ran from `start` to `end`: its window, and
+    /// `row` with its time filled in.
+    pub fn close(&mut self, start: SimTime, end: SimTime, mut row: IterReport) {
+        self.iter_windows.push((start.0, end.0));
+        row.time_ns = end.since(start);
+        self.per_iter.push(row);
+    }
+
+    /// Assemble the run's [`RunReport`] from the final device state. A
+    /// run's numbers are one diff: the device registry — the only place
+    /// anything was counted — against the base, and every scalar field is
+    /// read off that snapshot. When tracing was enabled the iteration
+    /// windows drive the [`RunReport::utilization`] timeline.
+    pub fn into_report(
+        self,
+        system: &'static str,
+        algorithm: &'static str,
+        gpu: &mut Gpu,
+        output: AlgoOutput,
+    ) -> RunReport {
+        let (base, per_iter) = (&self.base, &self.per_iter);
+        let peak = per_iter.iter().map(|i| i.payload_bytes).max().unwrap_or(0);
+        let avg = if per_iter.is_empty() {
+            0
+        } else {
+            per_iter.iter().map(|i| i.payload_bytes).sum::<u64>() / per_iter.len() as u64
+        };
+        // taking the tracer leaves the device armed as it was; taking the event
+        // log leaves an empty one behind
+        let span_trace = gpu.timeline.take_tracer().map(|t| t.finish());
+        let utilization = span_trace
+            .as_ref()
+            .map(|t| utilization_from_trace(t, &self.iter_windows))
+            .unwrap_or_default();
+        let events = gpu.obs.take_events();
+        let sim_time_ns = gpu.elapsed().0 - base.clock_ns;
+        let compute_busy_ns = gpu.timeline.busy_ns(Engine::Compute) - base.compute_busy_ns;
+        let mut metrics = gpu.obs.registry.snapshot().diff(&base.metrics);
+        metrics.set_label("system", system);
+        metrics.set_label("algo", algorithm);
+        let tally = |name: &str| metrics.counter(name).unwrap_or(0);
+        let mut report = RunReport {
+            system,
+            algorithm,
+            iterations: self.iterations(),
+            sim_time_ns,
+            xfer: XferStats {
+                h2d_bytes: tally("xfer.h2d_bytes"),
+                h2d_wire_bytes: tally("xfer.h2d_wire_bytes"),
+                h2d_prefetch_bytes: tally("prefetch.bytes"),
+                d2h_bytes: tally("xfer.d2h_bytes"),
+                h2d_ops: tally("xfer.h2d_ops"),
+                d2h_ops: tally("xfer.d2h_ops"),
+            },
+            prestore_bytes: tally("prestore.bytes"),
+            prestore_wire_bytes: tally("prestore.wire_bytes"),
+            prestore_ns: base.prestore_ns,
+            refresh_bytes: tally("refresh.bytes"),
+            refresh_wire_bytes: tally("refresh.wire_bytes"),
+            prefetch_bytes: tally("prefetch.bytes"),
+            prefetch_ops: tally("prefetch.ops"),
+            prefetch_hits: tally("prefetch.hits"),
+            prefetch_wasted_bytes: tally("prefetch.waste_bytes"),
+            kernels: KernelStats {
+                launches: tally("kernel.launches"),
+                edges: tally("kernel.edges"),
+                vertices: tally("kernel.vertices"),
+                time_ns: tally("kernel.time_ns"),
+            },
+            breakdown: self.breakdown,
+            gpu_idle_ns: sim_time_ns.saturating_sub(compute_busy_ns),
+            repartitions: tally("repartitions") as u32,
+            span_trace,
+            utilization,
+            events_dropped: events.dropped(),
+            first_drop_at: events.first_drop_at(),
+            metrics,
+            events,
+            peak_iteration_payload_bytes: peak,
+            avg_iteration_payload_bytes: avg,
+            output,
+            per_iter: self.per_iter,
+        };
+        // A name the registry never saw is written from the report, once: the
+        // scalars derived here (clock, idle, payload, iterations, drops) at
+        // their value, a counter no operation bumped at zero.
+        for &(name, gauge, _, get) in SCALARS.iter().filter(|s| !s.0.is_empty()) {
+            let value = get(&report);
+            if gauge {
+                report.metrics.set_gauge(name, value);
+            } else if report.metrics.counter(name).is_none() {
+                report.metrics.set_counter(name, value);
+            }
+        }
+        report
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +224,13 @@ mod tests {
     use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::{rmat_graph, uniform_graph, RmatConfig};
     use ascetic_sim::DeviceConfig;
+
+    impl RunLedger {
+        /// The rows of the iterations closed so far.
+        pub(crate) fn rows(&self) -> &[IterReport] {
+            &self.per_iter
+        }
+    }
 
     /// A device sized so the test graph heavily oversubscribes it.
     fn small_device_for(g: &Csr) -> DeviceConfig {

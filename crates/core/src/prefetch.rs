@@ -146,16 +146,17 @@ pub fn chunk_demand_bytes(g: &Csr, geo: &ChunkGeometry, frontier: &Bitmap) -> Ve
 ///   the swept past.
 pub fn plan_ops(
     g: &Csr,
-    geo: &ChunkGeometry,
     region: &StaticRegion,
     history: &Prefetcher,
     mut wire: Option<&mut WireSizes>,
     demand: &[u64],
     max_ops: usize,
 ) -> Vec<PrefetchOp> {
-    if max_ops == 0 {
+    // a region with no slot can take no op: price nothing
+    if max_ops == 0 || region.slots() == 0 {
         return Vec::new();
     }
+    let geo = &region.geo;
     let mut candidates: Vec<(u128, ChunkId)> = (0..geo.num_chunks() as ChunkId)
         .filter(|&c| !region.is_resident(c) && demand[c as usize] > 0)
         .map(|c| {
@@ -324,9 +325,9 @@ impl Prefetcher {
     /// `gather_end`: the link idles until then, so a deferred op ships if it
     /// lands before that — no on-demand transfer moves by a nanosecond. It
     /// waits in flight for the boundary's commit: kernels read the region.
-    pub(crate) fn fill_gap(&mut self, gpu: &mut Gpu, geo: &ChunkGeometry, gather_end: SimTime) {
+    pub(crate) fn fill_gap(&mut self, gpu: &mut Gpu, region: &StaticRegion, gather_end: SimTime) {
         while let Some(&op) = self.deferred.front() {
-            let bytes = geo.chunk_len_bytes(op.chunk()) as u64;
+            let bytes = region.geo.chunk_len_bytes(op.chunk()) as u64;
             let dur = gpu.config.pcie.transfer_ns(bytes);
             let link_free = gpu.timeline.engine_free_at(Engine::Copy);
             if link_free.0 + dur > gather_end.0 {
@@ -350,14 +351,14 @@ impl Prefetcher {
         gpu: &mut Gpu,
         region: &mut StaticRegion,
         g: &Csr,
-        geo: &ChunkGeometry,
         wire: Option<&mut WireSizes>,
         maps: &DataMaps,
         iter: u32,
         next: Option<&Bitmap>,
     ) {
-        self.record_vertices(g, geo, &maps.static_nodes, iter);
-        self.record_vertices(g, geo, &maps.ondemand_nodes, iter);
+        let geo = region.geo;
+        self.record_vertices(g, &geo, &maps.static_nodes, iter);
+        self.record_vertices(g, &geo, &maps.ondemand_nodes, iter);
         // Score the previous iteration's refreshes now that the demand
         // they predicted has materialized: a hit iff the chunk is still
         // resident and this iteration touched it.
@@ -381,7 +382,7 @@ impl Prefetcher {
         // old when its wire time was bought, so each commit is re-validated
         // against the *fresh* frontier: a stale op is dropped — its link
         // time was idle slack, its bytes become waste — rather than applied.
-        let demand = chunk_demand_bytes(g, geo, next);
+        let demand = chunk_demand_bytes(g, &geo, next);
         for (op, bytes) in self.inflight.drain(..) {
             let fresh = match op {
                 PrefetchOp::Load(c) => {
@@ -408,7 +409,7 @@ impl Prefetcher {
         let op_ns = gpu.config.pcie.transfer_ns(geo.chunk_bytes as u64);
         let budget = (slack / op_ns.max(1)) as usize;
         let max_ops = budget + GAP_PLAN_OPS;
-        let mut plan = plan_ops(g, geo, region, self, wire, &demand, max_ops).into_iter();
+        let mut plan = plan_ops(g, region, self, wire, &demand, max_ops).into_iter();
         for op in plan.by_ref().take(budget) {
             apply(region, gpu, g, op);
             let bytes = geo.chunk_len_bytes(op.chunk()) as u64;
@@ -507,14 +508,13 @@ mod tests {
     /// The `NextFrontier` plan for the frontier `f`, at raw wire costs.
     fn plan(
         g: &Csr,
-        geo: &ChunkGeometry,
         sr: &StaticRegion,
         history: &Prefetcher,
         f: &Bitmap,
         max_ops: usize,
     ) -> Vec<PrefetchOp> {
-        let demand = chunk_demand_bytes(g, geo, f);
-        plan_ops(g, geo, sr, history, None, &demand, max_ops)
+        let demand = chunk_demand_bytes(g, &sr.geo, f);
+        plan_ops(g, sr, history, None, &demand, max_ops)
     }
 
     #[test]
@@ -568,7 +568,7 @@ mod tests {
         let mut f = Bitmap::new(33);
         f.set(5);
         f.set(21);
-        let ops = plan(&g, &geo, &sr, &history, &f, 8);
+        let ops = plan(&g, &sr, &history, &f, 8);
         // chunk 5 comes in; chunk 1 is demanded next iteration so only
         // chunk 0 may be evicted
         assert_eq!(ops, vec![PrefetchOp::Swap { evict: 0, load: 5 }]);
@@ -583,7 +583,7 @@ mod tests {
         sr.fill(&mut gpu, &g, &[0, 1]);
         let history = Prefetcher::new(8);
         let f = Bitmap::ones(33); // everything active (PageRank-style)
-        let ops = plan(&g, &geo, &sr, &history, &f, 8);
+        let ops = plan(&g, &sr, &history, &f, 8);
         assert!(
             ops.is_empty(),
             "nothing evictable when every resident has next-iteration demand"
@@ -602,7 +602,7 @@ mod tests {
         f.set(9); // chunk 2
         f.set(13); // chunk 3
         f.set(17); // chunk 4
-        let ops = plan(&g, &geo, &sr, &history, &f, 8);
+        let ops = plan(&g, &sr, &history, &f, 8);
         assert_eq!(ops.len(), 3);
         assert!(matches!(ops[0], PrefetchOp::Load(_)));
         assert!(matches!(ops[1], PrefetchOp::Load(_)));
@@ -622,8 +622,25 @@ mod tests {
         sr.fill(&mut gpu, &g, &[0]);
         let history = Prefetcher::new(8);
         let f = Bitmap::ones(33);
-        let ops = plan(&g, &geo, &sr, &history, &f, 2);
+        let ops = plan(&g, &sr, &history, &f, 2);
         assert_eq!(ops.len(), 2, "max_ops bounds the plan");
+    }
+
+    #[test]
+    fn a_region_without_slots_plans_and_prices_nothing() {
+        let (g, geo) = fixture();
+        let mut gpu = Gpu::new(DeviceConfig::p100(1 << 20));
+        let history = Prefetcher::new(8);
+        let demand = chunk_demand_bytes(&g, &geo, &Bitmap::ones(33));
+        for slots in [0, 1] {
+            let mut sr = StaticRegion::new(&mut gpu, &g, geo, slots * 16);
+            sr.fill(&mut gpu, &g, &[]);
+            let mut sizes = WireSizes::new(8);
+            let ops = plan_ops(&g, &sr, &history, Some(&mut sizes), &demand, 8);
+            assert_eq!(ops.len() as u64, slots, "one free slot, one load");
+            // the wire cost is measured only when a plan could use it
+            assert_eq!(sizes.measured() > 0, slots > 0, "{slots} slot(s)");
+        }
     }
 
     #[test]
@@ -641,7 +658,7 @@ mod tests {
             f.set(v);
         }
         f.set(12);
-        let ops = plan(&g, &geo, &sr, &history, &f, 8);
+        let ops = plan(&g, &sr, &history, &f, 8);
         // chunk 2 (16 B) may displace chunk 0 (4 B): net −12 B of
         // next-iteration on-demand volume. Chunk 3 (4 B) must NOT displace
         // chunk 1 (16 B): that swap would be churn.
@@ -660,7 +677,7 @@ mod tests {
         for v in 8..12 {
             f.set(v); // chunk 2 demanded, both residents at zero demand
         }
-        let ops = plan(&g, &geo, &sr, &history, &f, 8);
+        let ops = plan(&g, &sr, &history, &f, 8);
         // In a traversal the never-touched chunk is the unexplored future:
         // evict the swept past (accessed, stale) first, even though its
         // stamp makes it look "warmer" than the never-accessed resident.

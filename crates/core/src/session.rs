@@ -28,7 +28,7 @@ use std::sync::Arc;
 use ascetic_algos::ops::{self, NextFrontier};
 use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
-use ascetic_graph::{Csr, GraphChunks, GraphPatch, Mutation, PatchError, VertexId};
+use ascetic_graph::{Csr, GraphPatch, Mutation, PatchError, VertexId};
 use ascetic_obs::Event;
 use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
@@ -38,13 +38,13 @@ use crate::codec::{
     WireSizes,
 };
 use crate::config::{AsceticConfig, DirectionMode};
-use crate::engine::{finish_report, RunBase};
+use crate::engine::RunLedger;
 use crate::graph_ref::SessionGraph;
 use crate::maps::DataMaps;
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
 use crate::prefetch::{chunk_demand_bytes, Prefetcher};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
-use crate::report::{Breakdown, IterReport, RunReport};
+use crate::report::{IterReport, RunReport};
 use crate::static_region::StaticRegion;
 use crate::system::{edge_budget_bytes, reserve_vertex_arrays};
 
@@ -73,26 +73,25 @@ pub struct AsceticSession<'g> {
     // the caller's graph until the first mutation batch, then the
     // session's own copy of the epoch it is on
     g: SessionGraph<'g>,
-    geo: ChunkGeometry,
     gpu: Gpu,
+    // its `geo` is the session's one chunk geometry
     region: StaticRegion,
     // the on-demand region and the batch buffers it is split into
     od_slab: DevPtr,
     od_buffers: Vec<DevPtr>,
     evidence: RegionEvidence,
     // per-chunk encoded sizes: the prestore, push batches and the
-    // prefetch planner price the compressed path from them
-    wire: WireSizes,
+    // prefetch planner price the compressed path from them; only when
+    // this graph's payloads may ship encoded at all (resolved once) —
+    // without it everything ships raw
+    wire: Option<WireSizes>,
     // every prefetch decision; only when the config prefetches
     prefetch: Option<Prefetcher>,
-    // whether this graph's payloads may ship encoded at all (resolved
-    // once); `false` ships everything raw
-    encode: bool,
-    // the chunked CSC mirror for pull-direction iterations; built once
-    // per session (only when the config can ever pull) and shared by
-    // every run — behind a handle a pull iteration holds while it
-    // drives the device
-    mirror: Option<Arc<GraphChunks>>,
+    // the CSC mirror (the transposed graph) for pull-direction
+    // iterations; built once per session (only when the config can ever
+    // pull) and shared by every run — behind a handle a pull iteration
+    // holds while it drives the device
+    mirror: Option<Arc<Csr>>,
     prestore_ns: u64,
     runs: u32,
 }
@@ -102,7 +101,7 @@ pub struct AsceticSession<'g> {
 /// one.
 enum Direction {
     Push,
-    Pull(Arc<GraphChunks>),
+    Pull(Arc<Csr>),
 }
 
 /// What one pass of the on-demand pipeline hands back to the frame.
@@ -114,21 +113,18 @@ struct OdRun {
     edges: u64,
 }
 
-/// Per-run bookkeeping threaded through the stepping API: the base
-/// `AsceticSession::begin_run` captured (what the run's numbers are
-/// measured from — the tallies themselves live in the device registry and
-/// nowhere else) plus every piece of loop state one iteration hands the
-/// next (breakdown, per-iteration reports, direction choice, buffer
-/// fences) and the host buffers an iteration refills instead of allocating
-/// (data maps, batch plan, gather spans, pull targets, encoder scratch).
+/// Per-run bookkeeping threaded through the stepping API: the run's
+/// ledger (the base `AsceticSession::begin_run` captured — the tallies
+/// themselves live in the device registry and nowhere else — the
+/// breakdown and the closed iterations' rows) plus every piece of loop
+/// state one iteration hands the next (direction choice, buffer fences)
+/// and the host buffers an iteration refills instead of allocating (data
+/// maps, batch plan, gather spans, pull targets, encoder scratch).
 /// Opaque outside the core crate: drivers create it, pass it to each step,
 /// and surrender it to `AsceticSession::finish_run`.
 #[derive(Default)]
 pub struct RunCtx {
-    base: RunBase,
-    breakdown: Breakdown,
-    per_iter: Vec<IterReport>,
-    iter_windows: Vec<(u64, u64)>,
+    ledger: RunLedger,
     // reused across batches by the compressed path
     scratch: EncodeScratch,
     // likewise refilled every iteration: the data maps, the on-demand
@@ -139,7 +135,6 @@ pub struct RunCtx {
     gather_spans: Vec<Span>,
     pull_bits: Bitmap,
     pull_targets: Vec<VertexId>,
-    iter: u32,
     // per-buffer "compute that last read this buffer" fences
     buffer_free_at: Vec<SimTime>,
     // where the tracer stood when the iteration opened: what its span
@@ -152,13 +147,6 @@ pub struct RunCtx {
     next_dir: Option<Direction>,
     // whether the previous iteration pulled (hysteresis input)
     last_pull: bool,
-}
-
-impl RunCtx {
-    /// Iterations stepped so far in this run.
-    pub fn iterations(&self) -> u32 {
-        self.iter
-    }
 }
 
 impl<'g> AsceticSession<'g> {
@@ -212,8 +200,7 @@ impl<'g> AsceticSession<'g> {
         // The wire-size cache exists before the prestore: it prices the
         // fill's wire form, and the measurements stay warm for every later
         // transfer decision.
-        let mut wire_sizes = WireSizes::new(geo.num_chunks());
-        let encode = eligible(cfg.compression, g);
+        let mut wire_sizes = eligible(cfg.compression, g).then(|| WireSizes::new(geo.num_chunks()));
 
         // --- Prestore: one bulk fill of the static region. ---
         let plan = region.plan_fill(cfg.fill, region.slots());
@@ -222,10 +209,10 @@ impl<'g> AsceticSession<'g> {
         // payloads (measuring + caching each) and ship encoded only when
         // the rule favors it.
         let mut wire = None;
-        if encode && prestore_bytes > 0 {
+        if let Some(sizes) = wire_sizes.as_mut().filter(|_| prestore_bytes > 0) {
             let encoded: u64 = plan
                 .iter()
-                .map(|&c| chunk_wire_bytes(g, &geo, c, &mut wire_sizes))
+                .map(|&c| chunk_wire_bytes(g, &geo, c, sizes))
                 .sum();
             wire = encoded_wins(&gpu, SimTime::ZERO, prestore_bytes, encoded, false)
                 .then_some(encoded);
@@ -237,13 +224,11 @@ impl<'g> AsceticSession<'g> {
         // The CSC mirror is host-side state (the on-demand pipeline ships
         // its rows exactly like CSR rows), built eagerly so every run —
         // and every fleet shard — amortizes one transpose.
-        let mirror = (cfg.direction != DirectionMode::Push)
-            .then(|| Arc::new(GraphChunks::build(g, cfg.chunk_bytes)));
+        let mirror = (cfg.direction != DirectionMode::Push).then(|| Arc::new(g.transpose()));
 
         let mut session = AsceticSession {
             cfg,
             g: graph,
-            geo,
             gpu,
             region,
             od_slab,
@@ -254,7 +239,6 @@ impl<'g> AsceticSession<'g> {
                 .prefetch
                 .is_on()
                 .then(|| Prefetcher::new(geo.num_chunks())),
-            encode,
             mirror,
             prestore_ns,
             runs: 0,
@@ -276,7 +260,7 @@ impl<'g> AsceticSession<'g> {
     /// Fraction of the graph's chunks currently resident in the static
     /// region.
     pub fn resident_fraction(&self) -> f64 {
-        self.region.resident_chunks() as f64 / self.geo.num_chunks().max(1) as f64
+        self.region.resident_chunks() as f64 / self.region.geo.num_chunks().max(1) as f64
     }
 
     /// Bytes of edge data currently resident in the static region
@@ -285,7 +269,7 @@ impl<'g> AsceticSession<'g> {
         self.region
             .resident_chunk_ids()
             .iter()
-            .map(|&c| self.geo.chunk_len_bytes(c) as u64)
+            .map(|&c| self.region.geo.chunk_len_bytes(c) as u64)
             .sum()
     }
 
@@ -310,7 +294,7 @@ impl<'g> AsceticSession<'g> {
     /// the traffic a cold session would have to ship on demand but a warm
     /// one serves from device memory.
     pub fn demand_overlap(&self, frontier: &Bitmap) -> (u64, u64) {
-        let demand = chunk_demand_bytes(&self.g, &self.geo, frontier);
+        let demand = chunk_demand_bytes(&self.g, &self.region.geo, frontier);
         let mut resident = 0u64;
         let mut total = 0u64;
         for (c, &b) in demand.iter().enumerate() {
@@ -417,7 +401,7 @@ impl<'g> AsceticSession<'g> {
             DirectionMode::Push => false,
             DirectionMode::Pull => true,
             DirectionMode::Adaptive => {
-                self.pull_wins(prog, &mirror.csc, frontier, state, prev_pull, pull_targets)
+                self.pull_wins(prog, mirror, frontier, state, prev_pull, pull_targets)
             }
         };
         if pull {
@@ -438,21 +422,19 @@ impl<'g> AsceticSession<'g> {
             pf.begin_run();
         }
         let clock_ns = self.gpu.sync().0;
-        let mut base = RunBase {
-            compute_busy_ns: self.gpu.timeline.busy_ns(Engine::Compute),
-            ..RunBase::default()
+        let mut ctx = RunCtx {
+            buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
+            ..RunCtx::default()
         };
+        let base = &mut ctx.ledger.base;
+        base.compute_busy_ns = self.gpu.timeline.busy_ns(Engine::Compute);
         if self.runs == 0 {
             base.prestore_ns = self.prestore_ns;
         } else {
             base.metrics = self.gpu.obs.registry.snapshot();
             base.clock_ns = clock_ns;
         }
-        RunCtx {
-            base,
-            buffer_free_at: vec![SimTime::ZERO; self.od_buffers.len()],
-            ..RunCtx::default()
-        }
+        ctx
     }
 
     /// Execute one iteration of `prog` over this session's graph — one
@@ -515,12 +497,12 @@ impl<'g> AsceticSession<'g> {
                 let od = self.run_ondemand(ctx, &g, &nodes, ready, &dir, kernel);
                 ctx.maps.ondemand_nodes = nodes;
                 if let Some(pf) = &mut self.prefetch {
+                    let iter = ctx.ledger.iterations();
                     let frontier = next.snapshot(prog, state);
-                    let follows = ctx.iter + 1 < prog.max_iterations() && !frontier.is_all_zero();
+                    let follows = iter + 1 < prog.max_iterations() && !frontier.is_all_zero();
                     let frontier = follows.then_some(frontier);
-                    let wire = self.encode.then_some(&mut self.wire);
-                    let (gpu, region, maps) = (&mut self.gpu, &mut self.region, &ctx.maps);
-                    pf.end_iteration(gpu, region, &g, &self.geo, wire, maps, ctx.iter, frontier);
+                    let (gpu, region, wire) = (&mut self.gpu, &mut self.region, self.wire.as_mut());
+                    pf.end_iteration(gpu, region, &g, wire, &ctx.maps, iter, frontier);
                 }
                 IterReport {
                     active_vertices: ctx.maps.active_vertices(),
@@ -531,8 +513,7 @@ impl<'g> AsceticSession<'g> {
                     pull: false,
                 }
             }
-            Direction::Pull(mirror) => {
-                let csc = &mirror.csc;
+            Direction::Pull(csc) => {
                 let next_bits = next.writer();
                 self.select_pull(prog, ctx, csc, active, state);
                 let targets = std::mem::take(&mut ctx.pull_targets);
@@ -593,15 +574,15 @@ impl<'g> AsceticSession<'g> {
         }
         let n = self.g.num_vertices() as u64;
         let genmap = self.gpu.kernel_at(0, n.div_ceil(64), iter_start);
-        ctx.breakdown.gen_map_ns += genmap.duration();
+        ctx.ledger.breakdown.gen_map_ns += genmap.duration();
         self.phase_span(SESSION_TRACK, genmap.start.0, genmap.end.0, "GenDataMap");
         (iter_start, genmap)
     }
 
     /// Close the frame: the prefetch stream's window span, barrier, the
     /// iteration span, and `report` with its time filled in.
-    fn close_iteration(&mut self, ctx: &mut RunCtx, iter_start: SimTime, mut report: IterReport) {
-        let iter = ctx.iter;
+    fn close_iteration(&mut self, ctx: &mut RunCtx, iter_start: SimTime, report: IterReport) {
+        let iter = ctx.ledger.iterations();
         if let Some((start, end)) = self.prefetch.as_mut().and_then(Prefetcher::take_window) {
             let label = format_args!("prefetch iter {iter}");
             self.phase_span(PREFETCH_WINDOW_TRACK, start, end, label);
@@ -614,10 +595,7 @@ impl<'g> AsceticSession<'g> {
             let (start, end) = (iter_start.0, iter_end.0);
             tr.enclose(t, ctx.iter_mark, start, end, &label, CAT_PHASE);
         }
-        ctx.iter_windows.push((iter_start.0, iter_end.0));
-        report.time_ns = iter_end.since(iter_start);
-        ctx.per_iter.push(report);
-        ctx.iter += 1;
+        ctx.ledger.close(iter_start, iter_end, report);
     }
 
     /// Push selection: split the frontier against the static region, apply
@@ -665,7 +643,7 @@ impl<'g> AsceticSession<'g> {
                     self.gpu.obs.record(
                         genmap.start.0,
                         Event::Repartition {
-                            iter: ctx.iter,
+                            iter: ctx.ledger.iterations(),
                             static_bytes: self.region.capacity_bytes(),
                             static_share_ppm: shrink.static_share_ppm,
                             region_share_ppm: shrink.region_share_ppm,
@@ -691,7 +669,7 @@ impl<'g> AsceticSession<'g> {
         let span = self
             .gpu
             .kernel_at(maps.static_edges, nodes.len() as u64, static_ready);
-        ctx.breakdown.static_compute_ns += span.duration();
+        ctx.ledger.breakdown.static_compute_ns += span.duration();
         self.phase_span(
             SESSION_TRACK,
             span.start.0,
@@ -784,7 +762,7 @@ impl<'g> AsceticSession<'g> {
                 batch.entries.len() as u64,
                 gather_ready,
             );
-            ctx.breakdown.gather_ns += span.duration();
+            ctx.ledger.breakdown.gather_ns += span.duration();
             gather_ready = span.end; // CPU engine serializes anyway
             ctx.gather_spans.push(span);
         }
@@ -800,7 +778,7 @@ impl<'g> AsceticSession<'g> {
 
             // prefetch gap fill: the link idles until this gather ends
             if let Some(pf) = &mut self.prefetch {
-                pf.fill_gap(&mut self.gpu, &self.geo, g_span.end);
+                pf.fill_gap(&mut self.gpu, &self.region, g_span.end);
             }
 
             // H2D transfer of payload + index into this batch's buffer.
@@ -810,20 +788,22 @@ impl<'g> AsceticSession<'g> {
             let dst = self.od_buffers[buf_idx].slice(0, batch.words());
             let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
             let push = matches!(dir, Direction::Push);
-            let estimate = push.then_some(|| {
-                estimate_batch_wire(&self.g, &self.geo, &mut self.wire, batch.entries)
-            });
+            let encode = self.wire.is_some();
+            let (g, geo) = (&self.g, &self.region.geo);
+            let estimate = self.wire.as_mut().filter(|_| push);
+            let estimate =
+                estimate.map(|sizes| || estimate_batch_wire(g, geo, sizes, batch.entries));
             let (t_ns, payload_at) = ship_batch(
                 &mut self.gpu,
                 src,
                 batch,
                 dst,
                 ready,
-                self.encode,
+                encode,
                 &mut ctx.scratch,
                 estimate,
             );
-            ctx.breakdown.transfer_ns += t_ns;
+            ctx.ledger.breakdown.transfer_ns += t_ns;
             od.payload += batch.payload_bytes() + batch.index_bytes();
 
             // OD compute (serializes on the COMPUTE engine after the
@@ -836,7 +816,7 @@ impl<'g> AsceticSession<'g> {
                 self.gpu.pull_kernel_at(edges, vertices, payload_at)
             };
             od.edges += edges;
-            ctx.breakdown.ondemand_compute_ns += c_span.duration();
+            ctx.ledger.breakdown.ondemand_compute_ns += c_span.duration();
             ctx.buffer_free_at[buf_idx] = c_span.end;
             window_end = window_end.max(c_span.end);
         }
@@ -844,7 +824,7 @@ impl<'g> AsceticSession<'g> {
         if let (Some(first), Some(tr)) = (gather_first, self.gpu.timeline.tracer_mut()) {
             let t = tr.track(ONDEMAND_TRACK);
             let pull = if ctx.last_pull { " (pull)" } else { "" };
-            let label = format!("on-demand iter {}{pull}", ctx.iter);
+            let label = format!("on-demand iter {}{pull}", ctx.ledger.iterations());
             let window = tr.mark();
             tr.span(t, first.0, gather_last.0, "gather", CAT_PHASE);
             tr.enclose(t, window, first.0, window_end.0, &label, CAT_PHASE);
@@ -869,17 +849,10 @@ impl<'g> AsceticSession<'g> {
         self.gpu.sync();
         let reg = &mut self.gpu.obs.registry;
         reg.gauge_set("region.resident_runs", self.region.resident_runs());
-        let report = finish_report(
-            "Ascetic",
-            prog.name(),
-            ctx.iter,
-            &mut self.gpu,
-            &ctx.base,
-            ctx.breakdown,
-            ctx.per_iter,
-            ctx.iter_windows,
-            prog.output(state),
-        );
+        let (algo, output) = (prog.name(), prog.output(state));
+        let report = ctx
+            .ledger
+            .into_report("Ascetic", algo, &mut self.gpu, output);
         self.evidence.end_run();
         self.runs += 1;
         report
@@ -955,40 +928,41 @@ impl<'g> AsceticSession<'g> {
     ///   removed edge plus a header per refreshed chunk — not the refreshed
     ///   chunks' full payload: the device applies the delta with a
     ///   compaction kernel over the resident copies;
-    /// * the prefetcher keeps its access history (chunk boundaries are
-    ///   stable under patching), the wire-size cache drops the dirty
-    ///   chunks' sizes, and the CSC mirror, when built, is re-transposed.
+    /// * the region re-chunks itself; the prefetcher keeps its access
+    ///   history (chunk boundaries are stable under patching) and the
+    ///   wire-size cache drops the dirty chunks' sizes, both resized to
+    ///   the region's chunk count; the CSC mirror, when built, is
+    ///   re-transposed.
     pub fn apply_batch(&mut self, batch: &[Mutation]) -> Result<PatchApply, PatchError> {
         self.g.check_batch(batch)?;
         let patch = self.g.to_mut().apply(batch)?;
         let start = self.gpu.sync();
-        let new_geo = ChunkGeometry::with_chunk_bytes(&self.g, self.cfg.chunk_bytes);
-        let epc = self.geo.edges_per_chunk;
+        // the region re-chunks the patched graph at the same edges per chunk
         let first_dirty_chunk =
-            ((patch.first_dirty_edge / epc) as ChunkId).min(new_geo.num_chunks() as ChunkId);
-        let rp = self
-            .region
-            .patch(&mut self.gpu, &self.g, new_geo, first_dirty_chunk);
-        self.wire.patched(new_geo.num_chunks(), first_dirty_chunk);
+            (patch.first_dirty_edge / self.region.geo.edges_per_chunk) as ChunkId;
+        let rp = self.region.patch(&mut self.gpu, &self.g, first_dirty_chunk);
+        let chunks = self.region.geo.num_chunks();
+        if let Some(wire) = &mut self.wire {
+            wire.patched(chunks, first_dirty_chunk);
+        }
         if let Some(pf) = &mut self.prefetch {
-            pf.resize(new_geo.num_chunks());
+            pf.resize(chunks);
         }
         if self.mirror.is_some() {
-            let chunks = GraphChunks::build(&self.g, self.cfg.chunk_bytes);
-            self.mirror = Some(Arc::new(chunks));
+            self.mirror = Some(Arc::new(self.g.transpose()));
         }
-        self.geo = new_geo;
 
         // Delta shipping: endpoints-and-weight records for every changed
         // edge, plus a per-refreshed-chunk header. The compaction kernel
         // re-packs the refreshed chunks' resident edges around the delta.
-        let wire_bytes = patch.delta_edges() * (self.geo.bytes_per_edge as u64 + 4)
-            + rp.refreshed.len() as u64 * PATCH_CHUNK_HEADER_BYTES;
+        let bpe = self.g.bytes_per_edge() as u64;
+        let wire_bytes =
+            patch.delta_edges() * (bpe + 4) + rp.refreshed.len() as u64 * PATCH_CHUNK_HEADER_BYTES;
         let mut end = start;
         if wire_bytes > 0 {
             let class = Xfer::MutationDelta;
             let (copy, _) = self.gpu.ship_at(class, wire_bytes, None, start);
-            let refreshed_edges = rp.bytes / self.geo.bytes_per_edge as u64;
+            let refreshed_edges = rp.bytes / bpe;
             if refreshed_edges > 0 {
                 let k = self
                     .gpu
@@ -1021,7 +995,7 @@ impl<'g> AsceticSession<'g> {
     /// [`ascetic_algos::VertexProgram::repair`] wants for its in-boundary
     /// walk (`None` on push-only sessions: repair falls back to a CSR scan).
     pub(crate) fn mirror_csc(&self) -> Option<&Csr> {
-        self.mirror.as_ref().map(|m| &m.csc)
+        self.mirror.as_deref()
     }
 
     /// Bump a metrics counter (repair-engine hook; the registry itself is
@@ -1586,7 +1560,7 @@ mod tests {
         let mut active = prog.initial_frontier(&s.g);
         let mut next = NextFrontier::new(s.g.num_vertices());
         while !active.is_all_zero() {
-            prog.compute(ctx.iter, &active, &state);
+            prog.compute(ctx.ledger.iterations(), &active, &state);
             s.step_iteration(prog, ctx, &active, &state, &mut next);
             next.finish(prog, &state, &mut active);
             after_step(s, ctx);
@@ -1608,7 +1582,7 @@ mod tests {
         s.prefetch.as_mut().unwrap().leave_stale_plan(700, 300);
         let prog = Bfs::new(0);
         step_to_fixed_point(&mut s, &mut ctx, &prog, |s, ctx| {
-            assert!(ctx.per_iter.last().unwrap().pull);
+            assert!(ctx.ledger.rows().last().unwrap().pull);
             assert!(s.prefetch.as_ref().unwrap().is_idle());
         });
         let counted = |s: &AsceticSession, name| s.gpu.obs.registry.counter(name).unwrap_or(0);
@@ -1712,7 +1686,8 @@ mod tests {
             let warm = capacities(&ctx);
             assert!(warm[2] > 0 && warm[6] > 0, "{what}: the pipeline ran");
             step_to_fixed_point(&mut s, &mut ctx, &prog, |_, ctx| {
-                assert_eq!(capacities(ctx), warm, "{what}: iteration {}", ctx.iter);
+                let iter = ctx.ledger.iterations();
+                assert_eq!(capacities(ctx), warm, "{what}: iteration {iter}");
             });
         }
     }

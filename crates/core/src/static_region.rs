@@ -41,8 +41,8 @@ pub struct RegionPatch {
 pub struct StaticRegion {
     /// Device slab backing all slots.
     slab: DevPtr,
-    /// Chunk geometry of the graph.
-    geo: ChunkGeometry,
+    /// Chunk geometry of the graph: the session's one chunking.
+    pub(crate) geo: ChunkGeometry,
     /// Words per (full) chunk.
     words_per_chunk: usize,
     /// Usable slots (may shrink via Eq (3)).
@@ -320,23 +320,15 @@ impl StaticRegion {
     }
 
     /// Reconcile the region with an in-place graph patch, *without*
-    /// tearing the arena down: chunks past the patched graph's end are
-    /// evicted, resident chunks at or after `first_dirty_chunk` have their
-    /// device copies rewritten from `g_new` in their existing slots
-    /// (chunk boundaries are stable — geometry depends only on chunk and
-    /// edge byte sizes, which must not change), and the `StaticBitmap` is
-    /// rebuilt. The caller accounts the returned transfer volume.
-    pub fn patch(
-        &mut self,
-        gpu: &mut Gpu,
-        g_new: &Csr,
-        new_geo: ChunkGeometry,
-        first_dirty_chunk: ChunkId,
-    ) -> RegionPatch {
-        assert_eq!(
-            new_geo.chunk_bytes, self.geo.chunk_bytes,
-            "patch must not change chunk size"
-        );
+    /// tearing the arena down: the region re-chunks `g_new` at its chunk
+    /// size, chunks past the patched graph's end are evicted, resident
+    /// chunks at or after `first_dirty_chunk` have their device copies
+    /// rewritten from `g_new` in their existing slots (chunk boundaries
+    /// are stable — geometry depends only on chunk and edge byte sizes,
+    /// which must not change), and the `StaticBitmap` is rebuilt. The
+    /// caller accounts the returned transfer volume.
+    pub fn patch(&mut self, gpu: &mut Gpu, g_new: &Csr, first_dirty_chunk: ChunkId) -> RegionPatch {
+        let new_geo = ChunkGeometry::with_chunk_bytes(g_new, self.geo.chunk_bytes);
         assert_eq!(
             new_geo.bytes_per_edge, self.geo.bytes_per_edge,
             "patch must not change edge width"
@@ -544,9 +536,8 @@ mod tests {
             b.add_edge(v, if v == 4 { 0 } else { v + 1 });
         }
         let g2 = b.build();
-        let geo2 = ChunkGeometry::with_chunk_bytes(&g2, 16);
         // edge 4 lives in chunk 1 → first dirty chunk is 1
-        let rp = sr.patch(&mut gpu, &g2, geo2, 1);
+        let rp = sr.patch(&mut gpu, &g2, 1);
         assert_eq!(rp.refreshed, vec![1, 5, 7], "resident chunks >= 1");
         assert!(rp.evicted.is_empty());
         assert_eq!(rp.bytes, 3 * 16);
@@ -570,8 +561,7 @@ mod tests {
             b.add_edge(v, v + 1);
         }
         let g2 = b.build();
-        let geo2 = ChunkGeometry::with_chunk_bytes(&g2, 16);
-        let rp = sr.patch(&mut gpu, &g2, geo2, 6);
+        let rp = sr.patch(&mut gpu, &g2, 6);
         assert_eq!(rp.evicted, vec![6, 7]);
         assert!(rp.refreshed.is_empty(), "no resident chunks in 6..6");
         assert_eq!(sr.resident_chunk_ids(), vec![0]);

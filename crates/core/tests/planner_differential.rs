@@ -19,9 +19,9 @@ use ascetic_graph::Csr;
 use ascetic_sim::{DeviceConfig, Gpu};
 
 /// Next-frontier prefetch over the state's demand.
-fn next_frontier(s: &mut State, g: &Csr, geo: &ChunkGeometry) -> Vec<PrefetchOp> {
+fn next_frontier(s: &mut State, g: &Csr) -> Vec<PrefetchOp> {
     let wire = s.compressible.then_some(&mut s.wire);
-    plan_ops(g, geo, &s.region, &s.history, wire, &s.demand, s.max_ops)
+    plan_ops(g, &s.region, &s.history, wire, &s.demand, s.max_ops)
 }
 
 /// Pinned fingerprint (harvested on the three-planner parent).
@@ -158,7 +158,7 @@ fn every_seeded_plan_matches_its_pinned_fingerprint() {
     let (mut loads, mut swaps, mut empty) = (0usize, 0usize, 0usize);
     for seed in 0..STATES {
         let mut s = state(seed, &g, geo);
-        let ops = next_frontier(&mut s, &g, &geo);
+        let ops = next_frontier(&mut s, &g);
         fold(&mut h, &ops);
         assert!(ops.len() <= s.max_ops, "seed {seed}: over budget");
         loads += ops

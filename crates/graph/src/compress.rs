@@ -75,13 +75,12 @@ pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
-/// Encode the (sorted) adjacency list of `src` into `out`; returns the
-/// encoded byte length. Format: `degree, zigzag(first - src), gap, gap...`
+/// Encode the adjacency list of `src` into `out`; returns the encoded
+/// byte length. Format: `degree, zigzag(first - src), gap, gap...`. A
+/// sorted list is the compact case; an unsorted one (a patched row, whose
+/// inserts append at the row's end) still round-trips, each backward gap
+/// wrapping to a ten-byte varint.
 pub fn encode_adjacency(src: VertexId, targets: &[VertexId], out: &mut Vec<u8>) -> usize {
-    debug_assert!(
-        targets.windows(2).all(|w| w[0] <= w[1]),
-        "targets must be sorted"
-    );
     let start = out.len();
     write_varint(out, targets.len() as u64);
     let mut prev: i64 = src as i64;
@@ -324,6 +323,15 @@ mod tests {
         let (got, used) = decode_adjacency(100, &buf).unwrap();
         assert_eq!(got, targets);
         assert_eq!(used, buf.len());
+    }
+
+    #[test]
+    fn unsorted_adjacency_roundtrips_at_its_priced_length() {
+        let mut buf = Vec::new();
+        let targets = [10u32, 500, 3, 11, 0];
+        let n = encode_adjacency(100, &targets, &mut buf);
+        assert_eq!(n, encoded_len(100, &targets));
+        assert_eq!(decode_adjacency(100, &buf), Some((targets.to_vec(), n)));
     }
 
     #[test]

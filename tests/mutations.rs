@@ -16,13 +16,16 @@ use proptest::prelude::*;
 
 use ascetic::algos::inmemory::run_in_memory;
 use ascetic::algos::{Algo, ProgramOpts, VertexProgram};
-use ascetic::core::{run_fleet, AsceticConfig, AsceticSession, FleetConfig, RepairMode};
+use ascetic::core::{
+    run_fleet, AsceticConfig, AsceticSession, CompressionMode, DirectionMode, FillPolicy,
+    FleetConfig, PrefetchMode, RepairMode,
+};
 use ascetic::graph::datasets::{weighted_variant, Dataset, DatasetId};
-use ascetic::graph::generators::uniform_graph;
+use ascetic::graph::generators::{uniform_graph, web_graph, WebConfig};
 use ascetic::graph::{Csr, GraphBuilder, Mutation, VertexId, Weight};
 use ascetic::mutate::{materialize, run_with_mutations, synthetic_churn};
 use ascetic::par::set_num_threads;
-use ascetic::sim::DeviceConfig;
+use ascetic::sim::{DecompressModel, DeviceConfig};
 
 fn small_cfg(g: &Csr) -> AsceticConfig {
     let dev = DeviceConfig::p100(g.num_vertices() as u64 * 24 + g.edge_bytes() * 2 / 5);
@@ -221,6 +224,82 @@ fn one_session_patches_itself_through_a_hundred_churn_batches() {
         g == uniform_graph(600, 4_000, false, 41),
         "the session patched a copy, never the caller's graph"
     );
+}
+
+/// The mutation path under the mode product: a session that prefetches,
+/// compresses and holds a CSC mirror re-chunks its region, its wire-size
+/// cache, its prefetch history and its mirror on every batch. A rear-filled
+/// region holds the tail chunks, so deleting the last rows' edges shrinks
+/// the edge array past resident chunks (evicting them), and inserting them
+/// back plus 300 edges out of vertex 0 grows it past its first length
+/// (every cache keyed by chunk must grow with it) and rewrites every
+/// resident chunk in place. After every batch BFS, CC and PR on the warm
+/// session equal the in-memory oracle on the patched graph.
+#[test]
+fn a_prefetching_compressing_mirrored_session_patches_itself() {
+    let g = web_graph(&WebConfig::new(3_000, 30_000, 3));
+    let n = g.num_vertices() as VertexId;
+    let tail: Vec<(VertexId, VertexId)> = (n - 100..n)
+        .flat_map(|v| g.neighbors(v).iter().map(move |&t| (v, t)))
+        .collect();
+    let shrink: Vec<Mutation> = tail
+        .iter()
+        .map(|&(src, dst)| Mutation::Delete { src, dst })
+        .collect();
+    let grow: Vec<Mutation> = tail
+        .iter()
+        .copied()
+        .chain((1..=300).map(|t| (0, t)))
+        .map(|(src, dst)| Mutation::Insert {
+            src,
+            dst,
+            weight: None,
+        })
+        .collect();
+    let progs = [Algo::Bfs, Algo::Cc, Algo::Pr].map(|a| a.program(&ProgramOpts::from_source(0)));
+    for direction in [DirectionMode::Adaptive, DirectionMode::Pull] {
+        let mut cfg = small_cfg(&g)
+            .with_fill(FillPolicy::Rear)
+            .with_prefetch(PrefetchMode::NextFrontier)
+            .with_compression(CompressionMode::Adaptive)
+            .with_direction(direction);
+        // a fast decoder on a quarter of the link: some batches ship encoded
+        cfg.device.decompress = DecompressModel {
+            bandwidth_bps: 200_000_000_000,
+            launch_ns: 1_000,
+        };
+        cfg.device.pcie.bandwidth_bps /= 4;
+        let mut sess = AsceticSession::new(cfg, &g);
+        let check = |sess: &mut AsceticSession, what: &str| {
+            for prog in &progs {
+                let want = run_in_memory(sess.graph(), prog).output;
+                assert_eq!(
+                    sess.run(prog).output,
+                    want,
+                    "{direction} {what}: {}",
+                    prog.name()
+                );
+            }
+        };
+        check(&mut sess, "before any batch");
+        let shrunk = sess.apply_batch(&shrink).expect("deletes of present edges");
+        assert!(
+            g.num_edges() - sess.graph().num_edges() >= 256,
+            "the deletes drop at least one 1 KiB chunk"
+        );
+        assert!(
+            shrunk.evicted_chunks > 0,
+            "{direction}: tail chunks evicted"
+        );
+        check(&mut sess, "after the shrink");
+        let grown = sess.apply_batch(&grow).expect("inserts always apply");
+        assert_eq!(sess.graph().num_edges(), g.num_edges() + 300);
+        assert!(
+            grown.refreshed_chunks > 0,
+            "{direction}: resident chunks rewritten"
+        );
+        check(&mut sess, "after the regrowth");
+    }
 }
 
 /// Repair stays exact over long churn: 100 `synthetic_churn` batches
