@@ -45,6 +45,7 @@ use ascetic_graph::Csr;
 /// [`OutOfCoreSystem::run`] is generic over the program, so the trait is
 /// not object-safe; this enum is the dispatch point the CLI and the bench
 /// harness share instead of duplicating per-system match arms.
+#[derive(Clone, PartialEq)]
 pub enum AnySystem {
     /// The Ascetic framework.
     Ascetic(AsceticSystem),

@@ -26,6 +26,7 @@ use ascetic_core::system::{OutOfCoreSystem, PrepareError};
 use crate::frame::{check_edge_room, Frame};
 
 /// The PT baseline system.
+#[derive(Clone, PartialEq)]
 pub struct PtSystem {
     /// Device configuration.
     pub device: DeviceConfig,

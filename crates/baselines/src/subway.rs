@@ -32,6 +32,7 @@ use ascetic_core::CompressionMode;
 use crate::frame::{check_edge_room, Frame};
 
 /// The Subway baseline system.
+#[derive(Clone, PartialEq)]
 pub struct SubwaySystem {
     /// Device configuration.
     pub device: DeviceConfig,

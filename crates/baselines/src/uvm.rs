@@ -29,6 +29,7 @@ use ascetic_core::system::{check_vertex_fit, edge_budget_bytes, OutOfCoreSystem,
 use crate::frame::Frame;
 
 /// The UVM baseline system.
+#[derive(Clone, PartialEq)]
 pub struct UvmSystem {
     /// Device configuration.
     pub device: DeviceConfig,

@@ -49,8 +49,7 @@ pub const EXPERIMENTS: &[Experiment] = &experiments! {
     "ablation_chunk_size"    "§3.4 (extension)"   studies::chunk_size => "2-64 KiB chunks on FK";
     "ablation_double_buffer" "extension"          studies::double_buffer => "1 / 2 / 4 on-demand buffers on FS";
     "ablation_cost_model"    "extension"          studies::cost_model => "gather bandwidth and kernel rate swept around the P100 point";
-    "compression"            "extension"          sweeps::compression => "compression off / adaptive, 16 cells -> BENCH_compression.json";
-    "prefetch"               "extension"          sweeps::prefetch => "prefetch off / next-frontier, 16 cells -> BENCH_prefetch.json";
+    "mechanisms"             "extension"          sweeps::mechanisms => "base / +compression / +prefetch, 16 cells -> BENCH_mechanisms.json";
     "direction"              "extension"          sweeps::direction => "push / pull / adaptive x compression, 12 cells -> BENCH_direction.json";
     "serve"                  "extension"          serving::serve => "48-job trace under fifo / sjf / residency -> BENCH_serve.json";
     "fleet"                  "extension"          serving::fleet => "serving and sharded runs on 1-8 NVLink devices -> BENCH_fleet.json";

@@ -1,10 +1,9 @@
 //! The paper's own evaluation: Tables 1–5 and Figures 2, 7–11.
 
 use ascetic_algos::{Cc, PageRank, Sssp};
-use ascetic_baselines::SubwaySystem;
 use ascetic_core::ratio::static_share;
 use ascetic_core::system::{edge_budget_bytes, reserve_vertex_arrays};
-use ascetic_core::{AsceticConfig, PrefetchMode};
+use ascetic_core::PrefetchMode;
 use ascetic_graph::datasets::{rmat_dataset, DatasetId, PAPER_GPU_MEM_BYTES};
 use ascetic_graph::stats::degree_stats;
 use ascetic_graph::Csr;
@@ -12,7 +11,7 @@ use ascetic_sim::{AccessTracer, Gpu};
 
 use crate::fmt::{geomean, human_bytes, human_secs, num, secs, text, val, Sheet, Table};
 use crate::output::{emit, emit_pivot, write_csv};
-use crate::run::{ascetic, grid, run_cell, Ctx, Sys, Variant};
+use crate::run::{ascetic, grid, pair_on, run_cell, Ctx, Sys, Variant};
 use crate::setup::{run_algo_in_memory, source_vertex, Algo, Env, TABLE1_ORDER};
 
 const FK_UK: [DatasetId; 2] = [DatasetId::Fk, DatasetId::Uk];
@@ -459,10 +458,7 @@ pub fn fig11_memory(cx: &mut Ctx) {
         .iter()
         .flat_map(|&frac| {
             let mem = (g.edge_bytes() as f64 * frac) as u64 + vertex_overhead;
-            let dev = cx.env.device_with_mem(mem);
-            let cfg = AsceticConfig::new(dev).with_chunk_bytes(cx.env.chunk_bytes());
-            let subway: Variant = (format!("subway@{frac}"), SubwaySystem::new(dev).into());
-            [subway, ascetic(format!("ascetic@{frac}"), cfg)]
+            pair_on(&cx.env, cx.env.device_with_mem(mem), &format!("@{frac}"))
         })
         .collect();
     let mut sheet = Sheet::new(&[
@@ -498,7 +494,7 @@ pub fn fig11_memory(cx: &mut Ctx) {
 pub fn fig11_rmat(cx: &mut Ctx) {
     let env = &cx.env;
     let variants: [Variant; 2] = [
-        ("subway".into(), SubwaySystem::new(env.device()).into()),
+        ("subway".into(), env.subway().into()),
         ascetic("ascetic", env.ascetic_cfg()),
     ];
     let mut sheet = Sheet::new(&[
@@ -518,7 +514,7 @@ pub fn fig11_rmat(cx: &mut Ctx) {
         let g = rmat_dataset(pe, env.scale, 0xBEEF ^ pe);
         let on = format!("RMAT {:.1}B", pe as f64 / 1e9);
         for algo in [Algo::Bfs, Algo::Pr] {
-            let reps = run_cell(env, algo, &on, &g, &variants);
+            let reps = run_cell(env, algo, &on, &g, &variants, &mut Vec::new());
             let (sw, asc) = (reps[0].seconds(), reps[1].seconds());
             sheet.row(vec![
                 val(format!("{:.1}B", pe as f64 / 1e9), pe),

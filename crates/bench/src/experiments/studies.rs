@@ -1,13 +1,12 @@
 //! The §1/§5 studies and the ablations beyond the paper: each one is
 //! "configuration variants × a few cells → columns".
 
-use ascetic_baselines::SubwaySystem;
-use ascetic_core::{AsceticConfig, FillPolicy};
+use ascetic_core::FillPolicy;
 use ascetic_graph::datasets::DatasetId;
 
 use crate::fmt::{human_bytes, num, secs, text, val, Sheet, Table};
 use crate::output::{emit, emit_pivot, write_csv};
-use crate::run::{ascetic, grid, Ctx, Variant};
+use crate::run::{ascetic, grid, pair_on, Ctx, Variant};
 use crate::setup::Algo;
 
 const FK: [DatasetId; 1] = [DatasetId::Fk];
@@ -154,22 +153,17 @@ pub fn chunk_size(cx: &mut Ctx) {
 /// and GPU kernel throughput — are off?
 pub fn cost_model(cx: &mut Ctx) {
     let env = &cx.env;
-    let pair = |tag: String, dev| {
-        let cfg = AsceticConfig::new(dev).with_chunk_bytes(env.chunk_bytes());
-        let subway: Variant = (format!("subway {tag}"), SubwaySystem::new(dev).into());
-        [subway, ascetic(format!("ascetic {tag}"), cfg)]
-    };
     let gathers = [4u64, 6, 10, 16, 24];
     let kernels = [1u64, 2, 4, 8, 16];
     let by_gather = gathers.iter().flat_map(|&gbps| {
         let mut dev = env.device();
         dev.gather.bandwidth_bps = gbps * 1_000_000_000;
-        pair(format!("{gbps} GB/s"), dev)
+        pair_on(env, dev, &format!(" {gbps} GB/s"))
     });
     let by_kernel = kernels.iter().flat_map(|&gedges| {
         let mut dev = env.device();
         dev.kernel.edge_fs = 1_000_000 / gedges; // fs per edge at G edges/s
-        pair(format!("{gedges} Gedge/s"), dev)
+        pair_on(env, dev, &format!(" {gedges} Gedge/s"))
     });
     let variants: Vec<Variant> = by_gather.chain(by_kernel).collect();
     let c = cx.sweep(&grid(&[Algo::Pr], &FK), &variants).remove(0);

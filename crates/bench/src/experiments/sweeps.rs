@@ -1,14 +1,15 @@
-//! The three transfer-mode sweeps over the paper grid — compression,
-//! prefetch, direction — each writing a `BENCH_<name>.json`. They ignore
-//! the `ASCETIC_*` mode knobs: the modes *are* the variants.
+//! The two transfer-mode sweeps over the paper grid — the mechanisms
+//! (compression, prefetch) and traversal direction — each writing a
+//! `BENCH_<name>.json`. The modes *are* the variants: each column is
+//! Ascetic under one edit of the environment's own configuration.
 
-use ascetic_core::{AsceticConfig, CompressionMode, DirectionMode, PrefetchMode, RunReport};
+use ascetic_core::{CompressionMode, DirectionMode, PrefetchMode, RunReport};
 use ascetic_graph::datasets::DatasetId;
 use ascetic_obs::json::Array;
 
 use crate::fmt::{human_bytes, Table};
 use crate::run::{ascetic, grid, Cell, Ctx, Variant};
-use crate::setup::{Algo, Env, TABLE4_ORDER};
+use crate::setup::{Algo, TABLE4_ORDER};
 
 /// One per-run statistic of a mode sweep: its key in the per-mode JSON
 /// object and its value.
@@ -26,7 +27,7 @@ fn json_cell(
     (modes, first): (&[&str], usize),
     tags: &[(&str, &str)],
     metrics: &[Metric],
-    deltas: [(&str, i64); 2],
+    deltas: &[(&str, i64)],
 ) {
     a.object(|o| {
         o.str("algo", c.algo.display())
@@ -35,13 +36,13 @@ fn json_cell(
             o.str(key, tag);
         }
         for (mode, r) in modes.iter().zip(&c.reports[first..]) {
-            o.object(&mode.replace('-', "_"), |stats| {
+            o.object(mode, |stats| {
                 for (key, value) in metrics {
                     stats.num(key, value(r));
                 }
             });
         }
-        for (key, d) in deltas {
+        for &(key, d) in deltas {
             o.num(key, d);
         }
     });
@@ -68,114 +69,41 @@ fn slower(cells: &[Cell], tag: &str, base: usize, treated: usize) -> Vec<String>
     slow.map(name).collect()
 }
 
-/// Ascetic under each of `modes`, on the scale's plain environment.
-fn mode_variants<M: Copy>(
-    scale: u64,
-    names: &[&str],
-    modes: &[M],
-    edit: impl Fn(AsceticConfig, M) -> AsceticConfig,
-) -> Vec<Variant> {
-    let cfg = Env::with_scale(scale).ascetic_cfg();
-    let variant = |(name, &m): (&&str, &M)| ascetic(*name, edit(cfg, m));
-    names.iter().zip(modes).map(variant).collect()
-}
-
-/// The compressed transfer path (`DESIGN.md` §7) across the Table 5 grid
-/// under `CompressionMode::{Off, Adaptive}`. Adaptive must put strictly
-/// fewer bytes on the wire than Off over the grid (web-locality datasets
-/// compress ~3×; the bulk prestore crosses over) and never increase the
-/// simulated time of a cell (the chain-aware crossover only ships encoded
-/// payloads when copy + decompress beats the raw copy).
-pub fn compression(cx: &mut Ctx) {
-    const MODES: [&str; 2] = ["off", "adaptive"];
-    use CompressionMode::{Adaptive, Off};
-    let modes = [Off, Adaptive];
-    let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_compression(m));
-    let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
-    let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
-    let metrics: [Metric; 3] = [
-        ("sim_ns", |r| s(r.sim_time_ns)),
-        ("bytes", |r| s(r.total_bytes_with_prestore())),
-        ("wire", |r| s(r.total_wire_bytes_with_prestore())),
-    ];
-    let mut table = Table::new(vec![
-        "Algo",
-        "Dataset",
-        "Raw",
-        "Wire (adaptive)",
-        "Saved",
-        "Time delta",
-    ]);
-    let mut json_cells = Vec::new();
-    for c in &cells {
-        let (o, ad) = (&c.reports[0], &c.reports[1]);
-        let dt = delta(ad.sim_time_ns, o.sim_time_ns);
-        table.row(vec![
-            c.algo.display().to_string(),
-            c.dataset.abbr().to_string(),
-            human_bytes(wire(o)),
-            human_bytes(wire(ad)),
-            format!("{:.1}%", pct(wire(o) as f64 - wire(ad) as f64, wire(o))),
-            format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
-        ]);
-        let deltas = [
-            ("wire_saved_bytes", delta(wire(o), wire(ad))),
-            ("time_delta_ns", dt),
-        ];
-        json_cells.push((c, deltas));
-    }
-    println!("\n{}", table.to_markdown());
-
-    let off_wire: u64 = cells.iter().map(|c| wire(&c.reports[0])).sum();
-    let ad_wire: u64 = cells.iter().map(|c| wire(&c.reports[1])).sum();
-    let slow = slower(&cells, "", 0, 1);
-    cx.write_json("compression", |o| {
-        o.array("cells", |a| {
-            for &(c, deltas) in &json_cells {
-                json_cell(a, c, (&MODES, 0), &[], &metrics, deltas);
-            }
-        });
-        o.object("totals", |t| {
-            t.num("off_wire_bytes", off_wire)
-                .num("adaptive_wire_bytes", ad_wire)
-                .num("wire_saved_bytes", delta(off_wire, ad_wire))
-                .num("adaptive_saves_wire", ad_wire < off_wire)
-                .num("cells_time_regressed", slow.len());
-        });
-    });
-    cx.check(
-        "adaptive puts fewer bytes on the wire than off",
-        format!(
-            "{:.1}% fewer",
-            pct(off_wire as f64 - ad_wire as f64, off_wire)
-        ),
-        "> 0",
-        ad_wire < off_wire,
-    );
-    cx.check_none("adaptive slows down no cell", &slow);
-}
-
 /// The stall time a prefetch can attack: on-demand H2D transfer.
 fn stall_ns(r: &RunReport) -> u64 {
     r.breakdown.transfer_ns
 }
 
-/// The cross-iteration prefetch pipeline (`DESIGN.md` §8) across the
-/// Table 5 grid under `PrefetchMode::{Off, NextFrontier}`.
-/// `next-frontier` must hide ≥ 20 % of the grid's on-demand stall time
-/// (Ttransfer — the work a prefetch can hide under compute; the
-/// speculative refreshes ride the second copy stream inside link slack)
-/// and never increase the simulated time of a cell (its transfers are
-/// budgeted into existing slack and never evict what the next frontier
-/// demands).
-pub fn prefetch(cx: &mut Ctx) {
-    const MODES: [&str; 2] = ["off", "next-frontier"];
-    use PrefetchMode::{NextFrontier, Off};
-    let modes = [Off, NextFrontier];
-    let variants = mode_variants(cx.env.scale, &MODES, &modes, |c, m| c.with_prefetch(m));
+/// The transfer mechanisms across the Table 5 grid, each a column beside
+/// Ascetic under paper defaults (`base`): the compressed transfer path
+/// (`compression`: `CompressionMode::Adaptive`, `DESIGN.md` §7) and the
+/// cross-iteration prefetch pipeline (`prefetch`:
+/// `PrefetchMode::NextFrontier`, `DESIGN.md` §8).
+///
+/// Adaptive compression must put strictly fewer bytes on the wire than base
+/// over the grid (web-locality datasets compress ~3×; the bulk prestore
+/// crosses over) and never increase the simulated time of a cell (the
+/// chain-aware crossover only ships encoded payloads when copy +
+/// decompress beats the raw copy). `next-frontier` must hide ≥ 20 % of the
+/// grid's on-demand stall time (Ttransfer — the work a prefetch can hide
+/// under compute; the speculative loads ride the second copy stream inside
+/// link slack) and never increase the simulated time of a cell (its
+/// transfers are budgeted into existing slack and never evict what the
+/// next frontier demands).
+pub fn mechanisms(cx: &mut Ctx) {
+    const COLUMNS: [&str; 3] = ["base", "compression", "prefetch"];
+    let cfg = cx.env.ascetic_cfg();
+    let variants = [
+        ascetic(COLUMNS[0], cfg),
+        ascetic(COLUMNS[1], cfg.with_compression(CompressionMode::Adaptive)),
+        ascetic(COLUMNS[2], cfg.with_prefetch(PrefetchMode::NextFrontier)),
+    ];
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
-    let metrics: [Metric; 8] = [
+    let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
+    let metrics: [Metric; 10] = [
         ("sim_ns", |r| s(r.sim_time_ns)),
+        ("bytes", |r| s(r.total_bytes_with_prestore())),
+        ("wire", |r| s(r.total_wire_bytes_with_prestore())),
         ("stall_ns", |r| s(stall_ns(r))),
         ("transfer_ns", |r| s(r.breakdown.transfer_ns)),
         ("prefetch_bytes", |r| s(r.prefetch_bytes)),
@@ -187,61 +115,90 @@ pub fn prefetch(cx: &mut Ctx) {
     let mut table = Table::new(vec![
         "Algo",
         "Dataset",
-        "Stall (off)",
-        "Stall (next-frontier)",
+        "Wire (base)",
+        "Wire (compression)",
+        "Saved",
+        "Time delta (compression)",
+        "Stall (base)",
+        "Stall (prefetch)",
         "Hidden",
         "Hit rate",
-        "Time delta",
+        "Time delta (prefetch)",
     ]);
     let mut json_cells = Vec::new();
     for c in &cells {
-        let (o, n) = (&c.reports[0], &c.reports[1]);
-        let dt = delta(n.sim_time_ns, o.sim_time_ns);
+        let [b, co, pf] = [0, 1, 2].map(|i| &c.reports[i]);
+        let dt = |r: &RunReport| delta(r.sim_time_ns, b.sim_time_ns);
+        let ms = |r: &RunReport| format!("{:.2} ms", stall_ns(r) as f64 / 1e6);
         table.row(vec![
             c.algo.display().to_string(),
             c.dataset.abbr().to_string(),
-            format!("{:.2} ms", stall_ns(o) as f64 / 1e6),
-            format!("{:.2} ms", stall_ns(n) as f64 / 1e6),
+            human_bytes(wire(b)),
+            human_bytes(wire(co)),
+            format!("{:.1}%", pct(wire(b) as f64 - wire(co) as f64, wire(b))),
+            format!("{:+.2}%", pct(dt(co) as f64, b.sim_time_ns)),
+            ms(b),
+            ms(pf),
             format!(
                 "{:.1}%",
-                pct(stall_ns(o) as f64 - stall_ns(n) as f64, stall_ns(o))
+                pct(stall_ns(b) as f64 - stall_ns(pf) as f64, stall_ns(b))
             ),
-            format!("{:.0}%", n.prefetch_hit_rate() * 100.0),
-            format!("{:+.2}%", pct(dt as f64, o.sim_time_ns)),
+            format!("{:.0}%", pf.prefetch_hit_rate() * 100.0),
+            format!("{:+.2}%", pct(dt(pf) as f64, b.sim_time_ns)),
         ]);
         let deltas = [
-            ("stall_hidden_ns", delta(stall_ns(o), stall_ns(n))),
-            ("time_delta_ns", dt),
+            ("wire_saved_bytes", delta(wire(b), wire(co))),
+            ("compression_time_delta_ns", dt(co)),
+            ("stall_hidden_ns", delta(stall_ns(b), stall_ns(pf))),
+            ("prefetch_time_delta_ns", dt(pf)),
         ];
         json_cells.push((c, deltas));
     }
     println!("\n{}", table.to_markdown());
 
-    let off_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[0])).sum();
-    let nf_stall: u64 = cells.iter().map(|c| stall_ns(&c.reports[1])).sum();
-    let hidden_pct = pct(off_stall as f64 - nf_stall as f64, off_stall);
-    let slow = slower(&cells, "", 0, 1);
-    cx.write_json("prefetch", |o| {
+    let total = |i: usize, of: fn(&RunReport) -> u64| -> u64 {
+        cells.iter().map(|c| of(&c.reports[i])).sum()
+    };
+    let (base_wire, comp_wire) = (total(0, wire), total(1, wire));
+    let (base_stall, pf_stall) = (total(0, stall_ns), total(2, stall_ns));
+    let hidden_pct = pct(base_stall as f64 - pf_stall as f64, base_stall);
+    let (comp_slow, pf_slow) = (slower(&cells, "", 0, 1), slower(&cells, "", 0, 2));
+    cx.write_json("mechanisms", |o| {
         o.array("cells", |a| {
-            for &(c, deltas) in &json_cells {
-                json_cell(a, c, (&MODES, 0), &[], &metrics, deltas);
+            for (c, deltas) in &json_cells {
+                json_cell(a, c, (&COLUMNS, 0), &[], &metrics, deltas);
             }
         });
         o.object("totals", |t| {
-            t.num("off_stall_ns", off_stall)
-                .num("next_frontier_stall_ns", nf_stall)
+            t.num("base_wire_bytes", base_wire)
+                .num("compression_wire_bytes", comp_wire)
+                .num("wire_saved_bytes", delta(base_wire, comp_wire))
+                .num("compression_saves_wire", comp_wire < base_wire)
+                .num("compression_cells_time_regressed", comp_slow.len())
+                .num("base_stall_ns", base_stall)
+                .num("prefetch_stall_ns", pf_stall)
                 .num("stall_hidden_pct", format_args!("{hidden_pct:.2}"))
-                .num("cells_time_regressed", slow.len());
+                .num("prefetch_cells_time_regressed", pf_slow.len());
         });
     });
-    println!("next-frontier hides {hidden_pct:.1}% of on-demand refresh stall time");
+    println!("next-frontier hides {hidden_pct:.1}% of on-demand stall time");
+    cx.check(
+        "adaptive puts fewer bytes on the wire than off",
+        format!(
+            "{:.1}% fewer",
+            pct(base_wire as f64 - comp_wire as f64, base_wire)
+        ),
+        "> 0",
+        comp_wire < base_wire,
+    );
+    cx.check_none("adaptive slows down no cell", &comp_slow);
     cx.check(
         "next-frontier hides the grid's on-demand stall time",
         format!("{hidden_pct:.1}%"),
         ">= 20%",
         hidden_pct >= 20.0,
     );
-    cx.check_none("next-frontier slows down no cell", &slow);
+    cx.check_none("next-frontier slows down no cell", &pf_slow);
 }
 
 /// Push vs pull vs density-adaptive traversal over the chunked CSC mirror,
@@ -276,11 +233,12 @@ pub fn direction(cx: &mut Ctx) {
     ]);
     // one sweep of all six direction × compression variants, so the runner
     // holds every one of them to push/off's answer
+    let cfg = cx.env.ascetic_cfg();
     let variants: Vec<Variant> = comps
         .iter()
         .flat_map(|&(_, comp)| {
-            let edit = |c: AsceticConfig, m| c.with_direction(m).with_compression(comp);
-            mode_variants(cx.env.scale, &MODES, &[Push, Pull, Adaptive], edit)
+            let mode = move |(name, m)| ascetic(name, cfg.with_direction(m).with_compression(comp));
+            MODES.into_iter().zip([Push, Pull, Adaptive]).map(mode)
         })
         .collect();
     let cells = cx.sweep(
@@ -326,7 +284,7 @@ pub fn direction(cx: &mut Ctx) {
         o.array("cells", |a| {
             for &(c, first, comp_name, deltas) in &json_cells {
                 let tags = [("compression", *comp_name)];
-                json_cell(a, c, (&MODES, first), &tags, &metrics, deltas);
+                json_cell(a, c, (&MODES, first), &tags, &metrics, &deltas);
             }
         });
         o.object("totals", |t| {

@@ -13,7 +13,7 @@
 //!   system constructors, all derived from one scale divisor so the
 //!   paper's ratios (dataset : GPU memory, K) are preserved;
 //! * [`run`] — the runner: cells × variants → cross-checked reports, with
-//!   datasets and the paper's 16-cell grid shared across experiments;
+//!   datasets and every run shared across experiments;
 //! * [`fmt`] — columns declared once and rendered as markdown and CSV,
 //!   geometric means, humanised units;
 //! * [`output`] — the one emission path (stdout, then one file per
@@ -22,7 +22,7 @@
 //! * [`experiments`] — the table and the experiments themselves.
 //!
 //! Every experiment prints markdown shaped like the paper's and writes its
-//! numbers once: the six sweeps and lanes to `BENCH_<name>.json`, the
+//! numbers once: the five sweeps and lanes to `BENCH_<name>.json`, the
 //! others (when `ASCETIC_RESULTS` is set) to raw CSVs for plotting. Its checks are
 //! printed with its results; a failing check makes the process exit
 //! non-zero after all output is written, except under `--smoke` (scale

@@ -3,16 +3,18 @@
 //!
 //! Every table, figure and sweep is a cell list fed through
 //! [`Ctx::sweep`]; datasets are built once per process (FK' once, not
-//! once per experiment), and the paper's 16-cell grid is run once per
-//! system however many experiments read it.
+//! once per experiment), and each (algorithm, dataset, system) is run once
+//! per process however many experiments read it.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use ascetic_baselines::AnySystem;
+use ascetic_baselines::{AnySystem, SubwaySystem};
 use ascetic_core::{AsceticConfig, AsceticSystem, OutOfCoreSystem, RunReport};
 use ascetic_graph::datasets::{Dataset, DatasetId};
 use ascetic_graph::Csr;
 use ascetic_obs::json::Object;
+use ascetic_sim::DeviceConfig;
 
 use crate::output::{write_json, Check};
 use crate::setup::{run_algo, Algo, Env, TABLE4_ORDER};
@@ -70,6 +72,24 @@ pub fn ascetic(name: impl Into<String>, cfg: AsceticConfig) -> Variant {
     (name.into(), AsceticSystem::new(cfg).into())
 }
 
+/// Subway and Ascetic under paper defaults on `device` (another memory size
+/// or cost model than the environment's), as `subway{tag}` /
+/// `ascetic{tag}`.
+pub fn pair_on(env: &Env, device: DeviceConfig, tag: &str) -> [Variant; 2] {
+    let subway = SubwaySystem {
+        device,
+        ..env.subway()
+    };
+    let cfg = AsceticConfig {
+        device,
+        ..env.ascetic_cfg()
+    };
+    [
+        (format!("subway{tag}"), subway.into()),
+        ascetic(format!("ascetic{tag}"), cfg),
+    ]
+}
+
 /// `algos × datasets`, algorithm-major (the paper's table order).
 pub fn grid(algos: &[Algo], datasets: &[DatasetId]) -> Vec<(Algo, DatasetId)> {
     let cell = |&a| datasets.iter().map(move |&d| (a, d));
@@ -109,21 +129,38 @@ impl PreparedDataset {
     }
 }
 
-/// Run every variant of one cell on `g`, with progress to stderr; every
-/// variant must give variant 0's answer exactly.
-pub fn run_cell(env: &Env, algo: Algo, on: &str, g: &Csr, variants: &[Variant]) -> Vec<RunReport> {
-    let reports: Vec<RunReport> = variants
-        .iter()
-        .map(|(name, system)| {
-            eprintln!("  running {name} / {} / {on} ...", algo.display());
-            if let Err(e) = system.prepare(g) {
-                panic!("{name} refuses {} / {on}: {e}", algo.display());
+/// The runs of one cell so far: each system with the report it gave.
+pub type Memo = Vec<(AnySystem, RunReport)>;
+
+/// Run every variant of one cell on `g`, with progress to stderr: a system
+/// `memo` holds is served from it, any other is run and added to it. Every
+/// variant writes its trace under its own name and must give variant 0's
+/// answer exactly.
+pub fn run_cell(
+    env: &Env,
+    algo: Algo,
+    on: &str,
+    g: &Csr,
+    variants: &[Variant],
+    memo: &mut Memo,
+) -> Vec<RunReport> {
+    let mut report = |(name, system): &Variant| {
+        let rep = match memo.iter().find(|(seen, _)| seen == system) {
+            Some((_, rep)) => rep.clone(),
+            None => {
+                eprintln!("  running {name} / {} / {on} ...", algo.display());
+                if let Err(e) = system.prepare(g) {
+                    panic!("{name} refuses {} / {on}: {e}", algo.display());
+                }
+                let rep = run_algo(system, g, algo);
+                memo.push((system.clone(), rep.clone()));
+                rep
             }
-            let rep = run_algo(system, g, algo);
-            env.maybe_write_trace(&rep, &format!("{name}_{}_{on}", algo.display()));
-            rep
-        })
-        .collect();
+        };
+        env.maybe_write_trace(&rep, &format!("{name}_{}_{on}", algo.display()));
+        rep
+    };
+    let reports: Vec<RunReport> = variants.iter().map(&mut report).collect();
     for (r, (name, _)) in reports.iter().zip(variants).skip(1) {
         assert!(
             r.output == reports[0].output,
@@ -136,7 +173,7 @@ pub fn run_cell(env: &Env, algo: Algo, on: &str, g: &Csr, variants: &[Variant]) 
 }
 
 /// What the experiments of one process share: the environment, the built
-/// datasets, the paper-grid reports and the checks recorded so far.
+/// datasets, every run so far and the checks recorded so far.
 pub struct Ctx {
     /// The scaled environment every experiment of this process runs in.
     pub env: Env,
@@ -147,7 +184,7 @@ pub struct Ctx {
     /// Every check recorded so far, in order.
     pub checks: Vec<Check>,
     datasets: Vec<Rc<PreparedDataset>>,
-    paper_grid: Vec<(Sys, Vec<Cell>)>,
+    runs: HashMap<(Algo, DatasetId), Memo>,
 }
 
 impl Ctx {
@@ -159,7 +196,7 @@ impl Ctx {
             id: "",
             checks: Vec::new(),
             datasets: Vec::new(),
-            paper_grid: Vec::new(),
+            runs: HashMap::new(),
         }
     }
 
@@ -203,13 +240,15 @@ impl Ctx {
         Rc::clone(self.datasets.last().expect("just pushed"))
     }
 
-    /// Run `variants` on every cell of `cells`.
+    /// Run `variants` on every cell of `cells`, each (algorithm, dataset,
+    /// system) at most once per process.
     pub fn sweep(&mut self, cells: &[(Algo, DatasetId)], variants: &[Variant]) -> Vec<Cell> {
         cells
             .iter()
             .map(|&(algo, dataset)| {
                 let graph = Rc::clone(self.dataset(dataset).graph(algo));
-                let reports = run_cell(&self.env, algo, dataset.abbr(), &graph, variants);
+                let memo = self.runs.entry((algo, dataset)).or_default();
+                let reports = run_cell(&self.env, algo, dataset.abbr(), &graph, variants, memo);
                 Cell {
                     algo,
                     dataset,
@@ -221,47 +260,19 @@ impl Ctx {
     }
 
     /// The paper's 16-cell grid (Table 4 order × all datasets) under
-    /// `systems`, each system run at most once per process: Tables 4 and
-    /// 5 and Figures 7 and 9 are four readings of the same runs.
+    /// `systems`: Tables 2, 4 and 5 and Figures 7 and 9 are readings of the
+    /// same runs.
     pub fn paper_grid(&mut self, systems: &[Sys]) -> Vec<Cell> {
-        let cells = grid(&TABLE4_ORDER, &DatasetId::ALL);
-        for &sys in systems {
-            if self.paper_grid.iter().any(|(s, _)| *s == sys) {
-                continue;
-            }
-            let variant = (sys.name().to_string(), self.env.system(sys));
-            let column = self.sweep(&cells, &[variant]);
-            if let Some((first, seen)) = self.paper_grid.first() {
-                for (c, s) in column.iter().zip(seen) {
-                    assert!(
-                        c.reports[0].output == s.reports[0].output,
-                        "{} and {} disagree on {}",
-                        sys.name(),
-                        first.name(),
-                        c.label()
-                    );
-                }
-            }
-            self.paper_grid.push((sys, column));
-        }
-        let column = |sys: Sys| {
-            let found = self.paper_grid.iter().find(|(s, _)| *s == sys);
-            &found.expect("run above").1
-        };
-        let one = |sys: Sys, i: usize| column(sys)[i].reports[0].clone();
-        let cell = |(i, c): (usize, &Cell)| Cell {
-            algo: c.algo,
-            dataset: c.dataset,
-            graph: Rc::clone(&c.graph),
-            reports: systems.iter().map(|&s| one(s, i)).collect(),
-        };
-        column(systems[0]).iter().enumerate().map(cell).collect()
+        let variant = |&s: &Sys| (s.name().to_string(), self.env.system(s));
+        let variants: Vec<Variant> = systems.iter().map(variant).collect();
+        self.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ascetic_core::CompressionMode;
 
     #[test]
     fn sweep_runs_and_cross_checks() {
@@ -274,18 +285,49 @@ mod tests {
         assert_eq!(cells[0].reports[1].system, "Ascetic");
     }
 
+    const BFS_GS: (Algo, DatasetId) = (Algo::Bfs, DatasetId::Gs);
+
     #[test]
-    fn paper_grid_runs_each_system_once_and_serves_any_subset() {
-        let mut r = Ctx::new(Env::with_scale(50_000), true);
-        let both = r.paper_grid(&[Sys::Subway, Sys::Ascetic]);
-        assert_eq!(both.len(), 16);
-        let again = r.paper_grid(&[Sys::Ascetic]);
-        assert_eq!(r.paper_grid.len(), 2, "a cached system is not re-run");
-        assert_eq!(
-            again[5].reports[0].sim_time_ns,
-            both[5].reports[1].sim_time_ns
+    fn a_system_asked_under_two_names_runs_once_and_traces_under_both() {
+        let dir = std::env::temp_dir().join(format!("ascetic-memo-{}", std::process::id()));
+        let mut r = Ctx::new(
+            Env {
+                scale: 50_000,
+                trace: Some(dir.clone()),
+            },
+            true,
         );
-        assert_eq!(again[5].label(), both[5].label());
+        let (a, b) = (r.env.system(Sys::Ascetic), r.env.ascetic());
+        let first = r.sweep(&[BFS_GS], &[("a".into(), a)]);
+        let again = r.sweep(&[BFS_GS], &[("b".into(), b.into())]);
+        assert_eq!(r.runs[&BFS_GS].len(), 1, "the repeat is served, not re-run");
+        let time = |cells: &[Cell]| cells[0].reports[0].sim_time_ns;
+        assert_eq!(time(&again), time(&first));
+        for name in ["a", "b"] {
+            let trace = dir.join(format!("{name}_BFS_GS.json"));
+            assert!(trace.is_file(), "{} not written", trace.display());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn systems_that_differ_in_one_field_never_share_a_run() {
+        let mut r = Ctx::new(Env::with_scale(50_000), true);
+        let (cfg, subway) = (r.env.ascetic_cfg(), r.env.subway());
+        let compressed = subway.clone().with_compression(CompressionMode::Adaptive);
+        let pairs: [[Variant; 2]; 2] = [
+            [ascetic("x1", cfg), ascetic("x2", cfg.with_od_buffers(2))],
+            [
+                ("off".into(), subway.into()),
+                ("on".into(), compressed.into()),
+            ],
+        ];
+        for (n, [one, other]) in pairs.into_iter().enumerate() {
+            assert!(one.1 != other.1, "{} == {}", one.0, other.0);
+            r.sweep(&[BFS_GS], &[one]);
+            r.sweep(&[BFS_GS], &[other]);
+            assert_eq!(r.runs[&BFS_GS].len(), 2 * (n + 1), "{n}: a false hit");
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ impl Env {
     /// Environment with the default (or `ASCETIC_SCALE`-overridden) scale.
     /// `ASCETIC_TRACE=DIR` additionally records span traces on every
     /// constructed system and routes per-run Perfetto dumps into `DIR`.
-    /// Transfer modes are not environment: the `compression`, `prefetch`
-    /// and `direction` experiments sweep them as variants.
+    /// Transfer modes are not environment: the `mechanisms` and
+    /// `direction` experiments sweep them as variants.
     pub fn from_env() -> Env {
         let scale = std::env::var("ASCETIC_SCALE")
             .ok()

@@ -110,7 +110,7 @@ fn the_experiment_table_is_what_the_docs_and_ci_name() {
     let ids = listed_ids();
     assert!(
         !ids.contains("ablation_compression"),
-        "folded into `compression`"
+        "folded into `mechanisms`"
     );
     let documented = documented_ids(&repo_file("EXPERIMENTS.md"));
     assert_eq!(
@@ -125,17 +125,22 @@ fn the_experiment_table_is_what_the_docs_and_ci_name() {
         "CI still builds a per-experiment binary"
     );
     let calls = ci.lines().filter_map(|l| l.split("/ascetic-bench ").nth(1));
-    let called: Vec<&str> = calls
+    let called: BTreeSet<String> = calls
         .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
         .collect();
-    assert!(
-        called.len() >= 6,
-        "CI smoke-runs the six BENCH-writing experiments"
+    // ... and smoke-runs exactly the experiments that write a BENCH_*.json
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let writes_bench = |id: &&String| {
+        let files = std::fs::read_dir(root.join(id.as_str())).expect("golden dir");
+        files.map(|e| e.expect("dir entry").file_name()).any(|f| {
+            let f = f.to_str().expect("utf-8");
+            f.starts_with("BENCH_") && f.ends_with(".json")
+        })
+    };
+    let benches: BTreeSet<String> = ids.iter().filter(writes_bench).cloned().collect();
+    assert_eq!(
+        called, benches,
+        "CI smoke-runs vs the experiments whose golden holds a BENCH_*.json"
     );
-    for id in called {
-        assert!(
-            ids.contains(id),
-            "CI runs `{id}`, which is not an experiment"
-        );
-    }
 }

@@ -186,7 +186,7 @@ impl DirectionMode {
 spelled!(DirectionMode, as_str, Push, Pull, Adaptive);
 
 /// Full Ascetic configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AsceticConfig {
     /// Simulated device (capacity + cost models).
     pub device: DeviceConfig,

@@ -46,6 +46,7 @@ use crate::system::{check_edge_budget, OutOfCoreSystem, PrepareError};
 /// assert!(report.iterations > 0);
 /// assert!(report.prestore_bytes > 0); // static region was pre-filled
 /// ```
+#[derive(Clone, PartialEq)]
 pub struct AsceticSystem {
     /// Configuration (device, K, policies).
     pub cfg: AsceticConfig,

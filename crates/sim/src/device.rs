@@ -12,7 +12,7 @@ use crate::time::ns_for_bytes;
 /// PCIe link model: fixed per-transfer latency plus bandwidth-limited
 /// payload time. Effective bandwidth ~12 GB/s matches measured P100 PCIe
 /// 3.0 ×16 host-to-device throughput for pinned memory.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcieModel {
     /// Sustained bandwidth, bytes per second.
     pub bandwidth_bps: u64,
@@ -35,7 +35,7 @@ impl PcieModel {
 /// per-vertex work. Graph kernels on a P100 are memory-bound; ~4 G
 /// traversed-edges/s (0.25 ns/edge) is in line with published
 /// Subway/Gunrock numbers for irregular frontiers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KernelModel {
     /// Fixed launch + sync overhead per kernel, ns.
     pub launch_ns: u64,
@@ -61,7 +61,7 @@ impl KernelModel {
 /// pinned staging buffer. Multi-threaded gather on a 10-core Xeon sustains
 /// roughly 10 GB/s aggregate (Subway reports similar rates); per-vertex
 /// bookkeeping adds a few ns each.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GatherModel {
     /// Aggregate gather throughput of the host threads, bytes per second.
     pub bandwidth_bps: u64,
@@ -89,7 +89,7 @@ impl GatherModel {
 /// PCIe rates — published GPU LEB128/varint decoders reach tens of GB/s —
 /// so the calibrated 20 GB/s output rate keeps decompression cheaper per
 /// byte than the link it is saving, without making it free.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecompressModel {
     /// Decoded-output throughput, bytes per second.
     pub bandwidth_bps: u64,
@@ -112,7 +112,7 @@ impl DecompressModel {
 /// of microseconds per fault (20-50 us in published measurements) and
 /// migrations under oversubscription run far below peak PCIe bandwidth
 /// (fault-ordered, small pages, eviction interference).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UvmModel {
     /// Page size, bytes (Pascal migrates 64 KiB basic blocks by default).
     pub page_bytes: u64,
@@ -131,7 +131,7 @@ impl UvmModel {
 }
 
 /// Full device + host descriptor used by every system implementation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceConfig {
     /// Device memory capacity, bytes (the paper caps the P100 at 10 GB).
     pub mem_bytes: u64,
