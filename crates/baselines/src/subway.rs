@@ -23,7 +23,7 @@ use ascetic_algos::{EdgeSlice, VertexProgram};
 use ascetic_graph::Csr;
 use ascetic_sim::DeviceConfig;
 
-use ascetic_core::codec::{eligible, ship_batch, EncodeScratch};
+use ascetic_core::codec::{eligible, ship_batch, EncodeScratch, WirePrice};
 use ascetic_core::ondemand::BatchPlan;
 use ascetic_core::report::RunReport;
 use ascetic_core::system::{OutOfCoreSystem, PrepareError};
@@ -118,16 +118,9 @@ impl OutOfCoreSystem for SubwaySystem {
                 // the actual encoded size. (The phases are strictly
                 // sequential — the compute engine is idle while the copy
                 // runs — so here the rule is the pure link crossover.)
-                let (t_ns, payload_at) = ship_batch(
-                    gpu,
-                    g,
-                    batch,
-                    dst,
-                    g_span.end,
-                    encode,
-                    &mut scratch,
-                    None::<fn() -> u64>,
-                );
+                let price = encode.then_some(|| WirePrice::Measure);
+                let (t_ns, payload_at) =
+                    ship_batch(gpu, g, batch, dst, g_span.end, &mut scratch, price);
                 breakdown.transfer_ns += t_ns;
                 payload += batch.payload_bytes() + batch.index_bytes();
 
@@ -138,6 +131,7 @@ impl OutOfCoreSystem for SubwaySystem {
                 batch.for_each_row(gpu.mem.words(dst), |lane, v, words| {
                     let edges = EdgeSlice::new(words, weighted);
                     prog.advance_push(lane, v, edges, &state, next_bits);
+                    0
                 });
             }
 

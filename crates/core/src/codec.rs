@@ -14,8 +14,10 @@
 //! [`WireSizes`]: the first time a chunk is priced, the encoder's
 //! length pass ([`encoded_ranges_len`]) measures its clipped vertex ranges
 //! and the size is cached; afterwards a transfer touching the chunk is
-//! priced at the cached ratio. Nothing is encoded unless it ships
-//! encoded. Everything here is integer math over deterministic lengths, so
+//! priced at the cached ratio. A pull batch ships rows of the CSC mirror,
+//! which no chunk covers: it is priced exactly, from encoded sizes per
+//! mirror row cached beside the chunks' ([`mirror_batch_wire`]). Nothing
+//! is encoded unless it ships encoded. Everything here is integer math over deterministic lengths, so
 //! the decisions — and hence the simulated timeline — are bit-identical at
 //! every host thread count.
 //!
@@ -24,7 +26,7 @@
 //! accounting lives here once.
 
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
-use ascetic_graph::compress::{encode_ranges, encoded_ranges_len, EncodeEntry};
+use ascetic_graph::compress::{encode_ranges, encoded_len, encoded_ranges_len, EncodeEntry};
 use ascetic_graph::Csr;
 use ascetic_obs::Registry;
 use ascetic_sim::{DecompressModel, DevPtr, Engine, Gpu, PcieModel, SimTime};
@@ -102,45 +104,68 @@ pub struct EncodeScratch {
     entries: Vec<EncodeEntry>,
 }
 
+impl EncodeScratch {
+    /// `batch`'s entries in the encoder's form.
+    fn load(&mut self, batch: Batch<'_>) -> &[EncodeEntry] {
+        self.entries.clear();
+        let entries = batch.entries.iter().map(|e| (e.vertex, e.edges.clone()));
+        self.entries.extend(entries);
+        &self.entries
+    }
+}
+
+/// What [`ship_batch`] knows of an eligible batch's encoded size before
+/// the wire-form rule sees it.
+pub enum WirePrice {
+    /// Nothing: the encoder's length pass ([`encoded_ranges_len`])
+    /// measures the batch.
+    Measure,
+    /// An estimate the rule is asked about first; the batch is measured
+    /// only if it looks promising — a bad estimate must not ship a loser.
+    Estimate(u64),
+    /// The exact encoded size, Σ [`encoded_len`] over the entries (what the
+    /// length pass would return), so nothing is measured.
+    Exact(u64),
+}
+
 /// Ship one gather batch of `src` rows into `dst`, usable from `ready`:
 /// the payload raw or encoded, plus its subgraph index (always raw, riding
 /// the same DMA op). Returns `(transfer_ns, payload_at)` — the
 /// link-plus-decode time charged and when a kernel may read `dst`.
 ///
-/// When `encode` is set (the payload is [`eligible`]), given an `estimate`
-/// of the encoded size, the wire-form rule is asked about it first and the
-/// batch measured only if that looks promising; either way the rule then
-/// sees the exact encoded size ([`encoded_ranges_len`], no bytes written)
-/// — a bad estimate must not ship a loser — and only a batch that ships
-/// encoded is encoded.
-#[allow(clippy::too_many_arguments)]
+/// `price` is `Some` when the payload is [`eligible`]: called once, it
+/// says what is known of the encoded size ([`WirePrice`]), and the
+/// wire-form rule then decides on the exact size — only a batch that
+/// ships encoded is encoded.
 pub fn ship_batch(
     gpu: &mut Gpu,
     src: &Csr,
     batch: Batch<'_>,
     dst: DevPtr,
     ready: SimTime,
-    encode: bool,
     scratch: &mut EncodeScratch,
-    estimate: Option<impl FnOnce() -> u64>,
+    price: Option<impl FnOnce() -> WirePrice>,
 ) -> (u64, SimTime) {
     let (raw, index) = (batch.payload_bytes(), batch.index_bytes());
     let gather_rows = |window: &mut [u32]| batch.gather_into(src, window);
-    if encode && raw > 0 {
-        if estimate.is_none_or(|est| encoded_wins(gpu, ready, raw, est(), true)) {
-            scratch.entries.clear();
-            scratch
-                .entries
-                .extend(batch.entries.iter().map(|e| (e.vertex, e.edges.clone())));
-            let wire = encoded_ranges_len(src, &scratch.entries) as u64;
-            if encoded_wins(gpu, ready, raw, wire, true) {
-                scratch.buf.clear();
-                encode_ranges(src, &scratch.entries, &mut scratch.buf);
-                let (copy, dec) =
-                    gpu.h2d_compressed_at(dst, &scratch.buf, index, ready, gather_rows);
-                count_decision(&mut gpu.obs.registry, raw, Some(wire));
-                return (copy.duration() + dec.duration(), dec.end);
-            }
+    if let Some(price) = price.filter(|_| raw > 0) {
+        let mut measure = || encoded_ranges_len(src, scratch.load(batch)) as u64;
+        let wire = match price() {
+            WirePrice::Measure => Some(measure()),
+            WirePrice::Estimate(est) => encoded_wins(gpu, ready, raw, est, true).then(measure),
+            WirePrice::Exact(wire) => Some(wire),
+        };
+        if let Some(wire) = wire.filter(|&wire| encoded_wins(gpu, ready, raw, wire, true)) {
+            scratch.load(batch);
+            scratch.buf.clear();
+            let written = encode_ranges(src, &scratch.entries, &mut scratch.buf);
+            debug_assert_eq!(
+                written as u64, wire,
+                "a batch's price is its encoded length"
+            );
+            let (copy, dec) = gpu.h2d_compressed_at(dst, &scratch.buf, index, ready, gather_rows);
+            count_decision(&mut gpu.obs.registry, raw, Some(wire));
+            return (copy.duration() + dec.duration(), dec.end);
         }
         count_decision(&mut gpu.obs.registry, raw, None);
     }
@@ -168,38 +193,79 @@ pub fn chunk_entries(g: &Csr, geo: &ChunkGeometry, c: ChunkId) -> Vec<EncodeEntr
     entries
 }
 
-/// Per-chunk encoded sizes of a session's edge payload (0 = not yet
-/// measured; a real chunk never encodes to zero bytes), measured once by
-/// the encoder's length pass and reused across iterations and runs: the
-/// prestore's pricing, [`estimate_batch_wire`] and the prefetch planner's
-/// wire cost all read them through [`chunk_wire_bytes`].
-pub struct WireSizes(Vec<u32>);
+/// Encoded sizes of a session's payloads (0 = not yet measured; nothing
+/// encodes to zero bytes), each measured once and reused across
+/// iterations and runs: per chunk of the edge payload — the prestore's
+/// pricing, [`estimate_batch_wire`] and the prefetch planner's wire cost
+/// read them through [`chunk_wire_bytes`] — and per row of the pull
+/// mirror, which [`mirror_batch_wire`] prices pull batches from.
+pub struct WireSizes {
+    chunks: Vec<u32>,
+    // empty until the first pull batch is priced
+    rows: Vec<u32>,
+}
 
 impl WireSizes {
     /// An empty cache over `num_chunks` chunks.
     pub fn new(num_chunks: usize) -> Self {
-        WireSizes(vec![0; num_chunks])
+        WireSizes {
+            chunks: vec![0; num_chunks],
+            rows: Vec::new(),
+        }
     }
 
     /// Follow a patch: resize to the patched graph's chunk count and drop
     /// every size from `first_dirty` on, whose payload the patch changed
-    /// or shifted — they are re-measured before they price again.
+    /// or shifted — they are re-measured before they price again. Every
+    /// mirror row's size goes too: a patch re-transposes the mirror.
     pub(crate) fn patched(&mut self, num_chunks: usize, first_dirty: ChunkId) {
-        self.0.truncate(first_dirty as usize);
-        self.0.resize(num_chunks, 0);
+        self.chunks.truncate(first_dirty as usize);
+        self.chunks.resize(num_chunks, 0);
+        self.rows = Vec::new();
     }
 }
 
 /// Encoded size of chunk `c`'s payload: cached in `sizes`, or measured now
 /// by the encoder's length pass (and then cached).
 pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, sizes: &mut WireSizes) -> u64 {
-    let cached = &mut sizes.0[c as usize];
+    let cached = &mut sizes.chunks[c as usize];
     if *cached != 0 {
         return *cached as u64;
     }
     let bytes = (encoded_ranges_len(g, &chunk_entries(g, geo, c)) as u64).max(1);
     *cached = bytes.min(u32::MAX as u64) as u32;
     bytes
+}
+
+/// The exact encoded size of a pull batch of `csc` rows (the session's
+/// mirror): a full row from the per-row table of `sizes` (its first
+/// pricing measures it), a row clipped at a batch boundary by
+/// [`encoded_len`] on the spot. The encoder's length pass is Σ
+/// [`encoded_len`] over the entries, so this is [`encoded_ranges_len`]
+/// without re-walking a row already measured.
+pub fn mirror_batch_wire(csc: &Csr, sizes: &mut WireSizes, entries: &[GatherEntry]) -> u64 {
+    let rows = &mut sizes.rows;
+    if rows.len() != csc.num_vertices() {
+        *rows = vec![0; csc.num_vertices()];
+    }
+    let all = csc.targets();
+    let measure = |e: &GatherEntry| {
+        encoded_len(e.vertex, &all[e.edges.start as usize..e.edges.end as usize]) as u64
+    };
+    let price = |e: &GatherEntry| {
+        if e.edges != csc.edge_range(e.vertex) {
+            return measure(e);
+        }
+        let cached = &mut rows[e.vertex as usize];
+        if *cached == 0 {
+            let bytes = measure(e);
+            // a row too long to cache is measured every time
+            *cached = u32::try_from(bytes).unwrap_or(0);
+            return bytes;
+        }
+        *cached as u64
+    };
+    entries.iter().map(price).sum()
 }
 
 /// Estimate the encoded size of a gather batch by pricing each entry's
@@ -231,8 +297,9 @@ pub fn estimate_batch_wire(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ascetic_graph::compress::encoded_len;
+    use crate::ondemand::BatchPlan;
     use ascetic_graph::generators::{uniform_graph, web_graph, WebConfig};
+    use ascetic_graph::{GraphBuilder, VertexId};
     use ascetic_sim::{DecompressModel, DeviceConfig, PcieModel};
 
     impl EncodeScratch {
@@ -245,7 +312,14 @@ mod tests {
     impl WireSizes {
         /// How many chunks have been measured so far.
         pub(crate) fn measured(&self) -> usize {
-            self.0.iter().filter(|&&size| size != 0).count()
+            self.chunks.iter().filter(|&&size| size != 0).count()
+        }
+
+        /// The mirror rows measured so far, with their cached sizes.
+        pub(crate) fn measured_rows(&self) -> Vec<(VertexId, u64)> {
+            let rows = self.rows.iter().enumerate().filter(|(_, &size)| size != 0);
+            rows.map(|(v, &size)| (v as VertexId, size as u64))
+                .collect()
         }
     }
 
@@ -430,15 +504,15 @@ mod tests {
         let geo = ChunkGeometry::with_chunk_bytes(&g, 512);
         let mut sizes = WireSizes::new(geo.num_chunks());
         let w0 = chunk_wire_bytes(&g, &geo, 0, &mut sizes);
-        assert_eq!(sizes.0[0] as u64, w0);
-        assert_eq!(sizes.0[1], 0, "other chunks unmeasured");
+        assert_eq!(sizes.chunks[0] as u64, w0);
+        assert_eq!(sizes.chunks[1], 0, "other chunks unmeasured");
         // second call must come from the cache and agree
         assert_eq!(chunk_wire_bytes(&g, &geo, 0, &mut sizes), w0);
         // a patch drops the dirty tail's sizes and keeps the rest
         chunk_wire_bytes(&g, &geo, 2, &mut sizes);
         sizes.patched(geo.num_chunks() + 1, 1);
-        assert_eq!((sizes.0[0] as u64, sizes.0[2]), (w0, 0));
-        assert_eq!(sizes.0.len(), geo.num_chunks() + 1);
+        assert_eq!((sizes.chunks[0] as u64, sizes.chunks[2]), (w0, 0));
+        assert_eq!(sizes.chunks.len(), geo.num_chunks() + 1);
         // against a direct per-entry length computation
         let expect: u64 = chunk_entries(&g, &geo, 0)
             .iter()
@@ -452,10 +526,62 @@ mod tests {
         let g = uniform_graph(200, 2_000, false, 9);
         let geo = ChunkGeometry::with_chunk_bytes(&g, 512);
         let mut sizes = WireSizes::new(geo.num_chunks());
-        assert_eq!(sizes.0[2], 0, "a new cache holds no sizes");
-        sizes.0[2] = 1234;
+        assert_eq!(sizes.chunks[2], 0, "a new cache holds no sizes");
+        sizes.chunks[2] = 1234;
         assert_eq!(chunk_wire_bytes(&g, &geo, 2, &mut sizes), 1234);
-        assert_eq!(sizes.0[3], 0, "other chunks unaffected");
+        assert_eq!(sizes.chunks[3], 0, "other chunks unaffected");
+    }
+
+    /// The encoder's length pass over `entries` — what a pull batch was
+    /// priced by before the per-row table.
+    fn length_pass(csc: &Csr, entries: &[GatherEntry]) -> u64 {
+        let entries: Vec<EncodeEntry> = entries
+            .iter()
+            .map(|e| (e.vertex, e.edges.clone()))
+            .collect();
+        encoded_ranges_len(csc, &entries) as u64
+    }
+
+    /// A pull batch's table price is the length pass's, byte for byte, over
+    /// a mirror whose hub row is split across batches (its clipped pieces
+    /// measured on the spot, every full row from the table): on the first
+    /// pricing, which fills the table, and again from the filled table.
+    #[test]
+    fn mirror_price_is_the_length_pass_with_a_hub_split_across_batches() {
+        let n = 2_000u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 1..n {
+            b.add_edge(v, 0);
+            b.add_edge(v, v * 7 % n);
+            b.add_edge(v, (v * 13 + 5) % n);
+        }
+        let csc = b.build().transpose();
+        let targets: Vec<VertexId> = (0..n).filter(|&v| csc.degree(v) > 0).collect();
+        let mut plan = BatchPlan::default();
+        plan.plan(&csc, &targets, 700);
+        let hub_pieces = plan
+            .batches()
+            .flat_map(|b| b.entries)
+            .filter(|e| e.vertex == 0);
+        assert!(hub_pieces.count() > 2, "the hub row spans batches");
+        let mut sizes = WireSizes::new(1);
+        for pass in ["measuring", "from the table"] {
+            for (i, batch) in plan.batches().enumerate() {
+                let priced = mirror_batch_wire(&csc, &mut sizes, batch.entries);
+                assert_eq!(
+                    priced,
+                    length_pass(&csc, batch.entries),
+                    "batch {i}, {pass}"
+                );
+            }
+        }
+        // every row delivered whole was cached, a clipped one never was
+        let entries = || plan.batches().flat_map(|b| b.entries);
+        let whole = entries().filter(|e| e.edges == csc.edge_range(e.vertex));
+        let cached = sizes.rows.iter().filter(|&&b| b != 0).count();
+        assert_eq!(cached, whole.count());
+        assert!(cached < targets.len());
+        assert_eq!(sizes.rows[0], 0, "a clipped row is not a row's price");
     }
 
     #[test]

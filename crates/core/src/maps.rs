@@ -46,14 +46,11 @@ impl DataMaps {
     /// [`DataMaps::generate`] into this value's recycled vectors (a run
     /// keeps one `DataMaps` and refills it every iteration).
     pub fn regenerate(&mut self, g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) {
-        assert_eq!(active.len(), static_bitmap.len(), "bitmap length mismatch");
         self.static_nodes.clear();
         self.ondemand_nodes.clear();
         self.static_edges = 0;
         self.ondemand_edges = 0;
-        let resident = static_bitmap.words();
-        for (wi, word) in active.nonzero_words() {
-            let base = (wi * 64) as VertexId;
+        split_words(active, static_bitmap, |base, resident, ondemand| {
             let split = |mut bits: u64, nodes: &mut Vec<VertexId>, edges: &mut u64| {
                 while bits != 0 {
                     let v = base + bits.trailing_zeros();
@@ -62,17 +59,22 @@ impl DataMaps {
                     bits &= bits - 1;
                 }
             };
-            split(
-                word & resident[wi],
-                &mut self.static_nodes,
-                &mut self.static_edges,
-            );
-            split(
-                word & !resident[wi],
-                &mut self.ondemand_nodes,
-                &mut self.ondemand_edges,
-            );
-        }
+            split(resident, &mut self.static_nodes, &mut self.static_edges);
+            split(ondemand, &mut self.ondemand_nodes, &mut self.ondemand_edges);
+        });
+    }
+
+    /// The on-demand map's volume alone, `(vertices, edges)` — what
+    /// [`DataMaps::regenerate`] leaves in `ondemand_nodes.len()` and
+    /// `ondemand_edges` — from the same walk, without listing a vertex:
+    /// each word's edges are one offsets difference per run of set bits.
+    pub fn ondemand_volume(g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) -> (u64, u64) {
+        let (mut nodes, mut edges) = (0u64, 0u64);
+        split_words(active, static_bitmap, |base, _, ondemand| {
+            nodes += ondemand.count_ones() as u64;
+            edges += word_rows(g, base, ondemand).0;
+        });
+        (nodes, edges)
     }
 
     /// Total active vertices.
@@ -94,6 +96,43 @@ impl DataMaps {
     pub fn static_bytes(&self, bytes_per_edge: u64) -> u64 {
         self.static_edges * bytes_per_edge
     }
+}
+
+/// The one walk of Figure 4's split: `f(base, static_bits, ondemand_bits)`
+/// for every non-zero word of `active`, `base` being the word's first
+/// vertex and the two masks the word AND / AND-NOT the static bitmap.
+fn split_words(active: &Bitmap, static_bitmap: &Bitmap, mut f: impl FnMut(VertexId, u64, u64)) {
+    assert_eq!(active.len(), static_bitmap.len(), "bitmap length mismatch");
+    let resident = static_bitmap.words();
+    for (wi, word) in active.nonzero_words() {
+        f(
+            (wi * 64) as VertexId,
+            word & resident[wi],
+            word & !resident[wi],
+        );
+    }
+}
+
+/// `(Σ degree, non-empty rows)` of `g` over the vertices set in `bits`,
+/// the bitmap word whose first vertex is `base`: one offsets difference
+/// per run of consecutive set bits, no per-vertex degree call.
+pub(crate) fn word_rows(g: &Csr, base: VertexId, mut bits: u64) -> (u64, u64) {
+    let offsets = g.offsets();
+    let (mut edges, mut rows) = (0u64, 0u64);
+    while bits != 0 {
+        let (lo, len) = (
+            bits.trailing_zeros(),
+            (bits >> bits.trailing_zeros()).trailing_ones(),
+        );
+        let start = (base + lo) as usize;
+        let run = &offsets[start..=start + len as usize];
+        edges += run[len as usize] - run[0];
+        rows += run.windows(2).filter(|w| w[1] != w[0]).count() as u64;
+        bits = bits
+            .checked_shr(lo + len)
+            .map_or(0, |rest| rest << (lo + len));
+    }
+    (edges, rows)
 }
 
 #[cfg(test)]
@@ -174,7 +213,31 @@ mod tests {
             // refilling a dirty value leaves nothing of the previous maps
             recycled.regenerate(&g, &active, &stat);
             assert_eq!(recycled, expect, "recycled, n={n}");
+            // the count-only walk agrees with the listed on-demand map
+            let volume = (expect.ondemand_nodes.len() as u64, expect.ondemand_edges);
+            assert_eq!(DataMaps::ondemand_volume(&g, &active, &stat), volume);
         }
+    }
+
+    #[test]
+    fn word_rows_sums_each_run_of_set_bits() {
+        // degrees 2, 1, 3, 0: runs {0,1}, {2,3}, all four, and single bits
+        let g = graph();
+        let rows = |bits: u64| word_rows(&g, 0, bits);
+        assert_eq!(rows(0b0011), (3, 2));
+        assert_eq!(rows(0b1100), (3, 1), "v3 has no edges");
+        assert_eq!(rows(0b1111), (6, 3));
+        assert_eq!(rows(0b1001), (2, 1));
+        assert_eq!(rows(0), (0, 0));
+        // a full word, on a graph wide enough for one: every row counts
+        let wide = ascetic_graph::generators::uniform_graph(130, 900, false, 3);
+        let by_vertex = |base: u32| {
+            let vs = base..base + 64;
+            let edges = vs.clone().map(|v| wide.degree(v)).sum::<u64>();
+            (edges, vs.filter(|&v| wide.degree(v) > 0).count() as u64)
+        };
+        assert_eq!(word_rows(&wide, 64, u64::MAX), by_vertex(64));
+        assert_eq!(word_rows(&wide, 0, u64::MAX), by_vertex(0));
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! [`plan_batches`] / [`gather`] are the one-shot forms
 //! (fresh buffers) for callers outside an iteration loop.
 
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+
 use ascetic_graph::{Csr, VertexId};
 use ascetic_par::{parallel_for_work, parallel_parts, threads_for_work};
 use ascetic_sim::DevPtr;
@@ -41,6 +44,15 @@ pub(crate) fn split_buffers(slab: DevPtr, n: usize, words_per_edge: usize) -> Ve
     let per = slab.len / n / words_per_edge * words_per_edge;
     (0..n).map(|i| slab.slice(i * per, per)).collect()
 }
+
+/// Lanes that sum [`Batch::for_each_row`]'s returns in a slot of their
+/// own; a lane past them (a wider pool) adds to one shared counter.
+const LANE_SUMS: usize = 16;
+
+/// One lane's running sum, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct LaneSum(AtomicU64);
 
 /// One gather request: a vertex and the sub-range of its edges to deliver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -211,12 +223,27 @@ impl Batch<'_> {
 
     /// Run `body(lane, vertex, words)` over every entry of the batch in
     /// parallel, `words` being the entry's window of the delivered
-    /// `payload` — the host execution of the batch's kernel. `lane` is
-    /// [`ascetic_par::parallel_for_work`]'s.
-    pub fn for_each_row(&self, payload: &[u32], body: impl Fn(usize, VertexId, &[u32]) + Sync) {
+    /// `payload` — the host execution of the batch's kernel — and return
+    /// the sum of what the bodies return (a pull kernel's scanned edges).
+    /// `lane` is [`ascetic_par::parallel_for_work`]'s, and the sum is kept
+    /// per lane under its lane contract: no two workers add to one word.
+    pub fn for_each_row(
+        &self,
+        payload: &[u32],
+        body: impl Fn(usize, VertexId, &[u32]) -> u64 + Sync,
+    ) -> u64 {
+        let lanes: [LaneSum; LANE_SUMS] = Default::default();
+        let spill = AtomicU64::new(0);
         parallel_for_work(self.entries.len(), self.edges(), |lane, i| {
-            body(lane, self.entries[i].vertex, &payload[self.entry_words(i)]);
+            let n = body(lane, self.entries[i].vertex, &payload[self.entry_words(i)]);
+            match lanes.get(lane) {
+                // only the body running in `lane` touches its slot
+                Some(LaneSum(sum)) => sum.store(sum.load(Relaxed) + n, Relaxed),
+                None => _ = spill.fetch_add(n, Relaxed),
+            }
         });
+        let summed: u64 = lanes.into_iter().map(|LaneSum(sum)| sum.into_inner()).sum();
+        summed + spill.into_inner()
     }
 
     /// Gather the batch's payload from the host CSR into `dst` — exactly
@@ -322,11 +349,74 @@ pub fn gather(g: &Csr, entries: Vec<GatherEntry>) -> GatherBatch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ascetic_graph::datasets::weighted_variant;
     use ascetic_graph::generators::uniform_graph;
     use ascetic_graph::GraphBuilder;
+    use ascetic_par::set_num_threads;
+    use std::sync::Mutex;
+
+    /// `set_num_threads` is process-global: the crate's tests that pin a
+    /// pool width take this lock while they run.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    /// Run `f` at `threads` host threads, restoring the default after.
+    pub(crate) fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let _held = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(threads);
+        let out = f();
+        set_num_threads(0);
+        out
+    }
+
+    /// The bodies' returns, summed lane by lane, are the serial sum at
+    /// every pool width — 20 workers included, whose lanes past
+    /// `LANE_SUMS` add to the shared spill counter: each lane's first body
+    /// holds until every lane has started (the job has more chunks than
+    /// workers), so all twenty take part.
+    #[test]
+    fn for_each_row_sums_the_bodies_per_lane() {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        use std::time::{Duration, Instant};
+        let g = uniform_graph(6_000, 500_000, false, 23);
+        let nodes: Vec<VertexId> = (0..6_000).collect();
+        let gathered = gather(&g, plan_batches(&g, &nodes, 1 << 20).remove(0));
+        let batch = gathered.batch();
+        assert!(batch.edges() > 20 * ascetic_par::INLINE_WORK, "20+ chunks");
+        let score = |v: VertexId, words: &[u32]| {
+            v as u64 + words.iter().filter(|&&t| t % 3 == 0).count() as u64
+        };
+        let serial: u64 = (0..batch.entries.len())
+            .map(|i| {
+                score(
+                    batch.entries[i].vertex,
+                    &gathered.words[batch.entry_words(i)],
+                )
+            })
+            .sum();
+        for threads in [1, 2, 20] {
+            let started = AtomicU64::new(0);
+            let summed = at_threads(threads, || {
+                batch.for_each_row(&gathered.words, |lane, v, words| {
+                    let bit = 1u64 << lane;
+                    if started.fetch_or(bit, Relaxed) & bit == 0 {
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while started.load(Relaxed).count_ones() < threads as u32
+                            && Instant::now() < deadline
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                    score(v, words)
+                })
+            });
+            assert_eq!(summed, serial, "{threads} threads");
+            let lanes = started.into_inner().count_ones();
+            assert_eq!(lanes, threads as u32, "every lane took part");
+        }
+        const { assert!(LANE_SUMS < 20, "the spill counter is exercised") };
+    }
 
     fn graph() -> Csr {
         // degrees: v0=3, v1=1, v2=2

@@ -22,7 +22,6 @@
 //! type.
 
 use std::fmt::Display;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ascetic_algos::ops::{self, NextFrontier};
@@ -34,13 +33,13 @@ use ascetic_par::{parallel_for_work, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, SimTime, Span, Xfer};
 
 use crate::codec::{
-    chunk_wire_bytes, eligible, encoded_wins, estimate_batch_wire, ship_batch, EncodeScratch,
-    WireSizes,
+    chunk_wire_bytes, eligible, encoded_wins, estimate_batch_wire, mirror_batch_wire, ship_batch,
+    EncodeScratch, WirePrice, WireSizes,
 };
 use crate::config::{AsceticConfig, DirectionMode};
 use crate::engine::RunLedger;
 use crate::graph_ref::SessionGraph;
-use crate::maps::DataMaps;
+use crate::maps::{word_rows, DataMaps};
 use crate::ondemand::{split_buffers, Batch, BatchPlan};
 use crate::prefetch::{chunk_demand_bytes, Prefetcher};
 use crate::ratio::{static_share, RegionEvidence, Repartition};
@@ -333,53 +332,6 @@ impl<'g> AsceticSession<'g> {
         self.gpu.timeline.barrier(SimTime(barrier_ns));
     }
 
-    /// Beamer-style density heuristic on *transfer* demand: compare the
-    /// on-demand wire bytes each direction would ship for `frontier`.
-    /// Push ships the non-resident frontier vertices' out-edge rows plus
-    /// their subgraph index; pull bypasses the (CSR-chunked) static region
-    /// entirely, so it ships every candidate target's full in-edge row
-    /// from `csc`. Switching *into* pull demands a 25 % margin; staying
-    /// only a tie — the hysteresis that keeps near-equal iterations from
-    /// flapping. `targets` is the run's recycled pull-target bitmap.
-    fn pull_wins<P: VertexProgram>(
-        &self,
-        prog: &P,
-        csc: &Csr,
-        frontier: &Bitmap,
-        state: &P::State,
-        prev_pull: bool,
-        targets: &mut Bitmap,
-    ) -> bool {
-        let g = &*self.g;
-        let bpe = g.bytes_per_edge() as u64;
-        let resident = self.region.vertex_bitmap();
-        let mut push_edges = 0u64;
-        let mut push_nodes = 0u64;
-        for v in frontier.iter_ones() {
-            if !resident.get(v) {
-                push_edges += g.degree(v as VertexId);
-                push_nodes += 1;
-            }
-        }
-        let push_est = push_edges * bpe + push_nodes * 8;
-        ops::pull_frontier_into(prog, g, frontier, state, targets);
-        let mut pull_edges = 0u64;
-        let mut pull_nodes = 0u64;
-        for v in targets.iter_ones() {
-            let d = csc.degree(v as VertexId);
-            if d > 0 {
-                pull_edges += d;
-                pull_nodes += 1;
-            }
-        }
-        let pull_est = pull_edges * bpe + pull_nodes * 8;
-        if prev_pull {
-            pull_est <= push_est
-        } else {
-            pull_est * 4 < push_est * 3
-        }
-    }
-
     /// Resolve the traversal direction for an iteration whose frontier is
     /// `frontier`, honoring the config policy and the program's pull
     /// capability. A session whose config never pulls built no mirror and
@@ -401,7 +353,9 @@ impl<'g> AsceticSession<'g> {
             DirectionMode::Push => false,
             DirectionMode::Pull => true,
             DirectionMode::Adaptive => {
-                self.pull_wins(prog, mirror, frontier, state, prev_pull, pull_targets)
+                ops::pull_frontier_into(prog, &self.g, frontier, state, pull_targets);
+                let resident = self.region.vertex_bitmap();
+                pull_wins(&self.g, mirror, resident, frontier, pull_targets, prev_pull)
             }
         };
         if pull {
@@ -491,6 +445,7 @@ impl<'g> AsceticSession<'g> {
                     batch.for_each_row(payload, |lane, v, words| {
                         let edges = EdgeSlice::new(words, weighted);
                         prog.advance_push(lane, v, edges, state, next_bits);
+                        0
                     });
                     batch.edges()
                 };
@@ -522,13 +477,10 @@ impl<'g> AsceticSession<'g> {
                 // data-dependent), which is why the pipeline takes its
                 // edge count from the host execution.
                 let kernel = |batch: Batch<'_>, payload: &[u32]| {
-                    let scanned = AtomicU64::new(0);
                     batch.for_each_row(payload, |_, v, words| {
                         let in_edges = EdgeSlice::new(words, weighted);
-                        let s = prog.advance_pull(v, in_edges, active, state, next_bits);
-                        scanned.fetch_add(s, Ordering::Relaxed);
-                    });
-                    scanned.into_inner()
+                        prog.advance_pull(v, in_edges, active, state, next_bits)
+                    })
                 };
                 let od = self.run_ondemand(ctx, csc, &targets, genmap.end, &dir, kernel);
                 ctx.pull_targets = targets;
@@ -781,28 +733,25 @@ impl<'g> AsceticSession<'g> {
                 pf.fill_gap(&mut self.gpu, &self.region, g_span.end);
             }
 
-            // H2D transfer of payload + index into this batch's buffer.
-            // The wire-size cache is keyed by CSR chunks, so only push —
-            // which ships CSR rows — has an estimate to try before
-            // encoding; the mirror's rows are encoded outright.
+            // H2D transfer of payload + index into this batch's buffer:
+            // push rows are estimated at their CSR chunks' cached ratios,
+            // the mirror's rows priced exactly from its per-row table.
             let dst = self.od_buffers[buf_idx].slice(0, batch.words());
             let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
             let push = matches!(dir, Direction::Push);
-            let encode = self.wire.is_some();
             let (g, geo) = (&self.g, &self.region.geo);
-            let estimate = self.wire.as_mut().filter(|_| push);
-            let estimate =
-                estimate.map(|sizes| || estimate_batch_wire(g, geo, sizes, batch.entries));
-            let (t_ns, payload_at) = ship_batch(
-                &mut self.gpu,
-                src,
-                batch,
-                dst,
-                ready,
-                encode,
-                &mut ctx.scratch,
-                estimate,
-            );
+            let price = self.wire.as_mut().map(|sizes| {
+                move || {
+                    if push {
+                        WirePrice::Estimate(estimate_batch_wire(g, geo, sizes, batch.entries))
+                    } else {
+                        WirePrice::Exact(mirror_batch_wire(src, sizes, batch.entries))
+                    }
+                }
+            });
+            let scratch = &mut ctx.scratch;
+            let (t_ns, payload_at) =
+                ship_batch(&mut self.gpu, src, batch, dst, ready, scratch, price);
             ctx.ledger.breakdown.transfer_ns += t_ns;
             od.payload += batch.payload_bytes() + batch.index_bytes();
 
@@ -1024,6 +973,44 @@ impl<'g> AsceticSession<'g> {
             tr.span(t, start_ns, end_ns, &label.to_string(), CAT_PHASE);
         }
     }
+}
+
+/// Beamer-style density heuristic on *transfer* demand: compare the
+/// on-demand wire bytes each direction would ship for `frontier`. Push
+/// ships the frontier's non-`resident` vertices' out-edge rows plus their
+/// subgraph index; pull bypasses the (CSR-chunked) static region entirely,
+/// so it ships every pull target's non-empty in-edge row from `csc`.
+/// Switching *into* pull demands a 25 % margin; staying only a tie — the
+/// hysteresis that keeps near-equal iterations from flapping. Both sides
+/// are summed a bitmap word at a time, and the pull sum stops once pull
+/// has lost: it only grows, so the answer is the full sum's.
+fn pull_wins(
+    g: &Csr,
+    csc: &Csr,
+    resident: &Bitmap,
+    frontier: &Bitmap,
+    targets: &Bitmap,
+    prev_pull: bool,
+) -> bool {
+    let bpe = g.bytes_per_edge() as u64;
+    let (push_nodes, push_edges) = DataMaps::ondemand_volume(g, frontier, resident);
+    let push_est = push_edges * bpe + push_nodes * 8;
+    let lost = |pull_est: u64| {
+        if prev_pull {
+            pull_est > push_est
+        } else {
+            pull_est * 4 >= push_est * 3
+        }
+    };
+    let mut pull_est = 0u64;
+    for (wi, bits) in targets.nonzero_words() {
+        let (edges, rows) = word_rows(csc, (wi * 64) as VertexId, bits);
+        pull_est += edges * bpe + rows * 8;
+        if lost(pull_est) {
+            return false;
+        }
+    }
+    !lost(pull_est)
 }
 
 /// What [`AsceticSession::apply_batch`] changed, shipped and touched.
@@ -1690,5 +1677,181 @@ mod tests {
                 assert_eq!(capacities(ctx), warm, "{what}: iteration {iter}");
             });
         }
+    }
+
+    /// The direction estimate as it stood before the word-wise, bounded
+    /// walk: every frontier bit tested against `resident`, every target's
+    /// in-degree summed to the end — the reference for `pull_wins`.
+    fn pull_wins_full_scan(
+        g: &Csr,
+        csc: &Csr,
+        resident: &Bitmap,
+        frontier: &Bitmap,
+        targets: &Bitmap,
+        prev_pull: bool,
+    ) -> bool {
+        let bpe = g.bytes_per_edge() as u64;
+        let mut push_edges = 0u64;
+        let mut push_nodes = 0u64;
+        for v in frontier.iter_ones() {
+            if !resident.get(v) {
+                push_edges += g.degree(v as VertexId);
+                push_nodes += 1;
+            }
+        }
+        let push_est = push_edges * bpe + push_nodes * 8;
+        let mut pull_edges = 0u64;
+        let mut pull_nodes = 0u64;
+        for v in targets.iter_ones() {
+            let d = csc.degree(v as VertexId);
+            if d > 0 {
+                pull_edges += d;
+                pull_nodes += 1;
+            }
+        }
+        let pull_est = pull_edges * bpe + pull_nodes * 8;
+        if prev_pull {
+            pull_est <= push_est
+        } else {
+            pull_est * 4 < push_est * 3
+        }
+    }
+
+    /// `(frontier, pull targets)` at each iteration boundary of `prog`'s
+    /// in-memory run on `g`: the states a direction is chosen from.
+    fn mid_run_states<P: VertexProgram>(prog: &P, g: &Csr) -> Vec<(Bitmap, Bitmap)> {
+        let state = prog.new_state(g);
+        let mut frontier = prog.initial_frontier(g);
+        let mut states = Vec::new();
+        for iter in 0..prog.max_iterations().min(16) {
+            if frontier.is_all_zero() {
+                break;
+            }
+            let mut targets = Bitmap::new(0);
+            ops::pull_frontier_into(prog, g, &frontier, &state, &mut targets);
+            states.push((frontier.clone(), targets));
+            frontier = ops::advance_all(prog, g, iter, &frontier, &state).0;
+        }
+        states
+    }
+
+    /// The bounded estimate decides exactly as the full scan: on quirky
+    /// graphs (self-loops, parallel edges, an isolated upper half, several
+    /// bitmap words), at BFS, CC and PR states drawn mid-run, under random
+    /// static-region residency (none, a drawn density, all) and either
+    /// previous direction — and over the sweep both answers occur.
+    #[test]
+    fn bounded_pull_wins_decides_as_the_full_scan_on_quirky_graphs() {
+        use ascetic_graph::GraphBuilder;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5eed_d1ec);
+        let mut answers = [0u32; 2];
+        for case in 0..24 {
+            let n = rng.gen_range(16..400usize);
+            let span = (n as u32 / 2).max(1);
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..rng.gen_range(1..4_000u32) {
+                b.add_edge(rng.gen_range(0..span), rng.gen_range(0..span));
+            }
+            let g = b.build();
+            let csc = g.transpose();
+            let mut states = mid_run_states(&Bfs::new(rng.gen_range(0..span)), &g);
+            states.extend(mid_run_states(&Cc::new(), &g));
+            states.extend(mid_run_states(&PageRank::new(), &g));
+            let density = rng.gen_range(0.0..1.0);
+            for (frontier, targets) in &states {
+                for p in [0.0, density, 1.0] {
+                    let mut resident = Bitmap::new(n);
+                    (0..n)
+                        .filter(|_| rng.gen_bool(p))
+                        .for_each(|v| resident.set(v));
+                    for prev_pull in [false, true] {
+                        let full =
+                            pull_wins_full_scan(&g, &csc, &resident, frontier, targets, prev_pull);
+                        let bounded = pull_wins(&g, &csc, &resident, frontier, targets, prev_pull);
+                        assert_eq!(bounded, full, "case {case}, n {n}, p {p}, prev {prev_pull}");
+                        answers[full as usize] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            answers.iter().all(|&k| k > 0),
+            "push / pull answers {answers:?}"
+        );
+    }
+
+    /// After a patch re-transposes the mirror of a compressing, pulling
+    /// session, pull batches are still priced at their exact encoded
+    /// length: the per-row table restarts with the new mirror (a stale row
+    /// would keep its old size), and both runs match the oracle.
+    #[test]
+    fn mirror_row_prices_follow_a_patch() {
+        let g = web_graph(&WebConfig::new(4_000, 60_000, 3));
+        let cfg = slow_link_cfg(&g).with_direction(DirectionMode::Pull);
+        let mut session = AsceticSession::new(cfg, &g);
+        let before = session.run(&Bfs::new(0));
+        assert!(before.metrics.counter("compress.transfers") > Some(0));
+        let measured = |s: &AsceticSession| s.wire.as_ref().map(WireSizes::measured_rows);
+        let rows = measured(&session).expect("a compressing session");
+        assert!(rows.len() > 100, "the pull run priced its rows");
+        // grow the in-rows of measured targets
+        let n = g.num_vertices() as u32;
+        let batch: Vec<Mutation> = (rows.iter().step_by(7).take(40))
+            .map(|&(v, _)| Mutation::Insert {
+                src: (v * 31 + 7) % n,
+                dst: v,
+                weight: None,
+            })
+            .collect();
+        session.apply_batch(&batch).expect("valid inserts");
+        assert_eq!(
+            measured(&session),
+            Some(vec![]),
+            "the patch resets the table"
+        );
+        let after = session.run(&Bfs::new(0));
+        assert_eq!(
+            after.output,
+            run_in_memory(session.graph(), &Bfs::new(0)).output
+        );
+        let csc = session.mirror_csc().expect("a pulling session");
+        let rows = measured(&session).expect("a compressing session");
+        assert!(!rows.is_empty());
+        for (v, size) in rows {
+            let row = &csc.targets()[csc.edge_range(v).start as usize..][..csc.degree(v) as usize];
+            assert_eq!(
+                size,
+                ascetic_graph::compress::encoded_len(v, row) as u64,
+                "row {v}"
+            );
+        }
+    }
+
+    /// CC's pull kernel is charged the in-edges its early exit scanned,
+    /// summed per lane: the same count at 1 and 2 host threads, on batches
+    /// big enough to run on both workers.
+    #[test]
+    fn cc_scanned_edges_are_the_same_at_one_and_two_threads() {
+        use crate::ondemand::tests::at_threads;
+        let g = web_graph(&WebConfig::new(20_000, 400_000, 5));
+        let cfg = cfg_for(&g).with_direction(DirectionMode::Pull);
+        let run = |threads| at_threads(threads, || AsceticSession::new(cfg, &g).run(&Cc::new()));
+        let (one, two) = (run(1), run(2));
+        let scanned = |r: &RunReport| {
+            r.per_iter
+                .iter()
+                .map(|i| i.active_edges)
+                .collect::<Vec<_>>()
+        };
+        assert!(one.per_iter.iter().all(|i| i.pull));
+        assert_eq!(scanned(&one), scanned(&two));
+        assert_eq!(one.sim_time_ns, two.sim_time_ns);
+        assert_eq!(one.output, run_in_memory(&g, &Cc::new()).output);
+        let widest = one.per_iter.iter().map(|i| i.payload_bytes).max();
+        assert!(
+            widest > Some(4 * ascetic_par::INLINE_WORK),
+            "batches dispatch"
+        );
     }
 }
