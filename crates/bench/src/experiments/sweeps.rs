@@ -100,11 +100,10 @@ pub fn mechanisms(cx: &mut Ctx) {
     ];
     let cells = cx.sweep(&grid(&TABLE4_ORDER, &DatasetId::ALL), &variants);
     let wire = |r: &RunReport| r.total_wire_bytes_with_prestore();
-    let metrics: [Metric; 10] = [
+    let metrics: [Metric; 9] = [
         ("sim_ns", |r| s(r.sim_time_ns)),
         ("bytes", |r| s(r.total_bytes_with_prestore())),
         ("wire", |r| s(r.total_wire_bytes_with_prestore())),
-        ("stall_ns", |r| s(stall_ns(r))),
         ("transfer_ns", |r| s(r.breakdown.transfer_ns)),
         ("prefetch_bytes", |r| s(r.prefetch_bytes)),
         ("prefetch_ops", |r| s(r.prefetch_ops)),
