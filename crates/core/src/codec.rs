@@ -17,9 +17,9 @@
 //! priced at the cached ratio. A pull batch ships rows of the CSC mirror,
 //! which no chunk covers: it is priced exactly, from encoded sizes per
 //! mirror row cached beside the chunks' ([`mirror_batch_wire`]). Nothing
-//! is encoded unless it ships encoded. Everything here is integer math over deterministic lengths, so
-//! the decisions — and hence the simulated timeline — are bit-identical at
-//! every host thread count.
+//! is encoded unless it ships encoded. Everything here is integer math
+//! over deterministic lengths, so the decisions — and hence the simulated
+//! timeline — are bit-identical at every host thread count.
 //!
 //! [`ship_batch`] puts a gather batch on the link either way (Ascetic's
 //! push and pull iterations, the Subway baseline); the `compress.*`
@@ -104,16 +104,6 @@ pub struct EncodeScratch {
     entries: Vec<EncodeEntry>,
 }
 
-impl EncodeScratch {
-    /// `batch`'s entries in the encoder's form.
-    fn load(&mut self, batch: Batch<'_>) -> &[EncodeEntry] {
-        self.entries.clear();
-        let entries = batch.entries.iter().map(|e| (e.vertex, e.edges.clone()));
-        self.entries.extend(entries);
-        &self.entries
-    }
-}
-
 /// What [`ship_batch`] knows of an eligible batch's encoded size before
 /// the wire-form rule sees it.
 pub enum WirePrice {
@@ -149,14 +139,16 @@ pub fn ship_batch(
     let (raw, index) = (batch.payload_bytes(), batch.index_bytes());
     let gather_rows = |window: &mut [u32]| batch.gather_into(src, window);
     if let Some(price) = price.filter(|_| raw > 0) {
-        let mut measure = || encoded_ranges_len(src, scratch.load(batch)) as u64;
+        scratch.entries.clear();
+        let entries = batch.entries.iter().map(|e| (e.vertex, e.edges.clone()));
+        scratch.entries.extend(entries);
+        let measure = || encoded_ranges_len(src, &scratch.entries) as u64;
         let wire = match price() {
             WirePrice::Measure => Some(measure()),
             WirePrice::Estimate(est) => encoded_wins(gpu, ready, raw, est, true).then(measure),
             WirePrice::Exact(wire) => Some(wire),
         };
         if let Some(wire) = wire.filter(|&wire| encoded_wins(gpu, ready, raw, wire, true)) {
-            scratch.load(batch);
             scratch.buf.clear();
             let written = encode_ranges(src, &scratch.entries, &mut scratch.buf);
             debug_assert_eq!(
@@ -243,7 +235,7 @@ pub fn chunk_wire_bytes(g: &Csr, geo: &ChunkGeometry, c: ChunkId, sizes: &mut Wi
 /// [`encoded_len`] on the spot. The encoder's length pass is Σ
 /// [`encoded_len`] over the entries, so this is [`encoded_ranges_len`]
 /// without re-walking a row already measured.
-pub fn mirror_batch_wire(csc: &Csr, sizes: &mut WireSizes, entries: &[GatherEntry]) -> u64 {
+pub(crate) fn mirror_batch_wire(csc: &Csr, sizes: &mut WireSizes, entries: &[GatherEntry]) -> u64 {
     let rows = &mut sizes.rows;
     if rows.len() != csc.num_vertices() {
         *rows = vec![0; csc.num_vertices()];

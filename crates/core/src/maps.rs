@@ -68,7 +68,7 @@ impl DataMaps {
     /// [`DataMaps::regenerate`] leaves in `ondemand_nodes.len()` and
     /// `ondemand_edges` — from the same walk, without listing a vertex:
     /// each word's edges are one offsets difference per run of set bits.
-    pub fn ondemand_volume(g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) -> (u64, u64) {
+    pub(crate) fn ondemand_volume(g: &Csr, active: &Bitmap, static_bitmap: &Bitmap) -> (u64, u64) {
         let (mut nodes, mut edges) = (0u64, 0u64);
         split_words(active, static_bitmap, |base, _, ondemand| {
             nodes += ondemand.count_ones() as u64;
@@ -120,17 +120,13 @@ pub(crate) fn word_rows(g: &Csr, base: VertexId, mut bits: u64) -> (u64, u64) {
     let offsets = g.offsets();
     let (mut edges, mut rows) = (0u64, 0u64);
     while bits != 0 {
-        let (lo, len) = (
-            bits.trailing_zeros(),
-            (bits >> bits.trailing_zeros()).trailing_ones(),
-        );
-        let start = (base + lo) as usize;
-        let run = &offsets[start..=start + len as usize];
-        edges += run[len as usize] - run[0];
+        let lo = bits.trailing_zeros();
+        let end = lo + (bits >> lo).trailing_ones();
+        let run = &offsets[(base + lo) as usize..=(base + end) as usize];
+        edges += run[run.len() - 1] - run[0];
         rows += run.windows(2).filter(|w| w[1] != w[0]).count() as u64;
-        bits = bits
-            .checked_shr(lo + len)
-            .map_or(0, |rest| rest << (lo + len));
+        // drop the run: keep the bits above it (none when it reached bit 63)
+        bits = bits.checked_shr(end).map_or(0, |rest| rest << end);
     }
     (edges, rows)
 }

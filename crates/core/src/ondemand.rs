@@ -236,12 +236,16 @@ impl Batch<'_> {
         let spill = AtomicU64::new(0);
         parallel_for_work(self.entries.len(), self.edges(), |lane, i| {
             let n = body(lane, self.entries[i].vertex, &payload[self.entry_words(i)]);
+            if n == 0 {
+                return; // a push row, or a pull row that scanned nothing
+            }
             match lanes.get(lane) {
                 // only the body running in `lane` touches its slot
                 Some(LaneSum(sum)) => sum.store(sum.load(Relaxed) + n, Relaxed),
                 None => _ = spill.fetch_add(n, Relaxed),
             }
         });
+        // the job has returned: its join orders every slot's last store
         let summed: u64 = lanes.into_iter().map(|LaneSum(sum)| sum.into_inner()).sum();
         summed + spill.into_inner()
     }
