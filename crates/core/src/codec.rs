@@ -16,7 +16,7 @@
 //! and the size is cached; afterwards a transfer touching the chunk is
 //! priced at the cached ratio. A pull batch ships rows of the CSC mirror,
 //! which no chunk covers: it is priced exactly, from encoded sizes per
-//! mirror row cached beside the chunks' ([`mirror_batch_wire`]). Nothing
+//! mirror row cached beside the chunks' (`mirror_batch_wire`). Nothing
 //! is encoded unless it ships encoded. Everything here is integer math
 //! over deterministic lengths, so the decisions — and hence the simulated
 //! timeline — are bit-identical at every host thread count.
@@ -190,7 +190,7 @@ pub fn chunk_entries(g: &Csr, geo: &ChunkGeometry, c: ChunkId) -> Vec<EncodeEntr
 /// iterations and runs: per chunk of the edge payload — the prestore's
 /// pricing, [`estimate_batch_wire`] and the prefetch planner's wire cost
 /// read them through [`chunk_wire_bytes`] — and per row of the pull
-/// mirror, which [`mirror_batch_wire`] prices pull batches from.
+/// mirror, which `mirror_batch_wire` prices pull batches from.
 pub struct WireSizes {
     chunks: Vec<u32>,
     // empty until the first pull batch is priced
