@@ -73,9 +73,11 @@ pub fn filter<P: VertexProgram>(prog: &P, frontier: &mut Bitmap, state: &P::Stat
 ///
 /// Per iteration a driver hands [`NextFrontier::writer`] to the advance
 /// operators, may look at the unfiltered result through
-/// [`NextFrontier::snapshot`] (prefetch planning, direction choice), and
-/// closes with [`NextFrontier::finish`]. However those are mixed, the
-/// bitmap is copied out **once** per hand-out of the writer.
+/// [`NextFrontier::snapshot`] (the prefetch planner does), and closes with
+/// [`NextFrontier::finish`]. However those are mixed, the bitmap is copied
+/// out **once** per hand-out of the writer. A traversal direction is not
+/// chosen here: it is a property of the frontier an iteration runs, so
+/// the driver chooses it from `active` when that iteration opens.
 ///
 /// This is also the one seam every driver reads the frontier through, so
 /// it is where the program's [`VertexProgram::settle`] hook runs: before

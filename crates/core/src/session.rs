@@ -15,8 +15,8 @@
 //! step in the body of the shared driver loop ([`ops::Drive`], `DESIGN.md`
 //! §18), while `crate::fleet` puts the steps of N shard sessions there and
 //! a cross-device frontier exchange after each round. `step_iteration` is
-//! one frame for both traversal directions (`DESIGN.md` §17): a direction
-//! only chooses what the shared on-demand pipeline is fed.
+//! one frame for both traversal directions, chosen at its top (`DESIGN.md`
+//! §17): a direction only chooses what the shared on-demand pipeline is fed.
 //!
 //! [`super::engine::AsceticSystem`] is a thin one-shot wrapper around this
 //! type.
@@ -116,7 +116,7 @@ struct OdRun {
 /// ledger (the base `AsceticSession::begin_run` captured — the tallies
 /// themselves live in the device registry and nowhere else — the
 /// breakdown and the closed iterations' rows) plus every piece of loop
-/// state one iteration hands the next (direction choice, buffer fences)
+/// state one iteration hands the next (the last direction, buffer fences)
 /// and the host buffers an iteration refills instead of allocating (data
 /// maps, batch plan, gather spans, pull targets, encoder scratch).
 /// Opaque outside the core crate: drivers create it, pass it to each step,
@@ -128,7 +128,7 @@ pub struct RunCtx {
     scratch: EncodeScratch,
     // likewise refilled every iteration: the data maps, the on-demand
     // batch plan with its gather spans, and the pull path's target set
-    // (which the direction choice consults too) and target list
+    // (filled where the direction is chosen) and target list
     maps: DataMaps,
     plan: BatchPlan,
     gather_spans: Vec<Span>,
@@ -139,11 +139,6 @@ pub struct RunCtx {
     // where the tracer stood when the iteration opened: what its span
     // encloses when it closes
     iter_mark: usize,
-    // --- Direction-optimizing traversal state. ---
-    // the direction iteration k decided for k+1 (computed after k's
-    // refreshes so the estimate sees the residency k+1 will); None on
-    // iteration 0, which decides on the spot
-    next_dir: Option<Direction>,
     // whether the previous iteration pulled (hysteresis input)
     last_pull: bool,
 }
@@ -332,30 +327,31 @@ impl<'g> AsceticSession<'g> {
         self.gpu.timeline.barrier(SimTime(barrier_ns));
     }
 
-    /// Resolve the traversal direction for an iteration whose frontier is
-    /// `frontier`, honoring the config policy and the program's pull
-    /// capability. A session whose config never pulls built no mirror and
-    /// always runs push, as does a push-only program: forcing
-    /// `--direction pull` onto one is rejected at configuration build /
-    /// admission time ([`AsceticConfig::validate_algo`]), never here.
+    /// Choose the direction of the iteration about to run `active` — the
+    /// one place it is chosen — by the config policy and the program's
+    /// pull capability. A session that may pull this program fills
+    /// `ctx.pull_bits` from `active` first, forced or adaptive: the
+    /// estimate prices those targets and a pull gathers into them. A
+    /// config that never pulls built no mirror and a push-only program
+    /// cannot pull, so both run push (`--direction pull` on the latter is
+    /// rejected at build / admission, [`AsceticConfig::validate_algo`]).
     fn direction_for<P: VertexProgram>(
         &self,
         prog: &P,
-        frontier: &Bitmap,
+        ctx: &mut RunCtx,
+        active: &Bitmap,
         state: &P::State,
-        prev_pull: bool,
-        pull_targets: &mut Bitmap,
     ) -> Direction {
         let Some(mirror) = self.mirror.as_ref().filter(|_| prog.capabilities().pull) else {
             return Direction::Push;
         };
+        ops::pull_frontier_into(prog, &self.g, active, state, &mut ctx.pull_bits);
         let pull = match self.cfg.direction {
             DirectionMode::Push => false,
             DirectionMode::Pull => true,
             DirectionMode::Adaptive => {
-                ops::pull_frontier_into(prog, &self.g, frontier, state, pull_targets);
-                let resident = self.region.vertex_bitmap();
-                pull_wins(&self.g, mirror, resident, frontier, pull_targets, prev_pull)
+                let (resident, targets) = (self.region.vertex_bitmap(), &ctx.pull_bits);
+                pull_wins(&self.g, mirror, resident, active, targets, ctx.last_pull)
             }
         };
         if pull {
@@ -394,27 +390,25 @@ impl<'g> AsceticSession<'g> {
     /// Execute one iteration of `prog` over this session's graph — one
     /// frame for both traversal directions:
     ///
-    /// 1. **open** — barrier, the iteration span and the `GenDataMap`
-    ///    charge;
+    /// 1. **open** — the direction for `active`, then barrier, the
+    ///    iteration span and the `GenDataMap` charge;
     /// 2. **select** — push splits the frontier against the static region
     ///    (data maps, Eq (3) re-partition) and runs the static-region
-    ///    kernel; pull derives the target set from the CSC mirror and
-    ///    writes off any prefetch plan;
+    ///    kernel; pull lists the chosen targets' CSC rows and writes off
+    ///    any prefetch plan;
     /// 3. **on-demand pipeline** — one `run_ondemand` over whatever rows
     ///    the selection left to ship: plan, gather, ship, kernel per batch;
     /// 4. **prefetch** (push only — pull never reads the CSR-chunked static
     ///    region) — the prefetcher's end-of-iteration step: access
     ///    history, hit scoring, commit and the next plan;
-    /// 5. **pre-commit** the next iteration's direction;
-    /// 6. **close** — barrier, windows, the `IterReport`.
+    /// 5. **close** — barrier, windows, the `IterReport`.
     ///
     /// The driver loop ([`ops::Drive`]) owns the frontier dance: it runs
     /// the compute operator first, its body passes the (already
     /// ownership-masked, in the fleet case) `active` bitmap, and it closes
     /// `next` after the step (after *all* shards' steps, in the fleet case)
     /// to build the next round's frontier. The step itself looks at the
-    /// next frontier only when a planner needs it (prefetch, direction
-    /// choice), through `next`'s shared snapshot.
+    /// next frontier only when prefetch plans, through `next`'s snapshot.
     pub(crate) fn step_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -425,14 +419,7 @@ impl<'g> AsceticSession<'g> {
     ) {
         let g = self.g.clone();
         let weighted = g.is_weighted();
-        // Direction dispatch: the previous iteration pre-committed a
-        // direction for this frontier (after its prefetch window, so the
-        // residency estimate matches what this iteration's data maps will
-        // see); iteration 0 decides on the spot.
-        let dir = match ctx.next_dir.take() {
-            Some(dir) => dir,
-            None => self.direction_for(prog, active, state, ctx.last_pull, &mut ctx.pull_bits),
-        };
+        let dir = self.direction_for(prog, ctx, active, state);
         ctx.last_pull = matches!(dir, Direction::Pull(_));
         let (iter_start, genmap) = self.open_iteration(ctx);
 
@@ -470,7 +457,7 @@ impl<'g> AsceticSession<'g> {
             }
             Direction::Pull(csc) => {
                 let next_bits = next.writer();
-                self.select_pull(prog, ctx, csc, active, state);
+                self.select_pull(ctx, csc);
                 let targets = std::mem::take(&mut ctx.pull_targets);
                 // The pull kernel is charged for the in-edges the operator
                 // actually scanned (CC's zero-label early exit makes that
@@ -496,21 +483,6 @@ impl<'g> AsceticSession<'g> {
             }
         };
 
-        // Pre-commit the next iteration's direction *after* the prefetch
-        // phase, so the push-vs-pull transfer estimate sees the exact
-        // static-region residency the next data maps will see.
-        if self.mirror.is_some() && prog.capabilities().pull {
-            let next_frontier = next.snapshot(prog, state);
-            if !next_frontier.is_all_zero() {
-                ctx.next_dir = Some(self.direction_for(
-                    prog,
-                    next_frontier,
-                    state,
-                    ctx.last_pull,
-                    &mut ctx.pull_bits,
-                ));
-            }
-        }
         self.close_iteration(ctx, iter_start, report);
     }
 
@@ -646,21 +618,14 @@ impl<'g> AsceticSession<'g> {
         }
     }
 
-    /// Pull selection: the live targets' in-edge rows of the CSC mirror
-    /// are what the on-demand pipeline ships (`ctx.pull_targets`). The
-    /// CSR-chunked static region holds out-edges, so pull bypasses it
-    /// entirely — no static compute, no access history — and the
-    /// prefetcher writes its pipeline off, which leaves its gap fill idle
-    /// under pull without being told the direction.
-    fn select_pull<P: VertexProgram>(
-        &mut self,
-        prog: &P,
-        ctx: &mut RunCtx,
-        csc: &Csr,
-        active: &Bitmap,
-        state: &P::State,
-    ) {
-        ops::pull_frontier_into(prog, &self.g, active, state, &mut ctx.pull_bits);
+    /// Pull selection: the CSC rows of the targets the direction choice
+    /// left in `ctx.pull_bits` are what the on-demand pipeline ships
+    /// (`ctx.pull_targets`). The CSR-chunked static region holds
+    /// out-edges, so pull bypasses it entirely — no static compute, no
+    /// access history — and the prefetcher writes its pipeline off, which
+    /// leaves its gap fill idle under pull without being told the
+    /// direction.
+    fn select_pull(&mut self, ctx: &mut RunCtx, csc: &Csr) {
         if let Some(pf) = &mut self.prefetch {
             pf.write_off(&mut self.gpu);
         }
@@ -1498,9 +1463,9 @@ mod tests {
     #[test]
     fn every_path_snapshots_the_next_frontier_once_per_iteration() {
         // The default path has no planner that looks at the next frontier
-        // (it used to snapshot it anyway, twice); prefetch, direction
-        // choice and pull each look at it mid-step. However they combine,
-        // the run loop must copy the bitmap out exactly once an iteration.
+        // (it used to snapshot it anyway, twice); only prefetch looks at it
+        // mid-step. However the modes combine, the run loop must copy the
+        // bitmap out exactly once an iteration.
         let g = web_graph(&WebConfig::new(3_000, 40_000, 4));
         let prefetch = PrefetchMode::NextFrontier;
         for (what, cfg) in [
@@ -1531,6 +1496,118 @@ mod tests {
                     "{what}: snapshots per iteration"
                 );
                 assert_eq!(r.output, run_in_memory(&g, &prog).output, "{what}");
+            }
+        }
+    }
+
+    /// A BFS that counts its pull-target walks and forwards every other
+    /// hook untouched.
+    struct WalkCountingBfs {
+        bfs: Bfs,
+        walks: std::sync::atomic::AtomicU32,
+    }
+
+    impl VertexProgram for WalkCountingBfs {
+        type State = <Bfs as VertexProgram>::State;
+        fn name(&self) -> &'static str {
+            self.bfs.name()
+        }
+        fn capabilities(&self) -> ascetic_algos::Capabilities {
+            self.bfs.capabilities()
+        }
+        fn new_state(&self, g: &Csr) -> Self::State {
+            self.bfs.new_state(g)
+        }
+        fn initial_frontier(&self, g: &Csr) -> Bitmap {
+            self.bfs.initial_frontier(g)
+        }
+        fn compute(&self, iteration: u32, active: &Bitmap, state: &Self::State) {
+            self.bfs.compute(iteration, active, state)
+        }
+        fn advance_push(
+            &self,
+            lane: usize,
+            src: VertexId,
+            edges: EdgeSlice<'_>,
+            state: &Self::State,
+            next: &AtomicBitmap,
+        ) {
+            self.bfs.advance_push(lane, src, edges, state, next)
+        }
+        fn pull_targets_into(
+            &self,
+            g: &Csr,
+            active: &Bitmap,
+            state: &Self::State,
+            out: &mut Bitmap,
+        ) {
+            self.walks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.bfs.pull_targets_into(g, active, state, out)
+        }
+        fn advance_pull(
+            &self,
+            v: VertexId,
+            in_edges: EdgeSlice<'_>,
+            active: &Bitmap,
+            state: &Self::State,
+            next: &AtomicBitmap,
+        ) -> u64 {
+            self.bfs.advance_pull(v, in_edges, active, state, next)
+        }
+        fn settle(&self, state: &Self::State, next: &AtomicBitmap) {
+            self.bfs.settle(state, next)
+        }
+        fn retain(&self, v: VertexId, state: &Self::State) -> bool {
+            self.bfs.retain(v, state)
+        }
+        fn next_phase(&self, finished: u32, g: &Csr, state: &Self::State) -> Option<Bitmap> {
+            self.bfs.next_phase(finished, g, state)
+        }
+        fn output(&self, state: &Self::State) -> ascetic_algos::AlgoOutput {
+            self.bfs.output(state)
+        }
+        fn max_iterations(&self) -> u32 {
+            self.bfs.max_iterations()
+        }
+        fn repair(
+            &self,
+            g_old: &Csr,
+            g_new: &Csr,
+            csc_new: Option<&Csr>,
+            patch: &GraphPatch,
+            state: &Self::State,
+        ) -> ascetic_algos::RepairPlan {
+            self.bfs.repair(g_old, g_new, csc_new, patch, state)
+        }
+    }
+
+    #[test]
+    fn the_pull_targets_are_walked_once_per_iteration_of_a_session_that_may_pull() {
+        // The direction choice and the pull gather share one walk: an
+        // adaptive run that pulls walks no more often than a forced pull,
+        // and a session that never pulls never walks.
+        let g = clique_tail_graph();
+        let oracle = run_in_memory(&g, &Bfs::new(0)).output;
+        for mode in [
+            DirectionMode::Adaptive,
+            DirectionMode::Pull,
+            DirectionMode::Push,
+        ] {
+            let prog = WalkCountingBfs {
+                bfs: Bfs::new(0),
+                walks: Default::default(),
+            };
+            let r = AsceticSession::new(cfg_for(&g).with_direction(mode), &g).run(&prog);
+            assert_eq!(r.output, oracle, "{mode:?}");
+            let pulls = r.per_iter.iter().filter(|i| i.pull).count();
+            let walks = prog.walks.into_inner();
+            match mode {
+                DirectionMode::Push => assert_eq!(walks, 0, "push never walks"),
+                _ => {
+                    assert!(pulls > 0, "{mode:?}: the dense mid-phase pulls");
+                    assert_eq!(walks, r.iterations, "{mode:?}: walks per iteration");
+                }
             }
         }
     }
