@@ -22,17 +22,22 @@
 //! contributions were summed on the way — and that is what lets the push
 //! scatter skip the shared array altogether: each worker accumulates into
 //! a private *lane* of per-vertex deltas (a plain load and store per edge,
-//! no locked read-modify-write, no cache line shared between cores), and
+//! a dirty-flag store only on a delta's first touch, no locked
+//! read-modify-write, no cache line shared between cores), and
 //! [`VertexProgram::settle`] folds the lanes into `residual` once, at the
 //! frontier seam. Activation is decided there, on the settled sum: a
 //! vertex joins the next frontier iff its residual went from below `ε` to
-//! at or above it over the iteration. Residuals only grow between two
-//! claims, so exactly one increment — a settle, or a direct add on one of
-//! the paths that bypass the lanes — observes the crossing, whichever
-//! order the increments land in. Results and activation sets are therefore
-//! bit-identical regardless of thread count, interleaving, or how the
-//! contributions were split over lanes; floats would make frontier sizes
-//! (and thus simulated times) racy.
+//! at or above it over the iteration, and each 64-vertex block's
+//! activations reach the frontier as one word OR. Residuals only grow
+//! between two claims, so exactly one increment — a settle, or a direct
+//! add on one of the paths that bypass the lanes — observes the crossing,
+//! whichever order the increments land in. The claim itself runs one body
+//! per frontier word with plain loads and stores: it runs between phases
+//! and each vertex belongs to one word, so no two bodies share a vertex.
+//! Results and activation sets are therefore bit-identical regardless of
+//! thread count, interleaving, or how the contributions were split over
+//! lanes; floats would make frontier sizes (and thus simulated times)
+//! racy.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -109,13 +114,15 @@ pub struct PrState {
 
 /// Vertices per dirty flag: 64 deltas, eight cache lines.
 const BLOCK: usize = 64;
+// a block's activations are exactly one word of the next frontier
+const _: () = assert!(BLOCK == 64);
 /// Vertices per [`DirtyLine`] — the unit `settle` is split by.
 const GROUP: usize = BLOCK * 64;
 
 /// One cache line of dirty flags, aligned so that no line is ever shared
 /// with another lane's flags (or anything else another core writes): the
-/// scatter stores a flag per edge, and a shared line would bounce on
-/// every one of them.
+/// scatter stores a flag on each delta's first touch after a settle, and
+/// a shared line would bounce on every one of them.
 #[repr(align(64))]
 struct DirtyLine([AtomicBool; GROUP / BLOCK]);
 
@@ -154,8 +161,13 @@ impl Lane {
         edges.for_each_target(|t| {
             let t = t as usize;
             let d = &self.delta[t];
-            d.store(d.load(Ordering::Relaxed) + contrib, Ordering::Relaxed);
-            self.dirty_flag(t / BLOCK).store(true, Ordering::Relaxed);
+            let old = d.load(Ordering::Relaxed);
+            d.store(old + contrib, Ordering::Relaxed);
+            // `contrib > 0`: a zero delta means the first touch since the
+            // last settle, and every non-zero delta has its flag up
+            if old == 0 {
+                self.dirty_flag(t / BLOCK).store(true, Ordering::Relaxed);
+            }
         });
     }
 }
@@ -180,16 +192,35 @@ impl PrState {
     #[inline]
     fn deposit(&self, v: usize, amount: u64, next: &AtomicBitmap) {
         let old = self.residual[v].fetch_add(amount, Ordering::Relaxed);
-        self.activate_on_crossing(v, old, amount, next);
+        if self.crosses(old, amount) {
+            next.set(v);
+        }
     }
 
     /// Exactly-once activation: residuals only grow between claims, so of
     /// all the increments a vertex receives one at most sees `old` below
     /// the threshold and `old + amount` at or above it.
     #[inline]
-    fn activate_on_crossing(&self, v: usize, old: u64, amount: u64, next: &AtomicBitmap) {
-        if old < self.eps_fx && old + amount >= self.eps_fx {
-            next.set(v);
+    fn crosses(&self, old: u64, amount: u64) -> bool {
+        old < self.eps_fx && old + amount >= self.eps_fx
+    }
+
+    /// Claim the residuals of frontier word `wi` (bit `j` of `w` is vertex
+    /// `64·wi + j`): retire each into `rank` and keep it in `claimed` for
+    /// the scatter. Compute runs between phases and the body holding `wi`
+    /// is the only one touching its vertices, so every access is a plain
+    /// load or store; the pool's job hand-off and join order them against
+    /// the advance and settle jobs before and after.
+    #[inline]
+    fn claim_word(&self, wi: usize, mut w: u64) {
+        while w != 0 {
+            let v = wi * 64 + w.trailing_zeros() as usize;
+            w &= w - 1;
+            let r = self.residual[v].load(Ordering::Relaxed);
+            self.residual[v].store(0, Ordering::Relaxed);
+            let rank = &self.rank[v];
+            rank.store(rank.load(Ordering::Relaxed) + r, Ordering::Relaxed);
+            self.claimed[v].store(r, Ordering::Relaxed);
         }
     }
 
@@ -221,15 +252,18 @@ impl PrState {
                 }
             }
             // this work item owns the group's vertices and no advance is
-            // in flight: the add is a plain load and store
+            // in flight: the add is a plain load and store, and the block's
+            // activations are one word of the next frontier, ORed in once
+            let mut crossed = 0u64;
             for (j, &sum) in sums[..len].iter().enumerate() {
                 if sum != 0 {
-                    let (v, r) = (base + j, &self.residual[base + j]);
+                    let r = &self.residual[base + j];
                     let old = r.load(Ordering::Relaxed);
                     r.store(old + sum, Ordering::Relaxed);
-                    self.activate_on_crossing(v, old, sum, next);
+                    crossed |= (self.crosses(old, sum) as u64) << j;
                 }
             }
+            next.or_word(block, crossed);
         }
     }
 }
@@ -283,11 +317,11 @@ impl VertexProgram for PageRank {
             state.parked_blocks() == 0,
             "PR residuals claimed with un-settled lanes"
         );
-        for v in active.iter_ones() {
-            let r = state.residual[v].swap(0, Ordering::Relaxed);
-            state.rank[v].fetch_add(r, Ordering::Relaxed);
-            state.claimed[v].store(r, Ordering::Relaxed);
-        }
+        // one body per frontier word; a small frontier stays inline
+        let words = active.words();
+        parallel_for_work(words.len(), active.count_ones() as u64, |_, wi| {
+            state.claim_word(wi, words[wi])
+        });
     }
 
     #[inline]
@@ -745,6 +779,113 @@ mod tests {
                 "settling moves mass, never changes it"
             );
         });
+    }
+
+    /// Blocks of some lane holding a non-zero delta with their flag down:
+    /// mass the next settle would skip.
+    fn unflagged_blocks(state: &PrState) -> usize {
+        let hidden = |l: &Lane| {
+            let blocks = l.delta.chunks(BLOCK).enumerate();
+            blocks
+                .filter(|(b, ds)| {
+                    !l.dirty_flag(*b).load(Ordering::Relaxed)
+                        && ds.iter().any(|d| d.load(Ordering::Relaxed) != 0)
+                })
+                .count()
+        };
+        state.live_lanes().map(hidden).sum()
+    }
+
+    #[test]
+    fn every_block_holding_a_delta_has_its_flag_up_until_the_settle() {
+        for g in [star(40_000), rmat()] {
+            at_threads(8, || {
+                let pr = PageRank::new();
+                let state = pr.new_state(&g);
+                let mut active = pr.initial_frontier(&g);
+                let mut next = NextFrontier::new(g.num_vertices());
+                let mut parked = 0;
+                for iter in 0..4 {
+                    pr.compute(iter, &active, &state);
+                    let nodes = active.to_indices();
+                    for shard in nodes.chunks(nodes.len().div_ceil(3).max(1)) {
+                        push_rows(&g, shard, &state, next.writer());
+                        let hidden = unflagged_blocks(&state);
+                        assert_eq!(hidden, 0, "iteration {iter}: a delta hides from the settle");
+                        parked += state.parked_blocks();
+                    }
+                    next.finish(&pr, &state, &mut active);
+                    assert_eq!(
+                        state.parked_blocks(),
+                        0,
+                        "iteration {iter}: a flag survived"
+                    );
+                    let deltas = state.live_lanes().flat_map(|l| &l.delta);
+                    assert!(deltas.map(|d| d.load(Ordering::Relaxed)).all(|d| d == 0));
+                }
+                assert!(parked > 0, "the lanes were never used");
+            });
+        }
+    }
+
+    // ---- the word-parallel claim ----------------------------------------
+
+    /// The serial claim `compute` made before it went word-parallel: one
+    /// `swap` and one `fetch_add` per active vertex, on one thread.
+    fn claim_reference(active: &Bitmap, state: &PrState) {
+        for v in active.iter_ones() {
+            let r = state.residual[v].swap(0, Ordering::Relaxed);
+            state.rank[v].fetch_add(r, Ordering::Relaxed);
+            state.claimed[v].store(r, Ordering::Relaxed);
+        }
+    }
+
+    /// A state whose residuals, ranks and claims differ from vertex to
+    /// vertex, so a claim that skips, repeats or misplaces one shows.
+    fn scrambled(g: &Csr) -> PrState {
+        let state = PageRank::new().new_state_with_lanes(g, 0);
+        let mix = |v: usize, k: u64| (v as u64 + k).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 24;
+        for (k, field) in [&state.residual, &state.rank, &state.claimed]
+            .into_iter()
+            .enumerate()
+        {
+            for (v, x) in field.iter().enumerate() {
+                x.store(mix(v, 1 + k as u64 * 1_000_003), Ordering::Relaxed);
+            }
+        }
+        state
+    }
+
+    #[test]
+    fn the_word_parallel_claim_matches_the_serial_reference() {
+        // 40 001 and 101 vertices end in a partial word; R-MAT's 4096 do not
+        for g in [star(40_000), rmat(), star(100)] {
+            let n = g.num_vertices();
+            let frontier = |bits: &mut dyn Iterator<Item = usize>| {
+                let mut b = Bitmap::new(n);
+                bits.for_each(|v| b.set(v));
+                b
+            };
+            let frontiers = [
+                ("full", Bitmap::ones(n)),
+                ("last vertex", frontier(&mut std::iter::once(n - 1))),
+                ("one word", frontier(&mut (64..n.min(128)))),
+                ("every 7th", frontier(&mut (0..n).step_by(7))),
+            ];
+            let fields = |s: &PrState| (words(&s.residual), words(&s.rank), words(&s.claimed));
+            for (what, active) in &frontiers {
+                let expect = scrambled(&g);
+                claim_reference(active, &expect);
+                for threads in [1, 2, 8] {
+                    let got = scrambled(&g);
+                    at_threads(threads, || PageRank::new().compute(0, active, &got));
+                    assert!(
+                        fields(&got) == fields(&expect),
+                        "{what} frontier of {n} vertices, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

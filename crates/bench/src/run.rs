@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use ascetic_algos::AlgoOutput;
 use ascetic_baselines::{AnySystem, SubwaySystem};
 use ascetic_core::{AsceticConfig, AsceticSystem, OutOfCoreSystem, RunReport};
 use ascetic_graph::datasets::{Dataset, DatasetId};
@@ -27,7 +28,8 @@ pub struct Cell {
     pub dataset: DatasetId,
     /// The graph variant the algorithm ran on.
     pub graph: Rc<Csr>,
-    /// Reports per variant, in the order requested.
+    /// Reports per variant, in the order requested, each with its
+    /// per-vertex `output` dropped (the runner checked that they agree).
     pub reports: Vec<RunReport>,
 }
 
@@ -129,13 +131,16 @@ impl PreparedDataset {
     }
 }
 
-/// The runs of one cell so far: each system with the report it gave.
-pub type Memo = Vec<(AnySystem, RunReport)>;
+/// The runs of one cell so far: each system with the fingerprint of its
+/// answer and its report, per-vertex `output` dropped (a full-scale `all`
+/// keeps hundreds of runs for the life of the process).
+pub type Memo = Vec<(AnySystem, u64, RunReport)>;
 
 /// Run every variant of one cell on `g`, with progress to stderr: a system
 /// `memo` holds is served from it, any other is run and added to it. Every
 /// variant writes its trace under its own name and must give variant 0's
-/// answer exactly.
+/// answer exactly (its output's fingerprint). The reports come back with
+/// their `output` dropped, as the memo keeps them.
 pub fn run_cell(
     env: &Env,
     algo: Algo,
@@ -145,31 +150,33 @@ pub fn run_cell(
     memo: &mut Memo,
 ) -> Vec<RunReport> {
     let mut report = |(name, system): &Variant| {
-        let rep = match memo.iter().find(|(seen, _)| seen == system) {
-            Some((_, rep)) => rep.clone(),
+        let (answer, rep) = match memo.iter().find(|(seen, ..)| seen == system) {
+            Some((_, answer, rep)) => (*answer, rep.clone()),
             None => {
                 eprintln!("  running {name} / {} / {on} ...", algo.display());
                 if let Err(e) = system.prepare(g) {
                     panic!("{name} refuses {} / {on}: {e}", algo.display());
                 }
-                let rep = run_algo(system, g, algo);
-                memo.push((system.clone(), rep.clone()));
-                rep
+                let mut rep = run_algo(system, g, algo);
+                let answer = rep.output.fingerprint();
+                rep.output = AlgoOutput::Labels(Vec::new());
+                memo.push((system.clone(), answer, rep.clone()));
+                (answer, rep)
             }
         };
         env.maybe_write_trace(&rep, &format!("{name}_{}_{on}", algo.display()));
-        rep
+        (answer, rep)
     };
-    let reports: Vec<RunReport> = variants.iter().map(&mut report).collect();
-    for (r, (name, _)) in reports.iter().zip(variants).skip(1) {
+    let runs: Vec<(u64, RunReport)> = variants.iter().map(&mut report).collect();
+    for ((answer, _), (name, _)) in runs.iter().zip(variants).skip(1) {
         assert!(
-            r.output == reports[0].output,
+            *answer == runs[0].0,
             "{name} and {} disagree on {} / {on}",
             variants[0].0,
             algo.display()
         );
     }
-    reports
+    runs.into_iter().map(|(_, rep)| rep).collect()
 }
 
 /// What the experiments of one process share: the environment, the built
@@ -308,6 +315,21 @@ mod tests {
             assert!(trace.is_file(), "{} not written", trace.display());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_memo_keeps_each_answer_as_a_fingerprint() {
+        let mut r = Ctx::new(Env::with_scale(50_000), true);
+        let system = r.env.system(Sys::Ascetic);
+        let cells = r.sweep(&[BFS_GS], &[("a".into(), system.clone())]);
+        let (_, answer, kept) = &r.runs[&BFS_GS][0];
+        let dropped = AlgoOutput::Labels(Vec::new());
+        assert_eq!(
+            (&kept.output, &cells[0].reports[0].output),
+            (&dropped, &dropped)
+        );
+        let fresh = run_algo(&system, &cells[0].graph, Algo::Bfs);
+        assert_eq!(*answer, fresh.output.fingerprint());
     }
 
     #[test]

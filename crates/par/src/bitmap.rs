@@ -29,10 +29,10 @@
 //! still ascending. A dense bitmap pays one extra word per 64.
 //!
 //! Who maintains it: [`Bitmap::set`] marks the block unconditionally;
-//! [`AtomicBitmap::set`] marks it on the word's 0 → non-0 transition (which
-//! its `fetch_or` observes for free); combinators derive the result's
-//! summary from their operands'; [`Bitmap::clear`] leaves it alone;
-//! `clear_all` resets both levels.
+//! [`AtomicBitmap::or_word`] (and `set`, through it) marks it on the word's
+//! 0 → non-0 transition, which its `fetch_or` observes for free; combinators
+//! derive the result's summary from their operands'; [`Bitmap::clear`]
+//! leaves it alone; `clear_all` resets both levels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -361,7 +361,7 @@ impl Iterator for BitIter {
 /// frontier during a compute phase, and the single-threaded driver snapshots
 /// it between phases. The same phase discipline covers the summary level:
 /// a setter marks its block right after the `fetch_or` that made the word
-/// non-zero, so the summary invariant holds whenever no `set` is in flight
+/// non-zero, so the summary invariant holds whenever no setter is in flight
 /// — which is exactly when the bulk operations (`snapshot*`, `count_ones`,
 /// `clear_all`, `load_from`) may be called.
 pub struct AtomicBitmap {
@@ -392,9 +392,8 @@ impl AtomicBitmap {
         self.len == 0
     }
 
-    /// Atomically set bit `i`. Returns `true` when this call flipped it
-    /// (i.e. the bit was previously clear) — used to count newly activated
-    /// vertices exactly once.
+    /// Atomically set bit `i`, returning `true` iff this call flipped it —
+    /// used to count newly activated vertices exactly once.
     ///
     /// Test-before-RMW: bits are only ever *set* during a phase, so a
     /// (possibly stale) load that already shows the bit proves the
@@ -405,13 +404,19 @@ impl AtomicBitmap {
     #[inline]
     pub fn set(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        let wi = i / WORD_BITS;
-        let mask = 1u64 << (i % WORD_BITS);
-        let word = &self.words[wi];
-        if word.load(Ordering::Relaxed) & mask != 0 {
-            return false;
+        let (wi, mask) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
+        self.words[wi].load(Ordering::Relaxed) & mask == 0 && self.or_word(wi, mask) != 0
+    }
+
+    /// OR `mask` into word `wi` (bit `j` is bit `64·wi + j`, none past the
+    /// length) in one RMW, returning the bits this call flipped: `set` for a
+    /// word's worth of bits gathered locally. A zero mask is a no-op.
+    #[inline]
+    pub fn or_word(&self, wi: usize, mask: u64) -> u64 {
+        if mask == 0 {
+            return 0;
         }
-        let prev = word.fetch_or(mask, Ordering::Relaxed);
+        let prev = self.words[wi].fetch_or(mask, Ordering::Relaxed);
         if prev == 0 {
             // 0 → non-0: this call owns marking the block
             let b = wi / BLOCK_WORDS;
@@ -421,7 +426,7 @@ impl AtomicBitmap {
                 s.fetch_or(sbit, Ordering::Relaxed);
             }
         }
-        prev & mask == 0
+        mask & !prev
     }
 
     /// Test bit `i` (Relaxed).
@@ -489,13 +494,8 @@ impl AtomicBitmap {
     pub fn load_from(&self, src: &Bitmap) {
         assert_eq!(self.len, src.len, "bitmap length mismatch");
         self.clear_all();
-        for (base, ws) in src.blocks() {
-            for (dst, &s) in self.words[base..base + ws.len()].iter().zip(ws) {
-                dst.store(s, Ordering::Relaxed);
-            }
-        }
-        for (dst, &s) in self.summary.iter().zip(&src.summary) {
-            dst.store(s, Ordering::Relaxed);
+        for (wi, w) in src.nonzero_words() {
+            self.or_word(wi, w);
         }
     }
 }
@@ -694,6 +694,92 @@ mod tests {
         assert_eq!(got, picks);
     }
 
+    #[test]
+    fn a_zero_mask_is_a_no_op_that_marks_nothing() {
+        let a = AtomicBitmap::new(3 * 4096 + 17);
+        for wi in [0, 1, 64, 130, 192] {
+            a.or_word(wi, 0);
+        }
+        let marked = a.summary.iter().any(|s| s.load(Ordering::Relaxed) != 0);
+        assert!(!marked, "a zero mask marked a block");
+        assert_eq!(a.count_ones(), 0);
+        assert_eq!(a.snapshot(), Bitmap::new(a.len()));
+        // a zero mask into a populated word changes nothing either
+        a.or_word(65, 0b1010);
+        a.or_word(65, 0);
+        assert_eq!(a.snapshot().to_indices(), vec![65 * 64 + 1, 65 * 64 + 3]);
+    }
+
+    #[test]
+    fn or_word_into_a_zero_word_marks_its_block_for_every_bulk_read() {
+        let n = 3 * 4096 + 17;
+        let a = AtomicBitmap::new(n);
+        // one word per block, the last the partial tail word
+        let words = [
+            (0, 1u64 << 63),
+            (64, 0b11),
+            (129, u64::MAX),
+            (192, 0x1_ffff),
+        ];
+        for (wi, mask) in words {
+            a.or_word(wi, mask);
+        }
+        let mut expect = Bitmap::new(n);
+        for (wi, mask) in words {
+            (0..64)
+                .filter(|j| mask >> j & 1 == 1)
+                .for_each(|j| expect.set(wi * 64 + j));
+        }
+        assert_eq!(a.count_ones(), expect.count_ones());
+        let mut dirty = Bitmap::ones(n);
+        a.snapshot_into(&mut dirty);
+        assert_eq!(dirty.to_indices(), expect.to_indices());
+        a.clear_all();
+        assert_eq!(a.count_ones(), 0);
+        assert!(a.snapshot().is_all_zero());
+        assert!((0..n).all(|i| !a.get(i)), "clear_all missed an or_word bit");
+    }
+
+    #[test]
+    fn or_word_and_set_racing_on_shared_words_land_the_union() {
+        // 8 threads released together: even threads OR whole masks, odd
+        // threads set single bits, into the same words of three blocks;
+        // every bit of the union is reported flipped by exactly one call
+        const THREADS: usize = 8;
+        let n = 3 * 4096 + 17;
+        let a = AtomicBitmap::new(n);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let hit = |t: usize, i: usize| (i * 7 + t * 13) % 11 < 3;
+        let flipped: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (a, barrier) = (&a, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut flipped = 0;
+                        for wi in 0..word_count(n) {
+                            let bits = (0..64).map(|j| wi * 64 + j).filter(|&i| i < n && hit(t, i));
+                            flipped += if t % 2 == 0 {
+                                let mask = bits.fold(0, |m, i| m | 1 << (i % 64));
+                                a.or_word(wi, mask).count_ones() as usize
+                            } else {
+                                bits.filter(|&i| a.set(i)).count()
+                            };
+                        }
+                        flipped
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let union: Vec<usize> = (0..n)
+            .filter(|&i| (0..THREADS).any(|t| hit(t, i)))
+            .collect();
+        assert_eq!(flipped, union.len(), "exactly one flip per bit");
+        assert_eq!(a.count_ones(), union.len());
+        assert_eq!(a.snapshot().iter_ones().collect::<Vec<_>>(), union);
+    }
+
     // ---- summary-indexed operations against a naive Vec<bool> model ----
 
     use proptest::prelude::*;
@@ -836,6 +922,34 @@ mod tests {
             check(&at.snapshot(), &mc)?;
             prop_assert!((0..len).all(|i| at.get(i) == mc[i]));
             at.load_from(&a);
+            at.snapshot_into(&mut dirty);
+            check(&dirty, &ma)?;
+        }
+
+        #[test]
+        fn or_word_matches_setting_its_bits_one_by_one(
+            len in lengths(),
+            (sa, sb) in (0u8..5, 0u8..5),
+            seed in any::<u64>(),
+        ) {
+            // `a`'s words ORed in whole over `b`'s bits set one by one
+            let (ma, mb) = (model(len, sa, seed), model(len, sb, seed.rotate_left(29) ^ 0x51ed));
+            let mu: Vec<bool> = ma.iter().zip(&mb).map(|(&x, &y)| x || y).collect();
+            let (a, union) = (build(&ma), build(&mu));
+            let at = AtomicBitmap::new(len);
+            (0..len).filter(|&i| mb[i]).for_each(|i| { at.set(i); });
+            for (wi, &w) in a.words().iter().enumerate() {
+                at.or_word(wi, w);
+            }
+            prop_assert_eq!(at.count_ones(), union.count_ones());
+            check(&at.snapshot(), &mu)?;
+            at.clear_all();
+            check(&at.snapshot(), &vec![false; len])?;
+            // into cleared words, with no `set` to mark their blocks
+            for (wi, &w) in a.words().iter().enumerate() {
+                at.or_word(wi, w);
+            }
+            let mut dirty = union.clone();
             at.snapshot_into(&mut dirty);
             check(&dirty, &ma)?;
         }
